@@ -23,10 +23,11 @@ race:
 	$(GO) test -race ./...
 
 # Engine benchmarks with allocation accounting: BFS and PageRank on
-# RMAT-scale-16 (the perf-trajectory acceptance configuration), plus the
-# out-of-core streamed PageRank.
+# RMAT-scale-16 (the perf-trajectory acceptance configuration), the
+# span-versus-adapter kernel pairs (ns/edge), plus the out-of-core streamed
+# PageRank.
 bench:
-	$(GO) test -run '^$$' -bench 'BFS|PageRank' -benchmem ./internal/core/ ./internal/oocore/
+	$(GO) test -run '^$$' -bench 'BFS|PageRank|Span' -benchmem ./internal/core/ ./internal/oocore/
 
 # Adaptive-planner cases only: auto BFS/PageRank against their fixed
 # counterparts (the fixed-vs-auto comparison of the acceptance criterion),

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -161,6 +162,38 @@ func TestPageRankMassAndConvergence(t *testing.T) {
 	top := pr.Top(2)
 	if top[0] != 2 {
 		t.Fatalf("Top(2) = %v, want vertex 2 first", top)
+	}
+}
+
+// TestPageRankDegreesNotRescannedPerRun: Init takes the out-degree table
+// from the graph's shared tables (one scan per graph) or from the
+// out-adjacency's index, never from a fresh scan of the edge array — and
+// both sources agree.
+func TestPageRankDegreesNotRescannedPerRun(t *testing.T) {
+	g := tinyGraph()
+	first, second := NewPageRank(), NewPageRank()
+	first.Init(g)
+	second.Init(g)
+	if &first.outDeg[0] != &second.outDeg[0] {
+		t.Fatal("second Init on the same graph recounted the out-degrees")
+	}
+	want := []uint32{2, 1, 0}
+	if !slices.Equal(first.outDeg, want) {
+		t.Fatalf("edge-array out-degrees %v, want %v", first.outDeg, want)
+	}
+	g.Out = &graph.Adjacency{Index: []uint64{0, 2, 3, 3}, Targets: []graph.VertexID{1, 2, 2}, Weights: []graph.Weight{1, 5, 2}, NumVertices: 3}
+	fromIndex := NewPageRank()
+	fromIndex.Init(g)
+	if !slices.Equal(fromIndex.outDeg, want) {
+		t.Fatalf("out-adjacency out-degrees %v, want %v", fromIndex.outDeg, want)
+	}
+
+	// Undirected: every stored edge is traversed both ways.
+	u := graph.New(g.EdgeArray.Edges, 3, false)
+	und := NewPageRank()
+	und.Init(u)
+	if want := []uint32{2, 2, 2}; !slices.Equal(und.outDeg, want) {
+		t.Fatalf("undirected degrees %v, want %v", und.outDeg, want)
 	}
 }
 

@@ -98,6 +98,85 @@ func (b *BFS) PullEdge(v, u graph.VertexID, _ graph.Weight) (changed, done bool)
 	return true, true
 }
 
+// Span kernels (the engine's SpanAlgorithm contract). A vertex's Parent and
+// Level are written exactly once, by the worker that discovers it; nothing
+// reads them before the iteration's barrier except the discovery test
+// itself, so owned paths use plain loads and stores and unowned paths need
+// only the claiming compare-and-swap.
+
+// PullRows lets each undiscovered vertex of [lo, hi) adopt its first active
+// in-neighbour and stop scanning.
+func (b *BFS) PullRows(s *graph.Span, worker int, in *graph.Adjacency, lo, hi int) {
+	parent, level, cur := b.Parent, b.Level, b.curLevel
+	idx, tgt := in.Index, in.Targets
+	bits, full := s.Bits, s.Full
+	for v := lo; v < hi; v++ {
+		if parent[v] >= 0 {
+			continue
+		}
+		for _, u := range tgt[idx[v]:idx[v+1]] {
+			if full || bits[u>>6]&(1<<(u&63)) != 0 {
+				parent[v], level[v] = int32(u), cur
+				s.Next.AddUnsynced(worker, graph.VertexID(v))
+				break
+			}
+		}
+	}
+}
+
+// claim makes u the parent of v if v is undiscovered, racing other workers.
+// The load screens out the (common) already-discovered destinations before
+// paying for the locked instruction.
+func (b *BFS) claim(s *graph.Span, worker int, u, v graph.VertexID) {
+	if atomic.LoadInt32(&b.Parent[v]) < 0 && atomic.CompareAndSwapInt32(&b.Parent[v], -1, int32(u)) {
+		b.Level[v] = b.curLevel
+		s.Next.Add(worker, v)
+	}
+}
+
+// PushRows discovers the out-neighbours of the active vertices: claim,
+// written out so the sparse-push loop carries no call.
+func (b *BFS) PushRows(s *graph.Span, worker int, out *graph.Adjacency, active []graph.VertexID) {
+	parent, level, cur := b.Parent, b.Level, b.curLevel
+	idx, tgt := out.Index, out.Targets
+	for _, u := range active {
+		for _, v := range tgt[idx[u]:idx[u+1]] {
+			if atomic.LoadInt32(&parent[v]) < 0 && atomic.CompareAndSwapInt32(&parent[v], -1, int32(u)) {
+				level[v] = cur
+				s.Next.Add(worker, v)
+			}
+		}
+	}
+}
+
+// PushEdges discovers destinations over a flat edge slice.
+func (b *BFS) PushEdges(s *graph.Span, worker int, edges []graph.Edge) {
+	if !s.Atomic {
+		parent, level, cur := b.Parent, b.Level, b.curLevel
+		for _, e := range edges {
+			if s.Active(e.Src) && parent[e.Dst] < 0 {
+				parent[e.Dst], level[e.Dst] = int32(e.Src), cur
+				s.Next.Add(worker, e.Dst)
+			}
+		}
+		return
+	}
+	for _, e := range edges {
+		if s.Active(e.Src) {
+			b.claim(s, worker, e.Src, e.Dst)
+		}
+		if s.Mirror && e.Src != e.Dst && s.Active(e.Dst) {
+			b.claim(s, worker, e.Dst, e.Src)
+		}
+	}
+}
+
+// PullEdges is PushEdges: "destination still undiscovered" is both the pull
+// guard and the push test, and both adopt the edge's source.
+func (b *BFS) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
+	b.PushEdges(s, worker, edges)
+}
+
 // Reached returns the number of vertices discovered by the traversal.
 func (b *BFS) Reached() int {
 	count := 0

@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"math"
+
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/sched"
 )
@@ -84,19 +86,9 @@ func (pr *PageRank) Init(g *graph.Graph) {
 	pr.Rank = make([]float64, pr.n)
 	pr.acc = make([]uint64, pr.n)
 	pr.contrib = make([]float64, pr.n)
-	if pr.presetDeg != nil {
-		pr.outDeg = pr.presetDeg
-	} else {
-		pr.outDeg = g.EdgeArray.OutDegrees()
-		if !g.Directed {
-			// On undirected datasets each stored edge is traversed in both
-			// directions, so the effective out-degree of a vertex is its
-			// total degree.
-			in := g.EdgeArray.InDegrees()
-			for v := range pr.outDeg {
-				pr.outDeg[v] += in[v]
-			}
-		}
+	pr.outDeg = pr.presetDeg
+	if pr.outDeg == nil {
+		pr.outDeg = outDegrees(g)
 	}
 	initial := 1.0 / float64(pr.n)
 	for v := range pr.Rank {
@@ -119,6 +111,35 @@ func (pr *PageRank) Init(g *graph.Graph) {
 	}
 	pr.beforeBodyW = func(_, lo, hi int) { pr.beforeBody(lo, hi) }
 	pr.afterBodyW = func(_, lo, hi int) { pr.afterBody(lo, hi) }
+}
+
+// outDegrees returns the out-degree table a whole-graph algorithm divides
+// by: the number of times each vertex is a source in one traversal of g. It
+// comes from the out-adjacency's index when that is resident (O(V)), and
+// otherwise from the edge array's degree tables, which are counted once per
+// graph and shared by every later run. The result may be shared: callers
+// must not modify it.
+func outDegrees(g *graph.Graph) []uint32 {
+	if g.Directed && g.Out != nil {
+		deg := make([]uint32, g.NumVertices())
+		for v := range deg {
+			deg[v] = uint32(g.Out.Degree(graph.VertexID(v)))
+		}
+		return deg
+	}
+	out := g.EdgeArray.SharedOutDegrees()
+	if g.Directed {
+		return out
+	}
+	// On undirected datasets each stored edge is traversed in both
+	// directions, so the effective out-degree of a vertex is its total
+	// degree.
+	in := g.EdgeArray.SharedInDegrees()
+	deg := make([]uint32, len(out))
+	for v := range deg {
+		deg[v] = out[v] + in[v]
+	}
+	return deg
 }
 
 // InitialFrontier implements Algorithm.
@@ -170,6 +191,63 @@ func (pr *PageRank) PullActive(graph.VertexID) bool { return true }
 func (pr *PageRank) PullEdge(v, u graph.VertexID, _ graph.Weight) (bool, bool) {
 	storeFloat64(&pr.acc[v], loadFloat64(&pr.acc[v])+pr.contrib[u])
 	return false, false
+}
+
+// Span kernels (the engine's SpanAlgorithm contract). PageRank is dense: the
+// engine feeds it the full frontier every iteration, so the kernels never
+// test membership. Sums are accumulated in the per-edge order, which keeps
+// the owned paths bit-identical to PullEdge/PushEdge.
+
+// PullRows sums each destination's in-contributions in a register and
+// stores the accumulator once: the calling worker owns acc[lo:hi].
+func (pr *PageRank) PullRows(_ *graph.Span, _ int, in *graph.Adjacency, lo, hi int) {
+	acc, contrib := pr.acc, pr.contrib
+	idx, tgt := in.Index, in.Targets
+	for v := lo; v < hi; v++ {
+		sum := math.Float64frombits(acc[v])
+		for _, u := range tgt[idx[v]:idx[v+1]] {
+			sum += contrib[u]
+		}
+		acc[v] = math.Float64bits(sum)
+	}
+}
+
+// PushRows adds each active vertex's contribution to its out-neighbours
+// atomically.
+func (pr *PageRank) PushRows(_ *graph.Span, _ int, out *graph.Adjacency, active []graph.VertexID) {
+	acc, contrib := pr.acc, pr.contrib
+	idx, tgt := out.Index, out.Targets
+	for _, u := range active {
+		c := contrib[u]
+		for _, v := range tgt[idx[u]:idx[u+1]] {
+			atomicAddFloat64(&acc[v], c)
+		}
+	}
+}
+
+// PushEdges applies a flat edge slice: plain read-modify-write when the
+// worker owns the destinations, atomic adds otherwise.
+func (pr *PageRank) PushEdges(s *graph.Span, _ int, edges []graph.Edge) {
+	acc, contrib := pr.acc, pr.contrib
+	if !s.Atomic {
+		for _, e := range edges {
+			acc[e.Dst] = math.Float64bits(math.Float64frombits(acc[e.Dst]) + contrib[e.Src])
+		}
+		return
+	}
+	mirror := s.Mirror
+	for _, e := range edges {
+		atomicAddFloat64(&acc[e.Dst], contrib[e.Src])
+		if mirror && e.Src != e.Dst {
+			atomicAddFloat64(&acc[e.Src], contrib[e.Dst])
+		}
+	}
+}
+
+// PullEdges is PushEdges: every destination pulls every iteration, and the
+// pull update is the same addition.
+func (pr *PageRank) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
+	pr.PushEdges(s, worker, edges)
 }
 
 // TotalRank returns the sum of all ranks (used by the mass-conservation

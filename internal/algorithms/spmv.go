@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"math"
+
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 )
 
@@ -71,6 +73,64 @@ func (m *SpMV) PullActive(graph.VertexID) bool { return true }
 func (m *SpMV) PullEdge(v, u graph.VertexID, w graph.Weight) (bool, bool) {
 	storeFloat64(&m.y[v], loadFloat64(&m.y[v])+float64(w)*m.X[u])
 	return false, false
+}
+
+// Span kernels (the engine's SpanAlgorithm contract). SpMV is dense, so the
+// kernels never test frontier membership; products are summed in the
+// per-edge order, which keeps the owned paths bit-identical to
+// PullEdge/PushEdge.
+
+// PullRows computes each owned row's dot product in a register.
+func (m *SpMV) PullRows(_ *graph.Span, _ int, in *graph.Adjacency, lo, hi int) {
+	y, x := m.y, m.X
+	idx, tgt, wts := in.Index, in.Targets, in.Weights
+	for v := lo; v < hi; v++ {
+		row := tgt[idx[v]:idx[v+1]]
+		ws := wts[idx[v]:idx[v+1]][:len(row)]
+		sum := math.Float64frombits(y[v])
+		for j, u := range row {
+			sum += float64(ws[j]) * x[u]
+		}
+		y[v] = math.Float64bits(sum)
+	}
+}
+
+// PushRows scatters each active column's products atomically.
+func (m *SpMV) PushRows(_ *graph.Span, _ int, out *graph.Adjacency, active []graph.VertexID) {
+	y, x := m.y, m.X
+	idx, tgt, wts := out.Index, out.Targets, out.Weights
+	for _, u := range active {
+		row := tgt[idx[u]:idx[u+1]]
+		ws := wts[idx[u]:idx[u+1]][:len(row)]
+		xu := x[u]
+		for j, v := range row {
+			atomicAddFloat64(&y[v], float64(ws[j])*xu)
+		}
+	}
+}
+
+// PushEdges applies a flat edge slice: plain read-modify-write when the
+// worker owns the destinations, atomic adds otherwise.
+func (m *SpMV) PushEdges(s *graph.Span, _ int, edges []graph.Edge) {
+	y, x := m.y, m.X
+	if !s.Atomic {
+		for _, e := range edges {
+			y[e.Dst] = math.Float64bits(math.Float64frombits(y[e.Dst]) + float64(e.W)*x[e.Src])
+		}
+		return
+	}
+	mirror := s.Mirror
+	for _, e := range edges {
+		atomicAddFloat64(&y[e.Dst], float64(e.W)*x[e.Src])
+		if mirror && e.Src != e.Dst {
+			atomicAddFloat64(&y[e.Src], float64(e.W)*x[e.Dst])
+		}
+	}
+}
+
+// PullEdges is PushEdges: every row pulls, and the update is the same.
+func (m *SpMV) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
+	m.PushEdges(s, worker, edges)
 }
 
 // Result returns the output vector y.

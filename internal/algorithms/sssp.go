@@ -82,6 +82,84 @@ func (s *SSSP) PullEdge(v, u graph.VertexID, w graph.Weight) (bool, bool) {
 	return false, false
 }
 
+// Span kernels (the engine's SpanAlgorithm contract). A distance is read as
+// a source by other workers while its owner lowers it, so every access to
+// dist stays atomic; what the kernels save is the call per edge, the reload
+// of the destination's own distance, and the store on edges that do not
+// improve it.
+
+// PullRows relaxes each owned destination over its active in-neighbours,
+// keeping its tentative distance in a register. Improvements are stored as
+// they happen, so a self-loop reads what the per-edge path would.
+func (s *SSSP) PullRows(sp *graph.Span, worker int, in *graph.Adjacency, lo, hi int) {
+	dist := s.dist
+	idx, tgt, wts := in.Index, in.Targets, in.Weights
+	for v := lo; v < hi; v++ {
+		row := tgt[idx[v]:idx[v+1]]
+		ws := wts[idx[v]:idx[v+1]][:len(row)]
+		cur := loadFloat32(&dist[v])
+		changed := false
+		for j, u := range row {
+			if !sp.Active(u) {
+				continue
+			}
+			if nd := loadFloat32(&dist[u]) + ws[j]; nd < cur {
+				cur, changed = nd, true
+				storeFloat32(&dist[v], nd)
+			}
+		}
+		if changed {
+			sp.Next.AddUnsynced(worker, graph.VertexID(v))
+		}
+	}
+}
+
+// PushRows relaxes the out-edges of the active vertices with atomic minima.
+func (s *SSSP) PushRows(sp *graph.Span, worker int, out *graph.Adjacency, active []graph.VertexID) {
+	dist := s.dist
+	idx, tgt, wts := out.Index, out.Targets, out.Weights
+	for _, u := range active {
+		row := tgt[idx[u]:idx[u+1]]
+		ws := wts[idx[u]:idx[u+1]][:len(row)]
+		for j, v := range row {
+			if atomicMinFloat32(&dist[v], loadFloat32(&dist[u])+ws[j]) {
+				sp.Next.Add(worker, v)
+			}
+		}
+	}
+}
+
+// PushEdges relaxes a flat edge slice.
+func (s *SSSP) PushEdges(sp *graph.Span, worker int, edges []graph.Edge) {
+	dist := s.dist
+	if !sp.Atomic {
+		for _, e := range edges {
+			if !sp.Active(e.Src) {
+				continue
+			}
+			if nd := loadFloat32(&dist[e.Src]) + e.W; nd < loadFloat32(&dist[e.Dst]) {
+				storeFloat32(&dist[e.Dst], nd)
+				sp.Next.Add(worker, e.Dst)
+			}
+		}
+		return
+	}
+	for _, e := range edges {
+		if sp.Active(e.Src) && atomicMinFloat32(&dist[e.Dst], loadFloat32(&dist[e.Src])+e.W) {
+			sp.Next.Add(worker, e.Dst)
+		}
+		if sp.Mirror && e.Src != e.Dst && sp.Active(e.Dst) && atomicMinFloat32(&dist[e.Src], loadFloat32(&dist[e.Dst])+e.W) {
+			sp.Next.Add(worker, e.Src)
+		}
+	}
+}
+
+// PullEdges is PushEdges: every vertex may still improve, and pulling over
+// an edge is the same relaxation.
+func (s *SSSP) PullEdges(sp *graph.Span, worker int, edges []graph.Edge) {
+	s.PushEdges(sp, worker, edges)
+}
+
 // Distance returns the computed distance of v (+Inf if unreachable).
 func (s *SSSP) Distance(v graph.VertexID) float32 {
 	return loadFloat32(&s.dist[v])

@@ -83,6 +83,80 @@ func (w *WCC) PullEdge(v, u graph.VertexID, _ graph.Weight) (bool, bool) {
 	return false, false
 }
 
+// Span kernels (the engine's SpanAlgorithm contract). A label is read as a
+// source by other workers while its owner lowers it, so every access to
+// Labels stays atomic; what the kernels save is the call per edge, the
+// reload of the destination's own label, and the store on edges that do not
+// lower it.
+
+// PullRows lowers each owned destination's label over its active
+// in-neighbours, keeping the label in a register. Improvements are stored
+// as they happen, so a self-loop reads what the per-edge path would.
+func (w *WCC) PullRows(s *graph.Span, worker int, in *graph.Adjacency, lo, hi int) {
+	labels := w.Labels
+	idx, tgt := in.Index, in.Targets
+	for v := lo; v < hi; v++ {
+		cur := atomic.LoadUint32(&labels[v])
+		changed := false
+		for _, u := range tgt[idx[v]:idx[v+1]] {
+			if !s.Active(u) {
+				continue
+			}
+			if lu := atomic.LoadUint32(&labels[u]); lu < cur {
+				cur, changed = lu, true
+				atomic.StoreUint32(&labels[v], lu)
+			}
+		}
+		if changed {
+			s.Next.AddUnsynced(worker, graph.VertexID(v))
+		}
+	}
+}
+
+// PushRows propagates the active vertices' labels with atomic minima.
+func (w *WCC) PushRows(s *graph.Span, worker int, out *graph.Adjacency, active []graph.VertexID) {
+	labels := w.Labels
+	idx, tgt := out.Index, out.Targets
+	for _, u := range active {
+		for _, v := range tgt[idx[u]:idx[u+1]] {
+			if atomicMinUint32(&labels[v], atomic.LoadUint32(&labels[u])) {
+				s.Next.Add(worker, v)
+			}
+		}
+	}
+}
+
+// PushEdges propagates labels over a flat edge slice.
+func (w *WCC) PushEdges(s *graph.Span, worker int, edges []graph.Edge) {
+	labels := w.Labels
+	if !s.Atomic {
+		for _, e := range edges {
+			if !s.Active(e.Src) {
+				continue
+			}
+			if lu := atomic.LoadUint32(&labels[e.Src]); lu < atomic.LoadUint32(&labels[e.Dst]) {
+				atomic.StoreUint32(&labels[e.Dst], lu)
+				s.Next.Add(worker, e.Dst)
+			}
+		}
+		return
+	}
+	for _, e := range edges {
+		if s.Active(e.Src) && atomicMinUint32(&labels[e.Dst], atomic.LoadUint32(&labels[e.Src])) {
+			s.Next.Add(worker, e.Dst)
+		}
+		if s.Mirror && e.Src != e.Dst && s.Active(e.Dst) && atomicMinUint32(&labels[e.Src], atomic.LoadUint32(&labels[e.Dst])) {
+			s.Next.Add(worker, e.Src)
+		}
+	}
+}
+
+// PullEdges is PushEdges: every vertex may still improve, and pulling over
+// an edge is the same minimum.
+func (w *WCC) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
+	w.PushEdges(s, worker, edges)
+}
+
 // NumComponents counts the distinct labels after convergence.
 func (w *WCC) NumComponents() int {
 	seen := make(map[uint32]struct{})

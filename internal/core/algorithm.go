@@ -69,6 +69,133 @@ type Algorithm interface {
 	AfterIteration(iteration int) (converged bool)
 }
 
+// SpanAlgorithm is the engine's one call shape: instead of calling an edge
+// function per edge, the engine hands the algorithm a whole chunk of the
+// iteration — a CSR row range or a flat edge slice — together with the
+// iteration's graph.Span (frontier bitmap, "frontier is full" flag, next
+// frontier builder, ownership discipline), and the algorithm runs the loop
+// itself with its update inlined.
+//
+// The per-edge Algorithm methods are enough to be correct: an algorithm that
+// implements only them runs through a per-edge adapter that implements this
+// interface on its behalf (as does every SyncLocks plan, where the mutex
+// dwarfs the call). Implementing SpanAlgorithm as well is what makes an
+// algorithm fast; the span methods must then visit each destination's edges
+// in span order and leave exactly the state the per-edge methods would.
+type SpanAlgorithm interface {
+	// PullRows pulls for the destinations [lo, hi) of the in-adjacency: each
+	// destination that still needs data reads its in-neighbours that are in
+	// the frontier and updates only its own state. The calling worker owns
+	// the destinations; activations go to s.Next.AddUnsynced.
+	PullRows(s *graph.Span, worker int, in *graph.Adjacency, lo, hi int)
+	// PushRows pushes the out-edges of every vertex of active (a slice of
+	// the frontier's vertex list). CSR rows partition sources, never
+	// destinations, so updates are always synchronized: atomically by span
+	// kernels, under the stripe locks by the adapter.
+	PushRows(s *graph.Span, worker int, out *graph.Adjacency, active []graph.VertexID)
+	// PushEdges applies, in slice order, every edge whose source is in the
+	// frontier (edge-array chunk, grid cell, decoded or streamed cell),
+	// honouring s.Atomic and s.Mirror.
+	PushEdges(s *graph.Span, worker int, edges []graph.Edge)
+	// PullEdges is PushEdges in pull mode: edges whose destination no longer
+	// needs data (PullActive) are skipped as well.
+	PullEdges(s *graph.Span, worker int, edges []graph.Edge)
+}
+
+// perEdge implements SpanAlgorithm for any Algorithm by calling its edge
+// functions once per edge: the reference the span kernels are tested
+// against, the path of algorithms that ship no span kernels, and the only
+// path that takes the stripe locks.
+type perEdge struct {
+	alg Algorithm
+	// locked reports that the executing plan synchronizes with locks; the
+	// stripe table is allocated by the first such plan.
+	locked bool
+	locks  *vertexLocks
+}
+
+// push applies u -> v under the span's discipline and records an activation.
+func (a *perEdge) push(s *graph.Span, worker int, u, v graph.VertexID, w graph.Weight) {
+	var activated bool
+	switch {
+	case a.locked:
+		a.locks.lock(v)
+		activated = a.alg.PushEdge(u, v, w)
+		a.locks.unlock(v)
+	case s.Atomic:
+		activated = a.alg.PushEdgeAtomic(u, v, w)
+	default:
+		activated = a.alg.PushEdge(u, v, w)
+	}
+	if activated && s.Next != nil {
+		s.Next.Add(worker, v)
+	}
+}
+
+func (a *perEdge) PullRows(s *graph.Span, worker int, in *graph.Adjacency, lo, hi int) {
+	alg := a.alg
+	idx, tgt, wts := in.Index, in.Targets, in.Weights
+	for vi := lo; vi < hi; vi++ {
+		v := graph.VertexID(vi)
+		if !alg.PullActive(v) {
+			continue
+		}
+		changedAny := false
+		for j, end := idx[v], idx[v+1]; j < end; j++ {
+			u := tgt[j]
+			if !s.Active(u) {
+				continue
+			}
+			changed, done := alg.PullEdge(v, u, wts[j])
+			changedAny = changedAny || changed
+			if done {
+				break
+			}
+		}
+		if changedAny && s.Next != nil {
+			s.Next.AddUnsynced(worker, v)
+		}
+	}
+}
+
+func (a *perEdge) PushRows(s *graph.Span, worker int, out *graph.Adjacency, active []graph.VertexID) {
+	idx, tgt, wts := out.Index, out.Targets, out.Weights
+	for _, u := range active {
+		for j, end := idx[u], idx[u+1]; j < end; j++ {
+			a.push(s, worker, u, tgt[j], wts[j])
+		}
+	}
+}
+
+func (a *perEdge) PushEdges(s *graph.Span, worker int, edges []graph.Edge) {
+	for _, e := range edges {
+		if s.Active(e.Src) {
+			a.push(s, worker, e.Src, e.Dst, e.W)
+		}
+		if s.Mirror && e.Src != e.Dst && s.Active(e.Dst) {
+			a.push(s, worker, e.Dst, e.Src, e.W)
+		}
+	}
+}
+
+func (a *perEdge) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
+	alg := a.alg
+	// Unowned pull cells synchronize the destination update through the
+	// algorithm's push-edge functions, which perform the same state
+	// transition under the locks/atomics discipline.
+	owned := !s.Atomic && !a.locked
+	for _, e := range edges {
+		if !s.Active(e.Src) || !alg.PullActive(e.Dst) {
+			continue
+		}
+		if !owned {
+			a.push(s, worker, e.Src, e.Dst, e.W)
+		} else if changed, _ := alg.PullEdge(e.Dst, e.Src, e.W); changed && s.Next != nil {
+			s.Next.Add(worker, e.Dst)
+		}
+	}
+}
+
 // WorkerBound is implemented by algorithms whose per-iteration hooks run
 // their own parallel sweeps (e.g. PageRank's contribution snapshot). The
 // engine calls SetWorkers with the run's configured worker count before

@@ -300,7 +300,9 @@ func ValidateTechniques(layout graph.Layout, flow Flow, sync SyncMode) error {
 			return fmt.Errorf("core: push-pull switching is meaningless on edge arrays (every iteration scans all edges)")
 		}
 	case graph.LayoutAdjacency, graph.LayoutAdjacencySorted:
-		if flow == Push && sync == SyncPartitionFree {
+		if (flow == Push || flow == PushPull) && sync == SyncPartitionFree {
+			// The push iterations of a push-pull run are as unowned as any
+			// other push.
 			return fmt.Errorf("core: push on adjacency lists requires locks or atomics (destinations are not partitioned)")
 		}
 	case graph.LayoutGrid, graph.LayoutGridCompressed:

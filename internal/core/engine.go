@@ -22,7 +22,8 @@ import (
 // allocations and spawns no goroutines: parallel loops run on persistent
 // pool workers (see internal/sched), the next-frontier builders and the
 // frontiers they emit are double-buffered and recycled, and every loop body
-// is bound once at setup and reused. Allocation happens only while the
+// is bound once at setup and reused; each chunk of a loop is one call into
+// the algorithm's span kernels (see SpanAlgorithm). Allocation happens only while the
 // buffers warm up during the first iterations.
 func Run(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 	if err := cfg.Validate(g); err != nil {
@@ -185,22 +186,112 @@ type paddedSum struct {
 	_ [56]byte
 }
 
+// stepper is the engine's side of the span contract, shared by the in-memory
+// and the streamed runner: it resolves which SpanAlgorithm executes an
+// iteration (the algorithm's own span kernels, or the per-edge adapter),
+// fills the iteration's graph.Span, and owns the double-buffered
+// next-frontier state — two (builder, frontier) pairs so one frontier can be
+// consumed while the next is built into the other pair's buffers.
+type stepper struct {
+	alg         Algorithm
+	numVertices int
+	workers     int
+	track       bool // build the next frontier (false for dense algorithms)
+
+	own     SpanAlgorithm // alg's span kernels; nil if it ships none
+	adapter perEdge       // per-edge reference path over alg
+
+	// Per-iteration binding, set by begin and read by every worker.
+	kern SpanAlgorithm
+	span graph.Span
+	pull bool // flat edge slices run the pull kernel
+
+	builders [2]*graph.FrontierBuilder
+	fronts   [2]graph.Frontier
+	flip     int
+}
+
+func newStepper(alg Algorithm, numVertices, workers int) stepper {
+	own, _ := alg.(SpanAlgorithm)
+	return stepper{
+		alg:         alg,
+		numVertices: numVertices,
+		workers:     workers,
+		track:       !alg.Dense(),
+		own:         own,
+		adapter:     perEdge{alg: alg},
+	}
+}
+
+// begin binds the kernels and the span of one iteration. Builders alternate
+// between two instances so the frontier emitted by the previous iteration
+// (which shares its builder's bitmap) stays valid while this iteration's
+// frontier is assembled. Callers that test frontier membership set
+// span.Bits themselves: converting the frontier is only worth paying where
+// the layout path needs the bitmap.
+func (st *stepper) begin(flow Flow, sync SyncMode, frontier *graph.Frontier) {
+	st.adapter.locked = sync == SyncLocks
+	if st.adapter.locked && st.adapter.locks == nil {
+		st.adapter.locks = newVertexLocks()
+	}
+	if st.own != nil && !st.adapter.locked {
+		st.kern = st.own
+	} else {
+		st.kern = &st.adapter
+	}
+	st.pull = flow == Pull
+	st.span = graph.Span{
+		Full:   frontier.Count() == st.numVertices,
+		Atomic: sync == SyncAtomics,
+	}
+	if !st.track {
+		return
+	}
+	b := st.builders[st.flip]
+	if b == nil {
+		b = graph.NewFrontierBuilder(st.numVertices, st.workers)
+		st.builders[st.flip] = b
+	} else {
+		b.Reset()
+	}
+	st.span.Next = b
+}
+
+// finish turns the iteration's builder into the next frontier, reusing the
+// buffers of the Frontier paired with it, and flips the double buffer. It
+// returns nil for dense algorithms.
+func (st *stepper) finish() *graph.Frontier {
+	b := st.span.Next
+	if b == nil {
+		return nil
+	}
+	f := b.CollectInto(&st.fronts[st.flip])
+	st.flip = 1 - st.flip
+	st.span.Next = nil
+	return f
+}
+
+// edges applies one flat edge slice (edge-array chunk, grid cell, decoded or
+// streamed cell) in the iteration's direction.
+func (st *stepper) edges(worker int, es []graph.Edge) {
+	if st.pull {
+		st.kern.PullEdges(&st.span, worker, es)
+	} else {
+		st.kern.PushEdges(&st.span, worker, es)
+	}
+}
+
 // runner carries the per-run execution state shared by the layout paths.
 //
 // Everything a steady-state iteration needs is owned by the runner and
-// recycled: two (builder, frontier) pairs so one frontier can be consumed
-// while the next is built into the other pair's buffers, the edge-balanced
-// chunk table for push iterations, padded per-worker degree accumulators,
-// and every parallel loop body, bound once here so no closure is created
-// inside the iteration loop. Per-iteration inputs (active list, frontier
-// bitmap, current builder) are passed to the bodies through runner fields.
+// recycled: the stepper's frontier buffers, the edge-balanced chunk table
+// for push iterations, padded per-worker degree accumulators, and every
+// parallel loop body, bound once here so no closure is created inside the
+// iteration loop. Per-iteration inputs (active list, span, grid level) are
+// passed to the bodies through runner fields.
 type runner struct {
-	g       *graph.Graph
-	alg     Algorithm
-	cfg     Config
-	workers int
-	locks   *vertexLocks
-	track   bool // build the next frontier (false for dense algorithms)
+	stepper
+	g *graph.Graph
 	// pfor executes the run's parallel loops: lease-scoped for leased runs,
 	// the process-wide pool otherwise. Bound once here so the iteration
 	// paths never re-resolve it.
@@ -209,37 +300,21 @@ type runner struct {
 	out *graph.Adjacency // push adjacency (nil if not built)
 	in  *graph.Adjacency // pull adjacency (nil if not built)
 
-	// Double-buffered next-frontier state; see nextBuilder/collect.
-	builders [2]*graph.FrontierBuilder
-	fronts   [2]graph.Frontier
-	flip     int
-
 	// Per-iteration inputs read by the loop bodies.
 	active []graph.VertexID // current active list (push, activeOutEdges)
-	bits   []uint64         // current frontier bitmap (pull, edge, grid)
 	level  *graph.GridLevel // pyramid level of the current grid iteration
 	// fineLevel is the runner-local identity view of a grid built outside
 	// prep (no pyramid attached): the engine must never mutate the shared
 	// graph mid-run, so the fallback level is owned here.
 	fineLevel graph.GridLevel
-	builder   *graph.FrontierBuilder
 
 	chunkStarts []int       // edge-balanced chunk boundaries into active
 	degSums     []paddedSum // per-worker out-degree accumulators
 
-	// Plan→kernel dispatch tables: every specialized per-edge span is bound
-	// once at setup (with the frontier-tracking branch already resolved),
-	// indexed by the plan's SyncMode. execute() selects from these tables
-	// per iteration, so the same runner serves a fixed configuration and an
-	// adaptive run that changes layout/sync between iterations.
-	pushSpans [3]func(worker, lo, hi int) // push variants over active indices, by SyncMode
-	edgeSpans [3]func(worker, lo, hi int) // edge-centric variants over edge indices, by SyncMode
-
-	// Loop bodies and per-edge span functions, bound once at setup.
-	pushSpan       func(worker, lo, hi int) // push variant selected by the current plan
-	pullSpan       func(worker, lo, hi int) // pull variant over vertex ids (sync-independent)
-	edgeSpan       func(worker, lo, hi int) // edge-centric variant selected by the current plan
-	pushChunksBody func(worker, lo, hi int) // walks chunkStarts, calls pushSpan
+	// Loop bodies, bound once at setup.
+	pushChunksBody func(worker, lo, hi int) // walks chunkStarts over active
+	pullBody       func(worker, lo, hi int) // destination rows of the in-adjacency
+	edgeBody       func(worker, lo, hi int) // edge-array index range
 	degBody        func(worker, lo, hi int) // sums active out-degrees into degSums
 	gridOwnedBody  func(worker, lo, hi int) // column-owned grid traversal
 	gridCellsBody  func(worker, lo, hi int) // cell-parallel grid traversal
@@ -252,39 +327,16 @@ type runner struct {
 	// steady-state compressed iterations stay allocation-free).
 	comp        *graph.CompressedGrid
 	compScratch [][]graph.Edge
-
-	// Grid cell functions: all variants bound once, cellFn selects per
-	// iteration (push-pull can change direction between iterations).
-	cellFn         func(worker int, cell []graph.Edge)
-	cellPushOwned  func(worker int, cell []graph.Edge)
-	cellPushAtomic func(worker int, cell []graph.Edge)
-	cellPushLocks  func(worker int, cell []graph.Edge)
-	cellPushPlain  func(worker int, cell []graph.Edge)
-	cellPullOwned  func(worker int, cell []graph.Edge)
-	cellPullAtomic func(worker int, cell []graph.Edge)
-	cellPullLocks  func(worker int, cell []graph.Edge)
-	cellPullPlain  func(worker int, cell []graph.Edge)
 }
 
-// newRunner builds the per-run state: it binds every specialized per-edge
-// loop for the run's {tracked} mode into sync-indexed dispatch tables
-// (hoisting the dispatch that used to run per edge) and binds every loop
-// body once.
+// newRunner builds the per-run state and binds every loop body once. Each
+// body hands its chunk to the iteration's span kernels in one call.
 func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 	r := &runner{
+		stepper: newStepper(alg, g.NumVertices(), workers),
 		g:       g,
-		alg:     alg,
-		cfg:     cfg,
-		workers: workers,
-		track:   !alg.Dense(),
 		out:     g.Out,
 		pfor:    parallelFor(cfg),
-	}
-	if cfg.Sync == SyncLocks && cfg.Flow != Auto {
-		// Auto never plans locks (and SyncLocks is the zero SyncMode, so a
-		// bare auto config would otherwise preallocate the stripe table for
-		// nothing); execute() allocates lazily if a locks plan ever runs.
-		r.locks = newVertexLocks()
 	}
 	if g.In != nil {
 		r.in = g.In
@@ -294,42 +346,20 @@ func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 		r.in = g.Out
 	}
 
-	// Specialized per-edge loops: the frontier-tracking branch is resolved
-	// here, once per run; the sync-mode switch becomes a table the plan
-	// indexes per iteration (it used to run per edge, then once per run —
-	// adaptive plans need it per iteration without reintroducing per-edge
-	// dispatch).
-	if r.track {
-		r.pushSpans = [3]func(worker, lo, hi int){
-			SyncLocks:         r.pushSpanLocksTracked,
-			SyncAtomics:       r.pushSpanAtomicTracked,
-			SyncPartitionFree: r.pushSpanPlainTracked,
-		}
-		r.edgeSpans = [3]func(worker, lo, hi int){
-			SyncLocks:         r.edgeSpanLocksTracked,
-			SyncAtomics:       r.edgeSpanAtomicTracked,
-			SyncPartitionFree: r.edgeSpanPlainTracked,
-		}
-		r.pullSpan = r.pullSpanTracked
-	} else {
-		r.pushSpans = [3]func(worker, lo, hi int){
-			SyncLocks:         r.pushSpanLocksDense,
-			SyncAtomics:       r.pushSpanAtomicDense,
-			SyncPartitionFree: r.pushSpanPlainDense,
-		}
-		r.edgeSpans = [3]func(worker, lo, hi int){
-			SyncLocks:         r.edgeSpanLocksDense,
-			SyncAtomics:       r.edgeSpanAtomicDense,
-			SyncPartitionFree: r.edgeSpanPlainDense,
-		}
-		r.pullSpan = r.pullSpanDense
-	}
-
 	r.pushChunksBody = func(worker, lo, hi int) {
+		// One call per chunk, so a hub that is its own chunk stays its own
+		// unit of work.
 		starts := r.chunkStarts
 		for c := lo; c < hi; c++ {
-			r.pushSpan(worker, starts[c], starts[c+1])
+			r.kern.PushRows(&r.span, worker, r.out, r.active[starts[c]:starts[c+1]])
 		}
+	}
+	r.pullBody = func(worker, lo, hi int) {
+		r.kern.PullRows(&r.span, worker, r.in, lo, hi)
+	}
+	r.edgeBody = func(worker, lo, hi int) {
+		// Edge-centric iterations apply push updates whatever the flow.
+		r.kern.PushEdges(&r.span, worker, r.g.EdgeArray.Edges[lo:hi])
 	}
 	r.degBody = func(worker, lo, hi int) {
 		out, active := r.out, r.active
@@ -340,19 +370,6 @@ func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 		r.degSums[worker].v += acc
 	}
 
-	if g.Grid != nil || g.Compressed != nil {
-		// The cell kernels are shared by the raw and compressed grids: the
-		// compressed path decodes a cell into scratch and hands the decoded
-		// slice to exactly these functions.
-		r.cellPushOwned = r.runCellPushOwned
-		r.cellPushAtomic = r.runCellPushAtomic
-		r.cellPushLocks = r.runCellPushLocks
-		r.cellPushPlain = r.runCellPushPlain
-		r.cellPullOwned = r.runCellPullOwned
-		r.cellPullAtomic = r.runCellPullAtomic
-		r.cellPullLocks = r.runCellPullLocks
-		r.cellPullPlain = r.runCellPullPlain
-	}
 	if g.Compressed != nil {
 		r.comp = g.Compressed
 		comp := g.Compressed
@@ -365,7 +382,7 @@ func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 			for col := lo; col < hi; col++ {
 				for row := 0; row < comp.P; row++ {
 					if cell := comp.DecodeCell(row, col, scratch); len(cell) > 0 {
-						r.cellFn(worker, cell)
+						r.edges(worker, cell)
 					}
 				}
 			}
@@ -374,7 +391,7 @@ func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 			scratch := r.compScratch[worker]
 			for c := lo; c < hi; c++ {
 				if cell := comp.DecodeCell(c/comp.P, c%comp.P, scratch); len(cell) > 0 {
-					r.cellFn(worker, cell)
+					r.edges(worker, cell)
 				}
 			}
 		}
@@ -406,7 +423,7 @@ func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 					base := row * fineP
 					span := edges[cellIndex[base+jLo]:cellIndex[base+jHi]]
 					if len(span) > 0 {
-						r.cellFn(worker, span)
+						r.edges(worker, span)
 					}
 				}
 			}
@@ -419,43 +436,13 @@ func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 					base := row * fineP
 					span := edges[cellIndex[base+cLo]:cellIndex[base+cHi]]
 					if len(span) > 0 {
-						r.cellFn(worker, span)
+						r.edges(worker, span)
 					}
 				}
 			}
 		}
 	}
 	return r
-}
-
-// nextBuilder returns the iteration's frontier builder, reset and ready, or
-// nil for dense algorithms that skip frontier tracking. Builders alternate
-// between two instances so the frontier emitted by the previous iteration
-// (which shares its builder's bitmap) stays valid while this iteration's
-// frontier is assembled.
-func (r *runner) nextBuilder() *graph.FrontierBuilder {
-	if !r.track {
-		return nil
-	}
-	b := r.builders[r.flip]
-	if b == nil {
-		b = graph.NewFrontierBuilder(r.g.NumVertices(), r.workers)
-		r.builders[r.flip] = b
-	} else {
-		b.Reset()
-	}
-	r.builder = b
-	return b
-}
-
-// collect turns the current builder's contents into the next frontier,
-// reusing the buffers of the Frontier paired with that builder, and flips
-// the double buffer.
-func (r *runner) collect(b *graph.FrontierBuilder) *graph.Frontier {
-	f := b.CollectInto(&r.fronts[r.flip])
-	r.flip = 1 - r.flip
-	r.builder = nil
-	return f
 }
 
 // frontierSnapshot copies the active vertex list for the NUMA analysis.

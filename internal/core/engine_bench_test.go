@@ -149,3 +149,58 @@ func BenchmarkPageRankAutoIterRMAT16(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// Span-versus-adapter pairs: each benchmark runs b.N PageRank iterations
+// under one configuration twice — through the algorithm's span kernels and
+// through the per-edge adapter (the pre-span engine's cost: one dynamic call
+// per edge) — and reports ns/edge, so a kernel regression shows as the
+// "span" case closing on the "adapter" case.
+func benchSpanPair(b *testing.B, g *graph.Graph, cfg Config) {
+	paths := []struct {
+		name string
+		wrap func(Algorithm) Algorithm
+	}{
+		{"span", func(a Algorithm) Algorithm { return a }},
+		{"adapter", func(a Algorithm) Algorithm { return perEdgeOnly{a} }},
+	}
+	for _, p := range paths {
+		b.Run(p.name, func(b *testing.B) {
+			pr := algorithms.NewPageRank()
+			pr.Iterations = b.N
+			b.ReportAllocs()
+			b.ResetTimer()
+			if _, err := Run(g, p.wrap(pr), cfg); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
+		})
+	}
+}
+
+// rmat16Grid is the benchmark graph with only a grid attached (sharing the
+// edge array), so the adjacency benchmarks' planner candidates stay as they
+// were.
+var rmat16Grid = sync.OnceValue(func() *graph.Graph {
+	g := &graph.Graph{EdgeArray: benchGraphVal.EdgeArray, Directed: true}
+	if err := prep.BuildGrid(g, 0, prep.Options{Method: prep.RadixSort}); err != nil {
+		panic(err)
+	}
+	return g
+})
+
+func BenchmarkSpanCSRPull(b *testing.B) {
+	benchSpanPair(b, rmat16(b), Config{Layout: graph.LayoutAdjacency, Flow: Pull, Sync: SyncPartitionFree})
+}
+
+func BenchmarkSpanCSRPushAtomics(b *testing.B) {
+	benchSpanPair(b, rmat16(b), Config{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics})
+}
+
+func BenchmarkSpanGridCellPull(b *testing.B) {
+	rmat16(b)
+	benchSpanPair(b, rmat16Grid(), Config{Layout: graph.LayoutGrid, Flow: Pull, Sync: SyncPartitionFree})
+}
+
+func BenchmarkSpanEdgeArrayPush(b *testing.B) {
+	benchSpanPair(b, rmat16(b), Config{Layout: graph.LayoutEdgeArray, Flow: Push, Sync: SyncAtomics})
+}

@@ -7,39 +7,31 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/sched"
 )
 
-// This file contains the per-layout iteration paths and their specialized
-// per-edge loops. The engine's hot loops iterate over active edges; pulling
-// the sync-mode switch, the frontier-tracking branch and the frontier
-// membership test out of those loops (they are resolved once per run in
-// newRunner, or hoisted to a bitmap load) leaves one interface call per
-// edge — the algorithm's edge function — and nothing else. execute() maps
-// a StepPlan onto those kernels through the runner's dispatch tables.
+// This file contains the per-layout iteration paths: how each layout's
+// iteration is chunked over the workers. The per-edge loops themselves live
+// behind SpanAlgorithm — every chunk is one call into the algorithm's span
+// kernels (or the per-edge adapter), so no layout path carries a loop of
+// its own over edges.
 
 // execute runs one iteration under plan and returns the next frontier (nil
-// for dense algorithms). It is the plan→kernel dispatch: the plan indexes
-// the span tables bound at setup, so selecting a different layout, flow or
-// sync mode between iterations costs a table load, never per-edge dispatch.
+// for dense algorithms).
 func (r *runner) execute(plan StepPlan, frontier *graph.Frontier) *graph.Frontier {
-	if plan.Sync == SyncLocks && r.locks == nil {
-		// Fixed lock configurations allocate the stripe table at setup;
-		// this covers a planner emitting locks mid-run.
-		r.locks = newVertexLocks()
-	}
+	r.begin(plan.Flow, plan.Sync, frontier)
 	switch plan.Layout {
 	case graph.LayoutEdgeArray:
-		r.edgeSpan = r.edgeSpans[plan.Sync]
-		return r.edgeCentric(frontier)
+		r.edgeCentric(frontier)
 	case graph.LayoutGrid:
-		return r.gridStep(frontier, plan)
+		r.gridStep(frontier, plan)
 	case graph.LayoutGridCompressed:
-		return r.compressedStep(frontier, plan)
+		r.compressedStep(frontier, plan)
 	default: // LayoutAdjacency, LayoutAdjacencySorted
 		if plan.Flow == Pull {
-			return r.vertexPull(frontier)
+			r.vertexPull(frontier)
+		} else {
+			r.vertexPush(frontier)
 		}
-		r.pushSpan = r.pushSpans[plan.Sync]
-		return r.vertexPush(frontier)
 	}
+	return r.finish()
 }
 
 // pushEdgeChunk is the target number of out-edges per push chunk. Push
@@ -106,9 +98,8 @@ func (r *runner) buildPushChunks(active []graph.VertexID, out *graph.Adjacency, 
 // every active vertex streams its outgoing neighbours and updates them under
 // the configured synchronization discipline (Section 6: push works on the
 // active subset only, but destination updates need locks or atomics).
-func (r *runner) vertexPush(frontier *graph.Frontier) *graph.Frontier {
+func (r *runner) vertexPush(frontier *graph.Frontier) {
 	r.active = frontier.Sparse()
-	b := r.nextBuilder()
 	// A canonically dense frontier materializes its sparse list in
 	// ascending order, so covering every vertex means active[i] == i.
 	// Builder-emitted frontiers (sparse canonical) are unsorted per-worker
@@ -117,155 +108,18 @@ func (r *runner) vertexPush(frontier *graph.Frontier) *graph.Frontier {
 	identity := frontier.IsDense() && len(r.active) == r.out.NumVertices
 	starts := r.buildPushChunks(r.active, r.out, identity)
 	r.pfor(0, len(starts)-1, 1, r.workers, r.pushChunksBody)
-	if b == nil {
-		return nil
-	}
-	return r.collect(b)
-}
-
-// Push span variants: each processes active indices [lo, hi) of r.active.
-// One loop body exists per {atomics, locks, plain} x {tracked, dense}
-// combination so the per-edge loop carries no dispatch beyond the
-// algorithm's edge function itself.
-
-func (r *runner) pushSpanAtomicTracked(worker, lo, hi int) {
-	alg, b, active := r.alg, r.builder, r.active
-	idx, tgt, wts := r.out.Index, r.out.Targets, r.out.Weights
-	for _, u := range active[lo:hi] {
-		for j, end := idx[u], idx[u+1]; j < end; j++ {
-			if alg.PushEdgeAtomic(u, tgt[j], wts[j]) {
-				b.Add(worker, tgt[j])
-			}
-		}
-	}
-}
-
-func (r *runner) pushSpanAtomicDense(_, lo, hi int) {
-	alg, active := r.alg, r.active
-	idx, tgt, wts := r.out.Index, r.out.Targets, r.out.Weights
-	for _, u := range active[lo:hi] {
-		for j, end := idx[u], idx[u+1]; j < end; j++ {
-			alg.PushEdgeAtomic(u, tgt[j], wts[j])
-		}
-	}
-}
-
-func (r *runner) pushSpanLocksTracked(worker, lo, hi int) {
-	alg, b, active, locks := r.alg, r.builder, r.active, r.locks
-	idx, tgt, wts := r.out.Index, r.out.Targets, r.out.Weights
-	for _, u := range active[lo:hi] {
-		for j, end := idx[u], idx[u+1]; j < end; j++ {
-			v := tgt[j]
-			locks.lock(v)
-			activated := alg.PushEdge(u, v, wts[j])
-			locks.unlock(v)
-			if activated {
-				b.Add(worker, v)
-			}
-		}
-	}
-}
-
-func (r *runner) pushSpanLocksDense(_, lo, hi int) {
-	alg, active, locks := r.alg, r.active, r.locks
-	idx, tgt, wts := r.out.Index, r.out.Targets, r.out.Weights
-	for _, u := range active[lo:hi] {
-		for j, end := idx[u], idx[u+1]; j < end; j++ {
-			v := tgt[j]
-			locks.lock(v)
-			alg.PushEdge(u, v, wts[j])
-			locks.unlock(v)
-		}
-	}
-}
-
-func (r *runner) pushSpanPlainTracked(worker, lo, hi int) {
-	alg, b, active := r.alg, r.builder, r.active
-	idx, tgt, wts := r.out.Index, r.out.Targets, r.out.Weights
-	for _, u := range active[lo:hi] {
-		for j, end := idx[u], idx[u+1]; j < end; j++ {
-			if alg.PushEdge(u, tgt[j], wts[j]) {
-				b.Add(worker, tgt[j])
-			}
-		}
-	}
-}
-
-func (r *runner) pushSpanPlainDense(_, lo, hi int) {
-	alg, active := r.alg, r.active
-	idx, tgt, wts := r.out.Index, r.out.Targets, r.out.Weights
-	for _, u := range active[lo:hi] {
-		for j, end := idx[u], idx[u+1]; j < end; j++ {
-			alg.PushEdge(u, tgt[j], wts[j])
-		}
-	}
 }
 
 // vertexPull runs one vertex-centric pull iteration over the in-adjacency:
 // every vertex that still needs data scans its incoming neighbours, reads
 // the ones active in the current frontier and updates only its own state —
 // no synchronization needed, and the scan may stop early (Section 6.1.1).
-func (r *runner) vertexPull(frontier *graph.Frontier) *graph.Frontier {
-	r.bits = frontier.Bitmap()
-	b := r.nextBuilder()
-	r.pfor(0, r.g.NumVertices(), pullVertexChunk, r.workers, r.pullSpan)
-	if b == nil {
-		return nil
-	}
-	return r.collect(b)
-}
-
-// Pull span variants over destination vertex ids [lo, hi). Pull mode gives
-// each destination to exactly one worker, so next-frontier marking uses the
-// unsynchronized AddUnsynced (see pullVertexChunk for the word-alignment
-// argument) and destination updates need no locks regardless of cfg.Sync.
-
-func (r *runner) pullSpanTracked(worker, lo, hi int) {
-	alg, b, bits := r.alg, r.builder, r.bits
-	idx, tgt, wts := r.in.Index, r.in.Targets, r.in.Weights
-	for vi := lo; vi < hi; vi++ {
-		v := graph.VertexID(vi)
-		if !alg.PullActive(v) {
-			continue
-		}
-		changedAny := false
-		for j, end := idx[v], idx[v+1]; j < end; j++ {
-			u := tgt[j]
-			if bits[u>>6]&(1<<(u&63)) == 0 {
-				continue
-			}
-			changed, done := alg.PullEdge(v, u, wts[j])
-			if changed {
-				changedAny = true
-			}
-			if done {
-				break
-			}
-		}
-		if changedAny {
-			b.AddUnsynced(worker, v)
-		}
-	}
-}
-
-func (r *runner) pullSpanDense(_, lo, hi int) {
-	alg, bits := r.alg, r.bits
-	idx, tgt, wts := r.in.Index, r.in.Targets, r.in.Weights
-	for vi := lo; vi < hi; vi++ {
-		v := graph.VertexID(vi)
-		if !alg.PullActive(v) {
-			continue
-		}
-		for j, end := idx[v], idx[v+1]; j < end; j++ {
-			u := tgt[j]
-			if bits[u>>6]&(1<<(u&63)) == 0 {
-				continue
-			}
-			if _, done := alg.PullEdge(v, u, wts[j]); done {
-				break
-			}
-		}
-	}
+// Each destination belongs to exactly one worker, so kernels mark the next
+// frontier with the unsynchronized AddUnsynced (see pullVertexChunk for the
+// word-alignment argument).
+func (r *runner) vertexPull(frontier *graph.Frontier) {
+	r.span.Bits = frontier.Bitmap()
+	r.pfor(0, r.g.NumVertices(), pullVertexChunk, r.workers, r.pullBody)
 }
 
 // edgeCentric runs one edge-centric iteration: the whole edge array is
@@ -273,129 +127,10 @@ func (r *runner) pullSpanDense(_, lo, hi int) {
 // active. Destinations are updated under locks or atomics — edge arrays
 // offer no ownership structure to avoid synchronization (Section 6.1.3).
 // Undirected datasets traverse each stored edge in both directions.
-func (r *runner) edgeCentric(frontier *graph.Frontier) *graph.Frontier {
-	r.bits = frontier.Bitmap()
-	b := r.nextBuilder()
-	r.pfor(0, len(r.g.EdgeArray.Edges), sched.DefaultChunkSize, r.workers, r.edgeSpan)
-	if b == nil {
-		return nil
-	}
-	return r.collect(b)
-}
-
-// Edge-centric span variants over edge indices [lo, hi). The per-edge
-// undirected mirror check stays inside the loop: it is a data-independent,
-// perfectly predicted branch once r.g.Directed is fixed.
-
-func (r *runner) edgeSpanAtomicTracked(worker, lo, hi int) {
-	alg, b, bits := r.alg, r.builder, r.bits
-	edges, directed := r.g.EdgeArray.Edges, r.g.Directed
-	for i := lo; i < hi; i++ {
-		e := edges[i]
-		if bits[e.Src>>6]&(1<<(e.Src&63)) != 0 {
-			if alg.PushEdgeAtomic(e.Src, e.Dst, e.W) {
-				b.Add(worker, e.Dst)
-			}
-		}
-		if !directed && e.Src != e.Dst && bits[e.Dst>>6]&(1<<(e.Dst&63)) != 0 {
-			if alg.PushEdgeAtomic(e.Dst, e.Src, e.W) {
-				b.Add(worker, e.Src)
-			}
-		}
-	}
-}
-
-func (r *runner) edgeSpanAtomicDense(_, lo, hi int) {
-	alg, bits := r.alg, r.bits
-	edges, directed := r.g.EdgeArray.Edges, r.g.Directed
-	for i := lo; i < hi; i++ {
-		e := edges[i]
-		if bits[e.Src>>6]&(1<<(e.Src&63)) != 0 {
-			alg.PushEdgeAtomic(e.Src, e.Dst, e.W)
-		}
-		if !directed && e.Src != e.Dst && bits[e.Dst>>6]&(1<<(e.Dst&63)) != 0 {
-			alg.PushEdgeAtomic(e.Dst, e.Src, e.W)
-		}
-	}
-}
-
-func (r *runner) edgeSpanLocksTracked(worker, lo, hi int) {
-	alg, b, bits, locks := r.alg, r.builder, r.bits, r.locks
-	edges, directed := r.g.EdgeArray.Edges, r.g.Directed
-	for i := lo; i < hi; i++ {
-		e := edges[i]
-		if bits[e.Src>>6]&(1<<(e.Src&63)) != 0 {
-			locks.lock(e.Dst)
-			activated := alg.PushEdge(e.Src, e.Dst, e.W)
-			locks.unlock(e.Dst)
-			if activated {
-				b.Add(worker, e.Dst)
-			}
-		}
-		if !directed && e.Src != e.Dst && bits[e.Dst>>6]&(1<<(e.Dst&63)) != 0 {
-			locks.lock(e.Src)
-			activated := alg.PushEdge(e.Dst, e.Src, e.W)
-			locks.unlock(e.Src)
-			if activated {
-				b.Add(worker, e.Src)
-			}
-		}
-	}
-}
-
-func (r *runner) edgeSpanLocksDense(_, lo, hi int) {
-	alg, bits, locks := r.alg, r.bits, r.locks
-	edges, directed := r.g.EdgeArray.Edges, r.g.Directed
-	for i := lo; i < hi; i++ {
-		e := edges[i]
-		if bits[e.Src>>6]&(1<<(e.Src&63)) != 0 {
-			locks.lock(e.Dst)
-			alg.PushEdge(e.Src, e.Dst, e.W)
-			locks.unlock(e.Dst)
-		}
-		if !directed && e.Src != e.Dst && bits[e.Dst>>6]&(1<<(e.Dst&63)) != 0 {
-			locks.lock(e.Src)
-			alg.PushEdge(e.Dst, e.Src, e.W)
-			locks.unlock(e.Src)
-		}
-	}
-}
-
-// edgeSpanPlainTracked/Dense exist for interface symmetry: Validate rejects
-// partition-free edge arrays (no destination ownership), so they can only
-// be reached by a configuration that bypassed validation; they perform the
-// same unsynchronized update the old per-edge switch defaulted to.
-
-func (r *runner) edgeSpanPlainTracked(worker, lo, hi int) {
-	alg, b, bits := r.alg, r.builder, r.bits
-	edges, directed := r.g.EdgeArray.Edges, r.g.Directed
-	for i := lo; i < hi; i++ {
-		e := edges[i]
-		if bits[e.Src>>6]&(1<<(e.Src&63)) != 0 {
-			if alg.PushEdge(e.Src, e.Dst, e.W) {
-				b.Add(worker, e.Dst)
-			}
-		}
-		if !directed && e.Src != e.Dst && bits[e.Dst>>6]&(1<<(e.Dst&63)) != 0 {
-			if alg.PushEdge(e.Dst, e.Src, e.W) {
-				b.Add(worker, e.Src)
-			}
-		}
-	}
-}
-
-func (r *runner) edgeSpanPlainDense(_, lo, hi int) {
-	alg, bits := r.alg, r.bits
-	edges, directed := r.g.EdgeArray.Edges, r.g.Directed
-	for i := lo; i < hi; i++ {
-		e := edges[i]
-		if bits[e.Src>>6]&(1<<(e.Src&63)) != 0 {
-			alg.PushEdge(e.Src, e.Dst, e.W)
-		}
-		if !directed && e.Src != e.Dst && bits[e.Dst>>6]&(1<<(e.Dst&63)) != 0 {
-			alg.PushEdge(e.Dst, e.Src, e.W)
-		}
-	}
+func (r *runner) edgeCentric(frontier *graph.Frontier) {
+	r.span.Bits = frontier.Bitmap()
+	r.span.Mirror = !r.g.Directed
+	r.pfor(0, len(r.g.EdgeArray.Edges), sched.DefaultChunkSize, r.workers, r.edgeBody)
 }
 
 // gridStep runs one iteration over the grid layout. Under
@@ -405,12 +140,9 @@ func (r *runner) edgeSpanPlainDense(_, lo, hi int) {
 // (Section 6.1.2). Under locks/atomics, cells are processed independently
 // with synchronized destination updates (the "grid (locks)" configuration
 // of Figure 8).
-func (r *runner) gridStep(frontier *graph.Frontier, plan StepPlan) *graph.Frontier {
+func (r *runner) gridStep(frontier *graph.Frontier, plan StepPlan) {
 	r.level = r.gridLevel(plan)
-	r.bits = frontier.Bitmap()
-	b := r.nextBuilder()
-	r.setCellFn(plan)
-
+	r.span.Bits = frontier.Bitmap()
 	if plan.Sync == SyncPartitionFree {
 		// Column ownership: worker processes every span of its (level)
 		// columns.
@@ -418,39 +150,6 @@ func (r *runner) gridStep(frontier *graph.Frontier, plan StepPlan) *graph.Fronti
 	} else {
 		// Cell-parallel with synchronized updates, over the level's cells.
 		r.pfor(0, r.level.P*r.level.P, 4, r.workers, r.gridCellsBody)
-	}
-	if b == nil {
-		return nil
-	}
-	return r.collect(b)
-}
-
-// setCellFn binds the cell kernel the plan's flow and sync mode select —
-// shared by the raw-grid and compressed-grid steps, which run identical
-// kernels over (decoded) cell slices.
-func (r *runner) setCellFn(plan StepPlan) {
-	if plan.Flow == Pull {
-		switch plan.Sync {
-		case SyncPartitionFree:
-			r.cellFn = r.cellPullOwned
-		case SyncAtomics:
-			r.cellFn = r.cellPullAtomic
-		case SyncLocks:
-			r.cellFn = r.cellPullLocks
-		default:
-			r.cellFn = r.cellPullPlain
-		}
-	} else {
-		switch plan.Sync {
-		case SyncPartitionFree:
-			r.cellFn = r.cellPushOwned
-		case SyncAtomics:
-			r.cellFn = r.cellPushAtomic
-		case SyncLocks:
-			r.cellFn = r.cellPushLocks
-		default:
-			r.cellFn = r.cellPushPlain
-		}
 	}
 }
 
@@ -460,17 +159,14 @@ func (r *runner) setCellFn(plan StepPlan) {
 // the cell's edge order, so per-destination visit order — and result bits —
 // match the raw grid exactly; its CPU cost lands inside the iteration's
 // timed window, which is how the planner measures it.
-func (r *runner) compressedStep(frontier *graph.Frontier, plan StepPlan) *graph.Frontier {
+func (r *runner) compressedStep(frontier *graph.Frontier, plan StepPlan) {
 	if r.compScratch == nil {
 		r.compScratch = make([][]graph.Edge, r.workers)
 		for i := range r.compScratch {
 			r.compScratch[i] = make([]graph.Edge, r.comp.MaxCellEdges)
 		}
 	}
-	r.bits = frontier.Bitmap()
-	b := r.nextBuilder()
-	r.setCellFn(plan)
-
+	r.span.Bits = frontier.Bitmap()
 	if plan.Sync == SyncPartitionFree {
 		// Column ownership: a worker decodes and applies every cell of its
 		// columns in ascending row order.
@@ -479,10 +175,6 @@ func (r *runner) compressedStep(frontier *graph.Frontier, plan StepPlan) *graph.
 		// Cell-parallel with synchronized updates.
 		r.pfor(0, r.comp.P*r.comp.P, 4, r.workers, r.compCellsBody)
 	}
-	if b == nil {
-		return nil
-	}
-	return r.collect(b)
 }
 
 // gridLevel resolves the plan's grid resolution against the pyramid. Plans
@@ -501,110 +193,4 @@ func (r *runner) gridLevel(plan StepPlan) *graph.GridLevel {
 		return grid.Level(0)
 	}
 	return &r.fineLevel
-}
-
-// Grid cell functions: one per {owned, atomics, locks, plain} x {push,
-// pull} combination, processing every edge of one cell. The frontier
-// tracking check sits on the activation path only (activations are rare),
-// guarded by b != nil because push-pull grids flip direction between
-// iterations.
-
-func (r *runner) runCellPushOwned(worker int, cell []graph.Edge) {
-	alg, b, bits := r.alg, r.builder, r.bits
-	for _, e := range cell {
-		if bits[e.Src>>6]&(1<<(e.Src&63)) == 0 {
-			continue
-		}
-		if alg.PushEdge(e.Src, e.Dst, e.W) && b != nil {
-			b.Add(worker, e.Dst)
-		}
-	}
-}
-
-func (r *runner) runCellPushAtomic(worker int, cell []graph.Edge) {
-	alg, b, bits := r.alg, r.builder, r.bits
-	for _, e := range cell {
-		if bits[e.Src>>6]&(1<<(e.Src&63)) == 0 {
-			continue
-		}
-		if alg.PushEdgeAtomic(e.Src, e.Dst, e.W) && b != nil {
-			b.Add(worker, e.Dst)
-		}
-	}
-}
-
-func (r *runner) runCellPushLocks(worker int, cell []graph.Edge) {
-	alg, b, bits, locks := r.alg, r.builder, r.bits, r.locks
-	for _, e := range cell {
-		if bits[e.Src>>6]&(1<<(e.Src&63)) == 0 {
-			continue
-		}
-		locks.lock(e.Dst)
-		activated := alg.PushEdge(e.Src, e.Dst, e.W)
-		locks.unlock(e.Dst)
-		if activated && b != nil {
-			b.Add(worker, e.Dst)
-		}
-	}
-}
-
-func (r *runner) runCellPushPlain(worker int, cell []graph.Edge) {
-	r.runCellPushOwned(worker, cell)
-}
-
-func (r *runner) runCellPullOwned(worker int, cell []graph.Edge) {
-	alg, b, bits := r.alg, r.builder, r.bits
-	for _, e := range cell {
-		if bits[e.Src>>6]&(1<<(e.Src&63)) == 0 {
-			continue
-		}
-		if !alg.PullActive(e.Dst) {
-			continue
-		}
-		// Column ownership makes the destination update race-free.
-		if changed, _ := alg.PullEdge(e.Dst, e.Src, e.W); changed && b != nil {
-			b.Add(worker, e.Dst)
-		}
-	}
-}
-
-// Unowned pull cells synchronize the destination update through the
-// algorithm's push-edge functions, which perform the same state transition
-// under the configured locks/atomics discipline.
-
-func (r *runner) runCellPullAtomic(worker int, cell []graph.Edge) {
-	alg, b, bits := r.alg, r.builder, r.bits
-	for _, e := range cell {
-		if bits[e.Src>>6]&(1<<(e.Src&63)) == 0 {
-			continue
-		}
-		if !alg.PullActive(e.Dst) {
-			continue
-		}
-		if alg.PushEdgeAtomic(e.Src, e.Dst, e.W) && b != nil {
-			b.Add(worker, e.Dst)
-		}
-	}
-}
-
-func (r *runner) runCellPullLocks(worker int, cell []graph.Edge) {
-	alg, b, bits, locks := r.alg, r.builder, r.bits, r.locks
-	for _, e := range cell {
-		if bits[e.Src>>6]&(1<<(e.Src&63)) == 0 {
-			continue
-		}
-		if !alg.PullActive(e.Dst) {
-			continue
-		}
-		locks.lock(e.Dst)
-		changed := alg.PushEdge(e.Src, e.Dst, e.W)
-		locks.unlock(e.Dst)
-		if changed && b != nil {
-			b.Add(worker, e.Dst)
-		}
-	}
-}
-
-func (r *runner) runCellPullPlain(worker int, cell []graph.Edge) {
-	r.runCellPullOwned(worker, cell)
 }

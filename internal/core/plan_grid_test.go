@@ -212,7 +212,12 @@ func TestGridLevelsBitIdenticalAcrossResolutions(t *testing.T) {
 func TestAutoGridOnlyDenseFreezesOneResolution(t *testing.T) {
 	g := gridOnlyGraph(t, 12, 64)
 	auto := algorithms.NewPageRank()
-	res, err := Run(g, auto, Config{Flow: Auto, Layout: graph.LayoutGrid})
+	// The worker count is pinned: column ownership bounds a level's
+	// parallelism, so on a graph this small the priors put the edge array
+	// ahead of every grid level once there are more workers than columns
+	// worth using — which plan wins must not depend on the host's CPUs.
+	const workers = 2
+	res, err := Run(g, auto, Config{Flow: Auto, Layout: graph.LayoutGrid, Workers: workers})
 	if err != nil {
 		t.Fatalf("auto run: %v", err)
 	}
@@ -236,7 +241,7 @@ func TestAutoGridOnlyDenseFreezesOneResolution(t *testing.T) {
 		t.Fatalf("frozen resolution %d is not a pyramid level", frozen.GridLevel)
 	}
 	fixed := algorithms.NewPageRank()
-	if _, err := Run(g, fixed, Config{Layout: graph.LayoutGrid, Flow: frozen.Flow, Sync: frozen.Sync, GridLevels: levelIdx + 1}); err != nil {
+	if _, err := Run(g, fixed, Config{Layout: graph.LayoutGrid, Flow: frozen.Flow, Sync: frozen.Sync, GridLevels: levelIdx + 1, Workers: workers}); err != nil {
 		t.Fatalf("fixed run: %v", err)
 	}
 	for v := range fixed.Rank {

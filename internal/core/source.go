@@ -266,7 +266,7 @@ func RunStreamed(src Source, alg Algorithm, cfg Config) (*Result, error) {
 			Trace:           rec,
 		}
 
-		next, err := r.step(frontier, plan.Flow == Pull, opt)
+		next, err := r.step(frontier, plan.Flow, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -348,100 +348,28 @@ func streamWorkers(src Source, workers int, budgetCap int64) int {
 	return StreamExecWorkers(src.GridP(), workers, budgetCap)
 }
 
-// streamRunner owns the per-run state of a streamed execution: the
-// double-buffered frontier builders (same discipline as the in-memory
-// runner) and the push/pull visit bodies, bound once so the per-iteration
-// loop allocates nothing of its own.
+// streamRunner owns the per-run state of a streamed execution: the stepper
+// (same kernels, span and frontier double-buffering as the in-memory runner)
+// and the visit body, bound once so the per-iteration loop allocates nothing
+// of its own.
 type streamRunner struct {
-	src     Source
-	alg     Algorithm
-	workers int
-	track   bool
-
-	builders [2]*graph.FrontierBuilder
-	fronts   [2]graph.Frontier
-	flip     int
-
-	builder *graph.FrontierBuilder
-	bits    []uint64
-
-	numVertices int
-	visitPush   func(worker int, edges []graph.Edge)
-	visitPull   func(worker int, edges []graph.Edge)
+	stepper
+	src   Source
+	visit func(worker int, edges []graph.Edge)
 }
 
 func newStreamRunner(src Source, alg Algorithm, workers int) *streamRunner {
-	r := &streamRunner{
-		src:         src,
-		alg:         alg,
-		workers:     workers,
-		track:       !alg.Dense(),
-		numVertices: src.NumVertices(),
-	}
-	// The bodies mirror runCellPushOwned / runCellPullOwned: column
-	// ownership makes the plain destination update race-free, and the
-	// builder guard covers dense algorithms (nil builder).
-	r.visitPush = func(worker int, edges []graph.Edge) {
-		alg, b, bits := r.alg, r.builder, r.bits
-		for _, e := range edges {
-			if bits[e.Src>>6]&(1<<(e.Src&63)) == 0 {
-				continue
-			}
-			if alg.PushEdge(e.Src, e.Dst, e.W) && b != nil {
-				b.Add(worker, e.Dst)
-			}
-		}
-	}
-	r.visitPull = func(worker int, edges []graph.Edge) {
-		alg, b, bits := r.alg, r.builder, r.bits
-		for _, e := range edges {
-			if bits[e.Src>>6]&(1<<(e.Src&63)) == 0 {
-				continue
-			}
-			if !alg.PullActive(e.Dst) {
-				continue
-			}
-			if changed, _ := alg.PullEdge(e.Dst, e.Src, e.W); changed && b != nil {
-				b.Add(worker, e.Dst)
-			}
-		}
-	}
+	r := &streamRunner{stepper: newStepper(alg, src.NumVertices(), workers), src: src}
+	r.visit = r.edges
 	return r
 }
 
-// nextBuilder mirrors runner.nextBuilder: double-buffered, reset-and-reuse.
-func (r *streamRunner) nextBuilder() *graph.FrontierBuilder {
-	if !r.track {
-		return nil
-	}
-	b := r.builders[r.flip]
-	if b == nil {
-		b = graph.NewFrontierBuilder(r.numVertices, r.workers)
-		r.builders[r.flip] = b
-	} else {
-		b.Reset()
-	}
-	r.builder = b
-	return b
-}
-
 // step runs one streamed pass and returns the next frontier (nil for dense
-// algorithms).
-func (r *streamRunner) step(frontier *graph.Frontier, pullMode bool, opt StreamOptions) (*graph.Frontier, error) {
-	r.bits = frontier.Bitmap()
-	b := r.nextBuilder()
-	visit := r.visitPush
-	if pullMode {
-		visit = r.visitPull
-	}
-	if err := r.src.StreamCells(opt, visit); err != nil {
-		return nil, err
-	}
-	if b == nil {
-		return nil, nil
-	}
-	f := b.CollectInto(&r.fronts[r.flip])
-	r.flip = 1 - r.flip
-	r.builder = nil
-	return f, nil
+// algorithms). Column ownership makes every streamed cell an owned span.
+func (r *streamRunner) step(frontier *graph.Frontier, flow Flow, opt StreamOptions) (*graph.Frontier, error) {
+	r.begin(flow, SyncPartitionFree, frontier)
+	r.span.Bits = frontier.Bitmap()
+	err := r.src.StreamCells(opt, r.visit)
+	next := r.finish()
+	return next, err
 }

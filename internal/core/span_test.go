@@ -1,0 +1,362 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"testing"
+
+	"github.com/epfl-repro/everythinggraph/internal/algorithms"
+	"github.com/epfl-repro/everythinggraph/internal/gen"
+	"github.com/epfl-repro/everythinggraph/internal/graph"
+	"github.com/epfl-repro/everythinggraph/internal/prep"
+)
+
+// Every shipped single-source algorithm carries span kernels; a silent
+// fallback to the per-edge adapter would only show as a slowdown.
+var (
+	_ SpanAlgorithm = (*algorithms.PageRank)(nil)
+	_ SpanAlgorithm = (*algorithms.SpMV)(nil)
+	_ SpanAlgorithm = (*algorithms.BFS)(nil)
+	_ SpanAlgorithm = (*algorithms.SSSP)(nil)
+	_ SpanAlgorithm = (*algorithms.WCC)(nil)
+)
+
+// perEdgeOnly hides an algorithm's span kernels, so the engine runs it
+// through the per-edge adapter — the reference the span path is compared
+// with — while still reaching the optional hooks the engine looks for.
+type perEdgeOnly struct{ Algorithm }
+
+func (p perEdgeOnly) SetWorkers(n int) {
+	if wb, ok := p.Algorithm.(WorkerBound); ok {
+		wb.SetWorkers(n)
+	}
+}
+
+func (p perEdgeOnly) SetParallelFor(pfor ParallelFunc) {
+	if pb, ok := p.Algorithm.(ParallelBound); ok {
+		pb.SetParallelFor(pfor)
+	}
+}
+
+func (p perEdgeOnly) SetOutDegrees(deg []uint32) {
+	if dp, ok := p.Algorithm.(degreePreset); ok {
+		dp.SetOutDegrees(deg)
+	}
+}
+
+// spanAlgo is one shipped algorithm of the differential test: a factory and
+// the result as bit patterns. integral results are exact under every
+// schedule; floating-point sums are only reproducible where one worker
+// applies each destination's updates in a fixed order.
+type spanAlgo struct {
+	name     string
+	integral bool
+	make     func() (Algorithm, func() []uint64)
+}
+
+var spanAlgos = []spanAlgo{
+	{"pagerank", false, func() (Algorithm, func() []uint64) {
+		pr := algorithms.NewPageRank()
+		pr.Iterations = 3
+		return pr, func() []uint64 { return floatBits(pr.Rank) }
+	}},
+	{"spmv", false, func() (Algorithm, func() []uint64) {
+		m := algorithms.NewSpMV()
+		return m, func() []uint64 { return floatBits(m.Result()) }
+	}},
+	{"bfs", true, func() (Algorithm, func() []uint64) {
+		b := algorithms.NewBFS(0)
+		return b, func() []uint64 {
+			out := make([]uint64, len(b.Level))
+			for i, l := range b.Level {
+				out[i] = uint64(uint32(l))
+			}
+			return out
+		}
+	}},
+	{"sssp", true, func() (Algorithm, func() []uint64) {
+		s := algorithms.NewSSSP(0)
+		return s, func() []uint64 {
+			d := s.Distances()
+			out := make([]uint64, len(d))
+			for i, x := range d {
+				out[i] = uint64(math.Float32bits(x))
+			}
+			return out
+		}
+	}},
+	{"wcc", true, func() (Algorithm, func() []uint64) {
+		w := algorithms.NewWCC()
+		return w, func() []uint64 {
+			out := make([]uint64, len(w.Labels))
+			for i, l := range w.Labels {
+				out[i] = uint64(l)
+			}
+			return out
+		}
+	}},
+}
+
+func floatBits(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	return out
+}
+
+// spanGraph is one input of the differential test, with every layout built.
+type spanGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+// spanGraphs builds the adversarial inputs. Weights are small non-negative
+// integers except where noted, so SSSP distances are exact.
+func spanGraphs(t *testing.T) []spanGraph {
+	t.Helper()
+	e := func(s, d int, w float32) graph.Edge {
+		return graph.Edge{Src: graph.VertexID(s), Dst: graph.VertexID(d), W: w}
+	}
+	var hub []graph.Edge
+	for v := 1; v < 40; v++ {
+		hub = append(hub, e(0, v, float32(v%5)), e(v, 0, 1))
+		if v%3 == 0 {
+			hub = append(hub, e(v, v-1, 2))
+		}
+	}
+	ring := func(lo, hi int) []graph.Edge {
+		var es []graph.Edge
+		for v := lo; v < hi; v++ {
+			next := v + 1
+			if next == hi {
+				next = lo
+			}
+			es = append(es, e(v, next, float32(1+v%3)))
+		}
+		return es
+	}
+	rmat := gen.RMAT(gen.RMATOptions{Scale: 9, EdgeFactor: 8, Seed: 11})
+	for i := range rmat.EdgeArray.Edges {
+		// Non-integral weights: SpMV sums must still match bit for bit.
+		rmat.EdgeArray.Edges[i].W = 0.25 + float32(i%7)/3
+	}
+	cases := []struct {
+		name     string
+		n        int
+		edges    []graph.Edge
+		directed bool
+	}{
+		{"no-edges", 5, nil, true},
+		{"single-vertex", 1, nil, true},
+		{"single-self-loop", 1, []graph.Edge{e(0, 0, 1)}, true},
+		{"self-loops", 6, []graph.Edge{e(0, 0, 1), e(0, 1, 2), e(1, 1, 0), e(1, 2, 1), e(2, 2, 3), e(2, 0, 1), e(3, 3, 1), e(4, 5, 1)}, true},
+		{"duplicate-edges", 5, []graph.Edge{e(0, 1, 3), e(0, 1, 1), e(0, 1, 2), e(1, 2, 1), e(1, 2, 1), e(2, 3, 5), e(2, 3, 4), e(3, 0, 1), e(3, 0, 1)}, true},
+		{"one-hub", 40, hub, true},
+		{"disconnected", 24, append(append(ring(0, 8), ring(8, 16)...), e(20, 21, 1)), true},
+		{"undirected", 12, append(ring(0, 7), e(0, 0, 1), e(2, 5, 2), e(5, 2, 2), e(8, 9, 1), e(9, 10, 3)), false},
+		{"rmat-9", rmat.NumVertices(), rmat.EdgeArray.Edges, true},
+		{"rmat-9-undirected", rmat.NumVertices(), rmat.EdgeArray.Edges, false},
+	}
+	out := make([]spanGraph, 0, len(cases))
+	for _, c := range cases {
+		if testing.Short() && len(c.edges) > 1000 {
+			// The RMAT inputs are what spreads a loop over several workers;
+			// the repeated -short runs in CI keep the adversarial shapes.
+			continue
+		}
+		g := graph.New(append([]graph.Edge(nil), c.edges...), c.n, c.directed)
+		opt := prep.Options{Method: prep.RadixSort, Undirected: !c.directed}
+		dir := prep.InOut
+		if !c.directed {
+			dir = prep.Out
+		}
+		if err := prep.BuildAdjacency(g, dir, opt); err != nil {
+			t.Fatalf("%s: BuildAdjacency: %v", c.name, err)
+		}
+		if err := prep.BuildCompressedGrid(g, 4, opt); err != nil {
+			t.Fatalf("%s: BuildCompressedGrid: %v", c.name, err)
+		}
+		out = append(out, spanGraph{c.name, g})
+	}
+	return out
+}
+
+// admittedConfigs enumerates every static {layout, flow, sync} combination
+// ValidateTechniques admits, plus the adaptive flow.
+func admittedConfigs() []Config {
+	cfgs := []Config{{Flow: Auto, Layout: graph.LayoutAdjacency}}
+	for _, layout := range []graph.Layout{graph.LayoutEdgeArray, graph.LayoutAdjacency, graph.LayoutAdjacencySorted, graph.LayoutGrid, graph.LayoutGridCompressed} {
+		for _, flow := range []Flow{Push, Pull, PushPull} {
+			for _, sync := range []SyncMode{SyncLocks, SyncAtomics, SyncPartitionFree} {
+				if ValidateTechniques(layout, flow, sync) == nil {
+					cfgs = append(cfgs, Config{Layout: layout, Flow: flow, Sync: sync})
+				}
+			}
+		}
+	}
+	return cfgs
+}
+
+// ownedOrder reports whether cfg applies each destination's updates from one
+// worker in a fixed order at any worker count — the configurations whose
+// floating-point results are bit-reproducible.
+func ownedOrder(cfg Config) bool {
+	switch {
+	case cfg.Flow == Auto:
+		return false
+	case cfg.Layout == graph.LayoutGrid || cfg.Layout == graph.LayoutGridCompressed:
+		return cfg.Sync == SyncPartitionFree
+	case cfg.Layout == graph.LayoutAdjacency || cfg.Layout == graph.LayoutAdjacencySorted:
+		return cfg.Flow == Pull
+	}
+	return false
+}
+
+// gridSource streams a resident grid's cells with the Source contract:
+// columns are dealt to workers, each column's cells visited in ascending
+// row order by its worker.
+type gridSource struct {
+	grid       *graph.Grid
+	undirected bool
+	stats      SourceStats
+}
+
+func (s *gridSource) NumVertices() int { return s.grid.NumVertices }
+func (s *gridSource) NumEdges() int64  { return int64(len(s.grid.Edges)) }
+func (s *gridSource) GridP() int       { return s.grid.P }
+func (s *gridSource) Undirected() bool { return s.undirected }
+func (s *gridSource) Compressed() bool { return false }
+func (s *gridSource) Stats() SourceStats {
+	return s.stats
+}
+
+func (s *gridSource) OutDegrees() []uint32 {
+	deg := make([]uint32, s.grid.NumVertices)
+	for _, e := range s.grid.Edges {
+		deg[e.Src]++
+	}
+	return deg
+}
+
+func (s *gridSource) StreamCells(opt StreamOptions, visit func(worker int, edges []graph.Edge)) error {
+	s.stats.Passes++
+	p := s.grid.P
+	workers := max(1, min(opt.Workers, p))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for col := w; col < p; col += workers {
+				for row := 0; row < p; row++ {
+					if cell := s.grid.Cell(row, col); len(cell) > 0 {
+						visit(w, cell)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return nil
+}
+
+// TestSpanKernelsMatchPerEdgeAdapter is the differential test of the span
+// contract: for each shipped algorithm, every admitted configuration, the
+// in-memory and the streamed engine, and each adversarial graph, the span
+// kernels must leave the state the per-edge methods leave — the same bits
+// wherever the configuration fixes the order of updates (always at one
+// worker), the same exact values for integral results everywhere, and
+// reassociation-close sums otherwise.
+func TestSpanKernelsMatchPerEdgeAdapter(t *testing.T) {
+	type runFn func(alg Algorithm, cfg Config) error
+	compare := func(t *testing.T, a spanAlgo, cfg Config, exact bool, run runFn) {
+		t.Helper()
+		spanAlg, spanResult := a.make()
+		if err := run(spanAlg, cfg); err != nil {
+			t.Fatalf("span run: %v", err)
+		}
+		refAlg, refResult := a.make()
+		if err := run(perEdgeOnly{refAlg}, cfg); err != nil {
+			t.Fatalf("per-edge run: %v", err)
+		}
+		got, want := spanResult(), refResult()
+		if len(got) != len(want) {
+			t.Fatalf("result length %d, want %d", len(got), len(want))
+		}
+		for v := range want {
+			if got[v] == want[v] {
+				continue
+			}
+			g, w := math.Float64frombits(got[v]), math.Float64frombits(want[v])
+			if exact || math.Abs(g-w) > 1e-12*math.Abs(w) {
+				t.Fatalf("vertex %d: span %#x, per-edge %#x", v, got[v], want[v])
+			}
+		}
+	}
+	for _, sg := range spanGraphs(t) {
+		src := &gridSource{grid: sg.g.Grid, undirected: !sg.g.Directed}
+		for _, a := range spanAlgos {
+			for _, workers := range []int{1, 4} {
+				for _, cfg := range admittedConfigs() {
+					cfg.Workers = workers
+					exact := a.integral || workers == 1 || ownedOrder(cfg)
+					name := fmt.Sprintf("%s/%s/w%d/%v-%v-%v", sg.name, a.name, workers, cfg.Layout, cfg.Flow, cfg.Sync)
+					t.Run(name, func(t *testing.T) {
+						compare(t, a, cfg, exact, func(alg Algorithm, cfg Config) error {
+							_, err := Run(sg.g, alg, cfg)
+							return err
+						})
+					})
+					streamable := cfg.Flow == Auto || (cfg.Layout == graph.LayoutGrid && cfg.Sync == SyncPartitionFree)
+					if !streamable {
+						continue
+					}
+					t.Run("streamed/"+name, func(t *testing.T) {
+						// Streamed cells are owned whatever the flow.
+						compare(t, a, cfg, true, func(alg Algorithm, cfg Config) error {
+							_, err := RunStreamed(src, alg, cfg)
+							return err
+						})
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestSpanIterationAllocatesNothing: a steady-state iteration — one span
+// call per chunk, frontier buffers recycled — performs no heap allocation,
+// on the span path and through the adapter alike.
+func TestSpanIterationAllocatesNothing(t *testing.T) {
+	g := rmatTestGraph(t)
+	plans := []StepPlan{
+		{Layout: graph.LayoutAdjacency, Flow: Pull, Sync: SyncPartitionFree},
+		{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics},
+		{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncLocks},
+		{Layout: graph.LayoutEdgeArray, Flow: Push, Sync: SyncAtomics},
+		{Layout: graph.LayoutGrid, Flow: Pull, Sync: SyncPartitionFree},
+		{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncAtomics},
+	}
+	for _, a := range spanAlgos {
+		for _, plan := range plans {
+			t.Run(fmt.Sprintf("%s/%v", a.name, plan), func(t *testing.T) {
+				alg, _ := a.make()
+				alg.Init(g)
+				frontier := alg.InitialFrontier(g)
+				plan.Tracked = !alg.Dense()
+				r := newRunner(g, alg, Config{}, 2)
+				// Warm the frontier buffers and the worker pool. Fed the same
+				// frontier every time, a tracked algorithm converges within
+				// the graph's diameter and later iterations activate nothing.
+				for i := 0; i < 16; i++ {
+					r.execute(plan, frontier)
+				}
+				if n := testing.AllocsPerRun(5, func() { r.execute(plan, frontier) }); n != 0 {
+					t.Fatalf("steady-state iteration allocates %v objects, want 0", n)
+				}
+			})
+		}
+	}
+}

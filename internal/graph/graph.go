@@ -16,6 +16,7 @@ package graph
 
 import (
 	"fmt"
+	"sync"
 )
 
 // VertexID identifies a vertex. Graphs in the evaluated size range (up to a
@@ -49,6 +50,17 @@ type EdgeArray struct {
 	// NumVertices is one greater than the largest vertex id that appears in
 	// Edges (isolated trailing vertices may raise it further).
 	NumVertices int
+
+	// Degree tables shared by every run over this edge array (see
+	// SharedOutDegrees), each counted on first use.
+	degMu         sync.Mutex
+	outDeg, inDeg sharedDegrees
+}
+
+// sharedDegrees is a degree table with the edge count it was counted over.
+type sharedDegrees struct {
+	deg   []uint32
+	edges int
 }
 
 // NumEdges returns the number of stored (directed) edges.
@@ -179,6 +191,25 @@ func New(edges []Edge, numVertices int, directed bool) *Graph {
 		EdgeArray: NewEdgeArray(edges, numVertices),
 		Directed:  directed,
 	}
+}
+
+// SharedOutDegrees returns the out-degree table, counted by one scan of the
+// edges on first use and shared by every later call: degrees do not change
+// when pre-processing permutes the edges, so repeated runs over a graph pay
+// the scan once. The table is recounted if Edges has changed length since.
+// Callers must not modify it; OutDegrees returns a private copy.
+func (ea *EdgeArray) SharedOutDegrees() []uint32 { return ea.shared(&ea.outDeg, ea.OutDegrees) }
+
+// SharedInDegrees is SharedOutDegrees for in-degrees.
+func (ea *EdgeArray) SharedInDegrees() []uint32 { return ea.shared(&ea.inDeg, ea.InDegrees) }
+
+func (ea *EdgeArray) shared(t *sharedDegrees, count func() []uint32) []uint32 {
+	ea.degMu.Lock()
+	defer ea.degMu.Unlock()
+	if t.deg == nil || t.edges != len(ea.Edges) || len(t.deg) != ea.NumVertices {
+		t.deg, t.edges = count(), len(ea.Edges)
+	}
+	return t.deg
 }
 
 // OutDegrees computes the out-degree of every vertex from the edge array.

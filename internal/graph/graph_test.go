@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -90,6 +91,30 @@ func TestOutInDegrees(t *testing.T) {
 	}
 	if in[0] != 0 || in[1] != 1 || in[2] != 2 {
 		t.Fatalf("in degrees = %v", in)
+	}
+}
+
+// TestSharedDegreesCountedOncePerGraph: the shared tables come from one scan
+// — later calls return the same array — and are recounted only when the
+// edge slice has changed length.
+func TestSharedDegreesCountedOncePerGraph(t *testing.T) {
+	ea := NewEdgeArray([]Edge{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 2, Dst: 0}}, 3)
+	out, in := ea.SharedOutDegrees(), ea.SharedInDegrees()
+	if want := []uint32{2, 0, 1}; !slices.Equal(out, want) {
+		t.Fatalf("out-degrees %v, want %v", out, want)
+	}
+	if want := []uint32{1, 1, 1}; !slices.Equal(in, want) {
+		t.Fatalf("in-degrees %v, want %v", in, want)
+	}
+	// Prep permutes the edges in place; degrees are unaffected and the
+	// tables must not be recounted.
+	ea.Edges[0], ea.Edges[2] = ea.Edges[2], ea.Edges[0]
+	if &ea.SharedOutDegrees()[0] != &out[0] || &ea.SharedInDegrees()[0] != &in[0] {
+		t.Fatal("second call recounted the tables")
+	}
+	ea.Edges = append(ea.Edges, Edge{Src: 1, Dst: 1})
+	if want := []uint32{2, 1, 1}; !slices.Equal(ea.SharedOutDegrees(), want) {
+		t.Fatalf("out-degrees after append %v, want %v", ea.SharedOutDegrees(), want)
 	}
 }
 

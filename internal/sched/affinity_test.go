@@ -74,6 +74,36 @@ func TestLeasePinCountersBalance(t *testing.T) {
 	}
 }
 
+// TestLeaseUnpinCompletes: Unpin, like Release, returns only once every
+// lease worker has restored its mask — the counters balance the moment it
+// returns, pin after pin, without waiting for a scheduling round — and a
+// worker handed from a released lease straight to a new one does not carry
+// the old pin along.
+func TestLeaseUnpinCompletes(t *testing.T) {
+	if !AffinityAvailable() {
+		t.Skip("no thread affinity on this platform")
+	}
+	p := NewPool(3)
+	defer p.Close()
+	body := func(int, int, int) {}
+	for round := 0; round < 50; round++ {
+		l := p.Lease(4)
+		before := p.Counters()
+		l.Pin([]int{0})
+		l.ParallelForWorker(0, 64, 1, 4, body)
+		l.Unpin()
+		if d := p.Counters().Sub(before); d.Pins == 0 || d.Pins != d.Unpins {
+			t.Fatalf("round %d: after Unpin pins=%d unpins=%d", round, d.Pins, d.Unpins)
+		}
+		l.Pin([]int{0})
+		l.ParallelForWorker(0, 64, 1, 4, body)
+		l.Release()
+		if d := p.Counters().Sub(before); d.Pins != d.Unpins {
+			t.Fatalf("round %d: after Release pins=%d unpins=%d", round, d.Pins, d.Unpins)
+		}
+	}
+}
+
 func TestLeasePinNoopCases(t *testing.T) {
 	p := NewPool(1)
 	defer p.Close()

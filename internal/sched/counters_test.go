@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -10,18 +11,18 @@ func TestPoolCountersGangLoops(t *testing.T) {
 	defer p.Close()
 
 	before := p.Counters()
-	var total int64
+	var total atomic.Int64
 	for l := 0; l < 3; l++ {
 		ok := p.tryLoop(0, 4096, 64, 4, nil, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				total++
-			}
+			total.Add(int64(hi - lo))
 		})
 		if !ok {
 			t.Fatalf("tryLoop %d refused on an idle pool", l)
 		}
 	}
-	_ = total
+	if got := total.Load(); got != 3*4096 {
+		t.Fatalf("loops covered %d indices, want %d", got, 3*4096)
+	}
 	diff := p.Counters().Sub(before)
 	if diff.GangLoops != 3 {
 		t.Fatalf("GangLoops diff = %d, want 3", diff.GangLoops)

@@ -39,6 +39,10 @@ type Lease struct {
 	pinMask CPUSet
 	pinSeq  atomic.Uint32
 	selfPin workerPin
+	// pinHolders counts the pool workers whose threads are (or are about to
+	// be) pinned on this lease's behalf; guarded by pool.mu. Unpin and
+	// Release wait for it to drain — see awaitUnpinned.
+	pinHolders int
 
 	cGangLoops atomic.Int64
 	cGangJoins atomic.Int64
@@ -86,6 +90,9 @@ func (l *Lease) Workers() int {
 
 // Release returns the lease's workers to the pool. The lease must be idle
 // (its holder issues loops synchronously, so after the run finishes it is).
+// When Release returns, no thread is pinned on the lease's behalf: a pinned
+// lease waits for its workers to restore their affinity masks, a lease that
+// was never pinned (or is already unpinned) returns without waiting.
 // Release is idempotent; the lease must not be used afterwards.
 func (l *Lease) Release() {
 	p := l.pool
@@ -110,8 +117,19 @@ func (l *Lease) Release() {
 	// their assignment and rejoin the global scheduling loop (unpinning on
 	// the way out).
 	l.cond.Broadcast()
+	l.awaitUnpinned()
 	p.mu.Unlock()
 	l.unpinSelf()
+}
+
+// awaitUnpinned blocks, with pool.mu held, until every worker that pinned
+// its thread for this lease has restored its mask. The caller has already
+// withdrawn the pin (or the workers) and broadcast; each holder acknowledges
+// through Pool.unpinWorker. A lease with no pinned worker does not wait.
+func (l *Lease) awaitUnpinned() {
+	for l.pinHolders > 0 {
+		l.cond.Wait()
+	}
 }
 
 // Pin restricts the lease's execution to the given CPUs: the calling
@@ -144,8 +162,8 @@ func (l *Lease) Pin(cpus []int) {
 }
 
 // Unpin restores the original thread affinity of the holder and of every
-// lease worker (workers restore on their next scheduling round). No-op when
-// the lease is not pinned.
+// lease worker, and returns once they all have. No-op when the lease is not
+// pinned.
 func (l *Lease) Unpin() {
 	if !affinityOS {
 		return
@@ -156,6 +174,7 @@ func (l *Lease) Unpin() {
 		l.pinned = false
 		l.pinSeq.Add(1)
 		l.cond.Broadcast()
+		l.awaitUnpinned()
 	}
 	p.mu.Unlock()
 	l.unpinSelf()

@@ -47,9 +47,11 @@ type Pool struct {
 	wleases []atomic.Pointer[Lease]
 	leases  []*Lease
 
-	// Per-worker CPU-affinity pin state (see Lease.Pin). wpins[w] is only
-	// touched by worker w's own goroutine.
-	wpins []workerPin
+	// Per-worker CPU-affinity pin state (see Lease.Pin). wpins[w] and
+	// wpinFor[w] — the lease worker w is registered with as a pin holder —
+	// are only touched by worker w's own goroutine.
+	wpins   []workerPin
+	wpinFor []*Lease
 
 	// Lifetime observability counters (see Counters). Atomics rather than
 	// mu-guarded ints so the park/unpark accounting never extends a critical
@@ -224,6 +226,7 @@ func NewPool(p int) *Pool {
 		deques:  make([]*deque, p),
 		wleases: make([]atomic.Pointer[Lease], p),
 		wpins:   make([]workerPin, p),
+		wpinFor: make([]*Lease, p),
 	}
 	pool.cond = sync.NewCond(&pool.mu)
 	for i := range pool.deques {
@@ -309,10 +312,14 @@ func (p *Pool) run(worker int) {
 		// loops and parks on the lease's condition variable, so two leased
 		// runs (or a leased run and the global pool) never contend for the
 		// same workers.
-		if l := p.wleases[worker].Load(); l != nil {
-			if l != lastLease {
-				lastLease, lastLeaseSeq, lastPinSeq = l, 0, 0
-			}
+		l := p.wleases[worker].Load()
+		if l != lastLease {
+			// Leaving a lease (released, or handed straight to another one)
+			// restores the thread's mask and tells the old lease so.
+			p.unpinWorker(worker)
+			lastLease, lastLeaseSeq, lastPinSeq = l, 0, 0
+		}
+		if l != nil {
 			// Apply the lease's pin state before joining any of its loops:
 			// pinSeq changes (rare) publish a new mask or an unpin request.
 			if s := l.pinSeq.Load(); s != lastPinSeq {
@@ -325,8 +332,6 @@ func (p *Pool) run(worker int) {
 			}
 			continue
 		}
-		lastLease = nil
-		p.unpinWorker(worker)
 
 		// Gang loops take priority over queued tasks: they are
 		// latency-sensitive (the caller is blocked on completion). The
@@ -395,13 +400,20 @@ func (p *Pool) run(worker int) {
 
 // syncPin brings worker's thread affinity in line with its lease's current
 // pin state. Runs on the worker's own goroutine; the mask snapshot is taken
-// under mu because the lease holder updates it there.
+// under mu because the lease holder updates it there. A worker that finds
+// the lease pinned registers as a pin holder in the same critical section,
+// before it touches its thread, so an Unpin or Release that follows cannot
+// miss a pin in flight.
 func (p *Pool) syncPin(worker int, l *Lease) {
 	if !affinityOS {
 		return
 	}
 	p.mu.Lock()
 	pinned, mask := l.pinned, l.pinMask
+	if pinned && p.wpinFor[worker] == nil {
+		p.wpinFor[worker] = l
+		l.pinHolders++
+	}
 	p.mu.Unlock()
 	if !pinned {
 		p.unpinWorker(worker)
@@ -417,11 +429,19 @@ func (p *Pool) syncPin(worker int, l *Lease) {
 }
 
 // unpinWorker restores worker's original thread affinity if a pin is in
-// effect. Cheap (one bool check) when not pinned, so the scheduling loop
-// calls it unconditionally on every lease exit.
+// effect, and acknowledges it to the lease the worker pinned for (whose
+// Unpin or Release may be waiting). Cheap (two checks) when not pinned, so
+// the scheduling loop calls it unconditionally on every lease exit.
 func (p *Pool) unpinWorker(worker int) {
 	if p.wpins[worker].unpin() {
 		p.cUnpins.Add(1)
+	}
+	if l := p.wpinFor[worker]; l != nil {
+		p.wpinFor[worker] = nil
+		p.mu.Lock()
+		l.pinHolders--
+		l.cond.Broadcast()
+		p.mu.Unlock()
 	}
 }
 

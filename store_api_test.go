@@ -143,6 +143,7 @@ func TestValidateTechniquesCombinations(t *testing.T) {
 		{LayoutEdgeArray, FlowPush, SyncPartitionFree},
 		{LayoutEdgeArray, FlowPushPull, SyncAtomics},
 		{LayoutAdjacency, FlowPush, SyncPartitionFree},
+		{LayoutAdjacency, FlowPushPull, SyncPartitionFree},
 	}
 	for _, c := range bad {
 		if err := ValidateTechniques(c.layout, c.flow, c.sync); err == nil {
