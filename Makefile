@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race bench bench-adaptive bench-compressed bench-json
+.PHONY: all build fmt-check vet test race loc bench bench-adaptive bench-compressed bench-json
 
 all: fmt-check vet build test
 
@@ -21,6 +21,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Non-test Go lines per package and in total, as `wc -l` counts them. The
+# benchmark/ directory is the measuring instrument, not the system, and is
+# left out.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | sort | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
 # Engine benchmarks with allocation accounting: BFS and PageRank on
 # RMAT-scale-16 (the perf-trajectory acceptance configuration), the

@@ -21,7 +21,6 @@ import (
 	"runtime"
 	"strings"
 
-	everythinggraph "github.com/epfl-repro/everythinggraph"
 	"github.com/epfl-repro/everythinggraph/internal/bench"
 )
 
@@ -127,7 +126,6 @@ func main() {
 			host += ", cpu=" + cpu
 		}
 		fmt.Println(host)
-		fmt.Printf("numa: %s\n", everythinggraph.NUMATopology())
 		return
 	}
 

@@ -13,7 +13,6 @@
 //
 //	egraph -algorithm bfs -generate rmat -scale 20 -layout adjacency -flow push -sync atomics
 //	egraph -algorithm bfs -generate rmat -scale 20 -flow auto -v
-//	egraph -algorithm bfs -generate rmat -scale 20 -flow auto -placement pinned -v
 //	egraph -algorithm bfs -generate rmat -scale 20 -sources 0,7,19,42 -flow auto
 //	egraph -algorithm pagerank -generate rmat -scale 16 -layout grid -p 256 -flow auto -v
 //	egraph -algorithm pagerank -generate twitter -scale 20 -layout grid -flow pull -sync nolock
@@ -57,7 +56,6 @@ func main() {
 		prIters   = flag.Int("pagerank-iterations", 10, "PageRank iteration count")
 		workers   = flag.Int("workers", 0, "worker count (0 = all CPUs)")
 		leaseN    = flag.Int("lease", 0, "run on a worker-pool lease of up to this many workers (the concurrent-query serving mode; 0 = the shared pool)")
-		placeF    = flag.String("placement", "auto", "NUMA placement policy for in-memory runs: auto (planner-chosen socket pinning) | interleaved | pinned; degrades to interleaved on single-node hosts")
 		storePath = flag.String("store", "", "run out-of-core over this partitioned grid store (see gengraph -format store)")
 		memBudget = flag.Int64("membudget", 0, "resident edge-buffer budget in MiB for -store runs (0 = 256); -flow auto plans the working budget per iteration under this ceiling")
 		prefetch  = flag.Int("prefetch", 0, "per-worker prefetch depth for -store runs (0 = 2); -flow auto adapts it per iteration from the measured I/O wait")
@@ -86,9 +84,6 @@ func main() {
 		fatal(err)
 	}
 	if cfg.Prep, err = parsePrep(*prepF); err != nil {
-		fatal(err)
-	}
-	if cfg.Placement, err = parsePlacement(*placeF); err != nil {
 		fatal(err)
 	}
 	if *storePath == "" {
@@ -161,13 +156,12 @@ func main() {
 	}
 
 	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
-	fmt.Printf("configuration: layout=%v flow=%v sync=%v prep=%v placement=%v\n", cfg.Layout, cfg.Flow, cfg.Sync, cfg.Prep, cfg.Placement)
+	fmt.Printf("configuration: layout=%v flow=%v sync=%v prep=%v\n", cfg.Layout, cfg.Flow, cfg.Sync, cfg.Prep)
 	fmt.Printf("algorithm: %s, %d iterations\n", res.Run.Algorithm, res.Run.Iterations)
 	fmt.Printf("breakdown: %s\n", res.Breakdown)
 	if cfg.Flow == everythinggraph.FlowAuto {
 		fmt.Printf("plan trace: %s\n", metrics.CompressPlanTrace(res.Run.PlanTrace()))
 	}
-	printPlacement(res.Run.PerIteration, *verbose)
 	printIterations(res.Run.PerIteration, *verbose)
 	printAlgorithmSummary(alg)
 	writeTraceOutputs(cfg.Trace, *traceOut, *metricsO)
@@ -275,12 +269,11 @@ func runBatch(g *everythinggraph.Graph, algorithm string, sources []everythinggr
 
 	groups := (len(sources) + 63) / 64
 	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
-	fmt.Printf("configuration: layout=%v flow=%v sync=%v prep=%v placement=%v\n", cfg.Layout, cfg.Flow, cfg.Sync, cfg.Prep, cfg.Placement)
+	fmt.Printf("configuration: layout=%v flow=%v sync=%v prep=%v\n", cfg.Layout, cfg.Flow, cfg.Sync, cfg.Prep)
 	fmt.Printf("batch: %s over %d sources in %d bit-parallel group(s)\n", algorithm, len(sources), groups)
 	if cfg.Flow == everythinggraph.FlowAuto {
 		fmt.Printf("plan trace: %s\n", metrics.CompressPlanTrace(results[0].Run.PlanTrace()))
 	}
-	printPlacement(results[0].Run.PerIteration, verbose)
 	totalReached := 0
 	for _, r := range results {
 		reached := 0
@@ -351,33 +344,6 @@ func runStore(path, algorithm string, cfg everythinggraph.Config, device string,
 	printIterations(res.Run.PerIteration, verbose)
 	printAlgorithmSummary(alg)
 	return res
-}
-
-// printPlacement prints the discovered NUMA topology and which placements
-// the run's iterations executed under (verbose only): "interleaved ×N" on
-// single-node hosts, with "@n<K> ×M" populations once the planner pins.
-func printPlacement(iters []everythinggraph.IterationStats, verbose bool) {
-	if !verbose {
-		return
-	}
-	counts := make(map[string]int)
-	var order []string
-	for _, it := range iters {
-		k := it.Plan.Placement.String()
-		if k == "" {
-			k = "interleaved"
-		}
-		if counts[k] == 0 {
-			order = append(order, k)
-		}
-		counts[k]++
-	}
-	parts := make([]string, len(order))
-	for i, k := range order {
-		parts[i] = fmt.Sprintf("%s ×%d", k, counts[k])
-	}
-	fmt.Printf("numa: %s\n", everythinggraph.NUMATopology())
-	fmt.Printf("placement: %s\n", strings.Join(parts, ", "))
 }
 
 // printIterations prints the per-iteration table when verbose is set.
@@ -510,19 +476,6 @@ func parseSync(s string) (everythinggraph.Sync, error) {
 		return everythinggraph.SyncPartitionFree, nil
 	default:
 		return 0, fmt.Errorf("unknown sync mode %q", s)
-	}
-}
-
-func parsePlacement(s string) (everythinggraph.Placement, error) {
-	switch strings.ToLower(s) {
-	case "auto", "":
-		return everythinggraph.PlacementAuto, nil
-	case "interleaved", "interleave":
-		return everythinggraph.PlacementInterleaved, nil
-	case "pinned", "pin":
-		return everythinggraph.PlacementPinned, nil
-	default:
-		return 0, fmt.Errorf("unknown placement policy %q (auto | interleaved | pinned)", s)
 	}
 }
 

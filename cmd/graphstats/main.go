@@ -57,11 +57,6 @@ func main() {
 	)
 	flag.Parse()
 
-	// The host's NUMA topology frames every profile: it is what the
-	// engine's placement planner discovers and pins against (one synthetic
-	// node on non-NUMA and non-Linux hosts).
-	fmt.Printf("host: numa %s\n", everythinggraph.NUMATopology())
-
 	if *storePath != "" {
 		if err := storeStats(*storePath); err != nil {
 			fmt.Fprintf(os.Stderr, "graphstats: %v\n", err)

@@ -11,10 +11,10 @@
 //   - Pre-processing method: dynamic building, count sort or parallel radix
 //     sort;
 //   - Information flow: push, pull or direction-optimizing push-pull;
-//   - Synchronization: locks, atomics or partition-based lock freedom;
-//   - Placement: interleaved or NUMA-aware — offline simulation (see
-//     internal/numa) and, on multi-socket Linux hosts, real planner-chosen
-//     socket pinning of in-memory runs (Config.Placement).
+//   - Synchronization: locks, atomics or partition-based lock freedom.
+//
+// NUMA-awareness (the paper's Section 7) is reproduced offline by the
+// simulation in internal/numa; the engine itself never pins threads.
 //
 // Every run reports an end-to-end time breakdown (load, pre-processing,
 // partitioning, algorithm), because the paper's central result is that
@@ -40,7 +40,6 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/gen"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/metrics"
-	"github.com/epfl-repro/everythinggraph/internal/numa"
 	"github.com/epfl-repro/everythinggraph/internal/oocore"
 	"github.com/epfl-repro/everythinggraph/internal/prep"
 	"github.com/epfl-repro/everythinggraph/internal/sched"
@@ -299,18 +298,6 @@ type Config struct {
 	// of interleaving on the global gang loop. Workers is clamped to the
 	// lease's size. nil (the default) runs on the shared pool.
 	Lease *Lease
-	// Placement selects the NUMA placement policy of in-memory runs on
-	// multi-socket Linux hosts: PlacementAuto (the default) makes placement
-	// a planner-chosen dimension — every candidate plan gains a node-pinned
-	// twin whose workers CPU-pin to one socket, chosen from modeled priors
-	// and measured per-iteration costs — PlacementInterleaved never pins,
-	// and PlacementPinned forces the whole run onto one node. Results are
-	// bit-identical across placements (pinning moves threads, never the
-	// iteration order). On single-node or non-Linux hosts every policy
-	// degrades to plain interleaved execution; Store (out-of-core) runs
-	// always execute interleaved — they are bound by the device, not the
-	// interconnect.
-	Placement Placement
 	// Trace attaches a run recorder (see NewTraceRecorder): the engine,
 	// planners, scheduler and — on Store runs — the fetcher pipeline record
 	// iteration spans, planner decisions and I/O events into it, and
@@ -320,30 +307,6 @@ type Config struct {
 	// appends to the same timeline.
 	Trace *TraceRecorder
 }
-
-// Placement is the NUMA placement policy of a run (see Config.Placement).
-type Placement = core.PlacementPolicy
-
-// Placement policies.
-const (
-	// PlacementAuto lets the planner choose per iteration between
-	// interleaved and node-pinned execution (the default; a no-op on
-	// single-node hosts).
-	PlacementAuto = core.PlacementAuto
-	// PlacementInterleaved never pins — the paper's interleaved baseline.
-	PlacementInterleaved = core.PlacementInterleaved
-	// PlacementPinned forces the run onto one NUMA node.
-	PlacementPinned = core.PlacementPinned
-)
-
-// NumNUMANodes returns the number of NUMA nodes of the host's discovered
-// topology (1 on non-NUMA and non-Linux hosts, where placement degrades to
-// interleaved execution).
-func NumNUMANodes() int { return numa.Default().NumNodes() }
-
-// NUMATopology returns a one-line description of the host's discovered NUMA
-// topology (nodes, their CPU lists and free memory), as printed by the CLIs.
-func NUMATopology() string { return numa.Default().String() }
 
 // TraceRecorder is a run-scoped trace event recorder. Attach one via
 // Config.Trace, then export with WriteChromeTrace (a Chrome/Perfetto
@@ -486,7 +449,6 @@ func (g *Graph) Run(alg Algorithm, cfg Config) (*Result, error) {
 		RecordFrontiers: cfg.RecordFrontiers,
 		CostPriors:      cfg.CostPriors,
 		Lease:           cfg.Lease,
-		Placement:       cfg.Placement,
 		Trace:           cfg.Trace,
 	}
 	res, err := core.Run(g.g, alg, engineCfg)
@@ -713,7 +675,6 @@ func (g *Graph) Batch(kind BatchKind, sources []VertexID, cfg Config) ([]BatchSo
 		RecordFrontiers: cfg.RecordFrontiers,
 		CostPriors:      cfg.CostPriors,
 		Lease:           cfg.Lease,
-		Placement:       cfg.Placement,
 		Trace:           cfg.Trace,
 	}
 	return core.Batch(g.g, kind, sources, engineCfg)

@@ -159,52 +159,4 @@ func main() {
 		}
 	}
 	fmt.Println("  -> spot-checked query levels identical to a solo run")
-
-	// --- NUMA placement: concurrent queries spread across sockets ---
-	// With Placement left at auto (or forced pinned), the engine allocates
-	// each run's pinned candidates a NUMA node round-robin, so two leased
-	// queries land on different sockets instead of stacking on one memory
-	// controller. On single-node (or non-Linux) hosts everything degrades
-	// to the interleaved engine: no pins, identical results, no overhead.
-	fmt.Printf("\nNUMA placement: host topology %s\n", everythinggraph.NUMATopology())
-	if everythinggraph.NumNUMANodes() <= 1 {
-		fmt.Println("  single NUMA node: placement degrades to interleaved execution")
-		fmt.Println("  (runs below stay valid — pinned plans simply never enumerate)")
-	}
-	placedCfg := bfsCfg
-	placedCfg.Placement = everythinggraph.PlacementPinned
-	leaseC := everythinggraph.NewLease(2)
-	leaseD := everythinggraph.NewLease(2)
-	cfgC, cfgD := placedCfg, placedCfg
-	cfgC.Lease = leaseC
-	cfgD.Lease = leaseD
-	placedA := everythinggraph.BFS(1)
-	placedB := everythinggraph.BFS(many[1])
-	var resA, resB *everythinggraph.Result
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		defer leaseC.Release()
-		var errA error
-		if resA, errA = g.Run(placedA, cfgC); errA != nil {
-			log.Fatal(errA)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		defer leaseD.Release()
-		var errB error
-		if resB, errB = g.Run(placedB, cfgD); errB != nil {
-			log.Fatal(errB)
-		}
-	}()
-	wg.Wait()
-	fmt.Printf("  two pinned leased BFS runs: plans %q and %q\n",
-		resA.Run.PerIteration[0].Plan, resB.Run.PerIteration[0].Plan)
-	for v := range soloBFS.Level {
-		if placedA.Level[v] != soloBFS.Level[v] {
-			log.Fatalf("placed BFS diverged at vertex %d", v)
-		}
-	}
-	fmt.Println("  -> placement changes where threads run, never what they compute")
 }

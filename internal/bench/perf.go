@@ -19,7 +19,6 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/gen"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/metrics"
-	"github.com/epfl-repro/everythinggraph/internal/numa"
 	"github.com/epfl-repro/everythinggraph/internal/oocore"
 	"github.com/epfl-repro/everythinggraph/internal/prep"
 	"github.com/epfl-repro/everythinggraph/internal/sched"
@@ -59,12 +58,7 @@ type PerfReport struct {
 	// CPUModel is the host CPU model string from /proc/cpuinfo (empty when
 	// unavailable), stamped so archived baselines say what hardware
 	// produced them.
-	CPUModel string `json:"cpu_model,omitempty"`
-	// NUMANodes is the number of NUMA nodes in the host topology (1 on
-	// non-NUMA and non-Linux hosts). Placement-sensitive baselines are only
-	// comparable across hosts with the same node count, so the report says
-	// which kind of host produced it.
-	NUMANodes  int        `json:"numa_nodes"`
+	CPUModel   string     `json:"cpu_model,omitempty"`
 	RMATScale  int        `json:"rmat_scale"`
 	EdgeFactor int        `json:"rmat_edge_factor"`
 	Timestamp  string     `json:"timestamp"`
@@ -370,7 +364,6 @@ func RunPerf(scale Scale) (*PerfReport, error) {
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		CPUModel:   HostCPUModel(),
-		NUMANodes:  numa.Default().NumNodes(),
 		RMATScale:  rmatScale,
 		EdgeFactor: edgeFactor,
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
@@ -523,48 +516,6 @@ func RunPerf(scale Scale) (*PerfReport, error) {
 			b.ResetTimer()
 			if _, err := core.Run(g, pr, cfg); err != nil {
 				b.Fatal(err)
-			}
-		}},
-		{"pagerank_rmat_placed_iter", func(b *testing.B) {
-			// The leased_iter case with placement forced to pinned over a
-			// two-node fake topology: every plan carries its @n<K> label and
-			// the lease gang runs node-pinned. The pin is applied once (a
-			// struct comparison per iteration afterwards), so steady-state
-			// placed iterations must hold the zero-allocation contract —
-			// placement may not put allocations on the hot path. Lease setup
-			// is excluded from the clock; on real multi-socket hosts the
-			// delta against leased_iter is the locality effect itself.
-			lease := sched.DefaultPool().Lease(sched.MaxWorkers())
-			defer lease.Release()
-			cfg := pushAtomics
-			cfg.Lease = lease
-			cfg.Placement = core.PlacementPinned
-			cfg.Topology = numa.FakeTopology(2, nil)
-			pr := algorithms.NewPageRank()
-			pr.Iterations = b.N
-			b.ReportAllocs()
-			b.ResetTimer()
-			if _, err := core.Run(g, pr, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}},
-		{"bfs_rmat_batch128_placed", func(b *testing.B) {
-			// Two bit-parallel 64-source groups answered concurrently, each
-			// on its own lease with a distinct preferred node of the fake
-			// two-node topology — the batch-level form of node-partitioned
-			// placement, measured end to end (grouping, leasing, spreading,
-			// fan-out).
-			n := g.NumVertices()
-			sources := make([]graph.VertexID, 2*graph.MaxMultiWidth)
-			for i := range sources {
-				sources[i] = graph.VertexID((i*2654435761 + 1) % n)
-			}
-			cfg := core.Config{Flow: core.Auto, Workers: workers, Placement: core.PlacementAuto, Topology: numa.FakeTopology(2, nil)}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Batch(g, core.BatchBFS, sources, cfg); err != nil {
-					b.Fatal(err)
-				}
 			}
 		}},
 		{"pagerank_rmat_auto_iter", func(b *testing.B) {

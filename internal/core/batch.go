@@ -7,7 +7,6 @@ import (
 
 	"github.com/epfl-repro/everythinggraph/internal/algorithms"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
-	"github.com/epfl-repro/everythinggraph/internal/numa"
 	"github.com/epfl-repro/everythinggraph/internal/sched"
 )
 
@@ -99,8 +98,8 @@ func Batch(g *graph.Graph, kind BatchKind, sources []graph.VertexID, cfg Config)
 		// run sequentially — so each completed sweep's measured per-plan costs
 		// seed the next group's cost model, which therefore starts from this
 		// run's measurements instead of hand priors (the serving-side re-plan
-		// from measured costs; labels carry the batch width and placement, so
-		// only matching populations seed).
+		// from measured costs; labels carry the batch width, so only matching
+		// populations seed).
 		priors := cfg.CostPriors
 		for i, alg := range kernels {
 			cfgG := groupConfig(cfg, i)
@@ -143,29 +142,11 @@ func runGroupsLeased(g *graph.Graph, kernels []Algorithm, groups [][]graph.Verte
 	total := resolveWorkers(cfg)
 	shares := batchWorkerShares(groups, cfg.CostPriors, total)
 
-	// NUMA spreading: concurrent leased groups are the batch-level form of
-	// node-partitioned execution. Each group's lease is capped at one
-	// socket's width and assigned a distinct preferred node round-robin, so
-	// concurrent sweeps whose planners choose pinned plans land on different
-	// sockets instead of stacking on one memory controller. Single-node
-	// hosts (topo.NumNodes() <= 1) skip all of it.
-	var topo *numa.Topology
-	if t := placementTopology(cfg); cfg.Placement != PlacementInterleaved && t.NumNodes() > 1 {
-		topo = t
-	}
-
 	pool := sched.DefaultPool()
 	var wg sync.WaitGroup
 	errs := make([]error, len(groups))
 	for i := range groups {
 		cfgG := groupConfig(cfg, i)
-		if topo != nil {
-			node := allocPlacementNode(topo)
-			cfgG.placementNode = node + 1
-			if w := len(topo.NodeCPUs(node)); shares[i] > w {
-				shares[i] = w
-			}
-		}
 		lease := pool.Lease(shares[i])
 		cfgG.Lease = lease
 		cfgG.Workers = shares[i]

@@ -14,7 +14,6 @@ import (
 
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/metrics"
-	"github.com/epfl-repro/everythinggraph/internal/numa"
 	"github.com/epfl-repro/everythinggraph/internal/sched"
 	"github.com/epfl-repro/everythinggraph/internal/trace"
 )
@@ -177,20 +176,6 @@ type Config struct {
 	// lifecycle: Release it after the run (or runs) it serves. nil (the
 	// default) runs on the shared pool exactly as before.
 	Lease *sched.Lease
-	// Placement selects the NUMA placement policy of in-memory runs (see
-	// placement.go): PlacementAuto (the default) makes placement a planned
-	// dimension on multi-node hosts, PlacementInterleaved never pins, and
-	// PlacementPinned forces the run onto one node. On single-node (and
-	// non-Linux) hosts every policy degrades to interleaved execution with
-	// no pins and no extra work. Streamed (out-of-core) runs always execute
-	// interleaved: their passes are fed by the I/O pipeline and bound by the
-	// device, not the interconnect.
-	Placement PlacementPolicy
-	// Topology overrides the discovered host NUMA topology (nil = the cached
-	// numa.Default()). Intended for tests and tools: injecting a fake
-	// multi-node topology exercises every placement path on any host, with
-	// pins restricted to the host's real allowed CPUs.
-	Topology *numa.Topology
 	// Trace attaches a run-scoped trace recorder. When non-nil, the engine,
 	// the planners, the I/O controller and the out-of-core fetcher pipeline
 	// record iteration spans, planner decisions and fetch/stall spans into
@@ -201,11 +186,6 @@ type Config struct {
 	// consecutive runs appends to the same timeline, concurrent runs must
 	// each get their own.
 	Trace *trace.Recorder
-
-	// placementNode carries Batch's per-group node assignment (1-based node
-	// id + 1; 0 = allocate round-robin). Unexported: within-package plumbing
-	// so concurrent batch groups land on distinct sockets deterministically.
-	placementNode int
 }
 
 // IterationStats describes one iteration of a run.
@@ -338,9 +318,6 @@ func (cfg Config) validateAlpha() error {
 	if cfg.GridLevels != 0 && cfg.Flow != Auto &&
 		cfg.Layout != graph.LayoutGrid && cfg.Layout != graph.LayoutGridCompressed {
 		return fmt.Errorf("core: GridLevels selects a grid resolution; a static %v configuration has no grid to apply it to", cfg.Layout)
-	}
-	if cfg.Placement < PlacementAuto || cfg.Placement > PlacementPinned {
-		return fmt.Errorf("core: unknown placement policy %v", cfg.Placement)
 	}
 	return nil
 }

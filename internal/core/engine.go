@@ -30,58 +30,51 @@ func Run(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	workers := resolveWorkers(cfg)
-	alpha := cfg.PushPullAlpha
-	if alpha <= 0 {
-		alpha = DefaultPushPullAlpha
-	}
-
-	// NUMA placement: resolved once per run; the zero context (single-node
-	// hosts, PlacementInterleaved) disables everything below at the cost of
-	// one bool test. Pinning acts on a lease — the only holder of a stable
-	// worker set — so a placed run without a caller lease carves one out of
-	// the shared pool for the run's duration.
-	pc := resolvePlacement(cfg, workers)
-	var place placer
-	if pc.enabled {
-		if cfg.Lease == nil {
-			l := sched.DefaultPool().Lease(workers)
-			defer l.Release()
-			cfg.Lease = l
-			if lw := l.Workers(); lw < workers {
-				workers = lw
-			}
-		}
-		place.lease = cfg.Lease
-		place.topo = pc.topo
-		// A caller-provided lease must come back unpinned.
-		defer place.reset()
-	}
-
 	r := newRunner(g, alg, cfg, workers)
-	pl, err := newPlanner(g, cfg, r, alpha, workers, !alg.Dense(), pc)
+	pl, err := newPlanner(g, cfg, r, resolveAlpha(cfg), workers, !alg.Dense())
 	if err != nil {
 		return nil, err
 	}
+	return iterate(g, alg, cfg, workers, pl, nil, func(plan StepPlan, frontier *graph.Frontier) (*graph.Frontier, error) {
+		return r.execute(plan, frontier), nil
+	})
+}
 
+// iterate is the engine's one plan → execute → observe loop, behind both Run
+// and RunStreamed: the only place where an iteration is timed and recorded.
+// g is what the algorithm initializes against (the resident graph, or
+// RunStreamed's vertex-only shim), step executes one iteration under the
+// chosen plan and returns the next frontier (nil for dense algorithms), and
+// src — nil for in-memory runs — is the streamed source whose I/O accounting
+// is diffed around every iteration and around the run.
+func iterate(g *graph.Graph, alg Algorithm, cfg Config, workers int, pl planner, src Source,
+	step func(StepPlan, *graph.Frontier) (*graph.Frontier, error)) (*Result, error) {
 	if wb, ok := alg.(WorkerBound); ok {
 		wb.SetWorkers(workers)
 	}
 	if pb, ok := alg.(ParallelBound); ok {
-		pb.SetParallelFor(r.pfor)
+		pb.SetParallelFor(parallelFor(cfg))
 	}
 	alg.Init(g)
 	frontier := alg.InitialFrontier(g)
 	res := &Result{Algorithm: alg.Name()}
 
+	// A traced run diffs the scheduler's counters around itself: the lease's
+	// own gang counters when it holds one (concurrent leased runs must not
+	// read each other's loops), the process-wide pool's otherwise.
+	schedCounters := sched.DefaultCounters
+	if cfg.Lease != nil {
+		schedCounters = cfg.Lease.Counters
+	}
 	rec := cfg.Trace
 	var labeler *planLabeler
 	var schedBefore sched.PoolCounters
-	schedCounters := schedCountersFn(cfg)
 	if rec != nil {
 		rec.SetNumVertices(g.NumVertices())
 		labeler = newPlanLabeler(rec)
 		schedBefore = schedCounters()
 	}
+	ioStart := sourceStats(src)
 
 	start := time.Now()
 	for iter := 0; ; iter++ {
@@ -94,15 +87,12 @@ func Run(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 
 		alg.BeforeIteration(iter)
 		iterStart := time.Now()
+		ioBefore := sourceStats(src)
 
 		// Plan selection is part of the timed iteration: the threshold
 		// tests and the cost model are real switching overhead and must
 		// show up in the per-iteration accounting.
 		plan := pl.Next(iter, frontier)
-		// Bring the lease's CPU pins in line with the chosen placement: one
-		// struct comparison per iteration, thread affinity changes only when
-		// the planner switches placements.
-		place.apply(plan.Placement)
 		stats := IterationStats{
 			Iteration:      iter,
 			ActiveVertices: frontier.Count(),
@@ -111,12 +101,20 @@ func Run(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 			UsedPull:       plan.Flow == Pull,
 		}
 		if cfg.RecordFrontiers {
-			res.FrontierHistory = append(res.FrontierHistory, r.frontierSnapshot(frontier))
+			res.FrontierHistory = append(res.FrontierHistory, frontierSnapshot(alg, frontier))
 		}
 
-		next := r.execute(plan, frontier)
+		next, err := step(plan, frontier)
+		if err != nil {
+			return nil, err
+		}
 
 		stats.Duration = time.Since(iterStart)
+		io := sourceStats(src).Sub(ioBefore)
+		stats.IOWait = io.IOWait
+		if hidden := io.IOTime - io.IOWait; hidden > 0 {
+			stats.IOHidden = hidden
+		}
 		res.PerIteration = append(res.PerIteration, stats)
 		res.Iterations++
 		if labeler != nil {
@@ -133,13 +131,32 @@ func Run(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 		}
 	}
 	res.AlgorithmTime = time.Since(start)
+	res.IO = sourceStats(src)
 	if ap, ok := pl.(*adaptivePlanner); ok {
 		res.PlanCosts = ap.measuredCosts()
 	}
 	if rec != nil {
-		finishRunTrace(rec, res, schedCounters().Sub(schedBefore), nil)
+		finishRunTrace(rec, res, schedCounters().Sub(schedBefore), src != nil, res.IO.Sub(ioStart))
 	}
 	return res, nil
+}
+
+// sourceStats reads a run's cumulative I/O accounting: the source's for a
+// streamed run, all zeros — as is every difference of it — for an in-memory
+// one (src == nil).
+func sourceStats(src Source) SourceStats {
+	if src == nil {
+		return SourceStats{}
+	}
+	return src.Stats()
+}
+
+// resolveAlpha resolves the direction-switch threshold denominator.
+func resolveAlpha(cfg Config) int {
+	if cfg.PushPullAlpha > 0 {
+		return cfg.PushPullAlpha
+	}
+	return DefaultPushPullAlpha
 }
 
 // resolveWorkers resolves a run's degree of parallelism: the configured
@@ -157,16 +174,6 @@ func resolveWorkers(cfg Config) int {
 		}
 	}
 	return workers
-}
-
-// schedCountersFn returns the counter source a traced run diffs around
-// itself: the lease's own gang counters for leased runs (concurrent leased
-// runs must not read each other's loops), the process-wide pool otherwise.
-func schedCountersFn(cfg Config) func() sched.PoolCounters {
-	if cfg.Lease != nil {
-		return cfg.Lease.Counters
-	}
-	return sched.DefaultCounters
 }
 
 // parallelFor returns the run's parallel-loop executor: the lease-scoped one
@@ -448,8 +455,8 @@ func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 // frontierSnapshot copies the active vertex list for the NUMA analysis.
 // Dense (whole-graph) frontiers are recorded as nil: they are balanced by
 // construction and copying them every iteration would dominate memory.
-func (r *runner) frontierSnapshot(f *graph.Frontier) []graph.VertexID {
-	if r.alg.Dense() && f.Count() == f.NumVertices() {
+func frontierSnapshot(alg Algorithm, f *graph.Frontier) []graph.VertexID {
+	if alg.Dense() && f.Count() == f.NumVertices() {
 		return nil
 	}
 	src := f.Sparse()

@@ -271,25 +271,43 @@ func TestConfigValidation(t *testing.T) {
 func TestPerIterationStatsRecorded(t *testing.T) {
 	g := chainGraph(50)
 	prepareAll(t, g, false)
-	bfs := algorithms.NewBFS(0)
-	res, err := Run(g, bfs, Config{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics, RecordFrontiers: true})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+	runs := []struct {
+		name string
+		run  func(alg Algorithm, cfg Config) (*Result, error)
+		cfg  Config
+	}{
+		{"in-memory", func(alg Algorithm, cfg Config) (*Result, error) { return Run(g, alg, cfg) },
+			Config{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics, RecordFrontiers: true}},
+		// RunStreamed used to ignore RecordFrontiers silently.
+		{"streamed", func(alg Algorithm, cfg Config) (*Result, error) {
+			return RunStreamed(&gridSource{grid: g.Grid}, alg, cfg)
+		}, Config{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, RecordFrontiers: true}},
 	}
-	// 50 iterations: one per frontier {0}, {1}, ..., {49}; the last frontier
-	// contains the tail vertex, which has no outgoing edges.
-	if res.Iterations != 50 {
-		t.Fatalf("iterations = %d, want 50", res.Iterations)
-	}
-	if len(res.PerIteration) != res.Iterations {
-		t.Fatalf("per-iteration stats %d != iterations %d", len(res.PerIteration), res.Iterations)
-	}
-	if len(res.FrontierHistory) != res.Iterations {
-		t.Fatalf("frontier history %d != iterations %d", len(res.FrontierHistory), res.Iterations)
-	}
-	for i, st := range res.PerIteration {
-		if st.ActiveVertices != 1 {
-			t.Fatalf("iteration %d: active = %d, want 1", i, st.ActiveVertices)
-		}
+	for _, tc := range runs {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := tc.run(algorithms.NewBFS(0), tc.cfg)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			// 50 iterations: one per frontier {0}, {1}, ..., {49}; the last
+			// frontier contains the tail vertex, which has no outgoing edges.
+			if res.Iterations != 50 {
+				t.Fatalf("iterations = %d, want 50", res.Iterations)
+			}
+			if len(res.PerIteration) != res.Iterations {
+				t.Fatalf("per-iteration stats %d != iterations %d", len(res.PerIteration), res.Iterations)
+			}
+			if len(res.FrontierHistory) != res.Iterations {
+				t.Fatalf("frontier history %d != iterations %d", len(res.FrontierHistory), res.Iterations)
+			}
+			for i, st := range res.PerIteration {
+				if st.ActiveVertices != 1 {
+					t.Fatalf("iteration %d: active = %d, want 1", i, st.ActiveVertices)
+				}
+				if f := res.FrontierHistory[i]; len(f) != 1 || int(f[0]) != i {
+					t.Fatalf("iteration %d: recorded frontier %v, want [%d]", i, f, i)
+				}
+			}
+		})
 	}
 }

@@ -1,12 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"github.com/epfl-repro/everythinggraph/internal/algorithms"
 	"github.com/epfl-repro/everythinggraph/internal/gen"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
+	"github.com/epfl-repro/everythinggraph/internal/sched"
 )
 
 // The tests in this file pin the multi-source kernels to their single-source
@@ -210,6 +212,99 @@ func TestBatchSSSPFansOut(t *testing.T) {
 		}
 		if r.Parent != nil || r.Level != nil {
 			t.Fatalf("source %d: SSSP result carries a BFS tree", r.Source)
+		}
+	}
+}
+
+// TestBatchAutoGroupsConcurrentOrSequential: a two-group adaptive batch gives
+// every source the same levels whether its groups run concurrently on
+// leases of their own or one after the other on a caller-held lease, and on
+// the sequential route each finished group hands its measured plan costs to
+// the next group's cost model.
+func TestBatchAutoGroupsConcurrentOrSequential(t *testing.T) {
+	g := gen.RMAT(gen.RMATOptions{Scale: 11, EdgeFactor: 8, Seed: 7})
+	prepareAll(t, g, false)
+	sources := multiSources(g, 2*graph.MaxMultiWidth) // two ×64 groups: one cost population
+
+	concurrent, err := Batch(g, BatchBFS, sources, Config{Flow: Auto})
+	if err != nil {
+		t.Fatalf("concurrent batch: %v", err)
+	}
+	lease := sched.DefaultPool().Lease(2)
+	defer lease.Release()
+	sequential, err := Batch(g, BatchBFS, sources, Config{Flow: Auto, Lease: lease})
+	if err != nil {
+		t.Fatalf("sequential batch: %v", err)
+	}
+	if len(concurrent) != len(sources) || len(sequential) != len(sources) {
+		t.Fatalf("got %d and %d results, want %d", len(concurrent), len(sequential), len(sources))
+	}
+	for i := range sources {
+		if concurrent[i].Source != sources[i] || sequential[i].Source != sources[i] {
+			t.Fatalf("result %d: sources %d and %d, want %d", i, concurrent[i].Source, sequential[i].Source, sources[i])
+		}
+		for v := range concurrent[i].Level {
+			if concurrent[i].Level[v] != sequential[i].Level[v] {
+				t.Fatalf("source %d level[%d]: concurrent %d != sequential %d",
+					sources[i], v, concurrent[i].Level[v], sequential[i].Level[v])
+			}
+		}
+	}
+
+	first, second := sequential[0].Run, sequential[graph.MaxMultiWidth].Run
+	if first == second {
+		t.Fatal("both groups report the same engine run")
+	}
+	if len(first.PlanCosts) == 0 {
+		t.Fatal("first group measured no plan costs")
+	}
+	for label := range first.PlanCosts {
+		if _, ok := second.PlanCosts[label]; !ok {
+			t.Fatalf("second group's cost model lacks %q, which the first group measured", label)
+		}
+	}
+}
+
+func TestMergeCosts(t *testing.T) {
+	base := map[string]float64{"a": 1, "b": 2}
+	measured := map[string]float64{"b": 5, "c": 7, "d": 0}
+	got := mergeCosts(base, measured)
+	if want := map[string]float64{"a": 1, "b": 5, "c": 7}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("mergeCosts = %v, want %v", got, want)
+	}
+	if base["b"] != 2 || len(base) != 2 || len(measured) != 3 {
+		t.Fatalf("mergeCosts mutated its inputs: base %v, measured %v", base, measured)
+	}
+}
+
+func TestBatchWorkerShares(t *testing.T) {
+	group := func(n int) []graph.VertexID { return make([]graph.VertexID, n) }
+	cases := []struct {
+		name   string
+		widths []int
+		priors map[string]float64
+		total  int
+		want   []int
+	}{
+		{"equal groups split evenly", []int{64, 64}, nil, 8, []int{4, 4}},
+		{"narrow remainder gets less", []int{64, 16}, nil, 10, []int{8, 2}},
+		{"every group gets a worker", []int{64, 64, 1}, nil, 2, []int{1, 1, 1}},
+		{"later groups keep one each", []int{64, 1, 1}, nil, 4, []int{2, 1, 1}},
+		// The cache prices a ×16 edge at four times a ×64 one, which evens
+		// out the two groups' predicted volumes; single-source entries and
+		// non-positive ones are not consulted.
+		{"measured costs weigh the widths", []int{64, 16},
+			map[string]float64{"grid/16/pull/no-lock×64": 1, "adjacency/pull/no-lock×16": 4,
+				"adjacency/push/atomics×16": 9, "adjacency/pull/no-lock": 0.1, "grid/16/push/no-lock×16": 0},
+			8, []int{4, 4}},
+	}
+	for _, c := range cases {
+		groups := make([][]graph.VertexID, len(c.widths))
+		for i, w := range c.widths {
+			groups[i] = group(w)
+		}
+		if got := batchWorkerShares(groups, c.priors, c.total); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: shares %v, want %v", c.name, got, c.want)
 		}
 	}
 }

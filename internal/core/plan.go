@@ -54,13 +54,6 @@ type StepPlan struct {
 	// quantity than the single-source kernel's and the two must never
 	// cross-seed in the cost model or the persisted cache.
 	Multi int
-	// Placement is the NUMA placement of the iteration's execution (see
-	// placement.go): interleaved (the zero value) or pinned to one node. It
-	// is part of the plan's identity and its label ("@n<K>" after the sync
-	// mode): per-edge cost under node-pinned execution is a different
-	// measured quantity than under interleaving, so cost entries and the
-	// persisted cache keep per-placement populations.
-	Placement Placement
 	// IO is the I/O dimension of a streamed iteration: how deep each worker
 	// prefetches and how much resident buffer memory the pass may use. It is
 	// the zero IOPlan for in-memory iterations.
@@ -112,11 +105,9 @@ func formatBytes(n int64) string {
 
 // String returns the "layout/flow/sync" label used in plan traces — grid
 // plans carry their resolution as "grid/<P>/flow/sync", compressed plans as
-// "compressed/<P>/flow/sync", node-pinned plans their placement as
-// "grid/<P>/flow/sync@n<K>" — with the I/O recipe appended for streamed
-// plans. Interleaved non-grid in-memory plans render exactly as before the
-// IO, resolution and placement dimensions existed, keeping recorded traces
-// comparable.
+// "compressed/<P>/flow/sync" — with the I/O recipe appended for streamed
+// plans. Non-grid in-memory plans render exactly as before the IO and
+// resolution dimensions existed, keeping recorded traces comparable.
 func (p StepPlan) String() string {
 	layout := p.Layout.String()
 	if (p.Layout == graph.LayoutGrid || p.Layout == graph.LayoutGridCompressed) && p.GridLevel > 0 {
@@ -130,18 +121,16 @@ func (p StepPlan) String() string {
 	if p.Multi > 1 {
 		multi = fmt.Sprintf("×%d", p.Multi)
 	}
-	place := p.Placement.String() // "@n<K>" when pinned, "" interleaved
 	if p.IO.PrefetchDepth > 0 {
-		return fmt.Sprintf("%s/%v/%v%s%s%v", layout, p.Flow, p.Sync, place, multi, p.IO)
+		return fmt.Sprintf("%s/%v/%v%s%v", layout, p.Flow, p.Sync, multi, p.IO)
 	}
-	return fmt.Sprintf("%s/%v/%v%s%s", layout, p.Flow, p.Sync, place, multi)
+	return fmt.Sprintf("%s/%v/%v%s", layout, p.Flow, p.Sync, multi)
 }
 
 // key returns the plan with its I/O dimension cleared — the identity used to
 // match a plan back to its planner candidate and to label cost measurements:
 // the I/O knobs tune how a pass is fed, not which kernel executes, so cost
-// bookkeeping is keyed by {layout, flow, sync, tracked, grid level,
-// placement} alone.
+// bookkeeping is keyed by {layout, flow, sync, tracked, grid level} alone.
 // GridLevel deliberately survives: two resolutions execute the same kernel
 // over different access patterns, and keeping their cost entries separate is
 // what lets measurements choose among them.
@@ -222,10 +211,8 @@ type fixedPlanner struct {
 // newFixedPlanner builds the static planner. gridP pins the grid resolution
 // of grid plans (the materialized P, or the pyramid level Config.GridLevels
 // selects); it is 0 for non-grid layouts. streamFormat carries the store
-// format version of streamed runs (0 for in-memory ones). place pins the
-// NUMA placement of the whole run (forced PlacementPinned configurations;
-// the zero Placement everywhere else).
-func newFixedPlanner(env plannerEnv, layout graph.Layout, flow Flow, sync SyncMode, gridP, streamFormat int, place Placement, rec *trace.Recorder) *fixedPlanner {
+// format version of streamed runs (0 for in-memory ones).
+func newFixedPlanner(env plannerEnv, layout graph.Layout, flow Flow, sync SyncMode, gridP, streamFormat int, rec *trace.Recorder) *fixedPlanner {
 	resolved := flow
 	if flow == PushPull {
 		resolved = Push // per-iteration; overwritten by Next
@@ -240,7 +227,7 @@ func newFixedPlanner(env plannerEnv, layout graph.Layout, flow Flow, sync SyncMo
 	}
 	p := &fixedPlanner{
 		env:  env,
-		plan: StepPlan{Layout: layout, Flow: resolved, Sync: sync, Tracked: env.tracked, GridLevel: gridP, StreamFormat: streamFormat, Multi: env.multi, Placement: place},
+		plan: StepPlan{Layout: layout, Flow: resolved, Sync: sync, Tracked: env.tracked, GridLevel: gridP, StreamFormat: streamFormat, Multi: env.multi},
 		flow: flow,
 		rec:  rec,
 	}
@@ -348,7 +335,7 @@ type ioPlanner struct {
 	// stalls across workers while Duration is wall time, so the comparable
 	// per-worker fraction is IOWait / (Duration * workers). Callers pass
 	// the streaming-effective count (clamped to the grid dimension and
-	// budget-shed, see streamWorkers), not the configured one.
+	// budget-shed, see StreamExecWorkers), not the configured one.
 	workers int
 	// depthCap is the deepest pipeline the budget can feed without slices
 	// shrinking below MinStreamSliceEdges — the same bound the source's
@@ -929,10 +916,8 @@ func (p *adaptivePlanner) Observe(plan StepPlan, stats IterationStats) {
 
 // newPlanner builds the planner for an in-memory run: the fixedPlanner for
 // static configurations, the adaptivePlanner over every runnable layout for
-// Flow == Auto. pc is the run's resolved placement context (see
-// resolvePlacement); a disabled context yields exactly the pre-placement
-// planner.
-func newPlanner(g *graph.Graph, cfg Config, r *runner, alpha int, workers int, tracked bool, pc placeCtx) (planner, error) {
+// Flow == Auto.
+func newPlanner(g *graph.Graph, cfg Config, r *runner, alpha int, workers int, tracked bool) (planner, error) {
 	env := plannerEnv{
 		numVertices: g.NumVertices(),
 		totalEdges:  residentScanEdges(g),
@@ -959,17 +944,10 @@ func newPlanner(g *graph.Graph, cfg Config, r *runner, alpha int, workers int, t
 			env.activeOutEdges = nil
 			gridP = g.Compressed.P
 		}
-		// A static configuration pins its placement too: PlacementPinned
-		// stamps the run's node; PlacementAuto stays interleaved (there is
-		// no adaptive loop to measure a placement against).
-		var place Placement
-		if pc.enabled && cfg.Placement == PlacementPinned {
-			place = Placement{Kind: PlacePinned, Node: pc.node}
-		}
-		return newFixedPlanner(env, cfg.Layout, cfg.Flow, cfg.Sync, gridP, 0, place, cfg.Trace), nil
+		return newFixedPlanner(env, cfg.Layout, cfg.Flow, cfg.Sync, gridP, 0, cfg.Trace), nil
 	}
 
-	candidates := pc.placeCandidates(autoCandidates(g, cfg, workers, tracked), cfg.Placement)
+	candidates := autoCandidates(g, cfg, workers, tracked)
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("core: auto flow found no runnable layout (build adjacency lists, a grid, or supply edges)")
 	}
@@ -1223,10 +1201,7 @@ func newStreamPlanner(src Source, cfg Config, workers int, budgetCap int64, alph
 			}
 			lv = levels[idx]
 		}
-		// Streamed passes are fed by the I/O pipeline and bound by the
-		// device, not the interconnect; placement stays interleaved (the
-		// Config.Placement doc records the scoping).
-		p := newFixedPlanner(env, layout, cfg.Flow, SyncPartitionFree, lv.P, format, Placement{}, cfg.Trace)
+		p := newFixedPlanner(env, layout, cfg.Flow, SyncPartitionFree, lv.P, format, cfg.Trace)
 		p.io = newIOPlanner(cfg, StreamExecWorkers(lv.P, workers, budgetCap), false)
 		return p
 	}

@@ -207,15 +207,15 @@ func TestIOPlannerBudgetFloorFeedsAllWorkers(t *testing.T) {
 
 func TestStreamWorkersClampsAndSheds(t *testing.T) {
 	src := &fakeSource{n: 100} // GridP() == 1
-	if got := streamWorkers(src, 32, DefaultStreamMemoryBudget); got != 1 {
+	if got := StreamExecWorkers(src.GridP(), 32, DefaultStreamMemoryBudget); got != 1 {
 		t.Fatalf("32 workers on a 1x1 grid -> %d, want 1 (one worker per column at most)", got)
 	}
 	wide := &fakeGridSource{fakeSource: fakeSource{n: 100}, p: 64}
-	if got := streamWorkers(wide, 32, DefaultStreamMemoryBudget); got != 32 {
+	if got := StreamExecWorkers(wide.GridP(), 32, DefaultStreamMemoryBudget); got != 32 {
 		t.Fatalf("roomy budget shed workers: %d", got)
 	}
 	// 4 KiB cannot feed two workers' minimal buffers (2*2*64*24 = 6 KiB).
-	if got := streamWorkers(wide, 8, 4<<10); got != 1 {
+	if got := StreamExecWorkers(wide.GridP(), 8, 4<<10); got != 1 {
 		t.Fatalf("4 KiB budget kept %d workers, want 1", got)
 	}
 }

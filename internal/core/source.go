@@ -184,10 +184,6 @@ func RunStreamed(src Source, alg Algorithm, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	workers := resolveWorkers(cfg)
-	alpha := cfg.PushPullAlpha
-	if alpha <= 0 {
-		alpha = DefaultPushPullAlpha
-	}
 
 	// The algorithms' Init/InitialFrontier only consult vertex-level
 	// metadata, so a graph shim with an empty edge array serves them.
@@ -198,17 +194,7 @@ func RunStreamed(src Source, alg Algorithm, cfg Config) (*Result, error) {
 	if dp, ok := alg.(degreePreset); ok {
 		dp.SetOutDegrees(src.OutDegrees())
 	}
-	if wb, ok := alg.(WorkerBound); ok {
-		wb.SetWorkers(workers)
-	}
-	if pb, ok := alg.(ParallelBound); ok {
-		pb.SetParallelFor(parallelFor(cfg))
-	}
-	alg.Init(shim)
-	frontier := alg.InitialFrontier(shim)
-	res := &Result{Algorithm: alg.Name()}
 
-	r := newStreamRunner(src, alg, workers)
 	// The pool ceiling is the configured budget: the planner's per-pass
 	// budgets only ever move below it, so the source sizes its recycled
 	// buffers once.
@@ -216,92 +202,15 @@ func RunStreamed(src Source, alg Algorithm, cfg Config) (*Result, error) {
 	if budgetCap <= 0 {
 		budgetCap = DefaultStreamMemoryBudget
 	}
-	pl := newStreamPlanner(src, cfg, workers, budgetCap, alpha, !alg.Dense(), multiSourceWidth(alg))
-
-	rec := cfg.Trace
-	var labeler *planLabeler
-	var schedBefore sched.PoolCounters
-	var ioStart SourceStats
-	schedCounters := schedCountersFn(cfg)
-	if rec != nil {
-		rec.SetNumVertices(src.NumVertices())
-		labeler = newPlanLabeler(rec)
-		schedBefore = schedCounters()
-		ioStart = src.Stats()
-	}
-
-	start := time.Now()
-	for iter := 0; ; iter++ {
-		if cfg.MaxIterations > 0 && iter >= cfg.MaxIterations {
-			break
-		}
-		if !alg.Dense() && frontier.IsEmpty() {
-			break
-		}
-
-		alg.BeforeIteration(iter)
-		iterStart := time.Now()
-		before := src.Stats()
-
-		plan := pl.Next(iter, frontier)
-		stats := IterationStats{
-			Iteration:      iter,
-			ActiveVertices: frontier.Count(),
-			ActiveEdges:    frontier.OutEdges(),
-			Plan:           plan,
-			UsedPull:       plan.Flow == Pull,
-		}
-		passWorkers := workers
-		if plan.IO.StreamWorkers > 0 {
-			passWorkers = plan.IO.StreamWorkers
-		}
-		opt := StreamOptions{
-			Workers:         passWorkers,
-			WorkersCap:      workers,
-			MemoryBudget:    plan.IO.MemoryBudget,
-			MemoryBudgetCap: budgetCap,
-			PrefetchDepth:   plan.IO.PrefetchDepth,
-			GridLevel:       plan.GridLevel,
-			Lease:           cfg.Lease,
-			Trace:           rec,
-		}
-
-		next, err := r.step(frontier, plan.Flow, opt)
-		if err != nil {
-			return nil, err
-		}
-
-		stats.Duration = time.Since(iterStart)
-		io := src.Stats().Sub(before)
-		stats.IOWait = io.IOWait
-		if hidden := io.IOTime - io.IOWait; hidden > 0 {
-			stats.IOHidden = hidden
-		}
-		res.PerIteration = append(res.PerIteration, stats)
-		res.Iterations++
-		if labeler != nil {
-			labeler.emitIteration(iterStart, stats)
-		}
-		pl.Observe(plan, stats)
-
-		converged := alg.AfterIteration(iter)
-		if !alg.Dense() {
-			frontier = next
-		}
-		if converged {
-			break
-		}
-	}
-	res.AlgorithmTime = time.Since(start)
-	res.IO = src.Stats()
-	if ap, ok := pl.(*adaptivePlanner); ok {
-		res.PlanCosts = ap.measuredCosts()
-	}
-	if rec != nil {
-		ioDiff := res.IO.Sub(ioStart)
-		finishRunTrace(rec, res, schedCounters().Sub(schedBefore), &ioDiff)
-	}
-	return res, nil
+	r := newStreamRunner(src, alg, StreamOptions{
+		Workers:         workers,
+		WorkersCap:      workers,
+		MemoryBudgetCap: budgetCap,
+		Lease:           cfg.Lease,
+		Trace:           cfg.Trace,
+	})
+	pl := newStreamPlanner(src, cfg, workers, budgetCap, resolveAlpha(cfg), !alg.Dense(), multiSourceWidth(alg))
+	return iterate(shim, alg, cfg, workers, pl, src, r.step)
 }
 
 // StreamExecWorkers returns the number of workers a streamed pass actually
@@ -343,31 +252,35 @@ func StreamDepthCap(workers int, budgetCap int64) int {
 	return depth
 }
 
-// streamWorkers resolves StreamExecWorkers for a source.
-func streamWorkers(src Source, workers int, budgetCap int64) int {
-	return StreamExecWorkers(src.GridP(), workers, budgetCap)
-}
-
 // streamRunner owns the per-run state of a streamed execution: the stepper
-// (same kernels, span and frontier double-buffering as the in-memory runner)
-// and the visit body, bound once so the per-iteration loop allocates nothing
-// of its own.
+// (same kernels, span and frontier double-buffering as the in-memory runner),
+// the pass options that hold for the whole run, and the visit body, bound
+// once so the per-iteration loop allocates nothing of its own.
 type streamRunner struct {
 	stepper
 	src   Source
+	opt   StreamOptions // run-wide fields; step fills in the plan's per pass
 	visit func(worker int, edges []graph.Edge)
 }
 
-func newStreamRunner(src Source, alg Algorithm, workers int) *streamRunner {
-	r := &streamRunner{stepper: newStepper(alg, src.NumVertices(), workers), src: src}
+func newStreamRunner(src Source, alg Algorithm, opt StreamOptions) *streamRunner {
+	r := &streamRunner{stepper: newStepper(alg, src.NumVertices(), opt.Workers), src: src, opt: opt}
 	r.visit = r.edges
 	return r
 }
 
-// step runs one streamed pass and returns the next frontier (nil for dense
-// algorithms). Column ownership makes every streamed cell an owned span.
-func (r *streamRunner) step(frontier *graph.Frontier, flow Flow, opt StreamOptions) (*graph.Frontier, error) {
-	r.begin(flow, SyncPartitionFree, frontier)
+// step runs one streamed pass under plan and returns the next frontier (nil
+// for dense algorithms). Column ownership makes every streamed cell an owned
+// span.
+func (r *streamRunner) step(plan StepPlan, frontier *graph.Frontier) (*graph.Frontier, error) {
+	opt := r.opt
+	if plan.IO.StreamWorkers > 0 {
+		opt.Workers = plan.IO.StreamWorkers
+	}
+	opt.MemoryBudget = plan.IO.MemoryBudget
+	opt.PrefetchDepth = plan.IO.PrefetchDepth
+	opt.GridLevel = plan.GridLevel
+	r.begin(plan.Flow, SyncPartitionFree, frontier)
 	r.span.Bits = frontier.Bitmap()
 	err := r.src.StreamCells(opt, r.visit)
 	next := r.finish()

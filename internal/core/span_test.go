@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"regexp"
 	"sync"
 	"testing"
 
@@ -321,6 +322,73 @@ func TestSpanKernelsMatchPerEdgeAdapter(t *testing.T) {
 						})
 					})
 				}
+			}
+		}
+	}
+}
+
+// TestRunAndRunStreamedIterateAlike: Run and RunStreamed are one iteration
+// loop behind two step functions, so the same grid run in memory
+// (grid/pull/no-lock) and through the streamed source takes the same
+// iterations over the same frontiers under the same plans — up to the
+// streamed labels' "@s<format>" and "[d<depth> <budget>]" provenance — and
+// leaves the same bits, through both of the loop's exits: PageRank (dense)
+// stops at the MaxIterations cap, BFS (tracked) on the empty frontier.
+func TestRunAndRunStreamedIterateAlike(t *testing.T) {
+	streamTokens := regexp.MustCompile(`@s\d+|\[[^\]]*\]`)
+	// PageRank would run 3 iterations of its own: the cap of 2 ends the run.
+	caps := map[string]int{"pagerank": 2, "bfs": 0}
+	for _, sg := range spanGraphs(t) {
+		src := &gridSource{grid: sg.g.Grid, undirected: !sg.g.Directed}
+		for _, a := range spanAlgos {
+			maxIterations, ok := caps[a.name]
+			if !ok {
+				continue
+			}
+			if a.name == "pagerank" && !sg.g.Directed {
+				// Not the same computation: in memory an undirected self-loop
+				// counts twice towards its vertex's degree (once as source,
+				// once as destination of the stored edge), while the mirrored
+				// grid — all a source has — holds it once.
+				continue
+			}
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%s/w%d", sg.name, a.name, workers), func(t *testing.T) {
+					cfg := Config{Layout: graph.LayoutGrid, Flow: Pull, Sync: SyncPartitionFree,
+						Workers: workers, MaxIterations: maxIterations}
+					memAlg, memResult := a.make()
+					mem, err := Run(sg.g, memAlg, cfg)
+					if err != nil {
+						t.Fatalf("Run: %v", err)
+					}
+					strAlg, strResult := a.make()
+					str, err := RunStreamed(src, strAlg, cfg)
+					if err != nil {
+						t.Fatalf("RunStreamed: %v", err)
+					}
+					if maxIterations > 0 && mem.Iterations != maxIterations {
+						t.Fatalf("Run took %d iterations, want the cap %d", mem.Iterations, maxIterations)
+					}
+					if str.Iterations != mem.Iterations || len(str.PerIteration) != len(mem.PerIteration) {
+						t.Fatalf("iterations: streamed %d (%d recorded), in-memory %d (%d recorded)",
+							str.Iterations, len(str.PerIteration), mem.Iterations, len(mem.PerIteration))
+					}
+					for i, m := range mem.PerIteration {
+						s := str.PerIteration[i]
+						if s.ActiveVertices != m.ActiveVertices {
+							t.Fatalf("iteration %d: streamed %d active vertices, in-memory %d", i, s.ActiveVertices, m.ActiveVertices)
+						}
+						if got := streamTokens.ReplaceAllString(s.Plan.String(), ""); got != m.Plan.String() {
+							t.Fatalf("iteration %d: streamed plan %q, in-memory %q", i, s.Plan, m.Plan)
+						}
+					}
+					got, want := strResult(), memResult()
+					for v := range want {
+						if got[v] != want[v] {
+							t.Fatalf("vertex %d: streamed %#x, in-memory %#x", v, got[v], want[v])
+						}
+					}
+				})
 			}
 		}
 	}

@@ -44,29 +44,14 @@ func (l *planLabeler) emitIteration(iterStart time.Time, stats IterationStats) {
 // diffed by the caller against its counter source: the run's lease, or the
 // process-wide pool) and, for streamed runs, the source I/O delta — and
 // attaches the resulting snapshot to the result.
-func finishRunTrace(rec *trace.Recorder, res *Result, sc sched.PoolCounters, io *SourceStats) {
+func finishRunTrace(rec *trace.Recorder, res *Result, sc sched.PoolCounters, streamed bool, io SourceStats) {
 	rec.AddCounter("engine.iterations", int64(res.Iterations))
 	rec.AddCounter("engine.algorithm_ns", res.AlgorithmTime.Nanoseconds())
 	rec.AddCounter("sched.gang_loops", sc.GangLoops)
 	rec.AddCounter("sched.gang_joins", sc.GangJoins)
 	rec.AddCounter("sched.parks", sc.Parks)
 	rec.AddCounter("sched.unparks", sc.Unparks)
-	rec.AddCounter("sched.pins", sc.Pins)
-	rec.AddCounter("sched.unpins", sc.Unpins)
-	// Per-placement iteration counts: on a single-node (or non-Linux) host
-	// every iteration lands in placement_interleaved and placement_pinned is
-	// zero — the observable form of the placement degrade.
-	var inter, pinned int64
-	for i := range res.PerIteration {
-		if res.PerIteration[i].Plan.Placement.Kind == PlacePinned {
-			pinned++
-		} else {
-			inter++
-		}
-	}
-	rec.AddCounter("planner.placement_interleaved", inter)
-	rec.AddCounter("planner.placement_pinned", pinned)
-	if io != nil {
+	if streamed {
 		rec.AddCounter("oocore.reads", int64(io.Reads))
 		rec.AddCounter("oocore.bytes_read", io.BytesRead)
 		rec.AddCounter("oocore.io_time_ns", io.IOTime.Nanoseconds())

@@ -28,12 +28,11 @@ import (
 // version and virtual level ("grid/256@s1/...", "compressed/64@s2/...") —
 // before the provenance, a v1 and a v2 store of the same graph shared a
 // label and silently cross-seeded each other's measured byte costs.
-// Version 4: node-pinned plan labels carry their NUMA placement
-// ("grid/128/pull/no-lock@n0") — pinned and interleaved executions of the
-// same kernel measure different ns/edge (that is why placement is planned),
-// so their populations must never cross-seed, and a version-3 cache written
-// on a multi-socket host could hold interleaved measurements that a pinned
-// candidate would silently inherit.
+// Version 4: node-pinned plan labels carried their NUMA placement
+// ("grid/128/pull/no-lock@n0") so that pinned and interleaved measurements
+// of one kernel never cross-seeded. Pinning has since been removed; the
+// version stays, because an "@n<K>" entry left in a version-4 file matches
+// no candidate and is ignored like any unknown key.
 const Version = 4
 
 // File is the decoded cache: per run label (see Key), the measured ns per

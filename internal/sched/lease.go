@@ -31,19 +31,6 @@ type Lease struct {
 	loopD    loopDesc
 	released bool
 
-	// CPU-affinity pin state (see Pin). pinned and pinMask are guarded by
-	// pool.mu; pinSeq is bumped after every state change so workers notice
-	// with one uncontended atomic load per scheduling round. selfPin is the
-	// holder goroutine's own thread pin (holder-only, no locking).
-	pinned  bool
-	pinMask CPUSet
-	pinSeq  atomic.Uint32
-	selfPin workerPin
-	// pinHolders counts the pool workers whose threads are (or are about to
-	// be) pinned on this lease's behalf; guarded by pool.mu. Unpin and
-	// Release wait for it to drain — see awaitUnpinned.
-	pinHolders int
-
 	cGangLoops atomic.Int64
 	cGangJoins atomic.Int64
 }
@@ -90,9 +77,6 @@ func (l *Lease) Workers() int {
 
 // Release returns the lease's workers to the pool. The lease must be idle
 // (its holder issues loops synchronously, so after the run finishes it is).
-// When Release returns, no thread is pinned on the lease's behalf: a pinned
-// lease waits for its workers to restore their affinity masks, a lease that
-// was never pinned (or is already unpinned) returns without waiting.
 // Release is idempotent; the lease must not be used afterwards.
 func (l *Lease) Release() {
 	p := l.pool
@@ -102,7 +86,6 @@ func (l *Lease) Release() {
 		return
 	}
 	l.released = true
-	l.pinned = false
 	for _, w := range l.workers {
 		p.wleases[w].Store(nil)
 	}
@@ -114,88 +97,9 @@ func (l *Lease) Release() {
 		}
 	}
 	// Leased workers park on the lease's cond; wake them so they re-read
-	// their assignment and rejoin the global scheduling loop (unpinning on
-	// the way out).
-	l.cond.Broadcast()
-	l.awaitUnpinned()
-	p.mu.Unlock()
-	l.unpinSelf()
-}
-
-// awaitUnpinned blocks, with pool.mu held, until every worker that pinned
-// its thread for this lease has restored its mask. The caller has already
-// withdrawn the pin (or the workers) and broadcast; each holder acknowledges
-// through Pool.unpinWorker. A lease with no pinned worker does not wait.
-func (l *Lease) awaitUnpinned() {
-	for l.pinHolders > 0 {
-		l.cond.Wait()
-	}
-}
-
-// Pin restricts the lease's execution to the given CPUs: the calling
-// goroutine (the holder participates in every lease loop as worker 0) is
-// pinned immediately via LockOSThread + sched_setaffinity, and the lease's
-// pool workers pin themselves before joining their next loop. Pinning is
-// best-effort — on platforms without affinity support, with an empty CPU
-// list, or when the CPUs all fall outside a thread's allowed set (cgroup
-// cpuset), threads stay unpinned. The pool's Pins/Unpins counters record
-// what was actually applied. Re-pinning with a different CPU list is
-// allowed; Unpin or Release restores original masks.
-func (l *Lease) Pin(cpus []int) {
-	if !affinityOS || len(cpus) == 0 {
-		return
-	}
-	mask := MaskOf(cpus)
-	p := l.pool
-	p.mu.Lock()
-	if l.released || p.closed || p.stopped {
-		p.mu.Unlock()
-		return
-	}
-	l.pinned = true
-	l.pinMask = mask
-	l.pinSeq.Add(1)
-	// Parked workers must wake to apply the new mask before their next loop.
+	// their assignment and rejoin the global scheduling loop.
 	l.cond.Broadcast()
 	p.mu.Unlock()
-	l.pinSelf(&mask)
-}
-
-// Unpin restores the original thread affinity of the holder and of every
-// lease worker, and returns once they all have. No-op when the lease is not
-// pinned.
-func (l *Lease) Unpin() {
-	if !affinityOS {
-		return
-	}
-	p := l.pool
-	p.mu.Lock()
-	if l.pinned {
-		l.pinned = false
-		l.pinSeq.Add(1)
-		l.cond.Broadcast()
-		l.awaitUnpinned()
-	}
-	p.mu.Unlock()
-	l.unpinSelf()
-}
-
-// pinSelf pins the holder goroutine's thread. Holder-only state.
-func (l *Lease) pinSelf(mask *CPUSet) {
-	pin, unpin := l.selfPin.pin(mask)
-	if pin {
-		l.pool.cPins.Add(1)
-	}
-	if unpin {
-		l.pool.cUnpins.Add(1)
-	}
-}
-
-// unpinSelf restores the holder goroutine's thread affinity.
-func (l *Lease) unpinSelf() {
-	if l.selfPin.unpin() {
-		l.pool.cUnpins.Add(1)
-	}
 }
 
 // Counters returns the lease's gang counters, combined with the pool's
@@ -208,8 +112,6 @@ func (l *Lease) Counters() PoolCounters {
 		GangJoins: l.cGangJoins.Load(),
 		Parks:     p.cParks.Load(),
 		Unparks:   p.cUnparks.Load(),
-		Pins:      p.cPins.Load(),
-		Unpins:    p.cUnpins.Load(),
 	}
 }
 
@@ -302,11 +204,9 @@ func (l *Lease) ParallelForChunked(begin, end, chunk, p int, body func(lo, hi in
 
 // runLeased is the leased-mode body of a pool worker's scheduling loop: it
 // joins the lease's pending gang loop if any, otherwise parks on the lease's
-// condition variable until a new loop arrives, the lease's pin state changes
-// (pinSeq is the state the worker has applied; a mismatch sends it back to
-// the scheduling loop to re-sync), the lease is released, or the pool stops.
-// It returns true when the worker should exit (pool stopped).
-func (p *Pool) runLeased(worker int, l *Lease, lastSeq *uint64, pinSeq uint32) bool {
+// condition variable until a new loop arrives, the lease is released, or the
+// pool stops. It returns true when the worker should exit (pool stopped).
+func (p *Pool) runLeased(worker int, l *Lease, lastSeq *uint64) bool {
 	if l.loopSeq.Load() != *lastSeq {
 		p.mu.Lock()
 		*lastSeq = l.loopSeq.Load()
@@ -329,8 +229,7 @@ func (p *Pool) runLeased(worker int, l *Lease, lastSeq *uint64, pinSeq uint32) b
 	}
 	p.mu.Lock()
 	parked := false
-	for p.wleases[worker].Load() == l && !p.stopped && l.pinSeq.Load() == pinSeq &&
-		!(l.loop != nil && l.loopSeq.Load() != *lastSeq) {
+	for p.wleases[worker].Load() == l && !p.stopped && !(l.loop != nil && l.loopSeq.Load() != *lastSeq) {
 		if !parked {
 			parked = true
 			p.cParks.Add(1)

@@ -36,6 +36,37 @@ func TestLeaseGrantWorkersAndRelease(t *testing.T) {
 	b.Release()
 }
 
+// TestLeaseChurnReturnsEveryWorker: Release hands back every worker each
+// time, so a pool that is leased, driven and released round after round
+// grants the full width every round — a worker passed from a released lease
+// straight to the next one serves only the new lease's loops — and every
+// chunk of every loop runs exactly once.
+func TestLeaseChurnReturnsEveryWorker(t *testing.T) {
+	p := NewPool(3)
+	defer p.Close()
+	var hits [64]int32
+	for round := 0; round < 50; round++ {
+		l := p.Lease(4)
+		if got := l.Workers(); got != 4 {
+			t.Fatalf("round %d: Workers() = %d, want 4 (3 granted + caller)", round, got)
+		}
+		for i := range hits {
+			hits[i] = 0
+		}
+		l.ParallelForWorker(0, len(hits), 1, 4, func(worker, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				hits[i]++ // chunks are disjoint: racy iff one runs twice
+			}
+		})
+		for i, h := range hits {
+			if h != 1 {
+				t.Fatalf("round %d: chunk %d executed %d times", round, i, h)
+			}
+		}
+		l.Release()
+	}
+}
+
 func TestLeaseZeroWorkersRunsSerially(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()

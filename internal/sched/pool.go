@@ -47,12 +47,6 @@ type Pool struct {
 	wleases []atomic.Pointer[Lease]
 	leases  []*Lease
 
-	// Per-worker CPU-affinity pin state (see Lease.Pin). wpins[w] and
-	// wpinFor[w] — the lease worker w is registered with as a pin holder —
-	// are only touched by worker w's own goroutine.
-	wpins   []workerPin
-	wpinFor []*Lease
-
 	// Lifetime observability counters (see Counters). Atomics rather than
 	// mu-guarded ints so the park/unpark accounting never extends a critical
 	// section; callers diff them around a run.
@@ -60,8 +54,6 @@ type Pool struct {
 	cGangJoins atomic.Int64
 	cParks     atomic.Int64
 	cUnparks   atomic.Int64
-	cPins      atomic.Int64
-	cUnpins    atomic.Int64
 }
 
 // PoolCounters is a point-in-time snapshot of a pool's lifetime scheduling
@@ -78,12 +70,6 @@ type PoolCounters struct {
 	// can lag Parks by up to Workers() while workers are currently parked.
 	Parks   int64
 	Unparks int64
-	// Pins counts threads actually pinned to a CPU set via Lease.Pin
-	// (workers and lease holders); Unpins counts the restorations. On
-	// non-Linux hosts — or when placement degrades to interleaved — both
-	// stay zero. Unpins can lag Pins while a lease is still pinned.
-	Pins   int64
-	Unpins int64
 }
 
 // Sub returns the counter-wise difference c - o.
@@ -93,8 +79,6 @@ func (c PoolCounters) Sub(o PoolCounters) PoolCounters {
 		GangJoins: c.GangJoins - o.GangJoins,
 		Parks:     c.Parks - o.Parks,
 		Unparks:   c.Unparks - o.Unparks,
-		Pins:      c.Pins - o.Pins,
-		Unpins:    c.Unpins - o.Unpins,
 	}
 }
 
@@ -105,8 +89,6 @@ func (p *Pool) Counters() PoolCounters {
 		GangJoins: p.cGangJoins.Load(),
 		Parks:     p.cParks.Load(),
 		Unparks:   p.cUnparks.Load(),
-		Pins:      p.cPins.Load(),
-		Unpins:    p.cUnpins.Load(),
 	}
 }
 
@@ -225,8 +207,6 @@ func NewPool(p int) *Pool {
 		workers: p,
 		deques:  make([]*deque, p),
 		wleases: make([]atomic.Pointer[Lease], p),
-		wpins:   make([]workerPin, p),
-		wpinFor: make([]*Lease, p),
 	}
 	pool.cond = sync.NewCond(&pool.mu)
 	for i := range pool.deques {
@@ -306,32 +286,21 @@ func (p *Pool) run(worker int) {
 	var lastLoop uint64 // loopSeq of the last gang loop this worker saw
 	var lastLease *Lease
 	var lastLeaseSeq uint64 // loopSeq of the last lease loop this worker saw
-	var lastPinSeq uint32   // pinSeq of the lease pin state this worker applied
 	for {
 		// A leased worker serves only its lease: it joins the lease's gang
 		// loops and parks on the lease's condition variable, so two leased
 		// runs (or a leased run and the global pool) never contend for the
 		// same workers.
-		l := p.wleases[worker].Load()
-		if l != lastLease {
-			// Leaving a lease (released, or handed straight to another one)
-			// restores the thread's mask and tells the old lease so.
-			p.unpinWorker(worker)
-			lastLease, lastLeaseSeq, lastPinSeq = l, 0, 0
-		}
-		if l != nil {
-			// Apply the lease's pin state before joining any of its loops:
-			// pinSeq changes (rare) publish a new mask or an unpin request.
-			if s := l.pinSeq.Load(); s != lastPinSeq {
-				lastPinSeq = s
-				p.syncPin(worker, l)
+		if l := p.wleases[worker].Load(); l != nil {
+			if l != lastLease {
+				lastLease, lastLeaseSeq = l, 0
 			}
-			if p.runLeased(worker, l, &lastLeaseSeq, lastPinSeq) {
-				p.unpinWorker(worker)
+			if p.runLeased(worker, l, &lastLeaseSeq) {
 				return
 			}
 			continue
 		}
+		lastLease = nil
 
 		// Gang loops take priority over queued tasks: they are
 		// latency-sensitive (the caller is blocked on completion). The
@@ -394,53 +363,6 @@ func (p *Pool) run(worker int) {
 			p.mu.Unlock()
 			return
 		}
-		p.mu.Unlock()
-	}
-}
-
-// syncPin brings worker's thread affinity in line with its lease's current
-// pin state. Runs on the worker's own goroutine; the mask snapshot is taken
-// under mu because the lease holder updates it there. A worker that finds
-// the lease pinned registers as a pin holder in the same critical section,
-// before it touches its thread, so an Unpin or Release that follows cannot
-// miss a pin in flight.
-func (p *Pool) syncPin(worker int, l *Lease) {
-	if !affinityOS {
-		return
-	}
-	p.mu.Lock()
-	pinned, mask := l.pinned, l.pinMask
-	if pinned && p.wpinFor[worker] == nil {
-		p.wpinFor[worker] = l
-		l.pinHolders++
-	}
-	p.mu.Unlock()
-	if !pinned {
-		p.unpinWorker(worker)
-		return
-	}
-	pin, unpin := p.wpins[worker].pin(&mask)
-	if pin {
-		p.cPins.Add(1)
-	}
-	if unpin {
-		p.cUnpins.Add(1)
-	}
-}
-
-// unpinWorker restores worker's original thread affinity if a pin is in
-// effect, and acknowledges it to the lease the worker pinned for (whose
-// Unpin or Release may be waiting). Cheap (two checks) when not pinned, so
-// the scheduling loop calls it unconditionally on every lease exit.
-func (p *Pool) unpinWorker(worker int) {
-	if p.wpins[worker].unpin() {
-		p.cUnpins.Add(1)
-	}
-	if l := p.wpinFor[worker]; l != nil {
-		p.wpinFor[worker] = nil
-		p.mu.Lock()
-		l.pinHolders--
-		l.cond.Broadcast()
 		p.mu.Unlock()
 	}
 }
