@@ -33,9 +33,11 @@ loc:
 # Engine benchmarks with allocation accounting: BFS and PageRank on
 # RMAT-scale-16 (the perf-trajectory acceptance configuration), the
 # span-versus-adapter kernel pairs (ns/edge), plus the out-of-core streamed
-# PageRank.
+# PageRank; then what comes before the first iteration: the binary loader
+# (MB/s) and the adjacency builders (ns/edge).
 bench:
 	$(GO) test -run '^$$' -bench 'BFS|PageRank|Span' -benchmem ./internal/core/ ./internal/oocore/
+	$(GO) test -run '^$$' -bench 'ReadBinary|WriteBinary|BuildAdjacency' -benchmem ./internal/storage/ ./internal/prep/
 
 # Adaptive-planner cases only: auto BFS/PageRank against their fixed
 # counterparts (the fixed-vs-auto comparison of the acceptance criterion),

@@ -17,6 +17,8 @@ package graph
 import (
 	"fmt"
 	"sync"
+
+	"github.com/epfl-repro/everythinggraph/internal/sched"
 )
 
 // VertexID identifies a vertex. Graphs in the evaluated size range (up to a
@@ -66,23 +68,22 @@ type sharedDegrees struct {
 // NumEdges returns the number of stored (directed) edges.
 func (ea *EdgeArray) NumEdges() int { return len(ea.Edges) }
 
-// MaxVertex scans the edges and returns one plus the largest endpoint, i.e.
-// the minimal consistent NumVertices value.
+// edgeScanChunk is the number of edges a worker takes at a time in the
+// scans over the whole edge array below; a smaller array is scanned serially.
+const edgeScanChunk = 1 << 16
+
+// MaxVertex scans the edges (in parallel) and returns one plus the largest
+// endpoint, i.e. the minimal consistent NumVertices value.
 func MaxVertex(edges []Edge) int {
-	maxV := VertexID(0)
-	seen := false
-	for _, e := range edges {
-		seen = true
-		if e.Src > maxV {
-			maxV = e.Src
-		}
-		if e.Dst > maxV {
-			maxV = e.Dst
-		}
-	}
-	if !seen {
+	if len(edges) == 0 {
 		return 0
 	}
+	maxV := sched.ParallelReduce(0, len(edges), edgeScanChunk, 0, VertexID(0), func(lo, hi int, acc VertexID) VertexID {
+		for _, e := range edges[lo:hi] {
+			acc = max(acc, e.Src, e.Dst)
+		}
+		return acc
+	}, func(a, b VertexID) VertexID { return max(a, b) })
 	return int(maxV) + 1
 }
 
@@ -213,19 +214,44 @@ func (ea *EdgeArray) shared(t *sharedDegrees, count func() []uint32) []uint32 {
 }
 
 // OutDegrees computes the out-degree of every vertex from the edge array.
-func (ea *EdgeArray) OutDegrees() []uint32 {
-	deg := make([]uint32, ea.NumVertices)
-	for _, e := range ea.Edges {
-		deg[e.Src]++
-	}
-	return deg
-}
+func (ea *EdgeArray) OutDegrees() []uint32 { return ea.degrees(false) }
 
 // InDegrees computes the in-degree of every vertex from the edge array.
-func (ea *EdgeArray) InDegrees() []uint32 {
-	deg := make([]uint32, ea.NumVertices)
-	for _, e := range ea.Edges {
-		deg[e.Dst]++
-	}
+func (ea *EdgeArray) InDegrees() []uint32 { return ea.degrees(true) }
+
+// degrees counts the edges per source (or destination, if byDst). Workers
+// count chunks of the edge array into tables of their own, which are then
+// summed; a table per worker is only worth its zeroing and summing when the
+// edges outnumber the vertices, so the worker count is capped by that ratio.
+func (ea *EdgeArray) degrees(byDst bool) []uint32 {
+	n, edges := ea.NumVertices, ea.Edges
+	p := min(sched.MaxWorkers(), len(edges)/max(n, 1)+1)
+	partial := make([][]uint32, p)
+	partial[0] = make([]uint32, n)
+	sched.ParallelForWorker(0, len(edges), edgeScanChunk, p, func(w, lo, hi int) {
+		if partial[w] == nil {
+			partial[w] = make([]uint32, n)
+		}
+		deg := partial[w]
+		if byDst {
+			for _, e := range edges[lo:hi] {
+				deg[e.Dst]++
+			}
+		} else {
+			for _, e := range edges[lo:hi] {
+				deg[e.Src]++
+			}
+		}
+	})
+	deg := partial[0]
+	sched.ParallelForChunked(0, n, edgeScanChunk, p, func(lo, hi int) {
+		for _, other := range partial[1:] {
+			if other != nil {
+				for v := lo; v < hi; v++ {
+					deg[v] += other[v]
+				}
+			}
+		}
+	})
 	return deg
 }

@@ -94,6 +94,34 @@ func TestOutInDegrees(t *testing.T) {
 	}
 }
 
+// TestParallelEdgeScansMatchSerial: above edgeScanChunk edges MaxVertex and
+// the degree tables are reduced from per-worker partials; the results are
+// those of one serial scan, including with fewer edges than vertices.
+func TestParallelEdgeScansMatchSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, n := range []int{1, 1000, 1 << 20} {
+		edges := make([]Edge, 5*edgeScanChunk+123)
+		wantOut, wantIn := make([]uint32, n), make([]uint32, n)
+		wantMax := 0
+		for i := range edges {
+			// Squaring skews the endpoints towards a few hub vertices.
+			s, d := rng.Intn(n), rng.Intn(n)
+			s, d = s*s/n, d*d/n
+			edges[i] = Edge{Src: VertexID(s), Dst: VertexID(d)}
+			wantOut[s]++
+			wantIn[d]++
+			wantMax = max(wantMax, s+1, d+1)
+		}
+		if got := MaxVertex(edges); got != wantMax {
+			t.Errorf("n=%d: MaxVertex = %d, want %d", n, got, wantMax)
+		}
+		ea := NewEdgeArray(edges, n)
+		if !slices.Equal(ea.OutDegrees(), wantOut) || !slices.Equal(ea.InDegrees(), wantIn) {
+			t.Errorf("n=%d: parallel degree tables differ from the serial count", n)
+		}
+	}
+}
+
 // TestSharedDegreesCountedOncePerGraph: the shared tables come from one scan
 // — later calls return the same array — and are recounted only when the
 // edge slice has changed length.

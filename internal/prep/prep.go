@@ -8,20 +8,28 @@
 //   - CountSort: two passes over the edge array — count per-vertex degrees,
 //     then place every edge at its final offset (the approach used by most
 //     frameworks, optimal in number of scans);
-//   - RadixSort: a parallel least-significant-digit radix sort with 8-bit
-//     digits (256 buckets), the approach the paper finds to be the fastest
-//     when the input is already in memory because buckets are written
-//     sequentially and therefore with good cache locality.
+//   - RadixSort: the paper's fastest method when the input is already in
+//     memory, because every pass writes a small number of sequential
+//     streams. The paper sorts the edge array with 8-bit digits and slices
+//     it into CSR; the builder here (radix.go) reads the input once for
+//     per-chunk histograms, partitions it by the key's high bits into
+//     buckets whose vertex range fits the L1 cache, and counting-sorts each
+//     bucket straight into the CSR arrays — two scatters whatever the key
+//     width.
 //
-// All builders produce identical CSR structures; only their cost and cache
-// behaviour differ, which is exactly the trade-off Table 2 and Figure 2
-// measure.
+// Only the radix builder keeps a vertex's edges in input order, which makes
+// its output byte-identical for every worker count; the other two place
+// edges from parallel chunks in the order the chunks happen to run. All
+// three hold the same edges per vertex; their cost and cache behaviour
+// differ, which is the trade-off Table 2 and Figure 2 measure. Every builder
+// rejects an edge whose endpoint is outside [0, NumVertices) with an error.
 package prep
 
 import (
 	"fmt"
 
 	"github.com/epfl-repro/everythinggraph/internal/graph"
+	"github.com/epfl-repro/everythinggraph/internal/sched"
 )
 
 // Method selects how adjacency lists and grids are built from the edge
@@ -35,8 +43,8 @@ const (
 	// CountSort counts per-vertex degrees in a first pass and places edges
 	// at their final offsets in a second pass.
 	CountSort
-	// RadixSort sorts the edge array by key (source or destination vertex)
-	// with a parallel 8-bit-digit radix sort and then slices it into CSR.
+	// RadixSort partitions the edges by the high bits of the key (source or
+	// destination vertex) and counting-sorts each bucket into CSR.
 	RadixSort
 )
 
@@ -97,10 +105,18 @@ type Options struct {
 }
 
 // BuildAdjacency builds the requested per-vertex edge arrays from the
-// graph's edge array and attaches them to g (g.Out and/or g.In).
+// graph's edge array and attaches them to g (g.Out and/or g.In). An edge
+// with an endpoint outside [0, NumVertices) is an error, whatever the method.
 func BuildAdjacency(g *graph.Graph, dir Direction, opt Options) error {
 	edges := g.EdgeArray.Edges
 	n := g.NumVertices()
+	// The radix builder checks the range in its histogram read; the doubled
+	// array would give it other edge numbers than the input's.
+	if opt.Method != RadixSort || opt.Undirected {
+		if err := checkRange(edges, n, opt.Workers); err != nil {
+			return err
+		}
+	}
 	if opt.Undirected {
 		edges = graph.Undirect(edges)
 	}
@@ -111,7 +127,7 @@ func BuildAdjacency(g *graph.Graph, dir Direction, opt Options) error {
 		case CountSort:
 			return buildCountSort(edges, n, byDst, opt.Workers), nil
 		case RadixSort:
-			return buildRadixSort(edges, n, byDst, opt.Workers), nil
+			return buildRadixSort(edges, n, byDst, opt.Workers)
 		default:
 			return nil, fmt.Errorf("prep: unknown method %v", opt.Method)
 		}
@@ -145,6 +161,9 @@ func BuildAdjacency(g *graph.Graph, dir Direction, opt Options) error {
 func BuildGrid(g *graph.Graph, requestedP int, opt Options) error {
 	edges := g.EdgeArray.Edges
 	n := g.NumVertices()
+	if err := checkRange(edges, n, opt.Workers); err != nil {
+		return err
+	}
 	if opt.Undirected {
 		edges = graph.Undirect(edges)
 	}
@@ -182,6 +201,27 @@ func BuildCompressedGrid(g *graph.Graph, requestedP int, opt Options) error {
 	}
 	g.Compressed = graph.CompressGrid(g.Grid)
 	return nil
+}
+
+// checkRange returns rangeError for the first edge with an endpoint outside
+// [0, numVertices), which every builder would otherwise index out of range.
+func checkRange(edges []graph.Edge, numVertices, workers int) error {
+	first := sched.ParallelReduce(0, len(edges), 1<<16, workers, len(edges), func(lo, hi, first int) int {
+		for i := lo; i < min(hi, first); i++ {
+			if int(edges[i].Src) >= numVertices || int(edges[i].Dst) >= numVertices {
+				return i
+			}
+		}
+		return first
+	}, func(a, b int) int { return min(a, b) })
+	if first < len(edges) {
+		return rangeError(edges, first, numVertices)
+	}
+	return nil
+}
+
+func rangeError(edges []graph.Edge, i, numVertices int) error {
+	return fmt.Errorf("prep: edge %d (%d->%d) out of range (numVertices=%d)", i, edges[i].Src, edges[i].Dst, numVertices)
 }
 
 // edgeKey returns the sort key of an edge for the requested direction.

@@ -1,5 +1,28 @@
 package prep
 
+// The radix builder: an MSD partition followed by a per-bucket counting
+// pass, three trips over the data in all.
+//
+//  1. One read of the input fills, for each of a few contiguous chunks, a
+//     histogram of the key's high bits, and rejects any endpoint outside
+//     [0, numVertices). This read is the only part of the build that could
+//     run while the input is still arriving from storage.
+//  2. A prefix sum in (bucket-major, chunk-minor) order gives every
+//     (chunk, bucket) pair its output window, and the chunks scatter their
+//     edges into those windows in parallel. Each bucket then holds the edges
+//     of one contiguous vertex range, in input order. The scatter is skipped
+//     when a single bucket holds every edge: the input is that bucket.
+//  3. Buckets are processed in parallel. A bucket's vertex range is small
+//     enough (at most 2^12 vertices for up to 2^24 keys) that its counters
+//     stay in the L1 cache: count the bucket's edges per vertex, turn the
+//     counts into offsets — which are the CSR Index entries of that range —
+//     and place every target and weight at its final position.
+//
+// Both scatters keep edges with equal keys in input order, so the result is
+// the one a stable sort by key produces. The second scatter writes Targets
+// and Weights directly: no sorted edge array exists at any point, and none
+// has to be scanned for key boundaries or split into columns afterwards.
+
 import (
 	"math/bits"
 
@@ -7,16 +30,16 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/sched"
 )
 
-// radixDigitBits is the digit width used by the radix sort. The paper uses
-// 8-bit digits (256 buckets), requiring log2(#vertices)/8 passes.
+// radixDigitBits is the digit width of the paper's radix sort (256 buckets
+// per pass).
 const radixDigitBits = 8
 
-// radixBuckets is the number of buckets per pass.
-const radixBuckets = 1 << radixDigitBits
-
-// radixPasses returns the number of digit passes needed to sort keys in
-// [0, numVertices).
-func radixPasses(numVertices int) int {
+// RadixPasses returns the number of passes an 8-bit-digit LSD radix sort
+// needs for keys in [0, numVertices): log2(#vertices)/8, rounded up. It is
+// the pass count of the paper's sort (Section 3.2), which the overlap model
+// of Section 3.4 is stated in; the builder below makes at most two scatters
+// whatever the key width.
+func RadixPasses(numVertices int) int {
 	if numVertices <= 1 {
 		return 1
 	}
@@ -24,141 +47,128 @@ func radixPasses(numVertices int) int {
 	return (keyBits + radixDigitBits - 1) / radixDigitBits
 }
 
-// radixSortEdges returns a copy of edges sorted (stably) by the requested
-// key vertex using a parallel least-significant-digit radix sort: for every
-// 8-bit digit, per-chunk bucket histograms are computed in parallel, a
-// global exclusive scan assigns each (bucket, chunk) pair its output window,
-// and chunks scatter their edges into those windows in parallel. Buckets are
-// therefore written sequentially by each worker, which is the property that
-// gives radix sort its cache advantage over count sort (Table 2).
-func radixSortEdges(edges []graph.Edge, numVertices int, byDst bool, workers int) []graph.Edge {
-	n := len(edges)
-	src := make([]graph.Edge, n)
-	copy(src, edges)
-	if n < 2 {
-		return src
-	}
-	dst := make([]graph.Edge, n)
+const (
+	// bucketVertexBits bounds a bucket's vertex range so that its 2^12
+	// cursors (32 KB) stay in the L1 cache during the second scatter.
+	bucketVertexBits = 12
+	// maxBucketBits caps the first scatter at 4096 output streams; beyond
+	// 2^24 keys the buckets' vertex ranges grow instead.
+	maxBucketBits = 12
+	// minBucketBits asks for 64 buckets where there are that many vertices,
+	// so that the bucket-parallel pass has work to share out.
+	minBucketBits = 6
+	// chunksPerWorker is how many input chunks each worker gets on average,
+	// so that a worker that falls behind can leave chunks to the others.
+	chunksPerWorker = 4
+	// minChunkEdges keeps the per-chunk histograms small next to the chunks.
+	minChunkEdges = 4096
+)
 
+// buildRadixSort builds the CSR adjacency keyed by source (or destination,
+// if byDst) as described at the top of this file. edges is only read.
+func buildRadixSort(edges []graph.Edge, numVertices int, byDst bool, workers int) (*graph.Adjacency, error) {
+	m := len(edges)
+	adj := &graph.Adjacency{
+		Index:       make([]uint64, numVertices+1),
+		Targets:     make([]graph.VertexID, m),
+		Weights:     make([]graph.Weight, m),
+		NumVertices: numVertices,
+	}
+	if m == 0 {
+		return adj, nil
+	}
 	if workers <= 0 {
 		workers = sched.MaxWorkers()
 	}
-	// Chunk the input so every worker owns a contiguous region per pass.
-	chunkSize := (n + workers - 1) / workers
-	numChunks := (n + chunkSize - 1) / chunkSize
+	// The key splits into a bucket id (high bits) and a vertex within the
+	// bucket (low bits).
+	maxKey := max(numVertices, 1) - 1
+	keyBits := bits.Len(uint(maxKey))
+	lowBits := max(min(keyBits-minBucketBits, bucketVertexBits), keyBits-maxBucketBits, 0)
+	numBuckets := maxKey>>lowBits + 1
 
-	passes := radixPasses(numVertices)
-	counts := make([][]uint64, numChunks)
-	for c := range counts {
-		counts[c] = make([]uint64, radixBuckets)
-	}
+	numChunks := min(workers*chunksPerWorker, (m+minChunkEdges-1)/minChunkEdges)
+	chunkSize := (m + numChunks - 1) / numChunks
+	chunk := func(c int) []graph.Edge { return edges[c*chunkSize : min((c+1)*chunkSize, m)] }
 
-	for pass := 0; pass < passes; pass++ {
-		shift := uint(pass * radixDigitBits)
-
-		// Per-chunk histogram of the current digit.
-		sched.ParallelFor(0, numChunks, workers, func(c int) {
-			cnt := counts[c]
-			for b := range cnt {
-				cnt[b] = 0
-			}
-			lo := c * chunkSize
-			hi := lo + chunkSize
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				d := (edgeKey(src[i], byDst) >> shift) & (radixBuckets - 1)
-				cnt[d]++
-			}
-		})
-
-		// Exclusive scan in (bucket-major, chunk-minor) order: this gives a
-		// stable sort because chunk c's elements of bucket b precede chunk
-		// c+1's elements of bucket b.
-		var running uint64
-		for b := 0; b < radixBuckets; b++ {
-			for c := 0; c < numChunks; c++ {
-				v := counts[c][b]
-				counts[c][b] = running
-				running += v
-			}
-		}
-
-		// Scatter.
-		sched.ParallelFor(0, numChunks, workers, func(c int) {
-			offs := counts[c]
-			lo := c * chunkSize
-			hi := lo + chunkSize
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				d := (edgeKey(src[i], byDst) >> shift) & (radixBuckets - 1)
-				dst[offs[d]] = src[i]
-				offs[d]++
-			}
-		})
-
-		src, dst = dst, src
-	}
-	return src
-}
-
-// buildRadixSort builds a CSR adjacency by radix-sorting the edge array by
-// its key vertex and slicing the sorted array into per-vertex ranges
-// (Section 3.2: "Vertices use an index in the sorted edge array to point to
-// their outgoing edge array").
-func buildRadixSort(edges []graph.Edge, numVertices int, byDst bool, workers int) *graph.Adjacency {
-	sorted := radixSortEdges(edges, numVertices, byDst, workers)
-	adj := &graph.Adjacency{
-		Index:       make([]uint64, numVertices+1),
-		Targets:     make([]graph.VertexID, len(sorted)),
-		Weights:     make([]graph.Weight, len(sorted)),
-		NumVertices: numVertices,
-	}
-	n := len(sorted)
-	if n == 0 {
-		return adj
-	}
-
-	// Derive the CSR index from key boundaries in the sorted array. Every
-	// position i where the key changes (or i==0) defines the start of the
-	// range for all vertices in (previousKey, currentKey]. The gaps filled
-	// by different positions are disjoint, so the pass parallelizes without
-	// synchronization.
-	index := adj.Index
-	sched.ParallelForChunked(0, n, sched.DefaultChunkSize, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			cur := edgeKey(sorted[i], byDst)
-			if i == 0 {
-				for v := graph.VertexID(0); v <= cur; v++ {
-					index[v] = 0
+	// 1. Per-chunk histograms of the bucket id, and the range check.
+	hist := make([]uint64, numChunks*numBuckets)
+	bad := make([]int, numChunks) // first out-of-range edge of the chunk, or -1
+	sched.ParallelForChunked(0, numChunks, 1, workers, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			h := hist[c*numBuckets : (c+1)*numBuckets]
+			bad[c] = -1
+			for i, e := range chunk(c) {
+				if int(e.Src) >= numVertices || int(e.Dst) >= numVertices {
+					bad[c] = c*chunkSize + i
+					break
 				}
-				continue
-			}
-			prev := edgeKey(sorted[i-1], byDst)
-			if prev != cur {
-				for v := prev + 1; v <= cur; v++ {
-					index[v] = uint64(i)
-				}
+				h[edgeKey(e, byDst)>>lowBits]++
 			}
 		}
 	})
-	// Vertices after the last key, plus the terminator.
-	last := edgeKey(sorted[n-1], byDst)
-	for v := int(last) + 1; v <= numVertices; v++ {
-		index[v] = uint64(n)
+	for _, i := range bad {
+		if i >= 0 {
+			return nil, rangeError(edges, i, numVertices)
+		}
 	}
 
-	// Copy targets and weights in parallel.
-	sched.ParallelForChunked(0, n, sched.DefaultChunkSize, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			adj.Targets[i] = otherEnd(sorted[i], byDst)
-			adj.Weights[i] = sorted[i].W
+	// 2. Output windows, then the stable partition into buckets.
+	bucketStart := make([]uint64, numBuckets+1)
+	var running uint64
+	single := false
+	for b := 0; b < numBuckets; b++ {
+		bucketStart[b] = running
+		for c := 0; c < numChunks; c++ {
+			v := hist[c*numBuckets+b]
+			hist[c*numBuckets+b] = running
+			running += v
+		}
+		single = single || running-bucketStart[b] == uint64(m)
+	}
+	bucketStart[numBuckets] = running
+	buckets := edges
+	if !single {
+		buckets = make([]graph.Edge, m)
+		sched.ParallelForChunked(0, numChunks, 1, workers, func(lo, hi int) {
+			for c := lo; c < hi; c++ {
+				next := hist[c*numBuckets : (c+1)*numBuckets]
+				for _, e := range chunk(c) {
+					b := edgeKey(e, byDst) >> lowBits
+					buckets[next[b]] = e
+					next[b]++
+				}
+			}
+		})
+	}
+
+	// 3. Per bucket: count, offsets (= Index), place.
+	mask := graph.VertexID(1)<<lowBits - 1
+	cursors := make([]uint64, workers<<lowBits)
+	sched.ParallelForWorker(0, numBuckets, 1, workers, func(w, lo, hi int) {
+		cur := cursors[w<<lowBits : (w+1)<<lowBits]
+		for b := lo; b < hi; b++ {
+			bucket := buckets[bucketStart[b]:bucketStart[b+1]]
+			clear(cur)
+			for _, e := range bucket {
+				cur[edgeKey(e, byDst)&mask]++
+			}
+			pos := bucketStart[b]
+			index := adj.Index[b<<lowBits : min((b+1)<<lowBits, numVertices)]
+			for v := range index {
+				index[v] = pos
+				cur[v], pos = pos, pos+cur[v]
+			}
+			for _, e := range bucket {
+				k := edgeKey(e, byDst) & mask
+				adj.Targets[cur[k]] = otherEnd(e, byDst)
+				adj.Weights[cur[k]] = e.W
+				cur[k]++
+			}
 		}
 	})
-	return adj
+	adj.Index[numVertices] = uint64(m)
+	return adj, nil
 }
 
 // SortNeighborsParallel sorts every per-vertex edge array by neighbour id,

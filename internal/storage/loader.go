@@ -1,9 +1,6 @@
 package storage
 
 import (
-	"bufio"
-	"encoding/binary"
-	"fmt"
 	"io"
 	"time"
 
@@ -38,6 +35,8 @@ const DefaultLoadChunk = 1 << 20 / EdgeBytes
 // LoadOverlapped streams binary-format edges from r, simulating that the
 // bytes arrive from the given device, and invokes consume for every chunk as
 // it "arrives". It returns all edges plus the pipelined time accounting.
+// The chunks are sub-slices of the result, not copies: consume may keep
+// them but must not modify them.
 //
 // The device is a virtual clock: chunk i becomes available at
 // sum(loadTime(chunk_0..i)); the consumer starts a chunk when both the chunk
@@ -48,18 +47,13 @@ func LoadOverlapped(r io.Reader, dev Device, chunkEdges int, consume func(chunk 
 	if chunkEdges <= 0 {
 		chunkEdges = DefaultLoadChunk
 	}
-	br := bufio.NewReaderSize(r, 1<<20)
 	res := &LoadResult{}
 
 	var available time.Duration // virtual time at which the current chunk has arrived
 	var finished time.Duration  // virtual time at which the consumer finished the previous chunk
 
-	buf := make([]byte, EdgeBytes)
-	chunk := make([]graph.Edge, 0, chunkEdges)
-	flush := func() {
-		if len(chunk) == 0 {
-			return
-		}
+	consumed := 0 // edges handed to the consumer so far
+	flush := func(chunk []graph.Edge) {
 		res.Chunks++
 		// The chunk arrives after its bytes have streamed from the device.
 		available += dev.LoadTime(int64(len(chunk)) * EdgeBytes)
@@ -67,39 +61,28 @@ func LoadOverlapped(r io.Reader, dev Device, chunkEdges int, consume func(chunk 
 		if finished > start {
 			start = finished
 		}
-		var consumed time.Duration
+		var took time.Duration
 		if consume != nil {
 			t0 := time.Now()
 			consume(chunk)
-			consumed = time.Since(t0)
+			took = time.Since(t0)
 		}
-		res.ConsumeTime += consumed
-		finished = start + consumed
-		res.Edges = append(res.Edges, chunk...)
-		chunk = make([]graph.Edge, 0, chunkEdges)
+		res.ConsumeTime += took
+		finished = start + took
+		consumed += len(chunk)
 	}
-
-	for {
-		_, err := io.ReadFull(br, buf)
-		if err == io.EOF {
-			break
+	edges, err := readEdges(r, func(decoded []graph.Edge) {
+		for len(decoded)-consumed >= chunkEdges {
+			flush(decoded[consumed : consumed+chunkEdges])
 		}
-		if err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("storage: truncated edge record after %d edges", len(res.Edges)+len(chunk))
-		}
-		if err != nil {
-			return nil, fmt.Errorf("storage: read edge: %w", err)
-		}
-		chunk = append(chunk, graph.Edge{
-			Src: binary.LittleEndian.Uint32(buf[0:4]),
-			Dst: binary.LittleEndian.Uint32(buf[4:8]),
-			W:   weightFromBits(binary.LittleEndian.Uint32(buf[8:12])),
-		})
-		if len(chunk) == chunkEdges {
-			flush()
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
-	flush()
+	for consumed < len(edges) {
+		flush(edges[consumed:min(consumed+chunkEdges, len(edges))])
+	}
+	res.Edges = edges
 
 	res.LoadTime = dev.EdgeLoadTime(len(res.Edges))
 	res.EndToEnd = finished

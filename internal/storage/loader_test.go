@@ -10,11 +10,7 @@ import (
 
 func encodeEdges(t *testing.T, edges []graph.Edge) *bytes.Reader {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, edges); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	return bytes.NewReader(buf.Bytes())
+	return bytes.NewReader(encoded(t, edges))
 }
 
 func TestLoadOverlappedDeliversAllEdges(t *testing.T) {

@@ -18,12 +18,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/prep"
+	"github.com/epfl-repro/everythinggraph/internal/sched"
 )
 
 // EdgeBytes is the on-disk size of one edge in the binary format: two
@@ -79,6 +82,11 @@ func (d Device) EdgeLoadTime(numEdges int) time.Duration {
 //   - Radix sort needs the complete input resident before the digit passes
 //     can scatter, so only the first histogram pass (1/(2*passes) of the
 //     work) overlaps.
+//
+// The radix fraction is the paper's model of an 8-bit-digit LSD sort — a
+// histogram and a scatter per pass, prep.RadixPasses passes — which is what
+// Table 3 reproduces. It does not describe prep's radix builder, whose
+// overlappable part is exactly its one histogram read.
 func OverlapFraction(method prep.Method, numVertices int) float64 {
 	switch method {
 	case prep.Dynamic:
@@ -86,23 +94,10 @@ func OverlapFraction(method prep.Method, numVertices int) float64 {
 	case prep.CountSort:
 		return 0.5
 	case prep.RadixSort:
-		passes := radixPassesFor(numVertices)
-		return 1.0 / (2.0 * float64(passes))
+		return 1.0 / (2.0 * float64(prep.RadixPasses(numVertices)))
 	default:
 		return 0
 	}
-}
-
-// radixPassesFor mirrors the pass count of the radix builder (8-bit digits).
-func radixPassesFor(numVertices int) int {
-	passes := 0
-	for n := numVertices - 1; n > 0; n >>= 8 {
-		passes++
-	}
-	if passes == 0 {
-		passes = 1
-	}
-	return passes
 }
 
 // EndToEndPrep combines a simulated load time with a measured
@@ -133,16 +128,24 @@ func NewBinaryWriter(w io.Writer) *BinaryWriter {
 	return &BinaryWriter{bw: bufio.NewWriterSize(w, 1<<20)}
 }
 
-// Write appends a batch of edges.
+// Write appends a batch of edges, encoding as many at a time as fit in the
+// free part of the buffer.
 func (w *BinaryWriter) Write(edges []graph.Edge) error {
-	var buf [EdgeBytes]byte
-	for _, e := range edges {
-		binary.LittleEndian.PutUint32(buf[0:4], e.Src)
-		binary.LittleEndian.PutUint32(buf[4:8], e.Dst)
-		binary.LittleEndian.PutUint32(buf[8:12], weightBits(e.W))
-		if _, err := w.bw.Write(buf[:]); err != nil {
+	for len(edges) > 0 {
+		buf := w.bw.AvailableBuffer()
+		n := min(len(edges), cap(buf)/EdgeBytes)
+		if n == 0 {
+			if err := w.bw.Flush(); err != nil {
+				return fmt.Errorf("storage: write edge: %w", err)
+			}
+			continue
+		}
+		buf = buf[:n*EdgeBytes]
+		putEdges(buf, edges[:n])
+		if _, err := w.bw.Write(buf); err != nil {
 			return fmt.Errorf("storage: write edge: %w", err)
 		}
+		edges = edges[n:]
 	}
 	return nil
 }
@@ -160,27 +163,89 @@ func WriteBinary(w io.Writer, edges []graph.Edge) error {
 	return bw.Flush()
 }
 
-// ReadBinary reads edges in the binary format until EOF.
-func ReadBinary(r io.Reader) ([]graph.Edge, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var edges []graph.Edge
-	var buf [EdgeBytes]byte
-	for {
-		_, err := io.ReadFull(br, buf[:])
-		if err == io.EOF {
-			return edges, nil
+// putEdges writes len(src) records to dst; decodeEdges is its mirror.
+func putEdges(dst []byte, src []graph.Edge) {
+	for i, e := range src {
+		b := dst[i*EdgeBytes : (i+1)*EdgeBytes : (i+1)*EdgeBytes]
+		binary.LittleEndian.PutUint32(b[0:4], e.Src)
+		binary.LittleEndian.PutUint32(b[4:8], e.Dst)
+		binary.LittleEndian.PutUint32(b[8:12], weightBits(e.W))
+	}
+}
+
+// decodeEdges reads len(dst) records from src. It is the one decoder behind
+// ReadBinary and LoadOverlapped.
+func decodeEdges(dst []graph.Edge, src []byte) {
+	for i := range dst {
+		b := src[i*EdgeBytes : (i+1)*EdgeBytes : (i+1)*EdgeBytes]
+		dst[i] = graph.Edge{
+			Src: binary.LittleEndian.Uint32(b[0:4]),
+			Dst: binary.LittleEndian.Uint32(b[4:8]),
+			W:   weightFromBits(binary.LittleEndian.Uint32(b[8:12])),
 		}
-		if err == io.ErrUnexpectedEOF {
+	}
+}
+
+// readBlockEdges bounds how many records are read, and then decoded, at a
+// time (3 MiB of file). The first blocks are smaller, so that a small file
+// costs a small buffer and decoding starts early.
+const readBlockEdges = 1 << 18
+
+// ReadBinary reads edges in the binary format until EOF. When r can seek
+// (an *os.File, a *bytes.Reader) the result is allocated once, from the
+// length that remains; otherwise it grows as append does. The bytes arrive
+// in blocks of up to readBlockEdges records, and each block is decoded by
+// the sched workers while the calling goroutine reads the next one.
+func ReadBinary(r io.Reader) ([]graph.Edge, error) { return readEdges(r, nil) }
+
+// readEdges is ReadBinary. While a block is being decoded it also calls
+// each, if there is one, with the edges decoded before that block; the edges
+// of the last block are only in the result.
+func readEdges(r io.Reader, each func(decoded []graph.Edge)) ([]graph.Edge, error) {
+	var edges []graph.Edge
+	if s, ok := r.(io.Seeker); ok {
+		if at, err := s.Seek(0, io.SeekCurrent); err == nil {
+			if end, err := s.Seek(0, io.SeekEnd); err == nil && end > at {
+				edges = make([]graph.Edge, 0, (end-at)/EdgeBytes)
+			}
+			if _, err := s.Seek(at, io.SeekStart); err != nil {
+				return nil, fmt.Errorf("storage: read edge: %w", err)
+			}
+		}
+	}
+	var bufs [2][]byte // one being filled, one being decoded
+	var decoding sync.WaitGroup
+	defer decoding.Wait() // the last block, or the one in flight at an error
+	for k := 0; ; k++ {
+		// Blocks double from 4096 records up to readBlockEdges.
+		if want := EdgeBytes * min(readBlockEdges, 4096<<min(k, 6)); len(bufs[k&1]) < want {
+			bufs[k&1] = make([]byte, want)
+		}
+		buf := bufs[k&1]
+		n, err := io.ReadFull(r, buf)
+		decoding.Wait()
+		decoded := edges
+		edges = slices.Grow(edges, n/EdgeBytes)[:len(edges)+n/EdgeBytes]
+		block := edges[len(decoded):]
+		decoding.Add(1)
+		go func() {
+			defer decoding.Done()
+			sched.ParallelForChunked(0, len(block), 1<<14, 0, func(lo, hi int) {
+				decodeEdges(block[lo:hi], buf[lo*EdgeBytes:hi*EdgeBytes])
+			})
+		}()
+		if each != nil {
+			each(decoded)
+		}
+		switch {
+		case err == nil:
+			continue
+		case err != io.EOF && err != io.ErrUnexpectedEOF:
+			return nil, fmt.Errorf("storage: read edge: %w", err)
+		case n%EdgeBytes != 0:
 			return nil, fmt.Errorf("storage: truncated edge record after %d edges", len(edges))
 		}
-		if err != nil {
-			return nil, fmt.Errorf("storage: read edge: %w", err)
-		}
-		edges = append(edges, graph.Edge{
-			Src: binary.LittleEndian.Uint32(buf[0:4]),
-			Dst: binary.LittleEndian.Uint32(buf[4:8]),
-			W:   weightFromBits(binary.LittleEndian.Uint32(buf[8:12])),
-		})
+		return edges, nil
 	}
 }
 
