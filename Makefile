@@ -32,11 +32,13 @@ loc:
 
 # Engine benchmarks with allocation accounting: BFS and PageRank on
 # RMAT-scale-16 (the perf-trajectory acceptance configuration), the
-# span-versus-adapter kernel pairs (ns/edge), plus the out-of-core streamed
-# PageRank; then what comes before the first iteration: the binary loader
-# (MB/s) and the adjacency builders (ns/edge).
+# span-versus-adapter kernel pairs (ns/edge), sparse-push SSSP on a 512x512
+# road lattice at 1 and 2 workers (us/iter, parks and joins per gang loop)
+# with the frontier builder's Add underneath it (ns/add), plus the
+# out-of-core streamed PageRank; then what comes before the first iteration:
+# the binary loader (MB/s) and the adjacency builders (ns/edge).
 bench:
-	$(GO) test -run '^$$' -bench 'BFS|PageRank|Span' -benchmem ./internal/core/ ./internal/oocore/
+	$(GO) test -run '^$$' -bench 'BFS|PageRank|Span|SSSP|FrontierBuilder' -benchmem ./internal/core/ ./internal/graph/ ./internal/oocore/
 	$(GO) test -run '^$$' -bench 'ReadBinary|WriteBinary|BuildAdjacency' -benchmem ./internal/storage/ ./internal/prep/
 
 # Adaptive-planner cases only: auto BFS/PageRank against their fixed

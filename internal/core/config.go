@@ -195,8 +195,10 @@ type IterationStats struct {
 	// ActiveVertices is the number of vertices in the frontier processed by
 	// this iteration.
 	ActiveVertices int
-	// ActiveEdges is the number of outgoing edges of those vertices (only
-	// computed when the direction-optimizing switch needs it; -1 otherwise).
+	// ActiveEdges is the number of outgoing edges of those vertices: known
+	// whenever the direction-optimizing switch asked for it or the iteration
+	// pushed over an adjacency (chunking the frontier sums its degrees), -1
+	// otherwise.
 	ActiveEdges int64
 	// Plan is the resolved execution recipe the iteration ran under. Static
 	// configurations repeat the configured techniques here (with dynamic

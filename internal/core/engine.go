@@ -110,6 +110,10 @@ func iterate(g *graph.Graph, alg Algorithm, cfg Config, workers int, pl planner,
 		}
 
 		stats.Duration = time.Since(iterStart)
+		if stats.ActiveEdges < 0 {
+			// A push step walked the frontier's degrees to chunk it.
+			stats.ActiveEdges = frontier.OutEdges()
+		}
 		io := sourceStats(src).Sub(ioBefore)
 		stats.IOWait = io.IOWait
 		if hidden := io.IOTime - io.IOWait; hidden > 0 {
@@ -184,13 +188,6 @@ func parallelFor(cfg Config) func(begin, end, chunk, p int, body func(worker, lo
 		return cfg.Lease.ParallelForWorker
 	}
 	return sched.ParallelForWorker
-}
-
-// paddedSum is a per-worker accumulator spaced a cache line apart from its
-// neighbours so concurrent workers do not false-share.
-type paddedSum struct {
-	v int64
-	_ [56]byte
 }
 
 // stepper is the engine's side of the span contract, shared by the in-memory
@@ -292,10 +289,9 @@ func (st *stepper) edges(worker int, es []graph.Edge) {
 //
 // Everything a steady-state iteration needs is owned by the runner and
 // recycled: the stepper's frontier buffers, the edge-balanced chunk table
-// for push iterations, padded per-worker degree accumulators, and every
-// parallel loop body, bound once here so no closure is created inside the
-// iteration loop. Per-iteration inputs (active list, span, grid level) are
-// passed to the bodies through runner fields.
+// for push iterations, and every parallel loop body, bound once here so no
+// closure is created inside the iteration loop. Per-iteration inputs (active
+// list, span, grid level) are passed to the bodies through runner fields.
 type runner struct {
 	stepper
 	g *graph.Graph
@@ -308,21 +304,21 @@ type runner struct {
 	in  *graph.Adjacency // pull adjacency (nil if not built)
 
 	// Per-iteration inputs read by the loop bodies.
-	active []graph.VertexID // current active list (push, activeOutEdges)
+	active []graph.VertexID // current active list (push)
 	level  *graph.GridLevel // pyramid level of the current grid iteration
 	// fineLevel is the runner-local identity view of a grid built outside
 	// prep (no pyramid attached): the engine must never mutate the shared
 	// graph mid-run, so the fallback level is owned here.
 	fineLevel graph.GridLevel
 
-	chunkStarts []int       // edge-balanced chunk boundaries into active
-	degSums     []paddedSum // per-worker out-degree accumulators
+	chunkStarts []int           // edge-balanced chunk boundaries into active
+	chunkEdges  int64           // out-edges of active, summed by the walk that chunked it
+	chunked     *graph.Frontier // the frontier chunkStarts was built for this iteration
 
 	// Loop bodies, bound once at setup.
 	pushChunksBody func(worker, lo, hi int) // walks chunkStarts over active
 	pullBody       func(worker, lo, hi int) // destination rows of the in-adjacency
 	edgeBody       func(worker, lo, hi int) // edge-array index range
-	degBody        func(worker, lo, hi int) // sums active out-degrees into degSums
 	gridOwnedBody  func(worker, lo, hi int) // column-owned grid traversal
 	gridCellsBody  func(worker, lo, hi int) // cell-parallel grid traversal
 	compOwnedBody  func(worker, lo, hi int) // column-owned compressed-grid traversal
@@ -367,14 +363,6 @@ func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 	r.edgeBody = func(worker, lo, hi int) {
 		// Edge-centric iterations apply push updates whatever the flow.
 		r.kern.PushEdges(&r.span, worker, r.g.EdgeArray.Edges[lo:hi])
-	}
-	r.degBody = func(worker, lo, hi int) {
-		out, active := r.out, r.active
-		var acc int64
-		for i := lo; i < hi; i++ {
-			acc += int64(out.Degree(active[i]))
-		}
-		r.degSums[worker].v += acc
 	}
 
 	if g.Compressed != nil {
@@ -465,28 +453,16 @@ func frontierSnapshot(alg Algorithm, f *graph.Frontier) []graph.VertexID {
 	return out
 }
 
-// activeOutEdges sums the out-degrees of the frontier's vertices (the
-// quantity compared against |E|/alpha by the direction-optimizing switch)
-// into preallocated, cache-line-padded per-worker accumulators. The result
-// is memoized on the frontier, so the planner's threshold test, its cost
-// model and the per-iteration statistics all share one degree pass — and a
-// long-lived dense frontier (PageRank's) pays it exactly once per run.
+// activeOutEdges returns the summed out-degrees of the frontier's vertices
+// (the quantity compared against |E|/alpha by the direction-optimizing
+// switch). The sum is a by-product of chunking the frontier for a push
+// iteration and is memoized on the frontier, so the planner's threshold
+// test, its cost model, the push step and the per-iteration statistics all
+// share one degree walk — and a long-lived dense frontier (PageRank's) never
+// pays one: its total is read off the CSR index.
 func (r *runner) activeOutEdges(f *graph.Frontier) int64 {
-	if cached := f.OutEdges(); cached >= 0 {
-		return cached
+	if f.OutEdges() < 0 {
+		r.pushChunks(f)
 	}
-	if r.degSums == nil {
-		r.degSums = make([]paddedSum, r.workers)
-	}
-	for i := range r.degSums {
-		r.degSums[i].v = 0
-	}
-	r.active = f.Sparse()
-	r.pfor(0, len(r.active), 2048, r.workers, r.degBody)
-	var total int64
-	for i := range r.degSums {
-		total += r.degSums[i].v
-	}
-	f.SetOutEdges(total)
-	return total
+	return f.OutEdges()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -203,4 +204,50 @@ func BenchmarkSpanGridCellPull(b *testing.B) {
 
 func BenchmarkSpanEdgeArrayPush(b *testing.B) {
 	benchSpanPair(b, rmat16(b), Config{Layout: graph.LayoutEdgeArray, Flow: Push, Sync: SyncAtomics})
+}
+
+// road512 is one of the gate's warm.sssp.road inputs: a weighted 512x512
+// road lattice, its edges doubled into one out-adjacency.
+var road512 = sync.OnceValue(func() *graph.Graph {
+	g := gen.Road(gen.RoadOptions{Width: 512, Height: 512, ShortcutFraction: 0.05, Seed: 4, Weighted: true})
+	if err := prep.BuildAdjacency(g, prep.Out, prep.Options{Method: prep.RadixSort, Undirected: true}); err != nil {
+		panic(err)
+	}
+	return g
+})
+
+// BenchmarkSSSPRoad512 is the sparse-push scaling curve: one frontier
+// Bellman-Ford per op (adjacency/push/atomics, ~1,000 iterations of a few
+// thousand active vertices) at 1 and 2 workers. us/iter is what one sparse
+// iteration costs; a traced run after the timed ones reports how often a
+// pool worker parked and how many loops it joined, per gang loop.
+func BenchmarkSSSPRoad512(b *testing.B) {
+	g := road512()
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := Config{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics, Workers: workers}
+			iters := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := Run(g, algorithms.NewSSSP(0), cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				iters += res.Iterations
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(iters), "us/iter")
+			cfg.Trace = trace.NewRecorder(0)
+			res, err := Run(g, algorithms.NewSSSP(0), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if loops, _ := res.Metrics.Get("sched.gang_loops"); loops > 0 {
+				parks, _ := res.Metrics.Get("sched.parks")
+				joins, _ := res.Metrics.Get("sched.gang_joins")
+				b.ReportMetric(float64(parks)/float64(loops), "parks/loop")
+				b.ReportMetric(float64(joins)/float64(loops), "joins/loop")
+			}
+		})
+	}
 }

@@ -156,6 +156,46 @@ func TestALSThroughEngineMatchesAcrossFlows(t *testing.T) {
 	}
 }
 
+// TestPushIterationsRecordActiveEdges: a push iteration over an adjacency
+// chunks its frontier by out-edges, so its statistics carry the frontier's
+// out-edge total whether or not a planner asked for it — fixed push and
+// adaptive runs alike, the full frontier of a dense algorithm included.
+func TestPushIterationsRecordActiveEdges(t *testing.T) {
+	g := gen.Road(gen.RoadOptions{Width: 24, Height: 24, ShortcutFraction: 0.05, Seed: 3, Weighted: true})
+	prepareAll(t, g, true)
+	for _, flow := range []Flow{Push, Auto} {
+		res, err := Run(g, algorithms.NewSSSP(0), Config{
+			Layout: graph.LayoutAdjacency, Flow: flow, Sync: SyncAtomics, Workers: 2, RecordFrontiers: true,
+		})
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		for i, it := range res.PerIteration {
+			if it.UsedPull {
+				continue
+			}
+			var want int64
+			for _, v := range res.FrontierHistory[i] {
+				want += int64(g.Out.Degree(v))
+			}
+			if it.ActiveEdges != want {
+				t.Fatalf("flow %v, iteration %d: ActiveEdges = %d, frontier out-degrees sum to %d", flow, i, it.ActiveEdges, want)
+			}
+		}
+	}
+	pr := algorithms.NewPageRank()
+	pr.Iterations = 2
+	res, err := Run(g, pr, Config{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics})
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for i, it := range res.PerIteration {
+		if want := int64(len(g.Out.Targets)); it.ActiveEdges != want {
+			t.Fatalf("PageRank iteration %d: ActiveEdges = %d, want all %d", i, it.ActiveEdges, want)
+		}
+	}
+}
+
 // TestDenseAlgorithmsSkipFrontierHistoryCopies: dense (whole-graph)
 // algorithms record nil frontier snapshots so the NUMA profile treats them
 // as balanced.

@@ -31,6 +31,7 @@ func (r *runner) execute(plan StepPlan, frontier *graph.Frontier) *graph.Frontie
 			r.vertexPush(frontier)
 		}
 	}
+	r.chunked = nil // the frontier object is recycled two iterations on
 	return r.finish()
 }
 
@@ -48,17 +49,39 @@ const pushEdgeChunk = 2048
 // is only race-free while no two workers touch the same word.
 const pullVertexChunk = 256
 
+// pushChunks chunks the frontier's active list for a push iteration and
+// records the out-edge total the walk produced on the frontier. The planner
+// (activeOutEdges) and vertexPush both come through here; within one
+// iteration the second caller finds the table already built.
+func (r *runner) pushChunks(f *graph.Frontier) []int {
+	if r.chunked != f {
+		r.active = f.Sparse()
+		// A canonically dense frontier materializes its sparse list in
+		// ascending order, so covering every vertex means active[i] == i.
+		// Builder-emitted frontiers (sparse canonical) are unsorted
+		// per-worker concatenations: even when every vertex is active they
+		// must take the degree-walk path.
+		identity := f.IsDense() && len(r.active) == r.out.NumVertices
+		r.buildPushChunks(r.active, r.out, identity)
+		f.SetOutEdges(r.chunkEdges)
+		r.chunked = f
+	}
+	return r.chunkStarts
+}
+
 // buildPushChunks computes edge-balanced chunk boundaries into the active
 // list: starts[c]..starts[c+1] spans at least pushEdgeChunk out-edges
-// (except the last chunk). The boundary table is owned by the runner and
-// reused across iterations. When identityOrder reports that active[i] == i
-// (a full canonically-dense frontier, the every-iteration case for dense
+// (except the last chunk), and leaves the list's out-edge total in
+// r.chunkEdges. The boundary table is owned by the runner and reused across
+// iterations. When identityOrder reports that active[i] == i (a full
+// canonically-dense frontier, the every-iteration case for dense
 // algorithms) the boundaries are found by binary search on the CSR index
 // in O(chunks·log V) instead of walking every degree.
 func (r *runner) buildPushChunks(active []graph.VertexID, out *graph.Adjacency, identityOrder bool) []int {
 	starts := r.chunkStarts[:0]
 	starts = append(starts, 0)
 	n := len(active)
+	r.chunkEdges = 0
 	if n == 0 {
 		r.chunkStarts = starts
 		return starts
@@ -66,6 +89,7 @@ func (r *runner) buildPushChunks(active []graph.VertexID, out *graph.Adjacency, 
 	idx := out.Index
 	if identityOrder {
 		// active[i] == i, so CSR offsets map directly to active indices.
+		r.chunkEdges = int64(idx[n] - idx[0])
 		v := 0
 		for v < n {
 			target := idx[v] + pushEdgeChunk
@@ -78,17 +102,19 @@ func (r *runner) buildPushChunks(active []graph.VertexID, out *graph.Adjacency, 
 			v = w
 		}
 	} else {
-		var acc uint64
+		var acc, total uint64
 		for i, u := range active {
 			acc += idx[u+1] - idx[u]
 			if acc >= pushEdgeChunk {
 				starts = append(starts, i+1)
+				total += acc
 				acc = 0
 			}
 		}
 		if starts[len(starts)-1] != n {
 			starts = append(starts, n)
 		}
+		r.chunkEdges = int64(total + acc)
 	}
 	r.chunkStarts = starts
 	return starts
@@ -99,14 +125,7 @@ func (r *runner) buildPushChunks(active []graph.VertexID, out *graph.Adjacency, 
 // the configured synchronization discipline (Section 6: push works on the
 // active subset only, but destination updates need locks or atomics).
 func (r *runner) vertexPush(frontier *graph.Frontier) {
-	r.active = frontier.Sparse()
-	// A canonically dense frontier materializes its sparse list in
-	// ascending order, so covering every vertex means active[i] == i.
-	// Builder-emitted frontiers (sparse canonical) are unsorted per-worker
-	// concatenations: even when every vertex is active they must take the
-	// degree-walk path.
-	identity := frontier.IsDense() && len(r.active) == r.out.NumVertices
-	starts := r.buildPushChunks(r.active, r.out, identity)
+	starts := r.pushChunks(frontier)
 	r.pfor(0, len(starts)-1, 1, r.workers, r.pushChunksBody)
 }
 

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -176,5 +177,106 @@ func TestSparseMemoizedOnDenseFrontier(t *testing.T) {
 		if v != VertexID(i) {
 			t.Fatalf("sparse[%d] = %d, want %d", i, v, i)
 		}
+	}
+}
+
+// TestBuilderWorkersYieldUnionOnce: whatever the worker count, concurrent
+// Adds of disjoint and of overlapping vertex sets collect to exactly the set
+// union, each vertex once; Reset leaves an all-zero bitmap; and a warm
+// builder's Add → CollectInto → Reset cycle allocates nothing. Run with -race.
+func TestBuilderWorkersYieldUnionOnce(t *testing.T) {
+	const n = 1 << 13
+	for _, workers := range []int{1, 2, 3, 8} {
+		b := NewFrontierBuilder(n, workers)
+		var f Frontier
+		// Worker w adds the vertices of its own residue class mod workers
+		// (disjoint, interleaved within every bitmap word) and, when overlap
+		// is set, every multiple of 5 as well (shared by all workers).
+		cycle := func(overlap bool) {
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for v := 0; v < n; v++ {
+						if v%3 != 0 && (v%workers == w || overlap && v%5 == 0) {
+							b.Add(w, VertexID(v))
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			b.CollectInto(&f)
+		}
+		for _, overlap := range []bool{false, true, false} {
+			cycle(overlap)
+			got := sortedIDs(&f)
+			var want []VertexID
+			for v := 0; v < n; v++ {
+				if v%3 != 0 {
+					want = append(want, VertexID(v))
+				}
+			}
+			if len(got) != len(want) || f.Count() != len(want) {
+				t.Fatalf("workers=%d overlap=%v: collected %d vertices (Count %d), want %d", workers, overlap, len(got), f.Count(), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("workers=%d overlap=%v: vertex %d missing or duplicated (got %d at %d)", workers, overlap, want[i], got[i], i)
+				}
+			}
+			b.Reset()
+			for i, word := range b.bits {
+				if word != 0 {
+					t.Fatalf("workers=%d overlap=%v: bitmap word %d = %#x after Reset", workers, overlap, i, word)
+				}
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			for v := 0; v < n; v += 3 {
+				b.Add(v%workers, VertexID(v))
+			}
+			b.CollectInto(&f)
+			b.Reset()
+		})
+		if allocs != 0 {
+			t.Errorf("workers=%d: warm Add/CollectInto/Reset cycle allocates %v objects, want 0", workers, allocs)
+		}
+	}
+}
+
+// BenchmarkFrontierBuilderAdd measures one Add (ns/add) with 1 and with 2
+// workers adding disjoint halves of the vertex range at the same time: the
+// bitmap words are private to a worker, so whatever the second worker costs
+// is sharing among the builder's own per-worker state.
+func BenchmarkFrontierBuilderAdd(b *testing.B) {
+	const n = 1 << 16
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			fb := NewFrontierBuilder(n, workers)
+			round := func() {
+				fb.Reset()
+				var wg sync.WaitGroup
+				for w := 1; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						for v := w * n / workers; v < (w+1)*n/workers; v++ {
+							fb.Add(w, VertexID(v))
+						}
+					}(w)
+				}
+				for v := 0; v < n/workers; v++ {
+					fb.Add(0, VertexID(v))
+				}
+				wg.Wait()
+			}
+			round() // grow the lists
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n/workers), "ns/add")
+		})
 	}
 }

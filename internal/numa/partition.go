@@ -145,17 +145,19 @@ func BuildNodeSubgraphs(g *graph.Graph, p *Partition, workers int) *NodeSubgraph
 
 	// Per-chunk histogram over nodes.
 	counts := make([][]int64, numChunks)
-	sched.ParallelFor(0, numChunks, workers, func(c int) {
-		cnt := make([]int64, nodes)
-		lo := c * chunkSize
-		hi := lo + chunkSize
-		if hi > len(edges) {
-			hi = len(edges)
+	sched.ParallelForChunked(0, numChunks, 1, workers, func(cLo, cHi int) {
+		for c := cLo; c < cHi; c++ {
+			cnt := make([]int64, nodes)
+			lo := c * chunkSize
+			hi := lo + chunkSize
+			if hi > len(edges) {
+				hi = len(edges)
+			}
+			for i := lo; i < hi; i++ {
+				cnt[p.NodeOf(edges[i].Dst)]++
+			}
+			counts[c] = cnt
 		}
-		for i := lo; i < hi; i++ {
-			cnt[p.NodeOf(edges[i].Dst)]++
-		}
-		counts[c] = cnt
 	})
 
 	// Exclusive scan in (node-major, chunk-minor) order gives each chunk a
@@ -175,17 +177,19 @@ func BuildNodeSubgraphs(g *graph.Graph, p *Partition, workers int) *NodeSubgraph
 		sub.InEdges[k] = make([]graph.Edge, totals[k])
 	}
 
-	sched.ParallelFor(0, numChunks, workers, func(c int) {
-		offs := counts[c]
-		lo := c * chunkSize
-		hi := lo + chunkSize
-		if hi > len(edges) {
-			hi = len(edges)
-		}
-		for i := lo; i < hi; i++ {
-			k := p.NodeOf(edges[i].Dst)
-			sub.InEdges[k][offs[k]] = edges[i]
-			offs[k]++
+	sched.ParallelForChunked(0, numChunks, 1, workers, func(cLo, cHi int) {
+		for c := cLo; c < cHi; c++ {
+			offs := counts[c]
+			lo := c * chunkSize
+			hi := lo + chunkSize
+			if hi > len(edges) {
+				hi = len(edges)
+			}
+			for i := lo; i < hi; i++ {
+				k := p.NodeOf(edges[i].Dst)
+				sub.InEdges[k][offs[k]] = edges[i]
+				offs[k]++
+			}
 		}
 	})
 	return sub

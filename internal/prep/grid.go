@@ -43,17 +43,19 @@ func buildGridRadix(edges []graph.Edge, numVertices, requestedP, workers int) *g
 
 	// Per-chunk histograms over cells.
 	counts := make([][]uint64, numChunks)
-	sched.ParallelFor(0, numChunks, workers, func(c int) {
-		cnt := make([]uint64, numCells)
-		lo := c * chunkSize
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
+	sched.ParallelForChunked(0, numChunks, 1, workers, func(cLo, cHi int) {
+		for c := cLo; c < cHi; c++ {
+			cnt := make([]uint64, numCells)
+			lo := c * chunkSize
+			hi := lo + chunkSize
+			if hi > n {
+				hi = n
+			}
+			for i := lo; i < hi; i++ {
+				cnt[cellOf(edges[i])]++
+			}
+			counts[c] = cnt
 		}
-		for i := lo; i < hi; i++ {
-			cnt[cellOf(edges[i])]++
-		}
-		counts[c] = cnt
 	})
 
 	// Exclusive scan in (cell-major, chunk-minor) order; also fills the
@@ -70,17 +72,19 @@ func buildGridRadix(edges []graph.Edge, numVertices, requestedP, workers int) *g
 	g.CellIndex[numCells] = running
 
 	// Scatter.
-	sched.ParallelFor(0, numChunks, workers, func(c int) {
-		offs := counts[c]
-		lo := c * chunkSize
-		hi := lo + chunkSize
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			cell := cellOf(edges[i])
-			g.Edges[offs[cell]] = edges[i]
-			offs[cell]++
+	sched.ParallelForChunked(0, numChunks, 1, workers, func(cLo, cHi int) {
+		for c := cLo; c < cHi; c++ {
+			offs := counts[c]
+			lo := c * chunkSize
+			hi := lo + chunkSize
+			if hi > n {
+				hi = n
+			}
+			for i := lo; i < hi; i++ {
+				cell := cellOf(edges[i])
+				g.Edges[offs[cell]] = edges[i]
+				offs[cell]++
+			}
 		}
 	})
 	// The pyramid's level tables are part of pre-processing: building them

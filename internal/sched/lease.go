@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Lease is a carved-out subset of a Pool's workers dedicated to one run, so
 // independent runs execute truly concurrently instead of serializing on the
@@ -18,21 +15,11 @@ import (
 // zero granted workers are valid — their loops run serially on the caller —
 // so over-subscription degrades to sequential execution, never to an error.
 type Lease struct {
-	pool    *Pool
-	cond    *sync.Cond // waited on by leased workers; shares the pool's mutex
-	workers []int      // pool worker indexes assigned to this lease (guarded by pool.mu)
-
-	// Gang-loop state, mirroring Pool's: one loop in flight per lease,
-	// distinguished by seq so a worker joins each at most once, with a single
-	// reusable descriptor so steady-state loops allocate nothing. All guarded
-	// by pool.mu except the atomic seq (see Pool.loopSeq).
-	loop     *loopDesc
-	loopSeq  atomic.Uint64
-	loopD    loopDesc
-	released bool
-
-	cGangLoops atomic.Int64
-	cGangJoins atomic.Int64
+	// The lease's own gang-loop slot, descriptor, counters and condition
+	// variable (on the pool's mutex): the same protocol the pool's unleased
+	// workers serve, scoped to the lease's.
+	gang
+	workers []int // pool worker indexes assigned to this lease (guarded by pool.mu)
 }
 
 // Lease carves up to n-1 currently unleased workers out of the pool (the
@@ -41,8 +28,7 @@ type Lease struct {
 // smaller, closed, or already leased out; Workers reports what was granted.
 // Release must be called to return the workers.
 func (p *Pool) Lease(n int) *Lease {
-	l := &Lease{pool: p}
-	l.cond = sync.NewCond(&p.mu)
+	l := &Lease{gang: gang{pool: p, cond: sync.NewCond(&p.mu)}}
 	if n <= 1 {
 		return l
 	}
@@ -115,48 +101,6 @@ func (l *Lease) Counters() PoolCounters {
 	}
 }
 
-// tryLoop is Pool.tryLoop scoped to the lease's workers: it installs one
-// chunked loop on the lease, runs the caller as worker 0, and waits for the
-// joined workers to drain. It returns false when the lease cannot take the
-// loop (nested call, released lease, stopped pool); the caller then falls
-// back to the goroutine-spawning path.
-func (l *Lease) tryLoop(begin, end, chunk, limit int, bodyW func(worker, lo, hi int), body func(lo, hi int)) bool {
-	p := l.pool
-	numChunks := int64((end - begin + chunk - 1) / chunk)
-	if int64(limit) > numChunks {
-		limit = int(numChunks)
-	}
-	p.mu.Lock()
-	if l.loop != nil || l.released || p.closed || p.stopped {
-		p.mu.Unlock()
-		return false
-	}
-	d := &l.loopD
-	d.bodyW, d.body = bodyW, body
-	d.begin, d.end, d.chunk = begin, end, chunk
-	d.numChunks = numChunks
-	d.next.Store(0)
-	d.limit = limit
-	d.joined = 1 // the caller
-	d.running = 0
-	l.loop = d
-	l.loopSeq.Add(1)
-	l.cGangLoops.Add(1)
-	l.cond.Broadcast()
-	p.mu.Unlock()
-
-	d.run(0)
-
-	p.mu.Lock()
-	for d.running > 0 {
-		l.cond.Wait()
-	}
-	l.loop = nil
-	d.bodyW, d.body = nil, nil
-	p.mu.Unlock()
-	return true
-}
-
 // ParallelForWorker is sched.ParallelForWorker executed on the lease's
 // workers instead of the global pool: body(worker, lo, hi) over chunks of
 // [begin, end), worker dense in [0, participants). p bounds the participants
@@ -202,34 +146,14 @@ func (l *Lease) ParallelForChunked(begin, end, chunk, p int, body func(lo, hi in
 	spawnForChunked(begin, end, chunk, limit, body)
 }
 
-// runLeased is the leased-mode body of a pool worker's scheduling loop: it
-// joins the lease's pending gang loop if any, otherwise parks on the lease's
-// condition variable until a new loop arrives, the lease is released, or the
-// pool stops. It returns true when the worker should exit (pool stopped).
-func (p *Pool) runLeased(worker int, l *Lease, lastSeq *uint64) bool {
-	if l.loopSeq.Load() != *lastSeq {
-		p.mu.Lock()
-		*lastSeq = l.loopSeq.Load()
-		if d := l.loop; d != nil && d.joined < d.limit {
-			id := d.joined
-			d.joined++
-			d.running++
-			l.cGangJoins.Add(1)
-			p.mu.Unlock()
-			d.run(id)
-			p.mu.Lock()
-			d.running--
-			if d.running == 0 {
-				l.cond.Broadcast()
-			}
-			p.mu.Unlock()
-			return false
-		}
-		p.mu.Unlock()
-	}
+// parkLeased parks a leased worker that found no new loop on its lease: on
+// the lease's condition variable, until a loop arrives, the lease is
+// released, or the pool stops. It returns true when the worker should exit
+// (pool stopped).
+func (p *Pool) parkLeased(worker int, l *Lease, lastSeq uint64) bool {
 	p.mu.Lock()
 	parked := false
-	for p.wleases[worker].Load() == l && !p.stopped && !(l.loop != nil && l.loopSeq.Load() != *lastSeq) {
+	for p.wleases[worker].Load() == l && !p.stopped && !l.unseenLoop(lastSeq) {
 		if !parked {
 			parked = true
 			p.cParks.Add(1)

@@ -24,20 +24,14 @@ type Pool struct {
 	wg      sync.WaitGroup
 
 	mu      sync.Mutex
-	cond    *sync.Cond
 	pending int  // submitted but not yet finished tasks
 	queued  int  // submitted but not yet dequeued tasks
 	closed  bool // Close has been called; no further Submits allowed
 	stopped bool // workers should exit once the deques drain
 
-	// Gang-scheduled parallel loops (see tryLoop). loop is non-nil while a
-	// loop is in flight; loopSeq distinguishes successive loops so a worker
-	// joins each at most once (atomic so the task fast path can check it
-	// without taking mu); loopD is the single reusable descriptor, so
-	// steady-state loops allocate nothing.
-	loop    *loopDesc
-	loopSeq atomic.Uint64
-	loopD   loopDesc
+	// Gang-scheduled parallel loops over the unleased workers (tryLoop). Its
+	// cond is also where Wait and workers with nothing to do block.
+	gang
 
 	// Worker leasing (see Lease). wleases[w] is the lease worker w is
 	// currently dedicated to (nil = serves the global pool); an atomic
@@ -47,13 +41,12 @@ type Pool struct {
 	wleases []atomic.Pointer[Lease]
 	leases  []*Lease
 
-	// Lifetime observability counters (see Counters). Atomics rather than
-	// mu-guarded ints so the park/unpark accounting never extends a critical
-	// section; callers diff them around a run.
-	cGangLoops atomic.Int64
-	cGangJoins atomic.Int64
-	cParks     atomic.Int64
-	cUnparks   atomic.Int64
+	// Lifetime observability counters (see Counters; the gang counts its own
+	// loops and joins). Atomics rather than mu-guarded ints so the
+	// park/unpark accounting never extends a critical section; callers diff
+	// them around a run.
+	cParks   atomic.Int64
+	cUnparks atomic.Int64
 }
 
 // PoolCounters is a point-in-time snapshot of a pool's lifetime scheduling
@@ -65,9 +58,10 @@ type PoolCounters struct {
 	// GangJoins is the number of times a pool worker joined a gang loop
 	// (the installing caller is not counted).
 	GangJoins int64
-	// Parks counts worker park episodes (a worker found no work anywhere
-	// and blocked); Unparks counts the wake-ups that ended them. Unparks
-	// can lag Parks by up to Workers() while workers are currently parked.
+	// Parks counts worker park episodes (a worker found no work anywhere,
+	// polled for the next gang loop in vain and blocked); Unparks counts the
+	// wake-ups that ended them. Unparks can lag Parks by up to Workers()
+	// while workers are currently parked.
 	Parks   int64
 	Unparks int64
 }
@@ -92,113 +86,6 @@ func (p *Pool) Counters() PoolCounters {
 	}
 }
 
-// loopDesc describes one gang-scheduled parallel loop executed by the
-// caller plus parked pool workers. Chunks are claimed with an atomic
-// counter, exactly like the chunked parallel-for helpers, so the work
-// distribution behaviour (and therefore the set of executed chunks) is
-// identical to the goroutine-spawning path. Exactly one of bodyW/body is
-// non-nil.
-type loopDesc struct {
-	bodyW             func(worker, lo, hi int)
-	body              func(lo, hi int)
-	begin, end, chunk int
-	numChunks         int64
-	next              atomic.Int64
-	limit             int // max participants, including the caller
-	joined            int // participants so far (incl. caller); guarded by Pool.mu
-	running           int // pool workers still executing; guarded by Pool.mu
-}
-
-// run claims and executes chunks until the loop's counter is exhausted.
-// worker is this participant's dense id in [0, limit).
-func (d *loopDesc) run(worker int) {
-	if d.bodyW != nil {
-		for {
-			c := d.next.Add(1) - 1
-			if c >= d.numChunks {
-				return
-			}
-			lo := d.begin + int(c)*d.chunk
-			hi := lo + d.chunk
-			if hi > d.end {
-				hi = d.end
-			}
-			d.bodyW(worker, lo, hi)
-		}
-	}
-	for {
-		c := d.next.Add(1) - 1
-		if c >= d.numChunks {
-			return
-		}
-		lo := d.begin + int(c)*d.chunk
-		hi := lo + d.chunk
-		if hi > d.end {
-			hi = d.end
-		}
-		d.body(lo, hi)
-	}
-}
-
-// tryLoop runs one chunked parallel loop on the pool's persistent workers,
-// with the calling goroutine participating as worker 0. It returns false —
-// without running anything — if the pool cannot take the loop right now
-// (another loop is in flight, or the pool is closed); the caller then falls
-// back to the goroutine-spawning path. This keeps nested parallel-for calls
-// deadlock-free: a loop body that itself calls ParallelFor simply spawns.
-//
-// Workers that are parked when the loop is installed wake up and join;
-// workers that wake after the loop has completed never touch it. Completion
-// requires only that every chunk has been claimed and every joined
-// participant has finished, so a loop never waits for a worker that is busy
-// with an unrelated task.
-func (p *Pool) tryLoop(begin, end, chunk, limit int, bodyW func(worker, lo, hi int), body func(lo, hi int)) bool {
-	numChunks := int64((end - begin + chunk - 1) / chunk)
-	if int64(limit) > numChunks {
-		limit = int(numChunks)
-	}
-	p.mu.Lock()
-	if p.loop != nil || p.closed || p.stopped {
-		p.mu.Unlock()
-		return false
-	}
-	d := &p.loopD
-	d.bodyW, d.body = bodyW, body
-	d.begin, d.end, d.chunk = begin, end, chunk
-	d.numChunks = numChunks
-	d.next.Store(0)
-	d.limit = limit
-	d.joined = 1 // the caller
-	d.running = 0
-	p.loop = d
-	p.loopSeq.Add(1)
-	p.cGangLoops.Add(1)
-	// Wake only as many workers as can join: broadcasting for a 2-worker
-	// loop on a large pool would stampede every parked worker through the
-	// mutex just to find joined >= limit. A Signal consumed by a non-worker
-	// waiter (Pool.Wait during a Submit workload) merely costs the loop one
-	// participant — completion never depends on any particular worker.
-	if limit-1 >= p.workers {
-		p.cond.Broadcast()
-	} else {
-		for i := 0; i < limit-1; i++ {
-			p.cond.Signal()
-		}
-	}
-	p.mu.Unlock()
-
-	d.run(0)
-
-	p.mu.Lock()
-	for d.running > 0 {
-		p.cond.Wait()
-	}
-	p.loop = nil
-	d.bodyW, d.body = nil, nil
-	p.mu.Unlock()
-	return true
-}
-
 // NewPool creates a pool with p workers (p<=0 selects MaxWorkers) and starts
 // them. Close must be called to release the workers.
 func NewPool(p int) *Pool {
@@ -208,7 +95,7 @@ func NewPool(p int) *Pool {
 		deques:  make([]*deque, p),
 		wleases: make([]atomic.Pointer[Lease], p),
 	}
-	pool.cond = sync.NewCond(&pool.mu)
+	pool.gang = gang{pool: pool, cond: sync.NewCond(&pool.mu)}
 	for i := range pool.deques {
 		pool.deques[i] = newDeque()
 	}
@@ -295,7 +182,7 @@ func (p *Pool) run(worker int) {
 			if l != lastLease {
 				lastLease, lastLeaseSeq = l, 0
 			}
-			if p.runLeased(worker, l, &lastLeaseSeq) {
+			if !l.serve(&lastLeaseSeq) && p.parkLeased(worker, l, lastLeaseSeq) {
 				return
 			}
 			continue
@@ -306,25 +193,8 @@ func (p *Pool) run(worker int) {
 		// latency-sensitive (the caller is blocked on completion). The
 		// sequence check is an uncontended atomic load so the task fast
 		// path pays no extra mutex acquisition.
-		if p.loopSeq.Load() != lastLoop {
-			p.mu.Lock()
-			lastLoop = p.loopSeq.Load()
-			if d := p.loop; d != nil && d.joined < d.limit {
-				id := d.joined
-				d.joined++
-				d.running++
-				p.cGangJoins.Add(1)
-				p.mu.Unlock()
-				d.run(id)
-				p.mu.Lock()
-				d.running--
-				if d.running == 0 {
-					p.cond.Broadcast()
-				}
-				p.mu.Unlock()
-				continue
-			}
-			p.mu.Unlock()
+		if p.serve(&lastLoop) {
+			continue
 		}
 
 		t, ok := self.pop()
@@ -349,7 +219,7 @@ func (p *Pool) run(worker int) {
 		p.mu.Lock()
 		parked := false
 		for p.queued == 0 && !p.stopped && p.wleases[worker].Load() == nil &&
-			!(p.loop != nil && p.loopSeq.Load() != lastLoop) {
+			!p.unseenLoop(lastLoop) {
 			if !parked {
 				parked = true
 				p.cParks.Add(1)

@@ -18,12 +18,14 @@
 // # Zero-allocation steady state
 //
 // The parallel-for helpers do not spawn goroutines on the hot path. They run
-// on a process-wide pool of persistent workers (DefaultPool) that park
-// between loops, exactly as the paper's Cilk runtime parks its threads
-// between parallel regions: a loop wakes the workers, the calling goroutine
-// participates as worker 0, chunks are claimed with a single atomic counter,
-// and the workers park again when the counter is exhausted. The loop
-// descriptor is a single reusable structure owned by the pool, so a
+// on a process-wide pool of persistent workers (DefaultPool), as the paper's
+// Cilk runtime keeps its threads between parallel regions: the calling
+// goroutine participates as worker 0, chunks are claimed with a single
+// atomic counter, and a worker that leaves a loop polls briefly for the next
+// one before it parks (gang.go: the spin-then-park barrier, one
+// implementation for the pool and for leases), so loops that follow each
+// other within tens of microseconds — an engine's sparse iterations — never
+// pay a futex wake. The loop descriptor is a single reusable structure, so a
 // parallel-for call performs zero heap allocations and zero goroutine
 // creations beyond the closure its caller builds. Engines that hoist their
 // loop bodies out of the iteration loop therefore run whole iterations
