@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race loc bench bench-adaptive bench-compressed bench-json
+.PHONY: all build fmt-check vet test race loc bench bench-adaptive bench-compressed
 
 all: fmt-check vet build test
 
@@ -30,11 +30,11 @@ loc:
 		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
-# Engine benchmarks with allocation accounting: BFS and PageRank on
-# RMAT-scale-16 (the perf-trajectory acceptance configuration), the
-# span-versus-adapter kernel pairs (ns/edge), sparse-push SSSP on a 512x512
-# road lattice at 1 and 2 workers (us/iter, parks and joins per gang loop)
-# with the frontier builder's Add underneath it (ns/add), plus the
+# Engine benchmarks with allocation accounting: BFS (single- and 64-source)
+# and PageRank on RMAT-scale-16, the span-versus-adapter kernel pairs
+# (ns/edge), sparse-push SSSP on a 512x512 road lattice at 1 and 2 workers
+# (us/iter, parks and joins per gang loop) with the frontier builder's Add
+# underneath it (ns/add), plus the
 # out-of-core streamed PageRank; then what comes before the first iteration:
 # the binary loader (MB/s) and the adjacency builders (ns/edge).
 bench:
@@ -42,22 +42,12 @@ bench:
 	$(GO) test -run '^$$' -bench 'ReadBinary|WriteBinary|BuildAdjacency' -benchmem ./internal/storage/ ./internal/prep/
 
 # Adaptive-planner cases only: auto BFS/PageRank against their fixed
-# counterparts (the fixed-vs-auto comparison of the acceptance criterion),
-# plus the per-iteration plan traces.
+# counterparts (the fixed-vs-auto comparison of the acceptance criterion).
 bench-adaptive:
 	$(GO) test -run '^$$' -bench 'Auto|PushPull|PullIter' -benchmem ./internal/core/
-	$(GO) run ./cmd/benchrunner -plan-trace
 
-# Compressed-layout cases: delta+varint cell encode/decode, the in-memory
-# compressed grid against the raw grid, and the version-2 (compressed
-# segment) store against the version-1 streamed baseline.
+# Compressed-store cases: delta+varint cell encode/decode and the version-2
+# (compressed segment) store against the version-1 streamed baseline.
 bench-compressed:
 	$(GO) test -run '^$$' -bench 'CellEncode|DecodeCell' -benchmem ./internal/graph/
-	$(GO) test -run '^$$' -bench 'Compressed' -benchmem ./internal/core/
 	$(GO) test -run '^$$' -bench 'V2|StreamedPageRank|StreamPass' -benchmem ./internal/oocore/
-
-# Archive the machine-readable perf trajectory. Bump the number when a PR
-# records a new baseline (BENCH_<pr>.json).
-BENCH_JSON ?= BENCH_10.json
-bench-json:
-	$(GO) run ./cmd/benchrunner -perf-json $(BENCH_JSON)

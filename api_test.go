@@ -321,46 +321,3 @@ func TestFlowAutoThroughFacade(t *testing.T) {
 		t.Fatal("PushPullAlpha with a static flow must be rejected")
 	}
 }
-
-func TestGridLevelsThroughFacade(t *testing.T) {
-	// A grid-only preparation forced to the paper's 256 on a small graph:
-	// the misfit the resolution planner exists to correct. Edge factor 16
-	// keeps the per-edge span amortization good enough that the grid beats
-	// the edge-array fallback in the cost model.
-	g := GenerateRMAT(12, 16, 1)
-	cfg := Config{Layout: LayoutGrid, Flow: FlowAuto, GridP: 256}
-	pr := PageRank()
-	res, err := g.Run(pr, cfg)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	frozen := res.Run.PerIteration[0].Plan
-	if frozen.Layout != LayoutGrid || frozen.GridLevel == 0 {
-		t.Fatalf("grid-only auto froze %v, want a grid plan with a resolution", frozen)
-	}
-	for i, it := range res.Run.PerIteration {
-		if it.Plan != frozen {
-			t.Fatalf("iteration %d switched resolution mid-run: %v", i, it.Plan)
-		}
-	}
-
-	// Pinning a coarser level through the facade changes the executed
-	// resolution, halving P per step.
-	pinned := PageRank()
-	pinRes, err := g.Run(pinned, Config{
-		Layout: LayoutGrid, Flow: FlowPush, Sync: SyncPartitionFree, GridP: 256, GridLevels: 2,
-	})
-	if err != nil {
-		t.Fatalf("pinned run: %v", err)
-	}
-	if got := pinRes.Run.PerIteration[0].Plan.GridLevel; got != 128 {
-		t.Fatalf("GridLevels=2 ran grid/%d, want grid/128", got)
-	}
-
-	// The policy needs a grid: static non-grid configurations reject it.
-	if _, err := g.Run(BFS(0), Config{
-		Layout: LayoutAdjacency, Flow: FlowPush, Sync: SyncAtomics, GridLevels: 2,
-	}); err == nil {
-		t.Fatal("GridLevels with a static adjacency flow must be rejected")
-	}
-}

@@ -4,7 +4,7 @@ package everythinggraph
 // benchmark delegates to the corresponding experiment driver in
 // internal/bench at a reduced scale (so `go test -bench=.` completes in
 // minutes rather than hours); cmd/benchrunner runs the same drivers at the
-// full default scale and prints the tables recorded in EXPERIMENTS.md.
+// full default scale (README, "Benchmarks").
 //
 // The benchmarks intentionally measure one full experiment per iteration —
 // including workload generation and pre-processing — because the paper's

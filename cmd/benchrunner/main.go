@@ -1,7 +1,6 @@
 // Command benchrunner regenerates the figures and tables of the paper's
 // evaluation. Each experiment prints a table with the same rows/series the
-// paper reports; see DESIGN.md for the experiment index and EXPERIMENTS.md
-// for a discussion of paper-vs-measured results.
+// paper reports; the README's "Benchmarks" section indexes them.
 //
 // Usage:
 //
@@ -9,16 +8,12 @@
 //	benchrunner -experiment fig5,table2        # run a subset
 //	benchrunner -list                          # list experiment ids
 //	benchrunner -experiment fig9 -rmat-scale 22
-//	benchrunner -perf-json BENCH_1.json        # archive the perf trajectory
-//	benchrunner -plan-trace                    # print adaptive plan traces
-//	benchrunner -plan-trace -cost-cache costs.json  # warm-start adaptive cases
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"github.com/epfl-repro/everythinggraph/internal/bench"
@@ -35,9 +30,6 @@ func main() {
 		workers     = flag.Int("workers", 0, "worker count (0 = all CPUs)")
 		seed        = flag.Int64("seed", bench.Default.Seed, "dataset generation seed")
 		quick       = flag.Bool("quick", false, "use the small quick scale (for smoke runs)")
-		perfJSON    = flag.String("perf-json", "", "run the perf trajectory suite (RMAT-scale-16 engine microbenchmarks) and write the JSON report to this path instead of running experiments")
-		planTrace   = flag.Bool("plan-trace", false, "run the adaptive (-flow auto) cases once — in-memory and streamed over a grid store — and print their per-iteration plan traces instead of running experiments")
-		costCache   = flag.String("cost-cache", "", "JSON cost cache for the adaptive cases of -perf-json and -plan-trace: seed each case's cost model with this dataset's measured per-edge plan costs and append this run's measurements (same file format as egraph -cost-cache)")
 	)
 	flag.Parse()
 
@@ -58,11 +50,6 @@ func main() {
 	scale.PagerankIterations = *prIters
 	scale.Workers = *workers
 	scale.Seed = *seed
-	scale.CostCachePath = *costCache
-	if *costCache != "" && *perfJSON == "" && !*planTrace {
-		fmt.Fprintln(os.Stderr, "benchrunner: -cost-cache feeds the adaptive perf cases; it requires -perf-json or -plan-trace")
-		os.Exit(1)
-	}
 	if *quick {
 		// Quick mode keeps its reduced sizes unless explicitly overridden.
 		if !flagPassed("rmat-scale") {
@@ -77,56 +64,6 @@ func main() {
 		if !flagPassed("pagerank-iterations") {
 			scale.PagerankIterations = bench.Quick.PagerankIterations
 		}
-	}
-
-	if *planTrace {
-		// Same default scale rule as the perf suite: the adaptive
-		// acceptance configuration is RMAT-scale-16.
-		traceScale := scale
-		if !flagPassed("rmat-scale") {
-			traceScale.RMATScale = 16
-		}
-		traces, err := bench.PlanTraces(traceScale)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: plan trace failed: %v\n", err)
-			os.Exit(1)
-		}
-		for _, tr := range traces {
-			fmt.Printf("%-28s %2d iterations  %s\n", tr.Name, tr.Iterations, tr.PlanTrace)
-		}
-		if *perfJSON == "" {
-			return
-		}
-	}
-
-	if *perfJSON != "" {
-		// The perf trajectory defaults to RMAT-scale-16 (the acceptance
-		// benchmark of the zero-allocation engine work) unless overridden.
-		perfScale := scale
-		if !flagPassed("rmat-scale") {
-			perfScale.RMATScale = 16
-		}
-		f, err := os.Create(*perfJSON)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-			os.Exit(1)
-		}
-		if err := bench.WritePerfJSON(perfScale, f); err != nil {
-			f.Close()
-			fmt.Fprintf(os.Stderr, "benchrunner: perf suite failed: %v\n", err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("perf trajectory written to %s\n", *perfJSON)
-		host := fmt.Sprintf("host: %s, GOMAXPROCS=%d", runtime.Version(), runtime.GOMAXPROCS(0))
-		if cpu := bench.HostCPUModel(); cpu != "" {
-			host += ", cpu=" + cpu
-		}
-		fmt.Println(host)
-		return
 	}
 
 	var ids []string

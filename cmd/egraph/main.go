@@ -45,12 +45,11 @@ func main() {
 		directed  = flag.Bool("directed", true, "treat the input file as directed")
 		scale     = flag.Int("scale", 18, "log2 of the vertex count for generated graphs")
 		seed      = flag.Int64("seed", 42, "generator seed")
-		layoutF   = flag.String("layout", "adjacency", "edgearray | adjacency | adjacency-sorted | grid | grid-compressed")
+		layoutF   = flag.String("layout", "adjacency", "edgearray | adjacency | adjacency-sorted | grid")
 		flowF     = flag.String("flow", "push", "push | pull | pushpull | auto (adaptive planner)")
 		syncF     = flag.String("sync", "atomics", "locks | atomics | nolock")
 		prepF     = flag.String("prep", "radix", "dynamic | count | radix")
 		gridP     = flag.Int("p", 0, "grid dimension for -layout grid (0 = paper's 256, clamped for small graphs and oversized requests)")
-		gridLvls  = flag.Int("grid-levels", 0, "grid-resolution policy over the grid pyramid: with -flow auto, consider the finest N levels (0 = all); with -layout grid and a static flow, pin the N-th level (1 = materialized P, 2 = P/2, ...)")
 		source    = flag.Uint("source", 0, "source vertex for bfs/sssp")
 		sourcesF  = flag.String("sources", "", "comma-separated source vertices for a multi-source batched run (bfs and sssp only, in-memory): queries are packed into bit-parallel 64-wide sweeps, extra groups run concurrently on worker-pool leases; overrides -source")
 		prIters   = flag.Int("pagerank-iterations", 10, "PageRank iteration count")
@@ -67,7 +66,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := everythinggraph.Config{Workers: *workers, GridP: *gridP, GridLevels: *gridLvls, MemoryBudget: *memBudget << 20, PrefetchDepth: *prefetch}
+	cfg := everythinggraph.Config{Workers: *workers, GridP: *gridP, MemoryBudget: *memBudget << 20, PrefetchDepth: *prefetch}
 	if *leaseN > 0 {
 		lease := everythinggraph.NewLease(*leaseN)
 		defer lease.Release()
@@ -444,8 +443,6 @@ func parseLayout(s string) (everythinggraph.Layout, error) {
 		return everythinggraph.LayoutAdjacencySorted, nil
 	case "grid":
 		return everythinggraph.LayoutGrid, nil
-	case "grid-compressed", "compressed":
-		return everythinggraph.LayoutGridCompressed, nil
 	default:
 		return 0, fmt.Errorf("unknown layout %q", s)
 	}

@@ -87,11 +87,6 @@ const (
 	LayoutAdjacencySorted = graph.LayoutAdjacencySorted
 	// LayoutGrid iterates a 2-D grid of edge cells.
 	LayoutGrid = graph.LayoutGrid
-	// LayoutGridCompressed iterates the grid's delta+varint-compressed
-	// cells: the same cell structure and per-destination visit order (so
-	// float results stay bit-identical to LayoutGrid), a fraction of the
-	// memory traffic.
-	LayoutGridCompressed = graph.LayoutGridCompressed
 )
 
 // Flow constants.
@@ -159,7 +154,7 @@ func GenerateRMAT(scale, edgeFactor int, seed int64) *Graph {
 }
 
 // GenerateTwitterProfile generates a directed graph with Twitter-like skew
-// (stand-in for the Twitter follower graph; see DESIGN.md).
+// (stand-in for the Twitter follower graph).
 func GenerateTwitterProfile(scale int, seed int64) *Graph {
 	return &Graph{g: gen.TwitterProfile(gen.TwitterProfileOptions{Scale: scale, Seed: seed})}
 }
@@ -256,17 +251,6 @@ type Config struct {
 	// GridP is the grid dimension (0 = the paper's 256, clamped for small
 	// graphs and — for oversized requests — by LLC fit).
 	GridP int
-	// GridLevels is the grid-resolution policy over the grid's coarsening
-	// ladder — the virtual coarser views the prep builders attach to every
-	// in-memory grid, and the zero-copy coalescing levels of an on-disk
-	// store (Store runs stream coarse cells as merged reads of the same
-	// bytes, bit-identical to the finest level). With FlowAuto, N > 0
-	// restricts the planner to the finest N resolutions and 0 (the
-	// default) lets it choose among every level; on a static grid
-	// configuration N > 0 pins execution to the N-th level (1 = the
-	// materialized/stored P, 2 = P/2, ...). Static flows on other layouts
-	// reject it.
-	GridLevels int
 	// Workers bounds parallelism (0 = all CPUs).
 	Workers int
 	// MaxIterations caps the engine iterations (0 = no cap).
@@ -394,12 +378,6 @@ func (g *Graph) Prepare(cfg Config) (Breakdown, error) {
 				return bd, err
 			}
 		}
-	case LayoutGridCompressed:
-		if g.g.Compressed == nil {
-			if err := prep.BuildCompressedGrid(g.g, cfg.GridP, opt); err != nil {
-				return bd, err
-			}
-		}
 	default:
 		return bd, fmt.Errorf("everythinggraph: unknown layout %v", cfg.Layout)
 	}
@@ -444,7 +422,6 @@ func (g *Graph) Run(alg Algorithm, cfg Config) (*Result, error) {
 		Sync:            cfg.Sync,
 		Workers:         cfg.Workers,
 		PushPullAlpha:   cfg.PushPullAlpha,
-		GridLevels:      cfg.GridLevels,
 		MaxIterations:   cfg.MaxIterations,
 		RecordFrontiers: cfg.RecordFrontiers,
 		CostPriors:      cfg.CostPriors,
@@ -598,7 +575,6 @@ func (st *Store) Run(alg Algorithm, cfg Config) (*Result, error) {
 		Sync:            SyncPartitionFree,
 		Workers:         cfg.Workers,
 		PushPullAlpha:   cfg.PushPullAlpha,
-		GridLevels:      cfg.GridLevels,
 		MaxIterations:   cfg.MaxIterations,
 		RecordFrontiers: cfg.RecordFrontiers,
 		MemoryBudget:    cfg.MemoryBudget,
@@ -670,7 +646,6 @@ func (g *Graph) Batch(kind BatchKind, sources []VertexID, cfg Config) ([]BatchSo
 		Sync:            cfg.Sync,
 		Workers:         cfg.Workers,
 		PushPullAlpha:   cfg.PushPullAlpha,
-		GridLevels:      cfg.GridLevels,
 		MaxIterations:   cfg.MaxIterations,
 		RecordFrontiers: cfg.RecordFrontiers,
 		CostPriors:      cfg.CostPriors,

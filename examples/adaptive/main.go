@@ -140,6 +140,5 @@ func main() {
 	fmt.Printf("  fixed grid/256           algorithm=%v\n", fineRes.Breakdown.Algorithm)
 	fmt.Printf("  auto (planner)           algorithm=%v  plan=%s (frozen)\n",
 		gridAutoRes.Breakdown.Algorithm, gridAutoRes.Run.PerIteration[0].Plan)
-	fmt.Println("  -> the planner chose its resolution off the pyramid; pin any level")
-	fmt.Println("     with Config.GridLevels (CLI: -grid-levels) to compare fixed points")
+	fmt.Println("  -> the planner chose its resolution off the pyramid")
 }

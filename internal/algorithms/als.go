@@ -20,6 +20,10 @@ import (
 // Within the engine's model, one ALS sweep is two iterations: even
 // iterations update users (pulling the item factors over the ratings), odd
 // iterations update items.
+//
+// ALS ships no span kernels: it runs through the engine's per-edge adapter,
+// and stays there until a benchmark/ workload runs it and a kernel can be
+// measured against the adapter.
 type ALS struct {
 	// Users is the number of user vertices; vertices [0, Users) are users
 	// and [Users, NumVertices) are items.

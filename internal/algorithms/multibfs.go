@@ -18,7 +18,9 @@ import (
 // MultiBFS is an ordinary core.Algorithm — it runs under every layout, flow
 // and synchronization combination, streamed or resident, and the planner
 // sees the batch width through the MultiSource extension (the "x<k>" plan
-// label), so batched sweeps keep their own measured costs.
+// label), so batched sweeps keep their own measured costs. It ships no span
+// kernels and runs through the engine's per-edge adapter until a
+// benchmark/ workload runs it.
 type MultiBFS struct {
 	// Sources are the batch's roots, one traversal (and one mask bit) each;
 	// at most graph.MaxMultiWidth. Duplicates are allowed and produce

@@ -14,7 +14,8 @@ import (
 // engine processes the union frontier, and scanning one edge relaxes it for
 // every source whose bit is active on the origin. Unlike MultiBFS there is
 // no Visited mask — a distance can improve repeatedly, so improved sources
-// simply re-enter the Next mask.
+// simply re-enter the Next mask. Like MultiBFS it runs through the engine's
+// per-edge adapter until a benchmark/ workload runs it.
 type MultiSSSP struct {
 	// Sources are the batch's origins, one bit each; at most
 	// graph.MaxMultiWidth.

@@ -51,12 +51,6 @@ type Scale struct {
 	GridP int
 	// Seed makes the generated datasets deterministic.
 	Seed int64
-	// CostCachePath optionally names a costcache JSON file (the same format
-	// egraph -cost-cache reads): the perf suite's adaptive cases seed their
-	// cost models from the file's measurements for this RMAT dataset and
-	// append their own measured per-edge plan costs back. Empty disables
-	// caching (every adaptive case starts from the hand priors).
-	CostCachePath string
 	// CacheTraceEdges caps the number of edges replayed through the cache
 	// simulator (the simulator is ~50x slower than real execution; a few
 	// million edges give stable miss ratios).

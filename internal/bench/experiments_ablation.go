@@ -101,7 +101,7 @@ func runAblationAlpha(s Scale, w io.Writer) error {
 		}
 		pulls := 0
 		for _, it := range res.PerIteration {
-			if it.UsedPull {
+			if it.Plan.Flow == core.Pull {
 				pulls++
 			}
 		}

@@ -31,7 +31,7 @@ func init() {
 // algorithm is executed once per machine row pair (the interleaved
 // measurement); the NUMA-aware algorithm time is modeled from the measured
 // run, the partition's locality and the frontier concentration profile
-// (DESIGN.md documents this substitution). The partitioning cost itself is
+// (README, "Benchmarks", NUMA). The partitioning cost itself is
 // real work: the per-node subgraphs are actually built and timed.
 func numaCase(tbl *metrics.Table, label string, g *graph.Graph, prepTime time.Duration,
 	alg func() core.Algorithm, cfg core.Config, s Scale) error {

@@ -30,10 +30,10 @@ const (
 	// PushPull switches per iteration between Push and Pull depending on
 	// the size of the frontier (direction-optimizing traversal).
 	PushPull
-	// Auto hands every per-iteration decision — direction, but also layout
-	// and synchronization — to the adaptive execution planner, which picks
-	// among the layouts materialized on the graph using density thresholds
-	// and measured per-iteration costs (the paper's synthesis). Config.Layout
+	// Auto hands every per-iteration decision — direction, but also layout,
+	// synchronization and grid resolution — to the planner over every plan
+	// the materialized layouts can run, chosen by density thresholds and
+	// measured per-iteration costs (the paper's synthesis). Config.Layout
 	// and Config.Sync are treated as preparation hints only.
 	Auto
 )
@@ -89,7 +89,7 @@ func (s SyncMode) String() string {
 // exceed |E|/alpha (Beamer's heuristic as adopted by Ligra).
 const DefaultPushPullAlpha = 20
 
-// Streamed (out-of-core) I/O knob bounds, shared by the planners and the
+// Streamed (out-of-core) I/O knob bounds, shared by the planner and the
 // stream sources so a plan's I/O recipe and a source's buffer pool agree on
 // the legal range.
 const (
@@ -129,20 +129,6 @@ type Config struct {
 	// PushPullAlpha overrides the direction-switch threshold denominator
 	// (0 = DefaultPushPullAlpha).
 	PushPullAlpha int
-	// GridLevels is the grid-resolution policy over the grid pyramid (the
-	// virtual coarser views of a materialized grid; see graph.GridLevel).
-	// With Flow == Auto, N > 0 restricts the planner to the finest N
-	// resolutions (1 = the materialized grid only, i.e. pre-pyramid
-	// behaviour) and 0 lets it choose among every level. On a static grid
-	// configuration, N > 0 pins execution to the N-th level (1 = finest,
-	// 2 = P/2, ...), clamped to the deepest level built, and 0 runs the
-	// materialized grid exactly as before. Static flows on any other layout
-	// reject it — there is no grid whose resolution it could select. Runs
-	// over a disk store apply the same policy to the store's virtual
-	// coarsening ladder (see StreamLeveler): the stored resolution is the
-	// finest level, coarser rungs merge adjacent row segments into fewer,
-	// larger reads, bit-identically.
-	GridLevels int
 	// MaxIterations caps the number of iterations (0 = no cap). Algorithms
 	// with a fixed iteration count (PageRank) converge on their own.
 	MaxIterations int
@@ -177,7 +163,7 @@ type Config struct {
 	// default) runs on the shared pool exactly as before.
 	Lease *sched.Lease
 	// Trace attaches a run-scoped trace recorder. When non-nil, the engine,
-	// the planners, the I/O controller and the out-of-core fetcher pipeline
+	// the planner, the I/O controller and the out-of-core fetcher pipeline
 	// record iteration spans, planner decisions and fetch/stall spans into
 	// it, and Result.Metrics carries the counters+histograms snapshot. The
 	// recording path is allocation-free in the steady state; nil (the
@@ -204,9 +190,6 @@ type IterationStats struct {
 	// configurations repeat the configured techniques here (with dynamic
 	// flows resolved); adaptive runs record what the planner chose.
 	Plan StepPlan
-	// UsedPull reports whether the iteration ran in pull mode
-	// (Plan.Flow == Pull).
-	UsedPull bool
 	// Duration is the wall-clock time of the iteration.
 	Duration time.Duration
 	// IOWait is the time compute stalled on storage during this iteration
@@ -287,9 +270,8 @@ func ValidateTechniques(layout graph.Layout, flow Flow, sync SyncMode) error {
 			// other push.
 			return fmt.Errorf("core: push on adjacency lists requires locks or atomics (destinations are not partitioned)")
 		}
-	case graph.LayoutGrid, graph.LayoutGridCompressed:
-		// Every flow/sync combination has a grid path; the compressed grid
-		// runs the same cell kernels behind a per-cell decode.
+	case graph.LayoutGrid:
+		// Every flow/sync combination has a grid path.
 	default:
 		return fmt.Errorf("core: unknown layout %v", layout)
 	}
@@ -298,9 +280,8 @@ func ValidateTechniques(layout graph.Layout, flow Flow, sync SyncMode) error {
 
 // validateAlpha rejects per-iteration-planning knobs that would be silently
 // ignored: the threshold denominator and the cost priors only participate in
-// the dynamic flows, and the grid-resolution policy needs a grid (any Auto
-// run, or a static grid configuration) to act on — setting them elsewhere
-// means the benchmark config lies about what ran.
+// the dynamic flows — setting them elsewhere means the benchmark config lies
+// about what ran.
 func (cfg Config) validateAlpha() error {
 	if cfg.PushPullAlpha < 0 {
 		return fmt.Errorf("core: PushPullAlpha must be positive, got %d", cfg.PushPullAlpha)
@@ -313,13 +294,6 @@ func (cfg Config) validateAlpha() error {
 	}
 	if len(cfg.CostPriors) > 0 && cfg.Flow != Auto {
 		return fmt.Errorf("core: CostPriors feed the adaptive cost model; flow %v would silently ignore them", cfg.Flow)
-	}
-	if cfg.GridLevels < 0 {
-		return fmt.Errorf("core: GridLevels must be non-negative, got %d", cfg.GridLevels)
-	}
-	if cfg.GridLevels != 0 && cfg.Flow != Auto &&
-		cfg.Layout != graph.LayoutGrid && cfg.Layout != graph.LayoutGridCompressed {
-		return fmt.Errorf("core: GridLevels selects a grid resolution; a static %v configuration has no grid to apply it to", cfg.Layout)
 	}
 	return nil
 }
@@ -337,7 +311,7 @@ func (cfg Config) Validate(g *graph.Graph) error {
 		// The planner works with whatever layouts are materialized; it
 		// needs at least one (the edge array qualifies whenever the dataset
 		// has edges, so this only fires on degenerate inputs).
-		if g.Out == nil && g.In == nil && g.Grid == nil && g.Compressed == nil && len(g.EdgeArray.Edges) == 0 {
+		if g.Out == nil && g.In == nil && g.Grid == nil && len(g.EdgeArray.Edges) == 0 {
 			return fmt.Errorf("core: auto flow needs at least one materialized layout or a non-empty edge array")
 		}
 		return nil
@@ -359,10 +333,6 @@ func (cfg Config) Validate(g *graph.Graph) error {
 	case graph.LayoutGrid:
 		if g.Grid == nil {
 			return fmt.Errorf("core: grid layout requested but not built (run prep.BuildGrid)")
-		}
-	case graph.LayoutGridCompressed:
-		if g.Compressed == nil {
-			return fmt.Errorf("core: compressed grid layout requested but not built (run prep.BuildCompressedGrid)")
 		}
 	}
 	return nil

@@ -13,10 +13,10 @@ import (
 // execution time, never pre-processing, matching the paper's methodology of
 // reporting the two phases separately.
 //
-// Every iteration executes through an explicit StepPlan produced by a
-// planner (see plan.go): static configurations run under the fixedPlanner,
-// Flow == Auto under the adaptive planner, and the plan each iteration ran
-// is recorded in its IterationStats.
+// Every iteration executes through an explicit StepPlan produced by the
+// planner (see plan.go) — over the configured plan for a static
+// configuration, over every runnable layout for Flow == Auto — and the plan
+// each iteration ran is recorded in its IterationStats.
 //
 // Steady-state execution (every iteration after the first) performs no heap
 // allocations and spawns no goroutines: parallel loops run on persistent
@@ -31,7 +31,7 @@ func Run(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 	}
 	workers := resolveWorkers(cfg)
 	r := newRunner(g, alg, cfg, workers)
-	pl, err := newPlanner(g, cfg, r, resolveAlpha(cfg), workers, !alg.Dense())
+	pl, err := residentPlanner(g, cfg, r, resolveAlpha(cfg), workers, !alg.Dense())
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +47,7 @@ func Run(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 // chosen plan and returns the next frontier (nil for dense algorithms), and
 // src — nil for in-memory runs — is the streamed source whose I/O accounting
 // is diffed around every iteration and around the run.
-func iterate(g *graph.Graph, alg Algorithm, cfg Config, workers int, pl planner, src Source,
+func iterate(g *graph.Graph, alg Algorithm, cfg Config, workers int, pl *planner, src Source,
 	step func(StepPlan, *graph.Frontier) (*graph.Frontier, error)) (*Result, error) {
 	if wb, ok := alg.(WorkerBound); ok {
 		wb.SetWorkers(workers)
@@ -98,7 +98,6 @@ func iterate(g *graph.Graph, alg Algorithm, cfg Config, workers int, pl planner,
 			ActiveVertices: frontier.Count(),
 			ActiveEdges:    frontier.OutEdges(),
 			Plan:           plan,
-			UsedPull:       plan.Flow == Pull,
 		}
 		if cfg.RecordFrontiers {
 			res.FrontierHistory = append(res.FrontierHistory, frontierSnapshot(alg, frontier))
@@ -136,9 +135,7 @@ func iterate(g *graph.Graph, alg Algorithm, cfg Config, workers int, pl planner,
 	}
 	res.AlgorithmTime = time.Since(start)
 	res.IO = sourceStats(src)
-	if ap, ok := pl.(*adaptivePlanner); ok {
-		res.PlanCosts = ap.measuredCosts()
-	}
+	res.PlanCosts = pl.measuredCosts()
 	if rec != nil {
 		finishRunTrace(rec, res, schedCounters().Sub(schedBefore), src != nil, res.IO.Sub(ioStart))
 	}
@@ -321,15 +318,6 @@ type runner struct {
 	edgeBody       func(worker, lo, hi int) // edge-array index range
 	gridOwnedBody  func(worker, lo, hi int) // column-owned grid traversal
 	gridCellsBody  func(worker, lo, hi int) // cell-parallel grid traversal
-	compOwnedBody  func(worker, lo, hi int) // column-owned compressed-grid traversal
-	compCellsBody  func(worker, lo, hi int) // cell-parallel compressed-grid traversal
-
-	// Compressed-grid state: the layout and the per-worker decode scratch
-	// (one MaxCellEdges-sized arena per worker, allocated on the first
-	// compressed iteration and reused for the rest of the run, so
-	// steady-state compressed iterations stay allocation-free).
-	comp        *graph.CompressedGrid
-	compScratch [][]graph.Edge
 }
 
 // newRunner builds the per-run state and binds every loop body once. Each
@@ -365,32 +353,6 @@ func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 		r.kern.PushEdges(&r.span, worker, r.g.EdgeArray.Edges[lo:hi])
 	}
 
-	if g.Compressed != nil {
-		r.comp = g.Compressed
-		comp := g.Compressed
-		// The compressed bodies mirror the grid bodies at the layout's single
-		// resolution: ascending rows per column (owned) fix the same
-		// per-destination visit order as the raw grid, so decoded execution
-		// is bit-identical to it.
-		r.compOwnedBody = func(worker, lo, hi int) {
-			scratch := r.compScratch[worker]
-			for col := lo; col < hi; col++ {
-				for row := 0; row < comp.P; row++ {
-					if cell := comp.DecodeCell(row, col, scratch); len(cell) > 0 {
-						r.edges(worker, cell)
-					}
-				}
-			}
-		}
-		r.compCellsBody = func(worker, lo, hi int) {
-			scratch := r.compScratch[worker]
-			for c := lo; c < hi; c++ {
-				if cell := comp.DecodeCell(c/comp.P, c%comp.P, scratch); len(cell) > 0 {
-					r.edges(worker, cell)
-				}
-			}
-		}
-	}
 	if g.Grid != nil {
 		grid := g.Grid
 		// The grid bodies execute at whatever pyramid level the plan chose

@@ -151,6 +151,38 @@ func BenchmarkPageRankAutoIterRMAT16(b *testing.B) {
 	}
 }
 
+// BenchmarkMultiBFS64RMAT16 measures the k=64 multi-source batch: one
+// MultiBFS sweep answering 64 roots per op (adjacency, push, atomics),
+// reported as ns per (source × edge) so it compares directly with
+// BenchmarkBFSRMAT16's ns/op divided by the edge count; "iter" runs b.N
+// fixed sweeps in one run, so its allocs/op is run setup divided by b.N and
+// falls toward 0 as b.N grows.
+func BenchmarkMultiBFS64RMAT16(b *testing.B) {
+	g := rmat16(b)
+	cfg := Config{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics}
+	roots := make([]graph.VertexID, graph.MaxMultiWidth)
+	for i := range roots {
+		roots[i] = graph.VertexID((i*2654435761 + 1) % g.NumVertices())
+	}
+	b.Run("sweep", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := Run(g, algorithms.NewMultiBFS(roots), cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(roots))/float64(g.NumEdges()), "ns/source-edge")
+	})
+	b.Run("iter", func(b *testing.B) {
+		mb := algorithms.NewMultiBFS(roots)
+		mb.Sweeps = b.N
+		b.ReportAllocs()
+		if _, err := Run(g, mb, cfg); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
 // Span-versus-adapter pairs: each benchmark runs b.N PageRank iterations
 // under one configuration twice — through the algorithm's span kernels and
 // through the per-edge adapter (the pre-span engine's cost: one dynamic call

@@ -25,12 +25,12 @@ func TestPushPullSwitchesDirection(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if res.PerIteration[0].UsedPull {
+	if res.PerIteration[0].Plan.Flow == Pull {
 		t.Fatal("the first iteration (a single-vertex frontier) must push")
 	}
 	sawPull := false
 	for _, it := range res.PerIteration {
-		if it.UsedPull {
+		if it.Plan.Flow == Pull {
 			sawPull = true
 			if it.ActiveEdges < 0 {
 				t.Fatal("pull iterations must record the active edge count")
@@ -171,7 +171,7 @@ func TestPushIterationsRecordActiveEdges(t *testing.T) {
 			t.Fatalf("Run: %v", err)
 		}
 		for i, it := range res.PerIteration {
-			if it.UsedPull {
+			if it.Plan.Flow == Pull {
 				continue
 			}
 			var want int64

@@ -22,8 +22,6 @@ func (r *runner) execute(plan StepPlan, frontier *graph.Frontier) *graph.Frontie
 		r.edgeCentric(frontier)
 	case graph.LayoutGrid:
 		r.gridStep(frontier, plan)
-	case graph.LayoutGridCompressed:
-		r.compressedStep(frontier, plan)
 	default: // LayoutAdjacency, LayoutAdjacencySorted
 		if plan.Flow == Pull {
 			r.vertexPull(frontier)
@@ -169,30 +167,6 @@ func (r *runner) gridStep(frontier *graph.Frontier, plan StepPlan) {
 	} else {
 		// Cell-parallel with synchronized updates, over the level's cells.
 		r.pfor(0, r.level.P*r.level.P, 4, r.workers, r.gridCellsBody)
-	}
-}
-
-// compressedStep runs one iteration over the compressed grid: the grid
-// step's scheduling and kernels at the layout's single resolution, with each
-// cell decoded into the worker's scratch on the way in. The decode preserves
-// the cell's edge order, so per-destination visit order — and result bits —
-// match the raw grid exactly; its CPU cost lands inside the iteration's
-// timed window, which is how the planner measures it.
-func (r *runner) compressedStep(frontier *graph.Frontier, plan StepPlan) {
-	if r.compScratch == nil {
-		r.compScratch = make([][]graph.Edge, r.workers)
-		for i := range r.compScratch {
-			r.compScratch[i] = make([]graph.Edge, r.comp.MaxCellEdges)
-		}
-	}
-	r.span.Bits = frontier.Bitmap()
-	if plan.Sync == SyncPartitionFree {
-		// Column ownership: a worker decodes and applies every cell of its
-		// columns in ascending row order.
-		r.pfor(0, r.comp.P, 1, r.workers, r.compOwnedBody)
-	} else {
-		// Cell-parallel with synchronized updates.
-		r.pfor(0, r.comp.P*r.comp.P, 4, r.workers, r.compCellsBody)
 	}
 }
 

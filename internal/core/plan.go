@@ -11,11 +11,12 @@ import (
 // This file contains the per-iteration execution planner. The engine never
 // reads techniques off Config inside its iteration loop; instead a planner
 // resolves every iteration into an explicit StepPlan, and Run/RunStreamed
-// reduce to `plan := planner.Next(...); execute(plan)`. The static
-// configurations of the paper's individual experiments are the trivial
-// fixedPlanner; the paper's synthesis — no single (layout, flow, sync)
-// point wins, the best combination changes per algorithm, per graph and
-// per iteration — is the adaptivePlanner behind Flow == Auto.
+// reduce to `plan := planner.Next(...); execute(plan)`. There is one
+// planner over a candidate set: the static configurations of the paper's
+// individual experiments are a one-candidate set per direction, and the
+// paper's synthesis — no single (layout, flow, sync) point wins, the best
+// combination changes per algorithm, per graph and per iteration — is the
+// same planner over every runnable plan under Flow == Auto.
 
 // StepPlan is the fully resolved execution recipe for one iteration: which
 // layout to iterate, in which direction, under which synchronization
@@ -31,13 +32,13 @@ type StepPlan struct {
 	// for dense algorithms that process the whole graph every iteration).
 	Tracked bool
 	// GridLevel is the grid resolution (the dimension P) the iteration runs
-	// at, for Layout == LayoutGrid: static configurations pin the
-	// materialized grid's P (or the level Config.GridLevels selects), the
-	// adaptive planner chooses among the pyramid's levels per run — and, on
-	// streamed runs, among the store's virtual coarsening ladder. 0 on
-	// non-grid plans. Unlike the I/O knobs it is part of the plan's identity
-	// (key() keeps it): per-edge cost is a property of the resolution — the
-	// whole point of planning it — so cost entries are kept per level.
+	// at, for grid plans: static configurations pin the materialized grid's
+	// (or the stored) P, the adaptive planner chooses among the pyramid's
+	// levels per run — and, on streamed runs, among the store's virtual
+	// coarsening ladder. 0 on non-grid plans. Unlike the I/O knobs it is part
+	// of the plan's identity (key() keeps it): per-edge cost is a property of
+	// the resolution — the whole point of planning it — so cost entries are
+	// kept per level.
 	GridLevel int
 	// StreamFormat is the storage format version of a streamed plan (1 =
 	// fixed-record, 2 = compressed segments); 0 on in-memory plans. It is
@@ -104,10 +105,11 @@ func formatBytes(n int64) string {
 }
 
 // String returns the "layout/flow/sync" label used in plan traces — grid
-// plans carry their resolution as "grid/<P>/flow/sync", compressed plans as
-// "compressed/<P>/flow/sync" — with the I/O recipe appended for streamed
-// plans. Non-grid in-memory plans render exactly as before the IO and
-// resolution dimensions existed, keeping recorded traces comparable.
+// plans carry their resolution as "grid/<P>/flow/sync", streamed plans
+// their store format too ("grid/<P>@s1/…", "compressed/<P>@s2/…" for
+// compressed stores) and the I/O recipe. Non-grid in-memory plans render
+// exactly as before the IO and resolution dimensions existed, keeping
+// recorded traces comparable.
 func (p StepPlan) String() string {
 	layout := p.Layout.String()
 	if (p.Layout == graph.LayoutGrid || p.Layout == graph.LayoutGridCompressed) && p.GridLevel > 0 {
@@ -139,19 +141,6 @@ func (p StepPlan) key() StepPlan {
 	return p
 }
 
-// planner chooses the StepPlan for each iteration and receives the measured
-// outcome of the previous choice. Implementations must be cheap and
-// allocation-free in the steady state: Next runs inside the timed portion
-// of every iteration.
-type planner interface {
-	// Next returns the plan for the iteration about to execute, given the
-	// current frontier.
-	Next(iteration int, f *graph.Frontier) StepPlan
-	// Observe feeds back the measured statistics of an executed plan so a
-	// mispredicted plan can be abandoned on the next iteration.
-	Observe(plan StepPlan, stats IterationStats)
-}
-
 // plannerEnv is what a planner knows about the run, fixed at setup.
 type plannerEnv struct {
 	numVertices int
@@ -166,11 +155,11 @@ type plannerEnv struct {
 	tracked bool
 	// activeOutEdges sums the out-degrees of a frontier, memoizing the
 	// result on the frontier. nil when no out index is resident (grid-only
-	// and streamed runs), in which case planners fall back to the
+	// and streamed runs), in which case the planner falls back to the
 	// active-vertex-count heuristic.
 	activeOutEdges func(*graph.Frontier) int64
 	// multi is the run's source-batch width (see StepPlan.Multi): stamped on
-	// every plan the planners emit so labels and cost entries carry it. 0
+	// every plan the planner emits so labels and cost entries carry it. 0
 	// for ordinary single-source runs.
 	multi int
 }
@@ -185,93 +174,6 @@ func (env *plannerEnv) overThreshold(f *graph.Frontier) bool {
 	}
 	return f.Count() > env.numVertices/env.alpha
 }
-
-// fixedPlanner reproduces a static Config: layout and sync never change and
-// the flow is fixed, except that PushPull resolves direction per iteration
-// with the shared threshold test. This is the planner behind every
-// non-Auto configuration, and the single home of the direction-switch
-// logic that Run and RunStreamed used to duplicate.
-type fixedPlanner struct {
-	env  plannerEnv
-	plan StepPlan // Flow holds the resolved static direction
-	flow Flow     // the configured flow (may be PushPull)
-	io   *ioPlanner
-
-	// Decision tracing: a static configuration has no candidate set to
-	// score, but the direction resolution of PushPull IS a per-iteration
-	// decision, so the recorder gets one event at iteration 0 and one per
-	// direction flip. Labels are interned at construction (indexed by
-	// direction) so Next stays allocation-free.
-	rec      *trace.Recorder
-	labels   [2]int32 // decision labels: [0] push-resolved, [1] pull
-	started  bool
-	lastFlow Flow
-}
-
-// newFixedPlanner builds the static planner. gridP pins the grid resolution
-// of grid plans (the materialized P, or the pyramid level Config.GridLevels
-// selects); it is 0 for non-grid layouts. streamFormat carries the store
-// format version of streamed runs (0 for in-memory ones).
-func newFixedPlanner(env plannerEnv, layout graph.Layout, flow Flow, sync SyncMode, gridP, streamFormat int, rec *trace.Recorder) *fixedPlanner {
-	resolved := flow
-	if flow == PushPull {
-		resolved = Push // per-iteration; overwritten by Next
-	}
-	if layout == graph.LayoutEdgeArray {
-		// Edge-centric iterations scan all edges and apply push updates;
-		// direction is not a meaningful choice (Validate rejects PushPull).
-		resolved = Push
-	}
-	if layout != graph.LayoutGrid && layout != graph.LayoutGridCompressed {
-		gridP = 0
-	}
-	p := &fixedPlanner{
-		env:  env,
-		plan: StepPlan{Layout: layout, Flow: resolved, Sync: sync, Tracked: env.tracked, GridLevel: gridP, StreamFormat: streamFormat, Multi: env.multi},
-		flow: flow,
-		rec:  rec,
-	}
-	if rec != nil {
-		for _, fl := range []Flow{Push, Pull} {
-			k := p.plan.key()
-			k.Flow = fl
-			p.labels[flowIdx(fl)] = rec.Intern(k.String())
-		}
-	}
-	return p
-}
-
-// flowIdx indexes per-direction tables by resolved flow.
-func flowIdx(f Flow) int {
-	if f == Pull {
-		return 1
-	}
-	return 0
-}
-
-func (p *fixedPlanner) Next(iter int, f *graph.Frontier) StepPlan {
-	plan := p.plan
-	if p.flow == PushPull {
-		if p.env.overThreshold(f) {
-			plan.Flow = Pull
-		} else {
-			plan.Flow = Push
-		}
-	}
-	if p.rec != nil && (!p.started || plan.Flow != p.lastFlow) {
-		p.started = true
-		p.lastFlow = plan.Flow
-		// frozen marks choices that cannot change for the rest of the run —
-		// everything about a static plan except PushPull's direction.
-		p.rec.Decision(iter, p.labels[flowIdx(plan.Flow)], 0, 0, true, p.flow != PushPull)
-	}
-	if p.io != nil {
-		plan.IO = p.io.current()
-	}
-	return plan
-}
-
-func (p *fixedPlanner) Observe(StepPlan, IterationStats) {}
 
 // I/O-planner thresholds. An iteration counts as I/O-bound when the
 // measured stall fraction (IOWait / wall time) reaches ioRaiseWaitFraction,
@@ -309,7 +211,7 @@ const (
 )
 
 // ioPlanner drives the I/O dimension of streamed plans. Static
-// configurations construct it fixed: the knobs pin to the configured values
+// candidate sets construct it fixed: the knobs pin to the configured values
 // for the whole run. Under Flow == Auto it is a small feedback controller
 // over the per-iteration IOWait breakdown:
 //
@@ -563,10 +465,9 @@ const (
 	priorAdjacencyPush = 1.6
 	priorGridPush      = 2.4
 	priorGridPull      = 2.5
-	// The compressed grid runs the raw grid's kernels behind a per-cell
-	// decode, so its priors sit just above the grid's (decode CPU is assumed
-	// to cost a little until measured) and below the edge array's — on a
-	// bandwidth-bound machine one measured iteration flips the ordering.
+	// A compressed (v2) store streams the raw grid's kernels behind a
+	// per-cell decode, so its priors sit just above the grid's (decode CPU
+	// is assumed to cost a little until measured).
 	priorCompressedPush = 2.7
 	priorCompressedPull = 2.8
 	priorEdgeArray      = 3.0
@@ -644,7 +545,17 @@ type planCandidate struct {
 	fullScan bool
 }
 
-// adaptivePlanner implements the paper's synthesis as an online policy:
+// planner chooses the StepPlan of every iteration from one candidate set —
+// enumerate (a candidate source below), prior, measure, freeze — and
+// receives the measured outcome of each choice. Next runs inside the timed
+// portion of every iteration, so both methods are cheap and allocation-free
+// in the steady state.
+//
+// A static Config is a candidate set with one candidate per direction its
+// flow admits (staticCandidates): layout, sync and grid resolution never
+// move, PushPull picks its direction per iteration with the |E|/alpha
+// threshold test alone, and nothing is measured. Flow == Auto (adaptive)
+// is the paper's synthesis as an online policy:
 //
 //   - direction by frontier density and active-out-edge thresholds (the
 //     direction-optimizing switch generalized beyond BFS to every tracked
@@ -661,43 +572,62 @@ type planCandidate struct {
 //     latest-wins weighting, so a plan that mispredicted is abandoned after
 //     a single iteration.
 //
-// Dense (whole-graph) algorithms are planned once and frozen: their
-// iterations are statistically identical, so there is nothing to adapt to,
-// and freezing keeps results bit-identical to the equivalent fixed
-// configuration (floating-point accumulation order never changes mid-run).
-type adaptivePlanner struct {
+// Dense (whole-graph) algorithms under Auto are planned once and frozen:
+// their iterations are statistically identical, so there is nothing to
+// adapt to, and freezing keeps results bit-identical to the equivalent
+// static configuration (floating-point accumulation order never changes
+// mid-run). On streamed runs io drives the I/O knobs of every plan.
+type planner struct {
 	env        plannerEnv
+	adaptive   bool
 	candidates []planCandidate
 	measured   []float64 // ns/edge EWMA per candidate; 0 = unmeasured
-	frozen     int       // dense algorithms: candidate locked at iteration 0; -1 while unset
-	io         *ioPlanner
+	// hasPush and hasPull record which directions the set offers.
+	hasPush, hasPull bool
+	// last is the candidate chosen most recently (-1 before the first
+	// iteration): a dense Auto run's frozen plan, a static run's current
+	// direction.
+	last int
+	io   *ioPlanner
 
 	// Decision tracing: candLabels holds one interned label per candidate
-	// (the plan key, matching PlanCosts), so emitting the scored candidate
-	// set is a loop of ring stores with no allocation.
+	// (the plan key, matching PlanCosts), so emitting a decision is a loop
+	// of ring stores with no allocation.
 	rec        *trace.Recorder
 	candLabels []int32
 }
 
-func newAdaptivePlanner(env plannerEnv, candidates []planCandidate, priors map[string]float64, rec *trace.Recorder) *adaptivePlanner {
+// newPlanner builds the planner over a candidate set; adaptive selects the
+// Auto policy (see planner). priors — Config.CostPriors, read only by
+// adaptive sets — seed the cost model with persisted measurements.
+func newPlanner(env plannerEnv, candidates []planCandidate, adaptive bool, priors map[string]float64, rec *trace.Recorder) *planner {
+	p := &planner{
+		env:        env,
+		adaptive:   adaptive,
+		candidates: candidates,
+		measured:   make([]float64, len(candidates)),
+		last:       -1,
+		rec:        rec,
+	}
 	// The batch width is a property of the run, not of any one candidate:
 	// stamp it across the set so labels, cost entries and Observe's key
 	// matching all carry it.
 	for i := range candidates {
 		candidates[i].plan.Multi = env.multi
-	}
-	p := &adaptivePlanner{
-		env:        env,
-		candidates: candidates,
-		measured:   make([]float64, len(candidates)),
-		frozen:     -1,
-		rec:        rec,
+		if candidates[i].plan.Flow == Push {
+			p.hasPush = true
+		} else {
+			p.hasPull = true
+		}
 	}
 	if rec != nil {
 		p.candLabels = make([]int32, len(candidates))
 		for i := range candidates {
 			p.candLabels[i] = rec.Intern(candidates[i].plan.key().String())
 		}
+	}
+	if len(priors) == 0 {
+		return p
 	}
 	// Persisted measurements from a previous run seed the starting EWMA (so
 	// a tracked run's first cost comparison uses them) and the prior (so a
@@ -731,59 +661,73 @@ func newAdaptivePlanner(env plannerEnv, candidates []planCandidate, priors map[s
 }
 
 // measuredCosts exports the candidates' measured (or cache-seeded) per-edge
-// costs keyed by plan label, the payload persisted by the cost cache.
-func (p *adaptivePlanner) measuredCosts() map[string]float64 {
-	out := make(map[string]float64, len(p.candidates))
+// costs keyed by plan label, the payload persisted by the cost cache. Static
+// sets measure nothing and export nil.
+func (p *planner) measuredCosts() map[string]float64 {
+	var out map[string]float64
 	for i, c := range p.candidates {
 		if p.measured[i] > 0 {
+			if out == nil {
+				out = make(map[string]float64, len(p.candidates))
+			}
 			out[c.plan.key().String()] = p.measured[i]
 		}
-	}
-	if len(out) == 0 {
-		return nil
 	}
 	return out
 }
 
-func (p *adaptivePlanner) Next(iter int, f *graph.Frontier) StepPlan {
-	var plan StepPlan
-	if !p.env.tracked {
-		if p.frozen < 0 {
-			p.frozen = p.cheapestPrior()
-			p.emitDecision(iter, p.frozen, true)
+// Next returns the plan for the iteration about to execute, given the
+// current frontier.
+func (p *planner) Next(iter int, f *graph.Frontier) StepPlan {
+	switch {
+	case p.adaptive && !p.env.tracked:
+		if p.last < 0 {
+			p.last = p.cheapestPrior()
+			p.emitDecision(iter, true)
 		}
-		plan = p.candidates[p.frozen].plan
-	} else {
-		best := p.cheapest(p.direction(f), f)
-		p.emitDecision(iter, best, false)
-		plan = p.candidates[best].plan
+	case p.adaptive:
+		p.last = p.cheapest(p.direction(f), f)
+		p.emitDecision(iter, false)
+	default:
+		// One candidate per direction: the direction decides, and each
+		// flip is the static set's only decision event.
+		if c := p.cheapest(p.direction(f), f); c != p.last {
+			p.last = c
+			p.emitDecision(iter, !p.hasPush || !p.hasPull)
+		}
 	}
+	plan := p.candidates[p.last].plan
 	if p.io != nil {
 		plan.IO = p.io.current()
 	}
 	return plan
 }
 
-// emitDecision records the full scored candidate set of one planning step —
-// every alternative with its predicted (prior) and measured ns/edge, plus
-// which one won. A dense run emits once, at the freeze; tracked runs emit
-// every iteration, which is exactly the explainability trail the compressed
-// plan trace cannot carry.
-func (p *adaptivePlanner) emitDecision(iter, chosen int, frozen bool) {
+// emitDecision records one planning step. An adaptive set records every
+// alternative with its predicted (prior) and measured ns/edge plus which
+// one won — once at a dense run's freeze, every iteration of a tracked run,
+// the explainability trail the compressed plan trace cannot carry. A
+// static set records only its chosen candidate, at iteration 0 and on each
+// direction flip; frozen marks a choice that cannot change for the rest of
+// the run.
+func (p *planner) emitDecision(iter int, frozen bool) {
 	if p.rec == nil {
 		return
 	}
 	for i := range p.candidates {
-		p.rec.Decision(iter, p.candLabels[i], p.candidates[i].prior, p.measured[i], i == chosen, frozen)
+		if p.adaptive || i == p.last {
+			p.rec.Decision(iter, p.candLabels[i], p.candidates[i].prior, p.measured[i], i == p.last, frozen)
+		}
 	}
 }
 
 // cheapestPrior returns the candidate with the lowest prior per-edge cost —
-// the plan a dense (whole-graph) algorithm freezes on. Measurements are
-// deliberately ignored: dense iterations are statistically identical, and
-// never switching keeps the floating-point accumulation order — and hence
-// the result bits — identical to the equivalent fixed configuration.
-func (p *adaptivePlanner) cheapestPrior() int {
+// the plan a dense (whole-graph) algorithm freezes on under Auto.
+// Measurements are deliberately ignored: dense iterations are statistically
+// identical, and never switching keeps the floating-point accumulation
+// order — and hence the result bits — identical to the equivalent static
+// configuration.
+func (p *planner) cheapestPrior() int {
 	best := 0
 	for i, c := range p.candidates {
 		if c.prior < p.candidates[best].prior {
@@ -793,31 +737,22 @@ func (p *adaptivePlanner) cheapestPrior() int {
 	return best
 }
 
-// direction picks push or pull for a tracked iteration. The density test
-// runs first because it is O(1); the degree sum only runs when the frontier
-// is sparse enough that density alone cannot decide.
-func (p *adaptivePlanner) direction(f *graph.Frontier) Flow {
-	hasPull, hasPush := p.hasFlow(Pull), p.hasFlow(Push)
+// direction picks push or pull for an iteration. Under Auto the density
+// test runs first because it is O(1); the degree sum only runs when the
+// frontier is sparse enough that density alone cannot decide. A static
+// PushPull set applies the threshold test alone.
+func (p *planner) direction(f *graph.Frontier) Flow {
 	switch {
-	case !hasPull:
+	case !p.hasPull:
 		return Push
-	case !hasPush:
+	case !p.hasPush:
 		return Pull
-	case f.Density() >= adaptiveDenseFrontier:
+	case p.adaptive && f.Density() >= adaptiveDenseFrontier:
 		return Pull
 	case p.env.overThreshold(f):
 		return Pull
 	}
 	return Push
-}
-
-func (p *adaptivePlanner) hasFlow(flow Flow) bool {
-	for _, c := range p.candidates {
-		if c.plan.Flow == flow {
-			return true
-		}
-	}
-	return false
 }
 
 // cheapest returns the candidate with the lowest estimated cost for this
@@ -826,7 +761,7 @@ func (p *adaptivePlanner) hasFlow(flow Flow) bool {
 // frontier-proportional adjacency push against full-scan candidates is what
 // implements the near-dense layout switch: as the frontier's out-edges
 // approach |E|, a cheaper-per-edge full scan overtakes it.
-func (p *adaptivePlanner) cheapest(flow Flow, f *graph.Frontier) int {
+func (p *planner) cheapest(flow Flow, f *graph.Frontier) int {
 	best := -1
 	var bestCost float64
 	for i, c := range p.candidates {
@@ -847,8 +782,8 @@ func (p *adaptivePlanner) cheapest(flow Flow, f *graph.Frontier) int {
 	}
 	if best < 0 {
 		// No candidate in the desired direction (e.g. a directed graph with
-		// no in-adjacency); fall back to whatever exists. newPlanner
-		// guarantees the candidate set is non-empty.
+		// no in-adjacency); fall back to whatever exists. Candidate sets are
+		// never empty.
 		return p.cheapest(oppositeFlow(flow), f)
 	}
 	return best
@@ -856,7 +791,7 @@ func (p *adaptivePlanner) cheapest(flow Flow, f *graph.Frontier) int {
 
 // predictedActiveEdges estimates the edges a frontier-proportional (push)
 // iteration will traverse.
-func (p *adaptivePlanner) predictedActiveEdges(f *graph.Frontier) int64 {
+func (p *planner) predictedActiveEdges(f *graph.Frontier) int64 {
 	if aoe := f.OutEdges(); aoe >= 0 {
 		return aoe
 	}
@@ -877,13 +812,17 @@ func oppositeFlow(flow Flow) Flow {
 	return Pull
 }
 
-// Observe folds the measured iteration cost into the candidate's per-edge
-// estimate with latest-wins weighting, and feeds the I/O breakdown to the
-// I/O controller on streamed runs. Candidates match on the plan's key — the
-// I/O knobs vary per iteration without multiplying the cost model's arms.
-func (p *adaptivePlanner) Observe(plan StepPlan, stats IterationStats) {
+// Observe feeds the I/O breakdown of an executed plan to the I/O
+// controller on streamed runs and, under Auto, folds the measured iteration
+// cost into the candidate's per-edge estimate with latest-wins weighting.
+// Candidates match on the plan's key — the I/O knobs vary per iteration
+// without multiplying the cost model's arms.
+func (p *planner) Observe(plan StepPlan, stats IterationStats) {
 	if p.io != nil {
 		p.io.observe(stats)
+	}
+	if !p.adaptive || stats.Duration <= 0 {
+		return
 	}
 	key := plan.key()
 	idx := -1
@@ -893,7 +832,7 @@ func (p *adaptivePlanner) Observe(plan StepPlan, stats IterationStats) {
 			break
 		}
 	}
-	if idx < 0 || stats.Duration <= 0 {
+	if idx < 0 {
 		return
 	}
 	work := float64(p.env.totalEdges)
@@ -914,10 +853,34 @@ func (p *adaptivePlanner) Observe(plan StepPlan, stats IterationStats) {
 	p.measured[idx] = per
 }
 
-// newPlanner builds the planner for an in-memory run: the fixedPlanner for
-// static configurations, the adaptivePlanner over every runnable layout for
-// Flow == Auto.
-func newPlanner(g *graph.Graph, cfg Config, r *runner, alpha int, workers int, tracked bool) (planner, error) {
+// staticCandidates is the candidate source of a static Config: the
+// configured layout and sync at grid resolution gridP (0 off the grid) and
+// store format (0 in memory), one candidate per direction the flow admits —
+// both for PushPull. Edge-centric iterations always push. A static set has
+// no cost model: zero priors and full scans, so picking the candidate of a
+// direction never sums frontier degrees.
+func staticCandidates(layout graph.Layout, flow Flow, sync SyncMode, gridP, format int, tracked bool) []planCandidate {
+	flows := []Flow{flow}
+	switch {
+	case layout == graph.LayoutEdgeArray:
+		flows = []Flow{Push}
+	case flow == PushPull:
+		flows = []Flow{Push, Pull}
+	}
+	cs := make([]planCandidate, len(flows))
+	for i, fl := range flows {
+		cs[i] = planCandidate{
+			plan:     StepPlan{Layout: layout, Flow: fl, Sync: sync, Tracked: tracked, GridLevel: gridP, StreamFormat: format},
+			fullScan: true,
+		}
+	}
+	return cs
+}
+
+// residentPlanner builds the planner of an in-memory run: every runnable
+// layout under Flow == Auto, the configured one — at the materialized grid
+// P on the grid — otherwise.
+func residentPlanner(g *graph.Graph, cfg Config, r *runner, alpha int, workers int, tracked bool) (*planner, error) {
 	env := plannerEnv{
 		numVertices: g.NumVertices(),
 		totalEdges:  residentScanEdges(g),
@@ -928,84 +891,46 @@ func newPlanner(g *graph.Graph, cfg Config, r *runner, alpha int, workers int, t
 	if g.Out != nil {
 		env.activeOutEdges = r.activeOutEdges
 	}
-
-	if cfg.Flow != Auto {
-		var gridP int
-		switch cfg.Layout {
-		case graph.LayoutGrid:
-			// The grid has no per-vertex out index; its direction switch
-			// uses the active-vertex heuristic even when an out-adjacency
-			// happens to be resident, preserving the measured behaviour of
-			// the paper's grid configurations.
-			env.activeOutEdges = nil
-			gridP = pinnedGridP(g.Grid, cfg.GridLevels)
-		case graph.LayoutGridCompressed:
-			// Same heuristic; the compressed grid has a single resolution.
-			env.activeOutEdges = nil
-			gridP = g.Compressed.P
+	if cfg.Flow == Auto {
+		candidates := autoCandidates(g, workers, tracked)
+		if len(candidates) == 0 {
+			return nil, fmt.Errorf("core: auto flow found no runnable layout (build adjacency lists, a grid, or supply edges)")
 		}
-		return newFixedPlanner(env, cfg.Layout, cfg.Flow, cfg.Sync, gridP, 0, cfg.Trace), nil
+		return newPlanner(env, candidates, true, cfg.CostPriors, cfg.Trace), nil
 	}
-
-	candidates := autoCandidates(g, cfg, workers, tracked)
-	if len(candidates) == 0 {
-		return nil, fmt.Errorf("core: auto flow found no runnable layout (build adjacency lists, a grid, or supply edges)")
+	var gridP int
+	if cfg.Layout == graph.LayoutGrid {
+		// The grid has no per-vertex out index; its direction switch uses
+		// the active-vertex heuristic even when an out-adjacency happens to
+		// be resident, preserving the measured behaviour of the paper's
+		// grid configurations.
+		env.activeOutEdges = nil
+		gridP = g.Grid.P
 	}
-	return newAdaptivePlanner(env, candidates, cfg.CostPriors, cfg.Trace), nil
+	return newPlanner(env, staticCandidates(cfg.Layout, cfg.Flow, cfg.Sync, gridP, 0, tracked), false, nil, cfg.Trace), nil
 }
 
-// pinnedGridP resolves Config.GridLevels for a static grid run: 0 pins the
-// materialized (finest) resolution — exactly the pre-pyramid behaviour —
-// and N > 0 pins the N-th level (1 = finest, 2 = P/2, ...), clamped to the
-// deepest level built. Grids without a pyramid (hand-built outside prep)
-// run at their own P; the planner never mutates the shared graph, so
-// concurrent runs over one graph stay race-free.
-func pinnedGridP(grid *graph.Grid, gridLevels int) int {
-	if grid.NumLevels() == 0 {
-		if grid.P < 1 {
-			return 0
-		}
-		return grid.P
+// gridCandidateLevels returns the pyramid levels Auto chooses among. A grid
+// built outside prep has no pyramid; it contributes its own resolution
+// only, via a planner-local level that leaves the shared graph untouched.
+// Degenerate grids (P < 1) contribute nothing.
+func gridCandidateLevels(grid *graph.Grid) []graph.GridLevel {
+	if len(grid.Levels) > 0 {
+		return grid.Levels
 	}
-	idx := 0
-	if gridLevels > 0 {
-		idx = gridLevels - 1
+	if grid.P < 1 {
+		return nil
 	}
-	if max := grid.NumLevels() - 1; idx > max {
-		idx = max
-	}
-	return grid.Level(idx).P
+	return []graph.GridLevel{grid.FineLevel()}
 }
 
-// gridCandidateLevels returns the pyramid levels the adaptive planner may
-// choose among under the Config.GridLevels policy: the finest N levels, or
-// every level when the policy is 0 (the default — resolution is a planned
-// dimension unless the configuration narrows it). A grid built outside
-// prep has no pyramid; it contributes its own resolution only, via a
-// planner-local level that leaves the shared graph untouched. Degenerate
-// grids (P < 1) contribute nothing.
-func gridCandidateLevels(grid *graph.Grid, gridLevels int) []graph.GridLevel {
-	levels := grid.Levels
-	if len(levels) == 0 {
-		if grid.P < 1 {
-			return nil
-		}
-		levels = []graph.GridLevel{grid.FineLevel()}
-	}
-	n := len(levels)
-	if gridLevels > 0 && gridLevels < n {
-		n = gridLevels
-	}
-	return levels[:n]
-}
-
-// autoCandidates enumerates the plans the adaptive planner may choose among
-// on this graph: one per materialized layout (and direction), each with the
-// sync mode its ownership structure dictates. The grid contributes one
-// push/pull candidate pair per pyramid level the GridLevels policy admits,
-// with priors derived from the cachesim LLC model (see gridLevelPrior) so
-// the first resolution choice already encodes the cell-sizing trade-off.
-func autoCandidates(g *graph.Graph, cfg Config, workers int, tracked bool) []planCandidate {
+// autoCandidates is the candidate source of Auto over resident layouts:
+// one plan per materialized layout (and direction), each with the sync mode
+// its ownership structure dictates. The grid contributes one push/pull
+// candidate pair per pyramid level, with priors derived from the cachesim
+// LLC model (see gridLevelPrior) so the first resolution choice already
+// encodes the cell-sizing trade-off.
+func autoCandidates(g *graph.Graph, workers int, tracked bool) []planCandidate {
 	var cs []planCandidate
 	if g.In != nil || (!g.Directed && g.Out != nil) {
 		cs = append(cs, planCandidate{
@@ -1022,7 +947,7 @@ func autoCandidates(g *graph.Graph, cfg Config, workers int, tracked bool) []pla
 	}
 	if g.Grid != nil {
 		totalEdges := float64(g.Grid.NumEdges())
-		for _, lv := range gridCandidateLevels(g.Grid, cfg.GridLevels) {
+		for _, lv := range gridCandidateLevels(g.Grid) {
 			lv := lv
 			var spansPrior float64
 			if totalEdges > 0 {
@@ -1038,23 +963,6 @@ func autoCandidates(g *graph.Graph, cfg Config, workers int, tracked bool) []pla
 					fullScan: true,
 				})
 			}
-		}
-	}
-	if g.Compressed != nil {
-		// One push/pull pair at the compressed grid's (single) resolution.
-		// Its prior starts above the raw grid's — the decode is assumed to
-		// cost until measured — so the planner reaches for it exactly when
-		// measurements show decode CPU buys back more bandwidth than it
-		// spends, or when it is the only cell layout materialized.
-		for _, d := range []struct {
-			flow  Flow
-			prior float64
-		}{{Push, priorCompressedPush}, {Pull, priorCompressedPull}} {
-			cs = append(cs, planCandidate{
-				plan:     StepPlan{Layout: graph.LayoutGridCompressed, Flow: d.flow, Sync: SyncPartitionFree, Tracked: tracked, GridLevel: g.Compressed.P},
-				prior:    d.prior,
-				fullScan: true,
-			})
 		}
 	}
 	if len(g.EdgeArray.Edges) > 0 {
@@ -1094,8 +1002,8 @@ func residentScanEdges(g *graph.Graph) int64 {
 const streamReadPrior = 12000.0
 
 // streamCandidateLevels returns the virtual resolutions a streamed run may
-// execute at: the source's ladder when it has one, otherwise the single
-// stored resolution (every Source can stream at its own P).
+// execute at, finest first: the source's ladder when it has one, otherwise
+// the single stored resolution (every Source can stream at its own P).
 func streamCandidateLevels(src Source, workers int, budgetCap int64) []StreamLevelInfo {
 	if sl, ok := src.(StreamLeveler); ok {
 		if levels := sl.StreamLevels(workers, budgetCap); len(levels) > 0 {
@@ -1114,19 +1022,13 @@ func streamCandidateLevels(src Source, workers int, budgetCap int64) []StreamLev
 	}}
 }
 
-// admitStreamLevels applies the Config.GridLevels policy (finest N levels,
-// 0 = all) and then drops rungs that would execute indistinguishably from
+// admitStreamLevels drops rungs that would execute indistinguishably from
 // the previous kept one: a coarser level only changes a pass through its
 // worker clamp or its coalesced read count, so a rung with the same
 // effective workers and a read count within 10% of the last kept rung's
 // would just be a duplicate arm of the cost model, slowing convergence.
 // The finest level is always kept.
-func admitStreamLevels(levels []StreamLevelInfo, gridLevels int) []StreamLevelInfo {
-	n := len(levels)
-	if gridLevels > 0 && gridLevels < n {
-		n = gridLevels
-	}
-	levels = levels[:n]
+func admitStreamLevels(levels []StreamLevelInfo) []StreamLevelInfo {
 	out := levels[:1:1]
 	kept := levels[0]
 	for _, lv := range levels[1:] {
@@ -1163,16 +1065,16 @@ func streamLevelPrior(base float64, lv StreamLevelInfo, workers int, totalEdges 
 	return compute
 }
 
-// newStreamPlanner builds the planner for a streamed (out-of-core) run:
-// layout and sync are pinned by the store's column-ownership argument, so
-// the plannable dimensions are the direction, the virtual grid level (the
-// store's coarsening ladder, see StreamLeveler) and the I/O knobs. Static
-// flows pin one level — the stored resolution, or the ladder rung
-// Config.GridLevels selects — with the I/O knobs fixed to the configured
-// values; Flow == Auto enumerates one push/pull candidate pair per admitted
-// level, costed by streamLevelPrior and refined by measured ns/edge, with
-// the I/O knobs moved online from the measured IOWait breakdown.
-func newStreamPlanner(src Source, cfg Config, workers int, budgetCap int64, alpha int, tracked bool, multi int) planner {
+// streamPlanner builds the planner of a streamed (out-of-core) run: layout
+// and sync are pinned by the store's column-ownership argument, so the
+// plannable dimensions are the direction, the virtual grid level (the
+// store's coarsening ladder, see StreamLeveler) and the I/O knobs. A static
+// flow streams at the ladder's finest rung — the stored resolution — with
+// the I/O knobs fixed to the configured values; Flow == Auto enumerates one
+// push/pull candidate pair per admitted rung, costed by streamLevelPrior and
+// refined by measured ns/edge, with the I/O knobs moved online from the
+// measured IOWait breakdown.
+func streamPlanner(src Source, cfg Config, workers int, budgetCap int64, alpha int, tracked bool, multi int) *planner {
 	env := plannerEnv{
 		numVertices: src.NumVertices(),
 		totalEdges:  src.NumEdges(),
@@ -1193,35 +1095,28 @@ func newStreamPlanner(src Source, cfg Config, workers int, budgetCap int64, alph
 		format = 2
 	}
 	levels := streamCandidateLevels(src, workers, budgetCap)
-	if cfg.Flow != Auto {
-		lv := levels[0]
-		if idx := cfg.GridLevels - 1; idx > 0 {
-			if idx > len(levels)-1 {
-				idx = len(levels) - 1
+	adaptive := cfg.Flow == Auto
+	var candidates []planCandidate
+	if !adaptive {
+		candidates = staticCandidates(layout, cfg.Flow, SyncPartitionFree, levels[0].P, format, tracked)
+	} else {
+		for _, lv := range admitStreamLevels(levels) {
+			for _, d := range []struct {
+				flow Flow
+				base float64
+			}{{Push, pushPrior}, {Pull, pullPrior}} {
+				candidates = append(candidates, planCandidate{
+					plan: StepPlan{
+						Layout: layout, Flow: d.flow, Sync: SyncPartitionFree,
+						Tracked: tracked, GridLevel: lv.P, StreamFormat: format,
+					},
+					prior:    streamLevelPrior(d.base, lv, workers, env.totalEdges),
+					fullScan: true,
+				})
 			}
-			lv = levels[idx]
-		}
-		p := newFixedPlanner(env, layout, cfg.Flow, SyncPartitionFree, lv.P, format, cfg.Trace)
-		p.io = newIOPlanner(cfg, StreamExecWorkers(lv.P, workers, budgetCap), false)
-		return p
-	}
-	var cs []planCandidate
-	for _, lv := range admitStreamLevels(levels, cfg.GridLevels) {
-		for _, d := range []struct {
-			flow Flow
-			base float64
-		}{{Push, pushPrior}, {Pull, pullPrior}} {
-			cs = append(cs, planCandidate{
-				plan: StepPlan{
-					Layout: layout, Flow: d.flow, Sync: SyncPartitionFree,
-					Tracked: tracked, GridLevel: lv.P, StreamFormat: format,
-				},
-				prior:    streamLevelPrior(d.base, lv, workers, env.totalEdges),
-				fullScan: true,
-			})
 		}
 	}
-	p := newAdaptivePlanner(env, cs, cfg.CostPriors, cfg.Trace)
-	p.io = newIOPlanner(cfg, StreamExecWorkers(src.GridP(), workers, budgetCap), true)
+	p := newPlanner(env, candidates, adaptive, cfg.CostPriors, cfg.Trace)
+	p.io = newIOPlanner(cfg, StreamExecWorkers(levels[0].P, workers, budgetCap), adaptive)
 	return p
 }

@@ -24,6 +24,24 @@ func gridOnlyGraph(t *testing.T, scale, p int) *graph.Graph {
 	return g
 }
 
+// runAtLevel runs alg under the static grid configuration cfg pinned to the
+// pyramid level of dimension p, by handing iterate the static candidate set
+// at that level — Run itself always runs the materialized P.
+func runAtLevel(t *testing.T, g *graph.Graph, alg Algorithm, cfg Config, p int) *Result {
+	t.Helper()
+	workers := resolveWorkers(cfg)
+	r := newRunner(g, alg, cfg, workers)
+	env := plannerEnv{numVertices: g.NumVertices(), totalEdges: residentScanEdges(g), alpha: resolveAlpha(cfg), tracked: !alg.Dense()}
+	pl := newPlanner(env, staticCandidates(graph.LayoutGrid, cfg.Flow, cfg.Sync, p, 0, env.tracked), false, nil, nil)
+	res, err := iterate(g, alg, cfg, workers, pl, nil, func(plan StepPlan, f *graph.Frontier) (*graph.Frontier, error) {
+		return r.execute(plan, f), nil
+	})
+	if err != nil {
+		t.Fatalf("run at grid/%d: %v", p, err)
+	}
+	return res
+}
+
 func TestStepPlanStringCarriesGridLevel(t *testing.T) {
 	p := StepPlan{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, GridLevel: 128}
 	if got := p.String(); got != "grid/128/push/no-lock" {
@@ -61,7 +79,7 @@ func TestStepPlanKeyKeepsGridLevel(t *testing.T) {
 }
 
 // TestAutoCandidatesEnumerateGridLevels: every pyramid level contributes a
-// push/pull pair, and the GridLevels policy restricts to the finest N.
+// push/pull pair.
 func TestAutoCandidatesEnumerateGridLevels(t *testing.T) {
 	g := gridOnlyGraph(t, 10, 16) // pyramid: 16, 8, 4, 2, 1
 	levels := g.Grid.NumLevels()
@@ -80,7 +98,7 @@ func TestAutoCandidatesEnumerateGridLevels(t *testing.T) {
 		}
 		return got
 	}
-	all := countGrid(autoCandidates(g, Config{Flow: Auto}, 4, true))
+	all := countGrid(autoCandidates(g, 4, true))
 	if len(all) != levels {
 		t.Fatalf("default policy enumerated %d resolutions, want %d", len(all), levels)
 	}
@@ -88,14 +106,6 @@ func TestAutoCandidatesEnumerateGridLevels(t *testing.T) {
 		if n != 2 {
 			t.Fatalf("resolution %d has %d candidates, want a push/pull pair", p, n)
 		}
-	}
-	two := countGrid(autoCandidates(g, Config{Flow: Auto, GridLevels: 2}, 4, true))
-	if len(two) != 2 || two[16] != 2 || two[8] != 2 {
-		t.Fatalf("GridLevels=2 enumerated %v, want the finest two (16, 8)", two)
-	}
-	one := countGrid(autoCandidates(g, Config{Flow: Auto, GridLevels: 1}, 4, true))
-	if len(one) != 1 || one[16] != 2 {
-		t.Fatalf("GridLevels=1 enumerated %v, want only the materialized grid", one)
 	}
 }
 
@@ -127,23 +137,25 @@ func TestGridLevelPriorShape(t *testing.T) {
 	}
 }
 
-// TestFixedGridLevelsPinResolution: a static grid configuration with
-// GridLevels = N runs every iteration at the N-th pyramid level, and N = 0
-// (or 1) runs the materialized grid exactly — including the recorded plan.
+// TestFixedGridLevelsPinResolution: a static grid configuration runs every
+// iteration at the materialized grid, and a static set pinned to a pyramid
+// level (runAtLevel) runs and records that level — including the recorded
+// plan.
 func TestFixedGridLevelsPinResolution(t *testing.T) {
 	g := gridOnlyGraph(t, 10, 16)
-	for _, tc := range []struct {
-		gridLevels int
-		wantP      int
-	}{{0, 16}, {1, 16}, {2, 8}, {4, 2}, {99, 1} /* clamped to the deepest */} {
-		bfs := algorithms.NewBFS(0)
-		res, err := Run(g, bfs, Config{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, GridLevels: tc.gridLevels})
-		if err != nil {
-			t.Fatalf("GridLevels=%d: %v", tc.gridLevels, err)
-		}
+	cfg := Config{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree}
+	res, err := Run(g, algorithms.NewBFS(0), cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	runs := map[int]*Result{16: res}
+	for _, p := range []int{8, 2, 1} {
+		runs[p] = runAtLevel(t, g, algorithms.NewBFS(0), cfg, p)
+	}
+	for wantP, res := range runs {
 		for i, it := range res.PerIteration {
-			if it.Plan.GridLevel != tc.wantP {
-				t.Fatalf("GridLevels=%d iteration %d: ran grid/%d, want grid/%d", tc.gridLevels, i, it.Plan.GridLevel, tc.wantP)
+			if it.Plan.GridLevel != wantP {
+				t.Fatalf("pinned grid/%d iteration %d: ran grid/%d", wantP, i, it.Plan.GridLevel)
 			}
 		}
 	}
@@ -159,9 +171,7 @@ func TestGridLevelsLabelIdentity(t *testing.T) {
 	}
 	for n := 2; n <= g.Grid.NumLevels(); n++ {
 		bfs := algorithms.NewBFS(0)
-		if _, err := Run(g, bfs, Config{Layout: graph.LayoutGrid, Flow: PushPull, Sync: SyncPartitionFree, GridLevels: n}); err != nil {
-			t.Fatalf("level %d run: %v", n, err)
-		}
+		runAtLevel(t, g, bfs, Config{Layout: graph.LayoutGrid, Flow: PushPull, Sync: SyncPartitionFree}, g.Grid.Level(n-1).P)
 		for v := range ref.Level {
 			if bfs.Level[v] != ref.Level[v] {
 				t.Fatalf("level policy %d: bfs level[%d] = %d, want %d", n, v, bfs.Level[v], ref.Level[v])
@@ -178,10 +188,15 @@ func TestGridLevelsLabelIdentity(t *testing.T) {
 // default at any worker count.
 func TestGridLevelsBitIdenticalAcrossResolutions(t *testing.T) {
 	g := gridOnlyGraph(t, 10, 16)
+	// run pins the gridLevels-th pyramid level (1 = finest); 0 is Run's own
+	// static planner at the materialized P.
 	run := func(gridLevels, workers int) *algorithms.PageRank {
 		pr := algorithms.NewPageRank()
-		if _, err := Run(g, pr, Config{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, GridLevels: gridLevels, Workers: workers}); err != nil {
-			t.Fatalf("GridLevels=%d: %v", gridLevels, err)
+		cfg := Config{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, Workers: workers}
+		if gridLevels > 0 {
+			runAtLevel(t, g, pr, cfg, g.Grid.Level(gridLevels-1).P)
+		} else if _, err := Run(g, pr, cfg); err != nil {
+			t.Fatalf("Run: %v", err)
 		}
 		return pr
 	}
@@ -231,19 +246,11 @@ func TestAutoGridOnlyDenseFreezesOneResolution(t *testing.T) {
 		}
 	}
 	// Pin the fixed configuration to the frozen level and compare bits.
-	levelIdx := -1
-	for i := 0; i < g.Grid.NumLevels(); i++ {
-		if g.Grid.Level(i).P == frozen.GridLevel {
-			levelIdx = i
-		}
-	}
-	if levelIdx < 0 {
+	if g.Grid.LevelByP(frozen.GridLevel) == nil {
 		t.Fatalf("frozen resolution %d is not a pyramid level", frozen.GridLevel)
 	}
 	fixed := algorithms.NewPageRank()
-	if _, err := Run(g, fixed, Config{Layout: graph.LayoutGrid, Flow: frozen.Flow, Sync: frozen.Sync, GridLevels: levelIdx + 1, Workers: workers}); err != nil {
-		t.Fatalf("fixed run: %v", err)
-	}
+	runAtLevel(t, g, fixed, Config{Layout: graph.LayoutGrid, Flow: frozen.Flow, Sync: frozen.Sync, Workers: workers}, frozen.GridLevel)
 	for v := range fixed.Rank {
 		if math.Float64bits(auto.Rank[v]) != math.Float64bits(fixed.Rank[v]) {
 			t.Fatalf("rank[%d]: auto %v, fixed-at-frozen-level %v (not bit-identical)", v, auto.Rank[v], fixed.Rank[v])
@@ -274,32 +281,6 @@ func TestAutoGridOnlyBFSCorrectAcrossLevelSwitches(t *testing.T) {
 		if it.Plan.Layout == graph.LayoutGrid && it.Plan.GridLevel == 0 {
 			t.Fatalf("iteration %d: grid plan without a resolution: %v", i, it.Plan)
 		}
-	}
-}
-
-// TestGridLevelsValidation: the resolution policy needs a grid to act on.
-func TestGridLevelsValidation(t *testing.T) {
-	g := rmatTestGraph(t)
-	if err := (Config{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics, GridLevels: 2}).Validate(g); err == nil {
-		t.Fatal("GridLevels on a static adjacency configuration must be rejected")
-	}
-	if err := (Config{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, GridLevels: -1}).Validate(g); err == nil {
-		t.Fatal("negative GridLevels must be rejected")
-	}
-	for _, ok := range []Config{
-		{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, GridLevels: 3},
-		{Flow: Auto, GridLevels: 2},
-	} {
-		if err := ok.Validate(g); err != nil {
-			t.Fatalf("config %+v should validate: %v", ok, err)
-		}
-	}
-	// Streamed runs apply the policy to the source's virtual coarsening
-	// ladder; a source without one (fakeSource) has a single level, so any
-	// policy clamps to it and the run succeeds.
-	src := &fakeSource{n: 10, edges: []graph.Edge{{Src: 0, Dst: 1}}}
-	if _, err := RunStreamed(src, algorithms.NewBFS(0), Config{Flow: Auto, GridLevels: 2}); err != nil {
-		t.Fatalf("GridLevels on a streamed run should clamp to the source's ladder: %v", err)
 	}
 }
 

@@ -261,7 +261,7 @@ func TestStepPlanStringWithAndWithoutIO(t *testing.T) {
 func TestAdaptiveObserveMatchesPlanAcrossIOChanges(t *testing.T) {
 	env := plannerEnv{numVertices: 100, totalEdges: 1 << 20, alpha: 20, tracked: true}
 	plan := StepPlan{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, Tracked: true}
-	p := newAdaptivePlanner(env, []planCandidate{{plan: plan, prior: priorGridPush, fullScan: true}}, nil, nil)
+	p := newPlanner(env, []planCandidate{{plan: plan, prior: priorGridPush, fullScan: true}}, true, nil, nil)
 	observed := plan
 	observed.IO = IOPlan{PrefetchDepth: 8, MemoryBudget: 1 << 20}
 	p.Observe(observed, IterationStats{Duration: time.Millisecond, ActiveEdges: -1})
@@ -283,17 +283,17 @@ func TestAdaptivePlannerSeedsAndRescalesCostPriors(t *testing.T) {
 	}
 
 	// Without priors a dense run freezes on the lower hand prior (push).
-	p := newAdaptivePlanner(env, candidates, nil, nil)
+	p := newPlanner(env, candidates, true, nil, nil)
 	if plan := p.Next(0, graph.NewFrontier(100)); plan.Flow != Push {
 		t.Fatalf("hand priors froze %v, want push", plan)
 	}
 
 	// Cached measurements for both candidates flip the frozen choice when
 	// they contradict the hand ordering.
-	p = newAdaptivePlanner(env, []planCandidate{
+	p = newPlanner(env, []planCandidate{
 		{plan: push, prior: priorGridPush, fullScan: true},
 		{plan: pull, prior: priorGridPull, fullScan: true},
-	}, map[string]float64{"grid/pull/no-lock": 5.0, "grid/push/no-lock": 20.0}, nil)
+	}, true, map[string]float64{"grid/pull/no-lock": 5.0, "grid/push/no-lock": 20.0}, nil)
 	if plan := p.Next(0, graph.NewFrontier(100)); plan.Flow != Pull {
 		t.Fatalf("cached measurements froze %v, want pull", plan)
 	}
@@ -307,10 +307,10 @@ func TestAdaptivePlannerSeedsAndRescalesCostPriors(t *testing.T) {
 	// (preserving the hand ordering) instead of being compared raw — a raw
 	// comparison would treat 2.4 "ordering units" as cheaper than any real
 	// measurement above 2.4ns and flip the choice on every fast machine.
-	p = newAdaptivePlanner(env, []planCandidate{
+	p = newPlanner(env, []planCandidate{
 		{plan: push, prior: priorGridPush, fullScan: true},
 		{plan: pull, prior: priorGridPull, fullScan: true},
-	}, map[string]float64{"grid/push/no-lock": 5.0}, nil)
+	}, true, map[string]float64{"grid/push/no-lock": 5.0}, nil)
 	if plan := p.Next(0, graph.NewFrontier(100)); plan.Flow != Push {
 		t.Fatalf("single measurement flipped the hand ordering: froze %v", plan)
 	}

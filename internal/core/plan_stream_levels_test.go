@@ -38,10 +38,9 @@ func overPartitionedSource(n int) *fakeLevelerSource {
 func TestStreamAutoEnumeratesLadderLevels(t *testing.T) {
 	src := overPartitionedSource(1 << 12)
 	src.edges = []graph.Edge{{Src: 0, Dst: 1}}
-	pl := newStreamPlanner(src, Config{Flow: Auto}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
-	ap := pl.(*adaptivePlanner)
+	pl := streamPlanner(src, Config{Flow: Auto}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
 	seen := map[int]bool{}
-	for _, c := range ap.candidates {
+	for _, c := range pl.candidates {
 		if c.plan.StreamFormat != 1 {
 			t.Fatalf("candidate %v has stream format %d, want 1", c.plan, c.plan.StreamFormat)
 		}
@@ -52,35 +51,31 @@ func TestStreamAutoEnumeratesLadderLevels(t *testing.T) {
 			t.Fatalf("ladder level P=%d missing from candidates (got %v)", p, seen)
 		}
 	}
-
-	// GridLevels bounds the policy to the finest N rungs, streamed like
-	// in-memory.
-	pl = newStreamPlanner(src, Config{Flow: Auto, GridLevels: 2}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
-	for _, c := range pl.(*adaptivePlanner).candidates {
-		if c.plan.GridLevel == 8 {
-			t.Fatalf("GridLevels=2 still enumerated rung P=8: %v", c.plan)
-		}
-	}
 }
 
 func TestStreamAutoPrefersCoarseOnOverPartitionedStore(t *testing.T) {
 	src := overPartitionedSource(1 << 12)
 	src.edges = []graph.Edge{{Src: 0, Dst: 1}}
-	pl := newStreamPlanner(src, Config{Flow: Auto}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
+	pl := streamPlanner(src, Config{Flow: Auto}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
 	plan := pl.Next(0, graph.NewFrontier(src.n))
 	if plan.GridLevel >= 256 {
 		t.Fatalf("planner opened at the fragmented finest level: %v", plan)
 	}
 }
 
+// TestStreamStaticGridLevelsPinsRung: a static flow streams at its
+// source's finest rung, so a source whose ladder starts at a coarser rung
+// pins the run there — the one-candidate way to pin a resolution.
 func TestStreamStaticGridLevelsPinsRung(t *testing.T) {
-	src := overPartitionedSource(1 << 12)
-	src.edges = []graph.Edge{{Src: 0, Dst: 1}}
-	for rung, wantP := range map[int]int{1: 256, 2: 64, 3: 8, 9: 8} {
-		pl := newStreamPlanner(src, Config{Flow: Push, GridLevels: rung}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
+	ladder := overPartitionedSource(1 << 12).levels
+	for rung, wantP := range map[int]int{1: 256, 2: 64, 3: 8} {
+		src := overPartitionedSource(1 << 12)
+		src.edges = []graph.Edge{{Src: 0, Dst: 1}}
+		src.levels = ladder[rung-1 : rung]
+		pl := streamPlanner(src, Config{Flow: Push}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
 		plan := pl.Next(0, graph.NewFrontier(src.n))
 		if plan.GridLevel != wantP {
-			t.Fatalf("GridLevels=%d pinned level %d, want %d", rung, plan.GridLevel, wantP)
+			t.Fatalf("rung %d pinned level %d, want %d", rung, plan.GridLevel, wantP)
 		}
 		if !strings.Contains(plan.String(), "@s1") {
 			t.Fatalf("pinned plan %q lost its stream provenance", plan.String())
@@ -94,13 +89,13 @@ func TestStreamStaticGridLevelsPinsRung(t *testing.T) {
 func TestStreamCostPriorsRespectFormatProvenance(t *testing.T) {
 	src := &fakeSource{n: 64, compressed: true, edges: []graph.Edge{{Src: 0, Dst: 1}}}
 	stale := map[string]float64{"grid/1@s1/push/no-lock": 0.5, "compressed/1@s1/push/no-lock": 0.5}
-	pl := newStreamPlanner(src, Config{Flow: Auto, CostPriors: stale}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
-	if costs := pl.(*adaptivePlanner).measuredCosts(); costs != nil {
+	pl := streamPlanner(src, Config{Flow: Auto, CostPriors: stale}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
+	if costs := pl.measuredCosts(); costs != nil {
 		t.Fatalf("v1-provenance priors seeded a v2 store's planner: %v", costs)
 	}
 	fresh := map[string]float64{"compressed/1@s2/push/no-lock": 0.5}
-	pl = newStreamPlanner(src, Config{Flow: Auto, CostPriors: fresh}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
-	costs := pl.(*adaptivePlanner).measuredCosts()
+	pl = streamPlanner(src, Config{Flow: Auto, CostPriors: fresh}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
+	costs := pl.measuredCosts()
 	if costs["compressed/1@s2/push/no-lock"] != 0.5 {
 		t.Fatalf("matching-provenance prior was not seeded: %v", costs)
 	}
@@ -113,12 +108,39 @@ func TestAdmitStreamLevelsKeepsOnlyImprovingRungs(t *testing.T) {
 		{P: 16, Workers: 2, Reads: 500}, // halves reads: kept
 		{P: 8, Workers: 1, Reads: 499},  // worker count drops (budget clamp): kept as a distinct operating point
 	}
-	kept := admitStreamLevels(levels, 0)
+	kept := admitStreamLevels(levels)
 	if len(kept) != 3 || kept[0].P != 64 || kept[1].P != 16 || kept[2].P != 8 {
 		t.Fatalf("admitted %v, want finest, P=16 (read halving), P=8 (worker drop)", kept)
 	}
 	// The finest level survives unconditionally, even alone.
-	if kept := admitStreamLevels(levels[:1], 0); len(kept) != 1 || kept[0].P != 64 {
+	if kept := admitStreamLevels(levels[:1]); len(kept) != 1 || kept[0].P != 64 {
 		t.Fatalf("single-level ladder admitted %v", kept)
+	}
+}
+
+// TestStreamPlannerLabelsCompressedSource checks that a compressed source
+// streams under "compressed/<P>" plans (fixed and adaptive) so traces and
+// cost-cache keys never conflate the two storage formats.
+func TestStreamPlannerLabelsCompressedSource(t *testing.T) {
+	src := &fakeSource{n: 64, compressed: true}
+	pl := streamPlanner(src, Config{Flow: Push}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
+	plan := pl.Next(0, graph.NewFrontier(64))
+	if plan.Layout != graph.LayoutGridCompressed {
+		t.Fatalf("fixed stream plan over a compressed source has layout %v", plan.Layout)
+	}
+	if want := "compressed/1@s2/push/no-lock"; !strings.HasPrefix(plan.String(), want) {
+		t.Fatalf("fixed stream plan labeled %q, want prefix %q", plan.String(), want)
+	}
+	pl = streamPlanner(src, Config{Flow: Auto}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
+	for _, c := range pl.candidates {
+		if c.plan.Layout != graph.LayoutGridCompressed {
+			t.Fatalf("adaptive stream candidate over a compressed source has layout %v", c.plan.Layout)
+		}
+	}
+	// An uncompressed source keeps the exact pre-v2 labels.
+	plain := &fakeSource{n: 64}
+	plan = streamPlanner(plain, Config{Flow: Push}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0).Next(0, graph.NewFrontier(64))
+	if want := "grid/1@s1/push/no-lock"; !strings.HasPrefix(plan.String(), want) {
+		t.Fatalf("v1 stream plan labeled %q, want prefix %q", plan.String(), want)
 	}
 }

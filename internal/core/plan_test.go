@@ -60,7 +60,7 @@ func TestAdaptivePlannerScriptedDensity(t *testing.T) {
 			return 0
 		},
 	}
-	p := newAdaptivePlanner(env, adjacencyCandidates(true), nil, nil)
+	p := newPlanner(env, adjacencyCandidates(true), true, nil, nil)
 
 	steps := []struct {
 		count    int
@@ -99,10 +99,10 @@ func TestAdaptivePlannerAbandonsMispredictedPlan(t *testing.T) {
 	env := plannerEnv{numVertices: n, totalEdges: m, alpha: DefaultPushPullAlpha, tracked: true}
 	adjPull := StepPlan{Layout: graph.LayoutAdjacency, Flow: Pull, Sync: SyncPartitionFree, Tracked: true}
 	gridPull := StepPlan{Layout: graph.LayoutGrid, Flow: Pull, Sync: SyncPartitionFree, Tracked: true}
-	p := newAdaptivePlanner(env, []planCandidate{
+	p := newPlanner(env, []planCandidate{
 		{plan: adjPull, prior: priorAdjacencyPull, fullScan: true},
 		{plan: gridPull, prior: priorGridPull, fullScan: true},
-	}, nil, nil)
+	}, true, nil, nil)
 	dense := scriptedFrontier(n, 400, -1) // density 0.4: always pull
 
 	if plan := p.Next(0, dense); plan != adjPull {
@@ -128,7 +128,7 @@ func TestAdaptivePlannerAbandonsMispredictedPlan(t *testing.T) {
 func TestAdaptivePlannerFreezesDensePlans(t *testing.T) {
 	const n, m = 1000, 16000
 	env := plannerEnv{numVertices: n, totalEdges: m, alpha: DefaultPushPullAlpha, tracked: false}
-	p := newAdaptivePlanner(env, adjacencyCandidates(false), nil, nil)
+	p := newPlanner(env, adjacencyCandidates(false), true, nil, nil)
 	full := scriptedFrontier(n, n, -1)
 
 	first := p.Next(0, full)
@@ -139,6 +139,96 @@ func TestAdaptivePlannerFreezesDensePlans(t *testing.T) {
 	p.Observe(first, IterationStats{ActiveVertices: n, Duration: time.Hour})
 	if again := p.Next(1, full); again != first {
 		t.Fatalf("dense plan changed mid-run: %v -> %v", first, again)
+	}
+}
+
+// TestAdaptivePlannerSwitchesOffMispredictedSeededPlan: cached measurements
+// put a coarse grid level ahead of the fine one, so the planner opens on
+// it; the measured iteration contradicts the cache (a misfit for this
+// machine), and the planner must abandon the seeded plan after that single
+// iteration.
+func TestAdaptivePlannerSwitchesOffMispredictedSeededPlan(t *testing.T) {
+	const totalEdges = 1 << 22
+	env := plannerEnv{numVertices: 1 << 16, totalEdges: totalEdges, alpha: 20, tracked: true}
+	fine := StepPlan{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, Tracked: true, GridLevel: 16}
+	coarse := fine
+	coarse.GridLevel = 4
+	p := newPlanner(env, []planCandidate{
+		{plan: fine, prior: priorGridPush, fullScan: true},
+		{plan: coarse, prior: priorGridPush, fullScan: true},
+	}, true, map[string]float64{
+		"grid/16/push/no-lock": 8.0,
+		"grid/4/push/no-lock":  2.0,
+	}, nil)
+
+	f := graph.NewFrontier(1 << 16)
+	if plan := p.Next(0, f); plan != coarse {
+		t.Fatalf("seeded costs planned %v, want %v", plan, coarse)
+	}
+	// The measured iteration lands at 100 ns/edge: latest-wins weighting
+	// must push the EWMA past the fine level's 8.0 so the very next
+	// iteration switches.
+	p.Observe(coarse, IterationStats{
+		Duration:    time.Duration(totalEdges * 100),
+		ActiveEdges: -1,
+	})
+	if plan := p.Next(1, f); plan != fine {
+		t.Fatalf("planner kept %v after a mispredicted iteration, want %v within one iteration", plan, fine)
+	}
+}
+
+// TestStaticConfigsPlanConfiguredTechniques pins the static candidate set:
+// every static configuration ValidateTechniques admits, on a graph with
+// every layout built, runs each iteration at the configured layout and sync
+// (at the materialized grid P) in the configured direction — edge arrays
+// always push, and PushPull goes wherever the |E|/alpha threshold sends the
+// iteration's recorded frontier (active out-edges, or active vertices on
+// the grid).
+func TestStaticConfigsPlanConfiguredTechniques(t *testing.T) {
+	g := rmatTestGraph(t)
+	n, m := int64(g.NumVertices()), residentScanEdges(g)
+	for _, base := range admittedConfigs() {
+		if base.Flow == Auto {
+			continue
+		}
+		alphas := []int{0}
+		if base.Flow == PushPull {
+			alphas = []int{1, 20, 1000}
+		}
+		for _, alpha := range alphas {
+			for _, alg := range []Algorithm{algorithms.NewBFS(0), algorithms.NewPageRank()} {
+				cfg := base
+				cfg.PushPullAlpha = alpha
+				res, err := Run(g, alg, cfg)
+				if err != nil {
+					t.Fatalf("%v/%v/%v alpha %d: %v", cfg.Layout, cfg.Flow, cfg.Sync, alpha, err)
+				}
+				a := int64(resolveAlpha(cfg))
+				want := StepPlan{Layout: cfg.Layout, Flow: cfg.Flow, Sync: cfg.Sync, Tracked: !alg.Dense()}
+				if cfg.Layout == graph.LayoutGrid {
+					want.GridLevel = g.Grid.P
+				}
+				for i, it := range res.PerIteration {
+					switch {
+					case cfg.Layout == graph.LayoutEdgeArray:
+						want.Flow = Push
+					case cfg.Flow == PushPull:
+						over := it.ActiveEdges > m/a
+						if cfg.Layout == graph.LayoutGrid {
+							over = int64(it.ActiveVertices) > n/a
+						}
+						want.Flow = Push
+						if over {
+							want.Flow = Pull
+						}
+					}
+					if it.Plan != want {
+						t.Fatalf("%s %v/%v/%v alpha %d iteration %d (%d vertices, %d edges): plan %v, want %v",
+							alg.Name(), cfg.Layout, cfg.Flow, cfg.Sync, alpha, i, it.ActiveVertices, it.ActiveEdges, it.Plan, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -161,7 +251,7 @@ func TestAutoBFSMatchesFixed(t *testing.T) {
 			t.Fatalf("level[%d]: auto %d, fixed %d", v, auto.Level[v], ref.Level[v])
 		}
 	}
-	if res.PerIteration[0].UsedPull {
+	if res.PerIteration[0].Plan.Flow == Pull {
 		t.Fatal("a single-vertex initial frontier must push")
 	}
 	sawPull := false
@@ -169,7 +259,7 @@ func TestAutoBFSMatchesFixed(t *testing.T) {
 		if it.Plan == (StepPlan{}) {
 			t.Fatal("auto iterations must record a resolved plan")
 		}
-		if it.UsedPull {
+		if it.Plan.Flow == Pull {
 			sawPull = true
 		}
 	}

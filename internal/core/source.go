@@ -165,16 +165,17 @@ type degreePreset interface {
 // analogue of Run's grid path. Only the partition-free discipline is
 // supported: column ownership is what lets a streamed cell be applied
 // without synchronization, so cfg.Sync must be SyncPartitionFree and
-// cfg.Layout must be LayoutGrid or LayoutGridCompressed (Flow == Auto relaxes both — the planner
-// pins them itself). Flow may be Push, Pull, PushPull (the switch uses the
-// same active-vertex heuristic as the in-memory grid) or Auto (the
-// adaptive planner chooses direction with measured-cost feedback). Vertex
+// cfg.Layout LayoutGrid, compressed stores included (Flow == Auto relaxes
+// both — the planner pins them itself). Flow may be Push, Pull, PushPull
+// (the switch uses the same active-vertex heuristic as the in-memory grid)
+// or Auto (the adaptive planner chooses direction with measured-cost
+// feedback). Vertex
 // state (algorithm arrays, frontiers, degree table) stays resident; edge
 // data never exceeds the source's buffer budget.
 func RunStreamed(src Source, alg Algorithm, cfg Config) (*Result, error) {
 	if cfg.Flow != Auto {
-		if cfg.Layout != graph.LayoutGrid && cfg.Layout != graph.LayoutGridCompressed {
-			return nil, fmt.Errorf("core: streamed execution runs over grid cells; layout must be grid or compressed, not %v", cfg.Layout)
+		if cfg.Layout != graph.LayoutGrid {
+			return nil, fmt.Errorf("core: streamed execution runs over grid cells; layout must be grid, not %v", cfg.Layout)
 		}
 		if cfg.Sync != SyncPartitionFree {
 			return nil, fmt.Errorf("core: streamed execution relies on column ownership and supports only sync=no-lock, not %v", cfg.Sync)
@@ -209,7 +210,7 @@ func RunStreamed(src Source, alg Algorithm, cfg Config) (*Result, error) {
 		Lease:           cfg.Lease,
 		Trace:           cfg.Trace,
 	})
-	pl := newStreamPlanner(src, cfg, workers, budgetCap, resolveAlpha(cfg), !alg.Dense(), multiSourceWidth(alg))
+	pl := streamPlanner(src, cfg, workers, budgetCap, resolveAlpha(cfg), !alg.Dense(), multiSourceWidth(alg))
 	return iterate(shim, alg, cfg, workers, pl, src, r.step)
 }
 

@@ -176,8 +176,8 @@ func spanGraphs(t *testing.T) []spanGraph {
 		if err := prep.BuildAdjacency(g, dir, opt); err != nil {
 			t.Fatalf("%s: BuildAdjacency: %v", c.name, err)
 		}
-		if err := prep.BuildCompressedGrid(g, 4, opt); err != nil {
-			t.Fatalf("%s: BuildCompressedGrid: %v", c.name, err)
+		if err := prep.BuildGrid(g, 4, opt); err != nil {
+			t.Fatalf("%s: BuildGrid: %v", c.name, err)
 		}
 		out = append(out, spanGraph{c.name, g})
 	}
@@ -188,7 +188,7 @@ func spanGraphs(t *testing.T) []spanGraph {
 // ValidateTechniques admits, plus the adaptive flow.
 func admittedConfigs() []Config {
 	cfgs := []Config{{Flow: Auto, Layout: graph.LayoutAdjacency}}
-	for _, layout := range []graph.Layout{graph.LayoutEdgeArray, graph.LayoutAdjacency, graph.LayoutAdjacencySorted, graph.LayoutGrid, graph.LayoutGridCompressed} {
+	for _, layout := range []graph.Layout{graph.LayoutEdgeArray, graph.LayoutAdjacency, graph.LayoutAdjacencySorted, graph.LayoutGrid} {
 		for _, flow := range []Flow{Push, Pull, PushPull} {
 			for _, sync := range []SyncMode{SyncLocks, SyncAtomics, SyncPartitionFree} {
 				if ValidateTechniques(layout, flow, sync) == nil {
@@ -207,7 +207,7 @@ func ownedOrder(cfg Config) bool {
 	switch {
 	case cfg.Flow == Auto:
 		return false
-	case cfg.Layout == graph.LayoutGrid || cfg.Layout == graph.LayoutGridCompressed:
+	case cfg.Layout == graph.LayoutGrid:
 		return cfg.Sync == SyncPartitionFree
 	case cfg.Layout == graph.LayoutAdjacency || cfg.Layout == graph.LayoutAdjacencySorted:
 		return cfg.Flow == Pull

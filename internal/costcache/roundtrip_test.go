@@ -94,8 +94,9 @@ func TestPlanCostsRoundTripThroughCache(t *testing.T) {
 }
 
 // TestStalePinnedEntrySeedsNothingAndSurvives: version-4 caches written
-// while node-pinned plans existed may hold "@n<K>" labels. No candidate
-// carries that label any more, so such an entry seeds nothing — the warm run
+// while node-pinned plans or the in-memory compressed grid existed may hold
+// "@n<K>" or "compressed/<P>/…" labels. No resident candidate carries
+// either label any more, so such an entry seeds nothing — the warm run
 // measures exactly what a cold one does — and recording into the cache
 // leaves it in the file untouched.
 func TestStalePinnedEntrySeedsNothingAndSurvives(t *testing.T) {
@@ -104,45 +105,49 @@ func TestStalePinnedEntrySeedsNothingAndSurvives(t *testing.T) {
 		t.Fatal(err)
 	}
 	graphKey := costcache.Key("pagerank", "", "rmat", 10)
-	const stale, staleCost = "adjacency/pull/no-lock@n0", 0.001 // cheaper than anything real
-	path := filepath.Join(t.TempDir(), "costs.json")
-	doc := fmt.Sprintf(`{"version": %d, "graphs": {%q: {%q: %v}}}`, costcache.Version, graphKey, stale, staleCost)
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cache, err := costcache.Load(path)
-	if err != nil {
-		t.Fatalf("a version-%d cache with an %q entry must load: %v", costcache.Version, stale, err)
-	}
+	const staleCost = 0.001 // cheaper than anything real
+	for _, stale := range []string{"adjacency/pull/no-lock@n0", "compressed/32/pull/no-lock"} {
+		t.Run(stale, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "costs.json")
+			doc := fmt.Sprintf(`{"version": %d, "graphs": {%q: {%q: %v}}}`, costcache.Version, graphKey, stale, staleCost)
+			if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cache, err := costcache.Load(path)
+			if err != nil {
+				t.Fatalf("a version-%d cache with an %q entry must load: %v", costcache.Version, stale, err)
+			}
 
-	cold, err := core.Run(g, algorithms.NewPageRank(), core.Config{Flow: core.Auto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := core.Run(g, algorithms.NewPageRank(), core.Config{Flow: core.Auto, CostPriors: cache.Priors(graphKey)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := costKeys(warm.PlanCosts), costKeys(cold.PlanCosts); !reflect.DeepEqual(got, want) {
-		t.Fatalf("seeded with only a stale entry, the run measured %v; a cold run measures %v", got, want)
-	}
-	if got, want := warm.PlanTrace(), cold.PlanTrace(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("stale entry changed the plan: %v, cold %v", got, want)
-	}
+			cold, err := core.Run(g, algorithms.NewPageRank(), core.Config{Flow: core.Auto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := core.Run(g, algorithms.NewPageRank(), core.Config{Flow: core.Auto, CostPriors: cache.Priors(graphKey)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := costKeys(warm.PlanCosts), costKeys(cold.PlanCosts); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seeded with only a stale entry, the run measured %v; a cold run measures %v", got, want)
+			}
+			if got, want := warm.PlanTrace(), cold.PlanTrace(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("stale entry changed the plan: %v, cold %v", got, want)
+			}
 
-	cache.Record(graphKey, warm.PlanCosts)
-	if err := cache.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := costcache.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	priors := reloaded.Priors(graphKey)
-	if priors[stale] != staleCost {
-		t.Fatalf("stale entry after Record/Save/Load = %v, want %v untouched", priors[stale], staleCost)
-	}
-	if len(priors) != len(warm.PlanCosts)+1 {
-		t.Fatalf("reloaded entry holds %v, want the stale label plus %v", costKeys(priors), costKeys(warm.PlanCosts))
+			cache.Record(graphKey, warm.PlanCosts)
+			if err := cache.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			reloaded, err := costcache.Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			priors := reloaded.Priors(graphKey)
+			if priors[stale] != staleCost {
+				t.Fatalf("stale entry after Record/Save/Load = %v, want %v untouched", priors[stale], staleCost)
+			}
+			if len(priors) != len(warm.PlanCosts)+1 {
+				t.Fatalf("reloaded entry holds %v, want the stale label plus %v", costKeys(priors), costKeys(warm.PlanCosts))
+			}
+		})
 	}
 }

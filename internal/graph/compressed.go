@@ -4,15 +4,14 @@ import (
 	"fmt"
 )
 
-// This file implements the compressed grid layout: the same P x P cell
-// structure as Grid, but each cell's edges are stored as destination deltas
-// plus row-local source offsets in a variable-length (varint) byte stream,
-// with weights split into a parallel plane so unweighted kernels never touch
+// This file implements the cell codec of compressed (version-2) grid
+// stores: each cell's edges are stored as destination deltas plus row-local
+// source offsets in a variable-length (varint) byte stream; weights travel
+// in a parallel plane the store keeps, so unweighted kernels never touch
 // them. Within a cell both endpoints span only one vertex range, so the
 // values being encoded are small: on the paper's 256-range grids a typical
-// edge costs 2-4 bytes against the raw layout's 12, trading a little decode
-// CPU for a 3-5x cut in the bytes every sweep streams — the right side of
-// the trade once the sweep is bandwidth-bound.
+// edge costs 2-4 bytes against the raw layout's 12, trading decode CPU for
+// fewer bytes read — worth it only against real I/O cost.
 //
 // The encoding deliberately preserves the cell's existing edge order (the
 // stable-scatter input order): destination deltas are SIGNED (zigzag), so no
@@ -146,168 +145,4 @@ func uvarint(data []byte, pos int) (uint64, int, error) {
 			return 0, pos, fmt.Errorf("varint overflows 64 bits")
 		}
 	}
-}
-
-// CompressedGrid is the compressed counterpart of Grid: cells in row-major
-// order, each stored as a delta+varint byte segment, with a decoded-edge
-// prefix index carrying the same semantics as Grid.CellIndex. Kernels never
-// iterate the bytes directly; they decode one cell at a time into
-// caller-provided scratch (DecodeCell), which preserves the exact
-// per-destination visit order of the raw grid.
-type CompressedGrid struct {
-	// P is the grid dimension (cells per side).
-	P int
-	// RangeSize is the vertex-id width of each range.
-	RangeSize int
-	// NumVertices is the vertex count of the dataset.
-	NumVertices int
-	// Data holds every cell's encoded payload, row-major.
-	Data []byte
-	// CellOff[i] is the byte offset of cell i's payload in Data; length
-	// P*P+1.
-	CellOff []uint64
-	// CellIndex[i] is the decoded-edge prefix sum — cell i holds edges
-	// [CellIndex[i], CellIndex[i+1]) of the decoded order; length P*P+1.
-	// Shared with the source Grid when built from one.
-	CellIndex []uint64
-	// Weights is the parallel weight plane in decoded edge order, nil when
-	// every weight is zero (BFS/WCC/PageRank graphs) so unweighted kernels
-	// never stream it.
-	Weights []Weight
-	// MaxCellEdges is the largest single-cell edge count — the scratch size
-	// that fits any cell.
-	MaxCellEdges int
-}
-
-// CompressGrid builds the compressed layout from a materialized grid,
-// encoding every cell's edges in their existing (stable-scatter) order so
-// decoded sweeps visit destinations in exactly the raw grid's order.
-func CompressGrid(g *Grid) *CompressedGrid {
-	p := g.P
-	numCells := p * p
-	c := &CompressedGrid{
-		P:           p,
-		RangeSize:   g.RangeSize,
-		NumVertices: g.NumVertices,
-		CellOff:     make([]uint64, numCells+1),
-		CellIndex:   g.CellIndex,
-	}
-	data := make([]byte, 0, len(g.Edges)*4)
-	var enc CellEncoder
-	for row := 0; row < p; row++ {
-		rowLo := VertexID(row * g.RangeSize)
-		for col := 0; col < p; col++ {
-			cell := row*p + col
-			c.CellOff[cell] = uint64(len(data))
-			lo, hi := g.CellIndex[cell], g.CellIndex[cell+1]
-			if n := int(hi - lo); n > c.MaxCellEdges {
-				c.MaxCellEdges = n
-			}
-			enc.Reset(rowLo, VertexID(col*g.RangeSize))
-			for _, e := range g.Edges[lo:hi] {
-				data = enc.Append(data, e.Src, e.Dst)
-			}
-		}
-	}
-	c.CellOff[numCells] = uint64(len(data))
-	c.Data = data
-
-	for _, e := range g.Edges {
-		if e.W != 0 {
-			w := make([]Weight, len(g.Edges))
-			for i, ge := range g.Edges {
-				w[i] = ge.W
-			}
-			c.Weights = w
-			break
-		}
-	}
-	return c
-}
-
-// NumEdges returns the number of encoded edges.
-func (c *CompressedGrid) NumEdges() int {
-	return int(c.CellIndex[len(c.CellIndex)-1])
-}
-
-// StoredBytes returns the resident byte size of the compressed edge data:
-// the payload plus the weight plane when one exists.
-func (c *CompressedGrid) StoredBytes() int64 {
-	return int64(len(c.Data)) + int64(len(c.Weights))*4
-}
-
-// Ratio returns the compression ratio against the raw grid's 12-byte edge
-// records (plus 4 weight bytes already included in both sides when a weight
-// plane exists). Zero-edge grids report 0.
-func (c *CompressedGrid) Ratio() float64 {
-	stored := c.StoredBytes()
-	if stored == 0 {
-		return 0
-	}
-	return float64(int64(c.NumEdges())*12) / float64(stored)
-}
-
-// DecodeCell decodes cell (row, col) into dst — which must hold at least the
-// cell's edge count; MaxCellEdges always suffices — and returns the decoded
-// prefix, with weights restored from the parallel plane when one exists. The
-// layout is built by CompressGrid or validated by Validate, so a decode
-// failure here is an invariant violation, not an input error.
-func (c *CompressedGrid) DecodeCell(row, col int, dst []Edge) []Edge {
-	cell := row*c.P + col
-	lo, hi := c.CellIndex[cell], c.CellIndex[cell+1]
-	n := int(hi - lo)
-	if n == 0 {
-		return dst[:0]
-	}
-	data := c.Data[c.CellOff[cell]:c.CellOff[cell+1]]
-	if err := DecodeCell(data, n, VertexID(row*c.RangeSize), VertexID(col*c.RangeSize), c.RangeSize, dst); err != nil {
-		panic(fmt.Sprintf("graph: corrupt compressed cell (%d,%d): %v", row, col, err))
-	}
-	out := dst[:n]
-	if c.Weights != nil {
-		w := c.Weights[lo:hi]
-		for i := range out {
-			out[i].W = w[i]
-		}
-	}
-	return out
-}
-
-// Validate checks the structural invariants (index shapes, monotonicity,
-// coverage) and decodes every cell, so a layout that passes cannot make
-// DecodeCell panic.
-func (c *CompressedGrid) Validate() error {
-	if c.P < 1 || c.RangeSize < 1 {
-		return fmt.Errorf("graph: compressed grid has degenerate dimensions (P=%d rangeSize=%d)", c.P, c.RangeSize)
-	}
-	numCells := c.P * c.P
-	if len(c.CellOff) != numCells+1 || len(c.CellIndex) != numCells+1 {
-		return fmt.Errorf("graph: compressed grid index length %d/%d, want %d", len(c.CellOff), len(c.CellIndex), numCells+1)
-	}
-	if c.CellOff[0] != 0 || c.CellOff[numCells] != uint64(len(c.Data)) {
-		return fmt.Errorf("graph: compressed grid payload offsets cover [%d,%d), data holds %d bytes",
-			c.CellOff[0], c.CellOff[numCells], len(c.Data))
-	}
-	if c.CellIndex[0] != 0 {
-		return fmt.Errorf("graph: compressed grid edge index starts at %d, want 0", c.CellIndex[0])
-	}
-	if c.Weights != nil && len(c.Weights) != c.NumEdges() {
-		return fmt.Errorf("graph: compressed grid weight plane holds %d entries for %d edges", len(c.Weights), c.NumEdges())
-	}
-	scratch := make([]Edge, c.MaxCellEdges)
-	for cell := 0; cell < numCells; cell++ {
-		if c.CellOff[cell] > c.CellOff[cell+1] || c.CellIndex[cell] > c.CellIndex[cell+1] {
-			return fmt.Errorf("graph: compressed grid index not monotone at cell %d", cell)
-		}
-		n := int(c.CellIndex[cell+1] - c.CellIndex[cell])
-		if n > c.MaxCellEdges {
-			return fmt.Errorf("graph: compressed grid cell %d holds %d edges, MaxCellEdges says %d", cell, n, c.MaxCellEdges)
-		}
-		data := c.Data[c.CellOff[cell]:c.CellOff[cell+1]]
-		row, col := cell/c.P, cell%c.P
-		if err := DecodeCell(data, n, VertexID(row*c.RangeSize), VertexID(col*c.RangeSize), c.RangeSize, scratch); err != nil {
-			return fmt.Errorf("graph: compressed grid cell %d: %w", cell, err)
-		}
-	}
-	return nil
 }

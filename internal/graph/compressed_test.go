@@ -106,93 +106,6 @@ func TestDecodeCellRejectsCorruptPayloads(t *testing.T) {
 	}
 }
 
-func TestCompressGridMatchesRawGrid(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	numVertices := 1000
-	edges := make([]Edge, 5000)
-	for i := range edges {
-		edges[i] = Edge{
-			Src: VertexID(rng.Intn(numVertices)),
-			Dst: VertexID(rng.Intn(numVertices)),
-		}
-	}
-	grid := buildGridNaive(edges, numVertices, 8)
-	c := CompressGrid(grid)
-	if err := c.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if c.NumEdges() != len(edges) {
-		t.Fatalf("compressed grid holds %d edges, want %d", c.NumEdges(), len(edges))
-	}
-	if c.Weights != nil {
-		t.Fatal("unweighted grid grew a weight plane")
-	}
-	scratch := make([]Edge, c.MaxCellEdges)
-	for row := 0; row < grid.P; row++ {
-		for col := 0; col < grid.P; col++ {
-			want := grid.Cell(row, col)
-			got := c.DecodeCell(row, col, scratch)
-			if len(got) != len(want) {
-				t.Fatalf("cell (%d,%d): %d edges, want %d", row, col, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("cell (%d,%d) edge %d: %v, want %v", row, col, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestCompressGridWeightPlane(t *testing.T) {
-	edges := []Edge{
-		{Src: 0, Dst: 5, W: 1.5},
-		{Src: 3, Dst: 1, W: -2},
-		{Src: 7, Dst: 7, W: 0.25},
-		{Src: 2, Dst: 6},
-	}
-	grid := buildGridNaive(edges, 8, 2)
-	c := CompressGrid(grid)
-	if err := c.Validate(); err != nil {
-		t.Fatalf("Validate: %v", err)
-	}
-	if c.Weights == nil {
-		t.Fatal("weighted grid did not grow a weight plane")
-	}
-	scratch := make([]Edge, c.MaxCellEdges)
-	for row := 0; row < grid.P; row++ {
-		for col := 0; col < grid.P; col++ {
-			want := grid.Cell(row, col)
-			got := c.DecodeCell(row, col, scratch)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("cell (%d,%d) edge %d: %v, want %v (weights must ride along)", row, col, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestCompressGridRatioOnRangeLocalEdges(t *testing.T) {
-	// Grid-cell-local ids are small, so the common case compresses far below
-	// the raw 12 bytes per edge; this guards the layout's reason to exist.
-	rng := rand.New(rand.NewSource(3))
-	numVertices := 1 << 14
-	edges := make([]Edge, 1<<16)
-	for i := range edges {
-		edges[i] = Edge{
-			Src: VertexID(rng.Intn(numVertices)),
-			Dst: VertexID(rng.Intn(numVertices)),
-		}
-	}
-	grid := buildGridNaive(edges, numVertices, 64)
-	c := CompressGrid(grid)
-	if r := c.Ratio(); r < 3 {
-		t.Fatalf("compression ratio %.2f below the 3x the layout is built for (%d bytes for %d edges)",
-			r, c.StoredBytes(), c.NumEdges())
-	}
-}
-
 func FuzzDecodeCell(f *testing.F) {
 	rowLo, colLo := VertexID(64), VertexID(128)
 	f.Add(encodeCell([]Edge{{Src: 70, Dst: 130}, {Src: 64, Dst: 128}}, rowLo, colLo), uint16(2), uint32(rowLo), uint32(colLo), uint16(64))
@@ -247,7 +160,7 @@ func BenchmarkCellEncode(b *testing.B) {
 }
 
 // BenchmarkDecodeCell measures the per-edge cost of the checked streaming
-// decoder — the work the compressed layouts put on every hot path.
+// decoder — the work a compressed store puts on every streamed pass.
 func BenchmarkDecodeCell(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	const rangeSize = 1 << 10

@@ -136,9 +136,10 @@ const (
 	LayoutAdjacencySorted
 	// LayoutGrid partitions edges into a 2-D grid of cells (GridGraph).
 	LayoutGrid
-	// LayoutGridCompressed is the grid with delta+varint-encoded cells
-	// (CompressedGrid): the same cell structure and visit order, a fraction
-	// of the bytes per sweep, a per-cell decode on the way in.
+	// LayoutGridCompressed labels the grid streamed from a compressed
+	// (version-2) store: the same cell structure and visit order, a fraction
+	// of the bytes read, a per-cell decode on the way in. No resident graph
+	// carries it.
 	LayoutGridCompressed
 )
 
@@ -172,8 +173,6 @@ type Graph struct {
 	In *Adjacency
 	// Grid is the grid layout (nil until built).
 	Grid *Grid
-	// Compressed is the compressed grid layout (nil until built).
-	Compressed *CompressedGrid
 	// Directed records whether the dataset is directed. Undirected datasets
 	// store each edge once in the edge array; adjacency lists double them.
 	Directed bool

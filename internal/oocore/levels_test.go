@@ -145,12 +145,16 @@ func TestStreamCellsVirtualLevelDeliversEveryEdgeOnce(t *testing.T) {
 	}
 }
 
-// streamLevelConfig pins the run to the ladder rung at the given index
-// (1-based, 1 = finest) through the static-flow GridLevels policy.
-func streamLevelConfig(flow core.Flow, budget int64, rung int) core.Config {
-	cfg := streamConfig(flow, budget)
-	cfg.GridLevels = rung
-	return cfg
+// rungSource narrows a store's ladder to the rung at the given index
+// (1-based, 1 = finest). A static flow streams at its source's finest rung,
+// so runs over it are pinned to that rung: a one-candidate set.
+type rungSource struct {
+	*Store
+	rung int
+}
+
+func (s rungSource) StreamLevels(workers int, budgetCap int64) []core.StreamLevelInfo {
+	return s.Store.StreamLevels(workers, budgetCap)[s.rung-1 : s.rung]
 }
 
 func TestStreamedEveryLevelBitIdentical(t *testing.T) {
@@ -172,7 +176,7 @@ func TestStreamedEveryLevelBitIdentical(t *testing.T) {
 		}
 		for i := range s.Levels() {
 			pr := algorithms.NewPageRank()
-			res, err := core.RunStreamed(s, pr, streamLevelConfig(core.Push, 128<<10, i+1))
+			res, err := core.RunStreamed(rungSource{s, i + 1}, pr, streamConfig(core.Push, 128<<10))
 			if err != nil {
 				t.Fatalf("compressed=%v rung %d: %v", compressed, i+1, err)
 			}
@@ -213,7 +217,7 @@ func TestStreamedEveryLevelSpMVBitIdentical(t *testing.T) {
 		}
 		for i := range s.Levels() {
 			m := algorithms.NewSpMV()
-			if _, err := core.RunStreamed(s, m, streamLevelConfig(core.Push, 64<<10, i+1)); err != nil {
+			if _, err := core.RunStreamed(rungSource{s, i + 1}, m, streamConfig(core.Push, 64<<10)); err != nil {
 				t.Fatalf("compressed=%v rung %d: %v", compressed, i+1, err)
 			}
 			got := m.Result()
@@ -245,7 +249,7 @@ func TestStreamedEveryLevelWCCLabelIdentical(t *testing.T) {
 		}
 		for i := range s.Levels() {
 			wcc := algorithms.NewWCC()
-			if _, err := core.RunStreamed(s, wcc, streamLevelConfig(core.Push, 128<<10, i+1)); err != nil {
+			if _, err := core.RunStreamed(rungSource{s, i + 1}, wcc, streamConfig(core.Push, 128<<10)); err != nil {
 				t.Fatalf("compressed=%v rung %d: %v", compressed, i+1, err)
 			}
 			for v := range wccMem.Labels {
@@ -328,7 +332,7 @@ func TestStreamedAutoCoarseKnobChurn(t *testing.T) {
 	s := buildTestStore(t, g, 32, false)
 
 	ref := algorithms.NewPageRank()
-	if _, err := core.RunStreamed(s, ref, streamLevelConfig(core.Push, 256<<10, 1)); err != nil {
+	if _, err := core.RunStreamed(s, ref, streamConfig(core.Push, 256<<10)); err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
 

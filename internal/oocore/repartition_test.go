@@ -91,13 +91,13 @@ func TestRepartitionStreamedBitIdentical(t *testing.T) {
 	g := testGraph(t, 11, false)
 	src := buildTestStore(t, g, 8, false)
 	ref := algorithms.NewPageRank()
-	if _, err := core.RunStreamed(src, ref, streamLevelConfig(core.Push, 128<<10, 1)); err != nil {
+	if _, err := core.RunStreamed(src, ref, streamConfig(core.Push, 128<<10)); err != nil {
 		t.Fatalf("source run: %v", err)
 	}
 	for _, compressed := range []bool{false, true} {
 		out := repack(t, src, 4, compressed)
 		pr := algorithms.NewPageRank()
-		if _, err := core.RunStreamed(out, pr, streamLevelConfig(core.Push, 128<<10, 1)); err != nil {
+		if _, err := core.RunStreamed(out, pr, streamConfig(core.Push, 128<<10)); err != nil {
 			t.Fatalf("repacked run (v2=%v): %v", compressed, err)
 		}
 		for v := range ref.Rank {
@@ -123,11 +123,11 @@ func TestRepartitionUndirectedDoesNotRemirror(t *testing.T) {
 	}
 
 	wccSrc := algorithms.NewWCC()
-	if _, err := core.RunStreamed(src, wccSrc, streamLevelConfig(core.Push, 128<<10, 1)); err != nil {
+	if _, err := core.RunStreamed(src, wccSrc, streamConfig(core.Push, 128<<10)); err != nil {
 		t.Fatalf("source WCC: %v", err)
 	}
 	wccOut := algorithms.NewWCC()
-	if _, err := core.RunStreamed(out, wccOut, streamLevelConfig(core.Push, 128<<10, 1)); err != nil {
+	if _, err := core.RunStreamed(out, wccOut, streamConfig(core.Push, 128<<10)); err != nil {
 		t.Fatalf("repacked WCC: %v", err)
 	}
 	for v := range wccSrc.Labels {

@@ -128,7 +128,7 @@ func TestStreamedPushPullSwitches(t *testing.T) {
 	}
 	sawPull := false
 	for _, it := range res.PerIteration {
-		if it.UsedPull {
+		if it.Plan.Flow == core.Pull {
 			sawPull = true
 		}
 	}

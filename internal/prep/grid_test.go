@@ -86,51 +86,3 @@ func TestGridUnknownMethod(t *testing.T) {
 		t.Fatal("expected error for unknown method")
 	}
 }
-
-func TestBuildCompressedGridMatchesGrid(t *testing.T) {
-	g := randomGraph(300, 4000, 9)
-	if err := BuildCompressedGrid(g, 8, Options{Method: RadixSort}); err != nil {
-		t.Fatalf("BuildCompressedGrid: %v", err)
-	}
-	if g.Grid == nil {
-		t.Fatal("compressed build should materialize the raw grid alongside")
-	}
-	if err := g.Compressed.Validate(); err != nil {
-		t.Fatalf("compressed grid invalid: %v", err)
-	}
-	if g.Compressed.NumEdges() != len(g.Grid.Edges) {
-		t.Fatalf("compressed grid holds %d edges, raw grid %d", g.Compressed.NumEdges(), len(g.Grid.Edges))
-	}
-	scratch := make([]graph.Edge, g.Compressed.MaxCellEdges)
-	for row := 0; row < g.Grid.P; row++ {
-		for col := 0; col < g.Grid.P; col++ {
-			want := g.Grid.Cell(row, col)
-			got := g.Compressed.DecodeCell(row, col, scratch)
-			if len(got) != len(want) {
-				t.Fatalf("cell (%d,%d): %d edges, want %d", row, col, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("cell (%d,%d) edge %d: %v, want %v (in-cell order must match the raw grid)", row, col, i, got[i], want[i])
-				}
-			}
-		}
-	}
-}
-
-func TestBuildCompressedGridReusesExistingGrid(t *testing.T) {
-	g := randomGraph(100, 500, 2)
-	if err := BuildGrid(g, 4, Options{Method: RadixSort, Undirected: true}); err != nil {
-		t.Fatalf("BuildGrid: %v", err)
-	}
-	grid := g.Grid
-	if err := BuildCompressedGrid(g, 4, Options{Method: RadixSort, Undirected: true}); err != nil {
-		t.Fatalf("BuildCompressedGrid: %v", err)
-	}
-	if g.Grid != grid {
-		t.Fatal("an already-built grid must be reused, not rebuilt")
-	}
-	if err := g.Compressed.Validate(); err != nil {
-		t.Fatalf("compressed grid invalid: %v", err)
-	}
-}

@@ -187,22 +187,6 @@ func BuildGrid(g *graph.Graph, requestedP int, opt Options) error {
 	return nil
 }
 
-// BuildCompressedGrid builds the compressed grid layout (delta+varint cells,
-// see graph.CompressedGrid) and attaches it to g. The raw grid is the
-// natural intermediate — it is built first (with the same options) when not
-// already materialized, and left attached so an adaptive run can plan
-// between the two representations; callers that want the compressed layout
-// INSTEAD of the raw one drop g.Grid afterwards.
-func BuildCompressedGrid(g *graph.Graph, requestedP int, opt Options) error {
-	if g.Grid == nil {
-		if err := BuildGrid(g, requestedP, opt); err != nil {
-			return err
-		}
-	}
-	g.Compressed = graph.CompressGrid(g.Grid)
-	return nil
-}
-
 // checkRange returns rangeError for the first edge with an endpoint outside
 // [0, numVertices), which every builder would otherwise index out of range.
 func checkRange(edges []graph.Edge, numVertices, workers int) error {
