@@ -29,17 +29,23 @@ func gridOnlyGraph(t *testing.T, scale, p int) *graph.Graph {
 // at that level — Run itself always runs the materialized P.
 func runAtLevel(t *testing.T, g *graph.Graph, alg Algorithm, cfg Config, p int) *Result {
 	t.Helper()
-	workers := resolveWorkers(cfg)
-	r := newRunner(g, alg, cfg, workers)
-	env := plannerEnv{numVertices: g.NumVertices(), totalEdges: residentScanEdges(g), alpha: resolveAlpha(cfg), tracked: !alg.Dense()}
-	pl := newPlanner(env, staticCandidates(graph.LayoutGrid, cfg.Flow, cfg.Sync, p, 0, env.tracked), false, nil, nil)
-	res, err := iterate(g, alg, cfg, workers, pl, nil, func(plan StepPlan, f *graph.Frontier) (*graph.Frontier, error) {
-		return r.execute(plan, f), nil
-	})
+	res, err := iterateAtLevel(g, alg, cfg, p)
 	if err != nil {
 		t.Fatalf("run at grid/%d: %v", p, err)
 	}
 	return res
+}
+
+// iterateAtLevel is runAtLevel returning the run's error instead of failing
+// the test.
+func iterateAtLevel(g *graph.Graph, alg Algorithm, cfg Config, p int) (*Result, error) {
+	workers := resolveWorkers(cfg)
+	r := newRunner(g, alg, cfg, workers)
+	env := plannerEnv{numVertices: g.NumVertices(), totalEdges: residentScanEdges(g), alpha: resolveAlpha(cfg), tracked: !alg.Dense()}
+	pl := newPlanner(env, staticCandidates(graph.LayoutGrid, cfg.Flow, cfg.Sync, p, 0, env.tracked), false, nil, nil)
+	return iterate(g, alg, cfg, workers, pl, nil, func(plan StepPlan, f *graph.Frontier) (*graph.Frontier, error) {
+		return r.execute(plan, f), nil
+	})
 }
 
 func TestStepPlanStringCarriesGridLevel(t *testing.T) {

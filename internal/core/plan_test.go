@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -183,7 +184,8 @@ func TestAdaptivePlannerSwitchesOffMispredictedSeededPlan(t *testing.T) {
 // (at the materialized grid P) in the configured direction — edge arrays
 // always push, and PushPull goes wherever the |E|/alpha threshold sends the
 // iteration's recorded frontier (active out-edges, or active vertices on
-// the grid).
+// the grid). Grid configurations pinned to a coarser pyramid level
+// (iterateAtLevel) run every iteration at that level under the same rule.
 func TestStaticConfigsPlanConfiguredTechniques(t *testing.T) {
 	g := rmatTestGraph(t)
 	n, m := int64(g.NumVertices()), residentScanEdges(g)
@@ -195,37 +197,66 @@ func TestStaticConfigsPlanConfiguredTechniques(t *testing.T) {
 		if base.Flow == PushPull {
 			alphas = []int{1, 20, 1000}
 		}
+		// 0 is Run at the materialized P; grid configurations also run pinned
+		// to every coarser pyramid level.
+		levels := []int{0}
+		if base.Layout == graph.LayoutGrid {
+			for i := 1; i < g.Grid.NumLevels(); i++ {
+				levels = append(levels, g.Grid.Level(i).P)
+			}
+		}
 		for _, alpha := range alphas {
-			for _, alg := range []Algorithm{algorithms.NewBFS(0), algorithms.NewPageRank()} {
-				cfg := base
-				cfg.PushPullAlpha = alpha
-				res, err := Run(g, alg, cfg)
-				if err != nil {
-					t.Fatalf("%v/%v/%v alpha %d: %v", cfg.Layout, cfg.Flow, cfg.Sync, alpha, err)
-				}
-				a := int64(resolveAlpha(cfg))
-				want := StepPlan{Layout: cfg.Layout, Flow: cfg.Flow, Sync: cfg.Sync, Tracked: !alg.Dense()}
-				if cfg.Layout == graph.LayoutGrid {
-					want.GridLevel = g.Grid.P
-				}
-				for i, it := range res.PerIteration {
-					switch {
-					case cfg.Layout == graph.LayoutEdgeArray:
-						want.Flow = Push
-					case cfg.Flow == PushPull:
-						over := it.ActiveEdges > m/a
+			for _, level := range levels {
+				for _, mk := range []func() Algorithm{
+					func() Algorithm { return algorithms.NewBFS(0) },
+					func() Algorithm { return algorithms.NewPageRank() },
+				} {
+					alg := mk()
+					cfg := base
+					cfg.PushPullAlpha = alpha
+					layout := cfg.Layout.String()
+					if level > 0 {
+						layout = fmt.Sprintf("%s%d", layout, level)
+					}
+					t.Run(fmt.Sprintf("%s-%v-%v/alpha%d/%s", layout, cfg.Flow, cfg.Sync, alpha, alg.Name()), func(t *testing.T) {
+						var res *Result
+						var err error
+						if level > 0 {
+							res, err = iterateAtLevel(g, alg, cfg, level)
+						} else {
+							res, err = Run(g, alg, cfg)
+						}
+						if err != nil {
+							t.Fatalf("%v/%v/%v alpha %d: %v", cfg.Layout, cfg.Flow, cfg.Sync, alpha, err)
+						}
+						a := int64(resolveAlpha(cfg))
+						want := StepPlan{Layout: cfg.Layout, Flow: cfg.Flow, Sync: cfg.Sync, Tracked: !alg.Dense()}
 						if cfg.Layout == graph.LayoutGrid {
-							over = int64(it.ActiveVertices) > n/a
+							want.GridLevel = g.Grid.P
+							if level > 0 {
+								want.GridLevel = level
+							}
 						}
-						want.Flow = Push
-						if over {
-							want.Flow = Pull
+						for i, it := range res.PerIteration {
+							switch {
+							case cfg.Layout == graph.LayoutEdgeArray:
+								want.Flow = Push
+							case cfg.Flow == PushPull:
+								over := it.ActiveEdges > m/a
+								if cfg.Layout == graph.LayoutGrid {
+									over = int64(it.ActiveVertices) > n/a
+								}
+								want.Flow = Push
+								if over {
+									want.Flow = Pull
+								}
+							}
+							if it.Plan != want {
+								t.Fatalf("%s %v/%v/%v alpha %d iteration %d (%d vertices, %d edges): plan %v, want %v",
+									alg.Name(), cfg.Layout, cfg.Flow, cfg.Sync, alpha, i, it.ActiveVertices, it.ActiveEdges, it.Plan, want)
+							}
 						}
-					}
-					if it.Plan != want {
-						t.Fatalf("%s %v/%v/%v alpha %d iteration %d (%d vertices, %d edges): plan %v, want %v",
-							alg.Name(), cfg.Layout, cfg.Flow, cfg.Sync, alpha, i, it.ActiveVertices, it.ActiveEdges, it.Plan, want)
-					}
+					})
 				}
 			}
 		}

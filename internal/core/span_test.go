@@ -264,8 +264,9 @@ func (s *gridSource) StreamCells(opt StreamOptions, visit func(worker int, edges
 }
 
 // TestSpanKernelsMatchPerEdgeAdapter is the differential test of the span
-// contract: for each shipped algorithm, every admitted configuration, the
-// in-memory and the streamed engine, and each adversarial graph, the span
+// contract: for each shipped algorithm, every admitted configuration (static
+// grid ones at every pyramid level), the in-memory and the streamed engine,
+// and each adversarial graph, the span
 // kernels must leave the state the per-edge methods leave — the same bits
 // wherever the configuration fixes the order of updates (always at one
 // worker), the same exact values for integral results everywhere, and
@@ -310,6 +311,21 @@ func TestSpanKernelsMatchPerEdgeAdapter(t *testing.T) {
 							return err
 						})
 					})
+					if cfg.Layout == graph.LayoutGrid && cfg.Flow != Auto {
+						// Run holds a static grid at the materialized P; the
+						// coarser pyramid levels hand the kernels multi-row
+						// spans and are reached through a pinned plan.
+						for i := 1; i < sg.g.Grid.NumLevels(); i++ {
+							p := sg.g.Grid.Level(i).P
+							levelName := fmt.Sprintf("%s/%s/w%d/%v%d-%v-%v", sg.name, a.name, workers, cfg.Layout, p, cfg.Flow, cfg.Sync)
+							t.Run(levelName, func(t *testing.T) {
+								compare(t, a, cfg, exact, func(alg Algorithm, cfg Config) error {
+									_, err := iterateAtLevel(sg.g, alg, cfg, p)
+									return err
+								})
+							})
+						}
+					}
 					streamable := cfg.Flow == Auto || (cfg.Layout == graph.LayoutGrid && cfg.Sync == SyncPartitionFree)
 					if !streamable {
 						continue
