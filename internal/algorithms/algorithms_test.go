@@ -295,6 +295,84 @@ func TestSSSPRelaxation(t *testing.T) {
 	}
 }
 
+// TestSSSPBucketsDeferAndOpen drives the push kernel from vertex 0 down two
+// chains: 0 -> 1 -> 2 -> 3 -> 4 -> 5 of weight 4 (so Δ = 16) and
+// 0 -> 6 -> ... -> 11 of weight 1. Vertex 4 reaches the frontier at
+// distance 16 while the unit chain is still below the bound, waits there
+// unrelaxed until the unit chain ends, and is relaxed once [16, 32) opens.
+func TestSSSPBucketsDeferAndOpen(t *testing.T) {
+	const n = 12
+	edges := []graph.Edge{{Src: 0, Dst: 1, W: 4}, {Src: 0, Dst: 6, W: 1}}
+	for v := 1; v < 5; v++ {
+		edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID(v + 1), W: 4})
+	}
+	for v := 6; v < 11; v++ {
+		edges = append(edges, graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID(v + 1), W: 1})
+	}
+	// The edges are listed by source, so the CSR is a running count.
+	out := &graph.Adjacency{Index: make([]uint64, n+1), NumVertices: n}
+	for _, e := range edges {
+		out.Index[e.Src+1]++
+		out.Targets = append(out.Targets, e.Dst)
+		out.Weights = append(out.Weights, e.W)
+	}
+	for v := 0; v < n; v++ {
+		out.Index[v+1] += out.Index[v]
+	}
+	s := NewSSSP(0)
+	s.SetWorkers(2)
+	s.Init(graph.New(edges, n, true))
+	if s.bound != 16 {
+		t.Fatalf("first bound %v, want Δ = 16", s.bound)
+	}
+	active := []graph.VertexID{0}
+	var history [][]graph.VertexID
+	var bounds []float32
+	for len(active) > 0 {
+		history = append(history, active)
+		sp := graph.Span{Next: graph.NewFrontierBuilder(n, 2)}
+		s.PushRows(&sp, 1, out, active)
+		active = sp.Next.Collect().Sparse()
+		slices.Sort(active)
+		s.AfterIteration(len(history))
+		bounds = append(bounds, s.bound)
+	}
+	want := [][]graph.VertexID{{0}, {1, 6}, {2, 7}, {3, 8}, {4, 9}, {4, 10}, {4, 11}, {4}, {5}}
+	if !slices.EqualFunc(history, want, slices.Equal) {
+		t.Fatalf("frontiers %v, want %v", history, want)
+	}
+	if wantBounds := []float32{16, 16, 16, 16, 16, 16, 32, 32, 32}; !slices.Equal(bounds, wantBounds) {
+		t.Fatalf("bounds %v, want %v", bounds, wantBounds)
+	}
+	for v, d := range s.Distances() {
+		want := float32(4 * v)
+		if v > 5 {
+			want = float32(v - 5)
+		}
+		if d != want {
+			t.Fatalf("dist(%d) = %v, want %v", v, d, want)
+		}
+	}
+
+	// A distance too large for float32 to hold its bucket's end still
+	// opens a bound beyond it.
+	s.delta, s.bound = 1, 1<<25
+	s.least[0].d = 1 << 25
+	s.AfterIteration(0)
+	if s.bound <= 1<<25 {
+		t.Fatalf("bound %v does not pass the distance %v", s.bound, float32(1<<25))
+	}
+
+	// No positive weight, no buckets: plain Bellman-Ford.
+	for i := range edges {
+		edges[i].W = 0
+	}
+	s.Init(graph.New(edges, n, true))
+	if !math.IsInf(float64(s.bound), 1) {
+		t.Fatalf("zero weights: bound %v, want +Inf", s.bound)
+	}
+}
+
 func TestSpMVMatchesManualProduct(t *testing.T) {
 	g := tinyGraph()
 	m := NewSpMVWithVector([]float64{1, 2, 3})

@@ -7,11 +7,27 @@ import (
 )
 
 // SSSP computes single-source shortest paths with a frontier-driven
-// Bellman-Ford relaxation: active vertices relax their outgoing edges and
-// activate any destination whose distance improved. It behaves like BFS
-// with the difference the paper highlights in Section 8: a vertex can be
-// updated many times, so both the iteration count and the per-iteration
-// frontier sizes are larger.
+// relaxation: active vertices relax their outgoing edges and activate any
+// destination whose distance improved. It behaves like BFS with the
+// difference the paper highlights in Section 8: a vertex can be updated many
+// times, so both the iteration count and the per-iteration frontier sizes
+// are larger.
+//
+// The push span kernels bound how many times by delta-stepping (Meyer &
+// Sanders, J. Algorithms 2003): they relax only the active vertices whose
+// distance is below the current bucket bound and keep the others in the
+// frontier unrelaxed, so a vertex mostly relaxes once its distance is close
+// to final. When an iteration leaves only vertices at or beyond the bound —
+// the least distance added to the next frontier is no smaller — the bucket
+// is settled and the bound moves to the end of the bucket of width Δ holding
+// that distance. Δ is ssspDeltaWeights times the largest edge weight; with
+// no positive finite weight the bound is +Inf and every active vertex
+// relaxes (plain frontier Bellman-Ford, as the pull kernels and the per-edge
+// adapter always run).
+//
+// The result does not depend on the bound or the relax order: no vertex
+// leaves the frontier with an unrelaxed distance, so every order reaches the
+// same fixpoint — each distance is the least float32 path sum, bit for bit.
 type SSSP struct {
 	// Source is the origin of the paths.
 	Source graph.VertexID
@@ -19,7 +35,31 @@ type SSSP struct {
 	// dist holds the tentative distances as float32 bit patterns so the
 	// atomic edge functions can CAS them.
 	dist []uint32
+
+	// delta is the bucket width Δ and bound the end of the open bucket: the
+	// push kernels defer an active vertex whose distance is at or beyond it.
+	delta, bound float32
+	// least holds, per worker, the least distance it added to the next
+	// frontier this iteration (+Inf if none); AfterIteration reads and
+	// resets it.
+	least []leastDist
 }
+
+// ssspDeltaWeights is Δ in units of the largest edge weight. Swept on
+// warm.sssp.road (2 CPUs, weights 1–9), two runs each, s per op: 1 →
+// 0.104–0.109, 2 → 0.086–0.098, 4 → 0.089–0.096, 8 → 0.095–0.103,
+// 16 → 0.102–0.113, 32 → 0.148 (Bellman-Ford: 0.79). Narrower buckets add
+// iterations, wider ones relaxations; 4 sits inside the flat range.
+const ssspDeltaWeights = 4
+
+// leastDist is a worker's least-distance slot, alone on a 128-byte block
+// like the frontier builder's per-worker lists.
+type leastDist struct {
+	d float32
+	_ [124]byte
+}
+
+var inf32 = float32(math.Inf(1))
 
 // NewSSSP creates an SSSP instance rooted at source.
 func NewSSSP(source graph.VertexID) *SSSP { return &SSSP{Source: source} }
@@ -30,15 +70,33 @@ func (s *SSSP) Name() string { return "sssp" }
 // Dense implements Algorithm.
 func (s *SSSP) Dense() bool { return false }
 
-// Init implements Algorithm.
+// SetWorkers implements the engine's WorkerBound extension: the span
+// kernels are handed worker ids below p, one least-distance slot each. It
+// must precede Init.
+func (s *SSSP) SetWorkers(p int) {
+	if len(s.least) != p {
+		s.least = make([]leastDist, p)
+	}
+}
+
+// Init implements Algorithm. The largest weight is scanned once per edge
+// array, not once per run.
 func (s *SSSP) Init(g *graph.Graph) {
 	n := g.NumVertices()
 	s.dist = make([]uint32, n)
-	inf := math.Float32bits(float32(math.Inf(1)))
+	inf := math.Float32bits(inf32)
 	for v := range s.dist {
 		s.dist[v] = inf
 	}
 	storeFloat32(&s.dist[s.Source], 0)
+	for i := range s.least {
+		s.least[i].d = inf32
+	}
+	s.delta = ssspDeltaWeights * g.EdgeArray.SharedMaxWeight()
+	s.bound = s.delta
+	if !(s.delta > 0) || math.IsInf(float64(s.delta), 1) {
+		s.bound = inf32
+	}
 }
 
 // InitialFrontier implements Algorithm.
@@ -50,8 +108,24 @@ func (s *SSSP) InitialFrontier(g *graph.Graph) *graph.Frontier {
 func (s *SSSP) BeforeIteration(int) {}
 
 // AfterIteration implements Algorithm: relaxation stops when no distance
-// improves (empty frontier).
-func (s *SSSP) AfterIteration(int) bool { return false }
+// improves (empty frontier). If the least distance added to the next
+// frontier is at or beyond the bound, the open bucket is settled and the
+// one holding that distance opens; an iteration that added nothing through
+// the span kernels leaves the bound where it is.
+func (s *SSSP) AfterIteration(int) bool {
+	m := inf32
+	for i := range s.least {
+		m = min(m, s.least[i].d)
+		s.least[i].d = inf32
+	}
+	if m >= s.bound && m < inf32 {
+		b := float32((math.Floor(float64(m)/float64(s.delta)) + 1) * float64(s.delta))
+		// Past 2^24 widths, b can round down to m, which would defer m's
+		// vertex forever.
+		s.bound = max(b, math.Nextafter32(m, inf32))
+	}
+	return false
+}
 
 // PushEdge implements Algorithm: relax u -> v.
 func (s *SSSP) PushEdge(u, v graph.VertexID, w graph.Weight) bool {
@@ -114,50 +188,88 @@ func (s *SSSP) PullRows(sp *graph.Span, worker int, in *graph.Adjacency, lo, hi 
 	}
 }
 
-// PushRows relaxes the out-edges of the active vertices with atomic minima.
+// PushRows relaxes the out-edges of the active vertices below the bound with
+// atomic minima and puts the others back in the frontier. A source's
+// distance is read once per row: a worker that lowers it meanwhile adds the
+// vertex to the next frontier, so it is relaxed again with the new value.
 func (s *SSSP) PushRows(sp *graph.Span, worker int, out *graph.Adjacency, active []graph.VertexID) {
-	dist := s.dist
+	dist, bound := s.dist, s.bound
+	least := s.least[worker].d
 	idx, tgt, wts := out.Index, out.Targets, out.Weights
 	for _, u := range active {
+		du := loadFloat32(&dist[u])
+		if du >= bound {
+			sp.Next.Add(worker, u)
+			least = min(least, du)
+			continue
+		}
 		row := tgt[idx[u]:idx[u+1]]
 		ws := wts[idx[u]:idx[u+1]][:len(row)]
 		for j, v := range row {
-			if atomicMinFloat32(&dist[v], loadFloat32(&dist[u])+ws[j]) {
+			if nd := du + ws[j]; atomicMinFloat32(&dist[v], nd) {
 				sp.Next.Add(worker, v)
+				least = min(least, nd)
 			}
 		}
 	}
+	s.least[worker].d = least
 }
 
-// PushEdges relaxes a flat edge slice.
+// PushEdges relaxes a flat edge slice, deferring sources beyond the bound.
 func (s *SSSP) PushEdges(sp *graph.Span, worker int, edges []graph.Edge) {
+	s.relaxEdges(sp, worker, edges, s.bound)
+}
+
+// PullEdges relaxes like PushEdges, without a bound: every vertex may still
+// improve, and pulling over an edge is the same relaxation.
+func (s *SSSP) PullEdges(sp *graph.Span, worker int, edges []graph.Edge) {
+	s.relaxEdges(sp, worker, edges, inf32)
+}
+
+// relaxEdges relaxes every edge of the slice whose active source is below
+// bound and re-adds the active sources at or beyond it; a source with no
+// edge in the slice is left to the spans that hold its edges.
+func (s *SSSP) relaxEdges(sp *graph.Span, worker int, edges []graph.Edge, bound float32) {
 	dist := s.dist
+	least := s.least[worker].d
 	if !sp.Atomic {
 		for _, e := range edges {
 			if !sp.Active(e.Src) {
 				continue
 			}
-			if nd := loadFloat32(&dist[e.Src]) + e.W; nd < loadFloat32(&dist[e.Dst]) {
+			du := loadFloat32(&dist[e.Src])
+			if du >= bound {
+				sp.Next.Add(worker, e.Src)
+				least = min(least, du)
+			} else if nd := du + e.W; nd < loadFloat32(&dist[e.Dst]) {
 				storeFloat32(&dist[e.Dst], nd)
 				sp.Next.Add(worker, e.Dst)
+				least = min(least, nd)
 			}
 		}
+		s.least[worker].d = least
 		return
 	}
-	for _, e := range edges {
-		if sp.Active(e.Src) && atomicMinFloat32(&dist[e.Dst], loadFloat32(&dist[e.Src])+e.W) {
-			sp.Next.Add(worker, e.Dst)
-		}
-		if sp.Mirror && e.Src != e.Dst && sp.Active(e.Dst) && atomicMinFloat32(&dist[e.Src], loadFloat32(&dist[e.Dst])+e.W) {
-			sp.Next.Add(worker, e.Src)
+	// relax applies u -> v for an active u with atomic minima.
+	relax := func(u, v graph.VertexID, w graph.Weight) {
+		du := loadFloat32(&dist[u])
+		if du >= bound {
+			sp.Next.Add(worker, u)
+			least = min(least, du)
+		} else if nd := du + w; atomicMinFloat32(&dist[v], nd) {
+			sp.Next.Add(worker, v)
+			least = min(least, nd)
 		}
 	}
-}
-
-// PullEdges is PushEdges: every vertex may still improve, and pulling over
-// an edge is the same relaxation.
-func (s *SSSP) PullEdges(sp *graph.Span, worker int, edges []graph.Edge) {
-	s.PushEdges(sp, worker, edges)
+	for _, e := range edges {
+		if sp.Active(e.Src) {
+			relax(e.Src, e.Dst, e.W)
+		}
+		if sp.Mirror && e.Src != e.Dst && sp.Active(e.Dst) {
+			relax(e.Dst, e.Src, e.W)
+		}
+	}
+	s.least[worker].d = least
 }
 
 // Distance returns the computed distance of v (+Inf if unreachable).

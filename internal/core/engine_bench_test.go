@@ -248,11 +248,11 @@ var road512 = sync.OnceValue(func() *graph.Graph {
 	return g
 })
 
-// BenchmarkSSSPRoad512 is the sparse-push scaling curve: one frontier
-// Bellman-Ford per op (adjacency/push/atomics, ~1,000 iterations of a few
-// thousand active vertices) at 1 and 2 workers. us/iter is what one sparse
-// iteration costs; a traced run after the timed ones reports how often a
-// pool worker parked and how many loops it joined, per gang loop.
+// BenchmarkSSSPRoad512 is the sparse-push scaling curve: one bucketed
+// frontier SSSP per op (adjacency/push/atomics, iters/run iterations of a
+// few hundred active vertices) at 1 and 2 workers. us/iter is what one
+// sparse iteration costs; a traced run after the timed ones reports how
+// often a pool worker parked and how many loops it joined, per gang loop.
 func BenchmarkSSSPRoad512(b *testing.B) {
 	g := road512()
 	for _, workers := range []int{1, 2} {
@@ -269,6 +269,7 @@ func BenchmarkSSSPRoad512(b *testing.B) {
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(iters), "us/iter")
+			b.ReportMetric(float64(iters)/float64(b.N), "iters/run")
 			cfg.Trace = trace.NewRecorder(0)
 			res, err := Run(g, algorithms.NewSSSP(0), cfg)
 			if err != nil {

@@ -427,6 +427,10 @@ func TestSpanIterationAllocatesNothing(t *testing.T) {
 		for _, plan := range plans {
 			t.Run(fmt.Sprintf("%s/%v", a.name, plan), func(t *testing.T) {
 				alg, _ := a.make()
+				// The setup iterate does for a 2-worker run.
+				if wb, ok := alg.(WorkerBound); ok {
+					wb.SetWorkers(2)
+				}
 				alg.Init(g)
 				frontier := alg.InitialFrontier(g)
 				plan.Tracked = !alg.Dense()

@@ -16,6 +16,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/epfl-repro/everythinggraph/internal/sched"
@@ -53,10 +54,20 @@ type EdgeArray struct {
 	// Edges (isolated trailing vertices may raise it further).
 	NumVertices int
 
-	// Degree tables shared by every run over this edge array (see
-	// SharedOutDegrees), each counted on first use.
-	degMu         sync.Mutex
+	// Degree tables and the largest weight, shared by every run over this
+	// edge array (see SharedOutDegrees, SharedMaxWeight), each found on
+	// first use.
+	sharedMu      sync.Mutex
 	outDeg, inDeg sharedDegrees
+	maxW          sharedMaxWeight
+}
+
+// sharedMaxWeight is the largest weight with the edge count it was taken
+// over.
+type sharedMaxWeight struct {
+	w       Weight
+	edges   int
+	scanned bool
 }
 
 // sharedDegrees is a degree table with the edge count it was counted over.
@@ -204,12 +215,36 @@ func (ea *EdgeArray) SharedOutDegrees() []uint32 { return ea.shared(&ea.outDeg, 
 func (ea *EdgeArray) SharedInDegrees() []uint32 { return ea.shared(&ea.inDeg, ea.InDegrees) }
 
 func (ea *EdgeArray) shared(t *sharedDegrees, count func() []uint32) []uint32 {
-	ea.degMu.Lock()
-	defer ea.degMu.Unlock()
+	ea.sharedMu.Lock()
+	defer ea.sharedMu.Unlock()
 	if t.deg == nil || t.edges != len(ea.Edges) || len(t.deg) != ea.NumVertices {
 		t.deg, t.edges = count(), len(ea.Edges)
 	}
 	return t.deg
+}
+
+// SharedMaxWeight returns the largest edge weight, found by one parallel
+// scan on first use and shared by every later call like SharedOutDegrees:
+// weights travel with their edges through pre-processing. It is -Inf for no
+// edges and NaN if any weight is NaN, and rescanned if Edges has changed
+// length since.
+func (ea *EdgeArray) SharedMaxWeight() Weight {
+	ea.sharedMu.Lock()
+	defer ea.sharedMu.Unlock()
+	if !ea.maxW.scanned || ea.maxW.edges != len(ea.Edges) {
+		ea.maxW = sharedMaxWeight{w: maxWeight(ea.Edges), edges: len(ea.Edges), scanned: true}
+	}
+	return ea.maxW.w
+}
+
+// maxWeight is the largest weight of edges; the builtin max propagates NaN.
+func maxWeight(edges []Edge) Weight {
+	return sched.ParallelReduce(0, len(edges), edgeScanChunk, 0, Weight(math.Inf(-1)), func(lo, hi int, acc Weight) Weight {
+		for _, e := range edges[lo:hi] {
+			acc = max(acc, e.W)
+		}
+		return acc
+	}, func(a, b Weight) Weight { return max(a, b) })
 }
 
 // OutDegrees computes the out-degree of every vertex from the edge array.

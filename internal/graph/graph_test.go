@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -143,6 +144,25 @@ func TestSharedDegreesCountedOncePerGraph(t *testing.T) {
 	ea.Edges = append(ea.Edges, Edge{Src: 1, Dst: 1})
 	if want := []uint32{2, 1, 1}; !slices.Equal(ea.SharedOutDegrees(), want) {
 		t.Fatalf("out-degrees after append %v, want %v", ea.SharedOutDegrees(), want)
+	}
+}
+
+func TestSharedMaxWeightScannedOncePerGraph(t *testing.T) {
+	ea := NewEdgeArray([]Edge{{Src: 0, Dst: 1, W: 3}, {Src: 1, Dst: 2, W: -7}, {Src: 2, Dst: 0, W: 9}}, 3)
+	if w := ea.SharedMaxWeight(); w != 9 {
+		t.Fatalf("max weight %v, want 9", w)
+	}
+	// Same length: the remembered value stands (prep only permutes edges).
+	ea.Edges[0].W = 100
+	if w := ea.SharedMaxWeight(); w != 9 {
+		t.Fatalf("second call rescanned: %v", w)
+	}
+	ea.Edges = append(ea.Edges, Edge{Src: 1, Dst: 1, W: float32(math.NaN())})
+	if w := ea.SharedMaxWeight(); !math.IsNaN(float64(w)) {
+		t.Fatalf("after appending a NaN weight: %v, want NaN", w)
+	}
+	if w := NewEdgeArray(nil, 3).SharedMaxWeight(); !math.IsInf(float64(w), -1) {
+		t.Fatalf("no edges: %v, want -Inf", w)
 	}
 }
 
