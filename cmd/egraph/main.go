@@ -56,8 +56,8 @@ func main() {
 		workers   = flag.Int("workers", 0, "worker count (0 = all CPUs)")
 		leaseN    = flag.Int("lease", 0, "run on a worker-pool lease of up to this many workers (the concurrent-query serving mode; 0 = the shared pool)")
 		storePath = flag.String("store", "", "run out-of-core over this partitioned grid store (see gengraph -format store)")
-		memBudget = flag.Int64("membudget", 0, "resident edge-buffer budget in MiB for -store runs (0 = 256); -flow auto plans the working budget per iteration under this ceiling")
-		prefetch  = flag.Int("prefetch", 0, "per-worker prefetch depth for -store runs (0 = 2); -flow auto adapts it per iteration from the measured I/O wait")
+		memBudget = flag.Int64("membudget", 0, "resident edge-buffer budget in MiB for -store runs (0 = 256); every pass uses the whole budget")
+		prefetch  = flag.Int("prefetch", 0, "per-worker prefetch depth for -store runs (0 = 2, clamped to 2-8 and to what the budget can feed); every pass uses it")
 		storeDev  = flag.String("store-device", "none", "virtual device pacing for -store runs: none | ssd | hdd")
 		costCache = flag.String("cost-cache", "", "JSON cost cache for -flow auto: seed the planner's cost model with this dataset's measured per-edge plan costs and append this run's measurements")
 		traceOut  = flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file of the run (iteration spans, planner decisions, fetch and stall events; open in chrome://tracing or ui.perfetto.dev)")
@@ -331,7 +331,9 @@ func runStore(path, algorithm string, cfg everythinggraph.Config, device string,
 
 	fmt.Printf("store: %s, %d vertices, %d stored edges, %dx%d grid\n",
 		path, st.NumVertices(), st.NumEdges(), st.GridP(), st.GridP())
-	fmt.Printf("configuration: out-of-core flow=%v sync=no-lock device=%s\n", cfg.Flow, device)
+	depth, budget := st.IORecipe(cfg)
+	fmt.Printf("configuration: out-of-core flow=%v sync=no-lock device=%s prefetch=%d budget=%gMiB\n",
+		cfg.Flow, device, depth, float64(budget)/(1<<20))
 	fmt.Printf("algorithm: %s, %d iterations\n", res.Run.Algorithm, res.Run.Iterations)
 	fmt.Printf("breakdown: %s\n", res.Breakdown)
 	if cfg.Flow == everythinggraph.FlowAuto {

@@ -264,14 +264,12 @@ type Config struct {
 	PushPullAlpha int
 	// MemoryBudget bounds the resident edge-buffer bytes of out-of-core
 	// (Store) runs; in-memory runs ignore it. 0 selects the default
-	// (256 MiB). Static flows use the whole budget; FlowAuto treats it as
-	// a ceiling and plans the working budget per iteration.
+	// (256 MiB). Every pass uses the whole budget, under any flow.
 	MemoryBudget int64
 	// PrefetchDepth is the per-worker prefetch pipeline depth of
 	// out-of-core (Store) runs: how many segment buffers each worker keeps
-	// in rotation (0 = 2, classic double buffering). Static flows pin it;
-	// FlowAuto starts there and adapts per iteration from the measured
-	// I/O-wait breakdown.
+	// in rotation (0 = 2, classic double buffering; clamped to 2–8 and to
+	// what the budget can feed). Every pass uses it, under any flow.
 	PrefetchDepth int
 	// CostPriors seeds FlowAuto's cost model with measured per-edge plan
 	// costs from an earlier run (see Result.Run.PlanCosts and
@@ -560,6 +558,14 @@ func (st *Store) SetDevice(d Device, pace bool) { st.s.SetDevice(d, pace) }
 // IOStats returns the store's cumulative storage accounting.
 func (st *Store) IOStats() IOStats { return st.s.Stats() }
 
+// IORecipe returns the prefetch depth and memory budget every pass of a Run
+// with cfg uses: cfg's values with the defaults and clamps applied. A
+// compressed store may rotate fewer slots than this depth, so that its
+// whole-cell slots fit the budget.
+func (st *Store) IORecipe(cfg Config) (prefetchDepth int, memoryBudget int64) {
+	return core.StreamRecipe(st.s, streamConfig(cfg))
+}
+
 // Run executes alg out-of-core over the store's streamed cells. Streamed
 // execution is the grid layout under partition-free column scheduling —
 // the only discipline whose ownership argument survives cells arriving
@@ -569,22 +575,8 @@ func (st *Store) IOStats() IOStats { return st.s.Stats() }
 // The breakdown reports how much of the algorithm time stalled on storage
 // and how much storage time the prefetch overlap hid.
 func (st *Store) Run(alg Algorithm, cfg Config) (*Result, error) {
-	engineCfg := core.Config{
-		Layout:          LayoutGrid,
-		Flow:            cfg.Flow,
-		Sync:            SyncPartitionFree,
-		Workers:         cfg.Workers,
-		PushPullAlpha:   cfg.PushPullAlpha,
-		MaxIterations:   cfg.MaxIterations,
-		RecordFrontiers: cfg.RecordFrontiers,
-		MemoryBudget:    cfg.MemoryBudget,
-		PrefetchDepth:   cfg.PrefetchDepth,
-		CostPriors:      cfg.CostPriors,
-		Lease:           cfg.Lease,
-		Trace:           cfg.Trace,
-	}
 	before := st.s.Stats()
-	res, err := core.RunStreamed(st.s, alg, engineCfg)
+	res, err := core.RunStreamed(st.s, alg, streamConfig(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -599,6 +591,24 @@ func (st *Store) Run(alg Algorithm, cfg Config) (*Result, error) {
 		IOHidden:  hidden,
 	}
 	return &Result{Breakdown: bd, Run: res}, nil
+}
+
+// streamConfig is the engine configuration of a Store run.
+func streamConfig(cfg Config) core.Config {
+	return core.Config{
+		Layout:          LayoutGrid,
+		Flow:            cfg.Flow,
+		Sync:            SyncPartitionFree,
+		Workers:         cfg.Workers,
+		PushPullAlpha:   cfg.PushPullAlpha,
+		MaxIterations:   cfg.MaxIterations,
+		RecordFrontiers: cfg.RecordFrontiers,
+		MemoryBudget:    cfg.MemoryBudget,
+		PrefetchDepth:   cfg.PrefetchDepth,
+		CostPriors:      cfg.CostPriors,
+		Lease:           cfg.Lease,
+		Trace:           cfg.Trace,
+	}
 }
 
 // Lease is a reserved subset of the shared worker pool. Runs configured

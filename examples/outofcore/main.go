@@ -4,8 +4,8 @@
 // partition-free) and out-of-core under a small resident budget, verifies
 // the results are bit-identical, and prints the I/O-wait vs. overlap
 // accounting that extends the paper's end-to-end breakdown to storage.
-// A final adaptive run shows the planner moving the I/O knobs (prefetch
-// depth, working budget) per iteration from that same accounting.
+// A final adaptive run shows the planner choosing the streamed resolution,
+// and a repartitioned store materializing it.
 package main
 
 import (
@@ -112,12 +112,11 @@ func main() {
 	}
 	fmt.Println("compressed ranks bit-identical too ✓")
 
-	// The same run under the adaptive planner: the 16 MiB budget becomes a
-	// ceiling, and the prefetch depth and working budget move per iteration
-	// with the measured I/O-wait breakdown — visible as the [dN <budget>]
-	// suffix of each iteration's plan. The I/O knobs only change how a pass
-	// is fed, never the per-destination order, so the ranks stay
-	// bit-identical while the plan moves.
+	// The same run under the adaptive planner, on the same 16 MiB budget
+	// and prefetch depth: it chooses the virtual grid level each pass
+	// streams at (the "grid/<P>@s1" part of the plan labels). A level only
+	// changes how reads coalesce, never the per-destination order, so the
+	// ranks stay bit-identical.
 	prAuto := everythinggraph.PageRank()
 	autoRes, err := st.Run(prAuto, everythinggraph.Config{
 		Flow:         everythinggraph.FlowAuto,
@@ -137,11 +136,10 @@ func main() {
 
 	// Measure -> repack -> re-run: the store's P is frozen at build time,
 	// but its virtual coarsening ladder is not. The adaptive run above
-	// already streamed at the rung the cost model picked (the "grid/<P>@s1"
-	// part of the plan labels); repartitioning materializes that rung as
-	// the store's physical resolution, so every pass issues whole-cell
-	// reads with no merge bookkeeping — same bytes, fewer I/Os,
-	// bit-identical ranks.
+	// already streamed at the rung the cost model picked; repartitioning
+	// materializes that rung as the store's physical resolution, so every
+	// pass issues whole-cell reads with no merge bookkeeping — same bytes,
+	// fewer I/Os, bit-identical ranks.
 	chosen := autoRes.Run.PerIteration[len(autoRes.Run.PerIteration)-1].Plan.GridLevel
 	fmt.Printf("\nladder %v; adaptive run settled on P=%d (store holds P=%d)\n",
 		st.Levels(), chosen, st.GridP())

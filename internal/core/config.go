@@ -89,8 +89,8 @@ func (s SyncMode) String() string {
 // exceed |E|/alpha (Beamer's heuristic as adopted by Ligra).
 const DefaultPushPullAlpha = 20
 
-// Streamed (out-of-core) I/O knob bounds, shared by the planner and the
-// stream sources so a plan's I/O recipe and a source's buffer pool agree on
+// Streamed (out-of-core) I/O recipe bounds, shared by StreamRecipe and the
+// stream sources so the resolved recipe and a source's buffer pool agree on
 // the legal range.
 const (
 	// DefaultStreamMemoryBudget bounds resident edge buffers when no budget
@@ -102,15 +102,16 @@ const (
 	// MinPrefetchDepth is the shallowest useful pipeline (below two slots
 	// there is nothing to overlap).
 	MinPrefetchDepth = 2
-	// MaxPrefetchDepth caps how deep the adaptive planner will pipeline.
+	// MaxPrefetchDepth caps the configurable pipeline depth: deeper rings
+	// only split the same budget into smaller slices.
 	MaxPrefetchDepth = 8
 	// MinStreamSliceEdges is the slice granularity below which streaming
 	// degenerates (per-read overheads dominate); sources shed workers and
-	// planners cap the pipeline depth before slices shrink past it.
+	// StreamDepthCap caps the pipeline depth before slices shrink past it.
 	MinStreamSliceEdges = 64
 	// StreamResidentEdgeBytes is what one buffered edge costs while
 	// resident: its 12-byte stored record plus its 12-byte decoded form.
-	// It is the unit both the planner's budget arithmetic and the sources'
+	// It is the unit both StreamRecipe's budget arithmetic and the sources'
 	// buffer pools size against, so the two always agree on what fits.
 	StreamResidentEdgeBytes = 24
 )
@@ -137,14 +138,13 @@ type Config struct {
 	RecordFrontiers bool
 	// MemoryBudget bounds the resident edge-buffer bytes of streamed
 	// (out-of-core) execution; it is ignored by in-memory runs. 0 selects
-	// DefaultStreamMemoryBudget. Static flows use the full budget every
-	// pass; Flow == Auto treats it as a ceiling and chooses the working
-	// budget per iteration from the measured IOWait breakdown.
+	// DefaultStreamMemoryBudget. Every pass of a streamed run, under any
+	// flow, uses the whole budget (see StreamRecipe).
 	MemoryBudget int64
 	// PrefetchDepth is the per-worker prefetch pipeline depth of streamed
 	// execution (0 = DefaultPrefetchDepth, clamped to [MinPrefetchDepth,
-	// MaxPrefetchDepth]); in-memory runs ignore it. Static flows pin it;
-	// Flow == Auto uses it as the starting point and adapts per iteration.
+	// StreamDepthCap]); in-memory runs ignore it. Every pass of a streamed
+	// run, under any flow, uses it.
 	PrefetchDepth int
 	// CostPriors seeds the adaptive planner's cost model with measured
 	// per-edge costs from a previous run (ns per scanned edge, keyed by the
@@ -163,9 +163,9 @@ type Config struct {
 	// default) runs on the shared pool exactly as before.
 	Lease *sched.Lease
 	// Trace attaches a run-scoped trace recorder. When non-nil, the engine,
-	// the planner, the I/O controller and the out-of-core fetcher pipeline
-	// record iteration spans, planner decisions and fetch/stall spans into
-	// it, and Result.Metrics carries the counters+histograms snapshot. The
+	// the planner and the out-of-core fetcher pipeline record iteration
+	// spans, planner decisions and fetch/stall spans into it, and
+	// Result.Metrics carries the counters+histograms snapshot. The
 	// recording path is allocation-free in the steady state; nil (the
 	// default) disables tracing at the cost of one pointer test per event
 	// site. A recorder belongs to one run at a time: reuse across
@@ -197,8 +197,7 @@ type IterationStats struct {
 	IOWait time.Duration
 	// IOHidden is the storage time of this iteration that the prefetch
 	// overlap DID hide behind compute (IOTime - IOWait of the pass, floored
-	// at zero). Recorded alongside IOWait for observability; the adaptive
-	// I/O controller itself moves the knobs from IOWait versus Duration.
+	// at zero). Recorded alongside IOWait for observability.
 	IOHidden time.Duration
 }
 

@@ -20,10 +20,13 @@ import (
 
 // StepPlan is the fully resolved execution recipe for one iteration: which
 // layout to iterate, in which direction, under which synchronization
-// discipline, whether the next frontier is built, and — for streamed
-// (out-of-core) iterations — the I/O recipe of the pass. Flow is always
-// Push or Pull here — the dynamic flows (PushPull, Auto) exist only at the
-// Config level and are resolved by the planner before execution.
+// discipline, at which grid resolution and whether the next frontier is
+// built. Flow is always Push or Pull here — the dynamic flows (PushPull,
+// Auto) exist only at the Config level and are resolved by the planner
+// before execution. A plan is also its own cost key: the planner matches
+// measurements to candidates, and labels cost entries, by the whole plan.
+// (The I/O recipe of a streamed pass is not part of it: every pass of a run
+// uses the one RunStreamed resolves.)
 type StepPlan struct {
 	Layout graph.Layout
 	Flow   Flow
@@ -35,8 +38,7 @@ type StepPlan struct {
 	// at, for grid plans: static configurations pin the materialized grid's
 	// (or the stored) P, the adaptive planner chooses among the pyramid's
 	// levels per run — and, on streamed runs, among the store's virtual
-	// coarsening ladder. 0 on non-grid plans. Unlike the I/O knobs it is part
-	// of the plan's identity (key() keeps it): per-edge cost is a property of
+	// coarsening ladder. 0 on non-grid plans. Per-edge cost is a property of
 	// the resolution — the whole point of planning it — so cost entries are
 	// kept per level.
 	GridLevel int
@@ -55,61 +57,14 @@ type StepPlan struct {
 	// quantity than the single-source kernel's and the two must never
 	// cross-seed in the cost model or the persisted cache.
 	Multi int
-	// IO is the I/O dimension of a streamed iteration: how deep each worker
-	// prefetches and how much resident buffer memory the pass may use. It is
-	// the zero IOPlan for in-memory iterations.
-	IO IOPlan
 }
 
-// IOPlan is the I/O dimension of a streamed StepPlan. Static configurations
-// pin it to the configured knobs; the adaptive planner moves it between
-// iterations using the measured IOWait/IOHidden breakdown.
-type IOPlan struct {
-	// PrefetchDepth is the number of segment buffers each worker keeps in
-	// rotation (2 = classic double buffering). 0 marks an in-memory plan.
-	PrefetchDepth int
-	// MemoryBudget bounds the resident edge-buffer bytes of the pass.
-	MemoryBudget int64
-	// StreamWorkers, when non-zero, runs the pass on that many stream
-	// workers instead of the run's full streaming-effective count — the
-	// planner's response to a bandwidth-saturated device once depth and
-	// budget are already at their caps: fewer workers own wider column
-	// groups, so the same bytes arrive through fewer, longer sequential
-	// reads. 0 means the full count (every unshed pass, and all static
-	// configurations).
-	StreamWorkers int
-}
-
-// String renders the I/O recipe as "[d<depth> <budget>]", with the shed
-// worker count appended ("[d<depth> <budget> w<workers>]") while a pass
-// runs below the full stream parallelism.
-func (io IOPlan) String() string {
-	if io.StreamWorkers > 0 {
-		return fmt.Sprintf("[d%d %s w%d]", io.PrefetchDepth, formatBytes(io.MemoryBudget), io.StreamWorkers)
-	}
-	return fmt.Sprintf("[d%d %s]", io.PrefetchDepth, formatBytes(io.MemoryBudget))
-}
-
-// formatBytes renders a byte count with the largest binary unit that divides
-// it exactly, so plan traces stay short for the power-of-two budgets the
-// planner uses.
-func formatBytes(n int64) string {
-	switch {
-	case n >= 1<<20 && n%(1<<20) == 0:
-		return fmt.Sprintf("%dMiB", n>>20)
-	case n >= 1<<10 && n%(1<<10) == 0:
-		return fmt.Sprintf("%dKiB", n>>10)
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
-}
-
-// String returns the "layout/flow/sync" label used in plan traces — grid
-// plans carry their resolution as "grid/<P>/flow/sync", streamed plans
-// their store format too ("grid/<P>@s1/…", "compressed/<P>@s2/…" for
-// compressed stores) and the I/O recipe. Non-grid in-memory plans render
-// exactly as before the IO and resolution dimensions existed, keeping
-// recorded traces comparable.
+// String returns the "layout/flow/sync" label used in plan traces and as
+// the cost-cache key — grid plans carry their resolution as
+// "grid/<P>/flow/sync", streamed plans their store format too
+// ("grid/<P>@s1/…", "compressed/<P>@s2/…" for compressed stores). Non-grid
+// in-memory plans render exactly as before the resolution dimension
+// existed, keeping recorded traces comparable.
 func (p StepPlan) String() string {
 	layout := p.Layout.String()
 	if (p.Layout == graph.LayoutGrid || p.Layout == graph.LayoutGridCompressed) && p.GridLevel > 0 {
@@ -123,22 +78,7 @@ func (p StepPlan) String() string {
 	if p.Multi > 1 {
 		multi = fmt.Sprintf("×%d", p.Multi)
 	}
-	if p.IO.PrefetchDepth > 0 {
-		return fmt.Sprintf("%s/%v/%v%s%v", layout, p.Flow, p.Sync, multi, p.IO)
-	}
 	return fmt.Sprintf("%s/%v/%v%s", layout, p.Flow, p.Sync, multi)
-}
-
-// key returns the plan with its I/O dimension cleared — the identity used to
-// match a plan back to its planner candidate and to label cost measurements:
-// the I/O knobs tune how a pass is fed, not which kernel executes, so cost
-// bookkeeping is keyed by {layout, flow, sync, tracked, grid level} alone.
-// GridLevel deliberately survives: two resolutions execute the same kernel
-// over different access patterns, and keeping their cost entries separate is
-// what lets measurements choose among them.
-func (p StepPlan) key() StepPlan {
-	p.IO = IOPlan{}
-	return p
 }
 
 // plannerEnv is what a planner knows about the run, fixed at setup.
@@ -173,284 +113,6 @@ func (env *plannerEnv) overThreshold(f *graph.Frontier) bool {
 		return env.activeOutEdges(f) > env.totalEdges/int64(env.alpha)
 	}
 	return f.Count() > env.numVertices/env.alpha
-}
-
-// I/O-planner thresholds. An iteration counts as I/O-bound when the
-// measured stall fraction (IOWait / wall time) reaches ioRaiseWaitFraction,
-// and as comfortably compute-bound below ioShrinkWaitFraction; in between,
-// the knobs hold still. Shrinking additionally waits for ioCalmIterations
-// consecutive compute-bound iterations so one lucky pass cannot strip the
-// pipeline that made it lucky.
-const (
-	ioRaiseWaitFraction  = 0.25
-	ioShrinkWaitFraction = 0.02
-	ioCalmIterations     = 2
-	// ioBudgetFloorDiv bounds how far the adaptive planner sheds memory: the
-	// budget never drops below cap/ioBudgetFloorDiv.
-	ioBudgetFloorDiv = 4
-	// ioShedPatience is how many consecutive I/O-bound iterations with depth
-	// AND budget already at their caps the planner tolerates before shedding
-	// stream workers: one capped-and-stalled iteration can be a burst, a
-	// sustained run means the device is bandwidth-saturated and more
-	// parallel readers only add seeks.
-	ioShedPatience = 2
-	// ioWorkerFloorDiv bounds the shedding: the pass never runs below
-	// fullWorkers/ioWorkerFloorDiv workers (and never below 1).
-	ioWorkerFloorDiv = 4
-)
-
-// ioLastAction remembers the planner's previous knob move so an over-shrink
-// can be recognized and undone (see observe).
-type ioLastAction int
-
-const (
-	ioActNone ioLastAction = iota
-	ioActShrunkBudget
-	ioActShrunkDepth
-	ioActRegrewWorkers
-)
-
-// ioPlanner drives the I/O dimension of streamed plans. Static
-// candidate sets construct it fixed: the knobs pin to the configured values
-// for the whole run. Under Flow == Auto it is a small feedback controller
-// over the per-iteration IOWait breakdown:
-//
-//   - while I/O wait dominates the iteration, deepen the prefetch pipeline
-//     (x2 up to MaxPrefetchDepth) so more reads overlap compute, then widen
-//     the buffers (x2 up to the configured cap) so each read moves more;
-//   - while iterations are comfortably compute-bound, give memory back:
-//     halve the budget down to cap/4, then shallow the pipeline back toward
-//     MinPrefetchDepth;
-//   - a shrink that turns the next iteration I/O-bound is undone and the
-//     pre-shrink level becomes a floor, so the controller settles instead of
-//     oscillating between two tiers.
-//
-// The knobs only change how a pass is fed — column ownership and the
-// per-column row order are untouched — so adapting them never perturbs
-// result bits, and dense algorithms adapt I/O even while their {layout,
-// flow, sync} choice is frozen for reproducibility.
-type ioPlanner struct {
-	fixed bool
-	cur   IOPlan
-	cap   int64 // configured budget ceiling
-	// workers normalizes the stall fraction: IterationStats.IOWait sums
-	// stalls across workers while Duration is wall time, so the comparable
-	// per-worker fraction is IOWait / (Duration * workers). Callers pass
-	// the streaming-effective count (clamped to the grid dimension and
-	// budget-shed, see StreamExecWorkers), not the configured one.
-	workers int
-	// depthCap is the deepest pipeline the budget can feed without slices
-	// shrinking below MinStreamSliceEdges — the same bound the source's
-	// buffer pool enforces, so a planned depth is always the executed
-	// depth and the recorded plan never claims a pipeline the pass could
-	// not run.
-	depthCap int
-	// Floors raised by shrink-reversals (and initialized to the hard
-	// minima), below which the shrink path never goes again.
-	budgetFloor int64
-	depthFloor  int
-	// Worker-count shedding state: workerFloor bounds how far the stream
-	// parallelism sheds, workerCeil is lowered when a regrow immediately
-	// re-saturates the device (the regrow analogue of the shrink-reversal
-	// floors), and sat counts consecutive I/O-bound iterations with depth
-	// and budget already capped (the shed trigger).
-	workerFloor int
-	workerCeil  int
-	sat         int
-	calm        int
-	last        ioLastAction
-	// rec receives one IOAdjust event per knob move (never per iteration:
-	// a settled controller is silent in the trace).
-	rec *trace.Recorder
-}
-
-// newIOPlanner resolves the configured knobs (applying defaults and clamps)
-// and builds the controller. Adaptive runs start from half the budget cap
-// at the default depth — the controller earns the rest when the IOWait
-// breakdown shows the pass is starved, and sheds toward cap/4 when it is
-// not; fixed runs pin the configured values exactly.
-func newIOPlanner(cfg Config, workers int, adaptive bool) *ioPlanner {
-	budget := cfg.MemoryBudget
-	if budget <= 0 {
-		budget = DefaultStreamMemoryBudget
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	depth := cfg.PrefetchDepth
-	if depth <= 0 {
-		depth = DefaultPrefetchDepth
-	}
-	if depth < MinPrefetchDepth {
-		depth = MinPrefetchDepth
-	}
-	p := &ioPlanner{
-		fixed:       !adaptive,
-		cur:         IOPlan{PrefetchDepth: depth, MemoryBudget: budget},
-		cap:         budget,
-		workers:     workers,
-		depthCap:    StreamDepthCap(workers, budget),
-		budgetFloor: budget / ioBudgetFloorDiv,
-		depthFloor:  MinPrefetchDepth,
-		workerFloor: max(1, workers/ioWorkerFloorDiv),
-		workerCeil:  workers,
-		rec:         cfg.Trace,
-	}
-	// The floor must also keep slices non-degenerate at the shallowest
-	// pipeline: worker shedding only guarantees the budget CEILING feeds
-	// every worker minBuf-sized slices, so shrinking toward cap/4 could
-	// otherwise starve a many-worker pass that the ceiling comfortably fed.
-	if feed := int64(workers) * MinPrefetchDepth * MinStreamSliceEdges * StreamResidentEdgeBytes; p.budgetFloor < feed {
-		p.budgetFloor = feed
-	}
-	if p.budgetFloor < 1 {
-		p.budgetFloor = 1
-	}
-	if adaptive {
-		if half := budget / 2; half >= p.budgetFloor {
-			p.cur.MemoryBudget = half
-		}
-	}
-	if ceil := p.depthCeil(); p.cur.PrefetchDepth > ceil {
-		p.cur.PrefetchDepth = ceil
-	}
-	return p
-}
-
-// depthCeil is the deepest pipeline the CURRENT working budget can feed
-// without slices degenerating below MinStreamSliceEdges — the budget-cap
-// ceiling tightened whenever the working budget has been shed below the
-// cap, so no knob combination the planner emits produces degenerate
-// slices.
-func (p *ioPlanner) depthCeil() int {
-	return min(p.depthCap, StreamDepthCap(p.workers, p.cur.MemoryBudget))
-}
-
-// current returns the I/O recipe for the iteration about to execute.
-func (p *ioPlanner) current() IOPlan { return p.cur }
-
-// effectiveWorkers is the stream parallelism of the next pass: the full
-// streaming-effective count unless the controller shed it.
-func (p *ioPlanner) effectiveWorkers() int {
-	if p.cur.StreamWorkers > 0 {
-		return p.cur.StreamWorkers
-	}
-	return p.workers
-}
-
-// setWorkers records a new pass parallelism, normalizing "back to full" to
-// the zero StreamWorkers (so unshed plans render — and compare — exactly as
-// before worker shedding existed).
-func (p *ioPlanner) setWorkers(w int) {
-	if w >= p.workers {
-		p.cur.StreamWorkers = 0
-		return
-	}
-	if w < 1 {
-		w = 1
-	}
-	p.cur.StreamWorkers = w
-}
-
-// observe folds one iteration's measured I/O breakdown into the knobs.
-func (p *ioPlanner) observe(stats IterationStats) {
-	if p.fixed || stats.Duration <= 0 {
-		return
-	}
-	// The stall fraction is normalized by the parallelism the measured pass
-	// actually ran (cur is only mutated below, after the read). A coarse
-	// stream level owns at most GridLevel columns, so the pass cannot have
-	// run more workers than that whatever the shed state says.
-	eff := p.effectiveWorkers()
-	if gl := stats.Plan.GridLevel; gl > 0 && stats.Plan.StreamFormat > 0 && eff > gl {
-		eff = gl
-	}
-	wait := float64(stats.IOWait) / (float64(stats.Duration) * float64(eff))
-	prev := p.cur
-	defer func() {
-		if p.rec != nil && p.cur != prev {
-			p.rec.IOAdjust(stats.Iteration, p.cur.PrefetchDepth, p.cur.MemoryBudget, p.effectiveWorkers(), wait)
-		}
-	}()
-	switch {
-	case wait >= ioRaiseWaitFraction:
-		p.calm = 0
-		switch p.last {
-		case ioActShrunkBudget:
-			// The shrink starved the pass: undo it and never shrink past
-			// this level again.
-			p.cur.MemoryBudget = min(p.cap, p.cur.MemoryBudget*2)
-			p.budgetFloor = p.cur.MemoryBudget
-			p.sat = 0
-		case ioActShrunkDepth:
-			p.cur.PrefetchDepth = min(p.depthCeil(), p.cur.PrefetchDepth*2)
-			p.depthFloor = p.cur.PrefetchDepth
-			p.sat = 0
-		case ioActRegrewWorkers:
-			// The regrow re-saturated the device: shed back and pin the
-			// ceiling there, so the controller settles shed instead of
-			// oscillating between two parallelism tiers.
-			p.setWorkers(max(p.workerFloor, eff/2))
-			p.workerCeil = p.effectiveWorkers()
-			p.sat = 0
-		default:
-			if ceil := p.depthCeil(); p.cur.PrefetchDepth < ceil {
-				p.cur.PrefetchDepth = min(ceil, p.cur.PrefetchDepth*2)
-				p.sat = 0
-			} else if p.cur.MemoryBudget < p.cap {
-				p.cur.MemoryBudget = min(p.cap, p.cur.MemoryBudget*2)
-				p.sat = 0
-			} else if eff > p.workerFloor {
-				// Depth and budget are both at their caps and the passes
-				// still stall: the device is bandwidth-saturated, and the
-				// remaining lever is fewer workers reading longer
-				// sequential column groups. Shedding parallelism is the
-				// costliest move, so it waits for a SUSTAINED stall.
-				p.sat++
-				if p.sat >= ioShedPatience {
-					p.sat = 0
-					p.setWorkers(max(p.workerFloor, eff/2))
-				}
-			}
-		}
-		p.last = ioActNone
-	case wait <= ioShrinkWaitFraction:
-		// A calm iteration proves the previous shrink (if any) did not
-		// starve the pass: only a shrink that turns the NEXT iteration
-		// I/O-bound is treated as an over-shrink, so the marker must not
-		// survive past this observation.
-		p.last = ioActNone
-		p.sat = 0
-		p.calm++
-		if p.calm < ioCalmIterations {
-			return
-		}
-		p.calm = 0
-		if eff < p.workerCeil {
-			// Shed parallelism regrows first: idle cores cost more than a
-			// generous buffer budget does.
-			next := min(p.workerCeil, eff*2)
-			p.setWorkers(next)
-			p.last = ioActRegrewWorkers
-		} else if half := p.cur.MemoryBudget / 2; half >= p.budgetFloor {
-			p.cur.MemoryBudget = half
-			p.last = ioActShrunkBudget
-			// Keep the slices non-degenerate: a smaller working budget may
-			// no longer feed the current pipeline depth.
-			if ceil := p.depthCeil(); p.cur.PrefetchDepth > ceil {
-				p.cur.PrefetchDepth = ceil
-			}
-		} else if half := p.cur.PrefetchDepth / 2; half >= p.depthFloor {
-			p.cur.PrefetchDepth = half
-			p.last = ioActShrunkDepth
-		}
-	default:
-		// Neither bound dominates: the knobs are where the workload wants
-		// them.
-		p.calm = 0
-		p.sat = 0
-		p.last = ioActNone
-	}
 }
 
 // Cost-model priors: assumed nanoseconds per scanned edge before any
@@ -576,7 +238,7 @@ type planCandidate struct {
 // their iterations are statistically identical, so there is nothing to
 // adapt to, and freezing keeps results bit-identical to the equivalent
 // static configuration (floating-point accumulation order never changes
-// mid-run). On streamed runs io drives the I/O knobs of every plan.
+// mid-run).
 type planner struct {
 	env        plannerEnv
 	adaptive   bool
@@ -588,10 +250,9 @@ type planner struct {
 	// iteration): a dense Auto run's frozen plan, a static run's current
 	// direction.
 	last int
-	io   *ioPlanner
 
 	// Decision tracing: candLabels holds one interned label per candidate
-	// (the plan key, matching PlanCosts), so emitting a decision is a loop
+	// (matching PlanCosts), so emitting a decision is a loop
 	// of ring stores with no allocation.
 	rec        *trace.Recorder
 	candLabels []int32
@@ -610,7 +271,7 @@ func newPlanner(env plannerEnv, candidates []planCandidate, adaptive bool, prior
 		rec:        rec,
 	}
 	// The batch width is a property of the run, not of any one candidate:
-	// stamp it across the set so labels, cost entries and Observe's key
+	// stamp it across the set so labels, cost entries and Observe's plan
 	// matching all carry it.
 	for i := range candidates {
 		candidates[i].plan.Multi = env.multi
@@ -623,7 +284,7 @@ func newPlanner(env plannerEnv, candidates []planCandidate, adaptive bool, prior
 	if rec != nil {
 		p.candLabels = make([]int32, len(candidates))
 		for i := range candidates {
-			p.candLabels[i] = rec.Intern(candidates[i].plan.key().String())
+			p.candLabels[i] = rec.Intern(candidates[i].plan.String())
 		}
 	}
 	if len(priors) == 0 {
@@ -641,7 +302,7 @@ func newPlanner(env plannerEnv, candidates []planCandidate, adaptive bool, prior
 	var ratioSum float64
 	var seeded int
 	for i := range p.candidates {
-		if per, ok := priors[p.candidates[i].plan.key().String()]; ok && per > 0 {
+		if per, ok := priors[p.candidates[i].plan.String()]; ok && per > 0 {
 			p.measured[i] = per
 			ratioSum += per / p.candidates[i].prior
 			seeded++
@@ -670,7 +331,7 @@ func (p *planner) measuredCosts() map[string]float64 {
 			if out == nil {
 				out = make(map[string]float64, len(p.candidates))
 			}
-			out[c.plan.key().String()] = p.measured[i]
+			out[c.plan.String()] = p.measured[i]
 		}
 	}
 	return out
@@ -696,11 +357,7 @@ func (p *planner) Next(iter int, f *graph.Frontier) StepPlan {
 			p.emitDecision(iter, !p.hasPush || !p.hasPull)
 		}
 	}
-	plan := p.candidates[p.last].plan
-	if p.io != nil {
-		plan.IO = p.io.current()
-	}
-	return plan
+	return p.candidates[p.last].plan
 }
 
 // emitDecision records one planning step. An adaptive set records every
@@ -812,22 +469,16 @@ func oppositeFlow(flow Flow) Flow {
 	return Pull
 }
 
-// Observe feeds the I/O breakdown of an executed plan to the I/O
-// controller on streamed runs and, under Auto, folds the measured iteration
-// cost into the candidate's per-edge estimate with latest-wins weighting.
-// Candidates match on the plan's key — the I/O knobs vary per iteration
-// without multiplying the cost model's arms.
+// Observe folds the measured cost of an executed plan into its candidate's
+// per-edge estimate with latest-wins weighting. Only Auto measures; static
+// sets ignore it.
 func (p *planner) Observe(plan StepPlan, stats IterationStats) {
-	if p.io != nil {
-		p.io.observe(stats)
-	}
 	if !p.adaptive || stats.Duration <= 0 {
 		return
 	}
-	key := plan.key()
 	idx := -1
 	for i, c := range p.candidates {
-		if c.plan == key {
+		if c.plan == plan {
 			idx = i
 			break
 		}
@@ -1004,9 +655,9 @@ const streamReadPrior = 12000.0
 // streamCandidateLevels returns the virtual resolutions a streamed run may
 // execute at, finest first: the source's ladder when it has one, otherwise
 // the single stored resolution (every Source can stream at its own P).
-func streamCandidateLevels(src Source, workers int, budgetCap int64) []StreamLevelInfo {
+func streamCandidateLevels(src Source, workers int, budget int64) []StreamLevelInfo {
 	if sl, ok := src.(StreamLeveler); ok {
-		if levels := sl.StreamLevels(workers, budgetCap); len(levels) > 0 {
+		if levels := sl.StreamLevels(workers, budget); len(levels) > 0 {
 			return levels
 		}
 	}
@@ -1018,7 +669,7 @@ func streamCandidateLevels(src Source, workers int, budgetCap int64) []StreamLev
 	return []StreamLevelInfo{{
 		P:         p,
 		RangeSize: rangeSize,
-		Workers:   StreamExecWorkers(p, workers, budgetCap),
+		Workers:   StreamExecWorkers(p, workers, budget),
 	}}
 }
 
@@ -1067,14 +718,12 @@ func streamLevelPrior(base float64, lv StreamLevelInfo, workers int, totalEdges 
 
 // streamPlanner builds the planner of a streamed (out-of-core) run: layout
 // and sync are pinned by the store's column-ownership argument, so the
-// plannable dimensions are the direction, the virtual grid level (the
-// store's coarsening ladder, see StreamLeveler) and the I/O knobs. A static
-// flow streams at the ladder's finest rung — the stored resolution — with
-// the I/O knobs fixed to the configured values; Flow == Auto enumerates one
-// push/pull candidate pair per admitted rung, costed by streamLevelPrior and
-// refined by measured ns/edge, with the I/O knobs moved online from the
-// measured IOWait breakdown.
-func streamPlanner(src Source, cfg Config, workers int, budgetCap int64, alpha int, tracked bool, multi int) *planner {
+// plannable dimensions are the direction and the virtual grid level (the
+// store's coarsening ladder, see StreamLeveler). A static flow streams at
+// the ladder's finest rung — the stored resolution; Flow == Auto enumerates
+// one push/pull candidate pair per admitted rung, costed by
+// streamLevelPrior and refined by measured ns/edge.
+func streamPlanner(src Source, cfg Config, workers int, budget int64, alpha int, tracked bool, multi int) *planner {
 	env := plannerEnv{
 		numVertices: src.NumVertices(),
 		totalEdges:  src.NumEdges(),
@@ -1094,29 +743,25 @@ func streamPlanner(src Source, cfg Config, workers int, budgetCap int64, alpha i
 		pushPrior, pullPrior = priorCompressedPush, priorCompressedPull
 		format = 2
 	}
-	levels := streamCandidateLevels(src, workers, budgetCap)
-	adaptive := cfg.Flow == Auto
+	levels := streamCandidateLevels(src, workers, budget)
+	if cfg.Flow != Auto {
+		return newPlanner(env, staticCandidates(layout, cfg.Flow, SyncPartitionFree, levels[0].P, format, tracked), false, nil, cfg.Trace)
+	}
 	var candidates []planCandidate
-	if !adaptive {
-		candidates = staticCandidates(layout, cfg.Flow, SyncPartitionFree, levels[0].P, format, tracked)
-	} else {
-		for _, lv := range admitStreamLevels(levels) {
-			for _, d := range []struct {
-				flow Flow
-				base float64
-			}{{Push, pushPrior}, {Pull, pullPrior}} {
-				candidates = append(candidates, planCandidate{
-					plan: StepPlan{
-						Layout: layout, Flow: d.flow, Sync: SyncPartitionFree,
-						Tracked: tracked, GridLevel: lv.P, StreamFormat: format,
-					},
-					prior:    streamLevelPrior(d.base, lv, workers, env.totalEdges),
-					fullScan: true,
-				})
-			}
+	for _, lv := range admitStreamLevels(levels) {
+		for _, d := range []struct {
+			flow Flow
+			base float64
+		}{{Push, pushPrior}, {Pull, pullPrior}} {
+			candidates = append(candidates, planCandidate{
+				plan: StepPlan{
+					Layout: layout, Flow: d.flow, Sync: SyncPartitionFree,
+					Tracked: tracked, GridLevel: lv.P, StreamFormat: format,
+				},
+				prior:    streamLevelPrior(d.base, lv, workers, env.totalEdges),
+				fullScan: true,
+			})
 		}
 	}
-	p := newPlanner(env, candidates, adaptive, cfg.CostPriors, cfg.Trace)
-	p.io = newIOPlanner(cfg, StreamExecWorkers(levels[0].P, workers, budgetCap), adaptive)
-	return p
+	return newPlanner(env, candidates, true, cfg.CostPriors, cfg.Trace)
 }

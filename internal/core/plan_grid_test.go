@@ -53,34 +53,10 @@ func TestStepPlanStringCarriesGridLevel(t *testing.T) {
 	if got := p.String(); got != "grid/128/push/no-lock" {
 		t.Fatalf("StepPlan.String() = %q, want grid/128/push/no-lock", got)
 	}
-	p.IO = IOPlan{PrefetchDepth: 2, MemoryBudget: 32 << 20}
-	if got := p.String(); got != "grid/128/push/no-lock[d2 32MiB]" {
-		t.Fatalf("streamed StepPlan.String() = %q", got)
-	}
 	// Non-grid plans never render a resolution, even if one leaks in.
 	q := StepPlan{Layout: graph.LayoutAdjacency, Flow: Pull, Sync: SyncPartitionFree, GridLevel: 64}
 	if got := q.String(); got != "adjacency/pull/no-lock" {
 		t.Fatalf("non-grid StepPlan.String() = %q", got)
-	}
-}
-
-// TestStepPlanKeyKeepsGridLevel: the I/O knobs are stripped from the cost
-// identity, the resolution is not — cost entries are per level, which is
-// what lets measurements choose among resolutions.
-func TestStepPlanKeyKeepsGridLevel(t *testing.T) {
-	p := StepPlan{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, GridLevel: 64,
-		IO: IOPlan{PrefetchDepth: 4, MemoryBudget: 1 << 20}}
-	k := p.key()
-	if k.IO != (IOPlan{}) {
-		t.Fatalf("key must strip the I/O dimension, got %v", k.IO)
-	}
-	if k.GridLevel != 64 {
-		t.Fatalf("key must keep the grid level, got %d", k.GridLevel)
-	}
-	q := p
-	q.GridLevel = 128
-	if p.key() == q.key() {
-		t.Fatal("two resolutions must not share one cost entry")
 	}
 }
 

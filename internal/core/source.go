@@ -15,29 +15,27 @@ import (
 // over those streamed cells with the grid's partition-free column
 // scheduling, never materializing more than the source's buffer budget.
 
-// StreamOptions bounds one streamed pass over a source.
+// StreamOptions bounds one streamed pass over a source. RunStreamed hands
+// every pass of a run the same Workers, MemoryBudget and PrefetchDepth —
+// the configured values with defaults and clamps applied (see StreamRecipe)
+// — and sets only GridLevel per pass, so a source sizes its recycled buffers
+// once per run.
 type StreamOptions struct {
-	// Workers is the number of compute workers (column owners) of THIS
-	// pass. The adaptive planner may run it below WorkersCap on
-	// bandwidth-saturated devices (fewer, longer sequential reads).
+	// Workers is the number of compute workers (column owners) requested
+	// for the pass; sources clamp it with StreamExecWorkers.
 	Workers int
-	// WorkersCap is the stable ceiling Workers will ever reach across the
-	// run's passes — the parallelism a source may build its recycled buffer
-	// pool for, so per-pass worker shedding reuses buffers instead of
-	// rebuilding. 0 means Workers is the ceiling.
-	WorkersCap int
 	// MemoryBudget bounds the bytes of resident edge buffers across all
-	// workers (raw segment bytes plus decoded edges) during this pass. 0
-	// selects the source's default.
+	// workers (raw segment bytes plus decoded edges) during the pass. 0
+	// selects the source's default. One case can exceed it: a compressed
+	// store decodes whole cells, so every in-rotation slot holds at least
+	// its largest cell, and a compressed pass rotates fewer slots (down to
+	// MinPrefetchDepth) until that floor fits the budget — when even
+	// MinPrefetchDepth slots of the largest cell per worker do not fit, the
+	// pass keeps them and overruns the budget by the difference.
 	MemoryBudget int64
-	// MemoryBudgetCap is the stable ceiling MemoryBudget will ever reach
-	// across the run's passes — the size a source may build its recycled
-	// buffer pool for, so per-pass budget changes reuse buffers instead of
-	// reallocating. 0 means MemoryBudget is the ceiling.
-	MemoryBudgetCap int64
 	// PrefetchDepth is the number of segment buffers each worker keeps in
-	// rotation during this pass (0 selects DefaultPrefetchDepth; sources
-	// clamp to [MinPrefetchDepth, MaxPrefetchDepth]).
+	// rotation during the pass (0 selects DefaultPrefetchDepth; sources
+	// clamp to [MinPrefetchDepth, StreamDepthCap]).
 	PrefetchDepth int
 	// GridLevel selects the virtual grid resolution of this pass: a coarse
 	// dimension from the source's level ladder (see StreamLeveler), at which
@@ -151,7 +149,7 @@ type StreamLevelInfo struct {
 // the ladder finest first; every returned P is accepted as
 // StreamOptions.GridLevel with bit-identical results across levels.
 type StreamLeveler interface {
-	StreamLevels(workers int, budgetCap int64) []StreamLevelInfo
+	StreamLevels(workers int, budget int64) []StreamLevelInfo
 }
 
 // degreePreset is implemented by algorithms (PageRank) that normally derive
@@ -168,10 +166,11 @@ type degreePreset interface {
 // cfg.Layout LayoutGrid, compressed stores included (Flow == Auto relaxes
 // both — the planner pins them itself). Flow may be Push, Pull, PushPull
 // (the switch uses the same active-vertex heuristic as the in-memory grid)
-// or Auto (the adaptive planner chooses direction with measured-cost
-// feedback). Vertex
-// state (algorithm arrays, frontiers, degree table) stays resident; edge
-// data never exceeds the source's buffer budget.
+// or Auto (the adaptive planner chooses direction and virtual grid level
+// with measured-cost feedback). Every pass runs on the one I/O recipe
+// StreamRecipe resolves from cfg. Vertex state (algorithm arrays,
+// frontiers, degree table) stays resident; edge data stays within the
+// source's buffer budget (see StreamOptions.MemoryBudget).
 func RunStreamed(src Source, alg Algorithm, cfg Config) (*Result, error) {
 	if cfg.Flow != Auto {
 		if cfg.Layout != graph.LayoutGrid {
@@ -196,39 +195,52 @@ func RunStreamed(src Source, alg Algorithm, cfg Config) (*Result, error) {
 		dp.SetOutDegrees(src.OutDegrees())
 	}
 
-	// The pool ceiling is the configured budget: the planner's per-pass
-	// budgets only ever move below it, so the source sizes its recycled
-	// buffers once.
-	budgetCap := cfg.MemoryBudget
-	if budgetCap <= 0 {
-		budgetCap = DefaultStreamMemoryBudget
-	}
+	depth, budget := StreamRecipe(src, cfg)
 	r := newStreamRunner(src, alg, StreamOptions{
-		Workers:         workers,
-		WorkersCap:      workers,
-		MemoryBudgetCap: budgetCap,
-		Lease:           cfg.Lease,
-		Trace:           cfg.Trace,
+		Workers:       workers,
+		MemoryBudget:  budget,
+		PrefetchDepth: depth,
+		Lease:         cfg.Lease,
+		Trace:         cfg.Trace,
 	})
-	pl := streamPlanner(src, cfg, workers, budgetCap, resolveAlpha(cfg), !alg.Dense(), multiSourceWidth(alg))
+	pl := streamPlanner(src, cfg, workers, budget, resolveAlpha(cfg), !alg.Dense(), multiSourceWidth(alg))
 	return iterate(shim, alg, cfg, workers, pl, src, r.step)
+}
+
+// StreamRecipe resolves the I/O recipe every pass of a streamed run over
+// src uses: cfg.MemoryBudget (0 = DefaultStreamMemoryBudget) and
+// cfg.PrefetchDepth (0 = DefaultPrefetchDepth), the depth clamped to
+// [MinPrefetchDepth, StreamDepthCap] at the stored resolution's
+// streaming-effective worker count. Static and adaptive flows alike run
+// every pass on it.
+func StreamRecipe(src Source, cfg Config) (depth int, budget int64) {
+	budget = cfg.MemoryBudget
+	if budget <= 0 {
+		budget = DefaultStreamMemoryBudget
+	}
+	depth = cfg.PrefetchDepth
+	if depth <= 0 {
+		depth = DefaultPrefetchDepth
+	}
+	depthCap := StreamDepthCap(StreamExecWorkers(src.GridP(), resolveWorkers(cfg), budget), budget)
+	return min(max(depth, MinPrefetchDepth), depthCap), budget
 }
 
 // StreamExecWorkers returns the number of workers a streamed pass actually
 // runs: the requested count clamped to the grid dimension (one worker per
 // column at most) and shed while the budget cannot feed every worker's
 // minimal buffers (a starved slice costs every read, a shed worker only
-// costs parallelism). It is THE definition — sources' buffer pools and the
-// I/O planner both call it, so the planner's stall-fraction normalization
-// and depth ceiling always describe the parallelism that actually executes.
-func StreamExecWorkers(gridP, workers int, budgetCap int64) int {
+// costs parallelism). It is THE definition — sources' buffer pools, the
+// level ladder and StreamRecipe all call it, so the planner's view of the
+// parallelism is exactly what executes.
+func StreamExecWorkers(gridP, workers int, budget int64) int {
 	if gridP > 0 && workers > gridP {
 		workers = gridP
 	}
 	if workers < 1 {
 		workers = 1
 	}
-	for workers > 1 && int64(workers)*MinPrefetchDepth*MinStreamSliceEdges*StreamResidentEdgeBytes > budgetCap {
+	for workers > 1 && int64(workers)*MinPrefetchDepth*MinStreamSliceEdges*StreamResidentEdgeBytes > budget {
 		workers--
 	}
 	return workers
@@ -237,13 +249,13 @@ func StreamExecWorkers(gridP, workers int, budgetCap int64) int {
 // StreamDepthCap returns the deepest prefetch pipeline the budget can feed
 // across the given workers without slices degenerating below
 // MinStreamSliceEdges, clamped to [MinPrefetchDepth, MaxPrefetchDepth].
-// Shared by the I/O planner (its raise ceiling) and the sources' buffer
-// pools (their ring size), so a planned depth is always an executed depth.
-func StreamDepthCap(workers int, budgetCap int64) int {
+// Shared by StreamRecipe and the sources' buffer pools (their ring size),
+// so a resolved depth is always an executed depth.
+func StreamDepthCap(workers int, budget int64) int {
 	if workers < 1 {
 		workers = 1
 	}
-	depth := int(budgetCap / (int64(workers) * MinStreamSliceEdges * StreamResidentEdgeBytes))
+	depth := int(budget / (int64(workers) * MinStreamSliceEdges * StreamResidentEdgeBytes))
 	if depth < MinPrefetchDepth {
 		depth = MinPrefetchDepth
 	}
@@ -260,7 +272,7 @@ func StreamDepthCap(workers int, budgetCap int64) int {
 type streamRunner struct {
 	stepper
 	src   Source
-	opt   StreamOptions // run-wide fields; step fills in the plan's per pass
+	opt   StreamOptions // the run-wide recipe; step sets GridLevel per pass
 	visit func(worker int, edges []graph.Edge)
 }
 
@@ -274,16 +286,10 @@ func newStreamRunner(src Source, alg Algorithm, opt StreamOptions) *streamRunner
 // for dense algorithms). Column ownership makes every streamed cell an owned
 // span.
 func (r *streamRunner) step(plan StepPlan, frontier *graph.Frontier) (*graph.Frontier, error) {
-	opt := r.opt
-	if plan.IO.StreamWorkers > 0 {
-		opt.Workers = plan.IO.StreamWorkers
-	}
-	opt.MemoryBudget = plan.IO.MemoryBudget
-	opt.PrefetchDepth = plan.IO.PrefetchDepth
-	opt.GridLevel = plan.GridLevel
+	r.opt.GridLevel = plan.GridLevel
 	r.begin(plan.Flow, SyncPartitionFree, frontier)
 	r.span.Bits = frontier.Bitmap()
-	err := r.src.StreamCells(opt, r.visit)
+	err := r.src.StreamCells(r.opt, r.visit)
 	next := r.finish()
 	return next, err
 }

@@ -9,10 +9,8 @@ import (
 
 // planLabeler caches trace label ids per resolved StepPlan so the
 // per-iteration recording path stays allocation-free: interning a label
-// allocates, but only on the first occurrence of each distinct plan (I/O
-// knobs included — they change a handful of times per run, not per
-// iteration), after which emitting an iteration span is a map lookup plus a
-// ring store.
+// allocates, but only on the first occurrence of each distinct plan, after
+// which emitting an iteration span is a map lookup plus a ring store.
 type planLabeler struct {
 	rec *trace.Recorder
 	ids map[StepPlan]int32

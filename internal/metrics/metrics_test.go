@@ -141,10 +141,10 @@ func TestCompressPlanTrace(t *testing.T) {
 			"a/push/atomics -> a/pull/no-lock x2 -> a/push/atomics",
 		},
 		{
-			// Streamed plans carry an I/O suffix; a knob change alone is a
+			// Streamed plans carry their level; a level change alone is a
 			// new run in the trace.
-			[]string{"grid/push/no-lock[d2 16MiB]", "grid/push/no-lock[d4 16MiB]", "grid/push/no-lock[d4 16MiB]"},
-			"grid/push/no-lock[d2 16MiB] -> grid/push/no-lock[d4 16MiB] x2",
+			[]string{"grid/16@s1/push/no-lock", "grid/8@s1/push/no-lock", "grid/8@s1/push/no-lock"},
+			"grid/16@s1/push/no-lock -> grid/8@s1/push/no-lock x2",
 		},
 	}
 	for _, c := range cases {

@@ -11,50 +11,16 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 )
 
-// TestStreamCellsReducedWorkerPassReusesPool: a pass running below the
-// built worker ceiling (the planner's bandwidth-saturation response) must
-// reuse the pool — same arenas, same fetchers — deliver every edge, and
-// stay within the pass budget.
-func TestStreamCellsReducedWorkerPassReusesPool(t *testing.T) {
-	g := testGraph(t, 10, false)
-	s := buildTestStore(t, g, 16, false)
-	const budget = 1 << 20
-	full := core.StreamOptions{Workers: 4, WorkersCap: 4, MemoryBudget: budget}
-	var total int64
-	if err := s.StreamCells(full, countingVisit(&total)); err != nil {
-		t.Fatalf("full pass: %v", err)
-	}
-	built := s.pool
-	wantEdges := total
-
-	for _, workers := range []int{2, 1, 3, 4} {
-		total = 0
-		opt := core.StreamOptions{Workers: workers, WorkersCap: 4, MemoryBudget: budget}
-		if err := s.StreamCells(opt, countingVisit(&total)); err != nil {
-			t.Fatalf("%d-worker pass: %v", workers, err)
-		}
-		if s.pool != built {
-			t.Fatalf("%d-worker pass rebuilt the pool", workers)
-		}
-		if total != wantEdges {
-			t.Fatalf("%d-worker pass delivered %d edges, want %d", workers, total, wantEdges)
-		}
-		if peak := s.Stats().PeakResidentBytes; peak > budget {
-			t.Fatalf("%d-worker pass resident peak %d exceeds the %d budget", workers, peak, budget)
-		}
-	}
-}
-
-// TestStreamCellsReducedWorkersColumnOwnership: at any pass worker count,
-// each destination column is visited by exactly one worker (the reduced
-// partitions must preserve the lock-free ownership argument).
+// TestStreamCellsReducedWorkersColumnOwnership: at any pass worker count
+// below the column count, each destination column is visited by exactly one
+// worker (every partition must preserve the lock-free ownership argument).
 func TestStreamCellsReducedWorkersColumnOwnership(t *testing.T) {
 	g := testGraph(t, 10, false)
 	s := buildTestStore(t, g, 16, false)
 	for _, workers := range []int{1, 2, 3} {
 		var mu sync.Mutex
 		colOwner := map[int]int{}
-		opt := core.StreamOptions{Workers: workers, WorkersCap: 4, MemoryBudget: 1 << 20}
+		opt := core.StreamOptions{Workers: workers, MemoryBudget: 1 << 20}
 		err := s.StreamCells(opt, func(worker int, edges []graph.Edge) {
 			mu.Lock()
 			defer mu.Unlock()

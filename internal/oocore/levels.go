@@ -120,10 +120,10 @@ func (s *Store) levelRuns(factor int, bounds []int) (runs int64, maxRun int) {
 // StreamLevels implements core.StreamLeveler: the ladder with each rung's
 // effective worker count and predicted per-pass read count at that count,
 // the planner's inputs for costing stream levels.
-func (s *Store) StreamLevels(workers int, budgetCap int64) []core.StreamLevelInfo {
+func (s *Store) StreamLevels(workers int, budget int64) []core.StreamLevelInfo {
 	out := make([]core.StreamLevelInfo, 0, len(s.levels))
 	for _, lv := range s.levels {
-		w := core.StreamExecWorkers(lv.P, workers, budgetCap)
+		w := core.StreamExecWorkers(lv.P, workers, budget)
 		runs, maxRun := s.levelRuns(lv.Factor, s.levelBounds(lv.Factor, w))
 		out = append(out, core.StreamLevelInfo{
 			P:           lv.P,
@@ -148,9 +148,9 @@ type LevelProfile struct {
 }
 
 // LevelProfiles computes the coalescing profile for every virtual level at
-// the given worker count and budget ceiling — the diagnosis `graphstats
+// the given worker count and budget — the diagnosis `graphstats
 // -store` prints so a misfit store is visible before any run.
-func (s *Store) LevelProfiles(workers int, budgetCap int64) []LevelProfile {
+func (s *Store) LevelProfiles(workers int, budget int64) []LevelProfile {
 	readBytes := s.header.NumEdges * storage.EdgeBytes
 	var decodeBytes int64
 	if s.Compressed() {
@@ -162,7 +162,7 @@ func (s *Store) LevelProfiles(workers int, budgetCap int64) []LevelProfile {
 	}
 	out := make([]LevelProfile, 0, len(s.levels))
 	for _, lv := range s.levels {
-		w := core.StreamExecWorkers(lv.P, workers, budgetCap)
+		w := core.StreamExecWorkers(lv.P, workers, budget)
 		runs, maxRun := s.levelRuns(lv.Factor, s.levelBounds(lv.Factor, w))
 		out = append(out, LevelProfile{
 			StoreLevel:  lv,

@@ -153,8 +153,8 @@ type rungSource struct {
 	rung int
 }
 
-func (s rungSource) StreamLevels(workers int, budgetCap int64) []core.StreamLevelInfo {
-	return s.Store.StreamLevels(workers, budgetCap)[s.rung-1 : s.rung]
+func (s rungSource) StreamLevels(workers int, budget int64) []core.StreamLevelInfo {
+	return s.Store.StreamLevels(workers, budget)[s.rung-1 : s.rung]
 }
 
 func TestStreamedEveryLevelBitIdentical(t *testing.T) {
@@ -295,7 +295,7 @@ func TestStreamPassCoarseLevelZeroAlloc(t *testing.T) {
 func TestStreamCellsLevelKnobChangeReusesPool(t *testing.T) {
 	g := testGraph(t, 10, true)
 	s := buildTestStore(t, g, 8, false)
-	const budgetCap = 1 << 20
+	const budget = 1 << 20
 	want := edgeMultiset(g.EdgeArray.Edges)
 	run := func(opt core.StreamOptions) {
 		t.Helper()
@@ -307,27 +307,27 @@ func TestStreamCellsLevelKnobChangeReusesPool(t *testing.T) {
 			}
 		}
 	}
-	run(core.StreamOptions{Workers: 4, MemoryBudget: budgetCap, MemoryBudgetCap: budgetCap})
+	run(core.StreamOptions{Workers: 4, MemoryBudget: budget})
 	built := s.pool
 	if built == nil {
 		t.Fatal("no pool after first pass")
 	}
-	// The virtual level is a per-pass knob like depth and budget: switching
-	// it between passes must not rebuild the pool.
+	// The virtual level is the one option a run moves between passes:
+	// switching it must not rebuild the pool.
 	for _, lv := range s.Levels() {
-		run(core.StreamOptions{Workers: 4, MemoryBudget: budgetCap, MemoryBudgetCap: budgetCap, GridLevel: lv.P})
+		run(core.StreamOptions{Workers: 4, MemoryBudget: budget, GridLevel: lv.P})
 		if s.pool != built {
 			t.Fatalf("switching to level P=%d rebuilt the pool", lv.P)
 		}
 	}
 }
 
-// TestStreamedAutoCoarseKnobChurn is the race-detector target for virtual
-// coarsening: an over-partitioned store streamed with the adaptive planner
-// under a tight budget, so the ioPlanner moves depth/budget while passes run
-// at a coarsened level, with a second identical run sharing nothing but the
-// store. Bit-identity against a fixed finest-level run guards the result.
-func TestStreamedAutoCoarseKnobChurn(t *testing.T) {
+// TestStreamedAutoCoarseLevelBitIdentical is the race-detector target for
+// virtual coarsening: an over-partitioned store streamed with the adaptive
+// planner under a tight budget, so passes run at a coarsened level over the
+// pool a fixed finest-level run built. Bit-identity against that run guards
+// the result.
+func TestStreamedAutoCoarseLevelBitIdentical(t *testing.T) {
 	g := testGraph(t, 11, false)
 	s := buildTestStore(t, g, 32, false)
 

@@ -17,18 +17,19 @@ import (
 //
 //   - every column group owns a ring of prefetch slots (raw segment bytes
 //     plus decoded edges), allocated once and sized so the whole pool never
-//     exceeds the run's budget ceiling;
+//     exceeds the run's budget;
 //   - every group owns one persistent fetcher goroutine that parks on a
 //     request channel between passes, so a pass spawns nothing;
 //   - fetcher and compute worker exchange slot *indexes* over two
 //     fixed-capacity channels (filled, freed), so the per-slice protocol is
 //     two channel operations and zero allocations.
 //
-// Per-pass knobs (prefetch depth, memory budget) select how much of the
-// allocated ring a pass actually uses: depth picks the number of slots in
-// rotation, the budget bounds the slice length fetched into each slot.
-// Changing them between iterations — what the adaptive planner does —
-// therefore reuses the same buffers instead of reallocating.
+// The pass options select how much of the allocated ring a pass actually
+// uses: depth picks the number of slots in rotation, the budget bounds the
+// slice length fetched into each slot, and the grid level picks one of the
+// precomputed column partitions. A run hands every pass the same depth and
+// budget and moves only the level, which reuses the same buffers; a depth
+// change reuses them too, a different worker count or budget rebuilds.
 
 // passReq describes one pass over a group's columns, handed to its fetcher.
 type passReq struct {
@@ -71,7 +72,7 @@ type group struct {
 	// TrackWorkerBase+id, its fetcher on TrackFetcherBase+id.
 	id int32
 	// rawArena and edgeArena back every slot of the ring; their capacity is
-	// the group's share of the pool's budget ceiling.
+	// the group's share of the pool's budget.
 	rawArena  []byte
 	edgeArena []graph.Edge
 	slots     []slot
@@ -91,15 +92,16 @@ type group struct {
 
 // streamPool is the per-store recycled streaming state. It is (re)built
 // when the pass shape it was sized for changes — a different worker count
-// or budget ceiling — and reused across every pass and run in between.
+// or budget — and reused across every pass and run in between.
 type streamPool struct {
 	store   *Store
-	workers int   // worker-count ceiling the pool is built for
-	cap     int64 // budget ceiling the arenas are sized for
+	workers int   // stream worker count at the stored resolution
+	cap     int64 // budget the arenas are sized for
 	// depthCap is the deepest prefetch pipeline the budget can feed without
-	// slices degenerating (mirrored by the planner's depth ceiling);
-	// arenaEdges is each group's arena capacity — workers*arenaEdges edges
-	// fit the ceiling by construction, whatever depth carves them up.
+	// slices degenerating (core.StreamDepthCap, lowered further for
+	// compressed stores so whole-cell slots fit the budget); arenaEdges is
+	// each group's arena capacity — workers*arenaEdges edges fit the budget
+	// by construction, whatever depth carves them up.
 	depthCap   int
 	arenaEdges int
 	// rawPerEdge is the worst-case on-disk bytes one buffered edge needs:
@@ -109,13 +111,11 @@ type streamPool struct {
 	// the arenas are sized by and the accounting charges.
 	rawPerEdge      int
 	residentPerEdge int64
-	// Column partitions and largest coalesced reads, one per virtual grid
-	// level and per pass worker count in [1, workers]: a pass may run at a
-	// coarser level than the store's resolution (the planner's GridLevel
-	// choice) and on fewer workers than the pool was built for (its
-	// bandwidth-saturation response); each combination needs its own
-	// boundaries and segment bound. Precomputed here so choosing a level and
-	// a count per pass allocates nothing.
+	// One column partition and largest coalesced read per virtual grid
+	// level: a pass may run at a coarser level than the store's resolution
+	// (the planner's GridLevel choice), and each level needs its own
+	// boundaries and segment bound. Precomputed here so choosing a level per
+	// pass allocates nothing.
 	levels []poolLevel
 	groups []group
 	body   func(worker, lo, hi int) // compute fan-out body, bound once
@@ -132,82 +132,66 @@ type streamPool struct {
 	abort       streamAbort
 }
 
-// poolLevel is one virtual grid level's precomputed pass shapes: index w of
-// boundsFor/maxSegFor holds the column boundaries and the largest coalesced
-// read of a w-worker pass at this level.
+// poolLevel is one virtual grid level's precomputed pass shape: the level's
+// stream worker count (core.StreamExecWorkers at its dimension), their
+// column boundaries and the largest coalesced read one of them issues.
 type poolLevel struct {
 	p, factor int
-	boundsFor [][]int
-	maxSegFor []int
+	workers   int
+	bounds    []int
+	maxSeg    int
 }
 
 // poolParams resolves the pass shape that determines the pool build: the
 // worker count (grid-clamped and budget-shed by the shared
 // core.StreamExecWorkers rule, so the planner's view of the parallelism is
-// exactly what runs) and the budget ceiling buffers are sized for.
-func (s *Store) poolParams(opt core.StreamOptions) (workers int, budgetCap int64) {
-	workers = opt.WorkersCap
-	if workers < opt.Workers {
-		workers = opt.Workers
-	}
+// exactly what runs) and the budget buffers are sized for.
+func (s *Store) poolParams(opt core.StreamOptions) (workers int, budget int64) {
+	workers = opt.Workers
 	if workers <= 0 {
 		workers = sched.MaxWorkers()
 	}
-	budgetCap = opt.MemoryBudgetCap
-	if budgetCap < opt.MemoryBudget {
-		budgetCap = opt.MemoryBudget
+	budget = opt.MemoryBudget
+	if budget <= 0 {
+		budget = DefaultMemoryBudget
 	}
-	if budgetCap <= 0 {
-		budgetCap = DefaultMemoryBudget
-	}
-	return core.StreamExecWorkers(s.header.P, workers, budgetCap), budgetCap
+	return core.StreamExecWorkers(s.header.P, workers, budget), budget
 }
 
 // ensurePoolLocked returns the store's pool, (re)building it when the pass
 // shape changed. Steady-state passes hit the comparison and reuse. Caller
 // holds poolMu.
 func (s *Store) ensurePoolLocked(opt core.StreamOptions) *streamPool {
-	workers, budgetCap := s.poolParams(opt)
-	if p := s.pool; p != nil && p.workers == workers && p.cap == budgetCap {
+	workers, budget := s.poolParams(opt)
+	if p := s.pool; p != nil && p.workers == workers && p.cap == budget {
 		return p
 	}
 	s.stopPoolLocked()
-	s.pool = s.buildPool(workers, budgetCap)
+	s.pool = s.buildPool(workers, budget)
 	return s.pool
 }
 
 // buildPool allocates the arenas and starts the fetchers. Each group's
-// arena is its share of the ceiling (so a depth-2 pass uses the whole
-// budget in two big slices, a depth-8 pass the same budget in eight smaller
-// ones), clamped to depthCap times the largest coalesced read any group can
-// issue — a larger arena would never fill. depthCap is the deepest pipeline
-// the ceiling can feed without slices degenerating (core.StreamDepthCap,
-// the same bound the planner raises against, so planned depth == executed
-// depth).
-func (s *Store) buildPool(workers int, budgetCap int64) *streamPool {
-	// One column partition (and largest-read figure) per virtual grid level
-	// and per runnable pass worker count: levels[l].boundsFor[w] holds the
-	// boundaries of a w-worker pass at level l. maxSeg tracks the largest
-	// coalesced read any (level, count) combination can issue — coarse
+// arena is its share of the budget (so a depth-2 pass uses the whole budget
+// in two big slices, a depth-8 pass the same budget in eight smaller ones),
+// clamped to depthCap times the largest coalesced read any group can issue
+// — a larger arena would never fill. depthCap is the deepest pipeline the
+// budget can feed without slices degenerating (core.StreamDepthCap, the
+// same bound core.StreamRecipe clamps against, so a resolved depth is an
+// executed depth).
+func (s *Store) buildPool(workers int, budget int64) *streamPool {
+	// One column partition (and largest-read figure) per virtual grid level.
+	// maxSeg tracks the largest coalesced read any level can issue — coarse
 	// levels merge row segments, so their reads can be far larger than the
 	// finest level's, and the arenas must fit them to realize the fewer,
 	// larger I/Os the level is chosen for.
 	levels := make([]poolLevel, len(s.levels))
 	maxSeg := 0
 	for li, lv := range s.levels {
-		pl := poolLevel{
-			p:         lv.P,
-			factor:    lv.Factor,
-			boundsFor: make([][]int, workers+1),
-			maxSegFor: make([]int, workers+1),
-		}
-		for w := 1; w <= workers; w++ {
-			pl.boundsFor[w] = s.levelBounds(lv.Factor, w)
-			_, pl.maxSegFor[w] = s.levelRuns(lv.Factor, pl.boundsFor[w])
-			if pl.maxSegFor[w] > maxSeg {
-				maxSeg = pl.maxSegFor[w]
-			}
-		}
+		pl := poolLevel{p: lv.P, factor: lv.Factor, workers: core.StreamExecWorkers(lv.P, workers, budget)}
+		pl.bounds = s.levelBounds(lv.Factor, pl.workers)
+		_, pl.maxSeg = s.levelRuns(lv.Factor, pl.bounds)
+		maxSeg = max(maxSeg, pl.maxSeg)
 		levels[li] = pl
 	}
 	rawPerEdge := storage.EdgeBytes
@@ -218,17 +202,25 @@ func (s *Store) buildPool(workers int, budgetCap int64) *streamPool {
 		}
 	}
 	residentPerEdge := int64(rawPerEdge + decodedEdgeBytes)
-	depthCap := core.StreamDepthCap(workers, budgetCap)
-	arenaEdges := int(budgetCap / (int64(workers) * residentPerEdge))
+	depthCap := core.StreamDepthCap(workers, budget)
+	// Compressed cells decode whole (a payload cannot be split mid-varint
+	// across slices), so every in-rotation slot holds at least the largest
+	// cell: rotate fewer slots while that floor would overrun the budget. At
+	// MinPrefetchDepth it stays, overrun or not (see
+	// core.StreamOptions.MemoryBudget).
+	for s.Compressed() && depthCap > core.MinPrefetchDepth &&
+		int64(workers)*int64(depthCap)*int64(s.maxCellEdges)*residentPerEdge > budget {
+		depthCap--
+	}
+	arenaEdges := int(budget / (int64(workers) * residentPerEdge))
 	if maxSeg > 0 && arenaEdges > maxSeg*depthCap {
 		arenaEdges = maxSeg * depthCap
 	}
 	if arenaEdges < depthCap {
 		arenaEdges = depthCap // one edge per slot, degenerate but safe
 	}
-	// Compressed cells decode whole (a payload cannot be split mid-varint
-	// across slices), so every slot must fit the largest cell even when the
-	// budget asks for less.
+	// Every slot must fit the largest cell even when the budget asks for
+	// less.
 	if min := s.maxCellEdges * depthCap; s.Compressed() && arenaEdges < min {
 		arenaEdges = min
 	}
@@ -236,7 +228,7 @@ func (s *Store) buildPool(workers int, budgetCap int64) *streamPool {
 	p := &streamPool{
 		store:           s,
 		workers:         workers,
-		cap:             budgetCap,
+		cap:             budget,
 		depthCap:        depthCap,
 		arenaEdges:      arenaEdges,
 		rawPerEdge:      rawPerEdge,
@@ -281,13 +273,12 @@ func (s *Store) stopPoolLocked() {
 	s.pool = nil
 }
 
-// beginPass resolves the per-pass knobs against the allocated arenas: the
-// pass's grid level (a per-pass knob like depth and budget — the pool is
-// never rebuilt for it) and worker count (≤ the built ceiling, and ≤ the
-// level's dimension) select a precomputed column partition, depth ≤ depthCap
-// slots rotate per group, each owning a 1/depth share of its group's arena,
-// with slices additionally bounded by the pass budget and by the largest
-// coalesced read that can ever fill at this level and worker count.
+// beginPass resolves the pass options against the allocated arenas: the
+// pass's grid level (the pool is never rebuilt for it) selects a
+// precomputed column partition, depth ≤ depthCap slots rotate per group,
+// each owning a 1/depth share of its group's arena, with slices
+// additionally bounded by the budget and by the largest coalesced read that
+// can ever fill at this level.
 func (p *streamPool) beginPass(opt core.StreamOptions, visit func(worker int, edges []graph.Edge)) {
 	lv := &p.levels[0]
 	if opt.GridLevel > 0 {
@@ -298,14 +289,7 @@ func (p *streamPool) beginPass(opt core.StreamOptions, visit func(worker int, ed
 			}
 		}
 	}
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = p.workers
-	}
-	workers = core.StreamExecWorkers(lv.p, workers, p.cap)
-	if workers > p.workers {
-		workers = p.workers
-	}
+	workers := lv.workers
 	depth := opt.PrefetchDepth
 	if depth <= 0 {
 		depth = core.DefaultPrefetchDepth
@@ -316,27 +300,23 @@ func (p *streamPool) beginPass(opt core.StreamOptions, visit func(worker int, ed
 	if depth > p.depthCap {
 		depth = p.depthCap
 	}
-	budget := opt.MemoryBudget
-	if budget <= 0 {
-		budget = p.cap
-	}
-	bufEdges := int(budget / (int64(workers) * int64(depth) * p.residentPerEdge))
+	bufEdges := int(p.cap / (int64(workers) * int64(depth) * p.residentPerEdge))
 	if share := p.arenaEdges / depth; bufEdges > share {
 		bufEdges = share
 	}
-	if maxSeg := lv.maxSegFor[workers]; maxSeg > 0 && bufEdges > maxSeg {
-		bufEdges = maxSeg
+	if lv.maxSeg > 0 && bufEdges > lv.maxSeg {
+		bufEdges = lv.maxSeg
 	}
 	// Whole-cell decode granularity: a compressed slot must fit the largest
 	// cell. The arena always can (buildPool sized it to maxCellEdges slots
-	// at full depth), so this raises only the budget-derived figure.
+	// at depthCap), so this raises only the budget-derived figure.
 	if p.store.Compressed() && bufEdges < p.store.maxCellEdges {
 		bufEdges = p.store.maxCellEdges
 	}
 	if bufEdges < 1 {
 		bufEdges = 1
 	}
-	p.passWorkers, p.passBounds = workers, lv.boundsFor[workers]
+	p.passWorkers, p.passBounds = workers, lv.bounds
 	p.passFactor, p.passLevel = lv.factor, lv.p
 	p.depth, p.bufEdges, p.visit = depth, bufEdges, visit
 	p.rec = opt.Trace

@@ -3,6 +3,7 @@ package oocore
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"sync/atomic"
@@ -16,9 +17,9 @@ import (
 
 // These tests cover the recycled streaming pool: the zero-allocation
 // steady-state contract, budget shedding and prefetch starvation under a
-// slow device (the -race targets of the acceptance criteria), per-pass knob
-// changes without pool rebuilds, and fetcher recovery after an aborted
-// pass.
+// slow device (the -race targets of the acceptance criteria), depth changes
+// without pool rebuilds, the budget bound on compressed passes, and fetcher
+// recovery after an aborted pass.
 
 func countingVisit(total *int64) func(int, []graph.Edge) {
 	return func(_ int, edges []graph.Edge) { atomic.AddInt64(total, int64(len(edges))) }
@@ -103,7 +104,7 @@ func TestStreamedPageRankUnderSlowDeviceAndShedding(t *testing.T) {
 func TestStreamCellsKnobChangesReusePool(t *testing.T) {
 	g := testGraph(t, 10, true)
 	s := buildTestStore(t, g, 8, false)
-	const budgetCap = 1 << 20
+	const budget = 1 << 20
 
 	want := edgeMultiset(g.EdgeArray.Edges)
 	run := func(opt core.StreamOptions) {
@@ -124,32 +125,28 @@ func TestStreamCellsKnobChangesReusePool(t *testing.T) {
 				t.Fatalf("opt %+v: edge %v delivered %d times, want %d", opt, e, got[e], n)
 			}
 		}
-		if st := s.Stats(); st.PeakResidentBytes > budgetCap {
-			t.Fatalf("peak resident %d exceeds the cap %d", st.PeakResidentBytes, budgetCap)
+		if st := s.Stats(); st.PeakResidentBytes > budget {
+			t.Fatalf("peak resident %d exceeds the budget %d", st.PeakResidentBytes, budget)
 		}
 	}
 
-	// First pass builds the pool at the cap; every later pass varies the
-	// per-iteration knobs (depth, budget tier) the way the adaptive planner
-	// does and must reuse the same pool — same buffers, same fetchers.
-	run(core.StreamOptions{Workers: 4, MemoryBudget: budgetCap, MemoryBudgetCap: budgetCap})
+	// First pass builds the pool; every later pass varies the prefetch depth
+	// and must reuse the same pool — same buffers, same fetchers.
+	run(core.StreamOptions{Workers: 4, MemoryBudget: budget})
 	built := s.pool
 	if built == nil {
 		t.Fatal("no pool after first pass")
 	}
-	for _, opt := range []core.StreamOptions{
-		{Workers: 4, MemoryBudget: budgetCap / 2, MemoryBudgetCap: budgetCap, PrefetchDepth: 4},
-		{Workers: 4, MemoryBudget: budgetCap / 4, MemoryBudgetCap: budgetCap, PrefetchDepth: 8},
-		{Workers: 4, MemoryBudget: budgetCap, MemoryBudgetCap: budgetCap, PrefetchDepth: 2},
-	} {
+	for _, depth := range []int{4, 8, 2} {
+		opt := core.StreamOptions{Workers: 4, MemoryBudget: budget, PrefetchDepth: depth}
 		run(opt)
 		if s.pool != built {
-			t.Fatalf("knob change %+v rebuilt the pool", opt)
+			t.Fatalf("depth change %+v rebuilt the pool", opt)
 		}
 	}
 
 	// A different worker count is a different pass shape: rebuild expected.
-	run(core.StreamOptions{Workers: 2, MemoryBudget: budgetCap, MemoryBudgetCap: budgetCap})
+	run(core.StreamOptions{Workers: 2, MemoryBudget: budget})
 	if s.pool == built {
 		t.Fatal("worker-count change did not rebuild the pool")
 	}
@@ -237,10 +234,22 @@ func TestStreamCellsRecoversAfterReadError(t *testing.T) {
 	}
 }
 
-func TestStreamedAutoAdaptsAndStaysIdentical(t *testing.T) {
-	// Adaptive streamed PageRank under a real store: the I/O knobs may move
-	// between iterations, but the result must stay bit-identical to the
-	// fixed streamed (and hence the in-memory grid) run.
+// recordingStore records the options every pass of a run receives.
+type recordingStore struct {
+	*Store
+	passes []core.StreamOptions
+}
+
+func (s *recordingStore) StreamCells(opt core.StreamOptions, visit func(worker int, edges []graph.Edge)) error {
+	s.passes = append(s.passes, opt)
+	return s.Store.StreamCells(opt, visit)
+}
+
+// TestStreamedAutoPassesGetConfiguredRecipe: every pass of an adaptive
+// streamed PageRank receives the configured prefetch depth and budget —
+// only the grid level is the planner's — and the result stays bit-identical
+// to the fixed streamed (and hence the in-memory grid) run.
+func TestStreamedAutoPassesGetConfiguredRecipe(t *testing.T) {
 	g := testGraph(t, 12, false)
 	const p = 8
 	s := buildTestStore(t, g, p, false)
@@ -249,10 +258,9 @@ func TestStreamedAutoAdaptsAndStaysIdentical(t *testing.T) {
 		t.Fatalf("fixed streamed run: %v", err)
 	}
 
-	s2 := buildTestStore(t, g, p, false)
+	rec := &recordingStore{Store: buildTestStore(t, g, p, false)}
 	prAuto := algorithms.NewPageRank()
-	res, err := core.RunStreamed(s2, prAuto, core.Config{Flow: core.Auto, MemoryBudget: 1 << 20})
-	if err != nil {
+	if _, err := core.RunStreamed(rec, prAuto, core.Config{Flow: core.Auto, MemoryBudget: 1 << 20, PrefetchDepth: 4}); err != nil {
 		t.Fatalf("auto streamed run: %v", err)
 	}
 	for v := range prFixed.Rank {
@@ -260,9 +268,49 @@ func TestStreamedAutoAdaptsAndStaysIdentical(t *testing.T) {
 			t.Fatalf("rank[%d] = %v auto, %v fixed", v, prAuto.Rank[v], prFixed.Rank[v])
 		}
 	}
-	for _, it := range res.PerIteration {
-		if it.Plan.IO.PrefetchDepth == 0 || it.Plan.IO.MemoryBudget == 0 {
-			t.Fatalf("iteration %d has no I/O plan: %v", it.Iteration, it.Plan)
+	if len(rec.passes) != prAuto.Iterations {
+		t.Fatalf("%d passes for %d iterations", len(rec.passes), prAuto.Iterations)
+	}
+	for i, opt := range rec.passes {
+		if opt.PrefetchDepth != 4 || opt.MemoryBudget != 1<<20 {
+			t.Fatalf("pass %d ran d%d under %d bytes, want the configured d4 under 1 MiB", i, opt.PrefetchDepth, opt.MemoryBudget)
+		}
+	}
+}
+
+// TestCompressedDeepPrefetchStaysWithinBudget: a compressed pass slots whole
+// cells, so a deep pipeline under a small budget must rotate fewer slots
+// instead of overrunning the budget — with ranks bit-identical to a
+// double-buffered run.
+func TestCompressedDeepPrefetchStaysWithinBudget(t *testing.T) {
+	g := testGraph(t, 12, false)
+	const p, workers = 8, 2
+	ref := buildTestStoreV2(t, g, p, false)
+	// Room for three largest-cell slots per worker: depth 8 at the cell
+	// floor would need far more.
+	budget := int64(workers * 3 * ref.maxCellEdges * (graph.MaxEncodedEdgeBytes + decodedEdgeBytes))
+	if core.StreamDepthCap(workers, budget) < 8 {
+		t.Fatalf("budget %d cannot feed depth 8 at all; the test needs a larger graph", budget)
+	}
+	cfg := streamConfig(core.Pull, budget)
+	cfg.Workers = workers
+	prRef := algorithms.NewPageRank()
+	if _, err := core.RunStreamed(ref, prRef, cfg); err != nil {
+		t.Fatalf("depth-2 run: %v", err)
+	}
+
+	s := buildTestStoreV2(t, g, p, false)
+	cfg.PrefetchDepth = 8
+	pr := algorithms.NewPageRank()
+	if _, err := core.RunStreamed(s, pr, cfg); err != nil {
+		t.Fatalf("depth-8 run: %v", err)
+	}
+	if peak := s.Stats().PeakResidentBytes; peak > budget {
+		t.Fatalf("depth-8 compressed run peaked at %d resident bytes, over the %d budget", peak, budget)
+	}
+	for v := range prRef.Rank {
+		if math.Float64bits(pr.Rank[v]) != math.Float64bits(prRef.Rank[v]) {
+			t.Fatalf("rank[%d] = %v at depth 8, %v at depth 2", v, pr.Rank[v], prRef.Rank[v])
 		}
 	}
 }

@@ -32,14 +32,15 @@ const decodedEdgeBytes = 12
 // on-disk record plus its decoded form, both held by a slot.
 const residentEdgeBytes = storage.EdgeBytes + decodedEdgeBytes
 
-// The planner sizes its budget arithmetic with core.StreamResidentEdgeBytes;
-// this compile-time check keeps the two definitions from drifting apart.
+// The core side (StreamRecipe, StreamExecWorkers, StreamDepthCap) sizes its
+// budget arithmetic with core.StreamResidentEdgeBytes; this compile-time
+// check keeps the two definitions from drifting apart.
 const _ = uint(residentEdgeBytes-core.StreamResidentEdgeBytes) +
 	uint(core.StreamResidentEdgeBytes-residentEdgeBytes)
 
 // The slice granularity below which streaming degenerates is
-// core.MinStreamSliceEdges, shared with the planner: worker shedding
-// (core.StreamExecWorkers) and the depth ceiling (core.StreamDepthCap) are
+// core.MinStreamSliceEdges, shared with the core side: worker shedding
+// (core.StreamExecWorkers) and the depth cap (core.StreamDepthCap) are
 // both derived from it, on both sides of the Source boundary.
 
 // The largest coalesced read any group will issue — and hence the prefetch
@@ -170,13 +171,13 @@ func (s *Store) leasePoolFor(l *sched.Lease) *leasePool {
 // ensure returns the lease's pool, (re)building it when the pass shape
 // changed — the per-lease mirror of ensurePoolLocked. Caller holds lp.mu.
 func (lp *leasePool) ensure(s *Store, opt core.StreamOptions) *streamPool {
-	workers, budgetCap := s.poolParams(opt)
-	if p := lp.pool; p != nil && p.workers == workers && p.cap == budgetCap {
+	workers, budget := s.poolParams(opt)
+	if p := lp.pool; p != nil && p.workers == workers && p.cap == budget {
 		return p
 	}
 	if lp.pool != nil {
 		lp.pool.stop()
 	}
-	lp.pool = s.buildPool(workers, budgetCap)
+	lp.pool = s.buildPool(workers, budget)
 	return lp.pool
 }

@@ -136,18 +136,6 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 				g.frozen = cand.Frozen
 			}
 			g.candidates = append(g.candidates, cand)
-		case kindIOAdjust:
-			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
-				Name: "io-adjust", Ph: "I", S: "g",
-				Ts: micros(ev.start), Pid: pid, Tid: int(ev.track),
-				Args: map[string]any{
-					"iteration":           ev.arg[0],
-					"prefetch_depth":      ev.arg[1],
-					"memory_budget_bytes": ev.arg[2],
-					"stream_workers":      ev.arg[3],
-					"io_wait_fraction":    math.Float64frombits(uint64(ev.arg[4])),
-				},
-			})
 		case kindFetch:
 			name := "fetch"
 			if ev.arg[2] != 0 {

@@ -1,6 +1,6 @@
 // Package trace is the run-scoped observability recorder of the engine: a
 // preallocated ring of fixed-size events that the engine, the execution
-// planners, the I/O controller and the out-of-core fetcher pipeline feed
+// planner and the out-of-core fetcher pipeline feed
 // while a run executes. Recording one event is a handful of stores plus one
 // atomic cursor increment — no allocation, no locking — so a traced
 // steady-state iteration keeps the engine's zero-allocation contract; a nil
@@ -30,7 +30,7 @@ import (
 
 // Track numbering of the Chrome export: every event carries a track id that
 // the exporter turns into a named thread. The engine (iteration spans,
-// planner decisions, I/O adjustments) records on TrackEngine; streamed
+// planner decisions) records on TrackEngine; streamed
 // compute workers record their prefetch stalls on TrackWorkerBase+i and the
 // per-group fetcher goroutines record read/decode spans on
 // TrackFetcherBase+i.
@@ -44,7 +44,6 @@ const (
 const (
 	kindIter uint8 = iota + 1
 	kindDecision
-	kindIOAdjust
 	kindFetch
 	kindStall
 )
@@ -81,7 +80,6 @@ type Recorder struct {
 
 	// Event-kind counters that must survive ring wrap.
 	decisions   atomic.Int64
-	ioAdjusts   atomic.Int64
 	fetchEdges  atomic.Int64
 	fetchBytes  atomic.Int64
 	stallTotal  atomic.Int64
@@ -244,28 +242,6 @@ func (r *Recorder) Decision(iteration int, label int32, predictedNsPerEdge, meas
 			int64(math.Float64bits(predictedNsPerEdge)),
 			int64(math.Float64bits(measuredNsPerEdge)),
 			flags,
-		},
-	})
-}
-
-// IOAdjust records an I/O-controller knob move: the depth/budget/worker
-// recipe the NEXT streamed pass will run with, and the stall fraction that
-// triggered the move.
-func (r *Recorder) IOAdjust(iteration, prefetchDepth int, memoryBudget int64, streamWorkers int, waitFraction float64) {
-	if r == nil {
-		return
-	}
-	r.ioAdjusts.Add(1)
-	r.record(event{
-		kind:  kindIOAdjust,
-		track: TrackEngine,
-		start: time.Since(r.epoch).Nanoseconds(),
-		arg: [5]int64{
-			int64(iteration),
-			int64(prefetchDepth),
-			memoryBudget,
-			int64(streamWorkers),
-			int64(math.Float64bits(waitFraction)),
 		},
 	})
 }
@@ -451,9 +427,6 @@ func (r *Recorder) Snapshot() *metrics.Snapshot {
 	}
 	if n := r.decisions.Load(); n > 0 {
 		s.Counters["planner.decision_candidates"] = n
-	}
-	if n := r.ioAdjusts.Load(); n > 0 {
-		s.Counters["planner.io_adjustments"] = n
 	}
 	if n := r.fetchEdges.Load(); n > 0 {
 		s.Counters["oocore.fetched_edges"] = n

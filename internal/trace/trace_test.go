@@ -18,7 +18,6 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 	r.IterationSpan(time.Now(), time.Millisecond, 0, 0, 1, 0, 0)
 	r.Decision(0, 0, 1, 2, true, false)
-	r.IOAdjust(0, 2, 1<<20, 4, 0.3)
 	r.FetchSpan(TrackFetcherBase, time.Now(), 10, 80, false, 0)
 	r.Stall(TrackWorkerBase, time.Now(), time.Microsecond)
 	r.AddCounter("x", 1)
@@ -155,7 +154,6 @@ func TestChromeExport(t *testing.T) {
 	r.IterationSpan(start, 2*time.Millisecond, 0, id, 50, 0, 0)
 	r.FetchSpan(TrackFetcherBase+1, time.Now(), 64, 512, true, 0)
 	r.Stall(TrackWorkerBase, time.Now(), 20*time.Microsecond)
-	r.IOAdjust(1, 4, 1<<20, 3, 0.31)
 
 	var buf bytes.Buffer
 	if err := r.WriteChromeTrace(&buf); err != nil {
@@ -201,13 +199,9 @@ func TestChromeExport(t *testing.T) {
 			if ev.Args["frozen"] != true {
 				t.Fatal("frozen lost")
 			}
-		case "io-adjust":
-			if ev.Args["prefetch_depth"].(float64) != 4 {
-				t.Fatalf("io-adjust args = %+v", ev.Args)
-			}
 		}
 	}
-	for _, want := range []string{"adjacency/pull/no-lock", "plan decision", "fetch+decode", "io-stall", "io-adjust"} {
+	for _, want := range []string{"adjacency/pull/no-lock", "plan decision", "fetch+decode", "io-stall"} {
 		if names[want] == 0 {
 			t.Fatalf("export missing %q event; got %v", want, names)
 		}

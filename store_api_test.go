@@ -79,23 +79,26 @@ func TestStoreWCCThroughFacade(t *testing.T) {
 	}
 }
 
-func TestStoreAdaptiveIOAndCostExportThroughFacade(t *testing.T) {
+func TestStoreAutoRecipeAndCostExportThroughFacade(t *testing.T) {
 	g := GenerateRMAT(12, 8, 3)
 	st := buildAPIStore(t, g, 8, false)
 	pr := PageRank()
-	res, err := st.Run(pr, Config{Flow: FlowAuto, MemoryBudget: 1 << 20, PrefetchDepth: 4})
+	cfg := Config{Flow: FlowAuto, MemoryBudget: 1 << 20, PrefetchDepth: 4}
+	if depth, budget := st.IORecipe(cfg); depth != 4 || budget != 1<<20 {
+		t.Fatalf("IORecipe = d%d %d bytes, want the configured d4 under 1 MiB", depth, budget)
+	}
+	if depth, budget := st.IORecipe(Config{}); depth != 2 || budget != 256<<20 {
+		t.Fatalf("default IORecipe = d%d %d bytes, want d2 under 256 MiB", depth, budget)
+	}
+	res, err := st.Run(pr, cfg)
 	if err != nil {
 		t.Fatalf("adaptive store run: %v", err)
 	}
 	if len(res.Run.PerIteration) == 0 {
 		t.Fatal("no per-iteration stats")
 	}
-	first := res.Run.PerIteration[0].Plan.IO
-	if first.PrefetchDepth != 4 {
-		t.Fatalf("configured PrefetchDepth not honoured: %v", first)
-	}
-	if first.MemoryBudget <= 0 || first.MemoryBudget > 1<<20 {
-		t.Fatalf("planned budget %d outside the configured ceiling", first.MemoryBudget)
+	if peak := st.IOStats().PeakResidentBytes; peak == 0 || peak > 1<<20 {
+		t.Fatalf("peak resident %d outside the 1 MiB budget", peak)
 	}
 	if len(res.Run.PlanCosts) == 0 {
 		t.Fatal("adaptive run exported no measured plan costs")
