@@ -24,9 +24,71 @@ func TestStreamRecipeDefaultsAndClamps(t *testing.T) {
 		// without slices degenerating below MinStreamSliceEdges.
 		{"tight", Config{Workers: 16, PrefetchDepth: 8, MemoryBudget: 64 << 10}, MinPrefetchDepth, 64 << 10},
 	} {
-		depth, budget := StreamRecipe(wide, c.cfg)
-		if depth != c.wantDepth || budget != c.wantBudget {
-			t.Errorf("%s: recipe d%d %d bytes, want d%d %d bytes", c.name, depth, budget, c.wantDepth, c.wantBudget)
+		t.Run(c.name, func(t *testing.T) {
+			depth, budget := StreamRecipe(wide, c.cfg)
+			if depth != c.wantDepth || budget != c.wantBudget {
+				t.Errorf("recipe d%d %d bytes, want d%d %d bytes", depth, budget, c.wantDepth, c.wantBudget)
+			}
+		})
+	}
+}
+
+// TestStreamRecipeDepthCapFollowsBudget: a deep configured pipeline is cut
+// to what the budget can feed across the workers without slices shrinking
+// below MinStreamSliceEdges, and gets its full depth back as the budget
+// grows.
+func TestStreamRecipeDepthCapFollowsBudget(t *testing.T) {
+	wide := &fakeGridSource{fakeSource: fakeSource{n: 100}, p: 64}
+	const workers = 16
+	perSlot := int64(workers * MinStreamSliceEdges * StreamResidentEdgeBytes) // one minimal slice per worker
+	for _, c := range []struct {
+		budget    int64
+		wantDepth int
+	}{
+		{2 * perSlot, 2},
+		{4 * perSlot, 4},
+		{6*perSlot + perSlot/2, 6},
+		{8 * perSlot, 8},
+		{64 * perSlot, MaxPrefetchDepth},
+	} {
+		depth, budget := StreamRecipe(wide, Config{Workers: workers, PrefetchDepth: MaxPrefetchDepth, MemoryBudget: c.budget})
+		if depth != c.wantDepth || budget != c.budget {
+			t.Errorf("budget %d: recipe d%d %d bytes, want d%d", c.budget, depth, budget, c.wantDepth)
+		}
+	}
+}
+
+// TestStreamRecipeDepthCapAtStoredResolution: the depth cap is taken at the
+// worker count a pass can run — at most one per stored column — so a narrow
+// store keeps a deep pipeline under a budget that would starve 16 workers.
+func TestStreamRecipeDepthCapAtStoredResolution(t *testing.T) {
+	cfg := Config{Workers: 16, PrefetchDepth: 8, MemoryBudget: 64 << 10}
+	narrow := &fakeGridSource{fakeSource: fakeSource{n: 100}, p: 2}
+	if depth, _ := StreamRecipe(narrow, cfg); depth != 8 {
+		t.Fatalf("2-column store: depth %d, want 8 (two workers can feed it)", depth)
+	}
+	wide := &fakeGridSource{fakeSource: fakeSource{n: 100}, p: 64}
+	if depth, _ := StreamRecipe(wide, cfg); depth != MinPrefetchDepth {
+		t.Fatalf("64-column store: depth %d, want %d (16 workers cannot feed more)", depth, MinPrefetchDepth)
+	}
+}
+
+func TestStreamDepthCapClampsToPipelineBounds(t *testing.T) {
+	perSlot := int64(MinStreamSliceEdges * StreamResidentEdgeBytes)
+	for _, c := range []struct {
+		workers int
+		budget  int64
+		want    int
+	}{
+		{1, 0, MinPrefetchDepth},
+		{1, perSlot, MinPrefetchDepth},
+		{1, 5 * perSlot, 5},
+		{4, 20 * perSlot, 5},
+		{0, 5 * perSlot, 5}, // no workers counts as one
+		{1, 1 << 40, MaxPrefetchDepth},
+	} {
+		if got := StreamDepthCap(c.workers, c.budget); got != c.want {
+			t.Errorf("StreamDepthCap(%d, %d) = %d, want %d", c.workers, c.budget, got, c.want)
 		}
 	}
 }
@@ -65,6 +127,58 @@ func TestStreamedPlanLabelCarriesNoIORecipe(t *testing.T) {
 	streamed.GridLevel, streamed.StreamFormat = 64, 1
 	if got := streamed.String(); got != "grid/64@s1/push/no-lock" {
 		t.Fatalf("streamed plan label = %q", got)
+	}
+}
+
+// streamedPushCandidates is an adaptive candidate set of push plans over a
+// v1 store, one per given grid level.
+func streamedPushCandidates(levels ...int) []planCandidate {
+	cs := make([]planCandidate, len(levels))
+	for i, lv := range levels {
+		cs[i] = planCandidate{
+			plan:     StepPlan{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, Tracked: true, GridLevel: lv, StreamFormat: 1},
+			prior:    priorGridPush,
+			fullScan: true,
+		}
+	}
+	return cs
+}
+
+// TestAdaptiveObserveMatchesStreamedPlan: the plan a streamed pass executed
+// is exactly its candidate, so its measurement lands on that candidate and
+// is exported under the plan's own label.
+func TestAdaptiveObserveMatchesStreamedPlan(t *testing.T) {
+	env := plannerEnv{numVertices: 100, totalEdges: 1 << 20, alpha: 20, tracked: true}
+	cs := streamedPushCandidates(64)
+	p := newPlanner(env, cs, true, nil, nil)
+	p.Observe(cs[0].plan, IterationStats{Duration: time.Millisecond, ActiveEdges: -1})
+	if p.measured[0] == 0 {
+		t.Fatal("executed streamed plan did not match its candidate")
+	}
+	if costs := p.measuredCosts(); costs["grid/64@s1/push/no-lock"] == 0 || len(costs) != 1 {
+		t.Fatalf("measured costs not exported under the plan label: %v", costs)
+	}
+}
+
+// TestStreamedCostEntriesArePerLevel: cost entries are per grid level —
+// what lets measurements choose among resolutions — and a plan outside the
+// candidate set measures nothing.
+func TestStreamedCostEntriesArePerLevel(t *testing.T) {
+	env := plannerEnv{numVertices: 100, totalEdges: 1 << 20, alpha: 20, tracked: true}
+	cs := streamedPushCandidates(64, 16)
+	p := newPlanner(env, cs, true, nil, nil)
+	p.Observe(cs[0].plan, IterationStats{Duration: 4 * time.Millisecond, ActiveEdges: -1})
+	p.Observe(cs[1].plan, IterationStats{Duration: time.Millisecond, ActiveEdges: -1})
+	stray := cs[0].plan
+	stray.GridLevel = 32
+	p.Observe(stray, IterationStats{Duration: time.Millisecond, ActiveEdges: -1})
+	costs := p.measuredCosts()
+	fine, coarse := costs["grid/64@s1/push/no-lock"], costs["grid/16@s1/push/no-lock"]
+	if len(costs) != 2 || fine == 0 || coarse == 0 {
+		t.Fatalf("want one entry per observed level, got %v", costs)
+	}
+	if fine != 4*coarse {
+		t.Fatalf("levels share a cost entry: fine %v, coarse %v", fine, coarse)
 	}
 }
 

@@ -1,6 +1,7 @@
 package oocore
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -18,23 +19,28 @@ func TestStreamCellsReducedWorkersColumnOwnership(t *testing.T) {
 	g := testGraph(t, 10, false)
 	s := buildTestStore(t, g, 16, false)
 	for _, workers := range []int{1, 2, 3} {
-		var mu sync.Mutex
-		colOwner := map[int]int{}
-		opt := core.StreamOptions{Workers: workers, MemoryBudget: 1 << 20}
-		err := s.StreamCells(opt, func(worker int, edges []graph.Edge) {
-			mu.Lock()
-			defer mu.Unlock()
-			for _, e := range edges {
-				col := int(e.Dst) / s.Header().RangeSize
-				if owner, ok := colOwner[col]; ok && owner != worker {
-					t.Errorf("%d-worker pass: column %d visited by workers %d and %d", workers, col, owner, worker)
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var mu sync.Mutex
+			colOwner := map[int]int{}
+			opt := core.StreamOptions{Workers: workers, MemoryBudget: 1 << 20}
+			err := s.StreamCells(opt, func(worker int, edges []graph.Edge) {
+				mu.Lock()
+				defer mu.Unlock()
+				for _, e := range edges {
+					col := int(e.Dst) / s.Header().RangeSize
+					if owner, ok := colOwner[col]; ok && owner != worker {
+						t.Errorf("column %d visited by workers %d and %d", col, owner, worker)
+					}
+					colOwner[col] = worker
 				}
-				colOwner[col] = worker
+			})
+			if err != nil {
+				t.Fatalf("pass: %v", err)
+			}
+			if len(colOwner) == 0 {
+				t.Fatal("pass visited no column")
 			}
 		})
-		if err != nil {
-			t.Fatalf("%d-worker pass: %v", workers, err)
-		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -18,8 +19,9 @@ import (
 // These tests cover the recycled streaming pool: the zero-allocation
 // steady-state contract, budget shedding and prefetch starvation under a
 // slow device (the -race targets of the acceptance criteria), depth changes
-// without pool rebuilds, the budget bound on compressed passes, and fetcher
-// recovery after an aborted pass.
+// without pool rebuilds and budget changes with them, the pass depth clamp,
+// the per-level column partitions, the budget bound on compressed passes,
+// and fetcher recovery after an aborted pass.
 
 func countingVisit(total *int64) func(int, []graph.Edge) {
 	return func(_ int, edges []graph.Edge) { atomic.AddInt64(total, int64(len(edges))) }
@@ -152,6 +154,111 @@ func TestStreamCellsKnobChangesReusePool(t *testing.T) {
 	}
 }
 
+// TestStreamCellsBudgetChangeRebuildsPool: the budget sizes the arenas, so
+// a pass under a different budget rebuilds the pool, and a pass under the
+// same budget reuses it.
+func TestStreamCellsBudgetChangeRebuildsPool(t *testing.T) {
+	g := testGraph(t, 10, false)
+	s := buildTestStore(t, g, 8, false)
+	pass := func(budget int64) {
+		t.Helper()
+		var total int64
+		if err := s.StreamCells(core.StreamOptions{Workers: 2, MemoryBudget: budget}, countingVisit(&total)); err != nil {
+			t.Fatalf("StreamCells: %v", err)
+		}
+		if total != int64(g.NumEdges()) {
+			t.Fatalf("budget %d: delivered %d edges, want %d", budget, total, g.NumEdges())
+		}
+	}
+	pass(1 << 20)
+	built := s.pool
+	pass(1 << 20)
+	if s.pool != built {
+		t.Fatal("an unchanged budget rebuilt the pool")
+	}
+	pass(512 << 10)
+	if s.pool == built {
+		t.Fatal("a budget change did not rebuild the pool")
+	}
+	if s.pool.cap != 512<<10 {
+		t.Fatalf("rebuilt pool sized for %d bytes, want %d", s.pool.cap, 512<<10)
+	}
+}
+
+// TestStreamCellsClampsPassDepthToPool: a pass rotates the requested depth
+// within [MinPrefetchDepth, the pool's depth cap], 0 selecting the default,
+// and stays within the budget at every depth.
+func TestStreamCellsClampsPassDepthToPool(t *testing.T) {
+	g := testGraph(t, 10, false)
+	s := buildTestStore(t, g, 8, false)
+	const workers = 2
+	budget := int64(workers * 4 * core.MinStreamSliceEdges * core.StreamResidentEdgeBytes) // feeds depth 4 at most
+	for _, c := range []struct{ asked, want int }{
+		{8, 4}, {4, 4}, {3, 3}, {1, core.MinPrefetchDepth}, {0, core.DefaultPrefetchDepth},
+	} {
+		var total int64
+		opt := core.StreamOptions{Workers: workers, MemoryBudget: budget, PrefetchDepth: c.asked}
+		if err := s.StreamCells(opt, countingVisit(&total)); err != nil {
+			t.Fatalf("depth %d: StreamCells: %v", c.asked, err)
+		}
+		if s.pool.depth != c.want {
+			t.Fatalf("depth %d ran at %d, want %d", c.asked, s.pool.depth, c.want)
+		}
+		if total != int64(g.NumEdges()) {
+			t.Fatalf("depth %d: delivered %d edges, want %d", c.asked, total, g.NumEdges())
+		}
+		if peak := s.Stats().PeakResidentBytes; peak > budget {
+			t.Fatalf("depth %d: peak resident %d exceeds the %d budget", c.asked, peak, budget)
+		}
+	}
+}
+
+// TestPoolLevelsPartitionAtStreamExecWorkers: the pool keeps one column
+// partition per virtual level, at the worker count core.StreamExecWorkers
+// gives that level, and a pass at the level runs exactly that partition.
+func TestPoolLevelsPartitionAtStreamExecWorkers(t *testing.T) {
+	g := testGraph(t, 11, false)
+	s := buildTestStore(t, g, 8, false)
+	const workers, budget = 4, 1 << 20
+	for _, lv := range s.Levels() {
+		var total int64
+		opt := core.StreamOptions{Workers: workers, MemoryBudget: budget, GridLevel: lv.P}
+		if err := s.StreamCells(opt, countingVisit(&total)); err != nil {
+			t.Fatalf("level P=%d: StreamCells: %v", lv.P, err)
+		}
+		if total != int64(g.NumEdges()) {
+			t.Fatalf("level P=%d: delivered %d edges, want %d", lv.P, total, g.NumEdges())
+		}
+		p := s.pool
+		if len(p.levels) != len(s.Levels()) {
+			t.Fatalf("pool holds %d partitions for %d levels", len(p.levels), len(s.Levels()))
+		}
+		var pl *poolLevel
+		for i := range p.levels {
+			if p.levels[i].p == lv.P {
+				pl = &p.levels[i]
+			}
+		}
+		if pl == nil {
+			t.Fatalf("no pool partition for level P=%d", lv.P)
+		}
+		if want := core.StreamExecWorkers(lv.P, workers, budget); pl.workers != want {
+			t.Fatalf("level P=%d partitioned for %d workers, want %d", lv.P, pl.workers, want)
+		}
+		bounds := s.levelBounds(lv.Factor, pl.workers)
+		if !slices.Equal(pl.bounds, bounds) {
+			t.Fatalf("level P=%d bounds %v, want %v", lv.P, pl.bounds, bounds)
+		}
+		if _, maxRun := s.levelRuns(lv.Factor, bounds); pl.maxSeg != maxRun {
+			t.Fatalf("level P=%d largest read %d, want %d", lv.P, pl.maxSeg, maxRun)
+		}
+		if p.passWorkers != pl.workers || p.passLevel != lv.P {
+			t.Fatalf("pass at P=%d ran %d workers at P=%d, want %d at P=%d",
+				lv.P, p.passWorkers, p.passLevel, pl.workers, lv.P)
+		}
+	}
+}
+
 func TestFixedDepthPassSpendsTheWholeBudget(t *testing.T) {
 	// A default (depth-2) pass must be able to put the whole budget in
 	// rotation — the arena is carved per pass, not pre-split for the
@@ -278,6 +385,16 @@ func TestStreamedAutoPassesGetConfiguredRecipe(t *testing.T) {
 	}
 }
 
+// slotEdgeBytes is what one buffered edge of compressed store s costs while
+// resident: its worst-case encoding (plus the weight) and its decoded form.
+func slotEdgeBytes(s *Store) int64 {
+	raw := graph.MaxEncodedEdgeBytes
+	if s.header.Weighted {
+		raw += 4
+	}
+	return int64(raw + decodedEdgeBytes)
+}
+
 // TestCompressedDeepPrefetchStaysWithinBudget: a compressed pass slots whole
 // cells, so a deep pipeline under a small budget must rotate fewer slots
 // instead of overrunning the budget — with ranks bit-identical to a
@@ -288,7 +405,7 @@ func TestCompressedDeepPrefetchStaysWithinBudget(t *testing.T) {
 	ref := buildTestStoreV2(t, g, p, false)
 	// Room for three largest-cell slots per worker: depth 8 at the cell
 	// floor would need far more.
-	budget := int64(workers * 3 * ref.maxCellEdges * (graph.MaxEncodedEdgeBytes + decodedEdgeBytes))
+	budget := int64(workers*3*ref.maxCellEdges) * slotEdgeBytes(ref)
 	if core.StreamDepthCap(workers, budget) < 8 {
 		t.Fatalf("budget %d cannot feed depth 8 at all; the test needs a larger graph", budget)
 	}
@@ -312,5 +429,64 @@ func TestCompressedDeepPrefetchStaysWithinBudget(t *testing.T) {
 		if math.Float64bits(pr.Rank[v]) != math.Float64bits(prRef.Rank[v]) {
 			t.Fatalf("rank[%d] = %v at depth 8, %v at depth 2", v, pr.Rank[v], prRef.Rank[v])
 		}
+	}
+}
+
+// TestCompressedPoolDepthCapFitsLargestCells: a compressed store's pool
+// rotates no more slots than its largest cells fit in the budget, so a
+// depth-8 pass runs shallower; an uncompressed store keeps the
+// slice-granularity cap.
+func TestCompressedPoolDepthCapFitsLargestCells(t *testing.T) {
+	g := testGraph(t, 12, false)
+	const p, workers = 8, 2
+	v2 := buildTestStoreV2(t, g, p, false)
+	budget := int64(workers*3*v2.maxCellEdges) * slotEdgeBytes(v2)
+	opt := core.StreamOptions{Workers: workers, MemoryBudget: budget, PrefetchDepth: 8}
+	var total int64
+	if err := v2.StreamCells(opt, countingVisit(&total)); err != nil {
+		t.Fatalf("v2 pass: %v", err)
+	}
+	if v2.pool.workers != workers {
+		t.Fatalf("v2 pool built for %d workers, want %d", v2.pool.workers, workers)
+	}
+	if v2.pool.depthCap != 3 || v2.pool.depth != 3 {
+		t.Fatalf("v2 pool cap %d, pass depth %d; want 3 largest-cell slots per worker", v2.pool.depthCap, v2.pool.depth)
+	}
+	if total != int64(g.NumEdges()) {
+		t.Fatalf("v2 pass delivered %d edges, want %d", total, g.NumEdges())
+	}
+
+	v1 := buildTestStore(t, g, p, false)
+	if err := v1.StreamCells(opt, countingVisit(new(int64))); err != nil {
+		t.Fatalf("v1 pass: %v", err)
+	}
+	if got, want := v1.pool.depthCap, core.StreamDepthCap(workers, budget); got != want {
+		t.Fatalf("v1 pool depth cap %d, want core.StreamDepthCap's %d", got, want)
+	}
+}
+
+// TestCompressedPoolKeepsMinDepthWhenCellsOverrun: when even
+// MinPrefetchDepth largest-cell slots per worker exceed the budget, the
+// pass keeps them — the one documented overrun, bounded by those slots —
+// and still delivers every edge.
+func TestCompressedPoolKeepsMinDepthWhenCellsOverrun(t *testing.T) {
+	g := testGraph(t, 12, false)
+	s := buildTestStoreV2(t, g, 8, false)
+	const workers = 2
+	resident := slotEdgeBytes(s)
+	budget := int64(workers*s.maxCellEdges) * resident // one largest cell per worker
+	var total int64
+	if err := s.StreamCells(core.StreamOptions{Workers: workers, MemoryBudget: budget, PrefetchDepth: 8}, countingVisit(&total)); err != nil {
+		t.Fatalf("StreamCells: %v", err)
+	}
+	if s.pool.depthCap != core.MinPrefetchDepth || s.pool.depth != core.MinPrefetchDepth {
+		t.Fatalf("pool cap %d, pass depth %d; want %d", s.pool.depthCap, s.pool.depth, core.MinPrefetchDepth)
+	}
+	if total != int64(g.NumEdges()) {
+		t.Fatalf("delivered %d edges, want %d", total, g.NumEdges())
+	}
+	floor := int64(s.pool.workers*core.MinPrefetchDepth*s.maxCellEdges) * resident
+	if peak := s.Stats().PeakResidentBytes; peak > floor {
+		t.Fatalf("peak resident %d exceeds the %d-byte largest-cell floor", peak, floor)
 	}
 }

@@ -79,6 +79,24 @@ func TestStoreWCCThroughFacade(t *testing.T) {
 	}
 }
 
+func TestStoreIORecipeAppliesClamps(t *testing.T) {
+	st := buildAPIStore(t, GenerateRMAT(10, 8, 3), 8, false)
+	for _, c := range []struct {
+		cfg        Config
+		wantDepth  int
+		wantBudget int64
+	}{
+		{Config{PrefetchDepth: 99}, 8, 256 << 20},
+		{Config{PrefetchDepth: 1}, 2, 256 << 20},
+		// 64 KiB across 8 workers feeds 5 slots of 64-edge slices each.
+		{Config{Workers: 8, PrefetchDepth: 8, MemoryBudget: 64 << 10}, 5, 64 << 10},
+	} {
+		if depth, budget := st.IORecipe(c.cfg); depth != c.wantDepth || budget != c.wantBudget {
+			t.Errorf("IORecipe(%+v) = d%d %d bytes, want d%d %d bytes", c.cfg, depth, budget, c.wantDepth, c.wantBudget)
+		}
+	}
+}
+
 func TestStoreAutoRecipeAndCostExportThroughFacade(t *testing.T) {
 	g := GenerateRMAT(12, 8, 3)
 	st := buildAPIStore(t, g, 8, false)
