@@ -46,8 +46,10 @@ bench:
 bench-adaptive:
 	$(GO) test -run '^$$' -bench 'Auto|PushPull|PullIter' -benchmem ./internal/core/
 
-# Compressed-store cases: delta+varint cell encode/decode and the version-2
-# (compressed segment) store against the version-1 streamed baseline.
+# Compressed-store cases: fixed-width cell encode and decode (ns/edge per
+# offset width) and the version-3 (compressed segment) store against the
+# version-1 streamed baseline, warm and, on Linux, with the page cache
+# dropped before every pass.
 bench-compressed:
 	$(GO) test -run '^$$' -bench 'CellEncode|DecodeCell' -benchmem ./internal/graph/
 	$(GO) test -run '^$$' -bench 'V2|StreamedPageRank|StreamPass' -benchmem ./internal/oocore/

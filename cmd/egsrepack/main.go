@@ -20,7 +20,7 @@
 //
 //	egsrepack -in rmat20.egs -out rmat20.p64.egs -p 64
 //	egsrepack -in rmat20.egs -out rmat20.best.egs -cost-cache costs.json
-//	egsrepack -in rmat20.egs -out rmat20c.egs -format v2
+//	egsrepack -in rmat20.egs -out rmat20c.egs -format v3
 package main
 
 import (
@@ -39,7 +39,7 @@ func main() {
 		in        = flag.String("in", "", "source store (.egs) to repack (required)")
 		out       = flag.String("out", "", "output store path (required)")
 		targetP   = flag.Int("p", 0, "target grid dimension; must be a rung of the source's virtual ladder (0 = choose via -cost-cache, else keep)")
-		format    = flag.String("format", "keep", "output format: keep | v1 | v2 (v2 = compressed segments)")
+		format    = flag.String("format", "keep", "output format: keep | v1 | v3 (v3 = compressed segments)")
 		cachePath = flag.String("cost-cache", "", "pick the target level with the lowest measured streamed cost for this store")
 	)
 	flag.Parse()
@@ -64,10 +64,10 @@ func run(in, out string, targetP int, format, cachePath string) error {
 	case "keep":
 	case "v1":
 		compressed = false
-	case "v2":
+	case "v3":
 		compressed = true
 	default:
-		return fmt.Errorf("unknown -format %q (keep | v1 | v2)", format)
+		return fmt.Errorf("unknown -format %q (keep | v1 | v3)", format)
 	}
 
 	how := "keeping source resolution"
@@ -93,7 +93,7 @@ func run(in, out string, targetP int, format, cachePath string) error {
 	}
 	fmtName := "v1 records"
 	if compressed {
-		fmtName = "v2 compressed"
+		fmtName = "v3 compressed"
 	}
 	fmt.Printf("repacked %s (P=%d) -> %s (P=%d, %s): %d vertices, %d edges (%s)\n",
 		in, src.GridP(), out, h.P, fmtName, h.NumVertices, h.NumEdges, how)
@@ -133,7 +133,7 @@ func bestMeasuredLevel(cachePath, storePath string) (bestP int, bestCost float64
 }
 
 // streamedLabelP extracts the resolution from a streamed plan label such as
-// "grid/64@s1/push/no-lock" or "compressed/256@s2/pull/no-lock". Labels
+// "grid/64@s1/push/no-lock" or "compressed/256@s3/pull/no-lock". Labels
 // without the "@s" provenance (in-memory plans, pre-stream cache entries)
 // report false.
 func streamedLabelP(label string) (int, bool) {

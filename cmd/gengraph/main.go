@@ -45,7 +45,7 @@ func main() {
 		format     = flag.String("format", "text", "text | binary | store (partitioned grid store)")
 		gridP      = flag.Int("p", 0, "grid dimension for -format store (0 = paper's 256, clamped)")
 		undirected = flag.Bool("undirected", false, "mirror each edge into the store (store format only; required by WCC)")
-		compress   = flag.Bool("compress", false, "write a version-2 store with delta+varint-compressed cell segments (store format only)")
+		compress   = flag.Bool("compress", false, "write a version-3 store whose cells hold fixed-width range offsets (store format only)")
 	)
 	flag.Parse()
 

@@ -7,8 +7,8 @@
 //
 // With -store it instead profiles an on-disk partitioned grid store
 // (gengraph -format store): the decoded header, the per-cell segment-size
-// histogram, and — for compressed (version-2) stores — the overall and
-// per-row compression ratios against the 12-byte raw edge record.
+// histogram, and — for compressed (version-3) stores — the offset width and
+// the compression ratio against the 12-byte raw edge record.
 //
 // Examples:
 //
@@ -27,6 +27,7 @@ import (
 
 	everythinggraph "github.com/epfl-repro/everythinggraph"
 	"github.com/epfl-repro/everythinggraph/internal/core"
+	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/oocore"
 	"github.com/epfl-repro/everythinggraph/internal/stats"
 )
@@ -112,7 +113,7 @@ func main() {
 
 // storeStats prints the profile of an on-disk partitioned grid store: the
 // decoded header, the per-cell stored-size histogram, and the compression
-// accounting of version-2 stores.
+// accounting of version-3 stores.
 func storeStats(path string) error {
 	s, err := oocore.Open(path)
 	if err != nil {
@@ -123,7 +124,8 @@ func storeStats(path string) error {
 	h := s.Header()
 	kind := "fixed 12-byte records"
 	if s.Compressed() {
-		kind = "delta+varint compressed cells"
+		w := graph.CellOffsetWidth(h.RangeSize)
+		kind = fmt.Sprintf("fixed-width cells: %d-byte range offsets, %d B/edge before weights", w, 2*w)
 	}
 	fmt.Printf("store: %s\n", path)
 	fmt.Printf("format: version %d (%s)\n", h.Version, kind)
@@ -135,19 +137,14 @@ func storeStats(path string) error {
 	}
 	fmt.Println()
 
-	// Per-cell stored-size histogram in log2-byte buckets, plus per-row
-	// stored-byte totals for the row ratios below.
+	// Per-cell stored-size histogram in log2-byte buckets.
 	numCells := h.P * h.P
 	var sizeBuckets [64]int64
 	empty := int64(0)
-	rowBytes := make([]int64, h.P)
-	rowEdges := make([]int64, h.P)
 	var stored int64
 	for cell := 0; cell < numCells; cell++ {
 		b := s.CellStoredBytes(cell)
 		stored += b
-		rowBytes[cell/h.P] += b
-		rowEdges[cell/h.P] += s.CellEdges(cell)
 		if b == 0 {
 			empty++
 			continue
@@ -188,18 +185,11 @@ func storeStats(path string) error {
 		return nil
 	}
 	// Raw footprint is the version-1 record format: 12 bytes per stored
-	// edge. The per-row spread shows where the delta encoding bites —
-	// low-numbered rows hold the hub sources of skewed graphs, whose dense
-	// cells yield short deltas.
+	// edge. Every compressed edge takes the same bytes, so one ratio holds
+	// for the whole store and for every row of it.
 	raw := h.NumEdges * 12
-	fmt.Printf("compression: %.2fx overall (%.1f MiB raw -> %.1f MiB stored)\n",
-		float64(raw)/float64(stored), float64(raw)/(1<<20), float64(stored)/(1<<20))
-	fmt.Println("per-row compression ratio:")
-	for r := 0; r < h.P; r++ {
-		if rowEdges[r] == 0 {
-			continue
-		}
-		fmt.Printf("  row %3d: %8d edges  %.2fx\n", r, rowEdges[r], float64(rowEdges[r]*12)/float64(rowBytes[r]))
-	}
+	fmt.Printf("compression: %.2fx (%.1f MiB raw -> %.1f MiB stored, %.1f B/edge)\n",
+		float64(raw)/float64(stored), float64(raw)/(1<<20), float64(stored)/(1<<20),
+		float64(stored)/float64(h.NumEdges))
 	return nil
 }

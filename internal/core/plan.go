@@ -43,7 +43,7 @@ type StepPlan struct {
 	// kept per level.
 	GridLevel int
 	// StreamFormat is the storage format version of a streamed plan (1 =
-	// fixed-record, 2 = compressed segments); 0 on in-memory plans. It is
+	// fixed-record, 3 = compressed segments); 0 on in-memory plans. It is
 	// part of the plan's identity and its label ("@s<N>" after the level):
 	// the same grid label over different on-disk formats measures different
 	// byte costs, and keeping them apart stops persisted cost entries from
@@ -62,7 +62,7 @@ type StepPlan struct {
 // String returns the "layout/flow/sync" label used in plan traces and as
 // the cost-cache key — grid plans carry their resolution as
 // "grid/<P>/flow/sync", streamed plans their store format too
-// ("grid/<P>@s1/…", "compressed/<P>@s2/…" for compressed stores). Non-grid
+// ("grid/<P>@s1/…", "compressed/<P>@s3/…" for compressed stores). Non-grid
 // in-memory plans render exactly as before the resolution dimension
 // existed, keeping recorded traces comparable.
 func (p StepPlan) String() string {
@@ -732,16 +732,17 @@ func streamPlanner(src Source, cfg Config, workers int, budget int64, alpha int,
 		multi:       multi,
 		// No resident out index: the count heuristic decides direction.
 	}
-	// Compressed (v2) stores label and cost their plans as "compressed/<P>";
-	// both formats append "@s<version>" so traces and cached measurements
-	// never conflate a level across storage formats.
+	// Compressed stores label and cost their plans as "compressed/<P>"; both
+	// formats append "@s<version>" (oocore.FormatVersion and
+	// FormatVersionCompressed) so traces and cached measurements never
+	// conflate a level across storage formats.
 	layout := graph.LayoutGrid
 	pushPrior, pullPrior := priorGridPush, priorGridPull
 	format := 1
 	if src.Compressed() {
 		layout = graph.LayoutGridCompressed
 		pushPrior, pullPrior = priorCompressedPush, priorCompressedPull
-		format = 2
+		format = 3
 	}
 	levels := streamCandidateLevels(src, workers, budget)
 	if cfg.Flow != Auto {

@@ -84,19 +84,21 @@ func TestStreamStaticGridLevelsPinsRung(t *testing.T) {
 }
 
 // TestStreamCostPriorsRespectFormatProvenance is the cross-seeding guard:
-// a measurement recorded against a v1 store ("@s1") must not seed the same
-// graph's v2 store ("@s2") — byte costs of the two formats differ.
+// a measurement recorded against a v1 store ("@s1") or the retired varint
+// layout ("@s2") must not seed the same graph's compressed store ("@s3") —
+// byte costs of the formats differ.
 func TestStreamCostPriorsRespectFormatProvenance(t *testing.T) {
 	src := &fakeSource{n: 64, compressed: true, edges: []graph.Edge{{Src: 0, Dst: 1}}}
-	stale := map[string]float64{"grid/1@s1/push/no-lock": 0.5, "compressed/1@s1/push/no-lock": 0.5}
+	stale := map[string]float64{"grid/1@s1/push/no-lock": 0.5, "compressed/1@s1/push/no-lock": 0.5,
+		"compressed/1@s2/push/no-lock": 0.5}
 	pl := streamPlanner(src, Config{Flow: Auto, CostPriors: stale}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
 	if costs := pl.measuredCosts(); costs != nil {
-		t.Fatalf("v1-provenance priors seeded a v2 store's planner: %v", costs)
+		t.Fatalf("v1- or v2-provenance priors seeded a compressed store's planner: %v", costs)
 	}
-	fresh := map[string]float64{"compressed/1@s2/push/no-lock": 0.5}
+	fresh := map[string]float64{"compressed/1@s3/push/no-lock": 0.5}
 	pl = streamPlanner(src, Config{Flow: Auto, CostPriors: fresh}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
 	costs := pl.measuredCosts()
-	if costs["compressed/1@s2/push/no-lock"] != 0.5 {
+	if costs["compressed/1@s3/push/no-lock"] != 0.5 {
 		t.Fatalf("matching-provenance prior was not seeded: %v", costs)
 	}
 }
@@ -128,7 +130,7 @@ func TestStreamPlannerLabelsCompressedSource(t *testing.T) {
 	if plan.Layout != graph.LayoutGridCompressed {
 		t.Fatalf("fixed stream plan over a compressed source has layout %v", plan.Layout)
 	}
-	if want := "compressed/1@s2/push/no-lock"; !strings.HasPrefix(plan.String(), want) {
+	if want := "compressed/1@s3/push/no-lock"; !strings.HasPrefix(plan.String(), want) {
 		t.Fatalf("fixed stream plan labeled %q, want prefix %q", plan.String(), want)
 	}
 	pl = streamPlanner(src, Config{Flow: Auto}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
@@ -137,7 +139,7 @@ func TestStreamPlannerLabelsCompressedSource(t *testing.T) {
 			t.Fatalf("adaptive stream candidate over a compressed source has layout %v", c.plan.Layout)
 		}
 	}
-	// An uncompressed source keeps the exact pre-v2 labels.
+	// An uncompressed source keeps the exact pre-compression labels.
 	plain := &fakeSource{n: 64}
 	plan = streamPlanner(plain, Config{Flow: Push}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0).Next(0, graph.NewFrontier(64))
 	if want := "grid/1@s1/push/no-lock"; !strings.HasPrefix(plan.String(), want) {

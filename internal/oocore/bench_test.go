@@ -79,8 +79,8 @@ func benchStoreV2(b *testing.B, scale int) *Store {
 }
 
 // BenchmarkStreamedV2PageRankIter is BenchmarkStreamedPageRankIter over a
-// compressed (version-2) store: the same steady-state zero-allocation
-// contract, with per-cell varint decode running inside the fetch pipeline.
+// compressed (version-3) store: the same steady-state zero-allocation
+// contract, with per-cell decode running inside the fetch pipeline.
 func BenchmarkStreamedV2PageRankIter(b *testing.B) {
 	s := benchStoreV2(b, 16)
 	cfg := core.Config{

@@ -36,36 +36,42 @@ import (
 // flat binary edge format (src uint32, dst uint32, weight float32 bits), so
 // a cell segment is itself a valid flat edge file.
 //
-// A version-2 store holds the same cells as compressed segments (the
-// delta+varint encoding of graph.CellEncoder), trading decode CPU for a
-// 3-5x cut in the bytes every streamed pass reads:
+// A version-3 store holds the same cells compressed: each edge is its
+// source offset then its destination offset inside its cell, w bytes each
+// (graph.AppendCellEdge), where w = graph.CellOffsetWidth(RangeSize) is the
+// fewest bytes that hold RangeSize-1 — 1 on 256-wide ranges, 2 on
+// 1,024-wide ones, at most 4:
 //
-//	[ header (48 bytes; version 2, flagWeighted when a weight plane exists) ]
+//	[ header (48 bytes; version 3, flagWeighted when a weight plane exists) ]
 //	[ metadata: cell index, out-degrees,
-//	            cell byte offsets ((P*P+1) x uint64 into the payload area),
 //	            per-cell payload CRCs (P*P x uint32) ]
-//	[ payload: concatenated compressed cell segments, row-major ]
+//	[ payload: numEdges x 2w bytes, cells in row-major order ]
 //	[ weight plane (flagWeighted only): numEdges x float32 bits,
-//	  in decoded edge order ]
+//	  in edge order ]
 //
-// The cell index keeps its decoded-edge-count meaning in both versions; the
-// byte offsets locate each cell's variable-length payload. Each payload is
-// CRC-protected individually so a corrupt segment is detected at the cell
-// that holds it, before any of its edges reach a kernel.
+// Every cell's payload is exactly 2w bytes per edge, so the cell index
+// locates payload and weights alike. Each payload is CRC-protected
+// individually so a corrupt segment is detected at the cell that holds it,
+// before any of its edges reach a kernel. Version 2 (delta+varint cells with
+// a per-cell byte-offset table) is no longer read.
 const (
 	// Magic identifies a partitioned grid store.
 	Magic = "EGRIDST1"
 	// FormatVersion is the raw-record layout version.
 	FormatVersion = 1
-	// FormatVersionCompressed is the compressed-segment layout version.
-	FormatVersionCompressed = 2
+	// FormatVersionCompressed is the compressed (fixed-width offset) layout
+	// version.
+	FormatVersionCompressed = 3
+	// formatVersionVarint is the retired delta+varint layout, named only to
+	// reject it clearly.
+	formatVersionVarint = 2
 	// headerSize is the fixed byte size of the header block.
 	headerSize = 48
 	// flagUndirected marks a store whose edges were mirrored at build time
 	// (each input edge stored in both directions), as required by WCC.
 	flagUndirected = 1 << 0
 	// flagWeighted marks a compressed store that carries a weight plane
-	// (version 2 only; version 1 records always embed their weight).
+	// (version 3 only; version 1 records always embed their weight).
 	flagWeighted = 1 << 1
 )
 
@@ -89,17 +95,33 @@ type Header struct {
 }
 
 // metaSize returns the byte size of the metadata block for a header: cell
-// index and degrees, plus (version 2) cell byte offsets and per-cell CRCs.
+// index and degrees, plus (version 3) per-cell CRCs.
 func (h Header) metaSize() int64 {
 	size := int64(h.P*h.P+1)*8 + int64(h.NumVertices)*4
-	if h.Version >= FormatVersionCompressed {
-		size += int64(h.P*h.P+1)*8 + int64(h.P*h.P)*4
+	if h.Version == FormatVersionCompressed {
+		size += int64(h.P*h.P) * 4
 	}
 	return size
 }
 
 // dataOffset returns the file offset of the first edge record.
 func (h Header) dataOffset() int64 { return headerSize + h.metaSize() }
+
+// edgeBytes returns the bytes one edge takes in the data area: a 12-byte
+// record in version 1, two offsets of graph.CellOffsetWidth(RangeSize)
+// bytes in version 3.
+func (h Header) edgeBytes() int {
+	if h.Version == FormatVersionCompressed {
+		return 2 * graph.CellOffsetWidth(h.RangeSize)
+	}
+	return storage.EdgeBytes
+}
+
+// weightOffset returns the file offset of a version-3 store's weight plane,
+// right after the payload.
+func (h Header) weightOffset() int64 {
+	return h.dataOffset() + h.NumEdges*int64(h.edgeBytes())
+}
 
 // encodeHeader serializes the header fields (CRC slots zeroed; the caller
 // fills them after hashing).
@@ -140,6 +162,9 @@ func decodeHeader(buf []byte) (Header, uint32, error) {
 	switch v := binary.LittleEndian.Uint32(buf[8:12]); v {
 	case FormatVersion, FormatVersionCompressed:
 		h.Version = int(v)
+	case formatVersionVarint:
+		return h, 0, fmt.Errorf("oocore: store version %d (delta+varint cells) is no longer supported; rebuild it as version %d or %d",
+			v, FormatVersion, FormatVersionCompressed)
 	default:
 		return h, 0, fmt.Errorf("oocore: unsupported store version %d (want %d or %d)",
 			v, FormatVersion, FormatVersionCompressed)
@@ -151,7 +176,7 @@ func decodeHeader(buf []byte) (Header, uint32, error) {
 	flags := binary.LittleEndian.Uint32(buf[12:16])
 	h.Undirected = flags&flagUndirected != 0
 	h.Weighted = flags&flagWeighted != 0
-	if h.Weighted && h.Version < FormatVersionCompressed {
+	if h.Weighted && h.Version != FormatVersionCompressed {
 		return h, 0, fmt.Errorf("oocore: version-%d store sets the weight-plane flag", h.Version)
 	}
 	h.NumVertices = int(binary.LittleEndian.Uint64(buf[16:24]))
@@ -161,6 +186,10 @@ func decodeHeader(buf []byte) (Header, uint32, error) {
 	if h.NumVertices < 0 || h.NumEdges < 0 || h.P <= 0 || h.RangeSize <= 0 {
 		return h, 0, fmt.Errorf("oocore: header has non-positive dimensions (v=%d e=%d p=%d range=%d)",
 			h.NumVertices, h.NumEdges, h.P, h.RangeSize)
+	}
+	// Every range must start at a 32-bit vertex id.
+	if uint64(h.P-1)*uint64(h.RangeSize) >= 1<<32 {
+		return h, 0, fmt.Errorf("oocore: %d ranges of %d vertices reach past the 32-bit id space", h.P, h.RangeSize)
 	}
 	metaCRC := binary.LittleEndian.Uint32(buf[40:44])
 	return h, metaCRC, nil
@@ -205,9 +234,9 @@ type BuildOptions struct {
 	// Undirected mirrors every non-self-loop edge into the store, the
 	// counterpart of prep's Undirected doubling (needed by WCC).
 	Undirected bool
-	// Compressed selects the version-2 layout: cells stored as delta+varint
-	// segments with per-cell CRCs, and weights (when any edge carries one)
-	// split into a parallel plane.
+	// Compressed selects the version-3 layout: cells stored as fixed-width
+	// range offsets with per-cell CRCs, and weights (when any edge carries
+	// one) split into a parallel plane.
 	Compressed bool
 	// ScatterBudget bounds the write-buffer memory of the scatter pass in
 	// bytes (0 = 32 MiB). Each cell owns a small append buffer flushed with
@@ -244,9 +273,9 @@ func BuildStore(path string, opt BuildOptions, stream Stream) (Header, error) {
 	}
 	undirected := opt.Undirected
 	if opt.MirroredInput {
-		// The stream already carries both directions; every expansion site
-		// below keys off opt.Undirected (opt travels by value), so clearing
-		// it here disables re-mirroring everywhere at once.
+		// The stream already carries both directions; both passes below key
+		// their mirroring off opt.Undirected (opt travels by value), so
+		// clearing it here disables re-mirroring everywhere at once.
 		opt.Undirected = false
 	}
 	p := graph.GridPFor(opt.NumVertices, opt.GridP)
@@ -264,58 +293,28 @@ func BuildStore(path string, opt BuildOptions, stream Stream) (Header, error) {
 	numCells := p * p
 	n := graph.VertexID(opt.NumVertices)
 
-	cellOf := func(e graph.Edge) int {
-		return (int(e.Src)/rangeSize)*p + int(e.Dst)/rangeSize
+	cellOf := func(e graph.Edge) (int, error) {
+		if e.Src >= n || e.Dst >= n {
+			return 0, fmt.Errorf("oocore: edge %d->%d out of range (numVertices=%d)", e.Src, e.Dst, opt.NumVertices)
+		}
+		return (int(e.Src)/rangeSize)*p + int(e.Dst)/rangeSize, nil
 	}
 
-	// Pass 1: per-cell histogram and out-degree accumulation. A compressed
-	// build additionally encodes every edge (into a discarded scratch
-	// buffer) to learn each cell's payload size and CRC, and whether any
-	// edge carries a weight: CellEncoder is deterministic, so the scatter
-	// pass re-encoding the same stream produces exactly the bytes sized and
-	// checksummed here.
+	// Pass 1: per-cell histogram, out-degree accumulation, and whether any
+	// edge carries a weight (a compressed store then gets a weight plane).
 	counts := make([]uint64, numCells)
 	degrees := make([]uint32, opt.NumVertices)
 	var numEdges int64
-	var sizes []uint64
-	var crcs []uint32
-	var encs []graph.CellEncoder
-	var encScratch []byte
 	weighted := false
-	if opt.Compressed {
-		sizes = make([]uint64, numCells)
-		crcs = make([]uint32, numCells)
-		encs = newCellEncoders(p, rangeSize)
-	}
-	count := func(e graph.Edge) error {
-		if e.Src >= n || e.Dst >= n {
-			return fmt.Errorf("oocore: edge %d->%d out of range (numVertices=%d)", e.Src, e.Dst, opt.NumVertices)
+	err := forEachEdge(stream, opt.Undirected, func(e graph.Edge) error {
+		cell, err := cellOf(e)
+		if err != nil {
+			return err
 		}
-		cell := cellOf(e)
 		counts[cell]++
 		degrees[e.Src]++
 		numEdges++
-		if opt.Compressed {
-			encScratch = encs[cell].Append(encScratch[:0], e.Src, e.Dst)
-			sizes[cell] += uint64(len(encScratch))
-			crcs[cell] = crc32.Update(crcs[cell], crc32.IEEETable, encScratch)
-			if e.W != 0 {
-				weighted = true
-			}
-		}
-		return nil
-	}
-	err := stream(func(chunk []graph.Edge) error {
-		for _, e := range chunk {
-			if err := count(e); err != nil {
-				return err
-			}
-			if opt.Undirected && e.Src != e.Dst {
-				if err := count(graph.Edge{Src: e.Dst, Dst: e.Src, W: e.W}); err != nil {
-					return err
-				}
-			}
-		}
+		weighted = weighted || e.W != 0
 		return nil
 	})
 	if err != nil {
@@ -344,35 +343,19 @@ func BuildStore(path string, opt BuildOptions, stream Stream) (Header, error) {
 	}
 	cellIndex[numCells] = running
 
-	// Cell byte offsets: the same prefix sum over the payload sizes.
-	var cellOff []uint64
-	if opt.Compressed {
-		cellOff = make([]uint64, numCells+1)
-		var bytes uint64
-		for c := 0; c < numCells; c++ {
-			cellOff[c] = bytes
-			bytes += sizes[c]
-		}
-		cellOff[numCells] = bytes
-	}
-
 	f, err := os.Create(path)
 	if err != nil {
 		return h, fmt.Errorf("oocore: create store: %w", err)
 	}
 	defer f.Close()
 
-	if err := writeHeaderAndMeta(f, h, cellIndex, degrees, cellOff, crcs); err != nil {
+	// Pass 2 scatters the edge data first, so the metadata written after it
+	// can carry the per-cell payload CRCs the scatter summed.
+	cellCRC, err := scatter(f, h, cellIndex, opt, stream, cellOf)
+	if err != nil {
 		return h, err
 	}
-
-	// Pass 2: scatter edges to their cell segments through bounded buffers.
-	if opt.Compressed {
-		err = scatterCompressed(f, h, cellIndex, cellOff, opt, stream, cellOf)
-	} else {
-		err = scatterEdges(f, h, cellIndex, opt, stream, cellOf)
-	}
-	if err != nil {
+	if err := writeHeaderAndMeta(f, h, cellIndex, degrees, cellCRC); err != nil {
 		return h, err
 	}
 	if err := f.Sync(); err != nil {
@@ -381,38 +364,38 @@ func BuildStore(path string, opt BuildOptions, stream Stream) (Header, error) {
 	return h, f.Close()
 }
 
-// newCellEncoders returns one armed CellEncoder per cell of a P x P grid
-// with the given range size.
-func newCellEncoders(p, rangeSize int) []graph.CellEncoder {
-	encs := make([]graph.CellEncoder, p*p)
-	for cell := range encs {
-		encs[cell].Reset(graph.VertexID((cell/p)*rangeSize), graph.VertexID((cell%p)*rangeSize))
-	}
-	return encs
+// forEachEdge runs one pass of the stream, calling fn for every edge and,
+// with mirror set, for the reverse of every non-self-loop edge after it.
+func forEachEdge(stream Stream, mirror bool, fn func(graph.Edge) error) error {
+	return stream(func(chunk []graph.Edge) error {
+		for _, e := range chunk {
+			if err := fn(e); err != nil {
+				return err
+			}
+			if mirror && e.Src != e.Dst {
+				if err := fn(graph.Edge{Src: e.Dst, Dst: e.Src, W: e.W}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // writeHeaderAndMeta writes the checksummed header followed by the metadata
-// block (cell index, degrees; plus byte offsets and per-cell CRCs for
-// version 2, where cellOff and cellCRC must be non-nil).
-func writeHeaderAndMeta(w io.WriteSeeker, h Header, cellIndex []uint64, degrees []uint32, cellOff []uint64, cellCRC []uint32) error {
-	meta := make([]byte, h.metaSize())
-	off := 0
+// block (cell index, degrees; plus the per-cell payload CRCs for version 3,
+// where cellCRC must be non-nil).
+func writeHeaderAndMeta(w io.WriteSeeker, h Header, cellIndex []uint64, degrees []uint32, cellCRC []uint32) error {
+	meta := make([]byte, 0, h.metaSize())
 	for _, v := range cellIndex {
-		binary.LittleEndian.PutUint64(meta[off:], v)
-		off += 8
+		meta = binary.LittleEndian.AppendUint64(meta, v)
 	}
 	for _, d := range degrees {
-		binary.LittleEndian.PutUint32(meta[off:], d)
-		off += 4
+		meta = binary.LittleEndian.AppendUint32(meta, d)
 	}
-	if h.Version >= FormatVersionCompressed {
-		for _, v := range cellOff {
-			binary.LittleEndian.PutUint64(meta[off:], v)
-			off += 8
-		}
+	if h.Version == FormatVersionCompressed {
 		for _, c := range cellCRC {
-			binary.LittleEndian.PutUint32(meta[off:], c)
-			off += 4
+			meta = binary.LittleEndian.AppendUint32(meta, c)
 		}
 	}
 	hdr := encodeHeader(h)
@@ -430,204 +413,128 @@ func writeHeaderAndMeta(w io.WriteSeeker, h Header, cellIndex []uint64, degrees 
 	return nil
 }
 
-// scatterEdges runs the second build pass: every edge is appended to its
-// cell's bounded buffer, and full buffers are flushed to the cell's current
-// file position with WriteAt.
-func scatterEdges(f *os.File, h Header, cellIndex []uint64, opt BuildOptions, stream Stream, cellOf func(graph.Edge) int) error {
-	numCells := h.P * h.P
-	budget := opt.ScatterBudget
-	if budget <= 0 {
-		budget = defaultScatterBudget
-	}
-	bufEdges := int(budget / int64(numCells) / storage.EdgeBytes)
-	if bufEdges < 4 {
-		bufEdges = 4
-	}
-	dataOff := h.dataOffset()
+// plane is one per-edge array of a store's data area during the scatter
+// pass — the edge records or payload, or the weight plane — with each
+// cell's next edge slot and its bounded append buffer.
+type plane struct {
+	off    int64 // file offset of the plane
+	width  int   // bytes per edge
+	size   int   // buffer capacity in bytes, a whole number of edges
+	cursor []uint64
+	bufs   [][]byte
+	// crcs, when non-nil, accumulates each cell's checksum as its bytes are
+	// flushed — in stream order, which is the cell's on-disk order.
+	crcs []uint32
+}
 
-	// Per-cell state: the next edge slot to write and a small append buffer.
-	cursor := make([]uint64, numCells)
-	copy(cursor, cellIndex[:numCells])
-	bufs := make([][]byte, numCells)
+func newPlane(off int64, width, bufEdges int, cellIndex []uint64) *plane {
+	numCells := len(cellIndex) - 1
+	pl := &plane{off: off, width: width, size: bufEdges * width,
+		cursor: make([]uint64, numCells), bufs: make([][]byte, numCells)}
+	copy(pl.cursor, cellIndex[:numCells])
+	return pl
+}
 
-	flush := func(cell int) error {
-		b := bufs[cell]
-		if len(b) == 0 {
-			return nil
-		}
-		n := uint64(len(b) / storage.EdgeBytes)
-		off := dataOff + int64(cursor[cell])*storage.EdgeBytes
-		if _, err := f.WriteAt(b, off); err != nil {
-			return fmt.Errorf("oocore: scatter write: %w", err)
-		}
-		cursor[cell] += n
-		bufs[cell] = b[:0]
-		return nil
+// buf returns the cell's buffer, allocating it on first use; it always has
+// room for one more edge.
+func (pl *plane) buf(cell int) []byte {
+	if pl.bufs[cell] == nil {
+		pl.bufs[cell] = make([]byte, 0, pl.size)
 	}
-	put := func(e graph.Edge) error {
-		cell := cellOf(e)
-		b := bufs[cell]
-		if b == nil {
-			b = make([]byte, 0, bufEdges*storage.EdgeBytes)
-		}
-		var rec [storage.EdgeBytes]byte
-		binary.LittleEndian.PutUint32(rec[0:4], e.Src)
-		binary.LittleEndian.PutUint32(rec[4:8], e.Dst)
-		binary.LittleEndian.PutUint32(rec[8:12], weightBits(e.W))
-		bufs[cell] = append(b, rec[:]...)
-		if len(bufs[cell]) == cap(bufs[cell]) {
-			return flush(cell)
-		}
-		return nil
-	}
-	err := stream(func(chunk []graph.Edge) error {
-		for _, e := range chunk {
-			if err := put(e); err != nil {
-				return err
-			}
-			if opt.Undirected && e.Src != e.Dst {
-				if err := put(graph.Edge{Src: e.Dst, Dst: e.Src, W: e.W}); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for cell := 0; cell < numCells; cell++ {
-		if err := flush(cell); err != nil {
-			return err
-		}
-		if cursor[cell] != cellIndex[cell+1] {
-			return fmt.Errorf("oocore: scatter pass wrote %d edges into cell %d, histogram pass counted %d (stream not restartable?)",
-				cursor[cell]-cellIndex[cell], cell, cellIndex[cell+1]-cellIndex[cell])
-		}
+	return pl.bufs[cell]
+}
+
+// put stores the cell's extended buffer, flushing it once full.
+func (pl *plane) put(f *os.File, cell int, b []byte) error {
+	pl.bufs[cell] = b
+	if len(b) == pl.size {
+		return pl.flush(f, cell)
 	}
 	return nil
 }
 
-// scatterCompressed runs the second pass of a compressed build: every edge
-// is re-encoded by its cell's encoder — the same deterministic encoding the
-// sizing pass ran, so the bytes land exactly at the offsets (and under the
-// CRCs) the metadata promises — and appended to the cell's bounded payload
-// buffer, flushed to the cell's byte cursor with WriteAt. Weights go to the
-// parallel plane at the cell's decoded-edge cursor.
-func scatterCompressed(f *os.File, h Header, cellIndex, cellOff []uint64, opt BuildOptions, stream Stream, cellOf func(graph.Edge) int) error {
+// flush writes the cell's buffered edges at its cursor.
+func (pl *plane) flush(f *os.File, cell int) error {
+	b := pl.bufs[cell]
+	if len(b) == 0 {
+		return nil
+	}
+	if _, err := f.WriteAt(b, pl.off+int64(pl.cursor[cell])*int64(pl.width)); err != nil {
+		return fmt.Errorf("oocore: scatter write: %w", err)
+	}
+	if pl.crcs != nil {
+		pl.crcs[cell] = crc32.Update(pl.crcs[cell], crc32.IEEETable, b)
+	}
+	pl.cursor[cell] += uint64(len(b) / pl.width)
+	pl.bufs[cell] = b[:0]
+	return nil
+}
+
+// scatter runs the second build pass: every edge is appended to its cell's
+// bounded buffer — as a 12-byte record (version 1), or as fixed-width range
+// offsets plus, when weighted, a weight in the parallel plane (version 3) —
+// and full buffers are flushed to the cell's cursor with WriteAt. It returns
+// the per-cell payload CRCs of a version-3 store (nil for version 1).
+func scatter(f *os.File, h Header, cellIndex []uint64, opt BuildOptions, stream Stream, cellOf func(graph.Edge) (int, error)) ([]uint32, error) {
 	numCells := h.P * h.P
+	compressed := h.Version == FormatVersionCompressed
 	budget := opt.ScatterBudget
 	if budget <= 0 {
 		budget = defaultScatterBudget
 	}
-	bufBytes := int(budget / int64(numCells))
+	perEdge := h.edgeBytes()
 	if h.Weighted {
-		bufBytes /= 2
+		perEdge += 4
 	}
-	if bufBytes < 2*graph.MaxEncodedEdgeBytes {
-		bufBytes = 2 * graph.MaxEncodedEdgeBytes
+	bufEdges := max(int(budget/int64(numCells)/int64(perEdge)), 4)
+	edges := newPlane(h.dataOffset(), h.edgeBytes(), bufEdges, cellIndex)
+	planes := []*plane{edges}
+	var weights *plane
+	if compressed {
+		edges.crcs = make([]uint32, numCells)
 	}
-	wBufBytes := bufBytes &^ 3
-	dataOff := h.dataOffset()
-	weightOff := dataOff + int64(cellOff[numCells])
-
-	encs := newCellEncoders(h.P, h.RangeSize)
-	cursor := make([]uint64, numCells) // byte cursor into the payload area
-	copy(cursor, cellOff[:numCells])
-	bufs := make([][]byte, numCells)
-	var wcursor []uint64 // decoded-edge cursor into the weight plane
-	var wbufs [][]byte
 	if h.Weighted {
-		wcursor = make([]uint64, numCells)
-		copy(wcursor, cellIndex[:numCells])
-		wbufs = make([][]byte, numCells)
+		weights = newPlane(h.weightOffset(), 4, bufEdges, cellIndex)
+		planes = append(planes, weights)
 	}
+	w := graph.CellOffsetWidth(h.RangeSize)
 
-	flush := func(cell int) error {
-		b := bufs[cell]
-		if len(b) == 0 {
-			return nil
+	err := forEachEdge(stream, opt.Undirected, func(e graph.Edge) error {
+		cell, err := cellOf(e)
+		if err != nil {
+			return err
 		}
-		if _, err := f.WriteAt(b, dataOff+int64(cursor[cell])); err != nil {
-			return fmt.Errorf("oocore: scatter write: %w", err)
+		b := edges.buf(cell)
+		if compressed {
+			b = graph.AppendCellEdge(b, uint32(int(e.Src)%h.RangeSize), uint32(int(e.Dst)%h.RangeSize), w)
+		} else {
+			b = binary.LittleEndian.AppendUint32(b, e.Src)
+			b = binary.LittleEndian.AppendUint32(b, e.Dst)
+			b = binary.LittleEndian.AppendUint32(b, weightBits(e.W))
 		}
-		cursor[cell] += uint64(len(b))
-		bufs[cell] = b[:0]
-		return nil
-	}
-	wflush := func(cell int) error {
-		b := wbufs[cell]
-		if len(b) == 0 {
-			return nil
+		if err := edges.put(f, cell, b); err != nil {
+			return err
 		}
-		if _, err := f.WriteAt(b, weightOff+int64(wcursor[cell])*4); err != nil {
-			return fmt.Errorf("oocore: weight scatter write: %w", err)
-		}
-		wcursor[cell] += uint64(len(b) / 4)
-		wbufs[cell] = b[:0]
-		return nil
-	}
-	put := func(e graph.Edge) error {
-		cell := cellOf(e)
-		b := bufs[cell]
-		if b == nil {
-			b = make([]byte, 0, bufBytes)
-		}
-		bufs[cell] = encs[cell].Append(b, e.Src, e.Dst)
-		if len(bufs[cell])+graph.MaxEncodedEdgeBytes > cap(bufs[cell]) {
-			if err := flush(cell); err != nil {
-				return err
-			}
-		}
-		if h.Weighted {
-			wb := wbufs[cell]
-			if wb == nil {
-				wb = make([]byte, 0, wBufBytes)
-			}
-			var rec [4]byte
-			binary.LittleEndian.PutUint32(rec[:], weightBits(e.W))
-			wbufs[cell] = append(wb, rec[:]...)
-			if len(wbufs[cell]) == cap(wbufs[cell]) {
-				return wflush(cell)
-			}
-		}
-		return nil
-	}
-	err := stream(func(chunk []graph.Edge) error {
-		for _, e := range chunk {
-			if err := put(e); err != nil {
-				return err
-			}
-			if opt.Undirected && e.Src != e.Dst {
-				if err := put(graph.Edge{Src: e.Dst, Dst: e.Src, W: e.W}); err != nil {
-					return err
-				}
-			}
+		if weights != nil {
+			return weights.put(f, cell, binary.LittleEndian.AppendUint32(weights.buf(cell), weightBits(e.W)))
 		}
 		return nil
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	for cell := 0; cell < numCells; cell++ {
-		if err := flush(cell); err != nil {
-			return err
-		}
-		if cursor[cell] != cellOff[cell+1] {
-			return fmt.Errorf("oocore: scatter pass wrote %d payload bytes into cell %d, sizing pass counted %d (stream not restartable?)",
-				cursor[cell]-cellOff[cell], cell, cellOff[cell+1]-cellOff[cell])
-		}
-		if h.Weighted {
-			if err := wflush(cell); err != nil {
-				return err
+	for _, pl := range planes {
+		for cell := 0; cell < numCells; cell++ {
+			if err := pl.flush(f, cell); err != nil {
+				return nil, err
 			}
-			if wcursor[cell] != cellIndex[cell+1] {
-				return fmt.Errorf("oocore: scatter pass wrote %d weights into cell %d, histogram pass counted %d (stream not restartable?)",
-					wcursor[cell]-cellIndex[cell], cell, cellIndex[cell+1]-cellIndex[cell])
+			if pl.cursor[cell] != cellIndex[cell+1] {
+				return nil, fmt.Errorf("oocore: scatter pass wrote %d edges into cell %d, histogram pass counted %d (stream not restartable?)",
+					pl.cursor[cell]-cellIndex[cell], cell, cellIndex[cell+1]-cellIndex[cell])
 			}
 		}
 	}
-	return nil
+	return edges.crcs, nil
 }
 
 // BuildStoreFromGraph writes a store for an in-memory graph's edge array, a
@@ -641,7 +548,7 @@ func BuildStoreFromGraph(path string, g *graph.Graph, gridP int, undirected bool
 	}, SliceStream(g.EdgeArray.Edges, 0))
 }
 
-// BuildCompressedStoreFromGraph is BuildStoreFromGraph for the version-2
+// BuildCompressedStoreFromGraph is BuildStoreFromGraph for the version-3
 // compressed layout.
 func BuildCompressedStoreFromGraph(path string, g *graph.Graph, gridP int, undirected bool) (Header, error) {
 	return BuildStore(path, BuildOptions{

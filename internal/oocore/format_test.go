@@ -11,7 +11,7 @@ import (
 )
 
 // testGraph generates a small deterministic RMAT graph.
-func testGraph(t *testing.T, scale int, weighted bool) *graph.Graph {
+func testGraph(t testing.TB, scale int, weighted bool) *graph.Graph {
 	t.Helper()
 	return gen.RMAT(gen.RMATOptions{Scale: scale, EdgeFactor: 8, Seed: 7, Weighted: weighted})
 }

@@ -1,9 +1,6 @@
 package oocore
 
-import (
-	"github.com/epfl-repro/everythinggraph/internal/core"
-	"github.com/epfl-repro/everythinggraph/internal/storage"
-)
+import "github.com/epfl-repro/everythinggraph/internal/core"
 
 // This file is the store-side half of streamed grid-resolution planning:
 // the virtual coarsening ladder of an open store. A store's partitioning P
@@ -16,9 +13,9 @@ import (
 // bit-identical results. The planner enumerates these levels as StepPlan
 // candidates exactly like the in-memory pyramid's.
 //
-// Validation in NewStore guarantees a cell's payload bytes are zero iff its
-// edge count is zero, so "gap is empty" is a pure cellIndex comparison for
-// both the v1 (fixed-record) and v2 (compressed-segment) formats.
+// Both formats store a fixed number of bytes per edge (a 12-byte record in
+// v1, two range offsets in v3), so a cell's bytes are zero iff its edge
+// count is, and "gap is empty" is a pure cellIndex comparison.
 
 // StoreLevel is one rung of a store's virtual coarsening ladder. Factor is
 // the number of fine rows/columns one coarse cell spans; RangeSize is the
@@ -151,14 +148,10 @@ type LevelProfile struct {
 // the given worker count and budget — the diagnosis `graphstats
 // -store` prints so a misfit store is visible before any run.
 func (s *Store) LevelProfiles(workers int, budget int64) []LevelProfile {
-	readBytes := s.header.NumEdges * storage.EdgeBytes
+	readBytes := s.header.NumEdges * int64(s.rawEdgeBytes())
 	var decodeBytes int64
 	if s.Compressed() {
-		decodeBytes = int64(s.cellOff[s.header.P*s.header.P])
-		readBytes = decodeBytes
-		if s.weightOff > 0 {
-			readBytes += 4 * s.header.NumEdges
-		}
+		decodeBytes = s.header.NumEdges * int64(s.edgeBytes)
 	}
 	out := make([]LevelProfile, 0, len(s.levels))
 	for _, lv := range s.levels {

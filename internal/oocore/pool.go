@@ -104,9 +104,9 @@ type streamPool struct {
 	// by construction, whatever depth carves them up.
 	depthCap   int
 	arenaEdges int
-	// rawPerEdge is the worst-case on-disk bytes one buffered edge needs:
-	// a 12-byte record for raw stores, MaxEncodedEdgeBytes (plus 4 weight
-	// bytes when a weight plane exists) for compressed ones.
+	// rawPerEdge is the on-disk bytes one buffered edge needs: a 12-byte
+	// record for raw stores, two range offsets (plus 4 weight bytes when a
+	// weight plane exists) for compressed ones.
 	// residentPerEdge adds the decoded form — the per-edge resident cost
 	// the arenas are sized by and the accounting charges.
 	rawPerEdge      int
@@ -194,20 +194,14 @@ func (s *Store) buildPool(workers int, budget int64) *streamPool {
 		maxSeg = max(maxSeg, pl.maxSeg)
 		levels[li] = pl
 	}
-	rawPerEdge := storage.EdgeBytes
-	if s.Compressed() {
-		rawPerEdge = graph.MaxEncodedEdgeBytes
-		if s.header.Weighted {
-			rawPerEdge += 4
-		}
-	}
+	rawPerEdge := s.rawEdgeBytes()
 	residentPerEdge := int64(rawPerEdge + decodedEdgeBytes)
 	depthCap := core.StreamDepthCap(workers, budget)
-	// Compressed cells decode whole (a payload cannot be split mid-varint
-	// across slices), so every in-rotation slot holds at least the largest
-	// cell: rotate fewer slots while that floor would overrun the budget. At
-	// MinPrefetchDepth it stays, overrun or not (see
-	// core.StreamOptions.MemoryBudget).
+	// Compressed cells decode whole (a cell's CRC covers its whole payload,
+	// so none of it is used before all of it is read), so every in-rotation
+	// slot holds at least the largest cell: rotate fewer slots while that
+	// floor would overrun the budget. At MinPrefetchDepth it stays, overrun
+	// or not (see core.StreamOptions.MemoryBudget).
 	for s.Compressed() && depthCap > core.MinPrefetchDepth &&
 		int64(workers)*int64(depthCap)*int64(s.maxCellEdges)*residentPerEdge > budget {
 		depthCap--
@@ -459,15 +453,15 @@ pass:
 	}
 }
 
-// fetchCompressed is fetchPass for version-2 stores. Compressed payloads
-// cannot be split mid-cell, so instead of budget-bounded slices the fetcher
+// fetchCompressed is fetchPass for version-3 stores. A cell's payload is
+// checksummed as a whole, so instead of budget-bounded slices the fetcher
 // packs runs of consecutive whole cells along each owned row — as many as
-// fit the slot's edge scratch and raw bytes — issues one coalesced payload
-// read (plus one contiguous weight-plane read when weighted), CRC-verifies
-// each cell and decodes it into the slot's edge scratch. Row-ascending
-// whole-cell order per column is exactly the raw path's visit order, so
-// streamed results stay bit-identical. Decode time is charged to ioTime: to
-// the planner it is part of what a compressed byte costs to turn into edges.
+// fit the slot — issues one coalesced payload read (plus one contiguous
+// weight-plane read when weighted), CRC-verifies each cell and decodes it
+// into the slot's edge scratch. Row-ascending whole-cell order per column
+// is exactly the raw path's visit order, so streamed results stay
+// bit-identical. Decode time is charged to ioTime: to the planner it is part
+// of what a compressed byte costs to turn into edges.
 func (p *streamPool) fetchCompressed(g *group, req passReq) {
 	s := p.store
 	gp := s.header.P
@@ -480,8 +474,6 @@ func (p *streamPool) fetchCompressed(g *group, req passReq) {
 		g.slots[i].raw = g.rawArena[base*p.rawPerEdge : (base+req.bufEdges)*p.rawPerEdge]
 		g.slots[i].edges = g.edgeArena[base : base+req.bufEdges]
 	}
-	rawCap := req.bufEdges * p.rawPerEdge
-	weighted := s.weightOff > 0
 
 pass:
 	for row := 0; row < gp; {
@@ -504,18 +496,13 @@ pass:
 				break pass
 			}
 			// Pack consecutive whole cells into one slot. The first cell
-			// always fits: bufEdges >= maxCellEdges, and a validated cell's
-			// payload is at most MaxEncodedEdgeBytes per edge, which is how
-			// the slot's raw bytes are provisioned.
+			// always fits: bufEdges >= maxCellEdges, and the slot's raw bytes
+			// hold rawPerEdge for each of its edges.
 			first := cell
 			n := 0
 			for cell < rowEnd {
 				ce := int(s.cellIndex[cell+1] - s.cellIndex[cell])
-				total := int(s.cellOff[cell+1] - s.cellOff[first])
-				if weighted {
-					total += 4 * (n + ce)
-				}
-				if cell > first && (n+ce > req.bufEdges || total > rawCap) {
+				if cell > first && n+ce > req.bufEdges {
 					break
 				}
 				n += ce
@@ -524,7 +511,6 @@ pass:
 			if n == 0 {
 				continue
 			}
-			payBytes := int(s.cellOff[cell] - s.cellOff[first])
 			var idx int
 			if len(free) > 0 {
 				idx = free[len(free)-1]
@@ -535,17 +521,7 @@ pass:
 			sl := &g.slots[idx]
 			sl.n = n
 			t0 := time.Now()
-			err := s.readRawAt(sl.raw[:payBytes], s.dataOff+int64(s.cellOff[first]))
-			if err == nil && weighted {
-				err = s.readRawAt(sl.raw[payBytes:payBytes+4*n], s.weightOff+int64(s.cellIndex[first])*4)
-			}
-			if err == nil {
-				raw := sl.raw[:payBytes]
-				if weighted {
-					raw = sl.raw[:payBytes+4*n]
-				}
-				err = s.decodeCompressedRun(first, cell, raw, sl.edges[:n])
-			}
+			err := s.readCells(first, cell, sl.raw[:n*p.rawPerEdge], sl.edges[:n])
 			s.stats.ioTimeNanos.Add(int64(time.Since(t0)))
 			if err != nil {
 				p.abort.set(err)
@@ -553,11 +529,7 @@ pass:
 				break pass
 			}
 			if req.rec != nil {
-				bytes := payBytes
-				if weighted {
-					bytes += 4 * n
-				}
-				req.rec.FetchSpan(trace.TrackFetcherBase+g.id, t0, int64(n), int64(bytes), true, req.level)
+				req.rec.FetchSpan(trace.TrackFetcherBase+g.id, t0, int64(n), int64(n*p.rawPerEdge), true, req.level)
 			}
 			g.filled <- idx
 		}

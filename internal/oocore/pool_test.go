@@ -386,13 +386,9 @@ func TestStreamedAutoPassesGetConfiguredRecipe(t *testing.T) {
 }
 
 // slotEdgeBytes is what one buffered edge of compressed store s costs while
-// resident: its worst-case encoding (plus the weight) and its decoded form.
+// resident: its offsets (plus the weight) and its decoded form.
 func slotEdgeBytes(s *Store) int64 {
-	raw := graph.MaxEncodedEdgeBytes
-	if s.header.Weighted {
-		raw += 4
-	}
-	return int64(raw + decodedEdgeBytes)
+	return int64(s.rawEdgeBytes() + decodedEdgeBytes)
 }
 
 // TestCompressedDeepPrefetchStaysWithinBudget: a compressed pass slots whole

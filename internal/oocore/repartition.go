@@ -7,8 +7,9 @@ import (
 )
 
 // Repartition rewrites an open store at one of its virtual coarsening
-// levels, optionally switching formats (v1 fixed records <-> v2 compressed
-// segments). It is the offline counterpart of streamed virtual coarsening:
+// levels, optionally switching formats (v1 fixed records <-> v3 compressed
+// segments). A coarser level has wider ranges, so a v3 output may store
+// wider offsets than its source. It is the offline counterpart of streamed virtual coarsening:
 // once measured costs show a store is over-partitioned, repacking it at the
 // winning level makes the coarse layout physical — the cellIndex shrinks,
 // every read is a whole coarse cell, and no merge bookkeeping remains.
@@ -21,7 +22,7 @@ import (
 //
 // Memory stays bounded regardless of store size: one reusable cell buffer
 // (at most the source's largest cell) plus BuildStore's scatter budget
-// (32 MiB). The output's metadata and, for v2, per-cell payloads are
+// (32 MiB). The output's metadata and, for v3, per-cell payloads are
 // CRC-summed by the builder and re-verified here by reopening the store.
 func Repartition(src *Store, outPath string, targetP int, compressed bool) (Header, error) {
 	lv, ok := src.levelAligned(targetP)
@@ -74,8 +75,8 @@ func Repartition(src *Store, outPath string, targetP int, compressed bool) (Head
 	}
 
 	// Reopen to verify what landed on disk: opening checks the metadata
-	// CRC and every structural invariant (cell index monotonicity, payload
-	// bounds, degree/edge accounting) against the bytes just written.
+	// CRC and every structural invariant (cell index monotonicity, edge
+	// accounting, file size) against the bytes just written.
 	chk, err := Open(outPath)
 	if err != nil {
 		return h, fmt.Errorf("oocore: repartitioned store failed verification: %w", err)

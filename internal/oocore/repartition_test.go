@@ -137,6 +137,56 @@ func TestRepartitionUndirectedDoesNotRemirror(t *testing.T) {
 	}
 }
 
+// TestRepartitionAcrossOffsetWidths: scale 10 on an 8x8 grid has 128-wide
+// ranges (1-byte offsets), its P=2 rung 512-wide ones (2-byte offsets).
+// Repacking v1 -> v3 across that width change and v3 -> v1 back keeps every
+// cell's edges and weights, and the streamed ranks.
+func TestRepartitionAcrossOffsetWidths(t *testing.T) {
+	g := testGraph(t, 10, true)
+	src := buildTestStore(t, g, 8, false)
+	narrow := buildTestStoreV2(t, g, 8, false)
+	wide := repack(t, src, 2, true)
+	back := repack(t, wide, 2, false)
+	flat := repack(t, src, 2, false)
+	if narrow.edgeBytes != 2 || wide.edgeBytes != 4 {
+		t.Fatalf("offset bytes per edge: %d at P=8, %d at P=2; want 2 and 4", narrow.edgeBytes, wide.edgeBytes)
+	}
+	var want, got, gotBack []graph.Edge
+	var err error
+	for cell := 0; cell < 4; cell++ {
+		if want, err = flat.ReadCell(cell/2, cell%2, want); err != nil {
+			t.Fatalf("v1 ReadCell: %v", err)
+		}
+		if got, err = wide.ReadCell(cell/2, cell%2, got); err != nil {
+			t.Fatalf("v3 ReadCell: %v", err)
+		}
+		if gotBack, err = back.ReadCell(cell/2, cell%2, gotBack); err != nil {
+			t.Fatalf("v3 -> v1 ReadCell: %v", err)
+		}
+		if len(got) != len(want) || len(gotBack) != len(want) {
+			t.Fatalf("cell %d: %d v3 and %d v3->v1 edges, want %d", cell, len(got), len(gotBack), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] || gotBack[i] != want[i] {
+				t.Fatalf("cell %d edge %d: %v v3, %v v3->v1, want %v", cell, i, got[i], gotBack[i], want[i])
+			}
+		}
+	}
+	ref := algorithms.NewPageRank()
+	if _, err := core.RunStreamed(src, ref, streamConfig(core.Pull, 128<<10)); err != nil {
+		t.Fatalf("source run: %v", err)
+	}
+	pr := algorithms.NewPageRank()
+	if _, err := core.RunStreamed(wide, pr, streamConfig(core.Pull, 128<<10)); err != nil {
+		t.Fatalf("repacked run: %v", err)
+	}
+	for v := range ref.Rank {
+		if pr.Rank[v] != ref.Rank[v] {
+			t.Fatalf("rank[%d] = %v over 2-byte offsets, %v source", v, pr.Rank[v], ref.Rank[v])
+		}
+	}
+}
+
 func TestRepartitionRejectsOffLadderP(t *testing.T) {
 	g := testGraph(t, 10, false)
 	src := buildTestStore(t, g, 8, false)

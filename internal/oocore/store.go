@@ -40,11 +40,13 @@ type Store struct {
 	// can run at without touching the file layout. See levels.go.
 	levels []StoreLevel
 
-	// Version-2 (compressed) stores only: per-cell payload byte offsets
-	// (P*P+1), per-cell payload CRCs (P*P), the file offset of the weight
-	// plane (0 when unweighted), and the largest single-cell edge count —
-	// the whole-cell decode granularity the streaming buffers must fit.
-	cellOff      []uint64
+	// edgeBytes is the bytes one edge takes in the data area: a 12-byte
+	// record, or a compressed store's two range offsets.
+	edgeBytes int
+	// Version-3 (compressed) stores only: per-cell payload CRCs (P*P), the
+	// file offset of the weight plane (0 when unweighted), and the largest
+	// single-cell edge count — the whole-cell decode granularity the
+	// streaming buffers must fit.
 	cellCRC      []uint32
 	weightOff    int64
 	maxCellEdges int
@@ -140,7 +142,7 @@ func NewStore(backend Backend, size int64) (*Store, error) {
 		return nil, fmt.Errorf("oocore: metadata checksum mismatch (corrupt store)")
 	}
 
-	s := &Store{backend: backend, header: h, dataOff: h.dataOffset()}
+	s := &Store{backend: backend, header: h, dataOff: h.dataOffset(), edgeBytes: h.edgeBytes()}
 	numCells := h.P * h.P
 	s.cellIndex = make([]uint64, numCells+1)
 	off := 0
@@ -153,12 +155,7 @@ func NewStore(backend Backend, size int64) (*Store, error) {
 		s.degrees[i] = binary.LittleEndian.Uint32(meta[off:])
 		off += 4
 	}
-	if h.Version >= FormatVersionCompressed {
-		s.cellOff = make([]uint64, numCells+1)
-		for i := range s.cellOff {
-			s.cellOff[i] = binary.LittleEndian.Uint64(meta[off:])
-			off += 8
-		}
+	if s.Compressed() {
 		s.cellCRC = make([]uint32, numCells)
 		for i := range s.cellCRC {
 			s.cellCRC[i] = binary.LittleEndian.Uint32(meta[off:])
@@ -167,50 +164,23 @@ func NewStore(backend Backend, size int64) (*Store, error) {
 	}
 
 	// Structural validation: monotone index covering exactly NumEdges, and
-	// a file large enough to hold every promised record.
+	// a file large enough to hold every promised edge.
 	for c := 0; c < numCells; c++ {
 		if s.cellIndex[c] > s.cellIndex[c+1] {
 			return nil, fmt.Errorf("oocore: cell index not monotone at cell %d", c)
 		}
+		s.maxCellEdges = max(s.maxCellEdges, int(s.cellIndex[c+1]-s.cellIndex[c]))
 	}
 	if s.cellIndex[0] != 0 || s.cellIndex[numCells] != uint64(h.NumEdges) {
 		return nil, fmt.Errorf("oocore: cell index covers %d edges, header promises %d",
 			s.cellIndex[numCells], h.NumEdges)
 	}
-	if s.cellOff != nil {
-		// Compressed stores: every cell's payload must be consistent with
-		// its decoded count — between 2 bytes per edge (two one-byte
-		// varints) and MaxEncodedEdgeBytes — so buffer arithmetic sized
-		// from the metadata can never be overrun by the data area.
-		if s.cellOff[0] != 0 {
-			return nil, fmt.Errorf("oocore: cell payload offsets start at %d, want 0", s.cellOff[0])
-		}
-		for c := 0; c < numCells; c++ {
-			if s.cellOff[c] > s.cellOff[c+1] {
-				return nil, fmt.Errorf("oocore: cell payload offsets not monotone at cell %d", c)
-			}
-			n := s.cellIndex[c+1] - s.cellIndex[c]
-			bytes := s.cellOff[c+1] - s.cellOff[c]
-			if bytes < 2*n || bytes > n*graph.MaxEncodedEdgeBytes {
-				return nil, fmt.Errorf("oocore: cell %d holds %d payload bytes for %d edges (want %d..%d)",
-					c, bytes, n, 2*n, n*graph.MaxEncodedEdgeBytes)
-			}
-			if int(n) > s.maxCellEdges {
-				s.maxCellEdges = int(n)
-			}
-		}
-		want := s.dataOff + int64(s.cellOff[numCells])
-		if h.Weighted {
-			s.weightOff = want
-			want += h.NumEdges * 4
-		}
-		if size < want {
-			return nil, fmt.Errorf("oocore: store truncated: %d bytes, need %d (%d compressed payload bytes)",
-				size, want, s.cellOff[numCells])
-		}
-	} else if want := s.dataOff + h.NumEdges*storage.EdgeBytes; size < want {
-		return nil, fmt.Errorf("oocore: store truncated: %d bytes, need %d (%d edge records)",
-			size, want, h.NumEdges)
+	if h.Weighted {
+		s.weightOff = h.weightOffset()
+	}
+	if perEdge := int64(s.rawEdgeBytes()); size < s.dataOff || (size-s.dataOff)/perEdge < h.NumEdges {
+		return nil, fmt.Errorf("oocore: store truncated: %d bytes, need %d (%d edges of %d bytes)",
+			size, s.dataOff+h.NumEdges*perEdge, h.NumEdges, perEdge)
 	}
 
 	// Per-column edge totals, used to balance column ownership.
@@ -282,9 +252,9 @@ func (s *Store) GridP() int { return s.header.P }
 // Undirected implements core.Source.
 func (s *Store) Undirected() bool { return s.header.Undirected }
 
-// Compressed implements core.Source: version-2 stores hold compressed cell
+// Compressed implements core.Source: version-3 stores hold compressed cell
 // segments, so their streamed plans are labeled and costed as "compressed/".
-func (s *Store) Compressed() bool { return s.header.Version >= FormatVersionCompressed }
+func (s *Store) Compressed() bool { return s.header.Version == FormatVersionCompressed }
 
 // OutDegrees implements core.Source. The slice is shared; callers must not
 // modify it.
@@ -296,17 +266,19 @@ func (s *Store) CellEdges(cell int) int64 {
 }
 
 // CellStoredBytes returns the on-disk footprint of one cell's edge data:
-// the fixed-record segment for version-1 stores, the compressed payload
-// plus the cell's slice of the weight plane for version-2 stores.
+// the fixed-record segment for version-1 stores, the offset payload plus
+// the cell's slice of the weight plane for version-3 stores.
 func (s *Store) CellStoredBytes(cell int) int64 {
-	if !s.Compressed() {
-		return s.CellEdges(cell) * storage.EdgeBytes
-	}
-	b := int64(s.cellOff[cell+1] - s.cellOff[cell])
+	return s.CellEdges(cell) * int64(s.rawEdgeBytes())
+}
+
+// rawEdgeBytes is what one edge occupies on disk: its record or offsets plus,
+// for a weighted compressed store, its weight.
+func (s *Store) rawEdgeBytes() int {
 	if s.weightOff > 0 {
-		b += 4 * s.CellEdges(cell)
+		return s.edgeBytes + 4
 	}
-	return b
+	return s.edgeBytes
 }
 
 // Stats implements core.Source.
@@ -339,29 +311,15 @@ func (s *Store) ReadCell(row, col int, dst []graph.Edge) ([]graph.Edge, error) {
 	if n == 0 {
 		return dst, nil
 	}
+	raw := make([]byte, n*s.rawEdgeBytes())
 	if s.Compressed() {
-		payBytes := int(s.cellOff[idx+1] - s.cellOff[idx])
-		total := payBytes
-		if s.weightOff > 0 {
-			total += 4 * n
-		}
-		raw := make([]byte, total)
 		t0 := time.Now()
-		if err := s.readRawAt(raw[:payBytes], s.dataOff+int64(s.cellOff[idx])); err != nil {
-			return nil, err
-		}
-		if s.weightOff > 0 {
-			if err := s.readRawAt(raw[payBytes:], s.weightOff+int64(lo)*4); err != nil {
-				return nil, err
-			}
-		}
-		if err := s.decodeCompressedRun(idx, idx+1, raw, dst); err != nil {
+		if err := s.readCells(idx, idx+1, raw, dst); err != nil {
 			return nil, err
 		}
 		s.stats.ioTimeNanos.Add(int64(time.Since(t0)))
 		return dst, nil
 	}
-	raw := make([]byte, n*storage.EdgeBytes)
 	if err := s.readSegment(raw, int64(lo), dst); err != nil {
 		return nil, err
 	}
@@ -388,52 +346,66 @@ func (s *Store) readRawAt(buf []byte, off int64) error {
 	return nil
 }
 
-// decodeCompressedRun decodes cells [first, last) of a compressed store into
-// dst, whose length must equal the cells' total decoded edge count. raw must
-// hold the cells' concatenated payloads and — when the store is weighted —
-// the run's weight plane bytes (4 per edge) immediately after them. Every
-// cell's payload is CRC-verified before it is decoded, so a corrupt segment
-// fails here without any of its edges reaching a kernel.
-func (s *Store) decodeCompressedRun(first, last int, raw []byte, dst []graph.Edge) error {
-	base := s.cellOff[first]
-	eBase := s.cellIndex[first]
-	for c := first; c < last; c++ {
-		pay := raw[s.cellOff[c]-base : s.cellOff[c+1]-base]
-		if crc32.ChecksumIEEE(pay) != s.cellCRC[c] {
-			return fmt.Errorf("oocore: cell %d compressed payload checksum mismatch (corrupt store)", c)
-		}
-		n := int(s.cellIndex[c+1] - s.cellIndex[c])
-		lo := int(s.cellIndex[c] - eBase)
-		row, col := c/s.header.P, c%s.header.P
-		if err := graph.DecodeCell(pay, n,
-			graph.VertexID(row*s.header.RangeSize), graph.VertexID(col*s.header.RangeSize),
-			s.header.RangeSize, dst[lo:lo+n]); err != nil {
-			return fmt.Errorf("oocore: cell %d: %w", c, err)
+// readCells fetches cells [first, last) of a compressed store — one payload
+// read plus, when weighted, one weight-plane read — through raw and decodes
+// them into dst, whose length must equal the cells' total edge count; raw
+// must hold rawEdgeBytes per edge. Every cell's payload is CRC-verified
+// before it is decoded, so a corrupt segment fails here without any of its
+// edges reaching a kernel.
+func (s *Store) readCells(first, last int, raw []byte, dst []graph.Edge) error {
+	lo := s.cellIndex[first]
+	pay := raw[:len(dst)*s.edgeBytes]
+	if err := s.readRawAt(pay, s.dataOff+int64(lo)*int64(s.edgeBytes)); err != nil {
+		return err
+	}
+	var wraw []byte
+	if s.weightOff > 0 {
+		wraw = raw[len(pay) : len(pay)+4*len(dst)]
+		if err := s.readRawAt(wraw, s.weightOff+int64(lo)*4); err != nil {
+			return err
 		}
 	}
-	if s.weightOff > 0 {
-		wraw := raw[s.cellOff[last]-base:]
-		for i := range dst {
-			dst[i].W = weightFromBits(binary.LittleEndian.Uint32(wraw[i*4:]))
+	h := s.header
+	for c := first; c < last; c++ {
+		a, b := int(s.cellIndex[c]-lo), int(s.cellIndex[c+1]-lo)
+		cell := pay[a*s.edgeBytes : b*s.edgeBytes]
+		if crc32.ChecksumIEEE(cell) != s.cellCRC[c] {
+			return fmt.Errorf("oocore: cell %d compressed payload checksum mismatch (corrupt store)", c)
+		}
+		var w []byte
+		if wraw != nil {
+			w = wraw[4*a : 4*b]
+		}
+		rowLo, colLo := graph.VertexID(c/h.P*h.RangeSize), graph.VertexID(c%h.P*h.RangeSize)
+		if err := graph.DecodeCell(cell, w, b-a, rowLo, colLo, h.RangeSize, h.NumVertices, dst[a:b]); err != nil {
+			return fmt.Errorf("oocore: cell %d: %w", c, err)
 		}
 	}
 	return nil
 }
 
 // readSegment fetches the records [edgeOff, edgeOff+len(dst)) into raw and
-// decodes them into dst, applying device accounting.
+// decodes them into dst, applying device accounting. Version-1 records carry
+// no checksum, so a record naming a vertex outside the graph is an error
+// here rather than an out-of-range index in a kernel.
 func (s *Store) readSegment(raw []byte, edgeOff int64, dst []graph.Edge) error {
 	t0 := time.Now()
 	if _, err := readFullAt(s.backend, raw, s.dataOff+edgeOff*storage.EdgeBytes); err != nil {
 		return fmt.Errorf("oocore: read segment at edge %d: %w", edgeOff, err)
 	}
+	nv := uint64(s.header.NumVertices)
 	for i := range dst {
 		rec := raw[i*storage.EdgeBytes:]
-		dst[i] = graph.Edge{
+		e := graph.Edge{
 			Src: binary.LittleEndian.Uint32(rec[0:4]),
 			Dst: binary.LittleEndian.Uint32(rec[4:8]),
 			W:   weightFromBits(binary.LittleEndian.Uint32(rec[8:12])),
 		}
+		if uint64(e.Src) >= nv || uint64(e.Dst) >= nv {
+			return fmt.Errorf("oocore: edge record %d (%d->%d) outside %d vertices (corrupt store)",
+				edgeOff+int64(i), e.Src, e.Dst, nv)
+		}
+		dst[i] = e
 	}
 	s.stats.reads.Add(1)
 	s.stats.bytesRead.Add(int64(len(raw)))

@@ -2,7 +2,9 @@ package oocore
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,12 +18,14 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/trace"
 )
 
-// These tests cover the version-2 (compressed-segment) store: round-trip
-// identity against the in-memory grid, streamed bit-identity against both
-// the version-1 store and the in-memory path (including under a paced slow
-// device, the -race target), compression-ratio accounting, and clean
-// failure on every class of corrupt segment — truncated mid-varint,
-// CRC-mismatched payload, decoded-count overflow.
+// These tests cover the compressed (version-3, fixed-width offset) store —
+// "V2" in their names for the second store format, as in the
+// stream.pagerank.v2 benchmark workload: round-trip identity against the
+// in-memory grid, streamed bit-identity against both the version-1 store
+// and the in-memory path (including under a paced slow device, the -race
+// target), compression-ratio accounting, and clean failure on every class
+// of corrupt segment — CRC-mismatched payload, offsets past their range or
+// the vertex count, decoded-count overflow, the retired version 2.
 
 // buildTestStoreV2 writes g as a compressed (version-2) store and opens it.
 func buildTestStoreV2(t *testing.T, g *graph.Graph, gridP int, undirected bool) *Store {
@@ -124,7 +128,7 @@ func TestStoreV2CompressionRatio(t *testing.T) {
 	}
 	defer s.Close()
 	raw := h.NumEdges * storage.EdgeBytes
-	stored := int64(s.cellOff[h.P*h.P])
+	stored := h.NumEdges * int64(s.edgeBytes)
 	if ratio := float64(raw) / float64(stored); ratio < 3 {
 		t.Fatalf("RMAT-16 compression ratio %.2f (%d -> %d bytes), want >= 3", ratio, raw, stored)
 	}
@@ -160,10 +164,12 @@ func TestStreamedV2BitIdenticalToV1AndMemory(t *testing.T) {
 				t.Fatalf("flow %v: rank[%d] = %v v2, %v v1, %v in-memory", flow, v, prV2.Rank[v], prV1.Rank[v], prMem.Rank[v])
 			}
 		}
-		// Streamed plans over a compressed source carry the compressed label.
+		// Streamed plans over a compressed source carry the compressed label
+		// and the store's format version.
 		for _, it := range res.PerIteration {
-			if !strings.HasPrefix(it.Plan.String(), "compressed/") {
-				t.Fatalf("flow %v: v2 streamed plan labeled %q, want compressed/", flow, it.Plan.String())
+			if label := it.Plan.String(); !strings.HasPrefix(label, "compressed/") ||
+				!strings.Contains(label, fmt.Sprintf("@s%d/", FormatVersionCompressed)) {
+				t.Fatalf("flow %v: v2 streamed plan labeled %q, want compressed/<P>@s%d/", flow, label, FormatVersionCompressed)
 			}
 		}
 	}
@@ -268,15 +274,16 @@ func TestStreamedV2AutoPlansCompressed(t *testing.T) {
 // --- corrupt-segment scenarios ---
 
 // buildV2Image builds a compressed store for a small graph and returns its
-// raw file image. Zero weights keep the store plane-less, so patches to the
-// edge count do not also have to resize a weight plane.
-func buildV2Image(t *testing.T, scale, gridP int) []byte {
+// raw file image. Zero weights keep the store plane-less, so every byte of
+// the image is under a checksum and patches to the edge count do not also
+// have to resize a weight plane.
+func buildV2Image(t testing.TB, scale, gridP int) []byte {
 	t.Helper()
 	g := testGraph(t, scale, false)
 	for i := range g.EdgeArray.Edges {
 		g.EdgeArray.Edges[i].W = 0
 	}
-	path := filepath.Join(t.TempDir(), "graph.egs2")
+	path := filepath.Join(t.TempDir(), "graph.egs3")
 	if _, err := BuildCompressedStoreFromGraph(path, g, gridP, false); err != nil {
 		t.Fatalf("BuildCompressedStoreFromGraph: %v", err)
 	}
@@ -287,15 +294,16 @@ func buildV2Image(t *testing.T, scale, gridP int) []byte {
 	return raw
 }
 
-// v2Layout decodes the structural fields of a v2 image needed to patch it:
-// grid dimension, metadata offsets of the cell index / cell byte offsets /
-// cell CRCs, and the data offset.
+// v2Layout decodes the structural fields of a compressed image needed to
+// patch it: grid dimension, metadata offsets of the cell index and cell
+// CRCs, the data offset and the bytes per edge.
 type v2Layout struct {
 	p, numCells  int
+	rangeSize    int
 	cellIndexOff int // file offset of the cell index
-	cellOffOff   int // file offset of the payload byte offsets
 	cellCRCOff   int // file offset of the per-cell CRCs
 	dataOff      int
+	edgeBytes    int // 2w: two range offsets
 }
 
 func parseV2Layout(t *testing.T, img []byte) v2Layout {
@@ -303,11 +311,11 @@ func parseV2Layout(t *testing.T, img []byte) v2Layout {
 	p := int(binary.LittleEndian.Uint32(img[32:36]))
 	v := int(binary.LittleEndian.Uint64(img[16:24]))
 	numCells := p * p
-	l := v2Layout{p: p, numCells: numCells}
+	l := v2Layout{p: p, numCells: numCells, rangeSize: int(binary.LittleEndian.Uint32(img[36:40]))}
 	l.cellIndexOff = headerSize
-	l.cellOffOff = l.cellIndexOff + (numCells+1)*8 + v*4
-	l.cellCRCOff = l.cellOffOff + (numCells+1)*8
+	l.cellCRCOff = l.cellIndexOff + (numCells+1)*8 + v*4
 	l.dataOff = l.cellCRCOff + numCells*4
+	l.edgeBytes = 2 * graph.CellOffsetWidth(l.rangeSize)
 	return l
 }
 
@@ -315,8 +323,9 @@ func (l v2Layout) cellIndex(img []byte, i int) uint64 {
 	return binary.LittleEndian.Uint64(img[l.cellIndexOff+i*8:])
 }
 
-func (l v2Layout) cellOff(img []byte, i int) uint64 {
-	return binary.LittleEndian.Uint64(img[l.cellOffOff+i*8:])
+// payload returns the bounds of cell c's payload in the image.
+func (l v2Layout) payload(img []byte, c int) (lo, hi int) {
+	return l.dataOff + int(l.cellIndex(img, c))*l.edgeBytes, l.dataOff + int(l.cellIndex(img, c+1))*l.edgeBytes
 }
 
 // refreshCRCs recomputes the metadata and header checksums after a patch,
@@ -325,6 +334,14 @@ func refreshCRCs(img []byte, l v2Layout) {
 	meta := img[headerSize:l.dataOff]
 	binary.LittleEndian.PutUint32(img[40:44], crc32.ChecksumIEEE(meta))
 	binary.LittleEndian.PutUint32(img[44:48], crc32.ChecksumIEEE(img[:44]))
+}
+
+// refreshCellCRC recomputes cell c's payload checksum (and the metadata and
+// header checksums over it), so only the decoder can notice a payload patch.
+func refreshCellCRC(img []byte, l v2Layout, c int) {
+	lo, hi := l.payload(img, c)
+	binary.LittleEndian.PutUint32(img[l.cellCRCOff+c*4:], crc32.ChecksumIEEE(img[lo:hi]))
+	refreshCRCs(img, l)
 }
 
 // largestCell returns the cell with the most decoded edges.
@@ -367,7 +384,8 @@ func TestV2CRCMismatchedPayloadFailsCleanly(t *testing.T) {
 	c := l.largestCell(img)
 	// Flip a payload byte without updating the cell's CRC: Open (which only
 	// checks metadata) succeeds, the fetch pipeline must refuse the cell.
-	img[l.dataOff+int(l.cellOff(img, c))] ^= 0xff
+	lo, _ := l.payload(img, c)
+	img[lo] ^= 0xff
 	s, err := openImage(img)
 	if err != nil {
 		t.Fatalf("Open rejected a store whose corruption is payload-only: %v", err)
@@ -389,62 +407,128 @@ func TestV2CRCMismatchedPayloadFailsCleanly(t *testing.T) {
 	}
 }
 
-func TestV2TruncatedVarintFailsCleanly(t *testing.T) {
-	img := buildV2Image(t, 8, 4)
-	l := parseV2Layout(t, img)
-	c := l.largestCell(img)
-	// Set the continuation bit on the cell's final payload byte: the last
-	// varint now runs off the end of the segment. The cell's CRC is
-	// recomputed over the patched payload, so only the decoder can notice.
-	lo, hi := l.dataOff+int(l.cellOff(img, c)), l.dataOff+int(l.cellOff(img, c+1))
-	img[hi-1] |= 0x80
-	binary.LittleEndian.PutUint32(img[l.cellCRCOff+c*4:], crc32.ChecksumIEEE(img[lo:hi]))
-	refreshCRCs(img, l)
+// buildShortLastRangeStore writes a 250-vertex graph, vertex 249 included,
+// on a 4x4 grid of 63-wide ranges — the last range runs to 252, past the
+// vertex count — and returns the store's path.
+func buildShortLastRangeStore(t *testing.T, compressed bool) string {
+	t.Helper()
+	rng := rand.New(rand.NewSource(3))
+	const n = 250
+	edges := make([]graph.Edge, 2000)
+	for i := range edges {
+		edges[i] = graph.Edge{Src: graph.VertexID(rng.Intn(n)), Dst: graph.VertexID(rng.Intn(n)), W: graph.Weight(i % 7)}
+	}
+	edges[0] = graph.Edge{Src: n - 1, Dst: n - 1, W: 1}
+	path := filepath.Join(t.TempDir(), "short.egs")
+	if _, err := BuildStore(path, BuildOptions{NumVertices: n, GridP: 4, Compressed: compressed}, SliceStream(edges, 0)); err != nil {
+		t.Fatalf("BuildStore: %v", err)
+	}
+	return path
+}
 
-	s, err := openImage(img)
+// TestStoreV2LastRangePastNumVertices: a compressed store whose last range
+// extends past the vertex count holds the same cells as its v1 twin.
+func TestStoreV2LastRangePastNumVertices(t *testing.T) {
+	stores := make([]*Store, 2)
+	for i, compressed := range []bool{false, true} {
+		s, err := Open(buildShortLastRangeStore(t, compressed))
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer s.Close()
+		stores[i] = s
+	}
+	v1, v3 := stores[0], stores[1]
+	if h := v3.Header(); h.RangeSize != 63 || h.P*h.RangeSize <= h.NumVertices {
+		t.Fatalf("header %+v: the last range does not run past the vertex count", h)
+	}
+	var want, got []graph.Edge
+	var err error
+	for cell := 0; cell < 16; cell++ {
+		if want, err = v1.ReadCell(cell/4, cell%4, want); err != nil {
+			t.Fatalf("v1 ReadCell: %v", err)
+		}
+		if got, err = v3.ReadCell(cell/4, cell%4, got); err != nil {
+			t.Fatalf("v3 ReadCell: %v", err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("cell %d: %d edges, want %d", cell, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("cell %d edge %d: %v, want %v", cell, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestV3OutOfRangeOffsetFailsCleanly: an offset past its cell's range, and
+// one inside the range but past the vertex count (buildShortLastRangeStore),
+// under a recomputed CRC,
+// fail in the decoder — on the streamed path and through ReadCell.
+func TestV3OutOfRangeOffsetFailsCleanly(t *testing.T) {
+	const n = 250
+	path := buildShortLastRangeStore(t, true)
+	orig, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("Open rejected the truncation patch early: %v", err)
+		t.Fatalf("ReadFile: %v", err)
 	}
-	defer s.Close()
-	if err := streamErr(s); err == nil || !strings.Contains(err.Error(), "varint") {
-		t.Fatalf("truncated-mid-varint cell streamed with err=%v, want a varint decode error", err)
+	l := parseV2Layout(t, orig)
+	if l.rangeSize != 63 || l.edgeBytes != 2 {
+		t.Fatalf("store has range %d and %d bytes per edge, want 63 and 2", l.rangeSize, l.edgeBytes)
 	}
-	if _, err := s.ReadCell(c/l.p, c%l.p, nil); err == nil {
-		t.Fatal("ReadCell accepted a truncated-varint payload")
+	for _, tc := range []struct {
+		name   string
+		cell   int
+		offset byte
+		want   string
+	}{
+		{"past-range", 0, 0xff, "outside range of 63"},
+		// The last cell's ranges both run past vertex 249.
+		{"past-vertex-count", l.numCells - 1, n - 3*63, "outside range of 61"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			img := append([]byte(nil), orig...)
+			lo, hi := l.payload(img, tc.cell)
+			if hi == lo {
+				t.Fatalf("cell %d is empty", tc.cell)
+			}
+			img[lo+1] = tc.offset // the first edge's destination offset
+			refreshCellCRC(img, l, tc.cell)
+			s, err := openImage(img)
+			if err != nil {
+				t.Fatalf("Open rejected the offset patch early: %v", err)
+			}
+			defer s.Close()
+			if err := streamErr(s); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("patched cell streamed with err=%v, want %q", err, tc.want)
+			}
+			if _, err := s.ReadCell(tc.cell/l.p, tc.cell%l.p, nil); err == nil {
+				t.Fatal("ReadCell accepted the patched cell")
+			}
+		})
 	}
 }
 
 func TestV2DecodedCountOverflowFailsCleanly(t *testing.T) {
-	// A 2x2 grid over 1024 vertices: 512-wide ranges make multi-byte
-	// varints common, so some cell's payload is comfortably above the
-	// 2-bytes-per-edge floor and an inflated count passes open validation.
 	img := buildV2Image(t, 10, 2)
 	l := parseV2Layout(t, img)
-	c := -1
-	for i := 0; i < l.numCells; i++ {
-		n := l.cellIndex(img, i+1) - l.cellIndex(img, i)
-		bytes := l.cellOff(img, i+1) - l.cellOff(img, i)
-		if n > 0 && bytes >= 2*(n+1) {
-			c = i
-			break
-		}
-	}
-	if c < 0 {
-		t.Fatal("no cell has payload slack for an inflated count")
-	}
+	c := l.largestCell(img)
 	// Inflate the cell's decoded count by one (shifting every later index
-	// entry and the header edge total): the metadata is self-consistent, but
-	// the payload holds one edge fewer than the count promises. The decoder
-	// must run out of bytes — or find trailing garbage — and fail cleanly.
+	// entry and the header edge total) and grow the file by one edge, so the
+	// metadata is self-consistent and the size check passes: the cell's
+	// payload window now takes one edge of its neighbour (or the appended
+	// bytes), which its CRC must refuse.
 	for i := c + 1; i <= l.numCells; i++ {
 		binary.LittleEndian.PutUint64(img[l.cellIndexOff+i*8:], l.cellIndex(img, i)+1)
 	}
 	binary.LittleEndian.PutUint64(img[24:32], binary.LittleEndian.Uint64(img[24:32])+1)
+	img = append(img, make([]byte, l.edgeBytes)...)
 	refreshCRCs(img, l)
 
 	s, err := openImage(img)
 	if err != nil {
-		t.Fatalf("Open rejected the inflated count early (the decoder was never exercised): %v", err)
+		t.Fatalf("Open rejected the inflated count early (the cell check was never exercised): %v", err)
 	}
 	defer s.Close()
 	if err := streamErr(s); err == nil {
@@ -455,20 +539,14 @@ func TestV2DecodedCountOverflowFailsCleanly(t *testing.T) {
 	}
 }
 
-func TestV2OpenRejectsInconsistentOffsets(t *testing.T) {
+// TestOpenRejectsVersion2Store: the retired delta+varint layout is refused
+// at open with an error that names its version.
+func TestOpenRejectsVersion2Store(t *testing.T) {
 	img := buildV2Image(t, 8, 4)
-	l := parseV2Layout(t, img)
-	c := l.largestCell(img)
-	n := l.cellIndex(img, c+1) - l.cellIndex(img, c)
-	// A payload far larger than MaxEncodedEdgeBytes allows must be rejected
-	// at open time, before any buffer arithmetic trusts it.
-	grow := n*graph.MaxEncodedEdgeBytes + 1
-	for i := c + 1; i <= l.numCells; i++ {
-		binary.LittleEndian.PutUint64(img[l.cellOffOff+i*8:], l.cellOff(img, i)+grow)
-	}
-	refreshCRCs(img, l)
-	if _, err := openImage(img); err == nil {
-		t.Fatal("oversized cell payload was not rejected at open")
+	binary.LittleEndian.PutUint32(img[8:12], 2)
+	refreshCRCs(img, parseV2Layout(t, img))
+	if _, err := openImage(img); err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("version-2 image opened with err=%v, want an error naming version 2", err)
 	}
 }
 
