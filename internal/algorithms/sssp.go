@@ -164,26 +164,33 @@ func (s *SSSP) PullEdge(v, u graph.VertexID, w graph.Weight) (bool, bool) {
 
 // PullRows relaxes each owned destination over its active in-neighbours,
 // keeping its tentative distance in a register. Improvements are stored as
-// they happen, so a self-loop reads what the per-edge path would.
+// they happen, so a self-loop reads what the per-edge path would. The
+// improved destinations of each 64-vertex word are marked with one SetWord.
 func (s *SSSP) PullRows(sp *graph.Span, worker int, in *graph.Adjacency, lo, hi int) {
 	dist := s.dist
 	idx, tgt, wts := in.Index, in.Targets, in.Weights
-	for v := lo; v < hi; v++ {
-		row := tgt[idx[v]:idx[v+1]]
-		ws := wts[idx[v]:idx[v+1]][:len(row)]
-		cur := loadFloat32(&dist[v])
-		changed := false
-		for j, u := range row {
-			if !sp.Active(u) {
-				continue
+	for base := lo; base < hi; base += 64 {
+		var next uint64
+		for v := base; v < min(base+64, hi); v++ {
+			row := tgt[idx[v]:idx[v+1]]
+			ws := wts[idx[v]:idx[v+1]][:len(row)]
+			cur := loadFloat32(&dist[v])
+			changed := false
+			for j, u := range row {
+				if !sp.Active(u) {
+					continue
+				}
+				if nd := loadFloat32(&dist[u]) + ws[j]; nd < cur {
+					cur, changed = nd, true
+					storeFloat32(&dist[v], nd)
+				}
 			}
-			if nd := loadFloat32(&dist[u]) + ws[j]; nd < cur {
-				cur, changed = nd, true
-				storeFloat32(&dist[v], nd)
+			if changed {
+				next |= 1 << (v & 63)
 			}
 		}
-		if changed {
-			sp.Next.AddUnsynced(worker, graph.VertexID(v))
+		if next != 0 {
+			sp.Next.SetWord(worker, base>>6, next)
 		}
 	}
 }

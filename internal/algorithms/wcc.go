@@ -91,24 +91,31 @@ func (w *WCC) PullEdge(v, u graph.VertexID, _ graph.Weight) (bool, bool) {
 
 // PullRows lowers each owned destination's label over its active
 // in-neighbours, keeping the label in a register. Improvements are stored
-// as they happen, so a self-loop reads what the per-edge path would.
+// as they happen, so a self-loop reads what the per-edge path would. The
+// changed destinations of each 64-vertex word are marked with one SetWord.
 func (w *WCC) PullRows(s *graph.Span, worker int, in *graph.Adjacency, lo, hi int) {
 	labels := w.Labels
 	idx, tgt := in.Index, in.Targets
-	for v := lo; v < hi; v++ {
-		cur := atomic.LoadUint32(&labels[v])
-		changed := false
-		for _, u := range tgt[idx[v]:idx[v+1]] {
-			if !s.Active(u) {
-				continue
+	for base := lo; base < hi; base += 64 {
+		var next uint64
+		for v := base; v < min(base+64, hi); v++ {
+			cur := atomic.LoadUint32(&labels[v])
+			changed := false
+			for _, u := range tgt[idx[v]:idx[v+1]] {
+				if !s.Active(u) {
+					continue
+				}
+				if lu := atomic.LoadUint32(&labels[u]); lu < cur {
+					cur, changed = lu, true
+					atomic.StoreUint32(&labels[v], lu)
+				}
 			}
-			if lu := atomic.LoadUint32(&labels[u]); lu < cur {
-				cur, changed = lu, true
-				atomic.StoreUint32(&labels[v], lu)
+			if changed {
+				next |= 1 << (v & 63)
 			}
 		}
-		if changed {
-			s.Next.AddUnsynced(worker, graph.VertexID(v))
+		if next != 0 {
+			s.Next.SetWord(worker, base>>6, next)
 		}
 	}
 }

@@ -85,8 +85,10 @@ type Algorithm interface {
 type SpanAlgorithm interface {
 	// PullRows pulls for the destinations [lo, hi) of the in-adjacency: each
 	// destination that still needs data reads its in-neighbours that are in
-	// the frontier and updates only its own state. The calling worker owns
-	// the destinations; activations go to s.Next.AddUnsynced.
+	// the frontier and updates only its own state. lo is a multiple of 64, so
+	// the calling worker owns the destinations and their words of the next
+	// frontier's bitmap: a kernel gathers the activations of each 64-vertex
+	// word in a register and marks them with one s.Next.SetWord.
 	PullRows(s *graph.Span, worker int, in *graph.Adjacency, lo, hi int)
 	// PushRows pushes the out-edges of every vertex of active (a slice of
 	// the frontier's vertex list). CSR rows partition sources, never
@@ -135,25 +137,31 @@ func (a *perEdge) push(s *graph.Span, worker int, u, v graph.VertexID, w graph.W
 func (a *perEdge) PullRows(s *graph.Span, worker int, in *graph.Adjacency, lo, hi int) {
 	alg := a.alg
 	idx, tgt, wts := in.Index, in.Targets, in.Weights
-	for vi := lo; vi < hi; vi++ {
-		v := graph.VertexID(vi)
-		if !alg.PullActive(v) {
-			continue
-		}
-		changedAny := false
-		for j, end := idx[v], idx[v+1]; j < end; j++ {
-			u := tgt[j]
-			if !s.Active(u) {
+	for base := lo; base < hi; base += 64 {
+		var next uint64
+		for vi := base; vi < min(base+64, hi); vi++ {
+			v := graph.VertexID(vi)
+			if !alg.PullActive(v) {
 				continue
 			}
-			changed, done := alg.PullEdge(v, u, wts[j])
-			changedAny = changedAny || changed
-			if done {
-				break
+			changedAny := false
+			for j, end := idx[v], idx[v+1]; j < end; j++ {
+				u := tgt[j]
+				if !s.Active(u) {
+					continue
+				}
+				changed, done := alg.PullEdge(v, u, wts[j])
+				changedAny = changedAny || changed
+				if done {
+					break
+				}
+			}
+			if changedAny {
+				next |= 1 << (v & 63)
 			}
 		}
-		if changedAny && s.Next != nil {
-			s.Next.AddUnsynced(worker, v)
+		if next != 0 && s.Next != nil {
+			s.Next.SetWord(worker, base>>6, next)
 		}
 	}
 }

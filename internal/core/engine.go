@@ -327,14 +327,8 @@ func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 		stepper: newStepper(alg, g.NumVertices(), workers),
 		g:       g,
 		out:     g.Out,
+		in:      g.PullAdjacency(),
 		pfor:    parallelFor(cfg),
-	}
-	if g.In != nil {
-		r.in = g.In
-	} else {
-		// Undirected graphs pull over the (doubled) outgoing lists, where
-		// in- and out-neighbours coincide (Section 6.1.3).
-		r.in = g.Out
 	}
 
 	r.pushChunksBody = func(worker, lo, hi int) {

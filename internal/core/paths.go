@@ -42,9 +42,9 @@ func (r *runner) execute(plan StepPlan, frontier *graph.Frontier) *graph.Frontie
 const pushEdgeChunk = 2048
 
 // pullVertexChunk is the chunk size for pull iterations. It must stay a
-// multiple of 64 so chunk boundaries never split a bitmap word: pull mode
-// marks next-frontier vertices with the unsynchronized AddUnsynced, which
-// is only race-free while no two workers touch the same word.
+// multiple of 64 so chunk boundaries never split a bitmap word: a worker
+// then owns whole words of the next frontier, which pull kernels set a word
+// at a time with the unsynchronized FrontierBuilder.SetWord.
 const pullVertexChunk = 256
 
 // pushChunks chunks the frontier's active list for a push iteration and
@@ -54,11 +54,11 @@ const pullVertexChunk = 256
 func (r *runner) pushChunks(f *graph.Frontier) []int {
 	if r.chunked != f {
 		r.active = f.Sparse()
-		// A canonically dense frontier materializes its sparse list in
-		// ascending order, so covering every vertex means active[i] == i.
-		// Builder-emitted frontiers (sparse canonical) are unsorted
-		// per-worker concatenations: even when every vertex is active they
-		// must take the degree-walk path.
+		// A canonically dense frontier (a pull's, or PageRank's full one)
+		// materializes its sparse list in ascending order, so covering every
+		// vertex means active[i] == i. Frontiers a push built are sparse
+		// canonical, unsorted per-worker concatenations: even when every
+		// vertex is active they must take the degree-walk path.
 		identity := f.IsDense() && len(r.active) == r.out.NumVertices
 		r.buildPushChunks(r.active, r.out, identity)
 		f.SetOutEdges(r.chunkEdges)
@@ -131,9 +131,10 @@ func (r *runner) vertexPush(frontier *graph.Frontier) {
 // every vertex that still needs data scans its incoming neighbours, reads
 // the ones active in the current frontier and updates only its own state —
 // no synchronization needed, and the scan may stop early (Section 6.1.1).
-// Each destination belongs to exactly one worker, so kernels mark the next
-// frontier with the unsynchronized AddUnsynced (see pullVertexChunk for the
-// word-alignment argument).
+// Each destination belongs to exactly one worker, and so does each word of
+// the next frontier's bitmap (see pullVertexChunk): kernels gather a word's
+// activations in a register and set it with one unsynchronized SetWord, and
+// the frontier this builds is dense, listed only if a push asks for it.
 func (r *runner) vertexPull(frontier *graph.Frontier) {
 	r.span.Bits = frontier.Bitmap()
 	r.pfor(0, r.g.NumVertices(), pullVertexChunk, r.workers, r.pullBody)

@@ -447,4 +447,49 @@ func TestSpanIterationAllocatesNothing(t *testing.T) {
 			})
 		}
 	}
+
+	// Pull and push alternating on one runner: every push consumes the
+	// frontier a pull built a word at a time, so it lists that dense frontier
+	// first — into the recycled frontier's buffer. One worker keeps the push
+	// side's per-worker lists at a fixed split, so their capacity is warm too.
+	t.Run("flood/pull-push", func(t *testing.T) {
+		var alg flood
+		r := newRunner(g, alg, Config{}, 1)
+		pull := StepPlan{Layout: graph.LayoutAdjacency, Flow: Pull, Sync: SyncPartitionFree, Tracked: true}
+		push := StepPlan{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics, Tracked: true}
+		frontier := alg.InitialFrontier(g)
+		step := func() {
+			built := r.execute(pull, frontier)
+			if !built.IsDense() || built.IsEmpty() {
+				t.Fatalf("pull emitted dense=%v with %d vertices, want a non-empty dense frontier", built.IsDense(), built.Count())
+			}
+			frontier = r.execute(push, built)
+		}
+		for i := 0; i < 8; i++ {
+			step()
+		}
+		if n := testing.AllocsPerRun(5, step); n != 0 {
+			t.Fatalf("steady-state pull+push pair allocates %v objects, want 0", n)
+		}
+	})
+}
+
+// flood activates, every iteration, every vertex an active vertex has an
+// edge to, in whichever direction the iteration runs: its frontiers never
+// drain, so a runner can alternate pull and push on it indefinitely. It has
+// no span kernels and runs through the per-edge adapter.
+type flood struct{}
+
+func (flood) Name() string                                              { return "flood" }
+func (flood) Init(*graph.Graph)                                         {}
+func (flood) Dense() bool                                               { return false }
+func (flood) PushEdge(_, _ graph.VertexID, _ graph.Weight) bool         { return true }
+func (flood) PushEdgeAtomic(_, _ graph.VertexID, _ graph.Weight) bool   { return true }
+func (flood) PullActive(graph.VertexID) bool                            { return true }
+func (flood) PullEdge(_, _ graph.VertexID, _ graph.Weight) (bool, bool) { return true, true }
+func (flood) BeforeIteration(int)                                       {}
+func (flood) AfterIteration(int) bool                                   { return false }
+
+func (flood) InitialFrontier(g *graph.Graph) *graph.Frontier {
+	return graph.FullFrontier(g.NumVertices())
 }

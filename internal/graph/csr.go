@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/epfl-repro/everythinggraph/internal/sched"
 )
@@ -30,6 +31,34 @@ type Adjacency struct {
 	// SortedByTarget records whether each per-vertex neighbour array is
 	// sorted by neighbour id (the optimization evaluated in Section 5).
 	SortedByTarget bool
+
+	// nonEmpty is the NonEmpty bitmap, nil until first asked for.
+	nonEmpty []uint64
+}
+
+// nonEmptyMu guards the first-use build of every adjacency's NonEmpty
+// bitmap. It is not a field so that an Adjacency stays a plain value that
+// may be copied.
+var nonEmptyMu sync.Mutex
+
+// NonEmpty returns a bitmap over the vertices with bit v set iff v has at
+// least one neighbour: in an in-adjacency, the vertices a pull can ever
+// update. It is built by one pass over Index on first use and shared by
+// every later call, so a caller fetches it once per run, not per chunk; the
+// adjacency must not change after that. Callers must not modify it.
+func (a *Adjacency) NonEmpty() []uint64 {
+	nonEmptyMu.Lock()
+	defer nonEmptyMu.Unlock()
+	if a.nonEmpty == nil {
+		ne := make([]uint64, (a.NumVertices+63)/64)
+		for v := 0; v < a.NumVertices; v++ {
+			if a.Index[v+1] > a.Index[v] {
+				ne[v>>6] |= 1 << (v & 63)
+			}
+		}
+		a.nonEmpty = ne
+	}
+	return a.nonEmpty
 }
 
 // Degree returns the number of neighbours of v.

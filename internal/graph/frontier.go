@@ -19,17 +19,20 @@ import (
 // iteration which representation and direction to use, based on the number
 // of active vertices and their outgoing edges.
 //
-// A frontier may carry BOTH representations at once: builders emit the
-// sparse list with the construction bitmap attached, and conversions cache
-// their result instead of discarding it, so repeated Sparse()/Bitmap()
-// calls in the engine's steady state cost nothing and allocate nothing.
-// Frontiers are immutable once built (only representation conversions
-// mutate them), which is what makes the caching sound.
+// A frontier may carry BOTH representations at once: builders attach their
+// bitmap to the frontiers they emit, and conversions cache their result
+// instead of discarding it, so repeated Sparse()/Bitmap() calls in the
+// engine's steady state cost nothing and allocate nothing. A frontier keeps
+// its list buffer across CollectInto, so a dense frontier's list is
+// materialised into the buffer of the frontier it recycles. Frontiers are
+// immutable once built (only representation conversions mutate them), which
+// is what makes the caching sound.
 type Frontier struct {
 	numVertices int
-	sparse      []VertexID // active vertex list; valid when !isDense or kept as cache
+	sparse      []VertexID // active vertex list when listed; otherwise a spare buffer
 	dense       []uint64   // bitmap; valid whenever non-nil
 	isDense     bool       // dense is the canonical representation
+	listed      bool       // sparse holds the active vertices
 	count       int        // number of active vertices
 	outEdges    int64      // sum of out-degrees of active vertices, -1 if unknown
 }
@@ -37,24 +40,26 @@ type Frontier struct {
 // NewFrontier creates an empty sparse frontier for a graph with numVertices
 // vertices.
 func NewFrontier(numVertices int) *Frontier {
-	return &Frontier{numVertices: numVertices, outEdges: -1}
+	return &Frontier{numVertices: numVertices, listed: true, outEdges: -1}
 }
 
 // NewFrontierFromSparse creates a frontier from an explicit vertex list. The
 // list is retained (not copied).
 func NewFrontierFromSparse(numVertices int, vs []VertexID) *Frontier {
-	return &Frontier{numVertices: numVertices, sparse: vs, count: len(vs), outEdges: -1}
+	return &Frontier{numVertices: numVertices, sparse: vs, listed: true, count: len(vs), outEdges: -1}
 }
 
 // NewDenseFrontier creates a dense frontier with all of the given vertices
-// marked active.
+// marked active. A vertex listed twice counts once.
 func NewDenseFrontier(numVertices int, vs []VertexID) *Frontier {
 	f := &Frontier{numVertices: numVertices, isDense: true, outEdges: -1}
 	f.dense = make([]uint64, (numVertices+63)/64)
 	for _, v := range vs {
 		f.dense[v/64] |= 1 << (v % 64)
 	}
-	f.count = len(vs)
+	for _, word := range f.dense {
+		f.count += bits.OnesCount64(word)
+	}
 	return f
 }
 
@@ -121,15 +126,20 @@ func (f *Frontier) Contains(v VertexID) bool {
 }
 
 // Sparse returns the active vertices as a slice, converting if necessary.
-// The conversion result is cached on the frontier, so calling Sparse every
-// iteration on a long-lived dense frontier (PageRank's full frontier)
-// allocates only once. The returned slice is shared; callers must not
-// modify it.
+// A list materialised from the bitmap is in ascending order, goes into the
+// frontier's list buffer (so a recycled frontier converts without
+// allocating once its buffer is warm) and is cached on the frontier, so
+// calling Sparse every iteration on a long-lived dense frontier (PageRank's
+// full frontier) converts only once. The returned slice is shared; callers
+// must not modify it.
 func (f *Frontier) Sparse() []VertexID {
-	if !f.isDense || f.sparse != nil {
+	if f.listed {
 		return f.sparse
 	}
-	out := make([]VertexID, 0, f.count)
+	out := f.sparse[:0]
+	if cap(out) < f.count {
+		out = make([]VertexID, 0, f.count)
+	}
 	for w, word := range f.dense {
 		for word != 0 {
 			b := bits.TrailingZeros64(word)
@@ -137,7 +147,7 @@ func (f *Frontier) Sparse() []VertexID {
 			word &= word - 1
 		}
 	}
-	f.sparse = out
+	f.sparse, f.listed = out, true
 	return out
 }
 
@@ -164,44 +174,53 @@ func (f *Frontier) ToSparse() {
 	if !f.isDense {
 		return
 	}
-	f.sparse = f.Sparse()
+	f.Sparse()
 	f.dense = nil
 	f.isDense = false
 }
 
-// FrontierBuilder accumulates the next frontier during an iteration. It is
-// safe for concurrent use: vertices are marked in a shared bitmap with
-// atomic operations, and per-worker sparse lists avoid contention on a
-// shared slice. Collect merges the per-worker lists into a Frontier.
+// FrontierBuilder accumulates the next frontier during an iteration. It
+// offers two ways to activate vertices, and a build uses one of them:
 //
-// Every Add rewrites its worker's slice header (the length), so each header
-// sits on cache lines of its own (workerList): an Add writes the worker's
-// private lines and the one shared bitmap word, nothing else. With the
-// headers packed — a plain [][]VertexID keeps two and a half of them per
-// line — a second worker made Add cost 2.5x as much on a sparse push
-// iteration, every append invalidating the line the other worker's next
-// append needs.
+//   - Add marks one vertex with an atomic compare-and-swap on the shared
+//     bitmap and appends it to the calling worker's list. Any worker may add
+//     any vertex (push iterations); Collect then emits the merged lists as a
+//     sparse frontier with the bitmap attached.
+//   - SetWord ORs a whole 64-vertex bitmap word that the calling worker owns
+//     and counts the bits it set; nothing is appended (pull iterations,
+//     whose chunks are whole words). Collect then emits a dense frontier,
+//     the bitmap plus its count, and the vertex list is materialised only if
+//     a push iteration asks for it (Frontier.Sparse).
+//
+// Every Add rewrites its worker's slice header (the length) and every
+// SetWord its worker's count, so each worker's state sits on cache lines of
+// its own (workerList): an add writes the worker's private lines and the one
+// bitmap word, nothing else. With the headers packed — a plain [][]VertexID
+// keeps two and a half of them per line — a second worker made Add cost 2.5x
+// as much on a sparse push iteration, every append invalidating the line the
+// other worker's next append needs.
 //
 // A builder is reusable: Reset returns it to the empty state in time
-// proportional to the vertices added since the previous Reset — not to
-// |V|/64 bitmap words — and retains every buffer, so a long-running engine
-// performs zero allocations per iteration once its builders are warm. The
-// bitmap is shared with the frontiers the builder emits, so an emitted
-// frontier is only valid until the builder's next Reset; the engine
-// double-buffers two builders to overlap one frontier's consumption with
-// the next one's construction.
+// proportional to the work of the build — the vertices added since the
+// previous Reset, or after SetWords the |V|/64 words the pull already
+// walked — and retains every buffer, so a long-running engine performs zero
+// allocations per iteration once its builders are warm. The bitmap is shared
+// with the frontiers the builder emits, so an emitted frontier is only valid
+// until the builder's next Reset; the engine double-buffers two builders to
+// overlap one frontier's consumption with the next one's construction.
 type FrontierBuilder struct {
 	numVertices int
 	bits        []uint64
 	perWorker   []workerList
 }
 
-// workerList is one worker's list of added vertices, padded to a pair of
-// cache lines (adjacent lines travel together under the spatial prefetcher)
-// so no two workers' headers ever share one.
+// workerList is one worker's added vertices (Add) and count of bits set
+// (SetWord), padded to a pair of cache lines (adjacent lines travel together
+// under the spatial prefetcher) so no two workers' state ever shares one.
 type workerList struct {
-	vs []VertexID
-	_  [128 - 24]byte
+	vs       []VertexID
+	wordBits int
+	_        [128 - 32]byte
 }
 
 // NewFrontierBuilder creates a builder for numVertices vertices and the
@@ -235,20 +254,15 @@ func (b *FrontierBuilder) Add(worker int, v VertexID) bool {
 	}
 }
 
-// AddUnsynced marks v active without atomics. It must only be used when the
-// caller guarantees that no other worker can add the same vertex (e.g.
-// pull-mode traversal, where each vertex is processed by exactly one
-// worker).
-func (b *FrontierBuilder) AddUnsynced(worker int, v VertexID) bool {
-	word := &b.bits[v/64]
-	mask := uint64(1) << (v % 64)
-	if *word&mask != 0 {
-		return false
-	}
-	*word |= mask
-	l := &b.perWorker[worker]
-	l.vs = append(l.vs, v)
-	return true
+// SetWord marks active, on behalf of the given worker, the vertices
+// 64*word+i for every bit i set in mask. It uses no atomics: the caller must
+// own the word, i.e. no other worker may add any of its 64 vertices during
+// this build — pull iterations guarantee it by chunking destinations in
+// whole words.
+func (b *FrontierBuilder) SetWord(worker, word int, mask uint64) {
+	old := b.bits[word]
+	b.bits[word] = old | mask
+	b.perWorker[worker].wordBits += bits.OnesCount64(mask &^ old)
 }
 
 // Contains reports whether v has been added.
@@ -256,58 +270,63 @@ func (b *FrontierBuilder) Contains(v VertexID) bool {
 	return atomic.LoadUint64(&b.bits[v/64])&(1<<(v%64)) != 0
 }
 
+// wordBits returns the number of vertices SetWord activated since the
+// previous Reset.
+func (b *FrontierBuilder) wordBits() int {
+	n := 0
+	for w := range b.perWorker {
+		n += b.perWorker[w].wordBits
+	}
+	return n
+}
+
 // Reset returns the builder to the empty state so it can build another
-// frontier. It runs in O(vertices added since the previous Reset): the bits
-// to clear are exactly the ones recorded in the per-worker lists, so the
-// whole |V|/64-word bitmap is never touched. The per-worker lists are
-// truncated in place, retaining their capacity. Frontiers emitted by
-// Collect/CollectInto/CollectDense share the builder's bitmap and become
-// invalid when Reset is called.
+// frontier. After Adds it clears exactly the bits recorded in the per-worker
+// lists, so the whole |V|/64-word bitmap is never touched; after SetWords it
+// clears the bitmap, which the pull that set it walked in full. The
+// per-worker lists are truncated in place, retaining their capacity.
+// Frontiers emitted by Collect/CollectInto share the builder's bitmap and
+// become invalid when Reset is called.
 func (b *FrontierBuilder) Reset() {
+	words := b.wordBits() > 0
 	for w := range b.perWorker {
 		l := &b.perWorker[w]
-		for _, v := range l.vs {
-			b.bits[v/64] &^= 1 << (v % 64)
+		if !words {
+			for _, v := range l.vs {
+				b.bits[v/64] &^= 1 << (v % 64)
+			}
 		}
-		l.vs = l.vs[:0]
+		l.vs, l.wordBits = l.vs[:0], 0
+	}
+	if words {
+		clear(b.bits)
 	}
 }
 
-// Collect merges the per-worker lists into a sparse Frontier, reusing the
-// builder's bitmap as the dense form so the result can flip representation
-// cheaply (ToDense/Bitmap on the result is free).
+// Collect is CollectInto a new Frontier.
 func (b *FrontierBuilder) Collect() *Frontier {
 	return b.CollectInto(&Frontier{})
 }
 
-// CollectInto is Collect writing into a caller-owned Frontier, reusing its
-// sparse buffer: with a warm buffer the merge performs zero allocations.
-// The previous contents of f are overwritten. It returns f.
+// CollectInto turns the build into a Frontier written into a caller-owned
+// one, whose previous contents are overwritten; the builder's bitmap is
+// attached either way, so the result can flip representation cheaply. After
+// Adds it is sparse: the per-worker lists merged into f's list buffer, so
+// with a warm buffer the merge performs zero allocations. After SetWords it
+// is dense: the bitmap and its count, with f's list buffer kept for the
+// first Sparse call. It returns f.
 func (b *FrontierBuilder) CollectInto(f *Frontier) *Frontier {
-	all := f.sparse[:0]
-	for w := range b.perWorker {
-		all = append(all, b.perWorker[w].vs...)
-	}
 	f.numVertices = b.numVertices
-	f.sparse = all
+	f.sparse = f.sparse[:0]
 	f.dense = b.bits
-	f.isDense = false
-	f.count = len(all)
 	f.outEdges = -1
-	return f
-}
-
-// CollectDense merges the builder into a dense Frontier, reusing the bitmap.
-func (b *FrontierBuilder) CollectDense() *Frontier {
-	total := 0
+	if n := b.wordBits(); n > 0 {
+		f.isDense, f.listed, f.count = true, false, n
+		return f
+	}
 	for w := range b.perWorker {
-		total += len(b.perWorker[w].vs)
+		f.sparse = append(f.sparse, b.perWorker[w].vs...)
 	}
-	return &Frontier{
-		numVertices: b.numVertices,
-		dense:       b.bits,
-		isDense:     true,
-		count:       total,
-		outEdges:    -1,
-	}
+	f.isDense, f.listed, f.count = false, true, len(f.sparse)
+	return f
 }

@@ -128,34 +128,49 @@ func TestBuilderConcurrentAddAfterReset(t *testing.T) {
 	}
 }
 
-// TestBuilderConcurrentAddUnsyncedAfterReset exercises the unsynchronized
-// variant under its documented contract: workers own word-aligned,
-// non-overlapping vertex ranges (the pull-mode ownership pattern); -race
-// verifies the contract suffices.
-func TestBuilderConcurrentAddUnsyncedAfterReset(t *testing.T) {
-	const n = 1 << 14
-	const workers = 4
-	const span = n / workers // multiple of 64
+// TestBuilderConcurrentSetWordAfterReset exercises SetWord under its
+// documented contract: two workers set disjoint words at the same time (the
+// pull-mode ownership pattern, here interleaved word by word so neighbouring
+// words belong to different workers), over several Reset/build cycles; -race
+// verifies the contract suffices, and each cycle collects exactly the union.
+func TestBuilderConcurrentSetWordAfterReset(t *testing.T) {
+	const n = 1<<14 + 37 // a partial last word
+	const workers = 2
+	words := (n + 63) / 64
 	b := NewFrontierBuilder(n, workers)
+	var f Frontier
 	for round := 0; round < 5; round++ {
 		b.Reset()
+		// Every third vertex, shifted by the round so stale bits would show.
+		want := 0
+		for v := round; v < n; v += 3 {
+			want++
+		}
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				for v := w * span; v < (w+1)*span; v++ {
-					if v%3 == 0 {
-						b.AddUnsynced(w, VertexID(v))
+				for word := w; word < words; word += workers {
+					var mask uint64
+					for v := word * 64; v < min(word*64+64, n); v++ {
+						if v >= round && (v-round)%3 == 0 {
+							mask |= 1 << (v & 63)
+						}
 					}
+					b.SetWord(w, word, mask)
 				}
 			}(w)
 		}
 		wg.Wait()
-		f := b.Collect()
-		want := (n + 2) / 3
-		if f.Count() != want {
-			t.Fatalf("round %d: count = %d, want %d", round, f.Count(), want)
+		b.CollectInto(&f)
+		if f.Count() != want || len(f.Sparse()) != want {
+			t.Fatalf("round %d: Count %d, %d listed, want %d", round, f.Count(), len(f.Sparse()), want)
+		}
+		for i, v := range f.Sparse() {
+			if int(v) != round+3*i {
+				t.Fatalf("round %d: listed[%d] = %d, want %d", round, i, v, round+3*i)
+			}
 		}
 	}
 }
@@ -277,6 +292,45 @@ func BenchmarkFrontierBuilderAdd(b *testing.B) {
 				round()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n/workers), "ns/add")
+		})
+	}
+}
+
+// BenchmarkFrontierBuilderSetWord measures one SetWord (ns/word, each word
+// carrying 16 new vertices, Reset included) with 1 and with 2 workers
+// setting disjoint halves of the bitmap at the same time, like
+// BenchmarkFrontierBuilderAdd: whatever the second worker costs is sharing
+// among the builder's own per-worker state.
+func BenchmarkFrontierBuilderSetWord(b *testing.B) {
+	const n = 1 << 20 // enough words that the second worker's start-up is amortized
+	const words = n / 64
+	const mask = 0x1111_1111_1111_1111
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			fb := NewFrontierBuilder(n, workers)
+			set := func(w int) {
+				for word := w * words / workers; word < (w+1)*words/workers; word++ {
+					fb.SetWord(w, word, mask)
+				}
+			}
+			round := func() {
+				fb.Reset()
+				var wg sync.WaitGroup
+				for w := 1; w < workers; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						set(w)
+					}(w)
+				}
+				set(0)
+				wg.Wait()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				round()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(words/workers), "ns/word")
 		})
 	}
 }

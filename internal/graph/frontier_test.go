@@ -1,6 +1,8 @@
 package graph
 
 import (
+	"math/bits"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -76,6 +78,15 @@ func TestNewDenseFrontier(t *testing.T) {
 	if !f.Contains(0) || !f.Contains(69) || f.Contains(5) {
 		t.Fatal("membership wrong")
 	}
+	// A vertex listed twice is one active vertex: Count and Density must not
+	// see it twice, or the planner's direction test is steered by phantoms.
+	dup := NewDenseFrontier(70, []VertexID{0, 0, 69, 69, 69})
+	if dup.Count() != 2 || dup.Density() != 2.0/70 {
+		t.Fatalf("duplicates: Count %d, Density %v; want 2, %v", dup.Count(), dup.Density(), 2.0/70)
+	}
+	if got := dup.Sparse(); len(got) != 2 || got[0] != 0 || got[1] != 69 {
+		t.Fatalf("duplicates: Sparse() = %v, want [0 69]", got)
+	}
 }
 
 func TestFrontierOutEdgesAnnotation(t *testing.T) {
@@ -120,20 +131,47 @@ func TestFrontierBuilderConcurrentAdds(t *testing.T) {
 	}
 }
 
-func TestFrontierBuilderCollectDense(t *testing.T) {
-	b := NewFrontierBuilder(100, 1)
-	b.AddUnsynced(0, 5)
-	b.AddUnsynced(0, 5) // duplicate ignored
-	b.AddUnsynced(0, 64)
-	f := b.CollectDense()
-	if !f.IsDense() || f.Count() != 2 {
-		t.Fatalf("CollectDense: dense=%v count=%d", f.IsDense(), f.Count())
+// TestFrontierBuilderSetWordRoundTrip: SetWord → CollectInto emits a dense
+// frontier whose Count is the popcount of the words set (a bit set twice
+// counts once), whose Sparse() lists the vertices in ascending order — the
+// last, partial word of a 150-vertex universe included — and Reset leaves a
+// zero bitmap; the next build, by Add, collects sparse again into the same
+// frontier.
+func TestFrontierBuilderSetWordRoundTrip(t *testing.T) {
+	const n = 150
+	b := NewFrontierBuilder(n, 2)
+	var f Frontier
+	b.SetWord(0, 0, 1<<5|1<<63)
+	b.SetWord(0, 0, 1<<5) // already set: counted once
+	b.SetWord(1, 2, 1<<0|1<<21)
+	b.CollectInto(&f)
+	want := []VertexID{5, 63, 128, 149}
+	if !f.IsDense() || f.Count() != len(want) {
+		t.Fatalf("CollectInto after SetWord: dense=%v count=%d, want dense with %d", f.IsDense(), f.Count(), len(want))
 	}
-	if !f.Contains(5) || !f.Contains(64) {
-		t.Fatal("membership wrong after CollectDense")
+	pop := 0
+	for _, w := range f.Bitmap() {
+		pop += bits.OnesCount64(w)
 	}
-	if !b.Contains(5) || b.Contains(6) {
-		t.Fatal("builder Contains wrong")
+	if pop != f.Count() {
+		t.Fatalf("Count %d, bitmap popcount %d", f.Count(), pop)
+	}
+	if got := f.Sparse(); !slices.Equal(got, want) {
+		t.Fatalf("Sparse() = %v, want %v (ascending)", got, want)
+	}
+	if !b.Contains(63) || b.Contains(64) || !f.Contains(149) || f.Contains(148) {
+		t.Fatal("membership wrong after SetWord")
+	}
+	b.Reset()
+	for i, w := range b.bits {
+		if w != 0 {
+			t.Fatalf("bitmap word %d = %#x after Reset", i, w)
+		}
+	}
+	b.Add(1, 7)
+	b.CollectInto(&f)
+	if f.IsDense() || f.Count() != 1 || !slices.Equal(f.Sparse(), []VertexID{7}) {
+		t.Fatalf("Add after a SetWord build: dense=%v count=%d list %v, want sparse [7]", f.IsDense(), f.Count(), f.Sparse())
 	}
 }
 

@@ -189,6 +189,17 @@ type Graph struct {
 	Directed bool
 }
 
+// PullAdjacency returns the adjacency that pull iterations scan: the
+// in-adjacency, or — when none was built — the out-adjacency, whose
+// (doubled) lists of an undirected dataset are its in-lists as well
+// (Section 6.1.3). nil if neither is built.
+func (g *Graph) PullAdjacency() *Adjacency {
+	if g.In != nil {
+		return g.In
+	}
+	return g.Out
+}
+
 // NumVertices returns the number of vertices of the dataset.
 func (g *Graph) NumVertices() int { return g.EdgeArray.NumVertices }
 

@@ -13,8 +13,9 @@ type Span struct {
 	// Full reports that every vertex is in the frontier, so kernels may skip
 	// the Bits test (every iteration of a dense algorithm).
 	Full bool
-	// Next receives the vertices activated for the next iteration; nil when
-	// the algorithm is dense and no frontier is built.
+	// Next receives the vertices activated for the next iteration — through
+	// Add, or a whole owned word at a time through SetWord in pull rows; nil
+	// when the algorithm is dense and no frontier is built.
 	Next *FrontierBuilder
 	// Atomic reports that other workers may update the same destinations
 	// concurrently, so destination updates must be atomic. When false the

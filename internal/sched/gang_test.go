@@ -71,13 +71,11 @@ func TestGangBackToBackTinyLoops(t *testing.T) {
 				}
 			})
 			<-leased
+			// Joins measure how fast workers come back, a timing property of
+			// the host rather than of the barrier: BenchmarkSSSPRoad512
+			// reports them as joins/loop.
 			if c, lc := p.Counters(), l.Counters(); c.GangLoops != int64(loops) || lc.GangLoops != int64(loops) {
 				t.Fatalf("GangLoops = %d (pool), %d (lease), want %d each", c.GangLoops, lc.GangLoops, loops)
-			} else if !testing.Short() && (c.GangJoins < int64(loops)/10 || lc.GangJoins < int64(loops)/10) {
-				// Joins measure how fast workers come back, not whether the
-				// barrier is right: the repeated -short runs share the host
-				// with other tests and leave it to BenchmarkSSSPRoad512.
-				t.Errorf("GangJoins = %d (pool), %d (lease) over %d loops: workers are not keeping up", c.GangJoins, lc.GangJoins, loops)
 			}
 
 			// Left idle, every worker runs out its polling budget and parks.
