@@ -1,10 +1,11 @@
 package everythinggraph
 
-// One testing.B benchmark per figure/table of the paper's evaluation. Each
-// benchmark delegates to the corresponding experiment driver in
-// internal/bench at a reduced scale (so `go test -bench=.` completes in
-// minutes rather than hours); cmd/benchrunner runs the same drivers at the
-// full default scale (README, "Benchmarks").
+// One testing.B benchmark per figure/table of the paper's evaluation, except
+// the NUMA study of Section 7 (Figures 9 and 10), which needs a multi-socket
+// host and is not reproduced. Each benchmark delegates to the corresponding
+// experiment driver in internal/bench at a reduced scale (so `go test
+// -bench=.` completes in minutes rather than hours); cmd/benchrunner runs the
+// same drivers at the full default scale (README, "Benchmarks").
 //
 // The benchmarks intentionally measure one full experiment per iteration —
 // including workload generation and pre-processing — because the paper's
@@ -90,14 +91,6 @@ func BenchmarkFig7BFSFlow(b *testing.B) { runExperiment(b, "fig7") }
 // BenchmarkFig8PagerankSync reproduces Figure 8: PageRank with and without
 // locks on adjacency lists and the grid.
 func BenchmarkFig8PagerankSync(b *testing.B) { runExperiment(b, "fig8") }
-
-// BenchmarkFig9NUMA reproduces Figure 9: NUMA-aware partitioning vs
-// interleaving on the two simulated machines for BFS and PageRank.
-func BenchmarkFig9NUMA(b *testing.B) { runExperiment(b, "fig9") }
-
-// BenchmarkFig10NUMARoad reproduces Figure 10: NUMA-aware BFS on the
-// high-diameter road graph.
-func BenchmarkFig10NUMARoad(b *testing.B) { runExperiment(b, "fig10") }
 
 // BenchmarkTable5Best reproduces Table 5: best end-to-end approaches for BFS
 // and PageRank on the Twitter-profile and road graphs.

@@ -7,7 +7,6 @@
 //	benchrunner -experiment all                # run everything
 //	benchrunner -experiment fig5,table2        # run a subset
 //	benchrunner -list                          # list experiment ids
-//	benchrunner -experiment fig9 -rmat-scale 22
 package main
 
 import (

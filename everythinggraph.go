@@ -13,11 +13,8 @@
 //   - Information flow: push, pull or direction-optimizing push-pull;
 //   - Synchronization: locks, atomics or partition-based lock freedom.
 //
-// NUMA-awareness (the paper's Section 7) is reproduced offline by the
-// simulation in internal/numa; the engine itself never pins threads.
-//
 // Every run reports an end-to-end time breakdown (load, pre-processing,
-// partitioning, algorithm), because the paper's central result is that
+// algorithm), because the paper's central result is that
 // pre-processing often dominates and must not be ignored.
 //
 // Quick start:
@@ -255,8 +252,6 @@ type Config struct {
 	Workers int
 	// MaxIterations caps the engine iterations (0 = no cap).
 	MaxIterations int
-	// RecordFrontiers stores per-iteration frontiers for NUMA analysis.
-	RecordFrontiers bool
 	// PushPullAlpha overrides the direction-switch threshold denominator.
 	// Only the dynamic flows (FlowPushPull, FlowAuto) read it; setting it
 	// with a static flow is rejected at validation instead of being
@@ -308,8 +303,8 @@ type MetricsSnapshot = metrics.Snapshot
 
 // Result reports one end-to-end run.
 type Result struct {
-	// Breakdown is the end-to-end time split (load/pre-process/partition/
-	// algorithm). Prepare fills Preprocess; Run fills Algorithm.
+	// Breakdown is the end-to-end time split (load/pre-process/algorithm).
+	// Prepare fills Preprocess; Run fills Algorithm.
 	Breakdown Breakdown
 	// Run holds the engine's per-iteration statistics.
 	Run *core.Result
@@ -415,16 +410,15 @@ func (g *Graph) Run(alg Algorithm, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	engineCfg := core.Config{
-		Layout:          cfg.Layout,
-		Flow:            cfg.Flow,
-		Sync:            cfg.Sync,
-		Workers:         cfg.Workers,
-		PushPullAlpha:   cfg.PushPullAlpha,
-		MaxIterations:   cfg.MaxIterations,
-		RecordFrontiers: cfg.RecordFrontiers,
-		CostPriors:      cfg.CostPriors,
-		Lease:           cfg.Lease,
-		Trace:           cfg.Trace,
+		Layout:        cfg.Layout,
+		Flow:          cfg.Flow,
+		Sync:          cfg.Sync,
+		Workers:       cfg.Workers,
+		PushPullAlpha: cfg.PushPullAlpha,
+		MaxIterations: cfg.MaxIterations,
+		CostPriors:    cfg.CostPriors,
+		Lease:         cfg.Lease,
+		Trace:         cfg.Trace,
 	}
 	res, err := core.Run(g.g, alg, engineCfg)
 	if err != nil {
@@ -598,18 +592,17 @@ func (st *Store) Run(alg Algorithm, cfg Config) (*Result, error) {
 // streamConfig is the engine configuration of a Store run.
 func streamConfig(cfg Config) core.Config {
 	return core.Config{
-		Layout:          LayoutGrid,
-		Flow:            cfg.Flow,
-		Sync:            SyncPartitionFree,
-		Workers:         cfg.Workers,
-		PushPullAlpha:   cfg.PushPullAlpha,
-		MaxIterations:   cfg.MaxIterations,
-		RecordFrontiers: cfg.RecordFrontiers,
-		MemoryBudget:    cfg.MemoryBudget,
-		PrefetchDepth:   cfg.PrefetchDepth,
-		CostPriors:      cfg.CostPriors,
-		Lease:           cfg.Lease,
-		Trace:           cfg.Trace,
+		Layout:        LayoutGrid,
+		Flow:          cfg.Flow,
+		Sync:          SyncPartitionFree,
+		Workers:       cfg.Workers,
+		PushPullAlpha: cfg.PushPullAlpha,
+		MaxIterations: cfg.MaxIterations,
+		MemoryBudget:  cfg.MemoryBudget,
+		PrefetchDepth: cfg.PrefetchDepth,
+		CostPriors:    cfg.CostPriors,
+		Lease:         cfg.Lease,
+		Trace:         cfg.Trace,
 	}
 }
 
@@ -653,16 +646,15 @@ func (g *Graph) Batch(kind BatchKind, sources []VertexID, cfg Config) ([]BatchSo
 		return nil, err
 	}
 	engineCfg := core.Config{
-		Layout:          cfg.Layout,
-		Flow:            cfg.Flow,
-		Sync:            cfg.Sync,
-		Workers:         cfg.Workers,
-		PushPullAlpha:   cfg.PushPullAlpha,
-		MaxIterations:   cfg.MaxIterations,
-		RecordFrontiers: cfg.RecordFrontiers,
-		CostPriors:      cfg.CostPriors,
-		Lease:           cfg.Lease,
-		Trace:           cfg.Trace,
+		Layout:        cfg.Layout,
+		Flow:          cfg.Flow,
+		Sync:          cfg.Sync,
+		Workers:       cfg.Workers,
+		PushPullAlpha: cfg.PushPullAlpha,
+		MaxIterations: cfg.MaxIterations,
+		CostPriors:    cfg.CostPriors,
+		Lease:         cfg.Lease,
+		Trace:         cfg.Trace,
 	}
 	return core.Batch(g.g, kind, sources, engineCfg)
 }

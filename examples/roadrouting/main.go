@@ -2,7 +2,7 @@
 // graph. High-diameter, low-degree graphs behave very differently from
 // power-law graphs (Section 8 of the paper): traversals need many
 // iterations, each touching a small frontier, so adjacency lists pay off
-// while grids and NUMA-style partitioning do not.
+// while grids do not.
 package main
 
 import (

@@ -1,9 +1,9 @@
 // Package bench contains one experiment driver per figure and table of the
 // paper's evaluation. Every driver generates the workload, runs the relevant
 // configurations, and prints a table with the same rows/series the paper
-// reports (pre-processing, partitioning and algorithm execution times, cache
-// miss ratios, per-iteration times). Absolute numbers differ from the paper
-// (different hardware, simulated substrates, smaller default graph scales);
+// reports (pre-processing and algorithm execution times, cache miss ratios,
+// per-iteration times). Absolute numbers differ from the paper (different
+// hardware, a simulated LLC and storage devices, smaller default graph scales);
 // the experiments reproduce the relative behaviour — who wins, by roughly
 // what factor, and where the crossovers are.
 //

@@ -7,10 +7,11 @@ import (
 )
 
 // TestRegistryComplete checks that every figure and table of the paper's
-// evaluation has a registered experiment.
+// evaluation outside Section 7 (NUMA, not reproduced) has a registered
+// experiment.
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
-		"fig1", "fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
+		"fig1", "fig2", "fig3", "fig5", "fig6", "fig7", "fig8",
 		"table1", "table2", "table3", "table4", "table5", "table6",
 	}
 	for _, id := range want {

@@ -88,7 +88,6 @@ func runFig1(s Scale, w io.Writer) error {
 func breakdownRow(b metrics.Breakdown) map[string]string {
 	return map[string]string{
 		"preprocess": fmtDuration(b.Preprocess),
-		"partition":  fmtDuration(b.Partition),
 		"algorithm":  fmtDuration(b.Algorithm),
 		"total":      fmtDuration(b.Total()),
 	}

@@ -226,9 +226,9 @@ func batchWorkerShares(groups [][]graph.VertexID, priors map[string]float64, tot
 }
 
 // predictedScanCost returns the cost cache's cheapest positive ns/edge
-// entry for batch width k — the labels a previous ×k run measured — or 1
-// when the cache has no matching entry (leaving the split proportional to
-// the widths alone).
+// entry for batch width k — the labels a previous ×k run measured, which end
+// in exactly "×k" (so ×6 never reads a ×64 entry) — or 1 when the cache has
+// no matching entry (leaving the split proportional to the widths alone).
 func predictedScanCost(priors map[string]float64, k int) float64 {
 	suffix := fmt.Sprintf("×%d", k)
 	best := 0.0
@@ -237,7 +237,7 @@ func predictedScanCost(priors map[string]float64, k int) float64 {
 			continue
 		}
 		if k > 1 {
-			if !strings.Contains(label, suffix) {
+			if !strings.HasSuffix(label, suffix) {
 				continue
 			}
 		} else if strings.Contains(label, "×") {

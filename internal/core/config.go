@@ -133,9 +133,6 @@ type Config struct {
 	// MaxIterations caps the number of iterations (0 = no cap). Algorithms
 	// with a fixed iteration count (PageRank) converge on their own.
 	MaxIterations int
-	// RecordFrontiers stores a copy of each iteration's active vertex list
-	// in the result, for NUMA analysis (Section 7).
-	RecordFrontiers bool
 	// MemoryBudget bounds the resident edge-buffer bytes of streamed
 	// (out-of-core) execution; it is ignored by in-memory runs. 0 selects
 	// DefaultStreamMemoryBudget. Every pass of a streamed run, under any
@@ -212,10 +209,6 @@ type Result struct {
 	AlgorithmTime time.Duration
 	// PerIteration holds one entry per executed iteration.
 	PerIteration []IterationStats
-	// FrontierHistory holds a copy of each iteration's active vertices when
-	// Config.RecordFrontiers is set (nil entries for whole-graph
-	// iterations of dense algorithms).
-	FrontierHistory [][]graph.VertexID
 	// IO is the cumulative storage accounting of the run's source (zero
 	// for in-memory runs; see RunStreamed).
 	IO SourceStats

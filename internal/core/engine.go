@@ -99,9 +99,6 @@ func iterate(g *graph.Graph, alg Algorithm, cfg Config, workers int, pl *planner
 			ActiveEdges:    frontier.OutEdges(),
 			Plan:           plan,
 		}
-		if cfg.RecordFrontiers {
-			res.FrontierHistory = append(res.FrontierHistory, frontierSnapshot(alg, frontier))
-		}
 
 		next, err := step(plan, frontier)
 		if err != nil {
@@ -394,19 +391,6 @@ func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 		}
 	}
 	return r
-}
-
-// frontierSnapshot copies the active vertex list for the NUMA analysis.
-// Dense (whole-graph) frontiers are recorded as nil: they are balanced by
-// construction and copying them every iteration would dominate memory.
-func frontierSnapshot(alg Algorithm, f *graph.Frontier) []graph.VertexID {
-	if alg.Dense() && f.Count() == f.NumVertices() {
-		return nil
-	}
-	src := f.Sparse()
-	out := make([]graph.VertexID, len(src))
-	copy(out, src)
-	return out
 }
 
 // activeOutEdges returns the summed out-degrees of the frontier's vertices

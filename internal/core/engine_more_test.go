@@ -156,6 +156,30 @@ func TestALSThroughEngineMatchesAcrossFlows(t *testing.T) {
 	}
 }
 
+// runRecordingFrontiers is Run with iterate's step wrapped to copy each
+// iteration's frontier before the step executes on it.
+func runRecordingFrontiers(t *testing.T, g *graph.Graph, alg Algorithm, cfg Config) (*Result, [][]graph.VertexID) {
+	t.Helper()
+	if err := cfg.Validate(g); err != nil {
+		t.Fatalf("Validate: %v", err)
+	}
+	workers := resolveWorkers(cfg)
+	r := newRunner(g, alg, cfg, workers)
+	pl, err := residentPlanner(g, cfg, r, resolveAlpha(cfg), workers, !alg.Dense())
+	if err != nil {
+		t.Fatalf("residentPlanner: %v", err)
+	}
+	var frontiers [][]graph.VertexID
+	res, err := iterate(g, alg, cfg, workers, pl, nil, func(plan StepPlan, f *graph.Frontier) (*graph.Frontier, error) {
+		frontiers = append(frontiers, append([]graph.VertexID(nil), f.Sparse()...))
+		return r.execute(plan, f), nil
+	})
+	if err != nil {
+		t.Fatalf("iterate: %v", err)
+	}
+	return res, frontiers
+}
+
 // TestPushIterationsRecordActiveEdges: a push iteration over an adjacency
 // chunks its frontier by out-edges, so its statistics carry the frontier's
 // out-edge total whether or not a planner asked for it — fixed push and
@@ -164,18 +188,15 @@ func TestPushIterationsRecordActiveEdges(t *testing.T) {
 	g := gen.Road(gen.RoadOptions{Width: 24, Height: 24, ShortcutFraction: 0.05, Seed: 3, Weighted: true})
 	prepareAll(t, g, true)
 	for _, flow := range []Flow{Push, Auto} {
-		res, err := Run(g, algorithms.NewSSSP(0), Config{
-			Layout: graph.LayoutAdjacency, Flow: flow, Sync: SyncAtomics, Workers: 2, RecordFrontiers: true,
+		res, frontiers := runRecordingFrontiers(t, g, algorithms.NewSSSP(0), Config{
+			Layout: graph.LayoutAdjacency, Flow: flow, Sync: SyncAtomics, Workers: 2,
 		})
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
 		for i, it := range res.PerIteration {
 			if it.Plan.Flow == Pull {
 				continue
 			}
 			var want int64
-			for _, v := range res.FrontierHistory[i] {
+			for _, v := range frontiers[i] {
 				want += int64(g.Out.Degree(v))
 			}
 			if it.ActiveEdges != want {
@@ -192,30 +213,6 @@ func TestPushIterationsRecordActiveEdges(t *testing.T) {
 	for i, it := range res.PerIteration {
 		if want := int64(len(g.Out.Targets)); it.ActiveEdges != want {
 			t.Fatalf("PageRank iteration %d: ActiveEdges = %d, want all %d", i, it.ActiveEdges, want)
-		}
-	}
-}
-
-// TestDenseAlgorithmsSkipFrontierHistoryCopies: dense (whole-graph)
-// algorithms record nil frontier snapshots so the NUMA profile treats them
-// as balanced.
-func TestDenseAlgorithmsSkipFrontierHistoryCopies(t *testing.T) {
-	g := gen.RMAT(gen.RMATOptions{Scale: 9, EdgeFactor: 8, Seed: 2})
-	prepareAll(t, g, false)
-	pr := algorithms.NewPageRank()
-	pr.Iterations = 2
-	res, err := Run(g, pr, Config{
-		Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics, RecordFrontiers: true,
-	})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(res.FrontierHistory) != 2 {
-		t.Fatalf("history length = %d", len(res.FrontierHistory))
-	}
-	for i, h := range res.FrontierHistory {
-		if h != nil {
-			t.Fatalf("iteration %d: dense frontier should be recorded as nil", i)
 		}
 	}
 }

@@ -277,11 +277,10 @@ func TestPerIterationStatsRecorded(t *testing.T) {
 		cfg  Config
 	}{
 		{"in-memory", func(alg Algorithm, cfg Config) (*Result, error) { return Run(g, alg, cfg) },
-			Config{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics, RecordFrontiers: true}},
-		// RunStreamed used to ignore RecordFrontiers silently.
+			Config{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics}},
 		{"streamed", func(alg Algorithm, cfg Config) (*Result, error) {
 			return RunStreamed(&gridSource{grid: g.Grid}, alg, cfg)
-		}, Config{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, RecordFrontiers: true}},
+		}, Config{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree}},
 	}
 	for _, tc := range runs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -297,15 +296,9 @@ func TestPerIterationStatsRecorded(t *testing.T) {
 			if len(res.PerIteration) != res.Iterations {
 				t.Fatalf("per-iteration stats %d != iterations %d", len(res.PerIteration), res.Iterations)
 			}
-			if len(res.FrontierHistory) != res.Iterations {
-				t.Fatalf("frontier history %d != iterations %d", len(res.FrontierHistory), res.Iterations)
-			}
 			for i, st := range res.PerIteration {
 				if st.ActiveVertices != 1 {
 					t.Fatalf("iteration %d: active = %d, want 1", i, st.ActiveVertices)
-				}
-				if f := res.FrontierHistory[i]; len(f) != 1 || int(f[0]) != i {
-					t.Fatalf("iteration %d: recorded frontier %v, want [%d]", i, f, i)
 				}
 			}
 		})

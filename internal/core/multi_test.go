@@ -309,6 +309,27 @@ func TestBatchWorkerShares(t *testing.T) {
 	}
 }
 
+// TestPredictedScanCostMatchesExactWidth: a width's cost entries are the
+// labels ending in exactly ×k, so a ×64 sweep's cost never sizes a ×6 or ×1
+// group's share.
+func TestPredictedScanCostMatchesExactWidth(t *testing.T) {
+	cases := []struct {
+		priors map[string]float64
+		k      int
+		want   float64
+	}{
+		{map[string]float64{"adjacency/pull/no-lock×64": 2.5}, 6, 1},
+		{map[string]float64{"adjacency/pull/no-lock×64": 2.5, "adjacency/pull/no-lock×6": 9}, 6, 9},
+		{map[string]float64{"adjacency/pull/no-lock×16": 3}, 1, 1},
+		{map[string]float64{"adjacency/push/atomics": 4}, 1, 4},
+	}
+	for _, c := range cases {
+		if got := predictedScanCost(c.priors, c.k); got != c.want {
+			t.Errorf("predictedScanCost(%v, %d) = %v, want %v", c.priors, c.k, got, c.want)
+		}
+	}
+}
+
 func TestBatchValidation(t *testing.T) {
 	g := gen.RMAT(gen.RMATOptions{Scale: 8, EdgeFactor: 4, Seed: 1})
 	prepareAll(t, g, false)

@@ -3,6 +3,7 @@ package costcache
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -89,4 +90,42 @@ func TestKey(t *testing.T) {
 	if Key("pagerank", small, "", 0) == Key("pagerank", big, "", 0) {
 		t.Fatal("different graphs under the same file name share a cache key")
 	}
+}
+
+// FuzzCostcacheDecode: Decode never panics, and any file it accepts survives
+// Save and Load unchanged.
+func FuzzCostcacheDecode(f *testing.F) {
+	seedPath := filepath.Join(f.TempDir(), "costs.json")
+	seed := &File{Version: Version, Graphs: map[string]map[string]float64{}}
+	seed.Record("bfs@rmat-s12", map[string]float64{"adjacency/push/atomics": 1.25, "adjacency/pull/no-lock×64": 0.5})
+	seed.Record("pagerank@g.egs#4096", map[string]float64{"grid/16@s1/pull/no-lock": 3e-7})
+	if err := seed.Save(seedPath); err != nil {
+		f.Fatal(err)
+	}
+	data, err := os.ReadFile(seedPath)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add([]byte(`{"version":4,"graphs":null}`))
+	f.Add([]byte(`{"version":4,"graphs":{"a":null,"b":{"x":-0}}}`))
+	f.Add([]byte(`{"version":3,"graphs":{}}`))
+	f.Add([]byte(`not json`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		file, err := Decode(data)
+		if err != nil {
+			return
+		}
+		path := filepath.Join(t.TempDir(), "costs.json")
+		if err := file.Save(path); err != nil {
+			t.Fatalf("Save: %v", err)
+		}
+		again, err := Load(path)
+		if err != nil {
+			t.Fatalf("Load of a saved cache: %v", err)
+		}
+		if !reflect.DeepEqual(again, file) {
+			t.Fatalf("Save/Load changed the cache: %+v, want %+v", again, file)
+		}
+	})
 }

@@ -189,10 +189,10 @@ const roadRegionsPerSide = 4
 //
 // Vertex ids are assigned region by region (a 4x4 tiling of the lattice),
 // mirroring the regional ordering of the DIMACS/TIGER road data, where
-// vertices of the same geographic area have nearby ids. This matters for
-// the NUMA experiments: contiguous-range partitioning maps regions to
-// nodes, so a BFS wavefront sweeping the map concentrates its work on one
-// node at a time (the contention pathology of Figure 10).
+// vertices of the same geographic area have nearby ids. This keeps locality
+// realistic: a traversal's wavefront sweeping the map touches vertex ids
+// that are mostly close together, so its metadata accesses cluster the way
+// they do on the real road graphs.
 func Road(opt RoadOptions) *graph.Graph {
 	if opt.Width <= 0 {
 		opt.Width = 256

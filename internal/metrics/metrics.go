@@ -1,7 +1,7 @@
 // Package metrics holds the end-to-end time accounting used throughout the
 // benchmarks: the paper's central argument is that algorithm execution time
 // alone is misleading, so every experiment reports a breakdown into loading,
-// pre-processing, partitioning and algorithm execution.
+// pre-processing and algorithm execution.
 package metrics
 
 import (
@@ -12,8 +12,8 @@ import (
 )
 
 // Breakdown is the end-to-end execution time of one run, split into the
-// phases of the paper's Figures (pre-processing / partitioning / algorithm,
-// plus loading when a storage device is involved).
+// phases of the paper's Figures (pre-processing / algorithm, plus loading
+// when a storage device is involved).
 type Breakdown struct {
 	// Load is the (possibly simulated) time to read the edge array from
 	// storage. Zero when the graph is already in memory.
@@ -21,9 +21,6 @@ type Breakdown struct {
 	// Preprocess is the time to build the data layout (adjacency lists,
 	// grid) from the edge array.
 	Preprocess time.Duration
-	// Partition is the time spent on NUMA-aware partitioning (zero when
-	// interleaved placement is used).
-	Partition time.Duration
 	// Algorithm is the algorithm execution time.
 	Algorithm time.Duration
 	// IOWait is worker time stalled on storage during out-of-core
@@ -41,7 +38,7 @@ type Breakdown struct {
 
 // Total returns the end-to-end time.
 func (b Breakdown) Total() time.Duration {
-	return b.Load + b.Preprocess + b.Partition + b.Algorithm
+	return b.Load + b.Preprocess + b.Algorithm
 }
 
 // Add returns the phase-wise sum of two breakdowns.
@@ -49,7 +46,6 @@ func (b Breakdown) Add(o Breakdown) Breakdown {
 	return Breakdown{
 		Load:       b.Load + o.Load,
 		Preprocess: b.Preprocess + o.Preprocess,
-		Partition:  b.Partition + o.Partition,
 		Algorithm:  b.Algorithm + o.Algorithm,
 		IOWait:     b.IOWait + o.IOWait,
 		IOHidden:   b.IOHidden + o.IOHidden,
@@ -62,14 +58,13 @@ func (b Breakdown) Scale(f float64) Breakdown {
 	return Breakdown{
 		Load:       time.Duration(float64(b.Load) * f),
 		Preprocess: time.Duration(float64(b.Preprocess) * f),
-		Partition:  time.Duration(float64(b.Partition) * f),
 		Algorithm:  time.Duration(float64(b.Algorithm) * f),
 		IOWait:     time.Duration(float64(b.IOWait) * f),
 		IOHidden:   time.Duration(float64(b.IOHidden) * f),
 	}
 }
 
-// String formats the breakdown as "pre=12ms part=0s algo=34ms total=46ms"
+// String formats the breakdown as "pre=12ms algo=34ms total=46ms"
 // (load omitted when zero).
 func (b Breakdown) String() string {
 	var sb strings.Builder
@@ -77,9 +72,6 @@ func (b Breakdown) String() string {
 		fmt.Fprintf(&sb, "load=%v ", b.Load.Round(time.Millisecond))
 	}
 	fmt.Fprintf(&sb, "pre=%v ", b.Preprocess.Round(time.Millisecond))
-	if b.Partition > 0 {
-		fmt.Fprintf(&sb, "part=%v ", b.Partition.Round(time.Millisecond))
-	}
 	fmt.Fprintf(&sb, "algo=%v total=%v", b.Algorithm.Round(time.Millisecond), b.Total().Round(time.Millisecond))
 	if b.IOWait > 0 || b.IOHidden > 0 {
 		fmt.Fprintf(&sb, " io-wait=%v io-hidden=%v", b.IOWait.Round(time.Millisecond), b.IOHidden.Round(time.Millisecond))
@@ -142,7 +134,6 @@ func (t *Table) AddDurations(label string, b Breakdown) {
 	t.AddRow(label, map[string]string{
 		"load":       FormatSeconds(b.Load),
 		"preprocess": FormatSeconds(b.Preprocess),
-		"partition":  FormatSeconds(b.Partition),
 		"algorithm":  FormatSeconds(b.Algorithm),
 		"total":      FormatSeconds(b.Total()),
 	})

@@ -9,13 +9,13 @@ import (
 )
 
 func TestBreakdownTotalAndAdd(t *testing.T) {
-	a := Breakdown{Load: 1 * time.Second, Preprocess: 2 * time.Second, Partition: 3 * time.Second, Algorithm: 4 * time.Second}
+	a := Breakdown{Load: 1 * time.Second, Preprocess: 2 * time.Second, Algorithm: 7 * time.Second}
 	if a.Total() != 10*time.Second {
 		t.Fatalf("Total = %v", a.Total())
 	}
 	b := Breakdown{Algorithm: 1 * time.Second}
 	sum := a.Add(b)
-	if sum.Algorithm != 5*time.Second || sum.Load != 1*time.Second {
+	if sum.Algorithm != 8*time.Second || sum.Load != 1*time.Second {
 		t.Fatalf("Add = %+v", sum)
 	}
 	half := a.Scale(0.5)
@@ -27,7 +27,7 @@ func TestBreakdownTotalAndAdd(t *testing.T) {
 func TestBreakdownAddCommutativeProperty(t *testing.T) {
 	f := func(a, b uint32) bool {
 		x := Breakdown{Preprocess: time.Duration(a), Algorithm: time.Duration(b)}
-		y := Breakdown{Preprocess: time.Duration(b), Partition: time.Duration(a)}
+		y := Breakdown{Preprocess: time.Duration(b), Load: time.Duration(a)}
 		return x.Add(y).Total() == y.Add(x).Total()
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -41,7 +41,7 @@ func TestBreakdownString(t *testing.T) {
 	if !strings.Contains(s, "pre=1.5s") || !strings.Contains(s, "algo=500ms") || !strings.Contains(s, "total=2s") {
 		t.Fatalf("unexpected String(): %q", s)
 	}
-	if strings.Contains(s, "load=") || strings.Contains(s, "part=") {
+	if strings.Contains(s, "load=") {
 		t.Fatalf("zero phases must be omitted: %q", s)
 	}
 	withLoad := Breakdown{Load: time.Second}

@@ -115,8 +115,8 @@ func (p *Pool) Submit(t Task) {
 }
 
 // SubmitTo enqueues a task on a specific worker's deque. Worker indexes wrap
-// around, so callers may pass any non-negative integer (e.g. a partition or
-// NUMA-node id) to obtain a stable assignment.
+// around, so callers may pass any non-negative integer (e.g. a partition id)
+// to obtain a stable assignment.
 func (p *Pool) SubmitTo(worker int, t Task) {
 	p.mu.Lock()
 	if p.closed {

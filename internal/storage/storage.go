@@ -319,7 +319,7 @@ func ReadText(r io.Reader) ([]graph.Edge, error) {
 		edges = append(edges, graph.Edge{Src: uint32(src), Dst: uint32(dst), W: graph.Weight(w)})
 	}
 	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("storage: scan: %w", err)
+		return nil, fmt.Errorf("storage: line %d: scan: %w", lineNo+1, err)
 	}
 	return edges, nil
 }

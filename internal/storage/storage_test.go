@@ -2,12 +2,15 @@ package storage
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"github.com/epfl-repro/everythinggraph/internal/gen"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/prep"
 )
@@ -137,6 +140,53 @@ func TestReadTextErrors(t *testing.T) {
 			t.Errorf("input %q: expected error", c)
 		}
 	}
+}
+
+// FuzzReadText: the text loader never panics, names the line of every
+// error, and any input it accepts writes back through WriteText to text that
+// reads as the same edges (weights compared as bits: NaN is a legal weight).
+func FuzzReadText(f *testing.F) {
+	var rmat bytes.Buffer
+	g := gen.RMAT(gen.RMATOptions{Scale: 5, EdgeFactor: 4, Seed: 1, Weighted: true, Workers: 1})
+	if err := WriteText(&rmat, g.EdgeArray.Edges); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rmat.Bytes())
+	for _, s := range []string{
+		"# comment\n% comment\n\n0 1\n2 3 4.5\n",
+		"  5\t6  \r\n7 8 -0\n9 10 NaN\n11 12 -Inf\n",
+		"1\n", "a b\n", "1 b\n", "1 2 weight\n", "1 2 1e39\n", "4294967296 1\n",
+		"",
+	} {
+		f.Add([]byte(s))
+	}
+	lineErr := regexp.MustCompile(`^storage: line [1-9][0-9]*: `)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		edges, err := ReadText(bytes.NewReader(data))
+		if err != nil {
+			if !lineErr.MatchString(err.Error()) {
+				t.Fatalf("error names no line: %v", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteText(&buf, edges); err != nil {
+			t.Fatalf("WriteText: %v", err)
+		}
+		again, err := ReadText(&buf)
+		if err != nil {
+			t.Fatalf("written text does not read back: %v", err)
+		}
+		if len(again) != len(edges) {
+			t.Fatalf("read back %d edges, want %d", len(again), len(edges))
+		}
+		for i, e := range edges {
+			a := again[i]
+			if a.Src != e.Src || a.Dst != e.Dst || math.Float32bits(a.W) != math.Float32bits(e.W) {
+				t.Fatalf("edge %d: read back %+v, want %+v", i, a, e)
+			}
+		}
+	})
 }
 
 func TestDeviceLoadTime(t *testing.T) {
