@@ -152,38 +152,6 @@ func TestBinaryRoundTripThroughFacade(t *testing.T) {
 	}
 }
 
-func TestLoadBinaryOverlappedThroughFacade(t *testing.T) {
-	g := GenerateRMAT(10, 8, 12)
-	var buf bytes.Buffer
-	if err := g.WriteBinary(&buf); err != nil {
-		t.Fatalf("WriteBinary: %v", err)
-	}
-	chunks := 0
-	loaded, res, err := LoadBinaryOverlapped(&buf, DeviceHDD, true, func(chunk []Edge) {
-		chunks++
-		if len(chunk) == 0 {
-			t.Fatal("empty chunk delivered")
-		}
-	})
-	if err != nil {
-		t.Fatalf("LoadBinaryOverlapped: %v", err)
-	}
-	if loaded.NumEdges() != g.NumEdges() {
-		t.Fatalf("loaded %d edges, want %d", loaded.NumEdges(), g.NumEdges())
-	}
-	if chunks == 0 || res.Chunks != chunks {
-		t.Fatalf("chunk accounting wrong: callback saw %d, result says %d", chunks, res.Chunks)
-	}
-	if res.LoadTime <= 0 || res.EndToEnd < res.LoadTime {
-		t.Fatalf("implausible load accounting: %+v", res)
-	}
-	// The loaded graph is immediately usable.
-	bfs := BFS(0)
-	if _, err := loaded.Run(bfs, Config{Layout: LayoutEdgeArray, Flow: FlowPush, Sync: SyncAtomics}); err != nil {
-		t.Fatalf("Run on loaded graph: %v", err)
-	}
-}
-
 func TestLoadTextError(t *testing.T) {
 	if _, err := LoadText(strings.NewReader("not an edge list"), true); err == nil {
 		t.Fatal("expected parse error")

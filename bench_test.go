@@ -2,7 +2,8 @@ package everythinggraph
 
 // One testing.B benchmark per figure/table of the paper's evaluation, except
 // the NUMA study of Section 7 (Figures 9 and 10), which needs a multi-socket
-// host and is not reproduced. Each benchmark delegates to the corresponding
+// host, and Table 3's loading from an SSD and an HDD, which needs those
+// devices; neither is reproduced. Each benchmark delegates to the corresponding
 // experiment driver in internal/bench at a reduced scale (so `go test
 // -bench=.` completes in minutes rather than hours); cmd/benchrunner runs the
 // same drivers at the full default scale (README, "Benchmarks").
@@ -63,10 +64,6 @@ func BenchmarkTable2AdjacencyBuild(b *testing.B) { runExperiment(b, "table2") }
 // BenchmarkFig2PrepScaling reproduces Figure 2: pre-processing time vs RMAT
 // graph size for the three construction methods.
 func BenchmarkFig2PrepScaling(b *testing.B) { runExperiment(b, "fig2") }
-
-// BenchmarkTable3LoadingPrep reproduces Table 3: loading (simulated SSD/HDD)
-// overlapped with pre-processing.
-func BenchmarkTable3LoadingPrep(b *testing.B) { runExperiment(b, "table3") }
 
 // BenchmarkFig3LayoutTraversal reproduces Figure 3: BFS, PageRank and SpMV
 // on adjacency lists vs the edge array.

@@ -19,7 +19,6 @@
 //	egraph -algorithm sssp -input edges.txt -format text -layout adjacency
 //	egraph -algorithm wcc -generate road -scale 9 -layout edgearray
 //	egraph -algorithm pagerank -store rmat20.egs -membudget 64 -prefetch 4
-//	egraph -algorithm wcc -store rmat20u.egs -store-device ssd
 //	egraph -algorithm pagerank -store rmat20.egs -flow auto -cost-cache costs.json
 package main
 
@@ -58,7 +57,6 @@ func main() {
 		storePath = flag.String("store", "", "run out-of-core over this partitioned grid store (see gengraph -format store)")
 		memBudget = flag.Int64("membudget", 0, "resident edge-buffer budget in MiB for -store runs (0 = 256); every pass uses the whole budget")
 		prefetch  = flag.Int("prefetch", 0, "per-worker prefetch depth for -store runs (0 = 2, clamped to 2-8 and to what the budget can feed); every pass uses it")
-		storeDev  = flag.String("store-device", "none", "virtual device pacing for -store runs: none | ssd | hdd")
 		costCache = flag.String("cost-cache", "", "JSON cost cache for -flow auto: seed the planner's cost model with this dataset's measured per-edge plan costs and append this run's measurements")
 		traceOut  = flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file of the run (iteration spans, planner decisions, fetch and stall events; open in chrome://tracing or ui.perfetto.dev)")
 		metricsO  = flag.String("metrics-out", "", "write the run's flat counters-and-histograms snapshot as JSON")
@@ -122,7 +120,7 @@ func main() {
 	}
 
 	if *storePath != "" {
-		res := runStore(*storePath, *algorithm, cfg, *storeDev, everythinggraph.VertexID(*source), *prIters, *verbose)
+		res := runStore(*storePath, *algorithm, cfg, everythinggraph.VertexID(*source), *prIters, *verbose)
 		writeTraceOutputs(cfg.Trace, *traceOut, *metricsO)
 		saveCostMeasurements(cache, *costCache, graphKey, res.Run.PlanCosts)
 		return
@@ -299,22 +297,12 @@ func runBatch(g *everythinggraph.Graph, algorithm string, sources []everythinggr
 func isInf32(f float32) bool { return math.IsInf(float64(f), 1) }
 
 // runStore executes an algorithm out-of-core over a partitioned grid store.
-func runStore(path, algorithm string, cfg everythinggraph.Config, device string, source everythinggraph.VertexID, prIters int, verbose bool) *everythinggraph.Result {
+func runStore(path, algorithm string, cfg everythinggraph.Config, source everythinggraph.VertexID, prIters int, verbose bool) *everythinggraph.Result {
 	st, err := everythinggraph.OpenStore(path)
 	if err != nil {
 		fatal(err)
 	}
 	defer st.Close()
-
-	switch device {
-	case "none", "":
-	case "ssd":
-		st.SetDevice(everythinggraph.DeviceSSD, true)
-	case "hdd":
-		st.SetDevice(everythinggraph.DeviceHDD, true)
-	default:
-		fatal(fmt.Errorf("unknown store device %q (none | ssd | hdd)", device))
-	}
 
 	if algorithm == "wcc" && !st.Undirected() {
 		fatal(fmt.Errorf("wcc needs mirrored edges, but %s was built without -undirected (rebuild with gengraph -format store -undirected)", path))
@@ -332,8 +320,8 @@ func runStore(path, algorithm string, cfg everythinggraph.Config, device string,
 	fmt.Printf("store: %s, %d vertices, %d stored edges, %dx%d grid\n",
 		path, st.NumVertices(), st.NumEdges(), st.GridP(), st.GridP())
 	depth, budget := st.IORecipe(cfg)
-	fmt.Printf("configuration: out-of-core flow=%v sync=no-lock device=%s prefetch=%d budget=%gMiB\n",
-		cfg.Flow, device, depth, float64(budget)/(1<<20))
+	fmt.Printf("configuration: out-of-core flow=%v sync=no-lock prefetch=%d budget=%gMiB\n",
+		cfg.Flow, depth, float64(budget)/(1<<20))
 	fmt.Printf("algorithm: %s, %d iterations\n", res.Run.Algorithm, res.Run.Iterations)
 	fmt.Printf("breakdown: %s\n", res.Breakdown)
 	if cfg.Flow == everythinggraph.FlowAuto {

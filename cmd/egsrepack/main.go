@@ -77,7 +77,7 @@ func run(in, out string, targetP int, format, cachePath string) error {
 			return err
 		}
 		if best == 0 {
-			return fmt.Errorf("cost cache %s has no streamed measurements for %s — run `egraph -source %s -flow auto -cost-cache %s` first", cachePath, in, in, cachePath)
+			return fmt.Errorf("cost cache %s has no streamed measurements for %s — run `egraph -algorithm pagerank -store %s -flow auto -cost-cache %s` first", cachePath, in, in, cachePath)
 		}
 		targetP, how = best, fmt.Sprintf("measured cheapest at %.1f ns/edge", cost)
 	} else if targetP != 0 {

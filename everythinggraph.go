@@ -118,7 +118,7 @@ const (
 	PrepDynamic = prep.Dynamic
 	// PrepCountSort builds CSR with a two-pass count sort.
 	PrepCountSort = prep.CountSort
-	// PrepRadixSort builds CSR with a parallel 8-bit radix sort.
+	// PrepRadixSort builds CSR with a parallel radix sort on the source id.
 	PrepRadixSort = prep.RadixSort
 )
 
@@ -167,36 +167,6 @@ func GenerateRoad(width, height int, seed int64) *Graph {
 // and item counts (stand-in for the Netflix dataset used by ALS).
 func GenerateBipartite(users, items, ratingsPerUser int, seed int64) *Graph {
 	return &Graph{g: gen.Bipartite(gen.BipartiteOptions{Users: users, Items: items, RatingsPerUser: ratingsPerUser, Seed: seed})}
-}
-
-// Device is a (simulated) storage medium used by the loading experiments:
-// loading N bytes from it takes N/bandwidth seconds of simulated time.
-type Device = storage.Device
-
-// The device profiles of the paper's evaluation (Section 3.5).
-var (
-	// DeviceMemory models an already-resident input (zero load time).
-	DeviceMemory = storage.Memory
-	// DeviceSSD models the paper's SATA SSD (380 MB/s).
-	DeviceSSD = storage.SSD
-	// DeviceHDD models the paper's hard drive (100 MB/s).
-	DeviceHDD = storage.HDD
-)
-
-// LoadResult reports an overlapped load: the simulated device time, the
-// measured consumer time and the pipelined end-to-end completion time.
-type LoadResult = storage.LoadResult
-
-// LoadBinaryOverlapped streams a binary edge list as if it were read from
-// the given device, invoking consume for every chunk as it arrives — the
-// mechanism that lets dynamic pre-processing hide behind a slow device
-// (Section 3.4). Pass a nil consumer to just measure the load.
-func LoadBinaryOverlapped(r io.Reader, dev Device, directed bool, consume func(chunk []Edge)) (*Graph, *LoadResult, error) {
-	res, err := storage.LoadOverlapped(r, dev, 0, consume)
-	if err != nil {
-		return nil, nil, err
-	}
-	return NewGraph(res.Edges, 0, directed), res, nil
 }
 
 // LoadBinary reads a graph in the library's binary edge format.
@@ -543,13 +513,6 @@ func (st *Store) Repartition(outPath string, targetP int, compressed bool) error
 	_, err := oocore.Repartition(st.s, outPath, targetP, compressed)
 	return err
 }
-
-// SetDevice attaches a virtual-bandwidth device model (DeviceSSD,
-// DeviceHDD) to the store. Reads always account the simulated device time;
-// with pace set they also sleep on a shared virtual clock, so the overlap
-// between prefetching and compute reproduces the paper's storage
-// experiments in wall-clock time.
-func (st *Store) SetDevice(d Device, pace bool) { st.s.SetDevice(d, pace) }
 
 // IOStats returns the store's cumulative storage accounting.
 func (st *Store) IOStats() IOStats { return st.s.Stats() }

@@ -3,7 +3,7 @@
 // configurations, and prints a table with the same rows/series the paper
 // reports (pre-processing and algorithm execution times, cache miss ratios,
 // per-iteration times). Absolute numbers differ from the paper (different
-// hardware, a simulated LLC and storage devices, smaller default graph scales);
+// hardware, a simulated LLC, smaller default graph scales);
 // the experiments reproduce the relative behaviour — who wins, by roughly
 // what factor, and where the crossovers are.
 //

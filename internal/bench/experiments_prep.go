@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"github.com/epfl-repro/everythinggraph/internal/algorithms"
 	"github.com/epfl-repro/everythinggraph/internal/cachesim"
@@ -12,7 +11,6 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/metrics"
 	"github.com/epfl-repro/everythinggraph/internal/prep"
-	"github.com/epfl-repro/everythinggraph/internal/storage"
 )
 
 func init() {
@@ -30,11 +28,6 @@ func init() {
 		ID:    "fig2",
 		Title: "Figure 2: scaling of pre-processing methods with RMAT graph size",
 		Run:   runFig2,
-	})
-	register(Experiment{
-		ID:    "table3",
-		Title: "Table 3: adjacency-list creation cost with loading from SSD/HDD included (overlap model)",
-		Run:   runTable3,
 	})
 }
 
@@ -168,55 +161,6 @@ func runFig2(s Scale, w io.Writer) error {
 			row[m.col] = fmtDuration(d)
 		}
 		tbl.AddRow(fmt.Sprintf("RMAT%d", scale), row)
-	}
-	return writeTable(w, tbl)
-}
-
-// runTable3 combines the measured pre-processing compute times with the
-// simulated load time of the paper's SSD (380 MB/s) and HDD (100 MB/s)
-// under the overlap model: dynamic building hides behind slow devices,
-// radix sort does not.
-func runTable3(s Scale, w io.Writer) error {
-	base := rmatGraph(s)
-	tbl := metrics.NewTable(
-		fmt.Sprintf("Table 3: loading + pre-processing, RMAT%d (%d edges)", s.RMATScale, base.NumEdges()),
-		"out", "in-out")
-
-	// Measure the in-memory compute cost of each method once.
-	outCost := map[prep.Method]time.Duration{}
-	bothCost := map[prep.Method]time.Duration{}
-	for _, m := range []prep.Method{prep.Dynamic, prep.RadixSort} {
-		gOut := freshCopy(base)
-		dOut, err := buildAdjacencyTimed(gOut, prep.Out, prep.Options{Method: m, Workers: s.Workers})
-		if err != nil {
-			return err
-		}
-		gBoth := freshCopy(base)
-		dBoth, err := buildAdjacencyTimed(gBoth, prep.InOut, prep.Options{Method: m, Workers: s.Workers})
-		if err != nil {
-			return err
-		}
-		outCost[m] = dOut
-		bothCost[m] = dBoth
-	}
-
-	devices := []storage.Device{storage.SSD, storage.HDD}
-	for _, dev := range devices {
-		load := dev.EdgeLoadTime(base.NumEdges())
-		for _, m := range []struct {
-			name   string
-			method prep.Method
-		}{
-			{"dynamic", prep.Dynamic},
-			{"radix sort", prep.RadixSort},
-		} {
-			outTotal := storage.EndToEndPrep(load, outCost[m.method], m.method, base.NumVertices())
-			bothTotal := storage.EndToEndPrep(load, bothCost[m.method], m.method, base.NumVertices())
-			tbl.AddRow(fmt.Sprintf("%s, loaded from %s", m.name, dev.Name), map[string]string{
-				"out":    fmtDuration(outTotal),
-				"in-out": fmtDuration(bothTotal),
-			})
-		}
 	}
 	return writeTable(w, tbl)
 }

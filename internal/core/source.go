@@ -65,16 +65,12 @@ type SourceStats struct {
 	Reads int64
 	// BytesRead is the total bytes fetched from the backend.
 	BytesRead int64
-	// IOTime is the total time spent fetching and decoding segments,
-	// including any virtual-device pacing; reads overlap compute, so this
-	// can exceed the wall-clock of the pass.
+	// IOTime is the total time spent fetching and decoding segments; reads
+	// overlap compute, so this can exceed the wall-clock of the pass.
 	IOTime time.Duration
 	// IOWait is the time compute workers actually stalled waiting for a
 	// prefetched segment — the part of IOTime the overlap failed to hide.
 	IOWait time.Duration
-	// SimulatedLoad is the virtual-clock device time for the bytes read
-	// (zero unless a device model is attached to the source).
-	SimulatedLoad time.Duration
 	// PeakResidentBytes is the high-water mark of concurrently resident
 	// edge-buffer bytes, the quantity bounded by MemoryBudget.
 	PeakResidentBytes int64
@@ -88,7 +84,6 @@ func (s SourceStats) Sub(o SourceStats) SourceStats {
 		BytesRead:         s.BytesRead - o.BytesRead,
 		IOTime:            s.IOTime - o.IOTime,
 		IOWait:            s.IOWait - o.IOWait,
-		SimulatedLoad:     s.SimulatedLoad - o.SimulatedLoad,
 		PeakResidentBytes: s.PeakResidentBytes,
 	}
 }

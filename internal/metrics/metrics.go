@@ -13,10 +13,10 @@ import (
 
 // Breakdown is the end-to-end execution time of one run, split into the
 // phases of the paper's Figures (pre-processing / algorithm, plus loading
-// when a storage device is involved).
+// when the edges were read from a file).
 type Breakdown struct {
-	// Load is the (possibly simulated) time to read the edge array from
-	// storage. Zero when the graph is already in memory.
+	// Load is the measured time to read the edge array from storage. Zero
+	// when the graph is already in memory.
 	Load time.Duration
 	// Preprocess is the time to build the data layout (adjacency lists,
 	// grid) from the edge array.

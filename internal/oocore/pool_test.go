@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -13,7 +11,6 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/algorithms"
 	"github.com/epfl-repro/everythinggraph/internal/core"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
-	"github.com/epfl-repro/everythinggraph/internal/storage"
 )
 
 // These tests cover the recycled streaming pool: the zero-allocation
@@ -56,9 +53,9 @@ func TestStreamPassSteadyStateZeroAlloc(t *testing.T) {
 }
 
 func TestStreamedPageRankUnderSlowDeviceAndShedding(t *testing.T) {
-	// The acceptance scenario: a paced slow device keeps every fetcher
-	// starved while a budget far below the requested parallelism forces
-	// worker shedding. The run must complete (no pipeline deadlock), stay
+	// The acceptance scenario: a slow device keeps every fetcher starved
+	// while a budget far below the requested parallelism forces worker
+	// shedding. The run must complete (no pipeline deadlock), stay
 	// within the budget, and stay bit-identical to the in-memory grid path.
 	g := testGraph(t, 10, false)
 	const p = 8
@@ -70,8 +67,7 @@ func TestStreamedPageRankUnderSlowDeviceAndShedding(t *testing.T) {
 		t.Fatalf("in-memory run: %v", err)
 	}
 
-	s := buildTestStore(t, g, p, false)
-	s.SetDevice(storage.Device{Name: "slow", BandwidthMBps: 24}, true)
+	s := openSlowStore(t, storeImage(t, g, p, false), 24)
 	const budget = 4 << 10 // below two workers' minimum buffers: sheds an 8-requested-worker pass down to one
 	prOOC := algorithms.NewPageRank()
 	prOOC.Iterations = 3
@@ -99,7 +95,7 @@ func TestStreamedPageRankUnderSlowDeviceAndShedding(t *testing.T) {
 		t.Fatalf("peak resident %d bytes outside budget %d", peak, budget)
 	}
 	if s.Stats().IOWait == 0 {
-		t.Fatal("paced device produced no measured I/O wait")
+		t.Fatal("slow device produced no measured I/O wait")
 	}
 }
 
@@ -299,15 +295,7 @@ func (b *flakyBackend) ReadAt(p []byte, off int64) (int, error) {
 
 func TestStreamCellsRecoversAfterReadError(t *testing.T) {
 	g := testGraph(t, 10, false)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "flaky.egs")
-	if _, err := BuildStoreFromGraph(path, g, 8, false); err != nil {
-		t.Fatalf("BuildStoreFromGraph: %v", err)
-	}
-	img, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	img := storeImage(t, g, 8, false)
 	backend := &flakyBackend{data: img}
 	s, err := NewStore(backend, int64(len(img)))
 	if err != nil {

@@ -51,20 +51,6 @@ type Store struct {
 	weightOff    int64
 	maxCellEdges int
 
-	// Virtual device model: when dev has bandwidth, reads account (and with
-	// pace also sleep) N/bandwidth seconds of device time on a shared
-	// virtual clock, reproducing the paper's SSD/HDD experiments without
-	// the hardware.
-	dev  storage.Device
-	pace bool
-	// devReserved is the shared virtual device clock (nanoseconds of device
-	// time reserved since devBase): concurrent reads serialize on it, so
-	// paced throughput matches the single device's bandwidth no matter how
-	// many prefetchers are in flight.
-	devReserved atomic.Int64
-	devBase     time.Time
-	devOnce     sync.Once
-
 	// pool is the recycled streaming machinery (slot rings, persistent
 	// fetchers); poolMu serializes shared-pool passes and guards every pool
 	// (re)build. Leased passes do not run under poolMu: each lease owns a
@@ -85,7 +71,6 @@ type sourceStats struct {
 	bytesRead     atomic.Int64
 	ioTimeNanos   atomic.Int64
 	ioWaitNanos   atomic.Int64
-	simLoadNanos  atomic.Int64
 	residentBytes atomic.Int64
 	peakResident  atomic.Int64
 }
@@ -228,15 +213,6 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// SetDevice attaches a virtual-bandwidth device model. Every segment read
-// accounts LoadTime(bytes) of simulated device time; with pace also set,
-// reads additionally sleep until the shared virtual device clock catches
-// up, so SSD/HDD overlap experiments reproduce in wall-clock time.
-func (s *Store) SetDevice(dev storage.Device, pace bool) {
-	s.dev = dev
-	s.pace = pace
-}
-
 // Header returns the decoded store header.
 func (s *Store) Header() Header { return s.header }
 
@@ -289,7 +265,6 @@ func (s *Store) Stats() core.SourceStats {
 		BytesRead:         s.stats.bytesRead.Load(),
 		IOTime:            time.Duration(s.stats.ioTimeNanos.Load()),
 		IOWait:            time.Duration(s.stats.ioWaitNanos.Load()),
-		SimulatedLoad:     time.Duration(s.stats.simLoadNanos.Load()),
 		PeakResidentBytes: s.stats.peakResident.Load(),
 	}
 }
@@ -327,22 +302,15 @@ func (s *Store) ReadCell(row, col int, dst []graph.Edge) ([]graph.Edge, error) {
 }
 
 // readRawAt is one accounted backend read at an absolute file offset: it
-// fetches exactly len(buf) bytes, counts the read, and applies the virtual
-// device model. Decode-side accounting (ioTime) stays with the caller, which
-// knows where its decode ends.
+// fetches exactly len(buf) bytes and counts the read. Decode-side
+// accounting (ioTime) stays with the caller, which knows where its decode
+// ends.
 func (s *Store) readRawAt(buf []byte, off int64) error {
 	if _, err := readFullAt(s.backend, buf, off); err != nil {
 		return fmt.Errorf("oocore: read %d bytes at offset %d: %w", len(buf), off, err)
 	}
 	s.stats.reads.Add(1)
 	s.stats.bytesRead.Add(int64(len(buf)))
-	if s.dev.BandwidthMBps > 0 {
-		sim := s.dev.LoadTime(int64(len(buf)))
-		s.stats.simLoadNanos.Add(int64(sim))
-		if s.pace {
-			s.paceSleep(sim)
-		}
-	}
 	return nil
 }
 
@@ -385,7 +353,7 @@ func (s *Store) readCells(first, last int, raw []byte, dst []graph.Edge) error {
 }
 
 // readSegment fetches the records [edgeOff, edgeOff+len(dst)) into raw and
-// decodes them into dst, applying device accounting. Version-1 records carry
+// decodes them into dst, counting the read. Version-1 records carry
 // no checksum, so a record naming a vertex outside the graph is an error
 // here rather than an out-of-range index in a kernel.
 func (s *Store) readSegment(raw []byte, edgeOff int64, dst []graph.Edge) error {
@@ -409,38 +377,8 @@ func (s *Store) readSegment(raw []byte, edgeOff int64, dst []graph.Edge) error {
 	}
 	s.stats.reads.Add(1)
 	s.stats.bytesRead.Add(int64(len(raw)))
-	if s.dev.BandwidthMBps > 0 {
-		sim := s.dev.LoadTime(int64(len(raw)))
-		s.stats.simLoadNanos.Add(int64(sim))
-		if s.pace {
-			s.paceSleep(sim)
-		}
-	}
 	s.stats.ioTimeNanos.Add(int64(time.Since(t0)))
 	return nil
-}
-
-// paceSleep reserves sim nanoseconds on the shared virtual device clock and
-// sleeps until the reservation's end. Reservations never start before "now"
-// (an idle device does not bank bandwidth) and never overlap (a busy device
-// serves one read at a time).
-func (s *Store) paceSleep(sim time.Duration) {
-	s.devOnce.Do(func() { s.devBase = time.Now() })
-	for {
-		cur := s.devReserved.Load()
-		start := cur
-		if nowOff := int64(time.Since(s.devBase)); nowOff > start {
-			start = nowOff
-		}
-		end := start + int64(sim)
-		if !s.devReserved.CompareAndSwap(cur, end) {
-			continue
-		}
-		if d := time.Until(s.devBase.Add(time.Duration(end))); d > 0 {
-			time.Sleep(d)
-		}
-		return
-	}
 }
 
 func weightBits(w graph.Weight) uint32     { return math.Float32bits(float32(w)) }

@@ -219,7 +219,7 @@ func TestStreamedV2BitIdenticalToV1AndMemory(t *testing.T) {
 }
 
 // TestStreamedV2PacedSlowDevice is the -race acceptance scenario on the
-// compressed path: a paced slow device keeps the fetchers starved while the
+// compressed path: a slow device keeps the fetchers starved while the
 // decode runs in the fetch pipeline, and the result must stay bit-identical
 // to the in-memory grid.
 func TestStreamedV2PacedSlowDevice(t *testing.T) {
@@ -232,8 +232,7 @@ func TestStreamedV2PacedSlowDevice(t *testing.T) {
 		t.Fatalf("in-memory run: %v", err)
 	}
 
-	s := buildTestStoreV2(t, g, p, false)
-	s.SetDevice(storage.Device{Name: "slow", BandwidthMBps: 8}, true)
+	s := openSlowStore(t, storeImage(t, g, p, true), 8)
 	prOOC := algorithms.NewPageRank()
 	prOOC.Iterations = 3
 	if _, err := core.RunStreamed(s, prOOC, streamConfig(core.Push, 64<<10)); err != nil {
@@ -241,11 +240,11 @@ func TestStreamedV2PacedSlowDevice(t *testing.T) {
 	}
 	for v := range prMem.Rank {
 		if prOOC.Rank[v] != prMem.Rank[v] {
-			t.Fatalf("rank[%d] = %v v2 paced, %v in-memory", v, prOOC.Rank[v], prMem.Rank[v])
+			t.Fatalf("rank[%d] = %v v2 slow device, %v in-memory", v, prOOC.Rank[v], prMem.Rank[v])
 		}
 	}
 	if s.Stats().IOWait == 0 {
-		t.Fatal("paced device produced no measured I/O wait")
+		t.Fatal("slow device produced no measured I/O wait")
 	}
 }
 

@@ -3,7 +3,6 @@ package oocore
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/epfl-repro/everythinggraph/internal/core"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
@@ -130,39 +129,6 @@ func TestStreamCellsStats(t *testing.T) {
 	}
 	if st.Reads == 0 || st.IOTime == 0 {
 		t.Fatalf("read accounting missing: %+v", st)
-	}
-}
-
-func TestStreamCellsSimulatedDevice(t *testing.T) {
-	g := testGraph(t, 8, false)
-	s := buildTestStore(t, g, 4, false)
-	s.SetDevice(storage.SSD, false)
-	collectStream(t, s, coreStreamOpts(2, 0))
-	st := s.Stats()
-	// Per-read LoadTime values round independently, so allow a nanosecond
-	// of drift per read against the whole-store figure.
-	want := storage.SSD.LoadTime(st.BytesRead)
-	diff := st.SimulatedLoad - want
-	if diff < 0 {
-		diff = -diff
-	}
-	if st.SimulatedLoad == 0 || diff > time.Duration(st.Reads)*time.Nanosecond {
-		t.Fatalf("simulated load = %v, want ~%v (%d reads)", st.SimulatedLoad, want, st.Reads)
-	}
-}
-
-func TestStreamCellsPacedDevice(t *testing.T) {
-	g := testGraph(t, 8, false)
-	s := buildTestStore(t, g, 4, false)
-	// A very slow device so the pacing dominates scheduling noise: the
-	// store is 2048 edges * 12 B = 24 KiB; at 2 MB/s that is ~12 ms.
-	s.SetDevice(storage.Device{Name: "slow", BandwidthMBps: 2}, true)
-	t0 := time.Now()
-	collectStream(t, s, coreStreamOpts(2, 0))
-	elapsed := time.Since(t0)
-	sim := s.Stats().SimulatedLoad
-	if elapsed < sim/2 {
-		t.Fatalf("paced pass took %v, expected at least ~%v of device time", elapsed, sim)
 	}
 }
 

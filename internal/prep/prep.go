@@ -3,8 +3,8 @@
 // into the grid layout, using one of three construction methods:
 //
 //   - Dynamic: per-vertex edge arrays are allocated and resized as edges are
-//     discovered while scanning the input (can be fully overlapped with
-//     loading, Section 3.4);
+//     discovered while scanning the input (the paper overlaps it with
+//     loading, Section 3.4; here it runs after the load);
 //   - CountSort: two passes over the edge array — count per-vertex degrees,
 //     then place every edge at its final offset (the approach used by most
 //     frameworks, optimal in number of scans);

@@ -162,20 +162,6 @@ func TestBuildAdjacencySingleVertexSelfLoops(t *testing.T) {
 	}
 }
 
-func TestRadixPasses(t *testing.T) {
-	cases := []struct {
-		vertices int
-		want     int
-	}{
-		{1, 1}, {2, 1}, {256, 1}, {257, 2}, {65536, 2}, {65537, 3}, {1 << 24, 3}, {1<<24 + 1, 4},
-	}
-	for _, c := range cases {
-		if got := RadixPasses(c.vertices); got != c.want {
-			t.Errorf("RadixPasses(%d) = %d, want %d", c.vertices, got, c.want)
-		}
-	}
-}
-
 func TestMethodAndDirectionStrings(t *testing.T) {
 	if Dynamic.String() != "dynamic" || CountSort.String() != "count-sort" || RadixSort.String() != "radix-sort" {
 		t.Fatal("unexpected method names")

@@ -30,23 +30,6 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/sched"
 )
 
-// radixDigitBits is the digit width of the paper's radix sort (256 buckets
-// per pass).
-const radixDigitBits = 8
-
-// RadixPasses returns the number of passes an 8-bit-digit LSD radix sort
-// needs for keys in [0, numVertices): log2(#vertices)/8, rounded up. It is
-// the pass count of the paper's sort (Section 3.2), which the overlap model
-// of Section 3.4 is stated in; the builder below makes at most two scatters
-// whatever the key width.
-func RadixPasses(numVertices int) int {
-	if numVertices <= 1 {
-		return 1
-	}
-	keyBits := bits.Len(uint(numVertices - 1))
-	return (keyBits + radixDigitBits - 1) / radixDigitBits
-}
-
 const (
 	// bucketVertexBits bounds a bucket's vertex range so that its 2^12
 	// cursors (32 KB) stay in the L1 cache during the second scatter.

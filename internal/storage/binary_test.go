@@ -24,21 +24,17 @@ func encoded(t testing.TB, edges []graph.Edge) []byte {
 	return buf.Bytes()
 }
 
-// checkBinaryLoaders feeds the bytes r yields to ReadBinary and to
-// LoadOverlapped and requires both to return exactly want, or an error with
-// exactly the text wantErr.
+// checkBinaryLoaders feeds the bytes r yields to ReadBinary and requires it
+// to return exactly want, or an error with exactly the text wantErr.
 func checkBinaryLoaders(t *testing.T, name string, r func() io.Reader, want []graph.Edge, wantErr string) {
 	t.Helper()
 	got, err := ReadBinary(r())
-	res, errO := LoadOverlapped(r(), SSD, 1000, func([]graph.Edge) {})
-	for _, e := range []error{err, errO} {
-		if (e == nil) != (wantErr == "") || (e != nil && e.Error() != wantErr) {
-			t.Errorf("%s: error %v, want %q", name, e, wantErr)
-			return
-		}
+	if (err == nil) != (wantErr == "") || (err != nil && err.Error() != wantErr) {
+		t.Errorf("%s: error %v, want %q", name, err, wantErr)
+		return
 	}
-	if wantErr == "" && (!slices.Equal(got, want) || !slices.Equal(res.Edges, want)) {
-		t.Errorf("%s: ReadBinary returned %d edges, LoadOverlapped %d, want the %d written", name, len(got), len(res.Edges), len(want))
+	if wantErr == "" && !slices.Equal(got, want) {
+		t.Errorf("%s: ReadBinary returned %d edges, want the %d written", name, len(got), len(want))
 	}
 }
 
@@ -76,6 +72,8 @@ func TestReadBinaryReaderKinds(t *testing.T) {
 		{"file", func() io.Reader { return file(0) }, edges, ""},
 		{"file past offset 0", func() io.Reader { return file(1000 * EdgeBytes) }, edges[1000:], ""},
 		{"file at its end", func() io.Reader { return file(int64(len(data))) }, nil, ""},
+		{"empty bytes.Reader", func() io.Reader { return bytes.NewReader(nil) }, nil, ""},
+		{"empty, not seekable", func() io.Reader { return iotest.DataErrReader(bytes.NewReader(nil)) }, nil, ""},
 		{"file at a record's middle", func() io.Reader { return file(5) }, nil, fmt.Sprintf(truncated, len(edges)-1)},
 		{"bytes.Reader past offset 0", func() io.Reader {
 			r := bytes.NewReader(data)
@@ -106,7 +104,8 @@ func TestReadBinaryReaderKinds(t *testing.T) {
 
 // FuzzReadBinary: 12k bytes decode to k edges that encode back to the same
 // bytes; any other length is the truncation error naming the whole records
-// before it. Both loaders agree, and neither panics.
+// before it. A seekable and a streamed (not seekable, EOF with the last
+// data) read agree, and neither panics.
 func FuzzReadBinary(f *testing.F) {
 	data := encoded(f, randomEdges(1000, 64, 12))
 	for _, n := range []int{len(data), len(data) - 1, len(data) - 11, 13, 12, 1, 0} {
@@ -114,9 +113,9 @@ func FuzzReadBinary(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		edges, err := ReadBinary(bytes.NewReader(data))
-		res, errO := LoadOverlapped(iotest.DataErrReader(bytes.NewReader(data)), Memory, 5, nil)
-		if (err == nil) != (errO == nil) || (err != nil && err.Error() != errO.Error()) {
-			t.Fatalf("ReadBinary: %v, LoadOverlapped: %v", err, errO)
+		streamed, errS := ReadBinary(iotest.DataErrReader(bytes.NewReader(data)))
+		if (err == nil) != (errS == nil) || (err != nil && err.Error() != errS.Error()) {
+			t.Fatalf("ReadBinary: %v, streamed: %v", err, errS)
 		}
 		if len(data)%EdgeBytes != 0 {
 			want := fmt.Sprintf("storage: truncated edge record after %d edges", len(data)/EdgeBytes)
@@ -132,8 +131,8 @@ func FuzzReadBinary(f *testing.F) {
 		if again := encoded(t, edges); !bytes.Equal(again, data) {
 			t.Fatalf("%d edges do not encode back to the %d bytes read", len(edges), len(data))
 		}
-		if again := encoded(t, res.Edges); !bytes.Equal(again, data) {
-			t.Fatalf("LoadOverlapped: %d edges do not encode back to the %d bytes read", len(res.Edges), len(data))
+		if again := encoded(t, streamed); !bytes.Equal(again, data) {
+			t.Fatalf("streamed: %d edges do not encode back to the %d bytes read", len(streamed), len(data))
 		}
 	})
 }

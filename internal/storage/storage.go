@@ -1,16 +1,6 @@
-// Package storage provides the loading substrate for the end-to-end view of
-// Sections 3.4–3.5: encoding and decoding edge arrays, simulated storage
-// devices with a fixed sequential bandwidth (the paper's SSD at 380 MB/s and
-// HDD at 100 MB/s), and the model for overlapping pre-processing with
-// loading.
-//
-// Real storage hardware is not available (and would not be reproducible), so
-// devices use a virtual clock: loading N bytes from a device with bandwidth
-// B takes N/B seconds of simulated time. The overlap model then combines the
-// simulated load time with the measured pre-processing compute time exactly
-// as the paper describes: dynamic building is fully overlapped with loading,
-// count sort can only overlap its first (counting) pass, and radix sort can
-// only overlap its first histogram pass.
+// Package storage reads and writes edge arrays in two formats: a fixed-size
+// little-endian binary record (what the paper's loaders read) and
+// whitespace-separated "src dst weight" text lines.
 package storage
 
 import (
@@ -22,99 +12,14 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"github.com/epfl-repro/everythinggraph/internal/graph"
-	"github.com/epfl-repro/everythinggraph/internal/prep"
 	"github.com/epfl-repro/everythinggraph/internal/sched"
 )
 
 // EdgeBytes is the on-disk size of one edge in the binary format: two
 // 4-byte vertex ids and a 4-byte float weight.
 const EdgeBytes = 12
-
-// Device models a storage medium with a fixed sequential read bandwidth.
-type Device struct {
-	// Name identifies the device in reports ("memory", "ssd", "hdd").
-	Name string
-	// BandwidthMBps is the sequential read bandwidth in MB/s (decimal
-	// megabytes, as in the paper). Zero means the data is already in memory
-	// and loading is free.
-	BandwidthMBps float64
-}
-
-// The devices used in the paper's evaluation.
-var (
-	// Memory means the edge array is already resident; loading costs
-	// nothing (the assumption of Sections 3.2–3.3).
-	Memory = Device{Name: "memory", BandwidthMBps: 0}
-	// SSD is the paper's SATA SSD with 380 MB/s maximum bandwidth.
-	SSD = Device{Name: "ssd", BandwidthMBps: 380}
-	// HDD is the paper's regular hard drive with 100 MB/s bandwidth.
-	HDD = Device{Name: "hdd", BandwidthMBps: 100}
-)
-
-// LoadTime returns the simulated time to sequentially read the given number
-// of bytes from the device.
-func (d Device) LoadTime(bytes int64) time.Duration {
-	if d.BandwidthMBps <= 0 || bytes <= 0 {
-		return 0
-	}
-	seconds := float64(bytes) / (d.BandwidthMBps * 1e6)
-	return time.Duration(seconds * float64(time.Second))
-}
-
-// EdgeLoadTime returns the simulated time to load numEdges edges in the
-// binary format from the device.
-func (d Device) EdgeLoadTime(numEdges int) time.Duration {
-	return d.LoadTime(int64(numEdges) * EdgeBytes)
-}
-
-// OverlapFraction returns the fraction of a pre-processing method's compute
-// that can proceed concurrently with loading the input from storage
-// (Section 3.4):
-//
-//   - Dynamic building consumes edges one at a time as they arrive, so all
-//     of its work overlaps with loading.
-//   - Count sort can overlap only its first pass (degree counting); the
-//     placement pass needs the complete input. With two passes of similar
-//     cost, that is half the work.
-//   - Radix sort needs the complete input resident before the digit passes
-//     can scatter, so only the first histogram pass (1/(2*passes) of the
-//     work) overlaps.
-//
-// The radix fraction is the paper's model of an 8-bit-digit LSD sort — a
-// histogram and a scatter per pass, prep.RadixPasses passes — which is what
-// Table 3 reproduces. It does not describe prep's radix builder, whose
-// overlappable part is exactly its one histogram read.
-func OverlapFraction(method prep.Method, numVertices int) float64 {
-	switch method {
-	case prep.Dynamic:
-		return 1.0
-	case prep.CountSort:
-		return 0.5
-	case prep.RadixSort:
-		return 1.0 / (2.0 * float64(prep.RadixPasses(numVertices)))
-	default:
-		return 0
-	}
-}
-
-// EndToEndPrep combines a simulated load time with a measured
-// pre-processing compute time under the overlap model: the overlappable
-// part of the pre-processing hides behind the load, and the rest runs after
-// the load finishes.
-//
-//	total = max(load, overlap*prepCompute) + (1-overlap)*prepCompute
-func EndToEndPrep(load, prepCompute time.Duration, method prep.Method, numVertices int) time.Duration {
-	f := OverlapFraction(method, numVertices)
-	overlapped := time.Duration(float64(prepCompute) * f)
-	rest := prepCompute - overlapped
-	if load > overlapped {
-		return load + rest
-	}
-	return overlapped + rest
-}
 
 // BinaryWriter incrementally encodes edges in the fixed-size binary format
 // through a single reused buffer, so callers can stream a graph chunk by
@@ -173,8 +78,7 @@ func putEdges(dst []byte, src []graph.Edge) {
 	}
 }
 
-// decodeEdges reads len(dst) records from src. It is the one decoder behind
-// ReadBinary and LoadOverlapped.
+// decodeEdges reads len(dst) records from src. It is ReadBinary's decoder.
 func decodeEdges(dst []graph.Edge, src []byte) {
 	for i := range dst {
 		b := src[i*EdgeBytes : (i+1)*EdgeBytes : (i+1)*EdgeBytes]
@@ -196,12 +100,7 @@ const readBlockEdges = 1 << 18
 // length that remains; otherwise it grows as append does. The bytes arrive
 // in blocks of up to readBlockEdges records, and each block is decoded by
 // the sched workers while the calling goroutine reads the next one.
-func ReadBinary(r io.Reader) ([]graph.Edge, error) { return readEdges(r, nil) }
-
-// readEdges is ReadBinary. While a block is being decoded it also calls
-// each, if there is one, with the edges decoded before that block; the edges
-// of the last block are only in the result.
-func readEdges(r io.Reader, each func(decoded []graph.Edge)) ([]graph.Edge, error) {
+func ReadBinary(r io.Reader) ([]graph.Edge, error) {
 	var edges []graph.Edge
 	if s, ok := r.(io.Seeker); ok {
 		if at, err := s.Seek(0, io.SeekCurrent); err == nil {
@@ -224,9 +123,9 @@ func readEdges(r io.Reader, each func(decoded []graph.Edge)) ([]graph.Edge, erro
 		buf := bufs[k&1]
 		n, err := io.ReadFull(r, buf)
 		decoding.Wait()
-		decoded := edges
-		edges = slices.Grow(edges, n/EdgeBytes)[:len(edges)+n/EdgeBytes]
-		block := edges[len(decoded):]
+		done := len(edges)
+		edges = slices.Grow(edges, n/EdgeBytes)[:done+n/EdgeBytes]
+		block := edges[done:]
 		decoding.Add(1)
 		go func() {
 			defer decoding.Done()
@@ -234,9 +133,6 @@ func readEdges(r io.Reader, each func(decoded []graph.Edge)) ([]graph.Edge, erro
 				decodeEdges(block[lo:hi], buf[lo*EdgeBytes:hi*EdgeBytes])
 			})
 		}()
-		if each != nil {
-			each(decoded)
-		}
 		switch {
 		case err == nil:
 			continue

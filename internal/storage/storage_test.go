@@ -8,11 +8,9 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"github.com/epfl-repro/everythinggraph/internal/gen"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
-	"github.com/epfl-repro/everythinggraph/internal/prep"
 )
 
 func randomEdges(n, m int, seed int64) []graph.Edge {
@@ -187,89 +185,6 @@ func FuzzReadText(f *testing.F) {
 			}
 		}
 	})
-}
-
-func TestDeviceLoadTime(t *testing.T) {
-	if Memory.LoadTime(1<<30) != 0 {
-		t.Fatal("memory device must load instantly")
-	}
-	// 380 MB at 380 MB/s is one second.
-	if got := SSD.LoadTime(380e6); got != time.Second {
-		t.Fatalf("SSD load time = %v, want 1s", got)
-	}
-	// HDD is 3.8x slower than SSD for the same bytes.
-	ratio := float64(HDD.LoadTime(1e9)) / float64(SSD.LoadTime(1e9))
-	if ratio < 3.7 || ratio > 3.9 {
-		t.Fatalf("HDD/SSD ratio = %.2f, want 3.8", ratio)
-	}
-	if SSD.EdgeLoadTime(1000) != SSD.LoadTime(1000*EdgeBytes) {
-		t.Fatal("EdgeLoadTime inconsistent with LoadTime")
-	}
-	if SSD.LoadTime(-5) != 0 {
-		t.Fatal("negative byte counts must not produce negative durations")
-	}
-}
-
-func TestOverlapFraction(t *testing.T) {
-	if OverlapFraction(prep.Dynamic, 1<<20) != 1.0 {
-		t.Fatal("dynamic building must fully overlap with loading")
-	}
-	if OverlapFraction(prep.CountSort, 1<<20) != 0.5 {
-		t.Fatal("count sort must overlap only its first pass")
-	}
-	radix := OverlapFraction(prep.RadixSort, 1<<20)
-	if radix <= 0 || radix > 0.5 {
-		t.Fatalf("radix overlap fraction %v out of range", radix)
-	}
-	// More vertices means more radix passes and therefore a smaller
-	// overlappable fraction.
-	if OverlapFraction(prep.RadixSort, 1<<24+1) >= OverlapFraction(prep.RadixSort, 1<<8) {
-		t.Fatal("radix overlap fraction should shrink with pass count")
-	}
-	if OverlapFraction(prep.Method(99), 1024) != 0 {
-		t.Fatal("unknown method must not overlap")
-	}
-}
-
-func TestEndToEndPrepModel(t *testing.T) {
-	load := 10 * time.Second
-	prepTime := 4 * time.Second
-
-	// Dynamic: fully hidden behind a slow load.
-	if got := EndToEndPrep(load, prepTime, prep.Dynamic, 1<<20); got != load {
-		t.Fatalf("dynamic end-to-end = %v, want %v", got, load)
-	}
-	// Radix: almost nothing overlaps, so the total is close to load+prep.
-	got := EndToEndPrep(load, prepTime, prep.RadixSort, 1<<20)
-	if got <= load || got > load+prepTime {
-		t.Fatalf("radix end-to-end = %v, want in (%v, %v]", got, load, load+prepTime)
-	}
-	// With an instant load, every method costs its compute time.
-	for _, m := range []prep.Method{prep.Dynamic, prep.CountSort, prep.RadixSort} {
-		if got := EndToEndPrep(0, prepTime, m, 1<<20); got != prepTime {
-			t.Fatalf("%v with instant load = %v, want %v", m, got, prepTime)
-		}
-	}
-}
-
-// TestEndToEndPrepDynamicWinsOnSlowDisk reproduces the qualitative claim of
-// Table 3: when the device is slow, the dynamic approach (fully overlapped)
-// beats radix sort even if its compute time is larger.
-func TestEndToEndPrepDynamicWinsOnSlowDisk(t *testing.T) {
-	load := HDD.EdgeLoadTime(50_000_000) // a large input on the slow disk
-	dynCompute := 5 * time.Second
-	radixCompute := 2 * time.Second
-	dyn := EndToEndPrep(load, dynCompute, prep.Dynamic, 1<<26)
-	radix := EndToEndPrep(load, radixCompute, prep.RadixSort, 1<<26)
-	if dyn >= radix {
-		t.Fatalf("dynamic (%v) should beat radix (%v) on the slow disk", dyn, radix)
-	}
-	// On an instant (in-memory) "device" the ordering flips.
-	dynMem := EndToEndPrep(0, dynCompute, prep.Dynamic, 1<<26)
-	radixMem := EndToEndPrep(0, radixCompute, prep.RadixSort, 1<<26)
-	if radixMem >= dynMem {
-		t.Fatalf("radix (%v) should beat dynamic (%v) when the graph is in memory", radixMem, dynMem)
-	}
 }
 
 func TestWeightBitsRoundTrip(t *testing.T) {

@@ -131,20 +131,6 @@ func TestStoreAutoRecipeAndCostExportThroughFacade(t *testing.T) {
 	}
 }
 
-func TestStoreSimulatedDeviceAccounting(t *testing.T) {
-	g := GenerateRMAT(10, 8, 5)
-	st := buildAPIStore(t, g, 4, false)
-	st.SetDevice(DeviceSSD, false)
-	pr := PageRank()
-	pr.Iterations = 2
-	if _, err := st.Run(pr, Config{Flow: FlowPush}); err != nil {
-		t.Fatalf("store run: %v", err)
-	}
-	if st.IOStats().SimulatedLoad == 0 {
-		t.Fatal("simulated device time not accounted")
-	}
-}
-
 func TestOpenStoreRejectsGarbage(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "not-a-store")
 	if err := os.WriteFile(path, []byte("hello, I am not a store"), 0o644); err != nil {
