@@ -33,8 +33,9 @@ loc:
 # Engine benchmarks with allocation accounting: BFS (single- and 64-source)
 # and PageRank on RMAT-scale-16, the span-versus-adapter kernel pairs
 # (ns/edge), sparse-push SSSP on a 512x512 road lattice at 1 and 2 workers
-# (us/iter, parks and joins per gang loop) with the frontier builder's Add
-# underneath it (ns/add) and the pull step's SetWord (ns/word), plus the
+# (us/iter, gang loops per iteration — 0 once every iteration runs on the
+# caller — and parks and joins per gang loop) with the frontier builder's
+# Add underneath it (ns/add) and the pull step's SetWord (ns/word), plus the
 # out-of-core streamed PageRank; then what comes before the first iteration:
 # the binary loader (MB/s) and the adjacency builders (ns/edge).
 bench:

@@ -289,3 +289,26 @@ func TestFlowAutoThroughFacade(t *testing.T) {
 		t.Fatal("PushPullAlpha with a static flow must be rejected")
 	}
 }
+
+// TestOutOfRangeSourceIsAnError: a BFS or SSSP source past the last vertex
+// is an error from an in-memory run and from a store run, not an index
+// panic.
+func TestOutOfRangeSourceIsAnError(t *testing.T) {
+	g := GenerateRMAT(8, 4, 1)
+	st := buildAPIStore(t, g, 4, false)
+	n := VertexID(g.NumVertices())
+	algs := map[string]func() Algorithm{
+		"bfs":  func() Algorithm { return BFS(n) },
+		"sssp": func() Algorithm { return SSSP(n) },
+	}
+	for name, mk := range algs {
+		_, err := g.Run(mk(), Config{Layout: LayoutAdjacency, Flow: FlowPush, Sync: SyncAtomics})
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s in memory, source %d of %d vertices: error %v, want out of range", name, n, n, err)
+		}
+		_, err = st.Run(mk(), Config{Flow: FlowPush})
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s over a store, source %d of %d vertices: error %v, want out of range", name, n, n, err)
+		}
+	}
+}

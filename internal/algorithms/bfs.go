@@ -55,6 +55,9 @@ func NewBFS(source graph.VertexID) *BFS { return &BFS{Source: source} }
 // Name implements Algorithm.
 func (b *BFS) Name() string { return "bfs" }
 
+// Root implements the engine's Rooted extension.
+func (b *BFS) Root() graph.VertexID { return b.Source }
+
 // Dense implements Algorithm: BFS processes only the frontier.
 func (b *BFS) Dense() bool { return false }
 
@@ -184,13 +187,20 @@ func (b *BFS) claim(s *graph.Span, worker int, u, v graph.VertexID) {
 }
 
 // PushRows discovers the out-neighbours of the active vertices: claim,
-// written out so the sparse-push loop carries no call.
+// written out so the sparse-push loop carries no call. An unsynchronized
+// span — the whole iteration on this goroutine — discovers with plain
+// stores and the frontier builder's owned add.
 func (b *BFS) PushRows(s *graph.Span, worker int, out *graph.Adjacency, active []graph.VertexID) {
-	parent, level, cur := b.Parent, b.Level, b.curLevel
+	parent, level, cur, owned := b.Parent, b.Level, b.curLevel, !s.Atomic
 	idx, tgt := out.Index, out.Targets
 	for _, u := range active {
 		for _, v := range tgt[idx[u]:idx[u+1]] {
-			if atomic.LoadInt32(&parent[v]) < 0 && atomic.CompareAndSwapInt32(&parent[v], -1, int32(u)) {
+			if owned {
+				if parent[v] < 0 {
+					parent[v], level[v] = int32(u), cur
+					s.Next.AddOwned(worker, v)
+				}
+			} else if atomic.LoadInt32(&parent[v]) < 0 && atomic.CompareAndSwapInt32(&parent[v], -1, int32(u)) {
 				level[v] = cur
 				s.Next.Add(worker, v)
 			}

@@ -67,6 +67,9 @@ func NewSSSP(source graph.VertexID) *SSSP { return &SSSP{Source: source} }
 // Name implements Algorithm.
 func (s *SSSP) Name() string { return "sssp" }
 
+// Root implements the engine's Rooted extension.
+func (s *SSSP) Root() graph.VertexID { return s.Source }
+
 // Dense implements Algorithm.
 func (s *SSSP) Dense() bool { return false }
 
@@ -158,9 +161,10 @@ func (s *SSSP) PullEdge(v, u graph.VertexID, w graph.Weight) (bool, bool) {
 
 // Span kernels (the engine's SpanAlgorithm contract). A distance is read as
 // a source by other workers while its owner lowers it, so every access to
-// dist stays atomic; what the kernels save is the call per edge, the reload
-// of the destination's own distance, and the store on edges that do not
-// improve it.
+// dist stays atomic — except in push rows that one goroutine runs alone,
+// where there is no other reader; what the kernels save is the call per
+// edge, the reload of the destination's own distance, and the store on
+// edges that do not improve it.
 
 // PullRows relaxes each owned destination over its active in-neighbours,
 // keeping its tentative distance in a register. Improvements are stored as
@@ -195,25 +199,38 @@ func (s *SSSP) PullRows(sp *graph.Span, worker int, in *graph.Adjacency, lo, hi 
 	}
 }
 
-// PushRows relaxes the out-edges of the active vertices below the bound with
-// atomic minima and puts the others back in the frontier. A source's
-// distance is read once per row: a worker that lowers it meanwhile adds the
-// vertex to the next frontier, so it is relaxed again with the new value.
+// PushRows relaxes the out-edges of the active vertices below the bound and
+// puts the others back in the frontier. A source's distance is read once
+// per row: a worker that lowers it meanwhile adds the vertex to the next
+// frontier, so it is relaxed again with the new value. A synchronized span
+// relaxes with atomic minima; an unsynchronized one — the whole iteration on
+// this goroutine — with plain stores and the frontier builder's owned add.
 func (s *SSSP) PushRows(sp *graph.Span, worker int, out *graph.Adjacency, active []graph.VertexID) {
-	dist, bound := s.dist, s.bound
+	dist, bound, owned := s.dist, s.bound, !sp.Atomic
 	least := s.least[worker].d
 	idx, tgt, wts := out.Index, out.Targets, out.Weights
 	for _, u := range active {
 		du := loadFloat32(&dist[u])
 		if du >= bound {
-			sp.Next.Add(worker, u)
+			if owned {
+				sp.Next.AddOwned(worker, u)
+			} else {
+				sp.Next.Add(worker, u)
+			}
 			least = min(least, du)
 			continue
 		}
 		row := tgt[idx[u]:idx[u+1]]
 		ws := wts[idx[u]:idx[u+1]][:len(row)]
 		for j, v := range row {
-			if nd := du + ws[j]; atomicMinFloat32(&dist[v], nd) {
+			nd := du + ws[j]
+			if owned {
+				if nd < math.Float32frombits(dist[v]) {
+					dist[v] = math.Float32bits(nd)
+					sp.Next.AddOwned(worker, v)
+					least = min(least, nd)
+				}
+			} else if atomicMinFloat32(&dist[v], nd) {
 				sp.Next.Add(worker, v)
 				least = min(least, nd)
 			}

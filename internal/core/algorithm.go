@@ -92,8 +92,13 @@ type SpanAlgorithm interface {
 	PullRows(s *graph.Span, worker int, in *graph.Adjacency, lo, hi int)
 	// PushRows pushes the out-edges of every vertex of active (a slice of
 	// the frontier's vertex list). CSR rows partition sources, never
-	// destinations, so updates are always synchronized: atomically by span
-	// kernels, under the stripe locks by the adapter.
+	// destinations, so while several workers share the iteration updates
+	// are synchronized: atomically by span kernels when s.Atomic, under the
+	// stripe locks by the adapter. When s.Atomic is false one goroutine runs
+	// the whole iteration (fewer than callerPushEdges active out-edges, or
+	// one worker): it owns every destination and every word of the next
+	// frontier, so plain stores and s.Next.AddOwned are enough — an atomic
+	// update stays correct too.
 	PushRows(s *graph.Span, worker int, out *graph.Adjacency, active []graph.VertexID)
 	// PushEdges applies, in slice order, every edge whose source is in the
 	// frontier (edge-array chunk, grid cell, decoded or streamed cell),
@@ -212,6 +217,13 @@ func (a *perEdge) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
 // measurements.
 type WorkerBound interface {
 	SetWorkers(p int)
+}
+
+// Rooted is implemented by single-source algorithms (BFS, SSSP), whose Init
+// indexes per-vertex state with the root: Run and RunStreamed reject a root
+// outside the graph before Init, as Batch rejects its sources.
+type Rooted interface {
+	Root() graph.VertexID
 }
 
 // ParallelFunc runs body over [begin, end) in chunks of chunk on at most p

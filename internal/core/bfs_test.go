@@ -39,6 +39,32 @@ func serialBFS(g *graph.Graph, source graph.VertexID) []int32 {
 	return level
 }
 
+// badParent checks a BFS tree against g: the root is its own parent, and
+// every other reached vertex's parent reaches it over an edge of g (either
+// way round when g is undirected) from one level up. Parents may differ
+// between schedules; validity may not. It returns the first vertex that
+// breaks it, and whether there is one.
+func badParent(g *graph.Graph, b *algorithms.BFS) (graph.VertexID, bool) {
+	type arc struct{ u, v graph.VertexID }
+	arcs := make(map[arc]bool, len(g.EdgeArray.Edges))
+	for _, e := range g.EdgeArray.Edges {
+		arcs[arc{e.Src, e.Dst}] = true
+		if !g.Directed {
+			arcs[arc{e.Dst, e.Src}] = true
+		}
+	}
+	for vi, p := range b.Parent {
+		v := graph.VertexID(vi)
+		switch {
+		case p < 0 || v == b.Source && p == int32(v):
+			continue
+		case !arcs[arc{graph.VertexID(p), v}] || b.Level[p] != b.Level[v]-1:
+			return v, true
+		}
+	}
+	return 0, false
+}
+
 // Shape of layeredGraph: layer widths k and the parallel edges each wide
 // vertex sends to the next hub.
 const (
@@ -83,9 +109,10 @@ func layeredGraph() *graph.Graph {
 	return graph.New(edges, n, true)
 }
 
-// TestBFSMatchesSerialOracle: BFS levels match a plain queue BFS in every
-// configuration ValidateTechniques admits and under Auto, at 1, 2 and 8
-// workers, in memory and — for the configurations that can — streamed.
+// TestBFSMatchesSerialOracle: BFS levels match a plain queue BFS, and every
+// parent is a valid one, in every configuration ValidateTechniques admits
+// and under Auto, at 1, 2 and 8 workers, push iterations on the caller or
+// on the gang, in memory and — for the configurations that can — streamed.
 // The inputs cover an RMAT graph both ways and the layered graph, whose
 // in-degree-0 vertices and partial last word the bitmap pull step must skip
 // and bound. A PushPull run on the layered graph alternates push and pull,
@@ -114,15 +141,25 @@ func TestBFSMatchesSerialOracle(t *testing.T) {
 					t.Fatalf("vertex %d: level %d, serial BFS %d", v, b.Level[v], l)
 				}
 			}
+			if v, bad := badParent(g, b); bad {
+				t.Fatalf("vertex %d at level %d: parent %d is no in-neighbour one level up", v, b.Level[v], b.Parent[v])
+			}
 			return res
 		}
 		for _, workers := range []int{1, 2, 8} {
 			for _, cfg := range admittedConfigs() {
 				cfg.Workers = workers
+				// Every BFS iteration discovers a vertex, so a kernel that
+				// rediscovers ends at the cap with wrong levels, not in a hang.
+				cfg.MaxIterations = g.NumVertices()
 				name := fmt.Sprintf("%s/w%d/%v-%v-%v", in.name, workers, cfg.Layout, cfg.Flow, cfg.Sync)
-				t.Run(name, func(t *testing.T) {
+				run := func(t *testing.T) {
 					check(t, func(alg Algorithm) (*Result, error) { return Run(g, alg, cfg) })
-				})
+				}
+				t.Run(name, run)
+				if workers > 1 && pushesRows(cfg) {
+					atCallerPushExtremes(t, name, run)
+				}
 				if cfg.Flow != Auto && (cfg.Layout != graph.LayoutGrid || cfg.Sync != SyncPartitionFree) {
 					continue
 				}

@@ -55,7 +55,12 @@ func (f Flow) String() string {
 }
 
 // SyncMode selects how concurrent updates to destination vertices are made
-// safe (Section 6.1.2).
+// safe (Section 6.1.2). It names a plan's discipline for concurrent
+// updates, not what every iteration pays: an iteration one goroutine runs
+// alone — a push too small to split, any iteration of a one-worker run —
+// has no concurrent update to synchronize, so its span is not Atomic under
+// the same plan label (SyncLocks plans keep their locks, and mirrored edge
+// arrays their atomics).
 type SyncMode int
 
 const (

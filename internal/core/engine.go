@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/epfl-repro/everythinggraph/internal/graph"
@@ -49,6 +50,11 @@ func Run(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 // is diffed around every iteration and around the run.
 func iterate(g *graph.Graph, alg Algorithm, cfg Config, workers int, pl *planner, src Source,
 	step func(StepPlan, *graph.Frontier) (*graph.Frontier, error)) (*Result, error) {
+	if ra, ok := alg.(Rooted); ok {
+		if s, n := ra.Root(), g.NumVertices(); int(s) >= n {
+			return nil, fmt.Errorf("core: source %d out of range (graph has %d vertices)", s, n)
+		}
+	}
 	if wb, ok := alg.(WorkerBound); ok {
 		wb.SetWorkers(workers)
 	}
@@ -238,9 +244,11 @@ func (st *stepper) begin(flow Flow, sync SyncMode, frontier *graph.Frontier) {
 		st.kern = &st.adapter
 	}
 	st.pull = flow == Pull
+	// A one-worker run shares no destination with anyone: every iteration
+	// is owned.
 	st.span = graph.Span{
 		Full:   frontier.Count() == st.numVertices,
-		Atomic: sync == SyncAtomics,
+		Atomic: sync == SyncAtomics && st.workers > 1,
 	}
 	if !st.track {
 		return

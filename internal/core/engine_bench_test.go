@@ -251,8 +251,10 @@ var road512 = sync.OnceValue(func() *graph.Graph {
 // BenchmarkSSSPRoad512 is the sparse-push scaling curve: one bucketed
 // frontier SSSP per op (adjacency/push/atomics, iters/run iterations of a
 // few hundred active vertices) at 1 and 2 workers. us/iter is what one
-// sparse iteration costs; a traced run after the timed ones reports how
-// often a pool worker parked and how many loops it joined, per gang loop.
+// sparse iteration costs; a traced run after the timed ones reports the
+// share of iterations handed to the gang (loops/iter — iterations below
+// callerPushEdges run on the caller) and, per gang loop, how often a pool
+// worker parked and how many loops it joined.
 func BenchmarkSSSPRoad512(b *testing.B) {
 	g := road512()
 	for _, workers := range []int{1, 2} {
@@ -275,7 +277,9 @@ func BenchmarkSSSPRoad512(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if loops, _ := res.Metrics.Get("sched.gang_loops"); loops > 0 {
+			loops, _ := res.Metrics.Get("sched.gang_loops")
+			b.ReportMetric(float64(loops)/float64(res.Iterations), "loops/iter")
+			if loops > 0 {
 				parks, _ := res.Metrics.Get("sched.parks")
 				joins, _ := res.Metrics.Get("sched.gang_joins")
 				b.ReportMetric(float64(parks)/float64(loops), "parks/loop")

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/epfl-repro/everythinggraph/internal/algorithms"
@@ -302,5 +304,38 @@ func TestPerIterationStatsRecorded(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestOutOfRangeSourceRejected: a BFS or SSSP root outside the graph is an
+// error from Run and RunStreamed, not an index panic in Init.
+func TestOutOfRangeSourceRejected(t *testing.T) {
+	g := gen.RMAT(gen.RMATOptions{Scale: 8, EdgeFactor: 4, Seed: 1})
+	prepareAll(t, g, false)
+	src := &gridSource{grid: g.Grid}
+	n := graph.VertexID(g.NumVertices())
+	algs := map[string]func() Algorithm{
+		"bfs":  func() Algorithm { return algorithms.NewBFS(n) },
+		"sssp": func() Algorithm { return algorithms.NewSSSP(n) },
+	}
+	for name, mk := range algs {
+		runs := map[string]func() error{
+			"Run": func() error {
+				_, err := Run(g, mk(), Config{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics})
+				return err
+			},
+			"RunStreamed": func() error {
+				_, err := RunStreamed(src, mk(), Config{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree})
+				return err
+			},
+		}
+		for runName, run := range runs {
+			t.Run(fmt.Sprintf("%s/%s", name, runName), func(t *testing.T) {
+				err := run()
+				if err == nil || !strings.Contains(err.Error(), "out of range") {
+					t.Fatalf("source %d of %d vertices: error %v, want one saying out of range", n, n, err)
+				}
+			})
+		}
 	}
 }

@@ -41,6 +41,27 @@ func (r *runner) execute(plan StepPlan, frontier *graph.Frontier) *graph.Frontie
 // vertex-centric framework.
 const pushEdgeChunk = 2048
 
+// callerPushEdges is the active out-edge total below which a push iteration
+// runs on the calling goroutine alone, its span not Atomic: with one
+// goroutine no destination is shared, so the kernels need no atomics and
+// the gang no hand-off (Section 6: synchronization is paid for sharing, and
+// ownership is what removes it). Swept on 2 CPUs, two runs each, s per op —
+// warm.sssp.road (push iterations of at most ~4,700 out-edges): 2048 →
+// 0.0510/0.0476, 4096 → 0.0503/0.0457, 8192 → 0.0490/0.0447, 16384 →
+// 0.0491/0.0449, 32768 → 0.0499/0.0447 (without the rule: 0.0520/0.0483);
+// warm.bfs.rmat: 0.0968/0.0890, 0.0958/0.0892, 0.0935/0.0880,
+// 0.0952/0.0890, 0.0909/0.0889 (without: 0.0943/0.0875). 8192 is the
+// smallest swept value that keeps every lattice iteration off the gang, which
+// also makes SSSP's iteration count independent of the schedule. Caller-only
+// iterations from minMeasureEdges up feed the cost model under the plan's
+// usual label; warm.bfs.rmat's plan trace, 226 iterations and 64 switches
+// are unchanged by them.
+const callerPushEdges = 8192
+
+// callerPushLimit is the threshold vertexPush reads: callerPushEdges, which
+// tests pin at both extremes to drive every push through one path.
+var callerPushLimit int64 = callerPushEdges
+
 // pullVertexChunk is the chunk size for pull iterations. It must stay a
 // multiple of 64 so chunk boundaries never split a bitmap word: a worker
 // then owns whole words of the next frontier, which pull kernels set a word
@@ -121,9 +142,17 @@ func (r *runner) buildPushChunks(active []graph.VertexID, out *graph.Adjacency, 
 // vertexPush runs one vertex-centric push iteration over the out-adjacency:
 // every active vertex streams its outgoing neighbours and updates them under
 // the configured synchronization discipline (Section 6: push works on the
-// active subset only, but destination updates need locks or atomics).
+// active subset only, but destination updates need locks or atomics). An
+// iteration of fewer than callerPushLimit out-edges is too small to split:
+// it runs on the caller as worker 0, which then owns every destination and
+// every word of the next frontier, so its span is not Atomic.
 func (r *runner) vertexPush(frontier *graph.Frontier) {
 	starts := r.pushChunks(frontier)
+	if r.chunkEdges < callerPushLimit {
+		r.span.Atomic = false
+		r.pushChunksBody(0, 0, len(starts)-1)
+		return
+	}
 	r.pfor(0, len(starts)-1, 1, r.workers, r.pushChunksBody)
 }
 
@@ -148,6 +177,9 @@ func (r *runner) vertexPull(frontier *graph.Frontier) {
 func (r *runner) edgeCentric(frontier *graph.Frontier) {
 	r.span.Bits = frontier.Bitmap()
 	r.span.Mirror = !r.g.Directed
+	// The owned kernels do not mirror, so a mirrored slice keeps its atomic
+	// updates even on one worker.
+	r.span.Atomic = r.span.Atomic || r.span.Mirror
 	r.pfor(0, len(r.g.EdgeArray.Edges), sched.DefaultChunkSize, r.workers, r.edgeBody)
 }
 

@@ -265,11 +265,11 @@ func (s *gridSource) StreamCells(opt StreamOptions, visit func(worker int, edges
 
 // TestSpanKernelsMatchPerEdgeAdapter is the differential test of the span
 // contract: for each shipped algorithm, every admitted configuration (static
-// grid ones at every pyramid level), the in-memory and the streamed engine,
-// and each adversarial graph, the span
-// kernels must leave the state the per-edge methods leave — the same bits
-// wherever the configuration fixes the order of updates (always at one
-// worker), the same exact values for integral results everywhere, and
+// grid ones at every pyramid level, push iterations on the caller and on the
+// gang), the in-memory and the streamed engine, and each adversarial graph,
+// the span kernels must leave the state the per-edge methods leave — the
+// same bits wherever the configuration fixes the order of updates (always at
+// one worker), the same exact values for integral results everywhere, and
 // reassociation-close sums otherwise.
 func TestSpanKernelsMatchPerEdgeAdapter(t *testing.T) {
 	type runFn func(alg Algorithm, cfg Config) error
@@ -305,12 +305,16 @@ func TestSpanKernelsMatchPerEdgeAdapter(t *testing.T) {
 					cfg.Workers = workers
 					exact := a.integral || workers == 1 || ownedOrder(cfg)
 					name := fmt.Sprintf("%s/%s/w%d/%v-%v-%v", sg.name, a.name, workers, cfg.Layout, cfg.Flow, cfg.Sync)
-					t.Run(name, func(t *testing.T) {
+					run := func(t *testing.T) {
 						compare(t, a, cfg, exact, func(alg Algorithm, cfg Config) error {
 							_, err := Run(sg.g, alg, cfg)
 							return err
 						})
-					})
+					}
+					t.Run(name, run)
+					if workers > 1 && pushesRows(cfg) {
+						atCallerPushExtremes(t, name, run)
+					}
 					if cfg.Layout == graph.LayoutGrid && cfg.Flow != Auto {
 						// Run holds a static grid at the materialized P; the
 						// coarser pyramid levels hand the kernels multi-row

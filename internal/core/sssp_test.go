@@ -114,10 +114,11 @@ func ssspOracleGraphs(t *testing.T) []spanGraph {
 
 // TestSSSPMatchesDijkstra: whatever order the engine relaxes edges in —
 // every static configuration and the adaptive one, in memory and streamed,
-// at 1, 2 and 8 workers, with the push kernels' buckets or without — SSSP
-// leaves the serial Dijkstra distances bit for bit. On the lattice the
-// buckets cut relaxations without stretching the run: fixed push takes at
-// most 1.5x the iterations of plain frontier Bellman-Ford.
+// at 1, 2 and 8 workers, push iterations on the caller or on the gang, with
+// the push kernels' buckets or without — SSSP leaves the serial Dijkstra
+// distances bit for bit. On the lattice the buckets cut relaxations without
+// stretching the run: fixed push takes at most 1.5x the iterations of plain
+// frontier Bellman-Ford.
 func TestSSSPMatchesDijkstra(t *testing.T) {
 	configs := append(allConfigs(), Config{Flow: Auto, Layout: graph.LayoutAdjacency})
 	for _, sg := range ssspOracleGraphs(t) {
@@ -139,12 +140,16 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 			for _, cfg := range configs {
 				cfg.Workers = workers
 				name := fmt.Sprintf("%s/w%d/%v-%v-%v", sg.name, workers, cfg.Layout, cfg.Flow, cfg.Sync)
-				t.Run(name, func(t *testing.T) {
+				run := func(t *testing.T) {
 					check(t, func(alg Algorithm) error {
 						_, err := Run(sg.g, alg, cfg)
 						return err
 					})
-				})
+				}
+				t.Run(name, run)
+				if workers > 1 && pushesRows(cfg) {
+					atCallerPushExtremes(t, name, run)
+				}
 				if cfg.Flow != Auto && (cfg.Layout != graph.LayoutGrid || cfg.Sync != SyncPartitionFree) {
 					continue
 				}

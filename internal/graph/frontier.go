@@ -185,7 +185,9 @@ func (f *Frontier) ToSparse() {
 //   - Add marks one vertex with an atomic compare-and-swap on the shared
 //     bitmap and appends it to the calling worker's list. Any worker may add
 //     any vertex (push iterations); Collect then emits the merged lists as a
-//     sparse frontier with the bitmap attached.
+//     sparse frontier with the bitmap attached. AddOwned is the same
+//     activation without the compare-and-swap, for a build one goroutine
+//     runs alone (a push iteration too small to split across workers).
 //   - SetWord ORs a whole 64-vertex bitmap word that the calling worker owns
 //     and counts the bits it set; nothing is appended (pull iterations,
 //     whose chunks are whole words). Collect then emits a dense frontier,
@@ -252,6 +254,22 @@ func (b *FrontierBuilder) Add(worker int, v VertexID) bool {
 			return true
 		}
 	}
+}
+
+// AddOwned is Add for a caller that owns v's bitmap word: no other worker
+// adds any of its 64 vertices during this build, which holds when one
+// goroutine runs the whole push iteration. It is the single-vertex sibling
+// of SetWord: a plain load and store instead of the compare-and-swap.
+func (b *FrontierBuilder) AddOwned(worker int, v VertexID) bool {
+	word := &b.bits[v/64]
+	mask := uint64(1) << (v % 64)
+	if *word&mask != 0 {
+		return false
+	}
+	*word |= mask
+	l := &b.perWorker[worker]
+	l.vs = append(l.vs, v)
+	return true
 }
 
 // SetWord marks active, on behalf of the given worker, the vertices

@@ -263,9 +263,26 @@ func TestBuilderWorkersYieldUnionOnce(t *testing.T) {
 // BenchmarkFrontierBuilderAdd measures one Add (ns/add) with 1 and with 2
 // workers adding disjoint halves of the vertex range at the same time: the
 // bitmap words are private to a worker, so whatever the second worker costs
-// is sharing among the builder's own per-worker state.
+// is sharing among the builder's own per-worker state. owned is one
+// goroutine adding with AddOwned, the add of a push iteration the caller
+// runs alone.
 func BenchmarkFrontierBuilderAdd(b *testing.B) {
 	const n = 1 << 16
+	b.Run("owned", func(b *testing.B) {
+		fb := NewFrontierBuilder(n, 1)
+		round := func() {
+			fb.Reset()
+			for v := 0; v < n; v++ {
+				fb.AddOwned(0, VertexID(v))
+			}
+		}
+		round() // grow the list
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/add")
+	})
 	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			fb := NewFrontierBuilder(n, workers)

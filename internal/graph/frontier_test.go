@@ -175,6 +175,36 @@ func TestFrontierBuilderSetWordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrontierBuilderAddOwned: AddOwned activates like Add — once per
+// vertex, in call order, into a sparse frontier with the bitmap attached —
+// and Reset clears what it set, so the builder's next build starts empty.
+func TestFrontierBuilderAddOwned(t *testing.T) {
+	const n = 150
+	b := NewFrontierBuilder(n, 2)
+	var f Frontier
+	for round := 0; round < 2; round++ {
+		for _, v := range []VertexID{9, 140, 9, 64, 140} {
+			first := !b.Contains(v)
+			if got := b.AddOwned(0, v); got != first {
+				t.Fatalf("round %d: AddOwned(%d) = %v, want %v", round, v, got, first)
+			}
+		}
+		b.CollectInto(&f)
+		if want := []VertexID{9, 140, 64}; f.IsDense() || !slices.Equal(f.Sparse(), want) {
+			t.Fatalf("round %d: dense=%v list %v, want sparse %v", round, f.IsDense(), f.Sparse(), want)
+		}
+		if !f.Contains(64) || f.Contains(65) {
+			t.Fatalf("round %d: attached bitmap wrong", round)
+		}
+		b.Reset()
+		for i, w := range b.bits {
+			if w != 0 {
+				t.Fatalf("round %d: bitmap word %d = %#x after Reset", round, i, w)
+			}
+		}
+	}
+}
+
 // TestFrontierSetSemanticsProperty: converting between representations never
 // changes the set of active vertices.
 func TestFrontierSetSemanticsProperty(t *testing.T) {

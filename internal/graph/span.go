@@ -19,13 +19,18 @@ type Span struct {
 	Next *FrontierBuilder
 	// Atomic reports that other workers may update the same destinations
 	// concurrently, so destination updates must be atomic. When false the
-	// calling worker owns every destination of the span (pull rows, grid
-	// columns, streamed columns) and plain stores suffice.
+	// calling worker owns every destination of the span and plain stores
+	// suffice: it owns a destination range (pull rows, grid columns,
+	// streamed columns), or one goroutine runs the whole iteration (a push
+	// iteration too small to split, every iteration of a one-worker run).
+	// CSR push rows never own a destination range, so on them false always
+	// means the latter, and the kernel may also activate with Next.AddOwned.
 	Atomic bool
 	// Mirror marks flat edge slices of an undirected dataset stored once per
 	// edge (the edge-array layout): every edge with Src != Dst is also
-	// applied in the Dst -> Src direction. Edge arrays have no destination
-	// ownership, so Mirror only ever accompanies synchronized updates.
+	// applied in the Dst -> Src direction. Mirror only ever accompanies
+	// synchronized updates: the engine keeps Atomic set on mirrored slices
+	// even when one goroutine runs them.
 	Mirror bool
 }
 
