@@ -115,10 +115,12 @@ const (
 	// StreamDepthCap caps the pipeline depth before slices shrink past it.
 	MinStreamSliceEdges = 64
 	// StreamResidentEdgeBytes is what one buffered edge costs while
-	// resident: its 12-byte stored record plus its 12-byte decoded form.
-	// It is the unit both StreamRecipe's budget arithmetic and the sources'
-	// buffer pools size against, so the two always agree on what fits.
-	StreamResidentEdgeBytes = 24
+	// resident: one 12-byte graph.Edge, into which a raw store reads the
+	// edge's record in place. It is the unit both StreamRecipe's budget
+	// arithmetic and the sources' buffer pools size against, so the two
+	// always agree on what fits. (A compressed store's slots also hold the
+	// payload they decode from; its pool charges that on top.)
+	StreamResidentEdgeBytes = 12
 )
 
 // Config selects the techniques for a run.

@@ -8,6 +8,11 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 )
 
+// tightBudget feeds 16 workers' minimal slices 8/3 deep (64 KiB at 24
+// resident bytes an edge): not the 3 slots a deeper pipeline needs, but
+// two workers 21 deep.
+const tightBudget = 16 * MinStreamSliceEdges * StreamResidentEdgeBytes * 8 / 3
+
 func TestStreamRecipeDefaultsAndClamps(t *testing.T) {
 	wide := &fakeGridSource{fakeSource: fakeSource{n: 100}, p: 64}
 	for _, c := range []struct {
@@ -20,9 +25,9 @@ func TestStreamRecipeDefaultsAndClamps(t *testing.T) {
 		{"configured", Config{Workers: 1, PrefetchDepth: 4, MemoryBudget: 64 << 20}, 4, 64 << 20},
 		{"deep", Config{Workers: 1, PrefetchDepth: 99}, MaxPrefetchDepth, DefaultStreamMemoryBudget},
 		{"shallow", Config{Workers: 1, PrefetchDepth: 1}, MinPrefetchDepth, DefaultStreamMemoryBudget},
-		// 64 KiB across 16 workers cannot feed a pipeline deeper than 2
-		// without slices degenerating below MinStreamSliceEdges.
-		{"tight", Config{Workers: 16, PrefetchDepth: 8, MemoryBudget: 64 << 10}, MinPrefetchDepth, 64 << 10},
+		// tightBudget across 16 workers cannot feed a pipeline deeper than
+		// 2 without slices degenerating below MinStreamSliceEdges.
+		{"tight", Config{Workers: 16, PrefetchDepth: 8, MemoryBudget: tightBudget}, MinPrefetchDepth, tightBudget},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			depth, budget := StreamRecipe(wide, c.cfg)
@@ -62,7 +67,7 @@ func TestStreamRecipeDepthCapFollowsBudget(t *testing.T) {
 // worker count a pass can run — at most one per stored column — so a narrow
 // store keeps a deep pipeline under a budget that would starve 16 workers.
 func TestStreamRecipeDepthCapAtStoredResolution(t *testing.T) {
-	cfg := Config{Workers: 16, PrefetchDepth: 8, MemoryBudget: 64 << 10}
+	cfg := Config{Workers: 16, PrefetchDepth: 8, MemoryBudget: tightBudget}
 	narrow := &fakeGridSource{fakeSource: fakeSource{n: 100}, p: 2}
 	if depth, _ := StreamRecipe(narrow, cfg); depth != 8 {
 		t.Fatalf("2-column store: depth %d, want 8 (two workers can feed it)", depth)
@@ -102,9 +107,11 @@ func TestStreamWorkersClampsAndSheds(t *testing.T) {
 	if got := StreamExecWorkers(wide.GridP(), 32, DefaultStreamMemoryBudget); got != 32 {
 		t.Fatalf("roomy budget shed workers: %d", got)
 	}
-	// 4 KiB cannot feed two workers' minimal buffers (2*2*64*24 = 6 KiB).
-	if got := StreamExecWorkers(wide.GridP(), 8, 4<<10); got != 1 {
-		t.Fatalf("4 KiB budget kept %d workers, want 1", got)
+	// Two thirds of two workers' minimal buffers (4 KiB at 24 resident
+	// bytes an edge) cannot feed them.
+	const short = 2 * MinPrefetchDepth * MinStreamSliceEdges * StreamResidentEdgeBytes * 2 / 3
+	if got := StreamExecWorkers(wide.GridP(), 8, short); got != 1 {
+		t.Fatalf("%d-byte budget kept %d workers, want 1", short, got)
 	}
 }
 

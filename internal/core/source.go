@@ -25,13 +25,15 @@ type StreamOptions struct {
 	// for the pass; sources clamp it with StreamExecWorkers.
 	Workers int
 	// MemoryBudget bounds the bytes of resident edge buffers across all
-	// workers (raw segment bytes plus decoded edges) during the pass. 0
-	// selects the source's default. One case can exceed it: a compressed
-	// store decodes whole cells, so every in-rotation slot holds at least
-	// its largest cell, and a compressed pass rotates fewer slots (down to
-	// MinPrefetchDepth) until that floor fits the budget — when even
-	// MinPrefetchDepth slots of the largest cell per worker do not fit, the
-	// pass keeps them and overruns the budget by the difference.
+	// workers during the pass: StreamResidentEdgeBytes per buffered edge
+	// of a raw store, whose records are read straight into the edges the
+	// kernel visits, plus the payload bytes a compressed store decodes
+	// from. 0 selects the source's default. One case can exceed it: a
+	// compressed store decodes whole cells, so every in-rotation slot holds
+	// at least its largest cell, and a compressed pass rotates fewer slots
+	// (down to MinPrefetchDepth) until that floor fits the budget — when
+	// even MinPrefetchDepth slots of the largest cell per worker do not
+	// fit, the pass keeps them and overruns the budget by the difference.
 	MemoryBudget int64
 	// PrefetchDepth is the number of segment buffers each worker keeps in
 	// rotation during the pass (0 selects DefaultPrefetchDepth; sources

@@ -44,6 +44,13 @@ func BenchmarkStreamedPageRank(b *testing.B) {
 	}
 }
 
+// reportNsPerEdge reports the benchmark's time per streamed edge, one full
+// pass over s per op: the fetch layer's cost at the granularity the kernels
+// are measured in.
+func reportNsPerEdge(b *testing.B, s *Store) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*s.NumEdges()), "ns/edge")
+}
+
 // BenchmarkStreamedPageRankIter measures one steady-state streamed
 // iteration: with the slot rings and fetchers recycled by the store's pool,
 // every pass after warmup must be allocation-free.
@@ -60,6 +67,7 @@ func BenchmarkStreamedPageRankIter(b *testing.B) {
 	if _, err := core.RunStreamed(s, pr, cfg); err != nil {
 		b.Fatal(err)
 	}
+	reportNsPerEdge(b, s)
 }
 
 // benchStoreV2 builds a compressed RMAT store once per benchmark run.
@@ -128,6 +136,7 @@ func BenchmarkStreamPass(b *testing.B) {
 		}
 	}
 	_ = sink
+	reportNsPerEdge(b, s)
 }
 
 // BenchmarkBuildStore measures the bounded-memory two-pass store build from

@@ -67,6 +67,8 @@ const (
 	formatVersionVarint = 2
 	// headerSize is the fixed byte size of the header block.
 	headerSize = 48
+	// maxCells bounds P*P so that metaSize cannot overflow.
+	maxCells = 1 << 58
 	// flagUndirected marks a store whose edges were mirrored at build time
 	// (each input edge stored in both directions), as required by WCC.
 	flagUndirected = 1 << 0
@@ -187,9 +189,17 @@ func decodeHeader(buf []byte) (Header, uint32, error) {
 		return h, 0, fmt.Errorf("oocore: header has non-positive dimensions (v=%d e=%d p=%d range=%d)",
 			h.NumVertices, h.NumEdges, h.P, h.RangeSize)
 	}
-	// Every range must start at a 32-bit vertex id.
+	// Vertex ids are 32 bits, and every range must start at one.
+	if uint64(h.NumVertices) > 1<<32 {
+		return h, 0, fmt.Errorf("oocore: %d vertices exceed the 32-bit id space", h.NumVertices)
+	}
 	if uint64(h.P-1)*uint64(h.RangeSize) >= 1<<32 {
 		return h, 0, fmt.Errorf("oocore: %d ranges of %d vertices reach past the 32-bit id space", h.P, h.RangeSize)
+	}
+	// P < 2^32, so P*P cannot wrap a uint64; past maxCells the metadata
+	// size (12 bytes a cell at most) would overflow an int64.
+	if cells := uint64(h.P) * uint64(h.P); cells > maxCells {
+		return h, 0, fmt.Errorf("oocore: %dx%d grid has more cells than a store can index", h.P, h.P)
 	}
 	metaCRC := binary.LittleEndian.Uint32(buf[40:44])
 	return h, metaCRC, nil
@@ -268,6 +278,9 @@ const defaultScatterBudget = 32 << 20
 // scatter budget, independent of the edge count.
 func BuildStore(path string, opt BuildOptions, stream Stream) (Header, error) {
 	var h Header
+	if err := storage.HostOrder(); err != nil {
+		return h, err
+	}
 	if opt.NumVertices <= 0 {
 		return h, fmt.Errorf("oocore: BuildStore requires a positive NumVertices")
 	}

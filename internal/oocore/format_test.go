@@ -1,8 +1,12 @@
 package oocore
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/epfl-repro/everythinggraph/internal/gen"
@@ -180,6 +184,91 @@ func TestOpenRejectsTruncatedSegments(t *testing.T) {
 	}
 	if err := reopen(t, raw[:10]); err == nil {
 		t.Fatal("header truncation was not rejected")
+	}
+}
+
+// TestOpenRejectsOversizedHeaderBeforeAllocating: a header whose checksum
+// is valid is still not trusted. Dimensions past the 32-bit id space, a
+// grid whose cell count overflows, or metadata running past the end of the
+// file must fail NewStore with an error before anything is sized from them
+// (an allocation that large kills the process, past any recover).
+// FuzzOpenStore cannot reach these headers: its mutations break the header
+// CRC, so each row here reseals it.
+func TestOpenRejectsOversizedHeaderBeforeAllocating(t *testing.T) {
+	_, raw := storeBytes(t)
+	h, _, err := decodeHeader(raw)
+	if err != nil {
+		t.Fatalf("decodeHeader: %v", err)
+	}
+	for _, c := range []struct {
+		name  string
+		patch func(img []byte) []byte
+	}{
+		{"2^33 vertices", func(img []byte) []byte {
+			binary.LittleEndian.PutUint64(img[16:24], 1<<33)
+			return img
+		}},
+		{"2^60 vertices", func(img []byte) []byte {
+			binary.LittleEndian.PutUint64(img[16:24], 1<<60)
+			return img
+		}},
+		{"2^32 vertices in a small file", func(img []byte) []byte {
+			binary.LittleEndian.PutUint64(img[16:24], 1<<32)
+			return img
+		}},
+		{"P=2^31", func(img []byte) []byte {
+			binary.LittleEndian.PutUint32(img[32:36], 1<<31)
+			binary.LittleEndian.PutUint32(img[36:40], 1)
+			return img
+		}},
+		{"metadata one byte past EOF", func(img []byte) []byte {
+			return img[:headerSize+h.metaSize()-1]
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			img := c.patch(append([]byte(nil), raw...))
+			binary.LittleEndian.PutUint32(img[44:48], crc32.ChecksumIEEE(img[0:44]))
+			s, err := openImage(img)
+			if err == nil {
+				s.Close()
+				t.Fatal("NewStore accepted the header")
+			}
+			if strings.Contains(err.Error(), "checksum") {
+				t.Fatalf("rejected on a checksum, not on the dimensions: %v", err)
+			}
+		})
+	}
+}
+
+// TestStoreRecordsBitExact: the weight bit patterns a decode through float
+// values could alter — NaNs with payloads, -0, subnormals, the infinities —
+// reach the kernel unchanged through BuildStore then StreamCells.
+func TestStoreRecordsBitExact(t *testing.T) {
+	bits := []uint32{0x7fc00001, 0xffc12345, 0x7f800001, 0x80000000, 0x00000001, 0x807fffff, 0x7f800000, 0xff800000}
+	const n = 64
+	edges := make([]graph.Edge, len(bits))
+	for i, b := range bits {
+		edges[i] = graph.Edge{Src: graph.VertexID(i * 7), Dst: graph.VertexID(n - 1 - i), W: math.Float32frombits(b)}
+	}
+	path := filepath.Join(t.TempDir(), "weights.egs")
+	if _, err := BuildStore(path, BuildOptions{NumVertices: n, GridP: 4}, SliceStream(edges, 3)); err != nil {
+		t.Fatalf("BuildStore: %v", err)
+	}
+	s, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	got, err := streamOnce(s)
+	if err != nil || len(got) != len(edges) {
+		t.Fatalf("streamed %d edges, %v; want %d", len(got), err, len(edges))
+	}
+	for _, e := range got {
+		i := int(e.Src) / 7
+		if want := bits[i]; e.Dst != edges[i].Dst || math.Float32bits(e.W) != want {
+			t.Fatalf("edge %d->%d streamed with weight bits %#x, want %d->%d with %#x",
+				e.Src, e.Dst, math.Float32bits(e.W), edges[i].Src, edges[i].Dst, want)
+		}
 	}
 }
 

@@ -2,14 +2,16 @@ package oocore
 
 import (
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"github.com/epfl-repro/everythinggraph/internal/algorithms"
 	"github.com/epfl-repro/everythinggraph/internal/core"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
+	"github.com/epfl-repro/everythinggraph/internal/sched"
+	"github.com/epfl-repro/everythinggraph/internal/storage"
 )
 
 // streamOnce runs one single-worker pass — one column group, so cells
@@ -109,36 +111,72 @@ func FuzzOpenStore(f *testing.F) {
 }
 
 // TestV1OutOfRangeRecordFailsCleanly: v1 edge records carry no checksum, so
-// a flipped high bit in one makes it name a vertex past the graph. The
-// streamed run must return an error naming the record, not panic inside a
-// kernel with an index out of range.
+// a corrupt one can name a vertex past the graph. Wherever it sits in a
+// segment that spans several slots — its first, a middle or its last
+// record, in the source or the destination — a record naming NumVertices
+// must fail the pass, solo and leased, and ReadCell with an error naming
+// that record, not panic inside a kernel; one naming NumVertices-1 is a
+// legal edge.
 func TestV1OutOfRangeRecordFailsCleanly(t *testing.T) {
-	g := testGraph(t, 10, false)
-	path := filepath.Join(t.TempDir(), "graph.egs")
-	h, err := BuildStoreFromGraph(path, g, 8, false)
+	const p, bufEdges = 8, 100
+	img := storeImage(t, testGraph(t, 10, false), p, false)
+	ref, err := openImage(img)
 	if err != nil {
-		t.Fatalf("BuildStoreFromGraph: %v", err)
+		t.Fatalf("open: %v", err)
 	}
-	img, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
+	ref.Close()
+	// One worker streams row 1 as one segment, bufEdges records a slot.
+	opt := core.StreamOptions{Workers: 1, PrefetchDepth: core.MinPrefetchDepth,
+		MemoryBudget: core.MinPrefetchDepth * bufEdges * core.StreamResidentEdgeBytes}
+	lo, hi := int64(ref.cellIndex[p]), int64(ref.cellIndex[2*p])
+	if hi-lo <= 2*bufEdges {
+		t.Fatalf("row 1 holds %d records, want a segment over more than two slots", hi-lo)
 	}
-	// Bit 30 of the first record's destination.
-	dst := h.dataOffset() + 4
-	binary.LittleEndian.PutUint32(img[dst:], binary.LittleEndian.Uint32(img[dst:])|1<<30)
-	if err := os.WriteFile(path, img, 0o644); err != nil {
-		t.Fatalf("WriteFile: %v", err)
-	}
-	s, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open rejected a store whose corruption is in the edge data: %v", err)
-	}
-	defer s.Close()
-	if _, err := core.RunStreamed(s, algorithms.NewPageRank(), streamConfig(core.Pull, 64<<10)); err == nil ||
-		!strings.Contains(err.Error(), "edge record 0") {
-		t.Fatalf("streamed run over the flipped record returned %v, want an error naming edge record 0", err)
-	}
-	if _, err := s.ReadCell(0, 0, nil); err == nil {
-		t.Fatal("ReadCell accepted the flipped record")
+	nv := uint32(ref.NumVertices())
+	for _, rec := range []int64{lo, (lo + hi) / 2, hi - 1} {
+		col := 0
+		for int64(ref.cellIndex[p+col+1]) <= rec {
+			col++
+		}
+		for _, field := range []string{"src", "dst"} {
+			for _, v := range []uint32{nv - 1, nv} {
+				for _, leased := range []bool{false, true} {
+					name := fmt.Sprintf("record=%d/%s=%d/leased=%v", rec, field, v, leased)
+					t.Run(name, func(t *testing.T) {
+						bad := append([]byte(nil), img...)
+						at := ref.dataOff + rec*storage.EdgeBytes
+						if field == "dst" {
+							at += 4
+						}
+						binary.LittleEndian.PutUint32(bad[at:], v)
+						s, err := openImage(bad)
+						if err != nil {
+							t.Fatalf("open rejected a store whose corruption is in the edge data: %v", err)
+						}
+						defer s.Close()
+						opt := opt
+						if leased {
+							lease := sched.DefaultPool().Lease(2)
+							defer lease.Release()
+							opt.Lease = lease
+						}
+						passErr := s.StreamCells(opt, func(int, []graph.Edge) {})
+						_, cellErr := s.ReadCell(1, col, nil)
+						if v < nv {
+							if passErr != nil || cellErr != nil {
+								t.Fatalf("legal record rejected: pass %v, ReadCell %v", passErr, cellErr)
+							}
+							return
+						}
+						want := fmt.Sprintf("edge record %d (", rec)
+						for what, err := range map[string]error{"pass": passErr, "ReadCell": cellErr} {
+							if err == nil || !strings.Contains(err.Error(), want) {
+								t.Errorf("%s returned %v, want an error naming edge record %d", what, err, rec)
+							}
+						}
+					})
+				}
+			}
+		}
 	}
 }

@@ -15,9 +15,10 @@ import (
 // read — thousands of allocations per pass on a 256x256 grid. The pool
 // replaces all of it with state that lives as long as the store:
 //
-//   - every column group owns a ring of prefetch slots (raw segment bytes
-//     plus decoded edges), allocated once and sized so the whole pool never
-//     exceeds the run's budget;
+//   - every column group owns a ring of prefetch slots, allocated once and
+//     sized so the whole pool never exceeds the run's budget. A raw store's
+//     records are read straight into a slot's edges (12 bytes per buffered
+//     edge); a compressed store's slot also holds the payload it decodes;
 //   - every group owns one persistent fetcher goroutine that parks on a
 //     request channel between passes, so a pass spawns nothing;
 //   - fetcher and compute worker exchange slot *indexes* over two
@@ -54,12 +55,11 @@ type passReq struct {
 // drown the trace in noise the IOWait counters already sum precisely.
 const stallSpanMin = 10 * time.Microsecond
 
-// slot is one prefetch buffer of a group's ring. raw and edges are views
-// into the group's arenas, re-carved by the fetcher at every pass so that
-// any pipeline depth can spend the whole per-group budget: at depth d each
+// slot is one prefetch buffer of a group's ring. edges is a view into the
+// group's edge arena, re-carved by the fetcher at every pass so that any
+// pipeline depth can spend the whole per-group budget: at depth d each
 // in-rotation slot owns a 1/d share of the arena.
 type slot struct {
-	raw   []byte
 	edges []graph.Edge
 	n     int
 }
@@ -71,8 +71,9 @@ type group struct {
 	// id is the group's index: its compute worker records on trace track
 	// TrackWorkerBase+id, its fetcher on TrackFetcherBase+id.
 	id int32
-	// rawArena and edgeArena back every slot of the ring; their capacity is
-	// the group's share of the pool's budget.
+	// edgeArena backs every slot of the ring, and (compressed stores only)
+	// rawArena the payload each slot decodes from; their capacity is the
+	// group's share of the pool's budget.
 	rawArena  []byte
 	edgeArena []graph.Edge
 	slots     []slot
@@ -107,8 +108,9 @@ type streamPool struct {
 	// rawPerEdge is the on-disk bytes one buffered edge needs: a 12-byte
 	// record for raw stores, two range offsets (plus 4 weight bytes when a
 	// weight plane exists) for compressed ones.
-	// residentPerEdge adds the decoded form — the per-edge resident cost
-	// the arenas are sized by and the accounting charges.
+	// residentPerEdge is the per-edge resident cost the arenas are sized by
+	// and the accounting charges: one graph.Edge, which a raw store's record
+	// is read into, plus a compressed store's payload bytes.
 	rawPerEdge      int
 	residentPerEdge int64
 	// One column partition and largest coalesced read per virtual grid
@@ -195,7 +197,10 @@ func (s *Store) buildPool(workers int, budget int64) *streamPool {
 		levels[li] = pl
 	}
 	rawPerEdge := s.rawEdgeBytes()
-	residentPerEdge := int64(rawPerEdge + decodedEdgeBytes)
+	residentPerEdge := int64(decodedEdgeBytes)
+	if s.Compressed() {
+		residentPerEdge += int64(rawPerEdge)
+	}
 	depthCap := core.StreamDepthCap(workers, budget)
 	// Compressed cells decode whole (a cell's CRC covers its whole payload,
 	// so none of it is used before all of it is read), so every in-rotation
@@ -233,7 +238,9 @@ func (s *Store) buildPool(workers int, budget int64) *streamPool {
 	for i := range p.groups {
 		g := &p.groups[i]
 		g.id = int32(i)
-		g.rawArena = make([]byte, arenaEdges*rawPerEdge)
+		if s.Compressed() {
+			g.rawArena = make([]byte, arenaEdges*rawPerEdge)
+		}
 		g.edgeArena = make([]graph.Edge, arenaEdges)
 		g.slots = make([]slot, depthCap)
 		g.req = make(chan passReq)
@@ -386,9 +393,7 @@ func (p *streamPool) fetchPass(g *group, req passReq) {
 	// bufEdges-wide span starting at i*bufEdges (depth*bufEdges edges fit
 	// the arena by beginPass's arithmetic).
 	for i := 0; i < req.depth; i++ {
-		base := i * req.bufEdges
-		g.slots[i].raw = g.rawArena[base*storage.EdgeBytes : (base+req.bufEdges)*storage.EdgeBytes]
-		g.slots[i].edges = g.edgeArena[base : base+req.bufEdges]
+		g.slots[i].edges = g.edgeArena[i*req.bufEdges : (i+1)*req.bufEdges]
 	}
 
 	row := 0
@@ -433,7 +438,7 @@ pass:
 		if req.rec != nil {
 			t0 = time.Now()
 		}
-		if err := s.readSegment(sl.raw[:n*storage.EdgeBytes], int64(segPos), sl.edges[:n]); err != nil {
+		if err := s.readSegment(int64(segPos), sl.edges[:n]); err != nil {
 			p.abort.set(err)
 			free = append(free, idx)
 			break
@@ -470,9 +475,7 @@ func (p *streamPool) fetchCompressed(g *group, req passReq) {
 		free = append(free, i)
 	}
 	for i := 0; i < req.depth; i++ {
-		base := i * req.bufEdges
-		g.slots[i].raw = g.rawArena[base*p.rawPerEdge : (base+req.bufEdges)*p.rawPerEdge]
-		g.slots[i].edges = g.edgeArena[base : base+req.bufEdges]
+		g.slots[i].edges = g.edgeArena[i*req.bufEdges : (i+1)*req.bufEdges]
 	}
 
 pass:
@@ -520,8 +523,10 @@ pass:
 			}
 			sl := &g.slots[idx]
 			sl.n = n
+			// Slot idx decodes from its own share of the raw arena.
+			raw := g.rawArena[idx*req.bufEdges*p.rawPerEdge:][:n*p.rawPerEdge]
 			t0 := time.Now()
-			err := s.readCells(first, cell, sl.raw[:n*p.rawPerEdge], sl.edges[:n])
+			err := s.readCells(first, cell, raw, sl.edges[:n])
 			s.stats.ioTimeNanos.Add(int64(time.Since(t0)))
 			if err != nil {
 				p.abort.set(err)

@@ -68,7 +68,9 @@ func TestStreamedPageRankUnderSlowDeviceAndShedding(t *testing.T) {
 	}
 
 	s := openSlowStore(t, storeImage(t, g, p, false), 24)
-	const budget = 4 << 10 // below two workers' minimum buffers: sheds an 8-requested-worker pass down to one
+	// Two thirds of two workers' minimum buffers (4 KiB at 24 resident
+	// bytes an edge): sheds an 8-requested-worker pass down to one.
+	const budget = 2 * core.MinPrefetchDepth * core.MinStreamSliceEdges * core.StreamResidentEdgeBytes * 2 / 3
 	prOOC := algorithms.NewPageRank()
 	prOOC.Iterations = 3
 	cfg := core.Config{

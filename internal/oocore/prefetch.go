@@ -3,11 +3,11 @@ package oocore
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"github.com/epfl-repro/everythinggraph/internal/core"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/sched"
-	"github.com/epfl-repro/everythinggraph/internal/storage"
 )
 
 // This file is the streaming executor's entry point: one StreamCells call is
@@ -24,19 +24,15 @@ import (
 // configure a budget (256 MiB).
 const DefaultMemoryBudget = core.DefaultStreamMemoryBudget
 
-// decodedEdgeBytes is the in-memory size of one decoded graph.Edge (two
-// uint32 ids plus a float32 weight, 4-byte aligned).
-const decodedEdgeBytes = 12
-
-// residentEdgeBytes is what one buffered edge costs while resident: its raw
-// on-disk record plus its decoded form, both held by a slot.
-const residentEdgeBytes = storage.EdgeBytes + decodedEdgeBytes
+// decodedEdgeBytes is the in-memory size of one graph.Edge: what a raw
+// store's slot holds per buffered edge, its record read in place.
+const decodedEdgeBytes = int(unsafe.Sizeof(graph.Edge{}))
 
 // The core side (StreamRecipe, StreamExecWorkers, StreamDepthCap) sizes its
 // budget arithmetic with core.StreamResidentEdgeBytes; this compile-time
-// check keeps the two definitions from drifting apart.
-const _ = uint(residentEdgeBytes-core.StreamResidentEdgeBytes) +
-	uint(core.StreamResidentEdgeBytes-residentEdgeBytes)
+// check keeps it at the size of the edge a slot buffers.
+const _ = uint(decodedEdgeBytes-core.StreamResidentEdgeBytes) +
+	uint(core.StreamResidentEdgeBytes-decodedEdgeBytes)
 
 // The slice granularity below which streaming degenerates is
 // core.MinStreamSliceEdges, shared with the core side: worker shedding

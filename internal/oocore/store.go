@@ -111,6 +111,9 @@ func Open(path string) (*Store, error) {
 // NewStore opens a store from any random-access backend of the given total
 // size, performing the same validation as Open.
 func NewStore(backend Backend, size int64) (*Store, error) {
+	if err := storage.HostOrder(); err != nil {
+		return nil, err
+	}
 	hdr := make([]byte, headerSize)
 	if _, err := readFullAt(backend, hdr, 0); err != nil {
 		return nil, fmt.Errorf("oocore: read store header: %w", err)
@@ -118,6 +121,12 @@ func NewStore(backend Backend, size int64) (*Store, error) {
 	h, metaCRC, err := decodeHeader(hdr)
 	if err != nil {
 		return nil, err
+	}
+	// The header is checksummed, not trusted: its dimensions must fit the
+	// file before they size any allocation.
+	if h.metaSize() > size-headerSize {
+		return nil, fmt.Errorf("oocore: store truncated: %d bytes, metadata needs %d after the header",
+			size, h.metaSize())
 	}
 	meta := make([]byte, h.metaSize())
 	if _, err := readFullAt(backend, meta, headerSize); err != nil {
@@ -286,18 +295,17 @@ func (s *Store) ReadCell(row, col int, dst []graph.Edge) ([]graph.Edge, error) {
 	if n == 0 {
 		return dst, nil
 	}
-	raw := make([]byte, n*s.rawEdgeBytes())
-	if s.Compressed() {
-		t0 := time.Now()
-		if err := s.readCells(idx, idx+1, raw, dst); err != nil {
+	if !s.Compressed() {
+		if err := s.readSegment(int64(lo), dst); err != nil {
 			return nil, err
 		}
-		s.stats.ioTimeNanos.Add(int64(time.Since(t0)))
 		return dst, nil
 	}
-	if err := s.readSegment(raw, int64(lo), dst); err != nil {
+	t0 := time.Now()
+	if err := s.readCells(idx, idx+1, make([]byte, n*s.rawEdgeBytes()), dst); err != nil {
 		return nil, err
 	}
+	s.stats.ioTimeNanos.Add(int64(time.Since(t0)))
 	return dst, nil
 }
 
@@ -352,28 +360,22 @@ func (s *Store) readCells(first, last int, raw []byte, dst []graph.Edge) error {
 	return nil
 }
 
-// readSegment fetches the records [edgeOff, edgeOff+len(dst)) into raw and
-// decodes them into dst, counting the read. Version-1 records carry
-// no checksum, so a record naming a vertex outside the graph is an error
-// here rather than an out-of-range index in a kernel.
-func (s *Store) readSegment(raw []byte, edgeOff int64, dst []graph.Edge) error {
+// readSegment reads the records [edgeOff, edgeOff+len(dst)) straight into
+// dst, which Records views as their on-disk form, and counts the read.
+// Version-1 records carry no checksum, so a record naming a vertex outside
+// the graph is an error here rather than an out-of-range index in a kernel.
+func (s *Store) readSegment(edgeOff int64, dst []graph.Edge) error {
 	t0 := time.Now()
+	raw := storage.Records(dst)
 	if _, err := readFullAt(s.backend, raw, s.dataOff+edgeOff*storage.EdgeBytes); err != nil {
 		return fmt.Errorf("oocore: read segment at edge %d: %w", edgeOff, err)
 	}
 	nv := uint64(s.header.NumVertices)
 	for i := range dst {
-		rec := raw[i*storage.EdgeBytes:]
-		e := graph.Edge{
-			Src: binary.LittleEndian.Uint32(rec[0:4]),
-			Dst: binary.LittleEndian.Uint32(rec[4:8]),
-			W:   weightFromBits(binary.LittleEndian.Uint32(rec[8:12])),
-		}
-		if uint64(e.Src) >= nv || uint64(e.Dst) >= nv {
+		if e := &dst[i]; uint64(e.Src) >= nv || uint64(e.Dst) >= nv {
 			return fmt.Errorf("oocore: edge record %d (%d->%d) outside %d vertices (corrupt store)",
 				edgeOff+int64(i), e.Src, e.Dst, nv)
 		}
-		dst[i] = e
 	}
 	s.stats.reads.Add(1)
 	s.stats.bytesRead.Add(int64(len(raw)))
@@ -381,5 +383,4 @@ func (s *Store) readSegment(raw []byte, edgeOff int64, dst []graph.Edge) error {
 	return nil
 }
 
-func weightBits(w graph.Weight) uint32     { return math.Float32bits(float32(w)) }
-func weightFromBits(b uint32) graph.Weight { return graph.Weight(math.Float32frombits(b)) }
+func weightBits(w graph.Weight) uint32 { return math.Float32bits(float32(w)) }

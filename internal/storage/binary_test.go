@@ -40,9 +40,10 @@ func checkBinaryLoaders(t *testing.T, name string, r func() io.Reader, want []gr
 
 // TestReadBinaryReaderKinds: what is loaded depends on the bytes only, not
 // on whether the reader can seek, where it stands, how it splits its reads
-// or how it reports the end. 300,000 edges span seven read blocks.
+// or how it reports the end. 300,000 edges outgrow the first capacity a
+// reader that cannot seek gets several times over.
 func TestReadBinaryReaderKinds(t *testing.T) {
-	edges := randomEdges(1<<20, readBlockEdges+37856, 11)
+	edges := randomEdges(1<<20, 300_000, 11)
 	data := encoded(t, edges)
 	path := filepath.Join(t.TempDir(), "edges.bin")
 	if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -80,6 +81,11 @@ func TestReadBinaryReaderKinds(t *testing.T) {
 			r.Seek(7*EdgeBytes, io.SeekStart)
 			return r
 		}, edges[7:], ""},
+		{"SectionReader longer than its data, past offset 0", func() io.Reader {
+			r := io.NewSectionReader(bytes.NewReader(data), 3*EdgeBytes, int64(len(data)))
+			r.Seek(2*EdgeBytes, io.SeekStart)
+			return r
+		}, edges[5:], ""},
 		{"MultiReader", func() io.Reader {
 			return io.MultiReader(bytes.NewReader(data[:17]), bytes.NewReader(data[17:]))
 		}, edges, ""},
@@ -111,6 +117,10 @@ func FuzzReadBinary(f *testing.F) {
 	for _, n := range []int{len(data), len(data) - 1, len(data) - 11, 13, 12, 1, 0} {
 		f.Add(data[:n])
 	}
+	// Past the first capacity a reader that cannot seek gets, whole and cut.
+	grown := encoded(f, randomEdges(1000, minReadEdges+1, 13))
+	f.Add(grown)
+	f.Add(grown[:len(grown)-5])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		edges, err := ReadBinary(bytes.NewReader(data))
 		streamed, errS := ReadBinary(iotest.DataErrReader(bytes.NewReader(data)))

@@ -6,24 +6,52 @@ package storage
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
+	"unsafe"
 
 	"github.com/epfl-repro/everythinggraph/internal/graph"
-	"github.com/epfl-repro/everythinggraph/internal/sched"
 )
 
 // EdgeBytes is the on-disk size of one edge in the binary format: two
 // 4-byte vertex ids and a 4-byte float weight.
 const EdgeBytes = 12
 
-// BinaryWriter incrementally encodes edges in the fixed-size binary format
-// through a single reused buffer, so callers can stream a graph chunk by
-// chunk without re-buffering per chunk (gengraph's scale-24+ path).
+// A graph.Edge is laid out exactly as one record: Src, Dst and the weight's
+// bits, 4 bytes each, no padding. This compile-time check keeps Records
+// honest if Edge ever changes.
+const _ = uint(unsafe.Sizeof(graph.Edge{})-EdgeBytes) + uint(EdgeBytes-unsafe.Sizeof(graph.Edge{}))
+
+// Records views edges as their binary records, sharing their memory: on a
+// little-endian host a []graph.Edge is its own on-disk form, so records are
+// read into and written out of it with no codec in between. Every caller
+// checks HostOrder first.
+func Records(edges []graph.Edge) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(edges))), len(edges)*EdgeBytes)
+}
+
+// littleEndian reports whether the host's byte order is the records'. It is
+// decided once; tests flip it to exercise the big-endian refusal.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+var errHostOrder = errors.New("storage: binary edge records need a little-endian host")
+
+// HostOrder returns an error on a host whose byte order differs from the
+// binary records', where Records would not be their edges.
+func HostOrder() error {
+	if !littleEndian {
+		return errHostOrder
+	}
+	return nil
+}
+
+// BinaryWriter incrementally writes edges in the fixed-size binary format
+// through one reused buffer, so callers can stream a graph chunk by chunk
+// (gengraph's scale-24+ path).
 type BinaryWriter struct {
 	bw *bufio.Writer
 }
@@ -33,24 +61,13 @@ func NewBinaryWriter(w io.Writer) *BinaryWriter {
 	return &BinaryWriter{bw: bufio.NewWriterSize(w, 1<<20)}
 }
 
-// Write appends a batch of edges, encoding as many at a time as fit in the
-// free part of the buffer.
+// Write appends a batch of edges: their records, as Records views them.
 func (w *BinaryWriter) Write(edges []graph.Edge) error {
-	for len(edges) > 0 {
-		buf := w.bw.AvailableBuffer()
-		n := min(len(edges), cap(buf)/EdgeBytes)
-		if n == 0 {
-			if err := w.bw.Flush(); err != nil {
-				return fmt.Errorf("storage: write edge: %w", err)
-			}
-			continue
-		}
-		buf = buf[:n*EdgeBytes]
-		putEdges(buf, edges[:n])
-		if _, err := w.bw.Write(buf); err != nil {
-			return fmt.Errorf("storage: write edge: %w", err)
-		}
-		edges = edges[n:]
+	if err := HostOrder(); err != nil {
+		return err
+	}
+	if _, err := w.bw.Write(Records(edges)); err != nil {
+		return fmt.Errorf("storage: write edge: %w", err)
 	}
 	return nil
 }
@@ -68,80 +85,49 @@ func WriteBinary(w io.Writer, edges []graph.Edge) error {
 	return bw.Flush()
 }
 
-// putEdges writes len(src) records to dst; decodeEdges is its mirror.
-func putEdges(dst []byte, src []graph.Edge) {
-	for i, e := range src {
-		b := dst[i*EdgeBytes : (i+1)*EdgeBytes : (i+1)*EdgeBytes]
-		binary.LittleEndian.PutUint32(b[0:4], e.Src)
-		binary.LittleEndian.PutUint32(b[4:8], e.Dst)
-		binary.LittleEndian.PutUint32(b[8:12], weightBits(e.W))
-	}
-}
+// minReadEdges is the first capacity ReadBinary gives a reader that cannot
+// seek; it doubles from there as append does.
+const minReadEdges = 4096
 
-// decodeEdges reads len(dst) records from src. It is ReadBinary's decoder.
-func decodeEdges(dst []graph.Edge, src []byte) {
-	for i := range dst {
-		b := src[i*EdgeBytes : (i+1)*EdgeBytes : (i+1)*EdgeBytes]
-		dst[i] = graph.Edge{
-			Src: binary.LittleEndian.Uint32(b[0:4]),
-			Dst: binary.LittleEndian.Uint32(b[4:8]),
-			W:   weightFromBits(binary.LittleEndian.Uint32(b[8:12])),
-		}
-	}
-}
-
-// readBlockEdges bounds how many records are read, and then decoded, at a
-// time (3 MiB of file). The first blocks are smaller, so that a small file
-// costs a small buffer and decoding starts early.
-const readBlockEdges = 1 << 18
-
-// ReadBinary reads edges in the binary format until EOF. When r can seek
-// (an *os.File, a *bytes.Reader) the result is allocated once, from the
-// length that remains; otherwise it grows as append does. The bytes arrive
-// in blocks of up to readBlockEdges records, and each block is decoded by
-// the sched workers while the calling goroutine reads the next one.
+// ReadBinary reads edges in the binary format until EOF, straight into the
+// result's memory. When r can seek (an *os.File, a *bytes.Reader) the
+// result is allocated once, from the length that remains, and filled by one
+// read; otherwise each read fills the slice's spare capacity as it grows.
 func ReadBinary(r io.Reader) ([]graph.Edge, error) {
+	if err := HostOrder(); err != nil {
+		return nil, err
+	}
 	var edges []graph.Edge
 	if s, ok := r.(io.Seeker); ok {
 		if at, err := s.Seek(0, io.SeekCurrent); err == nil {
 			if end, err := s.Seek(0, io.SeekEnd); err == nil && end > at {
-				edges = make([]graph.Edge, 0, (end-at)/EdgeBytes)
+				// One record more than the length holds, so that the read
+				// meets EOF without the slice growing.
+				edges = make([]graph.Edge, 0, (end-at)/EdgeBytes+1)
 			}
 			if _, err := s.Seek(at, io.SeekStart); err != nil {
 				return nil, fmt.Errorf("storage: read edge: %w", err)
 			}
 		}
 	}
-	var bufs [2][]byte // one being filled, one being decoded
-	var decoding sync.WaitGroup
-	defer decoding.Wait() // the last block, or the one in flight at an error
-	for k := 0; ; k++ {
-		// Blocks double from 4096 records up to readBlockEdges.
-		if want := EdgeBytes * min(readBlockEdges, 4096<<min(k, 6)); len(bufs[k&1]) < want {
-			bufs[k&1] = make([]byte, want)
+	buf := Records(edges[:cap(edges)])
+	n := 0 // bytes read into buf
+	for {
+		if n == len(buf) { // full: no partial record to carry over
+			edges = slices.Grow(edges[:n/EdgeBytes], max(minReadEdges, n/EdgeBytes))
+			buf = Records(edges[:cap(edges)])
 		}
-		buf := bufs[k&1]
-		n, err := io.ReadFull(r, buf)
-		decoding.Wait()
-		done := len(edges)
-		edges = slices.Grow(edges, n/EdgeBytes)[:done+n/EdgeBytes]
-		block := edges[done:]
-		decoding.Add(1)
-		go func() {
-			defer decoding.Done()
-			sched.ParallelForChunked(0, len(block), 1<<14, 0, func(lo, hi int) {
-				decodeEdges(block[lo:hi], buf[lo*EdgeBytes:hi*EdgeBytes])
-			})
-		}()
+		m, err := io.ReadFull(r, buf[n:])
+		n += m
 		switch {
 		case err == nil:
 			continue
 		case err != io.EOF && err != io.ErrUnexpectedEOF:
 			return nil, fmt.Errorf("storage: read edge: %w", err)
 		case n%EdgeBytes != 0:
-			return nil, fmt.Errorf("storage: truncated edge record after %d edges", len(edges))
+			return nil, fmt.Errorf("storage: truncated edge record after %d edges", n/EdgeBytes)
 		}
-		return edges, nil
+		return edges[:n/EdgeBytes], nil
 	}
 }
 
@@ -219,6 +205,3 @@ func ReadText(r io.Reader) ([]graph.Edge, error) {
 	}
 	return edges, nil
 }
-
-func weightBits(w graph.Weight) uint32     { return float32bits(float32(w)) }
-func weightFromBits(b uint32) graph.Weight { return graph.Weight(float32frombits(b)) }

@@ -2,11 +2,14 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
 	"regexp"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 
 	"github.com/epfl-repro/everythinggraph/internal/gen"
@@ -187,10 +190,40 @@ func FuzzReadText(f *testing.F) {
 	})
 }
 
-func TestWeightBitsRoundTrip(t *testing.T) {
-	for _, w := range []graph.Weight{0, 1, 2.5, -3.75, 1e6} {
-		if got := weightFromBits(weightBits(w)); got != w {
-			t.Fatalf("weight %v round-tripped to %v", w, got)
+// oddWeights are the float32 bit patterns a decode through float values
+// could alter: NaNs with payloads (quiet and signalling), -0, subnormals
+// and the infinities.
+var oddWeights = []uint32{0x7fc00001, 0xffc12345, 0x7f800001, 0x80000000, 0x00000001, 0x807fffff, 0x7f800000, 0xff800000}
+
+// TestRecordsBitExact: every weight bit pattern survives WriteBinary then
+// ReadBinary, seekable and not, and the bytes written are exactly the
+// little-endian fields of each edge.
+func TestRecordsBitExact(t *testing.T) {
+	edges := make([]graph.Edge, len(oddWeights))
+	var want []byte
+	for i, b := range oddWeights {
+		edges[i] = graph.Edge{Src: uint32(i), Dst: 1 << 31, W: math.Float32frombits(b)}
+		want = binary.LittleEndian.AppendUint32(want, edges[i].Src)
+		want = binary.LittleEndian.AppendUint32(want, edges[i].Dst)
+		want = binary.LittleEndian.AppendUint32(want, b)
+	}
+	data := encoded(t, edges)
+	if !bytes.Equal(data, want) {
+		t.Fatalf("WriteBinary wrote % x, want % x", data, want)
+	}
+	for name, r := range map[string]io.Reader{
+		"seekable":     bytes.NewReader(data),
+		"not seekable": iotest.HalfReader(bytes.NewReader(data)),
+	} {
+		got, err := ReadBinary(r)
+		if err != nil || len(got) != len(edges) {
+			t.Fatalf("%s: ReadBinary = %d edges, %v", name, len(got), err)
+		}
+		for i, e := range got {
+			if e.Src != edges[i].Src || e.Dst != edges[i].Dst || math.Float32bits(e.W) != oddWeights[i] {
+				t.Fatalf("%s: edge %d read back as %+v (weight bits %#x), want weight bits %#x",
+					name, i, e, math.Float32bits(e.W), oddWeights[i])
+			}
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/epfl-repro/everythinggraph/internal/core"
 )
 
 // Public-API coverage of the out-of-core store: build, open, run, and the
@@ -81,6 +83,9 @@ func TestStoreWCCThroughFacade(t *testing.T) {
 
 func TestStoreIORecipeAppliesClamps(t *testing.T) {
 	st := buildAPIStore(t, GenerateRMAT(10, 8, 3), 8, false)
+	// 16/3 slots of 64-edge slices for each of 8 workers (64 KiB at 24
+	// resident bytes an edge).
+	const budget = 8 * core.MinStreamSliceEdges * core.StreamResidentEdgeBytes * 16 / 3
 	for _, c := range []struct {
 		cfg        Config
 		wantDepth  int
@@ -88,8 +93,8 @@ func TestStoreIORecipeAppliesClamps(t *testing.T) {
 	}{
 		{Config{PrefetchDepth: 99}, 8, 256 << 20},
 		{Config{PrefetchDepth: 1}, 2, 256 << 20},
-		// 64 KiB across 8 workers feeds 5 slots of 64-edge slices each.
-		{Config{Workers: 8, PrefetchDepth: 8, MemoryBudget: 64 << 10}, 5, 64 << 10},
+		// That budget across 8 workers feeds 5 whole slots each.
+		{Config{Workers: 8, PrefetchDepth: 8, MemoryBudget: budget}, 5, budget},
 	} {
 		if depth, budget := st.IORecipe(c.cfg); depth != c.wantDepth || budget != c.wantBudget {
 			t.Errorf("IORecipe(%+v) = d%d %d bytes, want d%d %d bytes", c.cfg, depth, budget, c.wantDepth, c.wantBudget)
