@@ -2,6 +2,7 @@ package everythinggraph
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -32,6 +33,31 @@ func TestGenerateAndRunBFSEndToEnd(t *testing.T) {
 	}
 	if bfs.Reached() < 2 {
 		t.Fatalf("BFS reached only %d vertices", bfs.Reached())
+	}
+}
+
+// TestZeroPrepIsReproducibleRadixSort: the zero Config.Prep is the
+// documented default, the radix builder, which keeps each vertex's edges in
+// input order whatever the schedule. Two adjacency-pull PageRank runs under
+// it, each on a freshly prepared graph, give the same bits at two workers.
+func TestZeroPrepIsReproducibleRadixSort(t *testing.T) {
+	cfg := Config{Layout: LayoutAdjacency, Flow: FlowPull, Sync: SyncPartitionFree, Workers: 2}
+	if cfg.Prep != PrepRadixSort {
+		t.Fatalf("zero Prep is %v, want %v", cfg.Prep, PrepRadixSort)
+	}
+	var ranks [2][]float64
+	for i := range ranks {
+		g := GenerateRMAT(14, 16, 5)
+		pr := PageRank()
+		if _, err := g.Run(pr, cfg); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		ranks[i] = pr.Rank
+	}
+	for v := range ranks[0] {
+		if math.Float64bits(ranks[0][v]) != math.Float64bits(ranks[1][v]) {
+			t.Fatalf("rank[%d] differs between two zero-Prep runs: %v vs %v", v, ranks[0][v], ranks[1][v])
+		}
 	}
 }
 

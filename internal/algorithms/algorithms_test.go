@@ -220,6 +220,107 @@ func TestPageRankPushPullSameUpdate(t *testing.T) {
 	}
 }
 
+// TestPageRankContributionIsBranchlessDivision: the branch-free
+// contribution has the bits of r / d for every d > 0 and is exactly +0 (not
+// -0, not NaN) for a dangling vertex.
+func TestPageRankContributionIsBranchlessDivision(t *testing.T) {
+	for _, r := range []float64{1.0 / 3, 0.15 / 65536, 1e-300, 0.999, 0} {
+		for _, d := range []uint32{1, 2, 3, 7, 1000, math.MaxUint32} {
+			if got, want := contribution(r, d), r/float64(d); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("contribution(%v, %d) = %v, want %v", r, d, got, want)
+			}
+		}
+		if got := contribution(r, 0); math.Float64bits(got) != 0 {
+			t.Fatalf("contribution(%v, 0) = %v (bits %#x), want +0", r, got, math.Float64bits(got))
+		}
+	}
+}
+
+// TestPageRankDanglingContributesPositiveZero: vertex 2 of tinyGraph has no
+// out-edge. Its contribution is +0 in every iteration, and the push and pull
+// edge functions add nothing for it.
+func TestPageRankDanglingContributesPositiveZero(t *testing.T) {
+	g := tinyGraph()
+	pr := NewPageRank()
+	pr.Iterations = 3
+	pr.Init(g)
+	for iter := 0; iter < pr.Iterations; iter++ {
+		pr.BeforeIteration(iter)
+		if bits := math.Float64bits(pr.contrib[2]); bits != 0 {
+			t.Fatalf("iteration %d: dangling contribution has bits %#x, want +0", iter, bits)
+		}
+		if pr.contrib[0] != pr.Rank[0]/2 || pr.contrib[1] != pr.Rank[1] {
+			t.Fatalf("iteration %d: contributions %v for ranks %v", iter, pr.contrib, pr.Rank)
+		}
+		for v, a := range pr.acc {
+			if a != 0 {
+				t.Fatalf("iteration %d: accumulator %d not cleared", iter, v)
+			}
+		}
+		for _, e := range g.EdgeArray.Edges {
+			pr.PushEdge(e.Src, e.Dst, e.W)
+		}
+		// An edge out of the dangling vertex would add its contribution.
+		before := pr.acc[0]
+		pr.PullEdge(0, 2, 1)
+		if pr.acc[0] != before {
+			t.Fatalf("iteration %d: the dangling vertex changed an accumulator", iter)
+		}
+		pr.AfterIteration(iter)
+	}
+}
+
+// TestPageRankHooksAllocateNothing: the hooks' vertex sweeps run parallel
+// loops over closures bound in Init, so they allocate nothing, in the first
+// iteration, the last or between.
+func TestPageRankHooksAllocateNothing(t *testing.T) {
+	const n = 1 << 16
+	edges := make([]graph.Edge, n)
+	for v := range edges {
+		edges[v] = graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID((v + 1) % n), W: 1}
+	}
+	pr := NewPageRank()
+	pr.SetWorkers(2)
+	pr.Init(graph.New(edges, n, true))
+	for _, iter := range []int{0, 1, pr.Iterations - 1} {
+		if allocs := testing.AllocsPerRun(5, func() {
+			pr.BeforeIteration(iter)
+			pr.AfterIteration(iter)
+		}); allocs != 0 {
+			t.Fatalf("iteration %d hooks: %v allocs, want 0", iter, allocs)
+		}
+	}
+}
+
+// TestBFSInitClonesSharedUnreachedState: Parent and Level start as private
+// copies of the graph's shared all -1 array, which a traversal leaves
+// untouched for the next run.
+func TestBFSInitClonesSharedUnreachedState(t *testing.T) {
+	g := tinyGraph()
+	shared := g.EdgeArray.SharedMinusOnes()
+	if again := g.EdgeArray.SharedMinusOnes(); &again[0] != &shared[0] {
+		t.Fatal("the all -1 array was refilled for the same graph")
+	}
+	b := NewBFS(0)
+	b.Init(g)
+	if &b.Parent[0] == &shared[0] || &b.Level[0] == &shared[0] || &b.Parent[0] == &b.Level[0] {
+		t.Fatal("Parent and Level must be private copies")
+	}
+	if !slices.Equal(b.Parent, []int32{0, -1, -1}) || !slices.Equal(b.Level, []int32{0, -1, -1}) {
+		t.Fatalf("after Init: parent %v level %v", b.Parent, b.Level)
+	}
+	b.BeforeIteration(0)
+	b.PushEdge(0, 1, 1)
+	if !slices.Equal(shared, []int32{-1, -1, -1}) {
+		t.Fatalf("a traversal wrote the shared array: %v", shared)
+	}
+	next := NewBFS(2)
+	next.Init(g)
+	if !slices.Equal(next.Parent, []int32{-1, -1, 2}) || !slices.Equal(next.Level, []int32{-1, -1, 0}) {
+		t.Fatalf("second run: parent %v level %v", next.Parent, next.Level)
+	}
+}
+
 func TestWCCSmallGraph(t *testing.T) {
 	// 0-1 and 2-3 in one direction only; WCC treats them as undirected via
 	// the engine, but the edge functions themselves propagate labels.

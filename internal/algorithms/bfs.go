@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"math/bits"
+	"slices"
 	"sync/atomic"
 
 	"github.com/epfl-repro/everythinggraph/internal/graph"
@@ -64,12 +65,9 @@ func (b *BFS) Dense() bool { return false }
 // Init implements Algorithm.
 func (b *BFS) Init(g *graph.Graph) {
 	n := g.NumVertices()
-	b.Parent = make([]int32, n)
-	b.Level = make([]int32, n)
-	for i := range b.Parent {
-		b.Parent[i] = -1
-		b.Level[i] = -1
-	}
+	unreached := g.EdgeArray.SharedMinusOnes()
+	b.Parent = slices.Clone(unreached)
+	b.Level = slices.Clone(unreached)
 	b.Parent[b.Source] = int32(b.Source)
 	b.Level[b.Source] = 0
 	b.visited = make([]uint64, (n+63)/64)

@@ -24,21 +24,21 @@ type PageRank struct {
 
 	n         int
 	acc       []uint64  // accumulated contributions, float64 bits (atomic mode)
-	contrib   []float64 // rank[u]/outdeg[u] snapshot taken before each iteration
+	contrib   []float64 // rank[u]/outdeg[u] of the iteration being run
 	outDeg    []uint32
 	presetDeg []uint32 // degrees supplied by a streamed engine (see SetOutDegrees)
-	base      float64  // (1-Damping)/n, read by afterBody
+	base      float64  // (1-Damping)/n, read by the AfterIteration sweeps
 	workers   int      // hook parallelism (0 = all CPUs), set by the engine
 	// pfor is the engine-supplied loop executor (the run's lease for leased
-	// runs); nil falls back to the process-wide pool.
+	// runs); Init falls back to the process-wide pool.
 	pfor func(begin, end, chunk, p int, body func(worker, lo, hi int))
 
-	// Loop bodies bound once in Init so the per-iteration hooks allocate
-	// nothing in steady state.
-	beforeBody  func(lo, hi int)
-	afterBody   func(lo, hi int)
-	beforeBodyW func(worker, lo, hi int)
-	afterBodyW  func(worker, lo, hi int)
+	// The vertex sweeps, bound once in Init so that the hooks allocate
+	// nothing: firstBody readies the first iteration, stepBody ends one
+	// iteration and readies the next, rankBody ends the last.
+	firstBody func(worker, lo, hi int)
+	stepBody  func(worker, lo, hi int)
+	rankBody  func(worker, lo, hi int)
 }
 
 // hookChunk is the chunk size of the Before/AfterIteration vertex sweeps:
@@ -90,27 +90,45 @@ func (pr *PageRank) Init(g *graph.Graph) {
 	if pr.outDeg == nil {
 		pr.outDeg = outDegrees(g)
 	}
-	initial := 1.0 / float64(pr.n)
-	for v := range pr.Rank {
-		pr.Rank[v] = initial
+	if pr.pfor == nil {
+		pr.pfor = sched.ParallelForWorker
 	}
-	pr.beforeBody = func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			if d := pr.outDeg[v]; d > 0 {
-				pr.contrib[v] = pr.Rank[v] / float64(d)
-			} else {
-				pr.contrib[v] = 0
-			}
-			pr.acc[v] = 0
+	// The accumulators start at zero, as make leaves them.
+	pr.firstBody = func(_, lo, hi int) {
+		rank, contrib, deg := pr.Rank[lo:hi], pr.contrib[lo:hi], pr.outDeg[lo:hi]
+		initial := 1.0 / float64(pr.n)
+		for i := range rank {
+			rank[i] = initial
+			contrib[i] = contribution(initial, deg[i])
 		}
 	}
-	pr.afterBody = func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			pr.Rank[v] = pr.base + pr.Damping*loadFloat64(&pr.acc[v])
+	// These two run after the iteration's loops have joined, so they read
+	// the accumulators with plain loads.
+	pr.stepBody = func(_, lo, hi int) {
+		rank, acc, contrib, deg := pr.Rank[lo:hi], pr.acc[lo:hi], pr.contrib[lo:hi], pr.outDeg[lo:hi]
+		base, damping := pr.base, pr.Damping
+		for i := range rank {
+			r := base + damping*math.Float64frombits(acc[i])
+			rank[i] = r
+			contrib[i] = contribution(r, deg[i])
+			acc[i] = 0
 		}
 	}
-	pr.beforeBodyW = func(_, lo, hi int) { pr.beforeBody(lo, hi) }
-	pr.afterBodyW = func(_, lo, hi int) { pr.afterBody(lo, hi) }
+	pr.rankBody = func(_, lo, hi int) {
+		rank, acc := pr.Rank[lo:hi], pr.acc[lo:hi]
+		base, damping := pr.base, pr.Damping
+		for i := range rank {
+			rank[i] = base + damping*math.Float64frombits(acc[i])
+		}
+	}
+}
+
+// contribution is rank r divided by out-degree d, and +0 for a dangling
+// vertex (d == 0), without a branch: RMAT's many dangling vertices made the
+// d > 0 test mispredict. For d > 0 the product with 1 is exact, so the bits
+// are those of r / d.
+func contribution(r float64, d uint32) float64 {
+	return r / float64(max(d, 1)) * float64(min(d, 1))
 }
 
 // outDegrees returns the out-degree table a whole-graph algorithm divides
@@ -147,29 +165,32 @@ func (pr *PageRank) InitialFrontier(g *graph.Graph) *graph.Frontier {
 	return graph.FullFrontier(g.NumVertices())
 }
 
-// BeforeIteration implements Algorithm: snapshot each vertex's contribution
-// (rank divided by out-degree) and clear the accumulators. Taking the
-// snapshot up front makes push and pull produce identical results regardless
-// of processing order. The sweep is vertex-parallel; every vertex is written
-// independently, so the parallel result is identical to the serial one.
-func (pr *PageRank) BeforeIteration(int) {
-	if pr.pfor != nil {
-		pr.pfor(0, pr.n, hookChunk, pr.workers, pr.beforeBodyW)
-		return
+// BeforeIteration implements Algorithm. Before the first iteration it sets
+// every rank to 1/n and takes the first contributions, in one parallel
+// sweep. Before every later one it does nothing: the previous
+// AfterIteration took the contributions.
+func (pr *PageRank) BeforeIteration(iteration int) {
+	if iteration == 0 {
+		pr.pfor(0, pr.n, hookChunk, pr.workers, pr.firstBody)
 	}
-	sched.ParallelForChunked(0, pr.n, hookChunk, pr.workers, pr.beforeBody)
 }
 
 // AfterIteration implements Algorithm: apply the damping update and stop
-// after the fixed iteration count. Vertex-parallel like BeforeIteration.
+// after the fixed iteration count. Unless this was the last iteration, the
+// same vertex sweep snapshots each vertex's next contribution (rank divided
+// by out-degree) and clears its accumulator, so every iteration reads the
+// contributions of the previous one whatever the processing order: push and
+// pull produce identical results. The sweep is vertex-parallel; every vertex
+// is written independently, so the parallel result is the serial one.
 func (pr *PageRank) AfterIteration(iteration int) bool {
 	pr.base = (1 - pr.Damping) / float64(pr.n)
-	if pr.pfor != nil {
-		pr.pfor(0, pr.n, hookChunk, pr.workers, pr.afterBodyW)
-	} else {
-		sched.ParallelForChunked(0, pr.n, hookChunk, pr.workers, pr.afterBody)
+	last := iteration+1 >= pr.Iterations
+	body := pr.stepBody
+	if last {
+		body = pr.rankBody
 	}
-	return iteration+1 >= pr.Iterations
+	pr.pfor(0, pr.n, hookChunk, pr.workers, body)
+	return last
 }
 
 // PushEdge implements Algorithm: u adds its contribution to v's accumulator.
@@ -199,16 +220,19 @@ func (pr *PageRank) PullEdge(v, u graph.VertexID, _ graph.Weight) (bool, bool) {
 // the owned paths bit-identical to PullEdge/PushEdge.
 
 // PullRows sums each destination's in-contributions in a register and
-// stores the accumulator once: the calling worker owns acc[lo:hi].
+// stores the accumulator once: the calling worker owns acc[lo:hi]. A row
+// starts where the previous one ended, so each row reads one Index entry.
 func (pr *PageRank) PullRows(_ *graph.Span, _ int, in *graph.Adjacency, lo, hi int) {
-	acc, contrib := pr.acc, pr.contrib
-	idx, tgt := in.Index, in.Targets
-	for v := lo; v < hi; v++ {
-		sum := math.Float64frombits(acc[v])
-		for _, u := range tgt[idx[v]:idx[v+1]] {
+	acc, contrib := pr.acc[lo:hi], pr.contrib
+	idx, tgt := in.Index[lo:hi+1], in.Targets
+	start := idx[0]
+	for i, end := range idx[1:] {
+		sum := math.Float64frombits(acc[i])
+		for _, u := range tgt[start:end] {
 			sum += contrib[u]
 		}
-		acc[v] = math.Float64bits(sum)
+		acc[i] = math.Float64bits(sum)
+		start = end
 	}
 }
 

@@ -80,7 +80,8 @@ func BenchmarkPageRankTracedIterRMAT16(b *testing.B) {
 }
 
 // BenchmarkPageRankPullIterRMAT16 is the pull-mode (lock-free) counterpart
-// of BenchmarkPageRankIterRMAT16.
+// of BenchmarkPageRankIterRMAT16: the dense pull kernel plus the one vertex
+// sweep that ends each iteration, in ns/edge.
 func BenchmarkPageRankPullIterRMAT16(b *testing.B) {
 	g := rmat16(b)
 	cfg := Config{Layout: graph.LayoutAdjacency, Flow: Pull, Sync: SyncPartitionFree}
@@ -91,6 +92,7 @@ func BenchmarkPageRankPullIterRMAT16(b *testing.B) {
 	if _, err := Run(g, pr, cfg); err != nil {
 		b.Fatal(err)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
 }
 
 // BenchmarkBFSRMAT16 measures a full BFS traversal (adjacency, push,

@@ -60,6 +60,7 @@ type EdgeArray struct {
 	sharedMu      sync.Mutex
 	outDeg, inDeg sharedDegrees
 	maxW          sharedMaxWeight
+	minusOnes     []int32 // see SharedMinusOnes
 }
 
 // sharedMaxWeight is the largest weight with the edge count it was taken
@@ -232,6 +233,27 @@ func (ea *EdgeArray) shared(t *sharedDegrees, count func() []uint32) []uint32 {
 		t.deg, t.edges = count(), len(ea.Edges)
 	}
 	return t.deg
+}
+
+// SharedMinusOnes returns a vertex array with every entry -1, filled by one
+// parallel pass on first use and shared by every later call like
+// SharedOutDegrees: per-vertex state that starts at -1 (BFS parents and
+// levels) is cloned from it, and slices.Clone copies without the zeroing
+// pass that make followed by a fill pays. It is refilled if NumVertices has
+// changed since. Callers must not modify it.
+func (ea *EdgeArray) SharedMinusOnes() []int32 {
+	ea.sharedMu.Lock()
+	defer ea.sharedMu.Unlock()
+	if len(ea.minusOnes) != ea.NumVertices {
+		m := make([]int32, ea.NumVertices)
+		sched.ParallelForChunked(0, len(m), edgeScanChunk, 0, func(lo, hi int) {
+			for v := lo; v < hi; v++ {
+				m[v] = -1
+			}
+		})
+		ea.minusOnes = m
+	}
+	return ea.minusOnes
 }
 
 // SharedMaxWeight returns the largest edge weight, found by one parallel

@@ -37,15 +37,17 @@ import (
 type Method int
 
 const (
+	// RadixSort partitions the edges by the high bits of the key (source or
+	// destination vertex) and counting-sorts each bucket into CSR. It is
+	// the zero Method, so a zero Options builds the same bytes at every
+	// worker count.
+	RadixSort Method = iota
 	// Dynamic allocates and grows per-vertex edge arrays while scanning the
 	// input once.
-	Dynamic Method = iota
+	Dynamic
 	// CountSort counts per-vertex degrees in a first pass and places edges
 	// at their final offsets in a second pass.
 	CountSort
-	// RadixSort partitions the edges by the high bits of the key (source or
-	// destination vertex) and counting-sorts each bucket into CSR.
-	RadixSort
 )
 
 // String returns the name used in benchmark tables.
