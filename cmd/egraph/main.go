@@ -50,7 +50,7 @@ func main() {
 		prepF     = flag.String("prep", "radix", "dynamic | count | radix")
 		gridP     = flag.Int("p", 0, "grid dimension for -layout grid (0 = paper's 256, clamped for small graphs and oversized requests)")
 		source    = flag.Uint("source", 0, "source vertex for bfs/sssp")
-		sourcesF  = flag.String("sources", "", "comma-separated source vertices for a multi-source batched run (bfs and sssp only, in-memory): queries are packed into bit-parallel 64-wide sweeps, extra groups run concurrently on worker-pool leases; overrides -source")
+		sourcesF  = flag.String("sources", "", "comma-separated source vertices for a batched run (bfs and sssp only, in-memory): one single-source run per source, side by side on worker-pool leases (one after another under -lease); overrides -source")
 		prIters   = flag.Int("pagerank-iterations", 10, "PageRank iteration count")
 		workers   = flag.Int("workers", 0, "worker count (0 = all CPUs)")
 		leaseN    = flag.Int("lease", 0, "run on a worker-pool lease of up to this many workers (the concurrent-query serving mode; 0 = the shared pool)")
@@ -95,8 +95,8 @@ func main() {
 		fatal(err)
 	}
 	if len(batchSources) > 0 {
-		// Fail fast, like the technique validation above: batching merges
-		// identical sweeps, which only the traversal algorithms have.
+		// Fail fast, like the technique validation above: only the
+		// single-source traversals batch.
 		if *algorithm != "bfs" && *algorithm != "sssp" {
 			fatal(fmt.Errorf("-sources batches identical traversals; it requires -algorithm bfs or sssp (got %q)", *algorithm))
 		}
@@ -134,6 +134,8 @@ func main() {
 	if len(batchSources) > 0 {
 		results := runBatch(g, *algorithm, batchSources, cfg, *verbose)
 		writeTraceOutputs(cfg.Trace, *traceOut, *metricsO)
+		// Source 0's run alone feeds the cache, as one single-source run
+		// would: every run's labels are single-source labels.
 		saveCostMeasurements(cache, *costCache, graphKey, results[0].Run.PlanCosts)
 		return
 	}
@@ -252,8 +254,8 @@ func parseSources(s string) ([]everythinggraph.VertexID, error) {
 	return out, nil
 }
 
-// runBatch answers the -sources queries in one batched multi-source run and
-// prints a per-batch summary (per-source lines with -v).
+// runBatch answers the -sources queries with one batched call and prints a
+// per-batch summary (per-source lines with -v).
 func runBatch(g *everythinggraph.Graph, algorithm string, sources []everythinggraph.VertexID, cfg everythinggraph.Config, verbose bool) []everythinggraph.BatchSourceResult {
 	kind := everythinggraph.BatchBFS
 	if algorithm == "sssp" {
@@ -264,10 +266,9 @@ func runBatch(g *everythinggraph.Graph, algorithm string, sources []everythinggr
 		fatal(err)
 	}
 
-	groups := (len(sources) + 63) / 64
 	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 	fmt.Printf("configuration: layout=%v flow=%v sync=%v prep=%v\n", cfg.Layout, cfg.Flow, cfg.Sync, cfg.Prep)
-	fmt.Printf("batch: %s over %d sources in %d bit-parallel group(s)\n", algorithm, len(sources), groups)
+	fmt.Printf("batch: %s over %d sources in %d lane(s) side by side\n", algorithm, len(sources), everythinggraph.BatchLanes(cfg, len(sources)))
 	if cfg.Flow == everythinggraph.FlowAuto {
 		fmt.Printf("plan trace: %s\n", metrics.CompressPlanTrace(results[0].Run.PlanTrace()))
 	}

@@ -2,15 +2,14 @@ package everythinggraph
 
 import (
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
 	"github.com/epfl-repro/everythinggraph/internal/algorithms"
 )
 
-// Public-API coverage of concurrent query execution: pool leases, the
-// multi-source kernels and Graph.Batch. The bit-identical comparisons below
+// Public-API coverage of concurrent query execution: pool leases and
+// Graph.Batch. The bit-identical comparisons below
 // are the acceptance bar — a leased run must produce exactly what the same
 // run produces alone — and the whole file is meaningful under -race, where
 // any scratch shared across leases shows up as a data race.
@@ -130,7 +129,8 @@ func TestConcurrentLeasedStoreRunsShareOneStore(t *testing.T) {
 }
 
 // TestBatchThroughFacade answers many BFS queries in one call and checks a
-// sample against solo runs; >64 sources exercise the concurrent-group path.
+// sample against solo runs; more sources than workers put several runs on
+// every side-by-side lane.
 func TestBatchThroughFacade(t *testing.T) {
 	g := GenerateRMAT(11, 8, 5)
 	n := g.NumVertices()
@@ -154,26 +154,6 @@ func TestBatchThroughFacade(t *testing.T) {
 			if results[i].Level[v] != solo.Level[v] {
 				t.Fatalf("source %d: level[%d] = %d, solo %d", sources[i], v, results[i].Level[v], solo.Level[v])
 			}
-		}
-	}
-}
-
-// TestMultiSourcePlanLabelThroughFacade pins the ×k marker in the public
-// per-iteration plan strings of an adaptive multi-source run.
-func TestMultiSourcePlanLabelThroughFacade(t *testing.T) {
-	g := GenerateRMAT(11, 8, 5)
-	sources := make([]VertexID, 64)
-	for i := range sources {
-		sources[i] = VertexID((i*131 + 1) % g.NumVertices())
-	}
-	mb := MultiBFS(sources)
-	res, err := g.Run(mb, Config{Flow: FlowAuto})
-	if err != nil {
-		t.Fatalf("adaptive multi-bfs: %v", err)
-	}
-	for i, it := range res.Run.PerIteration {
-		if !strings.Contains(it.Plan.String(), "×64") {
-			t.Fatalf("iteration %d: plan %q lacks ×64", i, it.Plan)
 		}
 	}
 }

@@ -379,18 +379,7 @@ func (g *Graph) Run(alg Algorithm, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	engineCfg := core.Config{
-		Layout:        cfg.Layout,
-		Flow:          cfg.Flow,
-		Sync:          cfg.Sync,
-		Workers:       cfg.Workers,
-		PushPullAlpha: cfg.PushPullAlpha,
-		MaxIterations: cfg.MaxIterations,
-		CostPriors:    cfg.CostPriors,
-		Lease:         cfg.Lease,
-		Trace:         cfg.Trace,
-	}
-	res, err := core.Run(g.g, alg, engineCfg)
+	res, err := core.Run(g.g, alg, engineConfig(cfg))
 	if err != nil {
 		return nil, err
 	}
@@ -594,21 +583,30 @@ const (
 	BatchSSSP = core.BatchSSSP
 )
 
-// BatchSourceResult is one source's share of a batched multi-source run.
+// BatchSourceResult is one source's share of a batched run.
 type BatchSourceResult = core.BatchSourceResult
 
-// Batch answers many same-algorithm queries in one go: sources are packed
-// into bit-parallel multi-source sweeps of up to 64 roots (MS-BFS style —
-// one traversal visits each edge once for all roots of its group), and when
-// several groups are needed they run concurrently on worker-pool leases
-// sized by the planner's measured costs. Results are fanned back out
-// per source. cfg follows Run semantics; cfg.Workers bounds the combined
-// worker count across groups.
+// Batch answers many same-algorithm queries in one call, one single-source
+// run per source, with results in input order. The runs go side by side on
+// worker-pool leases, one worker wide once there are at least as many
+// sources as workers; on a caller-held cfg.Lease they go one after another.
+// cfg follows Run semantics; cfg.Workers bounds the combined worker count
+// across the side-by-side runs, and cfg.Trace records the first source's
+// run only.
 func (g *Graph) Batch(kind BatchKind, sources []VertexID, cfg Config) ([]BatchSourceResult, error) {
 	if _, err := g.Prepare(cfg); err != nil {
 		return nil, err
 	}
-	engineCfg := core.Config{
+	return core.Batch(g.g, kind, sources, engineConfig(cfg))
+}
+
+// BatchLanes returns how many runs Graph.Batch puts side by side for n
+// sources under cfg: one on a caller-held lease, min(workers, n) otherwise.
+func BatchLanes(cfg Config, n int) int { return core.BatchLanes(engineConfig(cfg), n) }
+
+// engineConfig is the engine configuration of an in-memory run.
+func engineConfig(cfg Config) core.Config {
+	return core.Config{
 		Layout:        cfg.Layout,
 		Flow:          cfg.Flow,
 		Sync:          cfg.Sync,
@@ -619,7 +617,6 @@ func (g *Graph) Batch(kind BatchKind, sources []VertexID, cfg Config) ([]BatchSo
 		Lease:         cfg.Lease,
 		Trace:         cfg.Trace,
 	}
-	return core.Batch(g.g, kind, sources, engineCfg)
 }
 
 // Algorithm constructors.
@@ -636,16 +633,6 @@ func WCC() *algorithms.WCC { return algorithms.NewWCC() }
 
 // SSSP returns a single-source shortest-paths computation rooted at source.
 func SSSP(source VertexID) *algorithms.SSSP { return algorithms.NewSSSP(source) }
-
-// MultiBFS returns a bit-parallel batched BFS answering up to 64 sources in
-// one traversal (MS-BFS): per-vertex source bitmaps ride each edge visit, so
-// the sweep costs one scan for the whole batch. Use Graph.Batch for
-// arbitrarily many sources.
-func MultiBFS(sources []VertexID) *algorithms.MultiBFS { return algorithms.NewMultiBFS(sources) }
-
-// MultiSSSP returns a bit-parallel batched Bellman-Ford answering up to 64
-// sources in one sweep; see MultiBFS.
-func MultiSSSP(sources []VertexID) *algorithms.MultiSSSP { return algorithms.NewMultiSSSP(sources) }
 
 // SpMV returns a sparse matrix-vector multiplication with an all-ones input
 // vector.

@@ -1,14 +1,10 @@
-// Concurrent: demonstrates serving many queries from one process — the
-// two mechanisms behind it, separately and composed. Pool leases carve
-// the shared worker pool into private sub-gangs so independent runs
-// overlap instead of serializing, each keeping its scratch (including a
+// Concurrent: demonstrates serving many queries from one process. Pool
+// leases carve the shared worker pool into private sub-gangs so independent
+// runs overlap instead of serializing, each keeping its scratch (including a
 // store's streaming arenas) to itself and staying bit-identical to a solo
-// run. Multi-source batching (the MS-BFS idea) answers up to 64 traversal
-// queries in ONE engine run: each source owns a bit of a per-vertex mask
-// word, so a single edge scan advances every traversal at once, and under
-// the planner the batch is its own cost population (the ×k plan labels).
-// Graph.Batch composes both: source lists split into ≤64-wide groups that
-// run concurrently on scan-volume-proportional leases.
+// run. Graph.Batch builds on them: 64 BFS queries run side by side on
+// one-worker leases, against the same 64 queries run one after another on
+// every worker.
 package main
 
 import (
@@ -103,7 +99,7 @@ func main() {
 	fmt.Printf("  both done in %v on 2-worker leases\n", elapsed.Round(time.Millisecond))
 	fmt.Println("  -> results bit-identical to the same runs executed alone")
 
-	// --- Multi-source batching: 64 BFS queries in one engine run ---
+	// --- Graph.Batch: 64 queries side by side on one-worker leases ---
 	n := g.NumVertices()
 	sources := make([]everythinggraph.VertexID, 64)
 	for i := range sources {
@@ -111,52 +107,32 @@ func main() {
 	}
 
 	start = time.Now()
-	for _, src := range sources {
-		if _, err := g.Run(everythinggraph.BFS(src), bfsCfg); err != nil {
+	soloLevels := make([][]int32, len(sources))
+	for i, src := range sources {
+		bfs := everythinggraph.BFS(src)
+		if _, err := g.Run(bfs, bfsCfg); err != nil {
 			log.Fatal(err)
 		}
+		soloLevels[i] = bfs.Level
 	}
 	sequential := time.Since(start)
 
-	mb := everythinggraph.MultiBFS(sources)
 	start = time.Now()
-	mbRes, err := g.Run(mb, everythinggraph.Config{Flow: everythinggraph.FlowAuto})
+	results, err := g.Batch(everythinggraph.BatchBFS, sources, bfsCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	batched := time.Since(start)
-
-	fmt.Printf("\nmulti-source batching, %d BFS queries:\n", len(sources))
-	fmt.Printf("  64 sequential runs:  %8v\n", sequential.Round(time.Millisecond))
-	fmt.Printf("  one batched sweep:   %8v  (%.1fx less per source)\n",
-		batched.Round(time.Millisecond), float64(sequential)/float64(batched))
-	fmt.Println("  adaptive plan trace (every label carries the batch width):")
-	for _, it := range mbRes.Run.PerIteration[:min(3, len(mbRes.Run.PerIteration))] {
-		fmt.Printf("    iteration %2d: active=%7d plan=%s\n", it.Iteration, it.ActiveVertices, it.Plan)
-	}
-	fmt.Printf("  source 0 reached %d vertices; source 63 reached %d\n",
-		mb.Reached(0), mb.Reached(63))
-
-	// --- Graph.Batch: arbitrary source lists, grouped and leased ---
-	many := make([]everythinggraph.VertexID, 128)
-	for i := range many {
-		many[i] = everythinggraph.VertexID((i*131 + 7) % n)
-	}
-	start = time.Now()
-	results, err := g.Batch(everythinggraph.BatchBFS, many, bfsCfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nGraph.Batch: %d sources -> %d bit-parallel groups on concurrent leases, %v\n",
-		len(many), (len(many)+63)/64, time.Since(start).Round(time.Millisecond))
-	check := everythinggraph.BFS(many[100])
-	if _, err := g.Run(check, bfsCfg); err != nil {
-		log.Fatal(err)
-	}
-	for v := range check.Level {
-		if results[100].Level[v] != check.Level[v] {
-			log.Fatalf("batched query 100 diverged at vertex %d", v)
+	for i, r := range results {
+		for v := range r.Level {
+			if r.Level[v] != soloLevels[i][v] {
+				log.Fatalf("batched query %d diverged at vertex %d", i, v)
+			}
 		}
 	}
-	fmt.Println("  -> spot-checked query levels identical to a solo run")
+
+	fmt.Printf("\nGraph.Batch, %d BFS queries (adjacency/push/atomics):\n", len(sources))
+	fmt.Printf("  %d sequential runs: %8v\n", len(sources), sequential.Round(time.Millisecond))
+	fmt.Printf("  one Batch call:     %8v\n", batched.Round(time.Millisecond))
+	fmt.Println("  -> every query's levels identical to its solo run")
 }

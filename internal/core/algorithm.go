@@ -233,36 +233,13 @@ type Rooted interface {
 type ParallelFunc = func(begin, end, chunk, p int, body func(worker, lo, hi int))
 
 // ParallelBound is implemented by algorithms whose per-iteration hooks run
-// their own parallel sweeps (PageRank's contribution snapshot, the batched
-// kernels' frontier-mask advance). The engine calls SetParallelFor with the
-// run's loop executor before Init: for a leased run that is the lease's own
-// — without it a hook sweep would escape onto the process-wide pool and
-// contend with whatever a concurrent lease is running there.
+// their own parallel sweeps (PageRank's vertex sweeps). The engine calls
+// SetParallelFor with the run's loop executor before Init: for a leased run
+// that is the lease's own — without it a hook sweep would escape onto the
+// process-wide pool and contend with whatever a concurrent lease is running
+// there.
 type ParallelBound interface {
 	SetParallelFor(pfor ParallelFunc)
-}
-
-// MultiSourceAlgorithm is implemented by batched multi-source kernels
-// (algorithms.MultiBFS, algorithms.MultiSSSP): one engine run advances
-// MultiSource() frontiers through every edge scan. The engine stamps the
-// width on every StepPlan it executes (the "×<k>" label suffix), which keeps
-// the batched sweep's measured ns/edge — k sources of work per edge —
-// separate from the single-source kernel's in the cost model and the
-// persisted cost cache.
-type MultiSourceAlgorithm interface {
-	MultiSource() int
-}
-
-// multiSourceWidth resolves an algorithm's source-batch width (0 for
-// ordinary single-source algorithms, and for degenerate widths < 2 that
-// plan and cost exactly like them).
-func multiSourceWidth(alg Algorithm) int {
-	if ms, ok := alg.(MultiSourceAlgorithm); ok {
-		if k := ms.MultiSource(); k > 1 {
-			return k
-		}
-	}
-	return 0
 }
 
 // lockStripes is the number of striped destination locks used by SyncLocks.

@@ -39,12 +39,13 @@ func serialBFS(g *graph.Graph, source graph.VertexID) []int32 {
 	return level
 }
 
-// badParent checks a BFS tree against g: the root is its own parent, and
-// every other reached vertex's parent reaches it over an edge of g (either
-// way round when g is undirected) from one level up. Parents may differ
-// between schedules; validity may not. It returns the first vertex that
-// breaks it, and whether there is one.
-func badParent(g *graph.Graph, b *algorithms.BFS) (graph.VertexID, bool) {
+// badParent checks a BFS tree rooted at source against g: the root is its
+// own parent, an unreached vertex has parent -1, and every other reached
+// vertex's parent reaches it over an edge of g (either way round when g is
+// undirected) from one level up. Parents may differ between schedules;
+// validity may not. It returns the first vertex that breaks it, and whether
+// there is one.
+func badParent(g *graph.Graph, source graph.VertexID, parent, level []int32) (graph.VertexID, bool) {
 	type arc struct{ u, v graph.VertexID }
 	arcs := make(map[arc]bool, len(g.EdgeArray.Edges))
 	for _, e := range g.EdgeArray.Edges {
@@ -53,12 +54,18 @@ func badParent(g *graph.Graph, b *algorithms.BFS) (graph.VertexID, bool) {
 			arcs[arc{e.Dst, e.Src}] = true
 		}
 	}
-	for vi, p := range b.Parent {
+	for vi, p := range parent {
 		v := graph.VertexID(vi)
 		switch {
-		case p < 0 || v == b.Source && p == int32(v):
-			continue
-		case !arcs[arc{graph.VertexID(p), v}] || b.Level[p] != b.Level[v]-1:
+		case level[v] < 0:
+			if p != -1 {
+				return v, true
+			}
+		case v == source:
+			if p != int32(v) {
+				return v, true
+			}
+		case p < 0 || !arcs[arc{graph.VertexID(p), v}] || level[p] != level[v]-1:
 			return v, true
 		}
 	}
@@ -141,8 +148,8 @@ func TestBFSMatchesSerialOracle(t *testing.T) {
 					t.Fatalf("vertex %d: level %d, serial BFS %d", v, b.Level[v], l)
 				}
 			}
-			if v, bad := badParent(g, b); bad {
-				t.Fatalf("vertex %d at level %d: parent %d is no in-neighbour one level up", v, b.Level[v], b.Parent[v])
+			if v, bad := badParent(g, b.Source, b.Parent, b.Level); bad {
+				t.Fatalf("vertex %d at level %d: parent %d is not a valid BFS-tree parent", v, b.Level[v], b.Parent[v])
 			}
 			return res
 		}

@@ -9,6 +9,7 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/gen"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/prep"
+	"github.com/epfl-repro/everythinggraph/internal/sched"
 	"github.com/epfl-repro/everythinggraph/internal/trace"
 )
 
@@ -153,36 +154,61 @@ func BenchmarkPageRankAutoIterRMAT16(b *testing.B) {
 	}
 }
 
-// BenchmarkMultiBFS64RMAT16 measures the k=64 multi-source batch: one
-// MultiBFS sweep answering 64 roots per op (adjacency, push, atomics),
-// reported as ns per (source × edge) so it compares directly with
-// BenchmarkBFSRMAT16's ns/op divided by the edge count; "iter" runs b.N
-// fixed sweeps in one run, so its allocs/op is run setup divided by b.N and
-// falls toward 0 as b.N grows.
-func BenchmarkMultiBFS64RMAT16(b *testing.B) {
-	g := rmat16(b)
-	cfg := Config{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics}
-	roots := make([]graph.VertexID, graph.MaxMultiWidth)
-	for i := range roots {
-		roots[i] = graph.VertexID((i*2654435761 + 1) % g.NumVertices())
-	}
-	b.Run("sweep", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := Run(g, algorithms.NewMultiBFS(roots), cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(roots))/float64(g.NumEdges()), "ns/source-edge")
-	})
-	b.Run("iter", func(b *testing.B) {
-		mb := algorithms.NewMultiBFS(roots)
-		mb.Sweeps = b.N
-		b.ReportAllocs()
-		if _, err := Run(g, mb, cfg); err != nil {
+// BenchmarkBatch64 answers 64 single-source queries per op through Batch,
+// one sub-benchmark per case: adaptive BFS and push-only BFS on RMAT-16,
+// and push-only SSSP on a weighted 256x256 road lattice. Each case runs
+// twice: "lanes" is Batch's own dispatch (side by side, one-worker leases
+// once there are as many sources as workers), "sequential" the same runs
+// one after another on a caller-held lease of every worker. The pair is the
+// measurement behind that dispatch.
+func BenchmarkBatch64(b *testing.B) {
+	push := Config{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics}
+	road := func(b *testing.B) *graph.Graph {
+		g := gen.Road(gen.RoadOptions{Width: 256, Height: 256, ShortcutFraction: 0.05, Seed: 4, Weighted: true})
+		if err := prep.BuildAdjacency(g, prep.Out, prep.Options{Method: prep.RadixSort}); err != nil {
 			b.Fatal(err)
 		}
-	})
+		return g
+	}
+	cases := []struct {
+		name  string
+		graph func(*testing.B) *graph.Graph
+		kind  BatchKind
+		cfg   Config
+	}{
+		{"bfs-auto-rmat16", rmat16, BatchBFS, Config{Flow: Auto}},
+		{"sssp-push-road256", road, BatchSSSP, push},
+		{"bfs-push-rmat16", rmat16, BatchBFS, push},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			g := c.graph(b)
+			roots := make([]graph.VertexID, 64)
+			for i := range roots {
+				roots[i] = graph.VertexID((i*2654435761 + 1) % g.NumVertices())
+			}
+			for _, sequential := range []bool{false, true} {
+				name := "lanes"
+				if sequential {
+					name = "sequential"
+				}
+				b.Run(name, func(b *testing.B) {
+					cfg := c.cfg
+					if sequential {
+						lease := sched.DefaultPool().Lease(sched.MaxWorkers())
+						defer lease.Release()
+						cfg.Lease = lease
+					}
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := Batch(g, c.kind, roots, cfg); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
+	}
 }
 
 // Span-versus-adapter pairs: each benchmark runs b.N PageRank iterations

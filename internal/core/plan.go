@@ -49,14 +49,6 @@ type StepPlan struct {
 	// byte costs, and keeping them apart stops persisted cost entries from
 	// cross-seeding across formats.
 	StreamFormat int
-	// Multi is the source-batch width of a multi-source sweep (see
-	// algorithms.MultiBFS): the iteration advances Multi frontiers through
-	// one edge scan. 0 (and 1) mean an ordinary single-source run. It is part
-	// of the plan's identity and its label ("×<k>" suffix): a batched sweep
-	// does k sources' work per scanned edge, so its ns/edge is a different
-	// quantity than the single-source kernel's and the two must never
-	// cross-seed in the cost model or the persisted cache.
-	Multi int
 }
 
 // String returns the "layout/flow/sync" label used in plan traces and as
@@ -74,11 +66,7 @@ func (p StepPlan) String() string {
 			layout = fmt.Sprintf("%s/%d", layout, p.GridLevel)
 		}
 	}
-	var multi string
-	if p.Multi > 1 {
-		multi = fmt.Sprintf("×%d", p.Multi)
-	}
-	return fmt.Sprintf("%s/%v/%v%s", layout, p.Flow, p.Sync, multi)
+	return fmt.Sprintf("%s/%v/%v", layout, p.Flow, p.Sync)
 }
 
 // plannerEnv is what a planner knows about the run, fixed at setup.
@@ -98,10 +86,6 @@ type plannerEnv struct {
 	// and streamed runs), in which case the planner falls back to the
 	// active-vertex-count heuristic.
 	activeOutEdges func(*graph.Frontier) int64
-	// multi is the run's source-batch width (see StepPlan.Multi): stamped on
-	// every plan the planner emits so labels and cost entries carry it. 0
-	// for ordinary single-source runs.
-	multi int
 }
 
 // overThreshold applies the direction-optimizing test shared by every
@@ -270,11 +254,7 @@ func newPlanner(env plannerEnv, candidates []planCandidate, adaptive bool, prior
 		last:       -1,
 		rec:        rec,
 	}
-	// The batch width is a property of the run, not of any one candidate:
-	// stamp it across the set so labels, cost entries and Observe's plan
-	// matching all carry it.
 	for i := range candidates {
-		candidates[i].plan.Multi = env.multi
 		if candidates[i].plan.Flow == Push {
 			p.hasPush = true
 		} else {
@@ -537,7 +517,6 @@ func residentPlanner(g *graph.Graph, cfg Config, r *runner, alpha int, workers i
 		totalEdges:  residentScanEdges(g),
 		alpha:       alpha,
 		tracked:     tracked,
-		multi:       multiSourceWidth(r.alg),
 	}
 	if g.Out != nil {
 		env.activeOutEdges = r.activeOutEdges
@@ -723,13 +702,12 @@ func streamLevelPrior(base float64, lv StreamLevelInfo, workers int, totalEdges 
 // the ladder's finest rung — the stored resolution; Flow == Auto enumerates
 // one push/pull candidate pair per admitted rung, costed by
 // streamLevelPrior and refined by measured ns/edge.
-func streamPlanner(src Source, cfg Config, workers int, budget int64, alpha int, tracked bool, multi int) *planner {
+func streamPlanner(src Source, cfg Config, workers int, budget int64, alpha int, tracked bool) *planner {
 	env := plannerEnv{
 		numVertices: src.NumVertices(),
 		totalEdges:  src.NumEdges(),
 		alpha:       alpha,
 		tracked:     tracked,
-		multi:       multi,
 		// No resident out index: the count heuristic decides direction.
 	}
 	// Compressed stores label and cost their plans as "compressed/<P>"; both

@@ -38,7 +38,7 @@ func overPartitionedSource(n int) *fakeLevelerSource {
 func TestStreamAutoEnumeratesLadderLevels(t *testing.T) {
 	src := overPartitionedSource(1 << 12)
 	src.edges = []graph.Edge{{Src: 0, Dst: 1}}
-	pl := streamPlanner(src, Config{Flow: Auto}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
+	pl := streamPlanner(src, Config{Flow: Auto}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true)
 	seen := map[int]bool{}
 	for _, c := range pl.candidates {
 		if c.plan.StreamFormat != 1 {
@@ -56,7 +56,7 @@ func TestStreamAutoEnumeratesLadderLevels(t *testing.T) {
 func TestStreamAutoPrefersCoarseOnOverPartitionedStore(t *testing.T) {
 	src := overPartitionedSource(1 << 12)
 	src.edges = []graph.Edge{{Src: 0, Dst: 1}}
-	pl := streamPlanner(src, Config{Flow: Auto}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
+	pl := streamPlanner(src, Config{Flow: Auto}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true)
 	plan := pl.Next(0, graph.NewFrontier(src.n))
 	if plan.GridLevel >= 256 {
 		t.Fatalf("planner opened at the fragmented finest level: %v", plan)
@@ -72,7 +72,7 @@ func TestStreamStaticGridLevelsPinsRung(t *testing.T) {
 		src := overPartitionedSource(1 << 12)
 		src.edges = []graph.Edge{{Src: 0, Dst: 1}}
 		src.levels = ladder[rung-1 : rung]
-		pl := streamPlanner(src, Config{Flow: Push}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
+		pl := streamPlanner(src, Config{Flow: Push}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true)
 		plan := pl.Next(0, graph.NewFrontier(src.n))
 		if plan.GridLevel != wantP {
 			t.Fatalf("rung %d pinned level %d, want %d", rung, plan.GridLevel, wantP)
@@ -91,12 +91,12 @@ func TestStreamCostPriorsRespectFormatProvenance(t *testing.T) {
 	src := &fakeSource{n: 64, compressed: true, edges: []graph.Edge{{Src: 0, Dst: 1}}}
 	stale := map[string]float64{"grid/1@s1/push/no-lock": 0.5, "compressed/1@s1/push/no-lock": 0.5,
 		"compressed/1@s2/push/no-lock": 0.5}
-	pl := streamPlanner(src, Config{Flow: Auto, CostPriors: stale}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
+	pl := streamPlanner(src, Config{Flow: Auto, CostPriors: stale}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true)
 	if costs := pl.measuredCosts(); costs != nil {
 		t.Fatalf("v1- or v2-provenance priors seeded a compressed store's planner: %v", costs)
 	}
 	fresh := map[string]float64{"compressed/1@s3/push/no-lock": 0.5}
-	pl = streamPlanner(src, Config{Flow: Auto, CostPriors: fresh}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
+	pl = streamPlanner(src, Config{Flow: Auto, CostPriors: fresh}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true)
 	costs := pl.measuredCosts()
 	if costs["compressed/1@s3/push/no-lock"] != 0.5 {
 		t.Fatalf("matching-provenance prior was not seeded: %v", costs)
@@ -125,7 +125,7 @@ func TestAdmitStreamLevelsKeepsOnlyImprovingRungs(t *testing.T) {
 // cost-cache keys never conflate the two storage formats.
 func TestStreamPlannerLabelsCompressedSource(t *testing.T) {
 	src := &fakeSource{n: 64, compressed: true}
-	pl := streamPlanner(src, Config{Flow: Push}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
+	pl := streamPlanner(src, Config{Flow: Push}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true)
 	plan := pl.Next(0, graph.NewFrontier(64))
 	if plan.Layout != graph.LayoutGridCompressed {
 		t.Fatalf("fixed stream plan over a compressed source has layout %v", plan.Layout)
@@ -133,7 +133,7 @@ func TestStreamPlannerLabelsCompressedSource(t *testing.T) {
 	if want := "compressed/1@s3/push/no-lock"; !strings.HasPrefix(plan.String(), want) {
 		t.Fatalf("fixed stream plan labeled %q, want prefix %q", plan.String(), want)
 	}
-	pl = streamPlanner(src, Config{Flow: Auto}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0)
+	pl = streamPlanner(src, Config{Flow: Auto}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true)
 	for _, c := range pl.candidates {
 		if c.plan.Layout != graph.LayoutGridCompressed {
 			t.Fatalf("adaptive stream candidate over a compressed source has layout %v", c.plan.Layout)
@@ -141,7 +141,7 @@ func TestStreamPlannerLabelsCompressedSource(t *testing.T) {
 	}
 	// An uncompressed source keeps the exact pre-compression labels.
 	plain := &fakeSource{n: 64}
-	plan = streamPlanner(plain, Config{Flow: Push}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true, 0).Next(0, graph.NewFrontier(64))
+	plan = streamPlanner(plain, Config{Flow: Push}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true).Next(0, graph.NewFrontier(64))
 	if want := "grid/1@s1/push/no-lock"; !strings.HasPrefix(plan.String(), want) {
 		t.Fatalf("v1 stream plan labeled %q, want prefix %q", plan.String(), want)
 	}

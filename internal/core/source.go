@@ -200,7 +200,7 @@ func RunStreamed(src Source, alg Algorithm, cfg Config) (*Result, error) {
 		Lease:         cfg.Lease,
 		Trace:         cfg.Trace,
 	})
-	pl := streamPlanner(src, cfg, workers, budget, resolveAlpha(cfg), !alg.Dense(), multiSourceWidth(alg))
+	pl := streamPlanner(src, cfg, workers, budget, resolveAlpha(cfg), !alg.Dense())
 	return iterate(shim, alg, cfg, workers, pl, src, r.step)
 }
 

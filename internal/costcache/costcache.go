@@ -32,7 +32,8 @@ import (
 // ("grid/128/pull/no-lock@n0") so that pinned and interleaved measurements
 // of one kernel never cross-seeded. Pinning has since been removed; the
 // version stays, because an "@n<K>" entry left in a version-4 file matches
-// no candidate and is ignored like any unknown key.
+// no candidate and is ignored like any unknown key. The same holds for the
+// "×<k>" entries that bit-parallel multi-source sweeps once recorded.
 const Version = 4
 
 // File is the decoded cache: per run label (see Key), the measured ns per
