@@ -2,11 +2,13 @@ package everythinggraph
 
 // One testing.B benchmark per figure/table of the paper's evaluation, except
 // the NUMA study of Section 7 (Figures 9 and 10), which needs a multi-socket
-// host, and Table 3's loading from an SSD and an HDD, which needs those
-// devices; neither is reproduced. Each benchmark delegates to the corresponding
-// experiment driver in internal/bench at a reduced scale (so `go test
-// -bench=.` completes in minutes rather than hours); cmd/benchrunner runs the
-// same drivers at the full default scale (README, "Benchmarks").
+// host, Table 3's loading from an SSD and an HDD, which needs those devices,
+// and Table 4's LLC miss ratios, which need hardware performance counters;
+// none of the three is reproduced (Table 2 keeps its build times but not its
+// LLC column, for the same reason). Each benchmark delegates to the
+// corresponding experiment driver in internal/bench at a reduced scale (so
+// `go test -bench=.` completes in minutes rather than hours); cmd/benchrunner
+// runs the same drivers at the full default scale (README, "Benchmarks").
 //
 // The benchmarks intentionally measure one full experiment per iteration —
 // including workload generation and pre-processing — because the paper's
@@ -34,7 +36,6 @@ var benchScale = bench.Scale{
 	BipartiteRatings:   24,
 	PagerankIterations: 10,
 	Seed:               42,
-	CacheTraceEdges:    1 << 20,
 }
 
 // runExperiment executes one experiment driver b.N times.
@@ -56,9 +57,9 @@ func runExperiment(b *testing.B, id string) {
 // on the Twitter-profile graph, end to end.
 func BenchmarkFig1PushPullTradeoff(b *testing.B) { runExperiment(b, "fig1") }
 
-// BenchmarkTable2AdjacencyBuild reproduces Table 2: adjacency-list creation
-// cost with dynamic building, count sort and radix sort, plus LLC miss
-// ratios.
+// BenchmarkTable2AdjacencyBuild reproduces Table 2's build times:
+// adjacency-list creation cost with dynamic building, count sort and radix
+// sort.
 func BenchmarkTable2AdjacencyBuild(b *testing.B) { runExperiment(b, "table2") }
 
 // BenchmarkFig2PrepScaling reproduces Figure 2: pre-processing time vs RMAT
@@ -68,10 +69,6 @@ func BenchmarkFig2PrepScaling(b *testing.B) { runExperiment(b, "fig2") }
 // BenchmarkFig3LayoutTraversal reproduces Figure 3: BFS, PageRank and SpMV
 // on adjacency lists vs the edge array.
 func BenchmarkFig3LayoutTraversal(b *testing.B) { runExperiment(b, "fig3") }
-
-// BenchmarkTable4CacheMiss reproduces Table 4: LLC miss ratios of the four
-// data layouts under BFS-like and PageRank-like metadata footprints.
-func BenchmarkTable4CacheMiss(b *testing.B) { runExperiment(b, "table4") }
 
 // BenchmarkFig5CacheLayouts reproduces Figure 5: end-to-end impact of the
 // cache-locality layouts (sorted/unsorted adjacency, edge array, grid).

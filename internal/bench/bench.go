@@ -1,9 +1,11 @@
 // Package bench contains one experiment driver per figure and table of the
 // paper's evaluation. Every driver generates the workload, runs the relevant
 // configurations, and prints a table with the same rows/series the paper
-// reports (pre-processing and algorithm execution times, cache miss ratios,
-// per-iteration times). Absolute numbers differ from the paper (different
-// hardware, a simulated LLC, smaller default graph scales);
+// reports (pre-processing and algorithm execution times, per-iteration
+// times). Every number is measured on the host; results that need hardware
+// it lacks (the NUMA study of §7, Table 3's devices, the hardware-counter
+// LLC miss ratios of Tables 2 and 4) are not reproduced. Absolute numbers
+// differ from the paper (different hardware, smaller default graph scales);
 // the experiments reproduce the relative behaviour — who wins, by roughly
 // what factor, and where the crossovers are.
 //
@@ -19,7 +21,6 @@ import (
 	"sort"
 	"time"
 
-	"github.com/epfl-repro/everythinggraph/internal/cachesim"
 	"github.com/epfl-repro/everythinggraph/internal/core"
 	"github.com/epfl-repro/everythinggraph/internal/gen"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
@@ -51,10 +52,6 @@ type Scale struct {
 	GridP int
 	// Seed makes the generated datasets deterministic.
 	Seed int64
-	// CacheTraceEdges caps the number of edges replayed through the cache
-	// simulator (the simulator is ~50x slower than real execution; a few
-	// million edges give stable miss ratios).
-	CacheTraceEdges int
 }
 
 // Default is the scale used by cmd/benchrunner and bench_test.go.
@@ -70,7 +67,6 @@ var Default = Scale{
 	PagerankIterations: 10,
 	GridP:              0,
 	Seed:               42,
-	CacheTraceEdges:    4 << 20,
 }
 
 // Quick is a small scale for unit tests of the experiment drivers.
@@ -86,7 +82,6 @@ var Quick = Scale{
 	PagerankIterations: 5,
 	GridP:              0,
 	Seed:               42,
-	CacheTraceEdges:    1 << 18,
 }
 
 // Experiment is one reproducible figure or table.
@@ -216,25 +211,6 @@ func buildGridTimed(g *graph.Graph, gridP int, opt prep.Options) (time.Duration,
 func runAlgorithm(g *graph.Graph, alg core.Algorithm, cfg core.Config) (*core.Result, error) {
 	runtime.GC()
 	return core.Run(g, alg, cfg)
-}
-
-// traceCache returns the simulated LLC configuration used by the cache-miss
-// experiments. The paper's measurements put a 64M-vertex working set against
-// a 16 MB LLC (the per-vertex metadata exceeds the cache by more than an
-// order of magnitude); generated graphs are much smaller, so the simulated
-// cache is scaled down to keep the metadata-to-LLC ratio in the same regime
-// while never dropping below a realistic minimum.
-func traceCache(numVertices int) cachesim.Config {
-	size := numVertices / 4 // bytes: 4-byte metadata / ratio 16
-	const minSize = 128 << 10
-	const maxSize = 16 << 20
-	if size < minSize {
-		size = minSize
-	}
-	if size > maxSize {
-		size = maxSize
-	}
-	return cachesim.Config{SizeBytes: size, Ways: 16}
 }
 
 // freshCopy returns a new Graph sharing the edge array but with no derived

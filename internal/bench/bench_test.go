@@ -7,12 +7,14 @@ import (
 )
 
 // TestRegistryComplete checks that every figure and table of the paper's
-// evaluation has a registered experiment, except the two that are not
-// reproduced: Section 7 (NUMA) and Table 3 (loading from an SSD and an HDD).
+// evaluation has a registered experiment, except the three that are not
+// reproduced because they need hardware this reproduction does not model:
+// Section 7 (a multi-node NUMA host), Table 3 (loading from an SSD and an
+// HDD) and Table 4 (LLC miss ratios read from hardware counters).
 func TestRegistryComplete(t *testing.T) {
 	want := []string{
 		"fig1", "fig2", "fig3", "fig5", "fig6", "fig7", "fig8",
-		"table1", "table2", "table4", "table5", "table6",
+		"table1", "table2", "table5", "table6",
 	}
 	for _, id := range want {
 		if _, ok := ByID(id); !ok {

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"github.com/epfl-repro/everythinggraph/internal/algorithms"
-	"github.com/epfl-repro/everythinggraph/internal/cachesim"
 	"github.com/epfl-repro/everythinggraph/internal/core"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/metrics"
@@ -19,24 +18,11 @@ func init() {
 		Run:   runFig3,
 	})
 	register(Experiment{
-		ID:    "table4",
-		Title: "Table 4: LLC miss ratio of BFS and PageRank on edge array, grid, adjacency list (sorted and unsorted)",
-		Run:   runTable4,
-	})
-	register(Experiment{
 		ID:    "fig5",
 		Title: "Figure 5: cache-related optimizations, end-to-end (unsorted/sorted adjacency, edge array, grid)",
 		Run:   runFig5,
 	})
 }
-
-// bfsMetaBytes and prMetaBytes are the per-vertex metadata footprints used
-// by the cache traces, matching the paper's observation that a cache line
-// holds ~64 BFS vertices and ~6 PageRank vertices.
-const (
-	bfsMetaBytes = 1
-	prMetaBytes  = 12
-)
 
 // runFig3 compares vertex-centric computation on adjacency lists against
 // edge-centric computation on the raw edge array for three algorithms with
@@ -86,59 +72,6 @@ func runFig3(s Scale, w io.Writer) error {
 		}
 		tbl.AddRow(c.name+" / edge array", breakdownRow(metrics.Breakdown{Algorithm: resE.AlgorithmTime}))
 	}
-	return writeTable(w, tbl)
-}
-
-// runTable4 replays the traversal access patterns of the four layouts
-// through the LLC model for BFS-like (1 byte/vertex) and PageRank-like
-// (12 bytes/vertex) metadata footprints.
-func runTable4(s Scale, w io.Writer) error {
-	base := rmatGraph(s)
-	edges := base.EdgeArray.Edges
-	if len(edges) > s.CacheTraceEdges && s.CacheTraceEdges > 0 {
-		edges = edges[:s.CacheTraceEdges]
-	}
-	sub := graph.New(edges, base.NumVertices(), true)
-
-	// Build the layouts the traces walk over.
-	adj := freshCopy(sub)
-	if err := prep.BuildAdjacency(adj, prep.Out, prep.Options{Method: prep.RadixSort, Workers: s.Workers}); err != nil {
-		return err
-	}
-	adjSorted := freshCopy(sub)
-	if err := prep.BuildAdjacency(adjSorted, prep.Out, prep.Options{Method: prep.RadixSort, Workers: s.Workers, SortNeighbors: true}); err != nil {
-		return err
-	}
-	grid := freshCopy(sub)
-	if err := prep.BuildGrid(grid, s.GridP, prep.Options{Method: prep.RadixSort, Workers: s.Workers}); err != nil {
-		return err
-	}
-
-	tbl := metrics.NewTable(
-		fmt.Sprintf("Table 4: LLC miss ratio on RMAT%d (%d traced edges)", s.RMATScale, len(edges)),
-		"bfs", "pagerank")
-
-	cacheCfg := traceCache(base.NumVertices())
-	addRow := func(label string, run func(meta int) cachesim.Result) {
-		bfsRes := run(bfsMetaBytes)
-		prRes := run(prMetaBytes)
-		tbl.AddRow(label, map[string]string{
-			"bfs":      metrics.FormatRatio(bfsRes.MissRatio),
-			"pagerank": metrics.FormatRatio(prRes.MissRatio),
-		})
-	}
-	addRow("edge array", func(meta int) cachesim.Result {
-		return cachesim.TraceEdgeArray(sub.EdgeArray.Edges, sub.NumVertices(), cachesim.LayoutTraceOptions{MetaBytes: meta, Cache: cacheCfg})
-	})
-	addRow("grid", func(meta int) cachesim.Result {
-		return cachesim.TraceGrid(grid.Grid, cachesim.LayoutTraceOptions{MetaBytes: meta, Cache: cacheCfg})
-	})
-	addRow("adjacency list", func(meta int) cachesim.Result {
-		return cachesim.TraceAdjacency(adj.Out, cachesim.LayoutTraceOptions{MetaBytes: meta, Cache: cacheCfg})
-	})
-	addRow("adjacency list sorted", func(meta int) cachesim.Result {
-		return cachesim.TraceAdjacency(adjSorted.Out, cachesim.LayoutTraceOptions{MetaBytes: meta, Cache: cacheCfg})
-	})
 	return writeTable(w, tbl)
 }
 

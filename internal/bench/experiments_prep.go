@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"github.com/epfl-repro/everythinggraph/internal/algorithms"
-	"github.com/epfl-repro/everythinggraph/internal/cachesim"
 	"github.com/epfl-repro/everythinggraph/internal/core"
 	"github.com/epfl-repro/everythinggraph/internal/gen"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
@@ -21,7 +20,7 @@ func init() {
 	})
 	register(Experiment{
 		ID:    "table2",
-		Title: "Table 2: adjacency-list creation cost (dynamic, count sort, radix sort) and LLC miss ratio",
+		Title: "Table 2: adjacency-list creation cost (dynamic, count sort, radix sort)",
 		Run:   runTable2,
 	})
 	register(Experiment{
@@ -87,27 +86,20 @@ func breakdownRow(b metrics.Breakdown) map[string]string {
 }
 
 // runTable2 measures the cost of building adjacency lists with the three
-// construction methods (outgoing only, and incoming+outgoing), plus the LLC
-// miss ratio of each method's access pattern.
+// construction methods (outgoing only, and incoming+outgoing).
 func runTable2(s Scale, w io.Writer) error {
 	base := twitterGraph(s)
 	tbl := metrics.NewTable(
 		fmt.Sprintf("Table 2: adjacency-list creation on Twitter-profile (scale %d, %d edges)", s.TwitterScale, base.NumEdges()),
-		"out", "in-out", "llc-miss")
-
-	traceEdges := base.EdgeArray.Edges
-	if len(traceEdges) > s.CacheTraceEdges && s.CacheTraceEdges > 0 {
-		traceEdges = traceEdges[:s.CacheTraceEdges]
-	}
+		"out", "in-out")
 
 	methods := []struct {
 		name   string
 		method prep.Method
-		trace  cachesim.BuildMethod
 	}{
-		{"dynamic", prep.Dynamic, cachesim.BuildDynamic},
-		{"count sort", prep.CountSort, cachesim.BuildCountSort},
-		{"radix sort", prep.RadixSort, cachesim.BuildRadixSort},
+		{"dynamic", prep.Dynamic},
+		{"count sort", prep.CountSort},
+		{"radix sort", prep.RadixSort},
 	}
 	for _, m := range methods {
 		gOut := freshCopy(base)
@@ -120,11 +112,9 @@ func runTable2(s Scale, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		trace := cachesim.TraceAdjacencyBuild(m.trace, traceEdges, base.NumVertices(), traceCache(base.NumVertices()))
 		tbl.AddRow(m.name, map[string]string{
-			"out":      fmtDuration(outTime),
-			"in-out":   fmtDuration(bothTime),
-			"llc-miss": metrics.FormatRatio(trace.MissRatio),
+			"out":    fmtDuration(outTime),
+			"in-out": fmtDuration(bothTime),
 		})
 	}
 	return writeTable(w, tbl)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/epfl-repro/everythinggraph/internal/cachesim"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/trace"
 )
@@ -126,8 +125,9 @@ const (
 // Section 5 cell-sizing trade-off:
 //
 //   - LLC misfit: a level whose per-range destination metadata exceeds the
-//     LLC pays a DRAM access on the fraction cachesim predicts will not be
-//     resident (gridLLCMissPenalty extra per-edge cost at hit ratio 0);
+//     LLC pays a DRAM access on the fraction residentFraction predicts will
+//     not be resident (gridLLCMissPenalty extra per-edge cost when nothing
+//     is);
 //   - inner-cache misfit: within a span, destination accesses are random
 //     inside the range, so a range beyond the per-core L1 pays a (cheaper)
 //     inner miss on the predicted non-resident fraction — the term that
@@ -148,14 +148,39 @@ const (
 	gridLLCMissPenalty   = 1.5
 	gridInnerMissPenalty = 0.6
 	gridSpanSetupNs      = 60.0
+	// gridL1DBytes is the per-core L1 data cache the inner-misfit term
+	// prices against. Like graph.DefaultLLCBytes it is the paper's machine
+	// B (32 KiB L1D, 16 MiB LLC), not the host: the priors, and the plans
+	// dense runs freeze on them, are the same on every machine.
+	gridL1DBytes = 32 << 10
 )
 
+// residentFraction estimates the fraction of uniformly random accesses over
+// a working set of ws bytes that hit a cache of the given capacity: 1 while
+// the set fits the usable three quarters of it (conflict misses and the
+// edge streams sharing the sets claim the rest), usable/ws beyond that.
+func residentFraction(ws, capacity int64) float64 {
+	usable := capacity * 3 / 4
+	if ws <= usable {
+		return 1
+	}
+	return float64(usable) / float64(ws)
+}
+
+// rangeMissFactor is the cache-misfit multiplier a grid level pays on its
+// per-edge cost: destinations inside one range of rangeSize vertices are
+// read at random, so whatever part of the range's metadata the LLC and the
+// L1D cannot keep resident costs a miss at the matching penalty.
+func rangeMissFactor(rangeSize int) float64 {
+	ws := int64(rangeSize) * graph.GridVertexMetaBytes
+	miss := gridLLCMissPenalty*(1-residentFraction(ws, graph.DefaultLLCBytes)) +
+		gridInnerMissPenalty*(1-residentFraction(ws, gridL1DBytes))
+	return 1 + miss
+}
+
 // gridLevelPrior predicts the per-edge cost prior of one pyramid level.
-func gridLevelPrior(base float64, lv *graph.GridLevel, spansPrior float64, workers int, llc cachesim.Config) float64 {
-	ws := int64(lv.RangeSize) * graph.GridVertexMetaBytes
-	miss := gridLLCMissPenalty*(1-llc.PredictHitRatio(ws)) +
-		gridInnerMissPenalty*(1-cachesim.L1D.PredictHitRatio(ws))
-	prior := base * (1 + miss)
+func gridLevelPrior(base float64, lv *graph.GridLevel, spansPrior float64, workers int) float64 {
+	prior := base * rangeMissFactor(lv.RangeSize)
 	if workers > lv.P {
 		prior *= float64(workers) / float64(lv.P)
 	}
@@ -557,8 +582,8 @@ func gridCandidateLevels(grid *graph.Grid) []graph.GridLevel {
 // autoCandidates is the candidate source of Auto over resident layouts:
 // one plan per materialized layout (and direction), each with the sync mode
 // its ownership structure dictates. The grid contributes one push/pull
-// candidate pair per pyramid level, with priors derived from the cachesim
-// LLC model (see gridLevelPrior) so the first resolution choice already
+// candidate pair per pyramid level, with priors derived from each level's
+// cache fit (see gridLevelPrior) so the first resolution choice already
 // encodes the cell-sizing trade-off.
 func autoCandidates(g *graph.Graph, workers int, tracked bool) []planCandidate {
 	var cs []planCandidate
@@ -589,7 +614,7 @@ func autoCandidates(g *graph.Graph, workers int, tracked bool) []planCandidate {
 			}{{Push, priorGridPush}, {Pull, priorGridPull}} {
 				cs = append(cs, planCandidate{
 					plan:     StepPlan{Layout: graph.LayoutGrid, Flow: d.flow, Sync: SyncPartitionFree, Tracked: tracked, GridLevel: lv.P},
-					prior:    gridLevelPrior(d.base, &lv, spansPrior, workers, cachesim.MachineB),
+					prior:    gridLevelPrior(d.base, &lv, spansPrior, workers),
 					fullScan: true,
 				})
 			}
@@ -678,10 +703,7 @@ func admitStreamLevels(levels []StreamLevelInfo) []StreamLevelInfo {
 // compute — that is the prefetch pipeline's whole point — so the predicted
 // wall cost is whichever side of the overlap dominates.
 func streamLevelPrior(base float64, lv StreamLevelInfo, workers int, totalEdges int64) float64 {
-	ws := int64(lv.RangeSize) * graph.GridVertexMetaBytes
-	miss := gridLLCMissPenalty*(1-cachesim.MachineB.PredictHitRatio(ws)) +
-		gridInnerMissPenalty*(1-cachesim.L1D.PredictHitRatio(ws))
-	compute := base * (1 + miss)
+	compute := base * rangeMissFactor(lv.RangeSize)
 	if lv.Workers > 0 && workers > lv.Workers {
 		compute *= float64(workers) / float64(lv.Workers)
 	}

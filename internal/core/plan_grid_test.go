@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/epfl-repro/everythinggraph/internal/algorithms"
-	"github.com/epfl-repro/everythinggraph/internal/cachesim"
 	"github.com/epfl-repro/everythinggraph/internal/gen"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/prep"
@@ -95,27 +94,78 @@ func TestAutoCandidatesEnumerateGridLevels(t *testing.T) {
 // must produce; the measured feedback corrects magnitudes, but a dense run
 // freezes on these, so the shape is load-bearing.
 func TestGridLevelPriorShape(t *testing.T) {
-	llc := cachesim.MachineB
 	mk := func(p, factor, rangeSize, spans int) *graph.GridLevel {
 		return &graph.GridLevel{P: p, Factor: factor, RangeSize: rangeSize, Spans: spans}
 	}
 	// Ownership-limited parallelism: a 2-column level serializes 8 workers.
-	wide := gridLevelPrior(priorGridPush, mk(16, 1, 1<<10, 0), 0, 8, llc)
-	narrow := gridLevelPrior(priorGridPush, mk(2, 8, 1<<13, 0), 0, 8, llc)
+	wide := gridLevelPrior(priorGridPush, mk(16, 1, 1<<10, 0), 0, 8)
+	narrow := gridLevelPrior(priorGridPush, mk(2, 8, 1<<13, 0), 0, 8)
 	if narrow <= wide {
 		t.Fatalf("2-column level (%v) must cost more than a 16-column one (%v) for 8 workers", narrow, wide)
 	}
 	// LLC misfit: ranges far beyond the LLC cost more than fitting ones.
-	fit := gridLevelPrior(priorGridPush, mk(256, 1, 1<<18, 0), 0, 4, llc)   // 2 MiB of metadata
-	misfit := gridLevelPrior(priorGridPush, mk(4, 64, 1<<24, 0), 0, 4, llc) // 128 MiB
+	fit := gridLevelPrior(priorGridPush, mk(256, 1, 1<<18, 0), 0, 4)   // 2 MiB of metadata
+	misfit := gridLevelPrior(priorGridPush, mk(4, 64, 1<<24, 0), 0, 4) // 128 MiB
 	if misfit <= fit {
 		t.Fatalf("LLC-overflowing level (%v) must cost more than a fitting one (%v)", misfit, fit)
 	}
 	// Span setup: at equal cache behaviour, more spans per edge cost more.
-	cheap := gridLevelPrior(priorGridPush, mk(16, 1, 1<<10, 100), 60.0*100/10000, 4, llc)
-	costly := gridLevelPrior(priorGridPush, mk(16, 1, 1<<10, 5000), 60.0*5000/10000, 4, llc)
+	cheap := gridLevelPrior(priorGridPush, mk(16, 1, 1<<10, 100), 60.0*100/10000, 4)
+	costly := gridLevelPrior(priorGridPush, mk(16, 1, 1<<10, 5000), 60.0*5000/10000, 4)
 	if costly <= cheap {
 		t.Fatalf("span-heavy level (%v) must cost more than a lean one (%v)", costly, cheap)
+	}
+}
+
+// TestResidentFraction pins the closed form behind the cache-misfit terms:
+// everything resident up to three quarters of the capacity, the usable
+// capacity over the working set beyond it, never rising with the set.
+func TestResidentFraction(t *testing.T) {
+	const capacity = graph.DefaultLLCBytes
+	usable := int64(capacity) * 3 / 4
+	for _, tc := range []struct {
+		name string
+		ws   int64
+		want float64
+	}{
+		{"empty working set", 0, 1},
+		{"exactly the usable capacity", usable, 1},
+		{"twice the usable capacity", 2 * usable, 0.5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := residentFraction(tc.ws, capacity); got != tc.want {
+				t.Fatalf("residentFraction(%d, %d) = %v, want %v", tc.ws, capacity, got, tc.want)
+			}
+		})
+	}
+	t.Run("monotone non-increasing", func(t *testing.T) {
+		prev := 1.0
+		for ws := int64(1 << 10); ws < capacity*8; ws *= 2 {
+			f := residentFraction(ws, capacity)
+			if f > prev {
+				t.Fatalf("residentFraction rose from %v to %v at a working set of %d", prev, f, ws)
+			}
+			prev = f
+		}
+	})
+}
+
+// TestRangeMissFactorSteps: a range whose metadata fits the usable L1D pays
+// no misfit; past it the inner penalty phases in, and past the usable LLC
+// the DRAM penalty on top, approaching 1 + both penalties.
+func TestRangeMissFactorSteps(t *testing.T) {
+	l1Range := int(gridL1DBytes * 3 / 4 / graph.GridVertexMetaBytes)
+	llcRange := int(graph.DefaultLLCBytes * 3 / 4 / graph.GridVertexMetaBytes)
+	if got := rangeMissFactor(l1Range); got != 1 {
+		t.Fatalf("L1D-fitting range: factor %v, want 1", got)
+	}
+	inner := rangeMissFactor(llcRange)
+	if inner <= 1 || inner >= 1+gridInnerMissPenalty {
+		t.Fatalf("LLC-fitting range: factor %v, want in (1, %v)", inner, 1+gridInnerMissPenalty)
+	}
+	outer := rangeMissFactor(2 * llcRange)
+	if want := 1 + gridInnerMissPenalty + gridLLCMissPenalty/2; outer <= inner || outer > want {
+		t.Fatalf("range twice the usable LLC: factor %v, want in (%v, %v]", outer, inner, want)
 	}
 }
 

@@ -50,11 +50,11 @@ const DefaultGridP = 256
 // range's vertex count into the working-set bytes compared against the LLC.
 const GridVertexMetaBytes = 8
 
-// DefaultLLCBytes is the last-level cache capacity assumed when no machine
-// description is supplied: 16 MiB, the paper's machine B. It must equal
-// cachesim.MachineB.SizeBytes (graph cannot import cachesim — cachesim's
-// trace replayer imports graph — so a cross-package test pins the two
-// constants together).
+// DefaultLLCBytes is the last-level cache capacity every cache-fit
+// decision is sized against: 16 MiB, the LLC of the paper's machine B, not
+// the host's. GridPFor caps oversized requests against it, and the
+// planner's grid-level priors price range misfit against it, so both give
+// the same answer on every machine.
 const DefaultLLCBytes = 16 << 20
 
 // gridLLCRangeDivisor sets the per-range working-set target of the LLC-fit
@@ -65,32 +65,23 @@ const DefaultLLCBytes = 16 << 20
 // only multiplies cells.
 const gridLLCRangeDivisor = 8
 
-// GridPFor picks a grid dimension for a graph with numVertices vertices,
-// assuming the default machine's LLC (DefaultLLCBytes).
-func GridPFor(numVertices, requested int) int {
-	return GridPForLLC(numVertices, requested, DefaultLLCBytes)
-}
-
-// GridPForLLC picks a grid dimension for a graph with numVertices vertices
-// on a machine with the given last-level cache capacity. The paper uses
-// 256x256 for its large graphs; for small graphs a finer grid than one
-// vertex per range is pointless, so P is capped so that each range holds at
-// least a handful of vertices. Requests beyond the paper's default are
-// additionally capped by LLC fit: halving P is free while the coarser
-// ranges' vertex metadata still fits the per-range cache target, so an
-// oversized request on a small machine settles at the resolution the cache
-// can actually exploit. Requests at or below DefaultGridP are never
+// GridPFor picks a grid dimension for a graph with numVertices vertices.
+// The paper uses 256x256 for its large graphs; for small graphs a finer
+// grid than one vertex per range is pointless, so P is capped so that each
+// range holds at least a handful of vertices. Requests beyond the paper's
+// default are additionally capped by LLC fit: halving P is free while the
+// coarser ranges' vertex metadata still fits the per-range target of
+// DefaultLLCBytes, so an oversized request settles at the resolution the
+// cache can actually exploit. Requests at or below DefaultGridP are never
 // reshaped — fixed-P runs stay reproducible.
-func GridPForLLC(numVertices, requested int, llcBytes int64) int {
+func GridPFor(numVertices, requested int) int {
 	p := requested
 	if p <= 0 {
 		p = DefaultGridP
 	}
-	if llcBytes > 0 {
-		target := llcBytes / gridLLCRangeDivisor
-		for p > DefaultGridP && int64(numVertices)*GridVertexMetaBytes/int64(p/2) <= target {
-			p /= 2
-		}
+	const target = DefaultLLCBytes / gridLLCRangeDivisor
+	for p > DefaultGridP && int64(numVertices)*GridVertexMetaBytes/int64(p/2) <= target {
+		p /= 2
 	}
 	// Keep at least 4 vertices per range so cells are not degenerate on
 	// small test graphs.

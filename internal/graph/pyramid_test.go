@@ -148,32 +148,28 @@ func TestBuildPyramidNonPowerOfTwoP(t *testing.T) {
 	}
 }
 
-func TestGridPForLLCCapsOversizedRequests(t *testing.T) {
-	const llc = 16 << 20
-	// A small graph cannot use a 4096-wide grid: per-range metadata is far
-	// below the LLC target at that resolution, so the request caps — but
-	// never below the paper's default.
-	if p := GridPForLLC(1<<20, 4096, llc); p != DefaultGridP {
-		t.Fatalf("oversized request on a small graph: P = %d, want %d", p, DefaultGridP)
-	}
-	// A graph whose metadata demands the finer grid keeps it: 2^28 vertices
-	// at 8 B/vertex is 2 GiB of metadata; even /512 ranges exceed the
-	// per-range target, so the request stands.
-	if p := GridPForLLC(1<<28, 512, llc); p != 512 {
-		t.Fatalf("justified large request: P = %d, want 512", p)
-	}
-	// On a smaller machine the same oversized request settles higher: the
-	// fit point scales with the LLC.
-	big, small := GridPForLLC(1<<26, 4096, 32<<20), GridPForLLC(1<<26, 4096, 4<<20)
-	if small < big {
-		t.Fatalf("smaller LLC must not cap more aggressively: %d (4 MiB) < %d (32 MiB)", small, big)
-	}
-	// Requests at or below the default are never reshaped (fixed-P
-	// reproducibility), regardless of fit.
-	if p := GridPForLLC(1<<20, 256, llc); p != 256 {
-		t.Fatalf("default-sized request reshaped to %d", p)
-	}
-	if p := GridPForLLC(1<<20, 64, llc); p != 64 {
-		t.Fatalf("small request reshaped to %d", p)
+func TestGridPForCapsOversizedRequests(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		numVertices, req, p int
+	}{
+		// A small graph cannot use a 4096-wide grid: per-range metadata is
+		// far below the LLC target at that resolution, so the request caps
+		// — but never below the paper's default.
+		{"oversized request on a small graph", 1 << 20, 4096, DefaultGridP},
+		// A graph whose metadata demands the finer grid keeps it: 2^28
+		// vertices at 8 B/vertex is 2 GiB of metadata; even /512 ranges
+		// exceed the per-range target, so the request stands.
+		{"justified large request", 1 << 28, 512, 512},
+		// Requests at or below the default are never reshaped (fixed-P
+		// reproducibility), regardless of fit.
+		{"default-sized request", 1 << 20, 256, 256},
+		{"small request", 1 << 20, 64, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if p := GridPFor(tc.numVertices, tc.req); p != tc.p {
+				t.Fatalf("GridPFor(%d, %d) = %d, want %d", tc.numVertices, tc.req, p, tc.p)
+			}
+		})
 	}
 }

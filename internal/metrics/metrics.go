@@ -220,11 +220,6 @@ func FormatSeconds(d time.Duration) string {
 	return fmt.Sprintf("%.3fs", d.Seconds())
 }
 
-// FormatRatio renders a ratio such as a cache miss rate as a percentage.
-func FormatRatio(r float64) string {
-	return fmt.Sprintf("%.0f%%", r*100)
-}
-
 // Speedup returns a/b as a human-readable factor ("2.4x"); it guards against
 // division by zero.
 func Speedup(a, b time.Duration) string {

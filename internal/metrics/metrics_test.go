@@ -104,9 +104,6 @@ func TestFormatters(t *testing.T) {
 	if FormatSeconds(1500*time.Millisecond) != "1.500s" {
 		t.Fatalf("FormatSeconds = %q", FormatSeconds(1500*time.Millisecond))
 	}
-	if FormatRatio(0.258) != "26%" {
-		t.Fatalf("FormatRatio = %q", FormatRatio(0.258))
-	}
 	if Speedup(2*time.Second, time.Second) != "2.0x" {
 		t.Fatalf("Speedup = %q", Speedup(2*time.Second, time.Second))
 	}
