@@ -81,8 +81,9 @@ func TestConcurrentLeasedRunsBitIdentical(t *testing.T) {
 }
 
 // TestConcurrentLeasedStoreRunsShareOneStore overlaps two streamed runs on
-// the SAME open store, each on its own lease — the store keeps one streaming
-// pool per lease, so neither pass can poach the other's buffers.
+// the SAME open store, each on its own lease. Each pass borrows an idle
+// stream pool and returns it, so two passes in flight at once never share
+// buffers, and both runs must match the solo run's bits.
 func TestConcurrentLeasedStoreRunsShareOneStore(t *testing.T) {
 	g := GenerateRMAT(11, 8, 7)
 	path := filepath.Join(t.TempDir(), "shared.egs")

@@ -25,7 +25,8 @@ func main() {
 	fmt.Printf("dataset: RMAT-%d, %d vertices, %d edges\n\n", scale, g.NumVertices(), g.NumEdges())
 
 	// A small streamed store so one of the overlapping queries exercises
-	// the out-of-core path (per-lease stream pools).
+	// the out-of-core path (each pass borrows one of the store's idle
+	// stream pools).
 	dir, err := os.MkdirTemp("", "egconcurrent")
 	if err != nil {
 		log.Fatal(err)

@@ -280,7 +280,7 @@ func TestPageRankHooksAllocateNothing(t *testing.T) {
 		edges[v] = graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID((v + 1) % n), W: 1}
 	}
 	pr := NewPageRank()
-	pr.SetWorkers(2)
+	pr.BindRun(2, nil)
 	pr.Init(graph.New(edges, n, true))
 	for _, iter := range []int{0, 1, pr.Iterations - 1} {
 		if allocs := testing.AllocsPerRun(5, func() {
@@ -421,7 +421,7 @@ func TestSSSPBucketsDeferAndOpen(t *testing.T) {
 		out.Index[v+1] += out.Index[v]
 	}
 	s := NewSSSP(0)
-	s.SetWorkers(2)
+	s.BindRun(2, nil)
 	s.Init(graph.New(edges, n, true))
 	if s.bound != 16 {
 		t.Fatalf("first bound %v, want Δ = 16", s.bound)
@@ -476,7 +476,7 @@ func TestSSSPBucketsDeferAndOpen(t *testing.T) {
 
 func TestSpMVMatchesManualProduct(t *testing.T) {
 	g := tinyGraph()
-	m := NewSpMVWithVector([]float64{1, 2, 3})
+	m := &SpMV{X: []float64{1, 2, 3}}
 	m.Init(g)
 	if !m.Dense() {
 		t.Fatal("SpMV is dense")

@@ -52,16 +52,13 @@ func NewPageRank() *PageRank { return &PageRank{Iterations: 10, Damping: 0.85} }
 // Name implements Algorithm.
 func (pr *PageRank) Name() string { return "pagerank" }
 
-// SetWorkers implements the engine's WorkerBound extension: the
-// per-iteration sweeps honour the run's configured worker count so
-// worker-scaling experiments measure what they claim to.
-func (pr *PageRank) SetWorkers(p int) { pr.workers = p }
-
-// SetParallelFor implements the engine's ParallelBound extension: the hook
-// sweeps run on the executor the engine hands over — a lease's loops for
-// leased runs — instead of always escaping to the process-wide pool.
-func (pr *PageRank) SetParallelFor(pfor func(begin, end, chunk, p int, body func(worker, lo, hi int))) {
-	pr.pfor = pfor
+// BindRun implements the engine's RunBound extension: the per-iteration
+// sweeps honour the run's configured worker count, so worker-scaling
+// experiments measure what they claim to, and run on the executor the
+// engine hands over — a lease's loops for leased runs — instead of always
+// escaping to the process-wide pool (a nil pfor keeps that pool).
+func (pr *PageRank) BindRun(workers int, pfor func(begin, end, chunk, p int, body func(worker, lo, hi int))) {
+	pr.workers, pr.pfor = workers, pfor
 }
 
 // SetOutDegrees supplies the per-vertex out-degree table ahead of Init, for

@@ -22,9 +22,6 @@ type SpMV struct {
 // NewSpMV creates an SpMV with an all-ones input vector.
 func NewSpMV() *SpMV { return &SpMV{} }
 
-// NewSpMVWithVector creates an SpMV with the given input vector.
-func NewSpMVWithVector(x []float64) *SpMV { return &SpMV{X: x} }
-
 // Name implements Algorithm.
 func (m *SpMV) Name() string { return "spmv" }
 

@@ -73,12 +73,12 @@ func (s *SSSP) Root() graph.VertexID { return s.Source }
 // Dense implements Algorithm.
 func (s *SSSP) Dense() bool { return false }
 
-// SetWorkers implements the engine's WorkerBound extension: the span
-// kernels are handed worker ids below p, one least-distance slot each. It
-// must precede Init.
-func (s *SSSP) SetWorkers(p int) {
-	if len(s.least) != p {
-		s.least = make([]leastDist, p)
+// BindRun implements the engine's RunBound extension: the span kernels are
+// handed worker ids below workers, one least-distance slot each. SSSP runs
+// no loops of its own, so it ignores the executor. It must precede Init.
+func (s *SSSP) BindRun(workers int, _ func(begin, end, chunk, p int, body func(worker, lo, hi int))) {
+	if len(s.least) != workers {
+		s.least = make([]leastDist, workers)
 	}
 }
 

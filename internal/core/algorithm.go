@@ -209,16 +209,6 @@ func (a *perEdge) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
 	}
 }
 
-// WorkerBound is implemented by algorithms whose per-iteration hooks run
-// their own parallel sweeps (e.g. PageRank's contribution snapshot). The
-// engine calls SetWorkers with the run's configured worker count before
-// Init, so hook parallelism matches Config.Workers — without this, a
-// Workers=1 run would still sweep on all CPUs and corrupt worker-scaling
-// measurements.
-type WorkerBound interface {
-	SetWorkers(p int)
-}
-
 // Rooted is implemented by single-source algorithms (BFS, SSSP), whose Init
 // indexes per-vertex state with the root: Run and RunStreamed reject a root
 // outside the graph before Init, as Batch rejects its sources.
@@ -232,14 +222,15 @@ type Rooted interface {
 // so implementations never import this package).
 type ParallelFunc = func(begin, end, chunk, p int, body func(worker, lo, hi int))
 
-// ParallelBound is implemented by algorithms whose per-iteration hooks run
-// their own parallel sweeps (PageRank's vertex sweeps). The engine calls
-// SetParallelFor with the run's loop executor before Init: for a leased run
-// that is the lease's own — without it a hook sweep would escape onto the
-// process-wide pool and contend with whatever a concurrent lease is running
-// there.
-type ParallelBound interface {
-	SetParallelFor(pfor ParallelFunc)
+// RunBound is implemented by algorithms whose state or per-iteration hooks
+// depend on the run's parallelism: PageRank's vertex sweeps, SSSP's
+// per-worker slots. The engine calls BindRun before Init with the run's
+// worker count and its loop executor — for a leased run the lease's own.
+// Without them a Workers=1 run would still sweep on all CPUs and corrupt
+// worker-scaling measurements, and a leased run's sweeps would escape onto
+// the process-wide pool and contend with whatever runs there.
+type RunBound interface {
+	BindRun(workers int, pfor ParallelFunc)
 }
 
 // lockStripes is the number of striped destination locks used by SyncLocks.

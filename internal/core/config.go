@@ -157,8 +157,8 @@ type Config struct {
 	// Only Flow == Auto reads it; setting it on a static flow is rejected.
 	CostPriors map[string]float64
 	// Lease dedicates a carved-out subset of the process-wide worker pool to
-	// this run (see sched.Pool.Lease): every parallel loop of the run — and,
-	// on streamed runs, its stream-buffer pool — executes on the lease's
+	// this run (see sched.Pool.Lease): every parallel loop of the run, the
+	// compute side of streamed passes included, executes on the lease's
 	// workers only, so two leased runs proceed truly concurrently instead of
 	// serializing on the shared pool's single gang-loop slot. The lease bounds
 	// the run's parallelism (Workers is additionally honoured below it), and

@@ -55,11 +55,8 @@ func iterate(g *graph.Graph, alg Algorithm, cfg Config, workers int, pl *planner
 			return nil, fmt.Errorf("core: source %d out of range (graph has %d vertices)", s, n)
 		}
 	}
-	if wb, ok := alg.(WorkerBound); ok {
-		wb.SetWorkers(workers)
-	}
-	if pb, ok := alg.(ParallelBound); ok {
-		pb.SetParallelFor(parallelFor(cfg))
+	if rb, ok := alg.(RunBound); ok {
+		rb.BindRun(workers, parallelFor(cfg))
 	}
 	alg.Init(g)
 	frontier := alg.InitialFrontier(g)

@@ -9,6 +9,7 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/gen"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/prep"
+	"github.com/epfl-repro/everythinggraph/internal/sched"
 )
 
 // chainGraph builds 0 -> 1 -> 2 -> ... -> n-1.
@@ -337,5 +338,72 @@ func TestOutOfRangeSourceRejected(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// bindRecorder records the engine's BindRun calls before passing them on to
+// the PageRank it wraps.
+type bindRecorder struct {
+	*algorithms.PageRank
+	calls   int
+	workers int
+	pfor    ParallelFunc
+}
+
+func (b *bindRecorder) BindRun(workers int, pfor ParallelFunc) {
+	b.calls++
+	b.workers, b.pfor = workers, pfor
+	b.PageRank.BindRun(workers, pfor)
+}
+
+// TestRunBindsWorkersAndExecutorOnce: the engine binds a run's parallelism
+// through one hook, once per run. An unleased run gets its configured worker
+// count, even above the CPU count, and loops on the process-wide pool; a
+// leased run gets min(Workers, lease width) and loops on the lease.
+func TestRunBindsWorkersAndExecutorOnce(t *testing.T) {
+	g := gen.RMAT(gen.RMATOptions{Scale: 8, EdgeFactor: 8, Seed: 3})
+	prepareAll(t, g, false)
+	run := func(cfg Config) *bindRecorder {
+		t.Helper()
+		rec := &bindRecorder{PageRank: algorithms.NewPageRank()}
+		rec.Iterations = 2
+		if _, err := Run(g, rec, cfg); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if rec.calls != 1 || rec.pfor == nil {
+			t.Fatalf("BindRun called %d times (executor nil: %v), want once with an executor", rec.calls, rec.pfor == nil)
+		}
+		return rec
+	}
+	// loops reports how many gang loops one two-participant loop on pfor
+	// installs on the default pool and on the lease.
+	loops := func(pfor ParallelFunc, lease *sched.Lease) (pool, leased int64) {
+		p0, l0 := sched.DefaultCounters(), lease.Counters()
+		pfor(0, 1<<12, 16, 2, func(worker, lo, hi int) {})
+		return sched.DefaultCounters().Sub(p0).GangLoops, lease.Counters().Sub(l0).GangLoops
+	}
+
+	cfg := Config{Layout: graph.LayoutEdgeArray, Flow: Push, Sync: SyncAtomics, Workers: 8}
+	lease := sched.DefaultPool().Lease(2)
+	defer lease.Release()
+	if got := lease.Workers(); got != 2 {
+		t.Fatalf("lease Workers() = %d, want 2", got)
+	}
+
+	unleased := run(cfg)
+	if unleased.workers != 8 {
+		t.Fatalf("unleased run bound %d workers, want 8", unleased.workers)
+	}
+	if pool, leased := loops(unleased.pfor, lease); pool != 1 || leased != 0 {
+		t.Fatalf("unleased executor installed %d pool and %d lease loops, want 1 and 0", pool, leased)
+	}
+
+	cfg.Lease = lease
+	withLease := run(cfg)
+	if withLease.workers != 2 {
+		t.Fatalf("leased run bound %d workers, want 2 (the lease width)", withLease.workers)
+	}
+	if pool, leased := loops(withLease.pfor, lease); pool != 0 || leased != 1 {
+		t.Fatalf("leased executor installed %d pool and %d lease loops, want 0 and 1", pool, leased)
 	}
 }

@@ -46,11 +46,9 @@ type StreamOptions struct {
 	// without virtual levels ignore it.
 	GridLevel int
 	// Lease, when non-nil, runs the pass's compute workers on the lease
-	// instead of the process-wide pool, and keys the source's recycled
-	// stream-buffer pool by it: concurrent leased passes on one open source
-	// share the file handle and cell index but not the arenas, so they
-	// overlap instead of serializing. nil keeps the source's single shared
-	// pool (and its pass-at-a-time serialization).
+	// instead of the process-wide pool. It decides nothing else: leased or
+	// not, concurrent passes on one open source share the file handle and
+	// cell index but not the stream buffers.
 	Lease *sched.Lease
 	// Trace, when non-nil, receives fetch (read/decode) spans from the
 	// source's prefetch pipeline and stall spans from its compute workers

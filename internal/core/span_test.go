@@ -28,15 +28,9 @@ var (
 // with — while still reaching the optional hooks the engine looks for.
 type perEdgeOnly struct{ Algorithm }
 
-func (p perEdgeOnly) SetWorkers(n int) {
-	if wb, ok := p.Algorithm.(WorkerBound); ok {
-		wb.SetWorkers(n)
-	}
-}
-
-func (p perEdgeOnly) SetParallelFor(pfor ParallelFunc) {
-	if pb, ok := p.Algorithm.(ParallelBound); ok {
-		pb.SetParallelFor(pfor)
+func (p perEdgeOnly) BindRun(workers int, pfor ParallelFunc) {
+	if rb, ok := p.Algorithm.(RunBound); ok {
+		rb.BindRun(workers, pfor)
 	}
 }
 
@@ -432,8 +426,8 @@ func TestSpanIterationAllocatesNothing(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%v", a.name, plan), func(t *testing.T) {
 				alg, _ := a.make()
 				// The setup iterate does for a 2-worker run.
-				if wb, ok := alg.(WorkerBound); ok {
-					wb.SetWorkers(2)
+				if rb, ok := alg.(RunBound); ok {
+					rb.BindRun(2, nil)
 				}
 				alg.Init(g)
 				frontier := alg.InitialFrontier(g)

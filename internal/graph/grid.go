@@ -110,20 +110,6 @@ func (g *Grid) Cell(row, col int) []Edge {
 	return g.Edges[g.CellIndex[idx]:g.CellIndex[idx+1]]
 }
 
-// RangeBounds returns the half-open vertex-id interval [lo, hi) covered by
-// range r (clamped to NumVertices).
-func (g *Grid) RangeBounds(r int) (lo, hi VertexID) {
-	l := r * g.RangeSize
-	h := l + g.RangeSize
-	if h > g.NumVertices {
-		h = g.NumVertices
-	}
-	if l > g.NumVertices {
-		l = g.NumVertices
-	}
-	return VertexID(l), VertexID(h)
-}
-
 // NumEdges returns the number of edges stored in the grid.
 func (g *Grid) NumEdges() int { return len(g.Edges) }
 
@@ -165,16 +151,4 @@ func (g *Grid) Validate() error {
 		return g.validatePyramid()
 	}
 	return nil
-}
-
-// ForEachCell invokes fn for every non-empty cell in row-major order.
-func (g *Grid) ForEachCell(fn func(row, col int, edges []Edge)) {
-	for row := 0; row < g.P; row++ {
-		for col := 0; col < g.P; col++ {
-			cell := g.Cell(row, col)
-			if len(cell) > 0 {
-				fn(row, col, cell)
-			}
-		}
-	}
 }

@@ -65,18 +65,6 @@ func TestGridPaperExample(t *testing.T) {
 	}
 }
 
-func TestGridRangeBounds(t *testing.T) {
-	g := &Grid{P: 4, RangeSize: 3, NumVertices: 10}
-	lo, hi := g.RangeBounds(0)
-	if lo != 0 || hi != 3 {
-		t.Fatalf("range 0 = [%d,%d)", lo, hi)
-	}
-	lo, hi = g.RangeBounds(3)
-	if lo != 9 || hi != 10 {
-		t.Fatalf("last range = [%d,%d), want [9,10)", lo, hi)
-	}
-}
-
 func TestGridValidateCatchesMisplacedEdge(t *testing.T) {
 	g := buildGridNaive([]Edge{{Src: 0, Dst: 3}}, 4, 2)
 	// Corrupt: move the edge into the wrong cell by editing the index.
@@ -91,15 +79,18 @@ func TestGridForEachCellVisitsEveryEdgeOnce(t *testing.T) {
 		edges := randomEdges(50, 300, seed)
 		g := buildGridNaive(edges, 50, 4)
 		count := 0
-		g.ForEachCell(func(row, col int, cell []Edge) {
-			for _, e := range cell {
-				r, c := g.CellOf(e)
-				if r != row || c != col {
-					t.Fatalf("edge %v reported in wrong cell", e)
+		for row := 0; row < g.P; row++ {
+			for col := 0; col < g.P; col++ {
+				cell := g.Cell(row, col)
+				for _, e := range cell {
+					r, c := g.CellOf(e)
+					if r != row || c != col {
+						t.Fatalf("edge %v reported in wrong cell", e)
+					}
 				}
+				count += len(cell)
 			}
-			count += len(cell)
-		})
+		}
 		return count == len(edges)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {

@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -129,16 +128,6 @@ func (t *Table) AddRow(label string, values map[string]string) {
 	t.Rows = append(t.Rows, Row{Label: label, Values: values})
 }
 
-// AddDurations is a convenience for the common breakdown row.
-func (t *Table) AddDurations(label string, b Breakdown) {
-	t.AddRow(label, map[string]string{
-		"load":       FormatSeconds(b.Load),
-		"preprocess": FormatSeconds(b.Preprocess),
-		"algorithm":  FormatSeconds(b.Algorithm),
-		"total":      FormatSeconds(b.Total()),
-	})
-}
-
 // String renders the table.
 func (t *Table) String() string {
 	var sb strings.Builder
@@ -174,11 +163,6 @@ func (t *Table) String() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// SortRows orders rows by label (stable output for golden tests).
-func (t *Table) SortRows() {
-	sort.SliceStable(t.Rows, func(i, j int) bool { return t.Rows[i].Label < t.Rows[j].Label })
 }
 
 // CompressPlanTrace renders a per-iteration plan trace as runs of identical
@@ -218,13 +202,4 @@ func CompressPlanTrace(steps []string) string {
 // used by the paper's tables.
 func FormatSeconds(d time.Duration) string {
 	return fmt.Sprintf("%.3fs", d.Seconds())
-}
-
-// Speedup returns a/b as a human-readable factor ("2.4x"); it guards against
-// division by zero.
-func Speedup(a, b time.Duration) string {
-	if b == 0 {
-		return "inf"
-	}
-	return fmt.Sprintf("%.1fx", float64(a)/float64(b))
 }

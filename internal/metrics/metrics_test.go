@@ -84,31 +84,11 @@ func TestTableRendering(t *testing.T) {
 	// Missing values render as empty strings, not panics.
 	tbl.AddRow("row-three", map[string]string{"a": "x"})
 	_ = tbl.String()
-
-	tbl.SortRows()
-	if tbl.Rows[0].Label != "row-one" {
-		t.Fatalf("SortRows did not sort: first row is %q", tbl.Rows[0].Label)
-	}
-}
-
-func TestTableAddDurations(t *testing.T) {
-	tbl := NewTable("T", "preprocess", "algorithm", "total")
-	tbl.AddDurations("x", Breakdown{Preprocess: time.Second, Algorithm: 2 * time.Second})
-	out := tbl.String()
-	if !strings.Contains(out, "1.000s") || !strings.Contains(out, "2.000s") || !strings.Contains(out, "3.000s") {
-		t.Fatalf("durations missing from table: %q", out)
-	}
 }
 
 func TestFormatters(t *testing.T) {
 	if FormatSeconds(1500*time.Millisecond) != "1.500s" {
 		t.Fatalf("FormatSeconds = %q", FormatSeconds(1500*time.Millisecond))
-	}
-	if Speedup(2*time.Second, time.Second) != "2.0x" {
-		t.Fatalf("Speedup = %q", Speedup(2*time.Second, time.Second))
-	}
-	if Speedup(time.Second, 0) != "inf" {
-		t.Fatalf("Speedup by zero = %q", Speedup(time.Second, 0))
 	}
 }
 

@@ -308,15 +308,12 @@ func TestStreamCellsLevelKnobChangeReusesPool(t *testing.T) {
 		}
 	}
 	run(core.StreamOptions{Workers: 4, MemoryBudget: budget})
-	built := s.pool
-	if built == nil {
-		t.Fatal("no pool after first pass")
-	}
+	built := idlePool(t, s)
 	// The virtual level is the one option a run moves between passes:
 	// switching it must not rebuild the pool.
 	for _, lv := range s.Levels() {
 		run(core.StreamOptions{Workers: 4, MemoryBudget: budget, GridLevel: lv.P})
-		if s.pool != built {
+		if idlePool(t, s) != built {
 			t.Fatalf("switching to level P=%d rebuilt the pool", lv.P)
 		}
 	}

@@ -13,7 +13,7 @@ import (
 // This file is the streamed executor's recycled machinery. A streamed pass
 // used to allocate its segment buffers, one goroutine and one channel per
 // read — thousands of allocations per pass on a 256x256 grid. The pool
-// replaces all of it with state that lives as long as the store:
+// replaces all of it with state the store recycles from pass to pass:
 //
 //   - every column group owns a ring of prefetch slots, allocated once and
 //     sized so the whole pool never exceeds the run's budget. A raw store's
@@ -91,9 +91,9 @@ type group struct {
 	free []int
 }
 
-// streamPool is the per-store recycled streaming state. It is (re)built
-// when the pass shape it was sized for changes — a different worker count
-// or budget — and reused across every pass and run in between.
+// streamPool is one pass's recycled streaming state. A pass borrows an idle
+// pool built for its shape — worker count and budget — from the store and
+// returns it afterwards, so every pass and run of that shape reuses it.
 type streamPool struct {
 	store   *Store
 	workers int   // stream worker count at the stored resolution
@@ -160,17 +160,35 @@ func (s *Store) poolParams(opt core.StreamOptions) (workers int, budget int64) {
 	return core.StreamExecWorkers(s.header.P, workers, budget), budget
 }
 
-// ensurePoolLocked returns the store's pool, (re)building it when the pass
-// shape changed. Steady-state passes hit the comparison and reuse. Caller
-// holds poolMu.
-func (s *Store) ensurePoolLocked(opt core.StreamOptions) *streamPool {
+// borrowPool takes an idle pool built for the pass's shape off the store's
+// idle list, or builds one when none is. Steady-state passes reuse; a pass
+// that builds retires the idle pools of other shapes, which is how a run
+// that changes its worker count or budget frees the buffers of the old one.
+func (s *Store) borrowPool(opt core.StreamOptions) *streamPool {
 	workers, budget := s.poolParams(opt)
-	if p := s.pool; p != nil && p.workers == workers && p.cap == budget {
-		return p
+	s.poolMu.Lock()
+	defer s.poolMu.Unlock()
+	for i, p := range s.idle {
+		if p.workers == workers && p.cap == budget {
+			last := len(s.idle) - 1
+			s.idle[i], s.idle[last] = s.idle[last], nil
+			s.idle = s.idle[:last]
+			return p
+		}
 	}
-	s.stopPoolLocked()
-	s.pool = s.buildPool(workers, budget)
-	return s.pool
+	for _, p := range s.idle {
+		p.stop()
+	}
+	clear(s.idle)
+	s.idle = s.idle[:0]
+	return s.buildPool(workers, budget)
+}
+
+// returnPool puts a pool whose pass has finished back on the idle list.
+func (s *Store) returnPool(p *streamPool) {
+	s.poolMu.Lock()
+	s.idle = append(s.idle, p)
+	s.poolMu.Unlock()
 }
 
 // buildPool allocates the arenas and starts the fetchers. Each group's
@@ -262,16 +280,6 @@ func (p *streamPool) stop() {
 	for i := range p.groups {
 		close(p.groups[i].req)
 	}
-}
-
-// stopPoolLocked retires the shared pool's fetchers. Caller holds poolMu,
-// so no shared-pool pass is in flight.
-func (s *Store) stopPoolLocked() {
-	if s.pool == nil {
-		return
-	}
-	s.pool.stop()
-	s.pool = nil
 }
 
 // beginPass resolves the pass options against the allocated arenas: the

@@ -20,6 +20,18 @@ import (
 // the per-level column partitions, the budget bound on compressed passes,
 // and fetcher recovery after an aborted pass.
 
+// idlePool returns the store's one idle stream pool: after a solo pass, the
+// pool that ran it.
+func idlePool(t *testing.T, s *Store) *streamPool {
+	t.Helper()
+	s.poolMu.Lock()
+	defer s.poolMu.Unlock()
+	if len(s.idle) != 1 {
+		t.Fatalf("store holds %d idle pools, want 1", len(s.idle))
+	}
+	return s.idle[0]
+}
+
 func countingVisit(total *int64) func(int, []graph.Edge) {
 	return func(_ int, edges []graph.Edge) { atomic.AddInt64(total, int64(len(edges))) }
 }
@@ -133,21 +145,18 @@ func TestStreamCellsKnobChangesReusePool(t *testing.T) {
 	// First pass builds the pool; every later pass varies the prefetch depth
 	// and must reuse the same pool — same buffers, same fetchers.
 	run(core.StreamOptions{Workers: 4, MemoryBudget: budget})
-	built := s.pool
-	if built == nil {
-		t.Fatal("no pool after first pass")
-	}
+	built := idlePool(t, s)
 	for _, depth := range []int{4, 8, 2} {
 		opt := core.StreamOptions{Workers: 4, MemoryBudget: budget, PrefetchDepth: depth}
 		run(opt)
-		if s.pool != built {
+		if idlePool(t, s) != built {
 			t.Fatalf("depth change %+v rebuilt the pool", opt)
 		}
 	}
 
 	// A different worker count is a different pass shape: rebuild expected.
 	run(core.StreamOptions{Workers: 2, MemoryBudget: budget})
-	if s.pool == built {
+	if idlePool(t, s) == built {
 		t.Fatal("worker-count change did not rebuild the pool")
 	}
 }
@@ -169,17 +178,17 @@ func TestStreamCellsBudgetChangeRebuildsPool(t *testing.T) {
 		}
 	}
 	pass(1 << 20)
-	built := s.pool
+	built := idlePool(t, s)
 	pass(1 << 20)
-	if s.pool != built {
+	if idlePool(t, s) != built {
 		t.Fatal("an unchanged budget rebuilt the pool")
 	}
 	pass(512 << 10)
-	if s.pool == built {
+	if idlePool(t, s) == built {
 		t.Fatal("a budget change did not rebuild the pool")
 	}
-	if s.pool.cap != 512<<10 {
-		t.Fatalf("rebuilt pool sized for %d bytes, want %d", s.pool.cap, 512<<10)
+	if got := idlePool(t, s).cap; got != 512<<10 {
+		t.Fatalf("rebuilt pool sized for %d bytes, want %d", got, 512<<10)
 	}
 }
 
@@ -199,8 +208,8 @@ func TestStreamCellsClampsPassDepthToPool(t *testing.T) {
 		if err := s.StreamCells(opt, countingVisit(&total)); err != nil {
 			t.Fatalf("depth %d: StreamCells: %v", c.asked, err)
 		}
-		if s.pool.depth != c.want {
-			t.Fatalf("depth %d ran at %d, want %d", c.asked, s.pool.depth, c.want)
+		if got := idlePool(t, s).depth; got != c.want {
+			t.Fatalf("depth %d ran at %d, want %d", c.asked, got, c.want)
 		}
 		if total != int64(g.NumEdges()) {
 			t.Fatalf("depth %d: delivered %d edges, want %d", c.asked, total, g.NumEdges())
@@ -227,7 +236,7 @@ func TestPoolLevelsPartitionAtStreamExecWorkers(t *testing.T) {
 		if total != int64(g.NumEdges()) {
 			t.Fatalf("level P=%d: delivered %d edges, want %d", lv.P, total, g.NumEdges())
 		}
-		p := s.pool
+		p := idlePool(t, s)
 		if len(p.levels) != len(s.Levels()) {
 			t.Fatalf("pool holds %d partitions for %d levels", len(p.levels), len(s.Levels()))
 		}
@@ -328,6 +337,34 @@ func TestStreamCellsRecoversAfterReadError(t *testing.T) {
 	}
 	if passes := s.Stats().Passes; passes != 2 {
 		t.Fatalf("completed passes = %d, want 2 (the aborted pass must not count)", passes)
+	}
+}
+
+// TestStreamCellsFailedPassReturnsItsPool: a pass that fails still hands its
+// pool back to the store, and the next pass of the same shape reuses it.
+func TestStreamCellsFailedPassReturnsItsPool(t *testing.T) {
+	g := testGraph(t, 10, false)
+	img := storeImage(t, g, 8, false)
+	backend := &flakyBackend{data: img}
+	s, err := NewStore(backend, int64(len(img)))
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	defer s.Close()
+
+	opt := coreStreamOpts(4, 64<<10)
+	var total int64
+	backend.fail.Store(true)
+	if err := s.StreamCells(opt, countingVisit(&total)); !errors.Is(err, errFlaky) {
+		t.Fatalf("failing pass returned %v, want the injected error", err)
+	}
+	built := idlePool(t, s)
+	backend.fail.Store(false)
+	if err := s.StreamCells(opt, countingVisit(&total)); err != nil {
+		t.Fatalf("healthy pass: %v", err)
+	}
+	if idlePool(t, s) != built {
+		t.Fatal("the pass after a failed one built a new pool instead of reusing the returned one")
 	}
 }
 
@@ -432,11 +469,12 @@ func TestCompressedPoolDepthCapFitsLargestCells(t *testing.T) {
 	if err := v2.StreamCells(opt, countingVisit(&total)); err != nil {
 		t.Fatalf("v2 pass: %v", err)
 	}
-	if v2.pool.workers != workers {
-		t.Fatalf("v2 pool built for %d workers, want %d", v2.pool.workers, workers)
+	p2 := idlePool(t, v2)
+	if p2.workers != workers {
+		t.Fatalf("v2 pool built for %d workers, want %d", p2.workers, workers)
 	}
-	if v2.pool.depthCap != 3 || v2.pool.depth != 3 {
-		t.Fatalf("v2 pool cap %d, pass depth %d; want 3 largest-cell slots per worker", v2.pool.depthCap, v2.pool.depth)
+	if p2.depthCap != 3 || p2.depth != 3 {
+		t.Fatalf("v2 pool cap %d, pass depth %d; want 3 largest-cell slots per worker", p2.depthCap, p2.depth)
 	}
 	if total != int64(g.NumEdges()) {
 		t.Fatalf("v2 pass delivered %d edges, want %d", total, g.NumEdges())
@@ -446,7 +484,7 @@ func TestCompressedPoolDepthCapFitsLargestCells(t *testing.T) {
 	if err := v1.StreamCells(opt, countingVisit(new(int64))); err != nil {
 		t.Fatalf("v1 pass: %v", err)
 	}
-	if got, want := v1.pool.depthCap, core.StreamDepthCap(workers, budget); got != want {
+	if got, want := idlePool(t, v1).depthCap, core.StreamDepthCap(workers, budget); got != want {
 		t.Fatalf("v1 pool depth cap %d, want core.StreamDepthCap's %d", got, want)
 	}
 }
@@ -465,13 +503,14 @@ func TestCompressedPoolKeepsMinDepthWhenCellsOverrun(t *testing.T) {
 	if err := s.StreamCells(core.StreamOptions{Workers: workers, MemoryBudget: budget, PrefetchDepth: 8}, countingVisit(&total)); err != nil {
 		t.Fatalf("StreamCells: %v", err)
 	}
-	if s.pool.depthCap != core.MinPrefetchDepth || s.pool.depth != core.MinPrefetchDepth {
-		t.Fatalf("pool cap %d, pass depth %d; want %d", s.pool.depthCap, s.pool.depth, core.MinPrefetchDepth)
+	pool := idlePool(t, s)
+	if pool.depthCap != core.MinPrefetchDepth || pool.depth != core.MinPrefetchDepth {
+		t.Fatalf("pool cap %d, pass depth %d; want %d", pool.depthCap, pool.depth, core.MinPrefetchDepth)
 	}
 	if total != int64(g.NumEdges()) {
 		t.Fatalf("delivered %d edges, want %d", total, g.NumEdges())
 	}
-	floor := int64(s.pool.workers*core.MinPrefetchDepth*s.maxCellEdges) * resident
+	floor := int64(pool.workers*core.MinPrefetchDepth*s.maxCellEdges) * resident
 	if peak := s.Stats().PeakResidentBytes; peak > floor {
 		t.Fatalf("peak resident %d exceeds the %d-byte largest-cell floor", peak, floor)
 	}

@@ -101,34 +101,23 @@ func (a *streamAbort) take() error {
 
 // StreamCells implements core.Source: one full pass over every cell, with
 // column ownership, row-ascending order within each column, and per-worker
-// prefetch through the store's recycled slot rings. The compute fan-out
-// runs on the persistent sched pool; the reads run on the pool's persistent
-// per-group fetchers (the sched workers are busy computing, which is the
-// point). Passes without a lease share one pool and serialize: its buffers
-// are the store's streaming state. Passes WITH a lease run on that lease's
-// own pool (arenas, slot rings, fetchers) and its workers, so concurrent
-// leased runs on one open store overlap — they share the file handle, the
-// cell index and the stats counters, but no scratch.
+// prefetch through recycled slot rings. The pass borrows an idle stream
+// pool of its shape (arenas, slot rings, persistent per-group fetchers) and
+// returns it afterwards, so concurrent passes on one open store each run on
+// a pool of their own: they share the file handle, the cell index and the
+// stats counters, but no scratch. The compute fan-out runs on the run's
+// lease when it holds one and on the process-wide sched pool otherwise; the
+// reads run on the pool's fetchers (the sched workers are busy computing,
+// which is the point).
 func (s *Store) StreamCells(opt core.StreamOptions, visit func(worker int, edges []graph.Edge)) error {
-	if opt.Lease != nil {
-		lp := s.leasePoolFor(opt.Lease)
-		lp.mu.Lock()
-		defer lp.mu.Unlock()
-		p := lp.ensure(s, opt)
-		return s.runPass(p, opt, visit, opt.Lease.ParallelForWorker)
-	}
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	p := s.ensurePoolLocked(opt)
-	return s.runPass(p, opt, visit, sched.ParallelForWorker)
-}
-
-// runPass executes one prepared pass on the given pool with the given loop
-// executor.
-func (s *Store) runPass(p *streamPool, opt core.StreamOptions, visit func(worker int, edges []graph.Edge),
-	pfor func(begin, end, chunk, workers int, body func(worker, lo, hi int))) error {
+	p := s.borrowPool(opt)
+	defer s.returnPool(p)
 	p.beginPass(opt, visit)
-	pfor(0, p.passWorkers, 1, p.passWorkers, p.body)
+	if opt.Lease != nil {
+		opt.Lease.ParallelForWorker(0, p.passWorkers, 1, p.passWorkers, p.body)
+	} else {
+		sched.ParallelForWorker(0, p.passWorkers, 1, p.passWorkers, p.body)
+	}
 	p.visit = nil
 	if err := p.abort.take(); err != nil {
 		return err
@@ -137,43 +126,4 @@ func (s *Store) runPass(p *streamPool, opt core.StreamOptions, visit func(worker
 	// cell and must not skew per-pass I/O averages.
 	s.stats.passes.Add(1)
 	return nil
-}
-
-// leasePool is one lease's streaming state on a store: its own streamPool
-// plus the mutex serializing that lease's passes (a lease runs one pass at
-// a time — it is one run's executor — while different leases overlap).
-type leasePool struct {
-	mu   sync.Mutex
-	pool *streamPool
-}
-
-// leasePoolFor returns (creating if needed) the lease's pool entry. Entries
-// live until Close retires them: a run issues one pass per iteration, and
-// rebuilding arenas per pass would defeat the recycling the pool exists for.
-func (s *Store) leasePoolFor(l *sched.Lease) *leasePool {
-	s.poolMu.Lock()
-	defer s.poolMu.Unlock()
-	if s.leasePools == nil {
-		s.leasePools = make(map[*sched.Lease]*leasePool, 2)
-	}
-	lp := s.leasePools[l]
-	if lp == nil {
-		lp = &leasePool{}
-		s.leasePools[l] = lp
-	}
-	return lp
-}
-
-// ensure returns the lease's pool, (re)building it when the pass shape
-// changed — the per-lease mirror of ensurePoolLocked. Caller holds lp.mu.
-func (lp *leasePool) ensure(s *Store, opt core.StreamOptions) *streamPool {
-	workers, budget := s.poolParams(opt)
-	if p := lp.pool; p != nil && p.workers == workers && p.cap == budget {
-		return p
-	}
-	if lp.pool != nil {
-		lp.pool.stop()
-	}
-	lp.pool = s.buildPool(workers, budget)
-	return lp.pool
 }

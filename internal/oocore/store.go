@@ -13,7 +13,6 @@ import (
 
 	"github.com/epfl-repro/everythinggraph/internal/core"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
-	"github.com/epfl-repro/everythinggraph/internal/sched"
 	"github.com/epfl-repro/everythinggraph/internal/storage"
 )
 
@@ -51,15 +50,12 @@ type Store struct {
 	weightOff    int64
 	maxCellEdges int
 
-	// pool is the recycled streaming machinery (slot rings, persistent
-	// fetchers); poolMu serializes shared-pool passes and guards every pool
-	// (re)build. Leased passes do not run under poolMu: each lease owns a
-	// leasePool entry with its own arenas and per-lease pass serialization,
-	// which is what lets two leased runs stream one store concurrently.
-	// See pool.go.
-	poolMu     sync.Mutex
-	pool       *streamPool
-	leasePools map[*sched.Lease]*leasePool
+	// idle holds the recycled streaming machinery (slot rings, persistent
+	// fetchers) no pass is using: a pass borrows a pool of its shape and
+	// returns it, so the store holds as many pools as passes have ever run
+	// at once. poolMu guards idle. See pool.go.
+	poolMu sync.Mutex
+	idle   []*streamPool
 
 	stats sourceStats
 }
@@ -202,19 +198,16 @@ func readFullAt(r io.ReaderAt, buf []byte, off int64) (int, error) {
 	return n, err
 }
 
-// Close retires the store's streaming pools — the shared one and every
-// lease-keyed one (their persistent fetcher goroutines park until then) —
-// and releases the backing file (no-op for memory backends). The caller
-// must not close a store with passes still in flight.
+// Close retires the store's idle streaming pools (their persistent fetcher
+// goroutines park until then) and releases the backing file (no-op for
+// memory backends). The caller must not close a store with passes still in
+// flight.
 func (s *Store) Close() error {
 	s.poolMu.Lock()
-	s.stopPoolLocked()
-	for l, lp := range s.leasePools {
-		if lp.pool != nil {
-			lp.pool.stop()
-		}
-		delete(s.leasePools, l)
+	for _, p := range s.idle {
+		p.stop()
 	}
+	s.idle = nil
 	s.poolMu.Unlock()
 	if s.closer != nil {
 		return s.closer.Close()

@@ -35,10 +35,9 @@ func TestPoolCountersGangLoops(t *testing.T) {
 
 func TestPoolCountersParkUnparkBalance(t *testing.T) {
 	p := NewPool(2)
-	done := make(chan struct{})
-	p.Submit(func(worker int) { close(done) })
-	<-done
-	p.Wait()
+	if !p.tryLoop(0, 64, 1, 3, nil, func(lo, hi int) {}) {
+		t.Fatal("tryLoop refused on an idle pool")
+	}
 
 	// Give workers a moment to drain and park again, then close: every park
 	// episode must be ended by an unpark (Close wakes everyone).

@@ -88,6 +88,49 @@ func poll(done func() bool) {
 	}
 }
 
+// parallelFor is the one entry of every parallel loop, the default pool's
+// and a lease's: bodyW or body — exactly one is non-nil — over chunks of
+// [begin, end) on at most limit participants, the caller included. A
+// one-participant loop or a range of one chunk runs inline on the caller;
+// a loop the gang cannot take runs on goroutines spawned for it.
+func (g *gang) parallelFor(begin, end, chunk, limit int, bodyW func(worker, lo, hi int), body func(lo, hi int)) {
+	n := end - begin
+	if n <= 0 {
+		return
+	}
+	chunk = normChunk(chunk)
+	if limit == 1 || n <= chunk {
+		if bodyW != nil {
+			bodyW(0, begin, end)
+		} else {
+			body(begin, end)
+		}
+		return
+	}
+	if !g.tryLoop(begin, end, chunk, limit, bodyW, body) {
+		spawnFor(begin, end, chunk, limit, bodyW, body)
+	}
+}
+
+// spawnFor is the fallback for a loop its gang cannot take (a nested or a
+// concurrent one): the same chunk distribution over a fresh descriptor, run
+// by the caller and up to limit-1 goroutines spawned for the loop.
+func spawnFor(begin, end, chunk, limit int, bodyW func(worker, lo, hi int), body func(lo, hi int)) {
+	d := &loopDesc{bodyW: bodyW, body: body, begin: begin, end: end, chunk: chunk}
+	d.numChunks = int64((end - begin + chunk - 1) / chunk)
+	limit = min(limit, int(d.numChunks))
+	var wg sync.WaitGroup
+	wg.Add(limit - 1)
+	for w := 1; w < limit; w++ {
+		go func() {
+			defer wg.Done()
+			d.run(w)
+		}()
+	}
+	d.run(0)
+	wg.Wait()
+}
+
 // tryLoop runs one chunked parallel loop on the gang's workers, with the
 // calling goroutine participating as worker 0. It returns false — without
 // running anything — if the gang cannot take the loop right now (another
@@ -99,8 +142,8 @@ func poll(done func() bool) {
 // Workers that are polling or parked when the loop is installed join it;
 // workers that arrive after it has completed never touch it. Completion
 // requires only that every chunk has been claimed and every joined
-// participant has finished, so a loop never waits for a worker that is busy
-// with an unrelated task.
+// participant has finished, so a loop never waits for a worker that has not
+// arrived.
 func (g *gang) tryLoop(begin, end, chunk, limit int, bodyW func(worker, lo, hi int), body func(lo, hi int)) bool {
 	p := g.pool
 	numChunks := int64((end - begin + chunk - 1) / chunk)
@@ -108,7 +151,7 @@ func (g *gang) tryLoop(begin, end, chunk, limit int, bodyW func(worker, lo, hi i
 		limit = int(numChunks)
 	}
 	p.mu.Lock()
-	if g.loop != nil || g.released || p.closed || p.stopped {
+	if g.loop != nil || g.released || p.closed {
 		p.mu.Unlock()
 		return false
 	}
@@ -126,9 +169,6 @@ func (g *gang) tryLoop(begin, end, chunk, limit int, bodyW func(worker, lo, hi i
 	// pool would stampede every parked worker through the mutex just to find
 	// joined >= limit. A poller whose budget runs out now re-checks for a
 	// pending loop under the mutex before it parks, so counting it is safe.
-	// A Signal consumed by a non-worker waiter (Pool.Wait during a Submit
-	// workload) merely costs the loop one participant — completion never
-	// depends on any particular worker.
 	for n := limit - 1 - int(g.polling.Load()); n > 0; n-- {
 		g.cond.Signal()
 	}
@@ -161,7 +201,7 @@ func (g *gang) unseenLoop(last uint64) bool {
 // worker last looked (*last), it joins it when there is room, runs its share
 // of the chunks, and then polls for the next loop before the caller lets it
 // park. It reports whether anything new was seen — the worker then goes
-// round its scheduling loop again instead of parking.
+// round its loop (Pool.run) again instead of parking.
 func (g *gang) serve(last *uint64) bool {
 	if g.loopSeq.Load() == *last {
 		return false

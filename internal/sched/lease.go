@@ -33,7 +33,7 @@ func (p *Pool) Lease(n int) *Lease {
 		return l
 	}
 	p.mu.Lock()
-	if p.closed || p.stopped {
+	if p.closed {
 		p.mu.Unlock()
 		return l
 	}
@@ -83,7 +83,7 @@ func (l *Lease) Release() {
 		}
 	}
 	// Leased workers park on the lease's cond; wake them so they re-read
-	// their assignment and rejoin the global scheduling loop.
+	// their assignment and move to the pool's gang.
 	l.cond.Broadcast()
 	p.mu.Unlock()
 }
@@ -106,64 +106,20 @@ func (l *Lease) Counters() PoolCounters {
 // [begin, end), worker dense in [0, participants). p bounds the participants
 // below the lease's width (p <= 0 uses the full lease).
 func (l *Lease) ParallelForWorker(begin, end, chunk, p int, body func(worker, lo, hi int)) {
-	n := end - begin
-	if n <= 0 {
-		return
-	}
-	chunk = normChunk(chunk)
-	limit := len(l.workers) + 1
-	if p > 0 && p < limit {
-		limit = p
-	}
-	if limit == 1 || n <= chunk {
-		body(0, begin, end)
-		return
-	}
-	if l.tryLoop(begin, end, chunk, limit, body, nil) {
-		return
-	}
-	spawnForWorker(begin, end, chunk, limit, body)
+	l.parallelFor(begin, end, chunk, l.width(p), body, nil)
 }
 
 // ParallelForChunked is sched.ParallelForChunked on the lease's workers.
 func (l *Lease) ParallelForChunked(begin, end, chunk, p int, body func(lo, hi int)) {
-	n := end - begin
-	if n <= 0 {
-		return
-	}
-	chunk = normChunk(chunk)
-	limit := len(l.workers) + 1
-	if p > 0 && p < limit {
-		limit = p
-	}
-	if limit == 1 || n <= chunk {
-		body(begin, end)
-		return
-	}
-	if l.tryLoop(begin, end, chunk, limit, nil, body) {
-		return
-	}
-	spawnForChunked(begin, end, chunk, limit, body)
+	l.parallelFor(begin, end, chunk, l.width(p), nil, body)
 }
 
-// parkLeased parks a leased worker that found no new loop on its lease: on
-// the lease's condition variable, until a loop arrives, the lease is
-// released, or the pool stops. It returns true when the worker should exit
-// (pool stopped).
-func (p *Pool) parkLeased(worker int, l *Lease, lastSeq uint64) bool {
-	p.mu.Lock()
-	parked := false
-	for p.wleases[worker].Load() == l && !p.stopped && !l.unseenLoop(lastSeq) {
-		if !parked {
-			parked = true
-			p.cParks.Add(1)
-		}
-		l.cond.Wait()
+// width is the participant count of a loop asking for p: the lease's
+// granted workers plus the caller, or fewer when 0 < p is smaller.
+func (l *Lease) width(p int) int {
+	w := len(l.workers) + 1
+	if p > 0 && p < w {
+		return p
 	}
-	if parked {
-		p.cUnparks.Add(1)
-	}
-	stopped := p.stopped
-	p.mu.Unlock()
-	return stopped
+	return w
 }

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // The tests in this file exercise pool leases: carving workers out of a
@@ -223,4 +224,99 @@ func TestLeaseOnClosedPoolIsSerial(t *testing.T) {
 		t.Fatalf("covered %d elements, want 1000", total)
 	}
 	l.Release()
+}
+
+// TestLeaseEmptyRangeRunsNothing: a lease's loops enter through the same
+// code as the default pool's, so an empty or inverted range runs no body and
+// a range of one chunk runs inline on the caller as worker 0, installing no
+// gang loop.
+func TestLeaseEmptyRangeRunsNothing(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	l := p.Lease(3)
+	defer l.Release()
+
+	ran := false
+	l.ParallelForWorker(5, 5, 1, 0, func(int, int, int) { ran = true })
+	l.ParallelForChunked(9, 3, 1, 0, func(int, int) { ran = true })
+	if ran {
+		t.Fatal("an empty range executed the body")
+	}
+	before := l.Counters()
+	calls := 0
+	l.ParallelForWorker(0, 10, 64, 0, func(worker, lo, hi int) {
+		calls++
+		if worker != 0 || lo != 0 || hi != 10 {
+			t.Errorf("one-chunk loop ran body(%d, %d, %d), want body(0, 0, 10)", worker, lo, hi)
+		}
+	})
+	if calls != 1 {
+		t.Fatalf("one-chunk loop ran the body %d times, want 1", calls)
+	}
+	if d := l.Counters().Sub(before); d.GangLoops != 0 {
+		t.Fatalf("one-chunk loop installed %d gang loops, want 0", d.GangLoops)
+	}
+}
+
+// TestLeaseLoopWidthIsBoundedByLease: a leased loop runs on at most
+// min(p, lease width) participants, p <= 0 asking for the whole lease, so
+// its worker ids stay below that bound however large p is.
+func TestLeaseLoopWidthIsBoundedByLease(t *testing.T) {
+	p := NewPool(4)
+	defer p.Close()
+	l := p.Lease(3)
+	defer l.Release()
+	if got := l.Workers(); got != 3 {
+		t.Fatalf("Workers() = %d, want 3", got)
+	}
+	for _, c := range []struct{ p, bound int }{{0, 3}, {8, 3}, {3, 3}, {2, 2}, {1, 1}} {
+		var total atomic.Int64
+		l.ParallelForWorker(0, 1<<14, 16, c.p, func(worker, lo, hi int) {
+			if worker < 0 || worker >= c.bound {
+				t.Errorf("p=%d: worker id %d outside [0, %d)", c.p, worker, c.bound)
+			}
+			total.Add(int64(hi - lo))
+		})
+		if got := total.Load(); got != 1<<14 {
+			t.Fatalf("p=%d: covered %d elements, want %d", c.p, got, 1<<14)
+		}
+	}
+}
+
+// TestReleasedWorkersServeThePoolAgain: a worker serves exactly one gang.
+// While a lease holds every worker, the pool's own loops get no joins; once
+// the lease is released, its workers join the pool's loops again.
+func TestReleasedWorkersServeThePoolAgain(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	l := p.Lease(3)
+	if got := l.Workers(); got != 3 {
+		t.Fatalf("Workers() = %d, want 3 (the whole pool + caller)", got)
+	}
+	before := p.Counters()
+	for i := 0; i < 20; i++ {
+		p.parallelFor(0, 1<<12, 16, 3, nil, func(lo, hi int) {})
+	}
+	if d := p.Counters().Sub(before); d.GangJoins != 0 {
+		t.Fatalf("pool loops got %d joins while a lease held every worker, want 0", d.GangJoins)
+	}
+	l.Release()
+
+	// Three one-element chunks, each held until three participants are in
+	// the loop: the caller alone would wait out the deadline at every chunk
+	// and leave worker ids 1 and 2 unseen.
+	var arrived atomic.Int32
+	var seen [3]atomic.Bool
+	p.parallelFor(0, 3, 1, 3, func(worker, lo, hi int) {
+		seen[worker].Store(true)
+		arrived.Add(1)
+		for deadline := time.Now().Add(10 * time.Second); arrived.Load() < 3 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}, nil)
+	for w := range seen {
+		if !seen[w].Load() {
+			t.Fatalf("worker id %d never ran a chunk: the released workers did not rejoin the pool's gang", w)
+		}
+	}
 }

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -102,24 +101,6 @@ func TestParallelReduceMatchesSequentialProperty(t *testing.T) {
 	}
 }
 
-func TestDoRunsAllFunctions(t *testing.T) {
-	var a, b, c int32
-	Do(
-		func() { atomic.StoreInt32(&a, 1) },
-		func() { atomic.StoreInt32(&b, 1) },
-		func() { atomic.StoreInt32(&c, 1) },
-	)
-	if a != 1 || b != 1 || c != 1 {
-		t.Fatal("not every function ran")
-	}
-	Do() // must not panic
-	ran := false
-	Do(func() { ran = true })
-	if !ran {
-		t.Fatal("single function did not run")
-	}
-}
-
 func TestMaxWorkersPositive(t *testing.T) {
 	if MaxWorkers() < 1 {
 		t.Fatal("MaxWorkers must be at least 1")
@@ -132,99 +113,33 @@ func TestMaxWorkersPositive(t *testing.T) {
 	}
 }
 
-func TestPoolExecutesAllTasks(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	const n = 1000
-	var count int64
-	for i := 0; i < n; i++ {
-		p.Submit(func(worker int) {
-			if worker < 0 || worker >= p.Workers() {
-				t.Errorf("bad worker index %d", worker)
-			}
-			atomic.AddInt64(&count, 1)
-		})
-	}
-	p.Wait()
-	if count != n {
-		t.Fatalf("executed %d tasks, want %d", count, n)
-	}
-}
-
-func TestPoolNestedSubmission(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var count int64
-	var wg sync.WaitGroup
-	wg.Add(10)
-	for i := 0; i < 10; i++ {
-		p.Submit(func(worker int) {
-			// Tasks spawn children, mimicking recursive work.
-			for j := 0; j < 10; j++ {
-				p.Submit(func(int) { atomic.AddInt64(&count, 1) })
-			}
-			wg.Done()
-		})
-	}
-	wg.Wait()
-	p.Wait()
-	if count != 100 {
-		t.Fatalf("executed %d child tasks, want 100", count)
-	}
-}
-
-func TestPoolSubmitTo(t *testing.T) {
+func TestPoolCloseIsIdempotent(t *testing.T) {
 	p := NewPool(2)
-	defer p.Close()
-	var hits [2]int64
-	for i := 0; i < 100; i++ {
-		worker := i % 2
-		p.SubmitTo(worker, func(w int) {
-			atomic.AddInt64(&hits[w], 1)
-		})
-	}
-	p.Wait()
-	if hits[0]+hits[1] != 100 {
-		t.Fatalf("executed %d tasks, want 100", hits[0]+hits[1])
-	}
-}
-
-func TestPoolCloseIsIdempotentAndRejectsSubmit(t *testing.T) {
-	p := NewPool(2)
-	p.Submit(func(int) {})
 	p.Close()
 	p.Close() // second close must not hang or panic
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Submit after Close must panic")
-		}
-	}()
-	p.Submit(func(int) {})
 }
 
-func TestDequeLIFOOwnerFIFOThief(t *testing.T) {
-	d := newDeque()
-	order := []int{}
-	for i := 0; i < 3; i++ {
-		i := i
-		d.push(func(int) { order = append(order, i) })
+// TestClosedPoolLoopsStillRun: a closed pool's gang takes no loops, so a
+// loop issued on it runs on goroutines spawned for it — every chunk exactly
+// once, on worker ids below the loop's width — and installs no gang loop.
+func TestClosedPoolLoopsStillRun(t *testing.T) {
+	p := NewPool(2)
+	p.Close()
+	before := p.Counters()
+	const n, chunk, width = 1 << 12, 16, 3
+	var hits [n / chunk]atomic.Int32
+	p.parallelFor(0, n, chunk, width, func(worker, lo, hi int) {
+		if worker < 0 || worker >= width {
+			t.Errorf("worker id %d outside [0, %d)", worker, width)
+		}
+		hits[lo/chunk].Add(1)
+	}, nil)
+	for c := range hits {
+		if h := hits[c].Load(); h != 1 {
+			t.Fatalf("chunk %d executed %d times, want 1", c, h)
+		}
 	}
-	if d.len() != 3 {
-		t.Fatalf("len = %d", d.len())
-	}
-	// Thief takes the oldest.
-	if task, ok := d.steal(); !ok {
-		t.Fatal("steal failed")
-	} else {
-		task(0)
-	}
-	// Owner pops the newest.
-	if task, ok := d.pop(); !ok {
-		t.Fatal("pop failed")
-	} else {
-		task(0)
-	}
-	if len(order) != 2 || order[0] != 0 || order[1] != 2 {
-		t.Fatalf("execution order = %v, want [0 2]", order)
+	if d := p.Counters().Sub(before); d.GangLoops != 0 {
+		t.Fatalf("closed pool installed %d gang loops, want 0", d.GangLoops)
 	}
 }
