@@ -80,10 +80,10 @@ func (m *SpMV) PullEdge(v, u graph.VertexID, w graph.Weight) (bool, bool) {
 // PullRows computes each owned row's dot product in a register.
 func (m *SpMV) PullRows(_ *graph.Span, _ int, in *graph.Adjacency, lo, hi int) {
 	y, x := m.y, m.X
-	idx, tgt, wts := in.Index, in.Targets, in.Weights
+	idx, tgt := in.Index, in.Targets
 	for v := lo; v < hi; v++ {
 		row := tgt[idx[v]:idx[v+1]]
-		ws := wts[idx[v]:idx[v+1]][:len(row)]
+		ws := in.RowWeights(idx[v], idx[v+1])[:len(row)]
 		sum := math.Float64frombits(y[v])
 		for j, u := range row {
 			sum += float64(ws[j]) * x[u]
@@ -95,10 +95,10 @@ func (m *SpMV) PullRows(_ *graph.Span, _ int, in *graph.Adjacency, lo, hi int) {
 // PushRows scatters each active column's products atomically.
 func (m *SpMV) PushRows(_ *graph.Span, _ int, out *graph.Adjacency, active []graph.VertexID) {
 	y, x := m.y, m.X
-	idx, tgt, wts := out.Index, out.Targets, out.Weights
+	idx, tgt := out.Index, out.Targets
 	for _, u := range active {
 		row := tgt[idx[u]:idx[u+1]]
-		ws := wts[idx[u]:idx[u+1]][:len(row)]
+		ws := out.RowWeights(idx[u], idx[u+1])[:len(row)]
 		xu := x[u]
 		for j, v := range row {
 			atomicAddFloat64(&y[v], float64(ws[j])*xu)

@@ -172,12 +172,12 @@ func (s *SSSP) PullEdge(v, u graph.VertexID, w graph.Weight) (bool, bool) {
 // improved destinations of each 64-vertex word are marked with one SetWord.
 func (s *SSSP) PullRows(sp *graph.Span, worker int, in *graph.Adjacency, lo, hi int) {
 	dist := s.dist
-	idx, tgt, wts := in.Index, in.Targets, in.Weights
+	idx, tgt := in.Index, in.Targets
 	for base := lo; base < hi; base += 64 {
 		var next uint64
 		for v := base; v < min(base+64, hi); v++ {
 			row := tgt[idx[v]:idx[v+1]]
-			ws := wts[idx[v]:idx[v+1]][:len(row)]
+			ws := in.RowWeights(idx[v], idx[v+1])[:len(row)]
 			cur := loadFloat32(&dist[v])
 			changed := false
 			for j, u := range row {
@@ -208,7 +208,7 @@ func (s *SSSP) PullRows(sp *graph.Span, worker int, in *graph.Adjacency, lo, hi 
 func (s *SSSP) PushRows(sp *graph.Span, worker int, out *graph.Adjacency, active []graph.VertexID) {
 	dist, bound, owned := s.dist, s.bound, !sp.Atomic
 	least := s.least[worker].d
-	idx, tgt, wts := out.Index, out.Targets, out.Weights
+	idx, tgt := out.Index, out.Targets
 	for _, u := range active {
 		du := loadFloat32(&dist[u])
 		if du >= bound {
@@ -221,7 +221,7 @@ func (s *SSSP) PushRows(sp *graph.Span, worker int, out *graph.Adjacency, active
 			continue
 		}
 		row := tgt[idx[u]:idx[u+1]]
-		ws := wts[idx[u]:idx[u+1]][:len(row)]
+		ws := out.RowWeights(idx[u], idx[u+1])[:len(row)]
 		for j, v := range row {
 			nd := du + ws[j]
 			if owned {

@@ -141,7 +141,7 @@ func (a *perEdge) push(s *graph.Span, worker int, u, v graph.VertexID, w graph.W
 
 func (a *perEdge) PullRows(s *graph.Span, worker int, in *graph.Adjacency, lo, hi int) {
 	alg := a.alg
-	idx, tgt, wts := in.Index, in.Targets, in.Weights
+	idx, tgt := in.Index, in.Targets
 	for base := lo; base < hi; base += 64 {
 		var next uint64
 		for vi := base; vi < min(base+64, hi); vi++ {
@@ -150,12 +150,13 @@ func (a *perEdge) PullRows(s *graph.Span, worker int, in *graph.Adjacency, lo, h
 				continue
 			}
 			changedAny := false
-			for j, end := idx[v], idx[v+1]; j < end; j++ {
-				u := tgt[j]
+			row := tgt[idx[v]:idx[v+1]]
+			ws := in.RowWeights(idx[v], idx[v+1])[:len(row)]
+			for j, u := range row {
 				if !s.Active(u) {
 					continue
 				}
-				changed, done := alg.PullEdge(v, u, wts[j])
+				changed, done := alg.PullEdge(v, u, ws[j])
 				changedAny = changedAny || changed
 				if done {
 					break
@@ -172,10 +173,12 @@ func (a *perEdge) PullRows(s *graph.Span, worker int, in *graph.Adjacency, lo, h
 }
 
 func (a *perEdge) PushRows(s *graph.Span, worker int, out *graph.Adjacency, active []graph.VertexID) {
-	idx, tgt, wts := out.Index, out.Targets, out.Weights
+	idx, tgt := out.Index, out.Targets
 	for _, u := range active {
-		for j, end := idx[u], idx[u+1]; j < end; j++ {
-			a.push(s, worker, u, tgt[j], wts[j])
+		row := tgt[idx[u]:idx[u+1]]
+		ws := out.RowWeights(idx[u], idx[u+1])[:len(row)]
+		for j, v := range row {
+			a.push(s, worker, u, v, ws[j])
 		}
 	}
 }

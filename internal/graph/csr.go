@@ -2,7 +2,9 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"github.com/epfl-repro/everythinggraph/internal/sched"
 )
@@ -22,9 +24,9 @@ type Adjacency struct {
 	Index []uint64
 	// Targets holds the neighbour vertex ids.
 	Targets []VertexID
-	// Weights holds the corresponding edge weights. It is always allocated
-	// alongside Targets so that weighted algorithms can run on any dataset;
-	// unweighted generators fill it with 1.
+	// Weights holds the corresponding edge weights, or is nil when they are
+	// all 1: the builders write no column of ones (unweighted generators and
+	// files). RowWeights reads either.
 	Weights []Weight
 	// NumVertices is the number of vertices covered by Index.
 	NumVertices int
@@ -74,7 +76,34 @@ func (a *Adjacency) Neighbors(v VertexID) []VertexID {
 
 // NeighborWeights returns the weight slice parallel to Neighbors(v).
 func (a *Adjacency) NeighborWeights(v VertexID) []Weight {
-	return a.Weights[a.Index[v]:a.Index[v+1]]
+	return a.RowWeights(a.Index[v], a.Index[v+1])
+}
+
+// RowWeights returns the weights of Targets[lo:hi]: a window of Weights or,
+// when Weights is nil, hi-lo ones from a shared all-ones slice. Callers must
+// not modify it.
+func (a *Adjacency) RowWeights(lo, hi uint64) []Weight {
+	if a.Weights != nil {
+		return a.Weights[lo:hi]
+	}
+	return unitWeightRow(int(hi - lo))
+}
+
+// unitWeights backs RowWeights's rows of ones. It is replaced, never written:
+// readers may keep an old one, and racing growers only cost a regrowth.
+var unitWeights atomic.Pointer[[]Weight]
+
+func unitWeightRow(n int) []Weight {
+	ones := unitWeights.Load()
+	if ones == nil || len(*ones) < n {
+		grown := make([]Weight, 2*n) // at least double: few regrowths
+		for i := range grown {
+			grown[i] = 1
+		}
+		unitWeights.Store(&grown)
+		ones = &grown
+	}
+	return (*ones)[:n]
 }
 
 // NumEdges returns the total number of stored neighbour entries.
@@ -92,7 +121,7 @@ func (a *Adjacency) Validate() error {
 	if a.Index[a.NumVertices] != uint64(len(a.Targets)) {
 		return fmt.Errorf("graph: CSR index ends at %d, want %d", a.Index[a.NumVertices], len(a.Targets))
 	}
-	if len(a.Weights) != len(a.Targets) {
+	if a.Weights != nil && len(a.Weights) != len(a.Targets) {
 		return fmt.Errorf("graph: CSR weights length %d != targets length %d", len(a.Weights), len(a.Targets))
 	}
 	for v := 0; v < a.NumVertices; v++ {
@@ -120,7 +149,7 @@ func (a *Adjacency) Validate() error {
 }
 
 // SortNeighbors sorts each per-vertex neighbour array by target id, carrying
-// the weights along, and sets SortedByTarget. This is the extra
+// any weights along, and sets SortedByTarget. This is the extra
 // pre-processing step whose (absent) benefit is measured in Section 5.2.
 // It is a measured pre-processing cost, so it runs vertex-parallel and
 // sorts with direct dual-slice routines instead of sort.Sort's
@@ -134,10 +163,13 @@ func (a *Adjacency) SortNeighbors() { a.SortNeighborsParallel(0) }
 func (a *Adjacency) SortNeighborsParallel(workers int) {
 	sched.ParallelFor(0, a.NumVertices, workers, func(v int) {
 		lo, hi := a.Index[v], a.Index[v+1]
-		if hi-lo < 2 {
-			return
+		switch {
+		case hi-lo < 2:
+		case a.Weights == nil:
+			slices.Sort(a.Targets[lo:hi])
+		default:
+			sortNeighborSpan(a.Targets[lo:hi], a.Weights[lo:hi])
 		}
-		sortNeighborSpan(a.Targets[lo:hi], a.Weights[lo:hi])
 	})
 	a.SortedByTarget = true
 }
@@ -218,14 +250,14 @@ func partitionNeighbors(nb []VertexID, w []Weight) int {
 }
 
 // Edges reconstructs the (src,dst,weight) triples represented by the CSR,
-// interpreting it as an out-adjacency. Used by tests to check that builders
-// preserve the edge multiset.
+// interpreting it as an out-adjacency (weight 1 where Weights is nil). Used
+// by tests to check that builders preserve the edge multiset.
 func (a *Adjacency) Edges() []Edge {
 	out := make([]Edge, 0, len(a.Targets))
 	for v := 0; v < a.NumVertices; v++ {
-		lo, hi := a.Index[v], a.Index[v+1]
-		for i := lo; i < hi; i++ {
-			out = append(out, Edge{Src: VertexID(v), Dst: a.Targets[i], W: a.Weights[i]})
+		ws := a.NeighborWeights(VertexID(v))
+		for i, t := range a.Neighbors(VertexID(v)) {
+			out = append(out, Edge{Src: VertexID(v), Dst: t, W: ws[i]})
 		}
 	}
 	return out

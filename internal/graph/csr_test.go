@@ -144,3 +144,55 @@ func TestCSRSortedPropertyHolds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCSRWithoutWeights: a nil Weights column reads as all ones through
+// every accessor, and sorting permutes the targets alone.
+func TestCSRWithoutWeights(t *testing.T) {
+	edges := randomEdges(40, 400, 9)
+	adj := buildCSRNaive(edges, 40)
+	adj.Weights = nil
+	if err := adj.Validate(); err != nil {
+		t.Fatalf("Validate with nil weights: %v", err)
+	}
+	for i, e := range adj.Edges() {
+		if e.W != 1 {
+			t.Fatalf("Edges()[%d].W = %v, want 1", i, e.W)
+		}
+	}
+	for v := 0; v < adj.NumVertices; v++ {
+		ws := adj.NeighborWeights(VertexID(v))
+		if len(ws) != adj.Degree(VertexID(v)) {
+			t.Fatalf("NeighborWeights(%d) has %d entries, want %d", v, len(ws), adj.Degree(VertexID(v)))
+		}
+		for _, w := range ws {
+			if w != 1 {
+				t.Fatalf("NeighborWeights(%d) holds %v", v, w)
+			}
+		}
+	}
+
+	want := buildCSRNaive(edges, 40)
+	want.SortNeighborsParallel(2)
+	adj.SortNeighborsParallel(2)
+	if !adj.SortedByTarget || adj.Weights != nil {
+		t.Fatalf("after sort: SortedByTarget %v, Weights %v", adj.SortedByTarget, adj.Weights)
+	}
+	if err := adj.Validate(); err != nil {
+		t.Fatalf("Validate after sort: %v", err)
+	}
+	for i := range want.Targets {
+		if adj.Targets[i] != want.Targets[i] {
+			t.Fatalf("target %d = %d after a targets-only sort, %d after the weighted one", i, adj.Targets[i], want.Targets[i])
+		}
+	}
+
+	short := buildCSRNaive(edges, 40)
+	short.Weights = short.Weights[:len(short.Weights)-1]
+	if err := short.Validate(); err == nil {
+		t.Error("Validate accepted a Weights column shorter than Targets")
+	}
+	short.Weights = []Weight{}
+	if err := short.Validate(); err == nil {
+		t.Error("Validate accepted an empty non-nil Weights column")
+	}
+}

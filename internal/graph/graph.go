@@ -28,7 +28,8 @@ import (
 type VertexID = uint32
 
 // Weight is an edge weight. SSSP, SpMV and ALS use it; BFS, WCC and
-// PageRank ignore it.
+// PageRank ignore it. An adjacency whose weights are all 1 stores none
+// (Adjacency.Weights is nil).
 type Weight = float32
 
 // Edge is a directed edge with an optional weight. The input format of the

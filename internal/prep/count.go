@@ -15,7 +15,7 @@ import (
 // placement pass write to per-vertex counters and to scattered offsets of
 // the output array, which is the poor-locality behaviour Table 2 attributes
 // to this approach.
-func buildCountSort(edges []graph.Edge, numVertices int, byDst bool, workers int) *graph.Adjacency {
+func buildCountSort(edges []graph.Edge, numVertices int, byDst, weighted bool, workers int) *graph.Adjacency {
 	// Pass 1: count degrees. Parallel chunks update shared counters with
 	// atomic increments (random access across the counter array).
 	counts := make([]uint64, numVertices+1)
@@ -44,8 +44,10 @@ func buildCountSort(edges []graph.Edge, numVertices int, byDst bool, workers int
 	adj := &graph.Adjacency{
 		Index:       index,
 		Targets:     make([]graph.VertexID, len(edges)),
-		Weights:     make([]graph.Weight, len(edges)),
 		NumVertices: numVertices,
+	}
+	if weighted {
+		adj.Weights = make([]graph.Weight, len(edges))
 	}
 	sched.ParallelForChunked(0, len(edges), sched.DefaultChunkSize, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -53,7 +55,9 @@ func buildCountSort(edges []graph.Edge, numVertices int, byDst bool, workers int
 			key := edgeKey(e, byDst)
 			pos := atomic.AddUint64(&cursor[key], 1) - 1
 			adj.Targets[pos] = otherEnd(e, byDst)
-			adj.Weights[pos] = e.W
+			if weighted {
+				adj.Weights[pos] = e.W
+			}
 		}
 	})
 	return adj

@@ -22,7 +22,7 @@ const stripeCount = 4096
 //
 // The scan is parallelized over edge chunks, with striped locks protecting
 // the per-vertex arrays, mirroring the paper's Cilk-parallel pre-processing.
-func buildDynamic(edges []graph.Edge, numVertices int, byDst bool, workers int) *graph.Adjacency {
+func buildDynamic(edges []graph.Edge, numVertices int, byDst, weighted bool, workers int) *graph.Adjacency {
 	type cell struct {
 		t graph.VertexID
 		w graph.Weight
@@ -45,15 +45,19 @@ func buildDynamic(edges []graph.Edge, numVertices int, byDst bool, workers int) 
 	adj := &graph.Adjacency{
 		Index:       make([]uint64, numVertices+1),
 		Targets:     make([]graph.VertexID, len(edges)),
-		Weights:     make([]graph.Weight, len(edges)),
 		NumVertices: numVertices,
+	}
+	if weighted {
+		adj.Weights = make([]graph.Weight, len(edges))
 	}
 	var off uint64
 	for v := 0; v < numVertices; v++ {
 		adj.Index[v] = off
 		for _, c := range perVertex[v] {
 			adj.Targets[off] = c.t
-			adj.Weights[off] = c.w
+			if weighted {
+				adj.Weights[off] = c.w
+			}
 			off++
 		}
 	}

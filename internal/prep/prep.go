@@ -109,13 +109,17 @@ type Options struct {
 // BuildAdjacency builds the requested per-vertex edge arrays from the
 // graph's edge array and attaches them to g (g.Out and/or g.In). An edge
 // with an endpoint outside [0, NumVertices) is an error, whatever the method.
+// An adjacency gets a Weights column only if some edge weighs other than 1.
 func BuildAdjacency(g *graph.Graph, dir Direction, opt Options) error {
 	edges := g.EdgeArray.Edges
 	n := g.NumVertices()
-	// The radix builder checks the range in its histogram read; the doubled
-	// array would give it other edge numbers than the input's.
+	// The radix builder checks the range and the weights in its histogram
+	// read; the doubled array would give it other edge numbers than the
+	// input's.
+	weighted := false
 	if opt.Method != RadixSort || opt.Undirected {
-		if err := checkRange(edges, n, opt.Workers); err != nil {
+		var err error
+		if weighted, err = checkRange(edges, n, opt.Workers); err != nil {
 			return err
 		}
 	}
@@ -125,9 +129,9 @@ func BuildAdjacency(g *graph.Graph, dir Direction, opt Options) error {
 	build := func(byDst bool) (*graph.Adjacency, error) {
 		switch opt.Method {
 		case Dynamic:
-			return buildDynamic(edges, n, byDst, opt.Workers), nil
+			return buildDynamic(edges, n, byDst, weighted, opt.Workers), nil
 		case CountSort:
-			return buildCountSort(edges, n, byDst, opt.Workers), nil
+			return buildCountSort(edges, n, byDst, weighted, opt.Workers), nil
 		case RadixSort:
 			return buildRadixSort(edges, n, byDst, opt.Workers)
 		default:
@@ -140,7 +144,7 @@ func BuildAdjacency(g *graph.Graph, dir Direction, opt Options) error {
 			return err
 		}
 		if opt.SortNeighbors {
-			SortNeighborsParallel(out, opt.Workers)
+			out.SortNeighborsParallel(opt.Workers)
 		}
 		g.Out = out
 	}
@@ -150,7 +154,7 @@ func BuildAdjacency(g *graph.Graph, dir Direction, opt Options) error {
 			return err
 		}
 		if opt.SortNeighbors {
-			SortNeighborsParallel(in, opt.Workers)
+			in.SortNeighborsParallel(opt.Workers)
 		}
 		g.In = in
 	}
@@ -163,7 +167,7 @@ func BuildAdjacency(g *graph.Graph, dir Direction, opt Options) error {
 func BuildGrid(g *graph.Graph, requestedP int, opt Options) error {
 	edges := g.EdgeArray.Edges
 	n := g.NumVertices()
-	if err := checkRange(edges, n, opt.Workers); err != nil {
+	if _, err := checkRange(edges, n, opt.Workers); err != nil {
 		return err
 	}
 	if opt.Undirected {
@@ -190,20 +194,27 @@ func BuildGrid(g *graph.Graph, requestedP int, opt Options) error {
 }
 
 // checkRange returns rangeError for the first edge with an endpoint outside
-// [0, numVertices), which every builder would otherwise index out of range.
-func checkRange(edges []graph.Edge, numVertices, workers int) error {
-	first := sched.ParallelReduce(0, len(edges), 1<<16, workers, len(edges), func(lo, hi, first int) int {
-		for i := lo; i < min(hi, first); i++ {
-			if int(edges[i].Src) >= numVertices || int(edges[i].Dst) >= numVertices {
-				return i
-			}
-		}
-		return first
-	}, func(a, b int) int { return min(a, b) })
-	if first < len(edges) {
-		return rangeError(edges, first, numVertices)
+// [0, numVertices), which every builder would otherwise index out of range,
+// and else whether any edge weighs other than 1.
+func checkRange(edges []graph.Edge, numVertices, workers int) (weighted bool, err error) {
+	type scan struct {
+		first    int
+		weighted bool
 	}
-	return nil
+	s := sched.ParallelReduce(0, len(edges), 1<<16, workers, scan{first: len(edges)}, func(lo, hi int, s scan) scan {
+		for i := lo; i < min(hi, s.first); i++ {
+			if int(edges[i].Src) >= numVertices || int(edges[i].Dst) >= numVertices {
+				s.first = i
+				break
+			}
+			s.weighted = s.weighted || edges[i].W != 1
+		}
+		return s
+	}, func(a, b scan) scan { return scan{min(a.first, b.first), a.weighted || b.weighted} })
+	if s.first < len(edges) {
+		return false, rangeError(edges, s.first, numVertices)
+	}
+	return s.weighted, nil
 }
 
 func rangeError(edges []graph.Edge, i, numVertices int) error {
