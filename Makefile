@@ -31,7 +31,7 @@ loc:
 		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
 # Engine benchmarks with allocation accounting: BFS and PageRank on
-# RMAT-scale-16, Batch over 64 sources (BFS on RMAT-16, SSSP on a road
+# RMAT-scale-16 (adaptive WCC and SSSP beside adaptive BFS), Batch over 64 sources (BFS on RMAT-16, SSSP on a road
 # lattice; side by side and one after another), the span-versus-adapter
 # kernel pairs (ns/edge), sparse-push SSSP on a 512x512 road lattice at 1
 # and 2 workers (us/iter, gang loops per iteration — 0 once every iteration
@@ -41,7 +41,7 @@ loc:
 # the first iteration: the binary loader (MB/s) and the adjacency builders
 # (ns/edge).
 bench:
-	$(GO) test -run '^$$' -bench 'BFS|Batch|PageRank|Span|SSSP|FrontierBuilder' -benchmem ./internal/core/ ./internal/graph/ ./internal/oocore/
+	$(GO) test -run '^$$' -bench 'BFS|WCC|Batch|PageRank|Span|SSSP|FrontierBuilder' -benchmem ./internal/core/ ./internal/graph/ ./internal/oocore/
 	$(GO) test -run '^$$' -bench 'ReadBinary|WriteBinary|BuildAdjacency' -benchmem ./internal/storage/ ./internal/prep/
 
 # Adaptive-planner cases only: auto BFS/PageRank against their fixed

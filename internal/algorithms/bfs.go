@@ -12,8 +12,10 @@ import (
 // breadth-first order. It is the paper's canonical "small active subset"
 // algorithm: only the current frontier is processed per iteration, which is
 // what makes vertex-centric push traversal win end-to-end (Figure 3a) and
-// what makes the pull direction attractive only during the two dense middle
-// iterations (Figure 6).
+// the pull direction attractive in the dense middle iterations (Figure 6).
+// Because the pull skips visited vertices, each pull costs less than the
+// one before, so the adaptive planner keeps pulling into the tail while the
+// frontier holds at least |V|/24 vertices (Beamer's β).
 //
 // The pull (bottom-up) step works over bitmaps, as in Beamer et al.,
 // "Direction-Optimizing Breadth-First Search" (SC'12). The candidates of a

@@ -188,7 +188,8 @@ type IterationStats struct {
 	// ActiveEdges is the number of outgoing edges of those vertices: known
 	// whenever the direction-optimizing switch asked for it or the iteration
 	// pushed over an adjacency (chunking the frontier sums its degrees), -1
-	// otherwise.
+	// otherwise — a dense frontier Auto pulls without the degree sum, and
+	// a pull Auto keeps because the previous pulls halved.
 	ActiveEdges int64
 	// Plan is the resolved execution recipe the iteration ran under. Static
 	// configurations repeat the configured techniques here (with dynamic

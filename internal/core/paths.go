@@ -62,11 +62,23 @@ const callerPushEdges = 8192
 // tests pin at both extremes to drive every push through one path.
 var callerPushLimit int64 = callerPushEdges
 
-// pullVertexChunk is the chunk size for pull iterations. It must stay a
-// multiple of 64 so chunk boundaries never split a bitmap word: a worker
-// then owns whole words of the next frontier, which pull kernels set a word
-// at a time with the unsynchronized FrontierBuilder.SetWord.
-const pullVertexChunk = 256
+// pullVertexChunk is the chunk size for pull iterations: 1024 vertices, 16
+// words of each vertex bitmap, so a worker owns whole 128-byte blocks (the
+// block per-worker state is padded to, and the adjacent-line prefetch pair)
+// of BFS's visited bitmap and of the next frontier, which pull kernels set
+// a word at a time with the unsynchronized FrontierBuilder.SetWord. At 256
+// vertices (32 bytes) two workers wrote the same line in nearly every chunk.
+// Swept on 2 CPUs, warm.bfs.rmat s per op, two runs each: 256 →
+// 0.143/0.147, 512 → 0.132/0.120, 1024 → 0.127/0.131, 2048 →
+// 0.131/0.138, 4096 → 0.125/0.135, 8192 → 0.128/0.123; flat from one
+// line up, so sharing, not the number of chunks, was the cost. The chunk is
+// also the unit of balance: RMAT-18's heaviest 1024-vertex chunk holds 0.111
+// of the in-edges (In.Index; a ninth, as a+c = 0.76 per bit predicts, and
+// 0.193 at 4096), which bounds a pull's speed-up near 9 workers.
+const pullVertexChunk = 1024
+
+// A chunk boundary never splits a bitmap word.
+const _ = uint(-(pullVertexChunk % 64))
 
 // pushChunks chunks the frontier's active list for a push iteration and
 // records the out-edge total the walk produced on the frontier. The planner

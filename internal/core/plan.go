@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/trace"
@@ -230,7 +231,9 @@ type planCandidate struct {
 //
 //   - direction by frontier density and active-out-edge thresholds (the
 //     direction-optimizing switch generalized beyond BFS to every tracked
-//     algorithm);
+//     algorithm), and — Beamer's second rule — staying in pull while the
+//     run's own pulls keep halving and the frontier holds at least
+//     |V|/pullBeta vertices;
 //   - layout by predicted scan volume × measured per-edge cost, which makes
 //     the planner leave adjacency lists for edge-array/grid iteration
 //     exactly when the frontier is near-dense enough that a full sequential
@@ -259,6 +262,9 @@ type planner struct {
 	// iteration): a dense Auto run's frozen plan, a static run's current
 	// direction.
 	last int
+	// pulls holds the durations of the run's last two measured pull
+	// iterations, the newest first (Auto only).
+	pulls [2]time.Duration
 
 	// Decision tracing: candLabels holds one interned label per candidate
 	// (matching PlanCosts), so emitting a decision is a loop
@@ -399,10 +405,19 @@ func (p *planner) cheapestPrior() int {
 	return best
 }
 
+// pullBeta is Beamer et al.'s β: a run that is pulling keeps pulling while
+// the frontier holds at least |V|/pullBeta vertices.
+const pullBeta = 24
+
 // direction picks push or pull for an iteration. Under Auto the density
-// test runs first because it is O(1); the degree sum only runs when the
-// frontier is sparse enough that density alone cannot decide. A static
-// PushPull set applies the threshold test alone.
+// test runs first because it is O(1). Then, as in Beamer et al.'s
+// direction-optimizing BFS, a run that pulled last iteration stays in pull
+// while its frontier holds at least |V|/pullBeta vertices, provided its last
+// pull took at most half as long as the one before: that shrink stands in
+// for Beamer's unexplored-edge count (BFS's bottom-up step skips visited
+// vertices, so its pulls shrink; WCC's and SSSP's rescan every row, so they
+// never keep pulling on this rule). Only then does the degree sum run. A
+// static PushPull set measures nothing and applies the threshold test alone.
 func (p *planner) direction(f *graph.Frontier) Flow {
 	switch {
 	case !p.hasPull:
@@ -410,6 +425,9 @@ func (p *planner) direction(f *graph.Frontier) Flow {
 	case !p.hasPush:
 		return Pull
 	case p.adaptive && f.Density() >= adaptiveDenseFrontier:
+		return Pull
+	case p.adaptive && p.last >= 0 && p.candidates[p.last].plan.Flow == Pull &&
+		p.pulls[0] > 0 && 2*p.pulls[0] <= p.pulls[1] && f.Count()*pullBeta >= p.env.numVertices:
 		return Pull
 	case p.env.overThreshold(f):
 		return Pull
@@ -501,6 +519,9 @@ func (p *planner) Observe(plan StepPlan, stats IterationStats) {
 	}
 	if work < minMeasureEdges {
 		return
+	}
+	if plan.Flow == Pull {
+		p.pulls = [2]time.Duration{stats.Duration, p.pulls[0]}
 	}
 	per := float64(stats.Duration.Nanoseconds()) / work
 	if old := p.measured[idx]; old != 0 {

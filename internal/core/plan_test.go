@@ -91,6 +91,61 @@ func TestAdaptivePlannerScriptedDensity(t *testing.T) {
 	}
 }
 
+// TestAdaptivePlannerPullHysteresis scripts two dense pulls, fed measured
+// durations through Observe, then a thin frontier whose out-edges are under
+// |E|/alpha. Auto keeps pulling only when the second pull took at most half
+// as long as the first and the frontier holds at least |V|/pullBeta
+// vertices; a static PushPull set measures nothing and keeps the threshold.
+func TestAdaptivePlannerPullHysteresis(t *testing.T) {
+	const n, m = 1000, 16000 // |E|/alpha = 800 out-edges; |V|/pullBeta = 41.7 vertices
+	cases := []struct {
+		name          string
+		adaptive      bool
+		first, second time.Duration
+		count         int
+		want          Flow
+	}{
+		{"shrinking/42", true, 2 * time.Millisecond, time.Millisecond, 42, Pull},
+		{"shrinking/41", true, 2 * time.Millisecond, time.Millisecond, 41, Push},
+		{"level/42", true, time.Millisecond, time.Millisecond, 42, Push},
+		{"static/42", false, 2 * time.Millisecond, time.Millisecond, 42, Push},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			forbidSum := false
+			env := plannerEnv{
+				numVertices: n,
+				totalEdges:  m,
+				alpha:       DefaultPushPullAlpha,
+				tracked:     true,
+				activeOutEdges: func(f *graph.Frontier) int64 {
+					if forbidSum {
+						t.Fatal("a kept pull summed the frontier's degrees")
+					}
+					return f.OutEdges()
+				},
+			}
+			cands := adjacencyCandidates(true)
+			if !c.adaptive {
+				cands = staticCandidates(graph.LayoutAdjacency, PushPull, SyncAtomics, 0, 0, true)
+			}
+			p := newPlanner(env, cands, c.adaptive, nil, nil)
+			dense := scriptedFrontier(n, 400, 12000)
+			for i, d := range []time.Duration{c.first, c.second} {
+				plan := p.Next(i, dense)
+				if plan.Flow != Pull {
+					t.Fatalf("iteration %d: flow = %v on a dense frontier, want pull", i, plan.Flow)
+				}
+				p.Observe(plan, IterationStats{Iteration: i, ActiveVertices: 400, ActiveEdges: -1, Plan: plan, Duration: d})
+			}
+			forbidSum = c.want == Pull
+			if got := p.Next(2, scriptedFrontier(n, c.count, 100)).Flow; got != c.want {
+				t.Fatalf("tail of %d vertices: flow = %v, want %v", c.count, got, c.want)
+			}
+		})
+	}
+}
+
 // TestAdaptivePlannerAbandonsMispredictedPlan: after one measured iteration
 // that contradicts the cost model, the planner must switch to the
 // alternative layout — and switch back when the alternative measures even

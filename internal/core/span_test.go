@@ -491,3 +491,54 @@ func (flood) AfterIteration(int) bool                                   { return
 func (flood) InitialFrontier(g *graph.Graph) *graph.Frontier {
 	return graph.FullFrontier(g.NumVertices())
 }
+
+// pullChunks is flood with span kernels whose PullRows records the row range
+// of every pull chunk instead of pulling.
+type pullChunks struct {
+	flood
+	mu     sync.Mutex
+	ranges [][2]int
+}
+
+func (a *pullChunks) PullRows(_ *graph.Span, _ int, _ *graph.Adjacency, lo, hi int) {
+	a.mu.Lock()
+	a.ranges = append(a.ranges, [2]int{lo, hi})
+	a.mu.Unlock()
+}
+
+func (*pullChunks) PushRows(*graph.Span, int, *graph.Adjacency, []graph.VertexID) {}
+func (*pullChunks) PushEdges(*graph.Span, int, []graph.Edge)                      {}
+func (*pullChunks) PullEdges(*graph.Span, int, []graph.Edge)                      {}
+
+// TestPullChunksOwnWholeBlocks: every pull chunk starts on a 128-byte block
+// of the vertex bitmaps (1024 vertices) and ends on one or at the last
+// vertex, so no two workers write one cache line of the next frontier or of
+// BFS's visited bitmap.
+func TestPullChunksOwnWholeBlocks(t *testing.T) {
+	const n, block = 5000, 1024 // n is not a multiple of block
+	edges := make([]graph.Edge, n)
+	for v := range edges {
+		edges[v] = graph.Edge{Src: graph.VertexID(v), Dst: graph.VertexID((7*v + 1) % n), W: 1}
+	}
+	g := graph.New(edges, n, true)
+	if err := prep.BuildAdjacency(g, prep.InOut, prep.Options{Method: prep.RadixSort}); err != nil {
+		t.Fatalf("BuildAdjacency: %v", err)
+	}
+	pull := StepPlan{Layout: graph.LayoutAdjacency, Flow: Pull, Sync: SyncPartitionFree, Tracked: true}
+	for _, workers := range []int{2, 8} {
+		alg := &pullChunks{}
+		r := newRunner(g, alg, Config{}, workers)
+		r.execute(pull, alg.InitialFrontier(g))
+		covered := 0
+		for _, rg := range alg.ranges {
+			lo, hi := rg[0], rg[1]
+			if lo%block != 0 || (hi%block != 0 && hi != n) {
+				t.Fatalf("workers=%d: pull chunk [%d, %d) splits a %d-vertex block", workers, lo, hi, block)
+			}
+			covered += hi - lo
+		}
+		if covered != n {
+			t.Fatalf("workers=%d: pull chunks cover %d of %d rows", workers, covered, n)
+		}
+	}
+}
