@@ -2,6 +2,7 @@ package everythinggraph
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -130,22 +131,95 @@ func TestRunGridPageRank(t *testing.T) {
 	}
 }
 
+// TestUndirectedOverride: on a directed dataset, Config.Undirected makes
+// WCC see every edge in both directions under every layout x flow x sync
+// ValidateTechniques admits, and under Auto — each run finds the components
+// of a serial union-find over the edges.
 func TestUndirectedOverride(t *testing.T) {
-	// A directed chain; WCC needs the undirected view to find one component.
-	g := NewGraph([]Edge{{Src: 0, Dst: 1, W: 1}, {Src: 2, Dst: 1, W: 1}}, 3, true)
+	edges := GenerateRMAT(9, 4, 5).Internal().EdgeArray.Edges
+	want := unionFindComponents(edges, 1<<9)
 	undirected := true
-	wcc := WCC()
-	if _, err := g.Run(wcc, Config{
-		Layout:     LayoutAdjacency,
-		Flow:       FlowPush,
-		Sync:       SyncAtomics,
-		Undirected: &undirected,
-	}); err != nil {
-		t.Fatalf("Run: %v", err)
+	var cfgs []Config
+	for _, layout := range []Layout{LayoutEdgeArray, LayoutAdjacency, LayoutAdjacencySorted, LayoutGrid} {
+		for _, flow := range []Flow{FlowPush, FlowPull, FlowPushPull} {
+			for _, sync := range []Sync{SyncLocks, SyncAtomics, SyncPartitionFree} {
+				if ValidateTechniques(layout, flow, sync) == nil {
+					cfgs = append(cfgs, Config{Layout: layout, Flow: flow, Sync: sync, GridP: 8})
+				}
+			}
+		}
 	}
-	if wcc.NumComponents() != 1 {
-		t.Fatalf("components = %d, want 1", wcc.NumComponents())
+	cfgs = append(cfgs, Config{Flow: FlowAuto}, Config{Layout: LayoutGrid, Flow: FlowAuto, GridP: 8})
+	for _, cfg := range cfgs {
+		cfg.Undirected = &undirected
+		name := fmt.Sprintf("%v/%v/%v", cfg.Layout, cfg.Flow, cfg.Sync)
+		t.Run(name, func(t *testing.T) {
+			g := NewGraph(append([]Edge(nil), edges...), 1<<9, true)
+			wcc := WCC()
+			if _, err := g.Run(wcc, cfg); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if got := wcc.NumComponents(); got != want {
+				t.Fatalf("components = %d, want %d", got, want)
+			}
+		})
 	}
+}
+
+// TestUndirectedOverrideRebuildsLayouts: layouts built under one setting of
+// Config.Undirected never serve a run under the other — a directed BFS
+// after an undirected WCC reaches what it reached before.
+func TestUndirectedOverrideRebuildsLayouts(t *testing.T) {
+	g := GenerateRMAT(9, 4, 5)
+	want := unionFindComponents(g.Internal().EdgeArray.Edges, g.NumVertices())
+	undirected := true
+	for _, layout := range []Layout{LayoutAdjacency, LayoutGrid} {
+		cfg := Config{Layout: layout, Flow: FlowPush, Sync: SyncAtomics}
+		reach := func() int {
+			bfs := BFS(0)
+			if _, err := g.Run(bfs, cfg); err != nil {
+				t.Fatalf("%v BFS: %v", layout, err)
+			}
+			return bfs.Reached()
+		}
+		directed := reach()
+		wcc := WCC()
+		ucfg := cfg
+		ucfg.Undirected = &undirected
+		if _, err := g.Run(wcc, ucfg); err != nil {
+			t.Fatalf("%v WCC: %v", layout, err)
+		}
+		if got := wcc.NumComponents(); got != want {
+			t.Fatalf("%v: components = %d after a directed run, want %d", layout, got, want)
+		}
+		if again := reach(); again != directed {
+			t.Fatalf("%v: directed BFS reached %d after an undirected run, %d before", layout, again, directed)
+		}
+	}
+}
+
+// unionFindComponents counts the weakly connected components of n vertices
+// joined by edges, serially.
+func unionFindComponents(edges []Edge, n int) int {
+	parent := make([]int, n)
+	for v := range parent {
+		parent[v] = v
+	}
+	find := func(v int) int {
+		for parent[v] != v {
+			parent[v] = parent[parent[v]]
+			v = parent[v]
+		}
+		return v
+	}
+	components := n
+	for _, e := range edges {
+		if a, b := find(int(e.Src)), find(int(e.Dst)); a != b {
+			parent[a] = b
+			components--
+		}
+	}
+	return components
 }
 
 func TestTextRoundTripThroughFacade(t *testing.T) {

@@ -19,7 +19,6 @@
 //	egraph -algorithm sssp -input edges.txt -format text -layout adjacency
 //	egraph -algorithm wcc -generate road -scale 9 -layout edgearray
 //	egraph -algorithm pagerank -store rmat20.egs -membudget 64 -prefetch 4
-//	egraph -algorithm pagerank -store rmat20.egs -flow auto -cost-cache costs.json
 package main
 
 import (
@@ -31,7 +30,6 @@ import (
 	"strings"
 
 	everythinggraph "github.com/epfl-repro/everythinggraph"
-	"github.com/epfl-repro/everythinggraph/internal/costcache"
 	"github.com/epfl-repro/everythinggraph/internal/metrics"
 )
 
@@ -57,7 +55,6 @@ func main() {
 		storePath = flag.String("store", "", "run out-of-core over this partitioned grid store (see gengraph -format store)")
 		memBudget = flag.Int64("membudget", 0, "resident edge-buffer budget in MiB for -store runs (0 = 256); every pass uses the whole budget")
 		prefetch  = flag.Int("prefetch", 0, "per-worker prefetch depth for -store runs (0 = 2, clamped to 2-8 and to what the budget can feed); every pass uses it")
-		costCache = flag.String("cost-cache", "", "JSON cost cache for -flow auto: seed the planner's cost model with this dataset's measured per-edge plan costs and append this run's measurements")
 		traceOut  = flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file of the run (iteration spans, planner decisions, fetch and stall events; open in chrome://tracing or ui.perfetto.dev)")
 		metricsO  = flag.String("metrics-out", "", "write the run's flat counters-and-histograms snapshot as JSON")
 		verbose   = flag.Bool("v", false, "print per-iteration statistics")
@@ -105,24 +102,13 @@ func main() {
 		}
 	}
 
-	// The cost cache keys runs by algorithm plus dataset — file name
-	// (stores, edge lists) or generator and scale; the store path wins
-	// because a store run never touches the generator flags.
-	datasetPath := *storePath
-	if datasetPath == "" {
-		datasetPath = *input
-	}
-	graphKey := costcache.Key(*algorithm, datasetPath, *generate, *scale)
-	cache := loadCostPriors(*costCache, graphKey, &cfg)
-
 	if *traceOut != "" || *metricsO != "" {
 		cfg.Trace = everythinggraph.NewTraceRecorder(0)
 	}
 
 	if *storePath != "" {
-		res := runStore(*storePath, *algorithm, cfg, everythinggraph.VertexID(*source), *prIters, *verbose)
+		runStore(*storePath, *algorithm, cfg, everythinggraph.VertexID(*source), *prIters, *verbose)
 		writeTraceOutputs(cfg.Trace, *traceOut, *metricsO)
-		saveCostMeasurements(cache, *costCache, graphKey, res.Run.PlanCosts)
 		return
 	}
 
@@ -132,11 +118,8 @@ func main() {
 	}
 
 	if len(batchSources) > 0 {
-		results := runBatch(g, *algorithm, batchSources, cfg, *verbose)
+		runBatch(g, *algorithm, batchSources, cfg, *verbose)
 		writeTraceOutputs(cfg.Trace, *traceOut, *metricsO)
-		// Source 0's run alone feeds the cache, as one single-source run
-		// would: every run's labels are single-source labels.
-		saveCostMeasurements(cache, *costCache, graphKey, results[0].Run.PlanCosts)
 		return
 	}
 
@@ -164,7 +147,6 @@ func main() {
 	printIterations(res.Run.PerIteration, *verbose)
 	printAlgorithmSummary(alg)
 	writeTraceOutputs(cfg.Trace, *traceOut, *metricsO)
-	saveCostMeasurements(cache, *costCache, graphKey, res.Run.PlanCosts)
 }
 
 // writeTraceOutputs exports the run recorder: a Chrome trace-event file, a
@@ -201,41 +183,6 @@ func writeTraceOutputs(rec *everythinggraph.TraceRecorder, tracePath, metricsPat
 	}
 }
 
-// loadCostPriors opens the cost cache (when configured) and seeds the
-// config's cost model with the dataset's cached measurements. Only the
-// adaptive planner consumes them, so the flag demands -flow auto instead of
-// being silently ignored.
-func loadCostPriors(path, graphKey string, cfg *everythinggraph.Config) *costcache.File {
-	if path == "" {
-		return nil
-	}
-	if cfg.Flow != everythinggraph.FlowAuto {
-		fatal(fmt.Errorf("-cost-cache feeds the adaptive planner; it requires -flow auto"))
-	}
-	cache, err := costcache.Load(path)
-	if err != nil {
-		fatal(err)
-	}
-	if priors := cache.Priors(graphKey); len(priors) > 0 {
-		cfg.CostPriors = priors
-		fmt.Printf("cost cache: seeded %d measured plan costs for %s\n", len(priors), graphKey)
-	}
-	return cache
-}
-
-// saveCostMeasurements merges a run's measured plan costs into the cache
-// and writes it back.
-func saveCostMeasurements(cache *costcache.File, path, graphKey string, costs map[string]float64) {
-	if cache == nil || len(costs) == 0 {
-		return
-	}
-	cache.Record(graphKey, costs)
-	if err := cache.Save(path); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("cost cache: recorded %d measured plan costs for %s\n", len(costs), graphKey)
-}
-
 // parseSources parses the -sources list into vertex ids.
 func parseSources(s string) ([]everythinggraph.VertexID, error) {
 	if s == "" {
@@ -256,7 +203,7 @@ func parseSources(s string) ([]everythinggraph.VertexID, error) {
 
 // runBatch answers the -sources queries with one batched call and prints a
 // per-batch summary (per-source lines with -v).
-func runBatch(g *everythinggraph.Graph, algorithm string, sources []everythinggraph.VertexID, cfg everythinggraph.Config, verbose bool) []everythinggraph.BatchSourceResult {
+func runBatch(g *everythinggraph.Graph, algorithm string, sources []everythinggraph.VertexID, cfg everythinggraph.Config, verbose bool) {
 	kind := everythinggraph.BatchBFS
 	if algorithm == "sssp" {
 		kind = everythinggraph.BatchSSSP
@@ -292,13 +239,12 @@ func runBatch(g *everythinggraph.Graph, algorithm string, sources []everythinggr
 	}
 	fmt.Printf("result: %.1f vertices reached per source (avg over %d sources)\n",
 		float64(totalReached)/float64(len(sources)), len(sources))
-	return results
 }
 
 func isInf32(f float32) bool { return math.IsInf(float64(f), 1) }
 
 // runStore executes an algorithm out-of-core over a partitioned grid store.
-func runStore(path, algorithm string, cfg everythinggraph.Config, source everythinggraph.VertexID, prIters int, verbose bool) *everythinggraph.Result {
+func runStore(path, algorithm string, cfg everythinggraph.Config, source everythinggraph.VertexID, prIters int, verbose bool) {
 	st, err := everythinggraph.OpenStore(path)
 	if err != nil {
 		fatal(err)
@@ -333,7 +279,6 @@ func runStore(path, algorithm string, cfg everythinggraph.Config, source everyth
 		io.Reads, float64(io.BytesRead)/(1<<20), float64(io.PeakResidentBytes)/(1<<20))
 	printIterations(res.Run.PerIteration, verbose)
 	printAlgorithmSummary(alg)
-	return res
 }
 
 // printIterations prints the per-iteration table when verbose is set.

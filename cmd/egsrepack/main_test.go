@@ -2,38 +2,36 @@ package main
 
 import (
 	"path/filepath"
-	"strings"
 	"testing"
 
-	"github.com/epfl-repro/everythinggraph/internal/costcache"
 	"github.com/epfl-repro/everythinggraph/internal/gen"
 	"github.com/epfl-repro/everythinggraph/internal/oocore"
 )
 
-// TestRunNamesARunnableMeasuringCommand: with a cost cache that holds no
-// streamed measurements for the store, run refuses and names the egraph
-// command that would record them. That command must parse: the store goes
-// in -store (egraph's -source is a vertex id) and an algorithm is named.
-func TestRunNamesARunnableMeasuringCommand(t *testing.T) {
+// TestRunRepacksAtTheRequestedRung: -p picks a rung of the source's ladder,
+// 0 keeps the source's resolution, and a P off the ladder is refused.
+func TestRunRepacksAtTheRequestedRung(t *testing.T) {
 	dir := t.TempDir()
 	in := filepath.Join(dir, "small.egs")
 	g := gen.RMAT(gen.RMATOptions{Scale: 8, EdgeFactor: 4, Seed: 1})
 	if _, err := oocore.BuildStoreFromGraph(in, g, 4, false); err != nil {
 		t.Fatalf("BuildStoreFromGraph: %v", err)
 	}
-	cache := filepath.Join(dir, "costs.json")
-	if err := (&costcache.File{Version: costcache.Version}).Save(cache); err != nil {
-		t.Fatalf("Save: %v", err)
+	for _, c := range []struct{ p, want int }{{2, 2}, {0, 4}} {
+		out := filepath.Join(dir, "out.egs")
+		if err := run(in, out, c.p, "keep"); err != nil {
+			t.Fatalf("run -p %d: %v", c.p, err)
+		}
+		st, err := oocore.Open(out)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		if got := st.GridP(); got != c.want {
+			t.Errorf("-p %d repacked at P=%d, want %d", c.p, got, c.want)
+		}
+		st.Close()
 	}
-	err := run(in, filepath.Join(dir, "out.egs"), 0, "keep", cache)
-	if err == nil {
-		t.Fatal("run with an empty cost cache succeeded")
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "-store "+in) || !strings.Contains(msg, "-algorithm ") {
-		t.Errorf("error %q does not name `-algorithm ... -store %s`", msg, in)
-	}
-	if strings.Contains(msg, "-source") {
-		t.Errorf("error %q suggests -source, which is egraph's vertex flag", msg)
+	if err := run(in, filepath.Join(dir, "bad.egs"), 3, "keep"); err == nil {
+		t.Error("-p 3 is not a rung of a P=4 store's ladder, but run succeeded")
 	}
 }

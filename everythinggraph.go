@@ -125,13 +125,19 @@ const (
 // Graph is a dataset plus whatever layouts have been materialized for it.
 type Graph struct {
 	g *graph.Graph
+	// directed is the dataset's own directedness, the default of
+	// Config.Undirected. g.Directed is the setting the materialized layouts
+	// were built under, and the one every run over them reads.
+	directed bool
 }
+
+func wrap(g *graph.Graph) *Graph { return &Graph{g: g, directed: g.Directed} }
 
 // NewGraph wraps a raw edge list. If numVertices is zero it is derived from
 // the edges. directed records whether the dataset is directed (undirected
 // datasets store each edge once and are traversed symmetrically).
 func NewGraph(edges []Edge, numVertices int, directed bool) *Graph {
-	return &Graph{g: graph.New(edges, numVertices, directed)}
+	return wrap(graph.New(edges, numVertices, directed))
 }
 
 // Internal exposes the underlying graph for the benchmark harness and tests
@@ -147,26 +153,26 @@ func (g *Graph) NumEdges() int { return g.g.NumEdges() }
 // GenerateRMAT generates an RMAT power-law graph with 2^scale vertices and
 // 2^scale*edgeFactor edges (the paper's RMAT-N datasets use edgeFactor 16).
 func GenerateRMAT(scale, edgeFactor int, seed int64) *Graph {
-	return &Graph{g: gen.RMAT(gen.RMATOptions{Scale: scale, EdgeFactor: edgeFactor, Seed: seed})}
+	return wrap(gen.RMAT(gen.RMATOptions{Scale: scale, EdgeFactor: edgeFactor, Seed: seed}))
 }
 
 // GenerateTwitterProfile generates a directed graph with Twitter-like skew
 // (stand-in for the Twitter follower graph).
 func GenerateTwitterProfile(scale int, seed int64) *Graph {
-	return &Graph{g: gen.TwitterProfile(gen.TwitterProfileOptions{Scale: scale, Seed: seed})}
+	return wrap(gen.TwitterProfile(gen.TwitterProfileOptions{Scale: scale, Seed: seed}))
 }
 
 // GenerateRoad generates an undirected high-diameter road-network-like
 // lattice with width*height vertices (stand-in for the DIMACS US-Road
 // graph).
 func GenerateRoad(width, height int, seed int64) *Graph {
-	return &Graph{g: gen.Road(gen.RoadOptions{Width: width, Height: height, ShortcutFraction: 0.05, Seed: seed, Weighted: true})}
+	return wrap(gen.Road(gen.RoadOptions{Width: width, Height: height, ShortcutFraction: 0.05, Seed: seed, Weighted: true}))
 }
 
 // GenerateBipartite generates a bipartite rating graph with the given user
 // and item counts (stand-in for the Netflix dataset used by ALS).
 func GenerateBipartite(users, items, ratingsPerUser int, seed int64) *Graph {
-	return &Graph{g: gen.Bipartite(gen.BipartiteOptions{Users: users, Items: items, RatingsPerUser: ratingsPerUser, Seed: seed})}
+	return wrap(gen.Bipartite(gen.BipartiteOptions{Users: users, Items: items, RatingsPerUser: ratingsPerUser, Seed: seed}))
 }
 
 // LoadBinary reads a graph in the library's binary edge format.
@@ -211,9 +217,11 @@ type Config struct {
 	Prep PrepMethod
 	// SortNeighbors additionally sorts adjacency lists by destination.
 	SortNeighbors bool
-	// Undirected treats the dataset as undirected during pre-processing
-	// (required by WCC on directed inputs). It defaults to the dataset's
-	// own directedness.
+	// Undirected treats the dataset as undirected: the layouts Prepare
+	// builds and the run traverse every edge in both directions (required
+	// by WCC on directed inputs). It defaults to the dataset's own
+	// directedness. Layouts built under the other setting are dropped and
+	// rebuilt.
 	Undirected *bool
 	// GridP is the grid dimension (0 = the paper's 256, clamped for small
 	// graphs and — for oversized requests — by LLC fit).
@@ -236,10 +244,6 @@ type Config struct {
 	// in rotation (0 = 2, classic double buffering; clamped to 2–8 and to
 	// what the budget can feed). Every pass uses it, under any flow.
 	PrefetchDepth int
-	// CostPriors seeds FlowAuto's cost model with measured per-edge plan
-	// costs from an earlier run (see Result.Run.PlanCosts and
-	// internal/costcache); static flows reject it.
-	CostPriors map[string]float64
 	// Lease pins the run to a reserved subset of the shared worker pool
 	// (see NewLease), so several runs execute truly concurrently instead
 	// of interleaving on the global gang loop. Workers is clamped to the
@@ -280,24 +284,27 @@ type Result struct {
 	Run *core.Result
 }
 
-// isUndirected resolves the Undirected override.
-func (c Config) isUndirected(g *graph.Graph) bool {
-	if c.Undirected != nil {
-		return *c.Undirected
-	}
-	return !g.Directed
-}
-
 // Prepare builds the layouts required by cfg and returns the time spent.
-// It is idempotent per layout: already-built layouts are not rebuilt.
+// It is idempotent per layout: already-built layouts are not rebuilt, unless
+// they were built under the other setting of Config.Undirected.
 func (g *Graph) Prepare(cfg Config) (Breakdown, error) {
 	var bd Breakdown
 	sw := metrics.NewStopwatch()
+	undirected := !g.directed
+	if cfg.Undirected != nil {
+		undirected = *cfg.Undirected
+	}
+	if g.g.Directed == undirected {
+		// The run's undirectedness is recorded once, on the graph the
+		// engine reads; layouts of the other setting must not serve it.
+		g.g.Directed = !undirected
+		g.g.Out, g.g.In, g.g.Grid = nil, nil, nil
+	}
 	opt := prep.Options{
 		Method:        cfg.Prep,
 		Workers:       cfg.Workers,
 		SortNeighbors: cfg.SortNeighbors || cfg.Layout == LayoutAdjacencySorted,
-		Undirected:    cfg.isUndirected(g.g),
+		Undirected:    undirected,
 	}
 	switch cfg.Layout {
 	case LayoutEdgeArray:
@@ -552,7 +559,6 @@ func streamConfig(cfg Config) core.Config {
 		MaxIterations: cfg.MaxIterations,
 		MemoryBudget:  cfg.MemoryBudget,
 		PrefetchDepth: cfg.PrefetchDepth,
-		CostPriors:    cfg.CostPriors,
 		Lease:         cfg.Lease,
 		Trace:         cfg.Trace,
 	}
@@ -613,7 +619,6 @@ func engineConfig(cfg Config) core.Config {
 		Workers:       cfg.Workers,
 		PushPullAlpha: cfg.PushPullAlpha,
 		MaxIterations: cfg.MaxIterations,
-		CostPriors:    cfg.CostPriors,
 		Lease:         cfg.Lease,
 		Trace:         cfg.Trace,
 	}

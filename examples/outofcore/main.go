@@ -116,7 +116,7 @@ func main() {
 
 	// The same run under the adaptive planner, on the same 16 MiB budget
 	// and prefetch depth: it chooses the virtual grid level each pass
-	// streams at (the "grid/<P>@s1" part of the plan labels). A level only
+	// streams at (the "grid/<P>" part of the plan labels). A level only
 	// changes how reads coalesce, never the per-destination order, so the
 	// ranks stay bit-identical.
 	prAuto := everythinggraph.PageRank()

@@ -212,7 +212,7 @@ func TestBatchAutoGroupsConcurrentOrSequential(t *testing.T) {
 }
 
 // TestBatchPlanLabelsAreSingleSource: a batch's runs are single-source
-// runs, so their plan labels and measured costs share the labels of Run;
+// runs, so their plan labels are the labels of Run;
 // no label carries a multi-source width marker.
 func TestBatchPlanLabelsAreSingleSource(t *testing.T) {
 	g := gen.RMAT(gen.RMATOptions{Scale: 10, EdgeFactor: 8, Seed: 33})
@@ -225,11 +225,6 @@ func TestBatchPlanLabelsAreSingleSource(t *testing.T) {
 		for i, it := range r.Run.PerIteration {
 			if label := it.Plan.String(); strings.Contains(label, "×") {
 				t.Fatalf("source %d iteration %d: plan %q carries a width marker", r.Source, i, label)
-			}
-		}
-		for label := range r.Run.PlanCosts {
-			if strings.Contains(label, "×") {
-				t.Fatalf("source %d: cost label %q carries a width marker", r.Source, label)
 			}
 		}
 	}
@@ -298,9 +293,6 @@ func TestBatchValidation(t *testing.T) {
 		t.Fatal("a valid batch recorded nothing into its trace")
 	}
 	rejected := map[string]Config{
-		// Run rejects priors on a static flow; so does Batch.
-		"static flow with cost priors": {Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics,
-			CostPriors: map[string]float64{"adjacency/push/atomics": 1}},
 		"invalid technique triple": {Layout: graph.LayoutAdjacency, Flow: PushPull, Sync: SyncPartitionFree},
 	}
 	for name, cfg := range rejected {

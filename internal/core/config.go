@@ -150,12 +150,6 @@ type Config struct {
 	// StreamDepthCap]); in-memory runs ignore it. Every pass of a streamed
 	// run, under any flow, uses it.
 	PrefetchDepth int
-	// CostPriors seeds the adaptive planner's cost model with measured
-	// per-edge costs from a previous run (ns per scanned edge, keyed by the
-	// plan label, e.g. "adjacency/pull/no-lock") — see Result.PlanCosts for
-	// the matching export and internal/costcache for the on-disk cache.
-	// Only Flow == Auto reads it; setting it on a static flow is rejected.
-	CostPriors map[string]float64
 	// Lease dedicates a carved-out subset of the process-wide worker pool to
 	// this run (see sched.Pool.Lease): every parallel loop of the run, the
 	// compute side of streamed passes included, executes on the lease's
@@ -220,12 +214,6 @@ type Result struct {
 	// IO is the cumulative storage accounting of the run's source (zero
 	// for in-memory runs; see RunStreamed).
 	IO SourceStats
-	// PlanCosts is the adaptive planner's measured per-edge cost per plan
-	// label at the end of the run (ns per scanned edge; nil for static
-	// flows and for runs too small to measure). Feeding it back through
-	// Config.CostPriors lets the next run start from measurements instead
-	// of the hand-ordered priors.
-	PlanCosts map[string]float64
 	// Metrics is the flat counters+histograms snapshot of the run, filled
 	// only when Config.Trace was set (nil otherwise). It is the expvar-style
 	// programmatic surface a serving layer can scrape: Metrics.Get,
@@ -279,9 +267,8 @@ func ValidateTechniques(layout graph.Layout, flow Flow, sync SyncMode) error {
 }
 
 // validateAlpha rejects per-iteration-planning knobs that would be silently
-// ignored: the threshold denominator and the cost priors only participate in
-// the dynamic flows — setting them elsewhere means the benchmark config lies
-// about what ran.
+// ignored: the threshold denominator only participates in the dynamic flows
+// — setting it elsewhere means the benchmark config lies about what ran.
 func (cfg Config) validateAlpha() error {
 	if cfg.PushPullAlpha < 0 {
 		return fmt.Errorf("core: PushPullAlpha must be positive, got %d", cfg.PushPullAlpha)
@@ -291,9 +278,6 @@ func (cfg Config) validateAlpha() error {
 	}
 	if cfg.PrefetchDepth < 0 {
 		return fmt.Errorf("core: PrefetchDepth must be non-negative, got %d", cfg.PrefetchDepth)
-	}
-	if len(cfg.CostPriors) > 0 && cfg.Flow != Auto {
-		return fmt.Errorf("core: CostPriors feed the adaptive cost model; flow %v would silently ignore them", cfg.Flow)
 	}
 	return nil
 }

@@ -135,7 +135,6 @@ func iterate(g *graph.Graph, alg Algorithm, cfg Config, workers int, pl *planner
 	}
 	res.AlgorithmTime = time.Since(start)
 	res.IO = sourceStats(src)
-	res.PlanCosts = pl.measuredCosts()
 	if rec != nil {
 		finishRunTrace(rec, res, schedCounters().Sub(schedBefore), src != nil, res.IO.Sub(ioStart))
 	}

@@ -24,7 +24,7 @@ import (
 // built. Flow is always Push or Pull here — the dynamic flows (PushPull,
 // Auto) exist only at the Config level and are resolved by the planner
 // before execution. A plan is also its own cost key: the planner matches
-// measurements to candidates, and labels cost entries, by the whole plan.
+// measurements to candidates by the whole plan.
 // (The I/O recipe of a streamed pass is not part of it: every pass of a run
 // uses the one RunStreamed resolves.)
 type StepPlan struct {
@@ -39,32 +39,19 @@ type StepPlan struct {
 	// (or the stored) P, the adaptive planner chooses among the pyramid's
 	// levels per run — and, on streamed runs, among the store's virtual
 	// coarsening ladder. 0 on non-grid plans. Per-edge cost is a property of
-	// the resolution — the whole point of planning it — so cost entries are
-	// kept per level.
+	// the resolution — the whole point of planning it — so the cost model
+	// measures each level apart.
 	GridLevel int
-	// StreamFormat is the storage format version of a streamed plan (1 =
-	// fixed-record, 3 = compressed segments); 0 on in-memory plans. It is
-	// part of the plan's identity and its label ("@s<N>" after the level):
-	// the same grid label over different on-disk formats measures different
-	// byte costs, and keeping them apart stops persisted cost entries from
-	// cross-seeding across formats.
-	StreamFormat int
 }
 
-// String returns the "layout/flow/sync" label used in plan traces and as
-// the cost-cache key — grid plans carry their resolution as
-// "grid/<P>/flow/sync", streamed plans their store format too
-// ("grid/<P>@s1/…", "compressed/<P>@s3/…" for compressed stores). Non-grid
-// in-memory plans render exactly as before the resolution dimension
-// existed, keeping recorded traces comparable.
+// String returns the "layout/flow/sync" label shown in plan traces and
+// Result.PlanTrace; grid plans carry their resolution as
+// "grid/<P>/flow/sync" ("compressed/<P>/…" over a compressed store). It is
+// for display only: nothing parses it.
 func (p StepPlan) String() string {
 	layout := p.Layout.String()
 	if (p.Layout == graph.LayoutGrid || p.Layout == graph.LayoutGridCompressed) && p.GridLevel > 0 {
-		if p.StreamFormat > 0 {
-			layout = fmt.Sprintf("%s/%d@s%d", layout, p.GridLevel, p.StreamFormat)
-		} else {
-			layout = fmt.Sprintf("%s/%d", layout, p.GridLevel)
-		}
+		layout = fmt.Sprintf("%s/%d", layout, p.GridLevel)
 	}
 	return fmt.Sprintf("%s/%v/%v", layout, p.Flow, p.Sync)
 }
@@ -143,8 +130,7 @@ const (
 //
 // Measured ns/edge replaces the prediction after one iteration, with the
 // usual one-iteration misprediction abandonment (dense algorithms freeze on
-// the prediction for bit-reproducibility — persisted measurements via
-// Config.CostPriors upgrade their frozen choice too).
+// the prediction for bit-reproducibility).
 const (
 	gridLLCMissPenalty   = 1.5
 	gridInnerMissPenalty = 0.6
@@ -266,17 +252,15 @@ type planner struct {
 	// iterations, the newest first (Auto only).
 	pulls [2]time.Duration
 
-	// Decision tracing: candLabels holds one interned label per candidate
-	// (matching PlanCosts), so emitting a decision is a loop
-	// of ring stores with no allocation.
+	// Decision tracing: candLabels holds one interned label per candidate,
+	// so emitting a decision is a loop of ring stores with no allocation.
 	rec        *trace.Recorder
 	candLabels []int32
 }
 
 // newPlanner builds the planner over a candidate set; adaptive selects the
-// Auto policy (see planner). priors — Config.CostPriors, read only by
-// adaptive sets — seed the cost model with persisted measurements.
-func newPlanner(env plannerEnv, candidates []planCandidate, adaptive bool, priors map[string]float64, rec *trace.Recorder) *planner {
+// Auto policy (see planner).
+func newPlanner(env plannerEnv, candidates []planCandidate, adaptive bool, rec *trace.Recorder) *planner {
 	p := &planner{
 		env:        env,
 		adaptive:   adaptive,
@@ -298,54 +282,7 @@ func newPlanner(env plannerEnv, candidates []planCandidate, adaptive bool, prior
 			p.candLabels[i] = rec.Intern(candidates[i].plan.String())
 		}
 	}
-	if len(priors) == 0 {
-		return p
-	}
-	// Persisted measurements from a previous run seed the starting EWMA (so
-	// a tracked run's first cost comparison uses them) and the prior (so a
-	// dense run's frozen choice does, too). The hand priors are only an
-	// ordering while measurements are real nanoseconds, so the two scales
-	// must never be compared directly: the unmeasured candidates' priors
-	// are rescaled by the seeded candidates' mean measured/prior ratio,
-	// which puts every candidate on the measured scale while preserving
-	// the hand ordering among still-unmeasured plans. Unknown keys and
-	// non-positive values are ignored.
-	var ratioSum float64
-	var seeded int
-	for i := range p.candidates {
-		if per, ok := priors[p.candidates[i].plan.String()]; ok && per > 0 {
-			p.measured[i] = per
-			ratioSum += per / p.candidates[i].prior
-			seeded++
-		}
-	}
-	if seeded > 0 {
-		scale := ratioSum / float64(seeded)
-		for i := range p.candidates {
-			if p.measured[i] > 0 {
-				p.candidates[i].prior = p.measured[i]
-			} else {
-				p.candidates[i].prior *= scale
-			}
-		}
-	}
 	return p
-}
-
-// measuredCosts exports the candidates' measured (or cache-seeded) per-edge
-// costs keyed by plan label, the payload persisted by the cost cache. Static
-// sets measure nothing and export nil.
-func (p *planner) measuredCosts() map[string]float64 {
-	var out map[string]float64
-	for i, c := range p.candidates {
-		if p.measured[i] > 0 {
-			if out == nil {
-				out = make(map[string]float64, len(p.candidates))
-			}
-			out[c.plan.String()] = p.measured[i]
-		}
-	}
-	return out
 }
 
 // Next returns the plan for the iteration about to execute, given the
@@ -531,12 +468,11 @@ func (p *planner) Observe(plan StepPlan, stats IterationStats) {
 }
 
 // staticCandidates is the candidate source of a static Config: the
-// configured layout and sync at grid resolution gridP (0 off the grid) and
-// store format (0 in memory), one candidate per direction the flow admits —
-// both for PushPull. Edge-centric iterations always push. A static set has
+// configured layout and sync at grid resolution gridP (0 off the grid), one
+// candidate per direction the flow admits — both for PushPull. Edge-centric iterations always push. A static set has
 // no cost model: zero priors and full scans, so picking the candidate of a
 // direction never sums frontier degrees.
-func staticCandidates(layout graph.Layout, flow Flow, sync SyncMode, gridP, format int, tracked bool) []planCandidate {
+func staticCandidates(layout graph.Layout, flow Flow, sync SyncMode, gridP int, tracked bool) []planCandidate {
 	flows := []Flow{flow}
 	switch {
 	case layout == graph.LayoutEdgeArray:
@@ -547,7 +483,7 @@ func staticCandidates(layout graph.Layout, flow Flow, sync SyncMode, gridP, form
 	cs := make([]planCandidate, len(flows))
 	for i, fl := range flows {
 		cs[i] = planCandidate{
-			plan:     StepPlan{Layout: layout, Flow: fl, Sync: sync, Tracked: tracked, GridLevel: gridP, StreamFormat: format},
+			plan:     StepPlan{Layout: layout, Flow: fl, Sync: sync, Tracked: tracked, GridLevel: gridP},
 			fullScan: true,
 		}
 	}
@@ -572,7 +508,7 @@ func residentPlanner(g *graph.Graph, cfg Config, r *runner, alpha int, workers i
 		if len(candidates) == 0 {
 			return nil, fmt.Errorf("core: auto flow found no runnable layout (build adjacency lists, a grid, or supply edges)")
 		}
-		return newPlanner(env, candidates, true, cfg.CostPriors, cfg.Trace), nil
+		return newPlanner(env, candidates, true, cfg.Trace), nil
 	}
 	var gridP int
 	if cfg.Layout == graph.LayoutGrid {
@@ -583,7 +519,7 @@ func residentPlanner(g *graph.Graph, cfg Config, r *runner, alpha int, workers i
 		env.activeOutEdges = nil
 		gridP = g.Grid.P
 	}
-	return newPlanner(env, staticCandidates(cfg.Layout, cfg.Flow, cfg.Sync, gridP, 0, tracked), false, nil, cfg.Trace), nil
+	return newPlanner(env, staticCandidates(cfg.Layout, cfg.Flow, cfg.Sync, gridP, tracked), false, cfg.Trace), nil
 }
 
 // gridCandidateLevels returns the pyramid levels Auto chooses among. A grid
@@ -753,21 +689,16 @@ func streamPlanner(src Source, cfg Config, workers int, budget int64, alpha int,
 		tracked:     tracked,
 		// No resident out index: the count heuristic decides direction.
 	}
-	// Compressed stores label and cost their plans as "compressed/<P>"; both
-	// formats append "@s<version>" (oocore.FormatVersion and
-	// FormatVersionCompressed) so traces and cached measurements never
-	// conflate a level across storage formats.
+	// Compressed stores label and cost their plans as "compressed/<P>".
 	layout := graph.LayoutGrid
 	pushPrior, pullPrior := priorGridPush, priorGridPull
-	format := 1
 	if src.Compressed() {
 		layout = graph.LayoutGridCompressed
 		pushPrior, pullPrior = priorCompressedPush, priorCompressedPull
-		format = 3
 	}
 	levels := streamCandidateLevels(src, workers, budget)
 	if cfg.Flow != Auto {
-		return newPlanner(env, staticCandidates(layout, cfg.Flow, SyncPartitionFree, levels[0].P, format, tracked), false, nil, cfg.Trace)
+		return newPlanner(env, staticCandidates(layout, cfg.Flow, SyncPartitionFree, levels[0].P, tracked), false, cfg.Trace)
 	}
 	var candidates []planCandidate
 	for _, lv := range admitStreamLevels(levels) {
@@ -778,12 +709,12 @@ func streamPlanner(src Source, cfg Config, workers int, budget int64, alpha int,
 			candidates = append(candidates, planCandidate{
 				plan: StepPlan{
 					Layout: layout, Flow: d.flow, Sync: SyncPartitionFree,
-					Tracked: tracked, GridLevel: lv.P, StreamFormat: format,
+					Tracked: tracked, GridLevel: lv.P,
 				},
 				prior:    streamLevelPrior(d.base, lv, workers, env.totalEdges),
 				fullScan: true,
 			})
 		}
 	}
-	return newPlanner(env, candidates, true, cfg.CostPriors, cfg.Trace)
+	return newPlanner(env, candidates, true, cfg.Trace)
 }

@@ -41,7 +41,7 @@ func iterateAtLevel(g *graph.Graph, alg Algorithm, cfg Config, p int) (*Result, 
 	workers := resolveWorkers(cfg)
 	r := newRunner(g, alg, cfg, workers)
 	env := plannerEnv{numVertices: g.NumVertices(), totalEdges: residentScanEdges(g), alpha: resolveAlpha(cfg), tracked: !alg.Dense()}
-	pl := newPlanner(env, staticCandidates(graph.LayoutGrid, cfg.Flow, cfg.Sync, p, 0, env.tracked), false, nil, nil)
+	pl := newPlanner(env, staticCandidates(graph.LayoutGrid, cfg.Flow, cfg.Sync, p, env.tracked), false, nil)
 	return iterate(g, alg, cfg, workers, pl, nil, func(plan StepPlan, f *graph.Frontier) (*graph.Frontier, error) {
 		return r.execute(plan, f), nil
 	})

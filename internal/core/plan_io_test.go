@@ -124,15 +124,15 @@ type fakeGridSource struct {
 func (s *fakeGridSource) GridP() int { return s.p }
 
 // TestStreamedPlanLabelCarriesNoIORecipe: a streamed plan label names the
-// resolution and the store format, nothing about how the pass is fed.
+// resolution, nothing about how the pass is fed.
 func TestStreamedPlanLabelCarriesNoIORecipe(t *testing.T) {
 	mem := StepPlan{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree}
 	if got := mem.String(); got != "grid/push/no-lock" {
 		t.Fatalf("in-memory plan label = %q", got)
 	}
 	streamed := mem
-	streamed.GridLevel, streamed.StreamFormat = 64, 1
-	if got := streamed.String(); got != "grid/64@s1/push/no-lock" {
+	streamed.GridLevel = 64
+	if got := streamed.String(); got != "grid/64/push/no-lock" {
 		t.Fatalf("streamed plan label = %q", got)
 	}
 }
@@ -143,7 +143,7 @@ func streamedPushCandidates(levels ...int) []planCandidate {
 	cs := make([]planCandidate, len(levels))
 	for i, lv := range levels {
 		cs[i] = planCandidate{
-			plan:     StepPlan{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, Tracked: true, GridLevel: lv, StreamFormat: 1},
+			plan:     StepPlan{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, Tracked: true, GridLevel: lv},
 			prior:    priorGridPush,
 			fullScan: true,
 		}
@@ -152,88 +152,35 @@ func streamedPushCandidates(levels ...int) []planCandidate {
 }
 
 // TestAdaptiveObserveMatchesStreamedPlan: the plan a streamed pass executed
-// is exactly its candidate, so its measurement lands on that candidate and
-// is exported under the plan's own label.
+// is exactly its candidate, so its measurement lands on that candidate.
 func TestAdaptiveObserveMatchesStreamedPlan(t *testing.T) {
 	env := plannerEnv{numVertices: 100, totalEdges: 1 << 20, alpha: 20, tracked: true}
 	cs := streamedPushCandidates(64)
-	p := newPlanner(env, cs, true, nil, nil)
+	p := newPlanner(env, cs, true, nil)
 	p.Observe(cs[0].plan, IterationStats{Duration: time.Millisecond, ActiveEdges: -1})
 	if p.measured[0] == 0 {
 		t.Fatal("executed streamed plan did not match its candidate")
 	}
-	if costs := p.measuredCosts(); costs["grid/64@s1/push/no-lock"] == 0 || len(costs) != 1 {
-		t.Fatalf("measured costs not exported under the plan label: %v", costs)
-	}
 }
 
-// TestStreamedCostEntriesArePerLevel: cost entries are per grid level —
-// what lets measurements choose among resolutions — and a plan outside the
-// candidate set measures nothing.
+// TestStreamedCostEntriesArePerLevel: the cost model measures each grid
+// level apart — what lets measurements choose among resolutions — and a
+// plan outside the candidate set measures nothing.
 func TestStreamedCostEntriesArePerLevel(t *testing.T) {
 	env := plannerEnv{numVertices: 100, totalEdges: 1 << 20, alpha: 20, tracked: true}
-	cs := streamedPushCandidates(64, 16)
-	p := newPlanner(env, cs, true, nil, nil)
+	cs := streamedPushCandidates(64, 16, 8)
+	p := newPlanner(env, cs, true, nil)
 	p.Observe(cs[0].plan, IterationStats{Duration: 4 * time.Millisecond, ActiveEdges: -1})
 	p.Observe(cs[1].plan, IterationStats{Duration: time.Millisecond, ActiveEdges: -1})
 	stray := cs[0].plan
 	stray.GridLevel = 32
 	p.Observe(stray, IterationStats{Duration: time.Millisecond, ActiveEdges: -1})
-	costs := p.measuredCosts()
-	fine, coarse := costs["grid/64@s1/push/no-lock"], costs["grid/16@s1/push/no-lock"]
-	if len(costs) != 2 || fine == 0 || coarse == 0 {
-		t.Fatalf("want one entry per observed level, got %v", costs)
+	fine, coarse := p.measured[0], p.measured[1]
+	if fine == 0 || coarse == 0 || p.measured[2] != 0 {
+		t.Fatalf("want one measurement per observed level, got %v", p.measured)
 	}
 	if fine != 4*coarse {
 		t.Fatalf("levels share a cost entry: fine %v, coarse %v", fine, coarse)
-	}
-}
-
-func TestAdaptivePlannerSeedsAndRescalesCostPriors(t *testing.T) {
-	env := plannerEnv{numVertices: 100, totalEdges: 1 << 20, alpha: 20, tracked: false}
-	push := StepPlan{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree}
-	pull := StepPlan{Layout: graph.LayoutGrid, Flow: Pull, Sync: SyncPartitionFree}
-	candidates := []planCandidate{
-		{plan: push, prior: priorGridPush, fullScan: true},
-		{plan: pull, prior: priorGridPull, fullScan: true},
-	}
-
-	// Without priors a dense run freezes on the lower hand prior (push).
-	p := newPlanner(env, candidates, true, nil, nil)
-	if plan := p.Next(0, graph.NewFrontier(100)); plan.Flow != Push {
-		t.Fatalf("hand priors froze %v, want push", plan)
-	}
-
-	// Cached measurements for both candidates flip the frozen choice when
-	// they contradict the hand ordering.
-	p = newPlanner(env, []planCandidate{
-		{plan: push, prior: priorGridPush, fullScan: true},
-		{plan: pull, prior: priorGridPull, fullScan: true},
-	}, true, map[string]float64{"grid/pull/no-lock": 5.0, "grid/push/no-lock": 20.0}, nil)
-	if plan := p.Next(0, graph.NewFrontier(100)); plan.Flow != Pull {
-		t.Fatalf("cached measurements froze %v, want pull", plan)
-	}
-	if p.measured[1] != 5.0 || p.measured[0] != 20.0 {
-		t.Fatalf("measured EWMA not seeded: %v", p.measured)
-	}
-
-	// A single measurement carries no cross-plan information: measurements
-	// are real nanoseconds while hand priors are just an ordering, so the
-	// unmeasured candidate's prior is rescaled into the measured scale
-	// (preserving the hand ordering) instead of being compared raw — a raw
-	// comparison would treat 2.4 "ordering units" as cheaper than any real
-	// measurement above 2.4ns and flip the choice on every fast machine.
-	p = newPlanner(env, []planCandidate{
-		{plan: push, prior: priorGridPush, fullScan: true},
-		{plan: pull, prior: priorGridPull, fullScan: true},
-	}, true, map[string]float64{"grid/push/no-lock": 5.0}, nil)
-	if plan := p.Next(0, graph.NewFrontier(100)); plan.Flow != Push {
-		t.Fatalf("single measurement flipped the hand ordering: froze %v", plan)
-	}
-	// pull's prior was rescaled by the 5.0/2.4 ratio and stays above
-	// push's measured 5.0.
-	if got := p.candidates[1].prior; got <= priorGridPull {
-		t.Fatalf("unmeasured prior not rescaled into the measured scale: %v", got)
 	}
 }
 
@@ -304,12 +251,7 @@ func TestRunStreamedPassesShareOneRecipe(t *testing.T) {
 	}
 }
 
-func TestValidateRejectsCostPriorsOnStaticFlow(t *testing.T) {
-	cfg := Config{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree,
-		CostPriors: map[string]float64{"grid/push/no-lock": 1}}
-	if err := cfg.validateAlpha(); err == nil {
-		t.Fatal("CostPriors on a static flow was not rejected")
-	}
+func TestValidateRejectsNegativePrefetchDepth(t *testing.T) {
 	if err := (Config{PrefetchDepth: -1}).validateAlpha(); err == nil {
 		t.Fatal("negative PrefetchDepth was not rejected")
 	}

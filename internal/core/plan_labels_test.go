@@ -72,7 +72,7 @@ func TestAutoDensePlanLabelsFrozen(t *testing.T) {
 		got := frozenPlan(t, func(alg core.Algorithm, cfg core.Config) (*core.Result, error) {
 			return core.RunStreamed(s, alg, cfg)
 		})
-		if want := "grid/1@s1/push/no-lock x10"; got != want {
+		if want := "grid/1/push/no-lock x10"; got != want {
 			t.Fatalf("plan %q, want %q", got, want)
 		}
 	})

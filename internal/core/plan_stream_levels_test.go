@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/epfl-repro/everythinggraph/internal/graph"
@@ -41,8 +40,8 @@ func TestStreamAutoEnumeratesLadderLevels(t *testing.T) {
 	pl := streamPlanner(src, Config{Flow: Auto}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true)
 	seen := map[int]bool{}
 	for _, c := range pl.candidates {
-		if c.plan.StreamFormat != 1 {
-			t.Fatalf("candidate %v has stream format %d, want 1", c.plan, c.plan.StreamFormat)
+		if c.plan.Layout != graph.LayoutGrid {
+			t.Fatalf("candidate %v over a v1 store is not a grid plan", c.plan)
 		}
 		seen[c.plan.GridLevel] = true
 	}
@@ -77,29 +76,6 @@ func TestStreamStaticGridLevelsPinsRung(t *testing.T) {
 		if plan.GridLevel != wantP {
 			t.Fatalf("rung %d pinned level %d, want %d", rung, plan.GridLevel, wantP)
 		}
-		if !strings.Contains(plan.String(), "@s1") {
-			t.Fatalf("pinned plan %q lost its stream provenance", plan.String())
-		}
-	}
-}
-
-// TestStreamCostPriorsRespectFormatProvenance is the cross-seeding guard:
-// a measurement recorded against a v1 store ("@s1") or the retired varint
-// layout ("@s2") must not seed the same graph's compressed store ("@s3") —
-// byte costs of the formats differ.
-func TestStreamCostPriorsRespectFormatProvenance(t *testing.T) {
-	src := &fakeSource{n: 64, compressed: true, edges: []graph.Edge{{Src: 0, Dst: 1}}}
-	stale := map[string]float64{"grid/1@s1/push/no-lock": 0.5, "compressed/1@s1/push/no-lock": 0.5,
-		"compressed/1@s2/push/no-lock": 0.5}
-	pl := streamPlanner(src, Config{Flow: Auto, CostPriors: stale}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true)
-	if costs := pl.measuredCosts(); costs != nil {
-		t.Fatalf("v1- or v2-provenance priors seeded a compressed store's planner: %v", costs)
-	}
-	fresh := map[string]float64{"compressed/1@s3/push/no-lock": 0.5}
-	pl = streamPlanner(src, Config{Flow: Auto, CostPriors: fresh}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true)
-	costs := pl.measuredCosts()
-	if costs["compressed/1@s3/push/no-lock"] != 0.5 {
-		t.Fatalf("matching-provenance prior was not seeded: %v", costs)
 	}
 }
 
@@ -121,8 +97,8 @@ func TestAdmitStreamLevelsKeepsOnlyImprovingRungs(t *testing.T) {
 }
 
 // TestStreamPlannerLabelsCompressedSource checks that a compressed source
-// streams under "compressed/<P>" plans (fixed and adaptive) so traces and
-// cost-cache keys never conflate the two storage formats.
+// streams under "compressed/<P>" plans (fixed and adaptive), so traces tell
+// the two storage formats apart.
 func TestStreamPlannerLabelsCompressedSource(t *testing.T) {
 	src := &fakeSource{n: 64, compressed: true}
 	pl := streamPlanner(src, Config{Flow: Push}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true)
@@ -130,8 +106,8 @@ func TestStreamPlannerLabelsCompressedSource(t *testing.T) {
 	if plan.Layout != graph.LayoutGridCompressed {
 		t.Fatalf("fixed stream plan over a compressed source has layout %v", plan.Layout)
 	}
-	if want := "compressed/1@s3/push/no-lock"; !strings.HasPrefix(plan.String(), want) {
-		t.Fatalf("fixed stream plan labeled %q, want prefix %q", plan.String(), want)
+	if want := "compressed/1/push/no-lock"; plan.String() != want {
+		t.Fatalf("fixed stream plan labeled %q, want %q", plan.String(), want)
 	}
 	pl = streamPlanner(src, Config{Flow: Auto}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true)
 	for _, c := range pl.candidates {
@@ -142,7 +118,7 @@ func TestStreamPlannerLabelsCompressedSource(t *testing.T) {
 	// An uncompressed source keeps the exact pre-compression labels.
 	plain := &fakeSource{n: 64}
 	plan = streamPlanner(plain, Config{Flow: Push}, 1, DefaultStreamMemoryBudget, DefaultPushPullAlpha, true).Next(0, graph.NewFrontier(64))
-	if want := "grid/1@s1/push/no-lock"; !strings.HasPrefix(plan.String(), want) {
-		t.Fatalf("v1 stream plan labeled %q, want prefix %q", plan.String(), want)
+	if want := "grid/1/push/no-lock"; plan.String() != want {
+		t.Fatalf("v1 stream plan labeled %q, want %q", plan.String(), want)
 	}
 }

@@ -61,7 +61,7 @@ func TestAdaptivePlannerScriptedDensity(t *testing.T) {
 			return 0
 		},
 	}
-	p := newPlanner(env, adjacencyCandidates(true), true, nil, nil)
+	p := newPlanner(env, adjacencyCandidates(true), true, nil)
 
 	steps := []struct {
 		count    int
@@ -127,9 +127,9 @@ func TestAdaptivePlannerPullHysteresis(t *testing.T) {
 			}
 			cands := adjacencyCandidates(true)
 			if !c.adaptive {
-				cands = staticCandidates(graph.LayoutAdjacency, PushPull, SyncAtomics, 0, 0, true)
+				cands = staticCandidates(graph.LayoutAdjacency, PushPull, SyncAtomics, 0, true)
 			}
-			p := newPlanner(env, cands, c.adaptive, nil, nil)
+			p := newPlanner(env, cands, c.adaptive, nil)
 			dense := scriptedFrontier(n, 400, 12000)
 			for i, d := range []time.Duration{c.first, c.second} {
 				plan := p.Next(i, dense)
@@ -158,7 +158,7 @@ func TestAdaptivePlannerAbandonsMispredictedPlan(t *testing.T) {
 	p := newPlanner(env, []planCandidate{
 		{plan: adjPull, prior: priorAdjacencyPull, fullScan: true},
 		{plan: gridPull, prior: priorGridPull, fullScan: true},
-	}, true, nil, nil)
+	}, true, nil)
 	dense := scriptedFrontier(n, 400, -1) // density 0.4: always pull
 
 	if plan := p.Next(0, dense); plan != adjPull {
@@ -184,7 +184,7 @@ func TestAdaptivePlannerAbandonsMispredictedPlan(t *testing.T) {
 func TestAdaptivePlannerFreezesDensePlans(t *testing.T) {
 	const n, m = 1000, 16000
 	env := plannerEnv{numVertices: n, totalEdges: m, alpha: DefaultPushPullAlpha, tracked: false}
-	p := newPlanner(env, adjacencyCandidates(false), true, nil, nil)
+	p := newPlanner(env, adjacencyCandidates(false), true, nil)
 	full := scriptedFrontier(n, n, -1)
 
 	first := p.Next(0, full)
@@ -198,31 +198,27 @@ func TestAdaptivePlannerFreezesDensePlans(t *testing.T) {
 	}
 }
 
-// TestAdaptivePlannerSwitchesOffMispredictedSeededPlan: cached measurements
-// put a coarse grid level ahead of the fine one, so the planner opens on
-// it; the measured iteration contradicts the cache (a misfit for this
-// machine), and the planner must abandon the seeded plan after that single
-// iteration.
-func TestAdaptivePlannerSwitchesOffMispredictedSeededPlan(t *testing.T) {
+// TestAdaptivePlannerSwitchesOffMispredictedGridLevel: the priors put a
+// coarse grid level ahead of the fine one, so the planner opens on it; the
+// measured iteration contradicts the prior (a misfit for this machine), and
+// the planner must abandon that level after the single iteration.
+func TestAdaptivePlannerSwitchesOffMispredictedGridLevel(t *testing.T) {
 	const totalEdges = 1 << 22
 	env := plannerEnv{numVertices: 1 << 16, totalEdges: totalEdges, alpha: 20, tracked: true}
 	fine := StepPlan{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, Tracked: true, GridLevel: 16}
 	coarse := fine
 	coarse.GridLevel = 4
 	p := newPlanner(env, []planCandidate{
-		{plan: fine, prior: priorGridPush, fullScan: true},
-		{plan: coarse, prior: priorGridPush, fullScan: true},
-	}, true, map[string]float64{
-		"grid/16/push/no-lock": 8.0,
-		"grid/4/push/no-lock":  2.0,
-	}, nil)
+		{plan: fine, prior: 8.0, fullScan: true},
+		{plan: coarse, prior: 2.0, fullScan: true},
+	}, true, nil)
 
 	f := graph.NewFrontier(1 << 16)
 	if plan := p.Next(0, f); plan != coarse {
-		t.Fatalf("seeded costs planned %v, want %v", plan, coarse)
+		t.Fatalf("priors planned %v, want %v", plan, coarse)
 	}
 	// The measured iteration lands at 100 ns/edge: latest-wins weighting
-	// must push the EWMA past the fine level's 8.0 so the very next
+	// must push the EWMA past the fine level's 8.0 prior so the very next
 	// iteration switches.
 	p.Observe(coarse, IterationStats{
 		Duration:    time.Duration(totalEdges * 100),

@@ -186,8 +186,11 @@ type Graph struct {
 	In *Adjacency
 	// Grid is the grid layout (nil until built).
 	Grid *Grid
-	// Directed records whether the dataset is directed. Undirected datasets
-	// store each edge once in the edge array; adjacency lists double them.
+	// Directed records whether the graph is traversed as directed.
+	// Undirected graphs store each edge once in the edge array; adjacency
+	// lists and the grid hold both directions, and edge-centric iterations
+	// mirror each edge. Layouts must be built under the setting recorded
+	// here: the engine reads nothing else.
 	Directed bool
 }
 

@@ -120,8 +120,8 @@ func TestCompressPlanTrace(t *testing.T) {
 		{
 			// Streamed plans carry their level; a level change alone is a
 			// new run in the trace.
-			[]string{"grid/16@s1/push/no-lock", "grid/8@s1/push/no-lock", "grid/8@s1/push/no-lock"},
-			"grid/16@s1/push/no-lock -> grid/8@s1/push/no-lock x2",
+			[]string{"grid/16/push/no-lock", "grid/8/push/no-lock", "grid/8/push/no-lock"},
+			"grid/16/push/no-lock -> grid/8/push/no-lock x2",
 		},
 	}
 	for _, c := range cases {
