@@ -120,21 +120,6 @@ func (ea *EdgeArray) Validate() error {
 	return nil
 }
 
-// Undirect returns a new edge slice with each edge mirrored, used to build
-// undirected adjacency lists (Section 8: WCC requires inserting each edge in
-// both endpoints' arrays, which is what makes adjacency-list pre-processing
-// more expensive for undirected algorithms).
-func Undirect(edges []Edge) []Edge {
-	out := make([]Edge, 0, 2*len(edges))
-	for _, e := range edges {
-		out = append(out, e)
-		if e.Src != e.Dst {
-			out = append(out, Edge{Src: e.Dst, Dst: e.Src, W: e.W})
-		}
-	}
-	return out
-}
-
 // Layout enumerates the data layouts studied by the paper.
 type Layout int
 

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
 )
 
 func TestMaxVertex(t *testing.T) {
@@ -46,39 +45,6 @@ func TestEdgeArrayValidate(t *testing.T) {
 	bad := &EdgeArray{Edges: []Edge{{Src: 0, Dst: 5}}, NumVertices: 2}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("expected out-of-range error")
-	}
-}
-
-func TestUndirectMirrorsEdges(t *testing.T) {
-	edges := []Edge{{Src: 0, Dst: 1, W: 2}, {Src: 2, Dst: 2, W: 3}}
-	und := Undirect(edges)
-	// 0->1 is mirrored; the self loop is not duplicated.
-	if len(und) != 3 {
-		t.Fatalf("len = %d, want 3", len(und))
-	}
-	if und[1] != (Edge{Src: 1, Dst: 0, W: 2}) {
-		t.Fatalf("mirror edge = %+v", und[1])
-	}
-}
-
-func TestUndirectPreservesDegreeSum(t *testing.T) {
-	f := func(raw []uint16) bool {
-		// Build a random edge list from pairs of uint16 (bounded vertex ids).
-		var edges []Edge
-		for i := 0; i+1 < len(raw); i += 2 {
-			edges = append(edges, Edge{Src: VertexID(raw[i] % 64), Dst: VertexID(raw[i+1] % 64), W: 1})
-		}
-		und := Undirect(edges)
-		selfLoops := 0
-		for _, e := range edges {
-			if e.Src == e.Dst {
-				selfLoops++
-			}
-		}
-		return len(und) == 2*len(edges)-selfLoops
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -14,15 +14,19 @@ import (
 // Both passes read the input sequentially, but the counting pass and the
 // placement pass write to per-vertex counters and to scattered offsets of
 // the output array, which is the poor-locality behaviour Table 2 attributes
-// to this approach.
-func buildCountSort(edges []graph.Edge, numVertices int, byDst, weighted bool, workers int) *graph.Adjacency {
+// to this approach. With mirror, both passes count and place every edge at
+// both endpoints.
+func buildCountSort(edges []graph.Edge, numVertices int, byDst, mirror, weighted bool, workers int) *graph.Adjacency {
 	// Pass 1: count degrees. Parallel chunks update shared counters with
 	// atomic increments (random access across the counter array).
 	counts := make([]uint64, numVertices+1)
 	sched.ParallelForChunked(0, len(edges), sched.DefaultChunkSize, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			key := edgeKey(edges[i], byDst)
+			key, t := edgeKey(edges[i], byDst), otherEnd(edges[i], byDst)
 			atomic.AddUint64(&counts[key+1], 1)
+			if mirror && key != t {
+				atomic.AddUint64(&counts[t+1], 1)
+			}
 		}
 	})
 
@@ -43,20 +47,26 @@ func buildCountSort(edges []graph.Edge, numVertices int, byDst, weighted bool, w
 	copy(cursor, index[:numVertices])
 	adj := &graph.Adjacency{
 		Index:       index,
-		Targets:     make([]graph.VertexID, len(edges)),
+		Targets:     make([]graph.VertexID, sum),
 		NumVertices: numVertices,
 	}
 	if weighted {
-		adj.Weights = make([]graph.Weight, len(edges))
+		adj.Weights = make([]graph.Weight, sum)
+	}
+	place := func(key, t graph.VertexID, w graph.Weight) {
+		pos := atomic.AddUint64(&cursor[key], 1) - 1
+		adj.Targets[pos] = t
+		if weighted {
+			adj.Weights[pos] = w
+		}
 	}
 	sched.ParallelForChunked(0, len(edges), sched.DefaultChunkSize, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := edges[i]
-			key := edgeKey(e, byDst)
-			pos := atomic.AddUint64(&cursor[key], 1) - 1
-			adj.Targets[pos] = otherEnd(e, byDst)
-			if weighted {
-				adj.Weights[pos] = e.W
+			key, t := edgeKey(e, byDst), otherEnd(e, byDst)
+			place(key, t, e.W)
+			if mirror && key != t {
+				place(t, key, e.W)
 			}
 		}
 	})

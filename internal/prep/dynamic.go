@@ -22,33 +22,44 @@ const stripeCount = 4096
 //
 // The scan is parallelized over edge chunks, with striped locks protecting
 // the per-vertex arrays, mirroring the paper's Cilk-parallel pre-processing.
-func buildDynamic(edges []graph.Edge, numVertices int, byDst, weighted bool, workers int) *graph.Adjacency {
+// With mirror, every edge is appended to the arrays of both endpoints.
+func buildDynamic(edges []graph.Edge, numVertices int, byDst, mirror, weighted bool, workers int) *graph.Adjacency {
 	type cell struct {
 		t graph.VertexID
 		w graph.Weight
 	}
 	perVertex := make([][]cell, numVertices)
 	var locks [stripeCount]sync.Mutex
+	add := func(key, t graph.VertexID, w graph.Weight) {
+		locks[key%stripeCount].Lock()
+		perVertex[key] = append(perVertex[key], cell{t: t, w: w})
+		locks[key%stripeCount].Unlock()
+	}
 
 	sched.ParallelForChunked(0, len(edges), sched.DefaultChunkSize, workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := edges[i]
-			key := edgeKey(e, byDst)
-			locks[key%stripeCount].Lock()
-			perVertex[key] = append(perVertex[key], cell{t: otherEnd(e, byDst), w: e.W})
-			locks[key%stripeCount].Unlock()
+			key, t := edgeKey(e, byDst), otherEnd(e, byDst)
+			add(key, t, e.W)
+			if mirror && key != t {
+				add(t, key, e.W)
+			}
 		}
 	})
 
 	// Flatten the per-vertex arrays into CSR form. This pass is part of the
 	// dynamic approach's cost: the arrays are scattered across the heap.
+	slots := 0
+	for _, cells := range perVertex {
+		slots += len(cells)
+	}
 	adj := &graph.Adjacency{
 		Index:       make([]uint64, numVertices+1),
-		Targets:     make([]graph.VertexID, len(edges)),
+		Targets:     make([]graph.VertexID, slots),
 		NumVertices: numVertices,
 	}
 	if weighted {
-		adj.Weights = make([]graph.Weight, len(edges))
+		adj.Weights = make([]graph.Weight, slots)
 	}
 	var off uint64
 	for v := 0; v < numVertices; v++ {

@@ -9,8 +9,9 @@ import (
 // the same chunked histogram + stable scatter machinery as the radix sort
 // ("Instead of bucketing edges by source vertex, we bucket them by the cell
 // to which they belong", Section 5.1). One pass suffices because the cell id
-// is the sort key.
-func buildGridRadix(edges []graph.Edge, numVertices, requestedP, workers int) *graph.Grid {
+// is the sort key. With mirror, every edge other than a self-loop is
+// followed by its mirror in both passes.
+func buildGridRadix(edges []graph.Edge, numVertices, requestedP int, mirror bool, workers int) *graph.Grid {
 	p := graph.GridPFor(numVertices, requestedP)
 	rangeSize := (numVertices + p - 1) / p
 	if rangeSize == 0 {
@@ -23,7 +24,7 @@ func buildGridRadix(edges []graph.Edge, numVertices, requestedP, workers int) *g
 		P:           p,
 		RangeSize:   rangeSize,
 		NumVertices: numVertices,
-		Edges:       make([]graph.Edge, n),
+		Edges:       []graph.Edge{},
 		CellIndex:   make([]uint64, numCells+1),
 	}
 	if n == 0 {
@@ -46,13 +47,11 @@ func buildGridRadix(edges []graph.Edge, numVertices, requestedP, workers int) *g
 	sched.ParallelForChunked(0, numChunks, 1, workers, func(cLo, cHi int) {
 		for c := cLo; c < cHi; c++ {
 			cnt := make([]uint64, numCells)
-			lo := c * chunkSize
-			hi := lo + chunkSize
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				cnt[cellOf(edges[i])]++
+			for _, e := range edges[c*chunkSize : min((c+1)*chunkSize, n)] {
+				cnt[cellOf(e)]++
+				if mirror && e.Src != e.Dst {
+					cnt[cellOf(mirrorEdge(e))]++
+				}
 			}
 			counts[c] = cnt
 		}
@@ -72,18 +71,20 @@ func buildGridRadix(edges []graph.Edge, numVertices, requestedP, workers int) *g
 	g.CellIndex[numCells] = running
 
 	// Scatter.
+	g.Edges = make([]graph.Edge, running)
 	sched.ParallelForChunked(0, numChunks, 1, workers, func(cLo, cHi int) {
 		for c := cLo; c < cHi; c++ {
 			offs := counts[c]
-			lo := c * chunkSize
-			hi := lo + chunkSize
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				cell := cellOf(edges[i])
-				g.Edges[offs[cell]] = edges[i]
+			put := func(e graph.Edge) {
+				cell := cellOf(e)
+				g.Edges[offs[cell]] = e
 				offs[cell]++
+			}
+			for _, e := range edges[c*chunkSize : min((c+1)*chunkSize, n)] {
+				put(e)
+				if mirror && e.Src != e.Dst {
+					put(mirrorEdge(e))
+				}
 			}
 		}
 	})
@@ -93,12 +94,12 @@ func buildGridRadix(edges []graph.Edge, numVertices, requestedP, workers int) *g
 	return g
 }
 
-// buildGridDynamic builds the grid by appending each edge to a growable
-// per-cell slice while scanning the input once, then flattening — the
-// dynamic counterpart the paper compares against when the graph is loaded
-// from slow storage (Section 5.1: "dynamically building the grid is faster
-// otherwise").
-func buildGridDynamic(edges []graph.Edge, numVertices, requestedP int) *graph.Grid {
+// buildGridDynamic builds the grid by appending each edge (and its mirror,
+// if mirror) to a growable per-cell slice while scanning the input once,
+// then flattening — the dynamic counterpart the paper compares against when
+// the graph is loaded from slow storage (Section 5.1: "dynamically building
+// the grid is faster otherwise").
+func buildGridDynamic(edges []graph.Edge, numVertices, requestedP int, mirror bool) *graph.Grid {
 	p := graph.GridPFor(numVertices, requestedP)
 	rangeSize := (numVertices + p - 1) / p
 	if rangeSize == 0 {
@@ -107,16 +108,24 @@ func buildGridDynamic(edges []graph.Edge, numVertices, requestedP int) *graph.Gr
 	numCells := p * p
 
 	cells := make([][]graph.Edge, numCells)
-	for _, e := range edges {
+	slots := 0
+	add := func(e graph.Edge) {
 		cell := (int(e.Src)/rangeSize)*p + int(e.Dst)/rangeSize
 		cells[cell] = append(cells[cell], e)
+		slots++
+	}
+	for _, e := range edges {
+		add(e)
+		if mirror && e.Src != e.Dst {
+			add(mirrorEdge(e))
+		}
 	}
 
 	g := &graph.Grid{
 		P:           p,
 		RangeSize:   rangeSize,
 		NumVertices: numVertices,
-		Edges:       make([]graph.Edge, 0, len(edges)),
+		Edges:       make([]graph.Edge, 0, slots),
 		CellIndex:   make([]uint64, numCells+1),
 	}
 	for cell := 0; cell < numCells; cell++ {
@@ -127,3 +136,6 @@ func buildGridDynamic(edges []graph.Edge, numVertices, requestedP int) *graph.Gr
 	g.BuildPyramid()
 	return g
 }
+
+// mirrorEdge returns e reversed, with its weight.
+func mirrorEdge(e graph.Edge) graph.Edge { return graph.Edge{Src: e.Dst, Dst: e.Src, W: e.W} }

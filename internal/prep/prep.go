@@ -23,6 +23,13 @@
 // three hold the same edges per vertex; their cost and cache behaviour
 // differ, which is the trade-off Table 2 and Figure 2 measure. Every builder
 // rejects an edge whose endpoint is outside [0, NumVertices) with an error.
+//
+// An undirected build mirrors each edge in the builder's own passes (its
+// mirror argument): the edge with key k and target t is placed, and then,
+// unless k == t, the edge with key t and target k. A vertex's row then holds
+// every edge that touches it, once, in input order — the same row whichever
+// end keys the build — and the radix builder's output is the stable sort of
+// the list with each edge followed by its mirror.
 package prep
 
 import (
@@ -101,8 +108,10 @@ type Options struct {
 	// neighbour id (the Section 5 optimization); it applies only to
 	// adjacency builds.
 	SortNeighbors bool
-	// Undirected doubles the edges before building so that each edge
-	// appears in the arrays of both endpoints (needed by WCC, Section 8).
+	// Undirected makes each builder mirror every edge as its passes read
+	// it, so that the edge appears in the arrays of both endpoints (needed
+	// by WCC, Section 8): an edge (s, d, w) yields s->d and, unless s == d,
+	// d->s with the same weight. No mirrored copy of the input is made.
 	Undirected bool
 }
 
@@ -114,26 +123,22 @@ func BuildAdjacency(g *graph.Graph, dir Direction, opt Options) error {
 	edges := g.EdgeArray.Edges
 	n := g.NumVertices()
 	// The radix builder checks the range and the weights in its histogram
-	// read; the doubled array would give it other edge numbers than the
-	// input's.
+	// read.
 	weighted := false
-	if opt.Method != RadixSort || opt.Undirected {
+	if opt.Method != RadixSort {
 		var err error
 		if weighted, err = checkRange(edges, n, opt.Workers); err != nil {
 			return err
 		}
 	}
-	if opt.Undirected {
-		edges = graph.Undirect(edges)
-	}
 	build := func(byDst bool) (*graph.Adjacency, error) {
 		switch opt.Method {
 		case Dynamic:
-			return buildDynamic(edges, n, byDst, weighted, opt.Workers), nil
+			return buildDynamic(edges, n, byDst, opt.Undirected, weighted, opt.Workers), nil
 		case CountSort:
-			return buildCountSort(edges, n, byDst, weighted, opt.Workers), nil
+			return buildCountSort(edges, n, byDst, opt.Undirected, weighted, opt.Workers), nil
 		case RadixSort:
-			return buildRadixSort(edges, n, byDst, opt.Workers)
+			return buildRadixSort(edges, n, byDst, opt.Undirected, opt.Workers)
 		default:
 			return nil, fmt.Errorf("prep: unknown method %v", opt.Method)
 		}
@@ -170,19 +175,16 @@ func BuildGrid(g *graph.Graph, requestedP int, opt Options) error {
 	if _, err := checkRange(edges, n, opt.Workers); err != nil {
 		return err
 	}
-	if opt.Undirected {
-		edges = graph.Undirect(edges)
-	}
 	var grid *graph.Grid
 	var err error
 	switch opt.Method {
 	case Dynamic:
-		grid = buildGridDynamic(edges, n, requestedP)
+		grid = buildGridDynamic(edges, n, requestedP, opt.Undirected)
 	case CountSort, RadixSort:
 		// Count sort and radix bucketing coincide for the grid: edges are
 		// bucketed by cell id, which is a single-digit (cell-granularity)
 		// radix pass. The paper builds its grids with the radix approach.
-		grid = buildGridRadix(edges, n, requestedP, opt.Workers)
+		grid = buildGridRadix(edges, n, requestedP, opt.Undirected, opt.Workers)
 	default:
 		err = fmt.Errorf("prep: unknown method %v", opt.Method)
 	}

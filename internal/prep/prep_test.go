@@ -2,8 +2,9 @@ package prep
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
+	"testing/quick"
 
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 )
@@ -25,21 +26,15 @@ func randomGraph(n, m int, seed int64) *graph.Graph {
 // canonical returns the sorted (src,dst,weight) triples represented by an
 // out-adjacency, so structurally different but equivalent CSRs compare
 // equal.
-func canonical(a *graph.Adjacency) [][3]uint32 {
-	edges := a.Edges()
+func canonical(a *graph.Adjacency) [][3]uint32 { return sortedTriples(a.Edges()) }
+
+// sortedTriples returns the sorted (src,dst,weight) triples of edges.
+func sortedTriples(edges []graph.Edge) [][3]uint32 {
 	out := make([][3]uint32, len(edges))
 	for i, e := range edges {
 		out[i] = [3]uint32{e.Src, e.Dst, uint32(e.W)}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		if out[i][1] != out[j][1] {
-			return out[i][1] < out[j][1]
-		}
-		return out[i][2] < out[j][2]
-	})
+	slices.SortFunc(out, func(a, b [3]uint32) int { return slices.Compare(a[:], b[:]) })
 	return out
 }
 
@@ -106,17 +101,59 @@ func TestInAdjacencyContainsReversedEdges(t *testing.T) {
 	}
 }
 
+// TestUndirectedDoublesEdges: every builder, adjacency (keyed by
+// either end) and grid, places each edge at both endpoints with its weight
+// and a self-loop once, so an undirected build fills 2m - selfLoops slots.
 func TestUndirectedDoublesEdges(t *testing.T) {
-	edges := []graph.Edge{{Src: 0, Dst: 1, W: 1}, {Src: 1, Dst: 2, W: 1}}
-	g := graph.New(edges, 3, false)
-	if err := BuildAdjacency(g, Out, Options{Method: CountSort, Undirected: true}); err != nil {
-		t.Fatalf("BuildAdjacency: %v", err)
+	edges := []graph.Edge{{Src: 0, Dst: 1, W: 2}, {Src: 2, Dst: 2, W: 3}, {Src: 1, Dst: 2, W: 4}}
+	want := [][3]uint32{{0, 1, 2}, {1, 0, 2}, {1, 2, 4}, {2, 1, 4}, {2, 2, 3}}
+	for _, m := range []Method{Dynamic, CountSort, RadixSort} {
+		for _, dir := range []Direction{Out, In} {
+			g := graph.New(edges, 3, false)
+			if err := BuildAdjacency(g, dir, Options{Method: m, Undirected: true}); err != nil {
+				t.Fatalf("%v %v: %v", m, dir, err)
+			}
+			adj := g.Out
+			if dir == In {
+				adj = g.In
+			}
+			if got := canonical(adj); !equalTriples(got, want) {
+				t.Errorf("%v %v: adjacency %v, want %v", m, dir, got, want)
+			}
+		}
+		g := graph.New(edges, 3, false)
+		if err := BuildGrid(g, 2, Options{Method: m, Undirected: true}); err != nil {
+			t.Fatalf("%v grid: %v", m, err)
+		}
+		if got := sortedTriples(g.Grid.Edges); !equalTriples(got, want) {
+			t.Errorf("%v grid: edges %v, want %v", m, got, want)
+		}
 	}
-	if g.Out.NumEdges() != 4 {
-		t.Fatalf("undirected adjacency has %d edges, want 4", g.Out.NumEdges())
+
+	f := func(raw []uint16) bool {
+		var edges []graph.Edge
+		selfLoops := 0
+		for i := 0; i+1 < len(raw); i += 2 {
+			e := graph.Edge{Src: graph.VertexID(raw[i] % 64), Dst: graph.VertexID(raw[i+1] % 64), W: 1}
+			edges = append(edges, e)
+			if e.Src == e.Dst {
+				selfLoops++
+			}
+		}
+		slots := 2*len(edges) - selfLoops
+		for _, m := range []Method{Dynamic, CountSort, RadixSort} {
+			g := graph.New(edges, 64, false)
+			if BuildAdjacency(g, Out, Options{Method: m, Workers: 2, Undirected: true}) != nil || g.Out.NumEdges() != slots {
+				return false
+			}
+			if BuildGrid(g, 4, Options{Method: m, Workers: 2, Undirected: true}) != nil || g.Grid.NumEdges() != slots {
+				return false
+			}
+		}
+		return true
 	}
-	if g.Out.Degree(1) != 2 {
-		t.Fatalf("degree(1) = %d, want 2", g.Out.Degree(1))
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

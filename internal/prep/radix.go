@@ -4,13 +4,15 @@ package prep
 // pass, three trips over the data in all.
 //
 //  1. One read of the input fills, for each of a few contiguous chunks, a
-//     histogram of the key's high bits, rejects any endpoint outside
-//     [0, numVertices), and notes whether any weight differs from 1 (only
-//     then is Weights allocated). This read is the only part of the build
-//     that could run while the input is still arriving from storage.
+//     histogram of the key's high bits (of both keys of an edge in a
+//     mirrored build), rejects any endpoint outside [0, numVertices), and
+//     notes whether any weight differs from 1 (only then is Weights
+//     allocated). This read is the only part of the build that could run
+//     while the input is still arriving from storage.
 //  2. A prefix sum in (bucket-major, chunk-minor) order gives every
 //     (chunk, bucket) pair its output window, and the chunks scatter their
-//     edges into those windows in parallel. Each bucket then holds the edges
+//     edges (an edge and then its mirror, in a mirrored build) into those
+//     windows in parallel. Each bucket then holds the edges
 //     of one contiguous vertex range, in input order, as records of the
 //     key's low bits and the other end — 8 bytes an edge, or 12 with the
 //     weight's bits when the build has weights.
@@ -52,8 +54,9 @@ const (
 )
 
 // buildRadixSort builds the CSR adjacency keyed by source (or destination,
-// if byDst) as described at the top of this file. edges is only read.
-func buildRadixSort(edges []graph.Edge, numVertices int, byDst bool, workers int) (*graph.Adjacency, error) {
+// if byDst), with every edge mirrored if mirror, as described at the top of
+// this file. edges is only read.
+func buildRadixSort(edges []graph.Edge, numVertices int, byDst, mirror bool, workers int) (*graph.Adjacency, error) {
 	m := len(edges)
 	if m == 0 {
 		return &graph.Adjacency{Index: make([]uint64, numVertices+1), Targets: []graph.VertexID{}, NumVertices: numVertices}, nil
@@ -81,13 +84,27 @@ func buildRadixSort(edges []graph.Edge, numVertices int, byDst bool, workers int
 			h := hist[c*numBuckets : (c+1)*numBuckets]
 			bad[c] = -1
 			weighted := false
-			for i, e := range chunk(c) {
-				if int(e.Src) >= numVertices || int(e.Dst) >= numVertices {
-					bad[c] = c*chunkSize + i
-					break
+			if mirror {
+				for i, e := range chunk(c) {
+					if int(e.Src) >= numVertices || int(e.Dst) >= numVertices {
+						bad[c] = c*chunkSize + i
+						break
+					}
+					h[e.Src>>lowBits]++
+					if e.Src != e.Dst {
+						h[e.Dst>>lowBits]++
+					}
+					weighted = weighted || e.W != 1
 				}
-				h[edgeKey(e, byDst)>>lowBits]++
-				weighted = weighted || e.W != 1
+			} else {
+				for i, e := range chunk(c) {
+					if int(e.Src) >= numVertices || int(e.Dst) >= numVertices {
+						bad[c] = c*chunkSize + i
+						break
+					}
+					h[edgeKey(e, byDst)>>lowBits]++
+					weighted = weighted || e.W != 1
+				}
 			}
 			heavy[c] = weighted
 		}
@@ -111,18 +128,19 @@ func buildRadixSort(edges []graph.Edge, numVertices int, byDst bool, workers int
 	}
 	bucketStart[numBuckets] = running
 
+	// running is m, or 2m less the self-loops in a mirrored build.
 	adj := &graph.Adjacency{
 		Index:       make([]uint64, numVertices+1),
-		Targets:     make([]graph.VertexID, m),
+		Targets:     make([]graph.VertexID, running),
 		NumVertices: numVertices,
 	}
 	if slices.Contains(heavy, true) {
-		adj.Weights = make([]graph.Weight, m)
-		scatterAndPlace[[3]uint32](adj, edges, byDst, workers, uint(lowBits), chunkSize, hist, bucketStart)
+		adj.Weights = make([]graph.Weight, running)
+		scatterAndPlace[[3]uint32](adj, edges, byDst, mirror, workers, uint(lowBits), chunkSize, hist, bucketStart)
 	} else {
-		scatterAndPlace[[2]uint32](adj, edges, byDst, workers, uint(lowBits), chunkSize, hist, bucketStart)
+		scatterAndPlace[[2]uint32](adj, edges, byDst, mirror, workers, uint(lowBits), chunkSize, hist, bucketStart)
 	}
-	adj.Index[numVertices] = uint64(m)
+	adj.Index[numVertices] = running
 	return adj, nil
 }
 
@@ -133,29 +151,34 @@ func buildRadixSort(edges []graph.Edge, numVertices int, byDst bool, workers int
 type bucketRecord interface{ [2]uint32 | [3]uint32 }
 
 // scatterAndPlace runs passes 2 and 3 on records of type R: the partition of
-// the edges into their buckets, through the (chunk, bucket) windows of pass
-// 1, then the counting sort of every bucket into adj.
-func scatterAndPlace[R bucketRecord](adj *graph.Adjacency, edges []graph.Edge, byDst bool, workers int, lowBits uint, chunkSize int, windows, bucketStart []uint64) {
+// the edges (and their mirrors, if mirror) into their buckets, through the
+// (chunk, bucket) windows of pass 1, then the counting sort of every bucket
+// into adj.
+func scatterAndPlace[R bucketRecord](adj *graph.Adjacency, edges []graph.Edge, byDst, mirror bool, workers int, lowBits uint, chunkSize int, windows, bucketStart []uint64) {
 	m, numBuckets := len(edges), len(bucketStart)-1
 	mask := graph.VertexID(1)<<lowBits - 1
 
 	// 2. The stable partition into buckets.
-	buckets := make([]R, m)
+	buckets := make([]R, bucketStart[numBuckets])
 	sched.ParallelForChunked(0, len(windows)/numBuckets, 1, workers, func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			next := windows[c*numBuckets : (c+1)*numBuckets]
-			for _, e := range edges[c*chunkSize : min((c+1)*chunkSize, m)] {
+			chunk := edges[c*chunkSize : min((c+1)*chunkSize, m)]
+			if mirror {
+				for _, e := range chunk {
+					putRecord(buckets, next, e.Src, e.Dst, e.W, lowBits, mask)
+					if e.Src != e.Dst {
+						putRecord(buckets, next, e.Dst, e.Src, e.W, lowBits, mask)
+					}
+				}
+				continue
+			}
+			for _, e := range chunk {
 				k, t := e.Src, e.Dst
 				if byDst {
 					k, t = t, k
 				}
-				b := k >> lowBits
-				r := &buckets[next[b]]
-				next[b]++
-				(*r)[0], (*r)[1] = k&mask, t
-				if len(*r) > 2 {
-					(*r)[len(*r)-1] = math.Float32bits(e.W)
-				}
+				putRecord(buckets, next, k, t, e.W, lowBits, mask)
 			}
 		}
 	})
@@ -187,4 +210,16 @@ func scatterAndPlace[R bucketRecord](adj *graph.Adjacency, edges []graph.Edge, b
 			}
 		}
 	})
+}
+
+// putRecord writes the edge with key k, target t and weight w at the next
+// slot of its bucket's window and advances the window.
+func putRecord[R bucketRecord](buckets []R, next []uint64, k, t graph.VertexID, w graph.Weight, lowBits uint, mask graph.VertexID) {
+	b := k >> lowBits
+	r := &buckets[next[b]]
+	next[b]++
+	(*r)[0], (*r)[1] = k&mask, t
+	if len(*r) > 2 {
+		(*r)[len(*r)-1] = math.Float32bits(w)
+	}
 }

@@ -30,6 +30,20 @@ func referenceCSR(edges []graph.Edge, numVertices int, byDst bool) *graph.Adjace
 	return adj
 }
 
+// mirrored is the serial definition of the list an undirected build sorts:
+// every edge followed by its mirror, with the same weight, unless it is a
+// self-loop.
+func mirrored(edges []graph.Edge) []graph.Edge {
+	out := make([]graph.Edge, 0, 2*len(edges))
+	for _, e := range edges {
+		out = append(out, e)
+		if e.Src != e.Dst {
+			out = append(out, graph.Edge{Src: e.Dst, Dst: e.Src, W: e.W})
+		}
+	}
+	return out
+}
+
 // randomEdges draws m edges with both endpoints in [lo, hi) and distinct
 // weights, so that an order change inside a vertex's list shows.
 func randomEdges(m, lo, hi int, seed int64) []graph.Edge {
@@ -83,13 +97,13 @@ func equalCSR(a, b *graph.Adjacency) bool {
 // TestRadixMatchesStableReference requires the radix builder's arrays — not
 // just the multiset of edges — to equal the serial stable reference, for
 // every direction and worker count, and the input to come back untouched.
+// The undirected build's reference is the stable build of the mirrored list.
 func TestRadixMatchesStableReference(t *testing.T) {
 	for _, c := range radixCases() {
 		before := slices.Clone(c.edges)
-		doubled := graph.Undirect(c.edges)
 		wantOut := referenceCSR(c.edges, c.numVertices, false)
 		wantIn := referenceCSR(c.edges, c.numVertices, true)
-		wantUndirected := referenceCSR(doubled, c.numVertices, false)
+		wantUndirected := referenceCSR(mirrored(c.edges), c.numVertices, false)
 		for _, workers := range []int{1, 2, 3, 8} {
 			g := graph.New(c.edges, c.numVertices, true)
 			if err := BuildAdjacency(g, InOut, Options{Method: RadixSort, Workers: workers}); err != nil {
@@ -111,27 +125,38 @@ func TestRadixMatchesStableReference(t *testing.T) {
 }
 
 // TestBuildRejectsOutOfRangeEndpoint: a vertex count too small by one is an
-// error from every builder, not an index panic.
+// error from every builder, not an index panic, and the error numbers the
+// edge as the input does — also in an undirected build, where the edges
+// before it are mirrored and, in the second input, every third is a
+// self-loop that is not.
 func TestBuildRejectsOutOfRangeEndpoint(t *testing.T) {
 	edges := randomEdges(5000, 0, 100, 6)
 	edges[1234] = graph.Edge{Src: 7, Dst: 100, W: 1}
 	edges[4321] = graph.Edge{Src: 100, Dst: 7, W: 1}
+	loops := slices.Clone(edges)
+	for i := 0; i < 1234; i += 3 {
+		loops[i].Dst = loops[i].Src
+	}
 	const want = "prep: edge 1234 (7->100) out of range (numVertices=100)"
-	for _, m := range []Method{Dynamic, CountSort, RadixSort} {
-		for _, c := range []struct {
-			name string
-			dir  Direction
-			und  bool
-		}{{"out", Out, false}, {"in", In, false}, {"undirected", Out, true}} {
-			g := graph.New(edges, 100, !c.und)
-			err := BuildAdjacency(g, c.dir, Options{Method: m, Workers: 3, Undirected: c.und})
-			if err == nil || err.Error() != want {
-				t.Errorf("%v %s: error %v, want %s", m, c.name, err, want)
+	for input, list := range [][]graph.Edge{edges, loops} {
+		for _, m := range []Method{Dynamic, CountSort, RadixSort} {
+			for _, c := range []struct {
+				name string
+				dir  Direction
+				und  bool
+			}{{"out", Out, false}, {"in", In, false}, {"undirected", Out, true}} {
+				g := graph.New(list, 100, !c.und)
+				err := BuildAdjacency(g, c.dir, Options{Method: m, Workers: 3, Undirected: c.und})
+				if err == nil || err.Error() != want {
+					t.Errorf("input %d %v %s: error %v, want %s", input, m, c.name, err, want)
+				}
 			}
-		}
-		g := graph.New(edges, 100, true)
-		if err := BuildGrid(g, 4, Options{Method: m}); err == nil || !strings.HasPrefix(err.Error(), want) {
-			t.Errorf("%v grid: error %v, want %s", m, err, want)
+			for _, und := range []bool{false, true} {
+				g := graph.New(list, 100, !und)
+				if err := BuildGrid(g, 4, Options{Method: m, Undirected: und}); err == nil || !strings.HasPrefix(err.Error(), want) {
+					t.Errorf("input %d %v grid undirected=%v: error %v, want %s", input, m, und, err, want)
+				}
+			}
 		}
 	}
 	g := graph.New(edges[:1234], 100, true)

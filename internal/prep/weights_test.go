@@ -11,7 +11,7 @@ import (
 )
 
 // builds enumerates the directions a build can ask for; "undirected" is an
-// Out build of the doubled edges.
+// Out build that mirrors every edge.
 var builds = []struct {
 	name       string
 	dir        Direction
@@ -40,7 +40,7 @@ func newReference(edges []graph.Edge, numVertices int) reference {
 	return reference{
 		out:        rows(referenceCSR(edges, numVertices, false)),
 		in:         rows(referenceCSR(edges, numVertices, true)),
-		undirected: rows(referenceCSR(graph.Undirect(edges), numVertices, false)),
+		undirected: rows(referenceCSR(mirrored(edges), numVertices, false)),
 		unit:       !slices.ContainsFunc(edges, func(e graph.Edge) bool { return e.W != 1 }),
 	}
 }
