@@ -101,10 +101,10 @@ func TestInAdjacencyContainsReversedEdges(t *testing.T) {
 	}
 }
 
-// TestUndirectedDoublesEdges: every builder, adjacency (keyed by
+// TestUndirectedBuildsMirrorEdges: every builder, adjacency (keyed by
 // either end) and grid, places each edge at both endpoints with its weight
-// and a self-loop once, so an undirected build fills 2m - selfLoops slots.
-func TestUndirectedDoublesEdges(t *testing.T) {
+// and a self-loop once.
+func TestUndirectedBuildsMirrorEdges(t *testing.T) {
 	edges := []graph.Edge{{Src: 0, Dst: 1, W: 2}, {Src: 2, Dst: 2, W: 3}, {Src: 1, Dst: 2, W: 4}}
 	want := [][3]uint32{{0, 1, 2}, {1, 0, 2}, {1, 2, 4}, {2, 1, 4}, {2, 2, 3}}
 	for _, m := range []Method{Dynamic, CountSort, RadixSort} {
@@ -129,7 +129,11 @@ func TestUndirectedDoublesEdges(t *testing.T) {
 			t.Errorf("%v grid: edges %v, want %v", m, got, want)
 		}
 	}
+}
 
+// TestUndirectedBuildsPreserveDegreeSum: on random edge lists, every
+// undirected adjacency and grid build fills 2m - selfLoops slots.
+func TestUndirectedBuildsPreserveDegreeSum(t *testing.T) {
 	f := func(raw []uint16) bool {
 		var edges []graph.Edge
 		selfLoops := 0
@@ -154,6 +158,40 @@ func TestUndirectedDoublesEdges(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUndirectedDoublesEdges: in an undirected build keyed by either end,
+// each vertex's degree is its directed out-degree plus in-degree, less its
+// self-loops, which appear once.
+func TestUndirectedDoublesEdges(t *testing.T) {
+	const n = 200
+	g0 := randomGraph(n, 3000, 11)
+	edges := append(g0.EdgeArray.Edges,
+		graph.Edge{Src: 5, Dst: 5, W: 7}, graph.Edge{Src: 5, Dst: 5, W: 9}, graph.Edge{Src: 0, Dst: 0, W: 1})
+	want := make([]int, n)
+	for _, e := range edges {
+		want[e.Src]++
+		if e.Src != e.Dst {
+			want[e.Dst]++
+		}
+	}
+	for _, m := range []Method{Dynamic, CountSort, RadixSort} {
+		for _, dir := range []Direction{Out, In} {
+			g := graph.New(edges, n, true)
+			if err := BuildAdjacency(g, dir, Options{Method: m, Workers: 3, Undirected: true}); err != nil {
+				t.Fatalf("%v %v: %v", m, dir, err)
+			}
+			adj := g.Out
+			if dir == In {
+				adj = g.In
+			}
+			for v := range n {
+				if got := adj.Degree(graph.VertexID(v)); got != want[v] {
+					t.Fatalf("%v %v: degree(%d) = %d, want %d", m, dir, v, got, want[v])
+				}
+			}
+		}
 	}
 }
 
