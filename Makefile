@@ -32,8 +32,8 @@ loc:
 
 # Engine benchmarks with allocation accounting: BFS and PageRank on
 # RMAT-scale-16 (adaptive WCC and SSSP beside adaptive BFS), Batch over 64 sources (BFS on RMAT-16, SSSP on a road
-# lattice; side by side and one after another), the span-versus-adapter
-# kernel pairs (ns/edge), sparse-push SSSP on a 512x512 road lattice at 1
+# lattice; side by side and one after another), the span kernels beside
+# their SyncLocks twins (ns/edge), sparse-push SSSP on a 512x512 road lattice at 1
 # and 2 workers (us/iter, gang loops per iteration — 0 once every iteration
 # runs on the caller — and parks and joins per gang loop) with the frontier
 # builder's Add underneath it (ns/add) and the pull step's SetWord

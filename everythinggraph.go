@@ -103,9 +103,9 @@ const (
 
 // Sync constants.
 const (
-	// SyncLocks protects destination updates with striped locks.
+	// SyncLocks protects push updates with striped per-vertex locks.
 	SyncLocks = core.SyncLocks
-	// SyncAtomics uses atomic edge functions.
+	// SyncAtomics updates unowned destinations atomically.
 	SyncAtomics = core.SyncAtomics
 	// SyncPartitionFree relies on destination ownership (pull mode, grid
 	// columns) to avoid synchronization entirely.

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"github.com/epfl-repro/everythinggraph/internal/graph"
+	"github.com/epfl-repro/everythinggraph/internal/prep"
 )
 
 // tinyGraph is 0 -> 1 -> 2, 0 -> 2, with weights 1, 2, 5.
@@ -17,6 +18,17 @@ func tinyGraph() *graph.Graph {
 		{Src: 0, Dst: 2, W: 5},
 	}
 	return graph.New(edges, 3, true)
+}
+
+// tinyIn is tinyGraph's in-adjacency, each row in edge order: 1 <- 0 and
+// 2 <- 1, 0.
+func tinyIn() *graph.Adjacency {
+	return &graph.Adjacency{Index: []uint64{0, 0, 1, 3}, Targets: []graph.VertexID{0, 1, 0}, Weights: []graph.Weight{1, 2, 5}, NumVertices: 3}
+}
+
+// atomicSpan is the span of an unowned chunk with every vertex active.
+func atomicSpan(n int) graph.Span {
+	return graph.Span{Full: true, Atomic: true, Next: graph.NewFrontierBuilder(n, 1)}
 }
 
 func TestAtomicAddFloat64(t *testing.T) {
@@ -88,17 +100,16 @@ func TestBFSEdgeFunctions(t *testing.T) {
 	if b.PushEdge(0, 1, 1) {
 		t.Fatal("second discovery must not re-activate")
 	}
-	if !b.PushEdgeAtomic(0, 2, 1) {
-		t.Fatal("atomic discovery must activate")
+	sp := atomicSpan(3)
+	b.PushEdges(&sp, 0, []graph.Edge{{Src: 0, Dst: 2, W: 1}, {Src: 0, Dst: 1, W: 1}})
+	if got := sp.Next.Collect().Sparse(); !slices.Equal(got, []graph.VertexID{2}) {
+		t.Fatalf("atomic discovery activated %v, want [2]", got)
 	}
 	if b.Level[1] != 1 || b.Level[2] != 1 {
 		t.Fatalf("levels = %v", b.Level)
 	}
 	if b.Parent[1] != 0 || b.Parent[2] != 0 {
 		t.Fatalf("parents = %v", b.Parent)
-	}
-	if b.PullActive(1) {
-		t.Fatal("discovered vertex must not pull")
 	}
 	if b.Reached() != 3 {
 		t.Fatalf("Reached = %d", b.Reached())
@@ -114,14 +125,22 @@ func TestBFSEdgeFunctions(t *testing.T) {
 	}
 }
 
-func TestBFSPullEdgeStopsEarly(t *testing.T) {
+// TestBFSPullRowsStopsEarly: a pulling vertex adopts its first active
+// in-neighbour and scans no further (vertex 2's row is 1, 0, both active).
+func TestBFSPullRowsStopsEarly(t *testing.T) {
 	g := tinyGraph()
+	g.In = tinyIn()
 	b := NewBFS(0)
 	b.Init(g)
-	b.BeforeIteration(0)
-	changed, done := b.PullEdge(2, 0, 1)
-	if !changed || !done {
-		t.Fatal("pull discovery must report changed and done")
+	b.Parent[1], b.Level[1] = 0, 1
+	b.BeforeIteration(1)
+	sp := graph.Span{Bits: []uint64{0b011}, Next: graph.NewFrontierBuilder(3, 1)}
+	b.PullRows(&sp, 0, g.In, 0, 3)
+	if b.Parent[2] != 1 || b.Level[2] != 2 {
+		t.Fatalf("vertex 2: parent %d level %d, want parent 1 level 2", b.Parent[2], b.Level[2])
+	}
+	if got := sp.Next.Collect().Sparse(); !slices.Equal(got, []graph.VertexID{2}) {
+		t.Fatalf("pull activated %v, want [2]", got)
 	}
 }
 
@@ -205,12 +224,9 @@ func TestPageRankPushPullSameUpdate(t *testing.T) {
 	prPull.Init(g)
 	prPush.BeforeIteration(0)
 	prPull.BeforeIteration(0)
-	for _, e := range g.EdgeArray.Edges {
-		prPush.PushEdgeAtomic(e.Src, e.Dst, e.W)
-		if changed, done := prPull.PullEdge(e.Dst, e.Src, e.W); changed || done {
-			t.Fatal("PageRank pull must not report activation")
-		}
-	}
+	sp := atomicSpan(3)
+	prPush.PushEdges(&sp, 0, g.EdgeArray.Edges)
+	prPull.PullRows(&graph.Span{Full: true}, 0, tinyIn(), 0, 3)
 	prPush.AfterIteration(0)
 	prPull.AfterIteration(0)
 	for v := range prPush.Rank {
@@ -237,8 +253,8 @@ func TestPageRankContributionIsBranchlessDivision(t *testing.T) {
 }
 
 // TestPageRankDanglingContributesPositiveZero: vertex 2 of tinyGraph has no
-// out-edge. Its contribution is +0 in every iteration, and the push and pull
-// edge functions add nothing for it.
+// out-edge. Its contribution is +0 in every iteration, and pushing it adds
+// nothing.
 func TestPageRankDanglingContributesPositiveZero(t *testing.T) {
 	g := tinyGraph()
 	pr := NewPageRank()
@@ -262,7 +278,7 @@ func TestPageRankDanglingContributesPositiveZero(t *testing.T) {
 		}
 		// An edge out of the dangling vertex would add its contribution.
 		before := pr.acc[0]
-		pr.PullEdge(0, 2, 1)
+		pr.PushEdge(2, 0, 1)
 		if pr.acc[0] != before {
 			t.Fatalf("iteration %d: the dangling vertex changed an accumulator", iter)
 		}
@@ -339,11 +355,13 @@ func TestWCCSmallGraph(t *testing.T) {
 	if w.PushEdge(1, 0, 1) {
 		t.Fatal("label must not increase")
 	}
-	if !w.PushEdgeAtomic(2, 3, 1) {
-		t.Fatal("atomic label propagation failed")
+	sp := atomicSpan(4)
+	w.PushEdges(&sp, 0, []graph.Edge{{Src: 2, Dst: 3, W: 1}})
+	if got := sp.Next.Collect().Sparse(); !slices.Equal(got, []graph.VertexID{3}) {
+		t.Fatalf("atomic label propagation activated %v, want [3]", got)
 	}
-	if changed, _ := w.PullEdge(3, 2, 1); changed {
-		t.Fatal("label already propagated; pull must not change it again")
+	if w.PushEdge(2, 3, 1) {
+		t.Fatal("label already propagated; it must not change again")
 	}
 	if w.NumComponents() != 2 {
 		t.Fatalf("NumComponents = %d, want 2", w.NumComponents())
@@ -360,6 +378,7 @@ func TestWCCSmallGraph(t *testing.T) {
 func TestSSSPRelaxation(t *testing.T) {
 	g := tinyGraph()
 	s := NewSSSP(0)
+	s.BindRun(1, nil)
 	s.Init(g)
 	if s.Dense() {
 		t.Fatal("SSSP is frontier-driven")
@@ -373,12 +392,16 @@ func TestSSSPRelaxation(t *testing.T) {
 	if !s.PushEdge(0, 1, 1) {
 		t.Fatal("relaxation must activate")
 	}
-	if !s.PushEdgeAtomic(0, 2, 5) {
-		t.Fatal("atomic relaxation must activate")
+	sp := atomicSpan(3)
+	s.PushEdges(&sp, 0, []graph.Edge{{Src: 0, Dst: 2, W: 5}})
+	if got := sp.Next.Collect().Sparse(); !slices.Equal(got, []graph.VertexID{2}) {
+		t.Fatalf("atomic relaxation activated %v, want [2]", got)
 	}
 	// A shorter path through vertex 1 relaxes vertex 2 again.
-	if changed, done := s.PullEdge(2, 1, 2); !changed || done {
-		t.Fatalf("pull relaxation: changed=%v done=%v", changed, done)
+	sp = atomicSpan(3)
+	s.PullEdges(&sp, 0, []graph.Edge{{Src: 1, Dst: 2, W: 2}})
+	if got := sp.Next.Collect().Sparse(); !slices.Equal(got, []graph.VertexID{2}) {
+		t.Fatalf("pull relaxation activated %v, want [2]", got)
 	}
 	if s.Distance(2) != 3 {
 		t.Fatalf("dist(2) = %v, want 3", s.Distance(2))
@@ -481,9 +504,8 @@ func TestSpMVMatchesManualProduct(t *testing.T) {
 	if !m.Dense() {
 		t.Fatal("SpMV is dense")
 	}
-	for _, e := range g.EdgeArray.Edges {
-		m.PushEdgeAtomic(e.Src, e.Dst, e.W)
-	}
+	sp := atomicSpan(3)
+	m.PushEdges(&sp, 0, g.EdgeArray.Edges)
 	if !m.AfterIteration(0) {
 		t.Fatal("SpMV must converge after one pass")
 	}
@@ -506,24 +528,23 @@ func TestSpMVDefaultVectorIsOnes(t *testing.T) {
 			t.Fatalf("default input vector entry %v, want 1", x)
 		}
 	}
-	// Pull and push produce the same update.
-	m.PullEdge(2, 0, 5)
+	m.PushEdge(0, 2, 5)
 	if m.Result()[2] != 5 {
-		t.Fatalf("pull update produced %v", m.Result()[2])
+		t.Fatalf("push update produced %v", m.Result()[2])
 	}
 }
 
 func TestSolveLinear(t *testing.T) {
 	// 2x + y = 5 ; x + 3y = 10  ->  x = 1, y = 3.
 	a := []float64{2, 1, 1, 3}
-	b := []float64{5, 10}
-	x := solveLinear(append([]float64(nil), a...), b, 2)
+	x := make([]float64, 2)
+	solveLinear(a, []float64{5, 10}, x, 2)
 	if math.Abs(x[0]-1) > 1e-9 || math.Abs(x[1]-3) > 1e-9 {
 		t.Fatalf("solution = %v, want [1 3]", x)
 	}
 	// Singular system: must not panic and must return finite values.
-	sing := []float64{1, 1, 1, 1}
-	xs := solveLinear(append([]float64(nil), sing...), []float64{2, 2}, 2)
+	xs := []float64{math.NaN(), math.NaN()}
+	solveLinear([]float64{1, 1, 1, 1}, []float64{2, 2}, xs, 2)
 	for _, v := range xs {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("singular solve produced %v", xs)
@@ -558,7 +579,8 @@ func TestSolveLinearRandomSPDProperty(t *testing.T) {
 		for i := range b {
 			b[i] = rng.Float64() * 10
 		}
-		x := solveLinear(append([]float64(nil), a...), b, k)
+		x := make([]float64, k)
+		solveLinear(slices.Clone(a), slices.Clone(b), x, k)
 		for i := 0; i < k; i++ {
 			sum := 0.0
 			for j := 0; j < k; j++ {
@@ -596,11 +618,11 @@ func TestALSValidateAndSides(t *testing.T) {
 	}
 	// Iteration 0 updates users: items must not pull, users must.
 	a.BeforeIteration(0)
-	if !a.PullActive(0) || a.PullActive(2) {
+	if !a.updatingVertex(0) || a.updatingVertex(2) {
 		t.Fatal("iteration 0 must update the user side")
 	}
 	a.BeforeIteration(1)
-	if a.PullActive(0) || !a.PullActive(2) {
+	if a.updatingVertex(0) || !a.updatingVertex(2) {
 		t.Fatal("iteration 1 must update the item side")
 	}
 }
@@ -663,5 +685,38 @@ func TestALSNamesAndRMSEEmpty(t *testing.T) {
 	}
 	if a.RMSE(nil) != 0 {
 		t.Fatal("RMSE of no edges must be 0")
+	}
+}
+
+// TestALSIterationAllocatesNothing: an ALS iteration — the hooks and a pull
+// step over the whole in-adjacency of a bipartite graph — allocates nothing:
+// the solver works in per-run scratch.
+func TestALSIterationAllocatesNothing(t *testing.T) {
+	const users, items = 60, 12
+	var edges []graph.Edge
+	for u := 0; u < users; u++ {
+		for j := 0; j < 4; j++ {
+			item := users + (u*7+j*5)%items
+			edges = append(edges, graph.Edge{Src: graph.VertexID(u), Dst: graph.VertexID(item), W: graph.Weight(1 + (u+j)%5)})
+		}
+	}
+	g := graph.New(edges, users+items, false)
+	if err := prep.BuildAdjacency(g, prep.Out, prep.Options{Undirected: true}); err != nil {
+		t.Fatal(err)
+	}
+	a := NewALS(users)
+	a.Init(g)
+	in := g.PullAdjacency()
+	sp := graph.Span{Full: true}
+	iter := 0
+	step := func() {
+		a.BeforeIteration(iter)
+		a.PullRows(&sp, 0, in, 0, g.NumVertices())
+		a.AfterIteration(iter)
+		iter++
+	}
+	step()
+	if allocs := testing.AllocsPerRun(6, step); allocs != 0 {
+		t.Fatalf("ALS iteration: %v allocs, want 0", allocs)
 	}
 }

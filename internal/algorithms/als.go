@@ -20,10 +20,6 @@ import (
 // Within the engine's model, one ALS sweep is two iterations: even
 // iterations update users (pulling the item factors over the ratings), odd
 // iterations update items.
-//
-// ALS ships no span kernels: it runs through the engine's per-edge adapter,
-// and stays there until a benchmark/ workload runs it and a kernel can be
-// measured against the adapter.
 type ALS struct {
 	// Users is the number of user vertices; vertices [0, Users) are users
 	// and [Users, NumVertices) are items.
@@ -49,7 +45,11 @@ type ALS struct {
 	// ata is the K x K Gram matrix, atb the K-vector right-hand side.
 	ata []float64
 	atb []float64
-	mu  []sync.Mutex // striped protection for accumulator updates in push mode
+	mu  []sync.Mutex // stripes guarding the accumulators in unowned push spans
+
+	// The solver's scratch, one set per run: the regularized Gram matrix and
+	// the right-hand side, both consumed by the elimination.
+	reg, rhs []float64
 }
 
 type side int
@@ -59,10 +59,10 @@ const (
 	sideItems
 )
 
-// alsStripes is the number of striped locks protecting the normal-equation
-// accumulators when ALS runs in push mode with the engine's plain edge
-// function (the engine already serializes per destination, so these stripes
-// only guard the atomic variant).
+// alsStripes is the number of striped locks guarding the normal-equation
+// accumulators in push spans that do not own their destinations (s.Atomic):
+// one accumulation touches K+K*K floats, so a stripe lock stands in for
+// per-field atomics.
 const alsStripes = 1024
 
 // NewALS creates an ALS factorization for a bipartite graph whose first
@@ -98,6 +98,8 @@ func (a *ALS) Init(g *graph.Graph) {
 	a.ata = make([]float64, a.n*k*k)
 	a.atb = make([]float64, a.n*k)
 	a.mu = make([]sync.Mutex, alsStripes)
+	a.reg = make([]float64, k*k)
+	a.rhs = make([]float64, k)
 	a.updating = sideUsers
 }
 
@@ -155,36 +157,79 @@ func (a *ALS) accumulate(v, u graph.VertexID, w graph.Weight) {
 // contribution into v's normal equations (v must be on the side being
 // updated). The engine guarantees exclusive access to v.
 func (a *ALS) PushEdge(u, v graph.VertexID, w graph.Weight) bool {
-	if !a.updatingVertex(v) || a.updatingVertex(u) {
-		return false
+	if a.updatingVertex(v) && !a.updatingVertex(u) {
+		a.accumulate(v, u, w)
 	}
-	a.accumulate(v, u, w)
 	return false
 }
 
-// PushEdgeAtomic implements Algorithm: the accumulation touches K+K*K
-// floats, so a striped lock stands in for per-field atomics.
-func (a *ALS) PushEdgeAtomic(u, v graph.VertexID, w graph.Weight) bool {
+// Span kernels (the engine's Algorithm contract). ALS is dense, so the
+// kernels never test frontier membership: every rating from the fixed side
+// into the side being updated is accumulated once per iteration, in span
+// order.
+
+// PullRows accumulates, for each destination of [lo, hi) on the side being
+// updated, its ratings from the fixed side in row order — Table 6's
+// adjacency / pull / no-lock configuration. The worker owns the rows.
+func (a *ALS) PullRows(_ *graph.Span, _ int, in *graph.Adjacency, lo, hi int) {
+	idx, tgt := in.Index, in.Targets
+	for vi := lo; vi < hi; vi++ {
+		v := graph.VertexID(vi)
+		if !a.updatingVertex(v) {
+			continue
+		}
+		row := tgt[idx[v]:idx[v+1]]
+		ws := in.RowWeights(idx[v], idx[v+1])[:len(row)]
+		for j, u := range row {
+			if !a.updatingVertex(u) {
+				a.accumulate(v, u, ws[j])
+			}
+		}
+	}
+}
+
+// rate applies the rating u -> v if it crosses from the fixed side into the
+// side being updated, under v's accumulator stripe unless the span owns v.
+func (a *ALS) rate(s *graph.Span, u, v graph.VertexID, w graph.Weight) {
 	if !a.updatingVertex(v) || a.updatingVertex(u) {
-		return false
+		return
+	}
+	if !s.Atomic {
+		a.accumulate(v, u, w)
+		return
 	}
 	m := &a.mu[uint(v)%alsStripes]
 	m.Lock()
 	a.accumulate(v, u, w)
 	m.Unlock()
-	return false
 }
 
-// PullActive implements Algorithm: only the side being updated pulls.
-func (a *ALS) PullActive(v graph.VertexID) bool { return a.updatingVertex(v) }
-
-// PullEdge implements Algorithm: v pulls the factor of its rated neighbour.
-func (a *ALS) PullEdge(v, u graph.VertexID, w graph.Weight) (bool, bool) {
-	if a.updatingVertex(u) {
-		return false, false
+// PushRows pushes the ratings of the active vertices' out-rows.
+func (a *ALS) PushRows(s *graph.Span, _ int, out *graph.Adjacency, active []graph.VertexID) {
+	idx, tgt := out.Index, out.Targets
+	for _, u := range active {
+		row := tgt[idx[u]:idx[u+1]]
+		ws := out.RowWeights(idx[u], idx[u+1])[:len(row)]
+		for j, v := range row {
+			a.rate(s, u, v, ws[j])
+		}
 	}
-	a.accumulate(v, u, w)
-	return false, false
+}
+
+// PushEdges applies a flat edge slice, both ways when mirrored.
+func (a *ALS) PushEdges(s *graph.Span, _ int, edges []graph.Edge) {
+	for _, e := range edges {
+		a.rate(s, e.Src, e.Dst, e.W)
+		if s.Mirror && e.Src != e.Dst {
+			a.rate(s, e.Dst, e.Src, e.W)
+		}
+	}
+}
+
+// PullEdges is PushEdges: the destinations that pull are the side being
+// updated, and pulling a rating is the same accumulation.
+func (a *ALS) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
+	a.PushEdges(s, worker, edges)
 }
 
 // AfterIteration implements Algorithm: solve the per-vertex normal equations
@@ -201,13 +246,12 @@ func (a *ALS) AfterIteration(iteration int) bool {
 			continue // vertex has no ratings; keep its current factors
 		}
 		// Ridge regularization on the diagonal.
-		reg := make([]float64, k*k)
-		copy(reg, ata)
+		copy(a.reg, ata)
 		for i := 0; i < k; i++ {
-			reg[i*k+i] += a.Lambda
+			a.reg[i*k+i] += a.Lambda
 		}
-		x := solveLinear(reg, atb, k)
-		copy(a.F[v*k:v*k+k], x)
+		copy(a.rhs, atb)
+		solveLinear(a.reg, a.rhs, a.F[v*k:v*k+k], k)
 	}
 	return iteration+1 >= 2*a.Sweeps
 }
@@ -248,13 +292,11 @@ func allZero(xs []float64) bool {
 	return true
 }
 
-// solveLinear solves the k x k system A x = b with Gaussian elimination and
-// partial pivoting. A is row-major and is modified in place (the caller
-// passes a scratch copy).
-func solveLinear(a, b []float64, k int) []float64 {
-	x := make([]float64, k)
-	rhs := make([]float64, k)
-	copy(rhs, b)
+// solveLinear solves the k x k system A x = rhs into x with Gaussian
+// elimination and partial pivoting. A is row-major; A and rhs are modified
+// in place (the caller passes scratch copies). Back substitution writes
+// every entry of x before reading it, so x's prior contents do not matter.
+func solveLinear(a, rhs, x []float64, k int) {
 	for col := 0; col < k; col++ {
 		// Pivot.
 		pivot := col
@@ -299,7 +341,6 @@ func solveLinear(a, b []float64, k int) []float64 {
 		}
 		x[row] = sum / a[row*k+row]
 	}
-	return x
 }
 
 // Validate checks that the vertex split is consistent with the graph.

@@ -2,8 +2,10 @@
 // paper (Section 2): BFS, weakly connected components, single-source
 // shortest paths, PageRank, sparse matrix-vector multiplication and
 // alternating least squares. Every algorithm implements the engine's
-// Algorithm interface with both plain and atomic edge functions, so the same
-// code runs under every layout, flow and synchronization combination.
+// Algorithm interface with span kernels that update plainly where the span
+// owns its destinations and atomically where it does not, plus one locked
+// edge function for SyncLocks, so the same code runs under every layout,
+// flow and synchronization combination.
 package algorithms
 
 import (

@@ -103,31 +103,7 @@ func (b *BFS) PushEdge(u, v graph.VertexID, _ graph.Weight) bool {
 	return true
 }
 
-// PushEdgeAtomic implements Algorithm: claim v with a compare-and-swap so
-// exactly one pushing vertex becomes its parent.
-func (b *BFS) PushEdgeAtomic(u, v graph.VertexID, _ graph.Weight) bool {
-	if !atomic.CompareAndSwapInt32(&b.Parent[v], -1, int32(u)) {
-		return false
-	}
-	atomic.StoreInt32(&b.Level[v], b.curLevel)
-	return true
-}
-
-// PullActive implements Algorithm: only undiscovered vertices pull.
-func (b *BFS) PullActive(v graph.VertexID) bool {
-	return atomic.LoadInt32(&b.Parent[v]) < 0
-}
-
-// PullEdge implements Algorithm: v adopts the active in-neighbour u as its
-// parent and stops scanning (the early-exit advantage of pulling,
-// Section 6.1.1).
-func (b *BFS) PullEdge(v, u graph.VertexID, _ graph.Weight) (changed, done bool) {
-	atomic.StoreInt32(&b.Parent[v], int32(u))
-	atomic.StoreInt32(&b.Level[v], b.curLevel)
-	return true, true
-}
-
-// Span kernels (the engine's SpanAlgorithm contract). A vertex's Parent and
+// Span kernels (the engine's Algorithm contract). A vertex's Parent and
 // Level are written exactly once, by the worker that discovers it; nothing
 // reads them before the iteration's barrier except the discovery test
 // itself, so owned paths use plain loads and stores and unowned paths need

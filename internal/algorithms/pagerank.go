@@ -196,25 +196,10 @@ func (pr *PageRank) PushEdge(u, v graph.VertexID, _ graph.Weight) bool {
 	return false
 }
 
-// PushEdgeAtomic implements Algorithm.
-func (pr *PageRank) PushEdgeAtomic(u, v graph.VertexID, _ graph.Weight) bool {
-	atomicAddFloat64(&pr.acc[v], pr.contrib[u])
-	return false
-}
-
-// PullActive implements Algorithm.
-func (pr *PageRank) PullActive(graph.VertexID) bool { return true }
-
-// PullEdge implements Algorithm: v accumulates u's contribution locally.
-func (pr *PageRank) PullEdge(v, u graph.VertexID, _ graph.Weight) (bool, bool) {
-	storeFloat64(&pr.acc[v], loadFloat64(&pr.acc[v])+pr.contrib[u])
-	return false, false
-}
-
-// Span kernels (the engine's SpanAlgorithm contract). PageRank is dense: the
+// Span kernels (the engine's Algorithm contract). PageRank is dense: the
 // engine feeds it the full frontier every iteration, so the kernels never
-// test membership. Sums are accumulated in the per-edge order, which keeps
-// the owned paths bit-identical to PullEdge/PushEdge.
+// test membership. Each destination's sum is accumulated in span order, so
+// an owned path's bits depend only on the layout's edge order.
 
 // PullRows sums each destination's in-contributions in a register and
 // stores the accumulator once: the calling worker owns acc[lo:hi]. A row

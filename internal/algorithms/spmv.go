@@ -57,25 +57,9 @@ func (m *SpMV) PushEdge(u, v graph.VertexID, w graph.Weight) bool {
 	return false
 }
 
-// PushEdgeAtomic implements Algorithm.
-func (m *SpMV) PushEdgeAtomic(u, v graph.VertexID, w graph.Weight) bool {
-	atomicAddFloat64(&m.y[v], float64(w)*m.X[u])
-	return false
-}
-
-// PullActive implements Algorithm.
-func (m *SpMV) PullActive(graph.VertexID) bool { return true }
-
-// PullEdge implements Algorithm.
-func (m *SpMV) PullEdge(v, u graph.VertexID, w graph.Weight) (bool, bool) {
-	storeFloat64(&m.y[v], loadFloat64(&m.y[v])+float64(w)*m.X[u])
-	return false, false
-}
-
-// Span kernels (the engine's SpanAlgorithm contract). SpMV is dense, so the
-// kernels never test frontier membership; products are summed in the
-// per-edge order, which keeps the owned paths bit-identical to
-// PullEdge/PushEdge.
+// Span kernels (the engine's Algorithm contract). SpMV is dense, so the
+// kernels never test frontier membership; each row's products are summed in
+// span order.
 
 // PullRows computes each owned row's dot product in a register.
 func (m *SpMV) PullRows(_ *graph.Span, _ int, in *graph.Adjacency, lo, hi int) {

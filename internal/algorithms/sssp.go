@@ -22,8 +22,8 @@ import (
 // is settled and the bound moves to the end of the bucket of width Δ holding
 // that distance. Δ is ssspDeltaWeights times the largest edge weight; with
 // no positive finite weight the bound is +Inf and every active vertex
-// relaxes (plain frontier Bellman-Ford, as the pull kernels and the per-edge
-// adapter always run).
+// relaxes (plain frontier Bellman-Ford, as the pull kernels and the locked
+// pushes of SyncLocks always run).
 //
 // The result does not depend on the bound or the relax order: no vertex
 // leaves the frontier with an unrelaxed distance, so every order reaches the
@@ -140,26 +140,7 @@ func (s *SSSP) PushEdge(u, v graph.VertexID, w graph.Weight) bool {
 	return false
 }
 
-// PushEdgeAtomic implements Algorithm: relax with an atomic minimum.
-func (s *SSSP) PushEdgeAtomic(u, v graph.VertexID, w graph.Weight) bool {
-	nd := loadFloat32(&s.dist[u]) + float32(w)
-	return atomicMinFloat32(&s.dist[v], nd)
-}
-
-// PullActive implements Algorithm: every vertex may still improve.
-func (s *SSSP) PullActive(graph.VertexID) bool { return true }
-
-// PullEdge implements Algorithm: v relaxes over the active in-neighbour u.
-func (s *SSSP) PullEdge(v, u graph.VertexID, w graph.Weight) (bool, bool) {
-	nd := loadFloat32(&s.dist[u]) + float32(w)
-	if nd < loadFloat32(&s.dist[v]) {
-		storeFloat32(&s.dist[v], nd)
-		return true, false
-	}
-	return false, false
-}
-
-// Span kernels (the engine's SpanAlgorithm contract). A distance is read as
+// Span kernels (the engine's Algorithm contract). A distance is read as
 // a source by other workers while its owner lowers it, so every access to
 // dist stays atomic — except in push rows that one goroutine runs alone,
 // where there is no other reader; what the kernels save is the call per
@@ -168,7 +149,7 @@ func (s *SSSP) PullEdge(v, u graph.VertexID, w graph.Weight) (bool, bool) {
 
 // PullRows relaxes each owned destination over its active in-neighbours,
 // keeping its tentative distance in a register. Improvements are stored as
-// they happen, so a self-loop reads what the per-edge path would. The
+// they happen, so a self-loop reads the improved distance. The
 // improved destinations of each 64-vertex word are marked with one SetWord.
 func (s *SSSP) PullRows(sp *graph.Span, worker int, in *graph.Adjacency, lo, hi int) {
 	dist := s.dist

@@ -64,26 +64,7 @@ func (w *WCC) PushEdge(u, v graph.VertexID, _ graph.Weight) bool {
 	return false
 }
 
-// PushEdgeAtomic implements Algorithm.
-func (w *WCC) PushEdgeAtomic(u, v graph.VertexID, _ graph.Weight) bool {
-	lu := atomic.LoadUint32(&w.Labels[u])
-	return atomicMinUint32(&w.Labels[v], lu)
-}
-
-// PullActive implements Algorithm.
-func (w *WCC) PullActive(graph.VertexID) bool { return true }
-
-// PullEdge implements Algorithm: v adopts u's label if smaller.
-func (w *WCC) PullEdge(v, u graph.VertexID, _ graph.Weight) (bool, bool) {
-	lu := atomic.LoadUint32(&w.Labels[u])
-	if lu < atomic.LoadUint32(&w.Labels[v]) {
-		atomic.StoreUint32(&w.Labels[v], lu)
-		return true, false
-	}
-	return false, false
-}
-
-// Span kernels (the engine's SpanAlgorithm contract). A label is read as a
+// Span kernels (the engine's Algorithm contract). A label is read as a
 // source by other workers while its owner lowers it, so every access to
 // Labels stays atomic; what the kernels save is the call per edge, the
 // reload of the destination's own label, and the store on edges that do not
@@ -91,7 +72,7 @@ func (w *WCC) PullEdge(v, u graph.VertexID, _ graph.Weight) (bool, bool) {
 
 // PullRows lowers each owned destination's label over its active
 // in-neighbours, keeping the label in a register. Improvements are stored
-// as they happen, so a self-loop reads what the per-edge path would. The
+// as they happen, so a self-loop reads the lowered label. The
 // changed destinations of each 64-vertex word are marked with one SetWord.
 func (w *WCC) PullRows(s *graph.Span, worker int, in *graph.Adjacency, lo, hi int) {
 	labels := w.Labels

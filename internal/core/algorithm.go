@@ -11,17 +11,26 @@ import (
 // flow and synchronization mode — that is the paper's methodology: isolate
 // the technique, keep the algorithm code constant.
 //
+// The engine never calls an edge function per edge on its fast paths: it
+// hands the algorithm a whole chunk of the iteration — a CSR row range or a
+// flat edge slice — together with the iteration's graph.Span (frontier
+// bitmap, "frontier is full" flag, next-frontier builder, ownership
+// discipline), and the algorithm's span kernel runs the loop with its update
+// inlined.
+//
 // State discipline:
 //
-//   - PushEdge updates the destination's state and is called by the engine
-//     only while it guarantees exclusive access to that destination (a held
-//     lock, or ownership of the destination range by the calling worker).
-//   - PushEdgeAtomic performs the same update using atomic operations and
-//     may be called concurrently for the same destination.
-//   - PullEdge updates only the *destination's own* state and is called by
-//     the engine from the single worker that owns that destination in pull
-//     mode, so it needs no synchronization — this is exactly the lock-free
-//     advantage of pull mode discussed in Section 6.1.2.
+//   - PullRows updates only the state of the destinations [lo, hi), which
+//     the calling worker owns whatever the plan's sync mode, so it needs no
+//     synchronization — the lock-free advantage of pull mode discussed in
+//     Section 6.1.2.
+//   - PushRows, PushEdges and PullEdges own their destinations exactly when
+//     s.Atomic is false (a grid column, a streamed column, or one goroutine
+//     running the whole iteration); otherwise other workers update the same
+//     destinations concurrently and the kernels update atomically.
+//   - PushEdge updates one destination and is called only under SyncLocks,
+//     by the engine's push paths, while the destination's stripe lock is
+//     held.
 type Algorithm interface {
 	// Name identifies the algorithm in results.
 	Name() string
@@ -39,25 +48,37 @@ type Algorithm interface {
 	// relies on AfterIteration for termination.
 	Dense() bool
 
-	// PushEdge applies the edge (u -> v, w) on behalf of active vertex u,
-	// assuming exclusive access to v's state. It returns true if v became
-	// newly active for the next iteration.
+	// PullRows pulls for the destinations [lo, hi) of the in-adjacency: each
+	// destination that still needs data reads its in-neighbours that are in
+	// the frontier and updates only its own state. lo is a multiple of 64, so
+	// the calling worker owns the destinations and their words of the next
+	// frontier's bitmap: a kernel gathers the activations of each 64-vertex
+	// word in a register and marks them with one s.Next.SetWord.
+	PullRows(s *graph.Span, worker int, in *graph.Adjacency, lo, hi int)
+	// PushRows pushes the out-edges of every vertex of active (a slice of
+	// the frontier's vertex list). CSR rows partition sources, never
+	// destinations, so while several workers share the iteration
+	// (s.Atomic) updates are atomic. When s.Atomic is false one goroutine
+	// runs the whole iteration (fewer than callerPushEdges active out-edges,
+	// or one worker): it owns every destination and every word of the next
+	// frontier, so plain stores and s.Next.AddOwned are enough — an atomic
+	// update stays correct too.
+	PushRows(s *graph.Span, worker int, out *graph.Adjacency, active []graph.VertexID)
+	// PushEdges applies, in slice order, every edge whose source is in the
+	// frontier (edge-array chunk, grid cell, decoded or streamed cell),
+	// honouring s.Atomic and s.Mirror.
+	PushEdges(s *graph.Span, worker int, edges []graph.Edge)
+	// PullEdges is PushEdges in pull mode: each destination that still needs
+	// data takes the update from its active in-neighbours in slice order.
+	PullEdges(s *graph.Span, worker int, edges []graph.Edge)
+
+	// PushEdge applies the edge (u -> v, w) on behalf of active vertex u. It
+	// returns true if v became newly active for the next iteration. Only the
+	// SyncLocks push paths call it, holding v's stripe lock, so it may
+	// assume exclusive access to v's state; it must do nothing for a
+	// destination that no longer needs data, because those paths run the
+	// grid's pull cells through it too.
 	PushEdge(u, v graph.VertexID, w graph.Weight) bool
-
-	// PushEdgeAtomic is the atomic variant of PushEdge.
-	PushEdgeAtomic(u, v graph.VertexID, w graph.Weight) bool
-
-	// PullActive reports whether destination v still needs to pull during
-	// the current iteration (e.g. an undiscovered BFS vertex). The engine
-	// skips vertices for which it returns false.
-	PullActive(v graph.VertexID) bool
-
-	// PullEdge lets v read u's state (u was active in the previous
-	// iteration) and update its own. It returns changed=true if v became
-	// newly active for the next iteration and done=true if v needs to scan
-	// no further in-edges this iteration (the early-exit optimization of
-	// Section 6.1.1).
-	PullEdge(v, u graph.VertexID, w graph.Weight) (changed, done bool)
 
 	// BeforeIteration is called at the start of every iteration.
 	BeforeIteration(iteration int)
@@ -69,110 +90,26 @@ type Algorithm interface {
 	AfterIteration(iteration int) (converged bool)
 }
 
-// SpanAlgorithm is the engine's one call shape: instead of calling an edge
-// function per edge, the engine hands the algorithm a whole chunk of the
-// iteration — a CSR row range or a flat edge slice — together with the
-// iteration's graph.Span (frontier bitmap, "frontier is full" flag, next
-// frontier builder, ownership discipline), and the algorithm runs the loop
-// itself with its update inlined.
-//
-// The per-edge Algorithm methods are enough to be correct: an algorithm that
-// implements only them runs through a per-edge adapter that implements this
-// interface on its behalf (as does every SyncLocks plan, where the mutex
-// dwarfs the call). Implementing SpanAlgorithm as well is what makes an
-// algorithm fast; the span methods must then visit each destination's edges
-// in span order and leave exactly the state the per-edge methods would.
-type SpanAlgorithm interface {
-	// PullRows pulls for the destinations [lo, hi) of the in-adjacency: each
-	// destination that still needs data reads its in-neighbours that are in
-	// the frontier and updates only its own state. lo is a multiple of 64, so
-	// the calling worker owns the destinations and their words of the next
-	// frontier's bitmap: a kernel gathers the activations of each 64-vertex
-	// word in a register and marks them with one s.Next.SetWord.
-	PullRows(s *graph.Span, worker int, in *graph.Adjacency, lo, hi int)
-	// PushRows pushes the out-edges of every vertex of active (a slice of
-	// the frontier's vertex list). CSR rows partition sources, never
-	// destinations, so while several workers share the iteration updates
-	// are synchronized: atomically by span kernels when s.Atomic, under the
-	// stripe locks by the adapter. When s.Atomic is false one goroutine runs
-	// the whole iteration (fewer than callerPushEdges active out-edges, or
-	// one worker): it owns every destination and every word of the next
-	// frontier, so plain stores and s.Next.AddOwned are enough — an atomic
-	// update stays correct too.
-	PushRows(s *graph.Span, worker int, out *graph.Adjacency, active []graph.VertexID)
-	// PushEdges applies, in slice order, every edge whose source is in the
-	// frontier (edge-array chunk, grid cell, decoded or streamed cell),
-	// honouring s.Atomic and s.Mirror.
-	PushEdges(s *graph.Span, worker int, edges []graph.Edge)
-	// PullEdges is PushEdges in pull mode: edges whose destination no longer
-	// needs data (PullActive) are skipped as well.
-	PullEdges(s *graph.Span, worker int, edges []graph.Edge)
+// lockedPush runs an iteration's push updates under SyncLocks (the "locks"
+// configurations of Figures 7 and 8): one PushEdge call per edge, inside the
+// destination's stripe lock. Pull rows own their destinations, so PullRows
+// is the algorithm's own, through the embedded Algorithm.
+type lockedPush struct {
+	Algorithm
+	locks *vertexLocks
 }
 
-// perEdge implements SpanAlgorithm for any Algorithm by calling its edge
-// functions once per edge: the reference the span kernels are tested
-// against, the path of algorithms that ship no span kernels, and the only
-// path that takes the stripe locks.
-type perEdge struct {
-	alg Algorithm
-	// locked reports that the executing plan synchronizes with locks; the
-	// stripe table is allocated by the first such plan.
-	locked bool
-	locks  *vertexLocks
-}
-
-// push applies u -> v under the span's discipline and records an activation.
-func (a *perEdge) push(s *graph.Span, worker int, u, v graph.VertexID, w graph.Weight) {
-	var activated bool
-	switch {
-	case a.locked:
-		a.locks.lock(v)
-		activated = a.alg.PushEdge(u, v, w)
-		a.locks.unlock(v)
-	case s.Atomic:
-		activated = a.alg.PushEdgeAtomic(u, v, w)
-	default:
-		activated = a.alg.PushEdge(u, v, w)
-	}
+// push applies u -> v under v's stripe lock and records an activation.
+func (a *lockedPush) push(s *graph.Span, worker int, u, v graph.VertexID, w graph.Weight) {
+	a.locks.lock(v)
+	activated := a.PushEdge(u, v, w)
+	a.locks.unlock(v)
 	if activated && s.Next != nil {
 		s.Next.Add(worker, v)
 	}
 }
 
-func (a *perEdge) PullRows(s *graph.Span, worker int, in *graph.Adjacency, lo, hi int) {
-	alg := a.alg
-	idx, tgt := in.Index, in.Targets
-	for base := lo; base < hi; base += 64 {
-		var next uint64
-		for vi := base; vi < min(base+64, hi); vi++ {
-			v := graph.VertexID(vi)
-			if !alg.PullActive(v) {
-				continue
-			}
-			changedAny := false
-			row := tgt[idx[v]:idx[v+1]]
-			ws := in.RowWeights(idx[v], idx[v+1])[:len(row)]
-			for j, u := range row {
-				if !s.Active(u) {
-					continue
-				}
-				changed, done := alg.PullEdge(v, u, ws[j])
-				changedAny = changedAny || changed
-				if done {
-					break
-				}
-			}
-			if changedAny {
-				next |= 1 << (v & 63)
-			}
-		}
-		if next != 0 && s.Next != nil {
-			s.Next.SetWord(worker, base>>6, next)
-		}
-	}
-}
-
-func (a *perEdge) PushRows(s *graph.Span, worker int, out *graph.Adjacency, active []graph.VertexID) {
+func (a *lockedPush) PushRows(s *graph.Span, worker int, out *graph.Adjacency, active []graph.VertexID) {
 	idx, tgt := out.Index, out.Targets
 	for _, u := range active {
 		row := tgt[idx[u]:idx[u+1]]
@@ -183,7 +120,7 @@ func (a *perEdge) PushRows(s *graph.Span, worker int, out *graph.Adjacency, acti
 	}
 }
 
-func (a *perEdge) PushEdges(s *graph.Span, worker int, edges []graph.Edge) {
+func (a *lockedPush) PushEdges(s *graph.Span, worker int, edges []graph.Edge) {
 	for _, e := range edges {
 		if s.Active(e.Src) {
 			a.push(s, worker, e.Src, e.Dst, e.W)
@@ -194,22 +131,13 @@ func (a *perEdge) PushEdges(s *graph.Span, worker int, edges []graph.Edge) {
 	}
 }
 
-func (a *perEdge) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
-	alg := a.alg
-	// Unowned pull cells synchronize the destination update through the
-	// algorithm's push-edge functions, which perform the same state
-	// transition under the locks/atomics discipline.
-	owned := !s.Atomic && !a.locked
-	for _, e := range edges {
-		if !s.Active(e.Src) || !alg.PullActive(e.Dst) {
-			continue
-		}
-		if !owned {
-			a.push(s, worker, e.Src, e.Dst, e.W)
-		} else if changed, _ := alg.PullEdge(e.Dst, e.Src, e.W); changed && s.Next != nil {
-			s.Next.Add(worker, e.Dst)
-		}
-	}
+// PullEdges runs a grid pull cell as locked pushes from its active sources
+// (grid spans are never mirrored). Pulling skips a destination that needs no
+// more data; every PushEdge already leaves such a destination alone — BFS a
+// vertex with a parent, ALS a vertex off the side being updated, and
+// PageRank, SpMV, SSSP and WCC have none — so the push is the pull.
+func (a *lockedPush) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
+	a.PushEdges(s, worker, edges)
 }
 
 // Rooted is implemented by single-source algorithms (BFS, SSSP), whose Init

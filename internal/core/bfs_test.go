@@ -10,35 +10,6 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 )
 
-// serialBFS is the reference: a plain FIFO-queue BFS over g's edge array
-// (both directions of every edge when g is undirected). It returns each
-// vertex's level, -1 where unreached.
-func serialBFS(g *graph.Graph, source graph.VertexID) []int32 {
-	n := g.NumVertices()
-	adj := make([][]graph.VertexID, n)
-	for _, e := range g.EdgeArray.Edges {
-		adj[e.Src] = append(adj[e.Src], e.Dst)
-		if !g.Directed {
-			adj[e.Dst] = append(adj[e.Dst], e.Src)
-		}
-	}
-	level := make([]int32, n)
-	for v := range level {
-		level[v] = -1
-	}
-	level[source] = 0
-	for queue := []graph.VertexID{source}; len(queue) > 0; queue = queue[1:] {
-		u := queue[0]
-		for _, v := range adj[u] {
-			if level[v] < 0 {
-				level[v] = level[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return level
-}
-
 // badParent checks a BFS tree rooted at source against g: the root is its
 // own parent, an unreached vertex has parent -1, and every other reached
 // vertex's parent reaches it over an edge of g (either way round when g is
@@ -116,7 +87,7 @@ func layeredGraph() *graph.Graph {
 	return graph.New(edges, n, true)
 }
 
-// TestBFSMatchesSerialOracle: BFS levels match a plain queue BFS, and every
+// TestBFSMatchesSerialOracle: BFS levels match the queue BFS oracle, and every
 // parent is a valid one, in every configuration ValidateTechniques admits
 // and under Auto, at 1, 2 and 8 workers, push iterations on the caller or
 // on the gang, in memory and — for the configurations that can — streamed.
@@ -134,7 +105,7 @@ func TestBFSMatchesSerialOracle(t *testing.T) {
 	for _, in := range inputs {
 		g := in.g
 		prepareAll(t, g, !g.Directed)
-		want := serialBFS(g, 0)
+		want := oracleBFS(g, 0)
 		src := &gridSource{grid: g.Grid, undirected: !g.Directed}
 		check := func(t *testing.T, run func(Algorithm) (*Result, error)) *Result {
 			t.Helper()

@@ -46,7 +46,7 @@ func pushesRows(cfg Config) bool {
 	return cfg.Flow != Pull && (cfg.Layout == graph.LayoutAdjacency || cfg.Layout == graph.LayoutAdjacencySorted)
 }
 
-// pushSpy is a SpanAlgorithm that records, for every PushRows call, the
+// pushSpy is an Algorithm that records, for every PushRows call, the
 // worker it ran on and whether its span was Atomic. It activates nothing,
 // so a run of it is the one iteration over its initial frontier.
 type pushSpy struct {
@@ -71,10 +71,6 @@ func (s *pushSpy) PushRows(sp *graph.Span, worker int, _ *graph.Adjacency, _ []g
 	s.calls = append(s.calls, pushSpyCall{worker, sp.Atomic})
 	s.mu.Unlock()
 }
-
-func (*pushSpy) PullRows(*graph.Span, int, *graph.Adjacency, int, int) {}
-func (*pushSpy) PushEdges(*graph.Span, int, []graph.Edge)              {}
-func (*pushSpy) PullEdges(*graph.Span, int, []graph.Edge)              {}
 
 // TestSmallPushIterationsRunOnCaller pins the caller-only rule: a push
 // iteration of fewer than callerPushEdges active out-edges runs every chunk
@@ -150,7 +146,7 @@ func TestSSSPRoadIterationsPinned(t *testing.T) {
 	if err := prep.BuildAdjacency(g, prep.Out, prep.Options{Method: prep.RadixSort, Undirected: !g.Directed}); err != nil {
 		t.Fatal(err)
 	}
-	want := dijkstra(g, 0)
+	want := oracleDijkstra(g, 0)
 	iterations := -1
 	for _, workers := range []int{1, 2, 8} {
 		for rep := 0; rep < 10; rep++ {

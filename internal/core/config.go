@@ -64,9 +64,13 @@ func (f Flow) String() string {
 type SyncMode int
 
 const (
-	// SyncLocks protects destination updates with striped per-vertex locks.
+	// SyncLocks protects destination updates with striped per-vertex
+	// locks: each push update is one call of the algorithm's PushEdge inside
+	// the destination's stripe lock. Pull rows own their destinations and
+	// take no lock.
 	SyncLocks SyncMode = iota
-	// SyncAtomics uses the algorithm's atomic (CAS-based) edge functions.
+	// SyncAtomics has the span kernels update destinations they do not own
+	// atomically (compare-and-swap loops, or ALS's accumulator stripes).
 	SyncAtomics
 	// SyncPartitionFree relies on the data layout to give each worker
 	// exclusive ownership of a destination range (grid columns in push

@@ -24,8 +24,8 @@ import (
 // pool workers (see internal/sched), the next-frontier builders and the
 // frontiers they emit are double-buffered and recycled, and every loop body
 // is bound once at setup and reused; each chunk of a loop is one call into
-// the algorithm's span kernels (see SpanAlgorithm). Allocation happens only while the
-// buffers warm up during the first iterations.
+// the algorithm's span kernels (see Algorithm). Allocation happens only while
+// the buffers warm up during the first iterations.
 func Run(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 	if err := cfg.Validate(g); err != nil {
 		return nil, err
@@ -187,22 +187,23 @@ func parallelFor(cfg Config) func(begin, end, chunk, p int, body func(worker, lo
 }
 
 // stepper is the engine's side of the span contract, shared by the in-memory
-// and the streamed runner: it resolves which SpanAlgorithm executes an
-// iteration (the algorithm's own span kernels, or the per-edge adapter),
-// fills the iteration's graph.Span, and owns the double-buffered
-// next-frontier state — two (builder, frontier) pairs so one frontier can be
-// consumed while the next is built into the other pair's buffers.
+// and the streamed runner: it binds which kernels execute an iteration (the
+// algorithm's own, or its locked pushes under SyncLocks), fills the
+// iteration's graph.Span, and owns the double-buffered next-frontier state —
+// two (builder, frontier) pairs so one frontier can be consumed while the
+// next is built into the other pair's buffers.
 type stepper struct {
 	alg         Algorithm
 	numVertices int
 	workers     int
 	track       bool // build the next frontier (false for dense algorithms)
 
-	own     SpanAlgorithm // alg's span kernels; nil if it ships none
-	adapter perEdge       // per-edge reference path over alg
+	// locked runs alg's pushes under the stripe locks; its table is
+	// allocated by the first SyncLocks plan.
+	locked lockedPush
 
 	// Per-iteration binding, set by begin and read by every worker.
-	kern SpanAlgorithm
+	kern Algorithm
 	span graph.Span
 	pull bool // flat edge slices run the pull kernel
 
@@ -212,14 +213,12 @@ type stepper struct {
 }
 
 func newStepper(alg Algorithm, numVertices, workers int) stepper {
-	own, _ := alg.(SpanAlgorithm)
 	return stepper{
 		alg:         alg,
 		numVertices: numVertices,
 		workers:     workers,
 		track:       !alg.Dense(),
-		own:         own,
-		adapter:     perEdge{alg: alg},
+		locked:      lockedPush{Algorithm: alg},
 	}
 }
 
@@ -230,14 +229,12 @@ func newStepper(alg Algorithm, numVertices, workers int) stepper {
 // span.Bits themselves: converting the frontier is only worth paying where
 // the layout path needs the bitmap.
 func (st *stepper) begin(flow Flow, sync SyncMode, frontier *graph.Frontier) {
-	st.adapter.locked = sync == SyncLocks
-	if st.adapter.locked && st.adapter.locks == nil {
-		st.adapter.locks = newVertexLocks()
-	}
-	if st.own != nil && !st.adapter.locked {
-		st.kern = st.own
-	} else {
-		st.kern = &st.adapter
+	st.kern = st.alg
+	if sync == SyncLocks {
+		if st.locked.locks == nil {
+			st.locked.locks = newVertexLocks()
+		}
+		st.kern = &st.locked
 	}
 	st.pull = flow == Pull
 	// A one-worker run shares no destination with anyone: every iteration

@@ -250,30 +250,30 @@ func BenchmarkBatch64(b *testing.B) {
 	}
 }
 
-// Span-versus-adapter pairs: each benchmark runs b.N PageRank iterations
-// under one configuration twice — through the algorithm's span kernels and
-// through the per-edge adapter (the pre-span engine's cost: one dynamic call
-// per edge) — and reports ns/edge, so a kernel regression shows as the
-// "span" case closing on the "adapter" case.
-func benchSpanPair(b *testing.B, g *graph.Graph, cfg Config) {
-	paths := []struct {
-		name string
-		wrap func(Algorithm) Algorithm
-	}{
-		{"span", func(a Algorithm) Algorithm { return a }},
-		{"adapter", func(a Algorithm) Algorithm { return perEdgeOnly{a} }},
-	}
-	for _, p := range paths {
-		b.Run(p.name, func(b *testing.B) {
+// Span benchmarks: each runs b.N PageRank iterations under one
+// configuration through the algorithm's span kernels ("span") and reports
+// ns/edge. Given a locks twin, it runs the same layout and flow under
+// SyncLocks as well ("locks": one PushEdge call per edge inside the
+// destination's stripe lock), so what the locks cost per edge shows beside
+// the kernel.
+func benchSpan(b *testing.B, g *graph.Graph, cfg Config, locksTwin bool) {
+	run := func(name string, sync SyncMode) {
+		b.Run(name, func(b *testing.B) {
+			cfg := cfg
+			cfg.Sync = sync
 			pr := algorithms.NewPageRank()
 			pr.Iterations = b.N
 			b.ReportAllocs()
 			b.ResetTimer()
-			if _, err := Run(g, p.wrap(pr), cfg); err != nil {
+			if _, err := Run(g, pr, cfg); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(g.NumEdges()), "ns/edge")
 		})
+	}
+	run("span", cfg.Sync)
+	if locksTwin {
+		run("locks", SyncLocks)
 	}
 }
 
@@ -288,21 +288,25 @@ var rmat16Grid = sync.OnceValue(func() *graph.Graph {
 	return g
 })
 
+// BenchmarkSpanCSRPull has no locks twin: pull rows own their destinations
+// under every sync mode, so SyncLocks runs the same kernel.
 func BenchmarkSpanCSRPull(b *testing.B) {
-	benchSpanPair(b, rmat16(b), Config{Layout: graph.LayoutAdjacency, Flow: Pull, Sync: SyncPartitionFree})
+	benchSpan(b, rmat16(b), Config{Layout: graph.LayoutAdjacency, Flow: Pull, Sync: SyncPartitionFree}, false)
 }
 
 func BenchmarkSpanCSRPushAtomics(b *testing.B) {
-	benchSpanPair(b, rmat16(b), Config{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics})
+	benchSpan(b, rmat16(b), Config{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics}, true)
 }
 
+// BenchmarkSpanGridCellPull's locks twin runs the grid's cells in parallel,
+// each as locked pushes, where the span case owns whole columns.
 func BenchmarkSpanGridCellPull(b *testing.B) {
 	rmat16(b)
-	benchSpanPair(b, rmat16Grid(), Config{Layout: graph.LayoutGrid, Flow: Pull, Sync: SyncPartitionFree})
+	benchSpan(b, rmat16Grid(), Config{Layout: graph.LayoutGrid, Flow: Pull, Sync: SyncPartitionFree}, true)
 }
 
 func BenchmarkSpanEdgeArrayPush(b *testing.B) {
-	benchSpanPair(b, rmat16(b), Config{Layout: graph.LayoutEdgeArray, Flow: Push, Sync: SyncAtomics})
+	benchSpan(b, rmat16(b), Config{Layout: graph.LayoutEdgeArray, Flow: Push, Sync: SyncAtomics}, true)
 }
 
 // road512 is one of the gate's warm.sssp.road inputs: a weighted 512x512

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -72,87 +76,50 @@ func TestFrontierSizesMatchAcrossFlows(t *testing.T) {
 	}
 }
 
-// TestSSSPEquivalenceAcrossConfigs checks that distances agree across every
-// layout/flow/sync combination on a weighted power-law graph.
-func TestSSSPEquivalenceAcrossConfigs(t *testing.T) {
-	g := gen.RMAT(gen.RMATOptions{Scale: 10, EdgeFactor: 8, Seed: 21, Weighted: true})
-	prepareAll(t, g, false)
+// alsPullFactorsFNV is the FNV-1a hash of the factor bits ALS leaves on
+// TestALSThroughEngineMatchesAcrossFlows's graph under adjacency / pull /
+// no-lock at 1 worker, as the engine's earlier per-edge pull path computed
+// them: PullRows must accumulate each rating in the same order.
+const alsPullFactorsFNV = 0xd38b7d55188c3bf5
 
-	var ref []float32
-	for _, cfg := range allConfigs() {
-		name := cfg.Layout.String() + "/" + cfg.Flow.String() + "/" + cfg.Sync.String()
-		sssp := algorithms.NewSSSP(0)
-		if _, err := Run(g, sssp, cfg); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		d := sssp.Distances()
-		if ref == nil {
-			ref = d
-			continue
-		}
-		for v := range ref {
-			if d[v] != ref[v] {
-				t.Fatalf("%s: dist[%d] = %v, want %v", name, v, d[v], ref[v])
-			}
-		}
-	}
-}
-
-// TestWCCEquivalenceOnRoad checks component labels across configurations on
-// the undirected road graph.
-func TestWCCEquivalenceOnRoad(t *testing.T) {
-	g := gen.Road(gen.RoadOptions{Width: 24, Height: 24, Seed: 2})
-	prepareAll(t, g, true)
-
-	var ref []uint32
-	for _, cfg := range allConfigs() {
-		name := cfg.Layout.String() + "/" + cfg.Flow.String() + "/" + cfg.Sync.String()
-		wcc := algorithms.NewWCC()
-		if _, err := Run(g, wcc, cfg); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if wcc.NumComponents() != 1 {
-			t.Fatalf("%s: lattice must be a single component, got %d", name, wcc.NumComponents())
-		}
-		if ref == nil {
-			ref = append([]uint32(nil), wcc.Labels...)
-			continue
-		}
-		for v := range ref {
-			if wcc.Labels[v] != ref[v] {
-				t.Fatalf("%s: label[%d] = %d, want %d", name, v, wcc.Labels[v], ref[v])
-			}
-		}
-	}
-}
-
-// TestALSThroughEngineMatchesAcrossFlows runs ALS in pull (no lock) and push
-// (locks) modes and checks that the learned models agree.
+// TestALSThroughEngineMatchesAcrossFlows runs ALS in Table 6's configuration
+// (adjacency / pull / no-lock) at 1 worker, pinned bit for bit, and in every
+// other admitted configuration at 1 and 4 workers, which must learn a model
+// of the same RMSE.
 func TestALSThroughEngineMatchesAcrossFlows(t *testing.T) {
 	g := gen.Bipartite(gen.BipartiteOptions{Users: 300, Items: 40, RatingsPerUser: 10, Seed: 4})
 	prepareAll(t, g, true)
 
-	run := func(flow Flow, sync SyncMode) *algorithms.ALS {
+	run := func(t *testing.T, cfg Config) *algorithms.ALS {
 		als := algorithms.NewALS(300)
 		als.Sweeps = 2
-		if _, err := Run(g, als, Config{Layout: graph.LayoutAdjacency, Flow: flow, Sync: sync}); err != nil {
+		if _, err := Run(g, als, cfg); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
 		return als
 	}
-	pull := run(Pull, SyncPartitionFree)
-	push := run(Push, SyncLocks)
+	pull := run(t, Config{Layout: graph.LayoutAdjacency, Flow: Pull, Sync: SyncPartitionFree, Workers: 1})
+	h := fnv.New64a()
+	for _, f := range pull.F {
+		h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(f)))
+	}
+	if got := h.Sum64(); got != alsPullFactorsFNV {
+		t.Fatalf("pull factors hash to %#x, pinned %#x", got, uint64(alsPullFactorsFNV))
+	}
 	edges := g.EdgeArray.Edges
-	rmsePull, rmsePush := pull.RMSE(edges), push.RMSE(edges)
-	diff := rmsePull - rmsePush
-	if diff < 0 {
-		diff = -diff
+	want := pull.RMSE(edges)
+	if want > 1.5 {
+		t.Fatalf("ALS did not fit the ratings: RMSE %v", want)
 	}
-	if diff > 1e-6 {
-		t.Fatalf("pull and push ALS diverged: RMSE %v vs %v", rmsePull, rmsePush)
-	}
-	if rmsePull > 1.5 {
-		t.Fatalf("ALS did not fit the ratings: RMSE %v", rmsePull)
+	for _, workers := range []int{1, 4} {
+		for _, cfg := range admittedConfigs() {
+			cfg.Workers = workers
+			t.Run(fmt.Sprintf("w%d/%v-%v-%v", workers, cfg.Layout, cfg.Flow, cfg.Sync), func(t *testing.T) {
+				if got := run(t, cfg).RMSE(edges); math.Abs(got-want) > 1e-6 {
+					t.Fatalf("RMSE %v, adjacency pull %v", got, want)
+				}
+			})
+		}
 	}
 }
 
@@ -268,33 +235,6 @@ func TestBFSEquivalencePropertyRandomGraphs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestGridLocksMatchesPartitionFree: the "grid (locks)" configuration of
-// Figure 8 must produce the same PageRank result as the lock-free column
-// schedule.
-func TestGridLocksMatchesPartitionFree(t *testing.T) {
-	g := gen.RMAT(gen.RMATOptions{Scale: 10, EdgeFactor: 8, Seed: 13})
-	prepareAll(t, g, false)
-	run := func(sync SyncMode) []float64 {
-		pr := algorithms.NewPageRank()
-		pr.Iterations = 3
-		if _, err := Run(g, pr, Config{Layout: graph.LayoutGrid, Flow: Push, Sync: sync}); err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return append([]float64(nil), pr.Rank...)
-	}
-	a := run(SyncLocks)
-	b := run(SyncPartitionFree)
-	for v := range a {
-		diff := a[v] - b[v]
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > 1e-9 {
-			t.Fatalf("rank mismatch at %d: %v vs %v", v, a[v], b[v])
-		}
 	}
 }
 

@@ -61,110 +61,6 @@ func allConfigs() []Config {
 	return cfgs
 }
 
-func TestBFSLevelsOnChainAllConfigs(t *testing.T) {
-	const n = 100
-	g := chainGraph(n)
-	prepareAll(t, g, false)
-	for _, cfg := range allConfigs() {
-		name := cfg.Layout.String() + "/" + cfg.Flow.String() + "/" + cfg.Sync.String()
-		t.Run(name, func(t *testing.T) {
-			bfs := algorithms.NewBFS(0)
-			res, err := Run(g, bfs, cfg)
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if res.Iterations == 0 {
-				t.Fatal("no iterations executed")
-			}
-			for v := 0; v < n; v++ {
-				if bfs.Level[v] != int32(v) {
-					t.Fatalf("level[%d] = %d, want %d", v, bfs.Level[v], v)
-				}
-			}
-		})
-	}
-}
-
-func TestBFSEquivalenceAcrossConfigsRMAT(t *testing.T) {
-	g := gen.RMAT(gen.RMATOptions{Scale: 10, EdgeFactor: 8, Seed: 7})
-	prepareAll(t, g, false)
-
-	// Reference levels from a simple sequential BFS over the out-adjacency.
-	ref := referenceBFSLevels(g, 0)
-
-	for _, cfg := range allConfigs() {
-		name := cfg.Layout.String() + "/" + cfg.Flow.String() + "/" + cfg.Sync.String()
-		t.Run(name, func(t *testing.T) {
-			bfs := algorithms.NewBFS(0)
-			if _, err := Run(g, bfs, cfg); err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			for v := range ref {
-				if bfs.Level[v] != ref[v] {
-					t.Fatalf("level[%d] = %d, want %d (config %s)", v, bfs.Level[v], ref[v], name)
-				}
-			}
-		})
-	}
-}
-
-// referenceBFSLevels computes BFS levels with a sequential queue traversal.
-func referenceBFSLevels(g *graph.Graph, source graph.VertexID) []int32 {
-	n := g.NumVertices()
-	levels := make([]int32, n)
-	for i := range levels {
-		levels[i] = -1
-	}
-	levels[source] = 0
-	queue := []graph.VertexID{source}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		for _, v := range g.Out.Neighbors(u) {
-			if levels[v] < 0 {
-				levels[v] = levels[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return levels
-}
-
-func TestPageRankEquivalenceAcrossConfigs(t *testing.T) {
-	g := gen.RMAT(gen.RMATOptions{Scale: 9, EdgeFactor: 8, Seed: 3})
-	prepareAll(t, g, false)
-
-	ranks := make(map[string][]float64)
-	for _, cfg := range allConfigs() {
-		cfg.MaxIterations = 0
-		name := cfg.Layout.String() + "/" + cfg.Flow.String() + "/" + cfg.Sync.String()
-		pr := algorithms.NewPageRank()
-		pr.Iterations = 5
-		if _, err := Run(g, pr, cfg); err != nil {
-			t.Fatalf("%s: Run: %v", name, err)
-		}
-		ranks[name] = append([]float64(nil), pr.Rank...)
-	}
-	// Compare every configuration against the first.
-	var baseName string
-	var base []float64
-	for name, r := range ranks {
-		baseName, base = name, r
-		break
-	}
-	for name, r := range ranks {
-		for v := range r {
-			diff := r[v] - base[v]
-			if diff < 0 {
-				diff = -diff
-			}
-			if diff > 1e-9 {
-				t.Fatalf("rank mismatch at vertex %d: %s=%g vs %s=%g", v, name, r[v], baseName, base[v])
-			}
-		}
-	}
-}
-
 func TestWCCOnUndirectedComponents(t *testing.T) {
 	// Two components: a triangle {0,1,2} and an edge {3,4}; vertex 5 isolated.
 	edges := []graph.Edge{
@@ -214,37 +110,6 @@ func TestSSSPOnWeightedGraph(t *testing.T) {
 			for v, w := range want {
 				if got := sssp.Distance(graph.VertexID(v)); got != w {
 					t.Fatalf("dist[%d] = %g, want %g", v, got, w)
-				}
-			}
-		})
-	}
-}
-
-func TestSpMVMatchesSequential(t *testing.T) {
-	g := gen.Uniform(gen.UniformOptions{NumVertices: 500, NumEdges: 4000, Seed: 11, Weighted: true})
-	prepareAll(t, g, false)
-
-	// Sequential reference.
-	ref := make([]float64, g.NumVertices())
-	for _, e := range g.EdgeArray.Edges {
-		ref[e.Dst] += float64(e.W)
-	}
-
-	for _, cfg := range allConfigs() {
-		name := cfg.Layout.String() + "/" + cfg.Flow.String() + "/" + cfg.Sync.String()
-		t.Run(name, func(t *testing.T) {
-			m := algorithms.NewSpMV()
-			if _, err := Run(g, m, cfg); err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			got := m.Result()
-			for v := range ref {
-				diff := got[v] - ref[v]
-				if diff < 0 {
-					diff = -diff
-				}
-				if diff > 1e-6 {
-					t.Fatalf("y[%d] = %g, want %g", v, got[v], ref[v])
 				}
 			}
 		})

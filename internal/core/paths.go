@@ -9,9 +9,9 @@ import (
 
 // This file contains the per-layout iteration paths: how each layout's
 // iteration is chunked over the workers. The per-edge loops themselves live
-// behind SpanAlgorithm — every chunk is one call into the algorithm's span
-// kernels (or the per-edge adapter), so no layout path carries a loop of
-// its own over edges.
+// in the algorithm's span kernels — every chunk is one call into them (or
+// into the locked pushes of a SyncLocks plan), so no layout path carries a
+// loop of its own over edges.
 
 // execute runs one iteration under plan and returns the next frontier (nil
 // for dense algorithms).

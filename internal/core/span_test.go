@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,86 +11,84 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/gen"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/prep"
+	"github.com/epfl-repro/everythinggraph/internal/sched"
 )
 
-// Every shipped single-source algorithm carries span kernels; a silent
-// fallback to the per-edge adapter would only show as a slowdown.
-var (
-	_ SpanAlgorithm = (*algorithms.PageRank)(nil)
-	_ SpanAlgorithm = (*algorithms.SpMV)(nil)
-	_ SpanAlgorithm = (*algorithms.BFS)(nil)
-	_ SpanAlgorithm = (*algorithms.SSSP)(nil)
-	_ SpanAlgorithm = (*algorithms.WCC)(nil)
-)
-
-// perEdgeOnly hides an algorithm's span kernels, so the engine runs it
-// through the per-edge adapter — the reference the span path is compared
-// with — while still reaching the optional hooks the engine looks for.
-type perEdgeOnly struct{ Algorithm }
-
-func (p perEdgeOnly) BindRun(workers int, pfor ParallelFunc) {
-	if rb, ok := p.Algorithm.(RunBound); ok {
-		rb.BindRun(workers, pfor)
-	}
-}
-
-func (p perEdgeOnly) SetOutDegrees(deg []uint32) {
-	if dp, ok := p.Algorithm.(degreePreset); ok {
-		dp.SetOutDegrees(deg)
-	}
-}
-
-// spanAlgo is one shipped algorithm of the differential test: a factory and
-// the result as bit patterns. integral results are exact under every
-// schedule; floating-point sums are only reproducible where one worker
+// spanAlgo is one shipped algorithm of the differential table: a factory,
+// the result as bit patterns, and its serial oracle in the same form for a
+// run whose PageRank out-degrees are deg. integral results are exact under
+// every schedule; floating-point sums are only reproducible where one worker
 // applies each destination's updates in a fixed order.
 type spanAlgo struct {
 	name     string
 	integral bool
 	make     func() (Algorithm, func() []uint64)
+	oracle   func(g *graph.Graph, deg []uint32) []uint64
 }
+
+// spanPageRankIterations is the PageRank iteration count of the table.
+const spanPageRankIterations = 3
 
 var spanAlgos = []spanAlgo{
 	{"pagerank", false, func() (Algorithm, func() []uint64) {
 		pr := algorithms.NewPageRank()
-		pr.Iterations = 3
+		pr.Iterations = spanPageRankIterations
 		return pr, func() []uint64 { return floatBits(pr.Rank) }
+	}, func(g *graph.Graph, deg []uint32) []uint64 {
+		return floatBits(oraclePageRank(g, deg, spanPageRankIterations, algorithms.NewPageRank().Damping))
 	}},
 	{"spmv", false, func() (Algorithm, func() []uint64) {
 		m := algorithms.NewSpMV()
 		return m, func() []uint64 { return floatBits(m.Result()) }
+	}, func(g *graph.Graph, _ []uint32) []uint64 {
+		ones := make([]float64, g.NumVertices())
+		for i := range ones {
+			ones[i] = 1
+		}
+		return floatBits(oracleSpMV(g, ones))
 	}},
 	{"bfs", true, func() (Algorithm, func() []uint64) {
 		b := algorithms.NewBFS(0)
-		return b, func() []uint64 {
-			out := make([]uint64, len(b.Level))
-			for i, l := range b.Level {
-				out[i] = uint64(uint32(l))
-			}
-			return out
-		}
+		return b, func() []uint64 { return levelBits(b.Level) }
+	}, func(g *graph.Graph, _ []uint32) []uint64 {
+		return levelBits(oracleBFS(g, 0))
 	}},
 	{"sssp", true, func() (Algorithm, func() []uint64) {
 		s := algorithms.NewSSSP(0)
-		return s, func() []uint64 {
-			d := s.Distances()
-			out := make([]uint64, len(d))
-			for i, x := range d {
-				out[i] = uint64(math.Float32bits(x))
-			}
-			return out
-		}
+		return s, func() []uint64 { return distBits(s.Distances()) }
+	}, func(g *graph.Graph, _ []uint32) []uint64 {
+		return distBits(oracleDijkstra(g, 0))
 	}},
 	{"wcc", true, func() (Algorithm, func() []uint64) {
 		w := algorithms.NewWCC()
-		return w, func() []uint64 {
-			out := make([]uint64, len(w.Labels))
-			for i, l := range w.Labels {
-				out[i] = uint64(l)
-			}
-			return out
-		}
+		return w, func() []uint64 { return labelBits(w.Labels) }
+	}, func(g *graph.Graph, _ []uint32) []uint64 {
+		return labelBits(oracleWCC(g))
 	}},
+}
+
+func levelBits(levels []int32) []uint64 {
+	out := make([]uint64, len(levels))
+	for i, l := range levels {
+		out[i] = uint64(uint32(l))
+	}
+	return out
+}
+
+func distBits(d []float32) []uint64 {
+	out := make([]uint64, len(d))
+	for i, x := range d {
+		out[i] = uint64(math.Float32bits(x))
+	}
+	return out
+}
+
+func labelBits(labels []uint32) []uint64 {
+	out := make([]uint64, len(labels))
+	for i, l := range labels {
+		out[i] = uint64(l)
+	}
+	return out
 }
 
 func floatBits(xs []float64) []uint64 {
@@ -100,14 +99,15 @@ func floatBits(xs []float64) []uint64 {
 	return out
 }
 
-// spanGraph is one input of the differential test, with every layout built.
+// spanGraph is one input of the differential table, with every layout built.
 type spanGraph struct {
 	name string
 	g    *graph.Graph
 }
 
-// spanGraphs builds the adversarial inputs. Weights are small non-negative
-// integers except where noted, so SSSP distances are exact.
+// spanGraphs builds the table's inputs: adversarial shapes, a long chain, a
+// road lattice, a uniform random graph and RMAT both ways. Weights are small
+// non-negative integers except where noted, so every path sum is exact.
 func spanGraphs(t *testing.T) []spanGraph {
 	t.Helper()
 	e := func(s, d int, w float32) graph.Edge {
@@ -131,9 +131,15 @@ func spanGraphs(t *testing.T) []spanGraph {
 		}
 		return es
 	}
+	var chain []graph.Edge
+	for v := 0; v < 99; v++ {
+		chain = append(chain, e(v, v+1, 1))
+	}
+	road := gen.Road(gen.RoadOptions{Width: 24, Height: 24, Seed: 2})
+	uniform := gen.Uniform(gen.UniformOptions{NumVertices: 500, NumEdges: 4000, Seed: 11, Weighted: true})
 	rmat := gen.RMAT(gen.RMATOptions{Scale: 9, EdgeFactor: 8, Seed: 11})
 	for i := range rmat.EdgeArray.Edges {
-		// Non-integral weights: SpMV sums must still match bit for bit.
+		// Non-integral weights: float32 path sums and float64 SpMV sums.
 		rmat.EdgeArray.Edges[i].W = 0.25 + float32(i%7)/3
 	}
 	cases := []struct {
@@ -150,14 +156,18 @@ func spanGraphs(t *testing.T) []spanGraph {
 		{"one-hub", 40, hub, true},
 		{"disconnected", 24, append(append(ring(0, 8), ring(8, 16)...), e(20, 21, 1)), true},
 		{"undirected", 12, append(ring(0, 7), e(0, 0, 1), e(2, 5, 2), e(5, 2, 2), e(8, 9, 1), e(9, 10, 3)), false},
+		{"chain-100", 100, chain, true},
+		{"road-24", road.NumVertices(), road.EdgeArray.Edges, road.Directed},
+		{"uniform-500", uniform.NumVertices(), uniform.EdgeArray.Edges, true},
 		{"rmat-9", rmat.NumVertices(), rmat.EdgeArray.Edges, true},
 		{"rmat-9-undirected", rmat.NumVertices(), rmat.EdgeArray.Edges, false},
 	}
 	out := make([]spanGraph, 0, len(cases))
 	for _, c := range cases {
 		if testing.Short() && len(c.edges) > 1000 {
-			// The RMAT inputs are what spreads a loop over several workers;
-			// the repeated -short runs in CI keep the adversarial shapes.
+			// The inputs of more than 1,000 edges (road, uniform, RMAT) are
+			// what spreads a loop over several workers; the repeated -short
+			// runs in CI keep the adversarial shapes and the chain.
 			continue
 		}
 		g := graph.New(append([]graph.Edge(nil), c.edges...), c.n, c.directed)
@@ -256,57 +266,78 @@ func (s *gridSource) StreamCells(opt StreamOptions, visit func(worker int, edges
 	return nil
 }
 
-// TestSpanKernelsMatchPerEdgeAdapter is the differential test of the span
-// contract: for each shipped algorithm, every admitted configuration (static
-// grid ones at every pyramid level, push iterations on the caller and on the
-// gang), the in-memory and the streamed engine, and each adversarial graph,
-// the span kernels must leave the state the per-edge methods leave — the
-// same bits wherever the configuration fixes the order of updates (always at
-// one worker), the same exact values for integral results everywhere, and
-// reassociation-close sums otherwise.
-func TestSpanKernelsMatchPerEdgeAdapter(t *testing.T) {
-	type runFn func(alg Algorithm, cfg Config) error
-	compare := func(t *testing.T, a spanAlgo, cfg Config, exact bool, run runFn) {
-		t.Helper()
-		spanAlg, spanResult := a.make()
-		if err := run(spanAlg, cfg); err != nil {
-			t.Fatalf("span run: %v", err)
+// matchOracle fails t unless got is the oracle's want: bit for bit for an
+// integral result, within 1e-9 relative for floating-point sums (the
+// engine's summation order is the layout's, the oracle's its own).
+func matchOracle(t *testing.T, got, want []uint64, integral bool) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("result length %d, oracle %d", len(got), len(want))
+	}
+	for v := range want {
+		if got[v] == want[v] {
+			continue
 		}
-		refAlg, refResult := a.make()
-		if err := run(perEdgeOnly{refAlg}, cfg); err != nil {
-			t.Fatalf("per-edge run: %v", err)
-		}
-		got, want := spanResult(), refResult()
-		if len(got) != len(want) {
-			t.Fatalf("result length %d, want %d", len(got), len(want))
-		}
-		for v := range want {
-			if got[v] == want[v] {
-				continue
-			}
-			g, w := math.Float64frombits(got[v]), math.Float64frombits(want[v])
-			if exact || math.Abs(g-w) > 1e-12*math.Abs(w) {
-				t.Fatalf("vertex %d: span %#x, per-edge %#x", v, got[v], want[v])
-			}
+		g, w := math.Float64frombits(got[v]), math.Float64frombits(want[v])
+		if integral || !(math.Abs(g-w) <= 1e-9*math.Abs(w)) {
+			t.Fatalf("vertex %d: got %#x, serial oracle %#x", v, got[v], want[v])
 		}
 	}
+}
+
+// TestKernelsMatchSerialOracles is the differential table of the span
+// contract: for each shipped algorithm with a serial oracle, on each input,
+// every admitted configuration at 1 and 4 workers — static grid ones at
+// every pyramid level, push iterations on the caller and on the gang, in
+// memory and streamed, plus one leased run per layout — must leave the
+// oracle's result: integral results exactly, floating-point sums within
+// 1e-9 relative. A configuration that fixes each destination's update
+// order (ownedOrder, and every streamed one) must also leave the same bits
+// at 4 workers as at 1.
+func TestKernelsMatchSerialOracles(t *testing.T) {
 	for _, sg := range spanGraphs(t) {
 		src := &gridSource{grid: sg.g.Grid, undirected: !sg.g.Directed}
+		memDeg, streamDeg := memOutDegrees(sg.g), src.OutDegrees()
 		for _, a := range spanAlgos {
+			want, wantStreamed := a.oracle(sg.g, memDeg), a.oracle(sg.g, streamDeg)
+			check := func(t *testing.T, want []uint64, run func(Algorithm) error) []uint64 {
+				t.Helper()
+				alg, result := a.make()
+				if err := run(alg); err != nil {
+					t.Fatal(err)
+				}
+				got := result()
+				matchOracle(t, got, want, a.integral)
+				return got
+			}
+			// The 1-worker results of the order-fixing rows, by row name.
+			solo := make(map[string][]uint64)
+			row := func(name string, workers int, ordered bool, want []uint64, run func(Algorithm) error) {
+				t.Run(fmt.Sprintf("%s/%s/w%d/%s", sg.name, a.name, workers, name), func(t *testing.T) {
+					got := check(t, want, run)
+					if !ordered {
+						return
+					}
+					if workers == 1 {
+						solo[name] = got
+					} else if ref, ok := solo[name]; ok && !slices.Equal(got, ref) {
+						t.Fatalf("bits differ from the same configuration at 1 worker")
+					}
+				})
+			}
 			for _, workers := range []int{1, 4} {
 				for _, cfg := range admittedConfigs() {
 					cfg.Workers = workers
-					exact := a.integral || workers == 1 || ownedOrder(cfg)
-					name := fmt.Sprintf("%s/%s/w%d/%v-%v-%v", sg.name, a.name, workers, cfg.Layout, cfg.Flow, cfg.Sync)
-					run := func(t *testing.T) {
-						compare(t, a, cfg, exact, func(alg Algorithm, cfg Config) error {
-							_, err := Run(sg.g, alg, cfg)
-							return err
-						})
+					name := fmt.Sprintf("%v-%v-%v", cfg.Layout, cfg.Flow, cfg.Sync)
+					run := func(alg Algorithm) error {
+						_, err := Run(sg.g, alg, cfg)
+						return err
 					}
-					t.Run(name, run)
+					row(name, workers, ownedOrder(cfg), want, run)
 					if workers > 1 && pushesRows(cfg) {
-						atCallerPushExtremes(t, name, run)
+						atCallerPushExtremes(t, fmt.Sprintf("%s/%s/w%d/%s", sg.name, a.name, workers, name), func(t *testing.T) {
+							check(t, want, run)
+						})
 					}
 					if cfg.Layout == graph.LayoutGrid && cfg.Flow != Auto {
 						// Run holds a static grid at the materialized P; the
@@ -314,30 +345,41 @@ func TestSpanKernelsMatchPerEdgeAdapter(t *testing.T) {
 						// spans and are reached through a pinned plan.
 						for i := 1; i < sg.g.Grid.NumLevels(); i++ {
 							p := sg.g.Grid.Level(i).P
-							levelName := fmt.Sprintf("%s/%s/w%d/%v%d-%v-%v", sg.name, a.name, workers, cfg.Layout, p, cfg.Flow, cfg.Sync)
-							t.Run(levelName, func(t *testing.T) {
-								compare(t, a, cfg, exact, func(alg Algorithm, cfg Config) error {
-									_, err := iterateAtLevel(sg.g, alg, cfg, p)
-									return err
-								})
+							row(fmt.Sprintf("%v%d-%v-%v", cfg.Layout, p, cfg.Flow, cfg.Sync), workers, ownedOrder(cfg), want, func(alg Algorithm) error {
+								_, err := iterateAtLevel(sg.g, alg, cfg, p)
+								return err
 							})
 						}
 					}
-					streamable := cfg.Flow == Auto || (cfg.Layout == graph.LayoutGrid && cfg.Sync == SyncPartitionFree)
-					if !streamable {
-						continue
-					}
-					t.Run("streamed/"+name, func(t *testing.T) {
+					if cfg.Flow == Auto || (cfg.Layout == graph.LayoutGrid && cfg.Sync == SyncPartitionFree) {
 						// Streamed cells are owned whatever the flow.
-						compare(t, a, cfg, true, func(alg Algorithm, cfg Config) error {
+						row("streamed/"+name, workers, true, wantStreamed, func(alg Algorithm) error {
 							_, err := RunStreamed(src, alg, cfg)
 							return err
 						})
-					})
+					}
 				}
+			}
+			for _, cfg := range leasedConfigs {
+				cfg.Workers = 4
+				row(fmt.Sprintf("leased/%v-%v-%v", cfg.Layout, cfg.Flow, cfg.Sync), 4, false, want, func(alg Algorithm) error {
+					lease := sched.DefaultPool().Lease(cfg.Workers)
+					defer lease.Release()
+					cfg.Lease = lease
+					_, err := Run(sg.g, alg, cfg)
+					return err
+				})
 			}
 		}
 	}
+}
+
+// leasedConfigs are the table's leased rows, one per layout.
+var leasedConfigs = []Config{
+	{Layout: graph.LayoutEdgeArray, Flow: Push, Sync: SyncAtomics},
+	{Layout: graph.LayoutAdjacency, Flow: PushPull, Sync: SyncAtomics},
+	{Layout: graph.LayoutAdjacencySorted, Flow: Pull, Sync: SyncPartitionFree},
+	{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncLocks},
 }
 
 // TestRunAndRunStreamedIterateAlike: Run and RunStreamed are one iteration
@@ -408,7 +450,7 @@ func TestRunAndRunStreamedIterateAlike(t *testing.T) {
 
 // TestSpanIterationAllocatesNothing: a steady-state iteration — one span
 // call per chunk, frontier buffers recycled — performs no heap allocation,
-// on the span path and through the adapter alike.
+// on the span kernels and on the locked pushes of SyncLocks alike.
 func TestSpanIterationAllocatesNothing(t *testing.T) {
 	g := rmatTestGraph(t)
 	plans := []StepPlan{
@@ -472,26 +514,63 @@ func TestSpanIterationAllocatesNothing(t *testing.T) {
 
 // flood activates, every iteration, every vertex an active vertex has an
 // edge to, in whichever direction the iteration runs: its frontiers never
-// drain, so a runner can alternate pull and push on it indefinitely. It has
-// no span kernels and runs through the per-edge adapter.
+// drain, so a runner can alternate pull and push on it indefinitely.
 type flood struct{}
 
-func (flood) Name() string                                              { return "flood" }
-func (flood) Init(*graph.Graph)                                         {}
-func (flood) Dense() bool                                               { return false }
-func (flood) PushEdge(_, _ graph.VertexID, _ graph.Weight) bool         { return true }
-func (flood) PushEdgeAtomic(_, _ graph.VertexID, _ graph.Weight) bool   { return true }
-func (flood) PullActive(graph.VertexID) bool                            { return true }
-func (flood) PullEdge(_, _ graph.VertexID, _ graph.Weight) (bool, bool) { return true, true }
-func (flood) BeforeIteration(int)                                       {}
-func (flood) AfterIteration(int) bool                                   { return false }
+func (flood) Name() string                                      { return "flood" }
+func (flood) Init(*graph.Graph)                                 {}
+func (flood) Dense() bool                                       { return false }
+func (flood) PushEdge(_, _ graph.VertexID, _ graph.Weight) bool { return true }
+func (flood) BeforeIteration(int)                               {}
+func (flood) AfterIteration(int) bool                           { return false }
 
 func (flood) InitialFrontier(g *graph.Graph) *graph.Frontier {
 	return graph.FullFrontier(g.NumVertices())
 }
 
-// pullChunks is flood with span kernels whose PullRows records the row range
-// of every pull chunk instead of pulling.
+// PullRows activates every vertex of [lo, hi) with an active in-neighbour.
+func (flood) PullRows(s *graph.Span, worker int, in *graph.Adjacency, lo, hi int) {
+	for base := lo; base < hi; base += 64 {
+		var next uint64
+		for v := base; v < min(base+64, hi); v++ {
+			for _, u := range in.Targets[in.Index[v]:in.Index[v+1]] {
+				if s.Active(u) {
+					next |= 1 << (v & 63)
+					break
+				}
+			}
+		}
+		if next != 0 {
+			s.Next.SetWord(worker, base>>6, next)
+		}
+	}
+}
+
+func (flood) PushRows(s *graph.Span, worker int, out *graph.Adjacency, active []graph.VertexID) {
+	for _, u := range active {
+		for _, v := range out.Targets[out.Index[u]:out.Index[u+1]] {
+			s.Next.Add(worker, v)
+		}
+	}
+}
+
+func (flood) PushEdges(s *graph.Span, worker int, edges []graph.Edge) {
+	for _, e := range edges {
+		if s.Active(e.Src) {
+			s.Next.Add(worker, e.Dst)
+		}
+		if s.Mirror && s.Active(e.Dst) {
+			s.Next.Add(worker, e.Src)
+		}
+	}
+}
+
+func (f flood) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
+	f.PushEdges(s, worker, edges)
+}
+
+// pullChunks is flood whose PullRows records the row range of every pull
+// chunk instead of pulling.
 type pullChunks struct {
 	flood
 	mu     sync.Mutex
@@ -503,10 +582,6 @@ func (a *pullChunks) PullRows(_ *graph.Span, _ int, _ *graph.Adjacency, lo, hi i
 	a.ranges = append(a.ranges, [2]int{lo, hi})
 	a.mu.Unlock()
 }
-
-func (*pullChunks) PushRows(*graph.Span, int, *graph.Adjacency, []graph.VertexID) {}
-func (*pullChunks) PushEdges(*graph.Span, int, []graph.Edge)                      {}
-func (*pullChunks) PullEdges(*graph.Span, int, []graph.Edge)                      {}
 
 // TestPullChunksOwnWholeBlocks: every pull chunk starts on a 128-byte block
 // of the vertex bitmaps (1024 vertices) and ends on one or at the last

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"testing"
@@ -10,59 +9,6 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/gen"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 )
-
-// distHeap is a binary min-heap of (distance, vertex) entries.
-type distHeap []distEntry
-
-type distEntry struct {
-	d float32
-	v graph.VertexID
-}
-
-func (h distHeap) Len() int           { return len(h) }
-func (h distHeap) Less(i, j int) bool { return h[i].d < h[j].d }
-func (h distHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *distHeap) Push(x any)        { *h = append(*h, x.(distEntry)) }
-func (h *distHeap) Pop() any {
-	old := *h
-	e := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return e
-}
-
-// dijkstra is the serial reference: binary-heap Dijkstra in float32 over
-// g's edge array (both directions of every edge when g is undirected). A
-// vertex is pushed again whenever its distance improves, even after it was
-// popped, so a negative edge without a negative cycle is handled too.
-func dijkstra(g *graph.Graph, source graph.VertexID) []float32 {
-	n := g.NumVertices()
-	out := make([][]graph.Edge, n)
-	for _, e := range g.EdgeArray.Edges {
-		out[e.Src] = append(out[e.Src], e)
-		if !g.Directed && e.Src != e.Dst {
-			out[e.Dst] = append(out[e.Dst], graph.Edge{Src: e.Dst, Dst: e.Src, W: e.W})
-		}
-	}
-	dist := make([]float32, n)
-	for v := range dist {
-		dist[v] = float32(math.Inf(1))
-	}
-	dist[source] = 0
-	h := &distHeap{{0, source}}
-	for h.Len() > 0 {
-		top := heap.Pop(h).(distEntry)
-		if top.d > dist[top.v] {
-			continue
-		}
-		for _, e := range out[top.v] {
-			if nd := top.d + e.W; nd < dist[e.Dst] {
-				dist[e.Dst] = nd
-				heap.Push(h, distEntry{nd, e.Dst})
-			}
-		}
-	}
-	return dist
-}
 
 // ssspOracleGraphs are the inputs of TestSSSPMatchesDijkstra, every layout
 // built. Weights are small integers, so every path sum is exact.
@@ -122,7 +68,7 @@ func ssspOracleGraphs(t *testing.T) []spanGraph {
 func TestSSSPMatchesDijkstra(t *testing.T) {
 	configs := append(allConfigs(), Config{Flow: Auto, Layout: graph.LayoutAdjacency})
 	for _, sg := range ssspOracleGraphs(t) {
-		want := dijkstra(sg.g, 0)
+		want := oracleDijkstra(sg.g, 0)
 		src := &gridSource{grid: sg.g.Grid, undirected: !sg.g.Directed}
 		check := func(t *testing.T, run func(Algorithm) error) {
 			t.Helper()
@@ -169,13 +115,9 @@ func TestSSSPMatchesDijkstra(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The per-edge adapter relaxes every active vertex: Bellman-Ford.
-	plain, err := Run(g, perEdgeOnly{algorithms.NewSSSP(0)}, cfg)
-	if err != nil {
-		t.Fatal(err)
+	plain := oracleBellmanFordRounds(g, 0)
+	if 2*bucketed.Iterations > 3*plain {
+		t.Fatalf("bucketed push took %d iterations, serial Bellman-Ford %d rounds: more than 1.5x", bucketed.Iterations, plain)
 	}
-	if 2*bucketed.Iterations > 3*plain.Iterations {
-		t.Fatalf("bucketed push took %d iterations, Bellman-Ford %d: more than 1.5x", bucketed.Iterations, plain.Iterations)
-	}
-	t.Logf("lattice: %d iterations bucketed, %d Bellman-Ford", bucketed.Iterations, plain.Iterations)
+	t.Logf("lattice: %d iterations bucketed, %d serial Bellman-Ford rounds", bucketed.Iterations, plain)
 }

@@ -40,11 +40,10 @@ func unitWeightTwins(t *testing.T, sorted bool) (bare, ones *graph.Graph) {
 	return bare, ones
 }
 
-// TestUnitWeightsBitIdentical runs SSSP and SpMV, through their span kernels
-// and through the per-edge adapter, on a weightless adjacency and on the
-// same adjacency with an explicit all-ones column: the results must agree bit
-// for bit in every configuration at 1, 2 and 8 workers. SpMV sums are
-// compared only where their order is fixed.
+// TestUnitWeightsBitIdentical runs SSSP and SpMV on a weightless adjacency
+// and on the same adjacency with an explicit all-ones column: the results
+// must agree bit for bit in every configuration at 1, 2 and 8 workers. SpMV
+// sums are compared only where their order is fixed.
 func TestUnitWeightsBitIdentical(t *testing.T) {
 	var algos []spanAlgo
 	for _, a := range spanAlgos {
@@ -67,21 +66,16 @@ func TestUnitWeightsBitIdentical(t *testing.T) {
 					if !a.integral && workers > 1 && !ownedOrder(cfg) {
 						continue
 					}
-					for _, adapter := range []bool{false, true} {
-						name := fmt.Sprintf("%s/%s/%s/%s/w%d/adapter=%v", a.name, cfg.Layout, cfg.Flow, cfg.Sync, workers, adapter)
-						run := func(g *graph.Graph) []uint64 {
-							alg, result := a.make()
-							if adapter {
-								alg = perEdgeOnly{alg}
-							}
-							if _, err := Run(g, alg, cfg); err != nil {
-								t.Fatalf("%s: %v", name, err)
-							}
-							return result()
+					name := fmt.Sprintf("%s/%s/%s/%s/w%d", a.name, cfg.Layout, cfg.Flow, cfg.Sync, workers)
+					run := func(g *graph.Graph) []uint64 {
+						alg, result := a.make()
+						if _, err := Run(g, alg, cfg); err != nil {
+							t.Fatalf("%s: %v", name, err)
 						}
-						if !slices.Equal(run(bare), run(ones)) {
-							t.Errorf("%s: results differ between the weightless and the all-ones adjacency", name)
-						}
+						return result()
+					}
+					if !slices.Equal(run(bare), run(ones)) {
+						t.Errorf("%s: results differ between the weightless and the all-ones adjacency", name)
 					}
 				}
 			}

@@ -1,7 +1,7 @@
 package graph
 
 // Span is the per-iteration context the engine hands to an algorithm's span
-// kernels (core.SpanAlgorithm): one call covers a whole chunk of the
+// kernels (core.Algorithm): one call covers a whole chunk of the
 // iteration — a CSR row range or a flat edge slice — and the kernel runs
 // the per-edge loop itself. The engine fills one Span per iteration and
 // shares it, read-only, among the iteration's workers.
