@@ -38,10 +38,11 @@ loc:
 # runs on the caller — and parks and joins per gang loop) with the frontier
 # builder's Add underneath it (ns/add) and the pull step's SetWord
 # (ns/word), plus the out-of-core streamed PageRank; then what comes before
-# the first iteration: the binary loader (MB/s) and the adjacency builders
-# (ns/edge).
+# the first iteration: the generators (RMAT-16 in ns/edge, a 512x512 road
+# lattice), the binary loader (MB/s) and the adjacency builders (ns/edge).
 bench:
 	$(GO) test -run '^$$' -bench 'BFS|WCC|Batch|PageRank|Span|SSSP|FrontierBuilder' -benchmem ./internal/core/ ./internal/graph/ ./internal/oocore/
+	$(GO) test -run '^$$' -bench 'RMAT|Road512' -benchmem ./internal/gen/
 	$(GO) test -run '^$$' -bench 'ReadBinary|WriteBinary|BuildAdjacency' -benchmem ./internal/storage/ ./internal/prep/
 
 # Adaptive-planner cases only: auto BFS/PageRank against their fixed

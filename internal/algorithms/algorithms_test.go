@@ -207,12 +207,23 @@ func TestPageRankDegreesNotRescannedPerRun(t *testing.T) {
 		t.Fatalf("out-adjacency out-degrees %v, want %v", fromIndex.outDeg, want)
 	}
 
-	// Undirected: every stored edge is traversed both ways.
-	u := graph.New(g.EdgeArray.Edges, 3, false)
+	// Undirected: every stored edge is traversed both ways, except a
+	// self-loop (here 1 -> 1), which is one arc, as in the mirrored
+	// out-adjacency.
+	u := graph.New(append(slices.Clone(g.EdgeArray.Edges), graph.Edge{Src: 1, Dst: 1, W: 1}), 3, false)
 	und := NewPageRank()
 	und.Init(u)
-	if want := []uint32{2, 2, 2}; !slices.Equal(und.outDeg, want) {
+	want = []uint32{2, 3, 2}
+	if !slices.Equal(und.outDeg, want) {
 		t.Fatalf("undirected degrees %v, want %v", und.outDeg, want)
+	}
+	if err := prep.BuildAdjacency(u, prep.Out, prep.Options{Undirected: true}); err != nil {
+		t.Fatal(err)
+	}
+	mirrored := NewPageRank()
+	mirrored.Init(u)
+	if !slices.Equal(mirrored.outDeg, want) {
+		t.Fatalf("mirrored out-adjacency degrees %v, want %v", mirrored.outDeg, want)
 	}
 }
 

@@ -129,13 +129,15 @@ func contribution(r float64, d uint32) float64 {
 }
 
 // outDegrees returns the out-degree table a whole-graph algorithm divides
-// by: the number of times each vertex is a source in one traversal of g. It
-// comes from the out-adjacency's index when that is resident (O(V)), and
+// by: the number of arcs leaving each vertex in one traversal of g, which
+// on an undirected graph is every stored edge both ways except a self-loop,
+// walked once. It comes from the out-adjacency's index when that is
+// resident (O(V); an undirected build mirrors the edges the same way), and
 // otherwise from the edge array's degree tables, which are counted once per
 // graph and shared by every later run. The result may be shared: callers
 // must not modify it.
 func outDegrees(g *graph.Graph) []uint32 {
-	if g.Directed && g.Out != nil {
+	if g.Out != nil {
 		deg := make([]uint32, g.NumVertices())
 		for v := range deg {
 			deg[v] = uint32(g.Out.Degree(graph.VertexID(v)))
@@ -146,13 +148,15 @@ func outDegrees(g *graph.Graph) []uint32 {
 	if g.Directed {
 		return out
 	}
-	// On undirected datasets each stored edge is traversed in both
-	// directions, so the effective out-degree of a vertex is its total
-	// degree.
 	in := g.EdgeArray.SharedInDegrees()
 	deg := make([]uint32, len(out))
 	for v := range deg {
 		deg[v] = out[v] + in[v]
+	}
+	for _, e := range g.EdgeArray.Edges {
+		if e.Src == e.Dst {
+			deg[e.Src]--
+		}
 	}
 	return deg
 }

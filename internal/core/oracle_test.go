@@ -25,28 +25,16 @@ func outArcs(g *graph.Graph) [][]graph.Edge {
 	return out
 }
 
-// memOutDegrees is the out-degree table an in-memory PageRank divides by:
-// the arcs leaving each vertex, except that an undirected self-loop counts
-// twice (once as the stored edge's source, once as its destination), while a
-// mirrored grid — all a streamed run has — holds it once.
-func memOutDegrees(g *graph.Graph) []uint32 {
-	deg := make([]uint32, g.NumVertices())
-	for _, e := range g.EdgeArray.Edges {
-		deg[e.Src]++
-		if !g.Directed {
-			deg[e.Dst]++
-		}
-	}
-	return deg
-}
-
 // oraclePageRank is pull PageRank in float64: rank = (1-d)/n + d * the sum
 // of rank/deg over in-arcs, from ranks of 1/n, with no redistribution of
-// dangling mass (the engine's definition). deg is the run's out-degree table.
-func oraclePageRank(g *graph.Graph, deg []uint32, iterations int, damping float64) []float64 {
+// dangling mass (the engine's definition). A vertex's out-degree is the
+// number of its arcs.
+func oraclePageRank(g *graph.Graph, iterations int, damping float64) []float64 {
 	n := g.NumVertices()
 	in := make([][]graph.VertexID, n)
+	deg := make([]int, n)
 	for u, arcs := range outArcs(g) {
+		deg[u] = len(arcs)
 		for _, e := range arcs {
 			in[e.Dst] = append(in[e.Dst], graph.VertexID(u))
 		}

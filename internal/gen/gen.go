@@ -73,8 +73,9 @@ func RMAT(opt RMATOptions) *graph.Graph {
 	if workers <= 0 {
 		workers = sched.MaxWorkers()
 	}
+	cuts := newRMATCuts(opt.Params)
 	sched.ParallelForWorker(0, m, rmatChunk, workers, func(worker, lo, hi int) {
-		fillRMATRange(edges[lo:hi], lo, opt)
+		fillRMATRange(edges[lo:hi], lo, opt, cuts)
 	})
 	return graph.New(edges, n, true)
 }
@@ -90,15 +91,37 @@ const rmatChunk = 1 << 14
 // span several chunks (a single-worker run covers the whole edge set in
 // one call) and is reseeded at every chunk boundary so the sequence never
 // depends on how the range was split.
-func fillRMATRange(dst []graph.Edge, lo int, opt RMATOptions) {
+//
+// Each edge descends the recursive matrix Scale times, from the top bit
+// down. A level draws x from the chunk's source and takes the quadrant
+// q = [x >= a] + [x >= ab] + [x >= abc] of the cut points c: 0 is the
+// top-left quadrant (no bit), 1 top-right (destination bit), 2 bottom-left
+// (source bit), 3 bottom-right (both). The three tests are sign bits of
+// cut-1-x, so the descent has no branch on the draw but the resample that
+// Float64 takes when its value rounds to 1. Each test is exactly the test
+// rand.Float64() >= p of the same draw (see rmatCut), and the weights come
+// from a Rand over the same source, so the edges are bit for bit those of
+// the textbook descent that compares Float64 against A, A+B and A+B+C in
+// turn (gen_test.go keeps it as the reference).
+func fillRMATRange(dst []graph.Edge, lo int, opt RMATOptions, c rmatCuts) {
 	for len(dst) > 0 {
 		n := rmatChunk
 		if n > len(dst) {
 			n = len(dst)
 		}
-		rng := rand.New(rand.NewSource(opt.Seed ^ int64(uint64(lo)*0x9e3779b97f4a7c15)))
+		source := rand.NewSource(opt.Seed ^ int64(uint64(lo)*0x9e3779b97f4a7c15))
+		rng := rand.New(source)
 		for i := 0; i < n; i++ {
-			src, dstV := rmatEdge(rng, opt.Scale, opt.Params)
+			var src, dstV uint32
+			for level := 0; level < opt.Scale; level++ {
+				x := uint64(source.Int63())
+				for x >= c.one {
+					x = uint64(source.Int63())
+				}
+				q := (c.a-1-x)>>63 + (c.ab-1-x)>>63 + (c.abc-1-x)>>63
+				src = src<<1 | uint32(q>>1)
+				dstV = dstV<<1 | uint32(q&1)
+			}
 			w := graph.Weight(1)
 			if opt.Weighted {
 				w = graph.Weight(1 + rng.Intn(63))
@@ -110,28 +133,39 @@ func fillRMATRange(dst []graph.Edge, lo int, opt RMATOptions) {
 	}
 }
 
-// rmatEdge draws one edge by descending the recursive matrix Scale times.
-// A small amount of noise is added to the quadrant probabilities at each
-// level (as in the reference RMAT implementations) to avoid exact
-// self-similarity artifacts.
-func rmatEdge(rng *rand.Rand, scale int, p RMATParams) (graph.VertexID, graph.VertexID) {
-	var src, dst uint32
-	a, b, c := p.A, p.B, p.C
-	for bit := scale - 1; bit >= 0; bit-- {
-		r := rng.Float64()
-		switch {
-		case r < a:
-			// top-left quadrant: no bits set
-		case r < a+b:
-			dst |= 1 << uint(bit)
-		case r < a+b+c:
-			src |= 1 << uint(bit)
-		default:
-			src |= 1 << uint(bit)
-			dst |= 1 << uint(bit)
+// rmatCuts are the cut points of the cumulative quadrant probabilities A,
+// A+B and A+B+C, and of 1, on the source's 63-bit draws.
+type rmatCuts struct{ a, ab, abc, one uint64 }
+
+// newRMATCuts sums the probabilities in float64 in the order the float
+// descent does. Raising each cut to at least the one before keeps the
+// descent's first-match order for parameters whose sums are not
+// increasing (a negative B or C).
+func newRMATCuts(p RMATParams) rmatCuts {
+	ab := p.A + p.B
+	c := rmatCuts{a: rmatCut(p.A), ab: rmatCut(ab), abc: rmatCut(ab + p.C), one: rmatCut(1)}
+	c.ab = max(c.ab, c.a)
+	c.abc = max(c.abc, c.ab)
+	return c
+}
+
+// rmatCut is the number of 63-bit draws x whose Float64 value
+// float64(x)/(1<<63) is below p, so rand.Float64() < p holds exactly when
+// the draw it came from is below the cut; Float64 resamples exactly the
+// draws at or above rmatCut(1). The value is monotone in x, so a binary
+// search over that exact conversion finds the cut in 63 steps. It is 0
+// for p <= 0 or NaN and 1<<63 for p > 1.
+func rmatCut(p float64) uint64 {
+	lo, hi := uint64(0), uint64(1)<<63
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		if float64(int64(mid))/(1<<63) < p {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return src, dst
+	return lo
 }
 
 // TwitterProfileOptions configures the Twitter-like generator.
@@ -202,7 +236,9 @@ func Road(opt RoadOptions) *graph.Graph {
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	n := opt.Width * opt.Height
-	edges := make([]graph.Edge, 0, 2*n)
+	// The lattice has 2n-W-H edges and at most (W-1)(H-1) shortcuts, so
+	// the array is never regrown.
+	edges := make([]graph.Edge, 0, 2*n-opt.Width-opt.Height+(opt.Width-1)*(opt.Height-1))
 	id := roadVertexNumbering(opt.Width, opt.Height)
 	weight := func() graph.Weight {
 		if opt.Weighted {

@@ -23,6 +23,7 @@ func StreamRMAT(opt RMATOptions, yield func(chunk []graph.Edge) error) error {
 		opt.Params = DefaultRMAT
 	}
 	m := (1 << opt.Scale) * opt.EdgeFactor
+	cuts := newRMATCuts(opt.Params)
 	buf := make([]graph.Edge, rmatChunk)
 	for lo := 0; lo < m; lo += rmatChunk {
 		n := rmatChunk
@@ -30,7 +31,7 @@ func StreamRMAT(opt RMATOptions, yield func(chunk []graph.Edge) error) error {
 			n = m - lo
 		}
 		chunk := buf[:n]
-		fillRMATRange(chunk, lo, opt)
+		fillRMATRange(chunk, lo, opt, cuts)
 		if err := yield(chunk); err != nil {
 			return err
 		}
