@@ -114,6 +114,32 @@ func TestPrepareGrid(t *testing.T) {
 	}
 }
 
+// TestRunRebuildsGridAtChangedGridP: two runs with different GridP on one
+// graph each run at their own P, with the bits of a graph built fresh at
+// that P.
+func TestRunRebuildsGridAtChangedGridP(t *testing.T) {
+	g := GenerateRMAT(12, 8, 6)
+	for _, p := range []int{256, 32} {
+		cfg := Config{Layout: LayoutGrid, Flow: FlowPull, Sync: SyncPartitionFree, GridP: p}
+		pr := PageRank()
+		if _, err := g.Run(pr, cfg); err != nil {
+			t.Fatalf("P=%d: Run: %v", p, err)
+		}
+		if got := g.Internal().Grid.P; got != p {
+			t.Fatalf("GridP %d ran on a %dx%d grid", p, got, got)
+		}
+		fresh := PageRank()
+		if _, err := GenerateRMAT(12, 8, 6).Run(fresh, cfg); err != nil {
+			t.Fatalf("P=%d: fresh Run: %v", p, err)
+		}
+		for v := range fresh.Rank {
+			if math.Float64bits(pr.Rank[v]) != math.Float64bits(fresh.Rank[v]) {
+				t.Fatalf("P=%d: rank[%d] = %v, fresh graph %v", p, v, pr.Rank[v], fresh.Rank[v])
+			}
+		}
+	}
+}
+
 func TestRunGridPageRank(t *testing.T) {
 	g := GenerateRMAT(11, 8, 6)
 	pr := PageRank()

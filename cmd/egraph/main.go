@@ -138,7 +138,7 @@ func main() {
 	}
 
 	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
-	fmt.Printf("configuration: layout=%v flow=%v sync=%v prep=%v\n", cfg.Layout, cfg.Flow, cfg.Sync, cfg.Prep)
+	printConfiguration(g, cfg)
 	fmt.Printf("algorithm: %s, %d iterations\n", res.Run.Algorithm, res.Run.Iterations)
 	fmt.Printf("breakdown: %s\n", res.Breakdown)
 	if cfg.Flow == everythinggraph.FlowAuto {
@@ -147,6 +147,16 @@ func main() {
 	printIterations(res.Run.PerIteration, *verbose)
 	printAlgorithmSummary(alg)
 	writeTraceOutputs(cfg.Trace, *traceOut, *metricsO)
+}
+
+// printConfiguration prints the in-memory configuration line; a grid run
+// adds the dimension P its grid was built at, which plan labels do not carry.
+func printConfiguration(g *everythinggraph.Graph, cfg everythinggraph.Config) {
+	fmt.Printf("configuration: layout=%v flow=%v sync=%v prep=%v", cfg.Layout, cfg.Flow, cfg.Sync, cfg.Prep)
+	if cfg.Layout == everythinggraph.LayoutGrid {
+		fmt.Printf(" p=%d", g.Internal().Grid.P)
+	}
+	fmt.Println()
 }
 
 // writeTraceOutputs exports the run recorder: a Chrome trace-event file, a
@@ -214,7 +224,7 @@ func runBatch(g *everythinggraph.Graph, algorithm string, sources []everythinggr
 	}
 
 	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
-	fmt.Printf("configuration: layout=%v flow=%v sync=%v prep=%v\n", cfg.Layout, cfg.Flow, cfg.Sync, cfg.Prep)
+	printConfiguration(g, cfg)
 	fmt.Printf("batch: %s over %d sources in %d lane(s) side by side\n", algorithm, len(sources), everythinggraph.BatchLanes(cfg, len(sources)))
 	if cfg.Flow == everythinggraph.FlowAuto {
 		fmt.Printf("plan trace: %s\n", metrics.CompressPlanTrace(results[0].Run.PlanTrace()))

@@ -23,24 +23,12 @@ import (
 	"fmt"
 	"math/bits"
 	"os"
-	"runtime"
 
 	everythinggraph "github.com/epfl-repro/everythinggraph"
-	"github.com/epfl-repro/everythinggraph/internal/core"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/oocore"
 	"github.com/epfl-repro/everythinggraph/internal/stats"
 )
-
-// formatMiB renders a byte count in the unit that keeps it readable: whole
-// MiB when it divides exactly, KiB otherwise (coalesced reads are usually
-// well under a mebibyte).
-func formatMiB(n int64) string {
-	if n >= 1<<20 && n%(1<<20) == 0 {
-		return fmt.Sprintf("%dMiB", n>>20)
-	}
-	return fmt.Sprintf("%.1fKiB", float64(n)/(1<<10))
-}
 
 func main() {
 	var (
@@ -158,27 +146,6 @@ func storeStats(path string) error {
 			continue
 		}
 		fmt.Printf("  2^%-2d %d\n", b, c)
-	}
-
-	// Per-level coalescing profile: what one streamed pass costs at every
-	// rung of the store's virtual coarsening ladder. The bytes column is
-	// level-invariant (coarsening merges reads, it never fetches more);
-	// the read count and mean coalesced read size are what change — a
-	// store whose finest level shows many tiny reads while a coarse level
-	// shows few large ones is over-partitioned, and `egsrepack -p` at the
-	// winning level (or letting `-flow auto` stream coarser) fixes it.
-	fmt.Printf("virtual level profile (%d workers, %s budget):\n",
-		runtime.NumCPU(), formatMiB(core.DefaultStreamMemoryBudget))
-	fmt.Printf("  %6s %7s %8s %10s %12s %12s %13s\n",
-		"P", "factor", "workers", "reads", "mean-read", "read-MiB", "decode-MiB")
-	for _, lp := range s.LevelProfiles(runtime.NumCPU(), core.DefaultStreamMemoryBudget) {
-		meanRead := "-"
-		if lp.Reads > 0 {
-			meanRead = formatMiB(lp.ReadBytes / lp.Reads)
-		}
-		fmt.Printf("  %6d %7d %8d %10d %12s %12.1f %13.1f\n",
-			lp.P, lp.Factor, lp.Workers, lp.Reads, meanRead,
-			float64(lp.ReadBytes)/(1<<20), float64(lp.DecodeBytes)/(1<<20))
 	}
 
 	if !s.Compressed() || stored == 0 {

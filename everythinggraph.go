@@ -286,7 +286,8 @@ type Result struct {
 
 // Prepare builds the layouts required by cfg and returns the time spent.
 // It is idempotent per layout: already-built layouts are not rebuilt, unless
-// they were built under the other setting of Config.Undirected.
+// they were built under the other setting of Config.Undirected, or — for the
+// grid — at another dimension than Config.GridP resolves to.
 func (g *Graph) Prepare(cfg Config) (Breakdown, error) {
 	var bd Breakdown
 	sw := metrics.NewStopwatch()
@@ -343,7 +344,7 @@ func (g *Graph) Prepare(cfg Config) (Breakdown, error) {
 			return bd, err
 		}
 	case LayoutGrid:
-		if g.g.Grid == nil {
+		if g.g.Grid == nil || g.g.Grid.P != graph.GridPFor(g.g.NumVertices(), cfg.GridP) {
 			if err := prep.BuildGrid(g.g, cfg.GridP, opt); err != nil {
 				return bd, err
 			}
@@ -482,32 +483,6 @@ func (st *Store) CompressionRatio() float64 {
 		return 1
 	}
 	return float64(st.s.NumEdges()*12) / float64(stored)
-}
-
-// Levels returns the grid dimensions of the store's virtual coarsening
-// ladder, finest first (the stored P, then each halving down to 1).
-// Streamed runs can execute at any rung bit-identically — coarse cells are
-// coalesced reads of the same bytes — and Repartition can make any rung
-// the store's physical resolution.
-func (st *Store) Levels() []int {
-	levels := st.s.Levels()
-	out := make([]int, len(levels))
-	for i, lv := range levels {
-		out[i] = lv.P
-	}
-	return out
-}
-
-// Repartition rewrites the store at outPath with targetP — which must be a
-// rung of Levels() — optionally switching formats (compressed selects the
-// version-3 layout). The output is CRC-verified before returning, and runs
-// over it are bit-identical to runs over the source: the offline
-// counterpart of the planner streaming at a coarser virtual level. See
-// cmd/egsrepack for the CLI, including choosing targetP from measured
-// costs.
-func (st *Store) Repartition(outPath string, targetP int, compressed bool) error {
-	_, err := oocore.Repartition(st.s, outPath, targetP, compressed)
-	return err
 }
 
 // IOStats returns the store's cumulative storage accounting.

@@ -113,32 +113,4 @@ func main() {
 	fmt.Printf("  auto (planner)           algorithm=%v  plan=%s (frozen)\n",
 		autoPRRes.Breakdown.Algorithm, autoPRRes.Run.PerIteration[0].Plan)
 	fmt.Println("  -> ranks bit-identical to the pull/no-lock configuration")
-
-	// Grid resolution as a planned dimension: build ONLY a grid, forced to
-	// the paper's 256x256 — a deliberate misfit at this scale, where most
-	// cells hold a handful of edges and per-cell setup dominates. The grid
-	// carries its pyramid (every coarser P as a zero-copy virtual view), so
-	// the planner can walk away from the seeded resolution; the frozen
-	// level shows up in the plan label as grid/<P>.
-	gridGraph := everythinggraph.GenerateRMAT(scale, 16, 7)
-	gridCfg := everythinggraph.Config{
-		Layout: everythinggraph.LayoutGrid, Flow: everythinggraph.FlowPush,
-		Sync: everythinggraph.SyncPartitionFree, GridP: 256,
-	}
-	finePR := everythinggraph.PageRank()
-	fineRes, err := gridGraph.Run(finePR, gridCfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	gridAutoPR := everythinggraph.PageRank()
-	gridAutoRes, err := gridGraph.Run(gridAutoPR, everythinggraph.Config{
-		Layout: everythinggraph.LayoutGrid, Flow: everythinggraph.FlowAuto, GridP: 256})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nPageRank on a grid-only graph (256x256 forced — a misfit here):\n")
-	fmt.Printf("  fixed grid/256           algorithm=%v\n", fineRes.Breakdown.Algorithm)
-	fmt.Printf("  auto (planner)           algorithm=%v  plan=%s (frozen)\n",
-		gridAutoRes.Breakdown.Algorithm, gridAutoRes.Run.PerIteration[0].Plan)
-	fmt.Println("  -> the planner chose its resolution off the pyramid")
 }

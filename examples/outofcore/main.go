@@ -4,8 +4,7 @@
 // partition-free) and out-of-core under a small resident budget, verifies
 // the results are bit-identical, and prints the I/O-wait vs. overlap
 // accounting that extends the paper's end-to-end breakdown to storage.
-// A final adaptive run shows the planner choosing the streamed resolution,
-// and a repartitioned store materializing it.
+// A final adaptive run shows the planner choosing the direction.
 package main
 
 import (
@@ -115,10 +114,9 @@ func main() {
 	fmt.Println("compressed ranks bit-identical too ✓")
 
 	// The same run under the adaptive planner, on the same 16 MiB budget
-	// and prefetch depth: it chooses the virtual grid level each pass
-	// streams at (the "grid/<P>" part of the plan labels). A level only
-	// changes how reads coalesce, never the per-destination order, so the
-	// ranks stay bit-identical.
+	// and prefetch depth: it chooses the direction, and every pass streams
+	// at the stored P with column ownership, so the ranks stay
+	// bit-identical.
 	prAuto := everythinggraph.PageRank()
 	autoRes, err := st.Run(prAuto, everythinggraph.Config{
 		Flow:         everythinggraph.FlowAuto,
@@ -135,41 +133,4 @@ func main() {
 		}
 	}
 	fmt.Println("adaptive ranks bit-identical too ✓")
-
-	// Measure -> repack -> re-run: the store's P is frozen at build time,
-	// but its virtual coarsening ladder is not. The adaptive run above
-	// already streamed at the rung the cost model picked; repartitioning
-	// materializes that rung as the store's physical resolution, so every
-	// pass issues whole-cell reads with no merge bookkeeping — same bytes,
-	// fewer I/Os, bit-identical ranks.
-	chosen := autoRes.Run.PerIteration[len(autoRes.Run.PerIteration)-1].Plan.GridLevel
-	fmt.Printf("\nladder %v; adaptive run settled on P=%d (store holds P=%d)\n",
-		st.Levels(), chosen, st.GridP())
-	if chosen < st.GridP() {
-		repacked := filepath.Join(dir, "rmat.repack.egs")
-		if err := st.Repartition(repacked, chosen, false); err != nil {
-			log.Fatal(err)
-		}
-		stR, err := everythinggraph.OpenStore(repacked)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer stR.Close()
-		prR := everythinggraph.PageRank()
-		if _, err := stR.Run(prR, everythinggraph.Config{
-			Flow:         everythinggraph.FlowPush,
-			MemoryBudget: 16 << 20,
-		}); err != nil {
-			log.Fatal(err)
-		}
-		rIO := stR.IOStats()
-		fmt.Printf("repacked at P=%d: %d reads over %d passes (finest-level store: %d reads over %d passes)\n",
-			chosen, rIO.Reads, rIO.Passes, io.Reads, io.Passes)
-		for v := range prMem.Rank {
-			if prMem.Rank[v] != prR.Rank[v] {
-				log.Fatalf("repacked rank[%d] differs: %v vs %v", v, prMem.Rank[v], prR.Rank[v])
-			}
-		}
-		fmt.Println("repacked ranks bit-identical too ✓")
-	}
 }

@@ -30,8 +30,8 @@ const (
 	// PushPull switches per iteration between Push and Pull depending on
 	// the size of the frontier (direction-optimizing traversal).
 	PushPull
-	// Auto hands every per-iteration decision — direction, but also layout,
-	// synchronization and grid resolution — to the planner over every plan
+	// Auto hands every per-iteration decision — direction, but also layout
+	// and synchronization — to the planner over every plan
 	// the materialized layouts can run, chosen by density thresholds and
 	// measured per-iteration costs (the paper's synthesis). Config.Layout
 	// and Config.Sync are treated as preparation hints only.

@@ -32,7 +32,7 @@ func Run(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 	}
 	workers := resolveWorkers(cfg)
 	r := newRunner(g, alg, cfg, workers)
-	pl, err := residentPlanner(g, cfg, r, resolveAlpha(cfg), workers, !alg.Dense())
+	pl, err := residentPlanner(g, cfg, r, resolveAlpha(cfg), !alg.Dense())
 	if err != nil {
 		return nil, err
 	}
@@ -286,7 +286,7 @@ func (st *stepper) edges(worker int, es []graph.Edge) {
 // recycled: the stepper's frontier buffers, the edge-balanced chunk table
 // for push iterations, and every parallel loop body, bound once here so no
 // closure is created inside the iteration loop. Per-iteration inputs (active
-// list, span, grid level) are passed to the bodies through runner fields.
+// list, span) are passed to the bodies through runner fields.
 type runner struct {
 	stepper
 	g *graph.Graph
@@ -300,11 +300,6 @@ type runner struct {
 
 	// Per-iteration inputs read by the loop bodies.
 	active []graph.VertexID // current active list (push)
-	level  *graph.GridLevel // pyramid level of the current grid iteration
-	// fineLevel is the runner-local identity view of a grid built outside
-	// prep (no pyramid attached): the engine must never mutate the shared
-	// graph mid-run, so the fallback level is owned here.
-	fineLevel graph.GridLevel
 
 	chunkStarts []int           // edge-balanced chunk boundaries into active
 	chunkEdges  int64           // out-edges of active, summed by the walk that chunked it
@@ -346,47 +341,26 @@ func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 	}
 
 	if g.Grid != nil {
-		grid := g.Grid
-		// The grid bodies execute at whatever pyramid level the plan chose
-		// (r.level, set per iteration by gridStep). A coarse column J covers
-		// the fine columns [Bounds[J], Bounds[J+1]), whose cells are
-		// contiguous per fine row, so the body streams one span per fine
-		// row — ascending fine rows, which fixes the per-destination visit
-		// order identically at every level (bit-reproducibility across
-		// resolutions a run pins). Empty spans cost one index subtraction
-		// (the CellIndex-driven skip that keeps sparse frontiers at coarse
-		// levels free of setup work for untouched ranges).
-		if grid.NumLevels() == 0 {
-			r.fineLevel = grid.FineLevel()
-		}
-		fineP := grid.P
-		edges, cellIndex := grid.Edges, grid.CellIndex
+		// Each body streams the grid's cells in ascending row order per
+		// column, which fixes every destination's visit order; an empty cell
+		// costs one index subtraction.
+		p := g.Grid.P
+		edges, cellIndex := g.Grid.Edges, g.Grid.CellIndex
 		r.gridOwnedBody = func(worker, lo, hi int) {
-			// Column ownership at level lv: coarse columns are unions of
-			// fine columns, so their destination ranges stay pairwise
-			// disjoint and the partition-free argument holds per level.
-			lv := r.level
+			// Column ownership: a column's destinations belong to one worker.
 			for col := lo; col < hi; col++ {
-				jLo, jHi := lv.Bounds[col], lv.Bounds[col+1]
-				for row := 0; row < fineP; row++ {
-					base := row * fineP
-					span := edges[cellIndex[base+jLo]:cellIndex[base+jHi]]
-					if len(span) > 0 {
+				for row := 0; row < p; row++ {
+					cell := row*p + col
+					if span := edges[cellIndex[cell]:cellIndex[cell+1]]; len(span) > 0 {
 						r.edges(worker, span)
 					}
 				}
 			}
 		}
 		r.gridCellsBody = func(worker, lo, hi int) {
-			lv := r.level
-			for c := lo; c < hi; c++ {
-				rLo, rHi, cLo, cHi := lv.CellBounds(c/lv.P, c%lv.P)
-				for row := rLo; row < rHi; row++ {
-					base := row * fineP
-					span := edges[cellIndex[base+cLo]:cellIndex[base+cHi]]
-					if len(span) > 0 {
-						r.edges(worker, span)
-					}
+			for cell := lo; cell < hi; cell++ {
+				if span := edges[cellIndex[cell]:cellIndex[cell+1]]; len(span) > 0 {
+					r.edges(worker, span)
 				}
 			}
 		}

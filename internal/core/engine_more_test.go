@@ -132,7 +132,7 @@ func runRecordingFrontiers(t *testing.T, g *graph.Graph, alg Algorithm, cfg Conf
 	}
 	workers := resolveWorkers(cfg)
 	r := newRunner(g, alg, cfg, workers)
-	pl, err := residentPlanner(g, cfg, r, resolveAlpha(cfg), workers, !alg.Dense())
+	pl, err := residentPlanner(g, cfg, r, resolveAlpha(cfg), !alg.Dense())
 	if err != nil {
 		t.Fatalf("residentPlanner: %v", err)
 	}

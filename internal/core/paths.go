@@ -203,32 +203,13 @@ func (r *runner) edgeCentric(frontier *graph.Frontier) {
 // with synchronized destination updates (the "grid (locks)" configuration
 // of Figure 8).
 func (r *runner) gridStep(frontier *graph.Frontier, plan StepPlan) {
-	r.level = r.gridLevel(plan)
+	p := r.g.Grid.P
 	r.span.Bits = frontier.Bitmap()
 	if plan.Sync == SyncPartitionFree {
-		// Column ownership: worker processes every span of its (level)
-		// columns.
-		r.pfor(0, r.level.P, 1, r.workers, r.gridOwnedBody)
+		// Column ownership: a worker processes every cell of its columns.
+		r.pfor(0, p, 1, r.workers, r.gridOwnedBody)
 	} else {
-		// Cell-parallel with synchronized updates, over the level's cells.
-		r.pfor(0, r.level.P*r.level.P, 4, r.workers, r.gridCellsBody)
+		// Cell-parallel with synchronized updates.
+		r.pfor(0, p*p, 4, r.workers, r.gridCellsBody)
 	}
-}
-
-// gridLevel resolves the plan's grid resolution against the pyramid. Plans
-// always carry the level the planner chose; the fallbacks cover grids built
-// outside prep (no pyramid — the runner-local identity level stands in, so
-// the shared graph is never mutated mid-run) and hand-assembled plans in
-// tests.
-func (r *runner) gridLevel(plan StepPlan) *graph.GridLevel {
-	grid := r.g.Grid
-	if plan.GridLevel > 0 {
-		if lv := grid.LevelByP(plan.GridLevel); lv != nil {
-			return lv
-		}
-	}
-	if grid.NumLevels() > 0 {
-		return grid.Level(0)
-	}
-	return &r.fineLevel
 }

@@ -20,8 +20,7 @@ import (
 
 // StepPlan is the fully resolved execution recipe for one iteration: which
 // layout to iterate, in which direction, under which synchronization
-// discipline, at which grid resolution and whether the next frontier is
-// built. Flow is always Push or Pull here — the dynamic flows (PushPull,
+// discipline and whether the next frontier is built. Flow is always Push or Pull here — the dynamic flows (PushPull,
 // Auto) exist only at the Config level and are resolved by the planner
 // before execution. A plan is also its own cost key: the planner matches
 // measurements to candidates by the whole plan.
@@ -34,26 +33,14 @@ type StepPlan struct {
 	// Tracked reports whether the iteration builds a next frontier (false
 	// for dense algorithms that process the whole graph every iteration).
 	Tracked bool
-	// GridLevel is the grid resolution (the dimension P) the iteration runs
-	// at, for grid plans: static configurations pin the materialized grid's
-	// (or the stored) P, the adaptive planner chooses among the pyramid's
-	// levels per run — and, on streamed runs, among the store's virtual
-	// coarsening ladder. 0 on non-grid plans. Per-edge cost is a property of
-	// the resolution — the whole point of planning it — so the cost model
-	// measures each level apart.
-	GridLevel int
 }
 
 // String returns the "layout/flow/sync" label shown in plan traces and
-// Result.PlanTrace; grid plans carry their resolution as
-// "grid/<P>/flow/sync" ("compressed/<P>/…" over a compressed store). It is
+// Result.PlanTrace ("compressed/flow/sync" over a compressed store). A grid
+// runs at the P it was built with, which the label does not repeat. It is
 // for display only: nothing parses it.
 func (p StepPlan) String() string {
-	layout := p.Layout.String()
-	if (p.Layout == graph.LayoutGrid || p.Layout == graph.LayoutGridCompressed) && p.GridLevel > 0 {
-		layout = fmt.Sprintf("%s/%d", layout, p.GridLevel)
-	}
-	return fmt.Sprintf("%s/%v/%v", layout, p.Flow, p.Sync)
+	return fmt.Sprintf("%v/%v/%v", p.Layout, p.Flow, p.Sync)
 }
 
 // plannerEnv is what a planner knows about the run, fixed at setup.
@@ -98,81 +85,13 @@ const (
 	priorAdjacencyPush = 1.6
 	priorGridPush      = 2.4
 	priorGridPull      = 2.5
-	// A compressed (v2) store streams the raw grid's kernels behind a
+	// A compressed (v3) store streams the raw grid's kernels behind a
 	// per-cell decode, so its priors sit just above the grid's (decode CPU
 	// is assumed to cost a little until measured).
 	priorCompressedPush = 2.7
 	priorCompressedPull = 2.8
 	priorEdgeArray      = 3.0
 )
-
-// Grid-resolution prior terms. The base grid priors above describe an
-// ideally-fitting resolution; a pyramid level departs from them in four
-// measurable ways, each folded into the level's prior so the planner's
-// first choice (and a dense run's frozen choice) already reflects the
-// Section 5 cell-sizing trade-off:
-//
-//   - LLC misfit: a level whose per-range destination metadata exceeds the
-//     LLC pays a DRAM access on the fraction residentFraction predicts will
-//     not be resident (gridLLCMissPenalty extra per-edge cost when nothing
-//     is);
-//   - inner-cache misfit: within a span, destination accesses are random
-//     inside the range, so a range beyond the per-core L1 pays a (cheaper)
-//     inner miss on the predicted non-resident fraction — the term that
-//     stops the model at the LLC-only optimum of "P = 1" on graphs whose
-//     whole metadata fits the LLC;
-//   - span setup: every non-empty (fine row x coarse column) span costs a
-//     bounds lookup and a call; fine levels on small graphs drown in it
-//     (gridSpanSetupNs per span, amortized over the scanned edges);
-//   - ownership-limited parallelism: column scheduling cannot use more
-//     workers than the level has columns, so levels coarser than the worker
-//     count serialize proportionally.
-//
-// Measured ns/edge replaces the prediction after one iteration, with the
-// usual one-iteration misprediction abandonment (dense algorithms freeze on
-// the prediction for bit-reproducibility).
-const (
-	gridLLCMissPenalty   = 1.5
-	gridInnerMissPenalty = 0.6
-	gridSpanSetupNs      = 60.0
-	// gridL1DBytes is the per-core L1 data cache the inner-misfit term
-	// prices against. Like graph.DefaultLLCBytes it is the paper's machine
-	// B (32 KiB L1D, 16 MiB LLC), not the host: the priors, and the plans
-	// dense runs freeze on them, are the same on every machine.
-	gridL1DBytes = 32 << 10
-)
-
-// residentFraction estimates the fraction of uniformly random accesses over
-// a working set of ws bytes that hit a cache of the given capacity: 1 while
-// the set fits the usable three quarters of it (conflict misses and the
-// edge streams sharing the sets claim the rest), usable/ws beyond that.
-func residentFraction(ws, capacity int64) float64 {
-	usable := capacity * 3 / 4
-	if ws <= usable {
-		return 1
-	}
-	return float64(usable) / float64(ws)
-}
-
-// rangeMissFactor is the cache-misfit multiplier a grid level pays on its
-// per-edge cost: destinations inside one range of rangeSize vertices are
-// read at random, so whatever part of the range's metadata the LLC and the
-// L1D cannot keep resident costs a miss at the matching penalty.
-func rangeMissFactor(rangeSize int) float64 {
-	ws := int64(rangeSize) * graph.GridVertexMetaBytes
-	miss := gridLLCMissPenalty*(1-residentFraction(ws, graph.DefaultLLCBytes)) +
-		gridInnerMissPenalty*(1-residentFraction(ws, gridL1DBytes))
-	return 1 + miss
-}
-
-// gridLevelPrior predicts the per-edge cost prior of one pyramid level.
-func gridLevelPrior(base float64, lv *graph.GridLevel, spansPrior float64, workers int) float64 {
-	prior := base * rangeMissFactor(lv.RangeSize)
-	if workers > lv.P {
-		prior *= float64(workers) / float64(lv.P)
-	}
-	return prior + spansPrior
-}
 
 // adaptiveDenseFrontier is the frontier density at or above which the
 // adaptive planner pulls without summing frontier out-degrees: a quarter of
@@ -210,10 +129,10 @@ type planCandidate struct {
 // in the steady state.
 //
 // A static Config is a candidate set with one candidate per direction its
-// flow admits (staticCandidates): layout, sync and grid resolution never
-// move, PushPull picks its direction per iteration with the |E|/alpha
-// threshold test alone, and nothing is measured. Flow == Auto (adaptive)
-// is the paper's synthesis as an online policy:
+// flow admits (staticCandidates): layout and sync never move, PushPull
+// picks its direction per iteration with the |E|/alpha threshold test
+// alone, and nothing is measured. Flow == Auto (adaptive) is the paper's
+// synthesis as an online policy:
 //
 //   - direction by frontier density and active-out-edge thresholds (the
 //     direction-optimizing switch generalized beyond BFS to every tracked
@@ -468,11 +387,11 @@ func (p *planner) Observe(plan StepPlan, stats IterationStats) {
 }
 
 // staticCandidates is the candidate source of a static Config: the
-// configured layout and sync at grid resolution gridP (0 off the grid), one
-// candidate per direction the flow admits — both for PushPull. Edge-centric iterations always push. A static set has
+// configured layout and sync, one candidate per direction the flow admits —
+// both for PushPull. Edge-centric iterations always push. A static set has
 // no cost model: zero priors and full scans, so picking the candidate of a
 // direction never sums frontier degrees.
-func staticCandidates(layout graph.Layout, flow Flow, sync SyncMode, gridP int, tracked bool) []planCandidate {
+func staticCandidates(layout graph.Layout, flow Flow, sync SyncMode, tracked bool) []planCandidate {
 	flows := []Flow{flow}
 	switch {
 	case layout == graph.LayoutEdgeArray:
@@ -483,7 +402,7 @@ func staticCandidates(layout graph.Layout, flow Flow, sync SyncMode, gridP int, 
 	cs := make([]planCandidate, len(flows))
 	for i, fl := range flows {
 		cs[i] = planCandidate{
-			plan:     StepPlan{Layout: layout, Flow: fl, Sync: sync, Tracked: tracked, GridLevel: gridP},
+			plan:     StepPlan{Layout: layout, Flow: fl, Sync: sync, Tracked: tracked},
 			fullScan: true,
 		}
 	}
@@ -491,9 +410,8 @@ func staticCandidates(layout graph.Layout, flow Flow, sync SyncMode, gridP int, 
 }
 
 // residentPlanner builds the planner of an in-memory run: every runnable
-// layout under Flow == Auto, the configured one — at the materialized grid
-// P on the grid — otherwise.
-func residentPlanner(g *graph.Graph, cfg Config, r *runner, alpha int, workers int, tracked bool) (*planner, error) {
+// layout under Flow == Auto, the configured one otherwise.
+func residentPlanner(g *graph.Graph, cfg Config, r *runner, alpha int, tracked bool) (*planner, error) {
 	env := plannerEnv{
 		numVertices: g.NumVertices(),
 		totalEdges:  residentScanEdges(g),
@@ -504,45 +422,28 @@ func residentPlanner(g *graph.Graph, cfg Config, r *runner, alpha int, workers i
 		env.activeOutEdges = r.activeOutEdges
 	}
 	if cfg.Flow == Auto {
-		candidates := autoCandidates(g, workers, tracked)
+		candidates := autoCandidates(g, tracked)
 		if len(candidates) == 0 {
 			return nil, fmt.Errorf("core: auto flow found no runnable layout (build adjacency lists, a grid, or supply edges)")
 		}
 		return newPlanner(env, candidates, true, cfg.Trace), nil
 	}
-	var gridP int
 	if cfg.Layout == graph.LayoutGrid {
 		// The grid has no per-vertex out index; its direction switch uses
 		// the active-vertex heuristic even when an out-adjacency happens to
 		// be resident, preserving the measured behaviour of the paper's
 		// grid configurations.
 		env.activeOutEdges = nil
-		gridP = g.Grid.P
 	}
-	return newPlanner(env, staticCandidates(cfg.Layout, cfg.Flow, cfg.Sync, gridP, tracked), false, cfg.Trace), nil
-}
-
-// gridCandidateLevels returns the pyramid levels Auto chooses among. A grid
-// built outside prep has no pyramid; it contributes its own resolution
-// only, via a planner-local level that leaves the shared graph untouched.
-// Degenerate grids (P < 1) contribute nothing.
-func gridCandidateLevels(grid *graph.Grid) []graph.GridLevel {
-	if len(grid.Levels) > 0 {
-		return grid.Levels
-	}
-	if grid.P < 1 {
-		return nil
-	}
-	return []graph.GridLevel{grid.FineLevel()}
+	return newPlanner(env, staticCandidates(cfg.Layout, cfg.Flow, cfg.Sync, tracked), false, cfg.Trace), nil
 }
 
 // autoCandidates is the candidate source of Auto over resident layouts:
 // one plan per materialized layout (and direction), each with the sync mode
-// its ownership structure dictates. The grid contributes one push/pull
-// candidate pair per pyramid level, with priors derived from each level's
-// cache fit (see gridLevelPrior) so the first resolution choice already
-// encodes the cell-sizing trade-off.
-func autoCandidates(g *graph.Graph, workers int, tracked bool) []planCandidate {
+// its ownership structure dictates. The grid runs at the P it was built
+// with: the resolution is a pre-processing choice (prep.BuildGrid's P), not
+// a planner dimension.
+func autoCandidates(g *graph.Graph, tracked bool) []planCandidate {
 	var cs []planCandidate
 	if g.In != nil || (!g.Directed && g.Out != nil) {
 		cs = append(cs, planCandidate{
@@ -557,25 +458,8 @@ func autoCandidates(g *graph.Graph, workers int, tracked bool) []planCandidate {
 			prior: priorAdjacencyPush,
 		})
 	}
-	if g.Grid != nil {
-		totalEdges := float64(g.Grid.NumEdges())
-		for _, lv := range gridCandidateLevels(g.Grid) {
-			lv := lv
-			var spansPrior float64
-			if totalEdges > 0 {
-				spansPrior = gridSpanSetupNs * float64(lv.Spans) / totalEdges
-			}
-			for _, d := range []struct {
-				flow Flow
-				base float64
-			}{{Push, priorGridPush}, {Pull, priorGridPull}} {
-				cs = append(cs, planCandidate{
-					plan:     StepPlan{Layout: graph.LayoutGrid, Flow: d.flow, Sync: SyncPartitionFree, Tracked: tracked, GridLevel: lv.P},
-					prior:    gridLevelPrior(d.base, &lv, spansPrior, workers),
-					fullScan: true,
-				})
-			}
-		}
+	if g.Grid != nil && g.Grid.P > 0 { // a zero-value grid iterates nothing
+		cs = append(cs, gridCandidates(graph.LayoutGrid, priorGridPush, priorGridPull, tracked)...)
 	}
 	if len(g.EdgeArray.Edges) > 0 {
 		cs = append(cs, planCandidate{
@@ -602,86 +486,21 @@ func residentScanEdges(g *graph.Graph) int64 {
 	return m
 }
 
-// streamReadPrior is the assumed cost of one coalesced stream read (issue,
-// slot handoff, pipeline protocol) in the same hand-prior units as the
-// per-edge priors above: one read is priced like ~5000 edges of grid
-// compute. Only the ordering matters — the term makes a store averaging
-// well under that many edges per coalesced read (an over-partitioned store)
-// read-overhead-bound in the model, so its prior-frozen dense runs already
-// choose a coarser virtual level, while stores whose reads amortize keep
-// the finest level and its better cache behaviour. Measured ns/edge
-// replaces the prediction per level after one iteration on tracked runs.
-const streamReadPrior = 12000.0
-
-// streamCandidateLevels returns the virtual resolutions a streamed run may
-// execute at, finest first: the source's ladder when it has one, otherwise
-// the single stored resolution (every Source can stream at its own P).
-func streamCandidateLevels(src Source, workers int, budget int64) []StreamLevelInfo {
-	if sl, ok := src.(StreamLeveler); ok {
-		if levels := sl.StreamLevels(workers, budget); len(levels) > 0 {
-			return levels
-		}
+// gridCandidates is the push/pull pair a grid offers Auto, in memory or
+// streamed: column ownership makes both partition-free.
+func gridCandidates(layout graph.Layout, pushPrior, pullPrior float64, tracked bool) []planCandidate {
+	return []planCandidate{
+		{plan: StepPlan{Layout: layout, Flow: Push, Sync: SyncPartitionFree, Tracked: tracked}, prior: pushPrior, fullScan: true},
+		{plan: StepPlan{Layout: layout, Flow: Pull, Sync: SyncPartitionFree, Tracked: tracked}, prior: pullPrior, fullScan: true},
 	}
-	p := src.GridP()
-	rangeSize := 0
-	if p > 0 {
-		rangeSize = (src.NumVertices() + p - 1) / p
-	}
-	return []StreamLevelInfo{{
-		P:         p,
-		RangeSize: rangeSize,
-		Workers:   StreamExecWorkers(p, workers, budget),
-	}}
-}
-
-// admitStreamLevels drops rungs that would execute indistinguishably from
-// the previous kept one: a coarser level only changes a pass through its
-// worker clamp or its coalesced read count, so a rung with the same
-// effective workers and a read count within 10% of the last kept rung's
-// would just be a duplicate arm of the cost model, slowing convergence.
-// The finest level is always kept.
-func admitStreamLevels(levels []StreamLevelInfo) []StreamLevelInfo {
-	out := levels[:1:1]
-	kept := levels[0]
-	for _, lv := range levels[1:] {
-		if lv.Workers < kept.Workers || lv.Reads*10 <= kept.Reads*9 {
-			out = append(out, lv)
-			kept = lv
-		}
-	}
-	return out
-}
-
-// streamLevelPrior predicts the per-edge cost prior of one stream level.
-// Compute departs from the base prior exactly like the in-memory pyramid's
-// (destination-metadata cache misfit, ownership-limited parallelism, see
-// gridLevelPrior); the read side prices the level's predicted coalesced
-// read count per fetcher, amortized over the scanned edges. Reads overlap
-// compute — that is the prefetch pipeline's whole point — so the predicted
-// wall cost is whichever side of the overlap dominates.
-func streamLevelPrior(base float64, lv StreamLevelInfo, workers int, totalEdges int64) float64 {
-	compute := base * rangeMissFactor(lv.RangeSize)
-	if lv.Workers > 0 && workers > lv.Workers {
-		compute *= float64(workers) / float64(lv.Workers)
-	}
-	if totalEdges <= 0 || lv.Reads <= 0 || lv.Workers <= 0 {
-		return compute
-	}
-	fetch := streamReadPrior * float64(lv.Reads) / (float64(lv.Workers) * float64(totalEdges))
-	if fetch > compute {
-		return fetch
-	}
-	return compute
 }
 
 // streamPlanner builds the planner of a streamed (out-of-core) run: layout
-// and sync are pinned by the store's column-ownership argument, so the
-// plannable dimensions are the direction and the virtual grid level (the
-// store's coarsening ladder, see StreamLeveler). A static flow streams at
-// the ladder's finest rung — the stored resolution; Flow == Auto enumerates
-// one push/pull candidate pair per admitted rung, costed by
-// streamLevelPrior and refined by measured ns/edge.
-func streamPlanner(src Source, cfg Config, workers int, budget int64, alpha int, tracked bool) *planner {
+// and sync are pinned by the store's column-ownership argument and every
+// pass streams at the stored P, so the only plannable dimension is the
+// direction. A static flow keeps its configured candidates; Flow == Auto
+// offers the grid's push/pull pair.
+func streamPlanner(src Source, cfg Config, alpha int, tracked bool) *planner {
 	env := plannerEnv{
 		numVertices: src.NumVertices(),
 		totalEdges:  src.NumEdges(),
@@ -689,32 +508,15 @@ func streamPlanner(src Source, cfg Config, workers int, budget int64, alpha int,
 		tracked:     tracked,
 		// No resident out index: the count heuristic decides direction.
 	}
-	// Compressed stores label and cost their plans as "compressed/<P>".
+	// Compressed stores label and cost their plans as "compressed".
 	layout := graph.LayoutGrid
 	pushPrior, pullPrior := priorGridPush, priorGridPull
 	if src.Compressed() {
 		layout = graph.LayoutGridCompressed
 		pushPrior, pullPrior = priorCompressedPush, priorCompressedPull
 	}
-	levels := streamCandidateLevels(src, workers, budget)
 	if cfg.Flow != Auto {
-		return newPlanner(env, staticCandidates(layout, cfg.Flow, SyncPartitionFree, levels[0].P, tracked), false, cfg.Trace)
+		return newPlanner(env, staticCandidates(layout, cfg.Flow, SyncPartitionFree, tracked), false, cfg.Trace)
 	}
-	var candidates []planCandidate
-	for _, lv := range admitStreamLevels(levels) {
-		for _, d := range []struct {
-			flow Flow
-			base float64
-		}{{Push, pushPrior}, {Pull, pullPrior}} {
-			candidates = append(candidates, planCandidate{
-				plan: StepPlan{
-					Layout: layout, Flow: d.flow, Sync: SyncPartitionFree,
-					Tracked: tracked, GridLevel: lv.P,
-				},
-				prior:    streamLevelPrior(d.base, lv, workers, env.totalEdges),
-				fullScan: true,
-			})
-		}
-	}
-	return newPlanner(env, candidates, true, cfg.Trace)
+	return newPlanner(env, gridCandidates(layout, pushPrior, pullPrior, tracked), true, cfg.Trace)
 }

@@ -123,64 +123,41 @@ type fakeGridSource struct {
 
 func (s *fakeGridSource) GridP() int { return s.p }
 
-// TestStreamedPlanLabelCarriesNoIORecipe: a streamed plan label names the
-// resolution, nothing about how the pass is fed.
-func TestStreamedPlanLabelCarriesNoIORecipe(t *testing.T) {
-	mem := StepPlan{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree}
-	if got := mem.String(); got != "grid/push/no-lock" {
-		t.Fatalf("in-memory plan label = %q", got)
+// TestStreamPlannerLabelsCompressedSource: a compressed source streams
+// under "compressed" plans (fixed and adaptive), so traces tell the two
+// storage formats apart, and a streamed label names the layout, direction
+// and sync only — nothing about the stored P or how the pass is fed.
+func TestStreamPlannerLabelsCompressedSource(t *testing.T) {
+	src := &fakeSource{n: 64, compressed: true}
+	plan := streamPlanner(src, Config{Flow: Push}, DefaultPushPullAlpha, true).Next(0, graph.NewFrontier(64))
+	if want := "compressed/push/no-lock"; plan.Layout != graph.LayoutGridCompressed || plan.String() != want {
+		t.Fatalf("fixed stream plan over a compressed source: %v (%q), want %q", plan.Layout, plan.String(), want)
 	}
-	streamed := mem
-	streamed.GridLevel = 64
-	if got := streamed.String(); got != "grid/64/push/no-lock" {
-		t.Fatalf("streamed plan label = %q", got)
-	}
-}
-
-// streamedPushCandidates is an adaptive candidate set of push plans over a
-// v1 store, one per given grid level.
-func streamedPushCandidates(levels ...int) []planCandidate {
-	cs := make([]planCandidate, len(levels))
-	for i, lv := range levels {
-		cs[i] = planCandidate{
-			plan:     StepPlan{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, Tracked: true, GridLevel: lv},
-			prior:    priorGridPush,
-			fullScan: true,
+	for _, c := range streamPlanner(src, Config{Flow: Auto}, DefaultPushPullAlpha, true).candidates {
+		if c.plan.Layout != graph.LayoutGridCompressed {
+			t.Fatalf("adaptive stream candidate over a compressed source has layout %v", c.plan.Layout)
 		}
 	}
-	return cs
+	plain := &fakeGridSource{fakeSource: fakeSource{n: 64}, p: 16}
+	plan = streamPlanner(plain, Config{Flow: Push}, DefaultPushPullAlpha, true).Next(0, graph.NewFrontier(64))
+	if want := "grid/push/no-lock"; plan.String() != want {
+		t.Fatalf("v1 stream plan labeled %q, want %q", plan.String(), want)
+	}
 }
 
 // TestAdaptiveObserveMatchesStreamedPlan: the plan a streamed pass executed
-// is exactly its candidate, so its measurement lands on that candidate.
+// is exactly its candidate, so its measurement lands on that candidate, and
+// a plan outside the candidate set measures nothing.
 func TestAdaptiveObserveMatchesStreamedPlan(t *testing.T) {
 	env := plannerEnv{numVertices: 100, totalEdges: 1 << 20, alpha: 20, tracked: true}
-	cs := streamedPushCandidates(64)
+	cs := gridCandidates(graph.LayoutGrid, priorGridPush, priorGridPull, true)
 	p := newPlanner(env, cs, true, nil)
 	p.Observe(cs[0].plan, IterationStats{Duration: time.Millisecond, ActiveEdges: -1})
-	if p.measured[0] == 0 {
-		t.Fatal("executed streamed plan did not match its candidate")
-	}
-}
-
-// TestStreamedCostEntriesArePerLevel: the cost model measures each grid
-// level apart — what lets measurements choose among resolutions — and a
-// plan outside the candidate set measures nothing.
-func TestStreamedCostEntriesArePerLevel(t *testing.T) {
-	env := plannerEnv{numVertices: 100, totalEdges: 1 << 20, alpha: 20, tracked: true}
-	cs := streamedPushCandidates(64, 16, 8)
-	p := newPlanner(env, cs, true, nil)
-	p.Observe(cs[0].plan, IterationStats{Duration: 4 * time.Millisecond, ActiveEdges: -1})
-	p.Observe(cs[1].plan, IterationStats{Duration: time.Millisecond, ActiveEdges: -1})
-	stray := cs[0].plan
-	stray.GridLevel = 32
+	stray := cs[1].plan
+	stray.Layout = graph.LayoutGridCompressed
 	p.Observe(stray, IterationStats{Duration: time.Millisecond, ActiveEdges: -1})
-	fine, coarse := p.measured[0], p.measured[1]
-	if fine == 0 || coarse == 0 || p.measured[2] != 0 {
-		t.Fatalf("want one measurement per observed level, got %v", p.measured)
-	}
-	if fine != 4*coarse {
-		t.Fatalf("levels share a cost entry: fine %v, coarse %v", fine, coarse)
+	if p.measured[0] == 0 || p.measured[1] != 0 {
+		t.Fatalf("want one measurement on the executed candidate, got %v", p.measured)
 	}
 }
 
@@ -238,7 +215,6 @@ func TestRunStreamedPassesShareOneRecipe(t *testing.T) {
 			t.Fatalf("%v: %d passes, want 6", flow, len(src.passes))
 		}
 		for i, opt := range src.passes {
-			opt.GridLevel = 0
 			if opt != want {
 				t.Fatalf("%v: pass %d options %+v, want %+v", flow, i, opt, want)
 			}

@@ -12,9 +12,17 @@ import (
 )
 
 func TestStepPlanString(t *testing.T) {
-	p := StepPlan{Layout: graph.LayoutAdjacency, Flow: Pull, Sync: SyncPartitionFree}
-	if got := p.String(); got != "adjacency/pull/no-lock" {
-		t.Fatalf("StepPlan.String() = %q", got)
+	for _, tc := range []struct {
+		plan StepPlan
+		want string
+	}{
+		{StepPlan{Layout: graph.LayoutAdjacency, Flow: Pull, Sync: SyncPartitionFree}, "adjacency/pull/no-lock"},
+		{StepPlan{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree}, "grid/push/no-lock"},
+		{StepPlan{Layout: graph.LayoutGridCompressed, Flow: Pull, Sync: SyncPartitionFree}, "compressed/pull/no-lock"},
+	} {
+		if got := tc.plan.String(); got != tc.want {
+			t.Fatalf("StepPlan.String() = %q, want %q", got, tc.want)
+		}
 	}
 }
 
@@ -127,7 +135,7 @@ func TestAdaptivePlannerPullHysteresis(t *testing.T) {
 			}
 			cands := adjacencyCandidates(true)
 			if !c.adaptive {
-				cands = staticCandidates(graph.LayoutAdjacency, PushPull, SyncAtomics, 0, true)
+				cands = staticCandidates(graph.LayoutAdjacency, PushPull, SyncAtomics, true)
 			}
 			p := newPlanner(env, cands, c.adaptive, nil)
 			dense := scriptedFrontier(n, 400, 12000)
@@ -198,45 +206,12 @@ func TestAdaptivePlannerFreezesDensePlans(t *testing.T) {
 	}
 }
 
-// TestAdaptivePlannerSwitchesOffMispredictedGridLevel: the priors put a
-// coarse grid level ahead of the fine one, so the planner opens on it; the
-// measured iteration contradicts the prior (a misfit for this machine), and
-// the planner must abandon that level after the single iteration.
-func TestAdaptivePlannerSwitchesOffMispredictedGridLevel(t *testing.T) {
-	const totalEdges = 1 << 22
-	env := plannerEnv{numVertices: 1 << 16, totalEdges: totalEdges, alpha: 20, tracked: true}
-	fine := StepPlan{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, Tracked: true, GridLevel: 16}
-	coarse := fine
-	coarse.GridLevel = 4
-	p := newPlanner(env, []planCandidate{
-		{plan: fine, prior: 8.0, fullScan: true},
-		{plan: coarse, prior: 2.0, fullScan: true},
-	}, true, nil)
-
-	f := graph.NewFrontier(1 << 16)
-	if plan := p.Next(0, f); plan != coarse {
-		t.Fatalf("priors planned %v, want %v", plan, coarse)
-	}
-	// The measured iteration lands at 100 ns/edge: latest-wins weighting
-	// must push the EWMA past the fine level's 8.0 prior so the very next
-	// iteration switches.
-	p.Observe(coarse, IterationStats{
-		Duration:    time.Duration(totalEdges * 100),
-		ActiveEdges: -1,
-	})
-	if plan := p.Next(1, f); plan != fine {
-		t.Fatalf("planner kept %v after a mispredicted iteration, want %v within one iteration", plan, fine)
-	}
-}
-
 // TestStaticConfigsPlanConfiguredTechniques pins the static candidate set:
 // every static configuration ValidateTechniques admits, on a graph with
 // every layout built, runs each iteration at the configured layout and sync
-// (at the materialized grid P) in the configured direction — edge arrays
-// always push, and PushPull goes wherever the |E|/alpha threshold sends the
-// iteration's recorded frontier (active out-edges, or active vertices on
-// the grid). Grid configurations pinned to a coarser pyramid level
-// (iterateAtLevel) run every iteration at that level under the same rule.
+// in the configured direction — edge arrays always push, and PushPull goes
+// wherever the |E|/alpha threshold sends the iteration's recorded frontier
+// (active out-edges, or active vertices on the grid).
 func TestStaticConfigsPlanConfiguredTechniques(t *testing.T) {
 	g := rmatTestGraph(t)
 	n, m := int64(g.NumVertices()), residentScanEdges(g)
@@ -248,67 +223,41 @@ func TestStaticConfigsPlanConfiguredTechniques(t *testing.T) {
 		if base.Flow == PushPull {
 			alphas = []int{1, 20, 1000}
 		}
-		// 0 is Run at the materialized P; grid configurations also run pinned
-		// to every coarser pyramid level.
-		levels := []int{0}
-		if base.Layout == graph.LayoutGrid {
-			for i := 1; i < g.Grid.NumLevels(); i++ {
-				levels = append(levels, g.Grid.Level(i).P)
-			}
-		}
 		for _, alpha := range alphas {
-			for _, level := range levels {
-				for _, mk := range []func() Algorithm{
-					func() Algorithm { return algorithms.NewBFS(0) },
-					func() Algorithm { return algorithms.NewPageRank() },
-				} {
-					alg := mk()
-					cfg := base
-					cfg.PushPullAlpha = alpha
-					layout := cfg.Layout.String()
-					if level > 0 {
-						layout = fmt.Sprintf("%s%d", layout, level)
+			for _, mk := range []func() Algorithm{
+				func() Algorithm { return algorithms.NewBFS(0) },
+				func() Algorithm { return algorithms.NewPageRank() },
+			} {
+				alg := mk()
+				cfg := base
+				cfg.PushPullAlpha = alpha
+				t.Run(fmt.Sprintf("%v-%v-%v/alpha%d/%s", cfg.Layout, cfg.Flow, cfg.Sync, alpha, alg.Name()), func(t *testing.T) {
+					res, err := Run(g, alg, cfg)
+					if err != nil {
+						t.Fatalf("%v/%v/%v alpha %d: %v", cfg.Layout, cfg.Flow, cfg.Sync, alpha, err)
 					}
-					t.Run(fmt.Sprintf("%s-%v-%v/alpha%d/%s", layout, cfg.Flow, cfg.Sync, alpha, alg.Name()), func(t *testing.T) {
-						var res *Result
-						var err error
-						if level > 0 {
-							res, err = iterateAtLevel(g, alg, cfg, level)
-						} else {
-							res, err = Run(g, alg, cfg)
-						}
-						if err != nil {
-							t.Fatalf("%v/%v/%v alpha %d: %v", cfg.Layout, cfg.Flow, cfg.Sync, alpha, err)
-						}
-						a := int64(resolveAlpha(cfg))
-						want := StepPlan{Layout: cfg.Layout, Flow: cfg.Flow, Sync: cfg.Sync, Tracked: !alg.Dense()}
-						if cfg.Layout == graph.LayoutGrid {
-							want.GridLevel = g.Grid.P
-							if level > 0 {
-								want.GridLevel = level
+					a := int64(resolveAlpha(cfg))
+					want := StepPlan{Layout: cfg.Layout, Flow: cfg.Flow, Sync: cfg.Sync, Tracked: !alg.Dense()}
+					for i, it := range res.PerIteration {
+						switch {
+						case cfg.Layout == graph.LayoutEdgeArray:
+							want.Flow = Push
+						case cfg.Flow == PushPull:
+							over := it.ActiveEdges > m/a
+							if cfg.Layout == graph.LayoutGrid {
+								over = int64(it.ActiveVertices) > n/a
+							}
+							want.Flow = Push
+							if over {
+								want.Flow = Pull
 							}
 						}
-						for i, it := range res.PerIteration {
-							switch {
-							case cfg.Layout == graph.LayoutEdgeArray:
-								want.Flow = Push
-							case cfg.Flow == PushPull:
-								over := it.ActiveEdges > m/a
-								if cfg.Layout == graph.LayoutGrid {
-									over = int64(it.ActiveVertices) > n/a
-								}
-								want.Flow = Push
-								if over {
-									want.Flow = Pull
-								}
-							}
-							if it.Plan != want {
-								t.Fatalf("%s %v/%v/%v alpha %d iteration %d (%d vertices, %d edges): plan %v, want %v",
-									alg.Name(), cfg.Layout, cfg.Flow, cfg.Sync, alpha, i, it.ActiveVertices, it.ActiveEdges, it.Plan, want)
-							}
+						if it.Plan != want {
+							t.Fatalf("%s %v/%v/%v alpha %d iteration %d (%d vertices, %d edges): plan %v, want %v",
+								alg.Name(), cfg.Layout, cfg.Flow, cfg.Sync, alpha, i, it.ActiveVertices, it.ActiveEdges, it.Plan, want)
 						}
-					})
-				}
+					}
+				})
 			}
 		}
 	}

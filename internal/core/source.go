@@ -16,10 +16,9 @@ import (
 // scheduling, never materializing more than the source's buffer budget.
 
 // StreamOptions bounds one streamed pass over a source. RunStreamed hands
-// every pass of a run the same Workers, MemoryBudget and PrefetchDepth —
-// the configured values with defaults and clamps applied (see StreamRecipe)
-// — and sets only GridLevel per pass, so a source sizes its recycled buffers
-// once per run.
+// every pass of a run the same options — the configured values with
+// defaults and clamps applied (see StreamRecipe) — so a source sizes its
+// recycled buffers once per run.
 type StreamOptions struct {
 	// Workers is the number of compute workers (column owners) requested
 	// for the pass; sources clamp it with StreamExecWorkers.
@@ -39,12 +38,6 @@ type StreamOptions struct {
 	// rotation during the pass (0 selects DefaultPrefetchDepth; sources
 	// clamp to [MinPrefetchDepth, StreamDepthCap]).
 	PrefetchDepth int
-	// GridLevel selects the virtual grid resolution of this pass: a coarse
-	// dimension from the source's level ladder (see StreamLeveler), at which
-	// the source merges adjacent row segments into fewer, larger reads. 0 —
-	// or the source's own GridP — streams at the stored resolution. Sources
-	// without virtual levels ignore it.
-	GridLevel int
 	// Lease, when non-nil, runs the pass's compute workers on the lease
 	// instead of the process-wide pool. It decides nothing else: leased or
 	// not, concurrent passes on one open source share the file handle and
@@ -126,27 +119,6 @@ type Source interface {
 	Stats() SourceStats
 }
 
-// StreamLevelInfo describes one virtual grid resolution a source can stream
-// at: the coarse dimension and vertex range, the worker count a pass at
-// this level effectively runs (StreamExecWorkers at the coarse dimension),
-// and the predicted coalesced read count per pass at that count — the
-// planner's cost inputs for enumerating stream levels.
-type StreamLevelInfo struct {
-	P           int
-	RangeSize   int
-	Workers     int
-	Reads       int64
-	MaxRunEdges int
-}
-
-// StreamLeveler is implemented by sources whose cell layout admits virtual
-// coarsening (the .egs store's row-major segments). StreamLevels returns
-// the ladder finest first; every returned P is accepted as
-// StreamOptions.GridLevel with bit-identical results across levels.
-type StreamLeveler interface {
-	StreamLevels(workers int, budget int64) []StreamLevelInfo
-}
-
 // degreePreset is implemented by algorithms (PageRank) that normally derive
 // per-vertex degrees from the resident edge array and must instead accept
 // them from the store's metadata.
@@ -161,8 +133,8 @@ type degreePreset interface {
 // cfg.Layout LayoutGrid, compressed stores included (Flow == Auto relaxes
 // both — the planner pins them itself). Flow may be Push, Pull, PushPull
 // (the switch uses the same active-vertex heuristic as the in-memory grid)
-// or Auto (the adaptive planner chooses direction and virtual grid level
-// with measured-cost feedback). Every pass runs on the one I/O recipe
+// or Auto (the adaptive planner chooses the direction). Every pass streams
+// at the stored P. Every pass runs on the one I/O recipe
 // StreamRecipe resolves from cfg. Vertex state (algorithm arrays,
 // frontiers, degree table) stays resident; edge data stays within the
 // source's buffer budget (see StreamOptions.MemoryBudget).
@@ -198,7 +170,7 @@ func RunStreamed(src Source, alg Algorithm, cfg Config) (*Result, error) {
 		Lease:         cfg.Lease,
 		Trace:         cfg.Trace,
 	})
-	pl := streamPlanner(src, cfg, workers, budget, resolveAlpha(cfg), !alg.Dense())
+	pl := streamPlanner(src, cfg, resolveAlpha(cfg), !alg.Dense())
 	return iterate(shim, alg, cfg, workers, pl, src, r.step)
 }
 
@@ -225,9 +197,8 @@ func StreamRecipe(src Source, cfg Config) (depth int, budget int64) {
 // runs: the requested count clamped to the grid dimension (one worker per
 // column at most) and shed while the budget cannot feed every worker's
 // minimal buffers (a starved slice costs every read, a shed worker only
-// costs parallelism). It is THE definition — sources' buffer pools, the
-// level ladder and StreamRecipe all call it, so the planner's view of the
-// parallelism is exactly what executes.
+// costs parallelism). It is THE definition — sources' buffer pools and
+// StreamRecipe both call it, so the resolved recipe is what executes.
 func StreamExecWorkers(gridP, workers int, budget int64) int {
 	if gridP > 0 && workers > gridP {
 		workers = gridP
@@ -267,7 +238,7 @@ func StreamDepthCap(workers int, budget int64) int {
 type streamRunner struct {
 	stepper
 	src   Source
-	opt   StreamOptions // the run-wide recipe; step sets GridLevel per pass
+	opt   StreamOptions // the run-wide recipe
 	visit func(worker int, edges []graph.Edge)
 }
 
@@ -281,7 +252,6 @@ func newStreamRunner(src Source, alg Algorithm, opt StreamOptions) *streamRunner
 // for dense algorithms). Column ownership makes every streamed cell an owned
 // span.
 func (r *streamRunner) step(plan StepPlan, frontier *graph.Frontier) (*graph.Frontier, error) {
-	r.opt.GridLevel = plan.GridLevel
 	r.begin(plan.Flow, SyncPartitionFree, frontier)
 	r.span.Bits = frontier.Bitmap()
 	err := r.src.StreamCells(r.opt, r.visit)

@@ -287,9 +287,10 @@ func matchOracle(t *testing.T, got, want []uint64, integral bool) {
 
 // TestKernelsMatchSerialOracles is the differential table of the span
 // contract: for each shipped algorithm with a serial oracle, on each input,
-// every admitted configuration at 1 and 4 workers — static grid ones at
-// every pyramid level, push iterations on the caller and on the gang, in
-// memory and streamed, plus one leased run per layout — must leave the
+// every admitted configuration at 1 and 4 workers — push iterations on the
+// caller and on the gang, in memory and streamed, Auto over a graph whose
+// only layouts are the grid and the edge array, plus one leased run per
+// layout — must leave the
 // oracle's result: integral results exactly, floating-point sums within
 // 1e-9 relative. A configuration that fixes each destination's update
 // order (ownedOrder, and every streamed one) must also leave the same bits
@@ -297,6 +298,7 @@ func matchOracle(t *testing.T, got, want []uint64, integral bool) {
 func TestKernelsMatchSerialOracles(t *testing.T) {
 	for _, sg := range spanGraphs(t) {
 		src := &gridSource{grid: sg.g.Grid, undirected: !sg.g.Directed}
+		gridOnly := &graph.Graph{EdgeArray: sg.g.EdgeArray, Grid: sg.g.Grid, Directed: sg.g.Directed}
 		for _, a := range spanAlgos {
 			want := a.oracle(sg.g)
 			check := func(t *testing.T, run func(Algorithm) error) []uint64 {
@@ -338,18 +340,6 @@ func TestKernelsMatchSerialOracles(t *testing.T) {
 							check(t, run)
 						})
 					}
-					if cfg.Layout == graph.LayoutGrid && cfg.Flow != Auto {
-						// Run holds a static grid at the materialized P; the
-						// coarser pyramid levels hand the kernels multi-row
-						// spans and are reached through a pinned plan.
-						for i := 1; i < sg.g.Grid.NumLevels(); i++ {
-							p := sg.g.Grid.Level(i).P
-							row(fmt.Sprintf("%v%d-%v-%v", cfg.Layout, p, cfg.Flow, cfg.Sync), workers, ownedOrder(cfg), func(alg Algorithm) error {
-								_, err := iterateAtLevel(sg.g, alg, cfg, p)
-								return err
-							})
-						}
-					}
 					if cfg.Flow == Auto || (cfg.Layout == graph.LayoutGrid && cfg.Sync == SyncPartitionFree) {
 						// Streamed cells are owned whatever the flow.
 						row("streamed/"+name, workers, true, func(alg Algorithm) error {
@@ -358,6 +348,10 @@ func TestKernelsMatchSerialOracles(t *testing.T) {
 						})
 					}
 				}
+				row("grid-only/auto", workers, false, func(alg Algorithm) error {
+					_, err := Run(gridOnly, alg, Config{Flow: Auto, Workers: workers})
+					return err
+				})
 			}
 			for _, cfg := range leasedConfigs {
 				cfg.Workers = 4

@@ -32,30 +32,23 @@ type Grid struct {
 	// CellIndex has P*P+1 entries; cell (i,j) occupies
 	// Edges[CellIndex[i*P+j]:CellIndex[i*P+j+1]].
 	CellIndex []uint64
-	// Levels is the grid pyramid: virtual coarser resolutions (P, then
-	// halving down to 1) sharing this grid's edge slice, built once at prep
-	// time by BuildPyramid. Levels[0] is the grid itself. Empty on grids
-	// whose pyramid was never built; the engine falls back to the fine
-	// level.
-	Levels []GridLevel
 }
 
 // DefaultGridP is the grid dimension found experimentally best in the paper
 // for the Twitter and RMAT26 graphs (a 256x256 grid).
 const DefaultGridP = 256
 
-// GridVertexMetaBytes is the per-vertex metadata footprint the grid's cache
+// gridVertexMetaBytes is the per-vertex metadata footprint the grid's cache
 // argument is sized against: the 8-byte accumulator (PageRank's float64
 // rank) that every destination update touches. It is what multiplies a
 // range's vertex count into the working-set bytes compared against the LLC.
-const GridVertexMetaBytes = 8
+const gridVertexMetaBytes = 8
 
-// DefaultLLCBytes is the last-level cache capacity every cache-fit
+// defaultLLCBytes is the last-level cache capacity every cache-fit
 // decision is sized against: 16 MiB, the LLC of the paper's machine B, not
-// the host's. GridPFor caps oversized requests against it, and the
-// planner's grid-level priors price range misfit against it, so both give
-// the same answer on every machine.
-const DefaultLLCBytes = 16 << 20
+// the host's. GridPFor caps oversized requests against it, so it gives the
+// same answer on every machine.
+const defaultLLCBytes = 16 << 20
 
 // gridLLCRangeDivisor sets the per-range working-set target of the LLC-fit
 // cap: a range whose destination metadata is below LLC/8 already leaves the
@@ -71,7 +64,7 @@ const gridLLCRangeDivisor = 8
 // range holds at least a handful of vertices. Requests beyond the paper's
 // default are additionally capped by LLC fit: halving P is free while the
 // coarser ranges' vertex metadata still fits the per-range target of
-// DefaultLLCBytes, so an oversized request settles at the resolution the
+// defaultLLCBytes, so an oversized request settles at the resolution the
 // cache can actually exploit. Requests at or below DefaultGridP are never
 // reshaped — fixed-P runs stay reproducible.
 func GridPFor(numVertices, requested int) int {
@@ -79,8 +72,8 @@ func GridPFor(numVertices, requested int) int {
 	if p <= 0 {
 		p = DefaultGridP
 	}
-	const target = DefaultLLCBytes / gridLLCRangeDivisor
-	for p > DefaultGridP && int64(numVertices)*GridVertexMetaBytes/int64(p/2) <= target {
+	const target = defaultLLCBytes / gridLLCRangeDivisor
+	for p > DefaultGridP && int64(numVertices)*gridVertexMetaBytes/int64(p/2) <= target {
 		p /= 2
 	}
 	// Keep at least 4 vertices per range so cells are not degenerate on
@@ -146,9 +139,6 @@ func (g *Grid) Validate() error {
 				}
 			}
 		}
-	}
-	if len(g.Levels) > 0 {
-		return g.validatePyramid()
 	}
 	return nil
 }

@@ -108,3 +108,29 @@ func TestGridCellContainmentProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestGridPForCapsOversizedRequests(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		numVertices, req, p int
+	}{
+		// A small graph cannot use a 4096-wide grid: per-range metadata is
+		// far below the LLC target at that resolution, so the request caps
+		// — but never below the paper's default.
+		{"oversized request on a small graph", 1 << 20, 4096, DefaultGridP},
+		// A graph whose metadata demands the finer grid keeps it: 2^28
+		// vertices at 8 B/vertex is 2 GiB of metadata; even /512 ranges
+		// exceed the per-range target, so the request stands.
+		{"justified large request", 1 << 28, 512, 512},
+		// Requests at or below the default are never reshaped (fixed-P
+		// reproducibility), regardless of fit.
+		{"default-sized request", 1 << 20, 256, 256},
+		{"small request", 1 << 20, 64, 64},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if p := GridPFor(tc.numVertices, tc.req); p != tc.p {
+				t.Fatalf("GridPFor(%d, %d) = %d, want %d", tc.numVertices, tc.req, p, tc.p)
+			}
+		})
+	}
+}

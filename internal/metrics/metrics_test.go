@@ -118,10 +118,9 @@ func TestCompressPlanTrace(t *testing.T) {
 			"a/push/atomics -> a/pull/no-lock x2 -> a/push/atomics",
 		},
 		{
-			// Streamed plans carry their level; a level change alone is a
-			// new run in the trace.
-			[]string{"grid/16/push/no-lock", "grid/8/push/no-lock", "grid/8/push/no-lock"},
-			"grid/16/push/no-lock -> grid/8/push/no-lock x2",
+			// A direction change alone is a new run in the trace.
+			[]string{"grid/push/no-lock", "grid/pull/no-lock", "grid/pull/no-lock"},
+			"grid/push/no-lock -> grid/pull/no-lock x2",
 		},
 	}
 	for _, c := range cases {

@@ -252,20 +252,6 @@ type BuildOptions struct {
 	// bytes (0 = 32 MiB). Each cell owns a small append buffer flushed with
 	// positioned writes, so building never holds the edge set in memory.
 	ScatterBudget int64
-	// MirroredInput marks the stream's edges as already carrying both
-	// directions (e.g. read back from an undirected store): the header
-	// records Undirected without the builder mirroring again. Ignored
-	// unless Undirected is set.
-	MirroredInput bool
-	// RangeSize, when positive, pins the vertex-id width of each grid range
-	// instead of deriving it as ceil(NumVertices/P), and GridP is then used
-	// exactly as given (no clamping). Repartition uses it to materialize a
-	// virtual coarsening level: only RangeSize = fineRangeSize * factor
-	// makes the coarse cell assignment an exact aggregation of fine cells
-	// (nested integer division), which is what the bit-identity guarantee
-	// rests on. The pinned pair must still cover every vertex
-	// (P*RangeSize >= NumVertices).
-	RangeSize int
 }
 
 // defaultScatterBudget is the scatter-pass write-buffer budget (32 MiB).
@@ -284,24 +270,10 @@ func BuildStore(path string, opt BuildOptions, stream Stream) (Header, error) {
 	if opt.NumVertices <= 0 {
 		return h, fmt.Errorf("oocore: BuildStore requires a positive NumVertices")
 	}
-	undirected := opt.Undirected
-	if opt.MirroredInput {
-		// The stream already carries both directions; both passes below key
-		// their mirroring off opt.Undirected (opt travels by value), so
-		// clearing it here disables re-mirroring everywhere at once.
-		opt.Undirected = false
-	}
 	p := graph.GridPFor(opt.NumVertices, opt.GridP)
 	rangeSize := (opt.NumVertices + p - 1) / p
 	if rangeSize == 0 {
 		rangeSize = 1
-	}
-	if opt.RangeSize > 0 {
-		p, rangeSize = opt.GridP, opt.RangeSize
-		if p <= 0 || p*rangeSize < opt.NumVertices {
-			return h, fmt.Errorf("oocore: pinned grid %dx%d ranges of %d does not cover %d vertices",
-				p, p, rangeSize, opt.NumVertices)
-		}
 	}
 	numCells := p * p
 	n := graph.VertexID(opt.NumVertices)
@@ -339,7 +311,7 @@ func BuildStore(path string, opt BuildOptions, stream Stream) (Header, error) {
 		NumEdges:    numEdges,
 		P:           p,
 		RangeSize:   rangeSize,
-		Undirected:  undirected,
+		Undirected:  opt.Undirected,
 		Version:     FormatVersion,
 	}
 	if opt.Compressed {

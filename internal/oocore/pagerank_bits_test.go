@@ -1,6 +1,8 @@
 package oocore
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -128,5 +130,49 @@ func TestPageRankMatchesTwoSweepReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// pinnedRankHash is the FNV-1a hash of PageRank's rank bits (little-endian
+// float64s in vertex order) on RMAT-12 over a 256x256 grid: the bits of the
+// grid's per-destination visit order, whatever holds the cells.
+const pinnedRankHash = 0xbb9d7a1fe9dd3c34
+
+func rankHash(rank []float64) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, r := range rank {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(r))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestPageRankBitsPinnedAtP256: static grid pull in memory, over a v1 store
+// and over a v3 store, at 1 and 4 workers, all give the pinned bits.
+func TestPageRankBitsPinnedAtP256(t *testing.T) {
+	g := testGraph(t, 12, false)
+	const p = 256
+	g.Grid = memGrid(t, g, p, false)
+	stores := map[string]*Store{"v1": buildTestStore(t, g, p, false), "v3": buildTestStoreV2(t, g, p, false)}
+	for _, workers := range []int{1, 4} {
+		cfg := core.Config{Layout: graph.LayoutGrid, Flow: core.Pull, Sync: core.SyncPartitionFree, Workers: workers}
+		pr := algorithms.NewPageRank()
+		if _, err := core.Run(g, pr, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if h := rankHash(pr.Rank); h != pinnedRankHash {
+			t.Fatalf("grid pull, %d workers: rank hash %#x, want %#x", workers, h, uint64(pinnedRankHash))
+		}
+		cfg.MemoryBudget = 128 << 10
+		for name, s := range stores {
+			pr := algorithms.NewPageRank()
+			if _, err := core.RunStreamed(s, pr, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if h := rankHash(pr.Rank); h != pinnedRankHash {
+				t.Fatalf("streamed %s, %d workers: rank hash %#x, want %#x", name, workers, h, uint64(pinnedRankHash))
+			}
+		}
 	}
 }

@@ -26,24 +26,16 @@ import (
 //     two channel operations and zero allocations.
 //
 // The pass options select how much of the allocated ring a pass actually
-// uses: depth picks the number of slots in rotation, the budget bounds the
-// slice length fetched into each slot, and the grid level picks one of the
-// precomputed column partitions. A run hands every pass the same depth and
-// budget and moves only the level, which reuses the same buffers; a depth
-// change reuses them too, a different worker count or budget rebuilds.
+// uses: depth picks the number of slots in rotation and the budget bounds
+// the slice length fetched into each slot. A run hands every pass the same
+// options, which reuse the same buffers; a depth change reuses them too, a
+// different worker count or budget rebuilds.
 
 // passReq describes one pass over a group's columns, handed to its fetcher.
 type passReq struct {
 	colLo, colHi int
 	depth        int
 	bufEdges     int
-	// factor is the virtual-coarsening factor of the pass's grid level:
-	// consecutive fine-row segments inside one coarse row (factor fine rows)
-	// merge into a single read whenever the cells between them are empty.
-	// factor 1 — the store's own resolution — merges nothing.
-	factor int
-	// level is the pass's virtual grid dimension, carried for fetch spans.
-	level int
 	// rec receives this pass's fetch (read/decode) spans; nil when the run
 	// is untraced. It travels in the request — not read off the pool — so a
 	// fetcher still draining never races the next pass's beginPass.
@@ -113,35 +105,20 @@ type streamPool struct {
 	// is read into, plus a compressed store's payload bytes.
 	rawPerEdge      int
 	residentPerEdge int64
-	// One column partition and largest coalesced read per virtual grid
-	// level: a pass may run at a coarser level than the store's resolution
-	// (the planner's GridLevel choice), and each level needs its own
-	// boundaries and segment bound. Precomputed here so choosing a level per
-	// pass allocates nothing.
-	levels []poolLevel
+	// bounds partitions the columns among the groups (workers+1 entries)
+	// and maxSeg is the largest read one of them issues: one row's segment
+	// across the group's columns.
+	bounds []int
+	maxSeg int
 	groups []group
 	body   func(worker, lo, hi int) // compute fan-out body, bound once
 
 	// Per-pass state, set by beginPass before the fan-out starts.
-	passWorkers int
-	passBounds  []int
-	passFactor  int
-	passLevel   int
-	depth       int
-	bufEdges    int
-	visit       func(worker int, edges []graph.Edge)
-	rec         *trace.Recorder
-	abort       streamAbort
-}
-
-// poolLevel is one virtual grid level's precomputed pass shape: the level's
-// stream worker count (core.StreamExecWorkers at its dimension), their
-// column boundaries and the largest coalesced read one of them issues.
-type poolLevel struct {
-	p, factor int
-	workers   int
-	bounds    []int
-	maxSeg    int
+	depth    int
+	bufEdges int
+	visit    func(worker int, edges []graph.Edge)
+	rec      *trace.Recorder
+	abort    streamAbort
 }
 
 // poolParams resolves the pass shape that determines the pool build: the
@@ -194,26 +171,14 @@ func (s *Store) returnPool(p *streamPool) {
 // buildPool allocates the arenas and starts the fetchers. Each group's
 // arena is its share of the budget (so a depth-2 pass uses the whole budget
 // in two big slices, a depth-8 pass the same budget in eight smaller ones),
-// clamped to depthCap times the largest coalesced read any group can issue
-// — a larger arena would never fill. depthCap is the deepest pipeline the
+// clamped to depthCap times the largest read any group issues — a larger
+// arena would never fill. depthCap is the deepest pipeline the
 // budget can feed without slices degenerating (core.StreamDepthCap, the
 // same bound core.StreamRecipe clamps against, so a resolved depth is an
 // executed depth).
 func (s *Store) buildPool(workers int, budget int64) *streamPool {
-	// One column partition (and largest-read figure) per virtual grid level.
-	// maxSeg tracks the largest coalesced read any level can issue — coarse
-	// levels merge row segments, so their reads can be far larger than the
-	// finest level's, and the arenas must fit them to realize the fewer,
-	// larger I/Os the level is chosen for.
-	levels := make([]poolLevel, len(s.levels))
-	maxSeg := 0
-	for li, lv := range s.levels {
-		pl := poolLevel{p: lv.P, factor: lv.Factor, workers: core.StreamExecWorkers(lv.P, workers, budget)}
-		pl.bounds = s.levelBounds(lv.Factor, pl.workers)
-		_, pl.maxSeg = s.levelRuns(lv.Factor, pl.bounds)
-		maxSeg = max(maxSeg, pl.maxSeg)
-		levels[li] = pl
-	}
+	bounds := partitionColumns(s.colEdges, workers)
+	maxSeg := s.largestRead(bounds)
 	rawPerEdge := s.rawEdgeBytes()
 	residentPerEdge := int64(decodedEdgeBytes)
 	if s.Compressed() {
@@ -250,7 +215,8 @@ func (s *Store) buildPool(workers int, budget int64) *streamPool {
 		arenaEdges:      arenaEdges,
 		rawPerEdge:      rawPerEdge,
 		residentPerEdge: residentPerEdge,
-		levels:          levels,
+		bounds:          bounds,
+		maxSeg:          maxSeg,
 		groups:          make([]group, workers),
 	}
 	for i := range p.groups {
@@ -275,6 +241,19 @@ func (s *Store) buildPool(workers int, budget int64) *streamPool {
 	return p
 }
 
+// largestRead returns the largest read a pass over the given column groups
+// issues: one row's segment across a group's columns.
+func (s *Store) largestRead(bounds []int) int {
+	gp := s.header.P
+	var largest uint64
+	for g := 0; g+1 < len(bounds); g++ {
+		for row := 0; row < gp; row++ {
+			largest = max(largest, s.cellIndex[row*gp+bounds[g+1]]-s.cellIndex[row*gp+bounds[g]])
+		}
+	}
+	return int(largest)
+}
+
 // stop retires the pool's fetchers. No pass may be in flight on it.
 func (p *streamPool) stop() {
 	for i := range p.groups {
@@ -282,23 +261,11 @@ func (p *streamPool) stop() {
 	}
 }
 
-// beginPass resolves the pass options against the allocated arenas: the
-// pass's grid level (the pool is never rebuilt for it) selects a
-// precomputed column partition, depth ≤ depthCap slots rotate per group,
-// each owning a 1/depth share of its group's arena, with slices
-// additionally bounded by the budget and by the largest coalesced read that
-// can ever fill at this level.
+// beginPass resolves the pass options against the allocated arenas:
+// depth ≤ depthCap slots rotate per group, each owning a 1/depth share of
+// its group's arena, with slices additionally bounded by the budget and by
+// the largest read a group issues.
 func (p *streamPool) beginPass(opt core.StreamOptions, visit func(worker int, edges []graph.Edge)) {
-	lv := &p.levels[0]
-	if opt.GridLevel > 0 {
-		for i := range p.levels {
-			if p.levels[i].p == opt.GridLevel {
-				lv = &p.levels[i]
-				break
-			}
-		}
-	}
-	workers := lv.workers
 	depth := opt.PrefetchDepth
 	if depth <= 0 {
 		depth = core.DefaultPrefetchDepth
@@ -309,12 +276,12 @@ func (p *streamPool) beginPass(opt core.StreamOptions, visit func(worker int, ed
 	if depth > p.depthCap {
 		depth = p.depthCap
 	}
-	bufEdges := int(p.cap / (int64(workers) * int64(depth) * p.residentPerEdge))
+	bufEdges := int(p.cap / (int64(p.workers) * int64(depth) * p.residentPerEdge))
 	if share := p.arenaEdges / depth; bufEdges > share {
 		bufEdges = share
 	}
-	if lv.maxSeg > 0 && bufEdges > lv.maxSeg {
-		bufEdges = lv.maxSeg
+	if p.maxSeg > 0 && bufEdges > p.maxSeg {
+		bufEdges = p.maxSeg
 	}
 	// Whole-cell decode granularity: a compressed slot must fit the largest
 	// cell. The arena always can (buildPool sized it to maxCellEdges slots
@@ -325,8 +292,6 @@ func (p *streamPool) beginPass(opt core.StreamOptions, visit func(worker int, ed
 	if bufEdges < 1 {
 		bufEdges = 1
 	}
-	p.passWorkers, p.passBounds = workers, lv.bounds
-	p.passFactor, p.passLevel = lv.factor, lv.p
 	p.depth, p.bufEdges, p.visit = depth, bufEdges, visit
 	p.rec = opt.Trace
 	p.abort.reset()
@@ -336,7 +301,7 @@ func (p *streamPool) beginPass(opt core.StreamOptions, visit func(worker int, ed
 // the parked fetcher, then consume filled slots in order until the
 // sentinel. The in-rotation buffers are accounted resident for the pass.
 func (p *streamPool) runGroup(gi int) {
-	if p.passBounds[gi] >= p.passBounds[gi+1] {
+	if p.bounds[gi] >= p.bounds[gi+1] {
 		return
 	}
 	g := &p.groups[gi]
@@ -347,9 +312,8 @@ func (p *streamPool) runGroup(gi int) {
 	defer s.stats.addResident(-resident)
 
 	g.req <- passReq{
-		colLo: p.passBounds[gi], colHi: p.passBounds[gi+1],
+		colLo: p.bounds[gi], colHi: p.bounds[gi+1],
 		depth: p.depth, bufEdges: p.bufEdges,
-		factor: p.passFactor, level: p.passLevel,
 		rec: p.rec,
 	}
 	for {
@@ -384,7 +348,7 @@ func (p *streamPool) fetchLoop(g *group) {
 	}
 }
 
-// fetchPass streams the group's columns once: for every owned row, the
+// fetchPass streams the group's columns once: for every row, the
 // contiguous (row x owned-columns) file segment is fetched as one coalesced
 // read, split into budget-bounded slices, each slice read into a free slot
 // and handed to the compute worker in order. Row-ascending order per column
@@ -413,16 +377,6 @@ pass:
 				break pass
 			}
 			segPos = s.cellIndex[row*gp+req.colLo]
-			// Virtual coarsening: while the next fine row lies in the same
-			// coarse row and every cell between this row's segment and the
-			// next row's is empty, the two segments are file-contiguous —
-			// extend the read across them. Empty gap cells contribute no
-			// records, so the merged read delivers exactly the owned edges
-			// in the unmerged order.
-			for req.factor > 1 && row+1 < gp && (row+1)%req.factor != 0 &&
-				s.cellIndex[row*gp+req.colHi] == s.cellIndex[(row+1)*gp+req.colLo] {
-				row++
-			}
 			segEnd = s.cellIndex[row*gp+req.colHi]
 			row++
 		}
@@ -453,7 +407,7 @@ pass:
 		}
 		segPos += uint64(n)
 		if req.rec != nil {
-			req.rec.FetchSpan(trace.TrackFetcherBase+g.id, t0, int64(n), int64(n*storage.EdgeBytes), false, req.level)
+			req.rec.FetchSpan(trace.TrackFetcherBase+g.id, t0, int64(n), int64(n*storage.EdgeBytes), false)
 		}
 		g.filled <- idx
 	}
@@ -468,7 +422,7 @@ pass:
 
 // fetchCompressed is fetchPass for version-3 stores. A cell's payload is
 // checksummed as a whole, so instead of budget-bounded slices the fetcher
-// packs runs of consecutive whole cells along each owned row — as many as
+// packs runs of consecutive whole cells along each row — as many as
 // fit the slot — issues one coalesced payload read (plus one contiguous
 // weight-plane read when weighted), CRC-verifies each cell and decodes it
 // into the slot's edge scratch. Row-ascending whole-cell order per column
@@ -487,21 +441,9 @@ func (p *streamPool) fetchCompressed(g *group, req passReq) {
 	}
 
 pass:
-	for row := 0; row < gp; {
-		// Virtual coarsening, same condition as fetchPass: merge consecutive
-		// fine rows inside one coarse row while the cells between their
-		// owned segments are empty. The packing loop then walks the merged
-		// window's cell span; the gap cells inside it are empty (zero
-		// payload, zero edges), so packing them along costs nothing and the
-		// coalesced payload read stays contiguous.
-		end := row
-		for req.factor > 1 && end+1 < gp && (end+1)%req.factor != 0 &&
-			s.cellIndex[end*gp+req.colHi] == s.cellIndex[(end+1)*gp+req.colLo] {
-			end++
-		}
+	for row := 0; row < gp; row++ {
 		cell := row*gp + req.colLo
-		rowEnd := end*gp + req.colHi
-		row = end + 1
+		rowEnd := row*gp + req.colHi
 		for cell < rowEnd {
 			if p.abort.flag.Load() {
 				break pass
@@ -542,7 +484,7 @@ pass:
 				break pass
 			}
 			if req.rec != nil {
-				req.rec.FetchSpan(trace.TrackFetcherBase+g.id, t0, int64(n), int64(n*p.rawPerEdge), true, req.level)
+				req.rec.FetchSpan(trace.TrackFetcherBase+g.id, t0, int64(n), int64(n*p.rawPerEdge), true)
 			}
 			g.filled <- idx
 		}

@@ -17,7 +17,7 @@ import (
 // steady-state contract, budget shedding and prefetch starvation under a
 // slow device (the -race targets of the acceptance criteria), depth changes
 // without pool rebuilds and budget changes with them, the pass depth clamp,
-// the per-level column partitions, the budget bound on compressed passes,
+// the column partition, the budget bound on compressed passes,
 // and fetcher recovery after an aborted pass.
 
 // idlePool returns the store's one idle stream pool: after a solo pass, the
@@ -220,48 +220,39 @@ func TestStreamCellsClampsPassDepthToPool(t *testing.T) {
 	}
 }
 
-// TestPoolLevelsPartitionAtStreamExecWorkers: the pool keeps one column
-// partition per virtual level, at the worker count core.StreamExecWorkers
-// gives that level, and a pass at the level runs exactly that partition.
-func TestPoolLevelsPartitionAtStreamExecWorkers(t *testing.T) {
+// TestPoolPartitionsAtStreamExecWorkers: the pool splits the columns among
+// the worker count core.StreamExecWorkers gives the store, and bounds its
+// reads by the largest row segment one group owns.
+func TestPoolPartitionsAtStreamExecWorkers(t *testing.T) {
 	g := testGraph(t, 11, false)
 	s := buildTestStore(t, g, 8, false)
-	const workers, budget = 4, 1 << 20
-	for _, lv := range s.Levels() {
+	gp := s.GridP()
+	const budget = 1 << 20
+	for _, workers := range []int{1, 4, 16} {
 		var total int64
-		opt := core.StreamOptions{Workers: workers, MemoryBudget: budget, GridLevel: lv.P}
-		if err := s.StreamCells(opt, countingVisit(&total)); err != nil {
-			t.Fatalf("level P=%d: StreamCells: %v", lv.P, err)
+		if err := s.StreamCells(core.StreamOptions{Workers: workers, MemoryBudget: budget}, countingVisit(&total)); err != nil {
+			t.Fatalf("%d workers: StreamCells: %v", workers, err)
 		}
 		if total != int64(g.NumEdges()) {
-			t.Fatalf("level P=%d: delivered %d edges, want %d", lv.P, total, g.NumEdges())
+			t.Fatalf("%d workers: delivered %d edges, want %d", workers, total, g.NumEdges())
 		}
 		p := idlePool(t, s)
-		if len(p.levels) != len(s.Levels()) {
-			t.Fatalf("pool holds %d partitions for %d levels", len(p.levels), len(s.Levels()))
+		want := core.StreamExecWorkers(gp, workers, budget)
+		if p.workers != want || !slices.Equal(p.bounds, partitionColumns(s.colEdges, want)) {
+			t.Fatalf("%d workers: pool of %d partitioned %v, want %d workers", workers, p.workers, p.bounds, want)
 		}
-		var pl *poolLevel
-		for i := range p.levels {
-			if p.levels[i].p == lv.P {
-				pl = &p.levels[i]
+		var largest int64
+		for gi := 0; gi < want; gi++ {
+			for row := 0; row < gp; row++ {
+				var n int64
+				for col := p.bounds[gi]; col < p.bounds[gi+1]; col++ {
+					n += s.CellEdges(row*gp + col)
+				}
+				largest = max(largest, n)
 			}
 		}
-		if pl == nil {
-			t.Fatalf("no pool partition for level P=%d", lv.P)
-		}
-		if want := core.StreamExecWorkers(lv.P, workers, budget); pl.workers != want {
-			t.Fatalf("level P=%d partitioned for %d workers, want %d", lv.P, pl.workers, want)
-		}
-		bounds := s.levelBounds(lv.Factor, pl.workers)
-		if !slices.Equal(pl.bounds, bounds) {
-			t.Fatalf("level P=%d bounds %v, want %v", lv.P, pl.bounds, bounds)
-		}
-		if _, maxRun := s.levelRuns(lv.Factor, bounds); pl.maxSeg != maxRun {
-			t.Fatalf("level P=%d largest read %d, want %d", lv.P, pl.maxSeg, maxRun)
-		}
-		if p.passWorkers != pl.workers || p.passLevel != lv.P {
-			t.Fatalf("pass at P=%d ran %d workers at P=%d, want %d at P=%d",
-				lv.P, p.passWorkers, p.passLevel, pl.workers, lv.P)
+		if int64(p.maxSeg) != largest {
+			t.Fatalf("%d workers: largest read %d, want %d", workers, p.maxSeg, largest)
 		}
 	}
 }
@@ -381,7 +372,7 @@ func (s *recordingStore) StreamCells(opt core.StreamOptions, visit func(worker i
 
 // TestStreamedAutoPassesGetConfiguredRecipe: every pass of an adaptive
 // streamed PageRank receives the configured prefetch depth and budget —
-// only the grid level is the planner's — and the result stays bit-identical
+// only the direction is the planner's — and the result stays bit-identical
 // to the fixed streamed (and hence the in-memory grid) run.
 func TestStreamedAutoPassesGetConfiguredRecipe(t *testing.T) {
 	g := testGraph(t, 12, false)

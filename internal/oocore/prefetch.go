@@ -39,10 +39,6 @@ const _ = uint(decodedEdgeBytes-core.StreamResidentEdgeBytes) +
 // (core.StreamExecWorkers) and the depth cap (core.StreamDepthCap) are
 // both derived from it, on both sides of the Source boundary.
 
-// The largest coalesced read any group will issue — and hence the prefetch
-// slot bound — is level-dependent, so it lives with the virtual-coarsening
-// walk: see (*Store).levelRuns in levels.go.
-
 // partitionColumns splits the P columns into `workers` contiguous groups of
 // roughly equal edge mass (power-law columns make equal-width grouping
 // badly skewed). Returns workers+1 monotone boundaries; groups may be
@@ -114,9 +110,9 @@ func (s *Store) StreamCells(opt core.StreamOptions, visit func(worker int, edges
 	defer s.returnPool(p)
 	p.beginPass(opt, visit)
 	if opt.Lease != nil {
-		opt.Lease.ParallelForWorker(0, p.passWorkers, 1, p.passWorkers, p.body)
+		opt.Lease.ParallelForWorker(0, p.workers, 1, p.workers, p.body)
 	} else {
-		sched.ParallelForWorker(0, p.passWorkers, 1, p.passWorkers, p.body)
+		sched.ParallelForWorker(0, p.workers, 1, p.workers, p.body)
 	}
 	p.visit = nil
 	if err := p.abort.take(); err != nil {

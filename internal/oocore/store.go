@@ -35,9 +35,6 @@ type Store struct {
 	degrees   []uint32 // per-vertex out-degrees over the stored edges
 	colEdges  []uint64 // per-column edge totals (for worker balancing)
 	dataOff   int64
-	// levels is the virtual coarsening ladder (finest first) streamed passes
-	// can run at without touching the file layout. See levels.go.
-	levels []StoreLevel
 
 	// edgeBytes is the bytes one edge takes in the data area: a 12-byte
 	// record, or a compressed store's two range offsets.
@@ -181,7 +178,6 @@ func NewStore(backend Backend, size int64) (*Store, error) {
 			s.colEdges[col] += s.cellIndex[idx+1] - s.cellIndex[idx]
 		}
 	}
-	s.levels = buildStoreLevels(h.P, h.RangeSize)
 	return s, nil
 }
 

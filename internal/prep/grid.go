@@ -28,7 +28,6 @@ func buildGridRadix(edges []graph.Edge, numVertices, requestedP int, mirror bool
 		CellIndex:   make([]uint64, numCells+1),
 	}
 	if n == 0 {
-		g.BuildPyramid()
 		return g
 	}
 
@@ -88,9 +87,6 @@ func buildGridRadix(edges []graph.Edge, numVertices, requestedP int, mirror bool
 			}
 		}
 	})
-	// The pyramid's level tables are part of pre-processing: building them
-	// here is what keeps per-iteration level switches allocation-free.
-	g.BuildPyramid()
 	return g
 }
 
@@ -133,7 +129,6 @@ func buildGridDynamic(edges []graph.Edge, numVertices, requestedP int, mirror bo
 		g.Edges = append(g.Edges, cells[cell]...)
 	}
 	g.CellIndex[numCells] = uint64(len(g.Edges))
-	g.BuildPyramid()
 	return g
 }
 

@@ -141,19 +141,12 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			if ev.arg[2] != 0 {
 				name = "fetch+decode"
 			}
-			args := map[string]any{
-				"edges": ev.arg[0],
-				"bytes": ev.arg[1],
-			}
-			if ev.arg[3] > 0 {
-				args["grid_level"] = ev.arg[3]
-			}
 			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
 				Name: name, Ph: "X",
 				Ts: micros(ev.start), Dur: micros(ev.dur),
 				Pid:  pid,
 				Tid:  int(ev.track),
-				Args: args,
+				Args: map[string]any{"edges": ev.arg[0], "bytes": ev.arg[1]},
 			})
 		case kindStall:
 			doc.TraceEvents = append(doc.TraceEvents, chromeEvent{

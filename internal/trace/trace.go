@@ -249,10 +249,8 @@ func (r *Recorder) Decision(iteration int, label int32, predictedNsPerEdge, meas
 // FetchSpan records one coalesced fetch of the out-of-core pipeline: a
 // segment read (plus in-pipeline decode for compressed stores) that started
 // at start and completed now, delivering edges decoded edge records from
-// bytes stored bytes. track identifies the fetcher (TrackFetcherBase+i);
-// level is the virtual grid level the pass streams at (0 when the caller
-// doesn't plan levels), so a trace shows which resolution paid for each read.
-func (r *Recorder) FetchSpan(track int32, start time.Time, edges, bytes int64, decode bool, level int) {
+// bytes stored bytes. track identifies the fetcher (TrackFetcherBase+i).
+func (r *Recorder) FetchSpan(track int32, start time.Time, edges, bytes int64, decode bool) {
 	if r == nil {
 		return
 	}
@@ -269,7 +267,7 @@ func (r *Recorder) FetchSpan(track int32, start time.Time, edges, bytes int64, d
 		track: track,
 		start: start.Sub(r.epoch).Nanoseconds(),
 		dur:   dur,
-		arg:   [5]int64{edges, bytes, dec, int64(level), 0},
+		arg:   [5]int64{edges, bytes, dec, 0, 0},
 	})
 }
 

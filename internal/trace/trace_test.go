@@ -18,7 +18,7 @@ func TestNilRecorderIsSafe(t *testing.T) {
 	}
 	r.IterationSpan(time.Now(), time.Millisecond, 0, 0, 1, 0, 0)
 	r.Decision(0, 0, 1, 2, true, false)
-	r.FetchSpan(TrackFetcherBase, time.Now(), 10, 80, false, 0)
+	r.FetchSpan(TrackFetcherBase, time.Now(), 10, 80, false)
 	r.Stall(TrackWorkerBase, time.Now(), time.Microsecond)
 	r.AddCounter("x", 1)
 	if r.Len() != 0 || r.Dropped() != 0 {
@@ -91,10 +91,10 @@ func TestRingWrapDropsOldest(t *testing.T) {
 
 func TestSnapshotCountersAndHistograms(t *testing.T) {
 	r := NewRecorder(64)
-	id := r.Intern("grid/4/push/no-lock")
+	id := r.Intern("grid/push/no-lock")
 	start := r.epoch
 	r.IterationSpan(start, 2*time.Millisecond, 0, id, 100, time.Millisecond, 500*time.Microsecond)
-	r.FetchSpan(TrackFetcherBase, time.Now(), 1000, 8000, true, 64)
+	r.FetchSpan(TrackFetcherBase, time.Now(), 1000, 8000, true)
 	r.AddCounter("sched.parks", 3)
 	r.AddCounter("sched.parks", 2)
 	snap := r.Snapshot()
@@ -152,7 +152,7 @@ func TestChromeExport(t *testing.T) {
 	r.Decision(0, id, 2.0, 0, true, true)
 	r.Decision(0, other, 3.0, 0, false, false)
 	r.IterationSpan(start, 2*time.Millisecond, 0, id, 50, 0, 0)
-	r.FetchSpan(TrackFetcherBase+1, time.Now(), 64, 512, true, 0)
+	r.FetchSpan(TrackFetcherBase+1, time.Now(), 64, 512, true)
 	r.Stall(TrackWorkerBase, time.Now(), 20*time.Microsecond)
 
 	var buf bytes.Buffer
@@ -244,6 +244,6 @@ func BenchmarkFetchSpanEnabled(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.FetchSpan(TrackFetcherBase, start, 4096, 32768, true, 16)
+		r.FetchSpan(TrackFetcherBase, start, 4096, 32768, true)
 	}
 }
