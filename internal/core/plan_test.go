@@ -211,9 +211,11 @@ func TestAdaptivePlannerFreezesDensePlans(t *testing.T) {
 // every layout built, runs each iteration at the configured layout and sync
 // in the configured direction — edge arrays always push, and PushPull goes
 // wherever the |E|/alpha threshold sends the iteration's recorded frontier
-// (active out-edges, or active vertices on the grid).
+// (active out-edges, or active vertices on the grid). Grid configurations
+// also run, under the same rule, on grids built at every coarser P.
 func TestStaticConfigsPlanConfiguredTechniques(t *testing.T) {
 	g := rmatTestGraph(t)
+	coarse := coarserGridGraphs(t, g)
 	n, m := int64(g.NumVertices()), residentScanEdges(g)
 	for _, base := range admittedConfigs() {
 		if base.Flow == Auto {
@@ -223,41 +225,51 @@ func TestStaticConfigsPlanConfiguredTechniques(t *testing.T) {
 		if base.Flow == PushPull {
 			alphas = []int{1, 20, 1000}
 		}
+		graphs := []*graph.Graph{g}
+		if base.Layout == graph.LayoutGrid {
+			graphs = append(graphs, coarse...)
+		}
 		for _, alpha := range alphas {
-			for _, mk := range []func() Algorithm{
-				func() Algorithm { return algorithms.NewBFS(0) },
-				func() Algorithm { return algorithms.NewPageRank() },
-			} {
-				alg := mk()
-				cfg := base
-				cfg.PushPullAlpha = alpha
-				t.Run(fmt.Sprintf("%v-%v-%v/alpha%d/%s", cfg.Layout, cfg.Flow, cfg.Sync, alpha, alg.Name()), func(t *testing.T) {
-					res, err := Run(g, alg, cfg)
-					if err != nil {
-						t.Fatalf("%v/%v/%v alpha %d: %v", cfg.Layout, cfg.Flow, cfg.Sync, alpha, err)
+			for _, rg := range graphs {
+				for _, mk := range []func() Algorithm{
+					func() Algorithm { return algorithms.NewBFS(0) },
+					func() Algorithm { return algorithms.NewPageRank() },
+				} {
+					alg := mk()
+					cfg := base
+					cfg.PushPullAlpha = alpha
+					layout := cfg.Layout.String()
+					if rg != g {
+						layout = fmt.Sprintf("%s%d", layout, rg.Grid.P)
 					}
-					a := int64(resolveAlpha(cfg))
-					want := StepPlan{Layout: cfg.Layout, Flow: cfg.Flow, Sync: cfg.Sync, Tracked: !alg.Dense()}
-					for i, it := range res.PerIteration {
-						switch {
-						case cfg.Layout == graph.LayoutEdgeArray:
-							want.Flow = Push
-						case cfg.Flow == PushPull:
-							over := it.ActiveEdges > m/a
-							if cfg.Layout == graph.LayoutGrid {
-								over = int64(it.ActiveVertices) > n/a
+					t.Run(fmt.Sprintf("%s-%v-%v/alpha%d/%s", layout, cfg.Flow, cfg.Sync, alpha, alg.Name()), func(t *testing.T) {
+						res, err := Run(rg, alg, cfg)
+						if err != nil {
+							t.Fatalf("%v/%v/%v alpha %d: %v", cfg.Layout, cfg.Flow, cfg.Sync, alpha, err)
+						}
+						a := int64(resolveAlpha(cfg))
+						want := StepPlan{Layout: cfg.Layout, Flow: cfg.Flow, Sync: cfg.Sync, Tracked: !alg.Dense()}
+						for i, it := range res.PerIteration {
+							switch {
+							case cfg.Layout == graph.LayoutEdgeArray:
+								want.Flow = Push
+							case cfg.Flow == PushPull:
+								over := it.ActiveEdges > m/a
+								if cfg.Layout == graph.LayoutGrid {
+									over = int64(it.ActiveVertices) > n/a
+								}
+								want.Flow = Push
+								if over {
+									want.Flow = Pull
+								}
 							}
-							want.Flow = Push
-							if over {
-								want.Flow = Pull
+							if it.Plan != want {
+								t.Fatalf("%s %v/%v/%v alpha %d iteration %d (%d vertices, %d edges): plan %v, want %v",
+									alg.Name(), cfg.Layout, cfg.Flow, cfg.Sync, alpha, i, it.ActiveVertices, it.ActiveEdges, it.Plan, want)
 							}
 						}
-						if it.Plan != want {
-							t.Fatalf("%s %v/%v/%v alpha %d iteration %d (%d vertices, %d edges): plan %v, want %v",
-								alg.Name(), cfg.Layout, cfg.Flow, cfg.Sync, alpha, i, it.ActiveVertices, it.ActiveEdges, it.Plan, want)
-						}
-					}
-				})
+					})
+				}
 			}
 		}
 	}

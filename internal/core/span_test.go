@@ -187,6 +187,26 @@ func spanGraphs(t *testing.T) []spanGraph {
 	return out
 }
 
+// coarserGridGraphs returns copies of g whose grids are rebuilt at every
+// coarser dimension, halving P (rounding up) down to 1x1. The copies share
+// g's edge array and adjacencies.
+func coarserGridGraphs(t *testing.T, g *graph.Graph) []*graph.Graph {
+	t.Helper()
+	var out []*graph.Graph
+	for p := g.Grid.P; p > 1; {
+		p = (p + 1) / 2
+		cg := *g
+		if err := prep.BuildGrid(&cg, p, prep.Options{Undirected: !g.Directed}); err != nil {
+			t.Fatalf("BuildGrid at P=%d: %v", p, err)
+		}
+		if cg.Grid.P != p {
+			t.Fatalf("BuildGrid at P=%d built P=%d", p, cg.Grid.P)
+		}
+		out = append(out, &cg)
+	}
+	return out
+}
+
 // admittedConfigs enumerates every static {layout, flow, sync} combination
 // ValidateTechniques admits, plus the adaptive flow.
 func admittedConfigs() []Config {
@@ -287,7 +307,8 @@ func matchOracle(t *testing.T, got, want []uint64, integral bool) {
 
 // TestKernelsMatchSerialOracles is the differential table of the span
 // contract: for each shipped algorithm with a serial oracle, on each input,
-// every admitted configuration at 1 and 4 workers — push iterations on the
+// every admitted configuration at 1 and 4 workers — static grid ones also
+// on grids built at every coarser P, push iterations on the
 // caller and on the gang, in memory and streamed, Auto over a graph whose
 // only layouts are the grid and the edge array, plus one leased run per
 // layout — must leave the
@@ -299,6 +320,7 @@ func TestKernelsMatchSerialOracles(t *testing.T) {
 	for _, sg := range spanGraphs(t) {
 		src := &gridSource{grid: sg.g.Grid, undirected: !sg.g.Directed}
 		gridOnly := &graph.Graph{EdgeArray: sg.g.EdgeArray, Grid: sg.g.Grid, Directed: sg.g.Directed}
+		coarse := coarserGridGraphs(t, sg.g)
 		for _, a := range spanAlgos {
 			want := a.oracle(sg.g)
 			check := func(t *testing.T, run func(Algorithm) error) []uint64 {
@@ -339,6 +361,17 @@ func TestKernelsMatchSerialOracles(t *testing.T) {
 						atCallerPushExtremes(t, fmt.Sprintf("%s/%s/w%d/%s", sg.name, a.name, workers, name), func(t *testing.T) {
 							check(t, run)
 						})
+					}
+					if cfg.Layout == graph.LayoutGrid && cfg.Flow != Auto {
+						// A grid runs at the P it was built with; grids built
+						// at every coarser P hand the kernels wider cells,
+						// down to one cell holding every edge.
+						for _, cg := range coarse {
+							row(fmt.Sprintf("%v%d-%v-%v", cfg.Layout, cg.Grid.P, cfg.Flow, cfg.Sync), workers, ownedOrder(cfg), func(alg Algorithm) error {
+								_, err := Run(cg, alg, cfg)
+								return err
+							})
+						}
 					}
 					if cfg.Flow == Auto || (cfg.Layout == graph.LayoutGrid && cfg.Sync == SyncPartitionFree) {
 						// Streamed cells are owned whatever the flow.
