@@ -37,11 +37,12 @@ loc:
 # and 2 workers (us/iter, gang loops per iteration — 0 once every iteration
 # runs on the caller — and parks and joins per gang loop) with the frontier
 # builder's Add underneath it (ns/add) and the pull step's SetWord
-# (ns/word), plus the out-of-core streamed PageRank; then what comes before
-# the first iteration: the generators (RMAT-16 in ns/edge, a 512x512 road
-# lattice), the binary loader (MB/s) and the adjacency builders (ns/edge).
+# (ns/word), plus the out-of-core streamed PageRank and store build (RMAT-14
+# streamed and RMAT-18, in ns/edge); then what comes before the first
+# iteration: the generators (RMAT-16 in ns/edge, a 512x512 road lattice),
+# the binary loader (MB/s) and the adjacency builders (ns/edge).
 bench:
-	$(GO) test -run '^$$' -bench 'BFS|WCC|Batch|PageRank|Span|SSSP|FrontierBuilder' -benchmem ./internal/core/ ./internal/graph/ ./internal/oocore/
+	$(GO) test -run '^$$' -bench 'BFS|WCC|Batch|PageRank|Span|SSSP|FrontierBuilder|BuildStore' -benchmem ./internal/core/ ./internal/graph/ ./internal/oocore/
 	$(GO) test -run '^$$' -bench 'RMAT|Road512' -benchmem ./internal/gen/
 	$(GO) test -run '^$$' -bench 'ReadBinary|WriteBinary|BuildAdjacency' -benchmem ./internal/storage/ ./internal/prep/
 

@@ -6,8 +6,11 @@
 //   - an on-disk partitioned format: a checksummed header, the cell index,
 //     a per-vertex out-degree table (the vertex metadata an out-of-core run
 //     keeps resident), and the per-cell edge segments in row-major order;
-//   - a bounded-memory two-pass builder that partitions an edge stream into
-//     the format without ever materializing the full edge slice;
+//   - a bounded-memory builder that partitions an edge stream into the
+//     format without ever materializing the full edge slice: a histogram
+//     pass, then a two-digit radix partition — a pass that stages each edge
+//     in its row (source range) through one buffer per row, and a stable
+//     counting sort of each staged row by column into its final bytes;
 //   - a streaming executor (see prefetch.go) that feeds grid cells to the
 //     engine's partition-free column scheduling while asynchronously
 //     prefetching the next segments, so I/O overlaps compute exactly as the
@@ -207,7 +210,7 @@ func decodeHeader(buf []byte) (Header, uint32, error) {
 
 // Stream is a restartable edge stream: invoking it runs one full pass over
 // the dataset, delivering bounded chunks to yield in a fixed order. The
-// builder runs the stream twice (histogram pass, scatter pass), so the
+// builder runs the stream twice (histogram pass, row pass), so the
 // stream must produce the same edges on every invocation — true for files
 // and for deterministic generators. The chunk slice is only valid during
 // the yield call.
@@ -233,7 +236,8 @@ func SliceStream(edges []graph.Edge, chunk int) Stream {
 	}
 }
 
-// BuildOptions configures BuildStore.
+// BuildOptions configures BuildStore. The builder's edge buffers are not an
+// option: they take buildBudget bytes, or less when the graph needs less.
 type BuildOptions struct {
 	// NumVertices is the vertex count (required; streams cannot be re-run a
 	// third time just to discover it).
@@ -248,27 +252,40 @@ type BuildOptions struct {
 	// range offsets with per-cell CRCs, and weights (when any edge carries
 	// one) split into a parallel plane.
 	Compressed bool
-	// ScatterBudget bounds the write-buffer memory of the scatter pass in
-	// bytes (0 = 32 MiB). Each cell owns a small append buffer flushed with
-	// positioned writes, so building never holds the edge set in memory.
-	ScatterBudget int64
 }
 
-// defaultScatterBudget is the scatter-pass write-buffer budget (32 MiB).
-const defaultScatterBudget = 32 << 20
+// buildBudget bounds the builder's edge buffers in bytes (32 MiB): one
+// allocation that holds the per-row buffers of the row pass, then the
+// read-back chunk and the window arena of the row sorts.
+const buildBudget = 32 << 20
 
-// BuildStore partitions the edge stream into a grid store at path. It runs
-// the stream twice: the first pass histograms edges per cell and accumulates
-// out-degrees, the second scatters each edge to its cell's file segment
-// through bounded per-cell buffers. Peak memory is O(P*P + V) plus the
-// scatter budget, independent of the edge count.
+// BuildStore partitions the edge stream into a grid store at path, as a
+// two-digit radix partition: rows (source ranges) first, then columns. It
+// runs the stream twice. The first pass histograms edges per cell and
+// accumulates out-degrees. The second appends each edge, as a 12-byte
+// record, to its row's buffer — P buffers of buildBudget/P bytes — and
+// writes full buffers to a staging area past the store's end, at the row's
+// offset. Each staged row is then counting-sorted by column, stably, into
+// its final bytes and written once (twice for a version-3 weight plane);
+// a row larger than the budget is sorted in windows of its final region.
+// The staging area — 12 bytes per edge, on disk while the build runs — is
+// truncated away before the file is synced. Peak memory is O(P*P + V)
+// plus the budget, independent of the edge count. A failed build removes
+// the file.
 func BuildStore(path string, opt BuildOptions, stream Stream) (Header, error) {
-	var h Header
+	return buildStore(path, opt, stream, buildBudget)
+}
+
+// buildStore is BuildStore with the edge-buffer budget in bytes.
+func buildStore(path string, opt BuildOptions, stream Stream, budget int64) (h Header, err error) {
 	if err := storage.HostOrder(); err != nil {
 		return h, err
 	}
 	if opt.NumVertices <= 0 {
 		return h, fmt.Errorf("oocore: BuildStore requires a positive NumVertices")
+	}
+	if uint64(opt.NumVertices) > 1<<32 {
+		return h, fmt.Errorf("oocore: %d vertices exceed the 32-bit id space", opt.NumVertices)
 	}
 	p := graph.GridPFor(opt.NumVertices, opt.GridP)
 	rangeSize := (opt.NumVertices + p - 1) / p
@@ -276,34 +293,31 @@ func BuildStore(path string, opt BuildOptions, stream Stream) (Header, error) {
 		rangeSize = 1
 	}
 	numCells := p * p
-	n := graph.VertexID(opt.NumVertices)
+	// Range sizes fit 32 bits, where division is cheaper.
+	rs := uint32(rangeSize)
 
-	cellOf := func(e graph.Edge) (int, error) {
-		if e.Src >= n || e.Dst >= n {
-			return 0, fmt.Errorf("oocore: edge %d->%d out of range (numVertices=%d)", e.Src, e.Dst, opt.NumVertices)
-		}
-		return (int(e.Src)/rangeSize)*p + int(e.Dst)/rangeSize, nil
-	}
-
-	// Pass 1: per-cell histogram, out-degree accumulation, and whether any
-	// edge carries a weight (a compressed store then gets a weight plane).
-	counts := make([]uint64, numCells)
+	// Pass 1: per-cell histogram (counted into cellIndex[cell+1]),
+	// out-degree accumulation, and whether any edge carries a weight (a
+	// compressed store then gets a weight plane).
+	cellIndex := make([]uint64, numCells+1)
 	degrees := make([]uint32, opt.NumVertices)
 	var numEdges int64
 	weighted := false
-	err := forEachEdge(stream, opt.Undirected, func(e graph.Edge) error {
-		cell, err := cellOf(e)
-		if err != nil {
-			return err
+	err = forEachBatch(stream, opt.Undirected, opt.NumVertices, func(edges []graph.Edge) error {
+		for _, e := range edges {
+			cellIndex[int(e.Src/rs)*p+int(e.Dst/rs)+1]++
+			degrees[e.Src]++
+			weighted = weighted || e.W != 0
 		}
-		counts[cell]++
-		degrees[e.Src]++
-		numEdges++
-		weighted = weighted || e.W != 0
+		numEdges += int64(len(edges))
 		return nil
 	})
 	if err != nil {
 		return h, err
+	}
+	// Cell index: prefix sum over the histogram.
+	for c := 0; c < numCells; c++ {
+		cellIndex[c+1] += cellIndex[c]
 	}
 
 	h = Header{
@@ -319,28 +333,30 @@ func BuildStore(path string, opt BuildOptions, stream Stream) (Header, error) {
 		h.Weighted = weighted
 	}
 
-	// Cell index: exclusive prefix sum over the histogram.
-	cellIndex := make([]uint64, numCells+1)
-	var running uint64
-	for c := 0; c < numCells; c++ {
-		cellIndex[c] = running
-		running += counts[c]
-	}
-	cellIndex[numCells] = running
-
 	f, err := os.Create(path)
 	if err != nil {
 		return h, fmt.Errorf("oocore: create store: %w", err)
 	}
-	defer f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(path)
+		}
+	}()
 
-	// Pass 2 scatters the edge data first, so the metadata written after it
-	// can carry the per-cell payload CRCs the scatter summed.
-	cellCRC, err := scatter(f, h, cellIndex, opt, stream, cellOf)
+	b := newPartition(f, h, cellIndex, budget)
+	if err := b.stageRows(stream, opt.Undirected); err != nil {
+		return h, err
+	}
+	// The sorts sum the per-cell payload CRCs the metadata carries.
+	cellCRC, err := b.sortRows()
 	if err != nil {
 		return h, err
 	}
-	if err := writeHeaderAndMeta(f, h, cellIndex, degrees, cellCRC); err != nil {
+	if err := f.Truncate(b.stageOff); err != nil {
+		return h, fmt.Errorf("oocore: truncate staging area: %w", err)
+	}
+	if err := writeHeaderAndMeta(f, h, cellIndex, degrees, cellCRC, b.mem); err != nil {
 		return h, err
 	}
 	if err := f.Sync(); err != nil {
@@ -349,29 +365,39 @@ func BuildStore(path string, opt BuildOptions, stream Stream) (Header, error) {
 	return h, f.Close()
 }
 
-// forEachEdge runs one pass of the stream, calling fn for every edge and,
-// with mirror set, for the reverse of every non-self-loop edge after it.
-func forEachEdge(stream Stream, mirror bool, fn func(graph.Edge) error) error {
+// forEachBatch runs one pass of the stream, checking that every edge's
+// endpoints lie below numVertices and calling fn with each chunk — with
+// mirror set, with a copy that follows every non-self-loop edge with its
+// reverse.
+func forEachBatch(stream Stream, mirror bool, numVertices int, fn func([]graph.Edge) error) error {
+	n := uint64(numVertices)
+	var mirrored []graph.Edge
 	return stream(func(chunk []graph.Edge) error {
 		for _, e := range chunk {
-			if err := fn(e); err != nil {
-				return err
-			}
-			if mirror && e.Src != e.Dst {
-				if err := fn(graph.Edge{Src: e.Dst, Dst: e.Src, W: e.W}); err != nil {
-					return err
-				}
+			if uint64(e.Src) >= n || uint64(e.Dst) >= n {
+				return fmt.Errorf("oocore: edge %d->%d out of range (numVertices=%d)", e.Src, e.Dst, numVertices)
 			}
 		}
-		return nil
+		if mirror {
+			mirrored = mirrored[:0]
+			for _, e := range chunk {
+				mirrored = append(mirrored, e)
+				if e.Src != e.Dst {
+					mirrored = append(mirrored, graph.Edge{Src: e.Dst, Dst: e.Src, W: e.W})
+				}
+			}
+			chunk = mirrored
+		}
+		return fn(chunk)
 	})
 }
 
 // writeHeaderAndMeta writes the checksummed header followed by the metadata
 // block (cell index, degrees; plus the per-cell payload CRCs for version 3,
-// where cellCRC must be non-nil).
-func writeHeaderAndMeta(w io.WriteSeeker, h Header, cellIndex []uint64, degrees []uint32, cellCRC []uint32) error {
-	meta := make([]byte, 0, h.metaSize())
+// where cellCRC must be non-nil), encoding the metadata into scratch's
+// memory when it fits.
+func writeHeaderAndMeta(w io.WriteSeeker, h Header, cellIndex []uint64, degrees []uint32, cellCRC []uint32, scratch []byte) error {
+	meta := scratch[:0]
 	for _, v := range cellIndex {
 		meta = binary.LittleEndian.AppendUint64(meta, v)
 	}
@@ -398,128 +424,206 @@ func writeHeaderAndMeta(w io.WriteSeeker, h Header, cellIndex []uint64, degrees 
 	return nil
 }
 
-// plane is one per-edge array of a store's data area during the scatter
-// pass — the edge records or payload, or the weight plane — with each
-// cell's next edge slot and its bounded append buffer.
-type plane struct {
-	off    int64 // file offset of the plane
-	width  int   // bytes per edge
-	size   int   // buffer capacity in bytes, a whole number of edges
-	cursor []uint64
-	bufs   [][]byte
-	// crcs, when non-nil, accumulates each cell's checksum as its bytes are
-	// flushed — in stream order, which is the cell's on-disk order.
-	crcs []uint32
+// partition is the state the builder's two radix digits share: the store
+// being written, its cell index from the histogram pass, and the staging
+// area of 12-byte records (src, dst, weight bits) past the store's end,
+// laid out like the store's data area — row-major, each edge at its
+// store slot — so a row's records are contiguous.
+type partition struct {
+	f         *os.File
+	h         Header
+	cellIndex []uint64
+	stageOff  int64 // file offset of the staging area: the store's end
+	// rowBytes is the size of a row's buffer in the row pass: budget/P in
+	// whole records, at least one. The sorts read staged records back in
+	// chunks of as much, or of the heaviest row if it is smaller.
+	rowBytes, chunkBytes int
+	// perEdge is the bytes an edge takes in the store: its record or
+	// payload, plus a version-3 weight.
+	perEdge uint64
+	// mem holds the edge buffers, reused by both digits: the row pass's
+	// buffers, then the sorts' chunk and their window of win edges.
+	mem []byte
+	win uint64
 }
 
-func newPlane(off int64, width, bufEdges int, cellIndex []uint64) *plane {
-	numCells := len(cellIndex) - 1
-	pl := &plane{off: off, width: width, size: bufEdges * width,
-		cursor: make([]uint64, numCells), bufs: make([][]byte, numCells)}
-	copy(pl.cursor, cellIndex[:numCells])
-	return pl
-}
-
-// buf returns the cell's buffer, allocating it on first use; it always has
-// room for one more edge.
-func (pl *plane) buf(cell int) []byte {
-	if pl.bufs[cell] == nil {
-		pl.bufs[cell] = make([]byte, 0, pl.size)
+// newPartition sizes the edge buffers for a budget. They are as large as
+// the row pass's buffers — rowBytes, or the row's records if fewer, per
+// row — or as a chunk plus a window that holds the heaviest row, whichever
+// is more; the window is capped so the chunk and the window fit the
+// budget, but always holds an edge.
+func newPartition(f *os.File, h Header, cellIndex []uint64, budget int64) *partition {
+	const rec = storage.EdgeBytes
+	b := &partition{f: f, h: h, cellIndex: cellIndex, rowBytes: max(int(budget)/h.P/rec, 1) * rec,
+		perEdge: uint64(h.edgeBytes())}
+	if h.Weighted {
+		b.perEdge += 4
 	}
-	return pl.bufs[cell]
-}
-
-// put stores the cell's extended buffer, flushing it once full.
-func (pl *plane) put(f *os.File, cell int, b []byte) error {
-	pl.bufs[cell] = b
-	if len(b) == pl.size {
-		return pl.flush(f, cell)
+	b.stageOff = h.dataOffset() + h.NumEdges*int64(b.perEdge)
+	var staged, heaviest uint64
+	for r := 0; r < h.P; r++ {
+		edges := cellIndex[(r+1)*h.P] - cellIndex[r*h.P]
+		staged += min(uint64(b.rowBytes), edges*rec)
+		heaviest = max(heaviest, edges)
 	}
-	return nil
+	b.chunkBytes = int(max(min(uint64(b.rowBytes), heaviest*rec), rec))
+	win := max(min(heaviest, uint64(max(budget-int64(b.chunkBytes), 0))/b.perEdge), 1)
+	b.mem = make([]byte, max(staged, uint64(b.chunkBytes)+win*b.perEdge))
+	b.win = uint64(len(b.mem)-b.chunkBytes) / b.perEdge
+	return b
 }
 
-// flush writes the cell's buffered edges at its cursor.
-func (pl *plane) flush(f *os.File, cell int) error {
-	b := pl.bufs[cell]
-	if len(b) == 0 {
+// notRestartable reports a second stream pass that put a different number
+// of edges into a row or a cell than the histogram pass counted.
+func notRestartable(what string, i int, want uint64) error {
+	return fmt.Errorf("oocore: partition pass found a different edge count in %s %d than the %d the histogram pass counted (stream not restartable?)",
+		what, i, want)
+}
+
+// stageRows runs the second stream pass, the first digit: every edge is
+// appended as a record to its row's buffer, in stream order, and a full
+// buffer is written to the staging area at the row's next slot. Only P
+// buffers fill at once, so the writes are large and few.
+func (b *partition) stageRows(stream Stream, mirror bool) error {
+	const rec = storage.EdgeBytes
+	p, rs := b.h.P, uint32(b.h.RangeSize)
+	type row struct {
+		buf        []byte
+		next, fill uint64 // slots of buf's first record and of the next edge
+		end        uint64 // the slot past the row's last edge
+	}
+	rows := make([]row, p)
+	off := 0
+	for r := range rows {
+		lo, hi := b.cellIndex[r*p], b.cellIndex[(r+1)*p]
+		size := int(min(uint64(b.rowBytes), (hi-lo)*rec))
+		rows[r] = row{buf: b.mem[off : off : off+size], next: lo, fill: lo, end: hi}
+		off += size
+	}
+	flush := func(rw *row) error {
+		if _, err := b.f.WriteAt(rw.buf, b.stageOff+int64(rw.next)*rec); err != nil {
+			return fmt.Errorf("oocore: staging write: %w", err)
+		}
+		rw.next, rw.buf = rw.fill, rw.buf[:0]
 		return nil
 	}
-	if _, err := f.WriteAt(b, pl.off+int64(pl.cursor[cell])*int64(pl.width)); err != nil {
-		return fmt.Errorf("oocore: scatter write: %w", err)
-	}
-	if pl.crcs != nil {
-		pl.crcs[cell] = crc32.Update(pl.crcs[cell], crc32.IEEETable, b)
-	}
-	pl.cursor[cell] += uint64(len(b) / pl.width)
-	pl.bufs[cell] = b[:0]
-	return nil
-}
-
-// scatter runs the second build pass: every edge is appended to its cell's
-// bounded buffer — as a 12-byte record (version 1), or as fixed-width range
-// offsets plus, when weighted, a weight in the parallel plane (version 3) —
-// and full buffers are flushed to the cell's cursor with WriteAt. It returns
-// the per-cell payload CRCs of a version-3 store (nil for version 1).
-func scatter(f *os.File, h Header, cellIndex []uint64, opt BuildOptions, stream Stream, cellOf func(graph.Edge) (int, error)) ([]uint32, error) {
-	numCells := h.P * h.P
-	compressed := h.Version == FormatVersionCompressed
-	budget := opt.ScatterBudget
-	if budget <= 0 {
-		budget = defaultScatterBudget
-	}
-	perEdge := h.edgeBytes()
-	if h.Weighted {
-		perEdge += 4
-	}
-	bufEdges := max(int(budget/int64(numCells)/int64(perEdge)), 4)
-	edges := newPlane(h.dataOffset(), h.edgeBytes(), bufEdges, cellIndex)
-	planes := []*plane{edges}
-	var weights *plane
-	if compressed {
-		edges.crcs = make([]uint32, numCells)
-	}
-	if h.Weighted {
-		weights = newPlane(h.weightOffset(), 4, bufEdges, cellIndex)
-		planes = append(planes, weights)
-	}
-	w := graph.CellOffsetWidth(h.RangeSize)
-
-	err := forEachEdge(stream, opt.Undirected, func(e graph.Edge) error {
-		cell, err := cellOf(e)
-		if err != nil {
-			return err
-		}
-		b := edges.buf(cell)
-		if compressed {
-			b = graph.AppendCellEdge(b, uint32(int(e.Src)%h.RangeSize), uint32(int(e.Dst)%h.RangeSize), w)
-		} else {
-			b = binary.LittleEndian.AppendUint32(b, e.Src)
-			b = binary.LittleEndian.AppendUint32(b, e.Dst)
-			b = binary.LittleEndian.AppendUint32(b, weightBits(e.W))
-		}
-		if err := edges.put(f, cell, b); err != nil {
-			return err
-		}
-		if weights != nil {
-			return weights.put(f, cell, binary.LittleEndian.AppendUint32(weights.buf(cell), weightBits(e.W)))
+	err := forEachBatch(stream, mirror, b.h.NumVertices, func(edges []graph.Edge) error {
+		for _, e := range edges {
+			r := int(e.Src / rs)
+			rw := &rows[r]
+			if rw.fill == rw.end {
+				return notRestartable("row", r, rw.end-b.cellIndex[r*p])
+			}
+			k := len(rw.buf)
+			rw.buf = rw.buf[:k+rec]
+			binary.LittleEndian.PutUint32(rw.buf[k:], e.Src)
+			binary.LittleEndian.PutUint32(rw.buf[k+4:], e.Dst)
+			binary.LittleEndian.PutUint32(rw.buf[k+8:], weightBits(e.W))
+			rw.fill++
+			if len(rw.buf) == cap(rw.buf) {
+				if err := flush(rw); err != nil {
+					return err
+				}
+			}
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	for _, pl := range planes {
-		for cell := 0; cell < numCells; cell++ {
-			if err := pl.flush(f, cell); err != nil {
-				return nil, err
+	for r := range rows {
+		rw := &rows[r]
+		if err := flush(rw); err != nil {
+			return err
+		}
+		if rw.fill != rw.end {
+			return notRestartable("row", r, rw.end-b.cellIndex[r*p])
+		}
+	}
+	return nil
+}
+
+// sortRows runs the second digit: each staged row is read back in chunks
+// and counting-sorted by column — stably, so a cell keeps its edges in
+// stream order — into an arena covering the row's final bytes: records
+// (version 1), or range offsets plus the weight plane (version 3). The
+// arena is then written once per plane. A row larger than the arena is
+// filled in windows, each re-reading the staged row and keeping the
+// records whose slot falls inside it. It returns the per-cell payload CRCs
+// of a version-3 store (nil for version 1).
+func (b *partition) sortRows() ([]uint32, error) {
+	const rec = storage.EdgeBytes
+	h := b.h
+	p, rs := h.P, uint32(h.RangeSize)
+	compressed := h.Version == FormatVersionCompressed
+	eb := uint64(h.edgeBytes())
+	var crcs []uint32
+	if compressed {
+		crcs = make([]uint32, p*p)
+	}
+	if h.NumEdges == 0 {
+		return crcs, nil
+	}
+	chunk, win := b.mem[:b.chunkBytes], b.win
+	payload := b.mem[len(chunk) : len(chunk)+int(win*eb)]
+	weights := b.mem[len(chunk)+len(payload) : len(chunk)+int(win*b.perEdge)]
+	w := graph.CellOffsetWidth(h.RangeSize)
+	cursor := make([]uint64, p)
+	for r := 0; r < p; r++ {
+		cells := b.cellIndex[r*p : (r+1)*p+1]
+		lo, hi := cells[0], cells[p]
+		rowLo := uint32(r) * rs
+		for wlo := lo; wlo < hi; wlo += win {
+			whi := min(wlo+win, hi)
+			copy(cursor, cells[:p])
+			for at := lo; at < hi; {
+				buf := chunk[:min(hi-at, uint64(len(chunk)/rec))*rec]
+				if _, err := b.f.ReadAt(buf, b.stageOff+int64(at)*rec); err != nil {
+					return nil, fmt.Errorf("oocore: staging read: %w", err)
+				}
+				at += uint64(len(buf) / rec)
+				for i := 0; i < len(buf); i += rec {
+					dst := binary.LittleEndian.Uint32(buf[i+4:])
+					col := int(dst / rs)
+					slot := cursor[col]
+					if slot == cells[col+1] {
+						return nil, notRestartable("cell", r*p+col, slot-cells[col])
+					}
+					cursor[col]++
+					if slot < wlo || slot >= whi {
+						continue
+					}
+					k := slot - wlo
+					if !compressed {
+						*(*[rec]byte)(payload[k*rec:]) = [rec]byte(buf[i : i+rec])
+						continue
+					}
+					src := binary.LittleEndian.Uint32(buf[i:])
+					graph.AppendCellEdge(payload[k*eb:k*eb], src-rowLo, dst-uint32(col)*rs, w)
+					if h.Weighted {
+						*(*[4]byte)(weights[k*4:]) = [4]byte(buf[i+8 : i+rec])
+					}
+				}
 			}
-			if pl.cursor[cell] != cellIndex[cell+1] {
-				return nil, fmt.Errorf("oocore: scatter pass wrote %d edges into cell %d, histogram pass counted %d (stream not restartable?)",
-					pl.cursor[cell]-cellIndex[cell], cell, cellIndex[cell+1]-cellIndex[cell])
+			if compressed {
+				for col := 0; col < p; col++ {
+					if a, z := max(cells[col], wlo), min(cells[col+1], whi); a < z {
+						crcs[r*p+col] = crc32.Update(crcs[r*p+col], crc32.IEEETable, payload[(a-wlo)*eb:(z-wlo)*eb])
+					}
+				}
+			}
+			n := whi - wlo
+			if _, err := b.f.WriteAt(payload[:n*eb], h.dataOffset()+int64(wlo*eb)); err != nil {
+				return nil, fmt.Errorf("oocore: row write: %w", err)
+			}
+			if h.Weighted {
+				if _, err := b.f.WriteAt(weights[:n*4], h.weightOffset()+int64(wlo)*4); err != nil {
+					return nil, fmt.Errorf("oocore: row write: %w", err)
+				}
 			}
 		}
 	}
-	return edges.crcs, nil
+	return crcs, nil
 }
 
 // BuildStoreFromGraph writes a store for an in-memory graph's edge array, a

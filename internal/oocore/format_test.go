@@ -285,6 +285,11 @@ func TestBuildStoreRequiresNumVertices(t *testing.T) {
 	if _, err := BuildStore(filepath.Join(t.TempDir(), "bad.egs"), BuildOptions{}, SliceStream(nil, 0)); err == nil {
 		t.Fatal("missing NumVertices was not rejected")
 	}
+	if math.MaxInt > 1<<32 {
+		if _, err := BuildStore(filepath.Join(t.TempDir(), "bad.egs"), BuildOptions{NumVertices: math.MaxInt}, SliceStream(nil, 0)); err == nil {
+			t.Fatal("a vertex count past the 32-bit id space was not rejected")
+		}
+	}
 }
 
 func TestSliceStreamChunks(t *testing.T) {
