@@ -356,7 +356,7 @@ func buildStore(path string, opt BuildOptions, stream Stream, budget int64) (h H
 	if err := f.Truncate(b.stageOff); err != nil {
 		return h, fmt.Errorf("oocore: truncate staging area: %w", err)
 	}
-	if err := writeHeaderAndMeta(f, h, cellIndex, degrees, cellCRC, b.mem); err != nil {
+	if err := writeHeaderAndMeta(f, h, cellIndex, degrees, cellCRC); err != nil {
 		return h, err
 	}
 	if err := f.Sync(); err != nil {
@@ -394,10 +394,9 @@ func forEachBatch(stream Stream, mirror bool, numVertices int, fn func([]graph.E
 
 // writeHeaderAndMeta writes the checksummed header followed by the metadata
 // block (cell index, degrees; plus the per-cell payload CRCs for version 3,
-// where cellCRC must be non-nil), encoding the metadata into scratch's
-// memory when it fits.
-func writeHeaderAndMeta(w io.WriteSeeker, h Header, cellIndex []uint64, degrees []uint32, cellCRC []uint32, scratch []byte) error {
-	meta := scratch[:0]
+// where cellCRC must be non-nil).
+func writeHeaderAndMeta(w io.WriteSeeker, h Header, cellIndex []uint64, degrees []uint32, cellCRC []uint32) error {
+	meta := make([]byte, 0, h.metaSize())
 	for _, v := range cellIndex {
 		meta = binary.LittleEndian.AppendUint64(meta, v)
 	}
