@@ -18,10 +18,11 @@
 //	egraph -algorithm pagerank -generate twitter -scale 20 -layout grid -flow pull -sync nolock
 //	egraph -algorithm sssp -input edges.txt -format text -layout adjacency
 //	egraph -algorithm wcc -generate road -scale 9 -layout edgearray
-//	egraph -algorithm pagerank -store rmat20.egs -membudget 64 -prefetch 4
+//	egraph -algorithm pagerank -store rmat20.egs -membudget 64
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"math"
@@ -30,6 +31,7 @@ import (
 	"strings"
 
 	everythinggraph "github.com/epfl-repro/everythinggraph"
+	"github.com/epfl-repro/everythinggraph/internal/core"
 	"github.com/epfl-repro/everythinggraph/internal/metrics"
 )
 
@@ -53,15 +55,14 @@ func main() {
 		workers   = flag.Int("workers", 0, "worker count (0 = all CPUs)")
 		leaseN    = flag.Int("lease", 0, "run on a worker-pool lease of up to this many workers (the concurrent-query serving mode; 0 = the shared pool)")
 		storePath = flag.String("store", "", "run out-of-core over this partitioned grid store (see gengraph -format store)")
-		memBudget = flag.Int64("membudget", 0, "resident edge-buffer budget in MiB for -store runs (0 = 256); every pass uses the whole budget")
-		prefetch  = flag.Int("prefetch", 0, "per-worker prefetch depth for -store runs (0 = 2, clamped to 2-8 and to what the budget can feed); every pass uses it")
+		memBudget = flag.Int64("membudget", 0, "resident edge-buffer budget in MiB for -store runs (0 = 256), split between each worker's two segment buffers; every pass uses the whole budget")
 		traceOut  = flag.String("trace", "", "write a Chrome/Perfetto trace-event JSON file of the run (iteration spans, planner decisions, fetch and stall events; open in chrome://tracing or ui.perfetto.dev)")
 		metricsO  = flag.String("metrics-out", "", "write the run's flat counters-and-histograms snapshot as JSON")
 		verbose   = flag.Bool("v", false, "print per-iteration statistics")
 	)
 	flag.Parse()
 
-	cfg := everythinggraph.Config{Workers: *workers, GridP: *gridP, MemoryBudget: *memBudget << 20, PrefetchDepth: *prefetch}
+	cfg := everythinggraph.Config{Workers: *workers, GridP: *gridP, MemoryBudget: *memBudget << 20}
 	if *leaseN > 0 {
 		lease := everythinggraph.NewLease(*leaseN)
 		defer lease.Release()
@@ -276,9 +277,8 @@ func runStore(path, algorithm string, cfg everythinggraph.Config, source everyth
 
 	fmt.Printf("store: %s, %d vertices, %d stored edges, %dx%d grid\n",
 		path, st.NumVertices(), st.NumEdges(), st.GridP(), st.GridP())
-	depth, budget := st.IORecipe(cfg)
-	fmt.Printf("configuration: out-of-core flow=%v sync=no-lock prefetch=%d budget=%gMiB\n",
-		cfg.Flow, depth, float64(budget)/(1<<20))
+	fmt.Printf("configuration: out-of-core flow=%v sync=no-lock budget=%gMiB\n",
+		cfg.Flow, float64(cmp.Or(cfg.MemoryBudget, core.DefaultStreamMemoryBudget))/(1<<20))
 	fmt.Printf("algorithm: %s, %d iterations\n", res.Run.Algorithm, res.Run.Iterations)
 	fmt.Printf("breakdown: %s\n", res.Breakdown)
 	if cfg.Flow == everythinggraph.FlowAuto {

@@ -236,14 +236,11 @@ type Config struct {
 	// silently ignored.
 	PushPullAlpha int
 	// MemoryBudget bounds the resident edge-buffer bytes of out-of-core
-	// (Store) runs; in-memory runs ignore it. 0 selects the default
-	// (256 MiB). Every pass uses the whole budget, under any flow.
+	// (Store) runs, split between each worker's two segment buffers
+	// (double buffering); in-memory runs ignore it. 0 selects the default
+	// (256 MiB); a negative budget is rejected. Every pass uses the whole
+	// budget, under any flow.
 	MemoryBudget int64
-	// PrefetchDepth is the per-worker prefetch pipeline depth of
-	// out-of-core (Store) runs: how many segment buffers each worker keeps
-	// in rotation (0 = 2, classic double buffering; clamped to 2–8 and to
-	// what the budget can feed). Every pass uses it, under any flow.
-	PrefetchDepth int
 	// Lease pins the run to a reserved subset of the shared worker pool
 	// (see NewLease), so several runs execute truly concurrently instead
 	// of interleaving on the global gang loop. Workers is clamped to the
@@ -488,14 +485,6 @@ func (st *Store) CompressionRatio() float64 {
 // IOStats returns the store's cumulative storage accounting.
 func (st *Store) IOStats() IOStats { return st.s.Stats() }
 
-// IORecipe returns the prefetch depth and memory budget every pass of a Run
-// with cfg uses: cfg's values with the defaults and clamps applied. A
-// compressed store may rotate fewer slots than this depth, so that its
-// whole-cell slots fit the budget.
-func (st *Store) IORecipe(cfg Config) (prefetchDepth int, memoryBudget int64) {
-	return core.StreamRecipe(st.s, streamConfig(cfg))
-}
-
 // Run executes alg out-of-core over the store's streamed cells. Streamed
 // execution is the grid layout under partition-free column scheduling —
 // the only discipline whose ownership argument survives cells arriving
@@ -533,7 +522,6 @@ func streamConfig(cfg Config) core.Config {
 		PushPullAlpha: cfg.PushPullAlpha,
 		MaxIterations: cfg.MaxIterations,
 		MemoryBudget:  cfg.MemoryBudget,
-		PrefetchDepth: cfg.PrefetchDepth,
 		Lease:         cfg.Lease,
 		Trace:         cfg.Trace,
 	}

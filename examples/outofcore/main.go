@@ -113,8 +113,8 @@ func main() {
 	}
 	fmt.Println("compressed ranks bit-identical too ✓")
 
-	// The same run under the adaptive planner, on the same 16 MiB budget
-	// and prefetch depth: it chooses the direction, and every pass streams
+	// The same run under the adaptive planner, on the same 16 MiB budget:
+	// it chooses the direction, and every pass streams
 	// at the stored P with column ownership, so the ranks stay
 	// bit-identical.
 	prAuto := everythinggraph.PageRank()

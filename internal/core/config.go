@@ -98,29 +98,23 @@ func (s SyncMode) String() string {
 // exceed |E|/alpha (Beamer's heuristic as adopted by Ligra).
 const DefaultPushPullAlpha = 20
 
-// Streamed (out-of-core) I/O recipe bounds, shared by StreamRecipe and the
-// stream sources so the resolved recipe and a source's buffer pool agree on
-// the legal range.
+// Streamed (out-of-core) I/O bounds, shared by RunStreamed and the stream
+// sources so the engine and a source's buffer pool agree on what fits.
 const (
 	// DefaultStreamMemoryBudget bounds resident edge buffers when no budget
 	// is configured (256 MiB).
 	DefaultStreamMemoryBudget = 256 << 20
-	// DefaultPrefetchDepth is the per-worker prefetch pipeline depth when
-	// none is configured: classic double buffering.
-	DefaultPrefetchDepth = 2
-	// MinPrefetchDepth is the shallowest useful pipeline (below two slots
-	// there is nothing to overlap).
+	// MinPrefetchDepth is the number of segment buffers each worker keeps
+	// in rotation: classic double buffering, one slot computed on while the
+	// next is read (below two slots there is nothing to overlap).
 	MinPrefetchDepth = 2
-	// MaxPrefetchDepth caps the configurable pipeline depth: deeper rings
-	// only split the same budget into smaller slices.
-	MaxPrefetchDepth = 8
 	// MinStreamSliceEdges is the slice granularity below which streaming
-	// degenerates (per-read overheads dominate); sources shed workers and
-	// StreamDepthCap caps the pipeline depth before slices shrink past it.
+	// degenerates (per-read overheads dominate); sources shed workers
+	// before slices shrink past it.
 	MinStreamSliceEdges = 64
 	// StreamResidentEdgeBytes is what one buffered edge costs while
 	// resident: one 12-byte graph.Edge, into which a raw store reads the
-	// edge's record in place. It is the unit both StreamRecipe's budget
+	// edge's record in place. It is the unit both StreamExecWorkers' budget
 	// arithmetic and the sources' buffer pools size against, so the two
 	// always agree on what fits. (A compressed store's slots also hold the
 	// payload they decode from; its pool charges that on top.)
@@ -146,14 +140,9 @@ type Config struct {
 	MaxIterations int
 	// MemoryBudget bounds the resident edge-buffer bytes of streamed
 	// (out-of-core) execution; it is ignored by in-memory runs. 0 selects
-	// DefaultStreamMemoryBudget. Every pass of a streamed run, under any
-	// flow, uses the whole budget (see StreamRecipe).
+	// DefaultStreamMemoryBudget; a negative budget is rejected. Every pass
+	// of a streamed run, under any flow, uses the whole budget.
 	MemoryBudget int64
-	// PrefetchDepth is the per-worker prefetch pipeline depth of streamed
-	// execution (0 = DefaultPrefetchDepth, clamped to [MinPrefetchDepth,
-	// StreamDepthCap]); in-memory runs ignore it. Every pass of a streamed
-	// run, under any flow, uses it.
-	PrefetchDepth int
 	// Lease dedicates a carved-out subset of the process-wide worker pool to
 	// this run (see sched.Pool.Lease): every parallel loop of the run, the
 	// compute side of streamed passes included, executes on the lease's
@@ -273,6 +262,8 @@ func ValidateTechniques(layout graph.Layout, flow Flow, sync SyncMode) error {
 // validateAlpha rejects per-iteration-planning knobs that would be silently
 // ignored: the threshold denominator only participates in the dynamic flows
 // — setting it elsewhere means the benchmark config lies about what ran.
+// It also rejects a negative memory budget, which sizes no pass (0 is the
+// way to ask for the default).
 func (cfg Config) validateAlpha() error {
 	if cfg.PushPullAlpha < 0 {
 		return fmt.Errorf("core: PushPullAlpha must be positive, got %d", cfg.PushPullAlpha)
@@ -280,8 +271,8 @@ func (cfg Config) validateAlpha() error {
 	if cfg.PushPullAlpha != 0 && cfg.Flow != PushPull && cfg.Flow != Auto {
 		return fmt.Errorf("core: PushPullAlpha is only used by the push-pull and auto flows; flow %v would silently ignore it", cfg.Flow)
 	}
-	if cfg.PrefetchDepth < 0 {
-		return fmt.Errorf("core: PrefetchDepth must be non-negative, got %d", cfg.PrefetchDepth)
+	if cfg.MemoryBudget < 0 {
+		return fmt.Errorf("core: MemoryBudget must be non-negative, got %d", cfg.MemoryBudget)
 	}
 	return nil
 }

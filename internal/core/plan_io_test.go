@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -8,93 +9,39 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 )
 
-// tightBudget feeds 16 workers' minimal slices 8/3 deep (64 KiB at 24
-// resident bytes an edge): not the 3 slots a deeper pipeline needs, but
-// two workers 21 deep.
-const tightBudget = 16 * MinStreamSliceEdges * StreamResidentEdgeBytes * 8 / 3
-
-func TestStreamRecipeDefaultsAndClamps(t *testing.T) {
-	wide := &fakeGridSource{fakeSource: fakeSource{n: 100}, p: 64}
+// TestRunStreamedBudget: every pass of a streamed run is handed the
+// configured budget unchanged — DefaultStreamMemoryBudget when none is
+// configured, and a budget too tight to give 16 workers more than two
+// minimal slices each as it stands (shedding workers is the pool's, not the
+// run's).
+func TestRunStreamedBudget(t *testing.T) {
+	const tight = 16 * MinStreamSliceEdges * StreamResidentEdgeBytes * 8 / 3
 	for _, c := range []struct {
-		name       string
-		cfg        Config
-		wantDepth  int
-		wantBudget int64
-	}{
-		{"defaults", Config{Workers: 1}, DefaultPrefetchDepth, DefaultStreamMemoryBudget},
-		{"configured", Config{Workers: 1, PrefetchDepth: 4, MemoryBudget: 64 << 20}, 4, 64 << 20},
-		{"deep", Config{Workers: 1, PrefetchDepth: 99}, MaxPrefetchDepth, DefaultStreamMemoryBudget},
-		{"shallow", Config{Workers: 1, PrefetchDepth: 1}, MinPrefetchDepth, DefaultStreamMemoryBudget},
-		// tightBudget across 16 workers cannot feed a pipeline deeper than
-		// 2 without slices degenerating below MinStreamSliceEdges.
-		{"tight", Config{Workers: 16, PrefetchDepth: 8, MemoryBudget: tightBudget}, MinPrefetchDepth, tightBudget},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			depth, budget := StreamRecipe(wide, c.cfg)
-			if depth != c.wantDepth || budget != c.wantBudget {
-				t.Errorf("recipe d%d %d bytes, want d%d %d bytes", depth, budget, c.wantDepth, c.wantBudget)
-			}
-		})
-	}
-}
-
-// TestStreamRecipeDepthCapFollowsBudget: a deep configured pipeline is cut
-// to what the budget can feed across the workers without slices shrinking
-// below MinStreamSliceEdges, and gets its full depth back as the budget
-// grows.
-func TestStreamRecipeDepthCapFollowsBudget(t *testing.T) {
-	wide := &fakeGridSource{fakeSource: fakeSource{n: 100}, p: 64}
-	const workers = 16
-	perSlot := int64(workers * MinStreamSliceEdges * StreamResidentEdgeBytes) // one minimal slice per worker
-	for _, c := range []struct {
-		budget    int64
-		wantDepth int
-	}{
-		{2 * perSlot, 2},
-		{4 * perSlot, 4},
-		{6*perSlot + perSlot/2, 6},
-		{8 * perSlot, 8},
-		{64 * perSlot, MaxPrefetchDepth},
-	} {
-		depth, budget := StreamRecipe(wide, Config{Workers: workers, PrefetchDepth: MaxPrefetchDepth, MemoryBudget: c.budget})
-		if depth != c.wantDepth || budget != c.budget {
-			t.Errorf("budget %d: recipe d%d %d bytes, want d%d", c.budget, depth, budget, c.wantDepth)
-		}
-	}
-}
-
-// TestStreamRecipeDepthCapAtStoredResolution: the depth cap is taken at the
-// worker count a pass can run — at most one per stored column — so a narrow
-// store keeps a deep pipeline under a budget that would starve 16 workers.
-func TestStreamRecipeDepthCapAtStoredResolution(t *testing.T) {
-	cfg := Config{Workers: 16, PrefetchDepth: 8, MemoryBudget: tightBudget}
-	narrow := &fakeGridSource{fakeSource: fakeSource{n: 100}, p: 2}
-	if depth, _ := StreamRecipe(narrow, cfg); depth != 8 {
-		t.Fatalf("2-column store: depth %d, want 8 (two workers can feed it)", depth)
-	}
-	wide := &fakeGridSource{fakeSource: fakeSource{n: 100}, p: 64}
-	if depth, _ := StreamRecipe(wide, cfg); depth != MinPrefetchDepth {
-		t.Fatalf("64-column store: depth %d, want %d (16 workers cannot feed more)", depth, MinPrefetchDepth)
-	}
-}
-
-func TestStreamDepthCapClampsToPipelineBounds(t *testing.T) {
-	perSlot := int64(MinStreamSliceEdges * StreamResidentEdgeBytes)
-	for _, c := range []struct {
+		name    string
 		workers int
 		budget  int64
-		want    int
+		want    int64
 	}{
-		{1, 0, MinPrefetchDepth},
-		{1, perSlot, MinPrefetchDepth},
-		{1, 5 * perSlot, 5},
-		{4, 20 * perSlot, 5},
-		{0, 5 * perSlot, 5}, // no workers counts as one
-		{1, 1 << 40, MaxPrefetchDepth},
+		{"defaults", 1, 0, DefaultStreamMemoryBudget},
+		{"configured", 1, 64 << 20, 64 << 20},
+		{"tight", 16, tight, tight},
 	} {
-		if got := StreamDepthCap(c.workers, c.budget); got != c.want {
-			t.Errorf("StreamDepthCap(%d, %d) = %d, want %d", c.workers, c.budget, got, c.want)
-		}
+		t.Run(c.name, func(t *testing.T) {
+			src := &recordingSource{fakeGridSource: fakeGridSource{fakeSource: fakeSource{n: 100}, p: 64}}
+			cfg := Config{Layout: graph.LayoutGrid, Flow: Pull, Sync: SyncPartitionFree,
+				Workers: c.workers, MemoryBudget: c.budget}
+			if _, err := RunStreamed(src, algorithms.NewPageRank(), cfg); err != nil {
+				t.Fatalf("RunStreamed: %v", err)
+			}
+			if len(src.passes) == 0 {
+				t.Fatal("no pass ran")
+			}
+			for i, opt := range src.passes {
+				if opt.MemoryBudget != c.want {
+					t.Fatalf("pass %d ran under %d bytes, want %d", i, opt.MemoryBudget, c.want)
+				}
+			}
+		})
 	}
 }
 
@@ -190,7 +137,7 @@ func denseFakeEdges(n int) []graph.Edge {
 }
 
 // TestRunStreamedPassesShareOneRecipe: under a static flow and under Auto,
-// every pass of a streamed run receives the recipe StreamRecipe resolves —
+// every pass of a streamed run receives the configured workers and budget —
 // however I/O-bound the passes are — and each iteration records the pass's
 // stall and hidden I/O time.
 func TestRunStreamedPassesShareOneRecipe(t *testing.T) {
@@ -204,13 +151,12 @@ func TestRunStreamedPassesShareOneRecipe(t *testing.T) {
 		pr := algorithms.NewPageRank()
 		pr.Iterations = 6
 		cfg := Config{Layout: graph.LayoutGrid, Flow: flow, Sync: SyncPartitionFree,
-			Workers: 4, MemoryBudget: 64 << 20, PrefetchDepth: 4}
+			Workers: 4, MemoryBudget: 64 << 20}
 		res, err := RunStreamed(src, pr, cfg)
 		if err != nil {
 			t.Fatalf("%v: RunStreamed: %v", flow, err)
 		}
-		depth, budget := StreamRecipe(src, cfg)
-		want := StreamOptions{Workers: 4, MemoryBudget: budget, PrefetchDepth: depth}
+		want := StreamOptions{Workers: 4, MemoryBudget: 64 << 20}
 		if len(src.passes) != 6 {
 			t.Fatalf("%v: %d passes, want 6", flow, len(src.passes))
 		}
@@ -227,8 +173,15 @@ func TestRunStreamedPassesShareOneRecipe(t *testing.T) {
 	}
 }
 
-func TestValidateRejectsNegativePrefetchDepth(t *testing.T) {
-	if err := (Config{PrefetchDepth: -1}).validateAlpha(); err == nil {
-		t.Fatal("negative PrefetchDepth was not rejected")
+// TestRunStreamedRejectsNegativeMemoryBudget: a negative budget is an
+// error before any pass, not a silent run at the default.
+func TestRunStreamedRejectsNegativeMemoryBudget(t *testing.T) {
+	src := &recordingSource{fakeGridSource: fakeGridSource{fakeSource: fakeSource{n: 100}, p: 64}}
+	cfg := Config{Layout: graph.LayoutGrid, Flow: Pull, Sync: SyncPartitionFree, MemoryBudget: -5 << 20}
+	if _, err := RunStreamed(src, algorithms.NewPageRank(), cfg); err == nil || !strings.Contains(err.Error(), "MemoryBudget") {
+		t.Fatalf("negative MemoryBudget: err = %v, want a MemoryBudget error", err)
+	}
+	if len(src.passes) != 0 {
+		t.Fatalf("%d passes ran under a negative budget", len(src.passes))
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -16,9 +17,9 @@ import (
 // scheduling, never materializing more than the source's buffer budget.
 
 // StreamOptions bounds one streamed pass over a source. RunStreamed hands
-// every pass of a run the same options — the configured values with
-// defaults and clamps applied (see StreamRecipe) — so a source sizes its
-// recycled buffers once per run.
+// every pass of a run the same options — the configured values with the
+// budget default applied — so a source sizes its recycled buffers once per
+// run.
 type StreamOptions struct {
 	// Workers is the number of compute workers (column owners) requested
 	// for the pass; sources clamp it with StreamExecWorkers.
@@ -27,17 +28,12 @@ type StreamOptions struct {
 	// workers during the pass: StreamResidentEdgeBytes per buffered edge
 	// of a raw store, whose records are read straight into the edges the
 	// kernel visits, plus the payload bytes a compressed store decodes
-	// from. 0 selects the source's default. One case can exceed it: a
-	// compressed store decodes whole cells, so every in-rotation slot holds
-	// at least its largest cell, and a compressed pass rotates fewer slots
-	// (down to MinPrefetchDepth) until that floor fits the budget — when
-	// even MinPrefetchDepth slots of the largest cell per worker do not
-	// fit, the pass keeps them and overruns the budget by the difference.
+	// from. Each worker double-buffers (MinPrefetchDepth slots). 0 selects
+	// the source's default. One case can exceed it: a compressed store
+	// decodes whole cells, so each slot holds at least its largest cell,
+	// and when two such slots per worker do not fit, the pass keeps them
+	// and overruns the budget by the difference.
 	MemoryBudget int64
-	// PrefetchDepth is the number of segment buffers each worker keeps in
-	// rotation during the pass (0 selects DefaultPrefetchDepth; sources
-	// clamp to [MinPrefetchDepth, StreamDepthCap]).
-	PrefetchDepth int
 	// Lease, when non-nil, runs the pass's compute workers on the lease
 	// instead of the process-wide pool. It decides nothing else: leased or
 	// not, concurrent passes on one open source share the file handle and
@@ -134,8 +130,8 @@ type degreePreset interface {
 // both — the planner pins them itself). Flow may be Push, Pull, PushPull
 // (the switch uses the same active-vertex heuristic as the in-memory grid)
 // or Auto (the adaptive planner chooses the direction). Every pass streams
-// at the stored P. Every pass runs on the one I/O recipe
-// StreamRecipe resolves from cfg. Vertex state (algorithm arrays,
+// at the stored P under the one budget cfg.MemoryBudget configures
+// (0 = DefaultStreamMemoryBudget). Vertex state (algorithm arrays,
 // frontiers, degree table) stays resident; edge data stays within the
 // source's buffer budget (see StreamOptions.MemoryBudget).
 func RunStreamed(src Source, alg Algorithm, cfg Config) (*Result, error) {
@@ -162,43 +158,22 @@ func RunStreamed(src Source, alg Algorithm, cfg Config) (*Result, error) {
 		dp.SetOutDegrees(src.OutDegrees())
 	}
 
-	depth, budget := StreamRecipe(src, cfg)
 	r := newStreamRunner(src, alg, StreamOptions{
-		Workers:       workers,
-		MemoryBudget:  budget,
-		PrefetchDepth: depth,
-		Lease:         cfg.Lease,
-		Trace:         cfg.Trace,
+		Workers:      workers,
+		MemoryBudget: cmp.Or(cfg.MemoryBudget, DefaultStreamMemoryBudget),
+		Lease:        cfg.Lease,
+		Trace:        cfg.Trace,
 	})
 	pl := streamPlanner(src, cfg, resolveAlpha(cfg), !alg.Dense())
 	return iterate(shim, alg, cfg, workers, pl, src, r.step)
-}
-
-// StreamRecipe resolves the I/O recipe every pass of a streamed run over
-// src uses: cfg.MemoryBudget (0 = DefaultStreamMemoryBudget) and
-// cfg.PrefetchDepth (0 = DefaultPrefetchDepth), the depth clamped to
-// [MinPrefetchDepth, StreamDepthCap] at the stored resolution's
-// streaming-effective worker count. Static and adaptive flows alike run
-// every pass on it.
-func StreamRecipe(src Source, cfg Config) (depth int, budget int64) {
-	budget = cfg.MemoryBudget
-	if budget <= 0 {
-		budget = DefaultStreamMemoryBudget
-	}
-	depth = cfg.PrefetchDepth
-	if depth <= 0 {
-		depth = DefaultPrefetchDepth
-	}
-	depthCap := StreamDepthCap(StreamExecWorkers(src.GridP(), resolveWorkers(cfg), budget), budget)
-	return min(max(depth, MinPrefetchDepth), depthCap), budget
 }
 
 // StreamExecWorkers returns the number of workers a streamed pass actually
 // runs: the requested count clamped to the grid dimension (one worker per
 // column at most) and shed while the budget cannot feed every worker's
 // minimal buffers (a starved slice costs every read, a shed worker only
-// costs parallelism). It is THE definition — sources' buffer pools and
-// StreamRecipe both call it, so the resolved recipe is what executes.
+// costs parallelism). Sources' buffer pools call it to size their worker
+// count.
 func StreamExecWorkers(gridP, workers int, budget int64) int {
 	if gridP > 0 && workers > gridP {
 		workers = gridP
@@ -210,25 +185,6 @@ func StreamExecWorkers(gridP, workers int, budget int64) int {
 		workers--
 	}
 	return workers
-}
-
-// StreamDepthCap returns the deepest prefetch pipeline the budget can feed
-// across the given workers without slices degenerating below
-// MinStreamSliceEdges, clamped to [MinPrefetchDepth, MaxPrefetchDepth].
-// Shared by StreamRecipe and the sources' buffer pools (their ring size),
-// so a resolved depth is always an executed depth.
-func StreamDepthCap(workers int, budget int64) int {
-	if workers < 1 {
-		workers = 1
-	}
-	depth := int(budget / (int64(workers) * MinStreamSliceEdges * StreamResidentEdgeBytes))
-	if depth < MinPrefetchDepth {
-		depth = MinPrefetchDepth
-	}
-	if depth > MaxPrefetchDepth {
-		depth = MaxPrefetchDepth
-	}
-	return depth
 }
 
 // streamRunner owns the per-run state of a streamed execution: the stepper

@@ -126,8 +126,7 @@ func TestV1OutOfRangeRecordFailsCleanly(t *testing.T) {
 	}
 	ref.Close()
 	// One worker streams row 1 as one segment, bufEdges records a slot.
-	opt := core.StreamOptions{Workers: 1, PrefetchDepth: core.MinPrefetchDepth,
-		MemoryBudget: core.MinPrefetchDepth * bufEdges * core.StreamResidentEdgeBytes}
+	opt := core.StreamOptions{Workers: 1, MemoryBudget: core.MinPrefetchDepth * bufEdges * core.StreamResidentEdgeBytes}
 	lo, hi := int64(ref.cellIndex[p]), int64(ref.cellIndex[2*p])
 	if hi-lo <= 2*bufEdges {
 		t.Fatalf("row 1 holds %d records, want a segment over more than two slots", hi-lo)

@@ -15,30 +15,27 @@ import (
 // read — thousands of allocations per pass on a 256x256 grid. The pool
 // replaces all of it with state the store recycles from pass to pass:
 //
-//   - every column group owns a ring of prefetch slots, allocated once and
-//     sized so the whole pool never exceeds the run's budget. A raw store's
-//     records are read straight into a slot's edges (12 bytes per buffered
-//     edge); a compressed store's slot also holds the payload it decodes;
+//   - every column group owns a ring of two prefetch slots (double
+//     buffering), carved once out of arenas sized so the whole pool never
+//     exceeds the run's budget. A raw store's records are read straight
+//     into a slot's edges (12 bytes per buffered edge); a compressed
+//     store's slot also holds the payload it decodes;
 //   - every group owns one persistent fetcher goroutine that parks on a
 //     request channel between passes, so a pass spawns nothing;
 //   - fetcher and compute worker exchange slot *indexes* over two
 //     fixed-capacity channels (filled, freed), so the per-slice protocol is
 //     two channel operations and zero allocations.
 //
-// The pass options select how much of the allocated ring a pass actually
-// uses: depth picks the number of slots in rotation and the budget bounds
-// the slice length fetched into each slot. A run hands every pass the same
-// options, which reuse the same buffers; a depth change reuses them too, a
-// different worker count or budget rebuilds.
+// A pass uses the whole ring: the budget bounds the slice length fetched
+// into each slot. A run hands every pass the same options, which reuse the
+// same buffers; a different worker count or budget rebuilds.
 
 // passReq describes one pass over a group's columns, handed to its fetcher.
 type passReq struct {
 	colLo, colHi int
-	depth        int
-	bufEdges     int
 	// rec receives this pass's fetch (read/decode) spans; nil when the run
 	// is untraced. It travels in the request — not read off the pool — so a
-	// fetcher still draining never races the next pass's beginPass.
+	// fetcher still draining never races the next pass's StreamCells.
 	rec *trace.Recorder
 }
 
@@ -47,10 +44,8 @@ type passReq struct {
 // drown the trace in noise the IOWait counters already sum precisely.
 const stallSpanMin = 10 * time.Microsecond
 
-// slot is one prefetch buffer of a group's ring. edges is a view into the
-// group's edge arena, re-carved by the fetcher at every pass so that any
-// pipeline depth can spend the whole per-group budget: at depth d each
-// in-rotation slot owns a 1/d share of the arena.
+// slot is one prefetch buffer of a group's ring. edges is its bufEdges-wide
+// half of the group's edge arena.
 type slot struct {
 	edges []graph.Edge
 	n     int
@@ -63,20 +58,20 @@ type group struct {
 	// id is the group's index: its compute worker records on trace track
 	// TrackWorkerBase+id, its fetcher on TrackFetcherBase+id.
 	id int32
-	// edgeArena backs every slot of the ring, and (compressed stores only)
-	// rawArena the payload each slot decodes from; their capacity is the
-	// group's share of the pool's budget.
+	// edgeArena backs both slots of the ring, and (compressed stores only)
+	// rawArena the payload each slot decodes from; each holds two slots of
+	// bufEdges edges.
 	rawArena  []byte
 	edgeArena []graph.Edge
-	slots     []slot
+	slots     [core.MinPrefetchDepth]slot
 	// req carries one passReq per pass; closing it retires the fetcher.
 	req chan passReq
 	// filled delivers filled slot indexes to the compute worker, -1
-	// terminating the pass. Capacity depthCap+1 so the sentinel never
+	// terminating the pass. One more than the ring so the sentinel never
 	// blocks behind unconsumed slots.
 	filled chan int
-	// freed returns consumed slot indexes to the fetcher. Capacity depthCap
-	// so returning never blocks.
+	// freed returns consumed slot indexes to the fetcher. As many as the
+	// ring so returning never blocks.
 	freed chan int
 	// free is the fetcher's pass-local free-slot stack, kept here so a pass
 	// allocates nothing.
@@ -90,13 +85,9 @@ type streamPool struct {
 	store   *Store
 	workers int   // stream worker count at the stored resolution
 	cap     int64 // budget the arenas are sized for
-	// depthCap is the deepest prefetch pipeline the budget can feed without
-	// slices degenerating (core.StreamDepthCap, lowered further for
-	// compressed stores so whole-cell slots fit the budget); arenaEdges is
-	// each group's arena capacity — workers*arenaEdges edges fit the budget
-	// by construction, whatever depth carves them up.
-	depthCap   int
-	arenaEdges int
+	// bufEdges is one slot's capacity in edges: the longest slice a fetcher
+	// reads or the most whole cells it packs into one slot.
+	bufEdges int
 	// rawPerEdge is the on-disk bytes one buffered edge needs: a 12-byte
 	// record for raw stores, two range offsets (plus 4 weight bytes when a
 	// weight plane exists) for compressed ones.
@@ -113,18 +104,15 @@ type streamPool struct {
 	groups []group
 	body   func(worker, lo, hi int) // compute fan-out body, bound once
 
-	// Per-pass state, set by beginPass before the fan-out starts.
-	depth    int
-	bufEdges int
-	visit    func(worker int, edges []graph.Edge)
-	rec      *trace.Recorder
-	abort    streamAbort
+	// Per-pass state, set by StreamCells before the fan-out starts.
+	visit func(worker int, edges []graph.Edge)
+	rec   *trace.Recorder
+	abort streamAbort
 }
 
 // poolParams resolves the pass shape that determines the pool build: the
 // worker count (grid-clamped and budget-shed by the shared
-// core.StreamExecWorkers rule, so the planner's view of the parallelism is
-// exactly what runs) and the budget buffers are sized for.
+// core.StreamExecWorkers rule) and the budget buffers are sized for.
 func (s *Store) poolParams(opt core.StreamOptions) (workers int, budget int64) {
 	workers = opt.Workers
 	if workers <= 0 {
@@ -132,7 +120,7 @@ func (s *Store) poolParams(opt core.StreamOptions) (workers int, budget int64) {
 	}
 	budget = opt.MemoryBudget
 	if budget <= 0 {
-		budget = DefaultMemoryBudget
+		budget = core.DefaultStreamMemoryBudget
 	}
 	return core.StreamExecWorkers(s.header.P, workers, budget), budget
 }
@@ -168,14 +156,10 @@ func (s *Store) returnPool(p *streamPool) {
 	s.poolMu.Unlock()
 }
 
-// buildPool allocates the arenas and starts the fetchers. Each group's
-// arena is its share of the budget (so a depth-2 pass uses the whole budget
-// in two big slices, a depth-8 pass the same budget in eight smaller ones),
-// clamped to depthCap times the largest read any group issues — a larger
-// arena would never fill. depthCap is the deepest pipeline the
-// budget can feed without slices degenerating (core.StreamDepthCap, the
-// same bound core.StreamRecipe clamps against, so a resolved depth is an
-// executed depth).
+// buildPool allocates the arenas, carves each group's two slots out of
+// them and starts the fetchers. A slot holds bufEdges edges: half the
+// group's share of the budget, clamped to the largest read any group issues
+// — a larger slot would never fill.
 func (s *Store) buildPool(workers int, budget int64) *streamPool {
 	bounds := partitionColumns(s.colEdges, workers)
 	maxSeg := s.largestRead(bounds)
@@ -184,35 +168,21 @@ func (s *Store) buildPool(workers int, budget int64) *streamPool {
 	if s.Compressed() {
 		residentPerEdge += int64(rawPerEdge)
 	}
-	depthCap := core.StreamDepthCap(workers, budget)
+	bufEdges := int(min(budget/(int64(workers)*core.MinPrefetchDepth*residentPerEdge), int64(maxSeg)))
 	// Compressed cells decode whole (a cell's CRC covers its whole payload,
-	// so none of it is used before all of it is read), so every in-rotation
-	// slot holds at least the largest cell: rotate fewer slots while that
-	// floor would overrun the budget. At MinPrefetchDepth it stays, overrun
-	// or not (see core.StreamOptions.MemoryBudget).
-	for s.Compressed() && depthCap > core.MinPrefetchDepth &&
-		int64(workers)*int64(depthCap)*int64(s.maxCellEdges)*residentPerEdge > budget {
-		depthCap--
+	// so none of it is used before all of it is read), so every slot holds
+	// at least the largest cell, overrunning the budget when two of those
+	// per worker do not fit it (see core.StreamOptions.MemoryBudget).
+	if s.Compressed() {
+		bufEdges = max(bufEdges, s.maxCellEdges)
 	}
-	arenaEdges := int(budget / (int64(workers) * residentPerEdge))
-	if maxSeg > 0 && arenaEdges > maxSeg*depthCap {
-		arenaEdges = maxSeg * depthCap
-	}
-	if arenaEdges < depthCap {
-		arenaEdges = depthCap // one edge per slot, degenerate but safe
-	}
-	// Every slot must fit the largest cell even when the budget asks for
-	// less.
-	if min := s.maxCellEdges * depthCap; s.Compressed() && arenaEdges < min {
-		arenaEdges = min
-	}
+	bufEdges = max(bufEdges, 1)
 
 	p := &streamPool{
 		store:           s,
 		workers:         workers,
 		cap:             budget,
-		depthCap:        depthCap,
-		arenaEdges:      arenaEdges,
+		bufEdges:        bufEdges,
 		rawPerEdge:      rawPerEdge,
 		residentPerEdge: residentPerEdge,
 		bounds:          bounds,
@@ -223,14 +193,16 @@ func (s *Store) buildPool(workers int, budget int64) *streamPool {
 		g := &p.groups[i]
 		g.id = int32(i)
 		if s.Compressed() {
-			g.rawArena = make([]byte, arenaEdges*rawPerEdge)
+			g.rawArena = make([]byte, len(g.slots)*bufEdges*rawPerEdge)
 		}
-		g.edgeArena = make([]graph.Edge, arenaEdges)
-		g.slots = make([]slot, depthCap)
+		g.edgeArena = make([]graph.Edge, len(g.slots)*bufEdges)
+		for j := range g.slots {
+			g.slots[j].edges = g.edgeArena[j*bufEdges : (j+1)*bufEdges]
+		}
 		g.req = make(chan passReq)
-		g.filled = make(chan int, depthCap+1)
-		g.freed = make(chan int, depthCap)
-		g.free = make([]int, 0, depthCap)
+		g.filled = make(chan int, len(g.slots)+1)
+		g.freed = make(chan int, len(g.slots))
+		g.free = make([]int, 0, len(g.slots))
 		go p.fetchLoop(g)
 	}
 	p.body = func(_, lo, hi int) {
@@ -261,45 +233,9 @@ func (p *streamPool) stop() {
 	}
 }
 
-// beginPass resolves the pass options against the allocated arenas:
-// depth ≤ depthCap slots rotate per group, each owning a 1/depth share of
-// its group's arena, with slices additionally bounded by the budget and by
-// the largest read a group issues.
-func (p *streamPool) beginPass(opt core.StreamOptions, visit func(worker int, edges []graph.Edge)) {
-	depth := opt.PrefetchDepth
-	if depth <= 0 {
-		depth = core.DefaultPrefetchDepth
-	}
-	if depth < core.MinPrefetchDepth {
-		depth = core.MinPrefetchDepth
-	}
-	if depth > p.depthCap {
-		depth = p.depthCap
-	}
-	bufEdges := int(p.cap / (int64(p.workers) * int64(depth) * p.residentPerEdge))
-	if share := p.arenaEdges / depth; bufEdges > share {
-		bufEdges = share
-	}
-	if p.maxSeg > 0 && bufEdges > p.maxSeg {
-		bufEdges = p.maxSeg
-	}
-	// Whole-cell decode granularity: a compressed slot must fit the largest
-	// cell. The arena always can (buildPool sized it to maxCellEdges slots
-	// at depthCap), so this raises only the budget-derived figure.
-	if p.store.Compressed() && bufEdges < p.store.maxCellEdges {
-		bufEdges = p.store.maxCellEdges
-	}
-	if bufEdges < 1 {
-		bufEdges = 1
-	}
-	p.depth, p.bufEdges, p.visit = depth, bufEdges, visit
-	p.rec = opt.Trace
-	p.abort.reset()
-}
-
 // runGroup is the compute side of one group's pass: request the pass from
 // the parked fetcher, then consume filled slots in order until the
-// sentinel. The in-rotation buffers are accounted resident for the pass.
+// sentinel. The group's arenas are accounted resident for the pass.
 func (p *streamPool) runGroup(gi int) {
 	if p.bounds[gi] >= p.bounds[gi+1] {
 		return
@@ -307,15 +243,11 @@ func (p *streamPool) runGroup(gi int) {
 	g := &p.groups[gi]
 	s := p.store
 
-	resident := int64(p.depth) * int64(p.bufEdges) * p.residentPerEdge
+	resident := int64(len(g.edgeArena)) * p.residentPerEdge
 	s.stats.addResident(resident)
 	defer s.stats.addResident(-resident)
 
-	g.req <- passReq{
-		colLo: p.bounds[gi], colHi: p.bounds[gi+1],
-		depth: p.depth, bufEdges: p.bufEdges,
-		rec: p.rec,
-	}
+	g.req <- passReq{colLo: p.bounds[gi], colHi: p.bounds[gi+1], rec: p.rec}
 	for {
 		t0 := time.Now()
 		idx := <-g.filled
@@ -358,14 +290,8 @@ func (p *streamPool) fetchPass(g *group, req passReq) {
 	s := p.store
 	gp := s.header.P
 	free := g.free[:0]
-	for i := req.depth - 1; i >= 0; i-- {
+	for i := len(g.slots) - 1; i >= 0; i-- {
 		free = append(free, i)
-	}
-	// Carve the arena into the pass's in-rotation slots: slot i owns the
-	// bufEdges-wide span starting at i*bufEdges (depth*bufEdges edges fit
-	// the arena by beginPass's arithmetic).
-	for i := 0; i < req.depth; i++ {
-		g.slots[i].edges = g.edgeArena[i*req.bufEdges : (i+1)*req.bufEdges]
 	}
 
 	row := 0
@@ -383,10 +309,7 @@ pass:
 		if p.abort.flag.Load() {
 			break
 		}
-		n := int(segEnd - segPos)
-		if n > req.bufEdges {
-			n = req.bufEdges
-		}
+		n := min(int(segEnd-segPos), p.bufEdges)
 		var idx int
 		if len(free) > 0 {
 			idx = free[len(free)-1]
@@ -413,9 +336,9 @@ pass:
 	}
 	g.filled <- -1
 	// Reclaim every slot still with the consumer so the next pass starts
-	// with a clean ring (conservation: depth slots are either on the free
+	// with a clean ring (conservation: each slot is either on the free
 	// stack or will come back through freed).
-	for out := req.depth - len(free); out > 0; out-- {
+	for out := len(g.slots) - len(free); out > 0; out-- {
 		<-g.freed
 	}
 }
@@ -433,11 +356,8 @@ func (p *streamPool) fetchCompressed(g *group, req passReq) {
 	s := p.store
 	gp := s.header.P
 	free := g.free[:0]
-	for i := req.depth - 1; i >= 0; i-- {
+	for i := len(g.slots) - 1; i >= 0; i-- {
 		free = append(free, i)
-	}
-	for i := 0; i < req.depth; i++ {
-		g.slots[i].edges = g.edgeArena[i*req.bufEdges : (i+1)*req.bufEdges]
 	}
 
 pass:
@@ -455,7 +375,7 @@ pass:
 			n := 0
 			for cell < rowEnd {
 				ce := int(s.cellIndex[cell+1] - s.cellIndex[cell])
-				if cell > first && n+ce > req.bufEdges {
+				if cell > first && n+ce > p.bufEdges {
 					break
 				}
 				n += ce
@@ -474,7 +394,7 @@ pass:
 			sl := &g.slots[idx]
 			sl.n = n
 			// Slot idx decodes from its own share of the raw arena.
-			raw := g.rawArena[idx*req.bufEdges*p.rawPerEdge:][:n*p.rawPerEdge]
+			raw := g.rawArena[idx*p.bufEdges*p.rawPerEdge:][:n*p.rawPerEdge]
 			t0 := time.Now()
 			err := s.readCells(first, cell, raw, sl.edges[:n])
 			s.stats.ioTimeNanos.Add(int64(time.Since(t0)))
@@ -490,7 +410,7 @@ pass:
 		}
 	}
 	g.filled <- -1
-	for out := req.depth - len(free); out > 0; out-- {
+	for out := len(g.slots) - len(free); out > 0; out-- {
 		<-g.freed
 	}
 }

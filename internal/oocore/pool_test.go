@@ -3,6 +3,7 @@ package oocore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -11,14 +12,16 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/algorithms"
 	"github.com/epfl-repro/everythinggraph/internal/core"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
+	"github.com/epfl-repro/everythinggraph/internal/sched"
 )
 
 // These tests cover the recycled streaming pool: the zero-allocation
 // steady-state contract, budget shedding and prefetch starvation under a
-// slow device (the -race targets of the acceptance criteria), depth changes
-// without pool rebuilds and budget changes with them, the pass depth clamp,
-// the column partition, the budget bound on compressed passes,
-// and fetcher recovery after an aborted pass.
+// slow device (the -race targets of the acceptance criteria), pool reuse
+// and the rebuilds a worker-count or budget change forces, the column
+// partition, the pinned shape of a pass and its two-slot arenas, the
+// budget bound on compressed passes, and fetcher recovery after an aborted
+// pass.
 
 // idlePool returns the store's one idle stream pool: after a solo pass, the
 // pool that ran it.
@@ -142,17 +145,10 @@ func TestStreamCellsKnobChangesReusePool(t *testing.T) {
 		}
 	}
 
-	// First pass builds the pool; every later pass varies the prefetch depth
-	// and must reuse the same pool — same buffers, same fetchers.
+	// The first pass builds the pool (TestStreamCellsBudgetChangeRebuildsPool
+	// covers its reuse by a pass of the same shape).
 	run(core.StreamOptions{Workers: 4, MemoryBudget: budget})
 	built := idlePool(t, s)
-	for _, depth := range []int{4, 8, 2} {
-		opt := core.StreamOptions{Workers: 4, MemoryBudget: budget, PrefetchDepth: depth}
-		run(opt)
-		if idlePool(t, s) != built {
-			t.Fatalf("depth change %+v rebuilt the pool", opt)
-		}
-	}
 
 	// A different worker count is a different pass shape: rebuild expected.
 	run(core.StreamOptions{Workers: 2, MemoryBudget: budget})
@@ -189,34 +185,6 @@ func TestStreamCellsBudgetChangeRebuildsPool(t *testing.T) {
 	}
 	if got := idlePool(t, s).cap; got != 512<<10 {
 		t.Fatalf("rebuilt pool sized for %d bytes, want %d", got, 512<<10)
-	}
-}
-
-// TestStreamCellsClampsPassDepthToPool: a pass rotates the requested depth
-// within [MinPrefetchDepth, the pool's depth cap], 0 selecting the default,
-// and stays within the budget at every depth.
-func TestStreamCellsClampsPassDepthToPool(t *testing.T) {
-	g := testGraph(t, 10, false)
-	s := buildTestStore(t, g, 8, false)
-	const workers = 2
-	budget := int64(workers * 4 * core.MinStreamSliceEdges * core.StreamResidentEdgeBytes) // feeds depth 4 at most
-	for _, c := range []struct{ asked, want int }{
-		{8, 4}, {4, 4}, {3, 3}, {1, core.MinPrefetchDepth}, {0, core.DefaultPrefetchDepth},
-	} {
-		var total int64
-		opt := core.StreamOptions{Workers: workers, MemoryBudget: budget, PrefetchDepth: c.asked}
-		if err := s.StreamCells(opt, countingVisit(&total)); err != nil {
-			t.Fatalf("depth %d: StreamCells: %v", c.asked, err)
-		}
-		if got := idlePool(t, s).depth; got != c.want {
-			t.Fatalf("depth %d ran at %d, want %d", c.asked, got, c.want)
-		}
-		if total != int64(g.NumEdges()) {
-			t.Fatalf("depth %d: delivered %d edges, want %d", c.asked, total, g.NumEdges())
-		}
-		if peak := s.Stats().PeakResidentBytes; peak > budget {
-			t.Fatalf("depth %d: peak resident %d exceeds the %d budget", c.asked, peak, budget)
-		}
 	}
 }
 
@@ -257,13 +225,122 @@ func TestPoolPartitionsAtStreamExecWorkers(t *testing.T) {
 	}
 }
 
+// TestPassShapePinned pins what one pass over RMAT-12 at P=16 issues and
+// holds resident, raw and compressed, at 1-3 workers and four budgets: the
+// streamed benchmark's max(2 x edges, 1 MiB) (here 1 MiB), 2 x edges
+// (64 KiB), 24 KiB and the default. The values are what a pass issued
+// when the ring's depth was a knob, at its default of two, so the fixed
+// two-slot ring is held to the same reads of the same bytes. The compute
+// side runs on a one-goroutine lease so groups never overlap and the peak
+// is one group's ring, not a scheduling accident.
+func TestPassShapePinned(t *testing.T) {
+	g := testGraph(t, 12, false)
+	if g.NumEdges() != 32768 {
+		t.Fatalf("RMAT-12 has %d edges; the pins assume 32768", g.NumEdges())
+	}
+	serial := sched.DefaultPool().Lease(1)
+	defer serial.Release()
+	images := map[bool][]byte{false: storeImage(t, g, 16, false), true: storeImage(t, g, 16, true)}
+	for _, c := range []struct {
+		compressed               bool
+		budget                   int64
+		workers                  int
+		reads, bytesRead, peakRB int64
+	}{
+		{false, 1 << 20, 1, 16, 393216, 261864},
+		{false, 1 << 20, 2, 32, 393216, 136776},
+		{false, 1 << 20, 3, 48, 393216, 89736},
+		{false, 64 << 10, 1, 23, 393216, 65520},
+		{false, 64 << 10, 2, 47, 393216, 32760},
+		{false, 64 << 10, 3, 71, 393216, 21840},
+		{false, 24 << 10, 1, 44, 393216, 24576},
+		{false, 24 << 10, 2, 83, 393216, 12288},
+		{false, 24 << 10, 3, 126, 393216, 8184},
+		{false, 0, 1, 16, 393216, 261864},
+		{false, 0, 2, 32, 393216, 136776},
+		{false, 0, 3, 48, 393216, 89736},
+		{true, 1 << 20, 1, 32, 196608, 392796},
+		{true, 1 << 20, 2, 64, 196608, 205164},
+		{true, 1 << 20, 3, 96, 196608, 134604},
+		{true, 64 << 10, 1, 38, 196608, 125676},
+		{true, 64 << 10, 2, 68, 196608, 125676},
+		{true, 64 << 10, 3, 100, 196608, 125676},
+		{true, 24 << 10, 1, 38, 196608, 125676},
+		{true, 24 << 10, 2, 68, 196608, 125676},
+		{true, 24 << 10, 3, 100, 196608, 125676},
+		{true, 0, 1, 32, 196608, 392796},
+		{true, 0, 2, 64, 196608, 205164},
+		{true, 0, 3, 96, 196608, 134604},
+	} {
+		name := fmt.Sprintf("v1/budget=%d/workers=%d", c.budget, c.workers)
+		if c.compressed {
+			name = fmt.Sprintf("v3/budget=%d/workers=%d", c.budget, c.workers)
+		}
+		t.Run(name, func(t *testing.T) {
+			img := images[c.compressed]
+			s, err := NewStore(bytes.NewReader(img), int64(len(img)))
+			if err != nil {
+				t.Fatalf("NewStore: %v", err)
+			}
+			var total int64
+			err = s.StreamCells(core.StreamOptions{Workers: c.workers, MemoryBudget: c.budget, Lease: serial}, countingVisit(&total))
+			st := s.Stats()
+			s.Close()
+			if err != nil {
+				t.Fatalf("StreamCells: %v", err)
+			}
+			if total != int64(g.NumEdges()) {
+				t.Fatalf("delivered %d edges, want %d", total, g.NumEdges())
+			}
+			if st.Reads != c.reads || st.BytesRead != c.bytesRead || st.PeakResidentBytes != c.peakRB {
+				t.Errorf("%d reads, %d bytes, peak %d; pinned %d, %d, %d",
+					st.Reads, st.BytesRead, st.PeakResidentBytes, c.reads, c.bytesRead, c.peakRB)
+			}
+		})
+	}
+}
+
+// TestRingArenaIsTwoSlots: every group's arenas hold exactly the two slots
+// a pass carves out of them — no deeper ring's worth that no pass uses —
+// and a slot is no longer than the largest read, so an empty store's pool
+// holds two one-edge slots, not the budget.
+func TestRingArenaIsTwoSlots(t *testing.T) {
+	g := testGraph(t, 12, false)
+	empty := graph.New(nil, 1000, true)
+	for _, s := range []*Store{
+		buildTestStore(t, g, 16, false), buildTestStoreV2(t, g, 16, false),
+		buildTestStore(t, empty, 16, false), buildTestStoreV2(t, empty, 16, false),
+	} {
+		for _, budget := range []int64{0, 24 << 10} {
+			for _, workers := range []int{1, 2, 3} {
+				if err := s.StreamCells(core.StreamOptions{Workers: workers, MemoryBudget: budget}, countingVisit(new(int64))); err != nil {
+					t.Fatalf("StreamCells: %v", err)
+				}
+				p := idlePool(t, s)
+				if p.bufEdges > max(p.maxSeg, 1) {
+					t.Fatalf("%d edges, budget %d, %d workers: %d-edge slots for reads of at most %d",
+						s.NumEdges(), budget, workers, p.bufEdges, p.maxSeg)
+				}
+				for i := range p.groups {
+					gr := &p.groups[i]
+					raw := 0
+					if s.Compressed() {
+						raw = 2 * p.bufEdges * p.rawPerEdge
+					}
+					if len(gr.edgeArena) != 2*p.bufEdges || len(gr.rawArena) != raw {
+						t.Fatalf("compressed=%v budget %d, %d workers, group %d: arenas of %d edges and %d raw bytes, want two %d-edge slots (%d raw bytes)",
+							s.Compressed(), budget, workers, i, len(gr.edgeArena), len(gr.rawArena), p.bufEdges, raw)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestFixedDepthPassSpendsTheWholeBudget(t *testing.T) {
-	// A default (depth-2) pass must be able to put the whole budget in
-	// rotation — the arena is carved per pass, not pre-split for the
-	// deepest pipeline. With cells far larger than the budget the slices
-	// saturate, so peak resident accounting must exceed half the budget
-	// (a depthCap-presized ring would cap it at budget/depthCap per slot,
-	// i.e. a quarter).
+	// A pass must be able to put the whole budget in rotation: its two
+	// slots split it. With cells far larger than the budget the slices
+	// saturate, so peak resident accounting must exceed half the budget.
 	g := testGraph(t, 12, false)
 	s := buildTestStore(t, g, 2, false) // 2x2 grid: row segments dwarf the budget
 	const budget = 64 << 10
@@ -276,7 +353,7 @@ func TestFixedDepthPassSpendsTheWholeBudget(t *testing.T) {
 		t.Fatalf("peak resident %d exceeds budget %d", peak, budget)
 	}
 	if peak <= budget/2 {
-		t.Fatalf("depth-2 pass kept only %d of %d resident; the ring is not spending the budget", peak, budget)
+		t.Fatalf("pass kept only %d of %d resident; the ring is not spending the budget", peak, budget)
 	}
 }
 
@@ -371,9 +448,9 @@ func (s *recordingStore) StreamCells(opt core.StreamOptions, visit func(worker i
 }
 
 // TestStreamedAutoPassesGetConfiguredRecipe: every pass of an adaptive
-// streamed PageRank receives the configured prefetch depth and budget —
-// only the direction is the planner's — and the result stays bit-identical
-// to the fixed streamed (and hence the in-memory grid) run.
+// streamed PageRank receives the configured budget — only the direction is
+// the planner's — and the result stays bit-identical to the fixed streamed
+// (and hence the in-memory grid) run.
 func TestStreamedAutoPassesGetConfiguredRecipe(t *testing.T) {
 	g := testGraph(t, 12, false)
 	const p = 8
@@ -385,7 +462,7 @@ func TestStreamedAutoPassesGetConfiguredRecipe(t *testing.T) {
 
 	rec := &recordingStore{Store: buildTestStore(t, g, p, false)}
 	prAuto := algorithms.NewPageRank()
-	if _, err := core.RunStreamed(rec, prAuto, core.Config{Flow: core.Auto, MemoryBudget: 1 << 20, PrefetchDepth: 4}); err != nil {
+	if _, err := core.RunStreamed(rec, prAuto, core.Config{Flow: core.Auto, MemoryBudget: 1 << 20}); err != nil {
 		t.Fatalf("auto streamed run: %v", err)
 	}
 	for v := range prFixed.Rank {
@@ -397,8 +474,8 @@ func TestStreamedAutoPassesGetConfiguredRecipe(t *testing.T) {
 		t.Fatalf("%d passes for %d iterations", len(rec.passes), prAuto.Iterations)
 	}
 	for i, opt := range rec.passes {
-		if opt.PrefetchDepth != 4 || opt.MemoryBudget != 1<<20 {
-			t.Fatalf("pass %d ran d%d under %d bytes, want the configured d4 under 1 MiB", i, opt.PrefetchDepth, opt.MemoryBudget)
+		if opt.MemoryBudget != 1<<20 {
+			t.Fatalf("pass %d ran under %d bytes, want the configured 1 MiB", i, opt.MemoryBudget)
 		}
 	}
 }
@@ -409,53 +486,45 @@ func slotEdgeBytes(s *Store) int64 {
 	return int64(s.rawEdgeBytes() + decodedEdgeBytes)
 }
 
-// TestCompressedDeepPrefetchStaysWithinBudget: a compressed pass slots whole
-// cells, so a deep pipeline under a small budget must rotate fewer slots
-// instead of overrunning the budget — with ranks bit-identical to a
-// double-buffered run.
-func TestCompressedDeepPrefetchStaysWithinBudget(t *testing.T) {
+// TestCompressedPassStaysWithinBudget: a compressed pass slots whole
+// cells; under a budget with room for three largest cells per worker its
+// two slots stay within the budget, with ranks bit-identical to the raw
+// store's run.
+func TestCompressedPassStaysWithinBudget(t *testing.T) {
 	g := testGraph(t, 12, false)
 	const p, workers = 8, 2
-	ref := buildTestStoreV2(t, g, p, false)
-	// Room for three largest-cell slots per worker: depth 8 at the cell
-	// floor would need far more.
-	budget := int64(workers*3*ref.maxCellEdges) * slotEdgeBytes(ref)
-	if core.StreamDepthCap(workers, budget) < 8 {
-		t.Fatalf("budget %d cannot feed depth 8 at all; the test needs a larger graph", budget)
-	}
+	s := buildTestStoreV2(t, g, p, false)
+	budget := int64(workers*3*s.maxCellEdges) * slotEdgeBytes(s)
 	cfg := streamConfig(core.Pull, budget)
 	cfg.Workers = workers
 	prRef := algorithms.NewPageRank()
-	if _, err := core.RunStreamed(ref, prRef, cfg); err != nil {
-		t.Fatalf("depth-2 run: %v", err)
+	if _, err := core.RunStreamed(buildTestStore(t, g, p, false), prRef, cfg); err != nil {
+		t.Fatalf("raw run: %v", err)
 	}
-
-	s := buildTestStoreV2(t, g, p, false)
-	cfg.PrefetchDepth = 8
 	pr := algorithms.NewPageRank()
 	if _, err := core.RunStreamed(s, pr, cfg); err != nil {
-		t.Fatalf("depth-8 run: %v", err)
+		t.Fatalf("compressed run: %v", err)
 	}
 	if peak := s.Stats().PeakResidentBytes; peak > budget {
-		t.Fatalf("depth-8 compressed run peaked at %d resident bytes, over the %d budget", peak, budget)
+		t.Fatalf("compressed run peaked at %d resident bytes, over the %d budget", peak, budget)
 	}
 	for v := range prRef.Rank {
 		if math.Float64bits(pr.Rank[v]) != math.Float64bits(prRef.Rank[v]) {
-			t.Fatalf("rank[%d] = %v at depth 8, %v at depth 2", v, pr.Rank[v], prRef.Rank[v])
+			t.Fatalf("rank[%d] = %v compressed, %v raw", v, pr.Rank[v], prRef.Rank[v])
 		}
 	}
 }
 
-// TestCompressedPoolDepthCapFitsLargestCells: a compressed store's pool
-// rotates no more slots than its largest cells fit in the budget, so a
-// depth-8 pass runs shallower; an uncompressed store keeps the
-// slice-granularity cap.
-func TestCompressedPoolDepthCapFitsLargestCells(t *testing.T) {
+// TestCompressedSlotsFitLargestCells: a compressed store's slots take their
+// length from the budget (or the largest read) while that exceeds the
+// largest cell, and the two of them fit the budget; a raw store's slots
+// take the same share.
+func TestCompressedSlotsFitLargestCells(t *testing.T) {
 	g := testGraph(t, 12, false)
 	const p, workers = 8, 2
 	v2 := buildTestStoreV2(t, g, p, false)
 	budget := int64(workers*3*v2.maxCellEdges) * slotEdgeBytes(v2)
-	opt := core.StreamOptions{Workers: workers, MemoryBudget: budget, PrefetchDepth: 8}
+	opt := core.StreamOptions{Workers: workers, MemoryBudget: budget}
 	var total int64
 	if err := v2.StreamCells(opt, countingVisit(&total)); err != nil {
 		t.Fatalf("v2 pass: %v", err)
@@ -464,8 +533,11 @@ func TestCompressedPoolDepthCapFitsLargestCells(t *testing.T) {
 	if p2.workers != workers {
 		t.Fatalf("v2 pool built for %d workers, want %d", p2.workers, workers)
 	}
-	if p2.depthCap != 3 || p2.depth != 3 {
-		t.Fatalf("v2 pool cap %d, pass depth %d; want 3 largest-cell slots per worker", p2.depthCap, p2.depth)
+	if want := min(int(budget/(2*workers*slotEdgeBytes(v2))), p2.maxSeg); p2.bufEdges != want || want < v2.maxCellEdges {
+		t.Fatalf("v2 slots hold %d edges, want the budget's %d (largest cell %d)", p2.bufEdges, want, v2.maxCellEdges)
+	}
+	if arena := int64(workers*len(p2.groups[0].edgeArena)) * slotEdgeBytes(v2); arena > budget {
+		t.Fatalf("v2 arenas hold %d resident bytes, over the %d budget", arena, budget)
 	}
 	if total != int64(g.NumEdges()) {
 		t.Fatalf("v2 pass delivered %d edges, want %d", total, g.NumEdges())
@@ -475,15 +547,16 @@ func TestCompressedPoolDepthCapFitsLargestCells(t *testing.T) {
 	if err := v1.StreamCells(opt, countingVisit(new(int64))); err != nil {
 		t.Fatalf("v1 pass: %v", err)
 	}
-	if got, want := idlePool(t, v1).depthCap, core.StreamDepthCap(workers, budget); got != want {
-		t.Fatalf("v1 pool depth cap %d, want core.StreamDepthCap's %d", got, want)
+	p1 := idlePool(t, v1)
+	if got, want := p1.bufEdges, min(int(budget/(2*workers*core.StreamResidentEdgeBytes)), p1.maxSeg); got != want {
+		t.Fatalf("v1 slots hold %d edges, want the budget's %d", got, want)
 	}
 }
 
-// TestCompressedPoolKeepsMinDepthWhenCellsOverrun: when even
-// MinPrefetchDepth largest-cell slots per worker exceed the budget, the
-// pass keeps them — the one documented overrun, bounded by those slots —
-// and still delivers every edge.
+// TestCompressedPoolKeepsMinDepthWhenCellsOverrun: when two largest-cell
+// slots per worker exceed the budget, the pass keeps them — the one
+// documented overrun, bounded by those slots — and still delivers every
+// edge.
 func TestCompressedPoolKeepsMinDepthWhenCellsOverrun(t *testing.T) {
 	g := testGraph(t, 12, false)
 	s := buildTestStoreV2(t, g, 8, false)
@@ -491,12 +564,12 @@ func TestCompressedPoolKeepsMinDepthWhenCellsOverrun(t *testing.T) {
 	resident := slotEdgeBytes(s)
 	budget := int64(workers*s.maxCellEdges) * resident // one largest cell per worker
 	var total int64
-	if err := s.StreamCells(core.StreamOptions{Workers: workers, MemoryBudget: budget, PrefetchDepth: 8}, countingVisit(&total)); err != nil {
+	if err := s.StreamCells(core.StreamOptions{Workers: workers, MemoryBudget: budget}, countingVisit(&total)); err != nil {
 		t.Fatalf("StreamCells: %v", err)
 	}
 	pool := idlePool(t, s)
-	if pool.depthCap != core.MinPrefetchDepth || pool.depth != core.MinPrefetchDepth {
-		t.Fatalf("pool cap %d, pass depth %d; want %d", pool.depthCap, pool.depth, core.MinPrefetchDepth)
+	if pool.bufEdges != s.maxCellEdges {
+		t.Fatalf("slots hold %d edges, want the largest cell's %d", pool.bufEdges, s.maxCellEdges)
 	}
 	if total != int64(g.NumEdges()) {
 		t.Fatalf("delivered %d edges, want %d", total, g.NumEdges())

@@ -20,24 +20,20 @@ import (
 // buffer live in the store's streamPool (see pool.go), so steady-state
 // passes allocate nothing.
 
-// DefaultMemoryBudget bounds resident edge buffers when the caller does not
-// configure a budget (256 MiB).
-const DefaultMemoryBudget = core.DefaultStreamMemoryBudget
-
 // decodedEdgeBytes is the in-memory size of one graph.Edge: what a raw
 // store's slot holds per buffered edge, its record read in place.
 const decodedEdgeBytes = int(unsafe.Sizeof(graph.Edge{}))
 
-// The core side (StreamRecipe, StreamExecWorkers, StreamDepthCap) sizes its
-// budget arithmetic with core.StreamResidentEdgeBytes; this compile-time
-// check keeps it at the size of the edge a slot buffers.
+// The core side (StreamExecWorkers) sizes its budget arithmetic with
+// core.StreamResidentEdgeBytes; this compile-time check keeps it at the
+// size of the edge a slot buffers.
 const _ = uint(decodedEdgeBytes-core.StreamResidentEdgeBytes) +
 	uint(core.StreamResidentEdgeBytes-decodedEdgeBytes)
 
 // The slice granularity below which streaming degenerates is
 // core.MinStreamSliceEdges, shared with the core side: worker shedding
-// (core.StreamExecWorkers) and the depth cap (core.StreamDepthCap) are
-// both derived from it, on both sides of the Source boundary.
+// (core.StreamExecWorkers) is derived from it, on both sides of the Source
+// boundary.
 
 // partitionColumns splits the P columns into `workers` contiguous groups of
 // roughly equal edge mass (power-law columns make equal-width grouping
@@ -108,7 +104,8 @@ func (a *streamAbort) take() error {
 func (s *Store) StreamCells(opt core.StreamOptions, visit func(worker int, edges []graph.Edge)) error {
 	p := s.borrowPool(opt)
 	defer s.returnPool(p)
-	p.beginPass(opt, visit)
+	p.visit, p.rec = visit, opt.Trace
+	p.abort.reset()
 	if opt.Lease != nil {
 		opt.Lease.ParallelForWorker(0, p.workers, 1, p.workers, p.body)
 	} else {

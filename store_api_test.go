@@ -4,8 +4,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"github.com/epfl-repro/everythinggraph/internal/core"
 )
 
 // Public-API coverage of the out-of-core store: build, open, run, and the
@@ -81,39 +79,11 @@ func TestStoreWCCThroughFacade(t *testing.T) {
 	}
 }
 
-func TestStoreIORecipeAppliesClamps(t *testing.T) {
-	st := buildAPIStore(t, GenerateRMAT(10, 8, 3), 8, false)
-	// 16/3 slots of 64-edge slices for each of 8 workers (64 KiB at 24
-	// resident bytes an edge).
-	const budget = 8 * core.MinStreamSliceEdges * core.StreamResidentEdgeBytes * 16 / 3
-	for _, c := range []struct {
-		cfg        Config
-		wantDepth  int
-		wantBudget int64
-	}{
-		{Config{PrefetchDepth: 99}, 8, 256 << 20},
-		{Config{PrefetchDepth: 1}, 2, 256 << 20},
-		// That budget across 8 workers feeds 5 whole slots each.
-		{Config{Workers: 8, PrefetchDepth: 8, MemoryBudget: budget}, 5, budget},
-	} {
-		if depth, budget := st.IORecipe(c.cfg); depth != c.wantDepth || budget != c.wantBudget {
-			t.Errorf("IORecipe(%+v) = d%d %d bytes, want d%d %d bytes", c.cfg, depth, budget, c.wantDepth, c.wantBudget)
-		}
-	}
-}
-
 func TestStoreAutoRecipeThroughFacade(t *testing.T) {
 	g := GenerateRMAT(12, 8, 3)
 	st := buildAPIStore(t, g, 8, false)
 	pr := PageRank()
-	cfg := Config{Flow: FlowAuto, MemoryBudget: 1 << 20, PrefetchDepth: 4}
-	if depth, budget := st.IORecipe(cfg); depth != 4 || budget != 1<<20 {
-		t.Fatalf("IORecipe = d%d %d bytes, want the configured d4 under 1 MiB", depth, budget)
-	}
-	if depth, budget := st.IORecipe(Config{}); depth != 2 || budget != 256<<20 {
-		t.Fatalf("default IORecipe = d%d %d bytes, want d2 under 256 MiB", depth, budget)
-	}
-	res, err := st.Run(pr, cfg)
+	res, err := st.Run(pr, Config{Flow: FlowAuto, MemoryBudget: 1 << 20})
 	if err != nil {
 		t.Fatalf("adaptive store run: %v", err)
 	}
