@@ -178,7 +178,9 @@ func runFig8(s Scale, w io.Writer) error {
 		}
 		tbl.AddRow("adj. pull (no lock)", breakdownRow(metrics.Breakdown{Preprocess: prepTime, Algorithm: res.AlgorithmTime}))
 	}
-	// Grid push with locks.
+	// Grid push with locks: the one grid executor's column-owned walk, each
+	// update inside its destination's stripe lock, so the row prices the
+	// locks and nothing else (its ranks are bit-identical to grid pull's).
 	{
 		g := freshCopy(base)
 		prepTime, err := buildGridTimed(g, s.GridP, prep.Options{Method: prep.RadixSort, Workers: s.Workers})

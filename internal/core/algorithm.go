@@ -24,10 +24,10 @@ import (
 //     the calling worker owns whatever the plan's sync mode, so it needs no
 //     synchronization — the lock-free advantage of pull mode discussed in
 //     Section 6.1.2.
-//   - PushRows, PushEdges and PullEdges own their destinations exactly when
+//   - PushRows, PushEdges and PullEdges own their destinations whenever
 //     s.Atomic is false (a grid column, a streamed column, or one goroutine
-//     running the whole iteration); otherwise other workers update the same
-//     destinations concurrently and the kernels update atomically.
+//     running the whole iteration). When it is set they update atomically:
+//     other workers share the destinations, or a grid runs SyncAtomics.
 //   - PushEdge updates one destination and is called only under SyncLocks,
 //     by the engine's push paths, while the destination's stripe lock is
 //     held.

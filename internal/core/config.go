@@ -73,9 +73,9 @@ const (
 	// atomically (compare-and-swap loops, or ALS's accumulator stripes).
 	SyncAtomics
 	// SyncPartitionFree relies on the data layout to give each worker
-	// exclusive ownership of a destination range (grid columns in push
-	// mode, rows of the transposed grid in pull mode) or on pull-mode
-	// vertex ownership, so no synchronization is needed.
+	// exclusive ownership of a destination range (grid columns, in pull
+	// mode as in push) or on pull-mode vertex ownership, so no
+	// synchronization is needed.
 	SyncPartitionFree
 )
 

@@ -36,9 +36,7 @@ func Run(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return iterate(g, alg, cfg, workers, pl, nil, func(plan StepPlan, frontier *graph.Frontier) (*graph.Frontier, error) {
-		return r.execute(plan, frontier), nil
-	})
+	return iterate(g, alg, cfg, workers, pl, nil, r.execute)
 }
 
 // iterate is the engine's one plan → execute → observe loop, behind both Run
@@ -186,17 +184,29 @@ func parallelFor(cfg Config) func(begin, end, chunk, p int, body func(worker, lo
 	return sched.ParallelForWorker
 }
 
-// stepper is the engine's side of the span contract, shared by the in-memory
-// and the streamed runner: it binds which kernels execute an iteration (the
-// algorithm's own, or its locked pushes under SyncLocks), fills the
-// iteration's graph.Span, and owns the double-buffered next-frontier state —
-// two (builder, frontier) pairs so one frontier can be consumed while the
-// next is built into the other pair's buffers.
-type stepper struct {
-	alg         Algorithm
-	numVertices int
-	workers     int
-	track       bool // build the next frontier (false for dense algorithms)
+// runner carries the per-run execution state of Run and RunStreamed alike:
+// the engine's side of the span contract. It binds which kernels execute an
+// iteration (the algorithm's own, or its locked pushes under SyncLocks),
+// fills the iteration's graph.Span, and owns the double-buffered
+// next-frontier state — two (builder, frontier) pairs so one frontier can be
+// consumed while the next is built into the other pair's buffers.
+//
+// Everything a steady-state iteration needs is owned by the runner and
+// recycled: the frontier buffers, the edge-balanced chunk table for push
+// iterations, and every parallel loop body, bound once here so no closure
+// is created inside the iteration loop. Per-iteration inputs (active list,
+// span) are passed to the bodies through runner fields.
+type runner struct {
+	alg     Algorithm
+	g       *graph.Graph
+	workers int
+	// pfor executes the run's parallel loops: lease-scoped for leased runs,
+	// the process-wide pool otherwise. Bound once here so the iteration
+	// paths never re-resolve it.
+	pfor func(begin, end, chunk, p int, body func(worker, lo, hi int))
+
+	out *graph.Adjacency // push adjacency (nil if not built)
+	in  *graph.Adjacency // pull adjacency (nil if not built)
 
 	// locked runs alg's pushes under the stripe locks; its table is
 	// allocated by the first SyncLocks plan.
@@ -210,93 +220,6 @@ type stepper struct {
 	builders [2]*graph.FrontierBuilder
 	fronts   [2]graph.Frontier
 	flip     int
-}
-
-func newStepper(alg Algorithm, numVertices, workers int) stepper {
-	return stepper{
-		alg:         alg,
-		numVertices: numVertices,
-		workers:     workers,
-		track:       !alg.Dense(),
-		locked:      lockedPush{Algorithm: alg},
-	}
-}
-
-// begin binds the kernels and the span of one iteration. Builders alternate
-// between two instances so the frontier emitted by the previous iteration
-// (which shares its builder's bitmap) stays valid while this iteration's
-// frontier is assembled. Callers that test frontier membership set
-// span.Bits themselves: converting the frontier is only worth paying where
-// the layout path needs the bitmap.
-func (st *stepper) begin(flow Flow, sync SyncMode, frontier *graph.Frontier) {
-	st.kern = st.alg
-	if sync == SyncLocks {
-		if st.locked.locks == nil {
-			st.locked.locks = newVertexLocks()
-		}
-		st.kern = &st.locked
-	}
-	st.pull = flow == Pull
-	// A one-worker run shares no destination with anyone: every iteration
-	// is owned.
-	st.span = graph.Span{
-		Full:   frontier.Count() == st.numVertices,
-		Atomic: sync == SyncAtomics && st.workers > 1,
-	}
-	if !st.track {
-		return
-	}
-	b := st.builders[st.flip]
-	if b == nil {
-		b = graph.NewFrontierBuilder(st.numVertices, st.workers)
-		st.builders[st.flip] = b
-	} else {
-		b.Reset()
-	}
-	st.span.Next = b
-}
-
-// finish turns the iteration's builder into the next frontier, reusing the
-// buffers of the Frontier paired with it, and flips the double buffer. It
-// returns nil for dense algorithms.
-func (st *stepper) finish() *graph.Frontier {
-	b := st.span.Next
-	if b == nil {
-		return nil
-	}
-	f := b.CollectInto(&st.fronts[st.flip])
-	st.flip = 1 - st.flip
-	st.span.Next = nil
-	return f
-}
-
-// edges applies one flat edge slice (edge-array chunk, grid cell, decoded or
-// streamed cell) in the iteration's direction.
-func (st *stepper) edges(worker int, es []graph.Edge) {
-	if st.pull {
-		st.kern.PullEdges(&st.span, worker, es)
-	} else {
-		st.kern.PushEdges(&st.span, worker, es)
-	}
-}
-
-// runner carries the per-run execution state shared by the layout paths.
-//
-// Everything a steady-state iteration needs is owned by the runner and
-// recycled: the stepper's frontier buffers, the edge-balanced chunk table
-// for push iterations, and every parallel loop body, bound once here so no
-// closure is created inside the iteration loop. Per-iteration inputs (active
-// list, span) are passed to the bodies through runner fields.
-type runner struct {
-	stepper
-	g *graph.Graph
-	// pfor executes the run's parallel loops: lease-scoped for leased runs,
-	// the process-wide pool otherwise. Bound once here so the iteration
-	// paths never re-resolve it.
-	pfor func(begin, end, chunk, p int, body func(worker, lo, hi int))
-
-	out *graph.Adjacency // push adjacency (nil if not built)
-	in  *graph.Adjacency // pull adjacency (nil if not built)
 
 	// Per-iteration inputs read by the loop bodies.
 	active []graph.VertexID // current active list (push)
@@ -309,19 +232,23 @@ type runner struct {
 	pushChunksBody func(worker, lo, hi int) // walks chunkStarts over active
 	pullBody       func(worker, lo, hi int) // destination rows of the in-adjacency
 	edgeBody       func(worker, lo, hi int) // edge-array index range
-	gridOwnedBody  func(worker, lo, hi int) // column-owned grid traversal
-	gridCellsBody  func(worker, lo, hi int) // cell-parallel grid traversal
+
+	// gridPass runs one grid iteration's column-owned walk (see execute):
+	// the resident grid's for Run, the source's StreamCells for RunStreamed.
+	gridPass func() error
 }
 
 // newRunner builds the per-run state and binds every loop body once. Each
 // body hands its chunk to the iteration's span kernels in one call.
 func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 	r := &runner{
-		stepper: newStepper(alg, g.NumVertices(), workers),
+		alg:     alg,
 		g:       g,
+		workers: workers,
+		pfor:    parallelFor(cfg),
 		out:     g.Out,
 		in:      g.PullAdjacency(),
-		pfor:    parallelFor(cfg),
+		locked:  lockedPush{Algorithm: alg},
 	}
 
 	r.pushChunksBody = func(worker, lo, hi int) {
@@ -341,12 +268,12 @@ func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 	}
 
 	if g.Grid != nil {
-		// Each body streams the grid's cells in ascending row order per
+		// The walk streams the grid's cells in ascending row order per
 		// column, which fixes every destination's visit order; an empty cell
 		// costs one index subtraction.
 		p := g.Grid.P
 		edges, cellIndex := g.Grid.Edges, g.Grid.CellIndex
-		r.gridOwnedBody = func(worker, lo, hi int) {
+		columns := func(worker, lo, hi int) {
 			// Column ownership: a column's destinations belong to one worker.
 			for col := lo; col < hi; col++ {
 				for row := 0; row < p; row++ {
@@ -357,15 +284,70 @@ func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 				}
 			}
 		}
-		r.gridCellsBody = func(worker, lo, hi int) {
-			for cell := lo; cell < hi; cell++ {
-				if span := edges[cellIndex[cell]:cellIndex[cell+1]]; len(span) > 0 {
-					r.edges(worker, span)
-				}
-			}
+		r.gridPass = func() error {
+			r.pfor(0, p, 1, r.workers, columns)
+			return nil
 		}
 	}
 	return r
+}
+
+// begin binds the kernels and the span of one iteration. Builders alternate
+// between two instances so the frontier emitted by the previous iteration
+// (which shares its builder's bitmap) stays valid while this iteration's
+// frontier is assembled. Callers that test frontier membership set
+// span.Bits themselves: converting the frontier is only worth paying where
+// the layout path needs the bitmap.
+func (r *runner) begin(flow Flow, sync SyncMode, frontier *graph.Frontier) {
+	r.kern = r.alg
+	if sync == SyncLocks {
+		if r.locked.locks == nil {
+			r.locked.locks = newVertexLocks()
+		}
+		r.kern = &r.locked
+	}
+	r.pull = flow == Pull
+	// A one-worker run shares no destination with anyone: every iteration
+	// is owned.
+	r.span = graph.Span{
+		Full:   frontier.Count() == r.g.NumVertices(),
+		Atomic: sync == SyncAtomics && r.workers > 1,
+	}
+	if r.alg.Dense() { // no next frontier to build
+		return
+	}
+	b := r.builders[r.flip]
+	if b == nil {
+		b = graph.NewFrontierBuilder(r.g.NumVertices(), r.workers)
+		r.builders[r.flip] = b
+	} else {
+		b.Reset()
+	}
+	r.span.Next = b
+}
+
+// finish turns the iteration's builder into the next frontier, reusing the
+// buffers of the Frontier paired with it, and flips the double buffer. It
+// returns nil for dense algorithms.
+func (r *runner) finish() *graph.Frontier {
+	b := r.span.Next
+	if b == nil {
+		return nil
+	}
+	f := b.CollectInto(&r.fronts[r.flip])
+	r.flip = 1 - r.flip
+	r.span.Next = nil
+	return f
+}
+
+// edges applies one flat edge slice (edge-array chunk, grid cell, decoded or
+// streamed cell) in the iteration's direction.
+func (r *runner) edges(worker int, es []graph.Edge) {
+	if r.pull {
+		r.kern.PullEdges(&r.span, worker, es)
+	} else {
+		r.kern.PushEdges(&r.span, worker, es)
+	}
 }
 
 // activeOutEdges returns the summed out-degrees of the frontier's vertices

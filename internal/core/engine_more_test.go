@@ -139,7 +139,7 @@ func runRecordingFrontiers(t *testing.T, g *graph.Graph, alg Algorithm, cfg Conf
 	var frontiers [][]graph.VertexID
 	res, err := iterate(g, alg, cfg, workers, pl, nil, func(plan StepPlan, f *graph.Frontier) (*graph.Frontier, error) {
 		frontiers = append(frontiers, append([]graph.VertexID(nil), f.Sparse()...))
-		return r.execute(plan, f), nil
+		return r.execute(plan, f)
 	})
 	if err != nil {
 		t.Fatalf("iterate: %v", err)

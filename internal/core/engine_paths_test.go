@@ -71,7 +71,10 @@ func TestBFSIdenticalAcrossWorkerCounts(t *testing.T) {
 // CSR order regardless of scheduling, so the ranks must be bit-identical.
 // Push mode interleaves atomic float additions in scheduling-dependent
 // order, so it is compared against the serial ranks within a tight
-// floating-point tolerance instead.
+// floating-point tolerance instead. Every grid pass is one column-owned
+// walk whatever the flow and sync, so each destination sums its edges in
+// one order and every static grid configuration must match serial grid
+// pull bit for bit.
 func TestPageRankIdenticalAcrossWorkerCounts(t *testing.T) {
 	g := rmatTestGraph(t)
 
@@ -92,6 +95,30 @@ func TestPageRankIdenticalAcrossWorkerCounts(t *testing.T) {
 		for v := range serial.Rank {
 			if math.Float64bits(serial.Rank[v]) != math.Float64bits(pooled.Rank[v]) {
 				t.Fatalf("rank[%d]: serial %v, pooled %v (not bit-identical)", v, serial.Rank[v], pooled.Rank[v])
+			}
+		}
+	})
+
+	t.Run("grid-bit-identical", func(t *testing.T) {
+		ref := algorithms.NewPageRank()
+		if _, err := Run(g, ref, Config{Layout: graph.LayoutGrid, Flow: Pull, Sync: SyncPartitionFree, Workers: 1}); err != nil {
+			t.Fatalf("serial grid pull: %v", err)
+		}
+		for _, flow := range []Flow{Push, Pull, PushPull} {
+			for _, sync := range []SyncMode{SyncLocks, SyncAtomics, SyncPartitionFree} {
+				for _, workers := range []int{1, 4} {
+					cfg := Config{Layout: graph.LayoutGrid, Flow: flow, Sync: sync, Workers: workers}
+					pr := algorithms.NewPageRank()
+					if _, err := Run(g, pr, cfg); err != nil {
+						t.Fatalf("%v/%v/%d workers: %v", flow, sync, workers, err)
+					}
+					for v := range ref.Rank {
+						if math.Float64bits(ref.Rank[v]) != math.Float64bits(pr.Rank[v]) {
+							t.Fatalf("%v/%v/%d workers: rank[%d] %v, serial grid pull %v (not bit-identical)",
+								flow, sync, workers, v, pr.Rank[v], ref.Rank[v])
+						}
+					}
+				}
 			}
 		}
 	})

@@ -14,14 +14,24 @@ import (
 // loop of its own over edges.
 
 // execute runs one iteration under plan and returns the next frontier (nil
-// for dense algorithms).
-func (r *runner) execute(plan StepPlan, frontier *graph.Frontier) *graph.Frontier {
+// for dense algorithms) and the error of a streamed pass.
+//
+// Every grid iteration, resident or streamed, is one gridPass: a worker
+// owns whole columns, visiting each column's cells in ascending row order,
+// and every edge of a column has its destination inside the column's vertex
+// range, so push and pull updates are race-free without locks (Section
+// 6.1.2). The plan's sync only picks the kernel (locked pushes, or an
+// atomic span) over the same walk: "grid (locks)" in Figure 8 pays for its
+// locks and nothing else, and results are bit-identical under every sync.
+func (r *runner) execute(plan StepPlan, frontier *graph.Frontier) (*graph.Frontier, error) {
 	r.begin(plan.Flow, plan.Sync, frontier)
+	var err error
 	switch plan.Layout {
 	case graph.LayoutEdgeArray:
 		r.edgeCentric(frontier)
-	case graph.LayoutGrid:
-		r.gridStep(frontier, plan)
+	case graph.LayoutGrid, graph.LayoutGridCompressed:
+		r.span.Bits = frontier.Bitmap()
+		err = r.gridPass()
 	default: // LayoutAdjacency, LayoutAdjacencySorted
 		if plan.Flow == Pull {
 			r.vertexPull(frontier)
@@ -30,7 +40,7 @@ func (r *runner) execute(plan StepPlan, frontier *graph.Frontier) *graph.Frontie
 		}
 	}
 	r.chunked = nil // the frontier object is recycled two iterations on
-	return r.finish()
+	return r.finish(), err
 }
 
 // pushEdgeChunk is the target number of out-edges per push chunk. Push
@@ -193,23 +203,4 @@ func (r *runner) edgeCentric(frontier *graph.Frontier) {
 	// updates even on one worker.
 	r.span.Atomic = r.span.Atomic || r.span.Mirror
 	r.pfor(0, len(r.g.EdgeArray.Edges), sched.DefaultChunkSize, r.workers, r.edgeBody)
-}
-
-// gridStep runs one iteration over the grid layout. Under
-// SyncPartitionFree, workers own whole columns: every edge of a column has
-// its destination inside the column's vertex range, so both push updates
-// and pull updates of those destinations are race-free without locks
-// (Section 6.1.2). Under locks/atomics, cells are processed independently
-// with synchronized destination updates (the "grid (locks)" configuration
-// of Figure 8).
-func (r *runner) gridStep(frontier *graph.Frontier, plan StepPlan) {
-	p := r.g.Grid.P
-	r.span.Bits = frontier.Bitmap()
-	if plan.Sync == SyncPartitionFree {
-		// Column ownership: a worker processes every cell of its columns.
-		r.pfor(0, p, 1, r.workers, r.gridOwnedBody)
-	} else {
-		// Cell-parallel with synchronized updates.
-		r.pfor(0, p*p, 4, r.workers, r.gridCellsBody)
-	}
 }

@@ -122,18 +122,19 @@ type degreePreset interface {
 	SetOutDegrees([]uint32)
 }
 
-// RunStreamed executes alg over the streamed cells of src, the out-of-core
-// analogue of Run's grid path. Only the partition-free discipline is
-// supported: column ownership is what lets a streamed cell be applied
-// without synchronization, so cfg.Sync must be SyncPartitionFree and
-// cfg.Layout LayoutGrid, compressed stores included (Flow == Auto relaxes
-// both — the planner pins them itself). Flow may be Push, Pull, PushPull
-// (the switch uses the same active-vertex heuristic as the in-memory grid)
-// or Auto (the adaptive planner chooses the direction). Every pass streams
-// at the stored P under the one budget cfg.MemoryBudget configures
-// (0 = DefaultStreamMemoryBudget). Vertex state (algorithm arrays,
-// frontiers, degree table) stays resident; edge data stays within the
-// source's buffer budget (see StreamOptions.MemoryBudget).
+// RunStreamed executes alg over the streamed cells of src: Run's grid step
+// over a Source, the same runner, kernels and span with the source's
+// StreamCells in place of the resident grid's column walk. Only the
+// partition-free discipline is supported: column ownership is what lets a
+// streamed cell be applied without synchronization, so cfg.Sync must be
+// SyncPartitionFree and cfg.Layout LayoutGrid, compressed stores included
+// (Flow == Auto relaxes both — the planner pins them itself). Flow may be
+// Push, Pull, PushPull (the switch uses the same active-vertex heuristic as
+// the in-memory grid) or Auto (the adaptive planner chooses the direction).
+// Every pass streams at the stored P under the one budget cfg.MemoryBudget
+// configures (0 = DefaultStreamMemoryBudget). Vertex state (algorithm
+// arrays, frontiers, degree table) stays resident; edge data stays within
+// the source's buffer budget (see StreamOptions.MemoryBudget).
 func RunStreamed(src Source, alg Algorithm, cfg Config) (*Result, error) {
 	if cfg.Flow != Auto {
 		if cfg.Layout != graph.LayoutGrid {
@@ -158,14 +159,17 @@ func RunStreamed(src Source, alg Algorithm, cfg Config) (*Result, error) {
 		dp.SetOutDegrees(src.OutDegrees())
 	}
 
-	r := newStreamRunner(src, alg, StreamOptions{
+	r := newRunner(shim, alg, cfg, workers)
+	opt := StreamOptions{
 		Workers:      workers,
 		MemoryBudget: cmp.Or(cfg.MemoryBudget, DefaultStreamMemoryBudget),
 		Lease:        cfg.Lease,
 		Trace:        cfg.Trace,
-	})
+	}
+	visit := r.edges // bound once: the per-pass closure allocates nothing
+	r.gridPass = func() error { return src.StreamCells(opt, visit) }
 	pl := streamPlanner(src, cfg, resolveAlpha(cfg), !alg.Dense())
-	return iterate(shim, alg, cfg, workers, pl, src, r.step)
+	return iterate(shim, alg, cfg, workers, pl, src, r.execute)
 }
 
 // StreamExecWorkers returns the number of workers a streamed pass actually
@@ -185,32 +189,4 @@ func StreamExecWorkers(gridP, workers int, budget int64) int {
 		workers--
 	}
 	return workers
-}
-
-// streamRunner owns the per-run state of a streamed execution: the stepper
-// (same kernels, span and frontier double-buffering as the in-memory runner),
-// the pass options that hold for the whole run, and the visit body, bound
-// once so the per-iteration loop allocates nothing of its own.
-type streamRunner struct {
-	stepper
-	src   Source
-	opt   StreamOptions // the run-wide recipe
-	visit func(worker int, edges []graph.Edge)
-}
-
-func newStreamRunner(src Source, alg Algorithm, opt StreamOptions) *streamRunner {
-	r := &streamRunner{stepper: newStepper(alg, src.NumVertices(), opt.Workers), src: src, opt: opt}
-	r.visit = r.edges
-	return r
-}
-
-// step runs one streamed pass under plan and returns the next frontier (nil
-// for dense algorithms). Column ownership makes every streamed cell an owned
-// span.
-func (r *streamRunner) step(plan StepPlan, frontier *graph.Frontier) (*graph.Frontier, error) {
-	r.begin(plan.Flow, SyncPartitionFree, frontier)
-	r.span.Bits = frontier.Bitmap()
-	err := r.src.StreamCells(r.opt, r.visit)
-	next := r.finish()
-	return next, err
 }

@@ -516,11 +516,11 @@ func TestSpanIterationAllocatesNothing(t *testing.T) {
 		push := StepPlan{Layout: graph.LayoutAdjacency, Flow: Push, Sync: SyncAtomics, Tracked: true}
 		frontier := alg.InitialFrontier(g)
 		step := func() {
-			built := r.execute(pull, frontier)
+			built, _ := r.execute(pull, frontier)
 			if !built.IsDense() || built.IsEmpty() {
 				t.Fatalf("pull emitted dense=%v with %d vertices, want a non-empty dense frontier", built.IsDense(), built.Count())
 			}
-			frontier = r.execute(push, built)
+			frontier, _ = r.execute(push, built)
 		}
 		for i := 0; i < 8; i++ {
 			step()

@@ -11,9 +11,8 @@ import "fmt"
 //
 // The grid also gives a natural lock-free parallelization (Section 6.1.2):
 // cells in different columns have disjoint destination ranges, so assigning
-// whole columns to workers makes push updates race-free; cells in different
-// rows have disjoint source ranges, so assigning whole rows to workers makes
-// pull updates race-free.
+// whole columns to workers makes destination updates race-free. Pull, like
+// push, is column-owned: a pull updates destinations too.
 //
 // Cells are stored in a single contiguous edge slice (CellIndex delimits
 // them) so that streaming a cell has the same prefetch-friendly behaviour as

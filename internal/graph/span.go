@@ -17,8 +17,9 @@ type Span struct {
 	// Add, or a whole owned word at a time through SetWord in pull rows; nil
 	// when the algorithm is dense and no frontier is built.
 	Next *FrontierBuilder
-	// Atomic reports that other workers may update the same destinations
-	// concurrently, so destination updates must be atomic. When false the
+	// Atomic asks for atomic destination updates: other workers may update
+	// the same destinations concurrently, or a grid runs under atomics to
+	// measure their cost over the columns it owns. When false the
 	// calling worker owns every destination of the span and plain stores
 	// suffice: it owns a destination range (pull rows, grid columns,
 	// streamed columns), or one goroutine runs the whole iteration (a push
