@@ -53,7 +53,7 @@ bench-adaptive:
 
 # Compressed-store cases: fixed-width cell encode and decode (ns/edge per
 # offset width) and the version-3 (compressed segment) store against the
-# version-1 streamed baseline, warm and, on Linux, with the page cache
+# version-4 streamed baseline, warm and, on Linux, with the page cache
 # dropped before every pass.
 bench-compressed:
 	$(GO) test -run '^$$' -bench 'CellEncode|DecodeCell' -benchmem ./internal/graph/

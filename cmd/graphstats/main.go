@@ -110,7 +110,7 @@ func storeStats(path string) error {
 	defer s.Close()
 
 	h := s.Header()
-	kind := "fixed 12-byte records"
+	kind := "8-byte (src, dst) records"
 	if s.Compressed() {
 		w := graph.CellOffsetWidth(h.RangeSize)
 		kind = fmt.Sprintf("fixed-width cells: %d-byte range offsets, %d B/edge before weights", w, 2*w)
@@ -119,11 +119,7 @@ func storeStats(path string) error {
 	fmt.Printf("format: version %d (%s)\n", h.Version, kind)
 	fmt.Printf("graph: %d vertices, %d stored edges, %dx%d grid (range %d)\n",
 		h.NumVertices, h.NumEdges, h.P, h.P, h.RangeSize)
-	fmt.Printf("edges: undirected(mirrored)=%v", h.Undirected)
-	if s.Compressed() {
-		fmt.Printf(" weight-plane=%v", h.Weighted)
-	}
-	fmt.Println()
+	fmt.Printf("edges: undirected(mirrored)=%v weight-plane=%v\n", h.Undirected, h.Weighted)
 
 	// Per-cell stored-size histogram in log2-byte buckets.
 	numCells := h.P * h.P
@@ -151,7 +147,7 @@ func storeStats(path string) error {
 	if !s.Compressed() || stored == 0 {
 		return nil
 	}
-	// Raw footprint is the version-1 record format: 12 bytes per stored
+	// Raw footprint is the binary edge file's record: 12 bytes per stored
 	// edge. Every compressed edge takes the same bytes, so one ratio holds
 	// for the whole store and for every row of it.
 	raw := h.NumEdges * 12

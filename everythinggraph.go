@@ -418,7 +418,8 @@ func OpenStore(path string) (*Store, error) {
 	return &Store{s: s}, nil
 }
 
-// BuildStore writes g's edges as a partitioned grid store at path. gridP
+// BuildStore writes g's edges as a partitioned grid store at path: 8-byte
+// (src, dst) records, plus a weight plane when some weight is not 1. gridP
 // follows Config.GridP semantics (0 = the paper's 256, clamped for small
 // graphs); undirected mirrors each edge into the store, which WCC requires.
 func BuildStore(path string, g *Graph, gridP int, undirected bool) error {
@@ -430,7 +431,7 @@ func BuildStore(path string, g *Graph, gridP int, undirected bool) error {
 // written as two fixed-width offsets inside its cell's ranges (2 bytes each
 // on 1,024-wide ranges; weights, when present, in a parallel plane),
 // decoded inside the prefetch pipeline during streamed runs. Results stay
-// bit-identical to version-1 stores and in-memory runs; only the bytes
+// bit-identical to BuildStore's stores and in-memory runs; only the bytes
 // moved per pass shrink.
 func BuildCompressedStore(path string, g *Graph, gridP int, undirected bool) error {
 	_, err := oocore.BuildCompressedStoreFromGraph(path, g.g, gridP, undirected)
@@ -453,23 +454,22 @@ func (st *Store) GridP() int { return st.s.GridP() }
 // Undirected reports whether edges were mirrored into the store.
 func (st *Store) Undirected() bool { return st.s.Undirected() }
 
-// FormatVersion returns the store's on-disk format version: 1 for
-// fixed-record segments, 3 for compressed segments.
+// FormatVersion returns the store's on-disk format version: 4 for
+// pair-record segments, 3 for compressed segments.
 func (st *Store) FormatVersion() int { return st.s.Header().Version }
 
 // Compressed reports whether the store holds compressed (version-3) cell
 // segments.
 func (st *Store) Compressed() bool { return st.s.Compressed() }
 
-// Weighted reports whether a version-3 store carries a weight plane
-// (version-1 stores always store weights inline, so this is only
-// meaningful for compressed stores).
+// Weighted reports whether the store carries a weight plane.
 func (st *Store) Weighted() bool { return st.s.Header().Weighted }
 
-// CompressionRatio returns raw edge bytes (12 per stored edge) over the
-// store's actual edge-data footprint — 1 for version-1 stores; for
-// compressed stores 12 / (2w + 4 when weighted), w the offset width: 1.5x
-// for a weighted store on 1,024-wide ranges, 6x unweighted on 256-wide.
+// CompressionRatio returns the binary edge file's bytes (12 per stored
+// edge) over the store's actual edge-data footprint: 12 / (8 + 4 when
+// weighted) for pair records; for compressed stores 12 / (2w + 4 when
+// weighted), w the offset width: 1.5x for a weighted store on 1,024-wide
+// ranges, 6x unweighted on 256-wide.
 func (st *Store) CompressionRatio() float64 {
 	p := st.s.GridP()
 	var stored int64

@@ -410,7 +410,7 @@ func TestSSSPRelaxation(t *testing.T) {
 	}
 	// A shorter path through vertex 1 relaxes vertex 2 again.
 	sp = atomicSpan(3)
-	s.PullEdges(&sp, 0, []graph.Edge{{Src: 1, Dst: 2, W: 2}})
+	s.Cells(&sp, 0, []graph.Pair{{Src: 1, Dst: 2}}, []graph.Weight{2})
 	if got := sp.Next.Collect().Sparse(); !slices.Equal(got, []graph.VertexID{2}) {
 		t.Fatalf("pull relaxation activated %v, want [2]", got)
 	}

@@ -226,10 +226,14 @@ func (a *ALS) PushEdges(s *graph.Span, _ int, edges []graph.Edge) {
 	}
 }
 
-// PullEdges is PushEdges: the destinations that pull are the side being
-// updated, and pulling a rating is the same accumulation.
-func (a *ALS) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
-	a.PushEdges(s, worker, edges)
+// Cells applies grid-cell ratings in either direction: the destinations
+// that pull are the side being updated, and pulling a rating is the same
+// accumulation.
+func (a *ALS) Cells(s *graph.Span, _ int, pairs []graph.Pair, weights []graph.Weight) {
+	ws := graph.PairWeights(weights, len(pairs))
+	for i, e := range pairs {
+		a.rate(s, e.Src, e.Dst, ws[i])
+	}
 }
 
 // AfterIteration implements Algorithm: solve the per-vertex normal equations

@@ -152,11 +152,17 @@ func (b *BFS) PullRows(s *graph.Span, worker int, in *graph.Adjacency, lo, hi in
 	}
 }
 
-// claim makes u the parent of v if v is undiscovered, racing other workers.
-// The load screens out the (common) already-discovered destinations before
-// paying for the locked instruction.
+// claim makes u the parent of v if v is undiscovered: with plain stores
+// when the span owns v, else racing other workers, the load screening out
+// the (common) already-discovered destinations before paying for the
+// locked instruction.
 func (b *BFS) claim(s *graph.Span, worker int, u, v graph.VertexID) {
-	if atomic.LoadInt32(&b.Parent[v]) < 0 && atomic.CompareAndSwapInt32(&b.Parent[v], -1, int32(u)) {
+	if !s.Atomic {
+		if b.Parent[v] < 0 {
+			b.Parent[v], b.Level[v] = int32(u), b.curLevel
+			s.Next.Add(worker, v)
+		}
+	} else if atomic.LoadInt32(&b.Parent[v]) < 0 && atomic.CompareAndSwapInt32(&b.Parent[v], -1, int32(u)) {
 		b.Level[v] = b.curLevel
 		s.Next.Add(worker, v)
 	}
@@ -186,16 +192,6 @@ func (b *BFS) PushRows(s *graph.Span, worker int, out *graph.Adjacency, active [
 
 // PushEdges discovers destinations over a flat edge slice.
 func (b *BFS) PushEdges(s *graph.Span, worker int, edges []graph.Edge) {
-	if !s.Atomic {
-		parent, level, cur := b.Parent, b.Level, b.curLevel
-		for _, e := range edges {
-			if s.Active(e.Src) && parent[e.Dst] < 0 {
-				parent[e.Dst], level[e.Dst] = int32(e.Src), cur
-				s.Next.Add(worker, e.Dst)
-			}
-		}
-		return
-	}
 	for _, e := range edges {
 		if s.Active(e.Src) {
 			b.claim(s, worker, e.Src, e.Dst)
@@ -206,10 +202,15 @@ func (b *BFS) PushEdges(s *graph.Span, worker int, edges []graph.Edge) {
 	}
 }
 
-// PullEdges is PushEdges: "destination still undiscovered" is both the pull
-// guard and the push test, and both adopt the edge's source.
-func (b *BFS) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
-	b.PushEdges(s, worker, edges)
+// Cells discovers destinations over grid-cell pairs in either direction:
+// "destination still undiscovered" is both the pull guard and the push
+// test, and both adopt the edge's source.
+func (b *BFS) Cells(s *graph.Span, worker int, pairs []graph.Pair, _ []graph.Weight) {
+	for _, e := range pairs {
+		if s.Active(e.Src) {
+			b.claim(s, worker, e.Src, e.Dst)
+		}
+	}
 }
 
 // Reached returns the number of vertices discovered by the traversal.

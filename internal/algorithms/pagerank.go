@@ -254,10 +254,20 @@ func (pr *PageRank) PushEdges(s *graph.Span, _ int, edges []graph.Edge) {
 	}
 }
 
-// PullEdges is PushEdges: every destination pulls every iteration, and the
-// pull update is the same addition.
-func (pr *PageRank) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
-	pr.PushEdges(s, worker, edges)
+// Cells adds each pair's source contribution to its destination, in either
+// direction: every destination pulls every iteration, and the pull update
+// is the same addition.
+func (pr *PageRank) Cells(s *graph.Span, _ int, pairs []graph.Pair, _ []graph.Weight) {
+	acc, contrib := pr.acc, pr.contrib
+	if !s.Atomic {
+		for _, e := range pairs {
+			acc[e.Dst] = math.Float64bits(math.Float64frombits(acc[e.Dst]) + contrib[e.Src])
+		}
+		return
+	}
+	for _, e := range pairs {
+		atomicAddFloat64(&acc[e.Dst], contrib[e.Src])
+	}
 }
 
 // TotalRank returns the sum of all ranks (used by the mass-conservation

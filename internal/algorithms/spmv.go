@@ -109,9 +109,20 @@ func (m *SpMV) PushEdges(s *graph.Span, _ int, edges []graph.Edge) {
 	}
 }
 
-// PullEdges is PushEdges: every row pulls, and the update is the same.
-func (m *SpMV) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
-	m.PushEdges(s, worker, edges)
+// Cells applies grid-cell pairs in either direction: every row pulls, and
+// the update is the same.
+func (m *SpMV) Cells(s *graph.Span, _ int, pairs []graph.Pair, weights []graph.Weight) {
+	y, x := m.y, m.X
+	ws := graph.PairWeights(weights, len(pairs))
+	if !s.Atomic {
+		for i, e := range pairs {
+			y[e.Dst] = math.Float64bits(math.Float64frombits(y[e.Dst]) + float64(ws[i])*x[e.Src])
+		}
+		return
+	}
+	for i, e := range pairs {
+		atomicAddFloat64(&y[e.Dst], float64(ws[i])*x[e.Src])
+	}
 }
 
 // Result returns the output vector y.

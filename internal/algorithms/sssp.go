@@ -22,7 +22,7 @@ import (
 // is settled and the bound moves to the end of the bucket of width Δ holding
 // that distance. Δ is ssspDeltaWeights times the largest edge weight; with
 // no positive finite weight the bound is +Inf and every active vertex
-// relaxes (plain frontier Bellman-Ford, as the pull kernels and the locked
+// relaxes (plain frontier Bellman-Ford, as the pull rows and the locked
 // pushes of SyncLocks always run).
 //
 // The result does not depend on the bound or the relax order: no vertex
@@ -222,59 +222,53 @@ func (s *SSSP) PushRows(sp *graph.Span, worker int, out *graph.Adjacency, active
 
 // PushEdges relaxes a flat edge slice, deferring sources beyond the bound.
 func (s *SSSP) PushEdges(sp *graph.Span, worker int, edges []graph.Edge) {
-	s.relaxEdges(sp, worker, edges, s.bound)
-}
-
-// PullEdges relaxes like PushEdges, without a bound: every vertex may still
-// improve, and pulling over an edge is the same relaxation.
-func (s *SSSP) PullEdges(sp *graph.Span, worker int, edges []graph.Edge) {
-	s.relaxEdges(sp, worker, edges, inf32)
-}
-
-// relaxEdges relaxes every edge of the slice whose active source is below
-// bound and re-adds the active sources at or beyond it; a source with no
-// edge in the slice is left to the spans that hold its edges.
-func (s *SSSP) relaxEdges(sp *graph.Span, worker int, edges []graph.Edge, bound float32) {
-	dist := s.dist
 	least := s.least[worker].d
-	if !sp.Atomic {
-		for _, e := range edges {
-			if !sp.Active(e.Src) {
-				continue
-			}
-			du := loadFloat32(&dist[e.Src])
-			if du >= bound {
-				sp.Next.Add(worker, e.Src)
-				least = min(least, du)
-			} else if nd := du + e.W; nd < loadFloat32(&dist[e.Dst]) {
-				storeFloat32(&dist[e.Dst], nd)
-				sp.Next.Add(worker, e.Dst)
-				least = min(least, nd)
-			}
-		}
-		s.least[worker].d = least
-		return
-	}
-	// relax applies u -> v for an active u with atomic minima.
-	relax := func(u, v graph.VertexID, w graph.Weight) {
-		du := loadFloat32(&dist[u])
-		if du >= bound {
-			sp.Next.Add(worker, u)
-			least = min(least, du)
-		} else if nd := du + w; atomicMinFloat32(&dist[v], nd) {
-			sp.Next.Add(worker, v)
-			least = min(least, nd)
-		}
-	}
 	for _, e := range edges {
 		if sp.Active(e.Src) {
-			relax(e.Src, e.Dst, e.W)
+			least = s.relax(sp, worker, e.Src, e.Dst, e.W, least)
 		}
 		if sp.Mirror && e.Src != e.Dst && sp.Active(e.Dst) {
-			relax(e.Dst, e.Src, e.W)
+			least = s.relax(sp, worker, e.Dst, e.Src, e.W, least)
 		}
 	}
 	s.least[worker].d = least
+}
+
+// Cells relaxes grid-cell pairs like PushEdges, in either direction: a cell
+// pulls the same way it pushes, from its active sources, so a pulling
+// destination also meets only the sources below the bound, and the others
+// wait in the frontier as they do in a push.
+func (s *SSSP) Cells(sp *graph.Span, worker int, pairs []graph.Pair, weights []graph.Weight) {
+	least, ws := s.least[worker].d, graph.PairWeights(weights, len(pairs))
+	for i, e := range pairs {
+		if sp.Active(e.Src) {
+			least = s.relax(sp, worker, e.Src, e.Dst, ws[i], least)
+		}
+	}
+	s.least[worker].d = least
+}
+
+// relax applies u -> v for an active u, or re-adds u when it is at or
+// beyond the bound, and returns least lowered to any distance it added: an
+// atomic minimum when the span shares v, a plain store otherwise.
+func (s *SSSP) relax(sp *graph.Span, worker int, u, v graph.VertexID, w graph.Weight, least float32) float32 {
+	du := loadFloat32(&s.dist[u])
+	if du >= s.bound {
+		sp.Next.Add(worker, u)
+		return min(least, du)
+	}
+	nd := du + w
+	if sp.Atomic {
+		if !atomicMinFloat32(&s.dist[v], nd) {
+			return least
+		}
+	} else if nd < loadFloat32(&s.dist[v]) {
+		storeFloat32(&s.dist[v], nd)
+	} else {
+		return least
+	}
+	sp.Next.Add(worker, v)
+	return min(least, nd)
 }
 
 // Distance returns the computed distance of v (+Inf if unreachable).

@@ -114,35 +114,40 @@ func (w *WCC) PushRows(s *graph.Span, worker int, out *graph.Adjacency, active [
 	}
 }
 
+// lower lowers v's label to u's: with plain stores when the span owns v,
+// else with an atomic minimum.
+func (w *WCC) lower(s *graph.Span, worker int, u, v graph.VertexID) {
+	lu := atomic.LoadUint32(&w.Labels[u])
+	if !s.Atomic {
+		if lu < atomic.LoadUint32(&w.Labels[v]) {
+			atomic.StoreUint32(&w.Labels[v], lu)
+			s.Next.Add(worker, v)
+		}
+	} else if atomicMinUint32(&w.Labels[v], lu) {
+		s.Next.Add(worker, v)
+	}
+}
+
 // PushEdges propagates labels over a flat edge slice.
 func (w *WCC) PushEdges(s *graph.Span, worker int, edges []graph.Edge) {
-	labels := w.Labels
-	if !s.Atomic {
-		for _, e := range edges {
-			if !s.Active(e.Src) {
-				continue
-			}
-			if lu := atomic.LoadUint32(&labels[e.Src]); lu < atomic.LoadUint32(&labels[e.Dst]) {
-				atomic.StoreUint32(&labels[e.Dst], lu)
-				s.Next.Add(worker, e.Dst)
-			}
-		}
-		return
-	}
 	for _, e := range edges {
-		if s.Active(e.Src) && atomicMinUint32(&labels[e.Dst], atomic.LoadUint32(&labels[e.Src])) {
-			s.Next.Add(worker, e.Dst)
+		if s.Active(e.Src) {
+			w.lower(s, worker, e.Src, e.Dst)
 		}
-		if s.Mirror && e.Src != e.Dst && s.Active(e.Dst) && atomicMinUint32(&labels[e.Src], atomic.LoadUint32(&labels[e.Dst])) {
-			s.Next.Add(worker, e.Src)
+		if s.Mirror && e.Src != e.Dst && s.Active(e.Dst) {
+			w.lower(s, worker, e.Dst, e.Src)
 		}
 	}
 }
 
-// PullEdges is PushEdges: every vertex may still improve, and pulling over
-// an edge is the same minimum.
-func (w *WCC) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
-	w.PushEdges(s, worker, edges)
+// Cells propagates labels over grid-cell pairs in either direction: every
+// vertex may still improve, and pulling over an edge is the same minimum.
+func (w *WCC) Cells(s *graph.Span, worker int, pairs []graph.Pair, _ []graph.Weight) {
+	for _, e := range pairs {
+		if s.Active(e.Src) {
+			w.lower(s, worker, e.Src, e.Dst)
+		}
+	}
 }
 
 // NumComponents counts the distinct labels after convergence.

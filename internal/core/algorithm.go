@@ -12,11 +12,11 @@ import (
 // the technique, keep the algorithm code constant.
 //
 // The engine never calls an edge function per edge on its fast paths: it
-// hands the algorithm a whole chunk of the iteration — a CSR row range or a
-// flat edge slice — together with the iteration's graph.Span (frontier
-// bitmap, "frontier is full" flag, next-frontier builder, ownership
-// discipline), and the algorithm's span kernel runs the loop with its update
-// inlined.
+// hands the algorithm a whole chunk of the iteration — a CSR row range, a
+// flat edge slice or a run of grid-cell pairs — together with the
+// iteration's graph.Span (frontier bitmap, "frontier is full" flag,
+// next-frontier builder, ownership discipline), and the algorithm's span
+// kernel runs the loop with its update inlined.
 //
 // State discipline:
 //
@@ -24,7 +24,7 @@ import (
 //     the calling worker owns whatever the plan's sync mode, so it needs no
 //     synchronization — the lock-free advantage of pull mode discussed in
 //     Section 6.1.2.
-//   - PushRows, PushEdges and PullEdges own their destinations whenever
+//   - PushRows, PushEdges and Cells own their destinations whenever
 //     s.Atomic is false (a grid column, a streamed column, or one goroutine
 //     running the whole iteration). When it is set they update atomically:
 //     other workers share the destinations, or a grid runs SyncAtomics.
@@ -64,13 +64,16 @@ type Algorithm interface {
 	// frontier, so plain stores and s.Next.AddOwned are enough — an atomic
 	// update stays correct too.
 	PushRows(s *graph.Span, worker int, out *graph.Adjacency, active []graph.VertexID)
-	// PushEdges applies, in slice order, every edge whose source is in the
-	// frontier (edge-array chunk, grid cell, decoded or streamed cell),
-	// honouring s.Atomic and s.Mirror.
+	// PushEdges applies, in slice order, every edge of an edge-array chunk
+	// whose source is in the frontier, honouring s.Atomic and s.Mirror.
 	PushEdges(s *graph.Span, worker int, edges []graph.Edge)
-	// PullEdges is PushEdges in pull mode: each destination that still needs
-	// data takes the update from its active in-neighbours in slice order.
-	PullEdges(s *graph.Span, worker int, edges []graph.Edge)
+	// Cells applies, in slice order, grid-cell edges as (src, dst) pairs
+	// with their weights (nil when every weight is 1: read them through
+	// graph.PairWeights), resident or streamed, in either direction: a cell
+	// pulls as it pushes, applying every active source's edge and leaving
+	// alone a destination that needs no more data. Grid spans are never
+	// mirrored.
+	Cells(s *graph.Span, worker int, pairs []graph.Pair, weights []graph.Weight)
 
 	// PushEdge applies the edge (u -> v, w) on behalf of active vertex u. It
 	// returns true if v became newly active for the next iteration. Only the
@@ -131,13 +134,19 @@ func (a *lockedPush) PushEdges(s *graph.Span, worker int, edges []graph.Edge) {
 	}
 }
 
-// PullEdges runs a grid pull cell as locked pushes from its active sources
-// (grid spans are never mirrored). Pulling skips a destination that needs no
-// more data; every PushEdge already leaves such a destination alone — BFS a
-// vertex with a parent, ALS a vertex off the side being updated, and
-// PageRank, SpMV, SSSP and WCC have none — so the push is the pull.
-func (a *lockedPush) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
-	a.PushEdges(s, worker, edges)
+// Cells runs grid cells as locked pushes from their active sources (grid
+// spans are never mirrored), in either direction. Pulling skips a
+// destination that needs no more data; every PushEdge already leaves such a
+// destination alone — BFS a vertex with a parent, ALS a vertex off the side
+// being updated, and PageRank, SpMV, SSSP and WCC have none — so the push is
+// the pull.
+func (a *lockedPush) Cells(s *graph.Span, worker int, pairs []graph.Pair, weights []graph.Weight) {
+	ws := graph.PairWeights(weights, len(pairs))
+	for i, e := range pairs {
+		if s.Active(e.Src) {
+			a.push(s, worker, e.Src, e.Dst, ws[i])
+		}
+	}
 }
 
 // Rooted is implemented by single-source algorithms (BFS, SSSP), whose Init

@@ -108,17 +108,6 @@ const (
 	// in rotation: classic double buffering, one slot computed on while the
 	// next is read (below two slots there is nothing to overlap).
 	MinPrefetchDepth = 2
-	// MinStreamSliceEdges is the slice granularity below which streaming
-	// degenerates (per-read overheads dominate); sources shed workers
-	// before slices shrink past it.
-	MinStreamSliceEdges = 64
-	// StreamResidentEdgeBytes is what one buffered edge costs while
-	// resident: one 12-byte graph.Edge, into which a raw store reads the
-	// edge's record in place. It is the unit both StreamExecWorkers' budget
-	// arithmetic and the sources' buffer pools size against, so the two
-	// always agree on what fits. (A compressed store's slots also hold the
-	// payload they decode from; its pool charges that on top.)
-	StreamResidentEdgeBytes = 12
 )
 
 // Config selects the techniques for a run.

@@ -215,7 +215,6 @@ type runner struct {
 	// Per-iteration binding, set by begin and read by every worker.
 	kern Algorithm
 	span graph.Span
-	pull bool // flat edge slices run the pull kernel
 
 	builders [2]*graph.FrontierBuilder
 	fronts   [2]graph.Frontier
@@ -271,15 +270,14 @@ func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 		// The walk streams the grid's cells in ascending row order per
 		// column, which fixes every destination's visit order; an empty cell
 		// costs one index subtraction.
-		p := g.Grid.P
-		edges, cellIndex := g.Grid.Edges, g.Grid.CellIndex
+		grid := g.Grid
+		p := grid.P
 		columns := func(worker, lo, hi int) {
 			// Column ownership: a column's destinations belong to one worker.
 			for col := lo; col < hi; col++ {
 				for row := 0; row < p; row++ {
-					cell := row*p + col
-					if span := edges[cellIndex[cell]:cellIndex[cell+1]]; len(span) > 0 {
-						r.edges(worker, span)
+					if pairs, weights := grid.Cell(row, col); len(pairs) > 0 {
+						r.cells(worker, pairs, weights)
 					}
 				}
 			}
@@ -298,7 +296,7 @@ func newRunner(g *graph.Graph, alg Algorithm, cfg Config, workers int) *runner {
 // frontier is assembled. Callers that test frontier membership set
 // span.Bits themselves: converting the frontier is only worth paying where
 // the layout path needs the bitmap.
-func (r *runner) begin(flow Flow, sync SyncMode, frontier *graph.Frontier) {
+func (r *runner) begin(sync SyncMode, frontier *graph.Frontier) {
 	r.kern = r.alg
 	if sync == SyncLocks {
 		if r.locked.locks == nil {
@@ -306,7 +304,6 @@ func (r *runner) begin(flow Flow, sync SyncMode, frontier *graph.Frontier) {
 		}
 		r.kern = &r.locked
 	}
-	r.pull = flow == Pull
 	// A one-worker run shares no destination with anyone: every iteration
 	// is owned.
 	r.span = graph.Span{
@@ -340,14 +337,10 @@ func (r *runner) finish() *graph.Frontier {
 	return f
 }
 
-// edges applies one flat edge slice (edge-array chunk, grid cell, decoded or
-// streamed cell) in the iteration's direction.
-func (r *runner) edges(worker int, es []graph.Edge) {
-	if r.pull {
-		r.kern.PullEdges(&r.span, worker, es)
-	} else {
-		r.kern.PushEdges(&r.span, worker, es)
-	}
+// cells applies a run of grid-cell pairs (resident, decoded or streamed) in
+// the iteration's direction.
+func (r *runner) cells(worker int, pairs []graph.Pair, weights []graph.Weight) {
+	r.kern.Cells(&r.span, worker, pairs, weights)
 }
 
 // activeOutEdges returns the summed out-degrees of the frontier's vertices

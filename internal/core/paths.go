@@ -24,7 +24,7 @@ import (
 // atomic span) over the same walk: "grid (locks)" in Figure 8 pays for its
 // locks and nothing else, and results are bit-identical under every sync.
 func (r *runner) execute(plan StepPlan, frontier *graph.Frontier) (*graph.Frontier, error) {
-	r.begin(plan.Flow, plan.Sync, frontier)
+	r.begin(plan.Sync, frontier)
 	var err error
 	switch plan.Layout {
 	case graph.LayoutEdgeArray:

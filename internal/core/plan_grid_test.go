@@ -30,7 +30,8 @@ func gridOnlyGraph(t *testing.T, scale, p int) *graph.Graph {
 func TestConcurrentRunsOverOneGridLeaveGraphByteIdentical(t *testing.T) {
 	g := gridOnlyGraph(t, 10, 16)
 	before := *g.Grid
-	before.Edges = slices.Clone(g.Grid.Edges)
+	before.Pairs = slices.Clone(g.Grid.Pairs)
+	before.Weights = slices.Clone(g.Grid.Weights)
 	before.CellIndex = slices.Clone(g.Grid.CellIndex)
 	cfg := Config{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, Workers: 2}
 	ref := algorithms.NewPageRank()
@@ -51,7 +52,8 @@ func TestConcurrentRunsOverOneGridLeaveGraphByteIdentical(t *testing.T) {
 	wg.Wait()
 	after := g.Grid
 	if after.P != before.P || after.RangeSize != before.RangeSize || after.NumVertices != before.NumVertices ||
-		!slices.Equal(after.Edges, before.Edges) || !slices.Equal(after.CellIndex, before.CellIndex) {
+		!slices.Equal(after.Pairs, before.Pairs) || !slices.Equal(after.Weights, before.Weights) ||
+		!slices.Equal(after.CellIndex, before.CellIndex) {
 		t.Fatal("concurrent runs changed the shared grid")
 	}
 	for i := range prs {

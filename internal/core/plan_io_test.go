@@ -11,11 +11,10 @@ import (
 
 // TestRunStreamedBudget: every pass of a streamed run is handed the
 // configured budget unchanged — DefaultStreamMemoryBudget when none is
-// configured, and a budget too tight to give 16 workers more than two
-// minimal slices each as it stands (shedding workers is the pool's, not the
-// run's).
+// configured, and a tight 32 KiB budget for 16 workers as it stands
+// (shedding workers is the pool's, not the run's).
 func TestRunStreamedBudget(t *testing.T) {
-	const tight = 16 * MinStreamSliceEdges * StreamResidentEdgeBytes * 8 / 3
+	const tight = 32 << 10
 	for _, c := range []struct {
 		name    string
 		workers int
@@ -42,23 +41,6 @@ func TestRunStreamedBudget(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-func TestStreamWorkersClampsAndSheds(t *testing.T) {
-	src := &fakeSource{n: 100} // GridP() == 1
-	if got := StreamExecWorkers(src.GridP(), 32, DefaultStreamMemoryBudget); got != 1 {
-		t.Fatalf("32 workers on a 1x1 grid -> %d, want 1 (one worker per column at most)", got)
-	}
-	wide := &fakeGridSource{fakeSource: fakeSource{n: 100}, p: 64}
-	if got := StreamExecWorkers(wide.GridP(), 32, DefaultStreamMemoryBudget); got != 32 {
-		t.Fatalf("roomy budget shed workers: %d", got)
-	}
-	// Two thirds of two workers' minimal buffers (4 KiB at 24 resident
-	// bytes an edge) cannot feed them.
-	const short = 2 * MinPrefetchDepth * MinStreamSliceEdges * StreamResidentEdgeBytes * 2 / 3
-	if got := StreamExecWorkers(wide.GridP(), 8, short); got != 1 {
-		t.Fatalf("%d-byte budget kept %d workers, want 1", short, got)
 	}
 }
 
@@ -117,7 +99,7 @@ type recordingSource struct {
 	passes        []StreamOptions
 }
 
-func (s *recordingSource) StreamCells(opt StreamOptions, visit func(worker int, edges []graph.Edge)) error {
+func (s *recordingSource) StreamCells(opt StreamOptions, visit func(worker int, pairs []graph.Pair, weights []graph.Weight)) error {
 	s.passes = append(s.passes, opt)
 	s.stats.IOTime += s.ioTimePerPass
 	s.stats.IOWait += s.ioWaitPerPass

@@ -453,10 +453,15 @@ func (s *fakeSource) OutDegrees() []uint32 {
 	return deg
 }
 
-func (s *fakeSource) StreamCells(_ StreamOptions, visit func(worker int, edges []graph.Edge)) error {
+func (s *fakeSource) StreamCells(_ StreamOptions, visit func(worker int, pairs []graph.Pair, weights []graph.Weight)) error {
 	s.stats.Passes++
 	s.stats.Reads++
-	visit(0, s.edges)
+	pairs := make([]graph.Pair, len(s.edges))
+	weights := make([]graph.Weight, len(s.edges))
+	for i, e := range s.edges {
+		pairs[i], weights[i] = graph.Pair{Src: e.Src, Dst: e.Dst}, e.W
+	}
+	visit(0, pairs, weights)
 	return nil
 }
 

@@ -22,17 +22,19 @@ import (
 // run.
 type StreamOptions struct {
 	// Workers is the number of compute workers (column owners) requested
-	// for the pass; sources clamp it with StreamExecWorkers.
+	// for the pass; sources clamp it to the grid and shed workers the
+	// budget cannot feed.
 	Workers int
 	// MemoryBudget bounds the bytes of resident edge buffers across all
-	// workers during the pass: StreamResidentEdgeBytes per buffered edge
-	// of a raw store, whose records are read straight into the edges the
-	// kernel visits, plus the payload bytes a compressed store decodes
-	// from. Each worker double-buffers (MinPrefetchDepth slots). 0 selects
-	// the source's default. One case can exceed it: a compressed store
-	// decodes whole cells, so each slot holds at least its largest cell,
-	// and when two such slots per worker do not fit, the pass keeps them
-	// and overruns the budget by the difference.
+	// workers during the pass: 8 bytes per buffered edge, the (src, dst)
+	// pair a raw store's record is read into in place, plus 4 for its
+	// weight when the store carries a weight plane, plus the payload bytes
+	// a compressed store decodes from. Each worker double-buffers
+	// (MinPrefetchDepth slots). 0 selects the source's default. One case
+	// can exceed it: a compressed store decodes whole cells, so each slot
+	// holds at least its largest cell, and when two such slots per worker
+	// do not fit, the pass keeps them and overruns the budget by the
+	// difference.
 	MemoryBudget int64
 	// Lease, when non-nil, runs the pass's compute workers on the lease
 	// instead of the process-wide pool. It decides nothing else: leased or
@@ -61,7 +63,8 @@ type SourceStats struct {
 	// prefetched segment — the part of IOTime the overlap failed to hide.
 	IOWait time.Duration
 	// PeakResidentBytes is the high-water mark of concurrently resident
-	// edge-buffer bytes, the quantity bounded by MemoryBudget.
+	// edge-buffer bytes, the quantity bounded by MemoryBudget: a pass
+	// charges every buffer its pool allocated for as long as it runs.
 	PeakResidentBytes int64
 }
 
@@ -108,9 +111,10 @@ type Source interface {
 	// streamed results bit-identical to the in-memory grid path. A visit
 	// slice may span several cells of the worker's columns (coalesced
 	// sequential reads) or a fraction of one cell (budget-bounded slices);
-	// only the per-column row order is guaranteed. The slice passed to
-	// visit is only valid during the call.
-	StreamCells(opt StreamOptions, visit func(worker int, edges []graph.Edge)) error
+	// only the per-column row order is guaranteed. visit receives the
+	// slice's (src, dst) pairs and their weights, nil when every weight is
+	// 1 (Algorithm.Cells' contract); both are only valid during the call.
+	StreamCells(opt StreamOptions, visit func(worker int, pairs []graph.Pair, weights []graph.Weight)) error
 	// Stats returns the cumulative I/O accounting.
 	Stats() SourceStats
 }
@@ -166,27 +170,8 @@ func RunStreamed(src Source, alg Algorithm, cfg Config) (*Result, error) {
 		Lease:        cfg.Lease,
 		Trace:        cfg.Trace,
 	}
-	visit := r.edges // bound once: the per-pass closure allocates nothing
+	visit := r.cells // bound once: the per-pass closure allocates nothing
 	r.gridPass = func() error { return src.StreamCells(opt, visit) }
 	pl := streamPlanner(src, cfg, resolveAlpha(cfg), !alg.Dense())
 	return iterate(shim, alg, cfg, workers, pl, src, r.execute)
-}
-
-// StreamExecWorkers returns the number of workers a streamed pass actually
-// runs: the requested count clamped to the grid dimension (one worker per
-// column at most) and shed while the budget cannot feed every worker's
-// minimal buffers (a starved slice costs every read, a shed worker only
-// costs parallelism). Sources' buffer pools call it to size their worker
-// count.
-func StreamExecWorkers(gridP, workers int, budget int64) int {
-	if gridP > 0 && workers > gridP {
-		workers = gridP
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	for workers > 1 && int64(workers)*MinPrefetchDepth*MinStreamSliceEdges*StreamResidentEdgeBytes > budget {
-		workers--
-	}
-	return workers
 }

@@ -248,7 +248,7 @@ type gridSource struct {
 }
 
 func (s *gridSource) NumVertices() int { return s.grid.NumVertices }
-func (s *gridSource) NumEdges() int64  { return int64(len(s.grid.Edges)) }
+func (s *gridSource) NumEdges() int64  { return int64(len(s.grid.Pairs)) }
 func (s *gridSource) GridP() int       { return s.grid.P }
 func (s *gridSource) Undirected() bool { return s.undirected }
 func (s *gridSource) Compressed() bool { return false }
@@ -258,13 +258,13 @@ func (s *gridSource) Stats() SourceStats {
 
 func (s *gridSource) OutDegrees() []uint32 {
 	deg := make([]uint32, s.grid.NumVertices)
-	for _, e := range s.grid.Edges {
+	for _, e := range s.grid.Pairs {
 		deg[e.Src]++
 	}
 	return deg
 }
 
-func (s *gridSource) StreamCells(opt StreamOptions, visit func(worker int, edges []graph.Edge)) error {
+func (s *gridSource) StreamCells(opt StreamOptions, visit func(worker int, pairs []graph.Pair, weights []graph.Weight)) error {
 	s.stats.Passes++
 	p := s.grid.P
 	workers := max(1, min(opt.Workers, p))
@@ -275,8 +275,8 @@ func (s *gridSource) StreamCells(opt StreamOptions, visit func(worker int, edges
 			defer wg.Done()
 			for col := w; col < p; col += workers {
 				for row := 0; row < p; row++ {
-					if cell := s.grid.Cell(row, col); len(cell) > 0 {
-						visit(w, cell)
+					if pairs, weights := s.grid.Cell(row, col); len(pairs) > 0 {
+						visit(w, pairs, weights)
 					}
 				}
 			}
@@ -584,8 +584,12 @@ func (flood) PushEdges(s *graph.Span, worker int, edges []graph.Edge) {
 	}
 }
 
-func (f flood) PullEdges(s *graph.Span, worker int, edges []graph.Edge) {
-	f.PushEdges(s, worker, edges)
+func (flood) Cells(s *graph.Span, worker int, pairs []graph.Pair, _ []graph.Weight) {
+	for _, e := range pairs {
+		if s.Active(e.Src) {
+			s.Next.Add(worker, e.Dst)
+		}
+	}
 }
 
 // pullChunks is flood whose PullRows records the row range of every pull

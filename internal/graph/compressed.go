@@ -3,7 +3,6 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 )
 
@@ -13,8 +12,8 @@ import (
 // the cell, each CellOffsetWidth(RangeSize) bytes, little-endian. On the
 // paper's 256-range grids that is 2 bytes per edge against the raw layout's
 // 12, on 1,024-wide ranges 4. Weights travel in a parallel plane the store
-// keeps (4 bytes per edge, float32 bits little-endian), which the decoder
-// takes alongside the payload when there is one.
+// keeps (4 bytes per edge, float32 bits little-endian) and reads in place,
+// beside the pairs the decoder writes.
 //
 // Fixed-width, byte-aligned offsets decode with one load per endpoint and no
 // data-dependent branching, which is what makes the trade of CPU for bytes
@@ -63,15 +62,13 @@ func cellLimit(lo VertexID, rangeSize, numVertices int) uint64 {
 	return end - uint64(lo)
 }
 
-// DecodeCell decodes exactly count edges of the cell whose ranges start at
+// DecodeCell decodes exactly count pairs of the cell whose ranges start at
 // rowLo (sources) and colLo (destinations) from data into dst[:count]. It
 // rejects a payload that is not exactly 2·CellOffsetWidth(rangeSize) bytes
 // per edge, a count that overflows dst, and any endpoint outside its cell's
 // range or at or beyond numVertices, returning an error without touching
-// anything beyond dst. weights, when non-nil, is the cell's slice of the
-// weight plane — exactly 4 bytes per edge — and restores W in the same
-// pass; otherwise decoded edges carry a zero weight.
-func DecodeCell(data, weights []byte, count int, rowLo, colLo VertexID, rangeSize, numVertices int, dst []Edge) error {
+// anything beyond dst.
+func DecodeCell(data []byte, count int, rowLo, colLo VertexID, rangeSize, numVertices int, dst []Pair) error {
 	if count < 0 || count > len(dst) {
 		return fmt.Errorf("graph: compressed cell count %d overflows scratch of %d edges", count, len(dst))
 	}
@@ -82,9 +79,6 @@ func DecodeCell(data, weights []byte, count int, rowLo, colLo VertexID, rangeSiz
 	if len(data) != 2*w*count {
 		return fmt.Errorf("graph: compressed cell holds %d bytes, want %d for %d edges of %d-byte offsets",
 			len(data), 2*w*count, count, w)
-	}
-	if weights != nil && len(weights) != 4*count {
-		return fmt.Errorf("graph: compressed cell weight plane holds %d bytes, want %d", len(weights), 4*count)
 	}
 	srcLim := cellLimit(rowLo, rangeSize, numVertices)
 	dstLim := cellLimit(colLo, rangeSize, numVertices)
@@ -98,7 +92,7 @@ func DecodeCell(data, weights []byte, count int, rowLo, colLo VertexID, rangeSiz
 			if s >= srcLim || d >= dstLim {
 				return cellRangeError(i, s, d, srcLim, dstLim)
 			}
-			out[i] = Edge{Src: rowLo + VertexID(s), Dst: colLo + VertexID(d), W: planeWeight(weights, i)}
+			out[i] = Pair{Src: rowLo + VertexID(s), Dst: colLo + VertexID(d)}
 		}
 	case 2:
 		for i := range out {
@@ -108,7 +102,7 @@ func DecodeCell(data, weights []byte, count int, rowLo, colLo VertexID, rangeSiz
 			if s >= srcLim || d >= dstLim {
 				return cellRangeError(i, s, d, srcLim, dstLim)
 			}
-			out[i] = Edge{Src: rowLo + VertexID(s), Dst: colLo + VertexID(d), W: planeWeight(weights, i)}
+			out[i] = Pair{Src: rowLo + VertexID(s), Dst: colLo + VertexID(d)}
 		}
 	case 3:
 		for i := range out {
@@ -118,7 +112,7 @@ func DecodeCell(data, weights []byte, count int, rowLo, colLo VertexID, rangeSiz
 			if s >= srcLim || d >= dstLim {
 				return cellRangeError(i, s, d, srcLim, dstLim)
 			}
-			out[i] = Edge{Src: rowLo + VertexID(s), Dst: colLo + VertexID(d), W: planeWeight(weights, i)}
+			out[i] = Pair{Src: rowLo + VertexID(s), Dst: colLo + VertexID(d)}
 		}
 	default:
 		for i := range out {
@@ -128,19 +122,10 @@ func DecodeCell(data, weights []byte, count int, rowLo, colLo VertexID, rangeSiz
 			if s >= srcLim || d >= dstLim {
 				return cellRangeError(i, s, d, srcLim, dstLim)
 			}
-			out[i] = Edge{Src: rowLo + VertexID(s), Dst: colLo + VertexID(d), W: planeWeight(weights, i)}
+			out[i] = Pair{Src: rowLo + VertexID(s), Dst: colLo + VertexID(d)}
 		}
 	}
 	return nil
-}
-
-// planeWeight returns edge i's weight from a cell's weight-plane slice, or
-// zero when there is none.
-func planeWeight(weights []byte, i int) Weight {
-	if weights == nil {
-		return 0
-	}
-	return math.Float32frombits(binary.LittleEndian.Uint32(weights[4*i:]))
 }
 
 // cellRangeError reports the first endpoint of edge i outside its range.

@@ -2,9 +2,7 @@ package graph
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -23,10 +21,10 @@ var widthCases = []struct {
 	{1 << 31, 4},
 }
 
-// randomCellEdges produces n weighted edges confined to the cell at (rowLo,
-// colLo), the first two at the range's extremes.
-func randomCellEdges(rng *rand.Rand, n int, rowLo, colLo VertexID, rangeSize int) []Edge {
-	edges := make([]Edge, n)
+// randomCellEdges produces n pairs confined to the cell at (rowLo, colLo),
+// the first two at the range's extremes.
+func randomCellEdges(rng *rand.Rand, n int, rowLo, colLo VertexID, rangeSize int) []Pair {
+	edges := make([]Pair, n)
 	for i := range edges {
 		s, d := rng.Intn(rangeSize), rng.Intn(rangeSize)
 		switch i {
@@ -35,21 +33,12 @@ func randomCellEdges(rng *rand.Rand, n int, rowLo, colLo VertexID, rangeSize int
 		case 1:
 			s, d = rangeSize-1, 0
 		}
-		edges[i] = Edge{Src: rowLo + VertexID(s), Dst: colLo + VertexID(d), W: rng.Float32()}
+		edges[i] = Pair{Src: rowLo + VertexID(s), Dst: colLo + VertexID(d)}
 	}
 	return edges
 }
 
-// weightPlane is the edges' slice of a store's weight plane.
-func weightPlane(edges []Edge) []byte {
-	plane := make([]byte, 0, 4*len(edges))
-	for _, e := range edges {
-		plane = binary.LittleEndian.AppendUint32(plane, math.Float32bits(e.W))
-	}
-	return plane
-}
-
-func encodeCell(edges []Edge, rowLo, colLo VertexID, rangeSize int) []byte {
+func encodeCell(edges []Pair, rowLo, colLo VertexID, rangeSize int) []byte {
 	w := CellOffsetWidth(rangeSize)
 	var buf []byte
 	for _, e := range edges {
@@ -80,22 +69,13 @@ func TestCellCodecRoundTripPreservesOrder(t *testing.T) {
 				if len(buf) != 2*tc.width*n {
 					t.Fatalf("n=%d: %d payload bytes, want %d", n, len(buf), 2*tc.width*n)
 				}
-				got := make([]Edge, n)
-				if err := DecodeCell(buf, weightPlane(edges), n, rowLo, colLo, tc.rangeSize, numVertices, got); err != nil {
+				got := make([]Pair, n)
+				if err := DecodeCell(buf, n, rowLo, colLo, tc.rangeSize, numVertices, got); err != nil {
 					t.Fatalf("n=%d: decode: %v", n, err)
 				}
 				for i := range edges {
 					if got[i] != edges[i] {
 						t.Fatalf("n=%d: edge %d decoded as %v, want %v (order must be preserved)", n, i, got[i], edges[i])
-					}
-				}
-				// Without a weight plane the same payload decodes to zero weights.
-				if err := DecodeCell(buf, nil, n, rowLo, colLo, tc.rangeSize, numVertices, got); err != nil {
-					t.Fatalf("n=%d: decode without weights: %v", n, err)
-				}
-				for i := range edges {
-					if want := (Edge{Src: edges[i].Src, Dst: edges[i].Dst}); got[i] != want {
-						t.Fatalf("n=%d: unweighted edge %d decoded as %v, want %v", n, i, got[i], want)
 					}
 				}
 			}
@@ -107,17 +87,17 @@ func TestCellCodecRoundTripPreservesOrder(t *testing.T) {
 // cost exactly 8 bytes per edge, the most any cell payload can take.
 func TestCellCodecWorstCaseBound(t *testing.T) {
 	const rangeSize = 1 << 31
-	edges := []Edge{
+	edges := []Pair{
 		{Src: rangeSize - 1, Dst: rangeSize - 1},
 		{Src: 0, Dst: 0},
 		{Src: rangeSize - 1, Dst: 0},
-	} // unweighted: decoded without a plane
+	}
 	buf := encodeCell(edges, 0, 0, rangeSize)
 	if len(buf) != 8*len(edges) {
 		t.Fatalf("encoded %d edges into %d bytes, want %d", len(edges), len(buf), 8*len(edges))
 	}
-	got := make([]Edge, len(edges))
-	if err := DecodeCell(buf, nil, len(edges), 0, 0, rangeSize, rangeSize, got); err != nil {
+	got := make([]Pair, len(edges))
+	if err := DecodeCell(buf, len(edges), 0, 0, rangeSize, rangeSize, got); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	for i := range edges {
@@ -133,11 +113,11 @@ func TestDecodeCellRejectsCorruptPayloads(t *testing.T) {
 			rs, w := tc.rangeSize, tc.width
 			rowLo, colLo := VertexID(0), VertexID(rs)
 			numVertices := 2 * rs
-			edges := []Edge{{Src: VertexID(rs - 1), Dst: colLo}, {Src: 0, Dst: colLo + VertexID(rs-1)}}
+			edges := []Pair{{Src: VertexID(rs - 1), Dst: colLo}, {Src: 0, Dst: colLo + VertexID(rs-1)}}
 			buf := encodeCell(edges, rowLo, colLo, rs)
-			scratch := make([]Edge, 8)
+			scratch := make([]Pair, 8)
 			decode := func(data []byte, count, numVertices int) error {
-				return DecodeCell(data, nil, count, rowLo, colLo, rs, numVertices, scratch)
+				return DecodeCell(data, count, rowLo, colLo, rs, numVertices, scratch)
 			}
 			if err := decode(buf, len(edges), numVertices); err != nil {
 				t.Fatalf("valid payload rejected: %v", err)
@@ -153,12 +133,6 @@ func TestDecodeCellRejectsCorruptPayloads(t *testing.T) {
 			}
 			if decode(buf, len(scratch)+1, numVertices) == nil {
 				t.Error("count beyond scratch decoded without error")
-			}
-			plane := weightPlane(edges)
-			for _, bad := range [][]byte{{}, plane[:len(plane)-1], append(plane, 0)} {
-				if DecodeCell(buf, bad, len(edges), rowLo, colLo, rs, numVertices, scratch) == nil {
-					t.Errorf("%d-byte weight plane for %d edges decoded without error", len(bad), len(edges))
-				}
 			}
 			// An offset equal to the range size, wherever w bytes can hold it.
 			if uint64(rs) < 1<<(8*w) {
@@ -188,13 +162,13 @@ func TestDecodeCellRejectsCorruptPayloads(t *testing.T) {
 func TestDecodeCellLastRangePastNumVertices(t *testing.T) {
 	const rs, n = 256, 1000
 	lo := VertexID(768)
-	scratch := make([]Edge, 1)
-	ok := encodeCell([]Edge{{Src: n - 1, Dst: n - 1}}, lo, lo, rs)
-	if err := DecodeCell(ok, nil, 1, lo, lo, rs, n, scratch); err != nil || scratch[0] != (Edge{Src: n - 1, Dst: n - 1}) {
+	scratch := make([]Pair, 1)
+	ok := encodeCell([]Pair{{Src: n - 1, Dst: n - 1}}, lo, lo, rs)
+	if err := DecodeCell(ok, 1, lo, lo, rs, n, scratch); err != nil || scratch[0] != (Pair{Src: n - 1, Dst: n - 1}) {
 		t.Fatalf("last vertex decoded as %v, err %v", scratch[0], err)
 	}
-	for _, e := range []Edge{{Src: n, Dst: lo}, {Src: lo, Dst: n}, {Src: lo + rs - 1, Dst: lo}} {
-		if DecodeCell(encodeCell([]Edge{e}, lo, lo, rs), nil, 1, lo, lo, rs, n, scratch) == nil {
+	for _, e := range []Pair{{Src: n, Dst: lo}, {Src: lo, Dst: n}, {Src: lo + rs - 1, Dst: lo}} {
+		if DecodeCell(encodeCell([]Pair{e}, lo, lo, rs), 1, lo, lo, rs, n, scratch) == nil {
 			t.Errorf("edge %v past %d vertices decoded without error", e, n)
 		}
 	}
@@ -202,15 +176,15 @@ func TestDecodeCellLastRangePastNumVertices(t *testing.T) {
 
 func FuzzDecodeCell(f *testing.F) {
 	rowLo, colLo := VertexID(64), VertexID(128)
-	f.Add(encodeCell([]Edge{{Src: 70, Dst: 130}, {Src: 64, Dst: 128}}, rowLo, colLo, 64), uint16(2), uint32(rowLo), uint32(colLo), uint32(64), uint64(256))
-	f.Add(encodeCell([]Edge{{Src: 0, Dst: 70000}}, 0, 65537, 65537), uint16(1), uint32(0), uint32(65537), uint32(65537), uint64(1<<17))
+	f.Add(encodeCell([]Pair{{Src: 70, Dst: 130}, {Src: 64, Dst: 128}}, rowLo, colLo, 64), uint16(2), uint32(rowLo), uint32(colLo), uint32(64), uint64(256))
+	f.Add(encodeCell([]Pair{{Src: 0, Dst: 70000}}, 0, 65537, 65537), uint16(1), uint32(0), uint32(65537), uint32(65537), uint64(1<<17))
 	f.Add([]byte{}, uint16(0), uint32(0), uint32(0), uint32(16), uint64(16))
-	f.Add(encodeCell([]Edge{{Src: 1 << 30, Dst: 0}}, 0, 0, 1<<31), uint16(1), uint32(0), uint32(0), uint32(1<<31), uint64(1<<31))
+	f.Add(encodeCell([]Pair{{Src: 1 << 30, Dst: 0}}, 0, 0, 1<<31), uint16(1), uint32(0), uint32(0), uint32(1<<31), uint64(1<<31))
 	f.Add([]byte{0x40, 0x00}, uint16(1), uint32(0), uint32(0), uint32(64), uint64(256))
 	f.Fuzz(func(t *testing.T, data []byte, count uint16, rowLo, colLo, rangeSize uint32, numVertices uint64) {
-		scratch := make([]Edge, count)
+		scratch := make([]Pair, count)
 		nv := int(min(numVertices, 1<<32))
-		if err := DecodeCell(data, nil, int(count), rowLo, colLo, int(rangeSize), nv, scratch); err != nil {
+		if err := DecodeCell(data, int(count), rowLo, colLo, int(rangeSize), nv, scratch); err != nil {
 			return
 		}
 		// A payload the checked decoder accepts must round-trip exactly: the
@@ -261,11 +235,11 @@ func BenchmarkDecodeCell(b *testing.B) {
 			rng := rand.New(rand.NewSource(7))
 			edges := randomCellEdges(rng, 1<<14, 0, 0, rangeSize)
 			payload := encodeCell(edges, 0, 0, rangeSize)
-			scratch := make([]Edge, len(edges))
+			scratch := make([]Pair, len(edges))
 			b.SetBytes(int64(len(payload)))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := DecodeCell(payload, nil, len(edges), 0, 0, rangeSize, rangeSize, scratch); err != nil {
+				if err := DecodeCell(payload, len(edges), 0, 0, rangeSize, rangeSize, scratch); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -89,6 +89,16 @@ func (a *Adjacency) RowWeights(lo, hi uint64) []Weight {
 	return unitWeightRow(int(hi - lo))
 }
 
+// PairWeights returns the weights of n pairs: weights[:n] or, when weights
+// is nil (every weight 1), n ones from the slice RowWeights shares. Callers
+// must not modify it.
+func PairWeights(weights []Weight, n int) []Weight {
+	if weights != nil {
+		return weights[:n]
+	}
+	return unitWeightRow(n)
+}
+
 // unitWeights backs RowWeights's rows of ones. It is replaced, never written:
 // readers may keep an old one, and racing growers only cost a regrowth.
 var unitWeights atomic.Pointer[[]Weight]

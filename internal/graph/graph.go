@@ -41,6 +41,14 @@ type Edge struct {
 	W   Weight
 }
 
+// Pair is an edge without its weight: what a grid cell holds per edge,
+// resident or streamed. A weighted grid keeps its weights in a parallel
+// plane, which PairWeights reads.
+type Pair struct {
+	Src VertexID
+	Dst VertexID
+}
+
 // EdgeArray is the simplest layout: the raw list of edges, as mapped from
 // the input file. It incurs no pre-processing cost (Section 3.2) and
 // supports only edge-centric computation (a full scan per step).

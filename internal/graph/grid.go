@@ -14,9 +14,10 @@ import "fmt"
 // whole columns to workers makes destination updates race-free. Pull, like
 // push, is column-owned: a pull updates destinations too.
 //
-// Cells are stored in a single contiguous edge slice (CellIndex delimits
-// them) so that streaming a cell has the same prefetch-friendly behaviour as
-// streaming the edge array.
+// Cells are stored in a single contiguous slice of (src, dst) pairs
+// (CellIndex delimits them) so that streaming a cell has the same
+// prefetch-friendly behaviour as streaming the edge array, with a parallel
+// weight plane only when some weight is not 1.
 type Grid struct {
 	// P is the number of ranges per dimension; the grid has P*P cells.
 	P int
@@ -25,11 +26,14 @@ type Grid struct {
 	RangeSize int
 	// NumVertices is the vertex count of the underlying graph.
 	NumVertices int
-	// Edges holds all edges grouped by cell in row-major order: first every
+	// Pairs holds all edges grouped by cell in row-major order: first every
 	// cell of row 0 (source range 0), then row 1, and so on.
-	Edges []Edge
+	Pairs []Pair
+	// Weights is the weight plane parallel to Pairs, nil when every weight
+	// is 1 (an unweighted adjacency's rule); PairWeights reads either.
+	Weights []Weight
 	// CellIndex has P*P+1 entries; cell (i,j) occupies
-	// Edges[CellIndex[i*P+j]:CellIndex[i*P+j+1]].
+	// Pairs[CellIndex[i*P+j]:CellIndex[i*P+j+1]].
 	CellIndex []uint64
 }
 
@@ -92,18 +96,23 @@ func (g *Grid) RangeOf(v VertexID) int {
 }
 
 // CellOf returns the cell coordinates of an edge.
-func (g *Grid) CellOf(e Edge) (row, col int) {
+func (g *Grid) CellOf(e Pair) (row, col int) {
 	return g.RangeOf(e.Src), g.RangeOf(e.Dst)
 }
 
-// Cell returns the edge slice of cell (row, col) (shared storage).
-func (g *Grid) Cell(row, col int) []Edge {
+// Cell returns the pairs of cell (row, col) and their weights, nil when the
+// grid is unweighted (shared storage).
+func (g *Grid) Cell(row, col int) ([]Pair, []Weight) {
 	idx := row*g.P + col
-	return g.Edges[g.CellIndex[idx]:g.CellIndex[idx+1]]
+	lo, hi := g.CellIndex[idx], g.CellIndex[idx+1]
+	if g.Weights == nil {
+		return g.Pairs[lo:hi], nil
+	}
+	return g.Pairs[lo:hi], g.Weights[lo:hi]
 }
 
 // NumEdges returns the number of edges stored in the grid.
-func (g *Grid) NumEdges() int { return len(g.Edges) }
+func (g *Grid) NumEdges() int { return len(g.Pairs) }
 
 // NumCells returns the number of cells (P*P).
 func (g *Grid) NumCells() int { return g.P * g.P }
@@ -120,8 +129,11 @@ func (g *Grid) Validate() error {
 	if len(g.CellIndex) != g.P*g.P+1 {
 		return fmt.Errorf("graph: grid cell index has %d entries, want %d", len(g.CellIndex), g.P*g.P+1)
 	}
-	if g.CellIndex[0] != 0 || g.CellIndex[g.P*g.P] != uint64(len(g.Edges)) {
-		return fmt.Errorf("graph: grid cell index does not cover the edge slice")
+	if g.CellIndex[0] != 0 || g.CellIndex[g.P*g.P] != uint64(len(g.Pairs)) {
+		return fmt.Errorf("graph: grid cell index does not cover the pairs")
+	}
+	if g.Weights != nil && len(g.Weights) != len(g.Pairs) {
+		return fmt.Errorf("graph: grid weight plane holds %d weights for %d pairs", len(g.Weights), len(g.Pairs))
 	}
 	for c := 0; c < g.P*g.P; c++ {
 		if g.CellIndex[c] > g.CellIndex[c+1] {
@@ -130,7 +142,8 @@ func (g *Grid) Validate() error {
 	}
 	for row := 0; row < g.P; row++ {
 		for col := 0; col < g.P; col++ {
-			for _, e := range g.Cell(row, col) {
+			pairs, _ := g.Cell(row, col)
+			for _, e := range pairs {
 				r, c := g.CellOf(e)
 				if r != row || c != col {
 					return fmt.Errorf("graph: edge %d->%d stored in cell (%d,%d) but belongs to (%d,%d)",

@@ -20,11 +20,19 @@ func buildGridNaive(edges []Edge, numVertices, p int) *Grid {
 	}
 	g := &Grid{P: p, RangeSize: rangeSize, NumVertices: numVertices, CellIndex: make([]uint64, p*p+1)}
 	for c := 0; c < p*p; c++ {
-		g.CellIndex[c] = uint64(len(g.Edges))
-		g.Edges = append(g.Edges, cells[c]...)
+		g.CellIndex[c] = uint64(len(g.Pairs))
+		for _, e := range cells[c] {
+			g.Pairs = append(g.Pairs, Pair{Src: e.Src, Dst: e.Dst})
+		}
 	}
-	g.CellIndex[p*p] = uint64(len(g.Edges))
+	g.CellIndex[p*p] = uint64(len(g.Pairs))
 	return g
+}
+
+// cellLen returns the edge count of cell (row, col).
+func cellLen(g *Grid, row, col int) int {
+	pairs, _ := g.Cell(row, col)
+	return len(pairs)
 }
 
 func TestGridPForClampsSmallGraphs(t *testing.T) {
@@ -51,16 +59,16 @@ func TestGridPaperExample(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	if got := len(g.Cell(0, 0)); got != 2 {
+	if got := cellLen(g, 0, 0); got != 2 {
 		t.Fatalf("cell (0,0) has %d edges, want 2", got) // (0,1) and (1,0)
 	}
-	if got := len(g.Cell(0, 1)); got != 2 {
+	if got := cellLen(g, 0, 1); got != 2 {
 		t.Fatalf("cell (0,1) has %d edges, want 2", got) // (0,2) and (0,3)
 	}
-	if got := len(g.Cell(1, 1)); got != 1 {
+	if got := cellLen(g, 1, 1); got != 1 {
 		t.Fatalf("cell (1,1) has %d edges, want 1", got) // (2,3)
 	}
-	if got := len(g.Cell(1, 0)); got != 0 {
+	if got := cellLen(g, 1, 0); got != 0 {
 		t.Fatalf("cell (1,0) has %d edges, want 0", got)
 	}
 }
@@ -68,7 +76,7 @@ func TestGridPaperExample(t *testing.T) {
 func TestGridValidateCatchesMisplacedEdge(t *testing.T) {
 	g := buildGridNaive([]Edge{{Src: 0, Dst: 3}}, 4, 2)
 	// Corrupt: move the edge into the wrong cell by editing the index.
-	g.Edges[0] = Edge{Src: 3, Dst: 0}
+	g.Pairs[0] = Pair{Src: 3, Dst: 0}
 	if err := g.Validate(); err == nil {
 		t.Fatal("expected misplaced-edge error")
 	}
@@ -81,7 +89,7 @@ func TestGridForEachCellVisitsEveryEdgeOnce(t *testing.T) {
 		count := 0
 		for row := 0; row < g.P; row++ {
 			for col := 0; col < g.P; col++ {
-				cell := g.Cell(row, col)
+				cell, _ := g.Cell(row, col)
 				for _, e := range cell {
 					r, c := g.CellOf(e)
 					if r != row || c != col {

@@ -2,8 +2,8 @@ package graph
 
 // Span is the per-iteration context the engine hands to an algorithm's span
 // kernels (core.Algorithm): one call covers a whole chunk of the
-// iteration — a CSR row range or a flat edge slice — and the kernel runs
-// the per-edge loop itself. The engine fills one Span per iteration and
+// iteration — a CSR row range, a flat edge slice or a run of grid-cell
+// pairs — and the kernel runs the per-edge loop itself. The engine fills one Span per iteration and
 // shares it, read-only, among the iteration's workers.
 type Span struct {
 	// Bits is the bitmap of the current frontier: an edge participates only

@@ -141,7 +141,7 @@ func TestStreamedRunSurvivesStorageFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if err := s.StreamCells(core.StreamOptions{Workers: cfg.Workers, MemoryBudget: cfg.MemoryBudget}, func(int, []graph.Edge) {}); err != nil {
+	if err := s.StreamCells(core.StreamOptions{Workers: cfg.Workers, MemoryBudget: cfg.MemoryBudget}, func(int, []graph.Pair, []graph.Weight) {}); err != nil {
 		t.Fatalf("probe pass: %v", err)
 	}
 	perPass := s.Stats().Reads

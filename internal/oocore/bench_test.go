@@ -112,8 +112,8 @@ func BenchmarkStreamV2Pass(b *testing.B) {
 	var sink int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.StreamCells(opt, func(_ int, edges []graph.Edge) {
-			sink += len(edges)
+		if err := s.StreamCells(opt, func(_ int, pairs []graph.Pair, _ []graph.Weight) {
+			sink += len(pairs)
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -129,8 +129,8 @@ func BenchmarkStreamPass(b *testing.B) {
 	var sink int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.StreamCells(opt, func(_ int, edges []graph.Edge) {
-			sink += len(edges)
+		if err := s.StreamCells(opt, func(_ int, pairs []graph.Pair, _ []graph.Weight) {
+			sink += len(pairs)
 		}); err != nil {
 			b.Fatal(err)
 		}

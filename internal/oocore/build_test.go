@@ -18,10 +18,13 @@ import (
 const pinBudget = 6 << 10
 
 // pinnedStores lists the builds whose whole-file FNV-1a hashes are pinned:
-// v1 and v3, directed and undirected, RMAT-12 (unit weights) and a weighted
-// 64x64 road lattice, and an empty store. The hashes were taken from the
-// builder that scattered edges through per-cell buffers, whose bytes did not
-// depend on its budget: the radix partition must write the same files.
+// v4 and v3, directed and undirected, RMAT-12 (unit weights: a v4 store
+// without a weight plane) and a weighted 64x64 road lattice (with one), and
+// an empty store. The v3 hashes were taken from the builder that scattered
+// edges through per-cell buffers, whose bytes did not depend on its budget:
+// the radix partition must write the same files. The v4 hashes were taken
+// when the format replaced version 1's 12-byte records; the stores they
+// hash stream exactly the in-memory grid's cells (format_test.go).
 var pinnedStores = []struct {
 	name       string
 	graph      string
@@ -29,15 +32,15 @@ var pinnedStores = []struct {
 	compressed bool
 	hash       uint64
 }{
-	{"rmat12-v1", "rmat12", false, false, 0xe1000e198a22d315},
-	{"rmat12-v1-undirected", "rmat12", true, false, 0xdad3314be03eab2},
+	{"rmat12-v4", "rmat12", false, false, 0xd682d6c7478d0279},
+	{"rmat12-v4-undirected", "rmat12", true, false, 0x8d4bc1b2a772701f},
 	{"rmat12-v3", "rmat12", false, true, 0xa055f36925f19c62},
 	{"rmat12-v3-undirected", "rmat12", true, true, 0x3d83022a016137b8},
-	{"road64-v1", "road64", false, false, 0xd4e577788b13da00},
-	{"road64-v1-undirected", "road64", true, false, 0xa78e89a8f0fad301},
+	{"road64-v4", "road64", false, false, 0x1c71865d628fe7f5},
+	{"road64-v4-undirected", "road64", true, false, 0xc6eda581f3037ab4},
 	{"road64-v3", "road64", false, true, 0xc270129e3b16d1a0},
 	{"road64-v3-undirected", "road64", true, true, 0x7d65371a629a2bd8},
-	{"empty-v1", "empty", false, false, 0xf3aa986ef257a035},
+	{"empty-v4", "empty", false, false, 0x78f3b13ab9df89c5},
 	{"empty-v3", "empty", false, true, 0xa644602d597fc36},
 }
 

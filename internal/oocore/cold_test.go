@@ -23,7 +23,7 @@ type coldStore struct {
 	fd uintptr
 }
 
-func (s *coldStore) StreamCells(opt core.StreamOptions, visit func(worker int, edges []graph.Edge)) error {
+func (s *coldStore) StreamCells(opt core.StreamOptions, visit func(worker int, pairs []graph.Pair, weights []graph.Weight)) error {
 	if err := dropPageCache(s.fd); err != nil {
 		return err
 	}
@@ -43,7 +43,7 @@ func dropPageCache(fd uintptr) error {
 }
 
 // BenchmarkStreamedPageRankCold is BenchmarkStreamedPageRank with the page
-// cache dropped before every pass, over a v1 and a compressed store of the
+// cache dropped before every pass, over a v4 and a compressed store of the
 // same RMAT-16 graph: the sample that decides whether fewer bytes read pay
 // for the decode when the bytes come from the device. It reports the bytes
 // read and the reads issued per op.
@@ -52,7 +52,7 @@ func BenchmarkStreamedPageRankCold(b *testing.B) {
 	for _, tc := range []struct {
 		name       string
 		compressed bool
-	}{{"v1", false}, {"v3", true}} {
+	}{{"v4", false}, {"v3", true}} {
 		b.Run(tc.name, func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "cold.egs")
 			if _, err := BuildStore(path, BuildOptions{NumVertices: g.NumVertices(), Compressed: tc.compressed},

@@ -27,10 +27,10 @@ func TestStreamCellsReducedWorkersColumnOwnership(t *testing.T) {
 			var mu sync.Mutex
 			colOwner := map[int]int{}
 			opt := core.StreamOptions{Workers: workers, MemoryBudget: 1 << 20}
-			err := s.StreamCells(opt, func(worker int, edges []graph.Edge) {
+			err := s.StreamCells(opt, func(worker int, pairs []graph.Pair, _ []graph.Weight) {
 				mu.Lock()
 				defer mu.Unlock()
-				for _, e := range edges {
+				for _, e := range pairs {
 					col := int(e.Dst) / s.Header().RangeSize
 					if owner, ok := colOwner[col]; ok && owner != worker {
 						t.Errorf("column %d visited by workers %d and %d", col, owner, worker)
@@ -206,7 +206,7 @@ func overlapPasses(t *testing.T, s *Store, opt core.StreamOptions, wantEdges int
 		go func() {
 			defer wg.Done()
 			var first sync.Once
-			errs[i] = s.StreamCells(opt, func(_ int, edges []graph.Edge) {
+			errs[i] = s.StreamCells(opt, func(_ int, edges []graph.Pair, _ []graph.Weight) {
 				first.Do(func() {
 					started.Done()
 					select {

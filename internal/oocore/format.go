@@ -5,7 +5,8 @@
 //
 //   - an on-disk partitioned format: a checksummed header, the cell index,
 //     a per-vertex out-degree table (the vertex metadata an out-of-core run
-//     keeps resident), and the per-cell edge segments in row-major order;
+//     keeps resident), the per-cell segments of (src, dst) pairs in
+//     row-major order, and a weight plane only when the graph is weighted;
 //   - a bounded-memory builder that partitions an edge stream into the
 //     format without ever materializing the full edge slice: a histogram
 //     pass, then a two-digit radix partition — a pass that stages each edge
@@ -13,7 +14,8 @@
 //     counting sort of each staged row by column into its final bytes;
 //   - a streaming executor (see prefetch.go) that feeds grid cells to the
 //     engine's partition-free column scheduling while asynchronously
-//     prefetching the next segments, so I/O overlaps compute exactly as the
+//     prefetching the next segments, read in place into the pairs (and
+//     weights) the kernels visit, so I/O overlaps compute exactly as the
 //     loading/pre-processing overlap of Sections 3.4-3.5 overlaps the
 //     in-memory pipeline.
 package oocore
@@ -23,21 +25,27 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/storage"
 )
 
-// Format constants. A version-1 store file is laid out as
+// Format constants. A version-4 store file is laid out as
 //
-//	[ header (48 bytes, CRC-protected) ]
+//	[ header (48 bytes, CRC-protected; flagWeighted when a weight plane
+//	  exists) ]
 //	[ metadata: cell index ((P*P+1) x uint64), out-degrees (V x uint32) ]
-//	[ edge data: numEdges x 12-byte records, cells in row-major order ]
+//	[ edge data: numEdges x 8-byte records (src uint32, dst uint32), cells
+//	  in row-major order ]
+//	[ weight plane (flagWeighted only): numEdges x float32 bits, in edge
+//	  order ]
 //
-// All integers are little-endian. Edge records use the same encoding as the
-// flat binary edge format (src uint32, dst uint32, weight float32 bits), so
-// a cell segment is itself a valid flat edge file.
+// All integers are little-endian, so on a little-endian host a record is
+// its graph.Pair and a plane entry its graph.Weight: slots read both in
+// place. A plane exists only when some weight is not 1 (the in-memory
+// grid's rule). Records carry no checksum: every read is range-checked.
 //
 // A version-3 store holds the same cells compressed: each edge is its
 // source offset then its destination offset inside its cell, w bytes each
@@ -60,14 +68,11 @@ import (
 const (
 	// Magic identifies a partitioned grid store.
 	Magic = "EGRIDST1"
-	// FormatVersion is the raw-record layout version.
-	FormatVersion = 1
+	// FormatVersion is the raw layout version: 8-byte pair records.
+	FormatVersion = 4
 	// FormatVersionCompressed is the compressed (fixed-width offset) layout
 	// version.
 	FormatVersionCompressed = 3
-	// formatVersionVarint is the retired delta+varint layout, named only to
-	// reject it clearly.
-	formatVersionVarint = 2
 	// headerSize is the fixed byte size of the header block.
 	headerSize = 48
 	// maxCells bounds P*P so that metaSize cannot overflow.
@@ -75,8 +80,7 @@ const (
 	// flagUndirected marks a store whose edges were mirrored at build time
 	// (each input edge stored in both directions), as required by WCC.
 	flagUndirected = 1 << 0
-	// flagWeighted marks a compressed store that carries a weight plane
-	// (version 3 only; version 1 records always embed their weight).
+	// flagWeighted marks a store that carries a weight plane.
 	flagWeighted = 1 << 1
 )
 
@@ -95,7 +99,7 @@ type Header struct {
 	// Version is the format version (FormatVersion or
 	// FormatVersionCompressed). Zero means FormatVersion.
 	Version int
-	// Weighted reports whether a compressed store carries a weight plane.
+	// Weighted reports whether the store carries a weight plane.
 	Weighted bool
 }
 
@@ -112,18 +116,18 @@ func (h Header) metaSize() int64 {
 // dataOffset returns the file offset of the first edge record.
 func (h Header) dataOffset() int64 { return headerSize + h.metaSize() }
 
-// edgeBytes returns the bytes one edge takes in the data area: a 12-byte
-// record in version 1, two offsets of graph.CellOffsetWidth(RangeSize)
+// edgeBytes returns the bytes one edge takes in the data area: an 8-byte
+// pair record in version 4, two offsets of graph.CellOffsetWidth(RangeSize)
 // bytes in version 3.
 func (h Header) edgeBytes() int {
 	if h.Version == FormatVersionCompressed {
 		return 2 * graph.CellOffsetWidth(h.RangeSize)
 	}
-	return storage.EdgeBytes
+	return pairBytes
 }
 
-// weightOffset returns the file offset of a version-3 store's weight plane,
-// right after the payload.
+// weightOffset returns the file offset of the weight plane, right after the
+// records or payload.
 func (h Header) weightOffset() int64 {
 	return h.dataOffset() + h.NumEdges*int64(h.edgeBytes())
 }
@@ -167,9 +171,8 @@ func decodeHeader(buf []byte) (Header, uint32, error) {
 	switch v := binary.LittleEndian.Uint32(buf[8:12]); v {
 	case FormatVersion, FormatVersionCompressed:
 		h.Version = int(v)
-	case formatVersionVarint:
-		return h, 0, fmt.Errorf("oocore: store version %d (delta+varint cells) is no longer supported; rebuild it as version %d or %d",
-			v, FormatVersion, FormatVersionCompressed)
+	case 1, 2: // retired: 12-byte records, delta+varint cells
+		return h, 0, fmt.Errorf("oocore: store version %d is no longer supported; rebuild it with gengraph -format store", v)
 	default:
 		return h, 0, fmt.Errorf("oocore: unsupported store version %d (want %d or %d)",
 			v, FormatVersion, FormatVersionCompressed)
@@ -181,9 +184,6 @@ func decodeHeader(buf []byte) (Header, uint32, error) {
 	flags := binary.LittleEndian.Uint32(buf[12:16])
 	h.Undirected = flags&flagUndirected != 0
 	h.Weighted = flags&flagWeighted != 0
-	if h.Weighted && h.Version != FormatVersionCompressed {
-		return h, 0, fmt.Errorf("oocore: version-%d store sets the weight-plane flag", h.Version)
-	}
 	h.NumVertices = int(binary.LittleEndian.Uint64(buf[16:24]))
 	h.NumEdges = int64(binary.LittleEndian.Uint64(buf[24:32]))
 	h.P = int(binary.LittleEndian.Uint32(buf[32:36]))
@@ -249,8 +249,9 @@ type BuildOptions struct {
 	// counterpart of prep's Undirected doubling (needed by WCC).
 	Undirected bool
 	// Compressed selects the version-3 layout: cells stored as fixed-width
-	// range offsets with per-cell CRCs, and weights (when any edge carries
-	// one) split into a parallel plane.
+	// range offsets with per-cell CRCs, and a weight plane when any weight
+	// is not 0 (a plane-less version-3 cell carries zero weights, where a
+	// plane-less version-4 one carries ones).
 	Compressed bool
 }
 
@@ -262,14 +263,14 @@ const buildBudget = 32 << 20
 // BuildStore partitions the edge stream into a grid store at path, as a
 // two-digit radix partition: rows (source ranges) first, then columns. It
 // runs the stream twice. The first pass histograms edges per cell and
-// accumulates out-degrees. The second appends each edge, as a 12-byte
-// record, to its row's buffer — P buffers of buildBudget/P bytes — and
-// writes full buffers to a staging area past the store's end, at the row's
-// offset. Each staged row is then counting-sorted by column, stably, into
-// its final bytes and written once (twice for a version-3 weight plane);
-// a row larger than the budget is sorted in windows of its final region.
-// The staging area — 12 bytes per edge, on disk while the build runs — is
-// truncated away before the file is synced. Peak memory is O(P*P + V)
+// accumulates out-degrees. The second appends each edge, as an 8-byte pair
+// record (12 bytes with its weight when the store carries a plane), to its
+// row's buffer — P buffers of buildBudget/P bytes — and writes full buffers
+// to a staging area past the store's end, at the row's offset. Each staged
+// row is then counting-sorted by column, stably, into its final bytes and
+// written once (twice with a weight plane); a row larger than the budget is
+// sorted in windows of its final region. The staging area — on disk while
+// the build runs — is truncated away before the file is synced. Peak memory is O(P*P + V)
 // plus the budget, independent of the edge count. A failed build removes
 // the file.
 func BuildStore(path string, opt BuildOptions, stream Stream) (Header, error) {
@@ -297,17 +298,21 @@ func buildStore(path string, opt BuildOptions, stream Stream, budget int64) (h H
 	rs := uint32(rangeSize)
 
 	// Pass 1: per-cell histogram (counted into cellIndex[cell+1]),
-	// out-degree accumulation, and whether any edge carries a weight (a
-	// compressed store then gets a weight plane).
+	// out-degree accumulation, and whether any edge carries a weight other
+	// than the one a plane-less cell implies (the store then gets a weight
+	// plane).
 	cellIndex := make([]uint64, numCells+1)
 	degrees := make([]uint32, opt.NumVertices)
 	var numEdges int64
-	weighted := false
+	weighted, unit := false, graph.Weight(1)
+	if opt.Compressed {
+		unit = 0
+	}
 	err = forEachBatch(stream, opt.Undirected, opt.NumVertices, func(edges []graph.Edge) error {
 		for _, e := range edges {
 			cellIndex[int(e.Src/rs)*p+int(e.Dst/rs)+1]++
 			degrees[e.Src]++
-			weighted = weighted || e.W != 0
+			weighted = weighted || e.W != unit
 		}
 		numEdges += int64(len(edges))
 		return nil
@@ -327,10 +332,10 @@ func buildStore(path string, opt BuildOptions, stream Stream, budget int64) (h H
 		RangeSize:   rangeSize,
 		Undirected:  opt.Undirected,
 		Version:     FormatVersion,
+		Weighted:    weighted,
 	}
 	if opt.Compressed {
 		h.Version = FormatVersionCompressed
-		h.Weighted = weighted
 	}
 
 	f, err := os.Create(path)
@@ -425,20 +430,24 @@ func writeHeaderAndMeta(w io.WriteSeeker, h Header, cellIndex []uint64, degrees 
 
 // partition is the state the builder's two radix digits share: the store
 // being written, its cell index from the histogram pass, and the staging
-// area of 12-byte records (src, dst, weight bits) past the store's end,
-// laid out like the store's data area — row-major, each edge at its
-// store slot — so a row's records are contiguous.
+// area of records (src, dst, plus the weight bits when the store carries a
+// plane) past the store's end, laid out like the store's data area —
+// row-major, each edge at its store slot — so a row's records are
+// contiguous.
 type partition struct {
 	f         *os.File
 	h         Header
 	cellIndex []uint64
 	stageOff  int64 // file offset of the staging area: the store's end
+	// rec is the bytes of one staged record: a pair, plus its weight when
+	// weighted.
+	rec int
 	// rowBytes is the size of a row's buffer in the row pass: budget/P in
 	// whole records, at least one. The sorts read staged records back in
 	// chunks of as much, or of the heaviest row if it is smaller.
 	rowBytes, chunkBytes int
 	// perEdge is the bytes an edge takes in the store: its record or
-	// payload, plus a version-3 weight.
+	// payload, plus its weight when weighted.
 	perEdge uint64
 	// mem holds the edge buffers, reused by both digits: the row pass's
 	// buffers, then the sorts' chunk and their window of win edges.
@@ -452,20 +461,20 @@ type partition struct {
 // is more; the window is capped so the chunk and the window fit the
 // budget, but always holds an edge.
 func newPartition(f *os.File, h Header, cellIndex []uint64, budget int64) *partition {
-	const rec = storage.EdgeBytes
-	b := &partition{f: f, h: h, cellIndex: cellIndex, rowBytes: max(int(budget)/h.P/rec, 1) * rec,
-		perEdge: uint64(h.edgeBytes())}
+	rec := pairBytes
 	if h.Weighted {
-		b.perEdge += 4
+		rec += 4
 	}
+	b := &partition{f: f, h: h, cellIndex: cellIndex, rec: rec, rowBytes: max(int(budget)/h.P/rec, 1) * rec,
+		perEdge: uint64(h.edgeBytes() + rec - pairBytes)}
 	b.stageOff = h.dataOffset() + h.NumEdges*int64(b.perEdge)
 	var staged, heaviest uint64
 	for r := 0; r < h.P; r++ {
 		edges := cellIndex[(r+1)*h.P] - cellIndex[r*h.P]
-		staged += min(uint64(b.rowBytes), edges*rec)
+		staged += min(uint64(b.rowBytes), edges*uint64(rec))
 		heaviest = max(heaviest, edges)
 	}
-	b.chunkBytes = int(max(min(uint64(b.rowBytes), heaviest*rec), rec))
+	b.chunkBytes = int(max(min(uint64(b.rowBytes), heaviest*uint64(rec)), uint64(rec)))
 	win := max(min(heaviest, uint64(max(budget-int64(b.chunkBytes), 0))/b.perEdge), 1)
 	b.mem = make([]byte, max(staged, uint64(b.chunkBytes)+win*b.perEdge))
 	b.win = uint64(len(b.mem)-b.chunkBytes) / b.perEdge
@@ -484,7 +493,7 @@ func notRestartable(what string, i int, want uint64) error {
 // buffer is written to the staging area at the row's next slot. Only P
 // buffers fill at once, so the writes are large and few.
 func (b *partition) stageRows(stream Stream, mirror bool) error {
-	const rec = storage.EdgeBytes
+	rec, weighted := uint64(b.rec), b.h.Weighted
 	p, rs := b.h.P, uint32(b.h.RangeSize)
 	type row struct {
 		buf        []byte
@@ -500,7 +509,7 @@ func (b *partition) stageRows(stream Stream, mirror bool) error {
 		off += size
 	}
 	flush := func(rw *row) error {
-		if _, err := b.f.WriteAt(rw.buf, b.stageOff+int64(rw.next)*rec); err != nil {
+		if _, err := b.f.WriteAt(rw.buf, b.stageOff+int64(rw.next*rec)); err != nil {
 			return fmt.Errorf("oocore: staging write: %w", err)
 		}
 		rw.next, rw.buf = rw.fill, rw.buf[:0]
@@ -514,10 +523,12 @@ func (b *partition) stageRows(stream Stream, mirror bool) error {
 				return notRestartable("row", r, rw.end-b.cellIndex[r*p])
 			}
 			k := len(rw.buf)
-			rw.buf = rw.buf[:k+rec]
+			rw.buf = rw.buf[:k+int(rec)]
 			binary.LittleEndian.PutUint32(rw.buf[k:], e.Src)
 			binary.LittleEndian.PutUint32(rw.buf[k+4:], e.Dst)
-			binary.LittleEndian.PutUint32(rw.buf[k+8:], weightBits(e.W))
+			if weighted {
+				binary.LittleEndian.PutUint32(rw.buf[k+8:], math.Float32bits(e.W))
+			}
 			rw.fill++
 			if len(rw.buf) == cap(rw.buf) {
 				if err := flush(rw); err != nil {
@@ -544,14 +555,14 @@ func (b *partition) stageRows(stream Stream, mirror bool) error {
 
 // sortRows runs the second digit: each staged row is read back in chunks
 // and counting-sorted by column — stably, so a cell keeps its edges in
-// stream order — into an arena covering the row's final bytes: records
-// (version 1), or range offsets plus the weight plane (version 3). The
-// arena is then written once per plane. A row larger than the arena is
+// stream order — into an arena covering the row's final bytes: pair
+// records (version 4) or range offsets (version 3), plus the weight plane
+// when weighted. The arena is then written once per plane. A row larger than the arena is
 // filled in windows, each re-reading the staged row and keeping the
 // records whose slot falls inside it. It returns the per-cell payload CRCs
-// of a version-3 store (nil for version 1).
+// of a version-3 store (nil for version 4).
 func (b *partition) sortRows() ([]uint32, error) {
-	const rec = storage.EdgeBytes
+	rec := b.rec
 	h := b.h
 	p, rs := h.P, uint32(h.RangeSize)
 	compressed := h.Version == FormatVersionCompressed
@@ -576,8 +587,8 @@ func (b *partition) sortRows() ([]uint32, error) {
 			whi := min(wlo+win, hi)
 			copy(cursor, cells[:p])
 			for at := lo; at < hi; {
-				buf := chunk[:min(hi-at, uint64(len(chunk)/rec))*rec]
-				if _, err := b.f.ReadAt(buf, b.stageOff+int64(at)*rec); err != nil {
+				buf := chunk[:int(min(hi-at, uint64(len(chunk)/rec)))*rec]
+				if _, err := b.f.ReadAt(buf, b.stageOff+int64(at)*int64(rec)); err != nil {
 					return nil, fmt.Errorf("oocore: staging read: %w", err)
 				}
 				at += uint64(len(buf) / rec)
@@ -593,14 +604,14 @@ func (b *partition) sortRows() ([]uint32, error) {
 						continue
 					}
 					k := slot - wlo
-					if !compressed {
-						*(*[rec]byte)(payload[k*rec:]) = [rec]byte(buf[i : i+rec])
-						continue
+					if compressed {
+						src := binary.LittleEndian.Uint32(buf[i:])
+						graph.AppendCellEdge(payload[k*eb:k*eb], src-rowLo, dst-uint32(col)*rs, w)
+					} else {
+						*(*[pairBytes]byte)(payload[k*eb:]) = [pairBytes]byte(buf[i : i+pairBytes])
 					}
-					src := binary.LittleEndian.Uint32(buf[i:])
-					graph.AppendCellEdge(payload[k*eb:k*eb], src-rowLo, dst-uint32(col)*rs, w)
 					if h.Weighted {
-						*(*[4]byte)(weights[k*4:]) = [4]byte(buf[i+8 : i+rec])
+						*(*[4]byte)(weights[k*4:]) = [4]byte(buf[i+pairBytes : i+rec])
 					}
 				}
 			}

@@ -6,9 +6,12 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
+	"github.com/epfl-repro/everythinggraph/internal/algorithms"
+	"github.com/epfl-repro/everythinggraph/internal/core"
 	"github.com/epfl-repro/everythinggraph/internal/gen"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/prep"
@@ -67,7 +70,7 @@ func TestStoreRoundTripMatchesInMemoryGrid(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReadCell(%d,%d): %v", row, col, err)
 			}
-			want := grid.Cell(row, col)
+			want := cellEdges(grid.Cell(row, col))
 			if len(buf) != len(want) {
 				t.Fatalf("cell (%d,%d): %d edges, want %d", row, col, len(buf), len(want))
 			}
@@ -108,7 +111,7 @@ func TestStoreUndirectedMirrorsEdges(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReadCell: %v", err)
 			}
-			want := gridU.Cell(row, col)
+			want := cellEdges(gridU.Cell(row, col))
 			if len(buf) != len(want) {
 				t.Fatalf("cell (%d,%d): %d edges, want %d", row, col, len(buf), len(want))
 			}
@@ -259,7 +262,8 @@ func TestStoreRecordsBitExact(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	defer s.Close()
-	got, err := streamOnce(s)
+	pairs, weights, err := streamOnce(s)
+	got := cellEdges(pairs, weights)
 	if err != nil || len(got) != len(edges) {
 		t.Fatalf("streamed %d edges, %v; want %d", len(got), err, len(edges))
 	}
@@ -325,9 +329,130 @@ func TestEmptyStoreRoundTrip(t *testing.T) {
 	if s.NumEdges() != 0 {
 		t.Fatalf("empty store has %d edges", s.NumEdges())
 	}
-	if err := s.StreamCells(coreStreamOpts(1, 0), func(int, []graph.Edge) {
+	if err := s.StreamCells(coreStreamOpts(1, 0), func(int, []graph.Pair, []graph.Weight) {
 		t.Error("visit called on empty store")
 	}); err != nil {
 		t.Fatalf("StreamCells: %v", err)
+	}
+}
+
+// TestOpenRejectsVersion1Store: a store of the retired 12-byte-record
+// layout (its header resealed, so only the version is wrong) is refused at
+// open with an error naming its version and the command that rebuilds it,
+// without a panic and without keeping a descriptor or a goroutine.
+func TestOpenRejectsVersion1Store(t *testing.T) {
+	path, img := storeBytes(t)
+	binary.LittleEndian.PutUint32(img[8:12], 1)
+	binary.LittleEndian.PutUint32(img[44:48], crc32.ChecksumIEEE(img[:44]))
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fds, goroutines := openFDs(t), runtime.NumGoroutine()
+	s, err := Open(path)
+	if err == nil {
+		s.Close()
+		t.Fatal("Open accepted a version-1 store")
+	}
+	for _, want := range []string{"version 1", "gengraph -format store"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Open returned %q, want it to name %q", err, want)
+		}
+	}
+	if n := openFDs(t); n != fds {
+		t.Errorf("%d descriptors open after the refused Open, %d before", n, fds)
+	}
+	waitGoroutines(t, goroutines, "refused Open")
+}
+
+// TestUnitWeightStoreHasNoPlane: a graph whose weights are all 1 (RMAT)
+// gets no weight plane: the file is the header, the metadata and 8 bytes
+// per edge, and streamed slices carry nil weights.
+func TestUnitWeightStoreHasNoPlane(t *testing.T) {
+	g := testGraph(t, 10, false)
+	path := filepath.Join(t.TempDir(), "unit.egs")
+	h, err := BuildStoreFromGraph(path, g, 8, false)
+	if err != nil {
+		t.Fatalf("BuildStoreFromGraph: %v", err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Weighted {
+		t.Fatal("unit-weight store carries a weight plane")
+	}
+	if want := headerSize + h.metaSize() + 8*int64(g.NumEdges()); info.Size() != want {
+		t.Fatalf("store holds %d bytes, want header + metadata + 8 x %d edges = %d", info.Size(), g.NumEdges(), want)
+	}
+	s, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	pairs, weights, err := streamOnce(s)
+	if err != nil || len(pairs) != g.NumEdges() || weights != nil {
+		t.Fatalf("streamed %d pairs and %d weights (%v), want %d pairs and no weights",
+			len(pairs), len(weights), err, g.NumEdges())
+	}
+}
+
+// TestWeightedRoadStoreStreamsSSSPBitIdentical: a weighted road lattice's
+// store carries a weight plane (12 bytes an edge in all), and SSSP streamed
+// from it, pushing and pulling, gives distances bit-identical to SSSP over
+// the in-memory adjacency and grid.
+func TestWeightedRoadStoreStreamsSSSPBitIdentical(t *testing.T) {
+	g := gen.Road(gen.RoadOptions{Width: 48, Height: 48, ShortcutFraction: 0.1, Seed: 5, Weighted: true})
+	const p = 8
+	path := filepath.Join(t.TempDir(), "road.egs")
+	h, err := BuildStoreFromGraph(path, g, p, true)
+	if err != nil {
+		t.Fatalf("BuildStoreFromGraph: %v", err)
+	}
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := headerSize + h.metaSize() + 12*h.NumEdges; !h.Weighted || info.Size() != want {
+		t.Fatalf("weighted=%v, %d bytes; want a weight plane and %d bytes", h.Weighted, info.Size(), want)
+	}
+	s, err := Open(path)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+
+	if err := prep.BuildAdjacency(g, prep.Out, prep.Options{Undirected: true}); err != nil {
+		t.Fatalf("BuildAdjacency: %v", err)
+	}
+	g.Grid = memGrid(t, g, p, true)
+	ref := algorithms.NewSSSP(0)
+	if _, err := core.Run(g, ref, core.Config{Layout: graph.LayoutAdjacency, Flow: core.Push, Sync: core.SyncAtomics, Workers: 2}); err != nil {
+		t.Fatalf("in-memory adjacency run: %v", err)
+	}
+	want := ref.Distances()
+	for _, c := range []struct {
+		name     string
+		flow     core.Flow
+		streamed bool
+	}{{"grid-push", core.Push, false}, {"grid-pull", core.Pull, false}, {"streamed-push", core.Push, true}, {"streamed-pull", core.Pull, true}} {
+		t.Run(c.name, func(t *testing.T) {
+			sssp := algorithms.NewSSSP(0)
+			cfg := streamConfig(c.flow, 32<<10)
+			cfg.Workers = 2
+			if c.streamed {
+				_, err = core.RunStreamed(s, sssp, cfg)
+			} else {
+				_, err = core.Run(g, sssp, cfg)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := sssp.Distances()
+			for v := range want {
+				if math.Float32bits(got[v]) != math.Float32bits(want[v]) {
+					t.Fatalf("dist[%d] = %v, in-memory adjacency %v", v, got[v], want[v])
+				}
+			}
+		})
 	}
 }

@@ -92,7 +92,11 @@ func TestPageRankMatchesTwoSweepReference(t *testing.T) {
 	// Grid cells are stored row-major, so each destination meets its
 	// in-edges by ascending source range, in input order within a cell:
 	// the order of the grid and of a store built at the same P.
-	gridOrder := edges(g.Grid.Edges)
+	gridOrder := func(apply func(src, dst graph.VertexID)) {
+		for _, e := range g.Grid.Pairs {
+			apply(e.Src, e.Dst)
+		}
+	}
 	arrayOrder := edges(g.EdgeArray.Edges)
 
 	s := buildTestStore(t, g, p, false)
@@ -108,7 +112,7 @@ func TestPageRankMatchesTwoSweepReference(t *testing.T) {
 		{"grid-pull-w2", core.Config{Layout: graph.LayoutGrid, Flow: core.Pull, Sync: core.SyncPartitionFree, Workers: 2}, gridOrder, false},
 		{"grid-push-w2", core.Config{Layout: graph.LayoutGrid, Flow: core.Push, Sync: core.SyncPartitionFree, Workers: 2}, gridOrder, false},
 		{"edgearray-push-w1", core.Config{Layout: graph.LayoutEdgeArray, Flow: core.Push, Sync: core.SyncAtomics, Workers: 1}, arrayOrder, false},
-		{"streamed-v1-pull-w2", core.Config{Layout: graph.LayoutGrid, Flow: core.Pull, Sync: core.SyncPartitionFree, Workers: 2, MemoryBudget: 128 << 10}, gridOrder, true},
+		{"streamed-store-pull-w2", core.Config{Layout: graph.LayoutGrid, Flow: core.Pull, Sync: core.SyncPartitionFree, Workers: 2, MemoryBudget: 128 << 10}, gridOrder, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,13 +152,13 @@ func rankHash(rank []float64) uint64 {
 	return h.Sum64()
 }
 
-// TestPageRankBitsPinnedAtP256: static grid pull in memory, over a v1 store
+// TestPageRankBitsPinnedAtP256: static grid pull in memory, over a v4 store
 // and over a v3 store, at 1 and 4 workers, all give the pinned bits.
 func TestPageRankBitsPinnedAtP256(t *testing.T) {
 	g := testGraph(t, 12, false)
 	const p = 256
 	g.Grid = memGrid(t, g, p, false)
-	stores := map[string]*Store{"v1": buildTestStore(t, g, p, false), "v3": buildTestStoreV2(t, g, p, false)}
+	stores := map[string]*Store{"v4": buildTestStore(t, g, p, false), "v3": buildTestStoreV2(t, g, p, false)}
 	for _, workers := range []int{1, 4} {
 		cfg := core.Config{Layout: graph.LayoutGrid, Flow: core.Pull, Sync: core.SyncPartitionFree, Workers: workers}
 		pr := algorithms.NewPageRank()

@@ -6,7 +6,6 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/core"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/sched"
-	"github.com/epfl-repro/everythinggraph/internal/storage"
 	"github.com/epfl-repro/everythinggraph/internal/trace"
 )
 
@@ -17,9 +16,10 @@ import (
 //
 //   - every column group owns a ring of two prefetch slots (double
 //     buffering), carved once out of arenas sized so the whole pool never
-//     exceeds the run's budget. A raw store's records are read straight
-//     into a slot's edges (12 bytes per buffered edge); a compressed
-//     store's slot also holds the payload it decodes;
+//     exceeds the run's budget. A raw store's records are read in place
+//     into a slot's pairs (8 bytes per buffered edge), and its weight plane,
+//     when it has one, into the slot's weights; a compressed store's slot
+//     also holds the payload it decodes;
 //   - every group owns one persistent fetcher goroutine that parks on a
 //     request channel between passes, so a pass spawns nothing;
 //   - fetcher and compute worker exchange slot *indexes* over two
@@ -44,11 +44,20 @@ type passReq struct {
 // drown the trace in noise the IOWait counters already sum precisely.
 const stallSpanMin = 10 * time.Microsecond
 
-// slot is one prefetch buffer of a group's ring. edges is its bufEdges-wide
-// half of the group's edge arena.
+// slot is one prefetch buffer of a group's ring: its bufEdges-wide halves of
+// the group's pair and weight arenas (weights nil when slots carry none).
 type slot struct {
-	edges []graph.Edge
-	n     int
+	pairs   []graph.Pair
+	weights []graph.Weight
+	n       int
+}
+
+// cell returns the slot's filled pairs and their weights.
+func (sl *slot) cell() ([]graph.Pair, []graph.Weight) {
+	if sl.weights == nil {
+		return sl.pairs[:sl.n], nil
+	}
+	return sl.pairs[:sl.n], sl.weights[:sl.n]
 }
 
 // group is one column group: its buffer arenas and slot ring, its parked
@@ -58,12 +67,13 @@ type group struct {
 	// id is the group's index: its compute worker records on trace track
 	// TrackWorkerBase+id, its fetcher on TrackFetcherBase+id.
 	id int32
-	// edgeArena backs both slots of the ring, and (compressed stores only)
-	// rawArena the payload each slot decodes from; each holds two slots of
-	// bufEdges edges.
-	rawArena  []byte
-	edgeArena []graph.Edge
-	slots     [core.MinPrefetchDepth]slot
+	// pairArena and (when slots carry weights) weightArena back both slots
+	// of the ring, and (compressed stores only) rawArena the payload each
+	// slot decodes from; each holds two slots of bufEdges edges.
+	rawArena    []byte
+	pairArena   []graph.Pair
+	weightArena []graph.Weight
+	slots       [core.MinPrefetchDepth]slot
 	// req carries one passReq per pass; closing it retires the fetcher.
 	req chan passReq
 	// filled delivers filled slot indexes to the compute worker, -1
@@ -88,14 +98,9 @@ type streamPool struct {
 	// bufEdges is one slot's capacity in edges: the longest slice a fetcher
 	// reads or the most whole cells it packs into one slot.
 	bufEdges int
-	// rawPerEdge is the on-disk bytes one buffered edge needs: a 12-byte
-	// record for raw stores, two range offsets (plus 4 weight bytes when a
-	// weight plane exists) for compressed ones.
-	// residentPerEdge is the per-edge resident cost the arenas are sized by
-	// and the accounting charges: one graph.Edge, which a raw store's record
-	// is read into, plus a compressed store's payload bytes.
-	rawPerEdge      int
-	residentPerEdge int64
+	// resident is the bytes of every arena of the pool, which a pass
+	// charges to the resident-bytes account while it runs.
+	resident int64
 	// bounds partitions the columns among the groups (workers+1 entries)
 	// and maxSeg is the largest read one of them issues: one row's segment
 	// across the group's columns.
@@ -105,14 +110,14 @@ type streamPool struct {
 	body   func(worker, lo, hi int) // compute fan-out body, bound once
 
 	// Per-pass state, set by StreamCells before the fan-out starts.
-	visit func(worker int, edges []graph.Edge)
+	visit func(worker int, pairs []graph.Pair, weights []graph.Weight)
 	rec   *trace.Recorder
 	abort streamAbort
 }
 
 // poolParams resolves the pass shape that determines the pool build: the
-// worker count (grid-clamped and budget-shed by the shared
-// core.StreamExecWorkers rule) and the budget buffers are sized for.
+// worker count (grid-clamped and budget-shed by execWorkers) and the budget
+// buffers are sized for.
 func (s *Store) poolParams(opt core.StreamOptions) (workers int, budget int64) {
 	workers = opt.Workers
 	if workers <= 0 {
@@ -122,7 +127,7 @@ func (s *Store) poolParams(opt core.StreamOptions) (workers int, budget int64) {
 	if budget <= 0 {
 		budget = core.DefaultStreamMemoryBudget
 	}
-	return core.StreamExecWorkers(s.header.P, workers, budget), budget
+	return execWorkers(s.header.P, workers, budget, s.residentEdgeBytes()), budget
 }
 
 // borrowPool takes an idle pool built for the pass's shape off the store's
@@ -163,12 +168,8 @@ func (s *Store) returnPool(p *streamPool) {
 func (s *Store) buildPool(workers int, budget int64) *streamPool {
 	bounds := partitionColumns(s.colEdges, workers)
 	maxSeg := s.largestRead(bounds)
-	rawPerEdge := s.rawEdgeBytes()
-	residentPerEdge := int64(decodedEdgeBytes)
-	if s.Compressed() {
-		residentPerEdge += int64(rawPerEdge)
-	}
-	bufEdges := int(min(budget/(int64(workers)*core.MinPrefetchDepth*residentPerEdge), int64(maxSeg)))
+	perEdge := s.residentEdgeBytes()
+	bufEdges := int(min(budget/(int64(workers)*core.MinPrefetchDepth*perEdge), int64(maxSeg)))
 	// Compressed cells decode whole (a cell's CRC covers its whole payload,
 	// so none of it is used before all of it is read), so every slot holds
 	// at least the largest cell, overrunning the budget when two of those
@@ -179,25 +180,30 @@ func (s *Store) buildPool(workers int, budget int64) *streamPool {
 	bufEdges = max(bufEdges, 1)
 
 	p := &streamPool{
-		store:           s,
-		workers:         workers,
-		cap:             budget,
-		bufEdges:        bufEdges,
-		rawPerEdge:      rawPerEdge,
-		residentPerEdge: residentPerEdge,
-		bounds:          bounds,
-		maxSeg:          maxSeg,
-		groups:          make([]group, workers),
+		store:    s,
+		workers:  workers,
+		cap:      budget,
+		bufEdges: bufEdges,
+		resident: int64(workers*core.MinPrefetchDepth*bufEdges) * perEdge,
+		bounds:   bounds,
+		maxSeg:   maxSeg,
+		groups:   make([]group, workers),
 	}
 	for i := range p.groups {
 		g := &p.groups[i]
 		g.id = int32(i)
 		if s.Compressed() {
-			g.rawArena = make([]byte, len(g.slots)*bufEdges*rawPerEdge)
+			g.rawArena = make([]byte, len(g.slots)*bufEdges*s.edgeBytes)
 		}
-		g.edgeArena = make([]graph.Edge, len(g.slots)*bufEdges)
+		g.pairArena = make([]graph.Pair, len(g.slots)*bufEdges)
+		if s.slotWeights() {
+			g.weightArena = make([]graph.Weight, len(g.slots)*bufEdges)
+		}
 		for j := range g.slots {
-			g.slots[j].edges = g.edgeArena[j*bufEdges : (j+1)*bufEdges]
+			g.slots[j].pairs = g.pairArena[j*bufEdges : (j+1)*bufEdges]
+			if g.weightArena != nil {
+				g.slots[j].weights = g.weightArena[j*bufEdges : (j+1)*bufEdges]
+			}
 		}
 		g.req = make(chan passReq)
 		g.filled = make(chan int, len(g.slots)+1)
@@ -235,17 +241,13 @@ func (p *streamPool) stop() {
 
 // runGroup is the compute side of one group's pass: request the pass from
 // the parked fetcher, then consume filled slots in order until the
-// sentinel. The group's arenas are accounted resident for the pass.
+// sentinel.
 func (p *streamPool) runGroup(gi int) {
 	if p.bounds[gi] >= p.bounds[gi+1] {
 		return
 	}
 	g := &p.groups[gi]
 	s := p.store
-
-	resident := int64(len(g.edgeArena)) * p.residentPerEdge
-	s.stats.addResident(resident)
-	defer s.stats.addResident(-resident)
 
 	g.req <- passReq{colLo: p.bounds[gi], colHi: p.bounds[gi+1], rec: p.rec}
 	for {
@@ -260,8 +262,8 @@ func (p *streamPool) runGroup(gi int) {
 			return
 		}
 		if !p.abort.flag.Load() {
-			sl := &g.slots[idx]
-			p.visit(gi, sl.edges[:sl.n])
+			pairs, weights := g.slots[idx].cell()
+			p.visit(gi, pairs, weights)
 		}
 		g.freed <- idx
 	}
@@ -323,14 +325,14 @@ pass:
 		if req.rec != nil {
 			t0 = time.Now()
 		}
-		if err := s.readSegment(int64(segPos), sl.edges[:n]); err != nil {
+		if err := s.readSegment(int64(segPos), sl.pairs[:n], sl.weights); err != nil {
 			p.abort.set(err)
 			free = append(free, idx)
 			break
 		}
 		segPos += uint64(n)
 		if req.rec != nil {
-			req.rec.FetchSpan(trace.TrackFetcherBase+g.id, t0, int64(n), int64(n*storage.EdgeBytes), false)
+			req.rec.FetchSpan(trace.TrackFetcherBase+g.id, t0, int64(n), int64(n*s.rawEdgeBytes()), false)
 		}
 		g.filled <- idx
 	}
@@ -347,11 +349,10 @@ pass:
 // checksummed as a whole, so instead of budget-bounded slices the fetcher
 // packs runs of consecutive whole cells along each row — as many as
 // fit the slot — issues one coalesced payload read (plus one contiguous
-// weight-plane read when weighted), CRC-verifies each cell and decodes it
-// into the slot's edge scratch. Row-ascending whole-cell order per column
-// is exactly the raw path's visit order, so streamed results stay
-// bit-identical. Decode time is charged to ioTime: to the planner it is part
-// of what a compressed byte costs to turn into edges.
+// weight-plane read in place when weighted), CRC-verifies each cell and
+// decodes it into the slot's pairs (readCells). Row-ascending whole-cell
+// order per column is exactly the raw path's visit order, so streamed
+// results stay bit-identical.
 func (p *streamPool) fetchCompressed(g *group, req passReq) {
 	s := p.store
 	gp := s.header.P
@@ -370,7 +371,7 @@ pass:
 			}
 			// Pack consecutive whole cells into one slot. The first cell
 			// always fits: bufEdges >= maxCellEdges, and the slot's raw bytes
-			// hold rawPerEdge for each of its edges.
+			// hold edgeBytes for each of its edges.
 			first := cell
 			n := 0
 			for cell < rowEnd {
@@ -394,17 +395,18 @@ pass:
 			sl := &g.slots[idx]
 			sl.n = n
 			// Slot idx decodes from its own share of the raw arena.
-			raw := g.rawArena[idx*p.bufEdges*p.rawPerEdge:][:n*p.rawPerEdge]
-			t0 := time.Now()
-			err := s.readCells(first, cell, raw, sl.edges[:n])
-			s.stats.ioTimeNanos.Add(int64(time.Since(t0)))
-			if err != nil {
+			raw := g.rawArena[idx*p.bufEdges*s.edgeBytes:][:n*s.edgeBytes]
+			var t0 time.Time
+			if req.rec != nil {
+				t0 = time.Now()
+			}
+			if err := s.readCells(first, cell, raw, sl.pairs[:n], sl.weights); err != nil {
 				p.abort.set(err)
 				free = append(free, idx)
 				break pass
 			}
 			if req.rec != nil {
-				req.rec.FetchSpan(trace.TrackFetcherBase+g.id, t0, int64(n), int64(n*p.rawPerEdge), true)
+				req.rec.FetchSpan(trace.TrackFetcherBase+g.id, t0, int64(n), int64(n*s.rawEdgeBytes()), true)
 			}
 			g.filled <- idx
 		}

@@ -12,7 +12,6 @@ import (
 	"github.com/epfl-repro/everythinggraph/internal/algorithms"
 	"github.com/epfl-repro/everythinggraph/internal/core"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
-	"github.com/epfl-repro/everythinggraph/internal/sched"
 )
 
 // These tests cover the recycled streaming pool: the zero-allocation
@@ -35,8 +34,8 @@ func idlePool(t *testing.T, s *Store) *streamPool {
 	return s.idle[0]
 }
 
-func countingVisit(total *int64) func(int, []graph.Edge) {
-	return func(_ int, edges []graph.Edge) { atomic.AddInt64(total, int64(len(edges))) }
+func countingVisit(total *int64) func(int, []graph.Pair, []graph.Weight) {
+	return func(_ int, pairs []graph.Pair, _ []graph.Weight) { atomic.AddInt64(total, int64(len(pairs))) }
 }
 
 func TestStreamPassSteadyStateZeroAlloc(t *testing.T) {
@@ -83,9 +82,9 @@ func TestStreamedPageRankUnderSlowDeviceAndShedding(t *testing.T) {
 	}
 
 	s := openSlowStore(t, storeImage(t, g, p, false), 24)
-	// Two thirds of two workers' minimum buffers (4 KiB at 24 resident
-	// bytes an edge): sheds an 8-requested-worker pass down to one.
-	const budget = 2 * core.MinPrefetchDepth * core.MinStreamSliceEdges * core.StreamResidentEdgeBytes * 2 / 3
+	// Two thirds of two workers' minimum buffers (2 KiB at 8 resident bytes
+	// an edge): sheds an 8-requested-worker pass down to one.
+	const budget = int64(2 * core.MinPrefetchDepth * minSliceEdges * pairBytes * 2 / 3)
 	prOOC := algorithms.NewPageRank()
 	prOOC.Iterations = 3
 	cfg := core.Config{
@@ -126,9 +125,9 @@ func TestStreamCellsKnobChangesReusePool(t *testing.T) {
 		t.Helper()
 		var mu, total = make(chan struct{}, 1), []graph.Edge(nil)
 		mu <- struct{}{}
-		err := s.StreamCells(opt, func(_ int, edges []graph.Edge) {
+		err := s.StreamCells(opt, func(_ int, pairs []graph.Pair, weights []graph.Weight) {
 			<-mu
-			total = append(total, edges...)
+			total = append(total, cellEdges(pairs, weights)...)
 			mu <- struct{}{}
 		})
 		if err != nil {
@@ -188,10 +187,31 @@ func TestStreamCellsBudgetChangeRebuildsPool(t *testing.T) {
 	}
 }
 
-// TestPoolPartitionsAtStreamExecWorkers: the pool splits the columns among
-// the worker count core.StreamExecWorkers gives the store, and bounds its
-// reads by the largest row segment one group owns.
-func TestPoolPartitionsAtStreamExecWorkers(t *testing.T) {
+// TestExecWorkersClampsAndSheds: a pass runs one worker per column at most,
+// and sheds workers while the budget cannot feed their minimal slots at the
+// store's resident bytes an edge.
+func TestExecWorkersClampsAndSheds(t *testing.T) {
+	if got := execWorkers(1, 32, core.DefaultStreamMemoryBudget, int64(pairBytes)); got != 1 {
+		t.Fatalf("32 workers on a 1x1 grid -> %d, want 1 (one worker per column at most)", got)
+	}
+	if got := execWorkers(64, 32, core.DefaultStreamMemoryBudget, int64(pairBytes)); got != 32 {
+		t.Fatalf("roomy budget shed workers: %d", got)
+	}
+	// Two workers' minimal slots take 2 KiB of pairs, 3 KiB with weights:
+	// a 2 KiB budget feeds two unweighted workers, and sheds weighted ones.
+	const short = int64(2 * core.MinPrefetchDepth * minSliceEdges * pairBytes)
+	if got := execWorkers(64, 2, short, int64(pairBytes)); got != 2 {
+		t.Fatalf("%d-byte budget kept %d unweighted workers, want 2", short, got)
+	}
+	if got := execWorkers(64, 8, short, int64(pairBytes+4)); got != 1 {
+		t.Fatalf("%d-byte budget kept %d weighted workers, want 1", short, got)
+	}
+}
+
+// TestPoolPartitionsAtExecWorkers: the pool splits the columns among the
+// worker count execWorkers gives the store, and bounds its reads by the
+// largest row segment one group owns.
+func TestPoolPartitionsAtExecWorkers(t *testing.T) {
 	g := testGraph(t, 11, false)
 	s := buildTestStore(t, g, 8, false)
 	gp := s.GridP()
@@ -205,7 +225,7 @@ func TestPoolPartitionsAtStreamExecWorkers(t *testing.T) {
 			t.Fatalf("%d workers: delivered %d edges, want %d", workers, total, g.NumEdges())
 		}
 		p := idlePool(t, s)
-		want := core.StreamExecWorkers(gp, workers, budget)
+		want := execWorkers(gp, workers, budget, s.residentEdgeBytes())
 		if p.workers != want || !slices.Equal(p.bounds, partitionColumns(s.colEdges, want)) {
 			t.Fatalf("%d workers: pool of %d partitioned %v, want %d workers", workers, p.workers, p.bounds, want)
 		}
@@ -228,73 +248,84 @@ func TestPoolPartitionsAtStreamExecWorkers(t *testing.T) {
 // TestPassShapePinned pins what one pass over RMAT-12 at P=16 issues and
 // holds resident, raw and compressed, at 1-3 workers and four budgets: the
 // streamed benchmark's max(2 x edges, 1 MiB) (here 1 MiB), 2 x edges
-// (64 KiB), 24 KiB and the default. The values are what a pass issued
-// when the ring's depth was a knob, at its default of two, so the fixed
-// two-slot ring is held to the same reads of the same bytes. The compute
-// side runs on a one-goroutine lease so groups never overlap and the peak
-// is one group's ring, not a scheduling accident.
+// (64 KiB), 24 KiB and the default. A pass charges its pool's whole arenas
+// for as long as it runs, so the peak is the pool's size whatever the
+// groups' overlap, and 20 repeated two-worker passes read the same one.
 func TestPassShapePinned(t *testing.T) {
 	g := testGraph(t, 12, false)
 	if g.NumEdges() != 32768 {
 		t.Fatalf("RMAT-12 has %d edges; the pins assume 32768", g.NumEdges())
 	}
-	serial := sched.DefaultPool().Lease(1)
-	defer serial.Release()
 	images := map[bool][]byte{false: storeImage(t, g, 16, false), true: storeImage(t, g, 16, true)}
+	pass := func(t *testing.T, compressed bool, budget int64, workers int) core.SourceStats {
+		t.Helper()
+		img := images[compressed]
+		s, err := NewStore(bytes.NewReader(img), int64(len(img)))
+		if err != nil {
+			t.Fatalf("NewStore: %v", err)
+		}
+		var total int64
+		err = s.StreamCells(core.StreamOptions{Workers: workers, MemoryBudget: budget}, countingVisit(&total))
+		st := s.Stats()
+		s.Close()
+		if err != nil {
+			t.Fatalf("StreamCells: %v", err)
+		}
+		if total != int64(g.NumEdges()) {
+			t.Fatalf("delivered %d edges, want %d", total, g.NumEdges())
+		}
+		return st
+	}
 	for _, c := range []struct {
 		compressed               bool
 		budget                   int64
 		workers                  int
 		reads, bytesRead, peakRB int64
 	}{
-		{false, 1 << 20, 1, 16, 393216, 261864},
-		{false, 1 << 20, 2, 32, 393216, 136776},
-		{false, 1 << 20, 3, 48, 393216, 89736},
-		{false, 64 << 10, 1, 23, 393216, 65520},
-		{false, 64 << 10, 2, 47, 393216, 32760},
-		{false, 64 << 10, 3, 71, 393216, 21840},
-		{false, 24 << 10, 1, 44, 393216, 24576},
-		{false, 24 << 10, 2, 83, 393216, 12288},
-		{false, 24 << 10, 3, 126, 393216, 8184},
-		{false, 0, 1, 16, 393216, 261864},
-		{false, 0, 2, 32, 393216, 136776},
-		{false, 0, 3, 48, 393216, 89736},
-		{true, 1 << 20, 1, 32, 196608, 392796},
-		{true, 1 << 20, 2, 64, 196608, 205164},
-		{true, 1 << 20, 3, 96, 196608, 134604},
-		{true, 64 << 10, 1, 38, 196608, 125676},
-		{true, 64 << 10, 2, 68, 196608, 125676},
-		{true, 64 << 10, 3, 100, 196608, 125676},
-		{true, 24 << 10, 1, 38, 196608, 125676},
-		{true, 24 << 10, 2, 68, 196608, 125676},
-		{true, 24 << 10, 3, 100, 196608, 125676},
-		{true, 0, 1, 32, 196608, 392796},
-		{true, 0, 2, 64, 196608, 205164},
-		{true, 0, 3, 96, 196608, 134604},
+		{false, 1 << 20, 1, 16, 262144, 174576},
+		{false, 1 << 20, 2, 32, 262144, 182368},
+		{false, 1 << 20, 3, 48, 262144, 179472},
+		{false, 64 << 10, 1, 18, 262144, 65536},
+		{false, 64 << 10, 2, 36, 262144, 65536},
+		{false, 64 << 10, 3, 54, 262144, 65520},
+		{false, 24 << 10, 1, 31, 262144, 24576},
+		{false, 24 << 10, 2, 60, 262144, 24576},
+		{false, 24 << 10, 3, 92, 262144, 24576},
+		{false, 0, 1, 16, 262144, 174576},
+		{false, 0, 2, 32, 262144, 182368},
+		{false, 0, 3, 48, 262144, 179472},
+		{true, 1 << 20, 1, 32, 196608, 305508},
+		{true, 1 << 20, 2, 64, 196608, 319144},
+		{true, 1 << 20, 3, 96, 196608, 314076},
+		{true, 64 << 10, 1, 38, 196608, 97748},
+		{true, 64 << 10, 2, 68, 196608, 195496},
+		{true, 64 << 10, 3, 100, 196608, 293244},
+		{true, 24 << 10, 1, 38, 196608, 97748},
+		{true, 24 << 10, 2, 68, 196608, 195496},
+		{true, 24 << 10, 3, 100, 196608, 293244},
+		{true, 0, 1, 32, 196608, 305508},
+		{true, 0, 2, 64, 196608, 319144},
+		{true, 0, 3, 96, 196608, 314076},
 	} {
-		name := fmt.Sprintf("v1/budget=%d/workers=%d", c.budget, c.workers)
+		name := fmt.Sprintf("v4/budget=%d/workers=%d", c.budget, c.workers)
 		if c.compressed {
 			name = fmt.Sprintf("v3/budget=%d/workers=%d", c.budget, c.workers)
 		}
 		t.Run(name, func(t *testing.T) {
-			img := images[c.compressed]
-			s, err := NewStore(bytes.NewReader(img), int64(len(img)))
-			if err != nil {
-				t.Fatalf("NewStore: %v", err)
-			}
-			var total int64
-			err = s.StreamCells(core.StreamOptions{Workers: c.workers, MemoryBudget: c.budget, Lease: serial}, countingVisit(&total))
-			st := s.Stats()
-			s.Close()
-			if err != nil {
-				t.Fatalf("StreamCells: %v", err)
-			}
-			if total != int64(g.NumEdges()) {
-				t.Fatalf("delivered %d edges, want %d", total, g.NumEdges())
-			}
+			st := pass(t, c.compressed, c.budget, c.workers)
 			if st.Reads != c.reads || st.BytesRead != c.bytesRead || st.PeakResidentBytes != c.peakRB {
 				t.Errorf("%d reads, %d bytes, peak %d; pinned %d, %d, %d",
 					st.Reads, st.BytesRead, st.PeakResidentBytes, c.reads, c.bytesRead, c.peakRB)
+			}
+		})
+	}
+	for _, compressed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("repeated/compressed=%v", compressed), func(t *testing.T) {
+			first := pass(t, compressed, 0, 2).PeakResidentBytes
+			for i := 1; i < 20; i++ {
+				if peak := pass(t, compressed, 0, 2).PeakResidentBytes; peak != first {
+					t.Fatalf("pass %d peaked at %d resident bytes, pass 0 at %d", i, peak, first)
+				}
 			}
 		})
 	}
@@ -323,13 +354,16 @@ func TestRingArenaIsTwoSlots(t *testing.T) {
 				}
 				for i := range p.groups {
 					gr := &p.groups[i]
-					raw := 0
+					raw, weights := 0, 0
 					if s.Compressed() {
-						raw = 2 * p.bufEdges * p.rawPerEdge
+						raw = 2 * p.bufEdges * s.edgeBytes
 					}
-					if len(gr.edgeArena) != 2*p.bufEdges || len(gr.rawArena) != raw {
-						t.Fatalf("compressed=%v budget %d, %d workers, group %d: arenas of %d edges and %d raw bytes, want two %d-edge slots (%d raw bytes)",
-							s.Compressed(), budget, workers, i, len(gr.edgeArena), len(gr.rawArena), p.bufEdges, raw)
+					if s.slotWeights() {
+						weights = 2 * p.bufEdges
+					}
+					if len(gr.pairArena) != 2*p.bufEdges || len(gr.weightArena) != weights || len(gr.rawArena) != raw {
+						t.Fatalf("compressed=%v budget %d, %d workers, group %d: arenas of %d pairs, %d weights and %d raw bytes, want two %d-edge slots (%d weights, %d raw bytes)",
+							s.Compressed(), budget, workers, i, len(gr.pairArena), len(gr.weightArena), len(gr.rawArena), p.bufEdges, weights, raw)
 					}
 				}
 			}
@@ -442,7 +476,7 @@ type recordingStore struct {
 	passes []core.StreamOptions
 }
 
-func (s *recordingStore) StreamCells(opt core.StreamOptions, visit func(worker int, edges []graph.Edge)) error {
+func (s *recordingStore) StreamCells(opt core.StreamOptions, visit func(worker int, pairs []graph.Pair, weights []graph.Weight)) error {
 	s.passes = append(s.passes, opt)
 	return s.Store.StreamCells(opt, visit)
 }
@@ -480,12 +514,6 @@ func TestStreamedAutoPassesGetConfiguredRecipe(t *testing.T) {
 	}
 }
 
-// slotEdgeBytes is what one buffered edge of compressed store s costs while
-// resident: its offsets (plus the weight) and its decoded form.
-func slotEdgeBytes(s *Store) int64 {
-	return int64(s.rawEdgeBytes() + decodedEdgeBytes)
-}
-
 // TestCompressedPassStaysWithinBudget: a compressed pass slots whole
 // cells; under a budget with room for three largest cells per worker its
 // two slots stay within the budget, with ranks bit-identical to the raw
@@ -494,7 +522,7 @@ func TestCompressedPassStaysWithinBudget(t *testing.T) {
 	g := testGraph(t, 12, false)
 	const p, workers = 8, 2
 	s := buildTestStoreV2(t, g, p, false)
-	budget := int64(workers*3*s.maxCellEdges) * slotEdgeBytes(s)
+	budget := int64(workers*3*s.maxCellEdges) * s.residentEdgeBytes()
 	cfg := streamConfig(core.Pull, budget)
 	cfg.Workers = workers
 	prRef := algorithms.NewPageRank()
@@ -523,7 +551,7 @@ func TestCompressedSlotsFitLargestCells(t *testing.T) {
 	g := testGraph(t, 12, false)
 	const p, workers = 8, 2
 	v2 := buildTestStoreV2(t, g, p, false)
-	budget := int64(workers*3*v2.maxCellEdges) * slotEdgeBytes(v2)
+	budget := int64(workers*3*v2.maxCellEdges) * v2.residentEdgeBytes()
 	opt := core.StreamOptions{Workers: workers, MemoryBudget: budget}
 	var total int64
 	if err := v2.StreamCells(opt, countingVisit(&total)); err != nil {
@@ -533,23 +561,23 @@ func TestCompressedSlotsFitLargestCells(t *testing.T) {
 	if p2.workers != workers {
 		t.Fatalf("v2 pool built for %d workers, want %d", p2.workers, workers)
 	}
-	if want := min(int(budget/(2*workers*slotEdgeBytes(v2))), p2.maxSeg); p2.bufEdges != want || want < v2.maxCellEdges {
+	if want := min(int(budget/(2*workers*v2.residentEdgeBytes())), p2.maxSeg); p2.bufEdges != want || want < v2.maxCellEdges {
 		t.Fatalf("v2 slots hold %d edges, want the budget's %d (largest cell %d)", p2.bufEdges, want, v2.maxCellEdges)
 	}
-	if arena := int64(workers*len(p2.groups[0].edgeArena)) * slotEdgeBytes(v2); arena > budget {
+	if arena := int64(workers*len(p2.groups[0].pairArena)) * v2.residentEdgeBytes(); arena > budget {
 		t.Fatalf("v2 arenas hold %d resident bytes, over the %d budget", arena, budget)
 	}
 	if total != int64(g.NumEdges()) {
 		t.Fatalf("v2 pass delivered %d edges, want %d", total, g.NumEdges())
 	}
 
-	v1 := buildTestStore(t, g, p, false)
-	if err := v1.StreamCells(opt, countingVisit(new(int64))); err != nil {
-		t.Fatalf("v1 pass: %v", err)
+	v4 := buildTestStore(t, g, p, false)
+	if err := v4.StreamCells(opt, countingVisit(new(int64))); err != nil {
+		t.Fatalf("v4 pass: %v", err)
 	}
-	p1 := idlePool(t, v1)
-	if got, want := p1.bufEdges, min(int(budget/(2*workers*core.StreamResidentEdgeBytes)), p1.maxSeg); got != want {
-		t.Fatalf("v1 slots hold %d edges, want the budget's %d", got, want)
+	p1 := idlePool(t, v4)
+	if got, want := p1.bufEdges, min(int(budget/int64(2*workers*pairBytes)), p1.maxSeg); got != want {
+		t.Fatalf("v4 slots hold %d edges, want the budget's %d", got, want)
 	}
 }
 
@@ -561,7 +589,7 @@ func TestCompressedPoolKeepsMinDepthWhenCellsOverrun(t *testing.T) {
 	g := testGraph(t, 12, false)
 	s := buildTestStoreV2(t, g, 8, false)
 	const workers = 2
-	resident := slotEdgeBytes(s)
+	resident := s.residentEdgeBytes()
 	budget := int64(workers*s.maxCellEdges) * resident // one largest cell per worker
 	var total int64
 	if err := s.StreamCells(core.StreamOptions{Workers: workers, MemoryBudget: budget}, countingVisit(&total)); err != nil {

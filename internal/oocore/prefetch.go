@@ -20,20 +20,30 @@ import (
 // buffer live in the store's streamPool (see pool.go), so steady-state
 // passes allocate nothing.
 
-// decodedEdgeBytes is the in-memory size of one graph.Edge: what a raw
-// store's slot holds per buffered edge, its record read in place.
-const decodedEdgeBytes = int(unsafe.Sizeof(graph.Edge{}))
+// pairBytes is the size of one graph.Pair: a raw store's record, which a
+// slot reads in place.
+const pairBytes = int(unsafe.Sizeof(graph.Pair{}))
 
-// The core side (StreamExecWorkers) sizes its budget arithmetic with
-// core.StreamResidentEdgeBytes; this compile-time check keeps it at the
-// size of the edge a slot buffers.
-const _ = uint(decodedEdgeBytes-core.StreamResidentEdgeBytes) +
-	uint(core.StreamResidentEdgeBytes-decodedEdgeBytes)
+// minSliceEdges is the slice granularity below which streaming degenerates
+// (per-read overheads dominate): a pass sheds workers before its slices
+// shrink past it.
+const minSliceEdges = 64
 
-// The slice granularity below which streaming degenerates is
-// core.MinStreamSliceEdges, shared with the core side: worker shedding
-// (core.StreamExecWorkers) is derived from it, on both sides of the Source
-// boundary.
+// execWorkers returns the number of workers a streamed pass actually runs:
+// the requested count clamped to the grid dimension (one worker per column
+// at most) and shed while the budget cannot feed every worker's minimal
+// slots at perEdge resident bytes an edge (a starved slice costs every
+// read, a shed worker only costs parallelism).
+func execWorkers(gridP, workers int, budget, perEdge int64) int {
+	if gridP > 0 && workers > gridP {
+		workers = gridP
+	}
+	workers = max(workers, 1)
+	for workers > 1 && int64(workers)*core.MinPrefetchDepth*minSliceEdges*perEdge > budget {
+		workers--
+	}
+	return workers
+}
 
 // partitionColumns splits the P columns into `workers` contiguous groups of
 // roughly equal edge mass (power-law columns make equal-width grouping
@@ -101,9 +111,15 @@ func (a *streamAbort) take() error {
 // lease when it holds one and on the process-wide sched pool otherwise; the
 // reads run on the pool's fetchers (the sched workers are busy computing,
 // which is the point).
-func (s *Store) StreamCells(opt core.StreamOptions, visit func(worker int, edges []graph.Edge)) error {
+//
+// The pass charges its pool's whole arenas to the resident-bytes account
+// while it runs, so a pass's peak does not depend on how its groups
+// happened to overlap.
+func (s *Store) StreamCells(opt core.StreamOptions, visit func(worker int, pairs []graph.Pair, weights []graph.Weight)) error {
 	p := s.borrowPool(opt)
 	defer s.returnPool(p)
+	s.stats.addResident(p.resident)
+	defer s.stats.addResident(-p.resident)
 	p.visit, p.rec = visit, opt.Trace
 	p.abort.reset()
 	if opt.Lease != nil {

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/epfl-repro/everythinggraph/internal/core"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
@@ -36,15 +36,15 @@ type Store struct {
 	colEdges  []uint64 // per-column edge totals (for worker balancing)
 	dataOff   int64
 
-	// edgeBytes is the bytes one edge takes in the data area: a 12-byte
-	// record, or a compressed store's two range offsets.
+	// edgeBytes is the bytes one edge takes in the data area: an 8-byte
+	// pair record, or a compressed store's two range offsets.
 	edgeBytes int
-	// Version-3 (compressed) stores only: per-cell payload CRCs (P*P), the
-	// file offset of the weight plane (0 when unweighted), and the largest
-	// single-cell edge count — the whole-cell decode granularity the
-	// streaming buffers must fit.
+	// weightOff is the file offset of the weight plane (0 when none).
+	weightOff int64
+	// Version-3 (compressed) stores only: per-cell payload CRCs (P*P) and
+	// the largest single-cell edge count — the whole-cell decode
+	// granularity the streaming buffers must fit.
 	cellCRC      []uint32
-	weightOff    int64
 	maxCellEdges int
 
 	// idle holds the recycled streaming machinery (slot rings, persistent
@@ -240,19 +240,36 @@ func (s *Store) CellEdges(cell int) int64 {
 }
 
 // CellStoredBytes returns the on-disk footprint of one cell's edge data:
-// the fixed-record segment for version-1 stores, the offset payload plus
-// the cell's slice of the weight plane for version-3 stores.
+// its pair records (version 4) or offset payload (version 3), plus its
+// slice of the weight plane when there is one.
 func (s *Store) CellStoredBytes(cell int) int64 {
 	return s.CellEdges(cell) * int64(s.rawEdgeBytes())
 }
 
-// rawEdgeBytes is what one edge occupies on disk: its record or offsets plus,
-// for a weighted compressed store, its weight.
+// rawEdgeBytes is what one edge occupies on disk: its record or offsets
+// plus, when the store carries a weight plane, its weight.
 func (s *Store) rawEdgeBytes() int {
 	if s.weightOff > 0 {
 		return s.edgeBytes + 4
 	}
 	return s.edgeBytes
+}
+
+// slotWeights reports whether slots carry weights: a plane read in place,
+// or a plane-less compressed cell's zeros. Otherwise every weight is 1.
+func (s *Store) slotWeights() bool { return s.weightOff > 0 || s.Compressed() }
+
+// residentEdgeBytes is what one buffered edge costs a stream pool: its
+// pair, its weight if any, and a compressed store's payload.
+func (s *Store) residentEdgeBytes() int64 {
+	n := int64(pairBytes)
+	if s.slotWeights() {
+		n += 4
+	}
+	if s.Compressed() {
+		n += int64(s.edgeBytes)
+	}
+	return n
 }
 
 // Stats implements core.Source.
@@ -267,9 +284,10 @@ func (s *Store) Stats() core.SourceStats {
 	}
 }
 
-// ReadCell reads one cell's edges into dst (grown as needed) — the
-// segment-by-segment access path used by tools and tests; streamed
-// execution goes through StreamCells instead.
+// ReadCell reads one cell's edges into dst (grown as needed), each pair
+// with its weight (1 when the store has no plane, 0 in a plane-less
+// compressed cell) — the segment-by-segment access path used by tools and
+// tests; streamed execution goes through StreamCells instead.
 func (s *Store) ReadCell(row, col int, dst []graph.Edge) ([]graph.Edge, error) {
 	if row < 0 || row >= s.header.P || col < 0 || col >= s.header.P {
 		return nil, fmt.Errorf("oocore: cell (%d,%d) outside %dx%d grid", row, col, s.header.P, s.header.P)
@@ -277,24 +295,27 @@ func (s *Store) ReadCell(row, col int, dst []graph.Edge) ([]graph.Edge, error) {
 	idx := row*s.header.P + col
 	lo, hi := s.cellIndex[idx], s.cellIndex[idx+1]
 	n := int(hi - lo)
-	if cap(dst) < n {
-		dst = make([]graph.Edge, n)
+	pairs := make([]graph.Pair, n)
+	var weights []graph.Weight
+	if s.slotWeights() {
+		weights = make([]graph.Weight, n)
 	}
-	dst = dst[:n]
-	if n == 0 {
-		return dst, nil
+	var err error
+	switch {
+	case n == 0:
+	case s.Compressed():
+		err = s.readCells(idx, idx+1, make([]byte, n*s.edgeBytes), pairs, weights)
+	default:
+		err = s.readSegment(int64(lo), pairs, weights)
 	}
-	if !s.Compressed() {
-		if err := s.readSegment(int64(lo), dst); err != nil {
-			return nil, err
-		}
-		return dst, nil
-	}
-	t0 := time.Now()
-	if err := s.readCells(idx, idx+1, make([]byte, n*s.rawEdgeBytes()), dst); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	s.stats.ioTimeNanos.Add(int64(time.Since(t0)))
+	ws := graph.PairWeights(weights, n)
+	dst = dst[:0]
+	for i, e := range pairs {
+		dst = append(dst, graph.Edge{Src: e.Src, Dst: e.Dst, W: ws[i]})
+	}
 	return dst, nil
 }
 
@@ -312,23 +333,22 @@ func (s *Store) readRawAt(buf []byte, off int64) error {
 }
 
 // readCells fetches cells [first, last) of a compressed store — one payload
-// read plus, when weighted, one weight-plane read — through raw and decodes
-// them into dst, whose length must equal the cells' total edge count; raw
-// must hold rawEdgeBytes per edge. Every cell's payload is CRC-verified
-// before it is decoded, so a corrupt segment fails here without any of its
-// edges reaching a kernel.
-func (s *Store) readCells(first, last int, raw []byte, dst []graph.Edge) error {
+// read through raw (edgeBytes per edge), plus readPlane's — and decodes them
+// into pairs, whose length must equal the cells' total edge count. Every
+// cell's payload is CRC-verified before it is decoded, so a corrupt segment
+// fails here without any of its edges reaching a kernel. The time is
+// charged to ioTime: to the planner, decoding is part of what a compressed
+// byte costs to turn into edges.
+func (s *Store) readCells(first, last int, raw []byte, pairs []graph.Pair, weights []graph.Weight) error {
+	t0 := time.Now()
+	defer func() { s.stats.ioTimeNanos.Add(int64(time.Since(t0))) }()
 	lo := s.cellIndex[first]
-	pay := raw[:len(dst)*s.edgeBytes]
+	pay := raw[:len(pairs)*s.edgeBytes]
 	if err := s.readRawAt(pay, s.dataOff+int64(lo)*int64(s.edgeBytes)); err != nil {
 		return err
 	}
-	var wraw []byte
-	if s.weightOff > 0 {
-		wraw = raw[len(pay) : len(pay)+4*len(dst)]
-		if err := s.readRawAt(wraw, s.weightOff+int64(lo)*4); err != nil {
-			return err
-		}
+	if err := s.readPlane(weights, int64(lo), len(pairs)); err != nil {
+		return err
 	}
 	h := s.header
 	for c := first; c < last; c++ {
@@ -337,39 +357,74 @@ func (s *Store) readCells(first, last int, raw []byte, dst []graph.Edge) error {
 		if crc32.ChecksumIEEE(cell) != s.cellCRC[c] {
 			return fmt.Errorf("oocore: cell %d compressed payload checksum mismatch (corrupt store)", c)
 		}
-		var w []byte
-		if wraw != nil {
-			w = wraw[4*a : 4*b]
-		}
 		rowLo, colLo := graph.VertexID(c/h.P*h.RangeSize), graph.VertexID(c%h.P*h.RangeSize)
-		if err := graph.DecodeCell(cell, w, b-a, rowLo, colLo, h.RangeSize, h.NumVertices, dst[a:b]); err != nil {
+		if err := graph.DecodeCell(cell, b-a, rowLo, colLo, h.RangeSize, h.NumVertices, pairs[a:b]); err != nil {
 			return fmt.Errorf("oocore: cell %d: %w", c, err)
 		}
 	}
 	return nil
 }
 
-// readSegment reads the records [edgeOff, edgeOff+len(dst)) straight into
-// dst, which Records views as their on-disk form, and counts the read.
-// Version-1 records carry no checksum, so a record naming a vertex outside
-// the graph is an error here rather than an out-of-range index in a kernel.
-func (s *Store) readSegment(edgeOff int64, dst []graph.Edge) error {
+// readPlane reads the weights of the n edges from edge offset off in place
+// into weights, when the store carries a weight plane.
+func (s *Store) readPlane(weights []graph.Weight, off int64, n int) error {
+	if s.weightOff == 0 {
+		return nil
+	}
+	return s.readRawAt(asBytes(weights[:n]), s.weightOff+off*4)
+}
+
+// readSegment reads the pair records [edgeOff, edgeOff+len(pairs)) in place
+// into pairs, plus readPlane's. The records carry no checksum, so a record
+// naming a vertex outside the graph is an error here rather than an
+// out-of-range index in a kernel.
+func (s *Store) readSegment(edgeOff int64, pairs []graph.Pair, weights []graph.Weight) error {
 	t0 := time.Now()
-	raw := storage.Records(dst)
-	if _, err := readFullAt(s.backend, raw, s.dataOff+edgeOff*storage.EdgeBytes); err != nil {
-		return fmt.Errorf("oocore: read segment at edge %d: %w", edgeOff, err)
+	if err := s.readRawAt(asBytes(pairs), s.dataOff+edgeOff*int64(pairBytes)); err != nil {
+		return err
 	}
-	nv := uint64(s.header.NumVertices)
-	for i := range dst {
-		if e := &dst[i]; uint64(e.Src) >= nv || uint64(e.Dst) >= nv {
-			return fmt.Errorf("oocore: edge record %d (%d->%d) outside %d vertices (corrupt store)",
-				edgeOff+int64(i), e.Src, e.Dst, nv)
-		}
+	if err := s.readPlane(weights, edgeOff, len(pairs)); err != nil {
+		return err
 	}
-	s.stats.reads.Add(1)
-	s.stats.bytesRead.Add(int64(len(raw)))
+	if err := checkPairs(pairs, s.header.NumVertices, edgeOff); err != nil {
+		return err
+	}
 	s.stats.ioTimeNanos.Add(int64(time.Since(t0)))
 	return nil
 }
 
-func weightBits(w graph.Weight) uint32 { return math.Float32bits(float32(w)) }
+// checkPairs returns an error naming the first of pairs (records from edge
+// offset off) with an endpoint at or past numVertices. Up to 2^31 vertices
+// it first tests every record as one word, branch-free and exactly: adding
+// 2^31-numVertices to both 32-bit halves sets a half's top bit exactly when
+// its id is at or past numVertices, unless the id already has it (the raw
+// word's top bits catch those), and a valid low half never carries into the
+// high one. Only a failing slice is scanned again for the record to name.
+func checkPairs(pairs []graph.Pair, numVertices int, off int64) error {
+	if numVertices <= 1<<31 {
+		c := uint64(1<<31-numVertices) * (1<<32 + 1)
+		var bad uint64
+		for _, w := range unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(pairs))), len(pairs)) {
+			bad |= w + c | w
+		}
+		if bad&(1<<63|1<<31) == 0 {
+			return nil
+		}
+	}
+	nv := uint64(numVertices)
+	for i, e := range pairs {
+		if uint64(e.Src) >= nv || uint64(e.Dst) >= nv {
+			return fmt.Errorf("oocore: edge record %d (%d->%d) outside %d vertices (corrupt store)",
+				off+int64(i), e.Src, e.Dst, nv)
+		}
+	}
+	return nil
+}
+
+// asBytes views pairs or weights as their memory, which on a little-endian
+// host (NewStore checks) is their on-disk form: records and plane entries
+// are read into it in place.
+func asBytes[T graph.Pair | graph.Weight](s []T) []byte {
+	var zero T
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), len(s)*int(unsafe.Sizeof(zero)))
+}

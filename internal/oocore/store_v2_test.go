@@ -20,7 +20,7 @@ import (
 // These tests cover the compressed (version-3, fixed-width offset) store —
 // "V2" in their names for the second store format, as in the
 // stream.pagerank.v2 benchmark workload: round-trip identity against the
-// in-memory grid, streamed bit-identity against both the version-1 store
+// in-memory grid, streamed bit-identity against both the version-4 store
 // and the in-memory path (including under a paced slow device, the -race
 // target), compression-ratio accounting, and clean failure on every class
 // of corrupt segment — CRC-mismatched payload, offsets past their range or
@@ -76,7 +76,7 @@ func TestStoreV2RoundTripMatchesInMemoryGrid(t *testing.T) {
 				if err != nil {
 					t.Fatalf("weighted=%v ReadCell(%d,%d): %v", weighted, row, col, err)
 				}
-				want := grid.Cell(row, col)
+				want := cellEdges(grid.Cell(row, col))
 				if len(buf) != len(want) {
 					t.Fatalf("cell (%d,%d): %d edges, want %d", row, col, len(buf), len(want))
 				}
@@ -110,7 +110,7 @@ func TestStoreV2StreamsEveryEdgeOnce(t *testing.T) {
 
 // TestStoreV2CompressionRatio is the acceptance-scale size check: on
 // RMAT-16 the compressed payload (plus index overhead) must be at least 3x
-// smaller than the raw 12-byte records.
+// smaller than the binary edge file's 12-byte records.
 func TestStoreV2CompressionRatio(t *testing.T) {
 	if testing.Short() {
 		t.Skip("RMAT-16 build skipped in short mode")
@@ -135,7 +135,7 @@ func TestStoreV2CompressionRatio(t *testing.T) {
 
 // TestStreamedV2BitIdenticalToV1AndMemory is the core acceptance contract:
 // PageRank (push and pull) and SpMV streamed from a v2 store must be
-// bit-identical to the v1 store and the in-memory grid; WCC labels must
+// bit-identical to the v4 store and the in-memory grid; WCC labels must
 // match exactly.
 func TestStreamedV2BitIdenticalToV1AndMemory(t *testing.T) {
 	const p = 8
@@ -150,7 +150,7 @@ func TestStreamedV2BitIdenticalToV1AndMemory(t *testing.T) {
 		}
 		prV1 := algorithms.NewPageRank()
 		if _, err := core.RunStreamed(buildTestStore(t, g, p, false), prV1, streamConfig(flow, budget)); err != nil {
-			t.Fatalf("v1 streamed run (%v): %v", flow, err)
+			t.Fatalf("v4 streamed run (%v): %v", flow, err)
 		}
 		s2 := buildTestStoreV2(t, g, p, false)
 		prV2 := algorithms.NewPageRank()
@@ -160,7 +160,7 @@ func TestStreamedV2BitIdenticalToV1AndMemory(t *testing.T) {
 		}
 		for v := range prMem.Rank {
 			if prV2.Rank[v] != prMem.Rank[v] || prV2.Rank[v] != prV1.Rank[v] {
-				t.Fatalf("flow %v: rank[%d] = %v v2, %v v1, %v in-memory", flow, v, prV2.Rank[v], prV1.Rank[v], prMem.Rank[v])
+				t.Fatalf("flow %v: rank[%d] = %v v2, %v v4, %v in-memory", flow, v, prV2.Rank[v], prV1.Rank[v], prMem.Rank[v])
 			}
 		}
 		// Streamed plans over a compressed source carry the compressed label.
@@ -371,7 +371,7 @@ func (b bytesBackend) ReadAt(p []byte, off int64) (int, error) {
 
 // streamErr runs one streamed pass and returns its error.
 func streamErr(s *Store) error {
-	return s.StreamCells(coreStreamOpts(2, 0), func(int, []graph.Edge) {})
+	return s.StreamCells(coreStreamOpts(2, 0), func(int, []graph.Pair, []graph.Weight) {})
 }
 
 func TestV2CRCMismatchedPayloadFailsCleanly(t *testing.T) {
@@ -423,7 +423,7 @@ func buildShortLastRangeStore(t *testing.T, compressed bool) string {
 }
 
 // TestStoreV2LastRangePastNumVertices: a compressed store whose last range
-// extends past the vertex count holds the same cells as its v1 twin.
+// extends past the vertex count holds the same cells as its v4 twin.
 func TestStoreV2LastRangePastNumVertices(t *testing.T) {
 	stores := make([]*Store, 2)
 	for i, compressed := range []bool{false, true} {
@@ -434,15 +434,15 @@ func TestStoreV2LastRangePastNumVertices(t *testing.T) {
 		defer s.Close()
 		stores[i] = s
 	}
-	v1, v3 := stores[0], stores[1]
+	v4, v3 := stores[0], stores[1]
 	if h := v3.Header(); h.RangeSize != 63 || h.P*h.RangeSize <= h.NumVertices {
 		t.Fatalf("header %+v: the last range does not run past the vertex count", h)
 	}
 	var want, got []graph.Edge
 	var err error
 	for cell := 0; cell < 16; cell++ {
-		if want, err = v1.ReadCell(cell/4, cell%4, want); err != nil {
-			t.Fatalf("v1 ReadCell: %v", err)
+		if want, err = v4.ReadCell(cell/4, cell%4, want); err != nil {
+			t.Fatalf("v4 ReadCell: %v", err)
 		}
 		if got, err = v3.ReadCell(cell/4, cell%4, got); err != nil {
 			t.Fatalf("v3 ReadCell: %v", err)

@@ -6,7 +6,6 @@ import (
 
 	"github.com/epfl-repro/everythinggraph/internal/core"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
-	"github.com/epfl-repro/everythinggraph/internal/storage"
 )
 
 func coreStreamOpts(workers int, budget int64) core.StreamOptions {
@@ -20,9 +19,10 @@ func collectStream(t *testing.T, s *Store, opt core.StreamOptions) ([]graph.Edge
 	var mu sync.Mutex
 	var all []graph.Edge
 	cols := map[int]map[int]bool{}
-	err := s.StreamCells(opt, func(worker int, edges []graph.Edge) {
+	err := s.StreamCells(opt, func(worker int, pairs []graph.Pair, weights []graph.Weight) {
 		mu.Lock()
 		defer mu.Unlock()
+		edges := cellEdges(pairs, weights)
 		all = append(all, edges...)
 		if cols[worker] == nil {
 			cols[worker] = map[int]bool{}
@@ -35,6 +35,17 @@ func collectStream(t *testing.T, s *Store, opt core.StreamOptions) ([]graph.Edge
 		t.Fatalf("StreamCells: %v", err)
 	}
 	return all, cols
+}
+
+// cellEdges returns streamed pairs as edges, each with its weight (1 when
+// the slice carries none).
+func cellEdges(pairs []graph.Pair, weights []graph.Weight) []graph.Edge {
+	ws := graph.PairWeights(weights, len(pairs))
+	edges := make([]graph.Edge, len(pairs))
+	for i, e := range pairs {
+		edges[i] = graph.Edge{Src: e.Src, Dst: e.Dst, W: ws[i]}
+	}
+	return edges
 }
 
 func edgeMultiset(edges []graph.Edge) map[graph.Edge]int {
@@ -124,8 +135,8 @@ func TestStreamCellsStats(t *testing.T) {
 	if st.Passes != 1 {
 		t.Fatalf("passes = %d, want 1", st.Passes)
 	}
-	if st.BytesRead != int64(g.NumEdges())*storage.EdgeBytes {
-		t.Fatalf("bytes read = %d, want %d", st.BytesRead, g.NumEdges()*storage.EdgeBytes)
+	if st.BytesRead != int64(g.NumEdges()*pairBytes) {
+		t.Fatalf("bytes read = %d, want %d", st.BytesRead, g.NumEdges()*pairBytes)
 	}
 	if st.Reads == 0 || st.IOTime == 0 {
 		t.Fatalf("read accounting missing: %+v", st)

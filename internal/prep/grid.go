@@ -10,8 +10,9 @@ import (
 // ("Instead of bucketing edges by source vertex, we bucket them by the cell
 // to which they belong", Section 5.1). One pass suffices because the cell id
 // is the sort key. With mirror, every edge other than a self-loop is
-// followed by its mirror in both passes.
-func buildGridRadix(edges []graph.Edge, numVertices, requestedP int, mirror bool, workers int) *graph.Grid {
+// followed by its mirror in both passes. Cells hold (src, dst) pairs, plus
+// a weight plane only when weighted.
+func buildGridRadix(edges []graph.Edge, numVertices, requestedP int, mirror, weighted bool, workers int) *graph.Grid {
 	p := graph.GridPFor(numVertices, requestedP)
 	rangeSize := (numVertices + p - 1) / p
 	if rangeSize == 0 {
@@ -24,7 +25,7 @@ func buildGridRadix(edges []graph.Edge, numVertices, requestedP int, mirror bool
 		P:           p,
 		RangeSize:   rangeSize,
 		NumVertices: numVertices,
-		Edges:       []graph.Edge{},
+		Pairs:       []graph.Pair{},
 		CellIndex:   make([]uint64, numCells+1),
 	}
 	if n == 0 {
@@ -70,13 +71,19 @@ func buildGridRadix(edges []graph.Edge, numVertices, requestedP int, mirror bool
 	g.CellIndex[numCells] = running
 
 	// Scatter.
-	g.Edges = make([]graph.Edge, running)
+	g.Pairs = make([]graph.Pair, running)
+	if weighted {
+		g.Weights = make([]graph.Weight, running)
+	}
 	sched.ParallelForChunked(0, numChunks, 1, workers, func(cLo, cHi int) {
 		for c := cLo; c < cHi; c++ {
 			offs := counts[c]
 			put := func(e graph.Edge) {
 				cell := cellOf(e)
-				g.Edges[offs[cell]] = e
+				g.Pairs[offs[cell]] = graph.Pair{Src: e.Src, Dst: e.Dst}
+				if weighted {
+					g.Weights[offs[cell]] = e.W
+				}
 				offs[cell]++
 			}
 			for _, e := range edges[c*chunkSize : min((c+1)*chunkSize, n)] {
@@ -95,7 +102,7 @@ func buildGridRadix(edges []graph.Edge, numVertices, requestedP int, mirror bool
 // then flattening — the dynamic counterpart the paper compares against when
 // the graph is loaded from slow storage (Section 5.1: "dynamically building
 // the grid is faster otherwise").
-func buildGridDynamic(edges []graph.Edge, numVertices, requestedP int, mirror bool) *graph.Grid {
+func buildGridDynamic(edges []graph.Edge, numVertices, requestedP int, mirror, weighted bool) *graph.Grid {
 	p := graph.GridPFor(numVertices, requestedP)
 	rangeSize := (numVertices + p - 1) / p
 	if rangeSize == 0 {
@@ -121,14 +128,22 @@ func buildGridDynamic(edges []graph.Edge, numVertices, requestedP int, mirror bo
 		P:           p,
 		RangeSize:   rangeSize,
 		NumVertices: numVertices,
-		Edges:       make([]graph.Edge, 0, slots),
+		Pairs:       make([]graph.Pair, 0, slots),
 		CellIndex:   make([]uint64, numCells+1),
 	}
-	for cell := 0; cell < numCells; cell++ {
-		g.CellIndex[cell] = uint64(len(g.Edges))
-		g.Edges = append(g.Edges, cells[cell]...)
+	if weighted {
+		g.Weights = make([]graph.Weight, 0, slots)
 	}
-	g.CellIndex[numCells] = uint64(len(g.Edges))
+	for cell := 0; cell < numCells; cell++ {
+		g.CellIndex[cell] = uint64(len(g.Pairs))
+		for _, e := range cells[cell] {
+			g.Pairs = append(g.Pairs, graph.Pair{Src: e.Src, Dst: e.Dst})
+			if weighted {
+				g.Weights = append(g.Weights, e.W)
+			}
+		}
+	}
+	g.CellIndex[numCells] = uint64(len(g.Pairs))
 	return g
 }
 

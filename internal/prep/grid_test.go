@@ -30,11 +30,48 @@ func TestGridBuildersAgree(t *testing.T) {
 	// differ between the builders).
 	for row := 0; row < gRadix.Grid.P; row++ {
 		for col := 0; col < gRadix.Grid.P; col++ {
-			a := len(gRadix.Grid.Cell(row, col))
-			b := len(gDyn.Grid.Cell(row, col))
-			if a != b {
-				t.Fatalf("cell (%d,%d): radix has %d edges, dynamic has %d", row, col, a, b)
+			a, _ := gRadix.Grid.Cell(row, col)
+			b, _ := gDyn.Grid.Cell(row, col)
+			if len(a) != len(b) {
+				t.Fatalf("cell (%d,%d): radix has %d edges, dynamic has %d", row, col, len(a), len(b))
 			}
+		}
+	}
+}
+
+// gridEdges returns a grid's cells as edges, each pair with its weight.
+func gridEdges(g *graph.Grid) []graph.Edge {
+	ws := graph.PairWeights(g.Weights, len(g.Pairs))
+	edges := make([]graph.Edge, len(g.Pairs))
+	for i, e := range g.Pairs {
+		edges[i] = graph.Edge{Src: e.Src, Dst: e.Dst, W: ws[i]}
+	}
+	return edges
+}
+
+// TestGridWeightPlaneOnlyWhenWeighted: both builders give a grid whose
+// weights are all 1 no weight plane, and a weighted one a plane that keeps
+// every edge's weight (checked through the multiset of triples).
+func TestGridWeightPlaneOnlyWhenWeighted(t *testing.T) {
+	unit := []graph.Edge{{Src: 0, Dst: 5, W: 1}, {Src: 6, Dst: 1, W: 1}}
+	weighted := []graph.Edge{{Src: 0, Dst: 5, W: 1}, {Src: 6, Dst: 1, W: 3}, {Src: 2, Dst: 2, W: 0}}
+	for _, m := range []Method{Dynamic, RadixSort} {
+		g := graph.New(unit, 8, true)
+		if err := BuildGrid(g, 2, Options{Method: m}); err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if g.Grid.Weights != nil {
+			t.Errorf("%v: unit-weight grid carries a %d-weight plane", m, len(g.Grid.Weights))
+		}
+		g = graph.New(weighted, 8, true)
+		if err := BuildGrid(g, 2, Options{Method: m}); err != nil {
+			t.Fatalf("%v: %v", m, err)
+		}
+		if err := g.Grid.Validate(); err != nil || len(g.Grid.Weights) != len(weighted) {
+			t.Fatalf("%v: weighted grid has %d weights for %d edges (%v)", m, len(g.Grid.Weights), len(weighted), err)
+		}
+		if got, want := sortedTriples(gridEdges(g.Grid)), sortedTriples(weighted); !equalTriples(got, want) {
+			t.Errorf("%v: weighted grid holds %v, want %v", m, got, want)
 		}
 	}
 }

@@ -172,24 +172,21 @@ func BuildAdjacency(g *graph.Graph, dir Direction, opt Options) error {
 func BuildGrid(g *graph.Graph, requestedP int, opt Options) error {
 	edges := g.EdgeArray.Edges
 	n := g.NumVertices()
-	if _, err := checkRange(edges, n, opt.Workers); err != nil {
+	weighted, err := checkRange(edges, n, opt.Workers)
+	if err != nil {
 		return err
 	}
 	var grid *graph.Grid
-	var err error
 	switch opt.Method {
 	case Dynamic:
-		grid = buildGridDynamic(edges, n, requestedP, opt.Undirected)
+		grid = buildGridDynamic(edges, n, requestedP, opt.Undirected, weighted)
 	case CountSort, RadixSort:
 		// Count sort and radix bucketing coincide for the grid: edges are
 		// bucketed by cell id, which is a single-digit (cell-granularity)
 		// radix pass. The paper builds its grids with the radix approach.
-		grid = buildGridRadix(edges, n, requestedP, opt.Undirected, opt.Workers)
+		grid = buildGridRadix(edges, n, requestedP, opt.Undirected, weighted, opt.Workers)
 	default:
-		err = fmt.Errorf("prep: unknown method %v", opt.Method)
-	}
-	if err != nil {
-		return err
+		return fmt.Errorf("prep: unknown method %v", opt.Method)
 	}
 	g.Grid = grid
 	return nil

@@ -125,7 +125,7 @@ func TestUndirectedBuildsMirrorEdges(t *testing.T) {
 		if err := BuildGrid(g, 2, Options{Method: m, Undirected: true}); err != nil {
 			t.Fatalf("%v grid: %v", m, err)
 		}
-		if got := sortedTriples(g.Grid.Edges); !equalTriples(got, want) {
+		if got := sortedTriples(gridEdges(g.Grid)); !equalTriples(got, want) {
 			t.Errorf("%v grid: edges %v, want %v", m, got, want)
 		}
 	}

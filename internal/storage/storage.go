@@ -22,15 +22,15 @@ import (
 const EdgeBytes = 12
 
 // A graph.Edge is laid out exactly as one record: Src, Dst and the weight's
-// bits, 4 bytes each, no padding. This compile-time check keeps Records
+// bits, 4 bytes each, no padding. This compile-time check keeps records
 // honest if Edge ever changes.
 const _ = uint(unsafe.Sizeof(graph.Edge{})-EdgeBytes) + uint(EdgeBytes-unsafe.Sizeof(graph.Edge{}))
 
-// Records views edges as their binary records, sharing their memory: on a
+// records views edges as their binary records, sharing their memory: on a
 // little-endian host a []graph.Edge is its own on-disk form, so records are
 // read into and written out of it with no codec in between. Every caller
 // checks HostOrder first.
-func Records(edges []graph.Edge) []byte {
+func records(edges []graph.Edge) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(edges))), len(edges)*EdgeBytes)
 }
 
@@ -41,7 +41,7 @@ var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 var errHostOrder = errors.New("storage: binary edge records need a little-endian host")
 
 // HostOrder returns an error on a host whose byte order differs from the
-// binary records', where Records would not be their edges.
+// binary records', where records would not be their edges.
 func HostOrder() error {
 	if !littleEndian {
 		return errHostOrder
@@ -61,12 +61,12 @@ func NewBinaryWriter(w io.Writer) *BinaryWriter {
 	return &BinaryWriter{bw: bufio.NewWriterSize(w, 1<<20)}
 }
 
-// Write appends a batch of edges: their records, as Records views them.
+// Write appends a batch of edges: their records, as records views them.
 func (w *BinaryWriter) Write(edges []graph.Edge) error {
 	if err := HostOrder(); err != nil {
 		return err
 	}
-	if _, err := w.bw.Write(Records(edges)); err != nil {
+	if _, err := w.bw.Write(records(edges)); err != nil {
 		return fmt.Errorf("storage: write edge: %w", err)
 	}
 	return nil
@@ -110,12 +110,12 @@ func ReadBinary(r io.Reader) ([]graph.Edge, error) {
 			}
 		}
 	}
-	buf := Records(edges[:cap(edges)])
+	buf := records(edges[:cap(edges)])
 	n := 0 // bytes read into buf
 	for {
 		if n == len(buf) { // full: no partial record to carry over
 			edges = slices.Grow(edges[:n/EdgeBytes], max(minReadEdges, n/EdgeBytes))
-			buf = Records(edges[:cap(edges)])
+			buf = records(edges[:cap(edges)])
 		}
 		m, err := io.ReadFull(r, buf[n:])
 		n += m
