@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race loc bench bench-adaptive bench-compressed
+.PHONY: all build fmt-check vet test race loc bench bench-compressed
 
 all: fmt-check vet build test
 
@@ -45,11 +45,6 @@ bench:
 	$(GO) test -run '^$$' -bench 'BFS|WCC|Batch|PageRank|Span|SSSP|FrontierBuilder|BuildStore' -benchmem ./internal/core/ ./internal/graph/ ./internal/oocore/
 	$(GO) test -run '^$$' -bench 'RMAT|Road512' -benchmem ./internal/gen/
 	$(GO) test -run '^$$' -bench 'ReadBinary|WriteBinary|BuildAdjacency' -benchmem ./internal/storage/ ./internal/prep/
-
-# Adaptive-planner cases only: auto BFS/PageRank against their fixed
-# counterparts (the fixed-vs-auto comparison of the acceptance criterion).
-bench-adaptive:
-	$(GO) test -run '^$$' -bench 'Auto|PushPull|PullIter' -benchmem ./internal/core/
 
 # Compressed-store cases: fixed-width cell encode and decode (ns/edge per
 # offset width) and the version-3 (compressed segment) store against the

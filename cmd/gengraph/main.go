@@ -75,7 +75,7 @@ func main() {
 			fatal(fmt.Errorf("-undirected applies only to -format store (edge lists record each edge once)"))
 		}
 		if *compress {
-			fatal(fmt.Errorf("-compress applies only to -format store (see graphstats -store for ratios)"))
+			fatal(fmt.Errorf("-compress applies only to -format store"))
 		}
 		w := io.Writer(os.Stdout)
 		if *out != "" {

@@ -215,8 +215,6 @@ type Config struct {
 	Sync Sync
 	// Prep selects the pre-processing method (default PrepRadixSort).
 	Prep PrepMethod
-	// SortNeighbors additionally sorts adjacency lists by destination.
-	SortNeighbors bool
 	// Undirected treats the dataset as undirected: the layouts Prepare
 	// builds and the run traverse every edge in both directions (required
 	// by WCC on directed inputs). It defaults to the dataset's own
@@ -301,7 +299,7 @@ func (g *Graph) Prepare(cfg Config) (Breakdown, error) {
 	opt := prep.Options{
 		Method:        cfg.Prep,
 		Workers:       cfg.Workers,
-		SortNeighbors: cfg.SortNeighbors || cfg.Layout == LayoutAdjacencySorted,
+		SortNeighbors: cfg.Layout == LayoutAdjacencySorted,
 		Undirected:    undirected,
 	}
 	switch cfg.Layout {

@@ -74,11 +74,11 @@ func main() {
 	fmt.Println("\nall ranks bit-identical to the in-memory run ✓")
 
 	// The same partitioning, compressed: a version-3 store holds every edge
-	// as two fixed-width offsets inside its cell's ranges (weights in a
-	// parallel plane) and decodes them inside the prefetch pipeline, so each
-	// pass moves fewer bytes. The encoding keeps the exact in-cell edge
-	// order, which is why the ranks can stay bit-identical rather than
-	// merely close.
+	// as two fixed-width offsets inside its cell's ranges (weights, when
+	// any is not 1, in a parallel plane) and decodes them inside the
+	// prefetch pipeline, so each pass moves fewer bytes. The encoding keeps
+	// the exact in-cell edge order, which is why the ranks can stay
+	// bit-identical rather than merely close.
 	pathV2 := filepath.Join(dir, "rmat.v3.egs")
 	if err := everythinggraph.BuildCompressedStore(pathV2, g, 0, false); err != nil {
 		log.Fatal(err)

@@ -114,9 +114,6 @@ func TestBFSEdgeFunctions(t *testing.T) {
 	if b.Reached() != 3 {
 		t.Fatalf("Reached = %d", b.Reached())
 	}
-	if b.MaxLevel() != 1 {
-		t.Fatalf("MaxLevel = %d", b.MaxLevel())
-	}
 	if b.AfterIteration(0) {
 		t.Fatal("BFS never converges via AfterIteration")
 	}

@@ -223,15 +223,3 @@ func (b *BFS) Reached() int {
 	}
 	return count
 }
-
-// MaxLevel returns the depth of the BFS tree (the eccentricity of the
-// source within its component).
-func (b *BFS) MaxLevel() int32 {
-	var maxL int32
-	for _, l := range b.Level {
-		if l > maxL {
-			maxL = l
-		}
-	}
-	return maxL
-}

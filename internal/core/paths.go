@@ -29,7 +29,7 @@ func (r *runner) execute(plan StepPlan, frontier *graph.Frontier) (*graph.Fronti
 	switch plan.Layout {
 	case graph.LayoutEdgeArray:
 		r.edgeCentric(frontier)
-	case graph.LayoutGrid, graph.LayoutGridCompressed:
+	case graph.LayoutGrid:
 		r.span.Bits = frontier.Bitmap()
 		err = r.gridPass()
 	default: // LayoutAdjacency, LayoutAdjacencySorted

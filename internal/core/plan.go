@@ -36,9 +36,8 @@ type StepPlan struct {
 }
 
 // String returns the "layout/flow/sync" label shown in plan traces and
-// Result.PlanTrace ("compressed/flow/sync" over a compressed store). A grid
-// runs at the P it was built with, which the label does not repeat. It is
-// for display only: nothing parses it.
+// Result.PlanTrace. A grid runs at the P it was built with, which the label
+// does not repeat. It is for display only: nothing parses it.
 func (p StepPlan) String() string {
 	return fmt.Sprintf("%v/%v/%v", p.Layout, p.Flow, p.Sync)
 }
@@ -85,12 +84,7 @@ const (
 	priorAdjacencyPush = 1.6
 	priorGridPush      = 2.4
 	priorGridPull      = 2.5
-	// A compressed (v3) store streams the raw grid's kernels behind a
-	// per-cell decode, so its priors sit just above the grid's (decode CPU
-	// is assumed to cost a little until measured).
-	priorCompressedPush = 2.7
-	priorCompressedPull = 2.8
-	priorEdgeArray      = 3.0
+	priorEdgeArray     = 3.0
 )
 
 // adaptiveDenseFrontier is the frontier density at or above which the
@@ -459,7 +453,7 @@ func autoCandidates(g *graph.Graph, tracked bool) []planCandidate {
 		})
 	}
 	if g.Grid != nil && g.Grid.P > 0 { // a zero-value grid iterates nothing
-		cs = append(cs, gridCandidates(graph.LayoutGrid, priorGridPush, priorGridPull, tracked)...)
+		cs = append(cs, gridCandidates(tracked)...)
 	}
 	if len(g.EdgeArray.Edges) > 0 {
 		cs = append(cs, planCandidate{
@@ -488,10 +482,10 @@ func residentScanEdges(g *graph.Graph) int64 {
 
 // gridCandidates is the push/pull pair a grid offers Auto, in memory or
 // streamed: column ownership makes both partition-free.
-func gridCandidates(layout graph.Layout, pushPrior, pullPrior float64, tracked bool) []planCandidate {
+func gridCandidates(tracked bool) []planCandidate {
 	return []planCandidate{
-		{plan: StepPlan{Layout: layout, Flow: Push, Sync: SyncPartitionFree, Tracked: tracked}, prior: pushPrior, fullScan: true},
-		{plan: StepPlan{Layout: layout, Flow: Pull, Sync: SyncPartitionFree, Tracked: tracked}, prior: pullPrior, fullScan: true},
+		{plan: StepPlan{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree, Tracked: tracked}, prior: priorGridPush, fullScan: true},
+		{plan: StepPlan{Layout: graph.LayoutGrid, Flow: Pull, Sync: SyncPartitionFree, Tracked: tracked}, prior: priorGridPull, fullScan: true},
 	}
 }
 
@@ -508,15 +502,8 @@ func streamPlanner(src Source, cfg Config, alpha int, tracked bool) *planner {
 		tracked:     tracked,
 		// No resident out index: the count heuristic decides direction.
 	}
-	// Compressed stores label and cost their plans as "compressed".
-	layout := graph.LayoutGrid
-	pushPrior, pullPrior := priorGridPush, priorGridPull
-	if src.Compressed() {
-		layout = graph.LayoutGridCompressed
-		pushPrior, pullPrior = priorCompressedPush, priorCompressedPull
-	}
 	if cfg.Flow != Auto {
-		return newPlanner(env, staticCandidates(layout, cfg.Flow, SyncPartitionFree, tracked), false, cfg.Trace)
+		return newPlanner(env, staticCandidates(graph.LayoutGrid, cfg.Flow, SyncPartitionFree, tracked), false, cfg.Trace)
 	}
-	return newPlanner(env, gridCandidates(layout, pushPrior, pullPrior, tracked), true, cfg.Trace)
+	return newPlanner(env, gridCandidates(tracked), true, cfg.Trace)
 }

@@ -52,25 +52,19 @@ type fakeGridSource struct {
 
 func (s *fakeGridSource) GridP() int { return s.p }
 
-// TestStreamPlannerLabelsCompressedSource: a compressed source streams
-// under "compressed" plans (fixed and adaptive), so traces tell the two
-// storage formats apart, and a streamed label names the layout, direction
-// and sync only — nothing about the stored P or how the pass is fed.
-func TestStreamPlannerLabelsCompressedSource(t *testing.T) {
-	src := &fakeSource{n: 64, compressed: true}
+// TestStreamPlannerLabelsLayoutFlowSync: a streamed label, fixed or
+// adaptive, names the layout, direction and sync only — nothing about the
+// stored P or how the pass is fed.
+func TestStreamPlannerLabelsLayoutFlowSync(t *testing.T) {
+	src := &fakeGridSource{fakeSource: fakeSource{n: 64}, p: 16}
 	plan := streamPlanner(src, Config{Flow: Push}, DefaultPushPullAlpha, true).Next(0, graph.NewFrontier(64))
-	if want := "compressed/push/no-lock"; plan.Layout != graph.LayoutGridCompressed || plan.String() != want {
-		t.Fatalf("fixed stream plan over a compressed source: %v (%q), want %q", plan.Layout, plan.String(), want)
+	if want := "grid/push/no-lock"; plan.String() != want {
+		t.Fatalf("fixed stream plan labeled %q, want %q", plan.String(), want)
 	}
 	for _, c := range streamPlanner(src, Config{Flow: Auto}, DefaultPushPullAlpha, true).candidates {
-		if c.plan.Layout != graph.LayoutGridCompressed {
-			t.Fatalf("adaptive stream candidate over a compressed source has layout %v", c.plan.Layout)
+		if want := "grid/" + c.plan.Flow.String() + "/no-lock"; c.plan.String() != want {
+			t.Fatalf("adaptive stream candidate labeled %q, want %q", c.plan.String(), want)
 		}
-	}
-	plain := &fakeGridSource{fakeSource: fakeSource{n: 64}, p: 16}
-	plan = streamPlanner(plain, Config{Flow: Push}, DefaultPushPullAlpha, true).Next(0, graph.NewFrontier(64))
-	if want := "grid/push/no-lock"; plan.String() != want {
-		t.Fatalf("v1 stream plan labeled %q, want %q", plan.String(), want)
 	}
 }
 
@@ -79,11 +73,11 @@ func TestStreamPlannerLabelsCompressedSource(t *testing.T) {
 // a plan outside the candidate set measures nothing.
 func TestAdaptiveObserveMatchesStreamedPlan(t *testing.T) {
 	env := plannerEnv{numVertices: 100, totalEdges: 1 << 20, alpha: 20, tracked: true}
-	cs := gridCandidates(graph.LayoutGrid, priorGridPush, priorGridPull, true)
+	cs := gridCandidates(true)
 	p := newPlanner(env, cs, true, nil)
 	p.Observe(cs[0].plan, IterationStats{Duration: time.Millisecond, ActiveEdges: -1})
 	stray := cs[1].plan
-	stray.Layout = graph.LayoutGridCompressed
+	stray.Layout = graph.LayoutAdjacency
 	p.Observe(stray, IterationStats{Duration: time.Millisecond, ActiveEdges: -1})
 	if p.measured[0] == 0 || p.measured[1] != 0 {
 		t.Fatalf("want one measurement on the executed candidate, got %v", p.measured)

@@ -18,7 +18,6 @@ func TestStepPlanString(t *testing.T) {
 	}{
 		{StepPlan{Layout: graph.LayoutAdjacency, Flow: Pull, Sync: SyncPartitionFree}, "adjacency/pull/no-lock"},
 		{StepPlan{Layout: graph.LayoutGrid, Flow: Push, Sync: SyncPartitionFree}, "grid/push/no-lock"},
-		{StepPlan{Layout: graph.LayoutGridCompressed, Flow: Pull, Sync: SyncPartitionFree}, "compressed/pull/no-lock"},
 	} {
 		if got := tc.plan.String(); got != tc.want {
 			t.Fatalf("StepPlan.String() = %q, want %q", got, tc.want)
@@ -433,17 +432,15 @@ func TestPushPullAlphaValidationGap(t *testing.T) {
 // fakeSource streams a single-cell in-memory "store": the minimal Source
 // whose frontier evolution can be scripted through the shape of its edges.
 type fakeSource struct {
-	n          int
-	edges      []graph.Edge
-	compressed bool
-	stats      SourceStats
+	n     int
+	edges []graph.Edge
+	stats SourceStats
 }
 
 func (s *fakeSource) NumVertices() int { return s.n }
 func (s *fakeSource) NumEdges() int64  { return int64(len(s.edges)) }
 func (s *fakeSource) GridP() int       { return 1 }
 func (s *fakeSource) Undirected() bool { return false }
-func (s *fakeSource) Compressed() bool { return s.compressed }
 
 func (s *fakeSource) OutDegrees() []uint32 {
 	deg := make([]uint32, s.n)

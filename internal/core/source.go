@@ -94,11 +94,6 @@ type Source interface {
 	// Undirected reports whether edges were mirrored into the store (the
 	// out-of-core counterpart of prep's Undirected doubling).
 	Undirected() bool
-	// Compressed reports whether cells are stored as compressed segments
-	// (decoded inside the source's fetch pipeline). It only affects how plans
-	// are labeled and costed — the visit contract of StreamCells is
-	// identical either way.
-	Compressed() bool
 	// OutDegrees returns the per-vertex out-degree table over the stored
 	// edges — the vertex metadata algorithms such as PageRank need at init.
 	// The returned slice is shared and must not be modified.

@@ -251,7 +251,6 @@ func (s *gridSource) NumVertices() int { return s.grid.NumVertices }
 func (s *gridSource) NumEdges() int64  { return int64(len(s.grid.Pairs)) }
 func (s *gridSource) GridP() int       { return s.grid.P }
 func (s *gridSource) Undirected() bool { return s.undirected }
-func (s *gridSource) Compressed() bool { return false }
 func (s *gridSource) Stats() SourceStats {
 	return s.stats
 }

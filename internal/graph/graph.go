@@ -142,11 +142,6 @@ const (
 	LayoutAdjacencySorted
 	// LayoutGrid partitions edges into a 2-D grid of cells (GridGraph).
 	LayoutGrid
-	// LayoutGridCompressed labels the grid streamed from a compressed
-	// (version-2) store: the same cell structure and visit order, a fraction
-	// of the bytes read, a per-cell decode on the way in. No resident graph
-	// carries it.
-	LayoutGridCompressed
 )
 
 // String returns the short name used in benchmark tables.
@@ -160,8 +155,6 @@ func (l Layout) String() string {
 		return "adjacency-sorted"
 	case LayoutGrid:
 		return "grid"
-	case LayoutGridCompressed:
-		return "compressed"
 	default:
 		return fmt.Sprintf("Layout(%d)", int(l))
 	}

@@ -28,11 +28,7 @@ import (
 func storeImage(t testing.TB, g *graph.Graph, gridP int, compressed bool) []byte {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "graph.egs")
-	build := BuildStoreFromGraph
-	if compressed {
-		build = BuildCompressedStoreFromGraph
-	}
-	if _, err := build(path, g, gridP, false); err != nil {
+	if _, err := buildFormat(compressed)(path, g, gridP, false); err != nil {
 		t.Fatalf("build store: %v", err)
 	}
 	img, err := os.ReadFile(path)

@@ -61,10 +61,11 @@ import (
 //	  in edge order ]
 //
 // Every cell's payload is exactly 2w bytes per edge, so the cell index
-// locates payload and weights alike. Each payload is CRC-protected
-// individually so a corrupt segment is detected at the cell that holds it,
-// before any of its edges reach a kernel. Version 2 (delta+varint cells with
-// a per-cell byte-offset table) is no longer read.
+// locates payload and weights alike; the plane follows version 4's rule.
+// Each payload is CRC-protected individually so a corrupt segment is
+// detected at the cell that holds it, before any of its edges reach a
+// kernel. Version 2 (delta+varint cells with a per-cell byte-offset table)
+// is no longer read.
 const (
 	// Magic identifies a partitioned grid store.
 	Magic = "EGRIDST1"
@@ -249,9 +250,7 @@ type BuildOptions struct {
 	// counterpart of prep's Undirected doubling (needed by WCC).
 	Undirected bool
 	// Compressed selects the version-3 layout: cells stored as fixed-width
-	// range offsets with per-cell CRCs, and a weight plane when any weight
-	// is not 0 (a plane-less version-3 cell carries zero weights, where a
-	// plane-less version-4 one carries ones).
+	// range offsets with per-cell CRCs.
 	Compressed bool
 }
 
@@ -298,21 +297,17 @@ func buildStore(path string, opt BuildOptions, stream Stream, budget int64) (h H
 	rs := uint32(rangeSize)
 
 	// Pass 1: per-cell histogram (counted into cellIndex[cell+1]),
-	// out-degree accumulation, and whether any edge carries a weight other
-	// than the one a plane-less cell implies (the store then gets a weight
-	// plane).
+	// out-degree accumulation, and whether any weight is not 1 (the store
+	// then gets a weight plane).
 	cellIndex := make([]uint64, numCells+1)
 	degrees := make([]uint32, opt.NumVertices)
 	var numEdges int64
-	weighted, unit := false, graph.Weight(1)
-	if opt.Compressed {
-		unit = 0
-	}
+	weighted := false
 	err = forEachBatch(stream, opt.Undirected, opt.NumVertices, func(edges []graph.Edge) error {
 		for _, e := range edges {
 			cellIndex[int(e.Src/rs)*p+int(e.Dst/rs)+1]++
 			degrees[e.Src]++
-			weighted = weighted || e.W != unit
+			weighted = weighted || e.W != 1
 		}
 		numEdges += int64(len(edges))
 		return nil

@@ -364,62 +364,81 @@ func TestOpenRejectsVersion1Store(t *testing.T) {
 	waitGoroutines(t, goroutines, "refused Open")
 }
 
+// buildFormat is the builder of one store format: version 4 (pair records)
+// or version 3 (compressed).
+func buildFormat(compressed bool) func(string, *graph.Graph, int, bool) (Header, error) {
+	if compressed {
+		return BuildCompressedStoreFromGraph
+	}
+	return BuildStoreFromGraph
+}
+
 // TestUnitWeightStoreHasNoPlane: a graph whose weights are all 1 (RMAT)
-// gets no weight plane: the file is the header, the metadata and 8 bytes
-// per edge, and streamed slices carry nil weights.
+// gets no weight plane in either format: the file is the header, the
+// metadata (with per-cell CRCs in version 3) and the records or offsets of
+// each edge, and streamed slices carry nil weights.
 func TestUnitWeightStoreHasNoPlane(t *testing.T) {
 	g := testGraph(t, 10, false)
-	path := filepath.Join(t.TempDir(), "unit.egs")
-	h, err := BuildStoreFromGraph(path, g, 8, false)
-	if err != nil {
-		t.Fatalf("BuildStoreFromGraph: %v", err)
-	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Weighted {
-		t.Fatal("unit-weight store carries a weight plane")
-	}
-	if want := headerSize + h.metaSize() + 8*int64(g.NumEdges()); info.Size() != want {
-		t.Fatalf("store holds %d bytes, want header + metadata + 8 x %d edges = %d", info.Size(), g.NumEdges(), want)
-	}
-	s, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer s.Close()
-	pairs, weights, err := streamOnce(s)
-	if err != nil || len(pairs) != g.NumEdges() || weights != nil {
-		t.Fatalf("streamed %d pairs and %d weights (%v), want %d pairs and no weights",
-			len(pairs), len(weights), err, g.NumEdges())
+	for _, compressed := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "unit.egs")
+		h, err := buildFormat(compressed)(path, g, 8, false)
+		if err != nil {
+			t.Fatalf("compressed=%v: build: %v", compressed, err)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Weighted {
+			t.Fatalf("compressed=%v: unit-weight store carries a weight plane", compressed)
+		}
+		if want := headerSize + h.metaSize() + int64(h.edgeBytes())*h.NumEdges; info.Size() != want {
+			t.Fatalf("compressed=%v: store holds %d bytes, want header + metadata + %d x %d edges = %d",
+				compressed, info.Size(), h.edgeBytes(), h.NumEdges, want)
+		}
+		s, err := Open(path)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		pairs, weights, err := streamOnce(s)
+		s.Close()
+		if err != nil || len(pairs) != g.NumEdges() || weights != nil {
+			t.Fatalf("compressed=%v: streamed %d pairs and %d weights (%v), want %d pairs and no weights",
+				compressed, len(pairs), len(weights), err, g.NumEdges())
+		}
 	}
 }
 
 // TestWeightedRoadStoreStreamsSSSPBitIdentical: a weighted road lattice's
-// store carries a weight plane (12 bytes an edge in all), and SSSP streamed
-// from it, pushing and pulling, gives distances bit-identical to SSSP over
-// the in-memory adjacency and grid.
+// store carries a weight plane in either format (4 bytes an edge after its
+// records or offsets), and SSSP streamed from it, pushing and pulling,
+// gives distances bit-identical to SSSP over the in-memory adjacency and
+// grid.
 func TestWeightedRoadStoreStreamsSSSPBitIdentical(t *testing.T) {
 	g := gen.Road(gen.RoadOptions{Width: 48, Height: 48, ShortcutFraction: 0.1, Seed: 5, Weighted: true})
 	const p = 8
-	path := filepath.Join(t.TempDir(), "road.egs")
-	h, err := BuildStoreFromGraph(path, g, p, true)
-	if err != nil {
-		t.Fatalf("BuildStoreFromGraph: %v", err)
+	stores := map[bool]*Store{}
+	for _, compressed := range []bool{false, true} {
+		path := filepath.Join(t.TempDir(), "road.egs")
+		h, err := buildFormat(compressed)(path, g, p, true)
+		if err != nil {
+			t.Fatalf("compressed=%v: build: %v", compressed, err)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := headerSize + h.metaSize() + int64(h.edgeBytes()+4)*h.NumEdges; !h.Weighted || info.Size() != want {
+			t.Fatalf("compressed=%v: weighted=%v, %d bytes; want a weight plane and %d bytes",
+				compressed, h.Weighted, info.Size(), want)
+		}
+		s, err := Open(path)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer s.Close()
+		stores[compressed] = s
 	}
-	info, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := headerSize + h.metaSize() + 12*h.NumEdges; !h.Weighted || info.Size() != want {
-		t.Fatalf("weighted=%v, %d bytes; want a weight plane and %d bytes", h.Weighted, info.Size(), want)
-	}
-	s, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	defer s.Close()
 
 	if err := prep.BuildAdjacency(g, prep.Out, prep.Options{Undirected: true}); err != nil {
 		t.Fatalf("BuildAdjacency: %v", err)
@@ -431,16 +450,21 @@ func TestWeightedRoadStoreStreamsSSSPBitIdentical(t *testing.T) {
 	}
 	want := ref.Distances()
 	for _, c := range []struct {
-		name     string
-		flow     core.Flow
-		streamed bool
-	}{{"grid-push", core.Push, false}, {"grid-pull", core.Pull, false}, {"streamed-push", core.Push, true}, {"streamed-pull", core.Pull, true}} {
+		name  string
+		flow  core.Flow
+		store *Store
+	}{
+		{"grid-push", core.Push, nil}, {"grid-pull", core.Pull, nil},
+		{"streamed-push", core.Push, stores[false]}, {"streamed-pull", core.Pull, stores[false]},
+		{"v3-streamed-push", core.Push, stores[true]}, {"v3-streamed-pull", core.Pull, stores[true]},
+	} {
 		t.Run(c.name, func(t *testing.T) {
 			sssp := algorithms.NewSSSP(0)
 			cfg := streamConfig(c.flow, 32<<10)
 			cfg.Workers = 2
-			if c.streamed {
-				_, err = core.RunStreamed(s, sssp, cfg)
+			var err error
+			if c.store != nil {
+				_, err = core.RunStreamed(c.store, sssp, cfg)
 			} else {
 				_, err = core.Run(g, sssp, cfg)
 			}

@@ -59,7 +59,7 @@ func FuzzOpenStore(f *testing.F) {
 		if err != nil {
 			f.Fatalf("unmutated image %d failed to stream: %v", i, err)
 		}
-		if (weights != nil) != s.slotWeights() || (s.weightOff > 0) != (i == 1) {
+		if (weights != nil) != (s.weightOff > 0) || (s.weightOff > 0) != (i == 1) {
 			f.Fatalf("image %d: weights delivered %v, plane at %d", i, weights != nil, s.weightOff)
 		}
 		want[i] = stream{s.dataOff, s.weightOff, pairs, weights}

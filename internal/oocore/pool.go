@@ -196,7 +196,7 @@ func (s *Store) buildPool(workers int, budget int64) *streamPool {
 			g.rawArena = make([]byte, len(g.slots)*bufEdges*s.edgeBytes)
 		}
 		g.pairArena = make([]graph.Pair, len(g.slots)*bufEdges)
-		if s.slotWeights() {
+		if s.weightOff > 0 {
 			g.weightArena = make([]graph.Weight, len(g.slots)*bufEdges)
 		}
 		for j := range g.slots {

@@ -226,8 +226,8 @@ func (s *Store) GridP() int { return s.header.P }
 // Undirected implements core.Source.
 func (s *Store) Undirected() bool { return s.header.Undirected }
 
-// Compressed implements core.Source: version-3 stores hold compressed cell
-// segments, so their streamed plans are labeled and costed as "compressed/".
+// Compressed reports whether the store holds version-3 (compressed) cell
+// segments.
 func (s *Store) Compressed() bool { return s.header.Version == FormatVersionCompressed }
 
 // OutDegrees implements core.Source. The slice is shared; callers must not
@@ -255,15 +255,11 @@ func (s *Store) rawEdgeBytes() int {
 	return s.edgeBytes
 }
 
-// slotWeights reports whether slots carry weights: a plane read in place,
-// or a plane-less compressed cell's zeros. Otherwise every weight is 1.
-func (s *Store) slotWeights() bool { return s.weightOff > 0 || s.Compressed() }
-
 // residentEdgeBytes is what one buffered edge costs a stream pool: its
 // pair, its weight if any, and a compressed store's payload.
 func (s *Store) residentEdgeBytes() int64 {
 	n := int64(pairBytes)
-	if s.slotWeights() {
+	if s.weightOff > 0 {
 		n += 4
 	}
 	if s.Compressed() {
@@ -285,9 +281,9 @@ func (s *Store) Stats() core.SourceStats {
 }
 
 // ReadCell reads one cell's edges into dst (grown as needed), each pair
-// with its weight (1 when the store has no plane, 0 in a plane-less
-// compressed cell) — the segment-by-segment access path used by tools and
-// tests; streamed execution goes through StreamCells instead.
+// with its weight (1 when the store has no plane) — the segment-by-segment
+// access path used by tools and tests; streamed execution goes through
+// StreamCells instead.
 func (s *Store) ReadCell(row, col int, dst []graph.Edge) ([]graph.Edge, error) {
 	if row < 0 || row >= s.header.P || col < 0 || col >= s.header.P {
 		return nil, fmt.Errorf("oocore: cell (%d,%d) outside %dx%d grid", row, col, s.header.P, s.header.P)
@@ -297,7 +293,7 @@ func (s *Store) ReadCell(row, col int, dst []graph.Edge) ([]graph.Edge, error) {
 	n := int(hi - lo)
 	pairs := make([]graph.Pair, n)
 	var weights []graph.Weight
-	if s.slotWeights() {
+	if s.weightOff > 0 {
 		weights = make([]graph.Weight, n)
 	}
 	var err error
