@@ -438,3 +438,32 @@ func TestOutOfRangeSourceIsAnError(t *testing.T) {
 		}
 	}
 }
+
+// TestPrepareAdjacencySortedSortsRows: the adjacency-sorted layout is the
+// one way to ask for sorted rows, so preparing it on a fresh graph sorts
+// every row of each direction it builds, pushing and pulling.
+func TestPrepareAdjacencySortedSortsRows(t *testing.T) {
+	for _, flow := range []Flow{FlowPush, FlowPull} {
+		t.Run(flow.String(), func(t *testing.T) {
+			g := GenerateRMAT(10, 8, 3)
+			if _, err := g.Prepare(Config{Layout: LayoutAdjacencySorted, Flow: flow}); err != nil {
+				t.Fatalf("Prepare: %v", err)
+			}
+			adj := g.Internal().Out
+			if flow == FlowPull {
+				adj = g.Internal().In
+			}
+			if adj == nil || !adj.SortedByTarget {
+				t.Fatalf("adjacency %v not marked sorted", adj != nil)
+			}
+			for v := 0; v < adj.NumVertices; v++ {
+				row := adj.Targets[adj.Index[v]:adj.Index[v+1]]
+				for i := 1; i < len(row); i++ {
+					if row[i-1] > row[i] {
+						t.Fatalf("row %d unsorted at %d: %d > %d", v, i, row[i-1], row[i])
+					}
+				}
+			}
+		})
+	}
+}

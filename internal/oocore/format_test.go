@@ -373,6 +373,15 @@ func buildFormat(compressed bool) func(string, *graph.Graph, int, bool) (Header,
 	return BuildStoreFromGraph
 }
 
+// formatName names a store format as the pinned hashes do: "v3" for the
+// compressed format, "v4" for pair records.
+func formatName(compressed bool) string {
+	if compressed {
+		return "v3"
+	}
+	return "v4"
+}
+
 // TestUnitWeightStoreHasNoPlane: a graph whose weights are all 1 (RMAT)
 // gets no weight plane in either format: the file is the header, the
 // metadata (with per-cell CRCs in version 3) and the records or offsets of
@@ -380,32 +389,76 @@ func buildFormat(compressed bool) func(string, *graph.Graph, int, bool) (Header,
 func TestUnitWeightStoreHasNoPlane(t *testing.T) {
 	g := testGraph(t, 10, false)
 	for _, compressed := range []bool{false, true} {
-		path := filepath.Join(t.TempDir(), "unit.egs")
-		h, err := buildFormat(compressed)(path, g, 8, false)
-		if err != nil {
-			t.Fatalf("compressed=%v: build: %v", compressed, err)
-		}
-		info, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.Weighted {
-			t.Fatalf("compressed=%v: unit-weight store carries a weight plane", compressed)
-		}
-		if want := headerSize + h.metaSize() + int64(h.edgeBytes())*h.NumEdges; info.Size() != want {
-			t.Fatalf("compressed=%v: store holds %d bytes, want header + metadata + %d x %d edges = %d",
-				compressed, info.Size(), h.edgeBytes(), h.NumEdges, want)
-		}
-		s, err := Open(path)
-		if err != nil {
-			t.Fatalf("Open: %v", err)
-		}
-		pairs, weights, err := streamOnce(s)
-		s.Close()
-		if err != nil || len(pairs) != g.NumEdges() || weights != nil {
-			t.Fatalf("compressed=%v: streamed %d pairs and %d weights (%v), want %d pairs and no weights",
-				compressed, len(pairs), len(weights), err, g.NumEdges())
-		}
+		t.Run(formatName(compressed), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "unit.egs")
+			h, err := buildFormat(compressed)(path, g, 8, false)
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Weighted {
+				t.Fatal("unit-weight store carries a weight plane")
+			}
+			if want := headerSize + h.metaSize() + int64(h.edgeBytes())*h.NumEdges; info.Size() != want {
+				t.Fatalf("store holds %d bytes, want header + metadata + %d x %d edges = %d",
+					info.Size(), h.edgeBytes(), h.NumEdges, want)
+			}
+			s, err := Open(path)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer s.Close()
+			pairs, weights, err := streamOnce(s)
+			if err != nil || len(pairs) != g.NumEdges() || weights != nil {
+				t.Fatalf("streamed %d pairs and %d weights (%v), want %d pairs and no weights",
+					len(pairs), len(weights), err, g.NumEdges())
+			}
+		})
+	}
+}
+
+// TestZeroWeightStoreKeepsPlane: the weight rule is "a plane when some
+// weight is not 1" in both formats, so a graph whose weights are all 0
+// gets a plane (4 bytes an edge after its records or offsets) and streams
+// its zeros back rather than the ones a plane-less slot stands for.
+func TestZeroWeightStoreKeepsPlane(t *testing.T) {
+	g := testGraph(t, 10, false)
+	for i := range g.EdgeArray.Edges {
+		g.EdgeArray.Edges[i].W = 0
+	}
+	for _, compressed := range []bool{false, true} {
+		t.Run(formatName(compressed), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "zero.egs")
+			h, err := buildFormat(compressed)(path, g, 8, false)
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := headerSize + h.metaSize() + int64(h.edgeBytes()+4)*h.NumEdges; !h.Weighted || info.Size() != want {
+				t.Fatalf("weighted=%v, %d bytes; want a weight plane and %d bytes", h.Weighted, info.Size(), want)
+			}
+			s, err := Open(path)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			defer s.Close()
+			pairs, weights, err := streamOnce(s)
+			if err != nil || len(pairs) != g.NumEdges() || len(weights) != len(pairs) {
+				t.Fatalf("streamed %d pairs and %d weights (%v), want %d of each",
+					len(pairs), len(weights), err, g.NumEdges())
+			}
+			for i, w := range weights {
+				if w != 0 {
+					t.Fatalf("weight %d streamed as %v, want 0", i, w)
+				}
+			}
+		})
 	}
 }
 

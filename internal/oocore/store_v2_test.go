@@ -231,6 +231,43 @@ func TestStreamedV2PacedSlowDevice(t *testing.T) {
 	}
 }
 
+// TestStreamedV2AutoPlansCompressed checks the planner integration end to
+// end: an adaptive streamed run over a v2 store plans every iteration as
+// it does over a v4 store of the same graph — a streamed grid plan, frozen
+// for dense PageRank — and gives the same rank bits. The formats differ
+// in how a pass is fed, not in what it plans.
+func TestStreamedV2AutoPlansCompressed(t *testing.T) {
+	g := testGraph(t, 12, false)
+	cfg := core.Config{Flow: core.Auto, MemoryBudget: 1 << 20}
+	prV1 := algorithms.NewPageRank()
+	prV1.Iterations = 4
+	resV1, err := core.RunStreamed(buildTestStore(t, g, 8, false), prV1, cfg)
+	if err != nil {
+		t.Fatalf("auto streamed run over v4: %v", err)
+	}
+	pr := algorithms.NewPageRank()
+	pr.Iterations = 4
+	res, err := core.RunStreamed(buildTestStoreV2(t, g, 8, false), pr, cfg)
+	if err != nil {
+		t.Fatalf("auto streamed run: %v", err)
+	}
+	if len(res.PerIteration) == 0 || len(res.PerIteration) != len(resV1.PerIteration) {
+		t.Fatalf("%d per-iteration stats over v2, %d over v4", len(res.PerIteration), len(resV1.PerIteration))
+	}
+	for i, it := range res.PerIteration {
+		label := it.Plan.String()
+		if !strings.HasPrefix(label, "grid/") || label != resV1.PerIteration[i].Plan.String() {
+			t.Fatalf("iteration %d planned %q over v2, %q over v4; want the same grid/ plan",
+				it.Iteration, label, resV1.PerIteration[i].Plan.String())
+		}
+	}
+	for v := range pr.Rank {
+		if pr.Rank[v] != prV1.Rank[v] {
+			t.Fatalf("rank[%d] = %v v2, %v v4", v, pr.Rank[v], prV1.Rank[v])
+		}
+	}
+}
+
 // --- corrupt-segment scenarios ---
 
 // buildV2Image builds a compressed store for a small graph and returns its
