@@ -467,3 +467,27 @@ func TestPrepareAdjacencySortedSortsRows(t *testing.T) {
 		})
 	}
 }
+
+// TestPrepareAdjacencySortedSortsResidentRows: preparing the sorted layout
+// on a graph an unsorted preparation already gave out-rows sorts those rows
+// in place and charges the sort to Preprocess.
+func TestPrepareAdjacencySortedSortsResidentRows(t *testing.T) {
+	g := GenerateRMAT(10, 8, 3)
+	if _, err := g.Prepare(Config{Layout: LayoutAdjacency, Flow: FlowPush}); err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	out := g.Internal().Out
+	if out == nil || out.SortedByTarget {
+		t.Fatalf("unsorted preparation: out built %v, sorted %v", out != nil, out != nil && out.SortedByTarget)
+	}
+	bd, err := g.Prepare(Config{Layout: LayoutAdjacencySorted, Flow: FlowPush})
+	if err != nil {
+		t.Fatalf("Prepare sorted: %v", err)
+	}
+	if g.Internal().Out != out || !out.SortedByTarget {
+		t.Fatalf("out rows not sorted in place (same rows %v, sorted %v)", g.Internal().Out == out, out.SortedByTarget)
+	}
+	if bd.Preprocess <= 0 {
+		t.Fatalf("sort not charged to Preprocess: %v", bd.Preprocess)
+	}
+}

@@ -22,10 +22,10 @@ func main() {
 	var (
 		experiments = flag.String("experiment", "all", "comma-separated experiment ids, or 'all'")
 		list        = flag.Bool("list", false, "list available experiments and exit")
-		rmatScale   = flag.Int("rmat-scale", bench.Default.RMATScale, "log2 of the RMAT vertex count")
-		twScale     = flag.Int("twitter-scale", bench.Default.TwitterScale, "log2 of the Twitter-profile vertex count")
-		roadSide    = flag.Int("road-side", bench.Default.RoadWidth, "road lattice side length")
-		prIters     = flag.Int("pagerank-iterations", bench.Default.PagerankIterations, "PageRank iteration count")
+		rmatScale   = flag.Int("rmat-scale", 0, "log2 of the RMAT vertex count (0 = the preset's)")
+		twScale     = flag.Int("twitter-scale", 0, "log2 of the Twitter-profile vertex count (0 = the preset's)")
+		roadSide    = flag.Int("road-side", 0, "road lattice side length (0 = the preset's)")
+		prIters     = flag.Int("pagerank-iterations", 0, "PageRank iteration count (0 = the preset's)")
 		workers     = flag.Int("workers", 0, "worker count (0 = all CPUs)")
 		seed        = flag.Int64("seed", bench.Default.Seed, "dataset generation seed")
 		quick       = flag.Bool("quick", false, "use the small quick scale (for smoke runs)")
@@ -43,27 +43,21 @@ func main() {
 	if *quick {
 		scale = bench.Quick
 	}
-	scale.RMATScale = *rmatScale
-	scale.TwitterScale = *twScale
-	scale.RoadWidth, scale.RoadHeight = *roadSide, *roadSide
-	scale.PagerankIterations = *prIters
+	// A size flag left at 0 keeps the preset's value.
+	if *rmatScale > 0 {
+		scale.RMATScale = *rmatScale
+	}
+	if *twScale > 0 {
+		scale.TwitterScale = *twScale
+	}
+	if *roadSide > 0 {
+		scale.RoadWidth, scale.RoadHeight = *roadSide, *roadSide
+	}
+	if *prIters > 0 {
+		scale.PagerankIterations = *prIters
+	}
 	scale.Workers = *workers
 	scale.Seed = *seed
-	if *quick {
-		// Quick mode keeps its reduced sizes unless explicitly overridden.
-		if !flagPassed("rmat-scale") {
-			scale.RMATScale = bench.Quick.RMATScale
-		}
-		if !flagPassed("twitter-scale") {
-			scale.TwitterScale = bench.Quick.TwitterScale
-		}
-		if !flagPassed("road-side") {
-			scale.RoadWidth, scale.RoadHeight = bench.Quick.RoadWidth, bench.Quick.RoadHeight
-		}
-		if !flagPassed("pagerank-iterations") {
-			scale.PagerankIterations = bench.Quick.PagerankIterations
-		}
-	}
 
 	var ids []string
 	if *experiments == "all" {
@@ -88,15 +82,4 @@ func main() {
 		}
 	}
 	os.Exit(exitCode)
-}
-
-// flagPassed reports whether a flag was explicitly set on the command line.
-func flagPassed(name string) bool {
-	passed := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == name {
-			passed = true
-		}
-	})
-	return passed
 }

@@ -351,8 +351,18 @@ func (g *Graph) Prepare(cfg Config) (Breakdown, error) {
 	return bd, nil
 }
 
-// ensureAdjacency builds only the missing adjacency directions.
+// ensureAdjacency builds only the missing adjacency directions. For the
+// sorted layout it first sorts, in place, needed rows that an unsorted
+// preparation left resident.
 func (g *Graph) ensureAdjacency(dir prep.Direction, opt prep.Options) error {
+	if opt.SortNeighbors {
+		if out := g.g.Out; dir != prep.In && out != nil && !out.SortedByTarget {
+			out.SortNeighborsParallel(opt.Workers)
+		}
+		if in := g.g.In; dir != prep.Out && in != nil && !in.SortedByTarget {
+			in.SortNeighborsParallel(opt.Workers)
+		}
+	}
 	switch dir {
 	case prep.Out:
 		if g.g.Out != nil {

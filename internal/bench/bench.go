@@ -9,9 +9,12 @@
 // the experiments reproduce the relative behaviour — who wins, by roughly
 // what factor, and where the crossovers are.
 //
-// The drivers are exercised three ways: by cmd/benchrunner (human-readable
-// reports), by the repository-root bench_test.go (testing.B benchmarks), and
-// by the package's own tests (shape assertions on small scales).
+// An experiment is data: a dataset, a table heading, its columns and a list
+// of cells, each one configuration prepared and run through the public
+// Graph.Prepare and Graph.Run on a fresh copy of the dataset, so a cell is
+// charged exactly the pre-processing its configuration needs. cmd/benchrunner
+// prints the reports; the package's tests pin them at the Quick scale and
+// BenchmarkExperiments times each one.
 package bench
 
 import (
@@ -19,13 +22,11 @@ import (
 	"io"
 	"runtime"
 	"sort"
-	"time"
 
-	"github.com/epfl-repro/everythinggraph/internal/core"
+	eg "github.com/epfl-repro/everythinggraph"
 	"github.com/epfl-repro/everythinggraph/internal/gen"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
 	"github.com/epfl-repro/everythinggraph/internal/metrics"
-	"github.com/epfl-repro/everythinggraph/internal/prep"
 )
 
 // Scale controls the workload sizes. The paper's graphs (RMAT26, the
@@ -54,7 +55,7 @@ type Scale struct {
 	Seed int64
 }
 
-// Default is the scale used by cmd/benchrunner and bench_test.go.
+// Default is the scale cmd/benchrunner runs at.
 var Default = Scale{
 	RMATScale:          20,
 	RMATEdgeFactor:     16,
@@ -90,8 +91,34 @@ type Experiment struct {
 	ID string
 	// Title describes the paper result being reproduced.
 	Title string
-	// Run executes the experiment at the given scale and writes its report.
-	Run func(s Scale, w io.Writer) error
+
+	// data is the dataset of every cell that names none.
+	data *dataset
+	// heading is the table's title; g is data generated at the scale (nil
+	// when the experiment has no dataset of its own).
+	heading func(s Scale, g *graph.Graph) string
+	columns []string
+	cells   func(s Scale) []cell
+	// format writes one measured cell into the table (nil: writeTimes).
+	format func(t table, c cell, g *eg.Graph, r *eg.Result)
+}
+
+// A cell is one measured configuration: the row it fills, the column it
+// fills when the experiment's format reads one, the configuration Prepare
+// and Run get, and the algorithm to run (nil for a prepare-only cell).
+// Workers and GridP left at 0 take the scale's.
+type cell struct {
+	row, col string
+	data     *dataset // nil: the experiment's
+	cfg      eg.Config
+	alg      func() eg.Algorithm
+}
+
+// A dataset generates one workload at a scale. Cells name theirs by
+// pointer, so consecutive cells share one generated copy.
+type dataset struct {
+	paper string // the original the paper used (Table 1)
+	make  func(Scale) *graph.Graph
 }
 
 // registry holds every experiment keyed by ID.
@@ -106,10 +133,9 @@ func register(e Experiment) {
 // All returns every experiment sorted by ID.
 func All() []Experiment {
 	out := make([]Experiment, 0, len(registry))
-	for _, e := range registry {
-		out = append(out, e)
+	for _, id := range IDs() {
+		out = append(out, registry[id])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -129,104 +155,138 @@ func IDs() []string {
 	return ids
 }
 
-// --- workload construction helpers -----------------------------------------
-
-// rmatGraph generates the RMAT workload for the scale.
-func rmatGraph(s Scale) *graph.Graph {
-	return gen.RMAT(gen.RMATOptions{
-		Scale:      s.RMATScale,
-		EdgeFactor: s.RMATEdgeFactor,
-		Seed:       s.Seed,
-		Weighted:   true,
-		Workers:    s.Workers,
-	})
+// Run executes the experiment at the given scale and writes its report.
+func (e Experiment) Run(s Scale, w io.Writer) error {
+	return runCells(e, s, w)
 }
 
-// twitterGraph generates the Twitter-profile workload.
-func twitterGraph(s Scale) *graph.Graph {
-	return gen.TwitterProfile(gen.TwitterProfileOptions{
-		Scale:    s.TwitterScale,
-		Seed:     s.Seed,
-		Weighted: true,
-		Workers:  s.Workers,
-	})
-}
-
-// roadGraph generates the road-lattice workload.
-func roadGraph(s Scale) *graph.Graph {
-	return gen.Road(gen.RoadOptions{
-		Width:            s.RoadWidth,
-		Height:           s.RoadHeight,
-		ShortcutFraction: 0.05,
-		Seed:             s.Seed,
-		Weighted:         true,
-	})
-}
-
-// bipartiteGraph generates the rating-graph workload for ALS.
-func bipartiteGraph(s Scale) *graph.Graph {
-	return gen.Bipartite(gen.BipartiteOptions{
-		Users:          s.BipartiteUsers,
-		Items:          s.BipartiteItems,
-		RatingsPerUser: s.BipartiteRatings,
-		Seed:           s.Seed,
-	})
-}
-
-// --- measurement helpers ----------------------------------------------------
-
-// timed runs fn and returns its wall-clock duration. A garbage collection is
-// forced first so that allocations from earlier phases of an experiment do
-// not get charged to the measured region.
-func timed(fn func()) time.Duration {
-	runtime.GC()
-	start := time.Now()
-	fn()
-	return time.Since(start)
-}
-
-// buildAdjacencyTimed builds the requested adjacency lists on a fresh view
-// of the graph's edge array and returns the wall-clock build time. The
-// layouts are attached to g.
-func buildAdjacencyTimed(g *graph.Graph, dir prep.Direction, opt prep.Options) (time.Duration, error) {
-	var err error
-	d := timed(func() {
-		err = prep.BuildAdjacency(g, dir, opt)
-	})
-	return d, err
-}
-
-// buildGridTimed builds the grid layout and returns the build time.
-func buildGridTimed(g *graph.Graph, gridP int, opt prep.Options) (time.Duration, error) {
-	var err error
-	d := timed(func() {
-		err = prep.BuildGrid(g, gridP, opt)
-	})
-	return d, err
-}
-
-// runAlgorithm executes alg over g under cfg and returns the engine result.
-// Like timed, it forces a garbage collection first so pre-processing garbage
-// is not collected in the middle of the measured algorithm phase.
-func runAlgorithm(g *graph.Graph, alg core.Algorithm, cfg core.Config) (*core.Result, error) {
-	runtime.GC()
-	return core.Run(g, alg, cfg)
-}
-
-// freshCopy returns a new Graph sharing the edge array but with no derived
-// layouts, so experiments can time layout construction independently.
-func freshCopy(g *graph.Graph) *graph.Graph {
-	return &graph.Graph{EdgeArray: g.EdgeArray, Directed: g.Directed}
-}
-
-// writeTable renders tbl to w.
-func writeTable(w io.Writer, tbl *metrics.Table) error {
-	_, err := io.WriteString(w, tbl.String()+"\n")
+// runCells measures every cell of e in order and writes the table.
+func runCells(e Experiment, s Scale, w io.Writer) error {
+	var base *graph.Graph
+	if e.data != nil {
+		base = e.data.make(s)
+	}
+	t := table{metrics.NewTable(e.heading(s, base), e.columns...)}
+	format := e.format
+	if format == nil {
+		format = writeTimes
+	}
+	cur, g := e.data, base
+	for _, c := range e.cells(s) {
+		if c.data == nil {
+			c.data = e.data
+		}
+		if c.data != cur {
+			cur, g = c.data, c.data.make(s)
+		}
+		if c.cfg.Workers == 0 {
+			c.cfg.Workers = s.Workers
+		}
+		if c.cfg.GridP == 0 {
+			c.cfg.GridP = s.GridP
+		}
+		var alg eg.Algorithm
+		if c.alg != nil {
+			alg = c.alg()
+		}
+		pg, res, err := measure(g, c.cfg, alg)
+		if err != nil {
+			return fmt.Errorf("%s %q %s: %w", e.ID, c.row, c.col, err)
+		}
+		format(t, c, pg, res)
+	}
+	_, err := io.WriteString(w, t.String()+"\n")
 	return err
 }
 
-// fmtDuration renders a duration in seconds.
-func fmtDuration(d time.Duration) string { return metrics.FormatSeconds(d) }
+// measure wraps base's edges in a fresh Graph, prepares it for cfg and, when
+// alg is not nil, runs alg on it. A garbage collection before each phase
+// keeps earlier phases' garbage out of the measured one. The result's
+// breakdown holds Prepare's pre-processing and the run's algorithm time.
+func measure(base *graph.Graph, cfg eg.Config, alg eg.Algorithm) (*eg.Graph, *eg.Result, error) {
+	g := eg.NewGraph(base.EdgeArray.Edges, base.NumVertices(), base.Directed)
+	runtime.GC()
+	bd, err := g.Prepare(cfg)
+	if err != nil || alg == nil {
+		return g, &eg.Result{Breakdown: bd}, err
+	}
+	runtime.GC()
+	res, err := g.Run(alg, cfg)
+	if err != nil {
+		return g, nil, err
+	}
+	res.Breakdown.Preprocess = bd.Preprocess
+	return g, res, nil
+}
 
-// fmtCount renders an integer.
-func fmtCount(n int) string { return fmt.Sprintf("%d", n) }
+// table is a metrics.Table filled cell by cell: a row is added where its
+// label first appears, with every column "-" until a cell sets it.
+type table struct{ *metrics.Table }
+
+func (t table) set(row string, values map[string]string) {
+	for _, r := range t.Rows {
+		if r.Label == row {
+			for k, v := range values {
+				r.Values[k] = v
+			}
+			return
+		}
+	}
+	vals := make(map[string]string, len(t.Columns))
+	for _, c := range t.Columns {
+		vals[c] = "-"
+	}
+	t.AddRow(row, vals)
+	t.set(row, values)
+}
+
+// writeTimes is the default format. A cell with a column gets its time
+// there: the pre-processing of a prepare-only cell, the algorithm time of
+// any other. A cell without one fills the preprocess, algorithm and total
+// columns of its row.
+func writeTimes(t table, c cell, _ *eg.Graph, r *eg.Result) {
+	b := r.Breakdown
+	switch {
+	case c.col != "" && c.alg == nil:
+		t.set(c.row, map[string]string{c.col: metrics.FormatSeconds(b.Preprocess)})
+	case c.col != "":
+		t.set(c.row, map[string]string{c.col: metrics.FormatSeconds(b.Algorithm)})
+	default:
+		t.set(c.row, map[string]string{
+			"preprocess": metrics.FormatSeconds(b.Preprocess),
+			"algorithm":  metrics.FormatSeconds(b.Algorithm),
+			"total":      metrics.FormatSeconds(b.Total()),
+		})
+	}
+}
+
+// --- datasets and algorithms ------------------------------------------------
+
+var (
+	rmat = &dataset{paper: "RMAT-N: 2^N vertices, 2^(N+4) edges", make: func(s Scale) *graph.Graph {
+		return gen.RMAT(gen.RMATOptions{Scale: s.RMATScale, EdgeFactor: s.RMATEdgeFactor, Seed: s.Seed, Weighted: true, Workers: s.Workers})
+	}}
+	twitter = &dataset{paper: "Twitter: 62M vertices, 1468M edges", make: func(s Scale) *graph.Graph {
+		return gen.TwitterProfile(gen.TwitterProfileOptions{Scale: s.TwitterScale, Seed: s.Seed, Weighted: true, Workers: s.Workers})
+	}}
+	road = &dataset{paper: "US-Road: 23.9M vertices, 58M edges", make: func(s Scale) *graph.Graph {
+		return gen.Road(gen.RoadOptions{Width: s.RoadWidth, Height: s.RoadHeight, ShortcutFraction: 0.05, Seed: s.Seed, Weighted: true})
+	}}
+	netflix = &dataset{paper: "Netflix: 0.5M vertices, 100M edges", make: func(s Scale) *graph.Graph {
+		return gen.Bipartite(gen.BipartiteOptions{Users: s.BipartiteUsers, Items: s.BipartiteItems, RatingsPerUser: s.BipartiteRatings, Seed: s.Seed})
+	}}
+)
+
+func bfs() eg.Algorithm  { return eg.BFS(0) }
+func wcc() eg.Algorithm  { return eg.WCC() }
+func spmv() eg.Algorithm { return eg.SpMV() }
+func sssp() eg.Algorithm { return eg.SSSP(0) }
+
+// pagerank returns the scale's fixed-iteration PageRank constructor.
+func pagerank(s Scale) func() eg.Algorithm {
+	return func() eg.Algorithm {
+		pr := eg.PageRank()
+		pr.Iterations = s.PagerankIterations
+		return pr
+	}
+}

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"regexp"
 	"strings"
 	"testing"
@@ -213,5 +214,81 @@ func TestIDsSorted(t *testing.T) {
 		if ids[i-1] >= ids[i] {
 			t.Fatalf("IDs not strictly sorted: %q >= %q", ids[i-1], ids[i])
 		}
+	}
+}
+
+// TestTable6WCCMatchesUnionFind: the WCC rows run on the undirected view, so
+// the rmat cell finds the weakly connected components a union-find over the
+// edge array finds (1,120 at the Quick scale; label propagation along
+// out-edges only ends with 1,581 labels).
+func TestTable6WCCMatchesUnionFind(t *testing.T) {
+	e, _ := ByID("table6")
+	var c cell
+	for _, c = range e.cells(Quick) {
+		if c.row == "wcc / rmat / edge array / push" {
+			break
+		}
+	}
+	if c.row != "wcc / rmat / edge array / push" {
+		t.Fatal("table6 has no rmat WCC cell")
+	}
+	base := c.data.make(Quick)
+	alg := c.alg()
+	if _, _, err := measure(base, c.cfg, alg); err != nil {
+		t.Fatalf("%s: %v", c.row, err)
+	}
+	got := alg.(interface{ NumComponents() int }).NumComponents()
+
+	parent := make([]uint32, base.NumVertices())
+	for v := range parent {
+		parent[v] = uint32(v)
+	}
+	var find func(v uint32) uint32
+	find = func(v uint32) uint32 {
+		if parent[v] != v {
+			parent[v] = find(parent[v])
+		}
+		return parent[v]
+	}
+	want := len(parent)
+	for _, edge := range base.EdgeArray.Edges {
+		if a, b := find(uint32(edge.Src)), find(uint32(edge.Dst)); a != b {
+			parent[a] = b
+			want--
+		}
+	}
+	if got != want {
+		t.Fatalf("%s: %d components, union-find finds %d", c.row, got, want)
+	}
+}
+
+// benchScale is larger than the Quick scale so layout effects are visible,
+// smaller than the Default scale so the whole suite stays tractable.
+var benchScale = Scale{
+	RMATScale:          16,
+	RMATEdgeFactor:     16,
+	TwitterScale:       16,
+	RoadWidth:          384,
+	RoadHeight:         384,
+	BipartiteUsers:     20000,
+	BipartiteItems:     2000,
+	BipartiteRatings:   24,
+	PagerankIterations: 10,
+	Seed:               42,
+}
+
+// BenchmarkExperiments runs each registered experiment once per iteration at
+// benchScale, dataset generation and pre-processing included: the paper's
+// subject is the end-to-end cost, not steady-state algorithm throughput.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range All() {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := e.Run(benchScale, io.Discard); err != nil {
+					b.Fatalf("experiment %s: %v", e.ID, err)
+				}
+			}
+		})
 	}
 }

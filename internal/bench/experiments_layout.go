@@ -2,150 +2,74 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
-	"github.com/epfl-repro/everythinggraph/internal/algorithms"
-	"github.com/epfl-repro/everythinggraph/internal/core"
+	eg "github.com/epfl-repro/everythinggraph"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
-	"github.com/epfl-repro/everythinggraph/internal/metrics"
-	"github.com/epfl-repro/everythinggraph/internal/prep"
 )
 
 func init() {
+	// Figure 3 compares vertex-centric computation on (radix-built,
+	// outgoing) adjacency lists against edge-centric computation on the raw
+	// edge array, which needs no pre-processing, for three algorithms with
+	// very different algorithm-time profiles.
 	register(Experiment{
 		ID:    "fig3",
 		Title: "Figure 3: data layout vs traversal model (BFS, PageRank, SpMV on adjacency lists vs edge array)",
-		Run:   runFig3,
+		data:  rmat,
+		heading: func(s Scale, g *graph.Graph) string {
+			return fmt.Sprintf("Figure 3: layout vs traversal on RMAT%d (%d edges)", s.RMATScale, g.NumEdges())
+		},
+		columns: breakdownColumns,
+		cells: func(s Scale) []cell {
+			return layoutCells(s, []string{"bfs", "pagerank", "spmv"}, []layoutCase{
+				{"adj. list", eg.LayoutAdjacency, eg.SyncAtomics},
+				{"edge array", eg.LayoutEdgeArray, eg.SyncAtomics},
+			})
+		},
 	})
+	// Figure 5 measures the end-to-end impact of the cache-locality layouts
+	// for BFS and PageRank, all pushing.
 	register(Experiment{
 		ID:    "fig5",
 		Title: "Figure 5: cache-related optimizations, end-to-end (unsorted/sorted adjacency, edge array, grid)",
-		Run:   runFig5,
+		data:  rmat,
+		heading: func(s Scale, g *graph.Graph) string {
+			return fmt.Sprintf("Figure 5: cache optimizations end-to-end on RMAT%d (%d edges)", s.RMATScale, g.NumEdges())
+		},
+		columns: breakdownColumns,
+		cells: func(s Scale) []cell {
+			return layoutCells(s, []string{"bfs", "pagerank"}, []layoutCase{
+				{"adj. unsorted", eg.LayoutAdjacency, eg.SyncAtomics},
+				{"adj. sorted", eg.LayoutAdjacencySorted, eg.SyncAtomics},
+				{"edge array", eg.LayoutEdgeArray, eg.SyncAtomics},
+				{"grid", eg.LayoutGrid, eg.SyncPartitionFree},
+			})
+		},
 	})
 }
 
-// runFig3 compares vertex-centric computation on adjacency lists against
-// edge-centric computation on the raw edge array for three algorithms with
-// very different algorithm-time profiles.
-func runFig3(s Scale, w io.Writer) error {
-	base := rmatGraph(s)
-	tbl := metrics.NewTable(
-		fmt.Sprintf("Figure 3: layout vs traversal on RMAT%d (%d edges)", s.RMATScale, base.NumEdges()),
-		"preprocess", "algorithm", "total")
+// breakdownColumns are the columns writeTimes fills for a cell without one.
+var breakdownColumns = []string{"preprocess", "algorithm", "total"}
 
-	type algoCase struct {
-		name string
-		alg  func() core.Algorithm
-	}
-	cases := []algoCase{
-		{"bfs", func() core.Algorithm { return algorithms.NewBFS(0) }},
-		{"pagerank", func() core.Algorithm {
-			pr := algorithms.NewPageRank()
-			pr.Iterations = s.PagerankIterations
-			return pr
-		}},
-		{"spmv", func() core.Algorithm { return algorithms.NewSpMV() }},
-	}
-
-	for _, c := range cases {
-		// Vertex-centric on adjacency lists (radix-built, outgoing only).
-		g := freshCopy(base)
-		prepTime, err := buildAdjacencyTimed(g, prep.Out, prep.Options{Method: prep.RadixSort, Workers: s.Workers})
-		if err != nil {
-			return err
-		}
-		res, err := runAlgorithm(g, c.alg(), core.Config{
-			Layout: graph.LayoutAdjacency, Flow: core.Push, Sync: core.SyncAtomics, Workers: s.Workers,
-		})
-		if err != nil {
-			return err
-		}
-		tbl.AddRow(c.name+" / adj. list", breakdownRow(metrics.Breakdown{Preprocess: prepTime, Algorithm: res.AlgorithmTime}))
-
-		// Edge-centric on the raw edge array (zero pre-processing).
-		ge := freshCopy(base)
-		resE, err := runAlgorithm(ge, c.alg(), core.Config{
-			Layout: graph.LayoutEdgeArray, Flow: core.Push, Sync: core.SyncAtomics, Workers: s.Workers,
-		})
-		if err != nil {
-			return err
-		}
-		tbl.AddRow(c.name+" / edge array", breakdownRow(metrics.Breakdown{Algorithm: resE.AlgorithmTime}))
-	}
-	return writeTable(w, tbl)
+// layoutCase is one pushing layout of Figures 3 and 5.
+type layoutCase struct {
+	name   string
+	layout eg.Layout
+	sync   eg.Sync
 }
 
-// runFig5 measures the end-to-end impact of the cache-locality layouts:
-// unsorted adjacency, destination-sorted adjacency, raw edge array and the
-// grid, for BFS and PageRank.
-func runFig5(s Scale, w io.Writer) error {
-	base := rmatGraph(s)
-	tbl := metrics.NewTable(
-		fmt.Sprintf("Figure 5: cache optimizations end-to-end on RMAT%d (%d edges)", s.RMATScale, base.NumEdges()),
-		"preprocess", "algorithm", "total")
-
-	type algoCase struct {
-		name string
-		alg  func() core.Algorithm
-	}
-	cases := []algoCase{
-		{"bfs", func() core.Algorithm { return algorithms.NewBFS(0) }},
-		{"pagerank", func() core.Algorithm {
-			pr := algorithms.NewPageRank()
-			pr.Iterations = s.PagerankIterations
-			return pr
-		}},
-	}
-
-	for _, c := range cases {
-		// Unsorted adjacency list.
-		{
-			g := freshCopy(base)
-			prepTime, err := buildAdjacencyTimed(g, prep.Out, prep.Options{Method: prep.RadixSort, Workers: s.Workers})
-			if err != nil {
-				return err
-			}
-			res, err := runAlgorithm(g, c.alg(), core.Config{Layout: graph.LayoutAdjacency, Flow: core.Push, Sync: core.SyncAtomics, Workers: s.Workers})
-			if err != nil {
-				return err
-			}
-			tbl.AddRow(c.name+" / adj. unsorted", breakdownRow(metrics.Breakdown{Preprocess: prepTime, Algorithm: res.AlgorithmTime}))
-		}
-		// Sorted adjacency list.
-		{
-			g := freshCopy(base)
-			prepTime, err := buildAdjacencyTimed(g, prep.Out, prep.Options{Method: prep.RadixSort, Workers: s.Workers, SortNeighbors: true})
-			if err != nil {
-				return err
-			}
-			res, err := runAlgorithm(g, c.alg(), core.Config{Layout: graph.LayoutAdjacencySorted, Flow: core.Push, Sync: core.SyncAtomics, Workers: s.Workers})
-			if err != nil {
-				return err
-			}
-			tbl.AddRow(c.name+" / adj. sorted", breakdownRow(metrics.Breakdown{Preprocess: prepTime, Algorithm: res.AlgorithmTime}))
-		}
-		// Edge array.
-		{
-			g := freshCopy(base)
-			res, err := runAlgorithm(g, c.alg(), core.Config{Layout: graph.LayoutEdgeArray, Flow: core.Push, Sync: core.SyncAtomics, Workers: s.Workers})
-			if err != nil {
-				return err
-			}
-			tbl.AddRow(c.name+" / edge array", breakdownRow(metrics.Breakdown{Algorithm: res.AlgorithmTime}))
-		}
-		// Grid.
-		{
-			g := freshCopy(base)
-			prepTime, err := buildGridTimed(g, s.GridP, prep.Options{Method: prep.RadixSort, Workers: s.Workers})
-			if err != nil {
-				return err
-			}
-			res, err := runAlgorithm(g, c.alg(), core.Config{Layout: graph.LayoutGrid, Flow: core.Push, Sync: core.SyncPartitionFree, Workers: s.Workers})
-			if err != nil {
-				return err
-			}
-			tbl.AddRow(c.name+" / grid", breakdownRow(metrics.Breakdown{Preprocess: prepTime, Algorithm: res.AlgorithmTime}))
+// layoutCells crosses algorithms with layouts, one "alg / layout" row each.
+func layoutCells(s Scale, algs []string, layouts []layoutCase) []cell {
+	ctor := map[string]func() eg.Algorithm{"bfs": bfs, "pagerank": pagerank(s), "spmv": spmv}
+	var cells []cell
+	for _, a := range algs {
+		for _, l := range layouts {
+			cells = append(cells, cell{
+				row: a + " / " + l.name,
+				cfg: eg.Config{Layout: l.layout, Flow: eg.FlowPush, Sync: l.sync},
+				alg: ctor[a],
+			})
 		}
 	}
-	return writeTable(w, tbl)
+	return cells
 }

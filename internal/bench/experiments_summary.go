@@ -2,247 +2,101 @@ package bench
 
 import (
 	"fmt"
-	"io"
+	"strconv"
 
-	"github.com/epfl-repro/everythinggraph/internal/algorithms"
-	"github.com/epfl-repro/everythinggraph/internal/core"
+	eg "github.com/epfl-repro/everythinggraph"
 	"github.com/epfl-repro/everythinggraph/internal/graph"
-	"github.com/epfl-repro/everythinggraph/internal/metrics"
-	"github.com/epfl-repro/everythinggraph/internal/prep"
 )
 
 func init() {
+	// Table 1 reports the generated datasets' sizes at the scale, beside the
+	// originals the paper used. Its cells prepare the edge array, which costs
+	// nothing, and run nothing.
 	register(Experiment{
-		ID:    "table1",
-		Title: "Table 1: datasets used in the evaluation (generator presets at the configured scale)",
-		Run:   runTable1,
+		ID:      "table1",
+		Title:   "Table 1: datasets used in the evaluation (generator presets at the configured scale)",
+		heading: constHeading("Table 1: datasets (generated stand-ins; paper originals in parentheses)"),
+		columns: []string{"vertices", "edges", "paper original"},
+		cells: func(s Scale) []cell {
+			return []cell{
+				{row: fmt.Sprintf("RMAT%d", s.RMATScale), data: rmat},
+				{row: "Twitter-profile", data: twitter},
+				{row: "US-Road-profile", data: road},
+				{row: "Netflix-profile", data: netflix},
+			}
+		},
+		format: func(t table, c cell, g *eg.Graph, _ *eg.Result) {
+			t.set(c.row, map[string]string{
+				"vertices":       strconv.Itoa(g.NumVertices()),
+				"edges":          strconv.Itoa(g.NumEdges()),
+				"paper original": c.data.paper,
+			})
+		},
+	})
+	// Tables 5 and 6 run each algorithm on each dataset under the
+	// configuration the paper found best end-to-end.
+	register(Experiment{
+		ID:      "table5",
+		Title:   "Table 5: best end-to-end approaches for BFS and PageRank on the Twitter-profile and road graphs",
+		heading: constHeading("Table 5: best approaches for BFS and PageRank"),
+		columns: breakdownColumns,
+		cells: func(s Scale) []cell {
+			return []cell{
+				{row: "bfs / twitter / adj. list / push", data: twitter, cfg: adjPush, alg: bfs},
+				{row: "bfs / us-road / adj. list / push", data: road, cfg: adjPush, alg: bfs},
+				{row: "pagerank / twitter / grid / pull (no lock)", data: twitter,
+					cfg: eg.Config{Layout: eg.LayoutGrid, Flow: eg.FlowPull, Sync: eg.SyncPartitionFree}, alg: pagerank(s)},
+				{row: "pagerank / us-road / edge array / pull", data: road,
+					cfg: eg.Config{Layout: eg.LayoutEdgeArray, Flow: eg.FlowPull, Sync: eg.SyncAtomics}, alg: pagerank(s)},
+			}
+		},
 	})
 	register(Experiment{
-		ID:    "table5",
-		Title: "Table 5: best end-to-end approaches for BFS and PageRank on the Twitter-profile and road graphs",
-		Run:   runTable5,
-	})
-	register(Experiment{
-		ID:    "table6",
-		Title: "Table 6: best end-to-end approaches for WCC, SpMV, SSSP and ALS",
-		Run:   runTable6,
+		ID:      "table6",
+		Title:   "Table 6: best end-to-end approaches for WCC, SpMV, SSSP and ALS",
+		heading: constHeading("Table 6: best approaches for WCC, SpMV, SSSP and ALS"),
+		columns: breakdownColumns,
+		cells: func(s Scale) []cell {
+			// WCC runs on the undirected view: edge arrays win on
+			// low-diameter graphs (no undirected doubling cost), adjacency
+			// lists on the high-diameter road graph.
+			wccEdges, wccAdj := edgePush, adjPush
+			wccEdges.Undirected, wccAdj.Undirected = &undirected, &undirected
+			return []cell{
+				{row: "wcc / rmat / edge array / push", data: rmat, cfg: wccEdges, alg: wcc},
+				{row: "wcc / twitter / edge array / push", data: twitter, cfg: wccEdges, alg: wcc},
+				{row: "wcc / us-road / adj. list / push", data: road, cfg: wccAdj, alg: wcc},
+				// SpMV is a single pass: the edge array always.
+				{row: "spmv / rmat / edge array / push", data: rmat, cfg: edgePush, alg: spmv},
+				{row: "spmv / twitter / edge array / push", data: twitter, cfg: edgePush, alg: spmv},
+				{row: "spmv / us-road / edge array / push", data: road, cfg: edgePush, alg: spmv},
+				// SSSP: like BFS, adjacency lists with push.
+				{row: "sssp / rmat / adj. list / push", data: rmat, cfg: adjPush, alg: sssp},
+				{row: "sssp / twitter / adj. list / push", data: twitter, cfg: adjPush, alg: sssp},
+				{row: "sssp / us-road / adj. list / push", data: road, cfg: adjPush, alg: sssp},
+				// ALS on the bipartite rating graph: adjacency lists, pull, no lock.
+				{row: "als / netflix / adj. list / pull (no lock)", data: netflix,
+					cfg: eg.Config{Layout: eg.LayoutAdjacency, Flow: eg.FlowPull, Sync: eg.SyncPartitionFree},
+					alg: func() eg.Algorithm {
+						als := eg.ALS(s.BipartiteUsers)
+						als.Sweeps = 3
+						return als
+					}},
+			}
+		},
 	})
 }
 
-// runTable1 reports the generated datasets and their sizes at the current
-// scale, alongside the sizes of the originals used by the paper.
-func runTable1(s Scale, w io.Writer) error {
-	tbl := metrics.NewTable("Table 1: datasets (generated stand-ins; paper originals in parentheses)",
-		"vertices", "edges", "paper original")
+// undirected is the Config.Undirected WCC runs under on directed inputs.
+var undirected = true
 
-	rmat := rmatGraph(s)
-	tbl.AddRow(fmt.Sprintf("RMAT%d", s.RMATScale), map[string]string{
-		"vertices":       fmtCount(rmat.NumVertices()),
-		"edges":          fmtCount(rmat.NumEdges()),
-		"paper original": "RMAT-N: 2^N vertices, 2^(N+4) edges",
-	})
-	tw := twitterGraph(s)
-	tbl.AddRow("Twitter-profile", map[string]string{
-		"vertices":       fmtCount(tw.NumVertices()),
-		"edges":          fmtCount(tw.NumEdges()),
-		"paper original": "Twitter: 62M vertices, 1468M edges",
-	})
-	road := roadGraph(s)
-	tbl.AddRow("US-Road-profile", map[string]string{
-		"vertices":       fmtCount(road.NumVertices()),
-		"edges":          fmtCount(road.NumEdges()),
-		"paper original": "US-Road: 23.9M vertices, 58M edges",
-	})
-	bi := bipartiteGraph(s)
-	tbl.AddRow("Netflix-profile", map[string]string{
-		"vertices":       fmtCount(bi.NumVertices()),
-		"edges":          fmtCount(bi.NumEdges()),
-		"paper original": "Netflix: 0.5M vertices, 100M edges",
-	})
-	return writeTable(w, tbl)
-}
+var (
+	adjPush  = eg.Config{Layout: eg.LayoutAdjacency, Flow: eg.FlowPush, Sync: eg.SyncAtomics}
+	edgePush = eg.Config{Layout: eg.LayoutEdgeArray, Flow: eg.FlowPush, Sync: eg.SyncAtomics}
+)
 
-// bestCase describes one row of Tables 5 and 6: an algorithm, a dataset and
-// the configuration the paper found best end-to-end.
-type bestCase struct {
-	label      string
-	makeGraph  func(s Scale) *graph.Graph
-	alg        func(g *graph.Graph, s Scale) core.Algorithm
-	layout     graph.Layout
-	flow       core.Flow
-	sync       core.SyncMode
-	direction  prep.Direction
-	undirected bool
-	useGrid    bool
-}
-
-// runBestCase builds the configured layout, runs the algorithm and adds the
-// breakdown row.
-func runBestCase(tbl *metrics.Table, c bestCase, s Scale) error {
-	base := c.makeGraph(s)
-	g := freshCopy(base)
-	opt := prep.Options{Method: prep.RadixSort, Workers: s.Workers, Undirected: c.undirected}
-
-	var prepTime metrics.Breakdown
-	switch {
-	case c.useGrid:
-		d, err := buildGridTimed(g, s.GridP, opt)
-		if err != nil {
-			return err
-		}
-		prepTime.Preprocess = d
-	case c.layout == graph.LayoutAdjacency || c.layout == graph.LayoutAdjacencySorted:
-		d, err := buildAdjacencyTimed(g, c.direction, opt)
-		if err != nil {
-			return err
-		}
-		prepTime.Preprocess = d
-	default:
-		// Edge array: no pre-processing.
-	}
-
-	res, err := runAlgorithm(g, c.alg(g, s), core.Config{
-		Layout: c.layout, Flow: c.flow, Sync: c.sync, Workers: s.Workers,
-	})
-	if err != nil {
-		return err
-	}
-	b := prepTime
-	b.Algorithm = res.AlgorithmTime
-	tbl.AddRow(c.label, breakdownRow(b))
-	return nil
-}
-
-// runTable5 reproduces the paper's best-approach table for BFS and PageRank
-// on the Twitter-profile and road graphs.
-func runTable5(s Scale, w io.Writer) error {
-	tbl := metrics.NewTable("Table 5: best approaches for BFS and PageRank",
-		"preprocess", "algorithm", "total")
-	cases := []bestCase{
-		{
-			label:     "bfs / twitter / adj. list / push",
-			makeGraph: twitterGraph,
-			alg:       func(*graph.Graph, Scale) core.Algorithm { return algorithms.NewBFS(0) },
-			layout:    graph.LayoutAdjacency, flow: core.Push, sync: core.SyncAtomics, direction: prep.Out,
-		},
-		{
-			label:     "bfs / us-road / adj. list / push",
-			makeGraph: roadGraph,
-			alg:       func(*graph.Graph, Scale) core.Algorithm { return algorithms.NewBFS(0) },
-			layout:    graph.LayoutAdjacency, flow: core.Push, sync: core.SyncAtomics, direction: prep.Out,
-			undirected: true,
-		},
-		{
-			label:     "pagerank / twitter / grid / pull (no lock)",
-			makeGraph: twitterGraph,
-			alg: func(_ *graph.Graph, s Scale) core.Algorithm {
-				pr := algorithms.NewPageRank()
-				pr.Iterations = s.PagerankIterations
-				return pr
-			},
-			layout: graph.LayoutGrid, flow: core.Pull, sync: core.SyncPartitionFree, useGrid: true,
-		},
-		{
-			label:     "pagerank / us-road / edge array / pull",
-			makeGraph: roadGraph,
-			alg: func(_ *graph.Graph, s Scale) core.Algorithm {
-				pr := algorithms.NewPageRank()
-				pr.Iterations = s.PagerankIterations
-				return pr
-			},
-			layout: graph.LayoutEdgeArray, flow: core.Pull, sync: core.SyncAtomics,
-		},
-	}
-	for _, c := range cases {
-		if err := runBestCase(tbl, c, s); err != nil {
-			return err
-		}
-	}
-	return writeTable(w, tbl)
-}
-
-// runTable6 reproduces the best-approach table for WCC, SpMV, SSSP and ALS.
-func runTable6(s Scale, w io.Writer) error {
-	tbl := metrics.NewTable("Table 6: best approaches for WCC, SpMV, SSSP and ALS",
-		"preprocess", "algorithm", "total")
-	cases := []bestCase{
-		// WCC: edge arrays win on low-diameter graphs (no undirected
-		// doubling cost), adjacency lists on the high-diameter road graph.
-		{
-			label:     "wcc / rmat / edge array / push",
-			makeGraph: rmatGraph,
-			alg:       func(*graph.Graph, Scale) core.Algorithm { return algorithms.NewWCC() },
-			layout:    graph.LayoutEdgeArray, flow: core.Push, sync: core.SyncAtomics,
-		},
-		{
-			label:     "wcc / twitter / edge array / push",
-			makeGraph: twitterGraph,
-			alg:       func(*graph.Graph, Scale) core.Algorithm { return algorithms.NewWCC() },
-			layout:    graph.LayoutEdgeArray, flow: core.Push, sync: core.SyncAtomics,
-		},
-		{
-			label:     "wcc / us-road / adj. list / push",
-			makeGraph: roadGraph,
-			alg:       func(*graph.Graph, Scale) core.Algorithm { return algorithms.NewWCC() },
-			layout:    graph.LayoutAdjacency, flow: core.Push, sync: core.SyncAtomics, direction: prep.Out,
-			undirected: true,
-		},
-		// SpMV: single pass, edge array always.
-		{
-			label:     "spmv / rmat / edge array / push",
-			makeGraph: rmatGraph,
-			alg:       func(*graph.Graph, Scale) core.Algorithm { return algorithms.NewSpMV() },
-			layout:    graph.LayoutEdgeArray, flow: core.Push, sync: core.SyncAtomics,
-		},
-		{
-			label:     "spmv / twitter / edge array / push",
-			makeGraph: twitterGraph,
-			alg:       func(*graph.Graph, Scale) core.Algorithm { return algorithms.NewSpMV() },
-			layout:    graph.LayoutEdgeArray, flow: core.Push, sync: core.SyncAtomics,
-		},
-		{
-			label:     "spmv / us-road / edge array / push",
-			makeGraph: roadGraph,
-			alg:       func(*graph.Graph, Scale) core.Algorithm { return algorithms.NewSpMV() },
-			layout:    graph.LayoutEdgeArray, flow: core.Push, sync: core.SyncAtomics,
-		},
-		// SSSP: like BFS, adjacency lists with push.
-		{
-			label:     "sssp / rmat / adj. list / push",
-			makeGraph: rmatGraph,
-			alg:       func(*graph.Graph, Scale) core.Algorithm { return algorithms.NewSSSP(0) },
-			layout:    graph.LayoutAdjacency, flow: core.Push, sync: core.SyncAtomics, direction: prep.Out,
-		},
-		{
-			label:     "sssp / twitter / adj. list / push",
-			makeGraph: twitterGraph,
-			alg:       func(*graph.Graph, Scale) core.Algorithm { return algorithms.NewSSSP(0) },
-			layout:    graph.LayoutAdjacency, flow: core.Push, sync: core.SyncAtomics, direction: prep.Out,
-		},
-		{
-			label:     "sssp / us-road / adj. list / push",
-			makeGraph: roadGraph,
-			alg:       func(*graph.Graph, Scale) core.Algorithm { return algorithms.NewSSSP(0) },
-			layout:    graph.LayoutAdjacency, flow: core.Push, sync: core.SyncAtomics, direction: prep.Out,
-			undirected: true,
-		},
-		// ALS on the bipartite rating graph: adjacency lists, pull, no lock.
-		{
-			label:     "als / netflix / adj. list / pull (no lock)",
-			makeGraph: bipartiteGraph,
-			alg: func(g *graph.Graph, s Scale) core.Algorithm {
-				als := algorithms.NewALS(s.BipartiteUsers)
-				als.Sweeps = 3
-				return als
-			},
-			layout: graph.LayoutAdjacency, flow: core.Pull, sync: core.SyncPartitionFree, direction: prep.Out,
-			undirected: true,
-		},
-	}
-	for _, c := range cases {
-		if err := runBestCase(tbl, c, s); err != nil {
-			return err
-		}
-	}
-	return writeTable(w, tbl)
+// constHeading is the heading of a table whose title does not depend on the
+// scale.
+func constHeading(title string) func(Scale, *graph.Graph) string {
+	return func(Scale, *graph.Graph) string { return title }
 }

@@ -40,29 +40,6 @@ func (b Breakdown) Total() time.Duration {
 	return b.Load + b.Preprocess + b.Algorithm
 }
 
-// Add returns the phase-wise sum of two breakdowns.
-func (b Breakdown) Add(o Breakdown) Breakdown {
-	return Breakdown{
-		Load:       b.Load + o.Load,
-		Preprocess: b.Preprocess + o.Preprocess,
-		Algorithm:  b.Algorithm + o.Algorithm,
-		IOWait:     b.IOWait + o.IOWait,
-		IOHidden:   b.IOHidden + o.IOHidden,
-	}
-}
-
-// Scale returns the breakdown with every phase multiplied by f (used to
-// average repeated runs).
-func (b Breakdown) Scale(f float64) Breakdown {
-	return Breakdown{
-		Load:       time.Duration(float64(b.Load) * f),
-		Preprocess: time.Duration(float64(b.Preprocess) * f),
-		Algorithm:  time.Duration(float64(b.Algorithm) * f),
-		IOWait:     time.Duration(float64(b.IOWait) * f),
-		IOHidden:   time.Duration(float64(b.IOHidden) * f),
-	}
-}
-
 // String formats the breakdown as "pre=12ms algo=34ms total=46ms"
 // (load omitted when zero).
 func (b Breakdown) String() string {
